@@ -71,6 +71,29 @@ func deltaLibrary(t *testing.T, pr model.Params, ranks int, seed uint64, fullEve
 	return "", nil
 }
 
+// trimAfter removes every snapshot newer than epoch on all ranks, as a
+// crash right after that epoch committed would have left the directory.
+// The library run may well have committed a later full epoch; with it in
+// place a damaged older chain is simply not on the newest chain any
+// more, and Latest has nothing to skip.
+func trimAfter(t *testing.T, dir string, ranks int, epoch int64) {
+	t.Helper()
+	for r := 0; r < ranks; r++ {
+		epochs, err := ckpt.Epochs(dir, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range epochs {
+			if e <= epoch {
+				continue
+			}
+			if err := os.Remove(ckpt.Path(dir, r, e)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // Resuming over a base+delta chain must reproduce the uninterrupted
 // output exactly — at the same worker count, a different one, and the
 // single-worker loop — for every retained epoch, full or delta.
@@ -152,6 +175,7 @@ func TestCheckpointTornDeltaFallsBack(t *testing.T) {
 	if torn < 0 {
 		t.Skip("rank 1 committed no delta epoch")
 	}
+	trimAfter(t, dir, ranks, torn)
 	path := ckpt.Path(dir, 1, torn)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -202,15 +226,24 @@ func TestCheckpointMissingBaseFallsBack(t *testing.T) {
 	dir, epochs := deltaLibrary(t, pr, ranks, 29, fullEvery)
 
 	// Find the newest full epoch on rank 0 that anchors at least one
-	// later delta, and delete it.
-	var missing int64 = -1
-	for i := len(epochs) - 1; i >= 0; i-- {
-		h, err := ckpt.ReadHeader(ckpt.Path(dir, 0, epochs[i]))
+	// later delta, make its chain the newest one, and delete it.
+	kinds := make([]int, len(epochs))
+	for i, e := range epochs {
+		h, err := ckpt.ReadHeader(ckpt.Path(dir, 0, e))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Kind == ckpt.KindFull && i < len(epochs)-1 {
+		kinds[i] = h.Kind
+	}
+	var missing int64 = -1
+	for i := len(epochs) - 2; i >= 0; i-- {
+		if kinds[i] == ckpt.KindFull && kinds[i+1] == ckpt.KindDelta {
 			missing = epochs[i]
+			end := i + 1
+			for end+1 < len(epochs) && kinds[end+1] == ckpt.KindDelta {
+				end++
+			}
+			trimAfter(t, dir, ranks, epochs[end])
 			break
 		}
 	}

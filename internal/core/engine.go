@@ -265,6 +265,12 @@ type RankStats struct {
 	SinkBytes     int64
 	SinkFsyncs    int64
 	SinkFsyncTime time.Duration
+	// TCP says who moved the bytes on a TCP transport: frames drained by
+	// the engine's own polls against frames that waited for a reader
+	// goroutine, readiness probes and their hits, and inline writes that
+	// found the peer's socket buffer full. Zero on other transports and
+	// behind wrappers that hide the endpoint (Chaos, Delayed).
+	TCP transport.TCPStats
 }
 
 // Metrics converts the rank's statistics into the exported obs form.
@@ -311,6 +317,11 @@ func (s RankStats) Metrics() obs.RankMetrics {
 		SinkBytes:         s.SinkBytes,
 		SinkFsyncs:        s.SinkFsyncs,
 		SinkFsyncNanos:    s.SinkFsyncTime.Nanoseconds(),
+		TCPFramesInline:   s.TCP.FramesInline,
+		TCPFramesReader:   s.TCP.FramesReader,
+		TCPProbes:         s.TCP.Probes,
+		TCPProbeHits:      s.TCP.ProbeHits,
+		TCPWriteStalls:    s.TCP.WriteStalls,
 	}
 }
 
@@ -1054,6 +1065,9 @@ func (e *engine) finishStats() {
 		e.stats.ReplayDepth.Merge(w.replayDepth)
 	}
 	e.stats.Comm = e.cm.Counters()
+	if ts, ok := e.tr.(interface{ Stats() transport.TCPStats }); ok {
+		e.stats.TCP = ts.Stats()
+	}
 	// The engine owns its Comm and never sends again, so take the live
 	// counts instead of copying them.
 	e.stats.RequestsTo = e.cm.RequestsToView()

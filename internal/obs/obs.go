@@ -235,6 +235,17 @@ type RankMetrics struct {
 	SinkBytes      int64 `json:"sink_bytes_written,omitempty"`
 	SinkFsyncs     int64 `json:"sink_fsyncs,omitempty"`
 	SinkFsyncNanos int64 `json:"sink_fsync_stall_nanos,omitempty"`
+	// TCP transport I/O split (zero off TCP): received frames drained
+	// by the engine's own polls against frames that waited for a reader
+	// goroutine (reader ≫ inline on a busy rank means the rank's round
+	// trips are waiting for the scheduler), readiness probes issued and
+	// those that found a readable socket, and inline writes that had to
+	// wait for socket space.
+	TCPFramesInline int64 `json:"tcp_frames_inline,omitempty"`
+	TCPFramesReader int64 `json:"tcp_frames_reader,omitempty"`
+	TCPProbes       int64 `json:"tcp_probes,omitempty"`
+	TCPProbeHits    int64 `json:"tcp_probe_hits,omitempty"`
+	TCPWriteStalls  int64 `json:"tcp_write_stalls,omitempty"`
 }
 
 // KLoad is one node's received-message load: K is the global node id,

@@ -16,9 +16,10 @@ import (
 //     ownership to Transport.Send.
 //   - Whoever consumes the frame bytes releases the buffer exactly once
 //     with ReleaseFrame: the decoding endpoint for locally-delivered
-//     frames (internal/comm does this after DecodeBatch), or the TCP
-//     writer goroutine once the bytes are on the wire (the remote reader
-//     then leases a fresh buffer for the incoming copy).
+//     frames (internal/comm does this after DecodeBatch), or TCP.Send
+//     itself, on the caller's goroutine, once the bytes are copied
+//     towards the socket (whoever drains the remote socket then leases a
+//     fresh buffer for the incoming copy).
 //   - After release the buffer must not be touched; a released buffer may
 //     be handed out by the next LeaseFrame anywhere in the process.
 //

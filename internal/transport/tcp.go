@@ -1,12 +1,14 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -69,35 +71,120 @@ func (c TCPConfig) withDefaults() TCPConfig {
 }
 
 // TCP is a full-mesh distributed-memory transport: each pair of ranks
-// shares one TCP connection (lower rank listens, higher rank dials),
-// frames are length-prefixed, and every connection has a dedicated reader
-// goroutine (pumping into the rank's unbounded mailbox) and writer
-// goroutine (draining an unbounded outbox), so engine sends never block
-// on peer progress — the property the deadlock analysis of Section 3.5.2
-// needs from the runtime.
+// shares one TCP connection (lower rank listens, higher rank dials) and
+// frames are length-prefixed. The goroutine that calls the transport
+// moves the bytes, the way an MPI progress engine does, so a
+// request→resolved round trip between two compute-bound ranks costs two
+// poll intervals and never waits for the Go scheduler to run a helper
+// goroutine:
+//
+//   - Send writes prefix and payload to the peer's socket in one write
+//     on the caller's goroutine, under a per-peer lock (several workers
+//     of a rank may send at once).
+//   - TryRecv, when the inbox is empty, asks the kernel which peer
+//     sockets are readable — one non-blocking probe, at most once per
+//     probeGap, whatever the rank count — drains those without blocking
+//     and parses the complete frames into the inbox (tcp_engine_linux.go;
+//     on other platforms only the reader goroutine drains).
+//   - One reader goroutine per connection waits for readiness on the
+//     runtime's network poller and then runs the same drain under the
+//     same per-connection lock. It serves blocking Recv and idle ranks,
+//     and it is why an inline write that blocks is always temporary:
+//     whatever this rank's engine is doing — including being blocked in
+//     its own Send — its readers keep emptying the kernel buffers into
+//     the unbounded inbox, so a peer's write to us always completes.
+//     That is the property the deadlock analysis of Section 3.5.2 needs
+//     from the runtime.
+//
+// Frames are pushed to the inbox while the connection's read lock is
+// held, so per-pair FIFO order survives having two drainers; the poll
+// path only ever TryLocks it and never waits behind the reader.
 //
 // Failure model: mesh establishment is bounded by
 // TCPConfig.HandshakeTimeout (a peer dying mid-handshake produces an
-// error, not a hang), each frame write by TCPConfig.WriteTimeout, and a
-// connection that fails outside a graceful Close latches a
-// connection-lost error that subsequent Recv and Send calls return — a
-// crashed peer turns into an error on every surviving rank instead of a
-// silent stall. Close drains the outbound queues before tearing
-// connections down, so frames already accepted by Send still reach the
-// wire (bounded by the write timeout).
+// error, not a hang), each frame write that has to wait for socket
+// space by TCPConfig.WriteTimeout, and a connection that fails outside
+// a graceful Close — whoever notices it, Send, the poll-time drain or
+// the reader — latches a connection-lost error that subsequent Recv and
+// Send calls return: a crashed peer turns into an error on every
+// surviving rank instead of a silent stall. Send returns once the frame
+// is in the kernel's socket buffer, so Close has nothing to drain.
 type TCP struct {
 	rank  int
 	addrs []string
 	cfg   TCPConfig
 	inbox *mailbox
+	start time.Time // base of the monotonic clock the probe gate and idle timeout read
+	stats tcpCounters
+	eng   engine // the poll-time drain's private state (tcp_engine_*.go)
 
-	mu       sync.Mutex
-	conns    []net.Conn // index by peer rank; nil for self
-	outboxes []*mailbox // per-peer outbound frame queues
-	closed   bool
-	failure  error // first unexpected connection failure; nil if none
-	readers  sync.WaitGroup
-	writers  sync.WaitGroup
+	mu      sync.Mutex
+	conns   []net.Conn  // index by peer rank; nil for self
+	peers   []*peerConn // index by peer rank; nil for self
+	closed  bool
+	failure error // first unexpected connection failure; nil if none
+	readers sync.WaitGroup
+}
+
+// peerConn is one established connection of the mesh with the state of
+// its two directions.
+type peerConn struct {
+	peer int
+	conn net.Conn
+
+	// Write side. wmu serialises whole frames onto the socket; wbuf is
+	// the reusable prefix+payload staging buffer that makes a frame one
+	// write; wclosed is set once the goodbye marker has gone out.
+	wmu     sync.Mutex
+	wbuf    []byte
+	wclosed bool
+
+	// Read side. rmu guards fr and ended: whoever holds it — the reader
+	// goroutine or a TryRecv caller — is the connection's only drainer
+	// for that moment. ended is set by the goodbye marker, EOF or a read
+	// error; nothing is read after it.
+	rmu   sync.Mutex
+	fr    frameReader
+	ended bool
+	// lastFrame is when the last complete frame was parsed, in
+	// nanoseconds since TCP.start; kept only under ReadIdleTimeout.
+	lastFrame atomic.Int64
+
+	engineConn // what the engine-driven I/O needs (tcp_engine_*.go)
+}
+
+// TCPStats counts who moved the bytes on a TCP endpoint. On a busy rank
+// FramesReader ≫ FramesInline is the signature of the starved path:
+// frames waited for the scheduler to run a reader goroutine instead of
+// being picked up at the engine's next poll.
+type TCPStats struct {
+	// FramesInline counts received frames parsed by a TryRecv caller's
+	// own socket drain; FramesReader those parsed by a reader goroutine.
+	FramesInline int64
+	FramesReader int64
+	// Probes counts readiness probes issued by TryRecv, ProbeHits those
+	// that found at least one readable socket.
+	Probes    int64
+	ProbeHits int64
+	// WriteStalls counts inline writes that had to wait for socket
+	// space (the peer's kernel buffer was full). Counted only where the
+	// engine-driven path is built (Linux).
+	WriteStalls int64
+}
+
+type tcpCounters struct {
+	framesInline, framesReader, probes, probeHits, writeStalls atomic.Int64
+}
+
+// Stats returns a snapshot of the endpoint's I/O counters.
+func (t *TCP) Stats() TCPStats {
+	return TCPStats{
+		FramesInline: t.stats.framesInline.Load(),
+		FramesReader: t.stats.framesReader.Load(),
+		Probes:       t.stats.probes.Load(),
+		ProbeHits:    t.stats.probeHits.Load(),
+		WriteStalls:  t.stats.writeStalls.Load(),
+	}
 }
 
 // NewTCP creates rank's endpoint of a P-rank mesh with the default
@@ -120,14 +207,15 @@ func NewTCPWithConfig(rank int, addrs []string, cfg TCPConfig) (*TCP, error) {
 		return nil, fmt.Errorf("transport: rank %d outside [0,%d)", rank, p)
 	}
 	t := &TCP{
-		rank:     rank,
-		addrs:    addrs,
-		cfg:      cfg,
-		inbox:    newMailbox(),
-		conns:    make([]net.Conn, p),
-		outboxes: make([]*mailbox, p),
+		rank:  rank,
+		addrs: addrs,
+		cfg:   cfg,
+		inbox: newMailbox(),
+		start: time.Now(),
+		conns: make([]net.Conn, p),
+		peers: make([]*peerConn, p),
 	}
-	deadline := time.Now().Add(cfg.HandshakeTimeout)
+	deadline := t.start.Add(cfg.HandshakeTimeout)
 
 	// closeAll tears down whatever the partial handshake established.
 	closeAll := func() {
@@ -221,16 +309,28 @@ func NewTCPWithConfig(rank int, addrs []string, cfg TCPConfig) (*TCP, error) {
 		return nil, err
 	}
 
-	// Start per-connection pumps.
-	for peer := 0; peer < p; peer++ {
-		if peer == rank {
+	for peer, conn := range t.conns {
+		if conn == nil {
 			continue
 		}
-		t.outboxes[peer] = newMailbox()
-		t.readers.Add(1)
-		t.writers.Add(1)
-		go t.readLoop(peer)
-		go t.writeLoop(peer)
+		pc := &peerConn{
+			peer: peer,
+			conn: conn,
+			fr:   frameReader{inbox: t.inbox, from: peer, buf: make([]byte, tcpReadBufSize)},
+		}
+		// The idle clock starts now, not when the handshake began.
+		pc.lastFrame.Store(int64(time.Since(t.start)))
+		t.peers[peer] = pc
+	}
+	if err := t.engineInit(); err != nil {
+		closeAll()
+		return nil, err
+	}
+	for _, pc := range t.peers {
+		if pc != nil {
+			t.readers.Add(1)
+			go t.readLoop(pc)
+		}
 	}
 	return t, nil
 }
@@ -262,13 +362,6 @@ func dialBackoff(addr string, deadline time.Time, cfg TCPConfig) (net.Conn, erro
 	}
 }
 
-// isClosed reports whether Close has begun.
-func (t *TCP) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
-}
-
 // fail latches the first unexpected connection failure and wakes any
 // blocked Recv by closing the inbox (frames already queued are still
 // delivered first). During a graceful Close connection errors are
@@ -294,77 +387,141 @@ func (t *TCP) Err() error {
 	return t.failure
 }
 
-// tcpReadBufSize sizes each connection's reusable read buffer: large
-// enough that a length prefix plus a typical coalesced frame arrive in
-// one read syscall.
+// tcpReadBufSize sizes each connection's staging buffer: large enough
+// that a length prefix plus many coalesced frames arrive in one read
+// syscall.
 const tcpReadBufSize = 64 << 10
 
 // A zero-length frame is the goodbye marker: Close writes one on every
-// connection after draining the outbound queues, so the peer's reader
-// can tell a graceful shutdown (goodbye, then EOF) from a crashed
-// process (EOF or reset with no goodbye). Data frames are never empty —
-// the communicator only flushes non-empty batches — so the length is
-// unambiguous on the wire.
+// connection, so the peer can tell a graceful shutdown (goodbye, then
+// EOF) from a crashed process (EOF or reset with no goodbye). Data frames
+// are never empty — the communicator only flushes non-empty batches — so
+// the length is unambiguous on the wire.
 
-func (t *TCP) readLoop(peer int) {
-	defer t.readers.Done()
-	// One reusable buffered reader per connection: the length prefix and
-	// frame body are read through it, so small frames cost no extra
-	// syscalls and the payload buffers come from the frame pool instead
-	// of a fresh allocation per frame.
-	conn := t.conns[peer]
-	br := bufio.NewReaderSize(conn, tcpReadBufSize)
-	var hdr [4]byte
-	for {
-		if t.cfg.ReadIdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(t.cfg.ReadIdleTimeout))
+// frameReader reassembles length-prefixed frames from a byte stream that
+// arrives in arbitrary pieces. Its user reads into target() and reports
+// the byte count to advance(), which pushes every frame those bytes
+// complete into the inbox. Small frames pass through the staging buffer
+// (many per read); a frame the staging buffer holds only the start of is
+// read the rest of the way straight into its leased buffer.
+type frameReader struct {
+	inbox *mailbox
+	from  int
+	buf   []byte // staging; buf[r:w] is read but not yet parsed
+	r, w  int
+	body  []byte // leased frame being filled directly; nil between frames
+	fill  int
+}
+
+// target returns where the next read must land. It is never empty.
+func (fr *frameReader) target() []byte {
+	if fr.body != nil {
+		return fr.body[fr.fill:]
+	}
+	return fr.buf[fr.w:]
+}
+
+// midFrame reports whether the stream stands inside a frame (EOF here
+// is a truncated frame, not a clean end).
+func (fr *frameReader) midFrame() bool { return fr.body != nil || fr.w > fr.r }
+
+// eofError is the read error for a peer that closed without goodbye.
+func (fr *frameReader) eofError() error {
+	if fr.midFrame() {
+		return io.ErrUnexpectedEOF
+	}
+	return io.EOF
+}
+
+// emit hands one completed frame to the inbox, counting it in who first
+// so a consumer never holds a frame the counters have not seen. It
+// reports false when the inbox is closed.
+func (fr *frameReader) emit(data []byte, who *atomic.Int64) bool {
+	who.Add(1)
+	return fr.inbox.push(Frame{From: fr.from, Data: data}) == nil
+}
+
+// advance accounts n bytes just read into target(). It returns the
+// number of frames emitted (each counted in who) and whether reading
+// must stop: the goodbye marker arrived, or the inbox is closed.
+func (fr *frameReader) advance(n int, who *atomic.Int64) (frames int, end bool) {
+	if fr.body != nil {
+		if fr.fill += n; fr.fill < len(fr.body) {
+			return 0, false
 		}
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			t.fail(peer, err) // no-op if our own Close is in progress
-			return
+		data := fr.body
+		fr.body, fr.fill = nil, 0
+		if !fr.emit(data, who) {
+			return 0, true
 		}
-		size := binary.LittleEndian.Uint32(hdr[:])
+		return 1, false // the staging buffer is empty while body is set
+	}
+	fr.w += n
+	for fr.w-fr.r >= 4 {
+		size := int(binary.LittleEndian.Uint32(fr.buf[fr.r:]))
 		if size == 0 {
-			return // goodbye marker: peer shut down gracefully
+			return frames, true
 		}
-		data := LeaseFrame(int(size))[:size]
-		if _, err := io.ReadFull(br, data); err != nil {
-			t.fail(peer, err)
-			return
+		fr.r += 4
+		data := LeaseFrame(size)[:size]
+		got := copy(data, fr.buf[fr.r:fr.w])
+		fr.r += got
+		if got < size {
+			fr.body, fr.fill = data, got
+			break
 		}
-		if t.inbox.push(Frame{From: peer, Data: data}) != nil {
-			return
+		if !fr.emit(data, who) {
+			return frames, true
 		}
+		frames++
+	}
+	// At most a partial prefix is left: move it to the front so the next
+	// read has the whole buffer.
+	fr.w = copy(fr.buf, fr.buf[fr.r:fr.w])
+	fr.r = 0
+	return frames, false
+}
+
+// noteFrames records, under ReadIdleTimeout, that a drain of pc just
+// completed frames.
+func (t *TCP) noteFrames(pc *peerConn, frames int) {
+	if frames > 0 && t.cfg.ReadIdleTimeout > 0 {
+		pc.lastFrame.Store(int64(time.Since(t.start)))
 	}
 }
 
-func (t *TCP) writeLoop(peer int) {
-	defer t.writers.Done()
-	conn := t.conns[peer]
-	var hdr [4]byte
-	for {
-		f, ok, err := t.outboxes[peer].pop(true)
-		if err != nil || !ok {
-			return
-		}
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(f.Data)))
-		if t.cfg.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-		}
-		if _, err := conn.Write(hdr[:]); err != nil {
-			ReleaseFrame(f.Data)
-			t.fail(peer, err)
-			return
-		}
-		_, err = conn.Write(f.Data)
-		// The bytes are on the wire (or the connection is dead): this
-		// side's ownership of the leased buffer ends here.
-		ReleaseFrame(f.Data)
-		if err != nil {
-			t.fail(peer, err)
-			return
-		}
+// armIdle points the connection's read deadline ReadIdleTimeout past the
+// last completed frame.
+func (t *TCP) armIdle(pc *peerConn) {
+	last := t.start.Add(time.Duration(pc.lastFrame.Load()))
+	pc.conn.SetReadDeadline(last.Add(t.cfg.ReadIdleTimeout))
+}
+
+// idleRearmed is called when pc's read deadline fired. Frames the
+// engine-side drain consumed do not pass through the reader's deadline,
+// so the deadline can fire on a connection that is not idle: if a frame
+// completed less than ReadIdleTimeout ago the deadline is re-armed from
+// it and the reader carries on.
+func (t *TCP) idleRearmed(pc *peerConn) bool {
+	idle := time.Since(t.start) - time.Duration(pc.lastFrame.Load())
+	if t.cfg.ReadIdleTimeout <= 0 || idle >= t.cfg.ReadIdleTimeout {
+		return false
 	}
+	t.armIdle(pc)
+	return true
+}
+
+// isTimeout reports whether err is a fired read or write deadline.
+func isTimeout(err error) bool { return errors.Is(err, os.ErrDeadlineExceeded) }
+
+// writeBlocking writes b with the ordinary blocking Write, bounded by
+// the write timeout.
+func (t *TCP) writeBlocking(pc *peerConn, b []byte) error {
+	if t.cfg.WriteTimeout > 0 {
+		pc.conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
+	}
+	_, err := pc.conn.Write(b)
+	return err
 }
 
 // Rank implements Transport.
@@ -373,20 +530,64 @@ func (t *TCP) Rank() int { return t.rank }
 // Size implements Transport.
 func (t *TCP) Size() int { return len(t.addrs) }
 
-// Send implements Transport. Self-sends loop back through the inbox.
-// After a connection failure has been latched, Send reports it so the
-// engine stops generating instead of queueing frames no one will read.
+// sendErr is what Send reports instead of touching a socket: the latched
+// failure, or ErrClosed once Close or Abort has begun.
+func (t *TCP) sendErr() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.failure != nil {
+		return t.failure
+	}
+	if t.closed {
+		return ErrClosed
+	}
+	return nil
+}
+
+// Send implements Transport. Self-sends loop back through the inbox;
+// every other frame is written to the peer's socket before Send returns,
+// prefix and payload in one write. A write that finds the peer's kernel
+// buffer full blocks until the peer's reader has made room (bounded by
+// the write timeout). After a connection failure has been latched, Send
+// reports it so the engine stops generating instead of producing frames
+// no one will read.
 func (t *TCP) Send(to int, data []byte) error {
 	if to < 0 || to >= len(t.addrs) {
 		return fmt.Errorf("transport: send to rank %d outside [0,%d)", to, len(t.addrs))
 	}
-	if err := t.Err(); err != nil {
+	if err := t.sendErr(); err != nil {
 		return err
 	}
 	if to == t.rank {
 		return t.inbox.push(Frame{From: t.rank, Data: data})
 	}
-	return t.outboxes[to].push(Frame{From: t.rank, Data: data})
+	pc := t.peers[to]
+	pc.wmu.Lock()
+	if pc.wclosed {
+		pc.wmu.Unlock()
+		return ErrClosed
+	}
+	pc.wbuf = binary.LittleEndian.AppendUint32(pc.wbuf[:0], uint32(len(data)))
+	pc.wbuf = append(pc.wbuf, data...)
+	// The bytes are copied: this side's ownership of the leased buffer
+	// ends here.
+	ReleaseFrame(data)
+	err := t.write(pc, pc.wbuf)
+	pc.wmu.Unlock()
+	if err != nil {
+		t.fail(to, err) // no-op if our own Close or Abort is in progress
+		return t.sendErr()
+	}
+	return nil
+}
+
+// recvErr maps the inbox's end-of-stream to the error Recv and TryRecv
+// report: the latched failure if there is one.
+func (t *TCP) recvErr() error {
+	if err := t.Err(); err != nil {
+		return err
+	}
+	return ErrClosed
 }
 
 // Recv implements Transport. After a peer connection fails outside a
@@ -394,100 +595,85 @@ func (t *TCP) Send(to int, data []byte) error {
 // returns the connection-lost error.
 func (t *TCP) Recv() (Frame, error) {
 	f, ok, err := t.inbox.pop(true)
-	if err != nil {
-		if ferr := t.Err(); ferr != nil {
-			return Frame{}, ferr
-		}
-		return Frame{}, err
-	}
-	if !ok {
-		if ferr := t.Err(); ferr != nil {
-			return Frame{}, ferr
-		}
-		return Frame{}, ErrClosed
+	if err != nil || !ok {
+		return Frame{}, t.recvErr()
 	}
 	return f, nil
 }
 
-// TryRecv implements Transport.
+// TryRecv implements Transport. When the inbox is empty it drives the
+// receive side itself (see probe) instead of reporting "nothing yet" and
+// leaving the bytes in the kernel until a reader goroutine is scheduled.
 func (t *TCP) TryRecv() (Frame, bool, error) {
 	f, ok, err := t.inbox.pop(false)
-	if err != nil {
-		if ferr := t.Err(); ferr != nil {
-			return Frame{}, false, ferr
-		}
+	if !ok && err == nil && t.probe() {
+		f, ok, err = t.inbox.pop(false)
 	}
-	return f, ok, err
+	if err != nil {
+		return Frame{}, false, t.recvErr()
+	}
+	return f, ok, nil
 }
 
-// Close implements Transport, running the graceful shutdown sequence:
-// outbound queues are closed first and the writer goroutines drain them
-// fully (the mailbox delivers queued frames even after close), so frames
-// already accepted by Send still reach the wire — each write bounded by
-// the configured write timeout. A goodbye marker then tells every peer
-// this shutdown is deliberate (so their readers do not report a lost
-// connection), and only then are the connections torn down. Callers must
-// not Close while peers still expect traffic from this rank: frames a
-// peer sends after processing our goodbye fail its connection.
+// Close implements Transport, running the graceful shutdown sequence.
+// Every frame Send accepted is already in the kernel's socket buffer, so
+// there is nothing to drain: a goodbye marker, queued behind any write
+// still in progress, tells every peer this shutdown is deliberate (so
+// they do not report a lost connection), and then the connections are
+// torn down. Callers must not Close while peers still expect traffic
+// from this rank: frames a peer sends after processing our goodbye fail
+// its connection.
 func (t *TCP) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if !t.beginClose() {
 		return nil
 	}
-	t.closed = true
-	t.mu.Unlock()
-	return t.shutdown()
-}
-
-// Abort tears the endpoint down abruptly: no outbox drain, no goodbye
-// markers — peers observe exactly what a crashed process looks like on
-// the wire (EOF or reset without goodbye) and latch connection-lost
-// errors. It exists for fault injection (Chaos's kill switch uses it);
-// production shutdown goes through Close.
-func (t *TCP) Abort() {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
-	t.closed = true
-	t.mu.Unlock()
-	for peer, c := range t.conns {
-		if c != nil && peer != t.rank {
-			c.Close()
-		}
-	}
-	for _, ob := range t.outboxes {
-		if ob != nil {
-			ob.close()
-		}
-	}
-	t.inbox.close()
-	t.writers.Wait()
-	t.readers.Wait()
-}
-
-// shutdown is the graceful half of Close, entered with t.closed set.
-func (t *TCP) shutdown() error {
-	for _, ob := range t.outboxes {
-		if ob != nil {
-			ob.close()
-		}
-	}
-	t.writers.Wait()
 	var goodbye [4]byte // zero length = goodbye marker
-	for peer, c := range t.conns {
-		if c == nil || peer == t.rank {
+	for _, pc := range t.peers {
+		if pc == nil {
 			continue
 		}
-		if t.cfg.WriteTimeout > 0 {
-			c.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
+		pc.wmu.Lock()
+		pc.wclosed = true
+		t.write(pc, goodbye[:]) // best effort; the peer may already be gone
+		pc.wmu.Unlock()
+	}
+	t.teardown()
+	return nil
+}
+
+// Abort tears the endpoint down abruptly: no goodbye markers — peers
+// observe exactly what a crashed process looks like on the wire (EOF or
+// reset without goodbye) and latch connection-lost errors. It exists for
+// fault injection (Chaos's kill switch uses it); production shutdown
+// goes through Close.
+func (t *TCP) Abort() {
+	if t.beginClose() {
+		t.teardown()
+	}
+}
+
+// beginClose marks the endpoint closed — from here connection errors
+// are expected and Send refuses — and reports whether this call is the
+// one that did.
+func (t *TCP) beginClose() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return false
+	}
+	t.closed = true
+	return true
+}
+
+// teardown closes the sockets, which fails any write in progress and
+// wakes the readers, and waits for the readers to exit.
+func (t *TCP) teardown() {
+	t.engineStop()
+	for _, pc := range t.peers {
+		if pc != nil {
+			pc.conn.Close()
 		}
-		c.Write(goodbye[:]) // best effort; the peer may already be gone
-		c.Close()
 	}
 	t.inbox.close()
 	t.readers.Wait()
-	return nil
 }

@@ -16,9 +16,16 @@
 //     entirely. This is the default for pagen -ranks on one host.
 //   - TCP: ranks are separate OS processes in a full mesh of TCP
 //     connections with length-prefixed frames — genuine distributed
-//     memory. Per-connection reader goroutines pump frames into the same
-//     unbounded mailbox, so a slow consumer never stalls a sender's
-//     kernel buffers indefinitely.
+//     memory. The goroutine that calls the transport moves the bytes,
+//     as under MPI: Send writes the frame to the socket itself, and
+//     TryRecv, finding the inbox empty, drains the readable sockets
+//     itself, so a round trip between two busy ranks never waits for
+//     the scheduler to run a helper goroutine. One reader goroutine per
+//     connection remains for blocked and idle ranks; it pumps frames
+//     into the same unbounded mailbox whatever the engine is doing, so
+//     a slow consumer never stalls a sender's kernel buffers
+//     indefinitely — which is why a Send that blocks on a full socket
+//     always gets to finish (see the TCP type).
 //
 // A Transport moves opaque frames; message semantics live in
 // internal/msg, batching policy in internal/comm.
