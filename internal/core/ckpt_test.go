@@ -259,11 +259,16 @@ func TestCheckpointSingleRank(t *testing.T) {
 			}
 			// Retry at smaller intervals: the run can legitimately
 			// finish before a pending trigger opens its epoch.
+			// PollEvery 41 pauses the pass off the batchNodes grid (at one
+			// worker the cut's frontier is a multiple of 41, and which one
+			// is deterministic).
 			var res *Result
+			var dir string
 			for every := int64(700); every >= 50; every /= 2 {
+				dir = t.TempDir()
 				res, err = Run(Options{
-					Params: pr, Part: part, Seed: 3, Workers: workers,
-					Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: every},
+					Params: pr, Part: part, Seed: 3, Workers: workers, PollEvery: 41,
+					Checkpoint: &CheckpointOptions{Dir: dir, Every: every},
 				}, false)
 				if err != nil {
 					t.Fatal(err)
@@ -276,6 +281,34 @@ func TestCheckpointSingleRank(t *testing.T) {
 			if res.Ranks[0].CkptEpochs < 1 {
 				t.Fatalf("committed %d epochs even at Every=50, want >= 1", res.Ranks[0].CkptEpochs)
 			}
+
+			// Kill after the newest epoch and resume. The restored pass
+			// walks from the block start in batches of batchNodes; the
+			// cut's frontier falls inside one, so that batch admits only
+			// its uninitiated nodes. One rank emits in node order, so
+			// the resumed edge list must equal the sequential one.
+			snap, _, err := ckpt.Latest(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := int64(pr.X)
+			var initiated int64
+			for idx := int64(0); idx < pr.N; idx++ {
+				if snap.F[idx*x+x-1] >= 0 {
+					initiated++
+				}
+			}
+			if workers == 1 && (initiated == pr.N || initiated%batchNodes == 0) {
+				t.Fatalf("cut frontier %d is not inside a batch", initiated)
+			}
+			resumed, err := Run(Options{
+				Params: pr, Part: part, Seed: 3, Workers: workers,
+				Checkpoint: &CheckpointOptions{Dir: dir, Resume: true},
+			}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalEdges(t, "resumed", resumed.Graph.Edges, sg.Edges)
 		})
 	}
 }

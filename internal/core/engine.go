@@ -25,6 +25,16 @@
 // (n, x, p, seed): independent of the worker count, rank count,
 // partition and message schedule.
 //
+// Nodes are started in batches (batch.go; DESIGN.md §8.5): draw up to
+// 16 nodes' first x attempts from their own streams, gather all their
+// local copy sources in one tight loop so the random F reads overlap,
+// then commit node by node. A gathered value >= 0 is final (slots are
+// write-once), so committing it is exactly what the one-node-at-a-time
+// loop would have done; the first edge that cannot commit straight-line
+// — duplicate, unresolved or remote source — hands the node to advance
+// with the stream state saved before that attempt, and from there the
+// suspend/resume machinery above runs unchanged.
+//
 // Termination uses the monotonicity of the unresolved-slot count: a
 // rank's count never increases once its generation loop has initiated
 // every local slot, so when it hits zero the rank reports done to rank 0,
@@ -749,6 +759,21 @@ func (e *engine) slot(t int64, edge int) int64 {
 
 func (e *engine) localIdx(t int64) int64 { return e.part.Index(e.rank, t) }
 
+// locate returns the rank owning node k and, when that is this rank,
+// k's local index. A single rank owns every node at index k under every
+// scheme, which spares one-rank runs the partition's interface calls
+// and divisions.
+func (e *engine) locate(k int64) (owner int, kidx int64) {
+	if e.p == 1 {
+		return 0, k
+	}
+	owner = e.part.Owner(k)
+	if owner == e.rank {
+		kidx = e.part.Index(e.rank, k)
+	}
+	return owner, kidx
+}
+
 // workerOf returns the worker statically owning local node index idx —
 // the keeper of its slots' waiter queues and its shard's unresolved
 // count, whatever the steal schedule.
@@ -1011,19 +1036,24 @@ func (e *engine) bootEmit(key int64, ed graph.Edge) {
 // single-rank edges in, which keeps the order-sensitive single-rank
 // fingerprints byte-identical for every worker count.
 func (e *engine) collectEdges() {
-	e.edges = make([]graph.Edge, 0, e.size*e.x64)
-	e.part.ForEach(e.rank, func(t int64) {
+	// Sized for x edges per node; only clique nodes contribute fewer.
+	edges := make([]graph.Edge, e.size*e.x64)
+	n := 0
+	for idx := int64(0); idx < e.size; idx++ {
+		t := e.part.NodeAt(e.rank, idx)
 		if t < e.x64 {
 			for j := int64(0); j < t; j++ {
-				e.edges = append(e.edges, graph.Edge{U: t, V: j})
+				edges[n] = graph.Edge{U: t, V: j}
+				n++
 			}
-			return
+			continue
 		}
-		base := e.slot(t, 0)
-		for j := int64(0); j < e.x64; j++ {
-			e.edges = append(e.edges, graph.Edge{U: t, V: e.f[base+j]})
+		for _, v := range e.f[idx*e.x64 : (idx+1)*e.x64] {
+			edges[n] = graph.Edge{U: t, V: v}
+			n++
 		}
-	})
+	}
+	e.edges = edges[:n]
 }
 
 // finishStats assembles the rank's statistics from the engine, the
@@ -1156,22 +1186,13 @@ func (e *engine) runSingle() error {
 // resumes exactly where it stopped).
 func (e *engine) genSingle() bool {
 	w := e.workers[0]
-	sincePoll := 0
 	for w.cursor < w.hi {
 		if w.err != nil {
 			return true
 		}
-		idx := w.cursor
-		w.cursor++
-		if t := e.part.NodeAt(e.rank, idx); t > e.x64 && !(e.restored && e.nodeInitiated(idx)) {
-			w.genNode(t)
-			if e.ckTrig {
-				e.ckptNoteInit()
-			}
-		}
-		sincePoll++
-		if sincePoll >= w.poll {
-			sincePoll = 0
+		w.initiate(&w.cursor, w.hi)
+		if w.sincePoll >= w.poll {
+			w.sincePoll = 0
 			if err := e.drainSingle(false); err != nil && w.err == nil {
 				w.err = err
 			}

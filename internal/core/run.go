@@ -151,7 +151,13 @@ func Run(opts Options, recordTrace bool) (*Result, error) {
 		return nil, fmt.Errorf("core: generated %d edges, want %d", emitted, opts.Params.M())
 	}
 	if opts.Sink == nil && opts.StreamDir == "" {
-		res.Graph = graph.Merge(opts.Params.N, shards...)
+		if p == 1 {
+			// One shard is the graph: adopt it instead of copying
+			// 16 B/edge.
+			res.Graph = &graph.Graph{N: opts.Params.N, Edges: shards[0]}
+		} else {
+			res.Graph = graph.Merge(opts.Params.N, shards...)
+		}
 	}
 	return res, nil
 }

@@ -111,6 +111,9 @@ func (w *waiterTable) has(slot int64) bool {
 // slot has no waiters). The caller walks the chain via next, copying
 // each node's fields before freeing it.
 func (w *waiterTable) take(slot int64) int32 {
+	if w.live == 0 {
+		return nilNode // nobody waits on anything: skip the probe
+	}
 	i := w.bucket(slot)
 	if w.keys[i] != slot || w.heads[i] == nilNode {
 		return nilNode

@@ -32,6 +32,7 @@ type worker struct {
 	lo, hi int64
 
 	rng     xrand.Rand // reused across nodes; re-seeded per node
+	batch   *nodeBatch // batched-initiation scratch (batch.go)
 	waiters waiterTable
 	susp    suspTable
 
@@ -108,7 +109,7 @@ type worker struct {
 }
 
 func newWorker(e *engine, id int, lo, hi int64) *worker {
-	w := &worker{e: e, id: id, lo: lo, hi: hi, cursor: lo}
+	w := &worker{e: e, id: id, lo: lo, hi: hi, cursor: lo, batch: newNodeBatch(e.x)}
 	w.waiters.init()
 	w.susp.init()
 	if e.hub != nil {
@@ -203,27 +204,20 @@ func (w *worker) emit(t, s, v int64) {
 func (w *worker) isDup(t, v int64) bool {
 	e := w.e
 	base := e.slot(t, 0)
-	for i := int64(0); i < e.x64; i++ {
-		if e.f[base+i] == v {
-			return true
-		}
-	}
-	return false
+	return contains(e.f[base:base+e.x64], v)
 }
 
-// genNode starts node t's generation on its own random stream.
-func (w *worker) genNode(t int64) {
-	w.rng.SeedStream(w.e.seed, uint64(t))
-	w.advance(t, 0, &w.rng)
-}
-
-// advance runs node t's attachment loop from the given edge with rng
+// advance continues node t's attachment loop from the given edge with rng
 // positioned mid-stream (Algorithm 3.2 lines 4-14, strictly edge by
-// edge). On a copy from an unresolved source the node suspends — the
-// stream state and edge index are parked in the suspension table — and
-// resume continues exactly there when the answer arrives. Every draw,
-// duplicate retries included, comes from this one per-node stream, which
-// is what makes the output independent of workers, ranks and schedule.
+// edge). It is the continuation, not the entry: every node starts in
+// runBatch (batch.go), which hands over here — with the stream state
+// saved before the attempt — at the node's first edge that cannot commit
+// straight-line, and resume re-enters here when a suspended node's
+// answer arrives. On a copy from an unresolved source the node suspends
+// — the stream state and edge index are parked in the suspension table —
+// and resume continues exactly there. Every draw, duplicate retries
+// included, comes from this one per-node stream, which is what makes the
+// output independent of workers, ranks and schedule.
 func (w *worker) advance(t int64, edge int, rng *xrand.Rand) {
 	e := w.e
 	d := e.opts.Params.NewDrawer(t)
@@ -249,9 +243,8 @@ func (w *worker) advance(t int64, edge int, rng *xrand.Rand) {
 			if e.trace != nil {
 				e.trace.RecordCopy(t, edge, k, l)
 			}
-			owner := e.part.Owner(k)
+			owner, kidx := e.locate(k)
 			if owner == e.rank {
-				kidx := e.part.Index(e.rank, k)
 				// Same-rank copy query: counts toward node k's received
 				// load (Lemma 3.4's M_k) like a request would.
 				e.noteLoad(kidx)
@@ -415,19 +408,25 @@ func (w *worker) resumeWire(t int64, edge int, v int64) {
 }
 
 // resolveLocal finalises F_t(edge) = v for a locally-owned slot this
-// worker is generating: records the edge and emits it, then runs the
-// slot's bookkeeping — directly when this worker is also t's static
-// owner, via a kindSlotDone handoff when t was stolen (the waiter
-// queues, unresolved count and publish duty never move with a steal).
+// worker is generating, on the continuation path (advance, resume).
 func (w *worker) resolveLocal(t int64, edge int, v int64) {
+	idx := w.e.localIdx(t)
+	w.resolveSlot(t, edge, idx*w.e.x64+int64(edge), v, w.owns(idx))
+}
+
+// resolveSlot finalises F_t(edge) = v at flat slot s: records the edge
+// and emits it, then runs the slot's bookkeeping — directly when this
+// worker is also t's static owner (own), via a kindSlotDone handoff when
+// t was stolen (the waiter queues, unresolved count and publish duty
+// never move with a steal).
+func (w *worker) resolveSlot(t int64, edge int, s, v int64, own bool) {
 	e := w.e
-	s := e.slot(t, edge)
 	e.setSlot(s, v)
 	w.emit(t, s, v)
-	if ow := e.workerOf(e.localIdx(t)); ow != w.id {
+	if !own {
 		m := msg.Resolved(t, edge, v)
 		m.Kind = kindSlotDone
-		w.toWorker(ow, m)
+		w.toWorker(e.workerOf(s/e.x64), m)
 		return
 	}
 	w.finishSlot(t, edge, s, v)
@@ -436,7 +435,7 @@ func (w *worker) resolveLocal(t int64, edge int, v int64) {
 // finishSlot runs the static owner's half of a slot resolution:
 // decrements the shard's unresolved count, publishes hub-prefix nodes,
 // and answers every waiter of this slot (Algorithm 3.1 lines 16-19 /
-// Algorithm 3.2 lines 21-25). Called inline by resolveLocal for
+// Algorithm 3.2 lines 21-25). Called inline by resolveSlot for
 // unstolen nodes, from a thief's kindSlotDone otherwise — either way on
 // the owning worker's goroutine, so the waiter walk stays lock-free.
 func (w *worker) finishSlot(t int64, edge int, s, v int64) {
@@ -686,15 +685,7 @@ func (w *worker) genRange(cur *int64, hi int64) bool {
 		if w.err != nil {
 			return true
 		}
-		idx := *cur
-		*cur++
-		if t := e.part.NodeAt(e.rank, idx); t > e.x64 && !(e.restored && w.nodeInitiatedLocal(idx)) {
-			w.genNode(t)
-			if e.ckTrig {
-				e.ckptNoteInit()
-			}
-		}
-		w.sincePoll++
+		w.initiate(cur, hi)
 		if w.sincePoll >= w.poll {
 			w.sincePoll = 0
 			if e.aborted() {

@@ -87,6 +87,45 @@ func TestGenerateWithTrace(t *testing.T) {
 	}
 }
 
+// The decision trace is a pure function of (n, x, p, seed): whatever the
+// rank and worker counts, every slot's final (kind, K, L) equals the
+// sequential copy model's.
+func TestGenerateTraceMatchesSequential(t *testing.T) {
+	cases := []Config{
+		{N: 400, X: 1, P: 0.5, Seed: 3},
+		{N: 900, X: 4, P: 0.5, Seed: 7},
+		{N: 64, X: 8, P: 0.2, Seed: 11},
+		{N: 1500, X: 3, P: 0.8, Seed: 5},
+	}
+	layouts := []struct{ ranks, workers int }{{1, 1}, {1, 2}, {2, 1}}
+	for _, c := range cases {
+		c.RecordTrace = true
+		_, want, err := GenerateSeq(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range layouts {
+			cfg := c
+			cfg.Ranks, cfg.Workers = l.ranks, l.workers
+			res, err := Generate(cfg)
+			if err != nil {
+				t.Fatalf("%+v: %v", cfg, err)
+			}
+			got := res.Trace
+			if got == nil || got.Slots() != want.Slots() {
+				t.Fatalf("%+v: trace missing or wrong size", cfg)
+			}
+			for i := 0; i < want.Slots(); i++ {
+				if got.Copied[i] != want.Copied[i] || got.K[i] != want.K[i] || got.L[i] != want.L[i] {
+					t.Fatalf("n=%d x=%d p=%v seed=%d ranks=%d workers=%d: slot %d = (copied %v, k %d, l %d), sequential (copied %v, k %d, l %d)",
+						c.N, c.X, c.P, c.Seed, l.ranks, l.workers, i,
+						got.Copied[i], got.K[i], got.L[i], want.Copied[i], want.K[i], want.L[i])
+				}
+			}
+		}
+	}
+}
+
 func TestGenerateSeqMatchesParallelX1(t *testing.T) {
 	cfg := Config{N: 1500, X: 1, Seed: 11}
 	gSeq, tr, err := GenerateSeq(Config{N: 1500, X: 1, Seed: 11, RecordTrace: true})
