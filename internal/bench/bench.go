@@ -1,9 +1,12 @@
-// Package bench contains the experiment harness that regenerates every
-// table and figure of the paper's evaluation (Section 4). Each Fig*/
-// experiment function produces the same rows/series the paper plots; the
-// cmd/pa-* tools print them and bench_test.go at the module root runs
-// them under `go test -bench`. EXPERIMENTS.md records paper-reported
-// versus measured values.
+// Package bench is the figure library behind cmd/pa-repro: one function
+// per artefact of the paper's evaluation (Section 4: Figures 3-7, the
+// Section 4.5 headline, the Theorem 3.3 chain bounds, the x sweep and
+// the exact-versus-approximate accuracy comparison), each returning the
+// rows the paper plots plus a Write* that prints them as TSV. It also
+// holds the output fingerprint helper the determinism tests pin.
+// Speed and per-layer cost are not measured here; they come from the
+// benchmark/ ledger. EXPERIMENTS.md records paper-reported versus
+// measured values.
 package bench
 
 import (
@@ -13,11 +16,15 @@ import (
 	"time"
 
 	"pagen/internal/analysis"
+	"pagen/internal/approx"
 	"pagen/internal/core"
+	"pagen/internal/graph"
 	"pagen/internal/loadmodel"
 	"pagen/internal/model"
 	"pagen/internal/partition"
 	"pagen/internal/seq"
+	"pagen/internal/stats"
+	"pagen/internal/xrand"
 )
 
 // Fig3Row compares the exact Eqn-10 partition boundary with the LCP
@@ -375,4 +382,105 @@ func Chains(pr model.Params, seed uint64) (ChainResult, error) {
 	st := analysis.SummarizeChains(analysis.DependencyChainLengths(tr))
 	ln := math.Log(float64(pr.N))
 	return ChainResult{N: pr.N, Mean: st.Mean, Max: st.Max, LogN: ln, FiveLogN: 5 * ln}, nil
+}
+
+// AccuracyRow is one algorithm's fitted power-law exponent against the
+// sequential reference: the exact parallel algorithm, or the
+// Yoo-Henderson-style approximate baseline (the paper's reference [28])
+// at one synchronisation interval.
+type AccuracyRow struct {
+	Algorithm    string
+	SyncInterval int64 // 0 for the exact algorithm, which has none
+	Gamma        float64
+	GammaError   float64 // |Gamma - RefGamma|
+	MaxDegree    int64
+}
+
+// AccuracyResult is the accuracy-versus-parallelism tradeoff the exact
+// algorithm eliminates: the approximate baseline's error grows with its
+// synchronisation interval, the exact algorithm has no such knob.
+type AccuracyResult struct {
+	N        int64
+	X        int
+	P        int
+	RefGamma float64 // sequential Batagelj-Brandes, the exact BA reference
+	Rows     []AccuracyRow
+}
+
+// Accuracy fits gamma (MLE, d >= 2x) to the exact parallel algorithm on
+// p ranks and to the approximate baseline at sync intervals 16, 256,
+// 4096 and n, each against a sequential Batagelj-Brandes reference.
+func Accuracy(pr model.Params, p int, seed uint64) (AccuracyResult, error) {
+	out := AccuracyResult{N: pr.N, X: pr.X, P: p}
+	gamma := func(name string, g *graph.Graph) (float64, error) {
+		fit, err := stats.PowerLawMLE(g.Degrees(), int64(2*pr.X))
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", name, err)
+		}
+		return fit.Gamma, nil
+	}
+	row := func(name string, interval int64, g *graph.Graph) error {
+		gm, err := gamma(name, g)
+		if err != nil {
+			return err
+		}
+		maxD, _ := g.DegreeHistogram().Max()
+		out.Rows = append(out.Rows, AccuracyRow{
+			Algorithm: name, SyncInterval: interval, Gamma: gm,
+			GammaError: math.Abs(gm - out.RefGamma), MaxDegree: maxD,
+		})
+		return nil
+	}
+
+	ref, err := seq.BatageljBrandes(pr, xrand.New(seed))
+	if err != nil {
+		return out, err
+	}
+	if out.RefGamma, err = gamma("reference", ref); err != nil {
+		return out, err
+	}
+
+	part, err := partition.New(partition.KindRRP, pr.N, p)
+	if err != nil {
+		return out, err
+	}
+	res, err := core.Run(core.Options{Params: pr, Part: part, Seed: seed + 1}, false)
+	if err != nil {
+		return out, err
+	}
+	if err := row("exact (this paper)", 0, res.Graph); err != nil {
+		return out, err
+	}
+	for _, interval := range []int64{16, 256, 4096, pr.N} {
+		g, err := approx.Generate(pr, approx.Options{Ranks: p, SyncInterval: interval, Seed: seed + 2})
+		if err != nil {
+			return out, err
+		}
+		if err := row("approx [28]", interval, g); err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+// WriteAccuracy prints an accuracy comparison as a commented TSV table.
+func WriteAccuracy(w io.Writer, res AccuracyResult) error {
+	if _, err := fmt.Fprintf(w, "# exact vs approximate distributed PA (n=%d, x=%d, ranks=%d)\n"+
+		"# reference sequential BA gamma = %.3f\n"+
+		"algorithm\tsync_interval\tgamma\tgamma_error\tmax_degree\n",
+		res.N, res.X, res.P, res.RefGamma); err != nil {
+		return err
+	}
+	for _, r := range res.Rows {
+		interval := "-"
+		if r.SyncInterval > 0 {
+			interval = fmt.Sprint(r.SyncInterval)
+		}
+		if _, err := fmt.Fprintf(w, "%s\t%s\t%.3f\t%.3f\t%d\n",
+			r.Algorithm, interval, r.Gamma, r.GammaError, r.MaxDegree); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintln(w, "# exact needs no tuning; approx error grows with the interval")
+	return err
 }

@@ -243,34 +243,29 @@ func TestChainsExperiment(t *testing.T) {
 	}
 }
 
-func TestStreamBench(t *testing.T) {
-	rep, err := StreamBench(StreamConfig{
-		N: 5000, X: 2, Ranks: 2, Seed: 9,
-		Dir: t.TempDir(), BlockEdges: 512,
-	})
+func TestAccuracyExactBeatsUnsynchronised(t *testing.T) {
+	res, err := Accuracy(model.Params{N: 20000, X: 4, P: 0.5}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantM := int64(1) + (5000-2)*2
-	if rep.Edges != wantM {
-		t.Fatalf("streamed %d edges, want %d", rep.Edges, wantM)
+	if len(res.Rows) != 5 || res.Rows[0].SyncInterval != 0 {
+		t.Fatalf("rows: %+v", res.Rows)
 	}
-	if rep.SinkBlocks == 0 || rep.SinkBytes == 0 {
-		t.Fatalf("sink counters empty: %+v", rep)
+	// The comparison's message: the exact algorithm lands on the
+	// sequential reference, the baseline synchronising once (interval n)
+	// does not.
+	exact, loosest := res.Rows[0], res.Rows[len(res.Rows)-1]
+	if exact.GammaError > 0.15 {
+		t.Errorf("exact gamma %v vs reference %v", exact.Gamma, res.RefGamma)
 	}
-	if rep.BytesPerEdge <= 0 || rep.EdgesPerSec <= 0 {
-		t.Fatalf("derived rates empty: %+v", rep)
+	if loosest.GammaError <= exact.GammaError {
+		t.Errorf("approx at interval n (error %v) not worse than exact (%v)", loosest.GammaError, exact.GammaError)
 	}
-	if rep.InMemoryEstBytes <= 0 {
-		t.Fatal("in-memory estimate missing")
+	var sb strings.Builder
+	if err := WriteAccuracy(&sb, res); err != nil {
+		t.Fatal(err)
 	}
-	if rep.PeakRSSBytes == 0 {
-		t.Skip("VmHWM unavailable on this platform")
-	}
-}
-
-func TestStreamBenchNeedsDir(t *testing.T) {
-	if _, err := StreamBench(StreamConfig{N: 100, X: 2, Ranks: 1}); err == nil {
-		t.Fatal("missing dir accepted")
+	if !strings.Contains(sb.String(), "exact (this paper)\t-\t") {
+		t.Fatalf("exact row malformed:\n%s", sb.String())
 	}
 }

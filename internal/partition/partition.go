@@ -551,7 +551,7 @@ func ExpectedIncomingLoad(n, k int64, p float64) float64 {
 // race the publish that would serve them (hub nodes draw most of their
 // queries early in the run, right when they are being published), so
 // past this point each extra replica slot costs more publish bytes
-// than it saves in round trips (sweep in results/BENCH_hubcache.json).
+// than it saves in round trips (measured by an H sweep when the cache landed).
 // Callers who value message count over bytes can fix a larger H
 // explicitly; output is identical at every setting.
 const HubPrefixAutoFrac = 0.1

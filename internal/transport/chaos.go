@@ -231,3 +231,59 @@ func (c *Chaos) Close() error {
 	c.wg.Wait()
 	return c.inner.Close()
 }
+
+type delayedFrame struct {
+	deadline time.Time
+	data     []byte
+}
+
+// delayLine is an unbounded FIFO of delayedFrames with blocking pop,
+// following the mailbox pattern.
+type delayLine struct {
+	mu     sync.Mutex
+	cond   *sync.Cond
+	q      []delayedFrame
+	closed bool
+}
+
+func newDelayLine() *delayLine {
+	l := &delayLine{}
+	l.cond = sync.NewCond(&l.mu)
+	return l
+}
+
+func (l *delayLine) push(f delayedFrame) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	l.q = append(l.q, f)
+	l.cond.Signal()
+	return nil
+}
+
+// pop blocks until a frame or close; ok is false once closed and drained.
+func (l *delayLine) pop() (delayedFrame, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for len(l.q) == 0 && !l.closed {
+		l.cond.Wait()
+	}
+	if len(l.q) == 0 {
+		return delayedFrame{}, false
+	}
+	f := l.q[0]
+	l.q = l.q[1:]
+	if len(l.q) == 0 {
+		l.q = nil
+	}
+	return f, true
+}
+
+func (l *delayLine) close() {
+	l.mu.Lock()
+	l.closed = true
+	l.mu.Unlock()
+	l.cond.Broadcast()
+}

@@ -78,10 +78,6 @@ func TestChaosHidesMsgSender(t *testing.T) {
 	if _, ok := ep.(MsgSender); ok {
 		t.Fatal("chaos-wrapped endpoint still exposes SendMsgs; faults would bypass injection")
 	}
-	var dl Transport = NewDelayed(g.Endpoint(1), 0)
-	if _, ok := dl.(MsgSender); ok {
-		t.Fatal("delay-wrapped endpoint still exposes SendMsgs")
-	}
 }
 
 // TestMailboxBacklogLimit is the backpressure contract of the bounded

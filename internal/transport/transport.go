@@ -76,7 +76,7 @@ const DefaultQueueLimit = 1 << 17
 // buffers. The consumer releases the slice exactly once with
 // ReleaseMsgs, mirroring ReleaseFrame.
 //
-// Wrappers that operate on frame bytes (Chaos, Delayed) deliberately do
+// Wrappers that operate on frame bytes (Chaos) deliberately do
 // not implement MsgSender, so wrapping an Shm endpoint transparently
 // falls back to the serialized path.
 type MsgSender interface {
