@@ -163,13 +163,13 @@ func main() {
 	defer tr.Close()
 
 	res, err := core.RunRank(tr, core.Options{
-		Params:           model.Params{N: *n, X: *x, P: *p},
-		Part:             part,
-		Seed:             *seed,
-		Workers:          *workers,
-		HubPrefix:        *hub,
-		Resolve:          mode,
-		RecomputeDepth:   *rcDepth,
+		Params:         model.Params{N: *n, X: *x, P: *p},
+		Part:           part,
+		Seed:           *seed,
+		Workers:        *workers,
+		HubPrefix:      *hub,
+		Resolve:        mode,
+		RecomputeDepth: *rcDepth,
 		// Node-load counters are the one metrics input snapshots do not
 		// capture; under checkpointing -metrics still exports everything
 		// else (pause/write histograms included).

@@ -57,9 +57,9 @@ type Seq struct {
 	next    int64
 	pending []pendingContrib
 	// recv, when set, replaces cm.Wait as the blocking receive. The
-	// engine's dispatcher installs its requestable recv pump here so
-	// mid-run collectives (checkpoint commit votes) respect the
-	// single-transport-consumer invariant.
+	// engine's resume negotiation installs a filter here that parks the
+	// data messages a faster peer sends while the collectives still own
+	// the receive path.
 	recv func() ([]msg.Message, error)
 }
 
@@ -89,14 +89,12 @@ func (s *Seq) NextTag() int64 { return s.next }
 func (s *Seq) SetNextTag(tag int64) { s.next = tag }
 
 // SetRecv overrides the blocking receive collectives use (cm.Wait by
-// default). The engine's dispatcher routes all transport receives
-// through one recv pump; installing it here lets collectives run while
-// the dispatcher owns the transport.
+// default); nil restores the default.
 func (s *Seq) SetRecv(recv func() ([]msg.Message, error)) { s.recv = recv }
 
 // Stash buffers a collective contribution that arrived outside a
-// collective — e.g. decoded by the engine's dispatcher in the same batch
-// as the protocol message that triggers the collective — so the next
+// collective — e.g. decoded by the engine in the same batch as the
+// protocol message that triggers the collective — so the next
 // operation with that tag consumes it.
 func (s *Seq) Stash(from int, tag, value int64) { s.stash(tag, from, value) }
 

@@ -5,12 +5,8 @@
 // operation (Section 3.5.1 "Message Buffering"), message counters for the
 // load analysis of Section 4.6, and batch-oriented receive.
 //
-// Concurrency: the send side is safe for concurrent use — each
-// destination's buffer is an independently locked stripe and the
-// counters are atomic — so a rank's worker goroutines share one Comm.
-// The receive side (Poll, Wait, DecodeFrame) is single-consumer: exactly
-// one goroutine per rank (the dispatcher, or the lone worker) drains the
-// transport.
+// Concurrency: none. A Comm belongs to one goroutine — the rank's — for
+// sending and receiving alike.
 //
 // Flush discipline (engine responsibility, supported here): the paper's
 // Section 3.5.2 deadlock rule — resolved messages must leave the buffer
@@ -22,8 +18,6 @@ package comm
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"pagen/internal/msg"
 	"pagen/internal/transport"
@@ -71,39 +65,18 @@ func (c Counters) MessagesRecv() int64 {
 	return c.RequestsRecv + c.ResolvedRecv + c.PublishRecv + c.ControlRecv
 }
 
-// stripe is one destination's send buffer with its lock. Flush holds the
-// lock through the transport send so per-destination frame order matches
-// buffer order.
-type stripe struct {
-	mu  sync.Mutex
-	buf []msg.Message
-}
-
 // Comm is a buffering communicator bound to one transport endpoint.
 type Comm struct {
-	// send-side counters, atomic (concurrent senders).
-	requestsSent int64
-	resolvedSent int64
-	publishSent  int64
-	controlSent  int64
-	framesSent   int64
-	bytesSent    int64
-	// receive-side counters, single consumer.
-	requestsRecv int64
-	resolvedRecv int64
-	publishRecv  int64
-	controlRecv  int64
-	framesRecv   int64
-	bytesRecv    int64
+	c Counters
 
 	tr transport.Transport
 	// ms is non-nil when tr provides the shared-memory no-serialize
-	// path: flushes hand the stripe buffer across by reference instead
-	// of encoding it, and a fresh buffer is leased from the pool.
+	// path: flushes hand the send buffer across by reference instead of
+	// encoding it, and a fresh buffer is leased from the pool.
 	ms         transport.MsgSender
 	cap        int
-	stripes    []stripe
-	requestsTo []int64 // atomic
+	bufs       [][]msg.Message // per-destination send buffers
+	requestsTo []int64
 	scratch    []msg.Message
 	// drainMean is an exponential moving average of messages per drain,
 	// used to shrink scratch after an atypically large backlog so one
@@ -122,7 +95,7 @@ func New(tr transport.Transport, cfg Config) *Comm {
 		tr:         tr,
 		ms:         ms,
 		cap:        capacity,
-		stripes:    make([]stripe, tr.Size()),
+		bufs:       make([][]msg.Message, tr.Size()),
 		requestsTo: make([]int64, tr.Size()),
 	}
 }
@@ -133,36 +106,15 @@ func (c *Comm) Rank() int { return c.tr.Rank() }
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.tr.Size() }
 
-// Counters returns a snapshot of the traffic counters. Send-side counts
-// are read atomically; receive-side counts are exact once the consumer
-// goroutine has quiesced (the engine snapshots after its run ends).
-func (c *Comm) Counters() Counters {
-	return Counters{
-		RequestsSent: atomic.LoadInt64(&c.requestsSent),
-		RequestsRecv: c.requestsRecv,
-		ResolvedSent: atomic.LoadInt64(&c.resolvedSent),
-		ResolvedRecv: c.resolvedRecv,
-		PublishSent:  atomic.LoadInt64(&c.publishSent),
-		PublishRecv:  c.publishRecv,
-		ControlSent:  atomic.LoadInt64(&c.controlSent),
-		ControlRecv:  c.controlRecv,
-		FramesSent:   atomic.LoadInt64(&c.framesSent),
-		FramesRecv:   c.framesRecv,
-		BytesSent:    atomic.LoadInt64(&c.bytesSent),
-		BytesRecv:    c.bytesRecv,
-	}
-}
+// Counters returns a snapshot of the traffic counters.
+func (c *Comm) Counters() Counters { return c.c }
 
 // RequestsTo returns a copy of the per-destination request counts — one
 // row of the cluster's request-traffic matrix. Under consecutive
 // partitioning the matrix is strictly lower-triangular (Section 4.6.2:
 // processor i requests only from processors 0..i-1).
 func (c *Comm) RequestsTo() []int64 {
-	out := make([]int64, len(c.requestsTo))
-	for i := range out {
-		out[i] = atomic.LoadInt64(&c.requestsTo[i])
-	}
-	return out
+	return append([]int64(nil), c.requestsTo...)
 }
 
 // RequestsToView returns the live per-destination request counts without
@@ -176,56 +128,28 @@ func (c *Comm) RequestsToView() []int64 { return c.requestsTo }
 func (c *Comm) count(to int, m msg.Message) {
 	switch m.Kind {
 	case msg.KindRequest:
-		atomic.AddInt64(&c.requestsSent, 1)
-		atomic.AddInt64(&c.requestsTo[to], 1)
+		c.c.RequestsSent++
+		c.requestsTo[to]++
 	case msg.KindResolved:
-		atomic.AddInt64(&c.resolvedSent, 1)
+		c.c.ResolvedSent++
 	case msg.KindPublish:
-		atomic.AddInt64(&c.publishSent, 1)
+		c.c.PublishSent++
 	default:
-		atomic.AddInt64(&c.controlSent, 1)
+		c.c.ControlSent++
 	}
 }
 
 // Send buffers m for destination to, flushing automatically when the
-// buffer reaches capacity. Safe for concurrent use.
+// buffer reaches capacity.
 func (c *Comm) Send(to int, m msg.Message) error {
-	if to < 0 || to >= len(c.stripes) {
-		return fmt.Errorf("comm: send to rank %d outside [0,%d)", to, len(c.stripes))
+	if to < 0 || to >= len(c.bufs) {
+		return fmt.Errorf("comm: send to rank %d outside [0,%d)", to, len(c.bufs))
 	}
 	c.count(to, m)
-	s := &c.stripes[to]
-	s.mu.Lock()
-	s.buf = append(s.buf, m)
-	var err error
-	if len(s.buf) >= c.cap {
-		err = c.flushLocked(to, s)
+	c.bufs[to] = append(c.bufs[to], m)
+	if len(c.bufs[to]) >= c.cap {
+		return c.flush(to)
 	}
-	s.mu.Unlock()
-	return err
-}
-
-// SendBatch buffers every message for destination to under one lock
-// acquisition — the merge path for per-worker send scratch. Capacity
-// flushes happen at the same message boundaries Send would flush at, so
-// framing (and the BufferCap ablation) is independent of batching.
-func (c *Comm) SendBatch(to int, ms []msg.Message) error {
-	if to < 0 || to >= len(c.stripes) {
-		return fmt.Errorf("comm: send to rank %d outside [0,%d)", to, len(c.stripes))
-	}
-	s := &c.stripes[to]
-	s.mu.Lock()
-	for _, m := range ms {
-		c.count(to, m)
-		s.buf = append(s.buf, m)
-		if len(s.buf) >= c.cap {
-			if err := c.flushLocked(to, s); err != nil {
-				s.mu.Unlock()
-				return err
-			}
-		}
-	}
-	s.mu.Unlock()
 	return nil
 }
 
@@ -233,63 +157,52 @@ func (c *Comm) SendBatch(to int, ms []msg.Message) error {
 // destination first so per-pair ordering is preserved. Used for control
 // messages that must not linger in a buffer.
 func (c *Comm) SendNow(to int, m msg.Message) error {
-	if to < 0 || to >= len(c.stripes) {
-		return fmt.Errorf("comm: send to rank %d outside [0,%d)", to, len(c.stripes))
+	if to < 0 || to >= len(c.bufs) {
+		return fmt.Errorf("comm: send to rank %d outside [0,%d)", to, len(c.bufs))
 	}
 	c.count(to, m)
-	s := &c.stripes[to]
-	s.mu.Lock()
-	s.buf = append(s.buf, m)
-	err := c.flushLocked(to, s)
-	s.mu.Unlock()
-	return err
+	c.bufs[to] = append(c.bufs[to], m)
+	return c.flush(to)
 }
 
-// flushLocked transmits the stripe's buffered messages as one frame.
-// Callers hold the stripe lock, which extends over the transport send so
-// frames leave in buffer order.
-func (c *Comm) flushLocked(to int, s *stripe) error {
-	if len(s.buf) == 0 {
+// flush transmits destination to's buffered messages as one frame.
+func (c *Comm) flush(to int) error {
+	buf := c.bufs[to]
+	if len(buf) == 0 {
 		return nil
 	}
+	c.c.FramesSent++
 	if c.ms != nil {
 		// Shared-memory fast path: the buffered batch crosses by
 		// reference — ownership of the slice transfers to the receiver
 		// (its decode releases it) and a fresh buffer is leased for the
-		// stripe. No bytes are serialized, so BytesSent stays put;
+		// destination. No bytes are serialized, so BytesSent stays put;
 		// FramesSent still counts the transfer.
-		ms := s.buf
-		s.buf = transport.LeaseMsgs(c.cap)
-		atomic.AddInt64(&c.framesSent, 1)
-		return c.ms.SendMsgs(to, ms)
+		c.bufs[to] = transport.LeaseMsgs(c.cap)
+		return c.ms.SendMsgs(to, buf)
 	}
 	// Lease the frame buffer from the transport pool (the receiving
 	// decode path releases it) and encode compactly: at steady state a
 	// flush allocates nothing.
-	frame := transport.LeaseFrame(1 + len(s.buf)*10)
-	frame = msg.AppendEncodeBatchV3(frame, s.buf)
-	s.buf = s.buf[:0]
-	atomic.AddInt64(&c.framesSent, 1)
-	atomic.AddInt64(&c.bytesSent, int64(len(frame)))
+	frame := transport.LeaseFrame(1 + len(buf)*10)
+	frame = msg.AppendEncodeBatchV3(frame, buf)
+	c.bufs[to] = buf[:0]
+	c.c.BytesSent += int64(len(frame))
 	return c.tr.Send(to, frame)
 }
 
 // Flush transmits the buffered messages for rank to, if any, as one frame.
 func (c *Comm) Flush(to int) error {
-	if to < 0 || to >= len(c.stripes) {
-		return fmt.Errorf("comm: flush rank %d outside [0,%d)", to, len(c.stripes))
+	if to < 0 || to >= len(c.bufs) {
+		return fmt.Errorf("comm: flush rank %d outside [0,%d)", to, len(c.bufs))
 	}
-	s := &c.stripes[to]
-	s.mu.Lock()
-	err := c.flushLocked(to, s)
-	s.mu.Unlock()
-	return err
+	return c.flush(to)
 }
 
 // FlushAll transmits every non-empty buffer.
 func (c *Comm) FlushAll() error {
-	for to := range c.stripes {
-		if err := c.Flush(to); err != nil {
+	for to := range c.bufs {
+		if err := c.flush(to); err != nil {
 			return err
 		}
 	}
@@ -302,68 +215,47 @@ func (c *Comm) FlushAll() error {
 // sends with this, and on commit the run simply continues with them
 // still buffered.
 func (c *Comm) BufferedFrame(to int) []byte {
-	s := &c.stripes[to]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.buf) == 0 {
+	buf := c.bufs[to]
+	if len(buf) == 0 {
 		return nil
 	}
-	return msg.AppendEncodeBatchV3(make([]byte, 0, 1+len(s.buf)*10), s.buf)
+	return msg.AppendEncodeBatchV3(make([]byte, 0, 1+len(buf)*10), buf)
 }
 
 // Buffered returns the number of messages currently buffered for to.
-func (c *Comm) Buffered(to int) int {
-	s := &c.stripes[to]
-	s.mu.Lock()
-	n := len(s.buf)
-	s.mu.Unlock()
-	return n
-}
+func (c *Comm) Buffered(to int) int { return len(c.bufs[to]) }
 
 // decode appends the decoded messages of f to dst, updating counters.
 // It consumes the frame: the buffer returns to the transport pool (the
 // release half of the lease/release protocol).
 func (c *Comm) decode(dst []msg.Message, f transport.Frame) ([]msg.Message, error) {
+	before := len(dst)
 	if f.Msgs != nil {
 		// Shared-memory fast path: the batch arrived by reference; copy
-		// it out and release the slice back to the pool (the release
-		// half of the lease/release protocol, mirroring ReleaseFrame).
+		// it out and release the slice back to the pool.
 		dst = append(dst, f.Msgs...)
-		c.framesRecv++
-		for _, m := range f.Msgs {
-			switch m.Kind {
-			case msg.KindRequest:
-				c.requestsRecv++
-			case msg.KindResolved:
-				c.resolvedRecv++
-			case msg.KindPublish:
-				c.publishRecv++
-			default:
-				c.controlRecv++
-			}
-		}
 		transport.ReleaseMsgs(f.Msgs)
-		return dst, nil
+	} else {
+		var err error
+		dst, err = msg.DecodeBatch(dst, f.Data)
+		size := int64(len(f.Data))
+		transport.ReleaseFrame(f.Data)
+		if err != nil {
+			return dst, fmt.Errorf("comm: frame from rank %d: %w", f.From, err)
+		}
+		c.c.BytesRecv += size
 	}
-	before := len(dst)
-	dst, err := msg.DecodeBatch(dst, f.Data)
-	size := int64(len(f.Data))
-	transport.ReleaseFrame(f.Data)
-	if err != nil {
-		return dst, fmt.Errorf("comm: frame from rank %d: %w", f.From, err)
-	}
-	c.framesRecv++
-	c.bytesRecv += size
+	c.c.FramesRecv++
 	for _, m := range dst[before:] {
 		switch m.Kind {
 		case msg.KindRequest:
-			c.requestsRecv++
+			c.c.RequestsRecv++
 		case msg.KindResolved:
-			c.resolvedRecv++
+			c.c.ResolvedRecv++
 		case msg.KindPublish:
-			c.publishRecv++
+			c.c.PublishRecv++
 		default:
-			c.controlRecv++
+			c.c.ControlRecv++
 		}
 	}
 	return dst, nil
@@ -392,7 +284,7 @@ func (c *Comm) noteDrain() {
 
 // Poll drains every frame that is immediately available, returning the
 // decoded messages (nil if none). The returned slice is reused by the
-// next Poll/Wait/DecodeFrame call. Single consumer.
+// next Poll/Wait call.
 func (c *Comm) Poll() ([]msg.Message, error) {
 	c.resetScratch()
 	for {
@@ -417,23 +309,13 @@ func (c *Comm) Poll() ([]msg.Message, error) {
 
 // Wait blocks for at least one frame, then also drains whatever else is
 // immediately available, returning the decoded messages. The returned
-// slice is reused by the next Poll/Wait/DecodeFrame call. Single consumer.
+// slice is reused by the next Poll/Wait call.
 func (c *Comm) Wait() ([]msg.Message, error) {
 	f, err := c.tr.Recv()
 	if err != nil {
 		return nil, err
 	}
-	return c.DecodeFrame(f)
-}
-
-// DecodeFrame decodes a frame the consumer received directly from the
-// transport (the dispatcher's requestable-receive path), then also
-// drains whatever else is immediately available — the same batch shape
-// Wait produces. The returned slice is reused by the next
-// Poll/Wait/DecodeFrame call. Single consumer.
-func (c *Comm) DecodeFrame(f transport.Frame) ([]msg.Message, error) {
 	c.resetScratch()
-	var err error
 	c.scratch, err = c.decode(c.scratch, f)
 	if err != nil {
 		return nil, err

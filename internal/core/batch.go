@@ -1,29 +1,64 @@
 package core
 
-// Batched initiation: draw, gather, commit (DESIGN.md §8.5).
+import "pagen/internal/xrand"
+
+// Batched initiation: draw, gather, commit (DESIGN.md §8.5, §8.6).
 //
 // A node's x first attempts depend only on its own random stream, so
 // they can be drawn before any of its copy sources has been read. The
-// generation pass therefore starts nodes batchNodes at a time: draw every
-// node's attempts, read all the batch's copy sources in one tight loop —
+// generation pass therefore starts nodes a window at a time: draw every
+// node's attempts, read all the window's copy sources in one tight loop —
 // independent loads of uniformly random F slots, so their cache and TLB
 // misses overlap instead of queueing behind each node's bookkeeping —
 // and then commit node by node. Whatever cannot commit straight-line is
 // handed to advance at that edge, with the stream state saved before the
 // attempt, so the irregular cases (duplicate retry, unresolved or remote
 // source) run the one continuation path at the exact stream position.
+//
+// Draw and gather write nothing but their own scratch, so Options.Workers
+// is the width of a parallel-for over them: the window is cut into
+// stripes, helper goroutines draw and gather stripes 1…k-1 while the rank
+// goroutine does stripe 0, and after the barrier the rank goroutine alone
+// commits every stripe in node order. F is written only between windows,
+// so the helpers read it with plain loads; the hand-off and the barrier
+// are the happens-before edges, and they are the only concurrent step in
+// the engine. The output cannot depend on the stripe layout: a gathered
+// value >= 0 is final (slots are write-once), and a gathered -1 — the
+// source may sit in an earlier stripe of this very window — is re-read by
+// advance after that node's commit, exactly as for a source inside one
+// stripe.
 
-// batchNodes is how many nodes are initiated together. It equals the
-// smallest polling interval so a batch never has to straddle a poll
-// point; sizes from 4 to 64 measured within noise of each other.
-const batchNodes = adaptiveMinPoll
+const (
+	// batchNodes is a one-worker rank's stripe, and so its whole window;
+	// sizes from 4 to 64 measured within noise of each other.
+	batchNodes = 16
+	// stripeNodes is a stripe's capacity when the rank has helpers: large
+	// enough that a wake-up and a barrier are small beside the work they
+	// buy, small enough that a stripe's scratch stays in cache. 256, 512
+	// and 1024 were measured at one rank × two workers; 512 was fastest
+	// in every round (DESIGN.md §8.6).
+	stripeNodes = 512
+	// minStripeNodes is the smallest stripe worth handing to a helper. A
+	// window that cannot give two lanes this much (a short poll interval,
+	// the tail of the node range) runs inline on the rank goroutine.
+	minStripeNodes = 64
+)
 
-// nodeBatch is a worker's batch scratch, allocated once in newWorker.
-// Per-attempt arrays hold node i's edge e at i*x + e.
-type nodeBatch struct {
-	t    [batchNodes]int64 // admitted node ids
-	base [batchNodes]int64 // flat slot of each node's edge 0 (idx*x)
-	ne   [batchNodes]int   // edges drawn: x, or the edge of the first remote copy
+// worker is one lane of the window's parallel-for: a stripe's scratch and
+// the stream its draws are made with. Lane 0 belongs to the rank
+// goroutine; every other lane has a helper goroutine parked on start. A
+// lane owns no nodes and no protocol state — it never writes F, a table,
+// a send buffer or the sink.
+type worker struct {
+	rng   xrand.Rand // re-seeded per node
+	start chan struct{}
+
+	// The stripe: nb admitted nodes; per-attempt arrays hold node i's
+	// edge e at i*x + e.
+	nb   int
+	t    []int64 // admitted node ids
+	base []int64 // flat slot of each node's edge 0 (idx*x)
+	ne   []int   // edges drawn: x, or the edge of the first remote copy
 
 	st  [][4]uint64 // stream state before the attempt
 	k   []int64     // drawn candidate
@@ -33,60 +68,109 @@ type nodeBatch struct {
 	gat []int32     // attempt indices of the local copies, in draw order
 }
 
-func newNodeBatch(x int) *nodeBatch {
-	n := batchNodes * x
-	return &nodeBatch{
-		st:  make([][4]uint64, n),
-		k:   make([]int64, n),
-		l:   make([]int32, n),
-		src: make([]int64, n),
-		val: make([]int64, n),
-		gat: make([]int32, 0, n),
+func newWorker(nodes, x int) *worker {
+	n := nodes * x
+	return &worker{
+		t:    make([]int64, nodes),
+		base: make([]int64, nodes),
+		ne:   make([]int, nodes),
+		st:   make([][4]uint64, n),
+		k:    make([]int64, n),
+		l:    make([]int32, n),
+		src:  make([]int64, n),
+		val:  make([]int64, n),
+		gat:  make([]int32, 0, n),
 	}
 }
 
-// initiate admits the next local indices of [*cur, hi) — at most
-// batchNodes, and never past the poll boundary, so the poll,
-// checkpoint-pause and yield cadence count indices exactly as a
-// one-node-at-a-time pass would — and starts their nodes through
-// runBatch. Clique and bootstrap nodes, and nodes a restored snapshot
-// already initiated, are stepped over. The range must lie inside one
-// steal span (own block or stolen). This is the only way a node's
-// generation starts; a batch is never interrupted, so a checkpoint cut
-// still finds every node untouched, suspended or finished.
-func (w *worker) initiate(cur *int64, hi int64) {
-	e := w.e
-	lo := *cur
-	room := int64(w.poll - w.sincePoll)
-	if room > batchNodes {
-		room = batchNodes
+// startHelpers launches the helper goroutines of lanes 1…; stopHelpers
+// must follow on every path.
+func (e *engine) startHelpers() {
+	for _, w := range e.workers[1:] {
+		start := make(chan struct{}, 1)
+		w.start = start
+		e.helpers.Add(1)
+		go func(w *worker) {
+			defer e.helpers.Done()
+			for range start {
+				e.drawGather(w)
+				e.gathered.Done()
+			}
+		}(w)
 	}
-	if lo+room < hi {
-		hi = lo + room
-	}
-	b := w.batch
-	nb := 0
-	for idx := lo; idx < hi; idx++ {
-		t := e.part.NodeAt(e.rank, idx)
-		if t <= e.x64 || (e.restored && w.nodeInitiatedLocal(idx)) {
-			continue
-		}
-		b.t[nb], b.base[nb] = t, idx*e.x64
-		nb++
-		if e.ckTrig {
-			e.ckptNoteInit()
-		}
-	}
-	*cur = hi
-	w.sincePoll += int(hi - lo)
-	w.runBatch(nb, w.owns(lo))
 }
 
-// runBatch generates the first nb nodes of the batch scratch. own says
-// whether this worker is their static owner (false for a stolen span).
-func (w *worker) runBatch(nb int, own bool) {
-	e := w.e
-	b := w.batch
+// stopHelpers ends the helper goroutines and waits for them to exit.
+// They are parked between windows when it runs: initiate does not return
+// before its barrier.
+func (e *engine) stopHelpers() {
+	for _, w := range e.workers[1:] {
+		close(w.start)
+	}
+	e.helpers.Wait()
+}
+
+// initiate admits the next window of local indices at the cursor — at
+// most one stripe per lane, and never past the poll boundary, so the
+// poll, checkpoint-pause and yield cadence count indices exactly as a
+// one-node-at-a-time pass would — and starts their nodes. Clique and
+// bootstrap nodes, and nodes a restored snapshot already initiated, are
+// stepped over. This is the only way a node's generation starts; a
+// window is never interrupted, so a checkpoint cut still finds every node
+// untouched, suspended or finished.
+func (e *engine) initiate() {
+	lo := e.cursor
+	n := e.size - lo
+	if room := int64(e.poll - e.sincePoll); n > room {
+		n = room
+	}
+	// As many lanes as the window can give a worthwhile stripe, and no
+	// more nodes than those lanes' scratch holds.
+	lanes := int64(len(e.workers))
+	if most := n / minStripeNodes; lanes > most {
+		lanes = max(most, 1)
+	}
+	if most := lanes * int64(len(e.workers[0].t)); n > most {
+		n = most
+	}
+	per := (n + lanes - 1) / lanes
+	idx, end := lo, lo+n
+	for _, w := range e.workers[:lanes] {
+		hi := min(idx+per, end)
+		w.nb = 0
+		for ; idx < hi; idx++ {
+			t := e.part.NodeAt(e.rank, idx)
+			if t <= e.x64 || (e.restored && e.nodeInitiated(idx)) {
+				continue
+			}
+			w.t[w.nb], w.base[w.nb] = t, idx*e.x64
+			w.nb++
+			if e.ckTrig {
+				e.ck.initiated++
+			}
+		}
+	}
+	e.cursor = end
+	e.sincePoll += int(n)
+
+	if lanes > 1 {
+		e.gathered.Add(int(lanes) - 1)
+		for _, w := range e.workers[1:lanes] {
+			w.start <- struct{}{}
+		}
+	}
+	e.drawGather(e.workers[0])
+	if lanes > 1 {
+		e.gathered.Wait()
+	}
+	for _, w := range e.workers[:lanes] {
+		e.commit(w)
+	}
+}
+
+// drawGather fills lane w's stripe scratch. It reads F and writes only w,
+// so lanes run it concurrently.
+func (e *engine) drawGather(w *worker) {
 	x := e.x
 
 	// Draw: each node's x first attempts from its own stream. They are
@@ -94,52 +178,56 @@ func (w *worker) runBatch(nb int, own bool) {
 	// every later draw — so the state saved before each attempt is what
 	// advance continues from. A remote copy always hands over, so drawing
 	// stops there.
-	gat := b.gat[:0]
-	for i := 0; i < nb; i++ {
-		t := b.t[i]
+	gat := w.gat[:0]
+	for i := 0; i < w.nb; i++ {
+		t := w.t[i]
 		w.rng.SeedStream(e.seed, uint64(t))
 		d := e.opts.Params.NewDrawer(t)
 		ne := x
 		for edge, j := 0, i*x; edge < x; edge, j = edge+1, j+1 {
-			b.st[j] = w.rng.State()
+			w.st[j] = w.rng.State()
 			a := d.Next(&w.rng)
-			b.k[j] = a.K
+			w.k[j] = a.K
 			if a.Direct {
-				b.l[j] = -1
-				b.val[j] = a.K
+				w.l[j] = -1
+				w.val[j] = a.K
 				continue
 			}
-			b.l[j] = int32(a.L)
+			w.l[j] = int32(a.L)
 			owner, kidx := e.locate(a.K)
 			if owner != e.rank {
 				ne = edge
 				break
 			}
-			b.src[j] = kidx*e.x64 + int64(a.L)
+			w.src[j] = kidx*e.x64 + int64(a.L)
 			gat = append(gat, int32(j))
 		}
-		b.ne[i] = ne
+		w.ne[i] = ne
 	}
 
 	// Gather: nothing between consecutive loads, so the misses overlap.
 	// A value >= 0 is final (slots are write-once); -1 is not an answer —
-	// the source may be an earlier node of this very batch.
+	// the source may be an earlier node of this very window.
 	for _, j := range gat {
-		b.val[j] = e.getSlot(b.src[j])
+		w.val[j] = e.f[w.src[j]]
 	}
+}
 
-	// Commit, in node order so that an intra-batch source is final by
-	// the time its reader's hand-over re-reads it.
-	for i := 0; i < nb; i++ {
-		t, base, o := b.t[i], b.base[i], i*x
+// commit finalises lane w's stripe on the rank goroutine, in node order
+// so that an intra-window source is final by the time its reader's
+// hand-over re-reads it.
+func (e *engine) commit(w *worker) {
+	x := e.x
+	for i := 0; i < w.nb; i++ {
+		t, base, o := w.t[i], w.base[i], i*x
 		edge := 0
-		for ; edge < b.ne[i]; edge++ {
+		for ; edge < w.ne[i]; edge++ {
 			j := o + edge
-			v := b.val[j]
-			if v < 0 || contains(b.val[o:j], v) {
+			v := w.val[j]
+			if v < 0 || contains(w.val[o:j], v) {
 				break
 			}
-			if l := b.l[j]; l < 0 {
+			if l := w.l[j]; l < 0 {
 				if e.trace != nil {
 					e.trace.RecordDirect(t, edge, v)
 				}
@@ -149,17 +237,17 @@ func (w *worker) runBatch(nb int, own bool) {
 				// handed-over attempt is re-drawn, and counted, by
 				// advance.
 				if e.nodeLoad != nil {
-					e.noteLoad(b.src[j] / e.x64)
+					e.nodeLoad[w.src[j]/e.x64]++
 				}
 				if e.trace != nil {
-					e.trace.RecordCopy(t, edge, b.k[j], int(l))
+					e.trace.RecordCopy(t, edge, w.k[j], int(l))
 				}
 			}
-			w.resolveSlot(t, edge, base+int64(edge), v, own)
+			e.resolveSlot(t, edge, base+int64(edge), v)
 		}
 		if edge < x {
-			w.rng.SetState(b.st[o+edge])
-			w.advance(t, edge, &w.rng)
+			w.rng.SetState(w.st[o+edge])
+			e.advance(t, edge, &w.rng)
 		}
 	}
 }

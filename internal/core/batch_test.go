@@ -13,9 +13,15 @@ import (
 // runLayout runs pr at ranks x workers (RRP) and returns the result.
 func runLayout(t *testing.T, pr model.Params, seed uint64, ranks, workers int) *Result {
 	t.Helper()
+	return runPolled(t, pr, seed, ranks, workers, 0)
+}
+
+// runPolled is runLayout with the poll interval pinned (0 = default).
+func runPolled(t *testing.T, pr model.Params, seed uint64, ranks, workers, pollEvery int) *Result {
+	t.Helper()
 	res, err := Run(Options{
 		Params: pr, Part: mustScheme(t, partition.KindRRP, pr.N, ranks),
-		Seed: seed, Workers: workers,
+		Seed: seed, Workers: workers, PollEvery: pollEvery,
 	}, false)
 	if err != nil {
 		t.Fatal(err)
@@ -44,6 +50,44 @@ func TestBatchIntraBatchSources(t *testing.T) {
 		sameEdgeSet(t, fmt.Sprintf("seed %d 1x2", seed), runLayout(t, pr, seed, 1, 2).Graph.Edges, want)
 		sameEdgeSet(t, fmt.Sprintf("seed %d 2x1", seed), runLayout(t, pr, seed, 2, 1).Graph.Edges, want)
 	}
+}
+
+// The whole run is one window cut into two or three stripes, so nearly
+// every node's copy source sits in another stripe of its own window —
+// NILL when a helper gathers it, final by the time the node-order commit
+// hands the reader to advance. The edge list must still be the
+// sequential one at one rank, and the edge set at two (where pinning the
+// poll interval to the rank size keeps each rank's range one window).
+func TestBatchCrossStripeSources(t *testing.T) {
+	pr := model.Params{N: 512, X: 8, P: 0.05}
+	for seed := uint64(1); seed <= 5; seed++ {
+		sg, _, err := seq.CopyModel(pr, seed, seq.CopyModelOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := edgeSet(t, sg.Edges)
+		for _, workers := range []int{2, 3} {
+			res := runLayout(t, pr, seed, 1, workers)
+			equalEdges(t, fmt.Sprintf("seed %d 1x%d", seed, workers), res.Graph.Edges, sg.Edges)
+			if res.Ranks[0].Retries == 0 {
+				t.Fatalf("seed %d 1x%d: no duplicate retries; the case does not exercise the hand-over", seed, workers)
+			}
+			res = runPolled(t, pr, seed, 2, workers, int(pr.N)/2)
+			sameEdgeSet(t, fmt.Sprintf("seed %d 2x%d", seed, workers), res.Graph.Edges, want)
+		}
+	}
+}
+
+// A window too small to give two lanes a stripe runs inline: with the
+// poll interval pinned to 1 every window is a single node, helpers never
+// run, and the output is still the sequential edge list.
+func TestBatchInlineWindows(t *testing.T) {
+	pr := model.Params{N: 2_000, X: 4, P: 0.5}
+	sg, _, err := seq.CopyModel(pr, 9, seq.CopyModelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalEdges(t, "PollEvery 1, workers 4", runPolled(t, pr, 9, 1, 4, 1).Graph.Edges, sg.Edges)
 }
 
 // A node whose second attempt duplicates its first must continue from

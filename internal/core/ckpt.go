@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pagen/internal/ckpt"
@@ -48,15 +46,6 @@ type CheckpointOptions struct {
 // DefaultCheckpointKeep is the default number of retained full epochs.
 const DefaultCheckpointKeep = 2
 
-// Checkpoint-epoch phases (ckptRun.phase, atomic: workers read it at
-// poll points, the coordinator goroutine writes it).
-const (
-	ckIdle int32 = iota
-	// ckPaused: an epoch is active — generation is paused, the rank
-	// keeps serving the resolution cascade until globally quiescent.
-	ckPaused
-)
-
 // ckptMaxRounds bounds the quiescence-probe rounds per epoch. The
 // protocol converges once in-flight traffic drains, so hitting the
 // bound means a protocol bug, not a slow network; erroring out beats
@@ -69,25 +58,19 @@ const ckptMaxRounds = 10000
 // predictable load+branch.
 const ckptDirtyShift = 12
 
-// errAborted reports that the engine aborted while a receive was
-// blocked; the first real error is latched in engine.firstErr.
-var errAborted = errors.New("core: engine aborted")
-
-// ckptRun is the per-rank state of the checkpoint protocol. All fields
-// except the atomics belong to the rank's coordinator goroutine (the
-// dispatcher, or the single-worker loop).
+// ckptRun is the per-rank state of the checkpoint protocol. It belongs
+// to the rank goroutine; only the writer has a goroutine of its own.
 type ckptRun struct {
 	dir       string
 	every     int64
 	keep      int
 	fullEvery int
-	// kick wakes a dispatcher blocked on the transport when a worker
-	// crosses the trigger threshold or parks during an epoch.
-	kick chan struct{}
 
-	phase       int32 // atomic: ckIdle / ckPaused
-	initiated   int64 // atomic: nodes whose generation has started
-	nextTrigger int64 // atomic: metric value that opens the next epoch
+	// paused: an epoch is active — generation is paused, the rank keeps
+	// serving the resolution cascade until globally quiescent.
+	paused      bool
+	initiated   int64 // nodes whose generation has started
+	nextTrigger int64 // metric value that opens the next epoch
 
 	epochNext int64 // next epoch number to open (rank 0)
 	epoch     int64 // epoch currently active (all ranks)
@@ -130,9 +113,6 @@ type ckptRun struct {
 	held []msg.Message
 
 	pauseStart time.Time
-	// scanPush/scanPop hold the first pass of the two-pass inbox scan
-	// that establishes local quiescence.
-	scanPush, scanPop []int64
 
 	// metrics (pause side; the write side lives in the writer).
 	epochs, failed, pauseNanos int64
@@ -284,48 +264,20 @@ func (bw *ckptWriter) shutdown() {
 	<-bw.done
 }
 
-// kickNow wakes the dispatcher without blocking (the channel holds one
-// pending kick; more carry no extra information).
-func (ck *ckptRun) kickNow() {
-	select {
-	case ck.kick <- struct{}{}:
-	default:
-	}
-}
-
-// ckptNoteInit counts one initiated node and kicks the dispatcher when
-// the count alone crosses the trigger (the authoritative check, which
-// also includes received-message counts, runs on the dispatcher).
-func (e *engine) ckptNoteInit() {
-	ck := e.ck
-	v := atomic.AddInt64(&ck.initiated, 1)
-	if v >= atomic.LoadInt64(&ck.nextTrigger) && atomic.LoadInt32(&ck.phase) == ckIdle {
-		ck.kickNow()
-	}
-}
-
 // ckptMetric is rank 0's monotone progress measure: initiated local
 // nodes plus received data messages. The received term keeps epochs
 // firing after rank 0 finishes generating while other ranks still run.
 func (e *engine) ckptMetric() int64 {
 	c := e.cm.Counters()
-	return atomic.LoadInt64(&e.ck.initiated) + c.RequestsRecv + c.ResolvedRecv
+	return e.ck.initiated + c.RequestsRecv + c.ResolvedRecv
 }
 
 // ckptMarkDirty records that flat slot s changed since the last capture
 // (delta-epoch dirty tracking; no-op unless delta epochs are enabled).
 // The bitmap word is only written while still clear, so the hot path's
-// steady state is one cached load. Cross-worker stores of the same word
-// are idempotent (both write 1) and the quiescent cut's capture is
-// ordered after every worker's park, so the bits are visible there.
+// steady state is one cached load.
 func (e *engine) ckptMarkDirty(s int64) {
 	w := &e.ckDirty[s>>ckptDirtyShift]
-	if e.concurrent {
-		if atomic.LoadUint32(w) == 0 {
-			atomic.StoreUint32(w, 1)
-		}
-		return
-	}
 	if *w == 0 {
 		*w = 1
 	}
@@ -338,7 +290,7 @@ func (e *engine) ckptBegin() error {
 	ck.epoch = ck.epochNext
 	ck.epochNext++
 	if ck.every > 0 {
-		atomic.StoreInt64(&ck.nextTrigger, e.ckptMetric()+ck.every)
+		ck.nextTrigger = e.ckptMetric() + ck.every
 	}
 	ck.round = 1
 	ck.pendingRound = 1
@@ -347,7 +299,7 @@ func (e *engine) ckptBegin() error {
 	ck.cur = make(map[int][2]int64, e.p)
 	ck.prev = nil
 	ck.pauseStart = time.Now()
-	atomic.StoreInt32(&ck.phase, ckPaused)
+	ck.paused = true
 	for r := 1; r < e.p; r++ {
 		if err := e.cm.SendNow(r, msg.Ckpt(e.rank, msg.CkptBegin, 1, ck.epoch, 0)); err != nil {
 			return err
@@ -368,7 +320,7 @@ func (e *engine) ckptOnMsg(m msg.Message) error {
 		if e.rank == 0 {
 			return fmt.Errorf("core: rank 0 received checkpoint begin")
 		}
-		if atomic.LoadInt32(&ck.phase) != ckIdle {
+		if ck.paused {
 			// The cut executes at its stream marker (see CkptCut), so a
 			// begin can only find the epoch still open if the protocol
 			// itself broke.
@@ -378,7 +330,7 @@ func (e *engine) ckptOnMsg(m msg.Message) error {
 		ck.pendingRound = int(m.L)
 		ck.reportedRound = 0
 		ck.pauseStart = time.Now()
-		atomic.StoreInt32(&ck.phase, ckPaused)
+		ck.paused = true
 	case msg.CkptProbe:
 		ck.pendingRound = int(m.L)
 	case msg.CkptReport:
@@ -393,14 +345,12 @@ func (e *engine) ckptOnMsg(m msg.Message) error {
 		// Execute the cut at its marker, in stream order. With the
 		// asynchronous commit, rank 0 resumes generating right after
 		// its own capture, so data sent post-cut can share a frame with
-		// this marker; deferring the cut past the batch (the old
-		// cutAsked path) would push that data to the worker inboxes
-		// first, racing the capture against live workers and leaking
-		// post-cut effects into the epoch. Everything before the marker
-		// is fully drained — that is what the quiescence rounds proved
-		// — so this rank is quiescent here, exactly as the cut
-		// requires, and data later in the frame still sits unrouted in
-		// the deliver pass's route buffers until after the capture.
+		// this marker; deferring the cut past the batch would handle
+		// that data first and leak post-cut effects into the epoch.
+		// Everything before the marker is fully drained — that is what
+		// the quiescence rounds proved — so this rank is quiescent
+		// here, exactly as the cut requires, and data later in the
+		// frame is handled after the capture.
 		return e.ckptCut()
 	case msg.CkptVote:
 		if e.rank != 0 {
@@ -481,62 +431,21 @@ func (e *engine) ckptBalance() (sent, recv int64) {
 	c := e.cm.Counters()
 	sent = c.RequestsSent + c.ResolvedSent + c.PublishSent
 	recv = c.RequestsRecv + c.ResolvedRecv + c.PublishRecv
-	done := false
-	if e.concurrent {
-		// Concurrent done reports always travel the wire (rank 0
-		// self-sends), so the latch counts for every rank.
-		done = atomic.LoadInt32(&e.doneSent) == 1
-		if done {
-			sent++
-		}
-	} else if e.doneFlag {
-		done = true
-		if e.rank != 0 {
-			// Single-worker rank 0 short-circuits its own report; only
-			// other ranks' reports travel.
-			sent++
-		}
+	if e.doneFlag && e.rank != 0 {
+		// Rank 0 short-circuits its own report; only other ranks'
+		// reports travel.
+		sent++
 	}
 	if e.hub != nil {
 		// Fences go out with the done report — to every peer, rank 0's
 		// included — and can be in flight while later epochs quiesce.
-		if done {
+		if e.doneFlag {
 			sent += int64(e.p - 1)
 		}
 		recv += int64(e.fencesRecv)
 	}
 	recv += e.ck.doneRecv
 	return sent, recv
-}
-
-// ckptQuiescentNow reports whether this rank is locally quiescent: every
-// worker parked on an empty inbox, with no push or pop in between two
-// scans (the counters are monotone, so equality across both passes
-// proves no message moved while we looked). The single-worker loop is
-// quiescent by construction whenever it runs the protocol.
-func (e *engine) ckptQuiescentNow() bool {
-	if !e.concurrent {
-		return true
-	}
-	ck := e.ck
-	if len(ck.scanPush) < e.nw {
-		ck.scanPush = make([]int64, e.nw)
-		ck.scanPop = make([]int64, e.nw)
-	}
-	for pass := 0; pass < 2; pass++ {
-		for i, w := range e.workers {
-			parked, empty, pushes, pops := w.inbox.scanState()
-			if !parked || !empty {
-				return false
-			}
-			if pass == 0 {
-				ck.scanPush[i], ck.scanPop[i] = pushes, pops
-			} else if ck.scanPush[i] != pushes || ck.scanPop[i] != pops {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // ckptReport sends this rank's counter report for the pending round.
@@ -615,26 +524,27 @@ func (e *engine) ckptEvaluate() (bool, error) {
 // ckptStep runs as much of the checkpoint protocol as can proceed
 // without receiving: open a due epoch (rank 0), report quiescence,
 // evaluate rounds. The cut itself runs from the receive path, at its
-// stream marker (see CkptCut in ckptOnMsg). The coordinator calls it
-// once per receive-loop iteration.
+// stream marker (see CkptCut in ckptOnMsg). The rank goroutine calls it
+// at every poll point and receive-loop iteration, where it is locally
+// quiescent by construction: no window is open and no handler is
+// running.
 func (e *engine) ckptStep() error {
 	ck := e.ck
 	if ck == nil {
 		return nil
 	}
-	if e.rank == 0 && ck.every > 0 && !e.stopped &&
-		atomic.LoadInt32(&ck.phase) == ckIdle &&
-		e.ckptMetric() >= atomic.LoadInt64(&ck.nextTrigger) {
+	if e.rank == 0 && ck.every > 0 && !e.stopped && !ck.paused &&
+		e.ckptMetric() >= ck.nextTrigger {
 		if err := e.ckptBegin(); err != nil {
 			return err
 		}
 	}
-	if atomic.LoadInt32(&ck.phase) != ckPaused {
+	if !ck.paused {
 		return nil
 	}
 	for {
 		progressed := false
-		if ck.reportedRound < ck.pendingRound && e.ckptQuiescentNow() {
+		if ck.reportedRound < ck.pendingRound {
 			if err := e.ckptReport(); err != nil {
 				return err
 			}
@@ -678,16 +588,13 @@ func (e *engine) ckptFlushHeld() error {
 	}
 	held := ck.held
 	ck.held = nil
-	if e.concurrent {
-		return e.deliver(held)
-	}
 	for _, m := range held {
-		if err := e.handleSingle(m); err != nil {
+		if err := e.handle(m); err != nil {
 			return err
 		}
 	}
-	if w := e.workers[0]; w.err != nil {
-		return w.err
+	if e.err != nil {
+		return e.err
 	}
 	return e.cm.FlushAll()
 }
@@ -759,23 +666,14 @@ func (e *engine) ckptCut() error {
 		}
 	}
 
-	// Resume: unpause, wake the workers, retry the stop broadcast the
-	// pause may have deferred. The snapshot publish proceeds in the
-	// background.
-	atomic.StoreInt32(&ck.phase, ckIdle)
+	// Resume: unpause and retry the stop broadcast the pause may have
+	// deferred. The snapshot publish proceeds in the background.
+	ck.paused = false
 	pauseNs := time.Since(ck.pauseStart).Nanoseconds()
 	ck.pauseNanos += pauseNs
 	ck.pauseHist.Observe(pauseNs)
 	if e.rank == 0 && ck.every > 0 {
-		atomic.StoreInt64(&ck.nextTrigger, e.ckptMetric()+ck.every)
-	}
-	if e.concurrent {
-		resume := []msg.Message{{Kind: kindCkptResume}}
-		for _, w := range e.workers {
-			if !w.inbox.pushBatch(resume) {
-				return e.takeErr()
-			}
-		}
+		ck.nextTrigger = e.ckptMetric() + ck.every
 	}
 	if err := e.cm.FlushAll(); err != nil {
 		return err
@@ -786,18 +684,18 @@ func (e *engine) ckptCut() error {
 	return nil
 }
 
-// ckptServe drives the single-worker loop through an active epoch:
-// alternate protocol steps with blocking receives until the cut
-// completes and generation may resume.
+// ckptServe drives the rank through an active epoch: alternate protocol
+// steps with blocking receives until the cut completes and generation
+// may resume.
 func (e *engine) ckptServe() error {
-	for atomic.LoadInt32(&e.ck.phase) != ckIdle {
+	for e.ck.paused {
 		if err := e.ckptStep(); err != nil {
 			return err
 		}
-		if atomic.LoadInt32(&e.ck.phase) == ckIdle {
+		if !e.ck.paused {
 			return nil
 		}
-		if err := e.drainSingle(true); err != nil {
+		if err := e.drain(true); err != nil {
 			return err
 		}
 	}

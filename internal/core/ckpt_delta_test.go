@@ -95,8 +95,8 @@ func trimAfter(t *testing.T, dir string, ranks int, epoch int64) {
 }
 
 // Resuming over a base+delta chain must reproduce the uninterrupted
-// output exactly — at the same worker count, a different one, and the
-// single-worker loop — for every retained epoch, full or delta.
+// output exactly — at the same worker count, a different one, and one
+// worker — for every retained epoch, full or delta.
 func TestCheckpointDeltaChainResume(t *testing.T) {
 	pr := model.Params{N: 20_000, X: 3, P: 0.5}
 	const ranks, fullEvery = 3, 3

@@ -77,9 +77,8 @@ func TestCheckpointRunMatchesSequential(t *testing.T) {
 }
 
 // The headline restart property: killing the run after ANY committed
-// epoch and resuming — at the same or a different worker count, and
-// even across the single-worker/concurrent boundary — yields output
-// identical edge-for-edge to the uninterrupted run. Simulated by
+// epoch and resuming — at the same or a different worker count — yields
+// output identical edge-for-edge to the uninterrupted run. Simulated by
 // trimming the snapshot directory down to each epoch in turn (snapshot
 // files are immutable once committed, so the on-disk state after epoch
 // E is exactly the state a crash after epoch E leaves behind).
@@ -138,8 +137,8 @@ func TestCheckpointResumeEveryEpoch(t *testing.T) {
 		equalEdges(t, label, res.Graph.Edges, base.Graph.Edges)
 	}
 
-	// Newest epoch: same worker count, more workers, and the
-	// single-worker loop restoring a concurrent run's snapshot. The
+	// Newest epoch: same worker count, more workers, and one worker
+	// restoring a two-worker run's snapshot. The
 	// continued-checkpointing variant (every > 0) also exercises epoch
 	// numbering and tag resumption after a restart.
 	top := epochs[len(epochs)-1]
@@ -242,8 +241,7 @@ func TestCheckpointTornLatestFallsBack(t *testing.T) {
 
 // Checkpoint epochs under a single rank — where the whole protocol
 // (begin, rounds, cut, commit) runs against the rank itself, including
-// the transport self-send of the cut — for both the single-worker loop
-// and the dispatcher topology.
+// the transport self-send of the cut — with and without helper lanes.
 func TestCheckpointSingleRank(t *testing.T) {
 	pr := model.Params{N: 4_000, X: 3, P: 0.5}
 	sg, _, err := seq.CopyModel(pr, 3, seq.CopyModelOptions{})
@@ -283,7 +281,7 @@ func TestCheckpointSingleRank(t *testing.T) {
 			}
 
 			// Kill after the newest epoch and resume. The restored pass
-			// walks from the block start in batches of batchNodes; the
+			// walks from index 0 in batches of batchNodes; the
 			// cut's frontier falls inside one, so that batch admits only
 			// its uninitiated nodes. One rank emits in node order, so
 			// the resumed edge list must equal the sequential one.

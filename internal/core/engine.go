@@ -11,29 +11,28 @@
 // points the paper identifies (Algorithm 3.2 lines 7 and 22) by
 // re-running the attachment step.
 //
-// Within a rank, the local node range is sharded across Options.Workers
-// goroutines (the shared-memory multiplier the paper's one-rank-per-core
-// mapping leaves on the table). Each worker owns a contiguous block of
-// local node indices and is the single writer for those nodes' slots,
-// waiter queues and suspension records; cross-worker reads of the shared
-// F table go through atomics, and cross-worker resolution traffic travels
-// over bounded MPSC inboxes, so the Q_{k,l} cascade stays single-writer
-// per shard. Every random draw — including duplicate retries — comes from
-// the owning node's private stream and nodes advance strictly edge by
-// edge (a node blocked on edge e suspends, storing its stream, and
-// resumes exactly there), so the output graph is a pure function of
+// One goroutine per rank — the rank goroutine — runs that state machine
+// and is the single writer of everything in it: the F table, the waiter,
+// suspension and coalescing tables, the send buffers, the sink and the
+// checkpoint capture. Every random draw — including duplicate retries —
+// comes from the owning node's private stream and nodes advance strictly
+// edge by edge (a node blocked on edge e suspends, storing its stream,
+// and resumes exactly there), so the output graph is a pure function of
 // (n, x, p, seed): independent of the worker count, rank count,
 // partition and message schedule.
 //
-// Nodes are started in batches (batch.go; DESIGN.md §8.5): draw up to
-// 16 nodes' first x attempts from their own streams, gather all their
+// Nodes are started a window at a time (batch.go; DESIGN.md §8.6): draw
+// the nodes' first x attempts from their own streams, gather all their
 // local copy sources in one tight loop so the random F reads overlap,
 // then commit node by node. A gathered value >= 0 is final (slots are
 // write-once), so committing it is exactly what the one-node-at-a-time
 // loop would have done; the first edge that cannot commit straight-line
 // — duplicate, unresolved or remote source — hands the node to advance
 // with the stream state saved before that attempt, and from there the
-// suspend/resume machinery above runs unchanged.
+// suspend/resume machinery above runs unchanged. Options.Workers is the
+// width of a parallel-for over the draw and gather phases, which write
+// nothing shared: helper goroutines fill stripes of the window while the
+// rank goroutine fills its own, and the rank goroutine alone commits.
 //
 // Termination uses the monotonicity of the unresolved-slot count: a
 // rank's count never increases once its generation loop has initiated
@@ -45,9 +44,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pagen/internal/ckpt"
@@ -70,32 +69,35 @@ type Options struct {
 	Part partition.Scheme
 	// Seed seeds the per-node independent random streams.
 	Seed uint64
-	// Workers is the number of generation goroutines per rank. Zero or
-	// negative selects runtime.GOMAXPROCS(0); it is clamped to the
-	// rank's local node count. The output graph is identical for every
-	// worker count.
+	// Workers is the width of the batch kernel's parallel-for: the rank
+	// goroutine plus Workers-1 helper goroutines draw and gather the
+	// stripes of each window; the rank goroutine alone commits them
+	// (batch.go). Zero or negative selects runtime.GOMAXPROCS(0); it is
+	// clamped to the stripes the rank's local node count can fill. The
+	// output graph is identical for every worker count.
 	Workers int
 	// BufferCap is the per-destination message-buffer capacity
 	// (comm.DefaultBufferCap if zero; 1 disables buffering).
 	BufferCap int
-	// PollEvery is the number of local nodes processed between inbox
-	// polls during the generation loop. Zero (or negative) selects the
-	// adaptive policy: the interval starts at DefaultPollEvery and is
-	// halved (toward 16) while the pending-waiter depth is high, doubled
-	// (toward 1024) while it is zero. Polling too rarely lets request
-	// queues grow; the ablation benchmark sweeps this.
+	// PollEvery is the number of local nodes initiated between transport
+	// polls (and checkpoint-protocol steps) during the generation loop; a
+	// window never straddles a poll point. Zero (or negative) selects
+	// DefaultPollEvery — or no polling at all on a single rank without
+	// checkpointing, which has nothing to poll for. Polling too rarely
+	// lets request queues grow. Tests pin it to cut a checkpoint
+	// mid-batch.
 	PollEvery int
 	// Trace, when non-nil, receives the per-slot attachment decisions.
-	// Slot ranges written by different ranks (and by different workers
-	// within a rank) are disjoint, so a single shared trace is written
-	// without locking.
+	// Slot ranges written by different ranks are disjoint, so a single
+	// shared trace is written without locking.
 	Trace *model.Trace
 	// Sink, when non-nil, receives every edge as it is finalised
 	// instead of the engine accumulating edges in memory — the paper's
 	// Section 3.5 "generate networks on the fly and analyze without
-	// performing disk I/O" mode. It is called concurrently from the
-	// worker goroutines of every rank (the rank argument identifies the
-	// owning rank), so it must be safe for concurrent use.
+	// performing disk I/O" mode. Each rank calls it from one goroutine —
+	// the rank goroutine, at every worker count — so state indexed by the
+	// rank argument needs no locking; state shared across ranks does,
+	// because ranks run concurrently.
 	Sink func(rank int, e graph.Edge)
 	// StreamDir, when non-empty, streams the rank's resolved edges into
 	// a sorted, CRC-protected shard file under the directory
@@ -154,25 +156,10 @@ type Options struct {
 	Transport string
 }
 
-// DefaultPollEvery is the generation-loop polling interval the adaptive
-// policy starts from (and the old fixed default).
-const DefaultPollEvery = 64
-
-// Adaptive PollEvery policy bounds: the interval is halved toward
-// adaptiveMinPoll while more than adaptiveHighWater waiter entries are
-// pending or the measured inbox wakeup latency exceeds adaptiveLatHigh,
-// and doubled toward adaptiveMaxPoll while no waiters are pending and
-// messages are being drained within adaptiveLatLow of arriving.
-const (
-	adaptiveMinPoll   = 16
-	adaptiveMaxPoll   = 1024
-	adaptiveHighWater = 128
-	// Wakeup-latency thresholds (nanoseconds of first-enqueue-to-drain
-	// sojourn, the inbox's latEWMA): above High, messages sit too long
-	// between polls; below Low, the consumer keeps up easily.
-	adaptiveLatHigh = 100e3
-	adaptiveLatLow  = 10e3
-)
+// DefaultPollEvery is the generation-loop polling interval: local nodes
+// initiated between transport polls. DESIGN.md §8.6 has the sweep behind
+// the value.
+const DefaultPollEvery = 256
 
 // RankStats are one rank's load and traffic statistics — the measurements
 // behind Figures 5-7.
@@ -188,8 +175,7 @@ type RankStats struct {
 	// resolved and had to wait in a Q_{k,l} queue.
 	QueuedWaits int64
 	// LocalWaits counts copy attachments whose source was local but
-	// unresolved (same-rank dependency-chain waits, including
-	// cross-worker waits inside the rank).
+	// unresolved (same-rank dependency-chain waits).
 	LocalWaits int64
 	// RequestsTo is the per-destination request count — this rank's row
 	// of the request-traffic matrix (strictly lower-triangular under
@@ -200,9 +186,8 @@ type RankStats struct {
 	// of the Section 3.4 claim that waiting never idles a processor.
 	MaxPendingSlots int64
 	// WaitChain is the histogram of Q_{k,l} waiter-queue lengths
-	// observed as each local slot resolved (0 = nobody was waiting),
-	// merged across the rank's workers. Theorem 3.3's O(log n)
-	// dependency-chain bound keeps it shallow.
+	// observed as each local slot resolved (0 = nobody was waiting).
+	// Theorem 3.3's O(log n) dependency-chain bound keeps it shallow.
 	WaitChain obs.Histogram
 	// NodeLoad is the per-local-node received-message load — the
 	// empirical M_k of Lemma 3.4, indexed by the partition's local node
@@ -238,16 +223,12 @@ type RankStats struct {
 	// memo) — the empirical counterpart of the Theorem 3.3 O(log n)
 	// chain-depth bound the recompute mode's viability rests on.
 	ReplayDepth obs.Histogram
-	// Steals counts node sub-block spans idle workers claimed from
-	// loaded siblings' unstarted tails; StolenNodes counts the local
-	// node indices those spans covered. Zero outside concurrent mode.
-	// The output graph is identical whatever these count — stealing
-	// moves which goroutine runs a node's generation, never the node's
-	// random stream or its slot bookkeeping.
-	Steals      int64
-	StolenNodes int64
+	// Steals is always zero: the engine no longer moves node spans
+	// between goroutines. The field stays until the benchmark's
+	// ladder.L2_steals row, which reads it, is dropped.
+	Steals int64
 	// BusyTime is wall time minus time spent blocked waiting for
-	// messages (the dispatcher's blocked time when workers > 1).
+	// messages.
 	BusyTime time.Duration
 	// WallTime is the rank's total engine time.
 	WallTime time.Duration
@@ -373,27 +354,10 @@ type RankResult struct {
 	Edges []graph.Edge
 }
 
-// Internal message kinds for same-rank cross-worker traffic. They share
-// msg.Message as the envelope but never reach the codec or the wire:
-// they only travel through worker inboxes.
-const (
-	// kindReqLocal is a same-rank <request>: worker asking a sibling
-	// worker for one of its slots.
-	kindReqLocal msg.Kind = 100 + iota
-	// kindResLocal is a same-rank <resolved>: sibling worker answering.
-	kindResLocal
-	// kindCkptResume wakes a worker parked by a checkpoint epoch: the
-	// cut is committed (or abandoned) and generation may continue.
-	kindCkptResume
-	// kindSlotDone tells a node's static owner that a thief resolved
-	// one of the node's slots (T, E, V mirror a <resolved>): the owner
-	// runs the slot's bookkeeping — unresolved count, waiter chains,
-	// hub publish — so fences and Done accounting stay with the static
-	// shard layout whatever the steal schedule was.
-	kindSlotDone
-)
-
-// engine is the per-rank state machine.
+// engine is the per-rank state machine. Everything in it belongs to the
+// rank goroutine; the only state another goroutine touches is a helper
+// lane's own scratch (worker, batch.go) and, read-only between a window's
+// hand-off and its barrier, f.
 type engine struct {
 	opts Options
 	rank int
@@ -414,23 +378,12 @@ type engine struct {
 	trace  *model.Trace
 
 	size int64 // local node count
-	nw   int   // worker count (>= 1, <= size when size > 0)
-	blk  int64 // local indices per worker block
-	// concurrent is nw > 1: selects atomic slot access and the
-	// dispatcher/inbox topology instead of the inline single-worker loop.
-	concurrent bool
-	// spanSize is the work-stealing granularity: each worker's block is
-	// divided into spans of this many local indices, claimed atomically
-	// (by the owner as its pass enters them, by an idle thief from the
-	// tail) so every node has exactly one generator.
-	spanSize int64
 
 	// f holds F_t(e) at f[part.Index(rank,t)*x + e]; -1 = NILL. Each
-	// slot is written exactly once (-1 -> v) by its owning worker; when
-	// concurrent, writes and cross-worker reads are atomic.
+	// slot is written exactly once (-1 -> v), between windows.
 	f []int64
 	// ckDirty is the delta-checkpoint dirty bitmap: one word per
-	// 1<<ckptDirtyShift F slots, set by setSlot, cleared at each
+	// 1<<ckptDirtyShift F slots, set by resolveSlot, cleared at each
 	// successful capture. Nil unless delta epochs are enabled
 	// (CheckpointOptions.FullEvery > 1).
 	ckDirty []uint32
@@ -451,41 +404,56 @@ type engine struct {
 	// rank-level replay memo table (DESIGN.md §11).
 	recompute bool
 	depthCap  int
-	memo      replayMemo
-	// fencesRecv counts hub fences received (coordinator-owned): with
-	// the cache on a rank may not leave its receive loop until every
-	// peer has fenced, so no publish frame outlives the engine on the
-	// transport (pa-tcp runs post-run collectives over the same
-	// connections).
+	memo      map[int64]*replayEntry
+	// fencesRecv counts hub fences received: with the cache on a rank
+	// may not leave its receive loop until every peer has fenced, so no
+	// publish frame outlives the engine on the transport (pa-tcp runs
+	// post-run collectives over the same connections).
 	fencesRecv int
 
-	workers []*worker
+	// The batch kernel's lanes (batch.go): workers[0] is the rank
+	// goroutine's, the rest have helper goroutines between startHelpers
+	// and stopHelpers. gathered is the window barrier, helpers the helper
+	// goroutines' exit.
+	workers  []*worker
+	gathered sync.WaitGroup
+	helpers  sync.WaitGroup
 
+	waiters waiterTable
+	susp    suspTable
+	// remote is the request-coalescing table (hub cache on only): it
+	// chains this rank's nodes waiting on the same remote slot, keyed by
+	// global slot id k*x + l, primary requester included. One wire
+	// request serves the whole chain; resumeWire fans its answer out.
+	remote waiterTable
+
+	// unresolved counts the rank's still-NILL slots.
+	unresolved int64
+	// cursor is the next local index the generation pass will visit; a
+	// checkpoint pause stops the pass and a later pass continues from
+	// here.
+	cursor int64
+	// poll is the generation-loop polling interval and sincePoll the
+	// nodes initiated since the last poll.
+	poll      int
+	sincePoll int
 	// pendingWaiters tracks the current and maximum number of queued
-	// waiter entries across all local queues (atomic when concurrent).
+	// waiter entries across all local queues.
 	pendingWaiters    int64
 	maxPendingWaiters int64
-
-	// activeWorkers counts workers that still have unresolved local
-	// slots; the decrement that reaches zero reports the rank done.
-	activeWorkers int32
-	// doneSent latches the rank's done report (CAS 0 -> 1).
-	doneSent int32
-
-	// abortCh broadcasts the first failure to all worker goroutines.
-	abortOnce sync.Once
-	abortCh   chan struct{}
-	errMu     sync.Mutex
-	firstErr  error
+	// err latches the first send or sink error raised below the loops
+	// that can return it.
+	err error
 
 	// edges is the rank's output (reconstructed from f after the
-	// protocol ends when no sink streams them).
-	edges     []graph.Edge
-	bootEdges int64 // edges emitted by bootstrap (sink mode accounting)
-	stats     RankStats
-	blocked   time.Duration
+	// protocol ends when no sink streams them); emitted counts edges
+	// handed to the sink or stream, bootstrap's included.
+	edges   []graph.Edge
+	emitted int64
+	stats   RankStats
+	blocked time.Duration
 
-	// coordinator state (dispatcher or single-worker loop).
+	// coordinator state.
 	doneFlag  bool
 	doneRanks int
 	stopped   bool
@@ -500,12 +468,6 @@ type engine struct {
 	// snapshot already initiated.
 	restored   bool
 	resumeSnap *ckpt.Snapshot
-	// pump and reqOut track the dispatcher's requestable receive: a
-	// kick can interrupt the wait, leaving the pump request outstanding
-	// for the next receive to consume.
-	pump   *recvPump
-	reqOut bool
-	route  [][]msg.Message
 }
 
 // RunRank executes one rank of the parallel algorithm over the given
@@ -593,40 +555,40 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 
 	rank := tr.Rank()
 	size := opts.Part.Size(rank)
+	// A lane the node range can never hand a stripe to is not built.
 	nw := opts.Workers
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	if int64(nw) > size {
-		nw = int(size)
+	if most := size / minStripeNodes; int64(nw) > most {
+		nw = int(max(most, 1))
 	}
-	if nw < 1 {
-		nw = 1
-	}
-	blk := int64(1)
-	if size > 0 {
-		blk = (size + int64(nw) - 1) / int64(nw)
+	stripe := batchNodes
+	if nw > 1 {
+		stripe = stripeNodes
 	}
 
 	e := &engine{
-		opts:       opts,
-		rank:       rank,
-		p:          tr.Size(),
-		x:          opts.Params.X,
-		x64:        int64(opts.Params.X),
-		seed:       opts.Seed,
-		prob:       opts.Params.P,
-		sink:       opts.Sink,
-		part:       opts.Part,
-		tr:         tr,
-		cm:         comm.New(tr, comm.Config{BufferCap: opts.BufferCap}),
-		trace:      opts.Trace,
-		size:       size,
-		nw:         nw,
-		blk:        blk,
-		concurrent: nw > 1,
-		abortCh:    make(chan struct{}),
+		opts:  opts,
+		rank:  rank,
+		p:     tr.Size(),
+		x:     opts.Params.X,
+		x64:   int64(opts.Params.X),
+		seed:  opts.Seed,
+		prob:  opts.Params.P,
+		sink:  opts.Sink,
+		part:  opts.Part,
+		tr:    tr,
+		cm:    comm.New(tr, comm.Config{BufferCap: opts.BufferCap}),
+		trace: opts.Trace,
+		size:  size,
 	}
+	e.workers = make([]*worker, nw)
+	for i := range e.workers {
+		e.workers[i] = newWorker(stripe, e.x)
+	}
+	e.waiters.init()
+	e.susp.init()
 	switch opts.Resolve {
 	case ResolveWire:
 	case ResolveRecompute:
@@ -638,13 +600,12 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 		if e.depthCap == 0 {
 			e.depthCap = DefaultRecomputeDepth(opts.Params.N)
 		}
-		e.memo.m = make(map[int64]*replayEntry)
+		e.memo = make(map[int64]*replayEntry)
 	default:
 		return nil, fmt.Errorf("core: unknown resolve mode %d", int(opts.Resolve))
 	}
 	// Hub-prefix replica: pointless on one rank (no wire requests) and
-	// at p = 1 (no copy branch, so no requests at all). Set up before
-	// the workers so they can size their coalescing tables.
+	// at p = 1 (no copy branch, so no requests at all).
 	if hp := opts.HubPrefix; hp >= 0 && e.p > 1 && e.prob < 1 {
 		h := hp
 		if h == 0 {
@@ -656,26 +617,10 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 		// A prefix inside the clique would never be consulted (copy
 		// sources are drawn from [x, t)).
 		if h > e.x64 {
-			e.hub = newHubCache(h, e.x64, e.concurrent)
+			e.hub = newHubCache(h, e.x64)
 			e.hubPeers = hubPeerRanks(opts.Part, rank, e.p)
+			e.remote.init()
 		}
-	}
-	// Steal spans: cap a block at 64 spans so a thief's victim scan is
-	// O(64) per sibling, with a 64-node floor so a span amortises its
-	// claim CAS. Fixed before the workers are built (they size their
-	// claim arrays from it).
-	e.spanSize = 64
-	if s := (blk + 63) / 64; s > e.spanSize {
-		e.spanSize = s
-	}
-	e.workers = make([]*worker, nw)
-	for i := 0; i < nw; i++ {
-		lo := int64(i) * blk
-		hi := lo + blk
-		if hi > size {
-			hi = size
-		}
-		e.workers[i] = newWorker(e, i, lo, hi)
 	}
 	if c := opts.Checkpoint; c != nil {
 		switch {
@@ -704,22 +649,20 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 			every:     c.Every,
 			keep:      keep,
 			fullEvery: c.FullEvery,
-			kick:      make(chan struct{}, 1),
 			epochNext: 1,
 			voted0:    make(map[int64]bool),
 		}
 		e.seq = coll.New(e.cm)
 		e.ckTrig = rank == 0 && c.Every > 0
-		atomic.StoreInt64(&e.ck.nextTrigger, c.Every)
-		if e.concurrent {
-			ck := e.ck
-			for _, w := range e.workers {
-				w.inbox.onIdle = func() {
-					if atomic.LoadInt32(&ck.phase) == ckPaused {
-						ck.kickNow()
-					}
-				}
-			}
+		e.ck.nextTrigger = c.Every
+	}
+	// A single rank without checkpointing has nothing to poll for, so
+	// unless a test pins the interval its windows are not cut to one.
+	e.poll = opts.PollEvery
+	if e.poll <= 0 {
+		e.poll = DefaultPollEvery
+		if e.p == 1 && e.ck == nil {
+			e.poll = math.MaxInt
 		}
 	}
 	// The stream writer opens last so earlier validation failures never
@@ -774,132 +717,6 @@ func (e *engine) locate(k int64) (owner int, kidx int64) {
 	return owner, kidx
 }
 
-// workerOf returns the worker statically owning local node index idx —
-// the keeper of its slots' waiter queues and its shard's unresolved
-// count, whatever the steal schedule.
-func (e *engine) workerOf(idx int64) int { return int(idx / e.blk) }
-
-// generatorOf returns the worker generating local node index idx: the
-// claimant of idx's steal span when one is recorded, the static owner
-// otherwise. Resolutions must reach the generator (it holds the node's
-// suspension record); requests still go to the static owner. The answer
-// is stable for any node with traffic in flight: a span's claim is
-// CASed exactly once, before any node in it is initiated — so before
-// any request (whose response this routes) can exist.
-func (e *engine) generatorOf(idx int64) int {
-	ow := int(idx / e.blk)
-	w := e.workers[ow]
-	if w.claims == nil {
-		return ow
-	}
-	if c := atomic.LoadInt32(&w.claims[(idx-w.lo)/e.spanSize]); c >= 0 {
-		return int(c)
-	}
-	return ow
-}
-
-// setSlot publishes F value v for flat slot s. Slots are write-once
-// (-1 -> v); under concurrency the store is atomic so sibling workers'
-// optimistic reads see either NILL or the final value.
-func (e *engine) setSlot(s, v int64) {
-	if e.ckDirty != nil {
-		e.ckptMarkDirty(s)
-	}
-	if e.concurrent {
-		atomic.StoreInt64(&e.f[s], v)
-		return
-	}
-	e.f[s] = v
-}
-
-// getSlot reads flat slot s. Atomic under concurrency: with stealing
-// any slot's writer may be a thief, so not even a worker's static block
-// is privately readable (only a node's own generator may read its slots
-// plainly, via isDup).
-func (e *engine) getSlot(s int64) int64 {
-	if e.concurrent {
-		return atomic.LoadInt64(&e.f[s])
-	}
-	return e.f[s]
-}
-
-// noteLoad counts one copy query received by local node index kidx.
-func (e *engine) noteLoad(kidx int64) {
-	if e.nodeLoad == nil {
-		return
-	}
-	if e.concurrent {
-		atomic.AddInt64(&e.nodeLoad[kidx], 1)
-		return
-	}
-	e.nodeLoad[kidx]++
-}
-
-// trackPending adjusts the queued-waiter gauge and its high-water mark.
-func (e *engine) trackPending(delta int64) {
-	if !e.concurrent {
-		e.pendingWaiters += delta
-		if e.pendingWaiters > e.maxPendingWaiters {
-			e.maxPendingWaiters = e.pendingWaiters
-		}
-		return
-	}
-	v := atomic.AddInt64(&e.pendingWaiters, delta)
-	if delta > 0 {
-		for {
-			m := atomic.LoadInt64(&e.maxPendingWaiters)
-			if v <= m || atomic.CompareAndSwapInt64(&e.maxPendingWaiters, m, v) {
-				break
-			}
-		}
-	}
-}
-
-// pendingDepth reads the queued-waiter gauge (adaptive-poll input).
-func (e *engine) pendingDepth() int64 {
-	if e.concurrent {
-		return atomic.LoadInt64(&e.pendingWaiters)
-	}
-	return e.pendingWaiters
-}
-
-// fail latches the first error and aborts every worker goroutine:
-// closing abortCh wakes the dispatcher, closing the inboxes wakes
-// blocked workers.
-func (e *engine) fail(err error) {
-	if err == nil {
-		return
-	}
-	e.errMu.Lock()
-	if e.firstErr == nil {
-		e.firstErr = err
-	}
-	e.errMu.Unlock()
-	e.abortOnce.Do(func() {
-		close(e.abortCh)
-		for _, w := range e.workers {
-			if w.inbox != nil {
-				w.inbox.close()
-			}
-		}
-	})
-}
-
-func (e *engine) aborted() bool {
-	select {
-	case <-e.abortCh:
-		return true
-	default:
-		return false
-	}
-}
-
-func (e *engine) takeErr() error {
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	return e.firstErr
-}
-
 func (e *engine) run() error {
 	start := time.Now()
 	defer func() {
@@ -933,33 +750,43 @@ func (e *engine) run() error {
 		}
 	}
 
-	if !e.concurrent {
-		return e.runSingle()
+	e.startHelpers()
+	defer e.stopHelpers()
+
+	for {
+		done := e.generate()
+		if e.err != nil {
+			return e.err
+		}
+		if done {
+			break
+		}
+		if err := e.ckptServe(); err != nil {
+			return err
+		}
 	}
 
-	// A rank with no generating nodes (every local node is clique or
-	// bootstrap) reports done straight away; its dispatcher still runs
-	// the termination protocol.
-	if atomic.LoadInt32(&e.activeWorkers) == 0 {
-		e.reportDone()
+	// All local slots initiated. From here unresolved is monotone.
+	if err := e.maybeReportDone(); err != nil {
+		return err
 	}
-	var wg sync.WaitGroup
-	for _, w := range e.workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			w.runConcurrent()
-		}(w)
+	for !e.finished() {
+		if err := e.drain(true); err != nil {
+			return err
+		}
+		if err := e.ckptStep(); err != nil {
+			return err
+		}
+		if err := e.maybeReportDone(); err != nil {
+			return err
+		}
 	}
-	e.dispatch()
-	wg.Wait()
-	return e.takeErr()
+	return nil
 }
 
 // bootstrap emits clique edges for locally-owned clique nodes, fixes
-// node x's attachments if x is local, and splits the unresolved-slot
-// budget across the workers. It runs on the rank goroutine before any
-// worker starts, so plain writes to f are safe.
+// node x's attachments if x is local, and counts the slots left to
+// resolve.
 func (e *engine) bootstrap() {
 	e.f = make([]int64, e.size*e.x64)
 	for i := range e.f {
@@ -1000,18 +827,9 @@ func (e *engine) bootstrap() {
 				}
 			}
 		default:
-			e.workers[e.workerOf(idx)].unresolved += e.x64
+			e.unresolved += e.x64
 		}
 	})
-	active := int32(0)
-	for _, w := range e.workers {
-		if w.unresolved > 0 {
-			active++
-		} else {
-			w.doneNoted = true
-		}
-	}
-	atomic.StoreInt32(&e.activeWorkers, active)
 }
 
 // bootEmit streams one bootstrap-time edge (slot key, edge) to the
@@ -1022,7 +840,7 @@ func (e *engine) bootstrap() {
 // write is suppressed; a write error latches in the writer and run()
 // surfaces it right after bootstrap.
 func (e *engine) bootEmit(key int64, ed graph.Edge) {
-	e.bootEdges++
+	e.emitted++
 	if e.stream != nil && e.resumeSnap == nil {
 		e.stream.Emit(uint64(key), ed.V)
 	}
@@ -1032,9 +850,8 @@ func (e *engine) bootEmit(key int64, ed graph.Edge) {
 }
 
 // collectEdges rebuilds the rank's edge list from the resolved F table in
-// increasing node order — exactly the order the pre-worker engine emitted
-// single-rank edges in, which keeps the order-sensitive single-rank
-// fingerprints byte-identical for every worker count.
+// increasing node order, which keeps the order-sensitive single-rank
+// fingerprints independent of the resolution schedule.
 func (e *engine) collectEdges() {
 	// Sized for x edges per node; only clique nodes contribute fewer.
 	edges := make([]graph.Edge, e.size*e.x64)
@@ -1056,8 +873,8 @@ func (e *engine) collectEdges() {
 	e.edges = edges[:n]
 }
 
-// finishStats assembles the rank's statistics from the engine, the
-// communicator and the per-worker counters.
+// finishStats completes the rank's statistics from the engine and the
+// communicator.
 func (e *engine) finishStats() {
 	e.stats.Rank = e.rank
 	e.stats.Nodes = e.size
@@ -1072,27 +889,9 @@ func (e *engine) finishStats() {
 		e.stats.SinkFsyncs = st.Fsyncs
 		e.stats.SinkFsyncTime = time.Duration(st.FsyncNanos)
 	case e.sink != nil:
-		e.stats.Edges = e.bootEdges
-		for _, w := range e.workers {
-			e.stats.Edges += w.edgeCount
-		}
+		e.stats.Edges = e.emitted
 	default:
 		e.stats.Edges = int64(len(e.edges))
-	}
-	for _, w := range e.workers {
-		e.stats.Retries += w.retries
-		e.stats.Steals += w.steals
-		e.stats.StolenNodes += w.stolenNodes
-		e.stats.QueuedWaits += w.queuedWaits
-		e.stats.LocalWaits += w.localWaits
-		e.stats.HubCacheHits += w.hubHits
-		e.stats.HubCacheMisses += w.hubMisses
-		e.stats.ReqCoalesced += w.coalesced
-		e.stats.RecomputeResolved += w.recomputeHits
-		e.stats.RecomputeFallback += w.recomputeFallbacks
-		e.stats.ReplayedEdges += w.replayedEdges
-		e.stats.WaitChain.Merge(w.waitChain)
-		e.stats.ReplayDepth.Merge(w.replayDepth)
 	}
 	e.stats.Comm = e.cm.Counters()
 	if ts, ok := e.tr.(interface{ Stats() transport.TCPStats }); ok {
@@ -1101,7 +900,7 @@ func (e *engine) finishStats() {
 	// The engine owns its Comm and never sends again, so take the live
 	// counts instead of copying them.
 	e.stats.RequestsTo = e.cm.RequestsToView()
-	e.stats.MaxPendingSlots = atomic.LoadInt64(&e.maxPendingWaiters)
+	e.stats.MaxPendingSlots = e.maxPendingWaiters
 	e.stats.NodeLoad = e.nodeLoad
 	e.stats.HubElided = e.hubElided
 	if ck := e.ck; ck != nil {
@@ -1119,89 +918,26 @@ func (e *engine) finishStats() {
 	}
 }
 
-// reportDone sends the rank's done report exactly once. With workers the
-// report goes through the transport even on rank 0 (a self-send) so the
-// dispatcher — the only goroutine allowed to touch coordinator state —
-// counts it like any other rank's.
-func (e *engine) reportDone() {
-	if !atomic.CompareAndSwapInt32(&e.doneSent, 0, 1) {
-		return
-	}
-	// Fences first: each worker flushed its scratch when its own shard
-	// completed (noteShardDone), with the activeWorkers decrement
-	// ordering those flushes before this point, so every publish this
-	// rank will ever send is already in the stripes or on the wire —
-	// the fences trail them all on each pairwise channel.
-	if err := e.sendFences(); err != nil {
-		e.fail(err)
-		return
-	}
-	if err := e.cm.SendNow(0, msg.Done(e.rank)); err != nil {
-		e.fail(err)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Single-worker path: the original inline loop. Generation, message
-// processing and coordination all run on the rank goroutine; no inboxes,
-// no atomics, and — on a single rank — no control traffic at all.
-// ---------------------------------------------------------------------
-
-func (e *engine) runSingle() error {
-	w := e.workers[0]
-	for {
-		done := e.genSingle()
-		if w.err != nil {
-			return w.err
-		}
-		if done {
-			break
-		}
-		if err := e.ckptServe(); err != nil {
-			return err
-		}
-	}
-
-	// All local slots initiated. From here unresolved is monotone.
-	if err := e.maybeReportDone(); err != nil {
-		return err
-	}
-	for !e.finished() {
-		if err := e.drainSingle(true); err != nil {
-			return err
-		}
-		if err := e.ckptStep(); err != nil {
-			return err
-		}
-		if err := e.maybeReportDone(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// genSingle advances the single worker's generation cursor until the
-// block is exhausted (returns true) or a checkpoint epoch pauses the
-// run (returns false; ckptServe drives the epoch, then the cursor
-// resumes exactly where it stopped).
-func (e *engine) genSingle() bool {
-	w := e.workers[0]
-	for w.cursor < w.hi {
-		if w.err != nil {
+// generate advances the generation cursor until the node range is
+// exhausted (returns true) or a checkpoint epoch pauses the run (returns
+// false; ckptServe drives the epoch, then the cursor resumes exactly
+// where it stopped).
+func (e *engine) generate() bool {
+	for e.cursor < e.size {
+		if e.err != nil {
 			return true
 		}
-		w.initiate(&w.cursor, w.hi)
-		if w.sincePoll >= w.poll {
-			w.sincePoll = 0
-			if err := e.drainSingle(false); err != nil && w.err == nil {
-				w.err = err
+		e.initiate()
+		if e.sincePoll >= e.poll {
+			e.sincePoll = 0
+			if err := e.drain(false); err != nil && e.err == nil {
+				e.err = err
 			}
-			w.adaptPoll()
 			if e.ck != nil {
-				if err := e.ckptStep(); err != nil && w.err == nil {
-					w.err = err
+				if err := e.ckptStep(); err != nil && e.err == nil {
+					e.err = err
 				}
-				if atomic.LoadInt32(&e.ck.phase) == ckPaused {
+				if e.ck.paused {
 					return false
 				}
 				// Yield at the poll point: with more ranks than cores a
@@ -1217,12 +953,11 @@ func (e *engine) genSingle() bool {
 	return true
 }
 
-// drainSingle processes incoming messages: all immediately available
-// ones, or — when block is set — at least one batch. Before blocking it
-// flushes all send buffers (the Section 3.5.2 rule generalised: nothing
-// may linger while we sleep).
-func (e *engine) drainSingle(block bool) error {
-	w := e.workers[0]
+// drain processes incoming messages: all immediately available ones, or
+// — when block is set — at least one batch. Before blocking it flushes
+// all send buffers (the Section 3.5.2 rule generalised: nothing may
+// linger while we sleep).
+func (e *engine) drain(block bool) error {
 	var ms []msg.Message
 	var err error
 	if block {
@@ -1239,12 +974,12 @@ func (e *engine) drainSingle(block bool) error {
 		return err
 	}
 	for _, m := range ms {
-		if err := e.handleSingle(m); err != nil {
+		if err := e.handle(m); err != nil {
 			return err
 		}
 	}
-	if w.err != nil {
-		return w.err
+	if e.err != nil {
+		return e.err
 	}
 	// Answers generated while processing this batch must not wait for
 	// the next blocking point (paper rule: resolved messages are sent
@@ -1252,14 +987,13 @@ func (e *engine) drainSingle(block bool) error {
 	return e.cm.FlushAll()
 }
 
-// handleSingle routes one received message on the single-worker path.
-func (e *engine) handleSingle(m msg.Message) error {
-	w := e.workers[0]
+// handle routes one received message.
+func (e *engine) handle(m msg.Message) error {
 	switch m.Kind {
 	case msg.KindRequest:
-		w.onRequest(m, true)
+		e.onRequest(m)
 	case msg.KindResolved:
-		w.resumeWire(m.T, int(m.E), m.V)
+		e.resumeWire(m.T, int(m.E), m.V)
 	case msg.KindPublish:
 		return e.applyPublish(m)
 	case msg.KindFence:
@@ -1291,10 +1025,10 @@ func (e *engine) handleSingle(m msg.Message) error {
 }
 
 // maybeReportDone sends the rank's done report once all local slots are
-// resolved. Safe to call repeatedly; reports once. Single-worker only:
-// rank 0 short-circuits the self-send.
+// resolved. Safe to call repeatedly; reports once. Rank 0 short-circuits
+// the self-send.
 func (e *engine) maybeReportDone() error {
-	if e.workers[0].unresolved != 0 || e.doneFlag {
+	if e.unresolved != 0 || e.doneFlag {
 		return nil
 	}
 	e.doneFlag = true
@@ -1322,7 +1056,7 @@ func (e *engine) maybeBroadcastStop() error {
 	if e.doneRanks < e.p || e.stopped {
 		return nil
 	}
-	if e.ck != nil && (atomic.LoadInt32(&e.ck.phase) != ckIdle || len(e.ck.votes) > 0) {
+	if e.ck != nil && (e.ck.paused || len(e.ck.votes) > 0) {
 		return nil
 	}
 	for r := 1; r < e.p; r++ {
@@ -1332,230 +1066,4 @@ func (e *engine) maybeBroadcastStop() error {
 	}
 	e.stopped = true
 	return nil
-}
-
-// ---------------------------------------------------------------------
-// Multi-worker path: the rank goroutine becomes the dispatcher. It is
-// the transport's single consumer, routing each incoming message to the
-// worker owning the addressed node, and it runs the coordinator logic.
-// ---------------------------------------------------------------------
-
-// recvPump turns the blocking transport Recv into a requestable event so
-// the dispatcher can block on either a frame or an abort. The pump only
-// calls Recv when asked (ping-pong), so after a normal stop there is no
-// outstanding Recv to swallow frames a caller (e.g. cmd/pa-tcp's
-// post-run collectives) expects to read from the same transport.
-type recvPump struct {
-	req chan struct{}
-	res chan pumpResult
-}
-
-type pumpResult struct {
-	frame transport.Frame
-	err   error
-}
-
-func startPump(tr transport.Transport) *recvPump {
-	p := &recvPump{req: make(chan struct{}), res: make(chan pumpResult, 1)}
-	go func() {
-		for range p.req {
-			f, err := tr.Recv()
-			p.res <- pumpResult{frame: f, err: err}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	return p
-}
-
-// shutdown ends the pump. If a request is outstanding (abort), the
-// buffered result channel lets the pump finish its Recv and exit without
-// anyone reading the result.
-func (p *recvPump) shutdown() { close(p.req) }
-
-// pumpRecv blocks for one transport frame via the pump and returns the
-// decoded batch. A pump request left outstanding by an interrupted wait
-// (kick) is consumed by the next call instead of issuing another. When
-// kickable, a checkpoint kick interrupts the wait with (nil, true, nil)
-// so the dispatcher can run the epoch protocol; the commit collectives'
-// receive path is not kickable.
-func (e *engine) pumpRecv(kickable bool) (ms []msg.Message, kicked bool, err error) {
-	if !e.reqOut {
-		e.pump.req <- struct{}{}
-		e.reqOut = true
-	}
-	var kickCh chan struct{}
-	if kickable && e.ck != nil {
-		kickCh = e.ck.kick
-	}
-	t0 := time.Now()
-	select {
-	case r := <-e.pump.res:
-		e.blocked += time.Since(t0)
-		e.reqOut = false
-		if r.err != nil {
-			return nil, false, r.err
-		}
-		ms, err = e.cm.DecodeFrame(r.frame)
-		return ms, false, err
-	case <-kickCh:
-		e.blocked += time.Since(t0)
-		return nil, true, nil
-	case <-e.abortCh:
-		e.blocked += time.Since(t0)
-		return nil, false, errAborted
-	}
-}
-
-// pumpDrain consumes a pump result left behind by a kick-interrupted
-// pumpRecv, if one is ready, and returns its decoded batch (nil when
-// there is nothing parked). Without this, a frame the pump captured just
-// before a kick could starve: during a checkpoint epoch the protocol's
-// self-sent probes and reports keep Poll returning fresh frames every
-// iteration, so the dispatcher would never block on pumpRecv again — and
-// the parked frame (say, a Done report the quiescence balance is waiting
-// for) would never be delivered.
-func (e *engine) pumpDrain() ([]msg.Message, error) {
-	if !e.reqOut {
-		return nil, nil
-	}
-	select {
-	case r := <-e.pump.res:
-		e.reqOut = false
-		if r.err != nil {
-			return nil, r.err
-		}
-		return e.cm.DecodeFrame(r.frame)
-	default:
-		return nil, nil
-	}
-}
-
-// deliver routes one received batch: protocol traffic to the owning
-// workers' inboxes, coordination messages to the coordinator state.
-// Shared by the dispatcher's main loop and the post-cut release of held
-// messages.
-func (e *engine) deliver(ms []msg.Message) error {
-	if e.route == nil {
-		// First delivery can precede dispatch when the startup flush
-		// releases messages held during resume negotiation.
-		e.route = make([][]msg.Message, e.nw)
-	}
-	route := e.route
-	for i := range route {
-		route[i] = route[i][:0]
-	}
-	for _, m := range ms {
-		switch m.Kind {
-		case msg.KindRequest:
-			wid := e.workerOf(e.localIdx(m.K))
-			route[wid] = append(route[wid], m)
-		case msg.KindResolved:
-			// To the generator, not the static owner: the suspension
-			// record this answers lives with whoever claimed the node's
-			// steal span.
-			wid := e.generatorOf(e.localIdx(m.T))
-			route[wid] = append(route[wid], m)
-		case msg.KindPublish:
-			if err := e.applyPublish(m); err != nil {
-				return err
-			}
-		case msg.KindFence:
-			if err := e.onFence(); err != nil {
-				return err
-			}
-		case msg.KindDone:
-			if e.rank != 0 {
-				return fmt.Errorf("core: rank %d received done message", e.rank)
-			}
-			e.doneRanks++
-			if e.ck != nil {
-				e.ck.doneRecv++
-			}
-			if err := e.maybeBroadcastStop(); err != nil {
-				return err
-			}
-		case msg.KindStop:
-			e.stopped = true
-		case msg.KindCkpt:
-			if err := e.ckptOnMsg(m); err != nil {
-				return err
-			}
-		case msg.KindColl:
-			// A commit-vote contribution that raced ahead of this rank
-			// entering the cut's collectives; buffer it for them.
-			if e.ck == nil {
-				return fmt.Errorf("core: unexpected message kind %v", m.Kind)
-			}
-			e.seq.Stash(int(m.T), m.K, m.V)
-		default:
-			return fmt.Errorf("core: unexpected message kind %v", m.Kind)
-		}
-	}
-	for i, b := range route {
-		if len(b) == 0 {
-			continue
-		}
-		if !e.workers[i].inbox.pushBatch(b) {
-			// Inbox closed: abort already under way.
-			return e.takeErr()
-		}
-	}
-	return nil
-}
-
-// dispatch runs the rank's receive loop until stop or abort: decode,
-// route to owning workers, count done reports (rank 0), broadcast stop,
-// and drive the checkpoint protocol. On return (normal stop) it closes
-// every inbox, which is the workers' stop signal.
-func (e *engine) dispatch() {
-	e.pump = startPump(e.tr)
-	defer e.pump.shutdown()
-	if e.route == nil {
-		// Normally built here, but the startup held-flush (resume
-		// negotiation traffic) may have routed batches already.
-		e.route = make([][]msg.Message, e.nw)
-	}
-	for !e.finished() {
-		if err := e.ckptStep(); err != nil {
-			e.fail(err)
-			return
-		}
-		if e.finished() {
-			break
-		}
-		ms, err := e.pumpDrain()
-		if err != nil {
-			e.fail(err)
-			return
-		}
-		if len(ms) == 0 {
-			ms, err = e.cm.Poll()
-			if err != nil {
-				e.fail(err)
-				return
-			}
-		}
-		if len(ms) == 0 {
-			var kicked bool
-			ms, kicked, err = e.pumpRecv(true)
-			if err != nil {
-				if err != errAborted {
-					e.fail(err)
-				}
-				return
-			}
-			if kicked {
-				continue
-			}
-		}
-		if err := e.deliver(ms); err != nil {
-			e.fail(err)
-			return
-		}
-	}
-	for _, w := range e.workers {
-		w.inbox.close()
-	}
 }

@@ -13,14 +13,12 @@ import (
 // indices [lo, lo+batchNodes) and starts them again through the batch
 // entry point, so the draw, gather and commit phases run exactly as at
 // generation time.
-func reopenAndInitiate(w *worker, lo int64) {
-	e := w.e
+func reopenAndInitiate(e *engine, lo int64) {
 	for s := lo * e.x64; s < (lo+batchNodes)*e.x64; s++ {
 		e.f[s] = -1
 	}
-	w.sincePoll = 0
-	cur := lo
-	w.initiate(&cur, lo+batchNodes)
+	e.cursor = lo
+	e.initiate()
 }
 
 // reportPerNode converts the per-iteration (one batch) time into the
@@ -31,11 +29,11 @@ func reportPerNode(b *testing.B) {
 
 // BenchmarkHotPathEngine measures the steady-state generation loop: one
 // batch of batchNodes nodes' x attachment placements (initiate →
-// runBatch → resolveSlot → emit) against a warm single-worker engine
-// with a no-op sink. This is the zero-allocation claim of the hot path —
-// after bootstrap, expect 0 allocs/op: the per-node RNG stream and the
-// batch scratch live on the worker, the waiter table recycles its arena,
-// and the sink bypasses the edge store.
+// drawGather → commit → resolveSlot → emit) against a warm one-worker
+// engine with a no-op sink. This is the zero-allocation claim of the hot
+// path — after bootstrap, expect 0 allocs/op: the per-node RNG stream
+// and the stripe scratch live on the lane, the waiter table recycles its
+// arena, and the sink bypasses the edge store.
 func BenchmarkHotPathEngine(b *testing.B) {
 	const (
 		n = int64(1 << 16)
@@ -61,7 +59,6 @@ func BenchmarkHotPathEngine(b *testing.B) {
 		b.Fatal(err)
 	}
 	e.bootstrap()
-	w := e.workers[0]
 
 	// First pass generates the graph; later passes re-open settled
 	// nodes. Every earlier node stays resolved, so copy sources answer
@@ -74,67 +71,9 @@ func BenchmarkHotPathEngine(b *testing.B) {
 		if lo+batchNodes > n {
 			lo = x + 1
 		}
-		reopenAndInitiate(w, lo)
-		if w.err != nil {
-			b.Fatal(w.err)
-		}
-		lo += batchNodes
-	}
-	reportPerNode(b)
-}
-
-// BenchmarkHotPathWorkerShard is the same steady-state loop against a
-// worker of a multi-worker engine: slot publishes go through the atomic
-// store path and the worker's block bounds apply — the constant-factor
-// cost of making the rank concurrent. Still 0 allocs/op.
-func BenchmarkHotPathWorkerShard(b *testing.B) {
-	const (
-		n = int64(1 << 16)
-		x = 4
-	)
-	pr := model.Params{N: n, X: x, P: 0.5}
-	part, err := partition.New(partition.KindRRP, n, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := transport.NewLocalGroup(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := newEngine(g.Endpoint(0), Options{
-		Params:  pr,
-		Part:    part,
-		Seed:    1,
-		Workers: 4,
-		Sink:    func(int, graph.Edge) {},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	e.bootstrap()
-	// Settle the whole F table so copy sources resolve immediately, then
-	// drive the last worker's block (its sources span every shard, so
-	// cross-shard atomic reads are on the measured path).
-	for i := range e.f {
-		if e.f[i] < 0 {
-			e.f[i] = 0
-		}
-	}
-	w := e.workers[e.nw-1]
-	if w.lo+batchNodes > w.hi {
-		b.Fatalf("worker block [%d,%d) too small", w.lo, w.hi)
-	}
-
-	lo := w.lo
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if lo+batchNodes > w.hi {
-			lo = w.lo
-		}
-		reopenAndInitiate(w, lo)
-		if w.err != nil {
-			b.Fatal(w.err)
+		reopenAndInitiate(e, lo)
+		if e.err != nil {
+			b.Fatal(e.err)
 		}
 		lo += batchNodes
 	}

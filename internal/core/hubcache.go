@@ -2,57 +2,32 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"pagen/internal/msg"
 	"pagen/internal/partition"
 )
 
 // hubCache is the rank's read-mostly replica of the hub prefix: the F
-// slots of the first h global nodes, flat like the main table (slot
-// k*x + l). Slots start NILL and are installed with the owning rank's
-// write-once value — by the coordinator applying a publish message, or
-// by a worker installing a wire answer it received anyway — so every
-// install for a slot carries the same immutable value and the replica
-// needs no invalidation protocol (DESIGN.md §10). Only remote-owned
-// slots are ever consulted: a local copy source short-circuits to the
-// rank's own table before the replica is looked at.
+// slots of the first h global nodes, flat like the main table (f[k*x +
+// l], -1 = not yet known here). Slots are installed with the owning
+// rank's write-once value — from a publish message, a wire answer the
+// rank received anyway, or a replay — so every install for a slot
+// carries the same immutable value, duplicated publishes included, and
+// the replica needs no invalidation protocol (DESIGN.md §10). Only
+// remote-owned slots are ever consulted: a local copy source
+// short-circuits to the rank's own table before the replica is looked
+// at.
 type hubCache struct {
-	h          int64 // nodes covered: global ids [0, h)
-	x64        int64
-	concurrent bool
-	f          []int64
+	h int64 // nodes covered: global ids [0, h)
+	f []int64
 }
 
-func newHubCache(h, x64 int64, concurrent bool) *hubCache {
-	c := &hubCache{h: h, x64: x64, concurrent: concurrent, f: make([]int64, h*x64)}
+func newHubCache(h, x64 int64) *hubCache {
+	c := &hubCache{h: h, f: make([]int64, h*x64)}
 	for i := range c.f {
 		c.f[i] = -1
 	}
 	return c
-}
-
-// slots returns the flat slot count h*x.
-func (c *hubCache) slots() int64 { return int64(len(c.f)) }
-
-// get reads replica slot key (k*x + l); -1 means not yet known here.
-// Atomic when workers share the replica, mirroring engine.setSlot.
-func (c *hubCache) get(key int64) int64 {
-	if c.concurrent {
-		return atomic.LoadInt64(&c.f[key])
-	}
-	return c.f[key]
-}
-
-// install records the resolved value for slot key. Idempotent: racing
-// installs (a publish against a wire answer) and duplicated publishes
-// all write the owner's single value, so any interleaving is harmless.
-func (c *hubCache) install(key, v int64) {
-	if c.concurrent {
-		atomic.StoreInt64(&c.f[key], v)
-		return
-	}
-	c.f[key] = v
 }
 
 // hubPeerRanks returns the ranks that can request a prefix slot this
@@ -86,17 +61,10 @@ func (e *engine) noteElided(k int64) {
 	if e.hubElided == nil || k >= int64(len(e.hubElided)) {
 		return
 	}
-	if e.concurrent {
-		atomic.AddInt64(&e.hubElided[k], 1)
-		return
-	}
 	e.hubElided[k]++
 }
 
-// applyPublish installs one received publish into the replica. Runs on
-// the coordinator (the transport's single consumer); workers read the
-// replica through atomics, and a racing worker-side install of the same
-// answer writes the identical value.
+// applyPublish installs one received publish into the replica.
 func (e *engine) applyPublish(m msg.Message) error {
 	hub := e.hub
 	if hub == nil {
@@ -105,7 +73,7 @@ func (e *engine) applyPublish(m msg.Message) error {
 	if m.T >= hub.h {
 		return fmt.Errorf("core: rank %d received a hub publish for node %d outside its prefix of %d nodes (mismatched hub-prefix settings across ranks?)", e.rank, m.T, hub.h)
 	}
-	hub.install(m.T*e.x64+int64(m.E), m.V)
+	hub.f[m.T*e.x64+int64(m.E)] = m.V
 	return nil
 }
 
@@ -121,7 +89,7 @@ func (e *engine) onFence() error {
 }
 
 // sendFences tells every peer this rank will publish no more. SendNow
-// appends the fence to the peer's stripe and flushes the whole stripe,
+// appends the fence to the peer's buffer and flushes the whole buffer,
 // so on each pairwise FIFO channel the fence trails every publish this
 // rank buffered — which is what makes fencesRecv a proof of silence.
 // Called at done-report time: all local slots are resolved, so no
@@ -141,7 +109,7 @@ func (e *engine) sendFences() error {
 	return nil
 }
 
-// finished reports whether the coordinator may leave its receive loop:
+// finished reports whether the rank may leave its receive loop:
 // stop has arrived and — when the hub replica is on — every peer has
 // fenced its publish stream. Without the fence wait, a publish sent to
 // an already-stopped rank would linger on the transport and corrupt
@@ -156,9 +124,9 @@ func (e *engine) finished() bool {
 // resolved prefix slot this rank owns: node x's bootstrap attachments
 // on a fresh run, everything the snapshot restored on a resumed one
 // (the replica itself is never serialized — each rank re-derives its
-// contribution here, see docs/CHECKPOINT_FORMAT.md). Runs on the rank
-// goroutine after bootstrap/restore, before any worker starts; sends
-// are buffered and ride the engine's normal flush points.
+// contribution here, see docs/CHECKPOINT_FORMAT.md). Runs after
+// bootstrap/restore; sends are buffered and ride the engine's normal
+// flush points.
 func (e *engine) publishResolvedPrefix() error {
 	hub := e.hub
 	if hub == nil || len(e.hubPeers) == 0 {

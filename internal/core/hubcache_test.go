@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pagen/internal/ckpt"
+	"pagen/internal/comm"
 	"pagen/internal/model"
 	"pagen/internal/msg"
 	"pagen/internal/partition"
@@ -350,29 +351,19 @@ func TestHubCacheMismatchedSettingsError(t *testing.T) {
 	}
 }
 
-// Replica internals: installs are idempotent (any interleaving of a
-// publish and a wire answer writes the owner's single value), and the
-// publish fan-out follows the request matrix — strictly lower-triangular
-// under contiguous partitions, full mesh under round-robin.
+// Replica internals: a fresh replica covers h*x slots, all unknown, and
+// the publish fan-out follows the request matrix — strictly
+// lower-triangular under contiguous partitions, full mesh under
+// round-robin.
 func TestHubCacheInstallIdempotentAndPeers(t *testing.T) {
-	c := newHubCache(4, 3, false)
-	if got := c.slots(); got != 12 {
-		t.Fatalf("slots() = %d, want 12", got)
+	c := newHubCache(4, 3)
+	if got := len(c.f); got != 12 {
+		t.Fatalf("replica has %d slots, want 12", got)
 	}
-	if v := c.get(7); v != -1 {
-		t.Fatalf("fresh slot reads %d, want -1", v)
-	}
-	c.install(7, 42)
-	c.install(7, 42)
-	if v := c.get(7); v != 42 {
-		t.Fatalf("doubly installed slot reads %d, want 42", v)
-	}
-
-	cc := newHubCache(4, 3, true)
-	cc.install(5, 9)
-	cc.install(5, 9)
-	if v := cc.get(5); v != 9 {
-		t.Fatalf("concurrent replica reads %d, want 9", v)
+	for s, v := range c.f {
+		if v != -1 {
+			t.Fatalf("fresh slot %d reads %d, want -1", s, v)
+		}
 	}
 
 	ucp, err := partition.New(partition.KindUCP, 1000, 4)
@@ -473,13 +464,12 @@ func TestHubCacheKillResumeRebuildsReplica(t *testing.T) {
 	}
 }
 
-// Regression for the worker scratch-buffer boundary: sendData must store
-// the append result before the flush-path early return (append may have
-// grown the backing array; dropping it left w.scratch[to] aliasing the
-// stale smaller one). Publishes fan out to every peer through sendData,
-// so a concurrent multi-rank run with the cache on crosses the
-// workerScratchCap boundary on every destination many times; any lost or
-// doubled message shows up as a wrong edge list or a hang.
+// Four workers against one at two ranks, hub cache off and on, edge list
+// for edge list, with enough cross-rank traffic that every send buffer
+// fills and flushes many times; any lost or doubled message shows up as
+// a wrong edge list or a hang. (Named for the per-worker send scratch
+// whose capacity boundary it first guarded; sends now go straight to
+// comm.)
 func TestWorkerScratchCapBoundary(t *testing.T) {
 	pr := model.Params{N: 20_000, X: 4, P: 0.5}
 	part, err := partition.New(partition.KindRRP, pr.N, 2)
@@ -500,10 +490,10 @@ func TestWorkerScratchCapBoundary(t *testing.T) {
 		for _, st := range res.Ranks {
 			reqs += st.Comm.RequestsSent
 		}
-		// Sanity: enough per-destination traffic that the 64-message
-		// scratch flush fired constantly.
-		if reqs < 10*workerScratchCap {
-			t.Fatalf("only %d requests crossed the wire; the scratch path was barely exercised", reqs)
+		// Sanity: enough per-destination traffic that the capacity
+		// flush fired constantly.
+		if reqs < 10*comm.DefaultBufferCap {
+			t.Fatalf("only %d requests crossed the wire; the flush path was barely exercised", reqs)
 		}
 	}
 }

@@ -3,13 +3,11 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"pagen/internal/xrand"
 )
 
-// ResolveMode selects how a worker resolves a copy source owned by a
+// ResolveMode selects how a rank resolves a copy source owned by a
 // remote rank.
 type ResolveMode int
 
@@ -66,54 +64,30 @@ func DefaultRecomputeDepth(n int64) int {
 	return d
 }
 
-// replayEntry memoizes one node's replayed attachment values. vals has
-// fixed length x and never reallocates; vals[i] is published by storing
-// done = i+1 with release semantics, so a reader that observes
-// done > l may read vals[l] without taking the lock. rng — the node's
-// private stream, positioned immediately after the last committed
-// attempt — and the extension of vals are guarded by mu.
+// replayEntry memoizes one node's replayed attachment values: vals has
+// fixed length x, of which the first done are committed, and rng is the
+// node's private stream positioned immediately after the last committed
+// attempt. The rank's memo table (engine.memo) maps node ids to entries:
+// copy chains started by different nodes overlap heavily on the low-id
+// prefix (preferential attachment concentrates copy sources there), and
+// the memo is what makes each chain suffix replay once per rank rather
+// than once per query.
 type replayEntry struct {
-	mu   sync.Mutex
 	rng  xrand.Rand
 	vals []int64
-	done int32 // atomic count of committed values
+	done int
 }
 
-// replayMemo is the rank-level memo table of replayed nodes. It is
-// shared by all of the rank's workers: copy chains started by different
-// nodes overlap heavily on the low-id prefix (preferential attachment
-// concentrates copy sources there), and sharing is what makes each
-// chain suffix replay once per rank rather than once per query.
-type replayMemo struct {
-	mu sync.RWMutex
-	m  map[int64]*replayEntry
-}
-
-// entry returns node k's memo entry, creating it (with the node's
+// memoEntry returns node k's memo entry, creating it (with the node's
 // stream seeded from scratch) on first use.
-func (rm *replayMemo) entry(k int64, seed uint64, x int) *replayEntry {
-	rm.mu.RLock()
-	ent := rm.m[k]
-	rm.mu.RUnlock()
-	if ent != nil {
-		return ent
-	}
-	rm.mu.Lock()
-	ent = rm.m[k]
+func (e *engine) memoEntry(k int64) *replayEntry {
+	ent := e.memo[k]
 	if ent == nil {
-		ent = &replayEntry{vals: make([]int64, x)}
-		ent.rng.SeedStream(seed, uint64(k))
-		rm.m[k] = ent
+		ent = &replayEntry{vals: make([]int64, e.x)}
+		ent.rng.SeedStream(e.seed, uint64(k))
+		e.memo[k] = ent
 	}
-	rm.mu.Unlock()
 	return ent
-}
-
-// size returns the number of memoized nodes (metrics only).
-func (rm *replayMemo) size() int {
-	rm.mu.RLock()
-	defer rm.mu.RUnlock()
-	return len(rm.m)
 }
 
 // replayCtx tracks one top-level replay invocation: the current chain
@@ -138,36 +112,30 @@ func (e *engine) replayF(k int64, l int, ctx *replayCtx) (v int64, ok bool) {
 		return int64(l), true
 	}
 	if e.part.Owner(k) == e.rank {
-		s := e.localIdx(k)*e.x64 + int64(l)
-		if e.concurrent {
-			v = atomic.LoadInt64(&e.f[s])
-		} else {
-			v = e.f[s]
-		}
-		if v >= 0 {
+		if v = e.f[e.localIdx(k)*e.x64+int64(l)]; v >= 0 {
 			return v, true
 		}
-		// The owning worker has not resolved this slot yet; replay it
-		// like a remote node. The memo entry is a pure cache — e.f is
-		// only ever written by the slot's owning worker.
+		// Not resolved here yet; replay it like a remote node. The memo
+		// entry is a pure cache — e.f is only ever written by
+		// resolveSlot.
 	} else if hub := e.hub; hub != nil && k < hub.h {
-		if v = hub.get(k*e.x64 + int64(l)); v >= 0 {
+		if v = hub.f[k*e.x64+int64(l)]; v >= 0 {
 			return v, true
 		}
 	}
-	ent := e.memo.entry(k, e.seed, e.x)
-	if int(atomic.LoadInt32(&ent.done)) > l {
+	ent := e.memoEntry(k)
+	if ent.done > l {
 		return ent.vals[l], true
 	}
 	return e.replayExtend(ent, k, l, ctx)
 }
 
 // replayExtend replays node k's attempts forward until edge l commits.
-// The entry lock is held across the recursion; lock order follows the
-// chain, which is strictly decreasing in node id (copy sources are
-// drawn from [x, k)), so concurrent replays cannot deadlock. On a
-// depth-cap abort the stream state is rolled back to the start of the
-// uncommitted attempt, keeping the entry consistent for the next try.
+// The recursion follows the chain, which is strictly decreasing in node
+// id (copy sources are drawn from [x, k)), so it never re-enters the
+// entry it is extending. On a depth-cap abort the stream state is rolled
+// back to the start of the uncommitted attempt, keeping the entry
+// consistent for the next try.
 func (e *engine) replayExtend(ent *replayEntry, k int64, l int, ctx *replayCtx) (int64, bool) {
 	if ctx.depth >= e.depthCap {
 		return 0, false
@@ -178,14 +146,8 @@ func (e *engine) replayExtend(ent *replayEntry, k int64, l int, ctx *replayCtx) 
 	}
 	defer func() { ctx.depth-- }()
 
-	ent.mu.Lock()
-	defer ent.mu.Unlock()
-	done := int(atomic.LoadInt32(&ent.done)) // re-check under the lock
-	if done > l {
-		return ent.vals[l], true
-	}
 	d := e.opts.Params.NewDrawer(k)
-	for edge := done; edge <= l; edge++ {
+	for edge := ent.done; edge <= l; edge++ {
 		for {
 			st := ent.rng.State()
 			a := d.Next(&ent.rng)
@@ -204,11 +166,11 @@ func (e *engine) replayExtend(ent *replayEntry, k int64, l int, ctx *replayCtx) 
 			// Duplicate-avoidance retry (Algorithm 3.2 lines 7/22):
 			// the owner consumes these draws too, so retries commit
 			// to the stream but not to vals.
-			if replayDup(ent.vals[:edge], v) {
+			if contains(ent.vals[:edge], v) {
 				continue
 			}
 			ent.vals[edge] = v
-			atomic.StoreInt32(&ent.done, int32(edge+1))
+			ent.done = edge + 1
 			ctx.edges++
 			break
 		}
@@ -216,30 +178,18 @@ func (e *engine) replayExtend(ent *replayEntry, k int64, l int, ctx *replayCtx) 
 	return ent.vals[l], true
 }
 
-// replayDup reports whether v already appears among the committed
-// values — the same duplicate test the owner runs, against the same
-// prefix (slots beyond the current edge are not yet drawn).
-func replayDup(vals []int64, v int64) bool {
-	for _, u := range vals {
-		if u == v {
-			return true
-		}
-	}
-	return false
-}
-
-// replayRemote is the worker-side entry point: resolve F_k(l) by
+// replayRemote is advance's entry point: resolve F_k(l) by
 // recomputation, recording the chain-depth and replayed-edge metrics.
 // On failure (depth cap) the caller falls back to the wire protocol.
-func (w *worker) replayRemote(k int64, l int) (int64, bool) {
+func (e *engine) replayRemote(k int64, l int) (int64, bool) {
 	var ctx replayCtx
-	v, ok := w.e.replayF(k, l, &ctx)
-	w.replayedEdges += ctx.edges
+	v, ok := e.replayF(k, l, &ctx)
+	e.stats.ReplayedEdges += ctx.edges
 	if !ok {
-		w.recomputeFallbacks++
+		e.stats.RecomputeFallback++
 		return 0, false
 	}
-	w.recomputeHits++
-	w.replayDepth.Observe(int64(ctx.max))
+	e.stats.RecomputeResolved++
+	e.stats.ReplayDepth.Observe(int64(ctx.max))
 	return v, true
 }

@@ -1,0 +1,326 @@
+package core
+
+import (
+	"pagen/internal/graph"
+	"pagen/internal/msg"
+	"pagen/internal/xrand"
+)
+
+// Resolution: everything that happens to a node after the batch kernel
+// (batch.go) has started it — the continuation loop, suspension and
+// resume, slot finalisation with its waiter cascade, and the request and
+// resolved handlers. All of it runs on the rank goroutine, the single
+// writer of F, the waiter, suspension and coalescing tables, the send
+// buffers and the sink.
+
+// emit finalises one edge of a generating node. s is the edge's flat
+// slot index — also its canonical stream key (slot order is exactly the
+// in-memory emission order collectEdges reconstructs).
+func (e *engine) emit(t, s, v int64) {
+	e.emitted++
+	if e.stream != nil {
+		if err := e.stream.Emit(uint64(s), v); err != nil && e.err == nil {
+			e.err = err
+		}
+	}
+	if e.sink != nil {
+		e.sink(e.rank, graph.Edge{U: t, V: v})
+	}
+}
+
+// isDup reports whether v already appears among t's attachments. A
+// node's slots beyond its current edge are still NILL (strict per-node
+// sequencing), so the whole row can be scanned.
+func (e *engine) isDup(t, v int64) bool {
+	base := e.slot(t, 0)
+	return contains(e.f[base:base+e.x64], v)
+}
+
+// advance continues node t's attachment loop from the given edge with rng
+// positioned mid-stream (Algorithm 3.2 lines 4-14, strictly edge by
+// edge). It is the continuation, not the entry: every node starts in
+// the batch kernel (batch.go), which hands over here — with the stream
+// state saved before the attempt — at the node's first edge that cannot
+// commit straight-line, and resume re-enters here when a suspended node's
+// answer arrives. On a copy from an unresolved source the node suspends
+// — the stream state and edge index are parked in the suspension table —
+// and resume continues exactly there. Every draw, duplicate retries
+// included, comes from this one per-node stream, which is what makes the
+// output independent of workers, ranks and schedule.
+func (e *engine) advance(t int64, edge int, rng *xrand.Rand) {
+	d := e.opts.Params.NewDrawer(t)
+	for ; edge < e.x; edge++ {
+	draw:
+		for {
+			a := d.Next(rng)
+			k := a.K
+			if a.Direct {
+				// Direct branch (lines 6-10).
+				if e.isDup(t, k) {
+					e.stats.Retries++
+					continue draw
+				}
+				e.resolveLocal(t, edge, k)
+				if e.trace != nil {
+					e.trace.RecordDirect(t, edge, k)
+				}
+				break draw
+			}
+			// Copy branch (lines 11-14).
+			l := a.L
+			if e.trace != nil {
+				e.trace.RecordCopy(t, edge, k, l)
+			}
+			owner, kidx := e.locate(k)
+			if owner == e.rank {
+				// Same-rank copy query: counts toward node k's received
+				// load (Lemma 3.4's M_k) like a request would.
+				if e.nodeLoad != nil {
+					e.nodeLoad[kidx]++
+				}
+				s := kidx*e.x64 + int64(l)
+				v := e.f[s]
+				if v >= 0 {
+					if e.isDup(t, v) {
+						e.stats.Retries++
+						continue draw
+					}
+					e.resolveLocal(t, edge, v)
+					break draw
+				}
+				// Local dependency chain: park on the source's queue.
+				e.stats.LocalWaits++
+				e.waiters.push(s, t, uint16(edge))
+				e.trackPending(1)
+				e.suspend(t, edge, rng, -1)
+				return
+			}
+			if hub := e.hub; hub != nil && k < hub.h {
+				gkey := k*e.x64 + int64(l)
+				if v := hub.f[gkey]; v >= 0 {
+					// Replica hit: the owner's immutable value is
+					// already here — the same value a round trip
+					// would return, so no request travels.
+					e.stats.HubCacheHits++
+					e.noteElided(k)
+					if e.isDup(t, v) {
+						e.stats.Retries++
+						continue draw
+					}
+					e.resolveLocal(t, edge, v)
+					break draw
+				}
+				e.stats.HubCacheMisses++
+				if e.remote.has(gkey) {
+					// A node of this rank already has a request for
+					// this slot in flight: ride its answer. Coalescing
+					// is prefix-only so every elided query lands in
+					// hubElided and the Lemma 3.4 census stays exact
+					// (tail slots coalesce too rarely to be worth an
+					// n-sized counter array).
+					e.stats.ReqCoalesced++
+					e.noteElided(k)
+					e.remote.push(gkey, t, uint16(edge))
+					e.suspend(t, edge, rng, gkey)
+					return
+				}
+				if e.recompute {
+					if v, ok := e.replayRemote(k, l); ok {
+						// Replayed values are as immutable as
+						// resolved ones; seed the replica so later
+						// queries for this slot short-circuit.
+						hub.f[gkey] = v
+						if e.isDup(t, v) {
+							e.stats.Retries++
+							continue draw
+						}
+						e.resolveLocal(t, edge, v)
+						break draw
+					}
+				}
+				e.remote.push(gkey, t, uint16(edge))
+				e.sendData(owner, msg.Request(t, edge, k, l))
+				e.suspend(t, edge, rng, gkey)
+				return
+			}
+			if e.recompute {
+				if v, ok := e.replayRemote(k, l); ok {
+					if e.isDup(t, v) {
+						e.stats.Retries++
+						continue draw
+					}
+					e.resolveLocal(t, edge, v)
+					break draw
+				}
+			}
+			e.sendData(owner, msg.Request(t, edge, k, l))
+			e.suspend(t, edge, rng, -1)
+			return
+		}
+	}
+}
+
+// suspend parks node t at the given edge with its stream state. key is
+// the coalescing-table slot the node chained on, -1 for waits that did
+// not go through it (local waits, or the cache off).
+func (e *engine) suspend(t int64, edge int, rng *xrand.Rand, key int64) {
+	e.susp.put(e.localIdx(t), suspState{rng: *rng, e: int32(edge), key: key})
+}
+
+// resume continues a suspended node with the resolved value of its
+// pending copy source: the duplicate check of Algorithm 3.2 line 22,
+// re-drawing the whole step from the node's own stream on conflict.
+// Stale deliveries (a duplicated frame answering an already-finished
+// slot) are dropped.
+func (e *engine) resume(t int64, edge int, v int64) {
+	st, ok := e.susp.take(e.localIdx(t))
+	if !ok || int(st.e) != edge {
+		if ok {
+			e.susp.put(e.localIdx(t), st)
+		}
+		return
+	}
+	if e.isDup(t, v) {
+		e.stats.Retries++
+		e.advance(t, edge, &st.rng)
+		return
+	}
+	e.resolveLocal(t, edge, v)
+	e.advance(t, edge+1, &st.rng)
+}
+
+// resumeWire handles a wire <resolved>. With the hub cache off it is a
+// plain resume. With it on, the answer is addressed to the chain's
+// primary requester but belongs to every node coalesced on the same
+// slot: look the slot key up through the primary's suspension, install
+// the value in the replica, and fan the answer out to the whole chain
+// (the primary is a chain member like any other). A stale answer — the
+// node already advanced, or re-suspended on a different slot or edge —
+// takes the plain path, whose edge check drops it.
+func (e *engine) resumeWire(t int64, edge int, v int64) {
+	if e.hub == nil {
+		e.resume(t, edge, v)
+		return
+	}
+	st, ok := e.susp.get(e.localIdx(t))
+	if !ok || st.key == -1 || int(st.e) != edge {
+		e.resume(t, edge, v)
+		return
+	}
+	if st.key >= 0 && st.key < int64(len(e.hub.f)) {
+		e.hub.f[st.key] = v
+	}
+	// Walk the detached chain copying each node out before freeing it:
+	// resume can recurse into advance and push new chain entries while
+	// we iterate (same discipline as resolveSlot's waiter walk).
+	h := e.remote.take(st.key)
+	if h < 0 {
+		e.resume(t, edge, v)
+		return
+	}
+	for h >= 0 {
+		n := e.remote.arena[h]
+		e.remote.freeNode(h)
+		h = n.next
+		e.resume(n.t, int(n.e), v)
+	}
+}
+
+// resolveLocal finalises F_t(edge) = v on the continuation path
+// (advance, resume).
+func (e *engine) resolveLocal(t int64, edge int, v int64) {
+	e.resolveSlot(t, edge, e.slot(t, edge), v)
+}
+
+// resolveSlot finalises F_t(edge) = v at flat slot s: records the edge
+// and emits it, publishes hub-prefix nodes, and answers every waiter of
+// the slot (Algorithm 3.1 lines 16-19 / Algorithm 3.2 lines 21-25).
+func (e *engine) resolveSlot(t int64, edge int, s, v int64) {
+	if e.ckDirty != nil {
+		e.ckptMarkDirty(s)
+	}
+	e.f[s] = v
+	e.emit(t, s, v)
+	e.unresolved--
+
+	// Hub prefix: replicate the node's slots to every rank that may
+	// query them, batched per node. A node's slots resolve strictly in
+	// order, so edge x-1 resolving means all x values are final;
+	// publishing them together keeps a node's publishes adjacent per
+	// destination, where the v3 codec's slot-delta coding packs each
+	// trailing slot into ~1 byte of header. Peers that query an earlier
+	// slot before the batch lands fall back to the wire protocol (the
+	// replica elides traffic, never correctness), and a restore
+	// republishes resolved prefix slots via publishResolvedPrefix, so the
+	// deferral survives checkpoint cuts too.
+	if hub := e.hub; hub != nil && t < hub.h && edge == e.x-1 {
+		base := s - int64(edge)
+		for l := int64(0); l < e.x64; l++ {
+			m := msg.Publish(t, int(l), e.f[base+l])
+			for _, r := range e.hubPeers {
+				e.sendData(r, m)
+			}
+		}
+	}
+
+	// Walk the slot's detached waiter chain in FIFO order. Each node's
+	// fields are copied out and the node freed before delivery, because
+	// delivery can recurse into advance/resolveLocal and push new
+	// waiters — growing the arena or reusing freed nodes — while we
+	// iterate.
+	h := e.waiters.take(s)
+	var chain int64
+	for h >= 0 {
+		n := e.waiters.arena[h]
+		e.waiters.freeNode(h)
+		h = n.next
+		chain++
+		e.trackPending(-1)
+		e.deliverResolved(n.t, int(n.e), v)
+	}
+	e.stats.WaitChain.Observe(chain)
+}
+
+// deliverResolved routes a resolution to the waiting node: by direct
+// call when it is local, as a resolved message for a remote rank's.
+func (e *engine) deliverResolved(t int64, edge int, v int64) {
+	if owner := e.part.Owner(t); owner != e.rank {
+		e.sendData(owner, msg.Resolved(t, edge, v))
+		return
+	}
+	e.resume(t, edge, v)
+}
+
+// onRequest handles a wire <request, t', e', k', l'> for a local slot
+// (Algorithm 3.2 lines 16-20).
+func (e *engine) onRequest(m msg.Message) {
+	kidx := e.part.Index(e.rank, m.K)
+	if e.nodeLoad != nil {
+		e.nodeLoad[kidx]++
+	}
+	s := kidx*e.x64 + int64(m.L)
+	v := e.f[s]
+	if v < 0 {
+		e.stats.QueuedWaits++
+		e.waiters.push(s, m.T, m.E)
+		e.trackPending(1)
+		return
+	}
+	e.deliverResolved(m.T, int(m.E), v)
+}
+
+// sendData buffers a data message for a remote rank. A send error is
+// latched in e.err; the generation and drain loops surface it.
+func (e *engine) sendData(to int, m msg.Message) {
+	if err := e.cm.Send(to, m); err != nil && e.err == nil {
+		e.err = err
+	}
+}
+
+// trackPending adjusts the queued-waiter gauge and its high-water mark.
+func (e *engine) trackPending(delta int64) {
+	e.pendingWaiters += delta
+	if e.pendingWaiters > e.maxPendingWaiters {
+		e.maxPendingWaiters = e.pendingWaiters
+	}
+}

@@ -164,9 +164,9 @@ func effectiveResolve(opts Options) (mode, depth int) {
 
 // buildSnapshotInto assembles this rank's snapshot at a cut into a
 // pooled capture buffer (kind KindFull or KindDelta with the given base
-// epoch). The rank is globally quiescent: workers are parked, inboxes
-// are empty, and no data message is in flight, so every piece of
-// protocol state lives in exactly one of the structures captured here.
+// epoch). The rank is globally quiescent: no window is open and no data
+// message is in flight, so every piece of protocol state lives in
+// exactly one of the structures captured here.
 // The capture is memcpy-scale by design — the F table (full) or its
 // dirty ranges (delta) copy into the capture's reusable backing arrays,
 // and encoding, CRC and I/O all happen later in the background writer —
@@ -238,29 +238,28 @@ func (e *engine) buildSnapshotInto(c *ckptCapture, kind int, base int64) {
 		e.ckDirty[i] = 0
 	}
 
-	c.workers = c.workers[:0]
-	for _, w := range e.workers {
-		ws := ckpt.WorkerState{Lo: w.lo, Hi: w.hi}
-		w.susp.forEach(func(idx int64, st suspState) {
-			ws.Susp = append(ws.Susp, ckpt.SuspRecord{Idx: idx, Edge: int(st.e), RNG: st.rng.State()})
-		})
-		w.waiters.forEach(func(slot, t int64, e16 uint16) {
-			ws.Waiters = append(ws.Waiters, ckpt.WaiterRecord{Slot: slot, T: t, E: e16})
-		})
-		// Coalescing chains serialize chain by chain in FIFO order, so
-		// the first record of each chain is its primary requester — the
-		// node the owner's answer is addressed to. Suspension records do
-		// not carry the chain key; restore re-derives every member's key
-		// from these records.
-		w.remote.forEach(func(slot, t int64, e16 uint16) {
-			ws.Remote = append(ws.Remote, ckpt.WaiterRecord{Slot: slot, T: t, E: e16})
-		})
-		c.workers = append(c.workers, ws)
-		s.Stats.Retries += w.retries
-		s.Stats.QueuedWaits += w.queuedWaits
-		s.Stats.LocalWaits += w.localWaits
-	}
+	// One worker section covering the whole rank: the tables have one
+	// writer. (Readers accept several — older writers sharded them.)
+	ws := ckpt.WorkerState{Lo: 0, Hi: e.size}
+	e.susp.forEach(func(idx int64, st suspState) {
+		ws.Susp = append(ws.Susp, ckpt.SuspRecord{Idx: idx, Edge: int(st.e), RNG: st.rng.State()})
+	})
+	e.waiters.forEach(func(slot, t int64, e16 uint16) {
+		ws.Waiters = append(ws.Waiters, ckpt.WaiterRecord{Slot: slot, T: t, E: e16})
+	})
+	// Coalescing chains serialize chain by chain in FIFO order, so the
+	// first record of each chain is its primary requester — the node the
+	// owner's answer is addressed to. Suspension records do not carry the
+	// chain key; restore re-derives every member's key from these
+	// records.
+	e.remote.forEach(func(slot, t int64, e16 uint16) {
+		ws.Remote = append(ws.Remote, ckpt.WaiterRecord{Slot: slot, T: t, E: e16})
+	})
+	c.workers = append(c.workers[:0], ws)
 	s.Workers = c.workers
+	s.Stats.Retries = e.stats.Retries
+	s.Stats.QueuedWaits = e.stats.QueuedWaits
+	s.Stats.LocalWaits = e.stats.LocalWaits
 	c.out = c.out[:0]
 	for to := 0; to < e.p; to++ {
 		if frame := e.cm.BufferedFrame(to); frame != nil {
@@ -282,18 +281,17 @@ func (e *engine) chunkSpan(ci int) int64 {
 }
 
 // restoreChains rebuilds the hub cache's request-coalescing chains from
-// the snapshot's Remote records. Each chain is routed whole to the
-// worker owning its primary (first) record's node: the in-flight answer
-// — owed by the owner's restored waiter record for the primary, or by a
-// request frame in the re-sent outbound buffers — is addressed to that
-// node, and resumeWire fans it out to the rest of the chain from there.
-// Chains must never merge: two snapshotted chains for the same slot
-// (from different workers of the writing run) are each owed their own
-// answer, and a merged chain would resume on the first answer and leave
-// the second with no suspension to deliver to. When two such chains
-// land in one worker, the second keeps a synthetic key <= -2 — real
-// slot ids are non-negative, so it can never collide with a chain the
-// resumed run creates, and resumeWire skips the replica install for it.
+// the snapshot's Remote records. The in-flight answer to a chain — owed
+// by the owner's restored waiter record for the primary (first) record,
+// or by a request frame in the re-sent outbound buffers — is addressed
+// to the primary's node, and resumeWire fans it out to the rest of the
+// chain from there. Chains must never merge: two snapshotted chains for
+// the same slot (from different worker sections of a sharded writer) are
+// each owed their own answer, and a merged chain would resume on the
+// first answer and leave the second with no suspension to deliver to.
+// The second such chain keeps a synthetic key <= -2 — real slot ids are
+// non-negative, so it can never collide with a chain the resumed run
+// creates, and resumeWire skips the replica install for it.
 // All runs over a checkpoint sequence must agree on the hub setting:
 // with the cache disabled the chain's secondary members would never be
 // answered (they are registered nowhere else — that is the point of
@@ -311,22 +309,20 @@ func (e *engine) restoreChains(s *ckpt.Snapshot) error {
 			}
 			chain := rs[:end]
 			rs = rs[end:]
-			tgt := e.workers[e.workerOf(e.localIdx(chain[0].T))]
 			key := chain[0].Slot
-			for tgt.remote.has(key) {
+			if e.remote.has(key) {
 				key = synth
 				synth--
 			}
 			for _, wr := range chain {
-				tgt.remote.push(key, wr.T, wr.E)
+				e.remote.push(key, wr.T, wr.E)
 				idx := e.localIdx(wr.T)
-				ow := e.workers[e.workerOf(idx)]
-				st, ok := ow.susp.get(idx)
+				st, ok := e.susp.get(idx)
 				if !ok {
 					return fmt.Errorf("core: resume: chained node %d has no suspension record", wr.T)
 				}
 				st.key = key
-				ow.susp.put(idx, st)
+				e.susp.put(idx, st)
 			}
 		}
 	}
@@ -342,14 +338,12 @@ func (e *engine) nodeInitiated(idx int64) bool {
 	if e.f[idx*e.x64+e.x64-1] >= 0 {
 		return true
 	}
-	return e.workers[e.workerOf(idx)].susp.has(idx)
+	return e.susp.has(idx)
 }
 
-// restore rebuilds the engine's state from the negotiated snapshot. It
-// runs after bootstrap and before any worker starts, so plain writes
-// are safe. Worker-count independence: suspension and waiter records
-// are redistributed by each node's owning block in this run's layout,
-// not the layout that wrote the snapshot.
+// restore rebuilds the engine's state from the negotiated snapshot, after
+// bootstrap. The records are keyed by node and slot, not by the worker
+// section that carries them, so a snapshot restores at any worker count.
 func (e *engine) restore() error {
 	s := e.resumeSnap
 	if int64(len(s.F)) != e.size*e.x64 {
@@ -359,24 +353,14 @@ func (e *engine) restore() error {
 
 	for _, ws := range s.Workers {
 		for _, sr := range ws.Susp {
-			w := e.workers[e.workerOf(sr.Idx)]
 			var st suspState
 			st.e = int32(sr.Edge)
 			st.key = -1 // re-derived from the Remote chains below
 			st.rng.SetState(sr.RNG)
-			w.susp.put(sr.Idx, st)
-			// Pre-claim the node's steal span for its static owner: the
-			// suspension record lives in the owner's table, so a thief
-			// generating this span would miss it (nodeInitiatedLocal
-			// checks only the generator's own table) and double-generate
-			// the node. Plain stores are safe pre-worker-start.
-			if w.claims != nil {
-				w.claims[(sr.Idx-w.lo)/e.spanSize] = int32(w.id)
-			}
+			e.susp.put(sr.Idx, st)
 		}
 		for _, wr := range ws.Waiters {
-			w := e.workers[e.workerOf(wr.Slot/e.x64)]
-			w.waiters.push(wr.Slot, wr.T, wr.E)
+			e.waiters.push(wr.Slot, wr.T, wr.E)
 			e.trackPending(1)
 		}
 	}
@@ -384,23 +368,12 @@ func (e *engine) restore() error {
 		return err
 	}
 
-	// Recount each worker's unresolved slots from the restored table;
-	// the counts are layout-dependent, so the snapshot does not carry
-	// them.
-	active := int32(0)
-	for _, w := range e.workers {
-		w.unresolved = 0
-		for slot := w.lo * e.x64; slot < w.hi*e.x64; slot++ {
-			if e.f[slot] < 0 {
-				w.unresolved++
-			}
-		}
-		w.doneNoted = w.unresolved == 0
-		if w.unresolved > 0 {
-			active++
+	e.unresolved = 0
+	for _, v := range e.f {
+		if v < 0 {
+			e.unresolved++
 		}
 	}
-	e.activeWorkers = active
 
 	// Buffered-but-unsent messages from the snapshotting run re-enter
 	// this run's send buffers: they were never transmitted, so sending
@@ -410,16 +383,17 @@ func (e *engine) restore() error {
 		if err != nil {
 			return fmt.Errorf("core: resume: outbound batch for rank %d: %w", ob.To, err)
 		}
-		if err := e.cm.SendBatch(ob.To, ms); err != nil {
-			return err
+		for _, m := range ms {
+			if err := e.cm.Send(ob.To, m); err != nil {
+				return err
+			}
 		}
 	}
 
-	// Fold run-lifetime counters into worker 0 so finishStats reports
-	// totals across restarts.
-	e.workers[0].retries += s.Stats.Retries
-	e.workers[0].queuedWaits += s.Stats.QueuedWaits
-	e.workers[0].localWaits += s.Stats.LocalWaits
+	// Run-lifetime counters continue across restarts.
+	e.stats.Retries += s.Stats.Retries
+	e.stats.QueuedWaits += s.Stats.QueuedWaits
+	e.stats.LocalWaits += s.Stats.LocalWaits
 
 	e.restored = true
 	e.seq.SetNextTag(s.NextTag)

@@ -13,9 +13,10 @@ import (
 // RunToShards executes the parallel algorithm with every rank streaming
 // its edges directly to its own shard file under dir (the paper's
 // Section 2 I/O model: processors write to a shared file system
-// independently), never materialising the graph in memory. The shards
-// are in the binary format of graph.WriteShard and merge with
-// graph.ReadShards.
+// independently), never materialising the graph in memory. Each rank
+// appends to its own writer from its one goroutine, so the writers take
+// no lock. The shards are in the binary format of graph.WriteShard and
+// merge with graph.ReadShards.
 func RunToShards(opts Options, dir string) (*Result, error) {
 	if opts.Sink != nil {
 		return nil, fmt.Errorf("core: RunToShards sets its own sink")
@@ -31,11 +32,10 @@ func RunToShards(opts Options, dir string) (*Result, error) {
 	}
 	p := opts.Part.P()
 
-	// One streaming writer per rank: the sink dispatches on rank, and
-	// the writer locks internally because a rank's workers emit
-	// concurrently. Each shard file carries the magic + node count
-	// header up-front and a placeholder edge count that is rewritten on
-	// close (count is unknown until the run ends).
+	// One streaming writer per rank; the sink dispatches on rank. Each
+	// shard file carries the magic + node count header up-front and a
+	// placeholder edge count that is rewritten on close (count is
+	// unknown until the run ends).
 	writers := make([]*shardWriter, p)
 	for r := 0; r < p; r++ {
 		w, err := newShardWriter(graph.ShardPath(dir, r, p), opts.Params.N)
@@ -77,10 +77,9 @@ func RunToShards(opts Options, dir string) (*Result, error) {
 // shardWriter streams edges of one rank to disk. The binary format must
 // match graph.WriteBinary exactly, but the edge count is only known at
 // the end, so it writes a fixed-width 10-byte uvarint placeholder and
-// patches it on close. append is safe for concurrent use (a rank's
-// worker goroutines share the writer).
+// patches it on close. Not safe for concurrent use: one rank, one
+// goroutine, one writer.
 type shardWriter struct {
-	mu       sync.Mutex
 	f        *os.File
 	bw       *bufio.Writer
 	countOff int64
@@ -131,8 +130,6 @@ func encodeFixedUvarint(x uint64) []byte {
 }
 
 func (w *shardWriter) append(e graph.Edge) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.err != nil {
 		return
 	}
@@ -147,8 +144,6 @@ func (w *shardWriter) append(e graph.Edge) {
 }
 
 func (w *shardWriter) close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.err == nil {
 		w.err = w.bw.Flush()
 	}

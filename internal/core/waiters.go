@@ -8,12 +8,11 @@ package core
 // freed arena nodes, so the steady-state hot path allocates nothing once
 // the arena has reached its high-water size.
 //
-// Each worker owns one table for the slots of its node block, and only
-// that worker touches it, so no locking is needed. FIFO order within a
-// chain keeps answers in arrival order; the output graph no longer
-// depends on it (every retry draw comes from the waiting node's own
-// stream, so delivery order is immaterial), but it keeps wait-chain
-// statistics and message schedules reproducible in-process.
+// Only the rank goroutine touches a table, so no locking is needed. FIFO
+// order within a chain keeps answers in arrival order; the output graph
+// no longer depends on it (every retry draw comes from the waiting
+// node's own stream, so delivery order is immaterial), but it keeps
+// wait-chain statistics and message schedules reproducible in-process.
 type waiterTable struct {
 	// keys/heads/tails are the open-addressed table (linear probing,
 	// power-of-two size). keys[i] == emptyKey marks a free bucket; a key

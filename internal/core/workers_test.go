@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
-	"sync/atomic"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"pagen/internal/ckpt"
 	"pagen/internal/graph"
 	"pagen/internal/model"
 	"pagen/internal/partition"
@@ -44,8 +47,8 @@ func sameEdgeSet(t *testing.T, label string, got []graph.Edge, want map[edgeKey]
 	}
 }
 
-// The headline determinism property of the worker-sharded engine: for
-// every (workers, ranks) combination the output edge set equals the
+// The headline determinism property at every worker count: for every
+// (workers, ranks) combination the output edge set equals the
 // sequential copy model's, node for node. Per-node streams plus strict
 // per-node edge sequencing (suspension/resume) make the output a pure
 // function of (n, x, p, seed) — independent of worker count, rank
@@ -75,8 +78,8 @@ func TestWorkersMatchSequential(t *testing.T) {
 }
 
 // Same property under every partition scheme at a fixed worker count —
-// the partition changes which rank (and worker) computes each node, and
-// the edge set must not notice.
+// the partition changes which rank computes each node, and the edge set
+// must not notice.
 func TestWorkersAllSchemes(t *testing.T) {
 	pr := model.Params{N: 6_000, X: 3, P: 0.5}
 	sg, _, err := seq.CopyModel(pr, 5, seq.CopyModelOptions{})
@@ -101,9 +104,8 @@ func TestWorkersAllSchemes(t *testing.T) {
 }
 
 // Determinism must survive a hostile message schedule: a chaos transport
-// delaying 30% of frames reorders resolution arrivals across ranks and
-// workers, and the output must still be byte-for-byte the sequential
-// edge set.
+// delaying 30% of frames reorders resolution arrivals across ranks, and
+// the output must still be byte-for-byte the sequential edge set.
 func TestWorkersChaosDeterministic(t *testing.T) {
 	pr := model.Params{N: 6_000, X: 3, P: 0.5}
 	sg, _, err := seq.CopyModel(pr, 9, seq.CopyModelOptions{})
@@ -150,27 +152,28 @@ func TestWorkersChaosDeterministic(t *testing.T) {
 	sameEdgeSet(t, "chaos", all, want)
 }
 
-// The streaming sink contract: with workers > 1 the sink is called
-// concurrently from a rank's worker goroutines (run under -race this
-// checks the engine's side of the contract), and the streamed edges are
-// exactly the sequential edge set.
+// The streaming sink contract: each rank calls the sink from one
+// goroutine at every worker count, so plain per-rank state is enough.
+// Run under -race this is the pin — the counters below are deliberately
+// unsynchronised — and the streamed edges are exactly the sequential
+// edge set.
 func TestWorkersSinkConcurrent(t *testing.T) {
 	pr := model.Params{N: 8_000, X: 3, P: 0.5}
 	sg, _, err := seq.CopyModel(pr, 21, seq.CopyModelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	part, err := partition.New(partition.KindUCP, pr.N, 2)
+	const ranks = 2
+	part, err := partition.New(partition.KindUCP, pr.N, ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var count int64
-	var sum int64
+	var count, sum [ranks]int64
 	res, err := Run(Options{
-		Params: pr, Part: part, Seed: 21, Workers: 4,
+		Params: pr, Part: part, Seed: 21, Workers: 3,
 		Sink: func(rank int, e graph.Edge) {
-			atomic.AddInt64(&count, 1)
-			atomic.AddInt64(&sum, e.U^(e.V<<1))
+			count[rank]++
+			sum[rank] += e.U ^ (e.V << 1)
 		},
 	}, false)
 	if err != nil {
@@ -179,20 +182,21 @@ func TestWorkersSinkConcurrent(t *testing.T) {
 	if res.Graph != nil {
 		t.Fatal("sink run materialised a graph")
 	}
-	if count != pr.M() {
-		t.Fatalf("sink saw %d edges, want %d", count, pr.M())
+	if got := count[0] + count[1]; got != pr.M() {
+		t.Fatalf("sink saw %d edges, want %d", got, pr.M())
 	}
 	var wantSum int64
 	for _, e := range sg.Edges {
 		wantSum += e.U ^ (e.V << 1)
 	}
-	if sum != wantSum {
-		t.Fatalf("sink edge checksum %d, want sequential %d", sum, wantSum)
+	if got := sum[0] + sum[1]; got != wantSum {
+		t.Fatalf("sink edge checksum %d, want sequential %d", got, wantSum)
 	}
 }
 
-// RunToShards with workers exercises the locked shard writer; the shards
-// must union to a valid graph with exactly M edges.
+// RunToShards with workers: each rank's lock-free shard writer is fed by
+// one goroutine (-race pins it); the shards must union to a valid graph
+// with exactly M edges.
 func TestWorkersToShards(t *testing.T) {
 	pr := model.Params{N: 5_000, X: 3, P: 0.5}
 	part, err := partition.New(partition.KindRRP, pr.N, 2)
@@ -215,30 +219,8 @@ func TestWorkersToShards(t *testing.T) {
 	}
 }
 
-// Adaptive polling (PollEvery == 0) must not change the output — only
-// the service schedule. Exercised at both 1 and >1 workers.
-func TestAdaptivePollEveryDeterministic(t *testing.T) {
-	pr := model.Params{N: 6_000, X: 3, P: 0.5}
-	sg, _, err := seq.CopyModel(pr, 13, seq.CopyModelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := edgeSet(t, sg.Edges)
-	for _, workers := range []int{1, 3} {
-		part, err := partition.New(partition.KindUCP, pr.N, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(Options{Params: pr, Part: part, Seed: 13, Workers: workers, PollEvery: 0}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameEdgeSet(t, fmt.Sprintf("adaptive workers=%d", workers), res.Graph.Edges, want)
-	}
-}
-
-// Worker-count resolution: more workers than local nodes clamps instead
-// of spinning up empty shards, and stats still add up.
+// Worker-count resolution: more workers than the local nodes can give a
+// stripe clamps instead of building idle lanes, and stats still add up.
 func TestWorkersClampAndStats(t *testing.T) {
 	pr := model.Params{N: 40, X: 3, P: 0.5}
 	part, err := partition.New(partition.KindRRP, pr.N, 4)
@@ -265,8 +247,8 @@ func TestWorkersClampAndStats(t *testing.T) {
 }
 
 // Trace collection with workers: per-slot decisions land in the shared
-// trace without racing (disjoint slot ranges per worker), and the copy
-// fraction stays where p puts it.
+// trace without racing (each rank's goroutine writes its own slot
+// ranges), and the copy fraction stays where p puts it.
 func TestWorkersTrace(t *testing.T) {
 	pr := model.Params{N: 8_000, X: 4, P: 0.5}
 	part, err := partition.New(partition.KindRRP, pr.N, 2)
@@ -290,4 +272,285 @@ func TestWorkersTrace(t *testing.T) {
 	if frac < 0.35 || frac > 0.65 {
 		t.Fatalf("copied fraction %.3f outside [0.35, 0.65]", frac)
 	}
+}
+
+// The output edge set is a pure function of (n, x, p, seed) at every
+// ranks × workers × transport combination. The sweep also proves the shm
+// transport (by-reference batches) and the local transport (byte codec)
+// agree bit for bit.
+func TestStealOutputInvariance(t *testing.T) {
+	pr := model.Params{N: 12_000, X: 4, P: 0.5}
+	sg, _, err := seq.CopyModel(pr, 11, seq.CopyModelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := edgeSet(t, sg.Edges)
+	for _, ranks := range []int{1, 2, 4} {
+		part, err := partition.New(partition.KindRRP, pr.N, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3} {
+			for _, tr := range []string{"shm", "local"} {
+				res, err := Run(Options{
+					Params: pr, Part: part, Seed: 11,
+					Workers: workers, Transport: tr,
+				}, false)
+				if err != nil {
+					t.Fatalf("ranks=%d workers=%d transport=%s: %v", ranks, workers, tr, err)
+				}
+				label := fmt.Sprintf("ranks=%d workers=%d transport=%s", ranks, workers, tr)
+				sameEdgeSet(t, label, res.Graph.Edges, want)
+			}
+		}
+	}
+}
+
+// An unknown transport name must fail loudly, not fall back.
+func TestRunUnknownTransport(t *testing.T) {
+	pr := model.Params{N: 1000, X: 2, P: 0.5}
+	part, err := partition.New(partition.KindRRP, pr.N, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Options{Params: pr, Part: part, Seed: 1, Transport: "tcp"}, false); err == nil {
+		t.Fatal("Run with Transport tcp succeeded; in-process runs cannot speak tcp")
+	}
+}
+
+// Seeded delay chaos at 2 and 4 ranks with workers > 1: chaos-wrapped
+// endpoints hide the SendMsgs fast path, so this also runs the
+// byte-codec fallback of the shm group.
+func TestStealChaosDelayWorkers(t *testing.T) {
+	pr := model.Params{N: 6_000, X: 3, P: 0.5}
+	sg, _, err := seq.CopyModel(pr, 9, seq.CopyModelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := edgeSet(t, sg.Edges)
+	for _, p := range []int{2, 4} {
+		for _, workers := range []int{2, 3} {
+			part, err := partition.New(partition.KindRRP, pr.N, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			group, err := transport.NewShmGroup(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			results := make([]*RankResult, p)
+			errs := make([]error, p)
+			for r := 0; r < p; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					tr := transport.NewChaos(group.Endpoint(r), transport.ChaosConfig{
+						Seed:      uint64(700 + 10*p + r),
+						DelayProb: 0.3,
+						MaxDelay:  500 * time.Microsecond,
+					})
+					defer tr.Close()
+					results[r], errs[r] = RunRank(tr, Options{
+						Params: pr, Part: part, Seed: 9, Workers: workers,
+					})
+				}(r)
+			}
+			wg.Wait()
+			var all []graph.Edge
+			for r := 0; r < p; r++ {
+				if errs[r] != nil {
+					t.Fatalf("ranks=%d workers=%d rank %d: %v", p, workers, r, errs[r])
+				}
+				all = append(all, results[r].Edges...)
+			}
+			sameEdgeSet(t, fmt.Sprintf("chaos ranks=%d workers=%d", p, workers), all, want)
+		}
+	}
+}
+
+// Seeded drop chaos with workers > 1: hub publishes are the one
+// drop-tolerated message class (requests fall back to the wire), so
+// losing all of them must still produce the
+// baseline's edges — at 2 and 4 ranks.
+func TestStealPublishDropWorkers(t *testing.T) {
+	pr := model.Params{N: 6_000, X: 3, P: 0.5}
+	for _, p := range []int{2, 4} {
+		part, err := partition.New(partition.KindRRP, pr.N, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline, _ := runFiltered(t, Options{
+			Params: pr, Part: part, Seed: 17, Workers: 2, HubPrefix: -1,
+		}, p, false)
+		dropped, filters := runFiltered(t, Options{
+			Params: pr, Part: part, Seed: 17, Workers: 2, HubPrefix: 0,
+		}, p, false)
+		var lost int64
+		for r := 0; r < p; r++ {
+			equalEdges(t, fmt.Sprintf("drop ranks=%d rank=%d", p, r),
+				dropped[r].Edges, baseline[r].Edges)
+			lost += filters[r].dropped
+		}
+		if lost == 0 {
+			t.Fatalf("ranks=%d: filter dropped no publishes; loss path unexercised", p)
+		}
+	}
+}
+
+// Checkpoint snapshots are worker-count-agnostic: a snapshot library
+// built by a 3-worker run restores at any worker count — the records are
+// keyed by node and slot. Also emulates the crash case by trimming the
+// newest epoch and resuming from the one before it.
+func TestStealCheckpointRestoreWorkerCounts(t *testing.T) {
+	pr := model.Params{N: 20_000, X: 3, P: 0.5}
+	const ranks = 3
+	newPart := func() partition.Scheme {
+		part, err := partition.New(partition.KindRRP, pr.N, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return part
+	}
+	base, err := Run(Options{Params: pr, Part: newPart(), Seed: 23, Workers: 3}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Epoch count is schedule-dependent; retry at smaller intervals
+	// until the library holds two.
+	var dir string
+	var epochs []int64
+	for every := int64(500); every >= 50; every /= 2 {
+		dir = t.TempDir()
+		if _, err := Run(Options{
+			Params: pr, Part: newPart(), Seed: 23, Workers: 3,
+			Checkpoint: &CheckpointOptions{Dir: dir, Every: every, Keep: 1000},
+		}, false); err != nil {
+			t.Fatal(err)
+		}
+		if epochs, err = ckpt.Epochs(dir, 0); err != nil {
+			t.Fatal(err)
+		}
+		if len(epochs) >= 2 {
+			break
+		}
+	}
+	if len(epochs) < 2 {
+		t.Skip("no run left 2+ epochs; schedule-dependent, nothing to assert")
+	}
+
+	resume := func(label string, workers int) {
+		res, err := Run(Options{
+			Params: pr, Part: newPart(), Seed: 23, Workers: workers,
+			Checkpoint: &CheckpointOptions{Dir: dir, Keep: 1000, Resume: true},
+		}, false)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		equalEdges(t, label, res.Graph.Edges, base.Graph.Edges)
+	}
+	top := epochs[len(epochs)-1]
+	resume(fmt.Sprintf("epoch %d workers=3", top), 3)
+	resume(fmt.Sprintf("epoch %d workers=1", top), 1)
+	resume(fmt.Sprintf("epoch %d workers=4", top), 4)
+
+	// Crash emulation: drop the newest epoch (as a kill mid-epoch would
+	// leave the directory) and restore the previous cut at a different
+	// worker count.
+	for r := 0; r < ranks; r++ {
+		if err := removeEpoch(dir, r, top); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resume(fmt.Sprintf("epoch %d after trim workers=2", epochs[len(epochs)-2]), 2)
+}
+
+func removeEpoch(dir string, rank int, epoch int64) error {
+	return os.Remove(ckpt.Path(dir, rank, epoch))
+}
+
+// settledGoroutines waits for runtime.NumGoroutine to fall to base (exits
+// the run does not wait for, like a closed transport's, take a moment)
+// and returns the last count.
+func settledGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// Helper goroutines live exactly as long as the run that started them:
+// after a successful run, after a construction error and after a rank
+// aborts mid-protocol, the process is back at its baseline count.
+func TestWorkersHelpersStopped(t *testing.T) {
+	pr := model.Params{N: 20_000, X: 3, P: 0.5}
+	base := runtime.NumGoroutine()
+	check := func(label string) {
+		t.Helper()
+		if n := settledGoroutines(base); n > base {
+			t.Fatalf("%s: %d goroutines, %d before", label, n, base)
+		}
+	}
+
+	part, err := partition.New(partition.KindRRP, pr.N, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Options{Params: pr, Part: part, Seed: 1, Workers: 4}, false); err != nil {
+		t.Fatal(err)
+	}
+	check("successful run")
+
+	// Rejected after the lanes are built.
+	_, err = Run(Options{
+		Params: pr, Part: part, Seed: 1, Workers: 4,
+		StreamDir: t.TempDir(), Sink: func(int, graph.Edge) {},
+	}, false)
+	if err == nil {
+		t.Fatal("StreamDir with Sink accepted")
+	}
+	check("construction error")
+
+	// Rank 1 dies after 50 sends; closing every endpoint (what Run does
+	// on a rank error) unwinds rank 0. The pinned interval makes both
+	// ranks hand windows to their helpers before the kill lands.
+	const p = 2
+	part, err = partition.New(partition.KindRRP, pr.N, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := transport.NewShmGroup(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs := []transport.Transport{
+		group.Endpoint(0),
+		transport.NewChaos(group.Endpoint(1), transport.ChaosConfig{Seed: 7, KillAfterSends: 50}),
+	}
+	errs := make([]error, p)
+	var closeOnce sync.Once
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			_, errs[r] = RunRank(trs[r], Options{
+				Params: pr, Part: part, Seed: 1, Workers: 4, BufferCap: 1, PollEvery: 1024,
+			})
+			if errs[r] != nil {
+				closeOnce.Do(func() {
+					for _, tr := range trs {
+						tr.Close()
+					}
+				})
+			}
+		}(r)
+	}
+	wg.Wait()
+	if errs[1] == nil {
+		t.Fatal("killed rank returned no error")
+	}
+	check("aborted run")
 }

@@ -108,12 +108,12 @@ func (r *blockingRunner) waitStart(t *testing.T, want string) {
 func TestSubmitValidation(t *testing.T) {
 	q := newTestQueue(t, runnerFunc(func(context.Context, JobInfo, bool) error { return nil }), nil)
 	cases := []Spec{
-		{N: 0, X: 2},                      // n <= x
-		{N: 100, X: 0},                    // x < 1
-		{N: 100, X: 2, P: 2},              // p outside [0,1]
-		{N: 100, X: 2, Scheme: "bogus"},   // unknown scheme
-		{N: 100, X: 2, Resolve: "bogus"},  // unknown resolve mode
-		{N: 100, X: 2, Ranks: 99},         // more ranks than slots
+		{N: 0, X: 2},                     // n <= x
+		{N: 100, X: 0},                   // x < 1
+		{N: 100, X: 2, P: 2},             // p outside [0,1]
+		{N: 100, X: 2, Scheme: "bogus"},  // unknown scheme
+		{N: 100, X: 2, Resolve: "bogus"}, // unknown resolve mode
+		{N: 100, X: 2, Ranks: 99},        // more ranks than slots
 		{N: 100, X: 2, StreamBlockEdges: -1},
 	}
 	for _, spec := range cases {

@@ -81,10 +81,12 @@ type Config struct {
 	// Ranks is the number of parallel processors to simulate
 	// (default 1).
 	Ranks int
-	// Workers is the number of generation goroutines per rank. Zero or
-	// negative selects runtime.GOMAXPROCS(0); the engine clamps it to
-	// the rank's local node count. Output is byte-identical across
-	// worker counts.
+	// Workers is the width of each rank's batch-kernel parallel-for:
+	// the rank's own goroutine plus Workers-1 helpers draw and gather
+	// each window of nodes, and the rank's goroutine alone commits it.
+	// Zero or negative selects runtime.GOMAXPROCS(0); the engine clamps
+	// it to what the rank's node count can keep busy. Output is
+	// byte-identical across worker counts.
 	Workers int
 	// Transport selects how co-located ranks exchange message batches:
 	// "shm" (the default; batches move between rank goroutines by
@@ -98,14 +100,6 @@ type Config struct {
 	// Seed makes runs reproducible; x = 1 outputs are identical across
 	// any Ranks/Scheme combination for a fixed seed.
 	Seed uint64
-	// BufferCap is the per-destination message-buffer capacity
-	// (0 = default; 1 disables buffering).
-	BufferCap int
-	// PollEvery is the generation-loop inbox polling interval. Zero or
-	// negative selects adaptive polling: the engine starts at the
-	// default interval and retunes it against the observed pending-wait
-	// depth. A positive value fixes the interval.
-	PollEvery int
 	// HubPrefix controls the replicated hub-prefix cache, which answers
 	// copy queries for the first H nodes from a local replica instead of
 	// a cross-rank round trip. 0 (the default) sizes H automatically to
@@ -247,8 +241,6 @@ func Generate(cfg Config) (*Result, error) {
 		Seed:             cfg.Seed,
 		Workers:          cfg.Workers,
 		Transport:        cfg.Transport,
-		BufferCap:        cfg.BufferCap,
-		PollEvery:        cfg.PollEvery,
 		HubPrefix:        cfg.HubPrefix,
 		Resolve:          mode,
 		RecomputeDepth:   cfg.RecomputeDepth,
@@ -311,12 +303,11 @@ func NewPartition(scheme string, n int64, ranks int) (Partition, error) {
 
 // GenerateStream runs the parallel generator but streams every finalised
 // edge to sink instead of materialising the graph — the paper's
-// "generate on the fly and analyze without disk I/O" mode. sink is
-// called concurrently from rank goroutines — and, with Workers > 1,
-// from the worker goroutines within a rank (rank identifies the calling
-// rank, not the worker) — so it must be safe for fully concurrent use;
-// dispatching on rank alone is only enough at Workers <= 1. The
-// returned Result has a nil Graph; per-rank stats are still collected.
+// "generate on the fly and analyze without disk I/O" mode. Each rank
+// calls sink from one goroutine, whatever Workers is, so a sink that
+// dispatches on rank needs no locking; ranks run concurrently, so state
+// shared across ranks does. The returned Result has a nil Graph;
+// per-rank stats are still collected.
 func GenerateStream(cfg Config, sink func(rank int, e Edge)) (*Result, error) {
 	if cfg.checkpoint() != nil {
 		return nil, errCheckpointStreaming
@@ -339,8 +330,6 @@ func GenerateStream(cfg Config, sink func(rank int, e Edge)) (*Result, error) {
 		Seed:           cfg.Seed,
 		Workers:        cfg.Workers,
 		Transport:      cfg.Transport,
-		BufferCap:      cfg.BufferCap,
-		PollEvery:      cfg.PollEvery,
 		HubPrefix:      cfg.HubPrefix,
 		Resolve:        mode,
 		RecomputeDepth: cfg.RecomputeDepth,
@@ -374,8 +363,6 @@ func GenerateToShards(cfg Config, dir string) (*Result, error) {
 		Seed:           cfg.Seed,
 		Workers:        cfg.Workers,
 		Transport:      cfg.Transport,
-		BufferCap:      cfg.BufferCap,
-		PollEvery:      cfg.PollEvery,
 		HubPrefix:      cfg.HubPrefix,
 		Resolve:        mode,
 		RecomputeDepth: cfg.RecomputeDepth,

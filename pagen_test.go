@@ -97,7 +97,7 @@ func TestGenerateTraceMatchesSequential(t *testing.T) {
 		{N: 64, X: 8, P: 0.2, Seed: 11},
 		{N: 1500, X: 3, P: 0.8, Seed: 5},
 	}
-	layouts := []struct{ ranks, workers int }{{1, 1}, {1, 2}, {2, 1}}
+	layouts := []struct{ ranks, workers int }{{1, 1}, {1, 2}, {1, 3}, {2, 1}}
 	for _, c := range cases {
 		c.RecordTrace = true
 		_, want, err := GenerateSeq(c)

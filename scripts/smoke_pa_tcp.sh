@@ -3,9 +3,10 @@
 # processes, real TCP mesh, the full generation protocol plus the
 # post-run collective sequence (the stats gather that the unsequenced
 # tag protocol used to kill at 4 ranks), plus per-rank metrics export.
-# Each rank runs with 2 generation workers, so the worker-sharded loop
-# (inbox dispatch, striped send buffers, per-worker Done accounting) is
-# exercised against the real TCP transport, not just the in-process one.
+# Each rank runs with 2 workers, so the striped batch kernel (a helper
+# goroutine drawing and gathering beside the rank goroutine, which polls
+# its sockets itself) is exercised against the real TCP transport, not
+# just the in-process one.
 # Exits non-zero if any rank fails, hangs past the timeout, or the
 # output shards don't union to the expected edge count.
 #
