@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -163,8 +164,11 @@ func (s *server) download(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition",
 		fmt.Sprintf("attachment; filename=%s.pag", job.ID))
-	// Past this point errors can only be logged: the status line is out.
-	graph.WriteBinaryStream(w, dr.Meta().N, dr.Edges(), dr.Iter(0))
+	if err := graph.WriteBinaryStream(w, dr.Meta().N, dr.Edges(), dr.Iter(0)); err != nil {
+		// The status is out; only a broken transfer can still say so.
+		log.Printf("pa-serve: job %s: download: %v", job.ID, err)
+		panic(http.ErrAbortHandler)
+	}
 }
 
 // shard serves one raw per-rank shard file (docs/SHARD_FORMAT.md) for

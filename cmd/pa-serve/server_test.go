@@ -3,12 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +180,92 @@ func TestServeEndToEnd(t *testing.T) {
 	code, l := doJSON(t, "GET", ts.URL+"/jobs", "")
 	if code != http.StatusOK || len(l["jobs"].([]any)) != 1 {
 		t.Errorf("list: %d %v", code, l)
+	}
+}
+
+// corruptFirstBlock zeroes the second record's key delta in the first
+// block of the shard at path and re-seals the block's CRC-32C, so the
+// damage passes every checksum OpenDir verifies and only surfaces when
+// the merge decodes the payload (docs/SHARD_FORMAT.md is the layout).
+func corruptFirstBlock(t *testing.T, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := len(esink.Magic)
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(b[off:])
+		if n <= 0 {
+			t.Fatalf("bad uvarint at offset %d of %s", off, path)
+		}
+		off += n
+		return v
+	}
+	uvarint()                 // version
+	uvarint()                 // n
+	uvarint()                 // x
+	off += 16                 // p, seed
+	uvarint()                 // rank
+	uvarint()                 // ranks
+	off += int(uvarint()) + 4 // scheme name, header CRC
+	block := off
+	if b[off] != 'B' {
+		t.Fatalf("no block marker at offset %d of %s", off, path)
+	}
+	off++
+	uvarint() // sequence
+	uvarint() // count
+	end := int(uvarint()) + off
+	uvarint() // first key
+	uvarint() // first v
+	if b[off] >= 0x80 {
+		t.Fatalf("second record's key delta is not one byte")
+	}
+	b[off] = 0
+	binary.LittleEndian.PutUint32(b[end:], crc32.Checksum(b[block:end], crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeDownloadFailureIsVisible: a shard that goes bad after the
+// job finished must not download as a complete graph. The damage here
+// is CRC-clean, so it is found only after the 200 status line is out;
+// the server then has to break the transfer instead of ending the body
+// cleanly. The raw shard endpoint keeps serving the file as it is.
+func TestServeDownloadFailureIsVisible(t *testing.T) {
+	ts := newTestServer(t, jobqueue.InProcessRunner{}, nil)
+	code, j := doJSON(t, "POST", ts.URL+"/jobs", `{"n": 3000, "x": 2, "seed": 7, "ranks": 2}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", code, j)
+	}
+	id := j["id"].(string)
+	dir := waitDone(t, ts.URL, id)["dir"].(string)
+	shard := esink.ShardPath(dir+"/shards", 1, 2)
+	corruptFirstBlock(t, shard)
+
+	resp, err := http.Get(ts.URL + "/jobs/" + id + "/download")
+	if err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil && resp.StatusCode == http.StatusOK {
+			t.Fatal("download of a job with a corrupt shard completed successfully")
+		}
+	}
+
+	want, err := os.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(ts.URL + "/jobs/" + id + "/shards/1")
+	if err != nil {
+		t.Fatalf("shard: %v", err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("raw shard endpoint: status %d, err %v, %d bytes (file has %d)", resp.StatusCode, err, len(got), len(want))
 	}
 }
 

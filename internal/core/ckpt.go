@@ -228,7 +228,9 @@ func (bw *ckptWriter) loop() {
 // publish makes one captured epoch durable: shard fsync first (the
 // snapshot's sink mark must name bytes that are on disk before the
 // snapshot carrying it exists), then encode into the pooled scratch,
-// write+fsync+rename, then prune superseded epochs.
+// write+fsync+rename, then prune superseded epochs. The esink writer
+// does not latch a Sync failure: returning it here, which abandons the
+// epoch, is the only report.
 func (bw *ckptWriter) publish(c *ckptCapture) (int64, error) {
 	if c.snap.Sink != nil && bw.stream != nil {
 		if err := bw.stream.Sync(); err != nil {

@@ -1,0 +1,453 @@
+package esink
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"os"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// refPayload is the reference payload encoder the writer is held to:
+// sort every record of the block by key, then encode — the payload of
+// docs/SHARD_FORMAT.md written down the slow, obvious way.
+func refPayload(recs []rec) []byte {
+	recs = append([]rec(nil), recs...)
+	sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
+	var payload []byte
+	prev := uint64(0)
+	for i, r := range recs {
+		if i == 0 {
+			payload = binary.AppendUvarint(payload, r.key)
+		} else {
+			payload = binary.AppendUvarint(payload, r.key-prev)
+		}
+		prev = r.key
+		payload = binary.AppendUvarint(payload, uint64(r.v))
+	}
+	return payload
+}
+
+// craftBlock frames payload as block seq claiming count records, CRC
+// valid whatever the fields say.
+func craftBlock(seq, count uint64, payload []byte) []byte {
+	b := []byte{blockMarker}
+	b = binary.AppendUvarint(b, seq)
+	b = binary.AppendUvarint(b, count)
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// refBlock is the reference block: the reference payload, framed.
+func refBlock(seq int64, recs []rec) []byte {
+	return craftBlock(uint64(seq), uint64(len(recs)), refPayload(recs))
+}
+
+func refEOS(edges, blocks int64) []byte {
+	b := []byte{eosMarker}
+	b = binary.AppendUvarint(b, uint64(edges))
+	b = binary.AppendUvarint(b, uint64(blocks))
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// refShard is the reference writer: records accumulate into a block
+// that closes when it holds blockEdges records or at a cut.
+type refShard struct {
+	blockEdges int
+	file       []byte
+	open       []rec
+	blocks     int64
+	edges      int64
+}
+
+func newRefShard(meta Meta, blockEdges int) *refShard {
+	return &refShard{blockEdges: blockEdges, file: encodeHeader(meta)}
+}
+
+func (s *refShard) emit(r rec) {
+	s.open = append(s.open, r)
+	if len(s.open) >= s.blockEdges {
+		s.cut()
+	}
+}
+
+func (s *refShard) cut() Mark {
+	if len(s.open) > 0 {
+		s.file = append(s.file, refBlock(s.blocks, s.open)...)
+		s.blocks++
+		s.edges += int64(len(s.open))
+		s.open = s.open[:0]
+	}
+	return Mark{Offset: int64(len(s.file)), Blocks: s.blocks, Edges: s.edges}
+}
+
+func (s *refShard) close() []byte {
+	s.cut()
+	return append(s.file, refEOS(s.edges, s.blocks)...)
+}
+
+// ascendingRecs returns n records with strictly ascending keys spread
+// by stride (random gaps below it) and values of every varint width.
+func ascendingRecs(rng *rand.Rand, n int, stride uint64) []rec {
+	recs := make([]rec, n)
+	key := uint64(0)
+	for i := range recs {
+		key += 1 + rng.Uint64()%stride
+		recs[i] = rec{key: key, v: rng.Int63() >> uint(rng.Intn(63))}
+	}
+	return recs
+}
+
+// delay moves a frac share of recs later in arrival order by up to
+// maxDelay positions — the stragglers of nodes that waited for a remote
+// answer while later nodes committed.
+func delay(rng *rand.Rand, recs []rec, frac float64, maxDelay int) []rec {
+	type arrival struct {
+		at int
+		r  rec
+	}
+	as := make([]arrival, len(recs))
+	for i, r := range recs {
+		as[i] = arrival{at: i, r: r}
+		if rng.Float64() < frac {
+			as[i].at += 1 + rng.Intn(maxDelay)
+		}
+	}
+	sort.SliceStable(as, func(i, j int) bool { return as[i].at < as[j].at })
+	out := make([]rec, len(as))
+	for i, a := range as {
+		out[i] = a.r
+	}
+	return out
+}
+
+// arrivalOrders are the emission orders the differential test sweeps.
+var arrivalOrders = []struct {
+	name string
+	gen  func(rng *rand.Rand, n, blockEdges int) []rec
+}{
+	{"ascending", func(rng *rand.Rand, n, _ int) []rec { return ascendingRecs(rng, n, 4) }},
+	{"descending", func(rng *rand.Rand, n, _ int) []rec {
+		recs := ascendingRecs(rng, n, 4)
+		for i, j := 0, len(recs)-1; i < j; i, j = i+1, j-1 {
+			recs[i], recs[j] = recs[j], recs[i]
+		}
+		return recs
+	}},
+	{"stragglers-1pct", func(rng *rand.Rand, n, be int) []rec { return delay(rng, ascendingRecs(rng, n, 4), 0.01, be/2+1) }},
+	{"stragglers-30pct", func(rng *rand.Rand, n, be int) []rec { return delay(rng, ascendingRecs(rng, n, 4), 0.30, be/2+1) }},
+	{"stragglers-100pct", func(rng *rand.Rand, n, be int) []rec { return delay(rng, ascendingRecs(rng, n, 4), 1, be/2+1) }},
+	// Delays longer than a block: a straggler lands in a later block
+	// than its neighbours, below everything that block's run holds.
+	{"stragglers-older-than-block", func(rng *rand.Rand, n, be int) []rec { return delay(rng, ascendingRecs(rng, n, 4), 0.30, 3*be+1) }},
+	// Keys spread over more than 32 bits, so ordering the stragglers
+	// takes more radix passes than a real block's two.
+	{"wide-keys", func(rng *rand.Rand, n, be int) []rec { return delay(rng, ascendingRecs(rng, n, 1<<40), 0.30, be/2+1) }},
+}
+
+// TestWriterBytesMatchReference holds the writer to the reference
+// encoder byte for byte: whatever order records arrive in, wherever
+// Mark and Cut fall inside a block, and across a Recover to a mark, the
+// shard file is the one the sort-everything encoder writes.
+func TestWriterBytesMatchReference(t *testing.T) {
+	meta := testMeta(1<<40, 1)
+	for _, blockEdges := range []int{1, 2, 63, 64, 65, 1 << 16} {
+		n := 5*blockEdges + 37
+		if blockEdges == 1<<16 {
+			n = blockEdges + 4321
+		}
+		for oi, order := range arrivalOrders {
+			t.Run(fmt.Sprintf("%s/block%d", order.name, blockEdges), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(1000*oi + blockEdges)))
+				recs := order.gen(rng, n, blockEdges)
+				markAt, cutAt := n/3, n/2+blockEdges/2 // both inside an open block when blockEdges > 2
+
+				dir := t.TempDir()
+				w, err := Open(dir, meta, blockEdges)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				ref := newRefShard(meta, blockEdges)
+				var cut Mark
+				var atCut []byte
+				for i, r := range recs {
+					if i == markAt || i == cutAt {
+						want := ref.cut()
+						got, err := w.Mark()
+						if i == cutAt {
+							got, err = w.Cut()
+							cut, atCut = got, append([]byte(nil), ref.file...)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want {
+							t.Fatalf("mark at record %d = %+v, reference %+v", i, got, want)
+						}
+					}
+					if err := w.Emit(r.key, r.v); err != nil {
+						t.Fatal(err)
+					}
+					ref.emit(r)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				path := ShardPath(dir, 0, 1)
+				compareFile(t, "fresh run", path, ref.close())
+
+				// Resume from the cut: truncate back to its mark, then emit
+				// the suffix again in a different arrival order.
+				w, err = Open(dir, meta, blockEdges)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Recover(cut); err != nil {
+					t.Fatal(err)
+				}
+				ref = newRefShard(meta, blockEdges)
+				ref.file, ref.blocks, ref.edges = atCut, cut.Blocks, cut.Edges
+				suffix := append([]rec(nil), recs[cutAt:]...)
+				rng.Shuffle(len(suffix), func(i, j int) { suffix[i], suffix[j] = suffix[j], suffix[i] })
+				for _, r := range suffix {
+					if err := w.Emit(r.key, r.v); err != nil {
+						t.Fatal(err)
+					}
+					ref.emit(r)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				compareFile(t, "resumed run", path, ref.close())
+				if r, err := OpenReader(path); err != nil {
+					t.Fatalf("strict open of the resumed shard: %v", err)
+				} else {
+					r.Close()
+				}
+			})
+		}
+	}
+}
+
+func compareFile(t *testing.T, what, path string, want []byte) {
+	t.Helper()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("%s: shard is %d bytes, reference %d; first difference at offset %d", what, len(got), len(want), i)
+	}
+}
+
+// TestReaderSmallestWindow reads a shard through the smallest cursor
+// window, so records straddle every refill, and through the largest;
+// both must yield the same stream.
+func TestReaderSmallestWindow(t *testing.T) {
+	const n, x = 200000, 3
+	meta := testMeta(n, x)
+	rng := rand.New(rand.NewSource(5))
+	recs := make([]rec, 0, n*x)
+	for k := uint64(0); k < n*x; k++ {
+		recs = append(recs, rec{key: k, v: rng.Int63() >> uint(rng.Intn(63))})
+	}
+	recs = delay(rng, recs, 0.3, 1<<15)
+	path := writeShard(t, t.TempDir(), meta, 0, recs)
+
+	small := readAll(t, path, 1) // per-cursor share clamps to minCursorBuf
+	large := readAll(t, path, 1<<30)
+	if len(small) != len(recs) || len(large) != len(recs) {
+		t.Fatalf("read %d / %d edges, wrote %d", len(small), len(large), len(recs))
+	}
+	for i := range small {
+		if small[i] != large[i] {
+			t.Fatalf("edge %d: %+v through the small window, %+v through the large", i, small[i], large[i])
+		}
+		if small[i].U != int64(i/x) {
+			t.Fatalf("edge %d out of canonical order: %+v", i, small[i])
+		}
+	}
+}
+
+// craftShard assembles a shard whose every CRC is valid from hand-made
+// block fields, so damage the checksums cannot see — a payload shorter
+// than its record count, a hostile header — reaches the decoder.
+func craftShard(meta Meta, blocks ...[]byte) []byte {
+	file := encodeHeader(meta)
+	var edges int64
+	for _, b := range blocks {
+		file = append(file, b...)
+		_, n := binary.Uvarint(b[1:])
+		count, _ := binary.Uvarint(b[1+n:])
+		edges += int64(count)
+	}
+	return append(file, refEOS(edges, int64(len(blocks)))...)
+}
+
+func drain(it *Iter) (n int64, err error) {
+	for {
+		if _, ok := it.Next(); !ok {
+			return n, it.Err()
+		}
+		n++
+	}
+}
+
+// TestTruncatedPayload: a CRC-clean block whose payload ends inside a
+// varint must end iteration with the corrupt-payload error — not a
+// panic, and not a clean stream that is silently short.
+func TestTruncatedPayload(t *testing.T) {
+	meta := testMeta(1000, 1)
+	payload := refPayload([]rec{{1, 5}, {2, 300}, {3, 1 << 40}})
+	for cut := 1; cut < len(payload); cut++ {
+		path := t.TempDir() + "/shard"
+		if err := os.WriteFile(path, craftShard(meta, craftBlock(0, 3, payload[:len(payload)-cut])), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenReader(path)
+		if err != nil {
+			continue // too short for its record count: refused outright
+		}
+		n, err := drain(r.Iter(0))
+		r.Close()
+		if err == nil || !strings.Contains(err.Error(), "corrupt block payload") {
+			t.Fatalf("cut %d: %d records then err = %v, want a corrupt-payload error", cut, n, err)
+		}
+		if n >= 3 {
+			t.Fatalf("cut %d: yielded %d records from a payload holding fewer than 3", cut, n)
+		}
+	}
+}
+
+// TestSyncConcurrentWithEmit is the checkpoint writer's pattern
+// (core's ckptWriter.publish): the rank goroutine emits and marks while
+// another goroutine fsyncs the shard. Under -race this proves Sync
+// shares nothing with the rank goroutine but the file handle and the
+// atomic fsync counters; the read-back proves no record was lost.
+func TestSyncConcurrentWithEmit(t *testing.T) {
+	const n, x = 250000, 4 // 1 M records
+	meta := testMeta(n, x)
+	w, err := Open(t.TempDir(), meta, 1<<12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	var syncErr error
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := w.Sync(); err != nil {
+				syncErr = err
+				return
+			}
+		}
+	}()
+	rng := rand.New(rand.NewSource(9))
+	recs := make([]rec, n*x)
+	for k := range recs {
+		recs[k] = rec{key: uint64(k), v: int64(k) * 7 % n}
+	}
+	for i, r := range delay(rng, recs, 0.3, 1<<10) {
+		if err := w.Emit(r.key, r.v); err != nil {
+			t.Fatal(err)
+		}
+		if i%100000 == 0 {
+			if _, err := w.Mark(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if syncErr != nil {
+		t.Fatal(syncErr)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Stats(); st.Fsyncs < 2 || st.Edges != n*x {
+		t.Fatalf("stats = %+v, want every edge and the concurrent fsyncs counted", st)
+	}
+	got := readAll(t, w.Path(), 0)
+	if len(got) != len(recs) {
+		t.Fatalf("read %d records, wrote %d", len(got), len(recs))
+	}
+	for k, e := range got {
+		if e.U != int64(k/x) || e.V != recs[k].v {
+			t.Fatalf("record %d = %+v, want U %d V %d", k, e, k/x, recs[k].v)
+		}
+	}
+}
+
+// BenchmarkEmit measures the writer's steady state — Emit, block flush
+// and page-cache write, no fsync — for in-order arrival and with 30 %
+// stragglers. A pass must not allocate (asserted): run, stragglers and
+// block buffer are all reused.
+func BenchmarkEmit(b *testing.B) {
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(1))
+	asc := make([]rec, n)
+	for k := range asc {
+		asc[k] = rec{key: uint64(k), v: rng.Int63n(n)}
+	}
+	for _, bc := range []struct {
+		name string
+		recs []rec
+	}{
+		{"ascending", asc},
+		{"stragglers30", delay(rng, asc, 0.3, 1<<12)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			w, err := Open(b.TempDir(), testMeta(n, 1), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer w.Abort()
+			if err := w.Reset(); err != nil {
+				b.Fatal(err)
+			}
+			base := uint64(0)
+			pass := func() {
+				for _, r := range bc.recs {
+					if err := w.Emit(base+r.key, r.v); err != nil {
+						b.Fatal(err)
+					}
+				}
+				base += n
+			}
+			pass() // grows every reused buffer to its steady size
+			if allocs := testing.AllocsPerRun(1, pass); allocs != 0 {
+				b.Fatalf("a steady-state pass of %d records allocated %v times, want 0", n, allocs)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/edge")
+		})
+	}
+}

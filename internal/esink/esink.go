@@ -3,15 +3,17 @@
 // delta-encoded, CRC-protected blocks, written with bounded memory no
 // matter how large the run is (docs/SHARD_FORMAT.md is the byte spec).
 //
-// Workers emit edges as they resolve, tagged with the edge's canonical
-// slot key (local node index times x plus edge index), which is unique
-// per rank and defines the canonical per-rank order — the exact order
-// the in-memory engine emits edges in. Emission order is nondeterministic
-// under concurrency, so the writer buffers a fixed number of records,
-// sorts each block by key at flush, and the reader k-way-merges the
-// sorted blocks back into canonical order. Merging the per-rank streams
-// rank-major therefore reproduces the in-memory merged graph byte for
-// byte.
+// The rank goroutine emits each edge as it resolves, tagged with the
+// edge's canonical slot key (local node index times x plus edge index),
+// which is unique per rank and defines the canonical per-rank order —
+// the exact order the in-memory engine collects edges in. Nodes commit
+// in node order, so keys arrive as one long ascending run plus the
+// stragglers of nodes that waited for a remote answer: the writer
+// buffers a fixed number of records, orders only the stragglers at
+// flush and merges them with the run into a sorted block, and the
+// reader k-way-merges the sorted blocks back into canonical order.
+// Merging the per-rank streams rank-major therefore reproduces the
+// in-memory merged graph byte for byte.
 //
 // The writer integrates with checkpoint/restart: Cut flushes the open
 // block and fsyncs, returning a durable Mark (byte offset, block count,
@@ -21,14 +23,16 @@
 package esink
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
+	"slices"
+	"sync/atomic"
 	"time"
 )
 
@@ -38,12 +42,18 @@ const (
 	// Version is the shard format version; readers reject others.
 	Version = 1
 	// DefaultBlockEdges is the default number of edge records buffered
-	// per block. At 16 bytes of buffer per record the open block costs
-	// ~1 MiB per rank — the writer's whole memory footprint.
+	// per block: 1 MiB per rank for the in-order run, at most as much
+	// again for stragglers and a third of it for the encoded block — the
+	// writer's whole memory footprint.
 	DefaultBlockEdges = 1 << 16
 
 	blockMarker = 'B'
 	eosMarker   = 'E'
+
+	// maxBlockHeader bounds a block's marker and three uvarint fields:
+	// flush encodes the payload behind a gap this wide, then the header
+	// right-aligned into the gap.
+	maxBlockHeader = 1 + 3*binary.MaxVarintLen64
 )
 
 // castagnoli is the CRC-32C table (iSCSI polynomial) shared by writer
@@ -103,17 +113,18 @@ type rec struct {
 }
 
 // Writer appends sorted, CRC-protected edge blocks to one rank's shard
-// file. Emit is safe for concurrent use by the rank's workers; all
-// other methods belong to the rank's coordinator goroutine. Exactly one
-// of Reset or Recover must be called before the first Emit.
+// file. It has a single owner, the rank goroutine, and takes no lock:
+// every method belongs to that goroutine except Sync, the one method
+// another goroutine (the background checkpoint writer) may call
+// concurrently. Exactly one of Reset or Recover precedes the first Emit.
 type Writer struct {
-	mu   sync.Mutex
 	f    *os.File
 	meta Meta
 
 	blockEdges int
-	buf        []rec  // open block, unsorted
-	enc        []byte // reused block encode buffer
+	run        []rec  // open block: records that arrived in ascending key order
+	late       []rec  // open block: records at or below run's last key on arrival
+	enc        []byte // reused block buffer: header gap, payload, CRC
 
 	off     int64 // current end-of-file offset
 	blocks  int64 // complete blocks in the file
@@ -121,8 +132,9 @@ type Writer struct {
 	started bool  // Reset or Recover ran
 	closed  bool
 
-	err   error
-	stats Stats
+	err                error
+	stats              Stats        // Fsyncs and FsyncNanos live in the atomics below
+	fsyncs, fsyncNanos atomic.Int64 // written by Sync, from any goroutine
 }
 
 // Open opens (creating if absent, never truncating) the shard file for
@@ -144,7 +156,8 @@ func Open(dir string, meta Meta, blockEdges int) (*Writer, error) {
 		f:          f,
 		meta:       meta,
 		blockEdges: blockEdges,
-		buf:        make([]rec, 0, blockEdges),
+		run:        make([]rec, 0, blockEdges),
+		enc:        make([]byte, maxBlockHeader),
 	}, nil
 }
 
@@ -172,8 +185,6 @@ func encodeHeader(meta Meta) []byte {
 // Reset truncates the shard to empty and writes a fresh header — the
 // fresh-start path (stale files from an earlier run are discarded).
 func (w *Writer) Reset() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.started {
 		return w.setErr(fmt.Errorf("esink: Reset after start"))
 	}
@@ -197,8 +208,6 @@ func (w *Writer) Reset() error {
 // any torn tail the kill left behind. The resumed run appends from
 // there.
 func (w *Writer) Recover(mark Mark) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.started {
 		return w.setErr(fmt.Errorf("esink: Recover after start"))
 	}
@@ -237,129 +246,162 @@ func (w *Writer) Recover(mark Mark) error {
 }
 
 // Emit appends one edge record (slot key, attachment value) to the open
-// block, flushing it when full. Safe for concurrent use.
+// block, flushing it when full. Rank goroutine only.
 func (w *Writer) Emit(key uint64, v int64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
 	}
 	if !w.started {
 		return w.setErr(fmt.Errorf("esink: Emit before Reset/Recover"))
 	}
-	w.buf = append(w.buf, rec{key: key, v: v})
-	if len(w.buf) >= w.blockEdges {
-		return w.flushLocked()
+	if n := len(w.run); n == 0 || key > w.run[n-1].key {
+		w.run = append(w.run, rec{key: key, v: v})
+	} else {
+		w.late = append(w.late, rec{key: key, v: v})
+	}
+	if len(w.run)+len(w.late) >= w.blockEdges {
+		return w.flush()
 	}
 	return nil
 }
 
-// flushLocked sorts and writes the open block. Caller holds w.mu.
-func (w *Writer) flushLocked() error {
-	if len(w.buf) == 0 {
+// flush writes the open block: the stragglers are ordered, run and
+// stragglers merged straight into the payload (first key absolute, the
+// rest deltas >= 1), and header, payload and CRC leave in one write from
+// the reused buffer. The bytes depend only on the block's record set.
+func (w *Writer) flush() error {
+	run, late := w.run, w.late
+	count := len(run) + len(late)
+	if count == 0 {
 		return nil
 	}
-	sort.Slice(w.buf, func(i, j int) bool { return w.buf[i].key < w.buf[j].key })
+	// run's capacity is blockEdges, so its spare tail fits late.
+	sortRecs(late, run[len(run):cap(run)])
 
-	// Payload: first record (key, v) absolute; rest (key delta >= 1, v).
-	payload := w.enc[:0]
+	b := w.enc[:maxBlockHeader]
 	prev := uint64(0)
-	for i, r := range w.buf {
-		if i == 0 {
-			payload = binary.AppendUvarint(payload, r.key)
+	for i, j := 0, 0; i < len(run) || j < len(late); {
+		var r rec
+		if j == len(late) || (i < len(run) && run[i].key <= late[j].key) {
+			r = run[i]
+			i++
 		} else {
-			payload = binary.AppendUvarint(payload, r.key-prev)
+			r = late[j]
+			j++
 		}
+		b = binary.AppendUvarint(b, r.key-prev)
 		prev = r.key
-		payload = binary.AppendUvarint(payload, uint64(r.v))
+		b = binary.AppendUvarint(b, uint64(r.v))
 	}
 
-	blk := make([]byte, 0, len(payload)+32)
-	blk = append(blk, blockMarker)
-	blk = binary.AppendUvarint(blk, uint64(w.blocks))
-	blk = binary.AppendUvarint(blk, uint64(len(w.buf)))
-	blk = binary.AppendUvarint(blk, uint64(len(payload)))
-	blk = append(blk, payload...)
-	crc := crc32.Checksum(blk, castagnoli)
-	blk = binary.LittleEndian.AppendUint32(blk, crc)
+	var hdr [maxBlockHeader]byte
+	h := append(hdr[:0], blockMarker)
+	h = binary.AppendUvarint(h, uint64(w.blocks))
+	h = binary.AppendUvarint(h, uint64(count))
+	h = binary.AppendUvarint(h, uint64(len(b)-maxBlockHeader))
+	start := maxBlockHeader - len(h)
+	copy(b[start:], h)
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[start:], castagnoli))
+	w.enc = b
+	blk := b[start:]
 
 	if _, err := w.f.WriteAt(blk, w.off); err != nil {
 		return w.setErr(err)
 	}
 	w.off += int64(len(blk))
 	w.blocks++
-	w.edges += int64(len(w.buf))
+	w.edges += int64(count)
 	w.stats.BlocksFlushed++
 	w.stats.BytesWritten += int64(len(blk))
-	w.enc = payload[:0]
-	w.buf = w.buf[:0]
+	w.run, w.late = run[:0], late[:0]
 	return nil
 }
 
+// sortRecs orders recs by key, using scratch (room for len(recs)
+// records) above 64: an LSD radix sort, 11 bits a pass, over only the
+// bits in which the keys differ — two passes for a typical block.
+func sortRecs(recs, scratch []rec) {
+	if len(recs) < 64 {
+		slices.SortFunc(recs, func(a, b rec) int { return cmp.Compare(a.key, b.key) })
+		return
+	}
+	and, or := ^uint64(0), uint64(0)
+	for _, r := range recs {
+		and &= r.key
+		or |= r.key
+	}
+	diff := and ^ or
+	src, dst := recs, scratch[:len(recs)]
+	const radixBits = 11
+	for shift := uint(bits.TrailingZeros64(diff)); diff>>shift != 0; shift += radixBits {
+		var count [1 << radixBits]int
+		for _, r := range src {
+			count[(r.key>>shift)&(1<<radixBits-1)]++
+		}
+		pos := 0
+		for d, c := range count {
+			count[d], pos = pos, pos+c
+		}
+		for _, r := range src {
+			d := (r.key >> shift) & (1<<radixBits - 1)
+			dst[count[d]] = r
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &recs[0] {
+		copy(recs, src)
+	}
+}
+
 // Cut flushes the open block and fsyncs, returning the durable Mark for
-// a checkpoint snapshot. The engine calls it at a globally quiescent
-// cut, so no Emit races it.
+// a checkpoint snapshot. Rank goroutine only.
 func (w *Writer) Cut() (Mark, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return Mark{}, w.err
-	}
-	if err := w.flushLocked(); err != nil {
+	m, err := w.Mark()
+	if err != nil {
 		return Mark{}, err
 	}
-	if err := w.syncLocked(); err != nil {
-		return Mark{}, err
+	if err := w.Sync(); err != nil {
+		return Mark{}, w.setErr(err)
 	}
-	return Mark{Offset: w.off, Blocks: w.blocks, Edges: w.edges}, nil
+	return m, nil
 }
 
 // Mark flushes the open block (a page-cache write) and returns the
 // shard mark at the complete-block boundary — Cut without the fsync.
 // The engine's fast capture uses it at a quiescent cut and defers the
 // fsync to its background writer (Sync), which must complete before a
-// snapshot naming the mark is published.
+// snapshot naming the mark is published. Rank goroutine only.
 func (w *Writer) Mark() (Mark, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.err != nil {
 		return Mark{}, w.err
 	}
-	if err := w.flushLocked(); err != nil {
+	if err := w.flush(); err != nil {
 		return Mark{}, err
 	}
 	return Mark{Offset: w.off, Blocks: w.blocks, Edges: w.edges}, nil
 }
 
-// Sync fsyncs the shard. Safe against concurrent Emit (the mutex orders
-// them); syncing bytes emitted after a Mark is harmless — a mark only
-// promises its prefix is durable, not that nothing follows it.
+// Sync fsyncs the shard. It alone may be called from a goroutine other
+// than the owner's, concurrently with the rest: it touches only the
+// file handle and the atomic fsync counters, so a slow fsync never
+// stalls the rank's next flush, and it neither reads nor latches the
+// writer's error — the caller owns a failure. Syncing bytes emitted
+// after a Mark is harmless: a mark promises only that its prefix is
+// durable.
 func (w *Writer) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	return w.syncLocked()
-}
-
-func (w *Writer) syncLocked() error {
 	t0 := time.Now()
 	err := w.f.Sync()
-	w.stats.Fsyncs++
-	w.stats.FsyncNanos += time.Since(t0).Nanoseconds()
-	if err != nil {
-		return w.setErr(err)
-	}
-	return nil
+	w.fsyncs.Add(1)
+	w.fsyncNanos.Add(time.Since(t0).Nanoseconds())
+	return err
 }
 
 // Close flushes the open block, writes the end-of-stream record, fsyncs
 // and closes the file. Only a Closed shard is complete: readers in
-// strict mode require the EOS record.
+// strict mode require the EOS record. Rank goroutine only, after the
+// last Sync elsewhere has returned.
 func (w *Writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
 		return w.err
 	}
@@ -368,7 +410,7 @@ func (w *Writer) Close() error {
 		w.f.Close()
 		return w.err
 	}
-	if err := w.flushLocked(); err != nil {
+	if err := w.flush(); err != nil {
 		w.f.Close()
 		return err
 	}
@@ -384,9 +426,9 @@ func (w *Writer) Close() error {
 	}
 	w.off += int64(len(eos))
 	w.stats.BytesWritten += int64(len(eos))
-	if err := w.syncLocked(); err != nil {
+	if err := w.Sync(); err != nil {
 		w.f.Close()
-		return err
+		return w.setErr(err)
 	}
 	if err := w.f.Close(); err != nil {
 		return w.setErr(err)
@@ -396,10 +438,9 @@ func (w *Writer) Close() error {
 
 // Abort closes the file handle without writing the end-of-stream
 // record, leaving whatever durable prefix exists for a later Recover.
-// Used on engine failure paths.
+// Used on engine failure paths. Rank goroutine only, after the last
+// concurrent Sync has returned.
 func (w *Writer) Abort() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
 		return
 	}
@@ -408,21 +449,17 @@ func (w *Writer) Abort() {
 }
 
 // Stats returns the writer's lifetime counters. Edges reflects complete
-// blocks only until Close flushes the open block.
+// blocks only until Close flushes the open block. Rank goroutine only.
 func (w *Writer) Stats() Stats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	st := w.stats
 	st.Edges = w.edges
+	st.Fsyncs = w.fsyncs.Load()
+	st.FsyncNanos = w.fsyncNanos.Load()
 	return st
 }
 
-// Err returns the latched first error, if any.
-func (w *Writer) Err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
+// Err returns the latched first error, if any. Rank goroutine only.
+func (w *Writer) Err() error { return w.err }
 
 func (w *Writer) setErr(err error) error {
 	if w.err == nil {

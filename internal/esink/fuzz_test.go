@@ -1,0 +1,87 @@
+package esink
+
+import (
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+)
+
+// shardBytes writes recs through a real writer and returns the file.
+func shardBytes(f *testing.F, meta Meta, blockEdges int, recs []rec) []byte {
+	f.Helper()
+	dir := f.TempDir()
+	w, err := Open(dir, meta, blockEdges)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Reset(); err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Emit(r.key, r.v); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	b, err := os.ReadFile(ShardPath(dir, meta.Rank, meta.Ranks))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return b
+}
+
+// FuzzOpenReader feeds arbitrary bytes to the shard reader, strict and
+// tolerant. Whatever the file holds, opening and draining it must not
+// panic, must not yield more records than its block headers declare,
+// and must not allocate from a length field the file size does not back.
+// The seeds are real writer output and CRC-clean crafted shards;
+// testdata/fuzz/FuzzOpenReader keeps the crafted ones (craftShard over
+// a hostile Meta or block header, named for what they did) that crashed
+// the reader before it validated what the checksums cannot vouch for.
+func FuzzOpenReader(f *testing.F) {
+	meta := Meta{N: 1000, X: 3, P: 0.5, Seed: 1, Rank: 1, Ranks: 2, Scheme: "RRP"}
+	var recs []rec
+	for k := uint64(0); k < 300; k++ {
+		recs = append(recs, rec{key: k * 5 % 301, v: int64(k) << (k % 40)})
+	}
+	whole := shardBytes(f, meta, 16, recs)
+	f.Add(shardBytes(f, meta, 16, nil))                     // empty shard
+	f.Add(shardBytes(f, meta, 1<<16, recs))                 // one block
+	f.Add(whole)                                            // many blocks
+	f.Add(whole[:len(whole)-30])                            // torn tail: no EOS, half a block
+	f.Add(append(whole[:len(whole):len(whole)], "BBBB"...)) // bytes after EOS
+
+	one := binary.AppendUvarint(binary.AppendUvarint(nil, 7), 9) // one record: key 7, v 9
+	f.Add(craftShard(meta, craftBlock(0, 3, one)))               // fewer records than declared
+	f.Add(craftShard(meta, craftBlock(0, 1, one))[:60])          // cut inside the block
+
+	path := filepath.Join(f.TempDir(), "shard") // one a process: executions do not overlap
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, tolerate := range []bool{false, true} {
+			r, err := openReader(path, tolerate)
+			if err != nil {
+				continue
+			}
+			n, _ := drain(r.Iter(1))
+			if n > r.Edges() {
+				t.Fatalf("tolerate=%v: yielded %d records, block headers declare %d", tolerate, n, r.Edges())
+			}
+			r.Close()
+		}
+		runtime.ReadMemStats(&after)
+		// Scan buffer, cursor windows and partition tables are bounded by
+		// constants and the file's own size.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20+64*uint64(len(data)) {
+			t.Fatalf("reading a %d-byte file allocated %d bytes", len(data), grew)
+		}
+	})
+}

@@ -25,6 +25,10 @@ const (
 	maxCursorBuf = 256 << 10
 )
 
+// maxRanks bounds the rank count a header may claim: partition schemes
+// build O(ranks) tables, and no run comes near it.
+const maxRanks = 1 << 20
+
 // blockInfo locates one complete block inside a shard file.
 type blockInfo struct {
 	off    int64 // block start (the marker byte)
@@ -74,10 +78,14 @@ func (c *countReader) uvarint() (uint64, error) {
 // failing; a missing EOS record likewise just leaves complete false.
 // Without tolerate, any damage (EOS included) is an error.
 func scanShard(f *os.File, tolerate bool) (*scanResult, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	cr := &countReader{r: bufio.NewReaderSize(f, 1<<20)}
+	cr := &countReader{r: bufio.NewReaderSize(f, int(min(fi.Size(), 1<<20)))}
 
 	// Header: magic, version, meta, CRC. Re-encoding the parsed meta
 	// and comparing CRCs verifies the header without a second pass.
@@ -182,9 +190,9 @@ func scanShard(f *os.File, tolerate bool) (*scanResult, error) {
 				}
 				return nil, fmt.Errorf("block at offset %d has sequence %d, want %d", blockOff, seq, len(sc.blocks))
 			}
-			if ok && (count > payLen || payLen > 1<<30) {
-				// Every record costs at least 2 payload bytes, and no
-				// writer emits gigabyte blocks — don't allocate for a
+			if ok && (count > payLen/2 || payLen > uint64(fi.Size()-cr.off)) {
+				// Every record costs at least 2 payload bytes, and the
+				// payload cannot outrun the file — don't allocate for a
 				// length a torn tail invented.
 				if tolerate {
 					return sc, nil
@@ -309,6 +317,12 @@ func openReader(path string, tolerate bool) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("esink: %s: %w", path, err)
 	}
+	// The CRC vouches for the bytes, not their meaning: the partition's
+	// tables, the key range and Next's division need a possible run.
+	if m := sc.meta; m.N < 1 || m.X < 1 || m.N > math.MaxInt64/int64(m.X) || m.Ranks < 1 || m.Ranks > maxRanks || m.Rank < 0 || m.Rank >= m.Ranks {
+		f.Close()
+		return nil, fmt.Errorf("esink: %s: header describes no possible run (%+v)", path, m)
+	}
 	kind, err := partition.ParseKind(sc.meta.Scheme)
 	if err != nil {
 		f.Close()
@@ -335,13 +349,34 @@ func (r *Reader) Complete() bool { return r.sc.complete }
 // Close releases the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
 
-// cursor streams one block's records through a bounded buffer.
+// cursor streams one block's records through a bounded window of the
+// payload: records decode straight from buf, which refill tops up from
+// the file when fewer bytes remain than one record (maxRecordLen, two
+// uvarints) can need.
 type cursor struct {
-	br        *bufio.Reader
+	f         *os.File
+	off, end  int64  // payload bytes not yet read from the file
+	buf       []byte // the window; buf[r:n] is undecoded
+	r, n      int
 	remaining int64
 	first     bool
 	key       uint64 // current record
 	v         int64
+}
+
+const maxRecordLen = 2 * binary.MaxVarintLen64
+
+func (c *cursor) refill() error {
+	c.n = copy(c.buf, c.buf[c.r:c.n])
+	c.r = 0
+	want := c.buf[c.n:min(int64(len(c.buf)), int64(c.n)+c.end-c.off)]
+	got, err := c.f.ReadAt(want, c.off)
+	c.off += int64(got)
+	c.n += got
+	if got == len(want) {
+		return nil
+	}
+	return err
 }
 
 func (c *cursor) advance() (bool, error) {
@@ -349,10 +384,17 @@ func (c *cursor) advance() (bool, error) {
 		return false, nil
 	}
 	c.remaining--
-	d, err := binary.ReadUvarint(c.br)
-	if err != nil {
-		return false, fmt.Errorf("esink: corrupt block payload: %w", err)
+	if c.n-c.r < maxRecordLen && c.off < c.end {
+		if err := c.refill(); err != nil {
+			return false, fmt.Errorf("esink: corrupt block payload: %w", err)
+		}
 	}
+	d, dn := binary.Uvarint(c.buf[c.r:c.n])
+	v, vn := binary.Uvarint(c.buf[c.r+max(dn, 0) : c.n])
+	if dn <= 0 || vn <= 0 { // 0: the payload ends inside the value; < 0: it overflows 64 bits
+		return false, fmt.Errorf("esink: corrupt block payload: truncated or overlong varint")
+	}
+	c.r += dn + vn
 	if c.first {
 		c.first = false
 		c.key = d
@@ -361,10 +403,6 @@ func (c *cursor) advance() (bool, error) {
 			return false, fmt.Errorf("esink: corrupt block payload: zero key delta")
 		}
 		c.key += d
-	}
-	v, err := binary.ReadUvarint(c.br)
-	if err != nil {
-		return false, fmt.Errorf("esink: corrupt block payload: %w", err)
 	}
 	c.v = int64(v)
 	return true, nil
@@ -375,8 +413,16 @@ func (c *cursor) advance() (bool, error) {
 type Iter struct {
 	r    *Reader
 	heap []*cursor
-	x64  int64
-	err  error
+	// bound is the smallest key below the heap's root; while the root's
+	// next key stays under it — all of an in-order run — no repair.
+	bound uint64
+	x     uint64
+	// limit is one past the rank's largest slot key. [node, node+x) are
+	// the keys of u, the last edge's source, so a node's x edges cost
+	// one division and one partition lookup; node starts at limit.
+	limit, node uint64
+	u           int64
+	err         error
 }
 
 // Iter returns a canonical-order iterator. budget bounds the total
@@ -396,13 +442,18 @@ func (r *Reader) Iter(budget int) *Iter {
 	if per > maxCursorBuf {
 		per = maxCursorBuf
 	}
-	it := &Iter{r: r, x64: int64(r.sc.meta.X)}
+	it := &Iter{r: r, x: uint64(r.sc.meta.X)}
+	it.limit = uint64(r.part.Size(r.sc.meta.Rank)) * it.x
+	it.node = it.limit
 	for _, b := range r.sc.blocks {
 		if b.count == 0 {
 			continue
 		}
 		c := &cursor{
-			br:        bufio.NewReaderSize(io.NewSectionReader(r.f, b.payOff, b.payLen), per),
+			f:         r.f,
+			off:       b.payOff,
+			end:       b.payOff + b.payLen,
+			buf:       make([]byte, min(int64(per), max(b.payLen, maxRecordLen))),
 			remaining: b.count,
 			first:     true,
 		}
@@ -415,6 +466,7 @@ func (r *Reader) Iter(budget int) *Iter {
 			it.push(c)
 		}
 	}
+	it.siftDown() // the pushes built the heap; this only sets bound
 	return it
 }
 
@@ -444,10 +496,14 @@ func (it *Iter) siftDown() {
 			m = r
 		}
 		if m == i {
-			return
+			break
 		}
 		h[i], h[m] = h[m], h[i]
 		i = m
+	}
+	it.bound = math.MaxUint64
+	for _, c := range h[min(1, len(h)):min(3, len(h))] {
+		it.bound = min(it.bound, c.key)
 	}
 }
 
@@ -465,15 +521,24 @@ func (it *Iter) Next() (graph.Edge, bool) {
 		return graph.Edge{}, false
 	}
 	if ok {
-		it.siftDown()
+		if c.key >= it.bound {
+			it.siftDown()
+		}
 	} else {
 		last := len(it.heap) - 1
 		it.heap[0] = it.heap[last]
 		it.heap = it.heap[:last]
 		it.siftDown()
 	}
-	u := it.r.part.NodeAt(it.r.sc.meta.Rank, int64(key)/it.x64)
-	return graph.Edge{U: u, V: v}, true
+	if key >= it.limit {
+		it.err = fmt.Errorf("esink: corrupt block payload: slot key %d outside the rank's %d slots", key, it.limit)
+		return graph.Edge{}, false
+	}
+	if key-it.node >= it.x {
+		it.node = key - key%it.x
+		it.u = it.r.part.NodeAt(it.r.sc.meta.Rank, int64(key/it.x))
+	}
+	return graph.Edge{U: it.u, V: v}, true
 }
 
 // Err returns the first error iteration hit, if any.

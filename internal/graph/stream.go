@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -64,36 +63,52 @@ func DegreesFromIterator(n int64, it EdgeIterator) ([]int64, error) {
 // output is byte-identical to WriteBinary over the same edges in the
 // same order, so a streamed run's merged shards convert to exactly the
 // file an in-memory run would have written. The iterator must yield
-// exactly m edges (the count is part of the header).
+// exactly m edges (the count is part of the header). w is written from
+// another goroutine, one Write at a time and none after return.
 func WriteBinaryStream(w io.Writer, n, m int64, it EdgeIterator) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
+	if err := writeBinaryHeader(w, n, m); err != nil {
 		return err
 	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(x uint64) error {
-		_, err := bw.Write(buf[:binary.PutUvarint(buf[:], x)])
+	// The write of one buffer overlaps the filling of the other; every
+	// return waits for the write in flight, whose result is in pending.
+	var pending chan error
+	wait := func() error {
+		if pending == nil {
+			return nil
+		}
+		err := <-pending
+		pending = nil
 		return err
 	}
-	if err := writeUvarint(uint64(n)); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(m)); err != nil {
-		return err
-	}
+	var batch [512]Edge
+	bufs := [2][]byte{make([]byte, 0, encChunkBytes), make([]byte, 0, encChunkBytes)}
+	buf, cur := bufs[0], 0
 	var written int64
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
+	for more := true; more; {
+		k := 0
+		for ; k < len(batch); k++ {
+			if batch[k], more = it.Next(); !more {
+				break
+			}
 		}
-		if err := writeUvarint(uint64(e.U)); err != nil {
-			return err
+		written += int64(k)
+		buf = appendEdges(buf, batch[:k])
+		// Write at the end, and once another batch might not fit.
+		if len(buf) > 0 && (!more || cap(buf)-len(buf) < len(batch)*2*binary.MaxVarintLen64) {
+			if err := wait(); err != nil {
+				return err
+			}
+			pending = make(chan error, 1)
+			go func(b []byte, done chan<- error) {
+				_, err := w.Write(b)
+				done <- err
+			}(buf, pending)
+			cur ^= 1
+			buf = bufs[cur]
 		}
-		if err := writeUvarint(uint64(e.V)); err != nil {
-			return err
-		}
-		written++
+	}
+	if err := wait(); err != nil {
+		return err
 	}
 	if err := it.Err(); err != nil {
 		return err
@@ -101,5 +116,5 @@ func WriteBinaryStream(w io.Writer, n, m int64, it EdgeIterator) error {
 	if written != m {
 		return fmt.Errorf("graph: stream yielded %d edges, header promised %d", written, m)
 	}
-	return bw.Flush()
+	return nil
 }

@@ -165,8 +165,8 @@ type Config struct {
 	// byte-identical to an uninterrupted run.
 	StreamDir string
 	// StreamBlockEdges is the number of edge records buffered per shard
-	// block before a sorted flush (0 selects the default, 65536 — about
-	// 1 MiB of buffer per rank). Only meaningful with StreamDir.
+	// block before a sorted flush (0 selects the default, 65536 — 1 to
+	// 2.5 MiB of buffer per rank). Only meaningful with StreamDir.
 	StreamBlockEdges int
 }
 
