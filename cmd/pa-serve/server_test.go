@@ -295,6 +295,11 @@ func TestServeErrorContract(t *testing.T) {
 	if code, _ := doJSON(t, "POST", ts.URL+"/jobs", `{"n": 100, "x": 2, "bogus": 1}`); code != http.StatusBadRequest {
 		t.Errorf("unknown field: %d, want 400", code)
 	}
+	// Every job streams, so its snapshots carry no table to delta: the
+	// spec field that chose the delta cadence is gone, not ignored.
+	if code, _ := doJSON(t, "POST", ts.URL+"/jobs", `{"n": 100, "x": 2, "checkpoint_full_every": 4}`); code != http.StatusBadRequest {
+		t.Errorf("retired checkpoint_full_every: %d, want 400", code)
+	}
 
 	// Fill the pool (job runs forever) and the queue.
 	code, j1 := doJSON(t, "POST", ts.URL+"/jobs", `{"n": 100, "x": 2}`)

@@ -99,7 +99,7 @@ func main() {
 		ckptDir     = flag.String("checkpoint-dir", "", "write per-rank snapshots to this directory (shared across ranks)")
 		ckptN       = flag.Int64("checkpoint-every", 0, "protocol events between checkpoint epochs (requires -checkpoint-dir)")
 		ckptKeep    = flag.Int("checkpoint-keep", 0, "full epochs to retain per rank (0 = default)")
-		ckptFull    = flag.Int("checkpoint-full-every", 0, "full-snapshot cadence: every Nth epoch is full, the rest are incremental deltas (0 or 1 = all full)")
+		ckptFull    = flag.Int("checkpoint-full-every", 0, "full-snapshot cadence: every Nth epoch is full, the rest are incremental deltas (0 or 1 = all full); in-memory checkpointed runs only, ignored with -stream-dir")
 		resume      = flag.Bool("resume", false, "resume from the latest restorable epoch in -checkpoint-dir")
 		supervise   = flag.Bool("supervise", false, "run as a supervisor: spawn all ranks locally, restart the cluster from the last checkpoint on crash")
 		maxRestarts = flag.Int("max-restarts", 3, "restart attempts before the supervisor gives up")

@@ -67,7 +67,7 @@ func main() {
 		ckptDir     = flag.String("checkpoint-dir", "", "write per-rank snapshots to this directory (see docs/OPERATIONS.md)")
 		ckptN       = flag.Int64("checkpoint-every", 0, "protocol events between checkpoint epochs (requires -checkpoint-dir)")
 		ckptKeep    = flag.Int("checkpoint-keep", 0, "full epochs to retain per rank (0 = default)")
-		ckptFull    = flag.Int("checkpoint-full-every", 0, "full-snapshot cadence: every Nth epoch is full, the rest are incremental deltas (0 or 1 = all full)")
+		ckptFull    = flag.Int("checkpoint-full-every", 0, "full-snapshot cadence: every Nth epoch is full, the rest are incremental deltas (0 or 1 = all full); in-memory checkpointed runs only, ignored with -stream-dir")
 		resume      = flag.Bool("resume", false, "resume from the latest restorable epoch in -checkpoint-dir")
 	)
 	flag.Parse()

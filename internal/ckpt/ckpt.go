@@ -1,21 +1,26 @@
 // Package ckpt serializes per-rank engine state into versioned,
 // CRC-protected snapshot files — the storage half of the generator's
 // checkpoint/restart subsystem. One snapshot captures everything a rank
-// needs to resume generation mid-run at a consistent cut: the resolved
-// prefix of the F attachment table, every suspended node's private RNG
-// stream position and edge index, the pending waiter queues, any
-// not-yet-flushed outbound message batches, and the collective tag
-// counter. The format is byte-for-byte specified in
+// needs to resume generation mid-run at a consistent cut: every
+// suspended node's private RNG stream position and edge index, the
+// pending waiter queues, any not-yet-flushed outbound message batches,
+// the collective tag counter, and the resolved part of the F attachment
+// table — by value for an in-memory run, by reference for a streamed
+// one, whose snapshot names the durable prefix of the rank's shard file
+// (the sink mark) and carries no table: that prefix is F's resolved part,
+// and restore replays it. The format is byte-for-byte specified in
 // docs/CHECKPOINT_FORMAT.md and verified on read by a whole-file
 // CRC-32C so a torn write is detected rather than resumed from.
 //
-// Snapshots come in two kinds. A full snapshot carries the entire F
-// table. A delta snapshot carries only the F ranges dirtied since its
-// base epoch plus full copies of the (small, quiescent-time) worker and
-// sink sections; restoring a delta replays its base+delta chain back to
-// the nearest full snapshot. Encoding is buffer-based — Encoder reuses
-// one scratch buffer across epochs so a steady checkpoint cadence
-// performs no O(state) transient allocations.
+// An in-memory run's snapshots come in two kinds. A full snapshot
+// carries the entire F table. A delta snapshot carries only the F ranges
+// dirtied since its base epoch plus full copies of the (small,
+// quiescent-time) worker sections; restoring a delta replays its
+// base+delta chain back to the nearest full snapshot. A streamed run's
+// snapshots are all full — each restores on its own, given its shard.
+// Encoding is buffer-based — Encoder reuses one scratch buffer across
+// epochs so a steady checkpoint cadence performs no O(state) transient
+// allocations.
 //
 // The package is pure serialization: which state goes into a snapshot,
 // when all ranks' snapshots form a mutually consistent cut, and which
@@ -47,13 +52,15 @@ const Magic = "PAGENCK1"
 // recording the streaming edge sink's durable shard position at the
 // cut; version 5 added the snapshot kind and base epoch to the meta
 // section and the delta-F section 'D', enabling incremental (base +
-// delta chain) epochs.
-const Version = 5
+// delta chain) epochs; version 6 dropped the table from streamed
+// snapshots — 'F'/'D' is present iff 'K' is absent.
+const Version = 6
 
 // Snapshot kinds (Snapshot.Kind).
 const (
-	// KindFull: the snapshot carries the entire F table ('F' section)
-	// and restores on its own.
+	// KindFull: the snapshot restores on its own — it carries the entire
+	// F table ('F' section) or, streamed, the sink mark that stands in
+	// for it.
 	KindFull = 0
 	// KindDelta: the snapshot carries only F ranges dirtied since epoch
 	// BaseEpoch ('D' section); restoring requires the full chain back
@@ -142,8 +149,10 @@ type OutboundBatch struct {
 // the rank's shard file holds exactly Blocks complete blocks with Edges
 // edge records in its first Offset bytes, flushed and fsynced before
 // the snapshot was published. A resumed streamed run truncates the
-// shard to Offset and regenerates exactly the missing suffix
-// (esink.Mark is the engine-side twin). Present only in streamed runs.
+// shard to Offset, rebuilds F from the records in that prefix — a
+// streamed snapshot carries no table of its own — and regenerates
+// exactly the missing suffix (esink.Mark is the engine-side twin).
+// Present only in streamed runs.
 type SinkMark struct {
 	Offset int64
 	Blocks int64
@@ -177,7 +186,8 @@ type Snapshot struct {
 	Kind      int
 	BaseEpoch int64
 	// F is the rank's flat attachment table (slot s holds F, -1 = NILL).
-	// Populated for full snapshots; nil in an on-disk delta.
+	// Populated for an in-memory run's full snapshots; nil in an on-disk
+	// delta and in every streamed snapshot (Sink != nil).
 	F []int64
 	// FLen is the total F table length, carried by delta snapshots so
 	// chain replay can validate range bounds before touching the base.
@@ -190,7 +200,8 @@ type Snapshot struct {
 	Outbound []OutboundBatch
 	Stats    Stats
 	// Sink is the streaming edge sink's durable mark, nil for runs
-	// without a streaming sink. Serialized as the optional 'K' section.
+	// without a streaming sink. Serialized as the 'K' section, which
+	// replaces 'F'/'D': Encode writes no table when it is set.
 	Sink *SinkMark
 }
 
@@ -255,7 +266,10 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 	b = binary.AppendUvarint(b, uint64(s.Kind))
 	b = binary.AppendUvarint(b, uint64(s.BaseEpoch))
 
-	if s.Kind == KindDelta {
+	switch {
+	case s.Sink != nil:
+		// Streamed: the marked shard prefix ('K' below) is the table.
+	case s.Kind == KindDelta:
 		// 'D': dirtied F ranges, varint-packed as value+1 like 'F'.
 		b = append(b, 'D')
 		b = binary.AppendUvarint(b, uint64(s.FLen))
@@ -267,7 +281,7 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 				b = binary.AppendUvarint(b, uint64(v+1))
 			}
 		}
-	} else {
+	default:
 		// 'F': the attachment table, varint-packed as value+1 so NILL
 		// (-1) costs one byte.
 		b = append(b, 'F')
@@ -309,8 +323,8 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 	b = binary.AppendUvarint(b, uint64(s.Stats.QueuedWaits))
 	b = binary.AppendUvarint(b, uint64(s.Stats.LocalWaits))
 
-	// 'K' (optional, streamed runs only): the edge sink's durable shard
-	// mark. Then the end marker and CRC trailer.
+	// 'K' (streamed runs only, in place of 'F'/'D'): the edge sink's
+	// durable shard mark. Then the end marker and CRC trailer.
 	if s.Sink != nil {
 		b = append(b, 'K')
 		b = binary.AppendUvarint(b, uint64(s.Sink.Offset))
@@ -557,10 +571,17 @@ func parse(data []byte) (*Snapshot, error) {
 			if len(r.b) != 0 {
 				return nil, fmt.Errorf("%d trailing bytes after end marker", len(r.b))
 			}
-			// The kind declared in the meta section and the F-carrying
-			// section present must agree: a mismatch means a corrupted
+			// Exactly one source of F: a streamed snapshot names its
+			// shard prefix and carries no table, an in-memory one carries
+			// the section its kind declares. Anything else is a corrupted
 			// or hand-assembled file, and restoring it would splice the
-			// wrong table shape.
+			// wrong table.
+			if s.Sink != nil {
+				if sawF || sawD || s.Kind != KindFull {
+					return nil, fmt.Errorf("streamed snapshot ('K' section) carries an F table or is not full")
+				}
+				return s, nil
+			}
 			if s.Kind == KindDelta && (!sawD || sawF) {
 				return nil, fmt.Errorf("delta snapshot without 'D' section (or with stray 'F')")
 			}
@@ -589,6 +610,11 @@ func (s *Snapshot) parseMeta(r *reader) error {
 		return err
 	}
 	s.Meta.P = math.Float64frombits(v)
+	if math.IsNaN(s.Meta.P) {
+		// No run has it, and it compares unequal to itself: a chain's
+		// identity check would refuse the chain's own members.
+		return fmt.Errorf("p is NaN")
+	}
 	if s.Meta.Seed, err = r.u64(); err != nil {
 		return err
 	}
@@ -673,13 +699,13 @@ func (s *Snapshot) parseDelta(r *reader) error {
 		if cnt > uint64(len(r.b)) {
 			return fmt.Errorf("range %d value count %d exceeds file", i, cnt)
 		}
-		end := int64(start) + int64(cnt)
 		// Ranges are sorted, non-overlapping and in-bounds, so chain
-		// replay can overlay them without further checks.
-		if int64(start) < prevEnd || end > s.FLen || cnt == 0 {
-			return fmt.Errorf("range %d [%d,%d) invalid (prev end %d, F length %d)", i, start, end, prevEnd, s.FLen)
+		// replay can overlay them without further checks. The bounds are
+		// compared as start <= FLen - cnt: start + cnt can wrap.
+		if cnt == 0 || int64(cnt) > s.FLen || start > uint64(s.FLen)-cnt || int64(start) < prevEnd {
+			return fmt.Errorf("range %d at %d with %d values invalid (prev end %d, F length %d)", i, start, cnt, prevEnd, s.FLen)
 		}
-		prevEnd = end
+		prevEnd = int64(start + cnt)
 		vals := make([]int64, cnt)
 		for j := range vals {
 			v, err := r.uvarint()

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -73,13 +74,22 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-// The optional v4 sink-mark section must round-trip when present (a
-// streamed run) and stay absent when nil (an in-memory run).
+// streamedSample is sample as a streamed run writes it: the sink mark in
+// place of the table.
+func streamedSample(rank int, epoch int64) *Snapshot {
+	s := sample(rank, epoch)
+	s.F = nil
+	s.Sink = &SinkMark{Offset: 1 << 40, Blocks: 12345, Edges: 987654321}
+	return s
+}
+
+// A streamed snapshot round-trips with its sink mark and no table — and
+// the encoder drops a table it is handed alongside a mark, because the
+// marked shard prefix is the only F a streamed resume reads.
 func TestWriteReadSinkMark(t *testing.T) {
 	dir := t.TempDir()
-	want := sample(1, 3)
-	want.Sink = &SinkMark{Offset: 1 << 40, Blocks: 12345, Edges: 987654321}
-	path, _, err := Write(dir, want)
+	want := streamedSample(1, 3)
+	path, size, err := Write(dir, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +100,100 @@ func TestWriteReadSinkMark(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("sink-mark round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
-	if got.Sink == nil || *got.Sink != *want.Sink {
-		t.Fatalf("Sink = %+v, want %+v", got.Sink, want.Sink)
+	if got.F != nil || got.Sink == nil || *got.Sink != *want.Sink {
+		t.Fatalf("F = %v, Sink = %+v; want no table and %+v", got.F, got.Sink, want.Sink)
+	}
+
+	withTable := streamedSample(1, 3)
+	withTable.F = sample(1, 3).F
+	if _, sizeWithTable, err := Write(dir, withTable); err != nil || sizeWithTable != size {
+		t.Fatalf("a streamed snapshot handed a table wrote %d bytes (err %v), want the table-less %d", sizeWithTable, err, size)
+	}
+}
+
+// reseal replaces data's CRC trailer after a test edited the body.
+func reseal(data []byte) []byte {
+	body := data[: len(data)-4 : len(data)-4]
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+}
+
+// The v6 invariant, both directions: 'F'/'D' is present iff 'K' is
+// absent. The files below are CRC-clean, so the section rule — not the
+// checksum — must reject them.
+func TestParseSectionRules(t *testing.T) {
+	var enc Encoder
+	encode := func(s *Snapshot) []byte { return append([]byte(nil), enc.Encode(s)...) }
+	full := sample(0, 4)
+	delta := deltaSample(full, 5, []DeltaRange{{Start: 1, Values: []int64{9, 8}}})
+	streamed := streamedSample(0, 4)
+	streamedDelta := streamedSample(0, 5)
+	streamedDelta.Kind, streamedDelta.BaseEpoch = KindDelta, 4
+
+	// The 'K' section sits right before the end marker and the trailer:
+	// withMark splices one into an in-memory file, bare cuts it out of a
+	// streamed one, which leaves no source of F at all.
+	mark := binary.AppendUvarint([]byte{'K'}, uint64(streamed.Sink.Offset))
+	mark = binary.AppendUvarint(mark, uint64(streamed.Sink.Blocks))
+	mark = binary.AppendUvarint(mark, uint64(streamed.Sink.Edges))
+	withMark := func(data []byte) []byte {
+		body := append(data[:len(data)-5:len(data)-5], mark...)
+		return reseal(append(body, 'Z', 0, 0, 0, 0))
+	}
+	bare := encode(streamed)
+	bare = reseal(append(bare[:len(bare)-5-len(mark):len(bare)-5-len(mark)], 'Z', 0, 0, 0, 0))
+
+	v5, v5streamed := encode(full), encode(streamed)
+	v5[len(Magic)], v5streamed[len(Magic)] = 5, 5
+
+	for name, data := range map[string][]byte{
+		"K with F":            withMark(encode(full)),
+		"K with D":            withMark(encode(delta)),
+		"K on a delta":        encode(streamedDelta),
+		"none of F, D, K":     bare,
+		"version 5":           reseal(v5),
+		"version 5, streamed": reseal(v5streamed),
+	} {
+		if s, err := parse(data); err == nil {
+			t.Errorf("%s: parsed to %+v, want an error", name, s)
+		} else if strings.Contains(err.Error(), "CRC") {
+			t.Errorf("%s: rejected by checksum (%v), the test file is malformed", name, err)
+		}
+	}
+	for name, s := range map[string]*Snapshot{"full": full, "delta": delta, "streamed": streamed} {
+		if got, err := parse(encode(s)); err != nil || !reflect.DeepEqual(got, s) {
+			t.Errorf("%s: round trip = %+v, %v", name, got, err)
+		}
+	}
+}
+
+// Retention over a directory of table-less epochs: every streamed epoch
+// is full, so Prune keeps exactly keep files, Latest returns the newest
+// and falls back past a torn one, and Materialize has no chain to walk.
+func TestStreamedEpochRetention(t *testing.T) {
+	dir := t.TempDir()
+	for epoch := int64(1); epoch <= 6; epoch++ {
+		if _, _, err := Write(dir, streamedSample(0, epoch)); err != nil {
+			t.Fatal(err)
+		}
+		if err := Prune(dir, 0, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if epochs, _ := Epochs(dir, 0); !reflect.DeepEqual(epochs, []int64{4, 5, 6}) {
+		t.Fatalf("after prune: %v, want [4 5 6]", epochs)
+	}
+	for _, epoch := range []int64{4, 5, 6} {
+		s, err := Materialize(dir, 0, epoch)
+		if err != nil || s.Kind != KindFull || s.F != nil || s.Sink == nil {
+			t.Fatalf("Materialize(%d) = %+v, %v; want a full snapshot with a mark and no table", epoch, s, err)
+		}
+	}
+	if err := os.Truncate(Path(dir, 0, 6), 40); err != nil {
+		t.Fatal(err)
+	}
+	snap, skipped, err := Latest(dir, 0)
+	if err != nil || snap == nil || snap.Epoch != 5 || len(skipped) != 1 {
+		t.Fatalf("Latest = %+v, skipped %v, err %v; want epoch 5 past the torn 6", snap, skipped, err)
 	}
 }
 
@@ -172,10 +274,7 @@ func TestReadRejectsVersionAndMagic(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[len(Magic)] = Version + 1 // version uvarint
-	body := data[: len(data)-4 : len(data)-4]
-	sum := crc32.Checksum(body, castagnoli)
-	data = append(body, byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24))
-	if _, err := parse(data); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, err := parse(reseal(data)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version: err = %v", err)
 	}
 }

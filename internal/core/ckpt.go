@@ -15,9 +15,12 @@ import (
 // periodically pauses generation at a globally quiescent point (a
 // consistent cut — see DESIGN.md §9), captures its mutable state into
 // pooled buffers, resumes immediately, and publishes the snapshot file
-// from a per-rank background writer. A later run with Resume set
-// restarts from the newest epoch every rank holds a restorable snapshot
-// of, producing output byte-identical to an uninterrupted run.
+// from a per-rank background writer. With Options.StreamDir set the
+// shard is the checkpoint's F: a snapshot names the shard's durable
+// prefix and a resume replays it, so no table is copied or written. A
+// later run with Resume set restarts from the newest epoch every rank
+// holds a restorable snapshot of, producing output byte-identical to an
+// uninterrupted run.
 type CheckpointOptions struct {
 	// Dir is the snapshot directory (one file per rank per epoch).
 	Dir string
@@ -33,10 +36,12 @@ type CheckpointOptions struct {
 	Keep int
 	// FullEvery is the full-snapshot cadence: every FullEvery-th epoch
 	// is a full snapshot and the epochs between are deltas carrying
-	// only the F ranges dirtied since the previous epoch (ckpt format
-	// v5 base+delta chains). 0 or 1 selects full-only checkpointing.
+	// only the F ranges dirtied since the previous epoch (base+delta
+	// chains). 0 or 1 selects full-only checkpointing.
 	// An epoch after a restore or an abandoned epoch is forced full so
-	// every chain stands on state that is known to be on disk.
+	// every chain stands on state that is known to be on disk. In-memory
+	// runs only: a streamed run's snapshots carry no table to delta, so
+	// every streamed epoch is full and FullEvery has no effect.
 	FullEvery int
 	// Resume makes the run restart from the newest epoch all ranks can
 	// restore; with no usable snapshots the run starts fresh.
@@ -129,11 +134,12 @@ type ckptVoteState struct {
 // the reusable backing arrays its slices point into. Two captures
 // rotate between the cut (fill) and the background writer (drain), so
 // a steady cadence allocates nothing epoch over epoch once the buffers
-// have grown to the rank's state size.
+// have grown to the rank's state size — the table for an in-memory run,
+// a few suspension and waiter records for a streamed one.
 type ckptCapture struct {
 	snap ckpt.Snapshot
 	// f backs snap.F for full captures; dvals is the flat value store
-	// the delta ranges subslice.
+	// the delta ranges subslice. A streamed run leaves all three nil.
 	f       []int64
 	dvals   []int64
 	ranges  []ckpt.DeltaRange

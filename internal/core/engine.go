@@ -105,10 +105,11 @@ type Options struct {
 	// instead of accumulating them in memory, so resident memory is
 	// bounded by the F table regardless of the edge count. Unlike Sink
 	// it composes with checkpointing: each cut records the shard's
-	// durable byte offset (ckpt format v4) and a resumed run truncates
-	// the shard back to it. Merging the per-rank shard streams
-	// rank-major in slot-key order reproduces the in-memory merged
-	// graph byte for byte. Mutually exclusive with Sink.
+	// durable byte offset in place of the F table, and a resumed run
+	// truncates the shard back to it and rebuilds F from that prefix.
+	// Merging the per-rank shard streams rank-major in slot-key order
+	// reproduces the in-memory merged graph byte for byte. Mutually
+	// exclusive with Sink.
 	StreamDir string
 	// StreamBlockEdges is the edge-record count per streamed block
 	// (esink.DefaultBlockEdges if zero); tests shrink it to force many
@@ -385,7 +386,7 @@ type engine struct {
 	// ckDirty is the delta-checkpoint dirty bitmap: one word per
 	// 1<<ckptDirtyShift F slots, set by resolveSlot, cleared at each
 	// successful capture. Nil unless delta epochs are enabled
-	// (CheckpointOptions.FullEvery > 1).
+	// (CheckpointOptions.FullEvery > 1 on an in-memory run).
 	ckDirty []uint32
 	// nodeLoad counts copy queries received per local node (indexed
 	// like f, but per node not per slot); nil unless CollectNodeLoad.
@@ -644,11 +645,18 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 		if keep < 2 {
 			keep = 2
 		}
+		// A streamed snapshot carries no table — the marked shard prefix
+		// is F — so there is nothing to delta: every streamed epoch is
+		// full and the dirty bitmap is never allocated.
+		fullEvery := c.FullEvery
+		if opts.StreamDir != "" {
+			fullEvery = 0
+		}
 		e.ck = &ckptRun{
 			dir:       c.Dir,
 			every:     c.Every,
 			keep:      keep,
-			fullEvery: c.FullEvery,
+			fullEvery: fullEvery,
 			epochNext: 1,
 			voted0:    make(map[int64]bool),
 		}

@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"pagen/internal/ckpt"
+	"pagen/internal/esink"
 	"pagen/internal/msg"
 	"pagen/internal/transport"
 )
@@ -167,7 +168,11 @@ func effectiveResolve(opts Options) (mode, depth int) {
 // epoch). The rank is globally quiescent: no window is open and no data
 // message is in flight, so every piece of protocol state lives in
 // exactly one of the structures captured here.
-// The capture is memcpy-scale by design — the F table (full) or its
+// A streamed run captures no table at all: every resolved slot was
+// emitted to the shard right beside its store, the cut's Mark has just
+// flushed the open block, so the shard prefix the snapshot's sink mark
+// names already is the resolved part of F (DESIGN.md §9). An in-memory
+// run's capture is memcpy-scale by design — the F table (full) or its
 // dirty ranges (delta) copy into the capture's reusable backing arrays,
 // and encoding, CRC and I/O all happen later in the background writer —
 // because its duration is the dominant term of the generation pause.
@@ -196,10 +201,13 @@ func (e *engine) buildSnapshotInto(c *ckptCapture, kind int, base int64) {
 		// from.
 		NextTag: e.seq.NextTag(),
 	}
-	if kind == ckpt.KindFull {
+	switch {
+	case e.stream != nil:
+		// The shard prefix under the mark ckptCut attaches is the table.
+	case kind == ckpt.KindFull:
 		c.f = append(c.f[:0], e.f...)
 		s.F = c.f
-	} else {
+	default:
 		s.FLen = int64(len(e.f))
 		// Two passes over the chunk bitmap: size the flat value store
 		// first so the range subslices never move under a later append.
@@ -341,15 +349,71 @@ func (e *engine) nodeInitiated(idx int64) bool {
 	return e.susp.has(idx)
 }
 
+// restoreShard fills e.f from the rank's shard, which RunRank's Recover
+// has just verified block by block and truncated to the snapshot's mark:
+// a streamed snapshot carries no table because that prefix holds exactly
+// the slots resolved at the cut, one (flat slot, value) record each.
+// Bootstrap has already written the clique and seed nodes (t <= x) and
+// counted their records in e.emitted; the pass checks those are present
+// and leaves their slots alone. Anything the CRCs cannot vouch for —
+// a record count off the mark, a negative value, a repeated key, a slot
+// resolved twice — fails the resume rather than splicing a wrong table.
+func (e *engine) restoreShard(mark *ckpt.SinkMark) error {
+	path := e.stream.Path()
+	r, err := esink.OpenReaderTolerant(path)
+	if err != nil {
+		return fmt.Errorf("core: resume: %w", err)
+	}
+	defer r.Close()
+	it := r.Iter(0)
+	var n, boot int64
+	var prev uint64
+	for {
+		key, v, ok := it.NextSlot()
+		if !ok {
+			break
+		}
+		n++
+		s := int64(key)
+		switch {
+		case v < 0:
+			return fmt.Errorf("core: resume: shard %s: slot %d holds negative value %d", path, key, v)
+		case n > 1 && key == prev:
+			return fmt.Errorf("core: resume: shard %s: slot key %d repeats", path, key)
+		case e.f[s] < 0:
+			e.f[s] = v
+		case e.part.NodeAt(e.rank, s/e.x64) > e.x64:
+			return fmt.Errorf("core: resume: shard %s: slot %d is already resolved", path, key)
+		default:
+			boot++
+		}
+		prev = key
+	}
+	if err := it.Err(); err != nil {
+		return fmt.Errorf("core: resume: shard %s: %w", path, err)
+	}
+	if n != mark.Edges || boot != e.emitted {
+		return fmt.Errorf("core: resume: shard %s: prefix holds %d records (%d of bootstrap's %d), snapshot marks %d",
+			path, n, boot, e.emitted, mark.Edges)
+	}
+	return nil
+}
+
 // restore rebuilds the engine's state from the negotiated snapshot, after
 // bootstrap. The records are keyed by node and slot, not by the worker
 // section that carries them, so a snapshot restores at any worker count.
 func (e *engine) restore() error {
 	s := e.resumeSnap
-	if int64(len(s.F)) != e.size*e.x64 {
-		return fmt.Errorf("core: resume: snapshot F has %d slots, rank owns %d", len(s.F), e.size*e.x64)
+	if s.Sink != nil {
+		if err := e.restoreShard(s.Sink); err != nil {
+			return err
+		}
+	} else {
+		if int64(len(s.F)) != e.size*e.x64 {
+			return fmt.Errorf("core: resume: snapshot F has %d slots, rank owns %d", len(s.F), e.size*e.x64)
+		}
+		copy(e.f, s.F)
 	}
-	copy(e.f, s.F)
 
 	for _, ws := range s.Workers {
 		for _, sr := range ws.Susp {

@@ -1,0 +1,393 @@
+package core
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"pagen/internal/ckpt"
+	"pagen/internal/esink"
+	"pagen/internal/model"
+	"pagen/internal/partition"
+	"pagen/internal/seq"
+	"pagen/internal/transport"
+)
+
+// streamedLibrary runs a streamed, checkpointed generation that keeps
+// every epoch and returns the epochs rank 0 holds. The epoch count is
+// schedule-bound, so it retries across intervals until one committed.
+func streamedLibrary(t *testing.T, opts Options) (ckptDir, streamDir string, epochs []int64) {
+	t.Helper()
+	n := opts.Params.N
+	for _, every := range []int64{n / 4, n / 8, n / 16, n / 32, n / 8, n / 16, n / 32} {
+		ckptDir, streamDir = t.TempDir(), t.TempDir()
+		opts.StreamDir = streamDir
+		opts.Checkpoint = &CheckpointOptions{Dir: ckptDir, Every: every, Keep: 1000}
+		if _, err := Run(opts, false); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if epochs, err = ckpt.Epochs(ckptDir, 0); err != nil {
+			t.Fatal(err)
+		}
+		if len(epochs) > 0 {
+			return ckptDir, streamDir, epochs
+		}
+	}
+	t.Fatal("no epoch committed across all retry intervals")
+	return
+}
+
+// shardSlots reads a shard's records back as a flat table (-1 where the
+// shard holds no record), through the same iterator restore uses.
+func shardSlots(t *testing.T, path string, slots int64) []int64 {
+	t.Helper()
+	r, err := esink.OpenReaderTolerant(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	f := make([]int64, slots)
+	for i := range f {
+		f[i] = -1
+	}
+	it := r.Iter(0)
+	for {
+		key, v, ok := it.NextSlot()
+		if !ok {
+			break
+		}
+		f[key] = v
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// resumedEngine positions rank's engine where run calls restore: the
+// epoch's snapshot loaded, the shard recovered to its mark, bootstrap
+// done. The caller owns no cleanup.
+func resumedEngine(t *testing.T, opts Options, rank int, epoch int64) *engine {
+	t.Helper()
+	group, err := transport.NewLocalGroup(opts.Part.P())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(group.Endpoint(rank), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		e.ck.writer.shutdown()
+		e.stream.Abort()
+		group.Endpoint(rank).Close()
+	})
+	if e.resumeSnap, err = ckpt.Materialize(opts.Checkpoint.Dir, rank, epoch); err != nil {
+		t.Fatal(err)
+	}
+	mark := e.resumeSnap.Sink
+	if err := e.stream.Recover(esink.Mark{Offset: mark.Offset, Blocks: mark.Blocks, Edges: mark.Edges}); err != nil {
+		t.Fatal(err)
+	}
+	e.bootstrap()
+	return e
+}
+
+// The restore property: whatever the scheme, rank count, x and shard
+// block size, every retained epoch of a streamed run restores from its
+// table-less snapshot plus the marked shard prefix — the rebuilt table
+// holds exactly the slots resolved at the cut with their final values,
+// bootstrap's nodes are left as bootstrap wrote them, and the resumed
+// run completes the sequential model's graph.
+func TestRestoreFromShardPrefix(t *testing.T) {
+	for _, kind := range []partition.Kind{partition.KindUCP, partition.KindLCP, partition.KindRRP} {
+		for _, ranks := range []int{1, 2, 4} {
+			for _, x := range []int{1, 3, 8} {
+				for _, block := range []int{1, 64, 0} {
+					kind, ranks, x, block := kind, ranks, x, block
+					t.Run(fmt.Sprintf("%v/ranks=%d/x=%d/block=%d", kind, ranks, x, block), func(t *testing.T) {
+						t.Parallel()
+						checkRestoreFromShardPrefix(t, kind, ranks, x, block)
+					})
+				}
+			}
+		}
+	}
+}
+
+func checkRestoreFromShardPrefix(t *testing.T, kind partition.Kind, ranks, x, block int) {
+	pr := model.Params{N: 5_000, X: x, P: 0.5}
+	sg, _, err := seq.CopyModel(pr, 13, seq.CopyModelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := edgeSet(t, sg.Edges)
+	part, err := partition.New(kind, pr.N, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Params: pr, Part: part, Seed: 13, Workers: 1, StreamBlockEdges: block}
+	ckptDir, streamDir, epochs := streamedLibrary(t, opts)
+	opts.StreamDir = streamDir
+	opts.Checkpoint = &CheckpointOptions{Dir: ckptDir, Keep: 1000, Resume: true}
+	sameEdgeSet(t, "uninterrupted", streamEdges(t, streamDir, ranks), want)
+
+	x64 := int64(x)
+	final := make([][]int64, ranks)
+	for r := range final {
+		final[r] = shardSlots(t, esink.ShardPath(streamDir, r, ranks), part.Size(r)*x64)
+	}
+
+	for i := len(epochs) - 1; i >= 0; i-- {
+		// Trim and tear as a crash right after this epoch would have.
+		for r := 0; r < ranks; r++ {
+			if i+1 < len(epochs) {
+				if err := os.Remove(ckpt.Path(ckptDir, r, epochs[i+1])); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f, err := os.OpenFile(esink.ShardPath(streamDir, r, ranks), os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte{'B', 0x9f, 0x03, 0x55, 0xaa, 0x00}); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+		}
+
+		for r := 0; r < ranks; r++ {
+			e := resumedEngine(t, opts, r, epochs[i])
+			if e.resumeSnap.F != nil {
+				t.Fatalf("epoch %d rank %d: streamed snapshot carries a table", epochs[i], r)
+			}
+			boot := append([]int64(nil), e.f...)
+			if err := e.restore(); err != nil {
+				t.Fatalf("epoch %d rank %d: %v", epochs[i], r, err)
+			}
+			var resolved int64
+			for s, v := range e.f {
+				switch {
+				case part.NodeAt(r, int64(s)/x64) <= x64:
+					if v != boot[s] {
+						t.Fatalf("epoch %d rank %d: bootstrap slot %d changed %d -> %d", epochs[i], r, s, boot[s], v)
+					}
+				case v >= 0:
+					resolved++
+					if v != final[r][s] {
+						t.Fatalf("epoch %d rank %d: slot %d restored as %d, finished table holds %d", epochs[i], r, s, v, final[r][s])
+					}
+				case v != -1:
+					t.Fatalf("epoch %d rank %d: slot %d holds %d", epochs[i], r, s, v)
+				}
+			}
+			if got := resolved + e.emitted; got != e.resumeSnap.Sink.Edges {
+				t.Fatalf("epoch %d rank %d: %d resolved + %d bootstrap records, mark says %d",
+					epochs[i], r, resolved, e.emitted, e.resumeSnap.Sink.Edges)
+			}
+		}
+
+		if _, err := Run(opts, false); err != nil {
+			t.Fatalf("resume from epoch %d: %v", epochs[i], err)
+		}
+		sameEdgeSet(t, fmt.Sprintf("resumed from epoch %d", epochs[i]), streamEdges(t, streamDir, ranks), want)
+	}
+}
+
+// A streamed snapshot is the suspended nodes and waiter queues, not the
+// table, and every epoch is full whatever FullEvery says. What it does
+// hold grows with how far the ranks have drifted apart at the cut, not
+// with n — at this small n two ranks a scheduler quantum apart park a
+// quarter of a rank's nodes — so the sizes are pinned on one rank, where
+// nothing is ever suspended at a cut, and two ranks pin only the shape.
+func TestStreamedSnapshotSize(t *testing.T) {
+	pr := model.Params{N: 20_000, X: 4, P: 0.5}
+	for _, ranks := range []int{1, 2} {
+		part, err := partition.New(partition.KindRRP, pr.N, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckptDir := t.TempDir()
+		res, err := Run(Options{
+			Params: pr, Part: part, Seed: 3, Workers: 1, StreamDir: t.TempDir(),
+			Checkpoint: &CheckpointOptions{Dir: ckptDir, Every: 2000, Keep: 1000, FullEvery: 4},
+		}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range res.Ranks {
+			if st.CkptEpochs == 0 {
+				t.Fatalf("ranks=%d: rank %d committed no epoch", ranks, st.Rank)
+			}
+			table := 8 * part.Size(st.Rank) * int64(pr.X)
+			if per := st.CkptBytes / st.CkptEpochs; ranks == 1 && per*100 >= table {
+				t.Errorf("%d snapshot bytes per epoch, not below 1%% of the %d-byte table", per, table)
+			}
+			epochs, err := ckpt.Epochs(ckptDir, st.Rank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ep := range epochs {
+				path := ckpt.Path(ckptDir, st.Rank, ep)
+				if fi, err := os.Stat(path); err != nil || (ranks == 1 && fi.Size() >= 64<<10) {
+					t.Errorf("%s: %v bytes (err %v), want under 64 KiB", path, fi.Size(), err)
+				}
+				if s, err := ckpt.Read(path); err != nil || s.Kind != ckpt.KindFull || s.F != nil || s.Sink == nil {
+					t.Errorf("%s: %+v, %v; want a full snapshot with a sink mark and no table", path, s, err)
+				}
+			}
+		}
+	}
+}
+
+// Damage the checksums catch, and damage only the table rebuild can see:
+// either way the resume fails with an error naming the shard, and never
+// falls back to an older epoch or a fresh start.
+func TestRestoreShardFailsLoudly(t *testing.T) {
+	pr := model.Params{N: 3_000, X: 3, P: 0.5}
+	part, err := partition.New(partition.KindUCP, pr.N, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Params: pr, Part: part, Seed: 9, Workers: 1, StreamBlockEdges: 64}
+	ckptDir, streamDir, epochs := streamedLibrary(t, opts)
+	top := epochs[len(epochs)-1]
+	snap, err := ckpt.Read(ckpt.Path(ckptDir, 0, top))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard, err := os.ReadFile(esink.ShardPath(streamDir, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := shard[:snap.Sink.Offset]
+
+	// resume runs a resume over a fresh pair of directories holding the
+	// given shard bytes and the top snapshot with the given mark.
+	resume := func(t *testing.T, shard []byte, mark ckpt.SinkMark) (string, error) {
+		t.Helper()
+		ck, st := t.TempDir(), t.TempDir()
+		path := esink.ShardPath(st, 0, 1)
+		if err := os.WriteFile(path, shard, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := *snap
+		s.Sink = &mark
+		if _, _, err := ckpt.Write(ck, &s); err != nil {
+			t.Fatal(err)
+		}
+		o := opts
+		o.StreamDir = st
+		o.Checkpoint = &CheckpointOptions{Dir: ck, Keep: 1000, Resume: true}
+		_, err := Run(o, false)
+		return path, err
+	}
+	mustFail := func(t *testing.T, shard []byte, mark ckpt.SinkMark, why string) {
+		t.Helper()
+		path, err := resume(t, shard, mark)
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), why) {
+			t.Fatalf("err = %v; want one naming %s and saying %q", err, path, why)
+		}
+	}
+
+	finished := streamEdges(t, streamDir, 1)
+	mustResume := func(t *testing.T, shard []byte, mark ckpt.SinkMark) {
+		t.Helper()
+		path, err := resume(t, shard, mark)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalEdges(t, "resumed", streamEdges(t, filepath.Dir(path), 1), finished)
+	}
+	t.Run("control", func(t *testing.T) { mustResume(t, prefix, *snap.Sink) })
+	t.Run("byte flipped before the mark", func(t *testing.T) {
+		bad := append([]byte(nil), shard...)
+		bad[snap.Sink.Offset/2] ^= 0x10
+		mustFail(t, bad, *snap.Sink, "durable prefix")
+	})
+	t.Run("truncated below the mark", func(t *testing.T) {
+		mustFail(t, prefix[:len(prefix)-1], *snap.Sink, "durable prefix")
+	})
+	for _, d := range []int64{-1, 1} {
+		t.Run(fmt.Sprintf("mark off by %+d records", d), func(t *testing.T) {
+			mark := *snap.Sink
+			mark.Edges += d
+			mustFail(t, prefix, mark, "durable prefix")
+			// Recover catches it first; the rebuild's own count check is
+			// what stands when the caller's mark and Recover's differ.
+			o := opts
+			o.StreamDir, o.Checkpoint = streamDir, &CheckpointOptions{Dir: ckptDir, Keep: 1000, Resume: true}
+			e := resumedEngine(t, o, 0, top)
+			if err := e.restoreShard(&mark); err == nil || !strings.Contains(err.Error(), e.stream.Path()) {
+				t.Fatalf("restoreShard with a mark off by %+d: err = %v", d, err)
+			}
+		})
+	}
+
+	// CRC-clean shards with a wrong table in them, written through the
+	// real writer: the prefix's records, edited, in many small blocks.
+	type rec struct {
+		key uint64
+		v   int64
+	}
+	var recs []rec
+	{
+		dir := t.TempDir()
+		if err := os.WriteFile(esink.ShardPath(dir, 0, 1), prefix, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for s, v := range shardSlots(t, esink.ShardPath(dir, 0, 1), part.Size(0)*int64(pr.X)) {
+			if v >= 0 {
+				recs = append(recs, rec{uint64(s), v})
+			}
+		}
+	}
+	crafted := func(t *testing.T, recs []rec) ([]byte, ckpt.SinkMark) {
+		t.Helper()
+		dir := t.TempDir()
+		w, err := esink.Open(dir, esink.Meta{N: pr.N, X: pr.X, P: pr.P, Seed: opts.Seed, Rank: 0, Ranks: 1, Scheme: part.Name()}, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Abort()
+		if err := w.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := w.Emit(r.key, r.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := w.Mark()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(w.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, ckpt.SinkMark{Offset: m.Offset, Blocks: m.Blocks, Edges: m.Edges}
+	}
+	mid := len(recs) / 2
+	t.Run("crafted control", func(t *testing.T) {
+		b, m := crafted(t, recs)
+		mustResume(t, b, m)
+	})
+	t.Run("repeated slot key", func(t *testing.T) {
+		b, m := crafted(t, append(recs[:len(recs):len(recs)], recs[mid]))
+		mustFail(t, b, m, "repeats")
+	})
+	t.Run("negative value", func(t *testing.T) {
+		bad := append([]rec(nil), recs...)
+		bad[mid].v = -7
+		b, m := crafted(t, bad)
+		mustFail(t, b, m, "negative")
+	})
+	t.Run("bootstrap record missing", func(t *testing.T) {
+		b, m := crafted(t, recs[1:])
+		mustFail(t, b, m, "bootstrap")
+	})
+}

@@ -507,20 +507,22 @@ func (it *Iter) siftDown() {
 	}
 }
 
-// Next yields the next edge in canonical order. The edge's source node
-// U is derived from the slot key via the partition.
-func (it *Iter) Next() (graph.Edge, bool) {
+// NextSlot yields the next record in canonical order as it is stored:
+// the slot key (local node index times x plus edge index, checked to lie
+// inside the rank's table) and the attachment value. A resumed run
+// rebuilds its attachment table from these.
+func (it *Iter) NextSlot() (key uint64, v int64, ok bool) {
 	if it.err != nil || len(it.heap) == 0 {
-		return graph.Edge{}, false
+		return 0, 0, false
 	}
 	c := it.heap[0]
-	key, v := c.key, c.v
-	ok, err := c.advance()
+	key, v = c.key, c.v
+	more, err := c.advance()
 	if err != nil {
 		it.err = err
-		return graph.Edge{}, false
+		return 0, 0, false
 	}
-	if ok {
+	if more {
 		if c.key >= it.bound {
 			it.siftDown()
 		}
@@ -532,6 +534,16 @@ func (it *Iter) Next() (graph.Edge, bool) {
 	}
 	if key >= it.limit {
 		it.err = fmt.Errorf("esink: corrupt block payload: slot key %d outside the rank's %d slots", key, it.limit)
+		return 0, 0, false
+	}
+	return key, v, true
+}
+
+// Next yields the next edge in canonical order. The edge's source node
+// U is derived from the slot key via the partition.
+func (it *Iter) Next() (graph.Edge, bool) {
+	key, v, ok := it.NextSlot()
+	if !ok {
 		return graph.Edge{}, false
 	}
 	if key-it.node >= it.x {

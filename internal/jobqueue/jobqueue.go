@@ -99,11 +99,6 @@ type Spec struct {
 	// cadence guidance). Checkpoints are what make preemption and
 	// crash respawn cheap, so they are always on.
 	CheckpointEvery int64 `json:"checkpoint_every,omitempty"`
-	// CheckpointFullEvery is the full-snapshot cadence: every Nth
-	// checkpoint epoch is a full snapshot and the epochs between are
-	// incremental deltas against it (0 or 1 = every epoch full). See
-	// docs/OPERATIONS.md §2.
-	CheckpointFullEvery int `json:"checkpoint_full_every,omitempty"`
 	// StreamBlockEdges is the edge records buffered per shard block
 	// (0 = esink default). Jobs always stream their edges to per-rank
 	// shard files (docs/SHARD_FORMAT.md): bounded memory per job is
@@ -155,9 +150,6 @@ func (s *Spec) normalize() error {
 	}
 	if s.CheckpointEvery < 0 {
 		return fmt.Errorf("checkpoint_every (%d) must be >= 0", s.CheckpointEvery)
-	}
-	if s.CheckpointFullEvery < 0 {
-		return fmt.Errorf("checkpoint_full_every (%d) must be >= 0", s.CheckpointFullEvery)
 	}
 	if s.StreamBlockEdges < 0 {
 		return fmt.Errorf("stream_block_edges (%d) must be >= 0", s.StreamBlockEdges)

@@ -105,7 +105,6 @@ func rankArgs(job JobInfo, addrs []string, rank int, resume bool) []string {
 		"-recompute-depth", strconv.Itoa(s.RecomputeDepth),
 		"-checkpoint-dir", job.CheckpointDir(),
 		"-checkpoint-every", strconv.FormatInt(s.CheckpointEvery, 10),
-		"-checkpoint-full-every", strconv.Itoa(s.CheckpointFullEvery),
 		"-stream-dir", job.ShardDir(),
 		"-stream-block-edges", strconv.Itoa(s.StreamBlockEdges),
 		// Each rank drops its metrics record in the job directory; the
@@ -240,10 +239,9 @@ func (InProcessRunner) Run(ctx context.Context, job JobInfo, resume bool) error 
 		Resolve:        mode,
 		RecomputeDepth: s.RecomputeDepth,
 		Checkpoint: &core.CheckpointOptions{
-			Dir:       job.CheckpointDir(),
-			Every:     s.CheckpointEvery,
-			FullEvery: s.CheckpointFullEvery,
-			Resume:    resume,
+			Dir:    job.CheckpointDir(),
+			Every:  s.CheckpointEvery,
+			Resume: resume,
 		},
 		StreamDir:        job.ShardDir(),
 		StreamBlockEdges: s.StreamBlockEdges,

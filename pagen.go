@@ -136,8 +136,9 @@ type Config struct {
 	// CheckpointFullEvery-th epoch writes a full snapshot and the
 	// epochs between write incremental deltas carrying only the
 	// attachment-table ranges dirtied since the previous epoch
-	// (docs/CHECKPOINT_FORMAT.md, format v5). 0 or 1 = every epoch is
-	// full.
+	// (docs/CHECKPOINT_FORMAT.md). 0 or 1 = every epoch is full. It has
+	// no effect on a streamed run (StreamDir set): those snapshots carry
+	// no table to delta, so every streamed epoch is full.
 	CheckpointFullEvery int
 	// Resume loads the latest mutually-complete checkpoint epoch from
 	// CheckpointDir before generating, skipping all work committed up
@@ -497,24 +498,35 @@ func DegreesStreamed(cfg Config) ([]int64, *Result, error) {
 // term), and a small per-rank overhead; the optional decision trace
 // adds 13 bytes per slot. With StreamDir the edge terms vanish and each
 // rank adds only its open-block buffer (16 bytes times
-// StreamBlockEdges).
+// StreamBlockEdges); checkpointing a streamed run adds nothing, because
+// its snapshots carry no table. An in-memory run with CheckpointDir
+// holds two table-sized capture buffers and the snapshot encoder's
+// scratch on top (about 2.5 times the tables).
 func MemoryEstimate(cfg Config) int64 {
 	pr, err := cfg.params()
 	if err != nil {
 		return 0
 	}
+	ranks := int64(max(cfg.Ranks, 1))
 	slots := (pr.N - int64(pr.X)) * int64(pr.X)
-	est := slots * 8       // F tables
-	est += pr.M() * 16     // edge storage
-	est += pr.M() * 16 / 4 // slice growth + queue slack (~25%)
+	est := slots * 8 // F tables
+	if cfg.StreamDir != "" {
+		block := int64(cfg.StreamBlockEdges)
+		if block <= 0 {
+			block = esink.DefaultBlockEdges
+		}
+		est += ranks * 16 * block // open shard blocks
+	} else {
+		est += pr.M() * 16     // edge storage
+		est += pr.M() * 16 / 4 // slice growth + queue slack (~25%)
+		if cfg.CheckpointDir != "" {
+			est += slots * 8 * 5 / 2 // two capture buffers + encoder scratch
+		}
+	}
 	if cfg.RecordTrace {
 		est += slots * 13
 	}
-	ranks := cfg.Ranks
-	if ranks < 1 {
-		ranks = 1
-	}
-	est += int64(ranks) * 1 << 16 // buffers, per-rank bookkeeping
+	est += ranks << 16 // buffers, per-rank bookkeeping
 	return est
 }
 

@@ -223,6 +223,34 @@ func TestMemoryEstimate(t *testing.T) {
 	if base < 50<<20 || base > 1<<30 {
 		t.Fatalf("estimate %d bytes implausible", base)
 	}
+
+	// The bounded-memory path holds the tables and the open shard blocks,
+	// nothing per edge — and checkpointing it is free, because a streamed
+	// snapshot carries no table. An in-memory checkpointed run pays for
+	// its capture buffers.
+	mem := Config{N: 1_000_000, X: 4, Ranks: 2}
+	streamed, ckpt, both := mem, mem, mem
+	streamed.StreamDir = "shards"
+	ckpt.CheckpointDir = "ck"
+	both.StreamDir, both.CheckpointDir = "shards", "ck"
+	if s, m := MemoryEstimate(streamed), MemoryEstimate(mem); s >= m {
+		t.Fatalf("streamed estimate %d not below in-memory %d", s, m)
+	}
+	if s, b := MemoryEstimate(streamed), MemoryEstimate(both); s != b {
+		t.Fatalf("streamed %d != streamed + checkpointed %d", s, b)
+	}
+	if c, m := MemoryEstimate(ckpt), MemoryEstimate(mem); c <= m {
+		t.Fatalf("in-memory checkpointed estimate %d not above in-memory %d", c, m)
+	}
+	tables := int64(8 * (1_000_000 - 4) * 4)
+	if s := MemoryEstimate(streamed); s < tables || s > 2*tables {
+		t.Fatalf("streamed estimate %d not within 2x of the tables' %d", s, tables)
+	}
+	small := streamed
+	small.StreamBlockEdges = 512
+	if s, d := MemoryEstimate(small), MemoryEstimate(streamed); s >= d {
+		t.Fatalf("estimate ignores StreamBlockEdges: %d vs default %d", s, d)
+	}
 }
 
 func TestEdgesPerSecond(t *testing.T) {
