@@ -1,13 +1,19 @@
 // Command pa-tcp runs one rank of the parallel generator as its own OS
 // process over TCP — genuine distributed-memory execution, the role one
-// MPI rank plays in the paper's runs. Start P processes with the same
-// -addrs list and ranks 0..P-1 (on one host or many); each writes its
-// edge shard, and the shards union to the output graph.
+// MPI rank plays in the paper. Start P processes with the same -addrs
+// list and ranks 0..P-1 (on one host or many). Each rank writes its
+// edges to its own compressed, CRC-protected esink shard file under
+// -stream-dir (required; docs/SHARD_FORMAT.md) with bounded resident
+// memory — the paper's Section 2 I/O model, every processor writing its
+// own part of the graph as it is produced. Collect the shards into one
+// directory and read them with pa-analyze -stream-dir (statistics,
+// -fingerprint, -export-binary) or pagen.ReadStreamDir.
 //
 // Usage (2 ranks on localhost):
 //
-//	pa-tcp -rank 0 -addrs 127.0.0.1:9500,127.0.0.1:9501 -n 100000 -x 4 -o shard0.bin &
-//	pa-tcp -rank 1 -addrs 127.0.0.1:9500,127.0.0.1:9501 -n 100000 -x 4 -o shard1.bin
+//	pa-tcp -rank 0 -addrs 127.0.0.1:9500,127.0.0.1:9501 -n 100000 -x 4 -stream-dir out &
+//	pa-tcp -rank 1 -addrs 127.0.0.1:9500,127.0.0.1:9501 -n 100000 -x 4 -stream-dir out
+//	pa-analyze -stream-dir out -ranks 2 -export-binary g.bin
 //
 // After the generation protocol terminates, the ranks run a sequence of
 // collectives (internal/coll) to assemble a cluster-wide summary at rank
@@ -21,37 +27,26 @@
 // makes every rank snapshot its engine state to DIR at cooperative
 // epochs, and -resume restarts the cluster from the newest epoch all
 // ranks committed (see docs/CHECKPOINT_FORMAT.md and
-// docs/OPERATIONS.md). The resumed run produces the byte-identical
-// graph an uninterrupted run would have.
-//
-// For runs whose edge list exceeds RAM, -stream-dir DIR makes each rank
-// spill its edges straight into a compressed, CRC-protected shard file
-// (docs/SHARD_FORMAT.md) with bounded resident memory, instead of
-// materialising them for -o. It composes with checkpointing: on resume
-// each rank truncates its shard to the snapshot's durable mark and
-// regenerates exactly the missing suffix, so the merged output stays
-// byte-identical to an uninterrupted run. Read the shards with
-// pa-analyze -stream-dir.
+// docs/OPERATIONS.md). The shard is the checkpoint's attachment table:
+// on resume each rank truncates its shard to the snapshot's durable
+// mark, rebuilds its table from the records before it and regenerates
+// exactly the missing suffix, so the merged output stays byte-identical
+// to an uninterrupted run.
 //
 // -supervise turns pa-tcp into a single-host cluster supervisor: it
 // spawns one child rank per address, and when any child dies it kills
 // the survivors and relaunches the whole cluster with -resume, up to
-// -max-restarts times:
+// -max-restarts times. Kills mid-run (even mid-flush) resume without
+// duplicating or dropping edges:
 //
 //	pa-tcp -supervise -addrs 127.0.0.1:9500,127.0.0.1:9501 \
 //	    -n 1000000 -x 4 -checkpoint-dir ck -checkpoint-every 5000000 \
-//	    -shard-dir out
+//	    -stream-dir out
 //
-// With -stream-dir in place of -shard-dir the supervised cluster
-// streams: kills mid-run (even mid-flush) resume without duplicating or
-// dropping edges.
-//
-// pa-tcp ranks are separate OS processes, so they only speak
-// -transport=tcp (the default; the flag exists for symmetry with pagen
-// and rejects anything else). To run co-located ranks over the shared-
-// memory or codec-ablation transports, run them in one process:
-// pagen -ranks P -transport=shm|local (docs/OPERATIONS.md §8 has the
-// single-host decision guide).
+// pa-tcp ranks are separate OS processes and always talk TCP. To run
+// co-located ranks over the shared-memory or codec-ablation transports,
+// run them in one process: pagen -ranks P -transport=shm|local
+// (docs/OPERATIONS.md §8 has the single-host decision guide).
 //
 // See examples/distributed for a driver that spawns the ranks and merges
 // the shards.
@@ -70,7 +65,6 @@ import (
 	"pagen/internal/coll"
 	"pagen/internal/comm"
 	"pagen/internal/core"
-	"pagen/internal/graph"
 	"pagen/internal/model"
 	"pagen/internal/obs"
 	"pagen/internal/partition"
@@ -87,11 +81,9 @@ func main() {
 		scheme    = flag.String("scheme", "RRP", "partitioning scheme")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		workers   = flag.Int("workers", 0, "generation goroutines for this rank (0 = GOMAXPROCS)")
-		transp    = flag.String("transport", "tcp", "rank-to-rank transport; pa-tcp only speaks tcp (co-located ranks without process isolation: use pagen -transport=shm)")
 		hub       = flag.Int64("hub-prefix", 0, "hub-prefix cache size H (0 = auto, <0 = off); all ranks must agree")
 		resolve   = flag.String("resolve", "wire", "non-local dependency resolution: wire or recompute; all ranks must agree")
 		rcDepth   = flag.Int("recompute-depth", 0, "recompute replay chain depth cap before wire fallback (0 = ~2*log2(n))")
-		out       = flag.String("o", "", "output shard file (binary edge list; default stdout)")
 		stats     = flag.Bool("stats", false, "print rank and cluster statistics to stderr")
 		metrics   = flag.String("metrics", "", "write this rank's metrics JSON to this file (\"-\" = stderr)")
 		handshake = flag.Duration("handshake-timeout", transport.DefaultHandshakeTimeout,
@@ -99,12 +91,10 @@ func main() {
 		ckptDir     = flag.String("checkpoint-dir", "", "write per-rank snapshots to this directory (shared across ranks)")
 		ckptN       = flag.Int64("checkpoint-every", 0, "protocol events between checkpoint epochs (requires -checkpoint-dir)")
 		ckptKeep    = flag.Int("checkpoint-keep", 0, "full epochs to retain per rank (0 = default)")
-		ckptFull    = flag.Int("checkpoint-full-every", 0, "full-snapshot cadence: every Nth epoch is full, the rest are incremental deltas (0 or 1 = all full); in-memory checkpointed runs only, ignored with -stream-dir")
 		resume      = flag.Bool("resume", false, "resume from the latest restorable epoch in -checkpoint-dir")
 		supervise   = flag.Bool("supervise", false, "run as a supervisor: spawn all ranks locally, restart the cluster from the last checkpoint on crash")
 		maxRestarts = flag.Int("max-restarts", 3, "restart attempts before the supervisor gives up")
-		shardDir    = flag.String("shard-dir", "", "supervisor mode: directory the child ranks write their shards to")
-		streamDir   = flag.String("stream-dir", "", "spill this rank's edges to a compressed shard file under this directory with bounded memory (docs/SHARD_FORMAT.md); composes with -checkpoint-dir and -supervise")
+		streamDir   = flag.String("stream-dir", "", "required: directory for this rank's compressed edge shard, written with bounded memory (docs/SHARD_FORMAT.md); under -supervise, the children's")
 		streamBlock = flag.Int("stream-block-edges", 0, "edge records buffered per stream block before a sorted flush (0 = 65536)")
 	)
 	flag.Parse()
@@ -113,11 +103,11 @@ func main() {
 	if len(addrList) < 1 || *addrs == "" {
 		fatal(fmt.Errorf("need -addrs with one address per rank"))
 	}
-	if *transp != "tcp" {
-		fatal(fmt.Errorf("-transport %q: pa-tcp ranks are separate processes and only speak tcp; for shm or local run the ranks in one process with pagen -transport=%s", *transp, *transp))
+	if *streamDir == "" {
+		fatal(fmt.Errorf("need -stream-dir: every rank writes its edges to its own shard file under it"))
 	}
 
-	ck := checkpointOptions(*ckptDir, *ckptN, *ckptKeep, *ckptFull, *resume)
+	ck := checkpointOptions(*ckptDir, *ckptN, *ckptKeep, *resume)
 
 	mode, err := core.ParseResolveMode(*resolve)
 	if err != nil {
@@ -129,19 +119,12 @@ func main() {
 			n: *n, x: *x, p: *p, scheme: *scheme, seed: *seed,
 			workers: *workers, hub: *hub, stats: *stats, handshake: *handshake,
 			resolve: *resolve, rcDepth: *rcDepth,
-			ckptDir: *ckptDir, ckptN: *ckptN, ckptKeep: *ckptKeep, ckptFull: *ckptFull,
-			resume: *resume, maxRestarts: *maxRestarts, shardDir: *shardDir,
+			ckptDir: *ckptDir, ckptN: *ckptN, ckptKeep: *ckptKeep,
+			resume: *resume, maxRestarts: *maxRestarts,
 			streamDir: *streamDir, streamBlock: *streamBlock,
 		})
 		return
 	}
-	if *shardDir != "" {
-		fatal(fmt.Errorf("-shard-dir is a supervisor-mode flag (use -o for a single rank)"))
-	}
-	if *streamDir != "" && *out != "" {
-		fatal(fmt.Errorf("-stream-dir streams this rank's shard itself; it is incompatible with -o"))
-	}
-
 	if ck != nil && ck.Resume {
 		reportResumeScan(*ckptDir, *rank)
 	}
@@ -186,10 +169,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rank %d: nodes=%d edges=%d reqS=%d reqR=%d frames=%d bytes=%d wall=%v busy=%v\n",
 			st.Rank, st.Nodes, st.Edges, st.Comm.RequestsSent, st.Comm.RequestsRecv,
 			st.Comm.FramesSent, st.Comm.BytesSent, st.WallTime, st.BusyTime)
-		if *streamDir != "" {
-			fmt.Fprintf(os.Stderr, "rank %d: sink blocks=%d bytes=%d fsyncs=%d fsync-stall=%v\n",
-				st.Rank, st.SinkBlocks, st.SinkBytes, st.SinkFsyncs, st.SinkFsyncTime)
-		}
+		fmt.Fprintf(os.Stderr, "rank %d: sink blocks=%d bytes=%d fsyncs=%d fsync-stall=%v\n",
+			st.Rank, st.SinkBlocks, st.SinkBytes, st.SinkFsyncs, st.SinkFsyncTime)
 	}
 
 	// Cluster-wide summary: a back-to-back collective sequence over the
@@ -228,29 +209,6 @@ func main() {
 		if err := writeMetrics(*metrics, *rank, res, part, *n, *x, *p, len(addrList), *scheme, *seed); err != nil {
 			fatal(err)
 		}
-	}
-
-	if *streamDir != "" {
-		// The engine already streamed this rank's shard to disk
-		// (shard-<rank>-of-<ranks>.pags under -stream-dir).
-		return
-	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		w = f
-	}
-	shard := &graph.Graph{N: *n, Edges: res.Edges}
-	if err := graph.WriteBinary(w, shard); err != nil {
-		fatal(err)
 	}
 }
 
@@ -291,11 +249,11 @@ func writeMetrics(path string, rank int, res *core.RankResult, part partition.Sc
 
 // checkpointOptions translates the checkpoint flags to engine options
 // (nil when checkpointing is not requested).
-func checkpointOptions(dir string, every int64, keep, fullEvery int, resume bool) *core.CheckpointOptions {
+func checkpointOptions(dir string, every int64, keep int, resume bool) *core.CheckpointOptions {
 	if dir == "" && every == 0 && !resume {
 		return nil
 	}
-	return &core.CheckpointOptions{Dir: dir, Every: every, Keep: keep, FullEvery: fullEvery, Resume: resume}
+	return &core.CheckpointOptions{Dir: dir, Every: every, Keep: keep, Resume: resume}
 }
 
 // reportResumeScan previews what a resume will find for this rank:
@@ -338,10 +296,8 @@ type supervisorConfig struct {
 	ckptDir     string
 	ckptN       int64
 	ckptKeep    int
-	ckptFull    int
 	resume      bool
 	maxRestarts int
-	shardDir    string
 	streamDir   string
 	streamBlock int
 }
@@ -357,17 +313,7 @@ func runSupervisor(addrList []string, sc supervisorConfig) {
 	if sc.ckptDir == "" || sc.ckptN <= 0 {
 		fatal(fmt.Errorf("-supervise needs -checkpoint-dir and -checkpoint-every > 0 (restarts resume from snapshots)"))
 	}
-	switch {
-	case sc.shardDir == "" && sc.streamDir == "":
-		fatal(fmt.Errorf("-supervise needs -shard-dir or -stream-dir for the child ranks' output"))
-	case sc.shardDir != "" && sc.streamDir != "":
-		fatal(fmt.Errorf("-shard-dir and -stream-dir are mutually exclusive child outputs"))
-	}
-	outDir := sc.shardDir
-	if outDir == "" {
-		outDir = sc.streamDir
-	}
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
+	if err := os.MkdirAll(sc.streamDir, 0o755); err != nil {
 		fatal(err)
 	}
 	exe, err := os.Executable()
@@ -414,14 +360,8 @@ func superviseOnce(exe string, addrList []string, sc supervisorConfig, resume bo
 			"-checkpoint-dir", sc.ckptDir,
 			"-checkpoint-every", strconv.FormatInt(sc.ckptN, 10),
 			"-checkpoint-keep", strconv.Itoa(sc.ckptKeep),
-			"-checkpoint-full-every", strconv.Itoa(sc.ckptFull),
-		}
-		if sc.streamDir != "" {
-			args = append(args,
-				"-stream-dir", sc.streamDir,
-				"-stream-block-edges", strconv.Itoa(sc.streamBlock))
-		} else {
-			args = append(args, "-o", graph.ShardPath(sc.shardDir, i, ranks))
+			"-stream-dir", sc.streamDir,
+			"-stream-block-edges", strconv.Itoa(sc.streamBlock),
 		}
 		if resume {
 			args = append(args, "-resume")

@@ -20,12 +20,14 @@
 // the same parameters plus -resume continues from the newest complete
 // epoch and produces the identical graph. See docs/OPERATIONS.md.
 //
-// -stream-dir DIR spills each rank's edges into a compressed,
-// CRC-protected shard file (docs/SHARD_FORMAT.md) with bounded resident
-// memory, so n is limited by disk rather than RAM. It composes with
-// checkpointing: a killed run resumed with -resume truncates each shard
-// to its snapshot's durable mark and regenerates exactly the missing
-// suffix. Read the shards with pa-analyze -stream-dir.
+// -stream-dir DIR is the per-rank output: each rank spills its edges
+// into its own compressed, CRC-protected shard file
+// (docs/SHARD_FORMAT.md; the same shard a pa-tcp rank writes) with
+// bounded resident memory, so n is limited by disk rather than RAM. It
+// composes with checkpointing: a killed run resumed with -resume
+// truncates each shard to its snapshot's durable mark and regenerates
+// exactly the missing suffix. Read the shards with pa-analyze
+// -stream-dir.
 //
 // -transport selects how the in-process ranks exchange message batches:
 // shm (the default; batches are handed between rank goroutines by
@@ -60,7 +62,6 @@ func main() {
 		format      = flag.String("format", "text", "output format: text or binary")
 		stats       = flag.Bool("stats", false, "print per-rank statistics to stderr")
 		seq         = flag.Bool("seq", false, "use the sequential copy model instead")
-		shardDir    = flag.String("shard-dir", "", "stream per-rank edge shards to this directory instead of a single output")
 		streamDir   = flag.String("stream-dir", "", "spill compressed per-rank edge shards to this directory with bounded memory (docs/SHARD_FORMAT.md); composes with -checkpoint-dir")
 		streamBlock = flag.Int("stream-block-edges", 0, "edge records buffered per stream block before a sorted flush (0 = 65536)")
 		metrics     = flag.String("metrics", "", "write run metrics JSON to this file (\"-\" = stderr)")
@@ -102,21 +103,14 @@ func main() {
 	if *seq && *resolve != "wire" {
 		fatal(fmt.Errorf("-resolve needs the parallel engine (drop -seq)"))
 	}
-	if ckptOn {
-		switch {
-		case *seq:
-			fatal(fmt.Errorf("checkpointing needs the parallel engine (drop -seq)"))
-		case *shardDir != "":
-			fatal(fmt.Errorf("checkpointing is incompatible with -shard-dir (snapshots cannot rewind streamed edges; use -stream-dir, whose shards resume)"))
-		}
+	if ckptOn && *seq {
+		fatal(fmt.Errorf("checkpointing needs the parallel engine (drop -seq)"))
 	}
 
 	if *streamDir != "" {
 		switch {
 		case *seq:
 			fatal(fmt.Errorf("-stream-dir needs the parallel engine (drop -seq)"))
-		case *shardDir != "":
-			fatal(fmt.Errorf("-stream-dir and -shard-dir are mutually exclusive edge destinations"))
 		case *out != "":
 			fatal(fmt.Errorf("-stream-dir writes per-rank shards; it is incompatible with -o (convert with pa-analyze -stream-dir -export-binary)"))
 		}
@@ -137,21 +131,6 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "streamed %d edges (%d blocks, %d bytes) to %s in %v (%.3g edges/s)\n",
 			m, blocks, bytes, *streamDir, res.Elapsed, pagen.EdgesPerSecond(res))
-		return
-	}
-
-	if *shardDir != "" {
-		res, err := pagen.GenerateToShards(cfg, *shardDir)
-		if err != nil {
-			fatal(err)
-		}
-		if *metrics != "" {
-			if err := writeMetrics(*metrics, pagen.Metrics(res, cfg)); err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d shards to %s in %v (%.3g edges/s)\n",
-			len(res.Ranks), *shardDir, res.Elapsed, pagen.EdgesPerSecond(res))
 		return
 	}
 

@@ -1,6 +1,8 @@
 // Distributed-memory demo: spawns pa-tcp worker processes — one OS
 // process per rank, exactly like MPI ranks in the paper — connected over
-// localhost TCP, then merges their edge shards and validates the result.
+// localhost TCP, each writing its own esink shard into one directory,
+// then merges the shards with pagen.ReadStreamDir and validates the
+// result.
 //
 //	go run ./examples/distributed
 //
@@ -16,7 +18,7 @@ import (
 	"path/filepath"
 	"strings"
 
-	"pagen/internal/graph"
+	"pagen"
 	"pagen/internal/stats"
 )
 
@@ -48,17 +50,16 @@ func main() {
 	addrList := strings.Join(addrs, ",")
 
 	fmt.Printf("spawning %d worker processes (n=%d, x=%d, RRP partitioning)...\n", ranks, n, x)
+	shardDir := filepath.Join(workDir, "shards")
 	procs := make([]*exec.Cmd, ranks)
-	shardPaths := make([]string, ranks)
 	for r := 0; r < ranks; r++ {
-		shardPaths[r] = filepath.Join(workDir, fmt.Sprintf("shard%d.bin", r))
 		procs[r] = exec.Command(worker,
 			"-rank", fmt.Sprint(r),
 			"-addrs", addrList,
 			"-n", fmt.Sprint(n),
 			"-x", fmt.Sprint(x),
 			"-seed", "17",
-			"-o", shardPaths[r],
+			"-stream-dir", shardDir,
 			"-stats",
 		)
 		procs[r].Stderr = os.Stderr
@@ -72,22 +73,12 @@ func main() {
 		}
 	}
 
-	// Merge the shards into one graph.
-	shards := make([][]graph.Edge, ranks)
-	for r, path := range shardPaths {
-		f, err := os.Open(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sg, err := graph.ReadBinary(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		shards[r] = sg.Edges
-		fmt.Printf("rank %d shard: %d edges\n", r, len(sg.Edges))
+	// Merge the shards into one graph, in the order an in-process run
+	// of the same configuration produces.
+	g, err := pagen.ReadStreamDir(shardDir, ranks)
+	if err != nil {
+		log.Fatal(err)
 	}
-	g := graph.Merge(n, shards...)
 
 	wantM := int64(x*(x-1)/2 + (n-x)*x)
 	fmt.Printf("merged graph: %d edges (expected %d)\n", g.M(), wantM)

@@ -213,12 +213,12 @@ func BenchmarkSendBuffered(b *testing.B) {
 
 func TestBytesCounters(t *testing.T) {
 	ms := []msg.Message{msg.Request(1, 0, 2, 0), msg.Request(2, 0, 3, 0)}
-	// Frames travel in the compact (v2) encoding; the counters must
-	// match its actual wire size, which is well under the fixed-width
-	// encoding's.
-	want := int64(len(msg.EncodeBatchV2(ms)))
+	// Frames travel in the v3 encoding; the counters must match its
+	// actual wire size, which is well under the messages' raw field
+	// width.
+	want := int64(len(msg.AppendEncodeBatchV3(nil, ms)))
 	if want >= int64(len(ms)*msg.EncodedSize) {
-		t.Fatalf("compact frame (%d bytes) not smaller than fixed-width (%d)", want, len(ms)*msg.EncodedSize)
+		t.Fatalf("v3 frame (%d bytes) not smaller than the raw fields (%d)", want, len(ms)*msg.EncodedSize)
 	}
 	a, b := pair(t, Config{BufferCap: 2})
 	a.Send(1, ms[0])

@@ -109,6 +109,15 @@ type ckptRun struct {
 	cutSent       bool             // rank 0: cut already broadcast
 	cur, prev     map[int][2]int64 // per-rank (sent, recv) this/last round
 
+	// markersOwed counts cut markers still due to this rank: each cut
+	// adds one per sender (rank 0, itself included, and every relaying
+	// peer), each arrival takes one off, so it dips below zero while the
+	// copy that triggers a cut is counted before the cut. Relays travel
+	// on peer channels, not ahead of rank 0's stop, so finished() waits
+	// for zero: a marker left unread would reach whatever runs over the
+	// transport next (cmd/pa-tcp's collectives reject it).
+	markersOwed int
+
 	// doneRecv counts Done reports received over the wire (rank 0), so
 	// the balance counters cover the termination protocol's traffic too.
 	doneRecv int64
@@ -359,6 +368,15 @@ func (e *engine) ckptOnMsg(m msg.Message) error {
 		// the quiescence rounds proved — so this rank is quiescent
 		// here, exactly as the cut requires, and data later in the
 		// frame is handled after the capture.
+		//
+		// Markers arrive from rank 0 and, relayed, from every peer that
+		// cut first (see ckptCut): whichever comes first executes the
+		// cut, and the later copies find the rank no longer paused in
+		// that epoch.
+		ck.markersOwed--
+		if !ck.paused || m.K != ck.epoch {
+			return nil
+		}
 		return e.ckptCut()
 	case msg.CkptVote:
 		if e.rank != 0 {
@@ -634,6 +652,29 @@ func (e *engine) ckptCut() error {
 			ok = false
 		} else {
 			mark = &ckpt.SinkMark{Offset: m.Offset, Blocks: m.Blocks, Edges: m.Edges}
+		}
+	}
+	// Relay the marker before this rank sends any post-cut data. Rank 0's
+	// markers travel on its own channels only, so without the relay a
+	// peer still waiting for one could receive this rank's post-cut
+	// traffic first and fold its effects into its capture: a node
+	// already past an answer that this rank's snapshot has yet to give,
+	// with a request nobody's snapshot holds — a resume from that epoch
+	// waits forever. Per-channel FIFO puts the relayed marker ahead of
+	// that traffic (Chandy–Lamport). Rank 0's declaration already is its
+	// marker on every channel. Every peer sends this rank one copy of
+	// this epoch's marker, and rank 0 also sends itself one.
+	ck.markersOwed += e.p - 1
+	if e.rank == 0 {
+		ck.markersOwed++
+	} else {
+		for r := 0; r < e.p; r++ {
+			if r == e.rank {
+				continue
+			}
+			if err := e.cm.SendNow(r, msg.Ckpt(e.rank, msg.CkptCut, 0, ck.epoch, 0)); err != nil {
+				return err
+			}
 		}
 	}
 	var pending *ckptCapture

@@ -1,15 +1,20 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"pagen/internal/ckpt"
+	"pagen/internal/coll"
+	"pagen/internal/comm"
 	"pagen/internal/graph"
 	"pagen/internal/model"
+	"pagen/internal/msg"
 	"pagen/internal/partition"
 	"pagen/internal/seq"
 	"pagen/internal/transport"
@@ -369,6 +374,277 @@ func TestCheckpointChaosTransport(t *testing.T) {
 	}
 	if results[0].Stats.CkptEpochs < 1 {
 		t.Fatalf("committed %d epochs under chaos even at Every=50, want >= 1", results[0].Stats.CkptEpochs)
+	}
+}
+
+// cutDelay holds back every frame carrying a checkpoint-cut marker to
+// one destination — inside Send, so the channel stays FIFO — long enough
+// for the other ranks to cut, resume and reach that rank first.
+type cutDelay struct {
+	transport.Transport
+	to    int
+	delay time.Duration
+}
+
+func (d *cutDelay) Send(to int, data []byte) error {
+	if to == d.to {
+		ms, _ := msg.DecodeBatch(nil, data)
+		for _, m := range ms {
+			if m.Kind == msg.KindCkpt && msg.CkptOp(m.E) == msg.CkptCut {
+				time.Sleep(d.delay)
+				break
+			}
+		}
+	}
+	return d.Transport.Send(to, data)
+}
+
+// cutMismatches lists what one epoch's snapshots disagree on. At a
+// consistent cut every suspended node (t, e) is owed an answer — it is
+// a waiter, on its own rank or at the owner of the slot it copies, a
+// coalescing-chain member, or the subject of a request or answer still
+// buffered — and everything owed an answer is a node suspended at
+// exactly that edge.
+func cutMismatches(part partition.Scheme, snaps []*ckpt.Snapshot) []string {
+	type slot struct {
+		t int64
+		e int
+	}
+	owed, susp := map[slot]bool{}, map[slot]bool{}
+	for r, s := range snaps {
+		for _, ws := range s.Workers {
+			for _, w := range ws.Waiters {
+				owed[slot{w.T, int(w.E)}] = true
+			}
+			for _, w := range ws.Remote {
+				owed[slot{w.T, int(w.E)}] = true
+			}
+			for _, sr := range ws.Susp {
+				susp[slot{part.NodeAt(r, sr.Idx), sr.Edge}] = true
+			}
+		}
+		for _, ob := range s.Outbound {
+			ms, _ := msg.DecodeBatch(nil, ob.Frame)
+			for _, m := range ms {
+				if m.Kind == msg.KindRequest || m.Kind == msg.KindResolved {
+					owed[slot{m.T, int(m.E)}] = true
+				}
+			}
+		}
+	}
+	var out []string
+	for k := range susp {
+		if !owed[k] {
+			out = append(out, fmt.Sprintf("node %d is suspended at edge %d and nothing answers it", k.t, k.e))
+		}
+	}
+	for k := range owed {
+		if !susp[k] {
+			out = append(out, fmt.Sprintf("node %d is owed an answer for edge %d but not suspended there", k.t, k.e))
+		}
+	}
+	return out
+}
+
+// Rank 0 sends the cut marker on its own channels, so a peer that cut
+// first can resume and reach a rank whose marker is still in flight.
+// Hold rank 0's markers to rank 2 back: every epoch must still be a
+// consistent cut (the smokes' restart hang was rank 2 handling rank 1's
+// post-cut answers, moving on and sending requests no snapshot holds),
+// and a resume from the newest epoch must finish the graph.
+func TestCheckpointCutMarkerOvertaken(t *testing.T) {
+	pr := model.Params{N: 60_000, X: 3, P: 0.5}
+	const p = 3
+	part, err := partition.New(partition.KindRRP, pr.N, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := Run(Options{Params: pr, Part: part, Seed: 5}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		Params: pr, Part: part, Seed: 5, Workers: 1, StreamDir: t.TempDir(),
+		Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: 2_000, Keep: 1000},
+	}
+	group, err := transport.NewLocalGroup(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		var tr transport.Transport = group.Endpoint(r)
+		if r == 0 {
+			tr = &cutDelay{Transport: tr, to: 2, delay: 40 * time.Millisecond}
+		}
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			defer tr.Close()
+			_, errs[r] = RunRank(tr, opts)
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	epochs, err := ckpt.Epochs(opts.Checkpoint.Dir, 0)
+	if err != nil || len(epochs) < 2 {
+		t.Fatalf("%d epochs committed (err=%v), want >= 2", len(epochs), err)
+	}
+	for _, ep := range epochs {
+		snaps := make([]*ckpt.Snapshot, p)
+		for r := range snaps {
+			if snaps[r], err = ckpt.Materialize(opts.Checkpoint.Dir, r, ep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if bad := cutMismatches(part, snaps); len(bad) > 0 {
+			t.Fatalf("epoch %d is not a consistent cut: %d mismatches, e.g. %s", ep, len(bad), bad[0])
+		}
+	}
+	opts.Checkpoint.Resume = true
+	if _, err := Run(opts, false); err != nil {
+		t.Fatal(err)
+	}
+	equalEdges(t, "resumed from the newest epoch", streamEdges(t, opts.StreamDir, p), base.Graph.Edges)
+}
+
+// relayHold parks, at the receiving rank, every frame from rank from
+// that carries only cut markers, and hands the parked frames out only
+// to blocking receives after a frame carrying stop went through: rank
+// from's relays reach this rank after its stop, and only if it asks for
+// more traffic once stopped.
+type relayHold struct {
+	transport.Transport
+	from    int
+	parked  int
+	held    []transport.Frame
+	stopped bool
+}
+
+func (h *relayHold) Recv() (transport.Frame, error) {
+	for {
+		if h.stopped && len(h.held) > 0 {
+			f := h.held[0]
+			h.held = h.held[1:]
+			return f, nil
+		}
+		f, err := h.Transport.Recv()
+		if err != nil || !h.park(f) {
+			return f, err
+		}
+	}
+}
+
+func (h *relayHold) TryRecv() (transport.Frame, bool, error) {
+	for {
+		f, ok, err := h.Transport.TryRecv()
+		if err != nil || !ok || !h.park(f) {
+			return f, ok, err
+		}
+	}
+}
+
+// park reports whether f was held back, noting stop as it passes.
+func (h *relayHold) park(f transport.Frame) bool {
+	ms, _ := msg.DecodeBatch(nil, f.Data)
+	markers := 0
+	for _, m := range ms {
+		if m.Kind == msg.KindStop {
+			h.stopped = true
+		}
+		if m.Kind == msg.KindCkpt && msg.CkptOp(m.E) == msg.CkptCut {
+			markers++
+		}
+	}
+	if f.From != h.from || markers == 0 || markers != len(ms) {
+		return false
+	}
+	h.parked++
+	h.held = append(h.held, f)
+	return true
+}
+
+// A relayed cut marker travels on its sender's channel, not behind rank
+// 0's stop, so it can reach a rank after that rank stopped. The rank
+// must still consume it before RunRank returns: cmd/pa-tcp runs its
+// summary collectives over the same transport next, and those reject
+// any checkpoint message. Rank 1's relays to rank 2 are held until rank
+// 2 has seen stop; the hub cache is off so no fence wait keeps rank 2
+// receiving by accident.
+func TestCheckpointRelayAfterStop(t *testing.T) {
+	pr := model.Params{N: 20_000, X: 3, P: 0.5}
+	const p = 3
+	part, err := partition.New(partition.KindRRP, pr.N, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		Params: pr, Part: part, Seed: 9, Workers: 1, HubPrefix: -1, StreamDir: t.TempDir(),
+		Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: 2_000},
+	}
+	group, err := transport.NewLocalGroup(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs := make([]transport.Transport, p)
+	for r := range trs {
+		trs[r] = group.Endpoint(r)
+	}
+	hold := &relayHold{Transport: trs[2], from: 1}
+	trs[2] = hold
+	// A failing rank closes every endpoint so its peers' collectives
+	// return instead of waiting for it forever.
+	var closeAll sync.Once
+	abort := func() {
+		closeAll.Do(func() {
+			for _, tr := range trs {
+				tr.Close()
+			}
+		})
+	}
+	defer abort()
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = func() error {
+				res, err := RunRank(trs[r], opts)
+				if err != nil {
+					return err
+				}
+				cs := coll.New(comm.New(trs[r], comm.Config{}))
+				if _, err := cs.Gather(res.Stats.Edges); err != nil {
+					return err
+				}
+				_, err = cs.AllReduceSum(res.Stats.Comm.RequestsSent)
+				return err
+			}()
+			if errs[r] != nil {
+				abort()
+			}
+		}(r)
+	}
+	wg.Wait()
+	if hold.parked == 0 {
+		t.Fatal("no relay from rank 1 to rank 2 was held back; the test exercised nothing")
+	}
+	// Report the rank that failed first, not the peers its abort closed.
+	for r, err := range errs {
+		if err != nil && !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("rank %d (%d relays held past stop): %v", r, hold.parked, err)
+		}
+	}
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
 	}
 }
 

@@ -1058,8 +1058,11 @@ func (e *engine) maybeReportDone() error {
 // mid-epoch must finish the cut — and ckptCut retries it after resuming.
 // It is also deferred while any epoch's commit-vote tally is open: a
 // completed tally may broadcast an abandon, which must precede stop on
-// every channel (per-destination FIFO) so no rank sees checkpoint
-// traffic after it stops; ckptRecordVote retries after each tally.
+// every channel (per-destination FIFO) so no rank sees rank 0's
+// checkpoint traffic after it stops; ckptRecordVote retries after each
+// tally. Relayed cut markers travel on peer channels and may still
+// arrive after stop — every relay precedes its sender's vote, so it is
+// already sent, and finished() waits for it.
 func (e *engine) maybeBroadcastStop() error {
 	if e.doneRanks < e.p || e.stopped {
 		return nil

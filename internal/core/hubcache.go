@@ -110,14 +110,17 @@ func (e *engine) sendFences() error {
 }
 
 // finished reports whether the rank may leave its receive loop:
-// stop has arrived and — when the hub replica is on — every peer has
-// fenced its publish stream. Without the fence wait, a publish sent to
-// an already-stopped rank would linger on the transport and corrupt
-// whatever runs over the same connections next (cmd/pa-tcp's post-run
-// collectives reject non-collective traffic). Duplicated fences only
-// push fencesRecv further past the threshold, hence >=.
+// stop has arrived, every checkpoint cut marker owed to it has too
+// (relays ride peer channels and can trail stop), and — when the hub
+// replica is on — every peer has fenced its publish stream. Without
+// these waits, a publish or marker sent to an already-stopped rank
+// would linger on the transport and corrupt whatever runs over the same
+// connections next (cmd/pa-tcp's post-run collectives reject
+// non-collective traffic). Duplicated fences only push fencesRecv
+// further past the threshold, hence >=.
 func (e *engine) finished() bool {
-	return e.stopped && (e.hub == nil || e.fencesRecv >= e.p-1)
+	return e.stopped && (e.hub == nil || e.fencesRecv >= e.p-1) &&
+		(e.ck == nil || e.ck.markersOwed == 0)
 }
 
 // publishResolvedPrefix seeds the peers' replicas with every already

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"sync"
 	"time"
@@ -44,6 +45,13 @@ func Run(opts Options, recordTrace bool) (*Result, error) {
 	}
 	if opts.Part == nil {
 		return nil, fmt.Errorf("core: nil partition scheme")
+	}
+	// An unusable shard directory fails here, before any rank starts and
+	// before any shard file exists.
+	if opts.StreamDir != "" {
+		if err := os.MkdirAll(opts.StreamDir, 0o755); err != nil {
+			return nil, fmt.Errorf("core: stream dir: %w", err)
+		}
 	}
 	p := opts.Part.P()
 	// Endpoint picks one rank's endpoint regardless of the concrete

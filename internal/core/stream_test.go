@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -83,6 +84,74 @@ func TestStreamMatchesInMemory(t *testing.T) {
 				equalEdges(t, t.Name()+"/rerun", streamEdges(t, dir, ranks), base.Graph.Edges)
 			})
 		}
+	}
+}
+
+// x = 1 output is a pure function of (n, p, seed): read back from disk,
+// streamed runs at any rank count and scheme attach every node exactly
+// where the one-rank in-memory run does.
+func TestStreamMatchesInMemoryX1(t *testing.T) {
+	pr := model.Params{N: 2_000, X: 1, P: 0.5}
+	one, err := partition.New(partition.KindUCP, pr.N, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := Run(Options{Params: pr, Part: one, Seed: 9}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[int64]int64, len(base.Graph.Edges))
+	for _, e := range base.Graph.Edges {
+		want[e.U] = e.V
+	}
+	for _, c := range []struct {
+		kind  partition.Kind
+		ranks int
+	}{{partition.KindUCP, 3}, {partition.KindLCP, 2}, {partition.KindRRP, 4}} {
+		part, err := partition.New(c.kind, pr.N, c.ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if _, err := Run(Options{Params: pr, Part: part, Seed: 9, StreamDir: dir}, false); err != nil {
+			t.Fatal(err)
+		}
+		got := streamEdges(t, dir, c.ranks)
+		if int64(len(got)) != pr.M() {
+			t.Fatalf("%s/%d ranks: %d edges on disk, want %d", part.Name(), c.ranks, len(got), pr.M())
+		}
+		for _, e := range got {
+			if want[e.U] != e.V {
+				t.Fatalf("%s/%d ranks: F_%d on disk %d, in memory %d", part.Name(), c.ranks, e.U, e.V, want[e.U])
+			}
+		}
+	}
+}
+
+// A shard directory that cannot be created fails the run up front —
+// before any rank starts (a rank's failure would read "core: rank N:")
+// — and leaves no file behind.
+func TestStreamDirUnwritable(t *testing.T) {
+	pr := model.Params{N: 1_000, X: 3, P: 0.5}
+	part, err := partition.New(partition.KindRRP, pr.N, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := t.TempDir()
+	blocker := filepath.Join(parent, "not-a-dir")
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(Options{Params: pr, Part: part, Seed: 1, StreamDir: filepath.Join(blocker, "shards")}, false)
+	if err == nil || !strings.HasPrefix(err.Error(), "core: stream dir:") {
+		t.Fatalf("err = %v, want the up-front stream dir error", err)
+	}
+	entries, err := os.ReadDir(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "not-a-dir" {
+		t.Fatalf("run left files behind: %v", entries)
 	}
 }
 

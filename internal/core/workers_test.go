@@ -194,29 +194,25 @@ func TestWorkersSinkConcurrent(t *testing.T) {
 	}
 }
 
-// RunToShards with workers: each rank's lock-free shard writer is fed by
-// one goroutine (-race pins it); the shards must union to a valid graph
-// with exactly M edges.
+// StreamDir with workers: each rank's lock-free esink writer is fed by
+// its one rank goroutine while helpers draw and gather (-race pins it);
+// the shard directory, created by the run, merges to exactly the
+// in-memory edge list.
 func TestWorkersToShards(t *testing.T) {
 	pr := model.Params{N: 5_000, X: 3, P: 0.5}
 	part, err := partition.New(partition.KindRRP, pr.N, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(t.TempDir(), "shards")
-	if _, err := RunToShards(Options{Params: pr, Part: part, Seed: 3, Workers: 4}, dir); err != nil {
-		t.Fatal(err)
-	}
-	g, err := graph.ReadShards(dir, 2)
+	base, err := Run(Options{Params: pr, Part: part, Seed: 3, Workers: 4}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.M() != pr.M() {
-		t.Fatalf("shards union to %d edges, want %d", g.M(), pr.M())
-	}
-	if err := g.Validate(); err != nil {
+	dir := filepath.Join(t.TempDir(), "shards")
+	if _, err := Run(Options{Params: pr, Part: part, Seed: 3, Workers: 4, StreamDir: dir}, false); err != nil {
 		t.Fatal(err)
 	}
+	equalEdges(t, "workers=4 streamed", streamEdges(t, dir, 2), base.Graph.Edges)
 }
 
 // Worker-count resolution: more workers than the local nodes can give a

@@ -13,8 +13,8 @@ func TestCkptConstructor(t *testing.T) {
 	}
 }
 
-// Checkpoint messages must survive both codecs alongside every other
-// kind — they share frames with data traffic on the wire.
+// Checkpoint messages must survive both frame versions alongside every
+// other kind — they share frames with data traffic on the wire.
 func TestCkptCodecRoundTrip(t *testing.T) {
 	batch := []Message{
 		Ckpt(0, CkptBegin, 1, 5, 0),
@@ -28,8 +28,8 @@ func TestCkptCodecRoundTrip(t *testing.T) {
 		Stop(),
 	}
 	for name, frame := range map[string][]byte{
-		"v1": EncodeBatch(batch),
-		"v2": EncodeBatchV2(batch),
+		"v2": AppendEncodeBatchV2(nil, batch),
+		"v3": AppendEncodeBatchV3(nil, batch),
 	} {
 		got, err := DecodeBatch(nil, frame)
 		if err != nil {
@@ -43,12 +43,11 @@ func TestCkptCodecRoundTrip(t *testing.T) {
 
 func TestCkptSingleCodecRoundTrip(t *testing.T) {
 	m := Ckpt(5, CkptCut, 999, 1234567, 7654321)
-	b := AppendEncode(nil, m)
-	got, rest, err := Decode(b)
+	got, err := DecodeBatch(nil, AppendEncodeBatchV3(nil, []Message{m}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rest) != 0 || got != m {
-		t.Fatalf("Decode = %+v (rest %d bytes), want %+v", got, len(rest), m)
+	if len(got) != 1 || got[0] != m {
+		t.Fatalf("DecodeBatch = %+v, want [%+v]", got, m)
 	}
 }

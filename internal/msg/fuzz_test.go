@@ -5,71 +5,40 @@ import (
 	"testing"
 )
 
-// FuzzDecode: arbitrary bytes must never panic; inputs that decode
-// successfully must re-encode to the identical bytes (codec is a
-// bijection on its valid range).
-func FuzzDecode(f *testing.F) {
-	f.Add(AppendEncode(nil, Request(1, 2, 3, 4)))
-	f.Add(AppendEncode(nil, Resolved(5, 0, -1)))
-	f.Add(AppendEncode(nil, Stop()))
-	f.Add(AppendEncode(nil, Ckpt(2, CkptReport, 3, 100, 99)))
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xff}, EncodedSize))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, rest, err := Decode(data)
-		if err != nil {
-			return
-		}
-		if len(data)-len(rest) != EncodedSize {
-			t.Fatalf("consumed %d bytes", len(data)-len(rest))
-		}
-		re := AppendEncode(nil, m)
-		if !bytes.Equal(re, data[:EncodedSize]) {
-			t.Fatalf("re-encode mismatch: %x vs %x", re, data[:EncodedSize])
-		}
-	})
-}
-
-// FuzzDecodeBatch: arbitrary frames must never panic and must either
-// error or yield messages that re-encode to the input. Frames carrying
-// the v2 magic take the compact path, where varints are not canonical,
-// so the check there is decode→encode→decode idempotence instead of
-// byte equality.
+// FuzzDecodeBatch: arbitrary frames must never panic, and any frame the
+// decoder accepts must re-encode (v3, the format the transports send) to
+// a frame that decodes to the same messages. Varints are not canonical,
+// so the check is decode→encode→decode idempotence, not byte equality.
 func FuzzDecodeBatch(f *testing.F) {
-	f.Add(EncodeBatch([]Message{Request(1, 0, 2, 1), Done(3)}))
-	f.Add(EncodeBatchV2([]Message{Request(1, 0, 2, 1), Done(3)}))
-	f.Add(EncodeBatchV2([]Message{Ckpt(0, CkptBegin, 1, 4, 0), Ckpt(1, CkptCut, 2, 4, 0)}))
-	f.Add(EncodeBatchV3([]Message{Publish(9, 0, 4), Publish(9, 1, 6), Publish(9, 2, 2)}))
-	f.Add([]byte{1})
-	f.Add([]byte{FrameV2Magic})
-	f.Add([]byte{FrameV3Magic})
+	f.Add(AppendEncodeBatchV3(nil, []Message{Request(1, 0, 2, 1), Done(3)}))
+	f.Add(AppendEncodeBatchV3(nil, []Message{Resolved(9, 2, 1<<40), Coll(1, 2, 3), Stop(), Fence(2)}))
+	f.Add(AppendEncodeBatchV3(nil, []Message{Ckpt(0, CkptBegin, 1, 4, 0), Ckpt(1, CkptCut, 2, 4, 0)}))
+	f.Add(AppendEncodeBatchV3(nil, []Message{Publish(9, 0, 4), Publish(9, 1, 6), Publish(9, 2, 2)}))
+	f.Add(AppendEncodeBatchV3(nil, []Message{Publish(1<<62, 3, 9), Request(1, 0, 2, 1)}))
+	f.Add(AppendEncodeBatchV3(nil, nil))
+	f.Add([]byte{FrameV3Magic, byte(KindPublish), 2, 0xff})
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		ms, err := DecodeBatch(nil, frame)
 		if err != nil {
 			return
 		}
-		if len(frame) > 0 && (frame[0] == FrameV2Magic || frame[0] == FrameV3Magic) {
-			requireV2Idempotent(t, ms)
-			return
-		}
-		if !bytes.Equal(EncodeBatch(ms), frame) {
-			t.Fatal("batch re-encode mismatch")
-		}
+		requireIdempotent(t, ms, AppendEncodeBatchV3)
 	})
 }
 
 // FuzzDecodeBatchV2: the compact decoder must never panic on arbitrary
-// bytes, and anything it accepts must survive a re-encode/decode cycle
+// bytes, it must reject every non-empty frame without a v2/v3 magic, and
+// anything it accepts must survive a v2 re-encode/decode cycle
 // unchanged. Seeds cover both codec versions plus junk, so the fuzzer
 // explores the version-dispatch boundary too.
 func FuzzDecodeBatchV2(f *testing.F) {
-	f.Add(EncodeBatchV2(nil))
-	f.Add(EncodeBatchV2([]Message{Request(1, 0, 2, 1), Request(2, 1, 2, 0), Done(3)}))
-	f.Add(EncodeBatchV2([]Message{Resolved(9, 2, 1<<40), Coll(1, 2, 3), Stop()}))
-	f.Add(EncodeBatchV2([]Message{Ckpt(3, CkptProbe, 9, 1<<33, -5), Request(1, 0, 2, 1)}))
-	f.Add(EncodeBatch([]Message{Request(1, 0, 2, 1)}))
-	f.Add(EncodeBatchV3([]Message{Publish(5, 0, 1), Publish(5, 1, 3), Publish(6, 0, 2)}))
-	f.Add(EncodeBatchV3([]Message{Publish(1<<60, 0, 7), Request(1, 0, 2, 1)}))
+	f.Add(AppendEncodeBatchV2(nil, nil))
+	f.Add(AppendEncodeBatchV2(nil, []Message{Request(1, 0, 2, 1), Request(2, 1, 2, 0), Done(3)}))
+	f.Add(AppendEncodeBatchV2(nil, []Message{Resolved(9, 2, 1<<40), Coll(1, 2, 3), Stop()}))
+	f.Add(AppendEncodeBatchV2(nil, []Message{Ckpt(3, CkptProbe, 9, 1<<33, -5), Request(1, 0, 2, 1)}))
+	f.Add([]byte{byte(KindRequest), 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(AppendEncodeBatchV3(nil, []Message{Publish(5, 0, 1), Publish(5, 1, 3), Publish(6, 0, 2)}))
+	f.Add(AppendEncodeBatchV3(nil, []Message{Publish(1<<60, 0, 7), Request(1, 0, 2, 1)}))
 	f.Add([]byte{FrameV2Magic})
 	f.Add([]byte{FrameV3Magic, byte(KindPublish), 2, 0xff})
 	f.Add([]byte{FrameV2Magic, byte(KindRequest), 0xff, 0xff, 0xff})
@@ -79,17 +48,20 @@ func FuzzDecodeBatchV2(f *testing.F) {
 		if err != nil {
 			return
 		}
-		requireV2Idempotent(t, ms)
+		if len(frame) > 0 && frame[0] != FrameV2Magic && frame[0] != FrameV3Magic {
+			t.Fatalf("frame without a magic accepted: first byte %#x", frame[0])
+		}
+		requireIdempotent(t, ms, AppendEncodeBatchV2)
 	})
 }
 
-// requireV2Idempotent checks that ms encodes under v2 to a frame that
-// decodes back to exactly ms.
-func requireV2Idempotent(t *testing.T, ms []Message) {
+// requireIdempotent checks that ms encodes to a frame that decodes back
+// to exactly ms.
+func requireIdempotent(t *testing.T, ms []Message, encode func([]byte, []Message) []byte) {
 	t.Helper()
-	again, err := DecodeBatch(nil, EncodeBatchV2(ms))
+	again, err := DecodeBatch(nil, encode(nil, ms))
 	if err != nil {
-		t.Fatalf("re-encoded compact frame rejected: %v", err)
+		t.Fatalf("re-encoded frame rejected: %v", err)
 	}
 	if len(again) != len(ms) {
 		t.Fatalf("re-decode length %d, want %d", len(again), len(ms))

@@ -1,6 +1,6 @@
 // Package msg defines the wire protocol of the parallel generator: the
 // request/resolved messages of Algorithms 3.1 and 3.2, the control
-// messages of the termination protocol, and a compact fixed-width binary
+// messages of the termination protocol, and a compact varint binary
 // codec with batch framing so buffered sends travel as a single transport
 // frame (the paper's "message buffering", Section 3.5.1).
 package msg
@@ -84,7 +84,9 @@ const (
 	// when locally quiescent.
 	CkptProbe
 	// CkptCut (rank 0 -> all, itself included) declares global
-	// quiescence for epoch K: capture the snapshot, then resume.
+	// quiescence for epoch K: capture the snapshot, then resume. Every
+	// other rank relays it to its peers at its own cut, ahead of its
+	// post-cut traffic; the first copy a rank receives executes the cut.
 	CkptCut
 	// CkptVote (any -> rank 0) is the sender's asynchronous commit vote
 	// for epoch K (V = 1 captured, 0 failed), sent at its cut just
@@ -159,81 +161,16 @@ func Fence(rank int) Message {
 	return Message{Kind: KindFence, T: int64(rank)}
 }
 
-// EncodedSize is the fixed encoded size of one message in bytes:
-// kind(1) + T(8) + K(8) + V(8) + E(2) + L(2).
+// EncodedSize is a per-message buffer-sizing hint in bytes, the raw
+// width of a message's fields: kind(1) + T(8) + K(8) + V(8) + E(2) +
+// L(2). The v2/v3 codecs varint-code every field and drop the ones a
+// kind does not carry, so real traffic takes a fraction of it per
+// message; it is a capacity to preallocate, not a frame-size rule.
 const EncodedSize = 1 + 8 + 8 + 8 + 2 + 2
 
-// AppendEncode appends the fixed-width encoding of m to dst and returns
-// the extended slice.
-func AppendEncode(dst []byte, m Message) []byte {
-	var buf [EncodedSize]byte
-	buf[0] = byte(m.Kind)
-	binary.LittleEndian.PutUint64(buf[1:], uint64(m.T))
-	binary.LittleEndian.PutUint64(buf[9:], uint64(m.K))
-	binary.LittleEndian.PutUint64(buf[17:], uint64(m.V))
-	binary.LittleEndian.PutUint16(buf[25:], m.E)
-	binary.LittleEndian.PutUint16(buf[27:], m.L)
-	return append(dst, buf[:]...)
-}
-
-// Decode decodes one message from the front of b, returning the message
-// and the remaining bytes.
-func Decode(b []byte) (Message, []byte, error) {
-	if len(b) < EncodedSize {
-		return Message{}, b, fmt.Errorf("msg: short buffer (%d bytes)", len(b))
-	}
-	m := Message{
-		Kind: Kind(b[0]),
-		T:    int64(binary.LittleEndian.Uint64(b[1:])),
-		K:    int64(binary.LittleEndian.Uint64(b[9:])),
-		V:    int64(binary.LittleEndian.Uint64(b[17:])),
-		E:    binary.LittleEndian.Uint16(b[25:]),
-		L:    binary.LittleEndian.Uint16(b[27:]),
-	}
-	if m.Kind < KindRequest || m.Kind > KindFence {
-		return Message{}, b, fmt.Errorf("msg: bad kind %d", b[0])
-	}
-	if !deadFieldsZero(m) {
-		return Message{}, b, fmt.Errorf("msg: %v message with nonzero unused fields", m.Kind)
-	}
-	return m, b[EncodedSize:], nil
-}
-
-// deadFieldsZero reports whether every field m's kind does not carry is
-// zero. The compact format drops those fields outright and the
-// fixed-width format must carry zeros for them; a nonzero dead field
-// therefore means a corrupt or forged frame, and accepting it would
-// make the two codecs disagree about the same message.
-func deadFieldsZero(m Message) bool {
-	switch m.Kind {
-	case KindRequest:
-		return m.V == 0
-	case KindResolved, KindPublish:
-		return m.K == 0 && m.L == 0
-	case KindColl:
-		return m.E == 0 && m.L == 0
-	case KindDone, KindStop, KindFence:
-		// Both carry only T on the wire (T is zero for stop as built,
-		// but the delta coding transports whatever it holds).
-		return m.K == 0 && m.V == 0 && m.E == 0 && m.L == 0
-	default: // ckpt uses every field
-		return true
-	}
-}
-
-// EncodeBatch encodes a slice of messages as one v1 (fixed-width) frame.
-func EncodeBatch(ms []Message) []byte {
-	out := make([]byte, 0, len(ms)*EncodedSize)
-	for _, m := range ms {
-		out = AppendEncode(out, m)
-	}
-	return out
-}
-
 // FrameV2Magic is the version byte that opens a compact (v2) frame. No
-// message Kind uses this value, and v1 frames always start with a Kind
-// byte, so the two formats are distinguished by their first byte and old
-// frames keep decoding under the new decoder.
+// message Kind uses this value (nor FrameV3Magic's), so a frame's first
+// byte names its format.
 const FrameV2Magic = 0xC2
 
 // Compact (v2) frame layout, after the magic byte: a sequence of kind
@@ -254,10 +191,10 @@ const FrameV2Magic = 0xC2
 //
 // ΔT is the difference from the previous message's T within the group
 // (starting from 0). Buffered requests carry near-monotone t values, so
-// ΔT is usually one zigzag-varint byte and a request shrinks from the
-// fixed 29 bytes to ~6-10. Fields a kind does not carry (V for requests,
-// K and L for resolved, everything but T for done/stop) are dropped on
-// the wire and decode as zero — exactly the values the constructors set.
+// ΔT is usually one zigzag-varint byte and a request takes ~6-10 bytes.
+// Fields a kind does not carry (V for requests, K and L for resolved,
+// everything but T for done/stop) are dropped on the wire and decode as
+// zero — exactly the values the constructors set.
 
 // FrameV3Magic is the version byte that opens a v3 frame. v3 is v2
 // with one change: publish groups are slot-delta coded. A publish
@@ -302,17 +239,17 @@ const (
 // returns the extended slice. Adjacent messages of equal kind share one
 // group header.
 func AppendEncodeBatchV2(dst []byte, ms []Message) []byte {
-	return appendEncodeBatch(dst, ms, false)
+	return appendBatch(dst, ms, false)
 }
 
 // AppendEncodeBatchV3 appends the v3 encoding of ms to dst and returns
 // the extended slice: the v2 format with slot-delta-coded publish
 // groups (see FrameV3Magic).
 func AppendEncodeBatchV3(dst []byte, ms []Message) []byte {
-	return appendEncodeBatch(dst, ms, true)
+	return appendBatch(dst, ms, true)
 }
 
-func appendEncodeBatch(dst []byte, ms []Message, v3 bool) []byte {
+func appendBatch(dst []byte, ms []Message, v3 bool) []byte {
 	if v3 {
 		dst = append(dst, FrameV3Magic)
 	} else {
@@ -383,18 +320,9 @@ func appendPublishGroupV3(dst []byte, ms []Message) []byte {
 	return dst
 }
 
-// EncodeBatchV2 encodes a slice of messages as one compact frame.
-func EncodeBatchV2(ms []Message) []byte {
-	return AppendEncodeBatchV2(make([]byte, 0, 1+len(ms)*10), ms)
-}
-
-// EncodeBatchV3 encodes a slice of messages as one v3 frame.
-func EncodeBatchV3(ms []Message) []byte {
-	return AppendEncodeBatchV3(make([]byte, 0, 1+len(ms)*10), ms)
-}
-
-// DecodeBatch decodes a frame in any format — v3 or compact v2 (magic
-// first byte) or fixed-width (v1) — appending to dst and returning it.
+// DecodeBatch decodes a v3 or compact v2 frame (told apart by the magic
+// first byte), appending to dst and returning it. An empty frame holds
+// no messages; any other first byte is an error.
 func DecodeBatch(dst []Message, frame []byte) ([]Message, error) {
 	if len(frame) > 0 && frame[0] == FrameV3Magic {
 		return decodeBatchCompact(dst, frame[1:], true)
@@ -402,16 +330,8 @@ func DecodeBatch(dst []Message, frame []byte) ([]Message, error) {
 	if len(frame) > 0 && frame[0] == FrameV2Magic {
 		return decodeBatchCompact(dst, frame[1:], false)
 	}
-	if len(frame)%EncodedSize != 0 {
-		return dst, fmt.Errorf("msg: frame size %d not a multiple of %d", len(frame), EncodedSize)
-	}
-	for len(frame) > 0 {
-		m, rest, err := Decode(frame)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, m)
-		frame = rest
+	if len(frame) > 0 {
+		return dst, fmt.Errorf("msg: unknown frame magic %#x", frame[0])
 	}
 	return dst, nil
 }

@@ -56,35 +56,33 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		Fence(5),
 	}
 	for _, m := range cases {
-		b := AppendEncode(nil, m)
-		if len(b) != EncodedSize {
-			t.Fatalf("encoded size = %d", len(b))
-		}
-		got, rest, err := Decode(b)
+		got, err := DecodeBatch(nil, AppendEncodeBatchV3(nil, []Message{m}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rest) != 0 {
-			t.Fatalf("rest = %d bytes", len(rest))
-		}
-		if got != m {
+		if len(got) != 1 || got[0] != m {
 			t.Fatalf("round trip: %+v -> %+v", m, got)
 		}
 	}
 }
 
+// A non-empty frame must open with the v2 or v3 magic: anything else —
+// a bare Kind byte (the retired fixed-width v1 layout), zero, or a
+// neighbouring byte value — is rejected, never guessed at.
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := Decode(make([]byte, EncodedSize-1)); err == nil {
-		t.Error("short buffer accepted")
-	}
-	bad := AppendEncode(nil, Request(1, 1, 1, 1))
-	bad[0] = 99
-	if _, _, err := Decode(bad); err == nil {
-		t.Error("bad kind accepted")
-	}
-	bad[0] = 0
-	if _, _, err := Decode(bad); err == nil {
-		t.Error("zero kind accepted")
+	v1 := make([]byte, EncodedSize)
+	v1[0] = byte(KindRequest)
+	for _, frame := range [][]byte{
+		v1,
+		{byte(KindStop)},
+		{0},
+		{0xff},
+		{FrameV2Magic - 1},
+		{FrameV3Magic + 1, byte(KindDone), 1, 2},
+	} {
+		if got, err := DecodeBatch(nil, frame); err == nil {
+			t.Errorf("frame % x accepted as %+v", frame, got)
+		}
 	}
 }
 
@@ -95,9 +93,9 @@ func TestBatchRoundTrip(t *testing.T) {
 		Done(2),
 		Stop(),
 	}
-	frame := EncodeBatch(ms)
-	if len(frame) != 4*EncodedSize {
-		t.Fatalf("frame size = %d", len(frame))
+	frame := AppendEncodeBatchV3(nil, ms)
+	if frame[0] != FrameV3Magic {
+		t.Fatalf("frame opens with %#x, want the v3 magic", frame[0])
 	}
 	got, err := DecodeBatch(nil, frame)
 	if err != nil {
@@ -113,16 +111,20 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// Both empty shapes hold zero messages: no bytes at all, and a frame
+// that is only the magic.
 func TestBatchEmpty(t *testing.T) {
-	got, err := DecodeBatch(nil, EncodeBatch(nil))
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty batch: %v, %v", got, err)
+	for _, frame := range [][]byte{nil, {}, AppendEncodeBatchV3(nil, nil)} {
+		got, err := DecodeBatch(nil, frame)
+		if err != nil || len(got) != 0 {
+			t.Fatalf("empty batch % x: %v, %v", frame, got, err)
+		}
 	}
 }
 
 func TestBatchAppendsToDst(t *testing.T) {
 	dst := []Message{Stop()}
-	got, err := DecodeBatch(dst, EncodeBatch([]Message{Done(1)}))
+	got, err := DecodeBatch(dst, AppendEncodeBatchV3(nil, []Message{Done(1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +134,14 @@ func TestBatchAppendsToDst(t *testing.T) {
 }
 
 func TestBatchRejectsRaggedFrame(t *testing.T) {
-	frame := EncodeBatch([]Message{Stop()})
+	frame := AppendEncodeBatchV3(nil, []Message{Request(1<<40, 3, 1<<41, 2)})
 	if _, err := DecodeBatch(nil, frame[:len(frame)-1]); err == nil {
 		t.Error("ragged frame accepted")
 	}
 }
 
 // clearDeadFields zeroes the fields m's kind does not carry, yielding
-// the constructor-shaped form the codecs accept.
+// the constructor-shaped form the codecs round-trip.
 func clearDeadFields(m Message) Message {
 	switch m.Kind {
 	case KindRequest:
@@ -155,39 +157,18 @@ func clearDeadFields(m Message) Message {
 }
 
 // Property: any constructor-shaped message (dead fields zero) with a
-// valid kind round-trips through the codec. The decoder rejects junk in
-// dead fields, so the accepted set is exactly what both codecs agree on.
+// valid kind round-trips through a v3 frame.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(kindRaw uint8, tt, k, v int64, e, l uint16) bool {
 		m := clearDeadFields(Message{
 			Kind: Kind(kindRaw%8) + KindRequest,
 			T:    tt, K: k, V: v, E: e, L: l,
 		})
-		got, rest, err := Decode(AppendEncode(nil, m))
-		return err == nil && len(rest) == 0 && got == m
+		got, err := DecodeBatch(nil, AppendEncodeBatchV3(nil, []Message{m}))
+		return err == nil && len(got) == 1 && got[0] == m
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The fixed-width decoder must reject messages carrying nonzero values
-// in fields their kind does not use: the compact codec cannot represent
-// them, and a frame containing one is corrupt by construction.
-func TestDecodeRejectsDeadFieldJunk(t *testing.T) {
-	for _, m := range []Message{
-		{Kind: KindRequest, T: 1, K: 2, V: 99, E: 0, L: 1},
-		{Kind: KindResolved, T: 1, V: 5, K: 3},
-		{Kind: KindResolved, T: 1, V: 5, L: 3},
-		{Kind: KindColl, T: 1, K: 2, V: 3, E: 1},
-		{Kind: KindDone, T: 1, K: 7},
-		{Kind: KindStop, V: 1},
-		{Kind: KindPublish, T: 1, V: 5, K: 3},
-		{Kind: KindFence, T: 1, E: 2},
-	} {
-		if _, _, err := Decode(AppendEncode(nil, m)); err == nil {
-			t.Errorf("junk-carrying %v message accepted: %+v", m.Kind, m)
-		}
 	}
 }
 
@@ -225,35 +206,9 @@ func genMessages(ts []int64, ks []uint32, es []uint8) []Message {
 	return ms
 }
 
-// Property: v1 and v2 frames of the same batch decode to identical
-// messages under the one DecodeBatch entry point — the cross-version
-// compatibility contract that lets mixed-version clusters interoperate.
-func TestCodecCrossCompatProperty(t *testing.T) {
-	f := func(ts []int64, ks []uint32, es []uint8) bool {
-		if len(ts) == 0 || len(ks) == 0 || len(es) == 0 {
-			return true
-		}
-		ms := genMessages(ts, ks, es)
-		v1, err1 := DecodeBatch(nil, EncodeBatch(ms))
-		v2, err2 := DecodeBatch(nil, EncodeBatchV2(ms))
-		if err1 != nil || err2 != nil || len(v1) != len(ms) || len(v2) != len(ms) {
-			return false
-		}
-		for i := range ms {
-			if v1[i] != ms[i] || v2[i] != ms[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // The compact codec must actually compress: a buffer's worth of typical
 // requests (near-monotone t, node-scale k) has to come out at least 2x
-// smaller than the fixed-width encoding.
+// smaller than the messages' raw field width (EncodedSize each).
 func TestCompactFrameAtLeastHalvesRequests(t *testing.T) {
 	var ms []Message
 	tt := int64(500_000)
@@ -261,21 +216,21 @@ func TestCompactFrameAtLeastHalvesRequests(t *testing.T) {
 		tt += int64(i % 3)
 		ms = append(ms, Request(tt, i%4, tt/2, i%4))
 	}
-	v1, v2 := len(EncodeBatch(ms)), len(EncodeBatchV2(ms))
-	if v2*2 > v1 {
-		t.Fatalf("compact frame %d bytes, fixed-width %d: reduction below 2x", v2, v1)
+	raw, v2 := len(ms)*EncodedSize, len(AppendEncodeBatchV2(nil, ms))
+	if v2*2 > raw {
+		t.Fatalf("compact frame %d bytes, raw fields %d: reduction below 2x", v2, raw)
 	}
 }
 
 func TestCompactBatchEmpty(t *testing.T) {
-	got, err := DecodeBatch(nil, EncodeBatchV2(nil))
+	got, err := DecodeBatch(nil, AppendEncodeBatchV2(nil, nil))
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty compact batch: %v, %v", got, err)
 	}
 }
 
 func TestCompactBatchRejectsCorruption(t *testing.T) {
-	frame := EncodeBatchV2([]Message{Request(100, 1, 50, 2), Resolved(7, 0, 3)})
+	frame := AppendEncodeBatchV2(nil, []Message{Request(100, 1, 50, 2), Resolved(7, 0, 3)})
 	if _, err := DecodeBatch(nil, frame[:len(frame)-1]); err == nil {
 		t.Error("truncated compact frame accepted")
 	}
@@ -292,20 +247,31 @@ func TestCompactBatchRejectsCorruption(t *testing.T) {
 	}
 }
 
-func BenchmarkAppendEncode(b *testing.B) {
-	m := Request(123456789, 3, 987654321, 7)
-	buf := make([]byte, 0, EncodedSize)
+// benchBatch is a buffer's worth of typical requests.
+func benchBatch() []Message {
+	ms := make([]Message, 256)
+	for i := range ms {
+		ms[i] = Request(123456789+int64(i), i%4, 987654321-int64(i), i%4)
+	}
+	return ms
+}
+
+func BenchmarkAppendEncodeBatchV3(b *testing.B) {
+	ms := benchBatch()
+	buf := make([]byte, 0, len(ms)*EncodedSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = AppendEncode(buf[:0], m)
+		buf = AppendEncodeBatchV3(buf[:0], ms)
 	}
 }
 
-func BenchmarkDecode(b *testing.B) {
-	frame := AppendEncode(nil, Request(123456789, 3, 987654321, 7))
+func BenchmarkDecodeBatch(b *testing.B) {
+	frame := AppendEncodeBatchV3(nil, benchBatch())
+	dst := make([]Message, 0, 256)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Decode(frame); err != nil {
+		var err error
+		if dst, err = DecodeBatch(dst[:0], frame); err != nil {
 			b.Fatal(err)
 		}
 	}

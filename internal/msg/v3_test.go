@@ -6,17 +6,17 @@ import (
 )
 
 // Property: v3 frames of any constructor-shaped batch decode to the
-// identical messages as v1 and v2 under the one DecodeBatch entry point
-// — the cross-version contract that lets mixed-version clusters
-// interoperate while only the encoder side moves to v3.
+// identical messages as v2 under the one DecodeBatch entry point — the
+// cross-version contract that keeps v2 frames readable while only the
+// encoder side moved to v3.
 func TestV3CrossCompatProperty(t *testing.T) {
 	f := func(ts []int64, ks []uint32, es []uint8) bool {
 		if len(ts) == 0 || len(ks) == 0 || len(es) == 0 {
 			return true
 		}
 		ms := genMessages(ts, ks, es)
-		v2, err2 := DecodeBatch(nil, EncodeBatchV2(ms))
-		v3, err3 := DecodeBatch(nil, EncodeBatchV3(ms))
+		v2, err2 := DecodeBatch(nil, AppendEncodeBatchV2(nil, ms))
+		v3, err3 := DecodeBatch(nil, AppendEncodeBatchV3(nil, ms))
 		if err2 != nil || err3 != nil || len(v2) != len(ms) || len(v3) != len(ms) {
 			return false
 		}
@@ -44,7 +44,7 @@ func TestV3PublishBatchSmaller(t *testing.T) {
 			ms = append(ms, Publish(node, e, node/2+int64(e)))
 		}
 	}
-	v2, v3 := len(EncodeBatchV2(ms)), len(EncodeBatchV3(ms))
+	v2, v3 := len(AppendEncodeBatchV2(nil, ms)), len(AppendEncodeBatchV3(nil, ms))
 	if v3*20 > v2*17 {
 		t.Fatalf("v3 publish batch %d bytes, v2 %d: reduction below 15%%", v3, v2)
 	}
@@ -61,7 +61,7 @@ func TestV3ShiftFallbackRoundTrip(t *testing.T) {
 		{Request(10, 1, 5, 0), Publish(7, 2, 3), Publish(8, 0, 1), Resolved(10, 1, 4)},
 	}
 	for _, ms := range batches {
-		got, err := DecodeBatch(nil, EncodeBatchV3(ms))
+		got, err := DecodeBatch(nil, AppendEncodeBatchV3(nil, ms))
 		if err != nil {
 			t.Fatalf("batch %v rejected: %v", ms, err)
 		}
@@ -79,7 +79,7 @@ func TestV3ShiftFallbackRoundTrip(t *testing.T) {
 // Corrupt v3 frames must error, never panic: truncation anywhere and an
 // out-of-range shift byte are the v3-specific failure shapes.
 func TestV3RejectsCorruption(t *testing.T) {
-	frame := EncodeBatchV3([]Message{Publish(9, 0, 4), Publish(9, 1, 6), Request(3, 0, 2, 1)})
+	frame := AppendEncodeBatchV3(nil, []Message{Publish(9, 0, 4), Publish(9, 1, 6), Request(3, 0, 2, 1)})
 	for cut := 1; cut < len(frame); cut++ {
 		if _, err := DecodeBatch(nil, frame[:cut]); err == nil {
 			// A prefix that happens to end on a group boundary is a

@@ -13,7 +13,10 @@
 //
 // The parallel engine runs its ranks as goroutines over an in-process
 // message-passing runtime by default; see cmd/pa-tcp for genuine
-// multi-process distributed-memory execution over TCP.
+// multi-process distributed-memory execution over TCP. A rank that
+// writes its edges to disk — Config.StreamDir here, every pa-tcp rank
+// there — writes one compressed, CRC-checked shard file of its own;
+// ReadStreamDir merges a run's shards into the in-memory run's graph.
 package pagen
 
 import (
@@ -64,9 +67,9 @@ type (
 // Barabási–Albert.
 const DefaultP = model.DefaultP
 
-// errCheckpointStreaming rejects checkpoint configuration on the
-// streaming entry points: snapshots capture buffered engine state, and
-// edges already handed to a sink cannot be rewound on resume.
+// errCheckpointStreaming rejects checkpoint configuration on
+// GenerateStream: snapshots capture buffered engine state, and edges
+// already handed to a sink cannot be rewound on resume.
 var errCheckpointStreaming = errors.New("pagen: checkpointing is incompatible with streaming generation (use Generate)")
 
 // Config configures Generate.
@@ -121,7 +124,7 @@ type Config struct {
 	// checkpoint (Resume) reproduces the exact graph an uninterrupted
 	// run would have produced. See docs/CHECKPOINT_FORMAT.md and
 	// docs/OPERATIONS.md. Incompatible with RecordTrace,
-	// CollectNodeLoad and the streaming entry points.
+	// CollectNodeLoad and GenerateStream.
 	CheckpointDir string
 	// CheckpointEvery is the approximate number of protocol events
 	// (nodes initiated plus messages received, summed over ranks)
@@ -336,44 +339,6 @@ func GenerateStream(cfg Config, sink func(rank int, e Edge)) (*Result, error) {
 		RecomputeDepth: cfg.RecomputeDepth,
 		Sink:           sink,
 	}, cfg.RecordTrace)
-}
-
-// GenerateToShards runs the parallel generator with every rank streaming
-// its edges straight to its own shard file under dir — the paper's
-// shared-file-system I/O model (Section 2) — without materialising the
-// graph. Read the result back with ReadShards.
-func GenerateToShards(cfg Config, dir string) (*Result, error) {
-	if cfg.checkpoint() != nil {
-		return nil, errCheckpointStreaming
-	}
-	pr, err := cfg.params()
-	if err != nil {
-		return nil, err
-	}
-	part, err := cfg.partition(pr)
-	if err != nil {
-		return nil, err
-	}
-	mode, err := cfg.resolve()
-	if err != nil {
-		return nil, err
-	}
-	return core.RunToShards(core.Options{
-		Params:         pr,
-		Part:           part,
-		Seed:           cfg.Seed,
-		Workers:        cfg.Workers,
-		Transport:      cfg.Transport,
-		HubPrefix:      cfg.HubPrefix,
-		Resolve:        mode,
-		RecomputeDepth: cfg.RecomputeDepth,
-	}, dir)
-}
-
-// ReadShards merges the shard files a GenerateToShards run (or pa-tcp
-// ranks) wrote under dir.
-func ReadShards(dir string, ranks int) (*Graph, error) {
-	return graph.ReadShards(dir, ranks)
 }
 
 // ReadStreamDir materialises the merged graph of a streamed run
