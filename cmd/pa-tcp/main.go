@@ -90,7 +90,7 @@ func main() {
 			"mesh-establishment deadline (a peer missing past it is an error, not a hang)")
 		ckptDir     = flag.String("checkpoint-dir", "", "write per-rank snapshots to this directory (shared across ranks)")
 		ckptN       = flag.Int64("checkpoint-every", 0, "protocol events between checkpoint epochs (requires -checkpoint-dir)")
-		ckptKeep    = flag.Int("checkpoint-keep", 0, "full epochs to retain per rank (0 = default)")
+		ckptKeep    = flag.Int("checkpoint-keep", 0, "snapshots to retain per rank (0 = default)")
 		resume      = flag.Bool("resume", false, "resume from the latest restorable epoch in -checkpoint-dir")
 		supervise   = flag.Bool("supervise", false, "run as a supervisor: spawn all ranks locally, restart the cluster from the last checkpoint on crash")
 		maxRestarts = flag.Int("max-restarts", 3, "restart attempts before the supervisor gives up")

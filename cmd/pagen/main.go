@@ -18,7 +18,10 @@
 // -checkpoint-dir DIR with -checkpoint-every N snapshots every rank's
 // engine state roughly every N protocol events; a later invocation with
 // the same parameters plus -resume continues from the newest complete
-// epoch and produces the identical graph. See docs/OPERATIONS.md.
+// epoch and produces the identical graph. A snapshot names the durable
+// prefix of the rank's shard, so without -stream-dir the ranks stream
+// into DIR/shards and -o is written from their merge. See
+// docs/OPERATIONS.md.
 //
 // -stream-dir DIR is the per-rank output: each rank spills its edges
 // into its own compressed, CRC-protected shard file
@@ -67,8 +70,7 @@ func main() {
 		metrics     = flag.String("metrics", "", "write run metrics JSON to this file (\"-\" = stderr)")
 		ckptDir     = flag.String("checkpoint-dir", "", "write per-rank snapshots to this directory (see docs/OPERATIONS.md)")
 		ckptN       = flag.Int64("checkpoint-every", 0, "protocol events between checkpoint epochs (requires -checkpoint-dir)")
-		ckptKeep    = flag.Int("checkpoint-keep", 0, "full epochs to retain per rank (0 = default)")
-		ckptFull    = flag.Int("checkpoint-full-every", 0, "full-snapshot cadence: every Nth epoch is full, the rest are incremental deltas (0 or 1 = all full); in-memory checkpointed runs only, ignored with -stream-dir")
+		ckptKeep    = flag.Int("checkpoint-keep", 0, "snapshots to retain per rank (0 = default)")
 		resume      = flag.Bool("resume", false, "resume from the latest restorable epoch in -checkpoint-dir")
 	)
 	flag.Parse()
@@ -94,7 +96,7 @@ func main() {
 		// without the load curve.
 		CollectNodeLoad: *metrics != "" && !ckptOn,
 		CheckpointDir:   *ckptDir, CheckpointEvery: *ckptN,
-		CheckpointKeep: *ckptKeep, CheckpointFullEvery: *ckptFull, Resume: *resume,
+		CheckpointKeep: *ckptKeep, Resume: *resume,
 		StreamDir: *streamDir, StreamBlockEdges: *streamBlock}
 
 	if *seq && *metrics != "" {

@@ -3,78 +3,61 @@ package ckpt
 import (
 	"math/rand"
 	"testing"
+
+	"pagen/internal/msg"
 )
 
-// benchSnapshot builds a representative full snapshot: a 1M-slot F
-// table with realistic values, a worker shard with a few suspended
-// nodes and waiters, and a sink mark.
-func benchSnapshot(kind int) *Snapshot {
+// epochSnapshot builds a snapshot shaped like one rank's epoch of a
+// two-rank run at n = 10⁶, x = 4: susp suspended nodes, waiters queued
+// waiter records two per slot, remote coalescing-chain records in chains
+// of two, one buffered outbound frame per peer and the sink mark.
+// (240, 1000, 200) encodes to about the 18 KB per epoch such a run
+// writes.
+func epochSnapshot(susp, waiters, remote int) *Snapshot {
+	const nodes, x = 500_000, 4
 	rng := rand.New(rand.NewSource(7))
-	s := &Snapshot{
-		Meta: Meta{N: 250_000, X: 4, P: 0.5, Seed: 42, Ranks: 4, Rank: 1,
+	ws := WorkerState{Lo: 0, Hi: nodes}
+	for i := 0; i < susp; i++ {
+		ws.Susp = append(ws.Susp, SuspRecord{
+			Idx:  rng.Int63n(nodes),
+			Edge: rng.Intn(x),
+			RNG:  [4]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()},
+		})
+	}
+	for i := 0; i < waiters; i++ {
+		ws.Waiters = append(ws.Waiters, WaiterRecord{
+			Slot: int64(i/2) * 1601 % (nodes * x), T: rng.Int63n(2 * nodes), E: uint16(rng.Intn(x)),
+		})
+	}
+	for i := 0; i < remote; i++ {
+		ws.Remote = append(ws.Remote, WaiterRecord{
+			Slot: int64(i/2)*977 + 1, T: rng.Int63n(2 * nodes), E: uint16(rng.Intn(x)),
+		})
+	}
+	var ms []msg.Message
+	for i := 0; i < 64; i++ {
+		t := 2*nodes - rng.Int63n(nodes)
+		ms = append(ms, msg.Request(t, rng.Intn(x), rng.Int63n(t), rng.Intn(x)), msg.Resolved(t, rng.Intn(x), rng.Int63n(t)))
+	}
+	return &Snapshot{
+		Meta: Meta{N: 2 * nodes, X: x, P: 0.5, Seed: 42, Ranks: 2, Rank: 1,
 			Scheme: "RRP"},
-		Epoch:   3,
-		NextTag: 17,
-		Kind:    kind,
-		Workers: []WorkerState{{
-			Lo: 0, Hi: 62_500,
-			Susp: []SuspRecord{
-				{Idx: 100, Edge: 2, RNG: [4]uint64{1, 2, 3, 4}},
-				{Idx: 30_000, Edge: 0, RNG: [4]uint64{5, 6, 7, 8}},
-			},
-			Waiters: []WaiterRecord{{Slot: 12, T: 99, E: 1}, {Slot: 12, T: 120, E: 3}},
-		}},
-		Stats: Stats{Retries: 5, QueuedWaits: 11, LocalWaits: 7},
-		Sink:  &SinkMark{Offset: 1 << 20, Blocks: 16, Edges: 1_000_000},
-	}
-	const flen = 1_000_000
-	if kind == KindDelta {
-		s.BaseEpoch = 2
-		s.FLen = flen
-		// ~2% of the table dirtied in a handful of contiguous ranges —
-		// the shape a between-fulls epoch produces.
-		vals := make([]int64, 20_000)
-		for i := range vals {
-			vals[i] = rng.Int63n(flen) - 1
-		}
-		for i := 0; i < 4; i++ {
-			lo := i * 5000
-			s.Delta = append(s.Delta, DeltaRange{
-				Start:  int64(i * 250_000),
-				Values: vals[lo : lo+5000],
-			})
-		}
-	} else {
-		s.F = make([]int64, flen)
-		for i := range s.F {
-			s.F[i] = rng.Int63n(flen) - 1
-		}
-	}
-	return s
-}
-
-// BenchmarkEncodeFull measures the background writer's encode step for
-// a full snapshot with the pooled Encoder. After the first iteration
-// grows the scratch buffer, steady state is zero allocations per epoch.
-func BenchmarkEncodeFull(b *testing.B) {
-	s := benchSnapshot(KindFull)
-	var enc Encoder
-	enc.Encode(s) // warm the scratch buffer (the pool's steady state)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(enc.Encode(s)) == 0 {
-			b.Fatal("empty encoding")
-		}
+		Epoch:    5,
+		NextTag:  17,
+		Workers:  []WorkerState{ws},
+		Outbound: []OutboundBatch{{To: 0, Frame: msg.AppendEncodeBatchV3(nil, ms)}},
+		Stats:    Stats{Retries: 1234, QueuedWaits: 56789, LocalWaits: 4321},
+		Sink:     SinkMark{Offset: 7_400_000, Blocks: 31, Edges: 1_990_000},
 	}
 }
 
-// BenchmarkEncodeDelta measures the encode step for an incremental
-// delta epoch (~2% dirty) — the common between-fulls case.
-func BenchmarkEncodeDelta(b *testing.B) {
-	s := benchSnapshot(KindDelta)
+// BenchmarkEncode measures the background writer's encode step for one
+// epoch with the pooled Encoder. After the first call grows the scratch
+// buffer, steady state is zero allocations per epoch.
+func BenchmarkEncode(b *testing.B) {
+	s := epochSnapshot(240, 1000, 200)
 	var enc Encoder
-	enc.Encode(s)
+	b.SetBytes(int64(len(enc.Encode(s)))) // warms the scratch buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -88,7 +71,7 @@ func BenchmarkEncodeDelta(b *testing.B) {
 // pause relies on: once the scratch buffer has grown to the snapshot's
 // size, Encode allocates nothing.
 func TestEncoderSteadyStateAllocs(t *testing.T) {
-	s := benchSnapshot(KindFull)
+	s := epochSnapshot(240, 1000, 200)
 	var enc Encoder
 	enc.Encode(s)
 	if avg := testing.AllocsPerRun(5, func() { enc.Encode(s) }); avg > 0 {

@@ -4,29 +4,23 @@
 // needs to resume generation mid-run at a consistent cut: every
 // suspended node's private RNG stream position and edge index, the
 // pending waiter queues, any not-yet-flushed outbound message batches,
-// the collective tag counter, and the resolved part of the F attachment
-// table — by value for an in-memory run, by reference for a streamed
-// one, whose snapshot names the durable prefix of the rank's shard file
-// (the sink mark) and carries no table: that prefix is F's resolved part,
-// and restore replays it. The format is byte-for-byte specified in
-// docs/CHECKPOINT_FORMAT.md and verified on read by a whole-file
-// CRC-32C so a torn write is detected rather than resumed from.
+// the collective tag counter, and the sink mark naming the durable
+// prefix of the rank's shard file. A snapshot carries no attachment
+// table: every checkpointed run streams its edges, the marked shard
+// prefix is the resolved part of F, and restore replays it. The format
+// is byte-for-byte specified in docs/CHECKPOINT_FORMAT.md and verified
+// on read by a whole-file CRC-32C so a torn write is detected rather
+// than resumed from.
 //
-// An in-memory run's snapshots come in two kinds. A full snapshot
-// carries the entire F table. A delta snapshot carries only the F ranges
-// dirtied since its base epoch plus full copies of the (small,
-// quiescent-time) worker sections; restoring a delta replays its
-// base+delta chain back to the nearest full snapshot. A streamed run's
-// snapshots are all full — each restores on its own, given its shard.
-// Encoding is buffer-based — Encoder reuses one scratch buffer across
-// epochs so a steady checkpoint cadence performs no O(state) transient
-// allocations.
+// Every snapshot restores on its own, given its shard. Encoding is
+// buffer-based — Encoder reuses one scratch buffer across epochs so a
+// steady checkpoint cadence performs no transient allocations.
 //
 // The package is pure serialization: which state goes into a snapshot,
 // when all ranks' snapshots form a mutually consistent cut, and which
 // epochs are safe to prune is negotiated by internal/core (DESIGN.md
-// §9); this package supplies the chain mechanics (Materialize, Latest,
-// Prune) those policies are built from.
+// §9); this package supplies the file mechanics (Read, Latest, Prune)
+// those policies are built from.
 package ckpt
 
 import (
@@ -53,20 +47,10 @@ const Magic = "PAGENCK1"
 // cut; version 5 added the snapshot kind and base epoch to the meta
 // section and the delta-F section 'D', enabling incremental (base +
 // delta chain) epochs; version 6 dropped the table from streamed
-// snapshots — 'F'/'D' is present iff 'K' is absent.
-const Version = 6
-
-// Snapshot kinds (Snapshot.Kind).
-const (
-	// KindFull: the snapshot restores on its own — it carries the entire
-	// F table ('F' section) or, streamed, the sink mark that stands in
-	// for it.
-	KindFull = 0
-	// KindDelta: the snapshot carries only F ranges dirtied since epoch
-	// BaseEpoch ('D' section); restoring requires the full chain back
-	// to the nearest KindFull member.
-	KindDelta = 1
-)
+// snapshots — 'F'/'D' is present iff 'K' is absent; version 7 made 'K'
+// mandatory, since every checkpointed run streams, and dropped 'F', 'D'
+// and the kind and base epoch from 'M'.
+const Version = 7
 
 // castagnoli is the CRC-32C table (iSCSI polynomial) shared by writer
 // and reader.
@@ -148,11 +132,10 @@ type OutboundBatch struct {
 // SinkMark is the streaming edge sink's durable position at the cut:
 // the rank's shard file holds exactly Blocks complete blocks with Edges
 // edge records in its first Offset bytes, flushed and fsynced before
-// the snapshot was published. A resumed streamed run truncates the
-// shard to Offset, rebuilds F from the records in that prefix — a
-// streamed snapshot carries no table of its own — and regenerates
-// exactly the missing suffix (esink.Mark is the engine-side twin).
-// Present only in streamed runs.
+// the snapshot was published. A resumed run truncates the shard to
+// Offset, rebuilds F from the records in that prefix — a snapshot
+// carries no table of its own — and regenerates exactly the missing
+// suffix (esink.Mark is the engine-side twin).
 type SinkMark struct {
 	Offset int64
 	Blocks int64
@@ -167,48 +150,21 @@ type Stats struct {
 	LocalWaits  int64
 }
 
-// DeltaRange is one contiguous run of F slots carried by a delta
-// snapshot: Values[i] is the value of slot Start+i at the cut. F slots
-// are write-once (NILL → value), so overlaying ranges over the base
-// never regresses a resolved slot.
-type DeltaRange struct {
-	Start  int64
-	Values []int64
-}
-
-// Snapshot is one rank's full checkpoint state.
+// Snapshot is one rank's checkpoint state.
 type Snapshot struct {
-	Meta    Meta
-	Epoch   int64
-	NextTag int64 // coll.Seq tag counter for the resumed run
-	// Kind is KindFull or KindDelta; BaseEpoch names the previous
-	// epoch in the chain for a delta (0 for a full snapshot).
-	Kind      int
-	BaseEpoch int64
-	// F is the rank's flat attachment table (slot s holds F, -1 = NILL).
-	// Populated for an in-memory run's full snapshots; nil in an on-disk
-	// delta and in every streamed snapshot (Sink != nil).
-	F []int64
-	// FLen is the total F table length, carried by delta snapshots so
-	// chain replay can validate range bounds before touching the base.
-	// Zero for a full snapshot (whose table length is len(F)).
-	FLen int64
-	// Delta holds the dirtied F ranges of a delta snapshot (nil for a
-	// full one).
-	Delta    []DeltaRange
+	Meta     Meta
+	Epoch    int64
+	NextTag  int64 // coll.Seq tag counter for the resumed run
 	Workers  []WorkerState
 	Outbound []OutboundBatch
 	Stats    Stats
-	// Sink is the streaming edge sink's durable mark, nil for runs
-	// without a streaming sink. Serialized as the 'K' section, which
-	// replaces 'F'/'D': Encode writes no table when it is set.
-	Sink *SinkMark
+	// Sink is the shard's durable mark, serialized as the mandatory 'K'
+	// section: the records under it are the resolved part of F.
+	Sink SinkMark
 }
 
 // Path returns the snapshot filename for (rank, epoch) under dir. The
-// fixed-width fields make lexicographic and numeric order agree. Full
-// and delta snapshots share the naming scheme; the kind lives in the
-// file header (see ReadHeader).
+// fixed-width fields make lexicographic and numeric order agree.
 func Path(dir string, rank int, epoch int64) string {
 	return filepath.Join(dir, fmt.Sprintf("rank%04d-epoch%08d.ckpt", rank, epoch))
 }
@@ -249,7 +205,7 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 	b = append(b, Magic...)
 	b = binary.AppendUvarint(b, Version)
 
-	// 'M': run identity + epoch + collective tag counter + kind/base.
+	// 'M': run identity + epoch + collective tag counter.
 	b = append(b, 'M')
 	b = binary.AppendUvarint(b, uint64(s.Meta.N))
 	b = binary.AppendUvarint(b, uint64(s.Meta.X))
@@ -263,33 +219,6 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 	b = binary.AppendUvarint(b, uint64(s.Meta.RecomputeDepth))
 	b = binary.AppendUvarint(b, uint64(s.Epoch))
 	b = binary.AppendUvarint(b, uint64(s.NextTag))
-	b = binary.AppendUvarint(b, uint64(s.Kind))
-	b = binary.AppendUvarint(b, uint64(s.BaseEpoch))
-
-	switch {
-	case s.Sink != nil:
-		// Streamed: the marked shard prefix ('K' below) is the table.
-	case s.Kind == KindDelta:
-		// 'D': dirtied F ranges, varint-packed as value+1 like 'F'.
-		b = append(b, 'D')
-		b = binary.AppendUvarint(b, uint64(s.FLen))
-		b = binary.AppendUvarint(b, uint64(len(s.Delta)))
-		for _, dr := range s.Delta {
-			b = binary.AppendUvarint(b, uint64(dr.Start))
-			b = binary.AppendUvarint(b, uint64(len(dr.Values)))
-			for _, v := range dr.Values {
-				b = binary.AppendUvarint(b, uint64(v+1))
-			}
-		}
-	default:
-		// 'F': the attachment table, varint-packed as value+1 so NILL
-		// (-1) costs one byte.
-		b = append(b, 'F')
-		b = binary.AppendUvarint(b, uint64(len(s.F)))
-		for _, v := range s.F {
-			b = binary.AppendUvarint(b, uint64(v+1))
-		}
-	}
 
 	// 'W' (repeated): one section per worker shard of the writing run.
 	for _, ws := range s.Workers {
@@ -323,14 +252,12 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 	b = binary.AppendUvarint(b, uint64(s.Stats.QueuedWaits))
 	b = binary.AppendUvarint(b, uint64(s.Stats.LocalWaits))
 
-	// 'K' (streamed runs only, in place of 'F'/'D'): the edge sink's
-	// durable shard mark. Then the end marker and CRC trailer.
-	if s.Sink != nil {
-		b = append(b, 'K')
-		b = binary.AppendUvarint(b, uint64(s.Sink.Offset))
-		b = binary.AppendUvarint(b, uint64(s.Sink.Blocks))
-		b = binary.AppendUvarint(b, uint64(s.Sink.Edges))
-	}
+	// 'K': the shard's durable mark, which stands in for F. Then the end
+	// marker and CRC trailer.
+	b = append(b, 'K')
+	b = binary.AppendUvarint(b, uint64(s.Sink.Offset))
+	b = binary.AppendUvarint(b, uint64(s.Sink.Blocks))
+	b = binary.AppendUvarint(b, uint64(s.Sink.Edges))
 	b = append(b, 'Z')
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 	enc.buf = b
@@ -434,8 +361,7 @@ func (r *reader) tag() (byte, error) {
 
 // Read loads and fully validates the snapshot at path: magic, version,
 // whole-file CRC-32C, and structural parse. Any failure — including a
-// torn or truncated file — returns an error naming the file. A delta
-// snapshot is returned as stored; Materialize replays its chain.
+// torn or truncated file — returns an error naming the file.
 func Read(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -470,7 +396,7 @@ func parse(data []byte) (*Snapshot, error) {
 	}
 
 	s := &Snapshot{}
-	sawF, sawD := false, false
+	sawK := false
 	for {
 		t, err := r.tag()
 		if err != nil {
@@ -480,30 +406,6 @@ func parse(data []byte) (*Snapshot, error) {
 		case 'M':
 			if err := s.parseMeta(r); err != nil {
 				return nil, fmt.Errorf("meta: %w", err)
-			}
-		case 'F':
-			sawF = true
-			n, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			// Every entry costs at least one byte: reject inflated counts
-			// before allocating.
-			if n > uint64(len(r.b)) {
-				return nil, fmt.Errorf("F count %d exceeds file", n)
-			}
-			s.F = make([]int64, n)
-			for i := range s.F {
-				v, err := r.uvarint()
-				if err != nil {
-					return nil, fmt.Errorf("F[%d]: %w", i, err)
-				}
-				s.F[i] = int64(v) - 1
-			}
-		case 'D':
-			sawD = true
-			if err := s.parseDelta(r); err != nil {
-				return nil, fmt.Errorf("delta: %w", err)
 			}
 		case 'W':
 			ws, err := parseWorker(r)
@@ -550,43 +452,30 @@ func parse(data []byte) (*Snapshot, error) {
 				s.Stats.LocalWaits = int64(v)
 			}
 		case 'K':
-			var mk SinkMark
+			sawK = true
 			if v, err := r.uvarint(); err != nil {
 				return nil, err
 			} else {
-				mk.Offset = int64(v)
+				s.Sink.Offset = int64(v)
 			}
 			if v, err := r.uvarint(); err != nil {
 				return nil, err
 			} else {
-				mk.Blocks = int64(v)
+				s.Sink.Blocks = int64(v)
 			}
 			if v, err := r.uvarint(); err != nil {
 				return nil, err
 			} else {
-				mk.Edges = int64(v)
+				s.Sink.Edges = int64(v)
 			}
-			s.Sink = &mk
 		case 'Z':
 			if len(r.b) != 0 {
 				return nil, fmt.Errorf("%d trailing bytes after end marker", len(r.b))
 			}
-			// Exactly one source of F: a streamed snapshot names its
-			// shard prefix and carries no table, an in-memory one carries
-			// the section its kind declares. Anything else is a corrupted
-			// or hand-assembled file, and restoring it would splice the
-			// wrong table.
-			if s.Sink != nil {
-				if sawF || sawD || s.Kind != KindFull {
-					return nil, fmt.Errorf("streamed snapshot ('K' section) carries an F table or is not full")
-				}
-				return s, nil
-			}
-			if s.Kind == KindDelta && (!sawD || sawF) {
-				return nil, fmt.Errorf("delta snapshot without 'D' section (or with stray 'F')")
-			}
-			if s.Kind == KindFull && (!sawF || sawD) {
-				return nil, fmt.Errorf("full snapshot without 'F' section (or with stray 'D')")
+			// The mark is the snapshot's only source of F: without it a
+			// resume could neither recover the shard nor rebuild the table.
+			if !sawK {
+				return nil, fmt.Errorf("no 'K' section (sink mark)")
 			}
 			return s, nil
 		default:
@@ -611,8 +500,8 @@ func (s *Snapshot) parseMeta(r *reader) error {
 	}
 	s.Meta.P = math.Float64frombits(v)
 	if math.IsNaN(s.Meta.P) {
-		// No run has it, and it compares unequal to itself: a chain's
-		// identity check would refuse the chain's own members.
+		// No run has it, and it compares unequal to itself: a resume's
+		// identity check could never accept the snapshot.
 		return fmt.Errorf("p is NaN")
 	}
 	if s.Meta.Seed, err = r.u64(); err != nil {
@@ -650,72 +539,6 @@ func (s *Snapshot) parseMeta(r *reader) error {
 		return err
 	}
 	s.NextTag = int64(v)
-	if v, err = r.uvarint(); err != nil {
-		return err
-	}
-	if v != KindFull && v != KindDelta {
-		return fmt.Errorf("unknown snapshot kind %d", v)
-	}
-	s.Kind = int(v)
-	if v, err = r.uvarint(); err != nil {
-		return err
-	}
-	s.BaseEpoch = int64(v)
-	if s.Kind == KindDelta && (s.BaseEpoch <= 0 || s.BaseEpoch >= s.Epoch) {
-		return fmt.Errorf("delta epoch %d has invalid base epoch %d", s.Epoch, s.BaseEpoch)
-	}
-	if s.Kind == KindFull && s.BaseEpoch != 0 {
-		return fmt.Errorf("full snapshot has nonzero base epoch %d", s.BaseEpoch)
-	}
-	return nil
-}
-
-func (s *Snapshot) parseDelta(r *reader) error {
-	flen, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	s.FLen = int64(flen)
-	nr, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	// Every range costs at least two bytes: reject inflated counts
-	// before allocating.
-	if nr > uint64(len(r.b))/2+1 {
-		return fmt.Errorf("range count %d exceeds file", nr)
-	}
-	s.Delta = make([]DeltaRange, 0, nr)
-	prevEnd := int64(0)
-	for i := uint64(0); i < nr; i++ {
-		start, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		cnt, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if cnt > uint64(len(r.b)) {
-			return fmt.Errorf("range %d value count %d exceeds file", i, cnt)
-		}
-		// Ranges are sorted, non-overlapping and in-bounds, so chain
-		// replay can overlay them without further checks. The bounds are
-		// compared as start <= FLen - cnt: start + cnt can wrap.
-		if cnt == 0 || int64(cnt) > s.FLen || start > uint64(s.FLen)-cnt || int64(start) < prevEnd {
-			return fmt.Errorf("range %d at %d with %d values invalid (prev end %d, F length %d)", i, start, cnt, prevEnd, s.FLen)
-		}
-		prevEnd = int64(start + cnt)
-		vals := make([]int64, cnt)
-		for j := range vals {
-			v, err := r.uvarint()
-			if err != nil {
-				return fmt.Errorf("range %d value %d: %w", i, j, err)
-			}
-			vals[j] = int64(v) - 1
-		}
-		s.Delta = append(s.Delta, DeltaRange{Start: int64(start), Values: vals})
-	}
 	return nil
 }
 
@@ -803,128 +626,11 @@ func parseWaiterRecords(r *reader) ([]WaiterRecord, error) {
 	return out, nil
 }
 
-// Header is the cheap prefix view of a snapshot file: the identity
-// needed for retention decisions without reading (or CRC-checking) the
-// whole file. The meta section is always first in a well-formed
-// snapshot, so a small prefix read suffices.
-type Header struct {
-	Rank      int
-	Epoch     int64
-	Kind      int
-	BaseEpoch int64
-}
-
-// headerPrefix bounds the prefix read for ReadHeader: magic + version +
-// the meta section, whose only variable-length field is the partition
-// scheme name, is far smaller than this.
-const headerPrefix = 4096
-
-// ReadHeader parses just the meta section of the snapshot at path. The
-// whole-file CRC is NOT verified — a torn tail is invisible here — so
-// the result is only suitable for decisions that are safe under
-// corruption, like pruning (a torn file never anchors retention, and
-// restore re-validates everything it reads).
-func ReadHeader(path string) (*Header, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := make([]byte, headerPrefix)
-	n, err := f.Read(buf)
-	if n == 0 && err != nil {
-		return nil, err
-	}
-	buf = buf[:n]
-	if len(buf) < len(Magic)+1 || string(buf[:len(Magic)]) != Magic {
-		return nil, fmt.Errorf("ckpt: %s: bad magic", path)
-	}
-	r := &reader{b: buf[len(Magic):]}
-	ver, err := r.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: %s: %w", path, err)
-	}
-	if ver != Version {
-		return nil, fmt.Errorf("ckpt: %s: unsupported snapshot version %d (reader supports %d)", path, ver, Version)
-	}
-	t, err := r.tag()
-	if err != nil || t != 'M' {
-		return nil, fmt.Errorf("ckpt: %s: meta section not first", path)
-	}
-	var s Snapshot
-	if err := s.parseMeta(r); err != nil {
-		return nil, fmt.Errorf("ckpt: %s: meta: %w", path, err)
-	}
-	return &Header{Rank: s.Meta.Rank, Epoch: s.Epoch, Kind: s.Kind, BaseEpoch: s.BaseEpoch}, nil
-}
-
-// maxChain bounds base-chain walks so a corrupted BaseEpoch loop cannot
-// spin forever; real chains are capped by the full-snapshot cadence.
-const maxChain = 1 << 16
-
-// Materialize loads the snapshot for (rank, epoch) and, if it is a
-// delta, replays its base+delta chain into a full in-memory snapshot:
-// the nearest full ancestor's F overlaid with every chain member's
-// dirty ranges, oldest first, and all other sections (which every
-// snapshot carries in full) taken from the requested epoch. Any broken
-// link — missing file, CRC failure, meta mismatch, out-of-order base —
-// fails the whole materialization; callers fall back to an older epoch
-// exactly as they do for a torn full snapshot.
-func Materialize(dir string, rank int, epoch int64) (*Snapshot, error) {
-	head, err := Read(Path(dir, rank, epoch))
-	if err != nil {
-		return nil, err
-	}
-	if head.Kind == KindFull {
-		return head, nil
-	}
-	chain := []*Snapshot{head}
-	cur := head
-	for cur.Kind == KindDelta {
-		if len(chain) > maxChain {
-			return nil, fmt.Errorf("ckpt: epoch %d rank %d: delta chain longer than %d", epoch, rank, maxChain)
-		}
-		base, err := Read(Path(dir, rank, cur.BaseEpoch))
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: epoch %d rank %d: chain member: %w", epoch, rank, err)
-		}
-		if base.Meta != head.Meta {
-			return nil, fmt.Errorf("ckpt: epoch %d rank %d: chain member epoch %d belongs to a different run", epoch, rank, base.Epoch)
-		}
-		if base.Epoch != cur.BaseEpoch || (base.Kind == KindDelta && base.BaseEpoch >= base.Epoch) {
-			return nil, fmt.Errorf("ckpt: epoch %d rank %d: chain member epoch %d malformed", epoch, rank, base.Epoch)
-		}
-		chain = append(chain, base)
-		cur = base
-	}
-	// cur is the full base; overlay deltas oldest-first. F slots are
-	// write-once so newer ranges only ever add resolutions, but replay
-	// order is kept oldest-first regardless — it is the order the state
-	// was produced in.
-	f := cur.F
-	for i := len(chain) - 2; i >= 0; i-- {
-		d := chain[i]
-		if d.FLen != int64(len(f)) {
-			return nil, fmt.Errorf("ckpt: epoch %d rank %d: delta epoch %d F length %d != base %d", epoch, rank, d.Epoch, d.FLen, len(f))
-		}
-		for _, dr := range d.Delta {
-			copy(f[dr.Start:dr.Start+int64(len(dr.Values))], dr.Values)
-		}
-	}
-	head.F = f
-	head.FLen = 0
-	head.Kind = KindFull
-	head.BaseEpoch = 0
-	head.Delta = nil
-	return head, nil
-}
-
 // Latest returns the newest restorable snapshot for rank under dir,
-// walking epochs newest-first and skipping (with a reason) any epoch
-// that fails to materialize — a torn file, or a delta whose chain has a
-// torn or missing member. It returns (nil, skipped, nil) when the rank
-// has no restorable snapshot, and an error only when the directory
-// itself cannot be read.
+// walking epochs newest-first and skipping (with a reason) any file Read
+// rejects. It returns (nil, skipped, nil) when the rank has no
+// restorable snapshot, and an error only when the directory itself
+// cannot be read.
 func Latest(dir string, rank int) (snap *Snapshot, skipped []string, err error) {
 	epochs, err := Epochs(dir, rank)
 	if err != nil {
@@ -934,7 +640,7 @@ func Latest(dir string, rank int) (snap *Snapshot, skipped []string, err error) 
 		return nil, nil, err
 	}
 	for i := len(epochs) - 1; i >= 0; i-- {
-		s, err := Materialize(dir, rank, epochs[i])
+		s, err := Read(Path(dir, rank, epochs[i]))
 		if err != nil {
 			skipped = append(skipped, fmt.Sprintf("%s: %v", Path(dir, rank, epochs[i]), err))
 			continue
@@ -963,34 +669,28 @@ func Epochs(dir string, rank int) ([]int64, error) {
 }
 
 // Prune deletes rank's snapshot files under dir older than the keep-th
-// newest full snapshot. Full snapshots are the retention barriers: a
-// delta is only restorable while its whole chain survives, so retention
-// is counted in full epochs and everything strictly older than the
-// oldest retained full (the anchor of the oldest retained chain) is
-// deleted — deltas hanging off it included. With full-only
-// checkpointing this reduces to keeping the keep newest epochs.
-// Keeping at least two fulls is what makes the torn-latest fallback
-// possible. Files whose header cannot be read (torn, foreign) never
-// count as barriers but are deleted once they age past one.
+// newest snapshot that Read accepts. A torn or foreign file never counts
+// toward retention, so keep restorable epochs survive whatever damage
+// sits among them — keeping at least two is what makes the torn-latest
+// fallback possible. A snapshot is a few KB, so the full CRC check costs
+// little; rejected files are deleted once they age past the oldest kept
+// epoch.
 func Prune(dir string, rank int, keep int) error {
 	epochs, err := Epochs(dir, rank)
 	if err != nil {
 		return err
 	}
-	if keep < 1 {
-		keep = 1
-	}
-	var fulls []int64
-	for _, ep := range epochs {
-		h, err := ReadHeader(Path(dir, rank, ep))
-		if err == nil && h.Kind == KindFull {
-			fulls = append(fulls, ep)
+	keep = max(keep, 1)
+	var barrier int64
+	for i := len(epochs) - 1; i >= 0 && keep > 0; i-- {
+		if _, err := Read(Path(dir, rank, epochs[i])); err == nil {
+			barrier = epochs[i]
+			keep--
 		}
 	}
-	if len(fulls) < keep {
+	if keep > 0 {
 		return nil
 	}
-	barrier := fulls[len(fulls)-keep]
 	for _, ep := range epochs {
 		if ep >= barrier {
 			break

@@ -19,7 +19,6 @@ func sample(rank int, epoch int64) *Snapshot {
 		},
 		Epoch:   epoch,
 		NextTag: 42,
-		F:       []int64{-1, 0, 7, -1, 123456789, 3},
 		Workers: []WorkerState{
 			{
 				Lo: 0, Hi: 300,
@@ -45,6 +44,7 @@ func sample(rank int, epoch int64) *Snapshot {
 		},
 		Outbound: []OutboundBatch{{To: 3, Frame: []byte{0xca, 0xfe, 0x00}}},
 		Stats:    Stats{Retries: 5, QueuedWaits: 6, LocalWaits: 7},
+		Sink:     SinkMark{Offset: 1 << 40, Blocks: 12345, Edges: 987654321},
 	}
 }
 
@@ -74,40 +74,25 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-// streamedSample is sample as a streamed run writes it: the sink mark in
-// place of the table.
-func streamedSample(rank int, epoch int64) *Snapshot {
-	s := sample(rank, epoch)
-	s.F = nil
-	s.Sink = &SinkMark{Offset: 1 << 40, Blocks: 12345, Edges: 987654321}
-	return s
-}
-
-// A streamed snapshot round-trips with its sink mark and no table — and
-// the encoder drops a table it is handed alongside a mark, because the
-// marked shard prefix is the only F a streamed resume reads.
+// The mark is the snapshot's only source of F, so 'K' is written for
+// every snapshot — a zero mark (a cut before the first block flushed)
+// included — and every field round-trips at its full width.
 func TestWriteReadSinkMark(t *testing.T) {
 	dir := t.TempDir()
-	want := streamedSample(1, 3)
-	path, size, err := Write(dir, want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("sink-mark round trip mismatch:\n got %+v\nwant %+v", got, want)
-	}
-	if got.F != nil || got.Sink == nil || *got.Sink != *want.Sink {
-		t.Fatalf("F = %v, Sink = %+v; want no table and %+v", got.F, got.Sink, want.Sink)
-	}
-
-	withTable := streamedSample(1, 3)
-	withTable.F = sample(1, 3).F
-	if _, sizeWithTable, err := Write(dir, withTable); err != nil || sizeWithTable != size {
-		t.Fatalf("a streamed snapshot handed a table wrote %d bytes (err %v), want the table-less %d", sizeWithTable, err, size)
+	for _, mark := range []SinkMark{{}, {Offset: 1<<63 - 1, Blocks: 1 << 40, Edges: 1<<62 + 3}} {
+		want := sample(1, 3)
+		want.Sink = mark
+		path, _, err := Write(dir, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("mark %+v: round trip mismatch:\n got %+v\nwant %+v", mark, got, want)
+		}
 	}
 }
 
@@ -117,76 +102,66 @@ func reseal(data []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
 }
 
-// The v6 invariant, both directions: 'F'/'D' is present iff 'K' is
-// absent. The files below are CRC-clean, so the section rule — not the
-// checksum — must reject them.
+// The v7 section rules: 'K' is mandatory, and the in-memory table
+// sections 'F' and 'D' of earlier versions are unknown tags. The files
+// below are CRC-clean, so the section rules — not the checksum — must
+// reject them.
 func TestParseSectionRules(t *testing.T) {
 	var enc Encoder
 	encode := func(s *Snapshot) []byte { return append([]byte(nil), enc.Encode(s)...) }
-	full := sample(0, 4)
-	delta := deltaSample(full, 5, []DeltaRange{{Start: 1, Values: []int64{9, 8}}})
-	streamed := streamedSample(0, 4)
-	streamedDelta := streamedSample(0, 5)
-	streamedDelta.Kind, streamedDelta.BaseEpoch = KindDelta, 4
+	s := sample(0, 4)
 
 	// The 'K' section sits right before the end marker and the trailer:
-	// withMark splices one into an in-memory file, bare cuts it out of a
-	// streamed one, which leaves no source of F at all.
-	mark := binary.AppendUvarint([]byte{'K'}, uint64(streamed.Sink.Offset))
-	mark = binary.AppendUvarint(mark, uint64(streamed.Sink.Blocks))
-	mark = binary.AppendUvarint(mark, uint64(streamed.Sink.Edges))
-	withMark := func(data []byte) []byte {
-		body := append(data[:len(data)-5:len(data)-5], mark...)
+	// beforeEnd splices a section in there, bare cuts 'K' out.
+	mark := binary.AppendUvarint([]byte{'K'}, uint64(s.Sink.Offset))
+	mark = binary.AppendUvarint(mark, uint64(s.Sink.Blocks))
+	mark = binary.AppendUvarint(mark, uint64(s.Sink.Edges))
+	beforeEnd := func(data, section []byte) []byte {
+		body := append(data[:len(data)-5:len(data)-5], section...)
 		return reseal(append(body, 'Z', 0, 0, 0, 0))
 	}
-	bare := encode(streamed)
+	bare := encode(s)
 	bare = reseal(append(bare[:len(bare)-5-len(mark):len(bare)-5-len(mark)], 'Z', 0, 0, 0, 0))
-
-	v5, v5streamed := encode(full), encode(streamed)
-	v5[len(Magic)], v5streamed[len(Magic)] = 5, 5
+	v6 := encode(s)
+	v6[len(Magic)] = 6
 
 	for name, data := range map[string][]byte{
-		"K with F":            withMark(encode(full)),
-		"K with D":            withMark(encode(delta)),
-		"K on a delta":        encode(streamedDelta),
-		"none of F, D, K":     bare,
-		"version 5":           reseal(v5),
-		"version 5, streamed": reseal(v5streamed),
+		"no K":      bare,
+		"F section": beforeEnd(encode(s), []byte{'F', 2, 0, 5}),
+		"D section": beforeEnd(encode(s), []byte{'D', 2, 1, 0, 1, 5}),
+		"version 6": reseal(v6),
 	} {
-		if s, err := parse(data); err == nil {
-			t.Errorf("%s: parsed to %+v, want an error", name, s)
+		if got, err := parse(data); err == nil {
+			t.Errorf("%s: parsed to %+v, want an error", name, got)
 		} else if strings.Contains(err.Error(), "CRC") {
 			t.Errorf("%s: rejected by checksum (%v), the test file is malformed", name, err)
 		}
 	}
-	for name, s := range map[string]*Snapshot{"full": full, "delta": delta, "streamed": streamed} {
-		if got, err := parse(encode(s)); err != nil || !reflect.DeepEqual(got, s) {
-			t.Errorf("%s: round trip = %+v, %v", name, got, err)
-		}
+	if got, err := parse(encode(s)); err != nil || !reflect.DeepEqual(got, s) {
+		t.Errorf("round trip = %+v, %v", got, err)
 	}
 }
 
-// Retention over a directory of table-less epochs: every streamed epoch
-// is full, so Prune keeps exactly keep files, Latest returns the newest
-// and falls back past a torn one, and Materialize has no chain to walk.
+// Retention keeps the keep newest snapshots Read accepts: Prune leaves
+// exactly keep files over clean epochs, Latest falls back past a torn
+// one, and the torn file never counts toward retention — so the epochs
+// it would have displaced stay.
 func TestStreamedEpochRetention(t *testing.T) {
 	dir := t.TempDir()
-	for epoch := int64(1); epoch <= 6; epoch++ {
-		if _, _, err := Write(dir, streamedSample(0, epoch)); err != nil {
+	write := func(epoch int64) {
+		t.Helper()
+		if _, _, err := Write(dir, sample(0, epoch)); err != nil {
 			t.Fatal(err)
 		}
 		if err := Prune(dir, 0, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for epoch := int64(1); epoch <= 6; epoch++ {
+		write(epoch)
+	}
 	if epochs, _ := Epochs(dir, 0); !reflect.DeepEqual(epochs, []int64{4, 5, 6}) {
 		t.Fatalf("after prune: %v, want [4 5 6]", epochs)
-	}
-	for _, epoch := range []int64{4, 5, 6} {
-		s, err := Materialize(dir, 0, epoch)
-		if err != nil || s.Kind != KindFull || s.F != nil || s.Sink == nil {
-			t.Fatalf("Materialize(%d) = %+v, %v; want a full snapshot with a mark and no table", epoch, s, err)
-		}
 	}
 	if err := os.Truncate(Path(dir, 0, 6), 40); err != nil {
 		t.Fatal(err)
@@ -194,6 +169,11 @@ func TestStreamedEpochRetention(t *testing.T) {
 	snap, skipped, err := Latest(dir, 0)
 	if err != nil || snap == nil || snap.Epoch != 5 || len(skipped) != 1 {
 		t.Fatalf("Latest = %+v, skipped %v, err %v; want epoch 5 past the torn 6", snap, skipped, err)
+	}
+	write(7)
+	write(8)
+	if epochs, _ := Epochs(dir, 0); !reflect.DeepEqual(epochs, []int64{5, 6, 7, 8}) {
+		t.Fatalf("after prune past a torn epoch: %v, want [5 6 7 8] (three readable, the torn 6 uncounted)", epochs)
 	}
 }
 

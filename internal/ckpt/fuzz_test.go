@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"pagen/internal/msg"
 )
 
 // FuzzParse feeds arbitrary bytes to the snapshot parser. The input is
@@ -11,23 +13,21 @@ import (
 // mutated body under a stale checksum would only ever exercise the
 // checksum — and is also parsed raw. Whatever the bytes hold, parse must
 // not panic and must not allocate from a count the file's size does not
-// back; a file it accepts must be safe to overlay (delta ranges inside
-// the table they claim) and must re-encode to bytes that parse back to
+// back, and a file it accepts must re-encode to bytes that parse back to
 // the same Snapshot, so nothing the reader admits is lost or invented by
-// the writer. The seeds are real Encoder output;
-// testdata/fuzz/FuzzParse keeps the inputs that broke the v5 parser: a
-// NaN p (unequal to itself, so never equal after a round trip) and a
-// delta range whose end wraps past int64 and so passed the bounds check.
+// the writer. The seeds are real Encoder output: snapshots with outbound
+// frames and coalescing chains, and an idle one with no worker records.
+// testdata/fuzz/FuzzParse keeps an input that broke an earlier parser:
+// a NaN p, unequal to itself and so never equal after a round trip.
 func FuzzParse(f *testing.F) {
 	var enc Encoder
-	full := sample(0, 4)
-	ranges := deltaSample(full, 5, []DeltaRange{
-		{Start: 0, Values: []int64{3}},
-		{Start: 2, Values: []int64{9, -1, 8}},
-		{Start: 5, Values: []int64{1 << 40}},
-	})
-	idle := &Snapshot{Meta: full.Meta, Epoch: 1, F: []int64{}}
-	for _, s := range []*Snapshot{full, ranges, streamedSample(1, 3), idle} {
+	frames := sample(1, 3)
+	frames.Outbound = []OutboundBatch{
+		{To: 0, Frame: msg.AppendEncodeBatchV3(nil, []msg.Message{msg.Request(1201, 2, 77, 1), msg.Resolved(1305, 0, 42)})},
+		{To: 5, Frame: msg.AppendEncodeBatchV3(nil, []msg.Message{msg.Publish(3, 1, 2), msg.Publish(3, 2, 0)})},
+	}
+	idle := &Snapshot{Meta: frames.Meta, Epoch: 1, Sink: SinkMark{Offset: 64, Blocks: 1, Edges: 6}}
+	for _, s := range []*Snapshot{sample(0, 4), frames, epochSnapshot(4, 8, 4), idle} {
 		data := enc.Encode(s)
 		f.Add(append([]byte(nil), data[:len(data)-4]...))
 	}
@@ -38,19 +38,13 @@ func FuzzParse(f *testing.F) {
 		_, _ = parse(body)
 		s, err := parse(reseal(append(body[:len(body):len(body)], 0, 0, 0, 0)))
 		runtime.ReadMemStats(&after)
-		// Every table entry, range, record and section costs at least
-		// one byte of file and at most a few dozen bytes of memory.
+		// Every record and section costs at least one byte of file and at
+		// most a few dozen bytes of memory.
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+256*uint64(len(body)) {
 			t.Fatalf("parsing %d bytes allocated %d", len(body), grew)
 		}
 		if err != nil {
 			return
-		}
-		if s.Kind == KindDelta && s.FLen <= 1<<20 {
-			table := make([]int64, s.FLen)
-			for _, dr := range s.Delta {
-				copy(table[dr.Start:dr.Start+int64(len(dr.Values))], dr.Values)
-			}
 		}
 		var enc Encoder
 		again, err := parse(enc.Encode(s))

@@ -15,12 +15,12 @@ import (
 // periodically pauses generation at a globally quiescent point (a
 // consistent cut — see DESIGN.md §9), captures its mutable state into
 // pooled buffers, resumes immediately, and publishes the snapshot file
-// from a per-rank background writer. With Options.StreamDir set the
-// shard is the checkpoint's F: a snapshot names the shard's durable
-// prefix and a resume replays it, so no table is copied or written. A
-// later run with Resume set restarts from the newest epoch every rank
-// holds a restorable snapshot of, producing output byte-identical to an
-// uninterrupted run.
+// from a per-rank background writer. A checkpointed run streams
+// (Options.StreamDir), and the shard is the checkpoint's F: a snapshot
+// names the shard's durable prefix and a resume replays it, so no table
+// is copied or written. A later run with Resume set restarts from the
+// newest epoch every rank holds a restorable snapshot of, producing
+// output byte-identical to an uninterrupted run.
 type CheckpointOptions struct {
 	// Dir is the snapshot directory (one file per rank per epoch).
 	Dir string
@@ -29,26 +29,16 @@ type CheckpointOptions struct {
 	// Zero disables triggering — useful with Resume to restart a run
 	// without further checkpoints.
 	Every int64
-	// Keep is the number of full epochs retained per rank (older ones,
-	// and the delta chains hanging off them, are pruned). Values below
-	// 2 are raised to 2 so one torn latest epoch still leaves a common
-	// fallback. 0 selects the default.
+	// Keep is the number of snapshots retained per rank (older ones are
+	// pruned). Values below 2 are raised to 2 so one torn latest epoch
+	// still leaves a common fallback. 0 selects the default.
 	Keep int
-	// FullEvery is the full-snapshot cadence: every FullEvery-th epoch
-	// is a full snapshot and the epochs between are deltas carrying
-	// only the F ranges dirtied since the previous epoch (base+delta
-	// chains). 0 or 1 selects full-only checkpointing.
-	// An epoch after a restore or an abandoned epoch is forced full so
-	// every chain stands on state that is known to be on disk. In-memory
-	// runs only: a streamed run's snapshots carry no table to delta, so
-	// every streamed epoch is full and FullEvery has no effect.
-	FullEvery int
 	// Resume makes the run restart from the newest epoch all ranks can
 	// restore; with no usable snapshots the run starts fresh.
 	Resume bool
 }
 
-// DefaultCheckpointKeep is the default number of retained full epochs.
+// DefaultCheckpointKeep is the default number of retained snapshots.
 const DefaultCheckpointKeep = 2
 
 // ckptMaxRounds bounds the quiescence-probe rounds per epoch. The
@@ -57,19 +47,12 @@ const DefaultCheckpointKeep = 2
 // looping forever (and keeps the round number inside its uint16 field).
 const ckptMaxRounds = 10000
 
-// ckptDirtyShift sets the dirty-tracking granularity: one bitmap word
-// covers 1<<ckptDirtyShift F slots (4096 slots = 32 KiB of table), so
-// the bitmap costs 1/8192 of the table and the hot-path mark is one
-// predictable load+branch.
-const ckptDirtyShift = 12
-
 // ckptRun is the per-rank state of the checkpoint protocol. It belongs
 // to the rank goroutine; only the writer has a goroutine of its own.
 type ckptRun struct {
-	dir       string
-	every     int64
-	keep      int
-	fullEvery int
+	dir   string
+	every int64
+	keep  int
 
 	// paused: an epoch is active — generation is paused, the rank keeps
 	// serving the resolution cascade until globally quiescent.
@@ -79,12 +62,6 @@ type ckptRun struct {
 
 	epochNext int64 // next epoch number to open (rank 0)
 	epoch     int64 // epoch currently active (all ranks)
-	lastGood  int64 // newest locally captured epoch (delta base)
-	// forceFull forces the next epoch to capture a full snapshot: set
-	// after a restore, after an abandoned epoch, and after a skipped
-	// capture, so no delta ever chains onto state that may not be on
-	// disk.
-	forceFull bool
 
 	// writer is the rank's background publisher: encode, CRC, write,
 	// fsync, rename and prune all run there, off the pause path.
@@ -143,15 +120,9 @@ type ckptVoteState struct {
 // the reusable backing arrays its slices point into. Two captures
 // rotate between the cut (fill) and the background writer (drain), so
 // a steady cadence allocates nothing epoch over epoch once the buffers
-// have grown to the rank's state size — the table for an in-memory run,
-// a few suspension and waiter records for a streamed one.
+// have grown to the rank's suspension and waiter records.
 type ckptCapture struct {
-	snap ckpt.Snapshot
-	// f backs snap.F for full captures; dvals is the flat value store
-	// the delta ranges subslice. A streamed run leaves all three nil.
-	f       []int64
-	dvals   []int64
-	ranges  []ckpt.DeltaRange
+	snap    ckpt.Snapshot
 	workers []ckpt.WorkerState
 	out     []ckpt.OutboundBatch
 }
@@ -166,11 +137,11 @@ type ckptWriteReq struct {
 }
 
 // ckptWriter is the per-rank background snapshot publisher. The cut
-// hands it a filled capture and resumes generation; encode, CRC-32C,
-// tmp+fsync+rename, chain pruning and (for streamed runs) the shard
-// fsync that makes the sink mark durable all run here. The first error
-// latches and fails the *next* epoch's commit vote rather than the run;
-// takeErr consumes the latch so one failure abandons exactly one epoch.
+// hands it a filled capture and resumes generation; the shard fsync
+// that makes the sink mark durable, encode, CRC-32C, tmp+fsync+rename
+// and pruning all run here. The first error latches and fails the
+// *next* epoch's commit vote rather than the run; takeErr consumes the
+// latch so one failure abandons exactly one epoch.
 type ckptWriter struct {
 	dir    string
 	rank   int
@@ -247,10 +218,8 @@ func (bw *ckptWriter) loop() {
 // does not latch a Sync failure: returning it here, which abandons the
 // epoch, is the only report.
 func (bw *ckptWriter) publish(c *ckptCapture) (int64, error) {
-	if c.snap.Sink != nil && bw.stream != nil {
-		if err := bw.stream.Sync(); err != nil {
-			return 0, err
-		}
+	if err := bw.stream.Sync(); err != nil {
+		return 0, err
 	}
 	data := bw.enc.Encode(&c.snap)
 	_, size, err := ckpt.WriteEncoded(bw.dir, bw.rank, c.snap.Epoch, data)
@@ -287,17 +256,6 @@ func (bw *ckptWriter) shutdown() {
 func (e *engine) ckptMetric() int64 {
 	c := e.cm.Counters()
 	return e.ck.initiated + c.RequestsRecv + c.ResolvedRecv
-}
-
-// ckptMarkDirty records that flat slot s changed since the last capture
-// (delta-epoch dirty tracking; no-op unless delta epochs are enabled).
-// The bitmap word is only written while still clear, so the hot path's
-// steady state is one cached load.
-func (e *engine) ckptMarkDirty(s int64) {
-	w := &e.ckDirty[s>>ckptDirtyShift]
-	if *w == 0 {
-		*w = 1
-	}
 }
 
 // ckptBegin (rank 0) opens a new epoch: pause generation everywhere,
@@ -431,13 +389,11 @@ func (e *engine) ckptRecordVote(epoch int64, ok bool) error {
 }
 
 // ckptAbandon applies an epoch abandonment on this rank: uncount the
-// epoch (unless this rank never captured it), queue its file for
-// removal behind any in-flight write of it, and force the next epoch
-// full so no delta chains onto state that may not be on disk.
+// epoch (unless this rank never captured it) and queue its file for
+// removal behind any in-flight write of it.
 func (e *engine) ckptAbandon(epoch int64) {
 	ck := e.ck
 	ck.failed++
-	ck.forceFull = true
 	if ck.voted0[epoch] {
 		delete(ck.voted0, epoch)
 		return
@@ -641,17 +597,15 @@ func (e *engine) ckptCut() error {
 	if werr := ck.writer.takeErr(); werr != nil {
 		ok = false
 	}
-	// Streamed runs fix the shard mark at the cut: flush the open block
-	// (a page-cache write) so the mark names a complete-block prefix.
-	// The fsync that makes the mark durable runs in the writer, before
-	// the snapshot naming it is published.
-	var mark *ckpt.SinkMark
-	if ok && e.stream != nil {
-		m, err := e.stream.Mark()
-		if err != nil {
+	// Fix the shard mark at the cut: flush the open block (a page-cache
+	// write) so the mark names a complete-block prefix. The fsync that
+	// makes the mark durable runs in the writer, before the snapshot
+	// naming it is published.
+	var mark esink.Mark
+	if ok {
+		var err error
+		if mark, err = e.stream.Mark(); err != nil {
 			ok = false
-		} else {
-			mark = &ckpt.SinkMark{Offset: m.Offset, Blocks: m.Blocks, Edges: m.Edges}
 		}
 	}
 	// Relay the marker before this rank sends any post-cut data. Rank 0's
@@ -677,29 +631,20 @@ func (e *engine) ckptCut() error {
 			}
 		}
 	}
-	var pending *ckptCapture
 	if ok {
-		kind, base := ckpt.KindFull, int64(0)
-		if ck.fullEvery > 1 && !ck.forceFull && ck.lastGood > 0 && (ck.epoch-1)%int64(ck.fullEvery) != 0 {
-			kind, base = ckpt.KindDelta, ck.lastGood
-		}
 		// Waiting for a free capture buffer is real back-pressure (the
 		// writer still holds both) and is charged to the pause.
-		pending = <-ck.writer.free
-		e.buildSnapshotInto(pending, kind, base)
-		pending.snap.Sink = mark
+		pending := <-ck.writer.free
+		e.buildSnapshotInto(pending, mark)
 		// Optimistic local commit: the vote tally abandons the epoch
 		// later if any rank failed.
-		ck.lastGood = ck.epoch
 		ck.epochs++
-		ck.forceFull = false
 		// Enqueued before the vote: if the tally completes inside this
 		// call and abandons the epoch, the removal request must trail
 		// the write in the writer's FIFO.
 		ck.writer.ch <- ckptWriteReq{c: pending}
 	} else {
 		ck.voted0[ck.epoch] = true
-		ck.forceFull = true
 	}
 	if e.rank == 0 {
 		if err := e.ckptRecordVote(ck.epoch, ok); err != nil {

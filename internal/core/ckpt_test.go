@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -289,15 +290,23 @@ func TestCheckpointSingleRank(t *testing.T) {
 			// walks from index 0 in batches of batchNodes; the
 			// cut's frontier falls inside one, so that batch admits only
 			// its uninitiated nodes. One rank emits in node order, so
-			// the resumed edge list must equal the sequential one.
+			// the resumed edge list must equal the sequential one. The
+			// frontier is read from the table the marked shard prefix
+			// restores.
 			snap, _, err := ckpt.Latest(dir, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			x := int64(pr.X)
+			e := resumedEngine(t, Options{
+				Params: pr, Part: part, Seed: 3, Workers: workers, StreamDir: filepath.Join(dir, "shards"),
+				Checkpoint: &CheckpointOptions{Dir: dir, Resume: true},
+			}, 0, snap.Epoch)
+			if err := e.restore(); err != nil {
+				t.Fatal(err)
+			}
 			var initiated int64
 			for idx := int64(0); idx < pr.N; idx++ {
-				if snap.F[idx*x+x-1] >= 0 {
+				if e.nodeInitiated(idx) {
 					initiated++
 				}
 			}
@@ -339,7 +348,7 @@ func TestCheckpointChaosTransport(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dir := t.TempDir()
+		dir, streamDir := t.TempDir(), t.TempDir()
 		results = make([]*RankResult, p)
 		errs := make([]error, p)
 		done := make(chan int, p)
@@ -351,7 +360,7 @@ func TestCheckpointChaosTransport(t *testing.T) {
 					MaxDelay:  500 * time.Microsecond,
 				})
 				results[r], errs[r] = RunRank(tr, Options{
-					Params: pr, Part: part, Seed: 9, Workers: 2,
+					Params: pr, Part: part, Seed: 9, Workers: 2, StreamDir: streamDir,
 					Checkpoint: &CheckpointOptions{Dir: dir, Every: every},
 				})
 				done <- r
@@ -360,20 +369,86 @@ func TestCheckpointChaosTransport(t *testing.T) {
 		for i := 0; i < p; i++ {
 			<-done
 		}
-		var all []graph.Edge
 		for r := 0; r < p; r++ {
 			if errs[r] != nil {
 				t.Fatalf("rank %d: %v", r, errs[r])
 			}
-			all = append(all, results[r].Edges...)
 		}
-		sameEdgeSet(t, "chaos checkpoint", all, want)
+		sameEdgeSet(t, "chaos checkpoint", streamEdges(t, streamDir, p), want)
 		if results[0].Stats.CkptEpochs >= 1 {
 			break
 		}
 	}
 	if results[0].Stats.CkptEpochs < 1 {
 		t.Fatalf("committed %d epochs under chaos even at Every=50, want >= 1", results[0].Stats.CkptEpochs)
+	}
+}
+
+// Killing a rank mid-run — with epochs committing and background
+// publishes in flight — must leave a directory a resume can always use:
+// the relaunched cluster produces output identical to an uninterrupted
+// run. The kill needs the TCP transport (crash detection lives in its
+// failure model), and BufferCap 1 puts the kill budget mid-protocol.
+func TestCheckpointKillDuringBackgroundWrite(t *testing.T) {
+	pr := model.Params{N: 10_000, X: 3, P: 0.5}
+	const ranks = 3
+	part, err := partition.New(partition.KindRRP, pr.N, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := Run(Options{Params: pr, Part: part, Seed: 31, Workers: 1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ki, killAfter := range []int64{60, 600} {
+		dir, streamDir := t.TempDir(), t.TempDir()
+		runCluster := func(basePort int, kill int64, resume bool) []error {
+			addrs := make([]string, ranks)
+			for i := range addrs {
+				addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
+			}
+			opts := Options{
+				Params: pr, Part: part, Seed: 31, Workers: 1, BufferCap: 1, StreamDir: streamDir,
+				Checkpoint: &CheckpointOptions{Dir: dir, Every: 300, Keep: 1000, Resume: resume},
+			}
+			errs := make([]error, ranks)
+			done := make(chan int, ranks)
+			for r := 0; r < ranks; r++ {
+				go func(r int) {
+					defer func() { done <- r }()
+					tr, err := transport.NewTCP(r, addrs)
+					if err != nil {
+						errs[r] = err
+						return
+					}
+					if kill > 0 && r == ranks-1 {
+						chaotic := transport.NewChaos(tr, transport.ChaosConfig{
+							Seed: 31, KillAfterSends: kill,
+						})
+						_, errs[r] = RunRank(chaotic, opts)
+						chaotic.Close()
+						return
+					}
+					defer tr.Close()
+					_, errs[r] = RunRank(tr, opts)
+				}(r)
+			}
+			for i := 0; i < ranks; i++ {
+				<-done
+			}
+			return errs
+		}
+		// Kill pass: outcomes don't matter (the kill may land anywhere,
+		// including inside a background publish); the directory must
+		// stay restorable regardless.
+		runCluster(43600+ki*2*ranks, killAfter, false)
+		// Resume pass on fresh ports; must succeed and match.
+		for r, err := range runCluster(43600+ki*2*ranks+ranks, 0, true) {
+			if err != nil {
+				t.Fatalf("killAfter=%d: resume rank %d: %v", killAfter, r, err)
+			}
+		}
+		equalEdges(t, fmt.Sprintf("killAfter=%d resume", killAfter), streamEdges(t, streamDir, ranks), base.Graph.Edges)
 	}
 }
 
@@ -498,7 +573,7 @@ func TestCheckpointCutMarkerOvertaken(t *testing.T) {
 	for _, ep := range epochs {
 		snaps := make([]*ckpt.Snapshot, p)
 		for r := range snaps {
-			if snaps[r], err = ckpt.Materialize(opts.Checkpoint.Dir, r, ep); err != nil {
+			if snaps[r], err = ckpt.Read(ckpt.Path(opts.Checkpoint.Dir, r, ep)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -103,13 +103,12 @@ type Options struct {
 	// a sorted, CRC-protected shard file under the directory
 	// (esink.ShardPath names it; docs/SHARD_FORMAT.md is the byte spec)
 	// instead of accumulating them in memory, so resident memory is
-	// bounded by the F table regardless of the edge count. Unlike Sink
-	// it composes with checkpointing: each cut records the shard's
-	// durable byte offset in place of the F table, and a resumed run
-	// truncates the shard back to it and rebuilds F from that prefix.
-	// Merging the per-rank shard streams rank-major in slot-key order
-	// reproduces the in-memory merged graph byte for byte. Mutually
-	// exclusive with Sink.
+	// bounded by the F table regardless of the edge count. Checkpointing
+	// requires it: each cut records the shard's durable byte offset in
+	// place of the F table, and a resumed run truncates the shard back
+	// to it and rebuilds F from that prefix. Merging the per-rank shard
+	// streams rank-major in slot-key order reproduces the in-memory
+	// merged graph byte for byte. Mutually exclusive with Sink.
 	StreamDir string
 	// StreamBlockEdges is the edge-record count per streamed block
 	// (esink.DefaultBlockEdges if zero); tests shrink it to force many
@@ -132,9 +131,10 @@ type Options struct {
 	// The output graph is identical for every setting.
 	HubPrefix int64
 	// Checkpoint, when non-nil, enables cooperative checkpoint/restart
-	// (see CheckpointOptions and DESIGN.md §9). Incompatible with Sink,
-	// Trace and CollectNodeLoad, whose side effects are not captured by
-	// a snapshot.
+	// (see CheckpointOptions and DESIGN.md §9). It requires StreamDir,
+	// which Run fills in under Checkpoint.Dir when it is empty.
+	// Incompatible with Sink, Trace and CollectNodeLoad, whose side
+	// effects are not captured by a snapshot.
 	Checkpoint *CheckpointOptions
 	// Resolve selects how copy queries for remote-owned slots resolve
 	// (DESIGN.md §11): ResolveWire (the default) sends the paper's
@@ -383,11 +383,6 @@ type engine struct {
 	// f holds F_t(e) at f[part.Index(rank,t)*x + e]; -1 = NILL. Each
 	// slot is written exactly once (-1 -> v), between windows.
 	f []int64
-	// ckDirty is the delta-checkpoint dirty bitmap: one word per
-	// 1<<ckptDirtyShift F slots, set by resolveSlot, cleared at each
-	// successful capture. Nil unless delta epochs are enabled
-	// (CheckpointOptions.FullEvery > 1 on an in-memory run).
-	ckDirty []uint32
 	// nodeLoad counts copy queries received per local node (indexed
 	// like f, but per node not per slot); nil unless CollectNodeLoad.
 	nodeLoad []int64
@@ -629,14 +624,15 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 			return nil, fmt.Errorf("core: checkpointing requires a directory")
 		case c.Every < 0:
 			return nil, fmt.Errorf("core: negative checkpoint interval %d", c.Every)
-		case c.FullEvery < 0:
-			return nil, fmt.Errorf("core: negative checkpoint full-epoch cadence %d", c.FullEvery)
 		case opts.Sink != nil:
 			return nil, fmt.Errorf("core: checkpointing is incompatible with a streaming sink (already-streamed edges cannot be unsent on restart)")
 		case opts.Trace != nil:
 			return nil, fmt.Errorf("core: checkpointing is incompatible with tracing")
 		case opts.CollectNodeLoad:
 			return nil, fmt.Errorf("core: checkpointing is incompatible with node-load collection")
+		case opts.StreamDir == "":
+			// The marked shard prefix is a snapshot's only source of F.
+			return nil, fmt.Errorf("core: checkpointing requires Options.StreamDir (the shard is the checkpoint's attachment table)")
 		}
 		keep := c.Keep
 		if keep == 0 {
@@ -645,18 +641,10 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 		if keep < 2 {
 			keep = 2
 		}
-		// A streamed snapshot carries no table — the marked shard prefix
-		// is F — so there is nothing to delta: every streamed epoch is
-		// full and the dirty bitmap is never allocated.
-		fullEvery := c.FullEvery
-		if opts.StreamDir != "" {
-			fullEvery = 0
-		}
 		e.ck = &ckptRun{
 			dir:       c.Dir,
 			every:     c.Every,
 			keep:      keep,
-			fullEvery: fullEvery,
 			epochNext: 1,
 			voted0:    make(map[int64]bool),
 		}
@@ -800,9 +788,6 @@ func (e *engine) bootstrap() {
 	for i := range e.f {
 		e.f[i] = -1
 	}
-	if ck := e.ck; ck != nil && ck.fullEvery > 1 {
-		e.ckDirty = make([]uint32, (e.size*e.x64+(1<<ckptDirtyShift)-1)>>ckptDirtyShift)
-	}
 	if e.opts.CollectNodeLoad {
 		e.nodeLoad = make([]int64, e.size)
 		if e.hub != nil {
@@ -843,10 +828,10 @@ func (e *engine) bootstrap() {
 // bootEmit streams one bootstrap-time edge (slot key, edge) to the
 // sink. Without a sink the edge is not stored: collectEdges
 // reconstructs the full edge list from f when the run ends. On a
-// resumed streamed run the bootstrap edges are already in the shard's
-// durable prefix (every snapshot postdates bootstrap), so the stream
-// write is suppressed; a write error latches in the writer and run()
-// surfaces it right after bootstrap.
+// resumed run the bootstrap edges are already in the shard's durable
+// prefix (every snapshot postdates bootstrap), so the stream write is
+// suppressed; a write error latches in the writer and run() surfaces
+// it right after bootstrap.
 func (e *engine) bootEmit(key int64, ed graph.Edge) {
 	e.emitted++
 	if e.stream != nil && e.resumeSnap == nil {

@@ -137,6 +137,17 @@ func TestRunRankValidationMessages(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "partition") {
 		t.Fatalf("n mismatch error = %v", err)
 	}
+	// A snapshot's F is the rank's shard prefix, so a rank cannot
+	// checkpoint without one (Run supplies it; RunRank callers must).
+	part2, _ := partition.New(partition.KindUCP, 100, 2)
+	_, err = RunRank(group.Endpoint(0), Options{
+		Params:     model.Params{N: 100, X: 2, P: 0.5},
+		Part:       part2,
+		Checkpoint: &CheckpointOptions{Dir: t.TempDir()},
+	})
+	if err == nil || !strings.Contains(err.Error(), "StreamDir") {
+		t.Fatalf("checkpoint without StreamDir error = %v", err)
+	}
 }
 
 // PollEvery extremes: polling after every node and essentially never

@@ -236,9 +236,6 @@ func (e *engine) resolveLocal(t int64, edge int, v int64) {
 // and emits it, publishes hub-prefix nodes, and answers every waiter of
 // the slot (Algorithm 3.1 lines 16-19 / Algorithm 3.2 lines 21-25).
 func (e *engine) resolveSlot(t int64, edge int, s, v int64) {
-	if e.ckDirty != nil {
-		e.ckptMarkDirty(s)
-	}
 	e.f[s] = v
 	e.emit(t, s, v)
 	e.unresolved--

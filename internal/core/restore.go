@@ -11,19 +11,17 @@ import (
 )
 
 // negotiateResume picks the epoch to restart from: the newest epoch
-// every rank can materialize (full file, or delta with an intact
-// base+delta chain). Leaves resumeSnap nil when the ranks cannot agree
-// on any epoch — the run starts fresh.
+// every rank holds a snapshot of that Read accepts. Leaves resumeSnap
+// nil when the ranks cannot agree on any epoch — the run starts fresh.
 //
 // The negotiation is a ratchet rather than a single all-reduce because
 // the asynchronous commit protocol lets per-rank epoch sets diverge
-// arbitrarily: a rank whose background writer failed stops persisting
-// epochs (until the abandon forces a full), so the global minimum of
-// per-rank newest epochs is not necessarily restorable on the ranks
-// that are ahead — they may have pruned it, or hold it only as a delta
-// whose chain a crash tore. Each round all-reduces a candidate (min of
-// per-rank newest restorable epochs), then all-reduces whether every
-// rank materialized that exact epoch; on failure each rank falls back
+// arbitrarily: a rank whose background writer failed skips the epochs
+// it could not persist, so the global minimum of per-rank newest epochs
+// is not necessarily restorable on the ranks that are ahead — they may
+// have pruned it, or a crash tore it. Each round all-reduces a candidate
+// (min of per-rank newest restorable epochs), then all-reduces whether
+// every rank read that exact epoch; on failure each rank falls back
 // to its newest restorable epoch strictly below the candidate and the
 // loop repeats. The candidate strictly decreases, so the loop
 // terminates (at worst with a fresh start), and every rank runs the
@@ -65,9 +63,9 @@ func (e *engine) negotiateResume() error {
 			if ep >= limit {
 				continue
 			}
-			s, err := ckpt.Materialize(dir, e.rank, ep)
+			s, err := ckpt.Read(ckpt.Path(dir, e.rank, ep))
 			if err != nil {
-				continue // torn file or broken chain: fall further back
+				continue // torn file: fall further back
 			}
 			snap = s
 			return ep
@@ -86,8 +84,8 @@ func (e *engine) negotiateResume() error {
 		}
 		ok := int64(0)
 		if mine == chosen {
-			ok = 1 // already materialized above
-		} else if s, err := ckpt.Materialize(dir, e.rank, chosen); err == nil {
+			ok = 1 // already read above
+		} else if s, err := ckpt.Read(ckpt.Path(dir, e.rank, chosen)); err == nil {
 			snap = s
 			ok = 1
 		}
@@ -136,16 +134,6 @@ func validateSnapshot(s *ckpt.Snapshot, tr transport.Transport, opts Options) er
 	case m.RecomputeDepth != depth:
 		return fmt.Errorf("core: resume: snapshot used recompute depth %d, run uses %d", m.RecomputeDepth, depth)
 	}
-	// Streamed and in-memory runs must not mix across a cut: a streamed
-	// resume needs the snapshot's sink mark to truncate its shard, and
-	// an in-memory resume of a streamed snapshot would re-emit edges the
-	// shard already holds.
-	switch {
-	case opts.StreamDir != "" && s.Sink == nil:
-		return fmt.Errorf("core: resume: snapshot is from a run without -stream-dir; resume without it (or start fresh)")
-	case opts.StreamDir == "" && s.Sink != nil:
-		return fmt.Errorf("core: resume: snapshot is from a streamed run; resume with -stream-dir")
-	}
 	return nil
 }
 
@@ -164,21 +152,14 @@ func effectiveResolve(opts Options) (mode, depth int) {
 }
 
 // buildSnapshotInto assembles this rank's snapshot at a cut into a
-// pooled capture buffer (kind KindFull or KindDelta with the given base
-// epoch). The rank is globally quiescent: no window is open and no data
-// message is in flight, so every piece of protocol state lives in
-// exactly one of the structures captured here.
-// A streamed run captures no table at all: every resolved slot was
-// emitted to the shard right beside its store, the cut's Mark has just
-// flushed the open block, so the shard prefix the snapshot's sink mark
-// names already is the resolved part of F (DESIGN.md §9). An in-memory
-// run's capture is memcpy-scale by design — the F table (full) or its
-// dirty ranges (delta) copy into the capture's reusable backing arrays,
-// and encoding, CRC and I/O all happen later in the background writer —
-// because its duration is the dominant term of the generation pause.
-// It also clears the dirty bitmap: the capture is the delta baseline
-// whichever kind it is.
-func (e *engine) buildSnapshotInto(c *ckptCapture, kind int, base int64) {
+// pooled capture buffer. The rank is globally quiescent: no window is
+// open and no data message is in flight, so every piece of protocol
+// state lives in exactly one of the structures captured here. The
+// capture holds no table: every resolved slot was emitted to the shard
+// right beside its store, and the cut's Mark has just flushed the open
+// block, so the shard prefix under mark already is the resolved part of
+// F (DESIGN.md §9.5).
+func (e *engine) buildSnapshotInto(c *ckptCapture, mark esink.Mark) {
 	s := &c.snap
 	*s = ckpt.Snapshot{
 		Meta: ckpt.Meta{
@@ -192,58 +173,13 @@ func (e *engine) buildSnapshotInto(c *ckptCapture, kind int, base int64) {
 			Resolve:        int(e.opts.Resolve),
 			RecomputeDepth: e.depthCap,
 		},
-		Epoch:     e.ck.epoch,
-		Kind:      kind,
-		BaseEpoch: base,
+		Epoch: e.ck.epoch,
 		// The asynchronous commit vote is plain KindCkpt traffic — no
 		// collective runs between here and the next negotiation, so the
 		// live counter value is exactly what a resumed run must continue
 		// from.
 		NextTag: e.seq.NextTag(),
-	}
-	switch {
-	case e.stream != nil:
-		// The shard prefix under the mark ckptCut attaches is the table.
-	case kind == ckpt.KindFull:
-		c.f = append(c.f[:0], e.f...)
-		s.F = c.f
-	default:
-		s.FLen = int64(len(e.f))
-		// Two passes over the chunk bitmap: size the flat value store
-		// first so the range subslices never move under a later append.
-		total := int64(0)
-		for ci := 0; ci < len(e.ckDirty); ci++ {
-			if e.ckDirty[ci] != 0 {
-				total += e.chunkSpan(ci)
-			}
-		}
-		if cap(c.dvals) < int(total) {
-			c.dvals = make([]int64, 0, total)
-		}
-		c.dvals = c.dvals[:0]
-		c.ranges = c.ranges[:0]
-		for ci := 0; ci < len(e.ckDirty); ci++ {
-			if e.ckDirty[ci] == 0 {
-				continue
-			}
-			cj := ci
-			for cj+1 < len(e.ckDirty) && e.ckDirty[cj+1] != 0 {
-				cj++
-			}
-			start := int64(ci) << ckptDirtyShift
-			end := (int64(cj) + 1) << ckptDirtyShift
-			if end > int64(len(e.f)) {
-				end = int64(len(e.f))
-			}
-			off := len(c.dvals)
-			c.dvals = append(c.dvals, e.f[start:end]...)
-			c.ranges = append(c.ranges, ckpt.DeltaRange{Start: start, Values: c.dvals[off:len(c.dvals):len(c.dvals)]})
-			ci = cj
-		}
-		s.Delta = c.ranges
-	}
-	for i := range e.ckDirty {
-		e.ckDirty[i] = 0
+		Sink:    ckpt.SinkMark{Offset: mark.Offset, Blocks: mark.Blocks, Edges: mark.Edges},
 	}
 
 	// One worker section covering the whole rank: the tables have one
@@ -275,17 +211,6 @@ func (e *engine) buildSnapshotInto(c *ckptCapture, kind int, base int64) {
 		}
 	}
 	s.Outbound = c.out
-}
-
-// chunkSpan returns the number of F slots dirty-bitmap chunk ci covers
-// (the last chunk may be partial).
-func (e *engine) chunkSpan(ci int) int64 {
-	start := int64(ci) << ckptDirtyShift
-	end := start + (1 << ckptDirtyShift)
-	if end > int64(len(e.f)) {
-		end = int64(len(e.f))
-	}
-	return end - start
 }
 
 // restoreChains rebuilds the hub cache's request-coalescing chains from
@@ -351,14 +276,14 @@ func (e *engine) nodeInitiated(idx int64) bool {
 
 // restoreShard fills e.f from the rank's shard, which RunRank's Recover
 // has just verified block by block and truncated to the snapshot's mark:
-// a streamed snapshot carries no table because that prefix holds exactly
-// the slots resolved at the cut, one (flat slot, value) record each.
+// a snapshot carries no table because that prefix holds exactly the
+// slots resolved at the cut, one (flat slot, value) record each.
 // Bootstrap has already written the clique and seed nodes (t <= x) and
 // counted their records in e.emitted; the pass checks those are present
 // and leaves their slots alone. Anything the CRCs cannot vouch for —
 // a record count off the mark, a negative value, a repeated key, a slot
 // resolved twice — fails the resume rather than splicing a wrong table.
-func (e *engine) restoreShard(mark *ckpt.SinkMark) error {
+func (e *engine) restoreShard(mark ckpt.SinkMark) error {
 	path := e.stream.Path()
 	r, err := esink.OpenReaderTolerant(path)
 	if err != nil {
@@ -404,15 +329,8 @@ func (e *engine) restoreShard(mark *ckpt.SinkMark) error {
 // section that carries them, so a snapshot restores at any worker count.
 func (e *engine) restore() error {
 	s := e.resumeSnap
-	if s.Sink != nil {
-		if err := e.restoreShard(s.Sink); err != nil {
-			return err
-		}
-	} else {
-		if int64(len(s.F)) != e.size*e.x64 {
-			return fmt.Errorf("core: resume: snapshot F has %d slots, rank owns %d", len(s.F), e.size*e.x64)
-		}
-		copy(e.f, s.F)
+	if err := e.restoreShard(s.Sink); err != nil {
+		return err
 	}
 
 	for _, ws := range s.Workers {
@@ -462,13 +380,7 @@ func (e *engine) restore() error {
 	e.restored = true
 	e.seq.SetNextTag(s.NextTag)
 	if ck := e.ck; ck != nil {
-		ck.lastGood = s.Epoch
 		ck.epochNext = s.Epoch + 1
-		// The first epoch after a restore is always a full capture: the
-		// dirty bitmap starts empty in this process, and the restored
-		// epoch's file may be abandoned or pruned behind us — nothing on
-		// disk is a guaranteed delta base.
-		ck.forceFull = true
 		if e.rank == 0 && ck.every > 0 {
 			// Re-derive the trigger base: initiated nodes are exactly
 			// the complete-or-suspended ones (recv counters restart at

@@ -85,7 +85,7 @@ func resumedEngine(t *testing.T, opts Options, rank int, epoch int64) *engine {
 		e.stream.Abort()
 		group.Endpoint(rank).Close()
 	})
-	if e.resumeSnap, err = ckpt.Materialize(opts.Checkpoint.Dir, rank, epoch); err != nil {
+	if e.resumeSnap, err = ckpt.Read(ckpt.Path(opts.Checkpoint.Dir, rank, epoch)); err != nil {
 		t.Fatal(err)
 	}
 	mark := e.resumeSnap.Sink
@@ -161,9 +161,6 @@ func checkRestoreFromShardPrefix(t *testing.T, kind partition.Kind, ranks, x, bl
 
 		for r := 0; r < ranks; r++ {
 			e := resumedEngine(t, opts, r, epochs[i])
-			if e.resumeSnap.F != nil {
-				t.Fatalf("epoch %d rank %d: streamed snapshot carries a table", epochs[i], r)
-			}
 			boot := append([]int64(nil), e.f...)
 			if err := e.restore(); err != nil {
 				t.Fatalf("epoch %d rank %d: %v", epochs[i], r, err)
@@ -197,12 +194,12 @@ func checkRestoreFromShardPrefix(t *testing.T, kind partition.Kind, ranks, x, bl
 	}
 }
 
-// A streamed snapshot is the suspended nodes and waiter queues, not the
-// table, and every epoch is full whatever FullEvery says. What it does
-// hold grows with how far the ranks have drifted apart at the cut, not
-// with n — at this small n two ranks a scheduler quantum apart park a
-// quarter of a rank's nodes — so the sizes are pinned on one rank, where
-// nothing is ever suspended at a cut, and two ranks pin only the shape.
+// A snapshot is the suspended nodes and waiter queues, not the table.
+// What it does hold grows with how far the ranks have drifted apart at
+// the cut, not with n — at this small n two ranks a scheduler quantum
+// apart park a quarter of a rank's nodes — so the sizes are pinned on
+// one rank, where nothing is ever suspended at a cut, and two ranks pin
+// only that every file reads back.
 func TestStreamedSnapshotSize(t *testing.T) {
 	pr := model.Params{N: 20_000, X: 4, P: 0.5}
 	for _, ranks := range []int{1, 2} {
@@ -213,7 +210,7 @@ func TestStreamedSnapshotSize(t *testing.T) {
 		ckptDir := t.TempDir()
 		res, err := Run(Options{
 			Params: pr, Part: part, Seed: 3, Workers: 1, StreamDir: t.TempDir(),
-			Checkpoint: &CheckpointOptions{Dir: ckptDir, Every: 2000, Keep: 1000, FullEvery: 4},
+			Checkpoint: &CheckpointOptions{Dir: ckptDir, Every: 2000, Keep: 1000},
 		}, false)
 		if err != nil {
 			t.Fatal(err)
@@ -235,8 +232,8 @@ func TestStreamedSnapshotSize(t *testing.T) {
 				if fi, err := os.Stat(path); err != nil || (ranks == 1 && fi.Size() >= 64<<10) {
 					t.Errorf("%s: %v bytes (err %v), want under 64 KiB", path, fi.Size(), err)
 				}
-				if s, err := ckpt.Read(path); err != nil || s.Kind != ckpt.KindFull || s.F != nil || s.Sink == nil {
-					t.Errorf("%s: %+v, %v; want a full snapshot with a sink mark and no table", path, s, err)
+				if _, err := ckpt.Read(path); err != nil {
+					t.Errorf("%s: %v", path, err)
 				}
 			}
 		}
@@ -275,7 +272,7 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := *snap
-		s.Sink = &mark
+		s.Sink = mark
 		if _, _, err := ckpt.Write(ck, &s); err != nil {
 			t.Fatal(err)
 		}
@@ -302,18 +299,18 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 		}
 		equalEdges(t, "resumed", streamEdges(t, filepath.Dir(path), 1), finished)
 	}
-	t.Run("control", func(t *testing.T) { mustResume(t, prefix, *snap.Sink) })
+	t.Run("control", func(t *testing.T) { mustResume(t, prefix, snap.Sink) })
 	t.Run("byte flipped before the mark", func(t *testing.T) {
 		bad := append([]byte(nil), shard...)
 		bad[snap.Sink.Offset/2] ^= 0x10
-		mustFail(t, bad, *snap.Sink, "durable prefix")
+		mustFail(t, bad, snap.Sink, "durable prefix")
 	})
 	t.Run("truncated below the mark", func(t *testing.T) {
-		mustFail(t, prefix[:len(prefix)-1], *snap.Sink, "durable prefix")
+		mustFail(t, prefix[:len(prefix)-1], snap.Sink, "durable prefix")
 	})
 	for _, d := range []int64{-1, 1} {
 		t.Run(fmt.Sprintf("mark off by %+d records", d), func(t *testing.T) {
-			mark := *snap.Sink
+			mark := snap.Sink
 			mark.Edges += d
 			mustFail(t, prefix, mark, "durable prefix")
 			// Recover catches it first; the rebuild's own count check is
@@ -321,7 +318,7 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 			o := opts
 			o.StreamDir, o.Checkpoint = streamDir, &CheckpointOptions{Dir: ckptDir, Keep: 1000, Resume: true}
 			e := resumedEngine(t, o, 0, top)
-			if err := e.restoreShard(&mark); err == nil || !strings.Contains(err.Error(), e.stream.Path()) {
+			if err := e.restoreShard(mark); err == nil || !strings.Contains(err.Error(), e.stream.Path()) {
 				t.Fatalf("restoreShard with a mark off by %+d: err = %v", d, err)
 			}
 		})

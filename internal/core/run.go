@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
+	"pagen/internal/esink"
 	"pagen/internal/graph"
 	"pagen/internal/model"
 	"pagen/internal/obs"
@@ -18,7 +20,8 @@ import (
 type Result struct {
 	// Graph is the merged output graph (nil when Options.Sink streams
 	// the edges instead, or when Options.StreamDir spills them to
-	// per-rank shard files).
+	// per-rank shard files). A checkpointed run without a StreamDir
+	// reads it back from the shards it streamed under Checkpoint.Dir.
 	Graph *graph.Graph
 	// Ranks holds per-rank statistics, indexed by rank.
 	Ranks []RankStats
@@ -52,6 +55,15 @@ func Run(opts Options, recordTrace bool) (*Result, error) {
 		if err := os.MkdirAll(opts.StreamDir, 0o755); err != nil {
 			return nil, fmt.Errorf("core: stream dir: %w", err)
 		}
+	}
+	// A checkpoint needs a shard to stand for F, so a checkpointed run
+	// without a StreamDir streams under the checkpoint directory and
+	// reads Result.Graph back from the shards, byte-identical to the
+	// in-memory merge (DESIGN.md §12.2).
+	merged := ""
+	if c := opts.Checkpoint; c != nil && c.Dir != "" && opts.StreamDir == "" {
+		merged = filepath.Join(c.Dir, "shards")
+		opts.StreamDir = merged
 	}
 	p := opts.Part.P()
 	// Endpoint picks one rank's endpoint regardless of the concrete
@@ -157,6 +169,13 @@ func Run(opts Options, recordTrace bool) (*Result, error) {
 	}
 	if emitted != opts.Params.M() {
 		return nil, fmt.Errorf("core: generated %d edges, want %d", emitted, opts.Params.M())
+	}
+	if merged != "" {
+		g, err := esink.ReadGraph(merged, p)
+		if err != nil {
+			return nil, fmt.Errorf("core: read back %s: %w", merged, err)
+		}
+		res.Graph = g
 	}
 	if opts.Sink == nil && opts.StreamDir == "" {
 		if p == 1 {

@@ -18,24 +18,11 @@ import (
 // run's shard directory.
 func streamEdges(t *testing.T, dir string, ranks int) []graph.Edge {
 	t.Helper()
-	d, err := esink.OpenDir(dir, ranks)
+	g, err := esink.ReadGraph(dir, ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	it := d.Iter(0)
-	var out []graph.Edge
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
-		}
-		out = append(out, e)
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return g.Edges
 }
 
 // The core streaming property: a run with StreamDir set produces, after
@@ -263,9 +250,10 @@ func TestStreamCheckpointResume(t *testing.T) {
 	}
 }
 
-// Mode mixing across a restart must fail loudly: a streamed snapshot
-// resumed without -stream-dir would re-emit edges the shard already
-// holds, and vice versa.
+// A resume must find the shard its snapshots mark. Resuming with another
+// StreamDir than the checkpointed run's — none, which streams under the
+// checkpoint directory, included — fails loudly in the shard recovery
+// rather than regenerating edges the first shard already holds.
 func TestStreamResumeModeMismatch(t *testing.T) {
 	pr := model.Params{N: 6_000, X: 3, P: 0.5}
 	part, err := partition.New(partition.KindUCP, pr.N, 1)
@@ -288,16 +276,16 @@ func TestStreamResumeModeMismatch(t *testing.T) {
 	if epochs, err := ckpt.Epochs(streamedCkpt, 0); err != nil || len(epochs) == 0 {
 		t.Fatalf("streamed run committed no epochs (err=%v)", err)
 	}
-	if err := run("", streamedCkpt, true); err == nil || !strings.Contains(err.Error(), "stream") {
-		t.Fatalf("in-memory resume of streamed snapshot: err = %v, want stream-mode mismatch", err)
+	if err := run("", streamedCkpt, true); err == nil || !strings.Contains(err.Error(), "recover") {
+		t.Fatalf("resume without the snapshots' StreamDir: err = %v, want a shard recovery failure", err)
 	}
 
 	plainCkpt := t.TempDir()
 	if err := run("", plainCkpt, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(t.TempDir(), plainCkpt, true); err == nil || !strings.Contains(err.Error(), "stream") {
-		t.Fatalf("streamed resume of in-memory snapshot: err = %v, want stream-mode mismatch", err)
+	if err := run(t.TempDir(), plainCkpt, true); err == nil || !strings.Contains(err.Error(), "recover") {
+		t.Fatalf("resume with a StreamDir the snapshots never marked: err = %v, want a shard recovery failure", err)
 	}
 }
 

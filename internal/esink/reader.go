@@ -662,3 +662,28 @@ func (di *DirIter) Err() error {
 	}
 	return nil
 }
+
+// ReadGraph materialises the merged graph of the ranks shards under dir
+// in canonical order: the same edge list, byte for byte, as the
+// in-memory run's graph.Merge.
+func ReadGraph(dir string, ranks int) (*graph.Graph, error) {
+	d, err := OpenDir(dir, ranks)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	g := graph.New(d.Meta().N)
+	g.Edges = make([]graph.Edge, 0, d.Edges())
+	it := d.Iter(0)
+	for {
+		e, ok := it.Next()
+		if !ok {
+			break
+		}
+		g.Edges = append(g.Edges, e)
+	}
+	if err := it.Err(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}

@@ -120,28 +120,27 @@ type Config struct {
 	CollectNodeLoad bool
 	// CheckpointDir enables cooperative checkpointing: every rank
 	// writes a versioned, CRC-protected snapshot of its engine state
-	// into this directory at each checkpoint epoch. Restarting from a
-	// checkpoint (Resume) reproduces the exact graph an uninterrupted
-	// run would have produced. See docs/CHECKPOINT_FORMAT.md and
-	// docs/OPERATIONS.md. Incompatible with RecordTrace,
-	// CollectNodeLoad and GenerateStream.
+	// into this directory at each checkpoint epoch. A snapshot names
+	// the durable prefix of the rank's shard file and carries no table,
+	// so a checkpointed run always streams: without a StreamDir it
+	// writes its shards under CheckpointDir/shards and Result.Graph is
+	// read back from them, byte-identical to an uncheckpointed run's.
+	// Restarting from a checkpoint (Resume) reproduces the exact graph
+	// an uninterrupted run would have produced. See
+	// docs/CHECKPOINT_FORMAT.md and docs/OPERATIONS.md. Incompatible
+	// with RecordTrace, CollectNodeLoad and GenerateStream.
 	CheckpointDir string
 	// CheckpointEvery is the approximate number of protocol events
 	// (nodes initiated plus messages received, summed over ranks)
 	// between checkpoint epochs. Zero with a CheckpointDir set means
 	// snapshots are only read (resume), never written.
 	CheckpointEvery int64
-	// CheckpointKeep is how many full epochs to retain per rank (older
-	// ones, and the delta chains based on them, are pruned after each
-	// publish; 0 = keep 2).
+	// CheckpointKeep is how many snapshots to retain per rank (older
+	// ones are pruned after each publish; 0 = keep 2).
 	CheckpointKeep int
-	// CheckpointFullEvery is the full-snapshot cadence: every
-	// CheckpointFullEvery-th epoch writes a full snapshot and the
-	// epochs between write incremental deltas carrying only the
-	// attachment-table ranges dirtied since the previous epoch
-	// (docs/CHECKPOINT_FORMAT.md). 0 or 1 = every epoch is full. It has
-	// no effect on a streamed run (StreamDir set): those snapshots carry
-	// no table to delta, so every streamed epoch is full.
+	// CheckpointFullEvery has no effect: every snapshot is one kind, a
+	// shard mark with no table to take deltas of. It is kept for callers
+	// that still set it.
 	CheckpointFullEvery int
 	// Resume loads the latest mutually-complete checkpoint epoch from
 	// CheckpointDir before generating, skipping all work committed up
@@ -189,11 +188,10 @@ func (c Config) checkpoint() *core.CheckpointOptions {
 		return nil
 	}
 	return &core.CheckpointOptions{
-		Dir:       c.CheckpointDir,
-		Every:     c.CheckpointEvery,
-		Keep:      c.CheckpointKeep,
-		FullEvery: c.CheckpointFullEvery,
-		Resume:    c.Resume,
+		Dir:    c.CheckpointDir,
+		Every:  c.CheckpointEvery,
+		Keep:   c.CheckpointKeep,
+		Resume: c.Resume,
 	}
 }
 
@@ -349,26 +347,7 @@ func GenerateStream(cfg Config, sink func(rank int, e Edge)) (*Result, error) {
 // the shards out of core instead: cmd/pa-analyze -stream-dir computes
 // degree statistics and fingerprints in bounded memory.
 func ReadStreamDir(dir string, ranks int) (*Graph, error) {
-	d, err := esink.OpenDir(dir, ranks)
-	if err != nil {
-		return nil, err
-	}
-	defer d.Close()
-	m := d.Edges()
-	g := graph.New(d.Meta().N)
-	g.Edges = make([]Edge, 0, m)
-	it := d.Iter(0)
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
-		}
-		g.Edges = append(g.Edges, e)
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return esink.ReadGraph(dir, ranks)
 }
 
 // Metrics assembles the exported observability record of a completed
@@ -463,10 +442,10 @@ func DegreesStreamed(cfg Config) ([]int64, *Result, error) {
 // term), and a small per-rank overhead; the optional decision trace
 // adds 13 bytes per slot. With StreamDir the edge terms vanish and each
 // rank adds only its open-block buffer (16 bytes times
-// StreamBlockEdges); checkpointing a streamed run adds nothing, because
-// its snapshots carry no table. An in-memory run with CheckpointDir
-// holds two table-sized capture buffers and the snapshot encoder's
-// scratch on top (about 2.5 times the tables).
+// StreamBlockEdges); checkpointing adds nothing, because a snapshot
+// carries no table. A checkpointed run without StreamDir streams too
+// and holds the merged edge list it reads back (16 bytes per edge, no
+// growth slack: the list is sized from the shards).
 func MemoryEstimate(cfg Config) int64 {
 	pr, err := cfg.params()
 	if err != nil {
@@ -475,18 +454,18 @@ func MemoryEstimate(cfg Config) int64 {
 	ranks := int64(max(cfg.Ranks, 1))
 	slots := (pr.N - int64(pr.X)) * int64(pr.X)
 	est := slots * 8 // F tables
-	if cfg.StreamDir != "" {
+	if cfg.StreamDir != "" || cfg.CheckpointDir != "" {
 		block := int64(cfg.StreamBlockEdges)
 		if block <= 0 {
 			block = esink.DefaultBlockEdges
 		}
 		est += ranks * 16 * block // open shard blocks
+		if cfg.StreamDir == "" {
+			est += pr.M() * 16 // the merged edge list read back
+		}
 	} else {
 		est += pr.M() * 16     // edge storage
 		est += pr.M() * 16 / 4 // slice growth + queue slack (~25%)
-		if cfg.CheckpointDir != "" {
-			est += slots * 8 * 5 / 2 // two capture buffers + encoder scratch
-		}
 	}
 	if cfg.RecordTrace {
 		est += slots * 13
