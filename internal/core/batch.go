@@ -55,10 +55,10 @@ type worker struct {
 
 	// The stripe: nb admitted nodes; per-attempt arrays hold node i's
 	// edge e at i*x + e.
-	nb   int
-	t    []int64 // admitted node ids
-	base []int64 // flat slot of each node's edge 0 (idx*x)
-	ne   []int   // edges drawn: x, or the edge of the first remote copy
+	nb  int
+	t   []int64 // admitted node ids
+	idx []int64 // their local indices
+	ne  []int   // edges drawn: x, or the edge of the first remote copy
 
 	st  [][4]uint64 // stream state before the attempt
 	k   []int64     // drawn candidate
@@ -71,15 +71,15 @@ type worker struct {
 func newWorker(nodes, x int) *worker {
 	n := nodes * x
 	return &worker{
-		t:    make([]int64, nodes),
-		base: make([]int64, nodes),
-		ne:   make([]int, nodes),
-		st:   make([][4]uint64, n),
-		k:    make([]int64, n),
-		l:    make([]int32, n),
-		src:  make([]int64, n),
-		val:  make([]int64, n),
-		gat:  make([]int32, 0, n),
+		t:   make([]int64, nodes),
+		idx: make([]int64, nodes),
+		ne:  make([]int, nodes),
+		st:  make([][4]uint64, n),
+		k:   make([]int64, n),
+		l:   make([]int32, n),
+		src: make([]int64, n),
+		val: make([]int64, n),
+		gat: make([]int32, 0, n),
 	}
 }
 
@@ -143,7 +143,7 @@ func (e *engine) initiate() {
 			if t <= e.x64 || (e.restored && e.nodeInitiated(idx)) {
 				continue
 			}
-			w.t[w.nb], w.base[w.nb] = t, idx*e.x64
+			w.t[w.nb], w.idx[w.nb] = t, idx
 			w.nb++
 			if e.ckTrig {
 				e.ck.initiated++
@@ -219,7 +219,8 @@ func (e *engine) drawGather(w *worker) {
 func (e *engine) commit(w *worker) {
 	x := e.x
 	for i := 0; i < w.nb; i++ {
-		t, base, o := w.t[i], w.base[i], i*x
+		t, idx, o := w.t[i], w.idx[i], i*x
+		base := idx * e.x64
 		edge := 0
 		for ; edge < w.ne[i]; edge++ {
 			j := o + edge
@@ -247,7 +248,7 @@ func (e *engine) commit(w *worker) {
 		}
 		if edge < x {
 			w.rng.SetState(w.st[o+edge])
-			e.advance(t, edge, &w.rng)
+			e.advance(t, idx, edge, &w.rng)
 		}
 	}
 }

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"pagen/internal/comm"
 	"pagen/internal/model"
+	"pagen/internal/msg"
 	"pagen/internal/partition"
 	"pagen/internal/seq"
+	"pagen/internal/transport"
 	"pagen/internal/xrand"
 )
 
@@ -176,4 +179,87 @@ func TestBatchSingleRankIdentityIndex(t *testing.T) {
 			}
 		}
 	}
+}
+
+// gatheredRequestEngine builds rank 0 of a two-rank run with local node
+// 10 (local index 5, x = 1, slot 5) suspended on edge 0 — waiting on an
+// answer — and returns it with rank 1's communicator and the batch that
+// rank 1 sends: the resolved message that finishes slot 5, then a
+// request from rank 1's node 11 for that very slot.
+func gatheredRequestEngine(t *testing.T) (*engine, *comm.Comm, []msg.Message) {
+	t.Helper()
+	pr := model.Params{N: 64, X: 1, P: 0.5}
+	group, err := transport.NewShmGroup(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(group.Endpoint(0), Options{
+		Params: pr, Part: mustScheme(t, partition.KindRRP, pr.N, 2),
+		Seed: 1, Workers: 1, HubPrefix: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.bootstrap()
+	const node, idx = int64(10), int64(5)
+	if got := e.part.Index(0, node); got != idx {
+		t.Fatalf("node %d at local index %d, want %d", node, got, idx)
+	}
+	var st suspState
+	st.key = -1
+	st.rng.SeedStream(1, uint64(node))
+	e.susp.put(idx, st)
+	batch := []msg.Message{msg.Resolved(node, 0, 3), msg.Request(11, 0, node, 0)}
+	return e, comm.New(group.Endpoint(1), comm.Config{}), batch
+}
+
+// checkGatheredAnswer asserts that the request of gatheredRequestEngine's
+// batch was answered in the same pass — slot 5 resolved by the message
+// before it — and never queued.
+func checkGatheredAnswer(t *testing.T, e *engine, peer *comm.Comm) {
+	t.Helper()
+	if e.f[5] != 3 {
+		t.Fatalf("slot 5 = %d after the batch, want 3", e.f[5])
+	}
+	if e.stats.QueuedWaits != 0 || e.pendingWaiters != 0 || e.waiters.has(5) {
+		t.Fatalf("request queued: QueuedWaits %d, pending %d", e.stats.QueuedWaits, e.pendingWaiters)
+	}
+	ms, err := peer.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := msg.Resolved(11, 0, 3); len(ms) != 1 || ms[0] != want {
+		t.Fatalf("rank 1 received %+v, want [%+v]", ms, want)
+	}
+}
+
+// A request is served from a gather of its batch, but a gathered -1 is
+// not an answer: the resolved message ahead of it in the same batch
+// finishes the slot, so the request must be answered in that drain, not
+// queued on a slot nothing will resolve again.
+func TestBatchRequestsGatheredAfterResolve(t *testing.T) {
+	e, peer, batch := gatheredRequestEngine(t)
+	for _, m := range batch {
+		if err := peer.Send(0, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := peer.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.drain(true); err != nil {
+		t.Fatal(err)
+	}
+	checkGatheredAnswer(t, e, peer)
+}
+
+// The same batch parked during a resume negotiation and flushed once the
+// restored state exists.
+func TestBatchRequestsGatheredHeldFlush(t *testing.T) {
+	e, peer, batch := gatheredRequestEngine(t)
+	e.ck = &ckptRun{held: batch}
+	if err := e.ckptFlushHeld(); err != nil {
+		t.Fatal(err)
+	}
+	checkGatheredAnswer(t, e, peer)
 }

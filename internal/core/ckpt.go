@@ -562,7 +562,7 @@ func (e *engine) ckptFilter(ms []msg.Message) []msg.Message {
 }
 
 // ckptFlushHeld delivers the messages parked during the resume
-// negotiation through the normal receive path.
+// negotiation through the normal receive path, as one batch.
 func (e *engine) ckptFlushHeld() error {
 	ck := e.ck
 	if len(ck.held) == 0 {
@@ -570,10 +570,8 @@ func (e *engine) ckptFlushHeld() error {
 	}
 	held := ck.held
 	ck.held = nil
-	for _, m := range held {
-		if err := e.handle(m); err != nil {
-			return err
-		}
+	if err := e.handleBatch(held); err != nil {
+		return err
 	}
 	if e.err != nil {
 		return e.err

@@ -351,7 +351,11 @@ func (s RankStats) TotalLoad() int64 {
 type RankResult struct {
 	Stats RankStats
 	// Edges are the edges whose higher endpoint (the attaching node) is
-	// owned by this rank; the union over ranks is the graph.
+	// owned by this rank, in local-index order; the union over ranks is
+	// the graph, and ranks 0..p-1 concatenated is Run's Result.Graph.
+	// RunRank allocates them exactly sized; under Run they are the rank's
+	// range of Result.Graph's edge list. Nil when a Sink or StreamDir
+	// took the edges.
 	Edges []graph.Edge
 }
 
@@ -441,11 +445,15 @@ type engine struct {
 	// that can return it.
 	err error
 
-	// edges is the rank's output (reconstructed from f after the
-	// protocol ends when no sink streams them); emitted counts edges
-	// handed to the sink or stream, bootstrap's included.
+	// edges is the rank's output, written from f by collectEdges after
+	// the protocol ends when no sink streams them: the rank's range of
+	// Run's one edge list, or a list collectEdges allocates. emitted
+	// counts edges handed to the sink or stream, bootstrap's included.
 	edges   []graph.Edge
 	emitted int64
+	// reqs is handleBatch's gather scratch: the slot and F value of every
+	// request in the batch being handled.
+	reqs    []reqSlot
 	stats   RankStats
 	blocked time.Duration
 
@@ -471,10 +479,17 @@ type engine struct {
 // the building block Run composes for in-process execution and cmd/pa-tcp
 // uses for genuine multi-process runs.
 func RunRank(tr transport.Transport, opts Options) (*RankResult, error) {
+	return runRank(tr, opts, nil)
+}
+
+// runRank is RunRank writing the rank's edges into out, its range of
+// Run's one edge list; a nil out has collectEdges allocate the list.
+func runRank(tr transport.Transport, opts Options, out []graph.Edge) (*RankResult, error) {
 	e, err := newEngine(tr, opts)
 	if err != nil {
 		return nil, err
 	}
+	e.edges = out
 	// On any failure past this point the shard file keeps its durable
 	// prefix (no end-of-stream record) for a later Recover. The snapshot
 	// writer drains first — it may still hold the stream for a shard
@@ -523,7 +538,9 @@ func RunRank(tr transport.Transport, opts Options) (*RankResult, error) {
 		}
 	}
 	if e.sink == nil && e.stream == nil {
-		e.collectEdges()
+		if err := e.collectEdges(); err != nil {
+			return nil, err
+		}
 	}
 	if e.stream != nil {
 		if err := e.stream.Close(); err != nil {
@@ -692,12 +709,6 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 	return e, nil
 }
 
-func (e *engine) slot(t int64, edge int) int64 {
-	return e.part.Index(e.rank, t)*e.x64 + int64(edge)
-}
-
-func (e *engine) localIdx(t int64) int64 { return e.part.Index(e.rank, t) }
-
 // locate returns the rank owning node k and, when that is this rank,
 // k's local index. A single rank owns every node at index k under every
 // scheme, which spares one-rank runs the partition's interface calls
@@ -842,28 +853,55 @@ func (e *engine) bootEmit(key int64, ed graph.Edge) {
 	}
 }
 
-// collectEdges rebuilds the rank's edge list from the resolved F table in
+// rankEdges is the number of edges rank r emits: x per owned node,
+// except that a clique node t < x has only its t backward clique edges.
+// It is known from the partition alone, so Run cuts its one edge list
+// into the ranks' ranges before any rank starts.
+func rankEdges(part partition.Scheme, r, x int) int64 {
+	m := part.Size(r) * int64(x)
+	for t := 0; t < x; t++ {
+		if part.Owner(int64(t)) == r {
+			m -= int64(x - t)
+		}
+	}
+	return m
+}
+
+// collectEdges writes the rank's edge list from the resolved F table in
 // increasing node order, which keeps the order-sensitive single-rank
-// fingerprints independent of the resolution schedule.
-func (e *engine) collectEdges() {
-	// Sized for x edges per node; only clique nodes contribute fewer.
-	edges := make([]graph.Edge, e.size*e.x64)
-	n := 0
+// fingerprints independent of the resolution schedule. Under Run the
+// list is the rank's precomputed range of the one edge list; a rank
+// whose nodes fill a different count fails rather than leave zero edges
+// in the graph or write into a neighbour's range.
+func (e *engine) collectEdges() error {
+	if e.edges == nil {
+		e.edges = make([]graph.Edge, rankEdges(e.part, e.rank, e.x))
+	}
+	edges := e.edges
+	n := int64(0)
 	for idx := int64(0); idx < e.size; idx++ {
 		t := e.part.NodeAt(e.rank, idx)
 		if t < e.x64 {
-			for j := int64(0); j < t; j++ {
-				edges[n] = graph.Edge{U: t, V: j}
-				n++
+			if n+t <= int64(len(edges)) {
+				for j := int64(0); j < t; j++ {
+					edges[n+j] = graph.Edge{U: t, V: j}
+				}
 			}
+			n += t
 			continue
 		}
-		for _, v := range e.f[idx*e.x64 : (idx+1)*e.x64] {
-			edges[n] = graph.Edge{U: t, V: v}
-			n++
+		if n+e.x64 <= int64(len(edges)) {
+			dst := edges[n : n+e.x64]
+			for i, v := range e.f[idx*e.x64 : (idx+1)*e.x64] {
+				dst[i] = graph.Edge{U: t, V: v}
+			}
 		}
+		n += e.x64
 	}
-	e.edges = edges[:n]
+	if n != int64(len(edges)) {
+		return fmt.Errorf("core: rank %d produced %d edges but its range of the edge list holds %d", e.rank, n, len(edges))
+	}
+	return nil
 }
 
 // finishStats completes the rank's statistics from the engine and the
@@ -966,10 +1004,8 @@ func (e *engine) drain(block bool) error {
 	if err != nil {
 		return err
 	}
-	for _, m := range ms {
-		if err := e.handle(m); err != nil {
-			return err
-		}
+	if err := e.handleBatch(ms); err != nil {
+		return err
 	}
 	if e.err != nil {
 		return e.err
@@ -980,11 +1016,44 @@ func (e *engine) drain(block bool) error {
 	return e.cm.FlushAll()
 }
 
-// handle routes one received message.
+// reqSlot is a gathered request: the local slot it asks for and that
+// slot's F value when the batch was gathered.
+type reqSlot struct{ s, v int64 }
+
+// handleBatch routes a received batch in order. Its requests are served
+// from a gather: every request's slot is computed, then all their F
+// values are loaded in one tight loop, so the random misses overlap
+// instead of each request stalling on its own — the window kernel's
+// gather (batch.go) on the receive side. A gathered value >= 0 is final
+// (slots are write-once); serveRequest re-reads a gathered -1, because
+// an earlier message of the batch may have resolved the slot.
+func (e *engine) handleBatch(ms []msg.Message) error {
+	g := e.reqs[:0]
+	for i := range ms {
+		if ms[i].Kind == msg.KindRequest {
+			g = append(g, reqSlot{s: e.part.Index(e.rank, ms[i].K)*e.x64 + int64(ms[i].L)})
+		}
+	}
+	for i := range g {
+		g[i].v = e.f[g[i].s]
+	}
+	e.reqs = g
+	for i := range ms {
+		if ms[i].Kind == msg.KindRequest {
+			e.serveRequest(ms[i], g[0].s, g[0].v)
+			g = g[1:]
+			continue
+		}
+		if err := e.handle(ms[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// handle routes one received message other than a request.
 func (e *engine) handle(m msg.Message) error {
 	switch m.Kind {
-	case msg.KindRequest:
-		e.onRequest(m)
 	case msg.KindResolved:
 		e.resumeWire(m.T, int(m.E), m.V)
 	case msg.KindPublish:

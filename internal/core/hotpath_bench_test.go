@@ -79,3 +79,97 @@ func BenchmarkHotPathEngine(b *testing.B) {
 	}
 	reportPerNode(b)
 }
+
+// churnLive is the live entry count tableChurn holds its tables at.
+const churnLive = 4096
+
+// tableChurn drives a suspension table and a waiter table the way a
+// multi-rank run does: node and slot ids only grow, and every step
+// suspends a new node and resumes the oldest, queues two waiters on a
+// new slot and answers the oldest slot's chain, so the live counts never
+// move.
+type tableChurn struct {
+	susp    suspTable
+	waiters waiterTable
+	next    int64
+	lost    int // entries a take did not find
+}
+
+func newTableChurn() *tableChurn {
+	c := &tableChurn{}
+	c.susp.init()
+	c.waiters.init()
+	for c.next < churnLive {
+		c.add()
+	}
+	return c
+}
+
+func (c *tableChurn) add() {
+	k := c.next
+	c.susp.put(k, suspState{e: int32(k)})
+	c.waiters.push(k, k, 0)
+	c.waiters.push(k, k+1, 1)
+	c.next++
+}
+
+func (c *tableChurn) step() {
+	old := c.next - churnLive
+	if st, ok := c.susp.take(old); !ok || st.e != int32(old) {
+		c.lost++
+	}
+	n := 0
+	for h := c.waiters.take(old); h != nilNode; n++ {
+		w := c.waiters.arena[h]
+		c.waiters.freeNode(h)
+		h = w.next
+	}
+	if n != 2 {
+		c.lost++
+	}
+	c.add()
+}
+
+// window replaces every live entry once.
+func (c *tableChurn) window() {
+	for i := 0; i < churnLive; i++ {
+		c.step()
+	}
+}
+
+// Once the protocol tables have reached their high-water size, churning
+// them at a steady live count allocates nothing: deletion leaves no
+// tombstones to force a rebuild, a table never shrinks, and the waiter
+// arena recycles its nodes.
+func TestHotPathTablesAllocateNothing(t *testing.T) {
+	c := newTableChurn()
+	c.window()
+	if avg := testing.AllocsPerRun(5, c.window); avg != 0 {
+		t.Errorf("a steady-state window of %d suspend/resume and queue/answer steps allocated %.1f times, want 0", churnLive, avg)
+	}
+	if c.lost != 0 {
+		t.Fatalf("%d entries lost", c.lost)
+	}
+	if c.susp.live != churnLive || c.waiters.chains.live != churnLive {
+		t.Fatalf("live counts %d and %d, want %d", c.susp.live, c.waiters.chains.live, churnLive)
+	}
+}
+
+// BenchmarkHotPathTables measures one steady-state step of the protocol
+// tables (a suspension taken and put, a two-waiter chain answered and
+// queued) and fails if a warm window allocates.
+func BenchmarkHotPathTables(b *testing.B) {
+	c := newTableChurn()
+	c.window()
+	if avg := testing.AllocsPerRun(1, c.window); avg != 0 {
+		b.Fatalf("a steady-state window allocated %.1f times, want 0", avg)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.step()
+	}
+	if c.lost != 0 {
+		b.Fatalf("%d entries lost", c.lost)
+	}
+}

@@ -93,7 +93,7 @@ func (e *engine) onFence() error {
 // so on each pairwise FIFO channel the fence trails every publish this
 // rank buffered — which is what makes fencesRecv a proof of silence.
 // Called at done-report time: all local slots are resolved, so no
-// further resolveLocal (and hence no further publish) can happen.
+// further resolveSlot (and hence no further publish) can happen.
 func (e *engine) sendFences() error {
 	if e.hub == nil {
 		return nil

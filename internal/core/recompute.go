@@ -111,8 +111,8 @@ func (e *engine) replayF(k int64, l int, ctx *replayCtx) (v int64, ok bool) {
 	if k == e.x64 {
 		return int64(l), true
 	}
-	if e.part.Owner(k) == e.rank {
-		if v = e.f[e.localIdx(k)*e.x64+int64(l)]; v >= 0 {
+	if owner, kidx := e.locate(k); owner == e.rank {
+		if v = e.f[kidx*e.x64+int64(l)]; v >= 0 {
 			return v, true
 		}
 		// Not resolved here yet; replay it like a remote node. The memo

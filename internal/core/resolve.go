@@ -28,17 +28,9 @@ func (e *engine) emit(t, s, v int64) {
 	}
 }
 
-// isDup reports whether v already appears among t's attachments. A
-// node's slots beyond its current edge are still NILL (strict per-node
-// sequencing), so the whole row can be scanned.
-func (e *engine) isDup(t, v int64) bool {
-	base := e.slot(t, 0)
-	return contains(e.f[base:base+e.x64], v)
-}
-
-// advance continues node t's attachment loop from the given edge with rng
-// positioned mid-stream (Algorithm 3.2 lines 4-14, strictly edge by
-// edge). It is the continuation, not the entry: every node starts in
+// advance continues node t — at local index idx — from the given edge
+// with rng positioned mid-stream (Algorithm 3.2 lines 4-14, strictly edge
+// by edge). It is the continuation, not the entry: every node starts in
 // the batch kernel (batch.go), which hands over here — with the stream
 // state saved before the attempt — at the node's first edge that cannot
 // commit straight-line, and resume re-enters here when a suspended node's
@@ -46,21 +38,26 @@ func (e *engine) isDup(t, v int64) bool {
 // — the stream state and edge index are parked in the suspension table —
 // and resume continues exactly there. Every draw, duplicate retries
 // included, comes from this one per-node stream, which is what makes the
-// output independent of workers, ranks and schedule.
-func (e *engine) advance(t int64, edge int, rng *xrand.Rand) {
+// output independent of workers, ranks and schedule. A node's slots
+// beyond its current edge are still NILL (strict per-node sequencing),
+// so the duplicate checks scan its whole row.
+func (e *engine) advance(t, idx int64, edge int, rng *xrand.Rand) {
 	d := e.opts.Params.NewDrawer(t)
+	base := idx * e.x64
+	row := e.f[base : base+e.x64]
 	for ; edge < e.x; edge++ {
+		s := base + int64(edge)
 	draw:
 		for {
 			a := d.Next(rng)
 			k := a.K
 			if a.Direct {
 				// Direct branch (lines 6-10).
-				if e.isDup(t, k) {
+				if contains(row, k) {
 					e.stats.Retries++
 					continue draw
 				}
-				e.resolveLocal(t, edge, k)
+				e.resolveSlot(t, edge, s, k)
 				if e.trace != nil {
 					e.trace.RecordDirect(t, edge, k)
 				}
@@ -78,21 +75,21 @@ func (e *engine) advance(t int64, edge int, rng *xrand.Rand) {
 				if e.nodeLoad != nil {
 					e.nodeLoad[kidx]++
 				}
-				s := kidx*e.x64 + int64(l)
-				v := e.f[s]
+				src := kidx*e.x64 + int64(l)
+				v := e.f[src]
 				if v >= 0 {
-					if e.isDup(t, v) {
+					if contains(row, v) {
 						e.stats.Retries++
 						continue draw
 					}
-					e.resolveLocal(t, edge, v)
+					e.resolveSlot(t, edge, s, v)
 					break draw
 				}
 				// Local dependency chain: park on the source's queue.
 				e.stats.LocalWaits++
-				e.waiters.push(s, t, uint16(edge))
+				e.waiters.push(src, t, uint16(edge))
 				e.trackPending(1)
-				e.suspend(t, edge, rng, -1)
+				e.suspend(idx, edge, rng, -1)
 				return
 			}
 			if hub := e.hub; hub != nil && k < hub.h {
@@ -103,11 +100,11 @@ func (e *engine) advance(t int64, edge int, rng *xrand.Rand) {
 					// would return, so no request travels.
 					e.stats.HubCacheHits++
 					e.noteElided(k)
-					if e.isDup(t, v) {
+					if contains(row, v) {
 						e.stats.Retries++
 						continue draw
 					}
-					e.resolveLocal(t, edge, v)
+					e.resolveSlot(t, edge, s, v)
 					break draw
 				}
 				e.stats.HubCacheMisses++
@@ -121,7 +118,7 @@ func (e *engine) advance(t int64, edge int, rng *xrand.Rand) {
 					e.stats.ReqCoalesced++
 					e.noteElided(k)
 					e.remote.push(gkey, t, uint16(edge))
-					e.suspend(t, edge, rng, gkey)
+					e.suspend(idx, edge, rng, gkey)
 					return
 				}
 				if e.recompute {
@@ -130,63 +127,64 @@ func (e *engine) advance(t int64, edge int, rng *xrand.Rand) {
 						// resolved ones; seed the replica so later
 						// queries for this slot short-circuit.
 						hub.f[gkey] = v
-						if e.isDup(t, v) {
+						if contains(row, v) {
 							e.stats.Retries++
 							continue draw
 						}
-						e.resolveLocal(t, edge, v)
+						e.resolveSlot(t, edge, s, v)
 						break draw
 					}
 				}
 				e.remote.push(gkey, t, uint16(edge))
 				e.sendData(owner, msg.Request(t, edge, k, l))
-				e.suspend(t, edge, rng, gkey)
+				e.suspend(idx, edge, rng, gkey)
 				return
 			}
 			if e.recompute {
 				if v, ok := e.replayRemote(k, l); ok {
-					if e.isDup(t, v) {
+					if contains(row, v) {
 						e.stats.Retries++
 						continue draw
 					}
-					e.resolveLocal(t, edge, v)
+					e.resolveSlot(t, edge, s, v)
 					break draw
 				}
 			}
 			e.sendData(owner, msg.Request(t, edge, k, l))
-			e.suspend(t, edge, rng, -1)
+			e.suspend(idx, edge, rng, -1)
 			return
 		}
 	}
 }
 
-// suspend parks node t at the given edge with its stream state. key is
-// the coalescing-table slot the node chained on, -1 for waits that did
-// not go through it (local waits, or the cache off).
-func (e *engine) suspend(t int64, edge int, rng *xrand.Rand, key int64) {
-	e.susp.put(e.localIdx(t), suspState{rng: *rng, e: int32(edge), key: key})
+// suspend parks the node at local index idx at the given edge with its
+// stream state. key is the coalescing-table slot the node chained on, -1
+// for waits that did not go through it (local waits, or the cache off).
+func (e *engine) suspend(idx int64, edge int, rng *xrand.Rand, key int64) {
+	e.susp.put(idx, suspState{rng: *rng, e: int32(edge), key: key})
 }
 
-// resume continues a suspended node with the resolved value of its
-// pending copy source: the duplicate check of Algorithm 3.2 line 22,
-// re-drawing the whole step from the node's own stream on conflict.
-// Stale deliveries (a duplicated frame answering an already-finished
-// slot) are dropped.
-func (e *engine) resume(t int64, edge int, v int64) {
-	st, ok := e.susp.take(e.localIdx(t))
+// resume continues suspended node t (local index idx) with the resolved
+// value of its pending copy source: the duplicate check of Algorithm 3.2
+// line 22, re-drawing the whole step from the node's own stream on
+// conflict. Stale deliveries (a duplicated frame answering an
+// already-finished slot) are dropped.
+func (e *engine) resume(t, idx int64, edge int, v int64) {
+	st, ok := e.susp.take(idx)
 	if !ok || int(st.e) != edge {
 		if ok {
-			e.susp.put(e.localIdx(t), st)
+			e.susp.put(idx, st)
 		}
 		return
 	}
-	if e.isDup(t, v) {
+	base := idx * e.x64
+	if contains(e.f[base:base+e.x64], v) {
 		e.stats.Retries++
-		e.advance(t, edge, &st.rng)
+		e.advance(t, idx, edge, &st.rng)
 		return
 	}
-	e.resolveLocal(t, edge, v)
-	e.advance(t, edge+1, &st.rng)
+	e.resolveSlot(t, edge, base+int64(edge), v)
+	e.advance(t, idx, edge+1, &st.rng)
 }
 
 // resumeWire handles a wire <resolved>. With the hub cache off it is a
@@ -198,13 +196,14 @@ func (e *engine) resume(t int64, edge int, v int64) {
 // node already advanced, or re-suspended on a different slot or edge —
 // takes the plain path, whose edge check drops it.
 func (e *engine) resumeWire(t int64, edge int, v int64) {
+	idx := e.part.Index(e.rank, t)
 	if e.hub == nil {
-		e.resume(t, edge, v)
+		e.resume(t, idx, edge, v)
 		return
 	}
-	st, ok := e.susp.get(e.localIdx(t))
+	st, ok := e.susp.get(idx)
 	if !ok || st.key == -1 || int(st.e) != edge {
-		e.resume(t, edge, v)
+		e.resume(t, idx, edge, v)
 		return
 	}
 	if st.key >= 0 && st.key < int64(len(e.hub.f)) {
@@ -215,21 +214,19 @@ func (e *engine) resumeWire(t int64, edge int, v int64) {
 	// we iterate (same discipline as resolveSlot's waiter walk).
 	h := e.remote.take(st.key)
 	if h < 0 {
-		e.resume(t, edge, v)
+		e.resume(t, idx, edge, v)
 		return
 	}
 	for h >= 0 {
 		n := e.remote.arena[h]
 		e.remote.freeNode(h)
 		h = n.next
-		e.resume(n.t, int(n.e), v)
+		nidx := idx
+		if n.t != t {
+			nidx = e.part.Index(e.rank, n.t)
+		}
+		e.resume(n.t, nidx, int(n.e), v)
 	}
-}
-
-// resolveLocal finalises F_t(edge) = v on the continuation path
-// (advance, resume).
-func (e *engine) resolveLocal(t int64, edge int, v int64) {
-	e.resolveSlot(t, edge, e.slot(t, edge), v)
 }
 
 // resolveSlot finalises F_t(edge) = v at flat slot s: records the edge
@@ -262,7 +259,7 @@ func (e *engine) resolveSlot(t int64, edge int, s, v int64) {
 
 	// Walk the slot's detached waiter chain in FIFO order. Each node's
 	// fields are copied out and the node freed before delivery, because
-	// delivery can recurse into advance/resolveLocal and push new
+	// delivery can recurse into resume/advance and push new
 	// waiters — growing the arena or reusing freed nodes — while we
 	// iterate.
 	h := e.waiters.take(s)
@@ -281,22 +278,26 @@ func (e *engine) resolveSlot(t int64, edge int, s, v int64) {
 // deliverResolved routes a resolution to the waiting node: by direct
 // call when it is local, as a resolved message for a remote rank's.
 func (e *engine) deliverResolved(t int64, edge int, v int64) {
-	if owner := e.part.Owner(t); owner != e.rank {
+	owner, idx := e.locate(t)
+	if owner != e.rank {
 		e.sendData(owner, msg.Resolved(t, edge, v))
 		return
 	}
-	e.resume(t, edge, v)
+	e.resume(t, idx, edge, v)
 }
 
-// onRequest handles a wire <request, t', e', k', l'> for a local slot
-// (Algorithm 3.2 lines 16-20).
-func (e *engine) onRequest(m msg.Message) {
-	kidx := e.part.Index(e.rank, m.K)
+// serveRequest answers a wire <request, t', e', k', l'> for local slot s
+// (Algorithm 3.2 lines 16-20). v is F[s] as handleBatch gathered it
+// before the batch's earlier messages ran: a value >= 0 is final (slots
+// are write-once); -1 is re-read, because one of those messages may have
+// resolved the slot since.
+func (e *engine) serveRequest(m msg.Message, s, v int64) {
 	if e.nodeLoad != nil {
-		e.nodeLoad[kidx]++
+		e.nodeLoad[s/e.x64]++
 	}
-	s := kidx*e.x64 + int64(m.L)
-	v := e.f[s]
+	if v < 0 {
+		v = e.f[s]
+	}
 	if v < 0 {
 		e.stats.QueuedWaits++
 		e.waiters.push(s, m.T, m.E)

@@ -249,7 +249,7 @@ func (e *engine) restoreChains(s *ckpt.Snapshot) error {
 			}
 			for _, wr := range chain {
 				e.remote.push(key, wr.T, wr.E)
-				idx := e.localIdx(wr.T)
+				idx := e.part.Index(e.rank, wr.T)
 				st, ok := e.susp.get(idx)
 				if !ok {
 					return fmt.Errorf("core: resume: chained node %d has no suspension record", wr.T)

@@ -18,10 +18,14 @@ import (
 
 // Result is the output of an in-process parallel run.
 type Result struct {
-	// Graph is the merged output graph (nil when Options.Sink streams
-	// the edges instead, or when Options.StreamDir spills them to
-	// per-rank shard files). A checkpointed run without a StreamDir
-	// reads it back from the shards it streamed under Checkpoint.Dir.
+	// Graph is the output graph: ranks 0..p-1's edges in rank-major
+	// order, each rank's in local-index order. Run allocates its edge
+	// list once, exactly sized from the partition, and every rank writes
+	// its own range of it — there is no per-rank copy and no merge. Nil
+	// when Options.Sink streams the edges instead, or when
+	// Options.StreamDir spills them to per-rank shard files. A
+	// checkpointed run without a StreamDir reads it back from the shards
+	// it streamed under Checkpoint.Dir.
 	Graph *graph.Graph
 	// Ranks holds per-rank statistics, indexed by rank.
 	Ranks []RankStats
@@ -32,16 +36,17 @@ type Result struct {
 	// Trace is the decision trace when Options.Trace was requested via
 	// Run's recordTrace flag (nil otherwise).
 	Trace *model.Trace
-	// Elapsed is the wall time of the parallel section (rank launch to
-	// last rank finish), the T_p of the paper's speedup measurements.
+	// Elapsed is the wall time of the parallel section (allocating the
+	// edge list, rank launch to last rank finish), the T_p of the paper's
+	// speedup measurements.
 	Elapsed time.Duration
 }
 
 // Run executes the parallel algorithm with every rank as a goroutine over
-// the in-process transport, then gathers shards into one graph. The
-// number of ranks is opts.Part.P(). If recordTrace is set, a shared
-// decision trace is collected (rank slot ranges are disjoint, so the
-// trace is written race-free).
+// the in-process transport, each writing its edges into its own range of
+// one edge list. The number of ranks is opts.Part.P(). If recordTrace is
+// set, a shared decision trace is collected (rank slot ranges are
+// disjoint, so the trace is written race-free).
 func Run(opts Options, recordTrace bool) (*Result, error) {
 	if err := opts.Params.Validate(); err != nil {
 		return nil, err
@@ -99,6 +104,22 @@ func Run(opts Options, recordTrace bool) (*Result, error) {
 	results := make([]*RankResult, p)
 	errs := make([]error, p)
 	start := time.Now()
+	// An in-memory run's ranks write straight into the graph: rank r's
+	// range of the one edge list starts after ranks 0..r-1's edge counts,
+	// which the partition fixes before any rank runs. The list is the
+	// run's output, so allocating (and zeroing) it counts in Elapsed.
+	var edges []graph.Edge
+	ranges := make([][]graph.Edge, p)
+	if opts.Sink == nil && opts.StreamDir == "" {
+		off := make([]int64, p+1)
+		for r := 0; r < p; r++ {
+			off[r+1] = off[r] + rankEdges(opts.Part, r, opts.Params.X)
+		}
+		edges = make([]graph.Edge, off[p])
+		for r := range ranges {
+			ranges[r] = edges[off[r]:off[r+1]:off[r+1]]
+		}
+	}
 	// A failed rank's peers block on receives that will never be
 	// satisfied; closing every endpoint turns those into ErrClosed so
 	// the whole run unwinds instead of deadlocking on wg.Wait.
@@ -115,7 +136,7 @@ func Run(opts Options, recordTrace bool) (*Result, error) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r], errs[r] = RunRank(endpoint(r), opts)
+			results[r], errs[r] = runRank(endpoint(r), opts, ranges[r])
 			if errs[r] != nil {
 				abort()
 			}
@@ -136,11 +157,9 @@ func Run(opts Options, recordTrace bool) (*Result, error) {
 		}
 	}
 
-	shards := make([][]graph.Edge, p)
 	ranks := make([]RankStats, p)
 	var emitted int64
 	for r, rr := range results {
-		shards[r] = rr.Edges
 		ranks[r] = rr.Stats
 		emitted += rr.Stats.Edges
 	}
@@ -177,14 +196,8 @@ func Run(opts Options, recordTrace bool) (*Result, error) {
 		}
 		res.Graph = g
 	}
-	if opts.Sink == nil && opts.StreamDir == "" {
-		if p == 1 {
-			// One shard is the graph: adopt it instead of copying
-			// 16 B/edge.
-			res.Graph = &graph.Graph{N: opts.Params.N, Edges: shards[0]}
-		} else {
-			res.Graph = graph.Merge(opts.Params.N, shards...)
-		}
+	if edges != nil {
+		res.Graph = &graph.Graph{N: opts.Params.N, Edges: edges}
 	}
 	return res, nil
 }

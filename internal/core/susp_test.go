@@ -7,23 +7,23 @@ import (
 )
 
 // countLive scans the raw buckets for live entries.
-func (s *suspTable) countLive() int {
+func (m *slotMap[V]) countLive() int {
 	n := 0
-	for _, k := range s.keys {
-		if k != suspEmpty && k != suspTomb {
+	for _, k := range m.keys {
+		if k != freeKey {
 			n++
 		}
 	}
 	return n
 }
 
-// Rehash must preserve the live counter. The original implementation
-// reset live to zero on every rehash; once the drifted counter lagged
-// the real occupancy by enough, rehash sized the new table at the
-// 16-bucket minimum, the load trigger fired inside the reinsert loop,
-// and put/rehash recursed until the stack overflowed. Driving the table
-// through many take/put cycles (the suspension churn of a real run)
-// reproduces that drift deterministically.
+// Growth and deletion must preserve the live counter. An earlier,
+// tombstoning table reset live to zero on every rehash; once the drifted
+// counter lagged the real occupancy by enough, rehash sized the new
+// table at the 16-bucket minimum, the load trigger fired inside the
+// reinsert loop, and put/rehash recursed until the stack overflowed.
+// Driving the table through many take/put cycles (the suspension churn
+// of a real run) would reproduce that drift deterministically.
 func TestSuspTableRehashKeepsLiveCount(t *testing.T) {
 	var s suspTable
 	s.init()
@@ -39,8 +39,8 @@ func TestSuspTableRehashKeepsLiveCount(t *testing.T) {
 		}
 	}
 
-	// Churn: take and re-put shifting windows of keys, leaving tombstones
-	// behind so rehash keeps firing.
+	// Churn: take and re-put shifting windows of keys, so deletions shift
+	// probe runs back across the whole table.
 	for round := 0; round < 50; round++ {
 		lo := int64(round * 3 % n)
 		for k := lo; k < lo+40 && k < n; k++ {

@@ -1,34 +1,162 @@
 package core
 
-// waiterTable holds the paper's per-slot waiter queues Q_{k,l} without
-// per-slot heap allocations: an open-addressed int64→int32 hash table
-// maps a slot id to the head of a FIFO chain in a freelist-backed waiter
-// arena. The map[int64][]waiter it replaces cost one allocation per
-// first-waiter slot plus slice growth per append; here pushes reuse
-// freed arena nodes, so the steady-state hot path allocates nothing once
-// the arena has reached its high-water size.
+// The engine's protocol tables — the paper's per-slot waiter queues
+// Q_{k,l}, the suspension table (susp.go) and the request-coalescing
+// chains — are one open-addressed table, slotMap, under different value
+// types. Deletion shifts the rest of a probe run back instead of leaving
+// a tombstone, and a table only ever grows, so once it has reached its
+// high-water size put and take allocate nothing; the waiter arena
+// recycles its nodes through a freelist the same way.
 //
 // Only the rank goroutine touches a table, so no locking is needed. FIFO
-// order within a chain keeps answers in arrival order; the output graph
-// no longer depends on it (every retry draw comes from the waiting
+// order within a waiter chain keeps answers in arrival order; the output
+// graph no longer depends on it (every retry draw comes from the waiting
 // node's own stream, so delivery order is immaterial), but it keeps
 // wait-chain statistics and message schedules reproducible in-process.
-type waiterTable struct {
-	// keys/heads/tails are the open-addressed table (linear probing,
-	// power-of-two size). keys[i] == emptyKey marks a free bucket; a key
-	// with heads[i] == nilNode is a tombstone left by take (dropped at
-	// the next rehash).
-	keys  []int64
-	heads []int32
-	tails []int32
-	// filled counts buckets with a key (live or tombstone); live counts
-	// buckets with a non-empty chain.
-	filled int
-	live   int
 
-	arena []waiterNode
-	free  int32 // freelist head through waiterNode.next, nilNode if empty
+// slotMap is an open-addressed int64 → V hash table: linear probing,
+// power-of-two size, Fibonacci hashing. Keys are slot or node ids (>= 0)
+// or restore's synthetic chain keys (<= -2); freeKey marks a free bucket.
+type slotMap[V any] struct {
+	keys []int64
+	vals []V
+	live int // occupied buckets
 }
+
+const (
+	freeKey    = int64(-1)
+	minSlotMap = 16
+)
+
+// hashSlot mixes a slot id into a table index distribution
+// (Fibonacci hashing; table sizes are powers of two).
+func hashSlot(slot int64) uint64 {
+	return uint64(slot) * 0x9e3779b97f4a7c15
+}
+
+func (m *slotMap[V]) init() { m.reset(minSlotMap) }
+
+// reset gives the table empty arrays of the given power-of-two size;
+// live is left to the caller (grow reinserts every entry).
+func (m *slotMap[V]) reset(size int) {
+	m.keys = make([]int64, size)
+	for i := range m.keys {
+		m.keys[i] = freeKey
+	}
+	m.vals = make([]V, size)
+}
+
+// find returns key's bucket, or the free bucket that ends its probe run.
+func (m *slotMap[V]) find(key int64) uint64 {
+	mask := uint64(len(m.keys) - 1)
+	i := hashSlot(key) & mask
+	for m.keys[i] != key && m.keys[i] != freeKey {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// has reports whether key is present.
+func (m *slotMap[V]) has(key int64) bool { return m.keys[m.find(key)] == key }
+
+// get returns key's value without removing it.
+func (m *slotMap[V]) get(key int64) (V, bool) {
+	if i := m.find(key); m.keys[i] == key {
+		return m.vals[i], true
+	}
+	var zero V
+	return zero, false
+}
+
+// upsert returns a pointer to key's value, inserting key with a zero
+// value when absent, and whether it was present. The pointer is valid
+// until the next insert.
+func (m *slotMap[V]) upsert(key int64) (*V, bool) {
+	i := m.find(key)
+	if m.keys[i] == key {
+		return &m.vals[i], true
+	}
+	// Keep the table at most half full, so probe runs stay short.
+	if 2*(m.live+1) > len(m.keys) {
+		m.grow()
+		i = m.find(key)
+	}
+	m.keys[i] = key
+	var zero V
+	m.vals[i] = zero
+	m.live++
+	return &m.vals[i], false
+}
+
+// put sets key's value.
+func (m *slotMap[V]) put(key int64, v V) {
+	p, _ := m.upsert(key)
+	*p = v
+}
+
+// take removes and returns key's value.
+func (m *slotMap[V]) take(key int64) (V, bool) {
+	var v V
+	if m.live == 0 {
+		return v, false // nothing stored: skip the probe
+	}
+	i := m.find(key)
+	if m.keys[i] != key {
+		return v, false
+	}
+	v = m.vals[i]
+	m.remove(i)
+	return v, true
+}
+
+// remove empties bucket i by backward-shift deletion: each later entry
+// of the probe run whose home bucket is not cyclically inside (i, j]
+// moves back into the hole, so no lookup ever crosses a tombstone and
+// none accumulate.
+func (m *slotMap[V]) remove(i uint64) {
+	mask := uint64(len(m.keys) - 1)
+	for j := (i + 1) & mask; m.keys[j] != freeKey; j = (j + 1) & mask {
+		if home := hashSlot(m.keys[j]) & mask; (j-home)&mask >= (j-i)&mask {
+			m.keys[i], m.vals[i] = m.keys[j], m.vals[j]
+			i = j
+		}
+	}
+	m.keys[i] = freeKey
+	m.live--
+}
+
+// grow doubles the table.
+func (m *slotMap[V]) grow() {
+	keys, vals := m.keys, m.vals
+	m.reset(2 * len(keys))
+	for i, k := range keys {
+		if k != freeKey {
+			j := m.find(k)
+			m.keys[j], m.vals[j] = k, vals[i]
+		}
+	}
+}
+
+// forEach visits every entry in table order (checkpoint serialization).
+// fn must not mutate the table.
+func (m *slotMap[V]) forEach(fn func(key int64, v V)) {
+	for i, k := range m.keys {
+		if k != freeKey {
+			fn(k, m.vals[i])
+		}
+	}
+}
+
+// waiterTable holds the Q_{k,l} queues: a slotMap from slot id to the
+// ends of a FIFO chain in a freelist-backed waiter arena.
+type waiterTable struct {
+	chains slotMap[waiterChain]
+	arena  []waiterNode
+	free   int32 // freelist head through waiterNode.next, nilNode if empty
+}
+
+// waiterChain is a waiter chain's first and last arena node.
+type waiterChain struct{ head, tail int32 }
 
 // waiterNode is one queued waiter <t', e'> plus its chain link.
 type waiterNode struct {
@@ -38,89 +166,41 @@ type waiterNode struct {
 }
 
 const (
-	emptyKey        = int64(-1)
 	nilNode         = int32(-1)
-	minWaiterTable  = 16
 	waiterArenaSeed = 64
 )
 
-// hashSlot mixes a slot id into a table index distribution
-// (Fibonacci hashing; table sizes are powers of two).
-func hashSlot(slot int64) uint64 {
-	return uint64(slot) * 0x9e3779b97f4a7c15
-}
-
 func (w *waiterTable) init() {
-	w.keys = make([]int64, minWaiterTable)
-	for i := range w.keys {
-		w.keys[i] = emptyKey
-	}
-	w.heads = make([]int32, minWaiterTable)
-	w.tails = make([]int32, minWaiterTable)
+	w.chains.init()
 	w.arena = make([]waiterNode, 0, waiterArenaSeed)
 	w.free = nilNode
-}
-
-// bucket returns the index of slot's bucket, or of the first free bucket
-// in its probe sequence if absent.
-func (w *waiterTable) bucket(slot int64) int {
-	mask := uint64(len(w.keys) - 1)
-	i := hashSlot(slot) & mask
-	for {
-		if w.keys[i] == slot || w.keys[i] == emptyKey {
-			return int(i)
-		}
-		i = (i + 1) & mask
-	}
 }
 
 // push appends waiter <t, e> to slot's chain.
 func (w *waiterTable) push(slot int64, t int64, e uint16) {
 	n := w.alloc()
 	w.arena[n] = waiterNode{t: t, next: nilNode, e: e}
-
-	i := w.bucket(slot)
-	if w.keys[i] != slot {
-		w.keys[i] = slot
-		w.heads[i] = nilNode
-		w.filled++
-	}
-	if w.heads[i] == nilNode {
-		w.heads[i] = n
-		w.live++
+	c, ok := w.chains.upsert(slot)
+	if ok {
+		w.arena[c.tail].next = n
 	} else {
-		w.arena[w.tails[i]].next = n
+		c.head = n
 	}
-	w.tails[i] = n
-
-	// Keep the probe sequences short; rehash also sweeps tombstones.
-	if w.filled*4 >= len(w.keys)*3 {
-		w.rehash()
-	}
+	c.tail = n
 }
 
-// has reports whether slot currently has a non-empty chain, without
-// detaching it.
-func (w *waiterTable) has(slot int64) bool {
-	i := w.bucket(slot)
-	return w.keys[i] == slot && w.heads[i] != nilNode
-}
+// has reports whether slot currently has waiters, without detaching them.
+func (w *waiterTable) has(slot int64) bool { return w.chains.has(slot) }
 
 // take detaches and returns the head of slot's chain (nilNode if the
 // slot has no waiters). The caller walks the chain via next, copying
 // each node's fields before freeing it.
 func (w *waiterTable) take(slot int64) int32 {
-	if w.live == 0 {
-		return nilNode // nobody waits on anything: skip the probe
-	}
-	i := w.bucket(slot)
-	if w.keys[i] != slot || w.heads[i] == nilNode {
+	c, ok := w.chains.take(slot)
+	if !ok {
 		return nilNode
 	}
-	h := w.heads[i]
-	w.heads[i] = nilNode // tombstone: key stays until the next rehash
-	w.live--
-	return h
+	return c.head
 }
 
 // alloc returns a free arena index, growing the arena only when the
@@ -145,39 +225,9 @@ func (w *waiterTable) freeNode(n int32) {
 // (checkpoint serialization; a restored table re-pushes in this order,
 // preserving answer order). fn must not mutate the table.
 func (w *waiterTable) forEach(fn func(slot, t int64, e uint16)) {
-	for i, k := range w.keys {
-		if k == emptyKey || w.heads[i] == nilNode {
-			continue
+	w.chains.forEach(func(slot int64, c waiterChain) {
+		for n := c.head; n != nilNode; n = w.arena[n].next {
+			fn(slot, w.arena[n].t, w.arena[n].e)
 		}
-		for n := w.heads[i]; n != nilNode; n = w.arena[n].next {
-			fn(k, w.arena[n].t, w.arena[n].e)
-		}
-	}
-}
-
-// rehash rebuilds the table at a size fitted to the live chains,
-// dropping tombstones.
-func (w *waiterTable) rehash() {
-	size := minWaiterTable
-	for size < 4*w.live {
-		size *= 2
-	}
-	oldKeys, oldHeads, oldTails := w.keys, w.heads, w.tails
-	w.keys = make([]int64, size)
-	for i := range w.keys {
-		w.keys[i] = emptyKey
-	}
-	w.heads = make([]int32, size)
-	w.tails = make([]int32, size)
-	w.filled = 0
-	for i, k := range oldKeys {
-		if k == emptyKey || oldHeads[i] == nilNode {
-			continue
-		}
-		j := w.bucket(k)
-		w.keys[j] = k
-		w.heads[j] = oldHeads[i]
-		w.tails[j] = oldTails[i]
-		w.filled++
-	}
+	})
 }

@@ -558,7 +558,8 @@ func (it *Iter) Err() error { return it.err }
 
 // DirReader opens every rank shard of a streamed run and iterates the
 // merged graph in canonical rank-major order — the byte-identical
-// counterpart of graph.Merge over the in-memory per-rank edge lists.
+// counterpart of an in-memory run's edge list, in which each rank writes
+// its own range.
 type DirReader struct {
 	readers []*Reader
 }
@@ -665,7 +666,7 @@ func (di *DirIter) Err() error {
 
 // ReadGraph materialises the merged graph of the ranks shards under dir
 // in canonical order: the same edge list, byte for byte, as the
-// in-memory run's graph.Merge.
+// in-memory run's.
 func ReadGraph(dir string, ranks int) (*graph.Graph, error) {
 	d, err := OpenDir(dir, ranks)
 	if err != nil {

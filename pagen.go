@@ -436,16 +436,16 @@ func DegreesStreamed(cfg Config) ([]int64, *Result, error) {
 // MemoryEstimate returns the approximate peak bytes of heap the
 // in-process parallel generator needs for cfg — the sizing question the
 // paper's Section 4.3 raises (their sequential C++ implementation capped
-// out at 6x10^9 edges for memory reasons). The estimate covers the
-// attachment tables (8 bytes per slot), the materialised edge list
-// (16 bytes per edge; use GenerateStream or StreamDir to drop this
-// term), and a small per-rank overhead; the optional decision trace
-// adds 13 bytes per slot. With StreamDir the edge terms vanish and each
-// rank adds only its open-block buffer (16 bytes times
-// StreamBlockEdges); checkpointing adds nothing, because a snapshot
-// carries no table. A checkpointed run without StreamDir streams too
-// and holds the merged edge list it reads back (16 bytes per edge, no
-// growth slack: the list is sized from the shards).
+// out at 6x10^9 edges for memory reasons). An in-memory run holds the
+// attachment tables (8 bytes per slot) and the one edge list every rank
+// writes its own range of (16 bytes per edge, allocated exactly sized
+// and never copied), at every rank count; use GenerateStream or
+// StreamDir to drop the edge term. Each rank adds a small fixed
+// overhead, and the optional decision trace 13 bytes per slot. With
+// StreamDir the edge term vanishes and each rank adds only its
+// open-block buffer (16 bytes times StreamBlockEdges); checkpointing adds
+// nothing, because a snapshot carries no table. A checkpointed run
+// without StreamDir streams too and holds the edge list it reads back.
 func MemoryEstimate(cfg Config) int64 {
 	pr, err := cfg.params()
 	if err != nil {
@@ -460,12 +460,9 @@ func MemoryEstimate(cfg Config) int64 {
 			block = esink.DefaultBlockEdges
 		}
 		est += ranks * 16 * block // open shard blocks
-		if cfg.StreamDir == "" {
-			est += pr.M() * 16 // the merged edge list read back
-		}
-	} else {
-		est += pr.M() * 16     // edge storage
-		est += pr.M() * 16 / 4 // slice growth + queue slack (~25%)
+	}
+	if cfg.StreamDir == "" {
+		est += pr.M() * 16 // the edge list, in memory or read back
 	}
 	if cfg.RecordTrace {
 		est += slots * 13
