@@ -208,8 +208,9 @@ func (e *engine) drawGather(w *worker) {
 	// Gather: nothing between consecutive loads, so the misses overlap.
 	// A value >= 0 is final (slots are write-once); -1 is not an answer —
 	// the source may be an earlier node of this very window.
+	f := e.f
 	for _, j := range gat {
-		w.val[j] = e.f[w.src[j]]
+		w.val[j] = f.get(w.src[j])
 	}
 }
 

@@ -218,8 +218,8 @@ func gatheredRequestEngine(t *testing.T) (*engine, *comm.Comm, []msg.Message) {
 // before it — and never queued.
 func checkGatheredAnswer(t *testing.T, e *engine, peer *comm.Comm) {
 	t.Helper()
-	if e.f[5] != 3 {
-		t.Fatalf("slot 5 = %d after the batch, want 3", e.f[5])
+	if v := e.f.get(5); v != 3 {
+		t.Fatalf("slot 5 = %d after the batch, want 3", v)
 	}
 	if e.stats.QueuedWaits != 0 || e.pendingWaiters != 0 || e.waiters.has(5) {
 		t.Fatalf("request queued: QueuedWaits %d, pending %d", e.stats.QueuedWaits, e.pendingWaiters)

@@ -2,7 +2,9 @@
 // parallel preferential-attachment generator (Algorithms 3.1 and 3.2).
 //
 // Each processor rank owns a partition of the node set and computes the
-// attachments F_t(e) for its nodes with the copy model. Direct
+// attachments F_t(e) for its nodes with the copy model, into its F table:
+// one slot per (node, edge), holding F_t(e)+1 in 4 bytes so that zero is
+// NILL — 8 bytes only when n exceeds 2³²−1 (ftab.go). Direct
 // attachments resolve immediately; copy attachments whose source node
 // lives on another rank travel as <request, t, e, k, l> messages and come
 // back as <resolved, t, e, v>. Requests for still-unknown attachments
@@ -384,9 +386,10 @@ type engine struct {
 
 	size int64 // local node count
 
-	// f holds F_t(e) at f[part.Index(rank,t)*x + e]; -1 = NILL. Each
-	// slot is written exactly once (-1 -> v), between windows.
-	f []int64
+	// f holds F_t(e) at slot part.Index(rank,t)*x + e; get reads -1 for
+	// NILL. Each slot is written exactly once (NILL -> v), between
+	// windows. A slot takes 4 bytes unless n > math.MaxUint32 (ftab.go).
+	f ftab
 	// nodeLoad counts copy queries received per local node (indexed
 	// like f, but per node not per slot); nil unless CollectNodeLoad.
 	nodeLoad []int64
@@ -630,7 +633,7 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 		// A prefix inside the clique would never be consulted (copy
 		// sources are drawn from [x, t)).
 		if h > e.x64 {
-			e.hub = newHubCache(h, e.x64)
+			e.hub = newHubCache(h, e.x64, opts.Params.N)
 			e.hubPeers = hubPeerRanks(opts.Part, rank, e.p)
 			e.remote.init()
 		}
@@ -795,10 +798,7 @@ func (e *engine) run() error {
 // node x's attachments if x is local, and counts the slots left to
 // resolve.
 func (e *engine) bootstrap() {
-	e.f = make([]int64, e.size*e.x64)
-	for i := range e.f {
-		e.f[i] = -1
-	}
+	e.f = newFtab(e.size*e.x64, e.opts.Params.N)
 	if e.opts.CollectNodeLoad {
 		e.nodeLoad = make([]int64, e.size)
 		if e.hub != nil {
@@ -818,13 +818,13 @@ func (e *engine) bootstrap() {
 				e.bootEmit(base+j, graph.Edge{U: t, V: j})
 			}
 			for edge := 0; edge < e.x; edge++ {
-				e.f[base+int64(edge)] = t // self-marker; never queried
+				e.f.set(base+int64(edge), t) // self-marker; never queried
 			}
 		case t == e.x64:
 			base := idx * e.x64
 			for edge := 0; edge < e.x; edge++ {
 				v, _ := e.opts.Params.BootstrapF(t, edge)
-				e.f[base+int64(edge)] = v
+				e.f.set(base+int64(edge), v)
 				e.bootEmit(base+int64(edge), graph.Edge{U: t, V: v})
 				if e.trace != nil {
 					e.trace.RecordBootstrap(t, edge)
@@ -877,7 +877,7 @@ func (e *engine) collectEdges() error {
 	if e.edges == nil {
 		e.edges = make([]graph.Edge, rankEdges(e.part, e.rank, e.x))
 	}
-	edges := e.edges
+	edges, f := e.edges, e.f
 	n := int64(0)
 	for idx := int64(0); idx < e.size; idx++ {
 		t := e.part.NodeAt(e.rank, idx)
@@ -891,9 +891,9 @@ func (e *engine) collectEdges() error {
 			continue
 		}
 		if n+e.x64 <= int64(len(edges)) {
-			dst := edges[n : n+e.x64]
-			for i, v := range e.f[idx*e.x64 : (idx+1)*e.x64] {
-				dst[i] = graph.Edge{U: t, V: v}
+			dst, base := edges[n:n+e.x64], idx*e.x64
+			for i := range dst {
+				dst[i] = graph.Edge{U: t, V: f.get(base + int64(i))}
 			}
 		}
 		n += e.x64
@@ -1035,7 +1035,7 @@ func (e *engine) handleBatch(ms []msg.Message) error {
 		}
 	}
 	for i := range g {
-		g[i].v = e.f[g[i].s]
+		g[i].v = e.f.get(g[i].s)
 	}
 	e.reqs = g
 	for i := range ms {

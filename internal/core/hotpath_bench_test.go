@@ -15,7 +15,7 @@ import (
 // generation time.
 func reopenAndInitiate(e *engine, lo int64) {
 	for s := lo * e.x64; s < (lo+batchNodes)*e.x64; s++ {
-		e.f[s] = -1
+		e.f.set(s, -1)
 	}
 	e.cursor = lo
 	e.initiate()

@@ -8,8 +8,8 @@ import (
 )
 
 // hubCache is the rank's read-mostly replica of the hub prefix: the F
-// slots of the first h global nodes, flat like the main table (f[k*x +
-// l], -1 = not yet known here). Slots are installed with the owning
+// slots of the first h global nodes, flat like the main table (slot k*x
+// + l, NILL = not yet known here). Slots are installed with the owning
 // rank's write-once value — from a publish message, a wire answer the
 // rank received anyway, or a replay — so every install for a slot
 // carries the same immutable value, duplicated publishes included, and
@@ -19,15 +19,13 @@ import (
 // at.
 type hubCache struct {
 	h int64 // nodes covered: global ids [0, h)
-	f []int64
+	f ftab
 }
 
-func newHubCache(h, x64 int64) *hubCache {
-	c := &hubCache{h: h, f: make([]int64, h*x64)}
-	for i := range c.f {
-		c.f[i] = -1
-	}
-	return c
+// newHubCache returns an empty replica of h nodes' x64 slots in an n-node
+// run.
+func newHubCache(h, x64, n int64) *hubCache {
+	return &hubCache{h: h, f: newFtab(h*x64, n)}
 }
 
 // hubPeerRanks returns the ranks that can request a prefix slot this
@@ -73,7 +71,7 @@ func (e *engine) applyPublish(m msg.Message) error {
 	if m.T >= hub.h {
 		return fmt.Errorf("core: rank %d received a hub publish for node %d outside its prefix of %d nodes (mismatched hub-prefix settings across ranks?)", e.rank, m.T, hub.h)
 	}
-	hub.f[m.T*e.x64+int64(m.E)] = m.V
+	hub.f.set(m.T*e.x64+int64(m.E), m.V)
 	return nil
 }
 
@@ -141,7 +139,7 @@ func (e *engine) publishResolvedPrefix() error {
 		}
 		base := e.part.Index(e.rank, k) * e.x64
 		for l := 0; l < e.x; l++ {
-			v := e.f[base+int64(l)]
+			v := e.f.get(base + int64(l))
 			if v < 0 {
 				continue
 			}

@@ -356,11 +356,11 @@ func TestHubCacheMismatchedSettingsError(t *testing.T) {
 // lower-triangular under contiguous partitions, full mesh under
 // round-robin.
 func TestHubCacheInstallIdempotentAndPeers(t *testing.T) {
-	c := newHubCache(4, 3)
-	if got := len(c.f); got != 12 {
+	c := newHubCache(4, 3, 1000)
+	if got := c.f.len(); got != 12 {
 		t.Fatalf("replica has %d slots, want 12", got)
 	}
-	for s, v := range c.f {
+	for s, v := range ftabSlots(c.f) {
 		if v != -1 {
 			t.Fatalf("fresh slot %d reads %d, want -1", s, v)
 		}

@@ -112,14 +112,14 @@ func (e *engine) replayF(k int64, l int, ctx *replayCtx) (v int64, ok bool) {
 		return int64(l), true
 	}
 	if owner, kidx := e.locate(k); owner == e.rank {
-		if v = e.f[kidx*e.x64+int64(l)]; v >= 0 {
+		if v = e.f.get(kidx*e.x64 + int64(l)); v >= 0 {
 			return v, true
 		}
 		// Not resolved here yet; replay it like a remote node. The memo
 		// entry is a pure cache — e.f is only ever written by
 		// resolveSlot.
 	} else if hub := e.hub; hub != nil && k < hub.h {
-		if v = hub.f[k*e.x64+int64(l)]; v >= 0 {
+		if v = hub.f.get(k*e.x64 + int64(l)); v >= 0 {
 			return v, true
 		}
 	}

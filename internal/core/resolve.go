@@ -44,7 +44,6 @@ func (e *engine) emit(t, s, v int64) {
 func (e *engine) advance(t, idx int64, edge int, rng *xrand.Rand) {
 	d := e.opts.Params.NewDrawer(t)
 	base := idx * e.x64
-	row := e.f[base : base+e.x64]
 	for ; edge < e.x; edge++ {
 		s := base + int64(edge)
 	draw:
@@ -53,7 +52,7 @@ func (e *engine) advance(t, idx int64, edge int, rng *xrand.Rand) {
 			k := a.K
 			if a.Direct {
 				// Direct branch (lines 6-10).
-				if contains(row, k) {
+				if e.f.has(base, e.x64, k) {
 					e.stats.Retries++
 					continue draw
 				}
@@ -76,9 +75,9 @@ func (e *engine) advance(t, idx int64, edge int, rng *xrand.Rand) {
 					e.nodeLoad[kidx]++
 				}
 				src := kidx*e.x64 + int64(l)
-				v := e.f[src]
+				v := e.f.get(src)
 				if v >= 0 {
-					if contains(row, v) {
+					if e.f.has(base, e.x64, v) {
 						e.stats.Retries++
 						continue draw
 					}
@@ -94,13 +93,13 @@ func (e *engine) advance(t, idx int64, edge int, rng *xrand.Rand) {
 			}
 			if hub := e.hub; hub != nil && k < hub.h {
 				gkey := k*e.x64 + int64(l)
-				if v := hub.f[gkey]; v >= 0 {
+				if v := hub.f.get(gkey); v >= 0 {
 					// Replica hit: the owner's immutable value is
 					// already here — the same value a round trip
 					// would return, so no request travels.
 					e.stats.HubCacheHits++
 					e.noteElided(k)
-					if contains(row, v) {
+					if e.f.has(base, e.x64, v) {
 						e.stats.Retries++
 						continue draw
 					}
@@ -126,8 +125,8 @@ func (e *engine) advance(t, idx int64, edge int, rng *xrand.Rand) {
 						// Replayed values are as immutable as
 						// resolved ones; seed the replica so later
 						// queries for this slot short-circuit.
-						hub.f[gkey] = v
-						if contains(row, v) {
+						hub.f.set(gkey, v)
+						if e.f.has(base, e.x64, v) {
 							e.stats.Retries++
 							continue draw
 						}
@@ -142,7 +141,7 @@ func (e *engine) advance(t, idx int64, edge int, rng *xrand.Rand) {
 			}
 			if e.recompute {
 				if v, ok := e.replayRemote(k, l); ok {
-					if contains(row, v) {
+					if e.f.has(base, e.x64, v) {
 						e.stats.Retries++
 						continue draw
 					}
@@ -178,7 +177,7 @@ func (e *engine) resume(t, idx int64, edge int, v int64) {
 		return
 	}
 	base := idx * e.x64
-	if contains(e.f[base:base+e.x64], v) {
+	if e.f.has(base, e.x64, v) {
 		e.stats.Retries++
 		e.advance(t, idx, edge, &st.rng)
 		return
@@ -206,8 +205,8 @@ func (e *engine) resumeWire(t int64, edge int, v int64) {
 		e.resume(t, idx, edge, v)
 		return
 	}
-	if st.key >= 0 && st.key < int64(len(e.hub.f)) {
-		e.hub.f[st.key] = v
+	if st.key >= 0 && st.key < e.hub.f.len() {
+		e.hub.f.set(st.key, v)
 	}
 	// Walk the detached chain copying each node out before freeing it:
 	// resume can recurse into advance and push new chain entries while
@@ -233,7 +232,7 @@ func (e *engine) resumeWire(t int64, edge int, v int64) {
 // and emits it, publishes hub-prefix nodes, and answers every waiter of
 // the slot (Algorithm 3.1 lines 16-19 / Algorithm 3.2 lines 21-25).
 func (e *engine) resolveSlot(t int64, edge int, s, v int64) {
-	e.f[s] = v
+	e.f.set(s, v)
 	e.emit(t, s, v)
 	e.unresolved--
 
@@ -250,7 +249,7 @@ func (e *engine) resolveSlot(t int64, edge int, s, v int64) {
 	if hub := e.hub; hub != nil && t < hub.h && edge == e.x-1 {
 		base := s - int64(edge)
 		for l := int64(0); l < e.x64; l++ {
-			m := msg.Publish(t, int(l), e.f[base+l])
+			m := msg.Publish(t, int(l), e.f.get(base+l))
 			for _, r := range e.hubPeers {
 				e.sendData(r, m)
 			}
@@ -296,7 +295,7 @@ func (e *engine) serveRequest(m msg.Message, s, v int64) {
 		e.nodeLoad[s/e.x64]++
 	}
 	if v < 0 {
-		v = e.f[s]
+		v = e.f.get(s)
 	}
 	if v < 0 {
 		e.stats.QueuedWaits++

@@ -268,21 +268,22 @@ func (e *engine) restoreChains(s *ckpt.Snapshot) error {
 // in exactly one of those states, which is what lets a resumed run skip
 // it in the generation pass.
 func (e *engine) nodeInitiated(idx int64) bool {
-	if e.f[idx*e.x64+e.x64-1] >= 0 {
+	if e.f.get(idx*e.x64+e.x64-1) >= 0 {
 		return true
 	}
 	return e.susp.has(idx)
 }
 
-// restoreShard fills e.f from the rank's shard, which RunRank's Recover
+// restoreShard fills F from the rank's shard, which RunRank's Recover
 // has just verified block by block and truncated to the snapshot's mark:
 // a snapshot carries no table because that prefix holds exactly the
 // slots resolved at the cut, one (flat slot, value) record each.
 // Bootstrap has already written the clique and seed nodes (t <= x) and
 // counted their records in e.emitted; the pass checks those are present
 // and leaves their slots alone. Anything the CRCs cannot vouch for —
-// a record count off the mark, a negative value, a repeated key, a slot
-// resolved twice — fails the resume rather than splicing a wrong table.
+// a record count off the mark, a value outside [0, n), a repeated key, a
+// slot resolved twice — fails the resume rather than splicing a wrong
+// table.
 func (e *engine) restoreShard(mark ckpt.SinkMark) error {
 	path := e.stream.Path()
 	r, err := esink.OpenReaderTolerant(path)
@@ -303,10 +304,12 @@ func (e *engine) restoreShard(mark ckpt.SinkMark) error {
 		switch {
 		case v < 0:
 			return fmt.Errorf("core: resume: shard %s: slot %d holds negative value %d", path, key, v)
+		case v >= e.opts.Params.N:
+			return fmt.Errorf("core: resume: shard %s: slot %d holds value %d past the run's %d nodes", path, key, v, e.opts.Params.N)
 		case n > 1 && key == prev:
 			return fmt.Errorf("core: resume: shard %s: slot key %d repeats", path, key)
-		case e.f[s] < 0:
-			e.f[s] = v
+		case e.f.get(s) < 0:
+			e.f.set(s, v)
 		case e.part.NodeAt(e.rank, s/e.x64) > e.x64:
 			return fmt.Errorf("core: resume: shard %s: slot %d is already resolved", path, key)
 		default:
@@ -351,8 +354,8 @@ func (e *engine) restore() error {
 	}
 
 	e.unresolved = 0
-	for _, v := range e.f {
-		if v < 0 {
+	for s := range e.f.len() {
+		if e.f.get(s) < 0 {
 			e.unresolved++
 		}
 	}

@@ -161,12 +161,12 @@ func checkRestoreFromShardPrefix(t *testing.T, kind partition.Kind, ranks, x, bl
 
 		for r := 0; r < ranks; r++ {
 			e := resumedEngine(t, opts, r, epochs[i])
-			boot := append([]int64(nil), e.f...)
+			boot := ftabSlots(e.f)
 			if err := e.restore(); err != nil {
 				t.Fatalf("epoch %d rank %d: %v", epochs[i], r, err)
 			}
 			var resolved int64
-			for s, v := range e.f {
+			for s, v := range ftabSlots(e.f) {
 				switch {
 				case part.NodeAt(r, int64(s)/x64) <= x64:
 					if v != boot[s] {
@@ -382,6 +382,12 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 		bad[mid].v = -7
 		b, m := crafted(t, bad)
 		mustFail(t, b, m, "negative")
+	})
+	t.Run("value past n", func(t *testing.T) {
+		bad := append([]rec(nil), recs...)
+		bad[mid].v = pr.N
+		b, m := crafted(t, bad)
+		mustFail(t, b, m, "past the run's")
 	})
 	t.Run("bootstrap record missing", func(t *testing.T) {
 		b, m := crafted(t, recs[1:])

@@ -398,6 +398,14 @@ const tcpReadBufSize = 64 << 10
 // are never empty — the communicator only flushes non-empty batches — so
 // the length is unambiguous on the wire.
 
+// maxFrameSize bounds a frame's length on the wire, both ways: Send
+// refuses a longer frame rather than wrap its 32-bit prefix, and the
+// reader fails the connection on a longer prefix before leasing a byte
+// for it. The communicator flushes at most its buffer capacity of
+// messages per frame, each under 48 bytes in the v3 codec — 12 KB at the
+// default 256 — so 64 MiB leaves room for a capacity past a million.
+const maxFrameSize = 64 << 20
+
 // frameReader reassembles length-prefixed frames from a byte stream that
 // arrives in arbitrary pieces. Its user reads into target() and reports
 // the byte count to advance(), which pushes every frame those bytes
@@ -443,24 +451,28 @@ func (fr *frameReader) emit(data []byte, who *atomic.Int64) bool {
 
 // advance accounts n bytes just read into target(). It returns the
 // number of frames emitted (each counted in who) and whether reading
-// must stop: the goodbye marker arrived, or the inbox is closed.
-func (fr *frameReader) advance(n int, who *atomic.Int64) (frames int, end bool) {
+// must stop: the goodbye marker arrived, the inbox is closed, or — with
+// err set — the peer announced a frame longer than maxFrameSize.
+func (fr *frameReader) advance(n int, who *atomic.Int64) (frames int, end bool, err error) {
 	if fr.body != nil {
 		if fr.fill += n; fr.fill < len(fr.body) {
-			return 0, false
+			return 0, false, nil
 		}
 		data := fr.body
 		fr.body, fr.fill = nil, 0
 		if !fr.emit(data, who) {
-			return 0, true
+			return 0, true, nil
 		}
-		return 1, false // the staging buffer is empty while body is set
+		return 1, false, nil // the staging buffer is empty while body is set
 	}
 	fr.w += n
 	for fr.w-fr.r >= 4 {
 		size := int(binary.LittleEndian.Uint32(fr.buf[fr.r:]))
 		if size == 0 {
-			return frames, true
+			return frames, true, nil
+		}
+		if size > maxFrameSize {
+			return frames, true, fmt.Errorf("transport: rank %d announced a %d-byte frame, over the %d-byte limit", fr.from, size, maxFrameSize)
 		}
 		fr.r += 4
 		data := LeaseFrame(size)[:size]
@@ -471,7 +483,7 @@ func (fr *frameReader) advance(n int, who *atomic.Int64) (frames int, end bool) 
 			break
 		}
 		if !fr.emit(data, who) {
-			return frames, true
+			return frames, true, nil
 		}
 		frames++
 	}
@@ -479,7 +491,7 @@ func (fr *frameReader) advance(n int, who *atomic.Int64) (frames int, end bool) 
 	// read has the whole buffer.
 	fr.w = copy(fr.buf, fr.buf[fr.r:fr.w])
 	fr.r = 0
-	return frames, false
+	return frames, false, nil
 }
 
 // noteFrames records, under ReadIdleTimeout, that a drain of pc just
@@ -554,6 +566,9 @@ func (t *TCP) sendErr() error {
 func (t *TCP) Send(to int, data []byte) error {
 	if to < 0 || to >= len(t.addrs) {
 		return fmt.Errorf("transport: send to rank %d outside [0,%d)", to, len(t.addrs))
+	}
+	if len(data) > maxFrameSize {
+		return fmt.Errorf("transport: %d-byte frame to rank %d is over the %d-byte limit", len(data), to, maxFrameSize)
 	}
 	if err := t.sendErr(); err != nil {
 		return err

@@ -180,8 +180,8 @@ func (t *TCP) probe() bool {
 // drainLocked reads pc's socket until it would block, pushing every
 // complete frame into the inbox and counting it in who. The caller holds
 // pc.rmu. It returns the number of frames pushed and whether the
-// connection has ended: goodbye marker, or EOF or a read error, which it
-// latches as the failure.
+// connection has ended: goodbye marker, or EOF, a read error or an
+// oversize frame prefix, which it latches as the failure.
 func (t *TCP) drainLocked(pc *peerConn, who *atomic.Int64) (frames int, ended bool) {
 	for !pc.ended {
 		pc.rdBuf = pc.fr.target()
@@ -194,9 +194,12 @@ func (t *TCP) drainLocked(pc *peerConn, who *atomic.Int64) (frames int, ended bo
 			// Read on even after a short read: a FIN that arrived with
 			// these bytes raises no further edge for the reader
 			// goroutine, so only the next read's 0 reports it.
-			got, end := pc.fr.advance(n, who)
+			got, end, err := pc.fr.advance(n, who)
 			frames += got
 			pc.ended = end
+			if err != nil {
+				t.fail(pc.peer, err)
+			}
 		case n == 0:
 			pc.ended = true
 			t.fail(pc.peer, pc.fr.eofError())

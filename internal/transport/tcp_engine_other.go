@@ -27,8 +27,11 @@ func (t *TCP) readLoop(pc *peerConn) {
 			t.armIdle(pc)
 		}
 		n, err := pc.conn.Read(pc.fr.target())
-		frames, end := pc.fr.advance(n, &t.stats.framesReader)
+		frames, end, ferr := pc.fr.advance(n, &t.stats.framesReader)
 		t.noteFrames(pc, frames)
+		if ferr != nil {
+			t.fail(pc.peer, ferr)
+		}
 		if end {
 			return
 		}

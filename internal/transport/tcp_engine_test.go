@@ -323,22 +323,26 @@ func TestTCPReadIdleTimeoutWithEngineDrain(t *testing.T) {
 	}
 }
 
-// A frame stream cut into reads at every byte offset, and into one-byte
-// reads, reassembles into the same frames — through the staging buffer
-// for frames that fit in it and straight into the leased frame for the
-// rest — and stops at the goodbye marker.
-func TestTCPFrameReaderSplitAnywhere(t *testing.T) {
-	sizes := []int{1, 3, 4, 5, 17, 200, 9, 1000, 2}
-	var stream []byte
-	var want [][]byte
-	for i, size := range sizes {
+// splitAnywhereStream is nine frames of assorted sizes, each body one
+// repeated letter, then the goodbye marker and bytes that must never be
+// parsed; want is the frames' bodies.
+func splitAnywhereStream() (stream []byte, want [][]byte) {
+	for i, size := range []int{1, 3, 4, 5, 17, 200, 9, 1000, 2} {
 		body := bytes.Repeat([]byte{byte('a' + i)}, size)
 		stream = binary.LittleEndian.AppendUint32(stream, uint32(size))
 		stream = append(stream, body...)
 		want = append(want, body)
 	}
 	stream = append(stream, 0, 0, 0, 0) // goodbye
-	stream = append(stream, "never parsed"...)
+	return append(stream, "never parsed"...), want
+}
+
+// A frame stream cut into reads at every byte offset, and into one-byte
+// reads, reassembles into the same frames — through the staging buffer
+// for frames that fit in it and straight into the leased frame for the
+// rest — and stops at the goodbye marker.
+func TestTCPFrameReaderSplitAnywhere(t *testing.T) {
+	stream, want := splitAnywhereStream()
 
 	// feed pushes b through fr in reads of at most chunk bytes.
 	var parsed atomic.Int64
@@ -350,7 +354,10 @@ func TestTCPFrameReaderSplitAnywhere(t *testing.T) {
 			}
 			n := copy(tgt[:min(len(tgt), chunk)], b)
 			b = b[n:]
-			_, end = fr.advance(n, &parsed)
+			var err error
+			if _, end, err = fr.advance(n, &parsed); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return end
 	}
@@ -407,6 +414,85 @@ func TestTCPFrameReaderSplitAnywhere(t *testing.T) {
 	feed(fr, stream[5:7], 64) // half a prefix
 	if !fr.midFrame() {
 		t.Fatal("not midFrame inside a prefix")
+	}
+}
+
+// A hostile length prefix fails the connection before anything is
+// leased for it: the error names the peer and the length, the frames
+// ahead of it are delivered, and no allocation of that size happens.
+// Send refuses a frame its 32-bit prefix cannot carry without wrapping.
+func TestTCPFrameReaderOversizePrefix(t *testing.T) {
+	stream := binary.LittleEndian.AppendUint32(nil, 3)
+	stream = append(stream, "abc"...)
+	stream = binary.LittleEndian.AppendUint32(stream, 0xFFFFFFF0)
+	stream = append(stream, "body that never comes"...)
+
+	inbox := newMailbox()
+	fr := &frameReader{inbox: inbox, from: 5, buf: make([]byte, 64)}
+	var parsed atomic.Int64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := copy(fr.target(), stream)
+	frames, end, err := fr.advance(n, &parsed)
+	runtime.ReadMemStats(&after)
+	if err == nil || !end {
+		t.Fatalf("oversize prefix: end %v, err %v", end, err)
+	}
+	for _, want := range []string{"rank 5", fmt.Sprint(0xFFFFFFF0)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %q", err, want)
+		}
+	}
+	if frames != 1 || parsed.Load() != 1 {
+		t.Fatalf("%d frames emitted (%d counted) ahead of the bad prefix, want 1", frames, parsed.Load())
+	}
+	if f, ok, _ := inbox.pop(false); !ok || string(f.Data) != "abc" {
+		t.Fatalf("frame ahead of the bad prefix = %q (ok=%v)", f.Data, ok)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("parsing the prefix allocated %d bytes", grew)
+	}
+
+	eps := mkTCPFree(t, TCPConfig{}, TCPConfig{})
+	defer eps[0].Close()
+	defer eps[1].Close()
+	err = eps[0].Send(1, make([]byte, maxFrameSize+1))
+	if err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("Send of a %d-byte frame: err = %v", maxFrameSize+1, err)
+	}
+
+	// End to end: a raw peer that completes rank 1's handshake and then
+	// sends the prefix fails rank 0's connection with that error.
+	addrs := freeAddrs(t, 2)
+	type result struct {
+		tr  *TCP
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		tr, err := NewTCP(0, addrs)
+		done <- result{tr, err}
+	}()
+	var conn net.Conn
+	for deadline := time.Now().Add(10 * time.Second); conn == nil; {
+		if conn, err = net.Dial("tcp", addrs[0]); err != nil && time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	defer conn.Close()
+	hello := binary.LittleEndian.AppendUint32(nil, 1)
+	if _, err := conn.Write(binary.LittleEndian.AppendUint32(hello, 0xFFFFFFF0)); err != nil {
+		t.Fatal(err)
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	defer r.tr.Close()
+	_, err = r.tr.Recv()
+	if err == nil || !strings.Contains(err.Error(), "rank 1") || !strings.Contains(err.Error(), fmt.Sprint(0xFFFFFFF0)) {
+		t.Fatalf("Recv after a hostile prefix: err = %v", err)
 	}
 }
 

@@ -22,6 +22,7 @@ package pagen
 import (
 	"errors"
 	"io"
+	"math"
 	"sync/atomic"
 
 	"pagen/internal/analysis"
@@ -437,7 +438,8 @@ func DegreesStreamed(cfg Config) ([]int64, *Result, error) {
 // in-process parallel generator needs for cfg — the sizing question the
 // paper's Section 4.3 raises (their sequential C++ implementation capped
 // out at 6x10^9 edges for memory reasons). An in-memory run holds the
-// attachment tables (8 bytes per slot) and the one edge list every rank
+// attachment tables (4 bytes per slot, 8 when N exceeds math.MaxUint32)
+// and the one edge list every rank
 // writes its own range of (16 bytes per edge, allocated exactly sized
 // and never copied), at every rank count; use GenerateStream or
 // StreamDir to drop the edge term. Each rank adds a small fixed
@@ -453,7 +455,10 @@ func MemoryEstimate(cfg Config) int64 {
 	}
 	ranks := int64(max(cfg.Ranks, 1))
 	slots := (pr.N - int64(pr.X)) * int64(pr.X)
-	est := slots * 8 // F tables
+	est := slots * 4 // F tables
+	if pr.N > math.MaxUint32 {
+		est *= 2
+	}
 	if cfg.StreamDir != "" || cfg.CheckpointDir != "" {
 		block := int64(cfg.StreamBlockEdges)
 		if block <= 0 {

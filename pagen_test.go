@@ -232,7 +232,7 @@ func TestMemoryEstimate(t *testing.T) {
 	if d := base - one; d != 7<<16 {
 		t.Fatalf("8 ranks estimate %d bytes more than 1, want only the per-rank overhead %d", d, 7<<16)
 	}
-	if tables, edges := int64(8*(1_000_000-4)*4), int64(16*(6+(1_000_000-4)*4)); one != tables+edges+1<<16 {
+	if tables, edges := int64(4*(1_000_000-4)*4), int64(16*(6+(1_000_000-4)*4)); one != tables+edges+1<<16 {
 		t.Fatalf("one-rank estimate %d, want tables %d + edges %d + overhead %d", one, tables, edges, 1<<16)
 	}
 
@@ -255,9 +255,21 @@ func TestMemoryEstimate(t *testing.T) {
 	if c, m := MemoryEstimate(ckpt), MemoryEstimate(mem); c != m+2*16*esink.DefaultBlockEdges {
 		t.Fatalf("checkpointed estimate without StreamDir %d, want in-memory %d plus two open blocks", c, m)
 	}
-	tables := int64(8 * (1_000_000 - 4) * 4)
+	tables := int64(4 * (1_000_000 - 4) * 4)
 	if s := MemoryEstimate(streamed); s < tables || s > 2*tables {
 		t.Fatalf("streamed estimate %d not within 2x of the tables' %d", s, tables)
+	}
+	// A slot is 4 bytes while every node id fits in 32 bits (biased by
+	// one), and 8 past that.
+	for _, c := range []struct {
+		n    int64
+		slot int64
+	}{{math.MaxUint32, 4}, {1 << 33, 8}} {
+		cfg := Config{N: c.n, X: 4, Ranks: 1, StreamDir: "shards"}
+		want := c.slot*(c.n-4)*4 + 16*esink.DefaultBlockEdges + 1<<16
+		if got := MemoryEstimate(cfg); got != want {
+			t.Fatalf("n = %d: estimate %d, want %d B/slot tables + one open block + overhead = %d", c.n, got, c.slot, want)
+		}
 	}
 	small := streamed
 	small.StreamBlockEdges = 512
