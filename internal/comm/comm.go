@@ -3,7 +3,9 @@
 // provides what the paper's MPI usage provides — buffered sends that
 // combine multiple messages to the same destination into one transport
 // operation (Section 3.5.1 "Message Buffering"), message counters for the
-// load analysis of Section 4.6, and batch-oriented receive.
+// load analysis of Section 4.6, and a receive that hands out one frame's
+// messages per call: a shared-memory batch in place, a byte frame decoded
+// into a reused scratch.
 //
 // Concurrency: none. A Comm belongs to one goroutine — the rank's — for
 // sending and receiving alike.
@@ -77,11 +79,8 @@ type Comm struct {
 	cap        int
 	bufs       [][]msg.Message // per-destination send buffers
 	requestsTo []int64
-	scratch    []msg.Message
-	// drainMean is an exponential moving average of messages per drain,
-	// used to shrink scratch after an atypically large backlog so one
-	// burst does not pin its high-water capacity forever.
-	drainMean float64
+	scratch    []msg.Message // the last byte frame's decoded messages
+	held       []msg.Message // the last shared-memory batch, until the next receive
 }
 
 // New wraps a transport endpoint.
@@ -175,7 +174,7 @@ func (c *Comm) flush(to int) error {
 	if c.ms != nil {
 		// Shared-memory fast path: the buffered batch crosses by
 		// reference — ownership of the slice transfers to the receiver
-		// (its decode releases it) and a fresh buffer is leased for the
+		// (its next receive releases it) and a fresh buffer is leased for the
 		// destination. No bytes are serialized, so BytesSent stays put;
 		// FramesSent still counts the transfer.
 		c.bufs[to] = transport.LeaseMsgs(c.cap)
@@ -225,28 +224,27 @@ func (c *Comm) BufferedFrame(to int) []byte {
 // Buffered returns the number of messages currently buffered for to.
 func (c *Comm) Buffered(to int) int { return len(c.bufs[to]) }
 
-// decode appends the decoded messages of f to dst, updating counters.
-// It consumes the frame: the buffer returns to the transport pool (the
-// release half of the lease/release protocol).
-func (c *Comm) decode(dst []msg.Message, f transport.Frame) ([]msg.Message, error) {
-	before := len(dst)
-	if f.Msgs != nil {
-		// Shared-memory fast path: the batch arrived by reference; copy
-		// it out and release the slice back to the pool.
-		dst = append(dst, f.Msgs...)
-		transport.ReleaseMsgs(f.Msgs)
+// decode returns the messages of f, updating counters. A shared-memory
+// batch is returned as it arrived and held until the next receive call
+// releases it; a byte frame is decoded into scratch, which grows only to
+// the largest frame, and its buffer returns to the transport pool at once.
+func (c *Comm) decode(f transport.Frame) ([]msg.Message, error) {
+	ms := f.Msgs
+	if ms != nil {
+		c.held = ms
 	} else {
 		var err error
-		dst, err = msg.DecodeBatch(dst, f.Data)
+		c.scratch, err = msg.DecodeBatch(c.scratch[:0], f.Data)
 		size := int64(len(f.Data))
 		transport.ReleaseFrame(f.Data)
 		if err != nil {
-			return dst, fmt.Errorf("comm: frame from rank %d: %w", f.From, err)
+			return nil, fmt.Errorf("comm: frame from rank %d: %w", f.From, err)
 		}
 		c.c.BytesRecv += size
+		ms = c.scratch
 	}
 	c.c.FramesRecv++
-	for _, m := range dst[before:] {
+	for _, m := range ms {
 		switch m.Kind {
 		case msg.KindRequest:
 			c.c.RequestsRecv++
@@ -258,82 +256,39 @@ func (c *Comm) decode(dst []msg.Message, f transport.Frame) ([]msg.Message, erro
 			c.c.ControlRecv++
 		}
 	}
-	return dst, nil
+	return ms, nil
 }
 
-// scratchShrinkFloor is the capacity below which scratch is never shrunk:
-// a few steady-state drains' worth of messages.
-const scratchShrinkFloor = 4 * DefaultBufferCap
-
-// resetScratch prepares scratch for a new drain. If the previous drain
-// left the capacity far above the running mean drain size (a burst —
-// e.g. the backlog after a long generation stretch between polls), the
-// buffer is reallocated near the mean so one outlier does not pin its
-// high-water memory for the rest of the run.
-func (c *Comm) resetScratch() {
-	if cap(c.scratch) > scratchShrinkFloor && float64(cap(c.scratch)) > 8*c.drainMean {
-		c.scratch = make([]msg.Message, 0, int(2*c.drainMean)+DefaultBufferCap)
+// release returns the batch the previous receive call handed out, if it
+// arrived by reference, to the pool.
+func (c *Comm) release() {
+	if c.held != nil {
+		transport.ReleaseMsgs(c.held)
+		c.held = nil
 	}
-	c.scratch = c.scratch[:0]
 }
 
-// noteDrain folds a completed drain's size into the running mean.
-func (c *Comm) noteDrain() {
-	c.drainMean += (float64(len(c.scratch)) - c.drainMean) / 8
-}
-
-// Poll drains every frame that is immediately available, returning the
-// decoded messages (nil if none). The returned slice is reused by the
-// next Poll/Wait call.
+// Poll returns the messages of one immediately available frame, or nil
+// if none is waiting. The returned slice is valid until the next
+// Poll/Wait call.
 func (c *Comm) Poll() ([]msg.Message, error) {
-	c.resetScratch()
-	for {
-		f, ok, err := c.tr.TryRecv()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		c.scratch, err = c.decode(c.scratch, f)
-		if err != nil {
-			return nil, err
-		}
+	c.release()
+	f, ok, err := c.tr.TryRecv()
+	if err != nil || !ok {
+		return nil, err
 	}
-	if len(c.scratch) == 0 {
-		return nil, nil
-	}
-	c.noteDrain()
-	return c.scratch, nil
+	return c.decode(f)
 }
 
-// Wait blocks for at least one frame, then also drains whatever else is
-// immediately available, returning the decoded messages. The returned
-// slice is reused by the next Poll/Wait call.
+// Wait blocks for one frame and returns its messages. The returned slice
+// is valid until the next Poll/Wait call.
 func (c *Comm) Wait() ([]msg.Message, error) {
+	c.release()
 	f, err := c.tr.Recv()
 	if err != nil {
 		return nil, err
 	}
-	c.resetScratch()
-	c.scratch, err = c.decode(c.scratch, f)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		f, ok, err := c.tr.TryRecv()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			c.noteDrain()
-			return c.scratch, nil
-		}
-		c.scratch, err = c.decode(c.scratch, f)
-		if err != nil {
-			return nil, err
-		}
-	}
+	return c.decode(f)
 }
 
 // Close closes the underlying transport.

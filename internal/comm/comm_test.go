@@ -65,12 +65,18 @@ func TestUnbufferedSendsEachFrame(t *testing.T) {
 	if c := a.Counters(); c.FramesSent != 5 || c.ResolvedSent != 5 {
 		t.Fatalf("counters = %+v", c)
 	}
-	got, err := b.Wait()
-	if err != nil {
-		t.Fatal(err)
+	// Five frames, one receive each, in send order.
+	for i := 0; i < 5; i++ {
+		got, err := b.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0].T != int64(i) {
+			t.Fatalf("Wait %d returned %+v, want one frame holding message %d", i, got, i)
+		}
 	}
-	if len(got) != 5 {
-		t.Fatalf("Wait drained %d, want 5", len(got))
+	if c := b.Counters(); c.FramesRecv != 5 || c.ResolvedRecv != 5 {
+		t.Fatalf("recv counters = %+v", c)
 	}
 }
 
@@ -129,14 +135,10 @@ func TestCountersByKind(t *testing.T) {
 	if c.MessagesSent() != 4 {
 		t.Fatalf("MessagesSent = %d", c.MessagesSent())
 	}
-	// Wait drains everything immediately available, so loop on the
-	// message count rather than calling it once per frame.
-	for got := 0; got < 4; {
-		ms, err := b.Wait()
-		if err != nil {
+	for i := 0; i < 4; i++ {
+		if _, err := b.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		got += len(ms)
 	}
 	cb := b.Counters()
 	if cb.RequestsRecv != 1 || cb.ResolvedRecv != 1 || cb.ControlRecv != 2 {
@@ -154,12 +156,91 @@ func TestPollNonBlocking(t *testing.T) {
 	}
 	a.SendNow(1, msg.Stop())
 	a.SendNow(1, msg.Done(0))
+	// One frame per call, in send order, then nothing.
+	for _, want := range []msg.Kind{msg.KindStop, msg.KindDone} {
+		got, err := b.Poll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0].Kind != want {
+			t.Fatalf("Poll = %+v, want one %v message", got, want)
+		}
+	}
+	if got, err := b.Poll(); err != nil || got != nil {
+		t.Fatalf("Poll after the last frame = %v %v", got, err)
+	}
+}
+
+// shmPair is pair over the shared-memory transport, whose flushes hand
+// the send buffer itself to the receiver.
+func shmPair(tb testing.TB, cfg Config) (*Comm, *Comm) {
+	g, err := transport.NewShmGroup(2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return New(g.Endpoint(0), cfg), New(g.Endpoint(1), cfg)
+}
+
+// A shared-memory batch is handed out where it landed: Poll returns the
+// very slice the sender filled, and the communicator keeps it out of the
+// pool until the next receive call, so a sender leasing meanwhile never
+// gets it back to overwrite. The streaming half runs sender and receiver
+// on two goroutines; under -race a batch recycled early is a reported
+// race, and without it a corrupted sequence.
+func TestPollShmBatchOwnership(t *testing.T) {
+	a, b := shmPair(t, Config{BufferCap: 8})
+	for i := 0; i < 3; i++ {
+		a.Send(1, msg.Resolved(int64(i), 0, 1))
+	}
+	sent := &a.bufs[1][0]
+	if err := a.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 	got, err := b.Poll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("Poll drained %d frames' messages, want 2", len(got))
+	if len(got) != 3 || &got[0] != sent {
+		t.Fatalf("Poll returned %d messages at %p, want the sender's 3 at %p", len(got), &got[0], sent)
+	}
+	for i := 0; i < 4; i++ {
+		if ms := transport.LeaseMsgs(1); cap(ms) > 0 && &ms[:1][0] == sent {
+			t.Fatal("the batch Poll returned went back to the pool before the next receive")
+		}
+	}
+	if b.held == nil || &b.held[0] != sent {
+		t.Fatal("the communicator does not hold the batch it returned")
+	}
+	if got, err := b.Poll(); err != nil || got != nil || b.held != nil {
+		t.Fatalf("empty Poll = %v %v, holding %d messages; want the batch released", got, err, len(b.held))
+	}
+
+	const n = 1 << 14
+	a, b = shmPair(t, Config{BufferCap: 16})
+	errc := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := a.Send(1, msg.Resolved(int64(i), 0, int64(i))); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- a.FlushAll()
+	}()
+	for next := int64(0); next < n; {
+		ms, err := b.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			if m.T != next || m.V != next {
+				t.Fatalf("message %d arrived as %+v", next, m)
+			}
+			next++
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -209,6 +290,33 @@ func BenchmarkSendBuffered(b *testing.B) {
 	}
 	a.FlushAll()
 	sink.Close()
+}
+
+// BenchmarkCommPollShm is the shared-memory receive path at steady
+// state: fill a buffer, flush it by reference, Poll it back. A round
+// must not allocate (asserted): the pool recycles the batch the previous
+// Poll held.
+func BenchmarkCommPollShm(b *testing.B) {
+	a, c := shmPair(b, Config{})
+	m := msg.Request(1, 0, 2, 0)
+	round := func() {
+		for i := 0; i < DefaultBufferCap-1; i++ {
+			a.Send(1, m)
+		}
+		a.FlushAll()
+		if ms, err := c.Poll(); err != nil || len(ms) != DefaultBufferCap-1 {
+			b.Fatalf("Poll = %d messages, %v", len(ms), err)
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		b.Fatalf("a steady-state round allocated %v times, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
 }
 
 func TestBytesCounters(t *testing.T) {

@@ -547,8 +547,8 @@ func (e *engine) ckptStep() error {
 
 // ckptFilter splits a received batch while the resume negotiation's
 // collectives own the receive path: collective messages pass through,
-// everything else is held (copied — the input aliases comm's reused
-// scratch) for delivery once the restored state exists.
+// everything else is held (copied — the input is valid only until the
+// next receive) for delivery once the restored state exists.
 func (e *engine) ckptFilter(ms []msg.Message) []msg.Message {
 	colls := ms[:0]
 	for _, m := range ms {

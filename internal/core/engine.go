@@ -984,10 +984,10 @@ func (e *engine) generate() bool {
 	return true
 }
 
-// drain processes incoming messages: all immediately available ones, or
-// — when block is set — at least one batch. Before blocking it flushes
-// all send buffers (the Section 3.5.2 rule generalised: nothing may
-// linger while we sleep).
+// drain processes incoming frames, one at a time where they landed,
+// until none is immediately available — after blocking for the first
+// when block is set. Before blocking it flushes all send buffers (the
+// Section 3.5.2 rule generalised: nothing may linger while we sleep).
 func (e *engine) drain(block bool) error {
 	var ms []msg.Message
 	var err error
@@ -1001,16 +1001,18 @@ func (e *engine) drain(block bool) error {
 	} else {
 		ms, err = e.cm.Poll()
 	}
+	for ; err == nil && len(ms) > 0; ms, err = e.cm.Poll() {
+		if err := e.handleBatch(ms); err != nil {
+			return err
+		}
+		if e.err != nil {
+			return e.err
+		}
+	}
 	if err != nil {
 		return err
 	}
-	if err := e.handleBatch(ms); err != nil {
-		return err
-	}
-	if e.err != nil {
-		return e.err
-	}
-	// Answers generated while processing this batch must not wait for
+	// Answers generated while processing these frames must not wait for
 	// the next blocking point (paper rule: resolved messages are sent
 	// out after processing every group).
 	return e.cm.FlushAll()

@@ -7,10 +7,15 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
+
+	"pagen/internal/graph"
 )
 
 // refPayload is the reference payload encoder the writer is held to:
@@ -278,6 +283,92 @@ func TestReaderSmallestWindow(t *testing.T) {
 		}
 		if small[i].U != int64(i/x) {
 			t.Fatalf("edge %d out of canonical order: %+v", i, small[i])
+		}
+	}
+}
+
+// growingShard writes a shard whose blocks hold 1, 2, 4, … 64 Ki
+// records, keys 0, 1, 2, … in file order, and values of up to valBits
+// bits, so the payload size is the caller's choice. It returns the path
+// and the records.
+func growingShard(t *testing.T, valBits uint) (string, []rec) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(valBits)))
+	var recs []rec
+	var blocks [][]byte
+	for count := 1; count <= 1<<16; count *= 2 {
+		block := make([]rec, count)
+		for i := range block {
+			block[i] = rec{key: uint64(len(recs) + i), v: rng.Int63n(1 << valBits)}
+		}
+		blocks = append(blocks, refBlock(int64(len(blocks)), block))
+		recs = append(recs, block...)
+	}
+	path := filepath.Join(t.TempDir(), "shard")
+	if err := os.WriteFile(path, craftShard(testMeta(int64(len(recs)), 1), blocks...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, recs
+}
+
+// Opening a shard reads it through one fixed buffer: beyond the block
+// index, what it allocates does not grow with the blocks' payloads.
+func TestOpenReaderAllocsBounded(t *testing.T) {
+	for _, valBits := range []uint{7, 62} {
+		path, _ := growingShard(t, valBits)
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := OpenReader(path)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The index grows by appends, which allocate at most twice its
+		// final capacity in all.
+		index := 2 * uint64(cap(r.sc.blocks)) * uint64(unsafe.Sizeof(blockInfo{}))
+		r.Close()
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 256<<10+index {
+			t.Errorf("opening a %d-byte shard of %d blocks allocated %d bytes, %d of them the block index; want under 256 KiB beyond it",
+				fi.Size(), len(r.sc.blocks), grew, index)
+		}
+	}
+}
+
+// An iterator reads every block through a window of at most 32 KiB,
+// whatever the budget and however large the block, and the windows
+// still yield the whole stream in order.
+func TestIterWindowClamp(t *testing.T) {
+	path, recs := growingShard(t, 62)
+	r, err := OpenReader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, tc := range []struct{ budget, widest int }{
+		{1, 4 << 10}, // the per-cursor floor
+		{0, 32 << 10},
+		{1 << 30, 32 << 10},
+	} {
+		it := r.Iter(tc.budget)
+		widest := 0
+		for _, c := range it.heap {
+			widest = max(widest, cap(c.buf))
+		}
+		if widest != tc.widest {
+			t.Errorf("budget %d: widest cursor window %d bytes, want %d", tc.budget, widest, tc.widest)
+		}
+		for i := range recs {
+			e, ok := it.Next()
+			if !ok || e != (graph.Edge{U: int64(i), V: recs[i].v}) {
+				t.Fatalf("budget %d: edge %d = %+v, %v (err %v), want U %d V %d", tc.budget, i, e, ok, it.Err(), i, recs[i].v)
+			}
+		}
+		if _, ok := it.Next(); ok {
+			t.Fatalf("budget %d: more edges than the %d written", tc.budget, len(recs))
 		}
 	}
 }

@@ -19,11 +19,18 @@ const DefaultReadBudget = 32 << 20
 
 // Per-cursor buffer clamp: with thousands of blocks the per-cursor
 // share shrinks toward minCursorBuf; a shard with few blocks reads
-// through larger buffers up to maxCursorBuf.
+// through larger buffers up to maxCursorBuf, so a window never grows
+// with its block's payload and an iterator holds at most maxCursorBuf
+// per block.
 const (
 	minCursorBuf = 4 << 10
-	maxCursorBuf = 256 << 10
+	maxCursorBuf = 32 << 10
 )
+
+// scanBuf is the one read buffer scanShard walks a shard through; block
+// payloads are CRC-checked a buffer at a time, so opening a shard
+// allocates the same whatever its block sizes.
+const scanBuf = 64 << 10
 
 // maxRanks bounds the rank count a header may claim: partition schemes
 // build O(ranks) tables, and no run comes near it.
@@ -71,6 +78,22 @@ func (c *countReader) uvarint() (uint64, error) {
 	return binary.ReadUvarint(c)
 }
 
+// crc folds the next n bytes into crc a buffer at a time, reading them
+// in place rather than copying them out.
+func (c *countReader) crc(crc uint32, n int64) (uint32, error) {
+	for n > 0 {
+		b, err := c.r.Peek(int(min(n, int64(c.r.Size()))))
+		crc = crc32.Update(crc, castagnoli, b)
+		_, _ = c.r.Discard(len(b)) // b is buffered: discarding it cannot fail
+		c.off += int64(len(b))
+		n -= int64(len(b))
+		if err != nil {
+			return crc, err
+		}
+	}
+	return crc, nil
+}
+
 // scanShard parses a shard's header and walks its block chain front to
 // back, verifying every block CRC. With tolerate set, a torn tail — a
 // truncated or CRC-failing final region, the signature of a kill
@@ -85,7 +108,7 @@ func scanShard(f *os.File, tolerate bool) (*scanResult, error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	cr := &countReader{r: bufio.NewReaderSize(f, int(min(fi.Size(), 1<<20)))}
+	cr := &countReader{r: bufio.NewReaderSize(f, int(min(fi.Size(), scanBuf)))}
 
 	// Header: magic, version, meta, CRC. Re-encoding the parsed meta
 	// and comparing CRCs verifies the header without a second pass.
@@ -150,7 +173,6 @@ func scanShard(f *os.File, tolerate bool) (*scanResult, error) {
 	}
 
 	sc := &scanResult{meta: meta, headerLen: cr.off}
-	payBuf := []byte(nil)
 	for {
 		blockOff := cr.off
 		marker, err := cr.ReadByte()
@@ -200,20 +222,13 @@ func scanShard(f *os.File, tolerate bool) (*scanResult, error) {
 				return nil, fmt.Errorf("block at offset %d claims %d records in %d payload bytes", blockOff, count, payLen)
 			}
 			if ok {
-				if int64(len(payBuf)) < int64(payLen) {
-					payBuf = make([]byte, payLen)
-				}
 				payOff := cr.off
-				if _, err := io.ReadFull(cr, payBuf[:payLen]); err != nil {
+				if crc, err := cr.crc(crc32.Checksum(hb, castagnoli), int64(payLen)); err != nil {
 					ok = false
 				} else if _, err := io.ReadFull(cr, crcBuf[:]); err != nil {
 					ok = false
-				} else {
-					crc := crc32.Checksum(hb, castagnoli)
-					crc = crc32.Update(crc, castagnoli, payBuf[:payLen])
-					if binary.LittleEndian.Uint32(crcBuf[:]) != crc {
-						ok = false
-					}
+				} else if binary.LittleEndian.Uint32(crcBuf[:]) != crc {
+					ok = false
 				}
 				if ok {
 					sc.blocks = append(sc.blocks, blockInfo{

@@ -108,8 +108,10 @@ type Spec struct {
 
 // normalize fills defaults in place and validates the spec against the
 // same parsers the CLIs use, so a job rejected here would also have
-// been rejected by every rank.
-func (s *Spec) normalize() error {
+// been rejected by every rank. A job needing more than slots ranks is
+// rejected before any partition is built: the partition's tables are
+// O(ranks), and ranks is whatever the request says.
+func (s *Spec) normalize(slots int) error {
 	if s.P == 0 {
 		s.P = model.DefaultP
 	}
@@ -137,6 +139,9 @@ func (s *Spec) normalize() error {
 	}
 	if s.Ranks < 0 || s.Workers < 0 {
 		return fmt.Errorf("ranks (%d) and workers (%d) must be positive", s.Ranks, s.Workers)
+	}
+	if s.Ranks > slots {
+		return fmt.Errorf("job needs %d rank slots, pool has %d", s.Ranks, slots)
 	}
 	kind, err := partition.ParseKind(s.Scheme)
 	if err != nil {
@@ -346,16 +351,13 @@ func (q *Queue) Slots() int { return q.cfg.Slots }
 // it. Errors wrap ErrBadSpec (invalid or oversized spec), ErrQueueFull
 // or ErrClosed.
 func (q *Queue) Submit(spec Spec) (Job, error) {
-	if err := spec.normalize(); err != nil {
+	if err := spec.normalize(q.cfg.Slots); err != nil {
 		return Job{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
 		return Job{}, ErrClosed
-	}
-	if spec.Ranks > q.cfg.Slots {
-		return Job{}, fmt.Errorf("%w: job needs %d rank slots, pool has %d", ErrBadSpec, spec.Ranks, q.cfg.Slots)
 	}
 	if len(q.pending) >= q.cfg.QueueCap {
 		q.met.Rejected++

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -123,6 +124,23 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if got := q.Metrics().Submitted; got != 0 {
 		t.Errorf("rejected specs counted as submitted: %d", got)
+	}
+}
+
+// A spec asking for more ranks than the pool has is refused before any
+// O(ranks) partition table is built: 2²⁵ LCP ranks cost nothing, not
+// half a GB of cut tables and a second of cut searches.
+func TestSubmitOversizedRanksAllocatesNothing(t *testing.T) {
+	q := newTestQueue(t, runnerFunc(func(context.Context, JobInfo, bool) error { return nil }), nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := q.Submit(Spec{N: 100, X: 2, Scheme: "LCP", Ranks: 1 << 25})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("Submit = %v, want ErrBadSpec", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("refusing the spec allocated %d bytes", grew)
 	}
 }
 

@@ -66,8 +66,9 @@ func ReleaseFrame(b []byte) {
 // lease/release ownership rule as frame buffers, applied to decoded
 // []msg.Message batches handed across ranks by reference. The producer
 // leases with LeaseMsgs and hands ownership to SendMsgs; the consumer
-// releases exactly once with ReleaseMsgs after copying the messages
-// out; leaked slices (shutdown drops) are garbage collected.
+// reads the messages in place and releases exactly once with
+// ReleaseMsgs when done with them; leaked slices (shutdown drops) are
+// garbage collected.
 
 // msgBuf boxes a pooled message slice so Put never allocates.
 type msgBuf struct{ ms []msg.Message }

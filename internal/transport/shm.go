@@ -16,9 +16,9 @@ import (
 // Ownership follows the pool's lease/release rule: the sender leases a
 // message slice (LeaseMsgs), fills it, and hands it over in SendMsgs;
 // from that point the slice belongs to the receiving endpoint, whose
-// consumer releases it exactly once (ReleaseMsgs) after copying the
-// messages out. Mailbox depth is bounded at DefaultQueueLimit, same as
-// LocalGroup.
+// consumer reads the messages in place and releases it exactly once
+// (ReleaseMsgs) when done with them. Mailbox depth is bounded at
+// DefaultQueueLimit, same as LocalGroup.
 type ShmGroup struct {
 	boxes []*mailbox
 }
