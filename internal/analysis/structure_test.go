@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"pagen/internal/classic"
 	"pagen/internal/graph"
 	"pagen/internal/model"
 	"pagen/internal/seq"
@@ -77,44 +76,62 @@ func TestClusteringEmptyGraph(t *testing.T) {
 	}
 }
 
-// Watts–Strogatz at beta = 0: local clustering of a ring lattice is the
-// closed form 3(k-1) / (2(2k-1)).
-func TestSmallWorldLatticeClustering(t *testing.T) {
-	k := 3
-	g, err := classic.SmallWorld(300, k, 0, xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
+// ringLattice joins every node to its k nearest neighbours on each side
+// of a ring of n nodes (degree 2k): Watts–Strogatz at beta = 0.
+func ringLattice(n int64, k int) *graph.Graph {
+	g := graph.New(n)
+	for v := int64(0); v < n; v++ {
+		for j := int64(1); j <= int64(k); j++ {
+			u := (v + j) % n
+			g.AddEdge(max64(u, v), min64(u, v))
+		}
 	}
-	want := 3.0 * float64(k-1) / (2 * float64(2*k-1))
-	if got := AverageLocalClustering(g.ToCSR()); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("lattice clustering = %v, want %v", got, want)
+	return g
+}
+
+// gnp is G(n, p) by one coin flip per node pair.
+func gnp(n int64, p float64, rng *xrand.Rand) *graph.Graph {
+	g := graph.New(n)
+	for v := int64(1); v < n; v++ {
+		for u := int64(0); u < v; u++ {
+			if rng.Bool(p) {
+				g.AddEdge(v, u)
+			}
+		}
+	}
+	return g
+}
+
+// Local clustering of a ring lattice is the closed form
+// 3(k-1) / (2(2k-1)).
+func TestRingLatticeClustering(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 5} {
+		want := 3.0 * float64(k-1) / (2 * float64(2*k-1))
+		if got := AverageLocalClustering(ringLattice(300, k).ToCSR()); math.Abs(got-want) > 1e-9 {
+			t.Errorf("k=%d: lattice clustering = %v, want %v", k, got, want)
+		}
 	}
 }
 
-// The small-world signature across the model zoo: the WS lattice
-// clusters far more than both an equal-size ER graph and a PA graph.
+// The small-world signature: a ring lattice clusters far more than
+// both an equal-size G(n, p) graph and a PA graph of the same mean
+// degree.
 func TestClusteringContrastAcrossModels(t *testing.T) {
 	n := int64(3000)
-	ws, err := classic.SmallWorld(n, 3, 0.05, xrand.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	er, err := classic.GNP(n, 6.0/float64(n-1), xrand.New(3)) // same mean degree 6
-	if err != nil {
-		t.Fatal(err)
-	}
+	lat := ringLattice(n, 3)
+	er := gnp(n, 6.0/float64(n-1), xrand.New(3)) // same mean degree 6
 	pa, _, err := seq.CopyModel(model.Params{N: n, X: 3, P: 0.5}, 4, seq.CopyModelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cWS := AverageLocalClustering(ws.ToCSR())
+	cLat := AverageLocalClustering(lat.ToCSR())
 	cER := AverageLocalClustering(er.ToCSR())
 	cPA := AverageLocalClustering(pa.ToCSR())
-	if cWS < 5*cER {
-		t.Errorf("WS clustering %v not >> ER %v", cWS, cER)
+	if cLat < 5*cER {
+		t.Errorf("lattice clustering %v not >> G(n, p) %v", cLat, cER)
 	}
-	if cWS < 3*cPA {
-		t.Errorf("WS clustering %v not >> PA %v", cWS, cPA)
+	if cLat < 3*cPA {
+		t.Errorf("lattice clustering %v not >> PA %v", cLat, cPA)
 	}
 }
 

@@ -500,8 +500,9 @@ func (s *Snapshot) parseMeta(r *reader) error {
 	}
 	s.Meta.P = math.Float64frombits(v)
 	if math.IsNaN(s.Meta.P) {
-		// No run has it, and it compares unequal to itself: a resume's
-		// identity check could never accept the snapshot.
+		// No run has it (model.Params.Validate rejects it), and it
+		// compares unequal to itself: a resume's identity check could
+		// never accept the snapshot.
 		return fmt.Errorf("p is NaN")
 	}
 	if s.Meta.Seed, err = r.u64(); err != nil {

@@ -2,6 +2,7 @@ package esink
 
 import (
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -36,8 +37,9 @@ func shardBytes(f *testing.F, meta Meta, blockEdges int, recs []rec) []byte {
 
 // FuzzOpenReader feeds arbitrary bytes to the shard reader, strict and
 // tolerant. Whatever the file holds, opening and draining it must not
-// panic, must not yield more records than its block headers declare,
-// and must not allocate from a length field the file size does not back.
+// panic, must not accept a p that is NaN, must not yield more records
+// than its block headers declare, and must not allocate from a length
+// field the file size does not back.
 // The seeds are real writer output and CRC-clean crafted shards;
 // testdata/fuzz/FuzzOpenReader keeps the crafted ones (craftShard over
 // a hostile Meta or block header, named for what they did) that crashed
@@ -58,6 +60,9 @@ func FuzzOpenReader(f *testing.F) {
 	one := binary.AppendUvarint(binary.AppendUvarint(nil, 7), 9) // one record: key 7, v 9
 	f.Add(craftShard(meta, craftBlock(0, 3, one)))               // fewer records than declared
 	f.Add(craftShard(meta, craftBlock(0, 1, one))[:60])          // cut inside the block
+	nan := meta
+	nan.P = math.NaN()
+	f.Add(craftShard(nan, craftBlock(0, 1, one))) // CRC-clean header, p = NaN
 
 	path := filepath.Join(f.TempDir(), "shard") // one a process: executions do not overlap
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -70,6 +75,9 @@ func FuzzOpenReader(f *testing.F) {
 			r, err := openReader(path, tolerate)
 			if err != nil {
 				continue
+			}
+			if m := r.Meta(); math.IsNaN(m.P) {
+				t.Fatalf("tolerate=%v: accepted a header with p = NaN", tolerate)
 			}
 			n, _ := drain(r.Iter(1))
 			if n > r.Edges() {

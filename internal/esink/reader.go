@@ -333,8 +333,9 @@ func openReader(path string, tolerate bool) (*Reader, error) {
 		return nil, fmt.Errorf("esink: %s: %w", path, err)
 	}
 	// The CRC vouches for the bytes, not their meaning: the partition's
-	// tables, the key range and Next's division need a possible run.
-	if m := sc.meta; m.N < 1 || m.X < 1 || m.N > math.MaxInt64/int64(m.X) || m.Ranks < 1 || m.Ranks > maxRanks || m.Rank < 0 || m.Rank >= m.Ranks {
+	// tables, the key range and Next's division need a possible run, and
+	// OpenDir's identity check needs a p that equals itself.
+	if m := sc.meta; m.N < 1 || m.X < 1 || m.N > math.MaxInt64/int64(m.X) || m.Ranks < 1 || m.Ranks > maxRanks || m.Rank < 0 || m.Rank >= m.Ranks || math.IsNaN(m.P) {
 		f.Close()
 		return nil, fmt.Errorf("esink: %s: header describes no possible run (%+v)", path, m)
 	}

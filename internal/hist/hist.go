@@ -5,8 +5,6 @@
 package hist
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
 )
@@ -40,9 +38,6 @@ func (h *Int) Count(v int64) int64 { return h.counts[v] }
 
 // Total returns the number of samples added.
 func (h *Int) Total() int64 { return h.total }
-
-// Distinct returns the number of distinct values observed.
-func (h *Int) Distinct() int { return len(h.counts) }
 
 // Values returns the observed values in increasing order.
 func (h *Int) Values() []int64 {
@@ -132,16 +127,6 @@ func (h *Int) Merge(other *Int) {
 	for v, c := range other.counts {
 		h.AddN(v, c)
 	}
-}
-
-// WriteTSV writes "value<TAB>count" lines in increasing value order.
-func (h *Int) WriteTSV(w io.Writer) error {
-	for _, v := range h.Values() {
-		if _, err := fmt.Fprintf(w, "%d\t%d\n", v, h.counts[v]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // LogBin is one logarithmic bin: values in [Lo, Hi) with total Count and

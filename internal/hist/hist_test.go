@@ -3,7 +3,6 @@ package hist
 import (
 	"math"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -26,9 +25,6 @@ func TestAddAndCounts(t *testing.T) {
 	}
 	if h.Count(5) != 3 || h.Count(1) != 2 || h.Count(7) != 0 {
 		t.Fatal("counts wrong")
-	}
-	if h.Distinct() != 7 {
-		t.Fatalf("Distinct = %d", h.Distinct())
 	}
 	want := []int64{1, 2, 3, 4, 5, 6, 9}
 	got := h.Values()
@@ -149,19 +145,6 @@ func TestMerge(t *testing.T) {
 	// b unchanged.
 	if b.Total() != 5 {
 		t.Fatal("merge mutated source")
-	}
-}
-
-func TestWriteTSV(t *testing.T) {
-	h := NewInt()
-	h.AddN(2, 7)
-	h.AddN(1, 3)
-	var sb strings.Builder
-	if err := h.WriteTSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != "1\t3\n2\t7\n" {
-		t.Fatalf("TSV = %q", sb.String())
 	}
 }
 

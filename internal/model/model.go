@@ -54,7 +54,8 @@ func (pr Params) Validate() error {
 	if pr.N <= int64(pr.X) {
 		return fmt.Errorf("model: n = %d must exceed x = %d", pr.N, pr.X)
 	}
-	if pr.P < 0 || pr.P > 1 {
+	// Written so that NaN, for which every comparison is false, fails.
+	if !(pr.P >= 0 && pr.P <= 1) {
 		return fmt.Errorf("model: p = %v outside [0,1]", pr.P)
 	}
 	if pr.P == 0 && pr.X > 1 {

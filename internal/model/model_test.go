@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -28,6 +29,9 @@ func TestValidate(t *testing.T) {
 		{N: 10, X: 2, P: 1.1},  // p range
 		{N: 10, X: 2, P: 0},    // p = 0 with x > 1
 		{N: 10, X: 2, P: 1},    // p = 1 with x > 1 (node x+1 livelocks)
+		{N: 10, X: 1, P: math.NaN()},
+		{N: 10, X: 2, P: math.Inf(1)},
+		{N: 10, X: 2, P: math.Inf(-1)},
 	}
 	for _, pr := range bad {
 		if err := pr.Validate(); err == nil {

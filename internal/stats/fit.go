@@ -2,7 +2,6 @@ package stats
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -162,40 +161,6 @@ func powerLawKS(degrees []int64, gamma float64, dmin int64) float64 {
 		i = j
 	}
 	return maxD
-}
-
-// BestPowerLawFit estimates the power-law exponent with the tail cutoff
-// chosen by KS minimisation over candidate dmin values (the Clauset,
-// Shalizi & Newman model-selection recipe): for each dmin between lo and
-// hi, fit by MLE and keep the fit whose KS distance is smallest. It is
-// the robust alternative to hand-picking dmin.
-func BestPowerLawFit(degrees []int64, lo, hi int64) (PowerLawFit, error) {
-	if lo < 1 {
-		lo = 1
-	}
-	if hi < lo {
-		return PowerLawFit{}, fmt.Errorf("stats: dmin range [%d,%d] empty", lo, hi)
-	}
-	best := PowerLawFit{KS: math.Inf(1)}
-	found := false
-	for dmin := lo; dmin <= hi; dmin++ {
-		fit, err := PowerLawMLE(degrees, dmin)
-		if err != nil {
-			continue // tail too small at this cutoff
-		}
-		// Require a minimally meaningful tail.
-		if fit.N < 50 {
-			continue
-		}
-		if fit.KS < best.KS {
-			best = fit
-			found = true
-		}
-	}
-	if !found {
-		return PowerLawFit{}, ErrTooFewPoints
-	}
-	return best, nil
 }
 
 // SamplePowerLaw draws n samples from a discrete power law with exponent

@@ -181,29 +181,3 @@ func TestSamplePowerLawRespectsDMin(t *testing.T) {
 		}
 	}
 }
-
-func TestBestPowerLawFit(t *testing.T) {
-	rng := xrand.New(71)
-	samples := SamplePowerLaw(100000, 2.5, 5, rng.Float64)
-	fit, err := BestPowerLawFit(samples, 1, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Gamma-2.5) > 0.1 {
-		t.Fatalf("gamma = %v, want ~2.5", fit.Gamma)
-	}
-	if fit.DMin < 1 || fit.DMin > 20 {
-		t.Fatalf("chosen dmin = %d", fit.DMin)
-	}
-	// Errors for hopeless inputs.
-	if _, err := BestPowerLawFit([]int64{1, 2, 3}, 1, 5); err == nil {
-		t.Fatal("tiny sample accepted")
-	}
-	if _, err := BestPowerLawFit(samples, 10, 5); err == nil {
-		t.Fatal("inverted range accepted")
-	}
-	// Clamping lo < 1.
-	if _, err := BestPowerLawFit(samples, -3, 8); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -123,15 +123,6 @@ func (r *Rand) Int64n(n int64) int64 {
 	return int64(r.Uint64n(uint64(n)))
 }
 
-// Int64Range returns a uniform value in [lo, hi] inclusive.
-// It panics if lo > hi.
-func (r *Rand) Int64Range(lo, hi int64) int64 {
-	if lo > hi {
-		panic("xrand: Int64Range with lo > hi")
-	}
-	return lo + int64(r.Uint64n(uint64(hi-lo)+1))
-}
-
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) * 0x1p-53
@@ -142,46 +133,10 @@ func (r *Rand) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a uniform random permutation of [0, n) as a slice.
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := int(r.Uint64n(uint64(i + 1)))
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle permutes the first n elements using swap, Fisher-Yates style.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := int(r.Uint64n(uint64(i + 1)))
 		swap(i, j)
 	}
-}
-
-// jumpPoly is the xoshiro256** jump polynomial; Jump advances the state by
-// 2^128 steps, yielding 2^128 non-overlapping subsequences.
-var jumpPoly = [4]uint64{
-	0x180ec6d33cfd0aba, 0xd5a61266f0c9392c,
-	0xa9582618e03fc9aa, 0x39abdc4529b1661c,
-}
-
-// Jump advances the generator 2^128 steps. Calling Jump k times on copies
-// of one generator yields k non-overlapping streams.
-func (r *Rand) Jump() {
-	var s0, s1, s2, s3 uint64
-	for _, jp := range jumpPoly {
-		for b := 0; b < 64; b++ {
-			if jp&(1<<uint(b)) != 0 {
-				s0 ^= r.s[0]
-				s1 ^= r.s[1]
-				s2 ^= r.s[2]
-				s3 ^= r.s[3]
-			}
-			r.Uint64()
-		}
-	}
-	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
 }

@@ -113,42 +113,6 @@ func TestInt64nPanicsOnNonPositive(t *testing.T) {
 	}
 }
 
-func TestInt64RangeInclusive(t *testing.T) {
-	r := New(9)
-	lo, hi := int64(-3), int64(3)
-	seen := make(map[int64]int)
-	for i := 0; i < 7000; i++ {
-		v := r.Int64Range(lo, hi)
-		if v < lo || v > hi {
-			t.Fatalf("Int64Range(%d,%d) = %d out of range", lo, hi, v)
-		}
-		seen[v]++
-	}
-	for v := lo; v <= hi; v++ {
-		if seen[v] == 0 {
-			t.Fatalf("value %d never produced", v)
-		}
-	}
-}
-
-func TestInt64RangeSingleton(t *testing.T) {
-	r := New(5)
-	for i := 0; i < 10; i++ {
-		if v := r.Int64Range(4, 4); v != 4 {
-			t.Fatalf("Int64Range(4,4) = %d", v)
-		}
-	}
-}
-
-func TestInt64RangePanicsOnInverted(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Int64Range(2,1) did not panic")
-		}
-	}()
-	New(1).Int64Range(2, 1)
-}
-
 // Uint64n must be unbiased: for a small modulus, bucket frequencies should
 // pass a chi-square test at a generous threshold.
 func TestUint64nUniformChiSquare(t *testing.T) {
@@ -205,23 +169,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(11)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestShuffleIsPermutation(t *testing.T) {
 	r := New(13)
 	s := []int{0, 1, 2, 3, 4, 5, 6, 7}
@@ -256,29 +203,6 @@ func TestShuffleUniformity(t *testing.T) {
 	}
 }
 
-// Jump must move the generator to a far-removed point: the post-jump
-// sequence must not overlap a long prefix of the original sequence.
-func TestJumpProducesDisjointStream(t *testing.T) {
-	base := New(99)
-	jumped := New(99)
-	jumped.Jump()
-
-	prefix := make(map[uint64]bool, 4096)
-	for i := 0; i < 4096; i++ {
-		prefix[base.Uint64()] = true
-	}
-	overlap := 0
-	for i := 0; i < 4096; i++ {
-		if prefix[jumped.Uint64()] {
-			overlap++
-		}
-	}
-	// Random 64-bit collisions among 4096-element sets are ~0.
-	if overlap > 0 {
-		t.Fatalf("jumped stream overlapped base prefix %d times", overlap)
-	}
-}
-
 func TestSeedResetsState(t *testing.T) {
 	r := New(21)
 	first := make([]uint64, 32)
@@ -301,25 +225,6 @@ func TestUint64nPropertyInRange(t *testing.T) {
 			n = 1
 		}
 		return r.Uint64n(n) < n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Int64Range stays within bounds for arbitrary ordered pairs.
-func TestInt64RangeProperty(t *testing.T) {
-	r := New(37)
-	f := func(a, b int64) bool {
-		// Avoid overflow in hi-lo by constraining magnitudes.
-		a %= 1 << 40
-		b %= 1 << 40
-		lo, hi := a, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		v := r.Int64Range(lo, hi)
-		return v >= lo && v <= hi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)

@@ -3,62 +3,14 @@ package pagen
 import (
 	"pagen/internal/analysis"
 	"pagen/internal/approx"
-	"pagen/internal/classic"
 	"pagen/internal/model"
 	"pagen/internal/xrand"
 )
 
-// This file exposes the companion generators and structural analyses
-// around the core PA algorithm: the Erdős–Rényi and Watts–Strogatz
-// models the paper's survey contrasts PA with, the approximate
-// distributed PA baseline of Yoo & Henderson the paper improves on, and
-// the standard network-structure metrics.
-
-// ErdosRenyi generates a G(n, p) random graph with the Batagelj–Brandes
-// geometric-skipping algorithm (O(n + m) expected time).
-func ErdosRenyi(n int64, p float64, seed uint64) (*Graph, error) {
-	return classic.GNP(n, p, xrand.New(seed))
-}
-
-// ErdosRenyiParallel generates G(n, p) with ranks parallel workers over
-// disjoint slices of the edge-position space. Unlike preferential
-// attachment, G(n, p) has no cross-edge dependencies, so this needs no
-// communication — the contrast that motivates the paper's protocol.
-func ErdosRenyiParallel(n int64, p float64, ranks int, seed uint64) (*Graph, error) {
-	return classic.ParallelGNP(n, p, ranks, seed)
-}
-
-// SmallWorld generates a Watts–Strogatz small-world graph: ring lattice
-// of degree 2k, each lattice edge rewired with probability beta.
-func SmallWorld(n int64, k int, beta float64, seed uint64) (*Graph, error) {
-	return classic.SmallWorld(n, k, beta, xrand.New(seed))
-}
-
-// ChungLu generates a random graph with the given expected-degree
-// sequence (Chung–Lu model, Miller–Hagberg algorithm). Combine with
-// PowerLawWeights for a scale-free expected-degree sequence.
-func ChungLu(weights []float64, seed uint64) (*Graph, error) {
-	return classic.ChungLu(weights, xrand.New(seed))
-}
-
-// PowerLawWeights returns n Chung–Lu weights following a power law with
-// the given exponent, scaled to the given mean degree.
-func PowerLawWeights(n int64, gamma, mean float64) []float64 {
-	return classic.PowerLawWeights(n, gamma, mean)
-}
-
-// RMATParams re-exports the recursive-matrix model parameters.
-type RMATParams = classic.RMATParams
-
-// Graph500 returns the standard Graph500 R-MAT parameterisation.
-func Graph500(scale, edgeFactor int) RMATParams {
-	return classic.Graph500(scale, edgeFactor)
-}
-
-// RMAT generates a recursive-matrix (R-MAT) graph.
-func RMAT(p RMATParams, seed uint64) (*Graph, error) {
-	return classic.RMAT(p, xrand.New(seed))
-}
+// This file exposes what surrounds the core PA algorithm: the
+// approximate distributed PA baseline of Yoo & Henderson the paper
+// improves on (GenerateApprox), and the standard network-structure
+// metrics.
 
 // ApproxConfig configures GenerateApprox.
 type ApproxConfig struct {

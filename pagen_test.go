@@ -2,6 +2,7 @@ package pagen
 
 import (
 	"math"
+	"os"
 	"testing"
 
 	"pagen/internal/esink"
@@ -62,6 +63,26 @@ func TestGenerateRejectsBadParams(t *testing.T) {
 	for _, cfg := range bad {
 		if _, err := Generate(cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
+		}
+	}
+}
+
+// A NaN p fails every comparison, so a range check written as
+// "p < 0 || p > 1" lets it through and the run writes shards whose
+// identity check (p != p) can never pass. It must fail before any file.
+func TestGenerateRejectsNaNP(t *testing.T) {
+	stream, ck := t.TempDir(), t.TempDir()
+	for _, cfg := range []Config{
+		{N: 1000, X: 2, P: math.NaN(), Ranks: 2, StreamDir: stream},
+		{N: 1000, X: 2, P: math.NaN(), Ranks: 2, CheckpointDir: ck, CheckpointEvery: 100},
+	} {
+		if _, err := Generate(cfg); err == nil {
+			t.Errorf("config %+v accepted", cfg)
+		}
+	}
+	for _, dir := range []string{stream, ck} {
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+			t.Errorf("%s after a rejected run: %d entries (%v)", dir, len(ents), err)
 		}
 	}
 }
