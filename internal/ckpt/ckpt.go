@@ -278,8 +278,11 @@ func appendWaiterRecords(b []byte, rs []WaiterRecord) []byte {
 
 // WriteEncoded publishes pre-encoded snapshot bytes to
 // Path(dir, rank, epoch) atomically: write a temporary file, fsync,
-// rename. A crash at any point leaves either no file or a complete one;
-// a torn temporary never carries the final name.
+// rename, fsync the directory. A crash at any point leaves either no
+// file or a complete one; a torn temporary never carries the final name.
+// The directory fsync makes the rename durable before the caller prunes
+// older epochs, so a power loss cannot keep the prune's unlinks and lose
+// the name that superseded them.
 func WriteEncoded(dir string, rank int, epoch int64, data []byte) (path string, size int64, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", 0, err
@@ -305,7 +308,24 @@ func WriteEncoded(dir string, rank int, epoch int64, data []byte) (path string, 
 		os.Remove(tmp)
 		return "", 0, err
 	}
+	if err := syncDir(dir); err != nil {
+		return "", 0, fmt.Errorf("ckpt: sync %s: %w", dir, err)
+	}
 	return path, int64(len(data)), nil
+}
+
+// syncDir fsyncs a directory, making the names created or renamed in it
+// durable. A variable so tests can record the call.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Write encodes and publishes s in one call, for callers without a

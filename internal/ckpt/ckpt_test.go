@@ -349,3 +349,35 @@ func TestPathNameRoundTrip(t *testing.T) {
 		t.Fatal("parseName accepted an unrelated file")
 	}
 }
+
+// Publishing a snapshot fsyncs its directory after the rename and before
+// returning, so the caller's Prune never unlinks an older epoch while the
+// name that supersedes it could still be lost: when the directory is
+// synced the final name exists and the temporary is gone. A failed
+// directory sync is an error, not a published epoch.
+func TestCheckpointWriteSyncsDirAfterRename(t *testing.T) {
+	dir := t.TempDir()
+	defer func(orig func(string) error) { syncDir = orig }(syncDir)
+	var synced []string
+	syncDir = func(d string) error {
+		synced = append(synced, d)
+		if _, err := os.Stat(Path(dir, 0, 1)); err != nil {
+			t.Errorf("directory synced before the rename: %v", err)
+		}
+		if _, err := os.Stat(Path(dir, 0, 1) + ".tmp"); !os.IsNotExist(err) {
+			t.Errorf("temporary still present when the directory is synced (stat: %v)", err)
+		}
+		return nil
+	}
+	if _, _, err := Write(dir, sample(0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(synced, []string{dir}) {
+		t.Fatalf("synced %q, want the snapshot directory once", synced)
+	}
+
+	syncDir = func(string) error { return os.ErrPermission }
+	if _, _, err := Write(dir, sample(0, 2)); err == nil || !strings.Contains(err.Error(), "sync") {
+		t.Fatalf("Write with a failing directory sync returned %v, want a sync error", err)
+	}
+}

@@ -388,7 +388,8 @@ type engine struct {
 
 	// f holds F_t(e) at slot part.Index(rank,t)*x + e; get reads -1 for
 	// NILL. Each slot is written exactly once (NILL -> v), between
-	// windows. A slot takes 4 bytes unless n > math.MaxUint32 (ftab.go).
+	// windows. A slot takes 4 bytes unless n > math.MaxUint32 (ftab.go);
+	// an in-memory rank keeps those 4 bytes in the tail of edges.
 	f ftab
 	// nodeLoad counts copy queries received per local node (indexed
 	// like f, but per node not per slot); nil unless CollectNodeLoad.
@@ -450,8 +451,9 @@ type engine struct {
 
 	// edges is the rank's output, written from f by collectEdges after
 	// the protocol ends when no sink streams them: the rank's range of
-	// Run's one edge list, or a list collectEdges allocates. emitted
-	// counts edges handed to the sink or stream, bootstrap's included.
+	// Run's one edge list, or a list bootstrap allocates. Until then its
+	// tail holds f's low plane (hostedFtab). emitted counts edges handed
+	// to the sink or stream, bootstrap's included.
 	edges   []graph.Edge
 	emitted int64
 	// reqs is handleBatch's gather scratch: the slot and F value of every
@@ -485,8 +487,9 @@ func RunRank(tr transport.Transport, opts Options) (*RankResult, error) {
 	return runRank(tr, opts, nil)
 }
 
-// runRank is RunRank writing the rank's edges into out, its range of
-// Run's one edge list; a nil out has collectEdges allocate the list.
+// runRank is RunRank writing the rank's edges into out, its all-zero
+// range of Run's one edge list; a nil out has bootstrap allocate the
+// list.
 func runRank(tr transport.Transport, opts Options, out []graph.Edge) (*RankResult, error) {
 	e, err := newEngine(tr, opts)
 	if err != nil {
@@ -794,11 +797,16 @@ func (e *engine) run() error {
 	return nil
 }
 
-// bootstrap emits clique edges for locally-owned clique nodes, fixes
-// node x's attachments if x is local, and counts the slots left to
-// resolve.
+// bootstrap builds the F table, emits clique edges for locally-owned
+// clique nodes, fixes node x's attachments if x is local, and counts the
+// slots left to resolve. An in-memory rank's table lives in the tail of
+// its own output range (hostedFtab), which RunRank's rank allocates
+// here; a streamed or sink run has no range, so its table stands alone.
 func (e *engine) bootstrap() {
-	e.f = newFtab(e.size*e.x64, e.opts.Params.N)
+	if e.sink == nil && e.stream == nil && e.edges == nil {
+		e.edges = make([]graph.Edge, rankEdges(e.part, e.rank, e.x))
+	}
+	e.f = hostedFtab(e.edges, e.size*e.x64, e.opts.Params.N)
 	if e.opts.CollectNodeLoad {
 		e.nodeLoad = make([]int64, e.size)
 		if e.hub != nil {
@@ -869,14 +877,22 @@ func rankEdges(part partition.Scheme, r, x int) int64 {
 
 // collectEdges writes the rank's edge list from the resolved F table in
 // increasing node order, which keeps the order-sensitive single-rank
-// fingerprints independent of the resolution schedule. Under Run the
-// list is the rank's precomputed range of the one edge list; a rank
-// whose nodes fill a different count fails rather than leave zero edges
-// in the graph or write into a neighbour's range.
+// fingerprints independent of the resolution schedule. The list is the
+// rank's precomputed range of Run's one edge list, or the one bootstrap
+// allocated; a rank whose nodes fill a different count fails rather
+// than leave zero edges in the graph or write into a neighbour's range.
+//
+// The table's low plane is usually the last 4S bytes of that same list
+// (S slots, E = S − d edges, d the clique deficit; hostedFtab), and this
+// loop expands it in place. Every scheme's NodeAt is increasing in idx,
+// so the clique nodes come first and a non-clique slot s lands in edge
+// s − d, whose write ends at byte 16(s − d) + 16, while slot s + 1
+// starts at byte 16E − 4S + 4(s + 1); the first is ≤ the second exactly
+// when s ≤ S − 1, so no write reaches a slot not yet read (slot s itself
+// is read before its edge is stored). The clique edges written first end
+// at byte 16(cx − d) for c owned clique nodes, at or before the first
+// non-clique slot's 16E − 4S + 4cx because cx ≤ S (DESIGN.md §8.5).
 func (e *engine) collectEdges() error {
-	if e.edges == nil {
-		e.edges = make([]graph.Edge, rankEdges(e.part, e.rank, e.x))
-	}
 	edges, f := e.edges, e.f
 	n := int64(0)
 	for idx := int64(0); idx < e.size; idx++ {

@@ -77,28 +77,21 @@ func TestRunMergedLayout(t *testing.T) {
 
 // A rank whose nodes do not fill its range exactly fails loudly, naming
 // the rank and both counts, instead of leaving zero edges in the graph
-// or writing past the range into a neighbour's.
+// or writing past the range into a neighbour's — with its table hosted
+// in the tail of the wrong-sized range, as Run would have handed it.
 func TestRunMergedLayoutRangeMismatch(t *testing.T) {
 	pr := model.Params{N: 200, X: 4, P: 0.5}
-	group, err := transport.NewShmGroup(1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	part := mustScheme(t, allKinds[0], pr.N, 1)
-	e, err := newEngine(group.Endpoint(0), Options{Params: pr, Part: part, Seed: 3, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.run(); err != nil {
-		t.Fatal(err)
-	}
 	want := rankEdges(part, 0, pr.X)
 	if want != pr.M() {
 		t.Fatalf("one rank's edge count %d, want m = %d", want, pr.M())
 	}
 	for _, size := range []int64{want - 1, want + 1} {
-		e.edges = make([]graph.Edge, size)
-		err := e.collectEdges()
+		group, err := transport.NewShmGroup(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = runRank(group.Endpoint(0), Options{Params: pr, Part: part, Seed: 3, Workers: 1}, make([]graph.Edge, size))
 		msg := fmt.Sprintf("rank 0 produced %d edges but its range of the edge list holds %d", want, size)
 		if err == nil || !strings.Contains(err.Error(), msg) {
 			t.Fatalf("range of %d: error %v, want one containing %q", size, err, msg)

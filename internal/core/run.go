@@ -106,8 +106,10 @@ func Run(opts Options, recordTrace bool) (*Result, error) {
 	start := time.Now()
 	// An in-memory run's ranks write straight into the graph: rank r's
 	// range of the one edge list starts after ranks 0..r-1's edge counts,
-	// which the partition fixes before any rank runs. The list is the
-	// run's output, so allocating (and zeroing) it counts in Elapsed.
+	// which the partition fixes before any rank runs, and the tail of
+	// that range holds the rank's F table until collectEdges expands it
+	// in place. The list is the run's output, so allocating (and zeroing)
+	// it counts in Elapsed.
 	var edges []graph.Edge
 	ranges := make([][]graph.Edge, p)
 	if opts.Sink == nil && opts.StreamDir == "" {

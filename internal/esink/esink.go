@@ -138,8 +138,9 @@ type Writer struct {
 }
 
 // Open opens (creating if absent, never truncating) the shard file for
-// meta.Rank under dir. The file is not written until Reset or Recover
-// decides whether its existing contents survive.
+// meta.Rank under dir and fsyncs dir, so a created shard's name is as
+// durable as the blocks later fsyncs put in it. The file is not written
+// until Reset or Recover decides whether its existing contents survive.
 func Open(dir string, meta Meta, blockEdges int) (*Writer, error) {
 	if blockEdges <= 0 {
 		blockEdges = DefaultBlockEdges
@@ -152,6 +153,10 @@ func Open(dir string, meta Meta, blockEdges int) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("esink: %w", err)
 	}
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("esink: sync %s: %w", dir, err)
+	}
 	return &Writer{
 		f:          f,
 		meta:       meta,
@@ -159,6 +164,20 @@ func Open(dir string, meta Meta, blockEdges int) (*Writer, error) {
 		run:        make([]rec, 0, blockEdges),
 		enc:        make([]byte, maxBlockHeader),
 	}, nil
+}
+
+// syncDir fsyncs a directory, making the names created in it durable. A
+// variable so tests can record the call.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Path returns the shard file's path.

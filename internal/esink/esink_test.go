@@ -456,3 +456,33 @@ func TestShardPath(t *testing.T) {
 		t.Fatalf("ShardPath = %q, want %q", got, want)
 	}
 }
+
+// Opening a shard fsyncs its directory once the file exists, so a shard
+// created by this run keeps its name across a power loss; a failed
+// directory sync fails Open.
+func TestShardOpenSyncsDir(t *testing.T) {
+	dir := t.TempDir()
+	defer func(orig func(string) error) { syncDir = orig }(syncDir)
+	meta := testMeta(100, 2)
+	var synced []string
+	syncDir = func(d string) error {
+		synced = append(synced, d)
+		if _, err := os.Stat(ShardPath(dir, meta.Rank, meta.Ranks)); err != nil {
+			t.Errorf("directory synced before the shard was created: %v", err)
+		}
+		return nil
+	}
+	w, err := Open(dir, meta, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Abort()
+	if len(synced) != 1 || synced[0] != dir {
+		t.Fatalf("synced %q, want the shard directory once", synced)
+	}
+
+	syncDir = func(string) error { return os.ErrPermission }
+	if _, err := Open(dir, meta, 0); err == nil {
+		t.Fatal("Open with a failing directory sync succeeded")
+	}
+}

@@ -438,16 +438,18 @@ func DegreesStreamed(cfg Config) ([]int64, *Result, error) {
 // in-process parallel generator needs for cfg — the sizing question the
 // paper's Section 4.3 raises (their sequential C++ implementation capped
 // out at 6x10^9 edges for memory reasons). An in-memory run holds the
-// attachment tables (4 bytes per slot, 8 when N exceeds math.MaxUint32)
-// and the one edge list every rank
-// writes its own range of (16 bytes per edge, allocated exactly sized
-// and never copied), at every rank count; use GenerateStream or
-// StreamDir to drop the edge term. Each rank adds a small fixed
+// one edge list every rank writes its own range of (16 bytes per edge,
+// allocated exactly sized and never copied) and nothing else per edge,
+// at every rank count: each rank's attachment table (4 bytes per slot)
+// lives in the unused tail of its range until the edges overwrite it,
+// and only a run whose N exceeds math.MaxUint32 adds the table's high
+// half (another 4 bytes per slot). Each rank adds a small fixed
 // overhead, and the optional decision trace 13 bytes per slot. With
-// StreamDir the edge term vanishes and each rank adds only its
-// open-block buffer (16 bytes times StreamBlockEdges); checkpointing adds
-// nothing, because a snapshot carries no table. A checkpointed run
-// without StreamDir streams too and holds the edge list it reads back.
+// StreamDir the edge term vanishes and the run holds the whole tables
+// (4 bytes per slot, 8 past math.MaxUint32) plus each rank's open-block
+// buffer (16 bytes times StreamBlockEdges); checkpointing adds nothing,
+// because a snapshot carries no table. A checkpointed run without
+// StreamDir streams too and also holds the edge list it reads back.
 func MemoryEstimate(cfg Config) int64 {
 	pr, err := cfg.params()
 	if err != nil {
@@ -455,16 +457,16 @@ func MemoryEstimate(cfg Config) int64 {
 	}
 	ranks := int64(max(cfg.Ranks, 1))
 	slots := (pr.N - int64(pr.X)) * int64(pr.X)
-	est := slots * 4 // F tables
+	var est int64
 	if pr.N > math.MaxUint32 {
-		est *= 2
+		est = slots * 4 // the high halves, never hosted
 	}
 	if cfg.StreamDir != "" || cfg.CheckpointDir != "" {
 		block := int64(cfg.StreamBlockEdges)
 		if block <= 0 {
 			block = esink.DefaultBlockEdges
 		}
-		est += ranks * 16 * block // open shard blocks
+		est += slots*4 + ranks*16*block // low halves, open shard blocks
 	}
 	if cfg.StreamDir == "" {
 		est += pr.M() * 16 // the edge list, in memory or read back

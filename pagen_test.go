@@ -246,22 +246,28 @@ func TestMemoryEstimate(t *testing.T) {
 	if base < 50<<20 || base > 1<<30 {
 		t.Fatalf("estimate %d bytes implausible", base)
 	}
-	// Every rank writes its range of one edge list, so an in-memory run
-	// costs the tables plus 16 bytes per edge at every rank count: one and
-	// eight ranks differ only by the per-rank overhead.
+	// Every rank writes its range of one edge list and keeps its table in
+	// that range's tail, so an in-memory run costs 16 bytes per edge and
+	// nothing per slot at every rank count: one and eight ranks differ
+	// only by the per-rank overhead.
 	one := MemoryEstimate(Config{N: 1_000_000, X: 4, Ranks: 1})
 	if d := base - one; d != 7<<16 {
 		t.Fatalf("8 ranks estimate %d bytes more than 1, want only the per-rank overhead %d", d, 7<<16)
 	}
-	if tables, edges := int64(4*(1_000_000-4)*4), int64(16*(6+(1_000_000-4)*4)); one != tables+edges+1<<16 {
-		t.Fatalf("one-rank estimate %d, want tables %d + edges %d + overhead %d", one, tables, edges, 1<<16)
+	if edges := int64(16 * (6 + (1_000_000-4)*4)); one != edges+1<<16 {
+		t.Fatalf("one-rank estimate %d, want edges %d + overhead %d", one, edges, 1<<16)
+	}
+	// Past 2³²−1 nodes the table's high half is a separate plane.
+	wide := int64(1 << 33)
+	if got, want := MemoryEstimate(Config{N: wide, X: 4, Ranks: 1}), 16*(6+(wide-4)*4)+4*(wide-4)*4+1<<16; got != want {
+		t.Fatalf("n = %d in memory: estimate %d, want edges + high plane + overhead = %d", wide, got, want)
 	}
 
 	// The bounded-memory path holds the tables and the open shard blocks,
 	// nothing per edge — and checkpointing it is free, because a snapshot
 	// carries no table. A checkpointed run without StreamDir streams too
 	// and holds the edge list it reads back, so it costs the in-memory
-	// run plus the open shard blocks.
+	// run plus the tables and the open shard blocks.
 	mem := Config{N: 1_000_000, X: 4, Ranks: 2}
 	streamed, ckpt, both := mem, mem, mem
 	streamed.StreamDir = "shards"
@@ -273,10 +279,10 @@ func TestMemoryEstimate(t *testing.T) {
 	if s, b := MemoryEstimate(streamed), MemoryEstimate(both); s != b {
 		t.Fatalf("streamed %d != streamed + checkpointed %d", s, b)
 	}
-	if c, m := MemoryEstimate(ckpt), MemoryEstimate(mem); c != m+2*16*esink.DefaultBlockEdges {
-		t.Fatalf("checkpointed estimate without StreamDir %d, want in-memory %d plus two open blocks", c, m)
-	}
 	tables := int64(4 * (1_000_000 - 4) * 4)
+	if c, m := MemoryEstimate(ckpt), MemoryEstimate(mem); c != m+tables+2*16*esink.DefaultBlockEdges {
+		t.Fatalf("checkpointed estimate without StreamDir %d, want in-memory %d plus the tables %d and two open blocks", c, m, tables)
+	}
 	if s := MemoryEstimate(streamed); s < tables || s > 2*tables {
 		t.Fatalf("streamed estimate %d not within 2x of the tables' %d", s, tables)
 	}
