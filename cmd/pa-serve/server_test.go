@@ -300,6 +300,11 @@ func TestServeErrorContract(t *testing.T) {
 	if code, _ := doJSON(t, "POST", ts.URL+"/jobs", `{"n": 100, "x": 2, "checkpoint_full_every": 4}`); code != http.StatusBadRequest {
 		t.Errorf("retired checkpoint_full_every: %d, want 400", code)
 	}
+	// The recompute depth cap is derived from n (2·log₂ n), not
+	// configured: the spec field that set it is gone, not ignored.
+	if code, _ := doJSON(t, "POST", ts.URL+"/jobs", `{"n": 100, "x": 2, "resolve": "recompute", "recompute_depth": 9}`); code != http.StatusBadRequest {
+		t.Errorf("retired recompute_depth: %d, want 400", code)
+	}
 
 	// Fill the pool (job runs forever) and the queue.
 	code, j1 := doJSON(t, "POST", ts.URL+"/jobs", `{"n": 100, "x": 2}`)

@@ -36,8 +36,10 @@
 // -supervise turns pa-tcp into a single-host cluster supervisor: it
 // spawns one child rank per address, and when any child dies it kills
 // the survivors and relaunches the whole cluster with -resume, up to
-// -max-restarts times. Kills mid-run (even mid-flush) resume without
-// duplicating or dropping edges:
+// -max-restarts times. Every other flag set on the supervisor reaches
+// every child (-stats only rank 0); -metrics is refused, since every
+// child would write the same file. Kills mid-run (even mid-flush)
+// resume without duplicating or dropping edges:
 //
 //	pa-tcp -supervise -addrs 127.0.0.1:9500,127.0.0.1:9501 \
 //	    -n 1000000 -x 4 -checkpoint-dir ck -checkpoint-every 5000000 \
@@ -71,74 +73,82 @@ import (
 	"pagen/internal/transport"
 )
 
+// flags is pa-tcp's command line.
+type flags struct {
+	rank, x, workers, ckptKeep, maxRestarts, streamBlock *int
+	n, hub, ckptN                                        *int64
+	p                                                    *float64
+	seed                                                 *uint64
+	addrs, scheme, resolve, metrics, ckptDir, streamDir  *string
+	stats, resume, supervise                             *bool
+	handshake                                            *time.Duration
+}
+
+// defineFlags registers pa-tcp's flags on fs.
+func defineFlags(fs *flag.FlagSet) *flags {
+	return &flags{
+		rank:    fs.Int("rank", 0, "this process's rank"),
+		addrs:   fs.String("addrs", "", "comma-separated listen addresses, one per rank"),
+		n:       fs.Int64("n", 100000, "number of nodes"),
+		x:       fs.Int("x", 4, "edges per new node"),
+		p:       fs.Float64("p", 0.5, "direct-attachment probability"),
+		scheme:  fs.String("scheme", "RRP", "partitioning scheme"),
+		seed:    fs.Uint64("seed", 1, "random seed"),
+		workers: fs.Int("workers", 0, "generation goroutines for this rank (0 = GOMAXPROCS)"),
+		hub:     fs.Int64("hub-prefix", 0, "hub-prefix cache size H (0 = auto, <0 = off); all ranks must agree"),
+		resolve: fs.String("resolve", "wire", "non-local dependency resolution: wire or recompute; all ranks must agree"),
+		stats:   fs.Bool("stats", false, "print rank and cluster statistics to stderr"),
+		metrics: fs.String("metrics", "", "write this rank's metrics JSON to this file (\"-\" = stderr)"),
+		handshake: fs.Duration("handshake-timeout", transport.DefaultHandshakeTimeout,
+			"mesh-establishment deadline (a peer missing past it is an error, not a hang)"),
+		ckptDir:     fs.String("checkpoint-dir", "", "write per-rank snapshots to this directory (shared across ranks)"),
+		ckptN:       fs.Int64("checkpoint-every", 0, "protocol events between checkpoint epochs (requires -checkpoint-dir)"),
+		ckptKeep:    fs.Int("checkpoint-keep", 0, "snapshots to retain per rank (0 = default)"),
+		resume:      fs.Bool("resume", false, "resume from the latest restorable epoch in -checkpoint-dir"),
+		supervise:   fs.Bool("supervise", false, "run as a supervisor: spawn all ranks locally, restart the cluster from the last checkpoint on crash"),
+		maxRestarts: fs.Int("max-restarts", 3, "restart attempts before the supervisor gives up"),
+		streamDir:   fs.String("stream-dir", "", "required: directory for this rank's compressed edge shard, written with bounded memory (docs/SHARD_FORMAT.md); under -supervise, the children's"),
+		streamBlock: fs.Int("stream-block-edges", 0, "edge records buffered per stream block before a sorted flush (0 = 65536)"),
+	}
+}
+
 func main() {
-	var (
-		rank      = flag.Int("rank", 0, "this process's rank")
-		addrs     = flag.String("addrs", "", "comma-separated listen addresses, one per rank")
-		n         = flag.Int64("n", 100000, "number of nodes")
-		x         = flag.Int("x", 4, "edges per new node")
-		p         = flag.Float64("p", 0.5, "direct-attachment probability")
-		scheme    = flag.String("scheme", "RRP", "partitioning scheme")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		workers   = flag.Int("workers", 0, "generation goroutines for this rank (0 = GOMAXPROCS)")
-		hub       = flag.Int64("hub-prefix", 0, "hub-prefix cache size H (0 = auto, <0 = off); all ranks must agree")
-		resolve   = flag.String("resolve", "wire", "non-local dependency resolution: wire or recompute; all ranks must agree")
-		rcDepth   = flag.Int("recompute-depth", 0, "recompute replay chain depth cap before wire fallback (0 = ~2*log2(n))")
-		stats     = flag.Bool("stats", false, "print rank and cluster statistics to stderr")
-		metrics   = flag.String("metrics", "", "write this rank's metrics JSON to this file (\"-\" = stderr)")
-		handshake = flag.Duration("handshake-timeout", transport.DefaultHandshakeTimeout,
-			"mesh-establishment deadline (a peer missing past it is an error, not a hang)")
-		ckptDir     = flag.String("checkpoint-dir", "", "write per-rank snapshots to this directory (shared across ranks)")
-		ckptN       = flag.Int64("checkpoint-every", 0, "protocol events between checkpoint epochs (requires -checkpoint-dir)")
-		ckptKeep    = flag.Int("checkpoint-keep", 0, "snapshots to retain per rank (0 = default)")
-		resume      = flag.Bool("resume", false, "resume from the latest restorable epoch in -checkpoint-dir")
-		supervise   = flag.Bool("supervise", false, "run as a supervisor: spawn all ranks locally, restart the cluster from the last checkpoint on crash")
-		maxRestarts = flag.Int("max-restarts", 3, "restart attempts before the supervisor gives up")
-		streamDir   = flag.String("stream-dir", "", "required: directory for this rank's compressed edge shard, written with bounded memory (docs/SHARD_FORMAT.md); under -supervise, the children's")
-		streamBlock = flag.Int("stream-block-edges", 0, "edge records buffered per stream block before a sorted flush (0 = 65536)")
-	)
+	f := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	addrList := strings.Split(*addrs, ",")
-	if len(addrList) < 1 || *addrs == "" {
+	addrList := strings.Split(*f.addrs, ",")
+	if len(addrList) < 1 || *f.addrs == "" {
 		fatal(fmt.Errorf("need -addrs with one address per rank"))
 	}
-	if *streamDir == "" {
+	if *f.streamDir == "" {
 		fatal(fmt.Errorf("need -stream-dir: every rank writes its edges to its own shard file under it"))
 	}
 
-	ck := checkpointOptions(*ckptDir, *ckptN, *ckptKeep, *resume)
+	ck := checkpointOptions(*f.ckptDir, *f.ckptN, *f.ckptKeep, *f.resume)
 
-	mode, err := core.ParseResolveMode(*resolve)
+	mode, err := core.ParseResolveMode(*f.resolve)
 	if err != nil {
 		fatal(err)
 	}
 
-	if *supervise {
-		runSupervisor(addrList, supervisorConfig{
-			n: *n, x: *x, p: *p, scheme: *scheme, seed: *seed,
-			workers: *workers, hub: *hub, stats: *stats, handshake: *handshake,
-			resolve: *resolve, rcDepth: *rcDepth,
-			ckptDir: *ckptDir, ckptN: *ckptN, ckptKeep: *ckptKeep,
-			resume: *resume, maxRestarts: *maxRestarts,
-			streamDir: *streamDir, streamBlock: *streamBlock,
-		})
+	if *f.supervise {
+		runSupervisor(addrList, flag.CommandLine, f)
 		return
 	}
 	if ck != nil && ck.Resume {
-		reportResumeScan(*ckptDir, *rank)
+		reportResumeScan(*f.ckptDir, *f.rank)
 	}
-	kind, err := partition.ParseKind(*scheme)
+	kind, err := partition.ParseKind(*f.scheme)
 	if err != nil {
 		fatal(err)
 	}
-	part, err := partition.New(kind, *n, len(addrList))
+	part, err := partition.New(kind, *f.n, len(addrList))
 	if err != nil {
 		fatal(err)
 	}
 
-	tr, err := transport.NewTCPWithConfig(*rank, addrList, transport.TCPConfig{
-		HandshakeTimeout: *handshake,
+	tr, err := transport.NewTCPWithConfig(*f.rank, addrList, transport.TCPConfig{
+		HandshakeTimeout: *f.handshake,
 	})
 	if err != nil {
 		fatal(err)
@@ -146,26 +156,25 @@ func main() {
 	defer tr.Close()
 
 	res, err := core.RunRank(tr, core.Options{
-		Params:         model.Params{N: *n, X: *x, P: *p},
-		Part:           part,
-		Seed:           *seed,
-		Workers:        *workers,
-		HubPrefix:      *hub,
-		Resolve:        mode,
-		RecomputeDepth: *rcDepth,
+		Params:    model.Params{N: *f.n, X: *f.x, P: *f.p},
+		Part:      part,
+		Seed:      *f.seed,
+		Workers:   *f.workers,
+		HubPrefix: *f.hub,
+		Resolve:   mode,
 		// Node-load counters are the one metrics input snapshots do not
 		// capture; under checkpointing -metrics still exports everything
 		// else (pause/write histograms included).
-		CollectNodeLoad:  *metrics != "" && ck == nil,
+		CollectNodeLoad:  *f.metrics != "" && ck == nil,
 		Checkpoint:       ck,
-		StreamDir:        *streamDir,
-		StreamBlockEdges: *streamBlock,
+		StreamDir:        *f.streamDir,
+		StreamBlockEdges: *f.streamBlock,
 	})
 	if err != nil {
 		fatal(err)
 	}
 	st := res.Stats
-	if *stats {
+	if *f.stats {
 		fmt.Fprintf(os.Stderr, "rank %d: nodes=%d edges=%d reqS=%d reqR=%d frames=%d bytes=%d wall=%v busy=%v\n",
 			st.Rank, st.Nodes, st.Edges, st.Comm.RequestsSent, st.Comm.RequestsRecv,
 			st.Comm.FramesSent, st.Comm.BytesSent, st.WallTime, st.BusyTime)
@@ -196,7 +205,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *rank == 0 && *stats {
+	if *f.rank == 0 && *f.stats {
 		var total int64
 		for _, e := range edges {
 			total += e
@@ -205,8 +214,8 @@ func main() {
 			total, len(addrList), maxLoad, totalReq, totalBytes)
 	}
 
-	if *metrics != "" {
-		if err := writeMetrics(*metrics, *rank, res, part, *n, *x, *p, len(addrList), *scheme, *seed); err != nil {
+	if *f.metrics != "" {
+		if err := writeMetrics(*f.metrics, *f.rank, res, part, *f.n, *f.x, *f.p, len(addrList), *f.scheme, *f.seed); err != nil {
 			fatal(err)
 		}
 	}
@@ -279,27 +288,38 @@ func reportResumeScan(dir string, rank int) {
 	}
 }
 
-// supervisorConfig carries the parsed flags a supervisor forwards to its
-// child ranks.
-type supervisorConfig struct {
-	n           int64
-	x           int
-	p           float64
-	scheme      string
-	seed        uint64
-	workers     int
-	hub         int64
-	resolve     string
-	rcDepth     int
-	stats       bool
-	handshake   time.Duration
-	ckptDir     string
-	ckptN       int64
-	ckptKeep    int
-	resume      bool
-	maxRestarts int
-	streamDir   string
-	streamBlock int
+// supervisorOnly are the flags the supervisor consumes itself; every
+// other flag the operator set reaches every child unchanged.
+var supervisorOnly = map[string]bool{"supervise": true, "max-restarts": true, "resume": true, "rank": true}
+
+// childArgs returns the arguments every child rank shares: each flag set
+// on fs except the supervisor's own and -stats, which only rank 0
+// receives. -metrics is refused: every child would write the same file.
+// Flags come in name order, -addrs first, and a non-boolean value is its
+// own argument, so a child's command line reads "pa-tcp -rank R -addrs
+// A …" (scripts/smoke_pa_tcp.sh finds ranks by that prefix).
+func childArgs(fs *flag.FlagSet) ([]string, error) {
+	var args []string
+	var err error
+	fs.Visit(func(fl *flag.Flag) {
+		switch {
+		case fl.Name == "metrics":
+			err = fmt.Errorf("-metrics cannot be used with -supervise: every child rank would write the same file")
+		case supervisorOnly[fl.Name] || fl.Name == "stats":
+		case isBool(fl):
+			args = append(args, "-"+fl.Name+"="+fl.Value.String())
+		default:
+			args = append(args, "-"+fl.Name, fl.Value.String())
+		}
+	})
+	return args, err
+}
+
+// isBool reports whether fl is a boolean flag, which takes its value
+// only in the -name=value form.
+func isBool(fl *flag.Flag) bool {
+	b, ok := fl.Value.(interface{ IsBoolFlag() bool })
+	return ok && b.IsBoolFlag()
 }
 
 // runSupervisor spawns one pa-tcp child process per address on this
@@ -309,67 +329,57 @@ type supervisorConfig struct {
 // newest epoch every rank committed. Attempts are bounded by
 // -max-restarts. Checkpointing must be enabled — without snapshots a
 // restart would silently redo all work.
-func runSupervisor(addrList []string, sc supervisorConfig) {
-	if sc.ckptDir == "" || sc.ckptN <= 0 {
+func runSupervisor(addrList []string, fs *flag.FlagSet, f *flags) {
+	if *f.ckptDir == "" || *f.ckptN <= 0 {
 		fatal(fmt.Errorf("-supervise needs -checkpoint-dir and -checkpoint-every > 0 (restarts resume from snapshots)"))
 	}
-	if err := os.MkdirAll(sc.streamDir, 0o755); err != nil {
+	shared, err := childArgs(fs)
+	if err != nil {
+		fatal(err)
+	}
+	if err := os.MkdirAll(*f.streamDir, 0o755); err != nil {
 		fatal(err)
 	}
 	exe, err := os.Executable()
 	if err != nil {
 		fatal(err)
 	}
-	resume := sc.resume
+	resume := *f.resume
 	for attempt := 0; ; attempt++ {
-		err := superviseOnce(exe, addrList, sc, resume)
+		err := superviseOnce(exe, len(addrList), shared, *f.stats, resume)
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "pa-tcp: supervisor: all %d ranks completed\n", len(addrList))
 			return
 		}
-		if attempt >= sc.maxRestarts {
-			fatal(fmt.Errorf("supervisor: giving up after %d restarts: %w", sc.maxRestarts, err))
+		if attempt >= *f.maxRestarts {
+			fatal(fmt.Errorf("supervisor: giving up after %d restarts: %w", *f.maxRestarts, err))
 		}
 		fmt.Fprintf(os.Stderr, "pa-tcp: supervisor: cluster failed (%v), restart %d/%d from last checkpoint\n",
-			err, attempt+1, sc.maxRestarts)
+			err, attempt+1, *f.maxRestarts)
 		resume = true // every relaunch resumes from the newest complete epoch
 		time.Sleep(500 * time.Millisecond)
 	}
 }
 
+// rankArgs returns child rank i's full argument list.
+func rankArgs(shared []string, i int, stats, resume bool) []string {
+	args := append([]string{"-rank", strconv.Itoa(i)}, shared...)
+	if resume {
+		args = append(args, "-resume")
+	}
+	if stats && i == 0 {
+		args = append(args, "-stats")
+	}
+	return args
+}
+
 // superviseOnce launches the full cluster once and waits for it. On the
 // first child failure the remaining children are killed and the first
 // error is returned after every process has been reaped.
-func superviseOnce(exe string, addrList []string, sc supervisorConfig, resume bool) error {
-	ranks := len(addrList)
+func superviseOnce(exe string, ranks int, shared []string, stats, resume bool) error {
 	cmds := make([]*exec.Cmd, ranks)
 	for i := 0; i < ranks; i++ {
-		args := []string{
-			"-rank", strconv.Itoa(i),
-			"-addrs", strings.Join(addrList, ","),
-			"-n", strconv.FormatInt(sc.n, 10),
-			"-x", strconv.Itoa(sc.x),
-			"-p", strconv.FormatFloat(sc.p, 'g', -1, 64),
-			"-scheme", sc.scheme,
-			"-seed", strconv.FormatUint(sc.seed, 10),
-			"-workers", strconv.Itoa(sc.workers),
-			"-hub-prefix", strconv.FormatInt(sc.hub, 10),
-			"-resolve", sc.resolve,
-			"-recompute-depth", strconv.Itoa(sc.rcDepth),
-			"-handshake-timeout", sc.handshake.String(),
-			"-checkpoint-dir", sc.ckptDir,
-			"-checkpoint-every", strconv.FormatInt(sc.ckptN, 10),
-			"-checkpoint-keep", strconv.Itoa(sc.ckptKeep),
-			"-stream-dir", sc.streamDir,
-			"-stream-block-edges", strconv.Itoa(sc.streamBlock),
-		}
-		if resume {
-			args = append(args, "-resume")
-		}
-		if sc.stats && i == 0 {
-			args = append(args, "-stats")
-		}
-		cmd := exec.Command(exe, args...)
+		cmd := exec.Command(exe, rankArgs(shared, i, stats, resume)...)
 		cmd.Stdout = os.Stdout
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {

@@ -60,7 +60,6 @@ func main() {
 		seed        = flag.Uint64("seed", 1, "random seed")
 		hub         = flag.Int64("hub-prefix", 0, "hub-prefix cache size H (0 = auto, <0 = off); output is identical for every setting")
 		resolve     = flag.String("resolve", "wire", "non-local dependency resolution: wire or recompute; output is identical in both modes")
-		rcDepth     = flag.Int("recompute-depth", 0, "recompute replay chain depth cap before wire fallback (0 = ~2*log2(n))")
 		out         = flag.String("o", "", "output file (default stdout)")
 		format      = flag.String("format", "text", "output format: text or binary")
 		stats       = flag.Bool("stats", false, "print per-rank statistics to stderr")
@@ -89,7 +88,7 @@ func main() {
 	cfg := pagen.Config{N: *n, X: *x, P: *p, Ranks: *ranks, Workers: *workers,
 		Transport: *transport,
 		Scheme:    *scheme, Seed: *seed, HubPrefix: *hub,
-		Resolve: *resolve, RecomputeDepth: *rcDepth,
+		Resolve: *resolve,
 		// Per-node load counters are the one metrics input snapshots do
 		// not capture; under checkpointing -metrics still exports
 		// everything else (pause/write histograms included), just

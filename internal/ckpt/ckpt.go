@@ -3,11 +3,11 @@
 // checkpoint/restart subsystem. One snapshot captures everything a rank
 // needs to resume generation mid-run at a consistent cut: every
 // suspended node's private RNG stream position and edge index, the
-// pending waiter queues, any not-yet-flushed outbound message batches,
-// the collective tag counter, and the sink mark naming the durable
-// prefix of the rank's shard file. A snapshot carries no attachment
-// table: every checkpointed run streams its edges, the marked shard
-// prefix is the resolved part of F, and restore replays it. The format
+// pending waiter queues and coalescing chains, the collective tag
+// counter, and the sink mark naming the durable prefix of the rank's
+// shard file. A snapshot carries no attachment table: every
+// checkpointed run streams its edges, the marked shard prefix is the
+// resolved part of F, and restore replays it. The format
 // is byte-for-byte specified in docs/CHECKPOINT_FORMAT.md and verified
 // on read by a whole-file CRC-32C so a torn write is detected rather
 // than resumed from.
@@ -49,8 +49,12 @@ const Magic = "PAGENCK1"
 // delta chain) epochs; version 6 dropped the table from streamed
 // snapshots — 'F'/'D' is present iff 'K' is absent; version 7 made 'K'
 // mandatory, since every checkpointed run streams, and dropped 'F', 'D'
-// and the kind and base epoch from 'M'.
-const Version = 7
+// and the kind and base epoch from 'M'; version 8 keeps exactly one 'W'
+// section without block bounds (a rank has one writer), drops the
+// outbound section 'O' (empty at a quiescent cut, which the cut now
+// checks) and drops the recompute depth cap from 'M' (it is derived
+// from n, not configured).
+const Version = 8
 
 // castagnoli is the CRC-32C table (iSCSI polynomial) shared by writer
 // and reader.
@@ -69,14 +73,12 @@ type Meta struct {
 	Rank   int
 	Scheme string
 	// Resolve is the engine's resolve-mode code (0 = wire, 1 =
-	// recompute) and RecomputeDepth the effective replay depth cap (0
-	// in wire mode). They are pinned so a resume under a different
-	// resolver configuration is rejected rather than mixing modes
-	// across the cut — the output graph is identical either way, but
-	// mid-run counters and the memo warm-up are not, and rejecting
-	// keeps every rank of the mesh on one setting.
-	Resolve        int
-	RecomputeDepth int
+	// recompute). It is pinned so a resume under a different resolve
+	// mode is rejected rather than mixing modes across the cut — the
+	// output graph is identical either way, but mid-run counters and the
+	// memo warm-up are not, and rejecting keeps every rank of the mesh on
+	// one setting.
+	Resolve int
 }
 
 // SuspRecord is one suspended node: its local index, the edge it is
@@ -100,35 +102,6 @@ type WaiterRecord struct {
 	E    uint16
 }
 
-// WorkerState is one worker shard's suspended nodes, waiter queues and
-// request-coalescing chains at the cut, tagged with the block [Lo, Hi)
-// the writing run used. A resuming run redistributes the records by its
-// own worker layout, so restoring at a different worker count is exact.
-type WorkerState struct {
-	Lo, Hi  int64
-	Susp    []SuspRecord
-	Waiters []WaiterRecord
-	// Remote holds the hub cache's request-coalescing chains: nodes of
-	// this worker waiting on one in-flight request per remote slot,
-	// chain by chain in FIFO order. The first record of each chain is
-	// the primary requester — the node the owner's answer will be
-	// addressed to — which is what lets a resume rebuild the chains
-	// exactly: the chain's secondary members are registered nowhere
-	// else (that is the point of coalescing), so without these records
-	// they would never be answered.
-	Remote []WaiterRecord
-}
-
-// OutboundBatch is a per-destination batch of messages that were
-// buffered but not yet flushed at the cut, stored as one wire-format-v2
-// frame. Global quiescence means these are empty in practice; the
-// section exists as defense in depth — a resume re-injects them, which
-// is exact because a buffered message is by definition not yet sent.
-type OutboundBatch struct {
-	To    int
-	Frame []byte
-}
-
 // SinkMark is the streaming edge sink's durable position at the cut:
 // the rank's shard file holds exactly Blocks complete blocks with Edges
 // edge records in its first Offset bytes, flushed and fsynced before
@@ -150,14 +123,27 @@ type Stats struct {
 	LocalWaits  int64
 }
 
-// Snapshot is one rank's checkpoint state.
+// Snapshot is one rank's checkpoint state. Susp, Waiters and Remote
+// serialize as the one 'W' section: the rank's suspended nodes, its
+// owner-side waiter queues and its request-coalescing chains at the cut.
+// The records are keyed by node and slot, so a snapshot restores at any
+// worker count.
 type Snapshot struct {
-	Meta     Meta
-	Epoch    int64
-	NextTag  int64 // coll.Seq tag counter for the resumed run
-	Workers  []WorkerState
-	Outbound []OutboundBatch
-	Stats    Stats
+	Meta    Meta
+	Epoch   int64
+	NextTag int64 // coll.Seq tag counter for the resumed run
+	Susp    []SuspRecord
+	Waiters []WaiterRecord
+	// Remote holds the hub cache's request-coalescing chains: nodes
+	// waiting on one in-flight request per remote slot, chain by chain in
+	// FIFO order, each slot's chain once. The first record of each chain
+	// is the primary requester — the node the owner's answer will be
+	// addressed to — which is what lets a resume rebuild the chains
+	// exactly: the chain's secondary members are registered nowhere else
+	// (that is the point of coalescing), so without these records they
+	// would never be answered.
+	Remote []WaiterRecord
+	Stats  Stats
 	// Sink is the shard's durable mark, serialized as the mandatory 'K'
 	// section: the records under it are the resolved part of F.
 	Sink SinkMark
@@ -216,35 +202,22 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s.Meta.Scheme)))
 	b = append(b, s.Meta.Scheme...)
 	b = binary.AppendUvarint(b, uint64(s.Meta.Resolve))
-	b = binary.AppendUvarint(b, uint64(s.Meta.RecomputeDepth))
 	b = binary.AppendUvarint(b, uint64(s.Epoch))
 	b = binary.AppendUvarint(b, uint64(s.NextTag))
 
-	// 'W' (repeated): one section per worker shard of the writing run.
-	for _, ws := range s.Workers {
-		b = append(b, 'W')
-		b = binary.AppendUvarint(b, uint64(ws.Lo))
-		b = binary.AppendUvarint(b, uint64(ws.Hi))
-		b = binary.AppendUvarint(b, uint64(len(ws.Susp)))
-		for _, sr := range ws.Susp {
-			b = binary.AppendUvarint(b, uint64(sr.Idx))
-			b = binary.AppendUvarint(b, uint64(sr.Edge))
-			for _, w := range sr.RNG {
-				b = binary.LittleEndian.AppendUint64(b, w)
-			}
+	// 'W': the rank's suspended nodes, waiter queues and coalescing
+	// chains — written even when all three are empty.
+	b = append(b, 'W')
+	b = binary.AppendUvarint(b, uint64(len(s.Susp)))
+	for _, sr := range s.Susp {
+		b = binary.AppendUvarint(b, uint64(sr.Idx))
+		b = binary.AppendUvarint(b, uint64(sr.Edge))
+		for _, w := range sr.RNG {
+			b = binary.LittleEndian.AppendUint64(b, w)
 		}
-		b = appendWaiterRecords(b, ws.Waiters)
-		b = appendWaiterRecords(b, ws.Remote)
 	}
-
-	// 'O': unflushed outbound batches (empty at a quiescent cut).
-	b = append(b, 'O')
-	b = binary.AppendUvarint(b, uint64(len(s.Outbound)))
-	for _, ob := range s.Outbound {
-		b = binary.AppendUvarint(b, uint64(ob.To))
-		b = binary.AppendUvarint(b, uint64(len(ob.Frame)))
-		b = append(b, ob.Frame...)
-	}
+	b = appendWaiterRecords(b, s.Waiters)
+	b = appendWaiterRecords(b, s.Remote)
 
 	// 'S': cumulative counters.
 	b = append(b, 'S')
@@ -265,7 +238,7 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 }
 
 // appendWaiterRecords appends one length-prefixed list of waiter
-// records — the shared shape of a worker's Waiters and Remote sections.
+// records — the shared shape of the Waiters and Remote lists.
 func appendWaiterRecords(b []byte, rs []WaiterRecord) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rs)))
 	for _, wr := range rs {
@@ -416,7 +389,7 @@ func parse(data []byte) (*Snapshot, error) {
 	}
 
 	s := &Snapshot{}
-	sawK := false
+	sawW, sawK := false, false
 	for {
 		t, err := r.tag()
 		if err != nil {
@@ -428,32 +401,14 @@ func parse(data []byte) (*Snapshot, error) {
 				return nil, fmt.Errorf("meta: %w", err)
 			}
 		case 'W':
-			ws, err := parseWorker(r)
-			if err != nil {
-				return nil, fmt.Errorf("worker section %d: %w", len(s.Workers), err)
+			// One writer per rank, one section: a second would be records
+			// of a layout no writer produces.
+			if sawW {
+				return nil, fmt.Errorf("second 'W' section")
 			}
-			s.Workers = append(s.Workers, ws)
-		case 'O':
-			n, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			for i := uint64(0); i < n; i++ {
-				to, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				sz, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				frame, err := r.bytes(sz)
-				if err != nil {
-					return nil, fmt.Errorf("outbound frame: %w", err)
-				}
-				s.Outbound = append(s.Outbound, OutboundBatch{
-					To: int(to), Frame: append([]byte(nil), frame...),
-				})
+			sawW = true
+			if err := s.parseWorker(r); err != nil {
+				return nil, fmt.Errorf("'W' section: %w", err)
 			}
 		case 'S':
 			if v, err := r.uvarint(); err != nil {
@@ -496,6 +451,9 @@ func parse(data []byte) (*Snapshot, error) {
 			// resume could neither recover the shard nor rebuild the table.
 			if !sawK {
 				return nil, fmt.Errorf("no 'K' section (sink mark)")
+			}
+			if !sawW {
+				return nil, fmt.Errorf("no 'W' section")
 			}
 			return s, nil
 		default:
@@ -551,10 +509,6 @@ func (s *Snapshot) parseMeta(r *reader) error {
 	if v, err = r.uvarint(); err != nil {
 		return err
 	}
-	s.Meta.RecomputeDepth = int(v)
-	if v, err = r.uvarint(); err != nil {
-		return err
-	}
 	s.Epoch = int64(v)
 	if v, err = r.uvarint(); err != nil {
 		return err
@@ -563,55 +517,46 @@ func (s *Snapshot) parseMeta(r *reader) error {
 	return nil
 }
 
-func parseWorker(r *reader) (WorkerState, error) {
-	var ws WorkerState
-	v, err := r.uvarint()
-	if err != nil {
-		return ws, err
-	}
-	ws.Lo = int64(v)
-	if v, err = r.uvarint(); err != nil {
-		return ws, err
-	}
-	ws.Hi = int64(v)
+func (s *Snapshot) parseWorker(r *reader) error {
 	n, err := r.uvarint()
 	if err != nil {
-		return ws, err
+		return err
 	}
 	// A suspension record is at least 34 bytes (two varints + 32 bytes
 	// of RNG state); bound the allocation by the remaining bytes.
 	if n > uint64(len(r.b))/34+1 {
-		return ws, fmt.Errorf("suspension count %d exceeds file", n)
+		return fmt.Errorf("suspension count %d exceeds file", n)
 	}
-	ws.Susp = make([]SuspRecord, 0, n)
+	s.Susp = make([]SuspRecord, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var sr SuspRecord
-		if v, err = r.uvarint(); err != nil {
-			return ws, err
+		v, err := r.uvarint()
+		if err != nil {
+			return err
 		}
 		sr.Idx = int64(v)
 		if v, err = r.uvarint(); err != nil {
-			return ws, err
+			return err
 		}
 		sr.Edge = int(v)
 		for j := range sr.RNG {
 			if sr.RNG[j], err = r.u64(); err != nil {
-				return ws, err
+				return err
 			}
 		}
-		ws.Susp = append(ws.Susp, sr)
+		s.Susp = append(s.Susp, sr)
 	}
-	if ws.Waiters, err = parseWaiterRecords(r); err != nil {
-		return ws, fmt.Errorf("waiters: %w", err)
+	if s.Waiters, err = parseWaiterRecords(r); err != nil {
+		return fmt.Errorf("waiters: %w", err)
 	}
-	if ws.Remote, err = parseWaiterRecords(r); err != nil {
-		return ws, fmt.Errorf("remote: %w", err)
+	if s.Remote, err = parseWaiterRecords(r); err != nil {
+		return fmt.Errorf("remote: %w", err)
 	}
-	return ws, nil
+	return nil
 }
 
 // parseWaiterRecords reads one length-prefixed waiter-record list, the
-// shared shape of the Waiters and Remote worker sections. It always
+// shared shape of the Waiters and Remote lists. It always
 // returns a non-nil slice so round-tripped snapshots compare equal.
 func parseWaiterRecords(r *reader) ([]WaiterRecord, error) {
 	n, err := r.uvarint()

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -15,37 +16,37 @@ func sample(rank int, epoch int64) *Snapshot {
 		Meta: Meta{
 			N: 1_000_000, X: 4, P: 0.5, Seed: 0xdeadbeefcafe,
 			Ranks: 8, Rank: rank, Scheme: "RRP",
-			Resolve: 1, RecomputeDepth: 40,
+			Resolve: 1,
 		},
 		Epoch:   epoch,
 		NextTag: 42,
-		Workers: []WorkerState{
-			{
-				Lo: 0, Hi: 300,
-				Susp: []SuspRecord{
-					{Idx: 17, Edge: 2, RNG: [4]uint64{1, ^uint64(0), 3, 4}},
-					{Idx: 21, Edge: 0, RNG: [4]uint64{5, 6, 7, 8}},
-				},
-				Waiters: []WaiterRecord{
-					{Slot: 99, T: 200, E: 1},
-					{Slot: 99, T: 201, E: 0},
-				},
-				// Two coalescing chains: slot 802 with a secondary, slot
-				// 1205 with the primary alone.
-				Remote: []WaiterRecord{
-					{Slot: 802, T: 310, E: 2},
-					{Slot: 802, T: 311, E: 0},
-					{Slot: 1205, T: 320, E: 1},
-				},
-			},
-			// Empty (not nil) slices: the parser always materializes
-			// them, and DeepEqual distinguishes nil from empty.
-			{Lo: 300, Hi: 625, Susp: []SuspRecord{}, Waiters: []WaiterRecord{}, Remote: []WaiterRecord{}},
+		Susp: []SuspRecord{
+			{Idx: 17, Edge: 2, RNG: [4]uint64{1, ^uint64(0), 3, 4}},
+			{Idx: 21, Edge: 0, RNG: [4]uint64{5, 6, 7, 8}},
 		},
-		Outbound: []OutboundBatch{{To: 3, Frame: []byte{0xca, 0xfe, 0x00}}},
-		Stats:    Stats{Retries: 5, QueuedWaits: 6, LocalWaits: 7},
-		Sink:     SinkMark{Offset: 1 << 40, Blocks: 12345, Edges: 987654321},
+		Waiters: []WaiterRecord{
+			{Slot: 99, T: 200, E: 1},
+			{Slot: 99, T: 201, E: 0},
+		},
+		// Two coalescing chains: slot 802 with a secondary, slot 1205
+		// with the primary alone.
+		Remote: []WaiterRecord{
+			{Slot: 802, T: 310, E: 2},
+			{Slot: 802, T: 311, E: 0},
+			{Slot: 1205, T: 320, E: 1},
+		},
+		Stats: Stats{Retries: 5, QueuedWaits: 6, LocalWaits: 7},
+		Sink:  SinkMark{Offset: 1 << 40, Blocks: 12345, Edges: 987654321},
 	}
+}
+
+// idleSnapshot is a snapshot with nothing suspended: its 'W' section is
+// the three empty counts. The lists are empty, not nil — the parser
+// always materializes them, and DeepEqual distinguishes nil from empty.
+func idleSnapshot(rank int, epoch int64) *Snapshot {
+	s := sample(rank, epoch)
+	s.Susp, s.Waiters, s.Remote = []SuspRecord{}, []WaiterRecord{}, []WaiterRecord{}
+	return s
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -102,10 +103,10 @@ func reseal(data []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
 }
 
-// The v7 section rules: 'K' is mandatory, and the in-memory table
-// sections 'F' and 'D' of earlier versions are unknown tags. The files
-// below are CRC-clean, so the section rules — not the checksum — must
-// reject them.
+// The v8 section rules: 'K' is mandatory, 'W' appears exactly once, and
+// the in-memory table sections 'F' and 'D' and the outbound section 'O'
+// of earlier versions are unknown tags. The files below are CRC-clean,
+// so the section rules — not the checksum — must reject them.
 func TestParseSectionRules(t *testing.T) {
 	var enc Encoder
 	encode := func(s *Snapshot) []byte { return append([]byte(nil), enc.Encode(s)...) }
@@ -124,21 +125,38 @@ func TestParseSectionRules(t *testing.T) {
 	bare = reseal(append(bare[:len(bare)-5-len(mark):len(bare)-5-len(mark)], 'Z', 0, 0, 0, 0))
 	v6 := encode(s)
 	v6[len(Magic)] = 6
+	v7 := encode(s)
+	v7[len(Magic)] = 7
+	// An idle snapshot's 'W' section is the three empty counts.
+	emptyW := []byte{'W', 0, 0, 0}
+	idle := encode(idleSnapshot(0, 4))
+	if bytes.Count(idle, emptyW) != 1 {
+		t.Fatalf("idle snapshot holds %d copies of the empty 'W' section, want 1", bytes.Count(idle, emptyW))
+	}
+	noW := reseal(bytes.Replace(idle, emptyW, nil, 1))
 
 	for name, data := range map[string][]byte{
 		"no K":      bare,
+		"no W":      noW,
+		"second W":  beforeEnd(encode(s), emptyW),
 		"F section": beforeEnd(encode(s), []byte{'F', 2, 0, 5}),
 		"D section": beforeEnd(encode(s), []byte{'D', 2, 1, 0, 1, 5}),
+		"O section": beforeEnd(encode(s), []byte{'O', 1, 3, 1, 0xca}),
 		"version 6": reseal(v6),
+		"version 7": reseal(v7),
 	} {
 		if got, err := parse(data); err == nil {
 			t.Errorf("%s: parsed to %+v, want an error", name, got)
 		} else if strings.Contains(err.Error(), "CRC") {
 			t.Errorf("%s: rejected by checksum (%v), the test file is malformed", name, err)
+		} else if strings.HasPrefix(name, "version ") && !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: err = %v, want one naming the version", name, err)
 		}
 	}
-	if got, err := parse(encode(s)); err != nil || !reflect.DeepEqual(got, s) {
-		t.Errorf("round trip = %+v, %v", got, err)
+	for _, want := range []*Snapshot{s, idleSnapshot(0, 4)} {
+		if got, err := parse(encode(want)); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("round trip = %+v, %v", got, err)
+		}
 	}
 }
 

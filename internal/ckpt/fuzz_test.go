@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-
-	"pagen/internal/msg"
 )
 
 // FuzzParse feeds arbitrary bytes to the snapshot parser. The input is
@@ -15,19 +13,19 @@ import (
 // not panic and must not allocate from a count the file's size does not
 // back, and a file it accepts must re-encode to bytes that parse back to
 // the same Snapshot, so nothing the reader admits is lost or invented by
-// the writer. The seeds are real Encoder output: snapshots with outbound
-// frames and coalescing chains, and an idle one with no worker records.
+// the writer. The seeds are real Encoder output: snapshots with waiter
+// queues and coalescing chains (one a lone chain member, one
+// epoch-shaped), and an idle one whose 'W' section is empty.
 // testdata/fuzz/FuzzParse keeps an input that broke an earlier parser:
 // a NaN p, unequal to itself and so never equal after a round trip.
 func FuzzParse(f *testing.F) {
 	var enc Encoder
-	frames := sample(1, 3)
-	frames.Outbound = []OutboundBatch{
-		{To: 0, Frame: msg.AppendEncodeBatchV3(nil, []msg.Message{msg.Request(1201, 2, 77, 1), msg.Resolved(1305, 0, 42)})},
-		{To: 5, Frame: msg.AppendEncodeBatchV3(nil, []msg.Message{msg.Publish(3, 1, 2), msg.Publish(3, 2, 0)})},
-	}
-	idle := &Snapshot{Meta: frames.Meta, Epoch: 1, Sink: SinkMark{Offset: 64, Blocks: 1, Edges: 6}}
-	for _, s := range []*Snapshot{sample(0, 4), frames, epochSnapshot(4, 8, 4), idle} {
+	chains := sample(1, 3)
+	chains.Susp = chains.Susp[:1]
+	chains.Waiters = nil
+	chains.Remote = []WaiterRecord{{Slot: 1201, T: 17, E: 2}}
+	idle := &Snapshot{Meta: chains.Meta, Epoch: 1, Sink: SinkMark{Offset: 64, Blocks: 1, Edges: 6}}
+	for _, s := range []*Snapshot{sample(0, 4), chains, epochSnapshot(4, 8, 4), idle} {
 		data := enc.Encode(s)
 		f.Add(append([]byte(nil), data[:len(data)-4]...))
 	}

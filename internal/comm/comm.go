@@ -208,19 +208,6 @@ func (c *Comm) FlushAll() error {
 	return nil
 }
 
-// BufferedFrame returns destination to's buffered-but-unsent messages
-// encoded as one wire-format frame, or nil if the buffer is empty. The
-// buffer itself is untouched: the checkpoint layer snapshots pending
-// sends with this, and on commit the run simply continues with them
-// still buffered.
-func (c *Comm) BufferedFrame(to int) []byte {
-	buf := c.bufs[to]
-	if len(buf) == 0 {
-		return nil
-	}
-	return msg.AppendEncodeBatchV3(make([]byte, 0, 1+len(buf)*10), buf)
-}
-
 // Buffered returns the number of messages currently buffered for to.
 func (c *Comm) Buffered(to int) int { return len(c.bufs[to]) }
 

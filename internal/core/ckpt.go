@@ -116,23 +116,16 @@ type ckptVoteState struct {
 	bad bool
 }
 
-// ckptCapture is one pooled capture buffer: the snapshot struct plus
-// the reusable backing arrays its slices point into. Two captures
-// rotate between the cut (fill) and the background writer (drain), so
-// a steady cadence allocates nothing epoch over epoch once the buffers
-// have grown to the rank's suspension and waiter records.
-type ckptCapture struct {
-	snap    ckpt.Snapshot
-	workers []ckpt.WorkerState
-	out     []ckpt.OutboundBatch
-}
-
 // ckptWriteReq is one background-writer work item: publish a capture
 // (c != nil) or remove an abandoned epoch's file (c == nil). Removes
 // ride the same FIFO channel as writes so an abandon enqueued after its
-// epoch's capture always deletes the file the write produced.
+// epoch's capture always deletes the file the write produced. A capture
+// is a pooled snapshot: two rotate between the cut (fill) and the
+// writer (drain), and each refill reuses its record arrays, so a steady
+// cadence allocates nothing epoch over epoch once they have grown to
+// the rank's suspension and waiter records.
 type ckptWriteReq struct {
-	c     *ckptCapture
+	c     *ckpt.Snapshot
 	epoch int64
 }
 
@@ -149,7 +142,7 @@ type ckptWriter struct {
 	stream *esink.Writer
 
 	ch   chan ckptWriteReq
-	free chan *ckptCapture
+	free chan *ckpt.Snapshot
 	done chan struct{}
 	once sync.Once
 
@@ -174,11 +167,11 @@ func newCkptWriter(dir string, rank, keep int, stream *esink.Writer) *ckptWriter
 		// deeper than the capture pool so abandon-removes never block
 		// the coordinator.
 		ch:   make(chan ckptWriteReq, 8),
-		free: make(chan *ckptCapture, 2),
+		free: make(chan *ckpt.Snapshot, 2),
 		done: make(chan struct{}),
 	}
-	bw.free <- &ckptCapture{}
-	bw.free <- &ckptCapture{}
+	bw.free <- &ckpt.Snapshot{}
+	bw.free <- &ckpt.Snapshot{}
 	go bw.loop()
 	return bw
 }
@@ -217,12 +210,12 @@ func (bw *ckptWriter) loop() {
 // write+fsync+rename, then prune superseded epochs. The esink writer
 // does not latch a Sync failure: returning it here, which abandons the
 // epoch, is the only report.
-func (bw *ckptWriter) publish(c *ckptCapture) (int64, error) {
+func (bw *ckptWriter) publish(c *ckpt.Snapshot) (int64, error) {
 	if err := bw.stream.Sync(); err != nil {
 		return 0, err
 	}
-	data := bw.enc.Encode(&c.snap)
-	_, size, err := ckpt.WriteEncoded(bw.dir, bw.rank, c.snap.Epoch, data)
+	data := bw.enc.Encode(c)
+	_, size, err := ckpt.WriteEncoded(bw.dir, bw.rank, c.Epoch, data)
 	if err != nil {
 		return 0, err
 	}
@@ -588,6 +581,18 @@ func (e *engine) ckptFlushHeld() error {
 // time by construction.
 func (e *engine) ckptCut() error {
 	ck := e.ck
+	// Nothing may sit in a send buffer at the cut, and a snapshot has no
+	// place to keep it: Send counts a data message when it buffers it, so
+	// the two balanced rounds that declared the cut saw every buffered
+	// message received, and the marker relay keeps the rank from handling
+	// anything between quiescence and here. A non-empty buffer is a
+	// protocol bug, like ckptMaxRounds. Checked before the relay below,
+	// whose SendNow would flush it.
+	for to := 0; to < e.p; to++ {
+		if n := e.cm.Buffered(to); n != 0 {
+			return fmt.Errorf("core: rank %d: checkpoint epoch %d cut with %d messages buffered for rank %d", e.rank, ck.epoch, n, to)
+		}
+	}
 	ok := true
 	// A latched background failure from an earlier epoch fails this
 	// epoch's vote — not the run (DESIGN.md §9: resume negotiation

@@ -29,7 +29,7 @@ func TestCheckpointShardSyncFailureFailsEpoch(t *testing.T) {
 
 	bw := newCkptWriter(ckDir, 0, 2, stream)
 	c := <-bw.free
-	c.snap = ckpt.Snapshot{Epoch: 1}
+	*c = ckpt.Snapshot{Epoch: 1}
 	bw.ch <- ckptWriteReq{c: c, epoch: 1}
 	// The rank goroutine's side while publish runs. Its own writes fail
 	// too once a block flushes (the descriptor is closed), which latches

@@ -476,10 +476,9 @@ func (d *cutDelay) Send(to int, data []byte) error {
 
 // cutMismatches lists what one epoch's snapshots disagree on. At a
 // consistent cut every suspended node (t, e) is owed an answer — it is
-// a waiter, on its own rank or at the owner of the slot it copies, a
-// coalescing-chain member, or the subject of a request or answer still
-// buffered — and everything owed an answer is a node suspended at
-// exactly that edge.
+// a waiter, on its own rank or at the owner of the slot it copies, or a
+// coalescing-chain member — and everything owed an answer is a node
+// suspended at exactly that edge.
 func cutMismatches(part partition.Scheme, snaps []*ckpt.Snapshot) []string {
 	type slot struct {
 		t int64
@@ -487,24 +486,14 @@ func cutMismatches(part partition.Scheme, snaps []*ckpt.Snapshot) []string {
 	}
 	owed, susp := map[slot]bool{}, map[slot]bool{}
 	for r, s := range snaps {
-		for _, ws := range s.Workers {
-			for _, w := range ws.Waiters {
-				owed[slot{w.T, int(w.E)}] = true
-			}
-			for _, w := range ws.Remote {
-				owed[slot{w.T, int(w.E)}] = true
-			}
-			for _, sr := range ws.Susp {
-				susp[slot{part.NodeAt(r, sr.Idx), sr.Edge}] = true
-			}
+		for _, w := range s.Waiters {
+			owed[slot{w.T, int(w.E)}] = true
 		}
-		for _, ob := range s.Outbound {
-			ms, _ := msg.DecodeBatch(nil, ob.Frame)
-			for _, m := range ms {
-				if m.Kind == msg.KindRequest || m.Kind == msg.KindResolved {
-					owed[slot{m.T, int(m.E)}] = true
-				}
-			}
+		for _, w := range s.Remote {
+			owed[slot{w.T, int(w.E)}] = true
+		}
+		for _, sr := range s.Susp {
+			susp[slot{part.NodeAt(r, sr.Idx), sr.Edge}] = true
 		}
 	}
 	var out []string

@@ -142,14 +142,14 @@ type Options struct {
 	// (DESIGN.md §11): ResolveWire (the default) sends the paper's
 	// request/resolved round trip; ResolveRecompute replays the owning
 	// node's random stream locally and only falls back to the wire past
-	// the depth cap. All ranks of a run must use the same setting
-	// (checkpoint snapshots pin it). The output graph is byte-identical
-	// in both modes.
+	// the depth cap DefaultRecomputeDepth(n). All ranks of a run must use
+	// the same setting (checkpoint snapshots pin it). The output graph is
+	// byte-identical in both modes.
 	Resolve ResolveMode
-	// RecomputeDepth caps the replay chain length in recompute mode
-	// (nodes replayed per query). Zero selects
-	// DefaultRecomputeDepth(n); it is ignored in wire mode.
-	RecomputeDepth int
+	// recomputeDepth, when positive, replaces DefaultRecomputeDepth(n)
+	// as the replay-chain cap. Only this package's tests set it, to force
+	// the wire fallback at small n.
+	recomputeDepth int
 	// Transport selects the in-process transport Run wires the ranks
 	// with: "shm" (the default — co-located ranks hand message batches
 	// across by reference, no serialization) or "local" (every frame
@@ -611,12 +611,9 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 	switch opts.Resolve {
 	case ResolveWire:
 	case ResolveRecompute:
-		if opts.RecomputeDepth < 0 {
-			return nil, fmt.Errorf("core: negative recompute depth %d", opts.RecomputeDepth)
-		}
 		e.recompute = true
-		e.depthCap = opts.RecomputeDepth
-		if e.depthCap == 0 {
+		e.depthCap = opts.recomputeDepth
+		if e.depthCap <= 0 {
 			e.depthCap = DefaultRecomputeDepth(opts.Params.N)
 		}
 		e.memo = make(map[int64]*replayEntry)

@@ -51,9 +51,9 @@ func ParseResolveMode(s string) (ResolveMode, error) {
 	}
 }
 
-// DefaultRecomputeDepth returns the default replay-chain cap for an
-// n-node run: twice the Theorem 3.3 O(log n) chain-depth bound (with a
-// small floor), so virtually every chain replays to termination while a
+// DefaultRecomputeDepth returns the replay-chain cap of an n-node run:
+// twice the Theorem 3.3 O(log n) chain-depth bound (with a small
+// floor), so virtually every chain replays to termination while a
 // pathological one still falls back to the wire protocol instead of
 // recomputing an unbounded prefix of the graph.
 func DefaultRecomputeDepth(n int64) int {

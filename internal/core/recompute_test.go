@@ -80,7 +80,7 @@ func TestRecomputeDepthCapFallback(t *testing.T) {
 	for _, depth := range []int{1, 2, 64} {
 		res, err := Run(Options{
 			Params: pr, Part: part, Seed: 13, Workers: 2, HubPrefix: -1,
-			Resolve: ResolveRecompute, RecomputeDepth: depth,
+			Resolve: ResolveRecompute, recomputeDepth: depth,
 		}, false)
 		if err != nil {
 			t.Fatalf("depth=%d: %v", depth, err)
@@ -117,7 +117,7 @@ func TestRecomputeChaosDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Params: pr, Part: part, Seed: 11, HubPrefix: 0,
-		Resolve: ResolveRecompute, RecomputeDepth: 2} // tiny cap keeps wire traffic flowing under chaos
+		Resolve: ResolveRecompute, recomputeDepth: 2} // tiny cap keeps wire traffic flowing under chaos
 
 	run := func(wrap func(r int, tr transport.Transport) transport.Transport) []*RankResult {
 		group, err := transport.NewLocalGroup(p)
@@ -175,7 +175,7 @@ func TestRecomputeKillResume(t *testing.T) {
 	}
 	opts := func() Options {
 		return Options{Params: pr, Part: newPart(), Seed: 19, Workers: 2,
-			HubPrefix: -1, Resolve: ResolveRecompute, RecomputeDepth: 3}
+			HubPrefix: -1, Resolve: ResolveRecompute, recomputeDepth: 3}
 	}
 	base, err := Run(opts(), false)
 	if err != nil {
@@ -215,24 +215,14 @@ func TestRecomputeKillResume(t *testing.T) {
 	// Mode pinning: the snapshot says recompute, the run says wire.
 	o = opts()
 	o.Resolve = ResolveWire
-	o.RecomputeDepth = 0
 	o.Checkpoint = &CheckpointOptions{Dir: dir, Every: 0, Keep: 1000, Resume: true}
 	if _, err := Run(o, false); err == nil || !strings.Contains(err.Error(), "resolve") {
 		t.Fatalf("resume with mismatched resolve mode: err = %v, want resolve mismatch", err)
 	}
-
-	// Depth pinning: same mode, different effective cap.
-	o = opts()
-	o.RecomputeDepth = 7
-	o.Checkpoint = &CheckpointOptions{Dir: dir, Every: 0, Keep: 1000, Resume: true}
-	if _, err := Run(o, false); err == nil || !strings.Contains(err.Error(), "depth") {
-		t.Fatalf("resume with mismatched depth cap: err = %v, want depth mismatch", err)
-	}
 }
 
-// Flag-surface units: mode parsing round-trips, unknown modes and
-// negative depth caps are rejected, and the auto depth cap tracks
-// 2*log2(n) with a floor.
+// Flag-surface units: mode parsing round-trips, unknown modes are
+// rejected, and the depth cap tracks 2*log2(n) with a floor.
 func TestRecomputeModeAndDepthValidation(t *testing.T) {
 	for _, mode := range []ResolveMode{ResolveWire, ResolveRecompute} {
 		got, err := ParseResolveMode(mode.String())
@@ -254,10 +244,6 @@ func TestRecomputeModeAndDepthValidation(t *testing.T) {
 	part, err := partition.New(partition.KindRRP, pr.N, 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := Run(Options{Params: pr, Part: part, Seed: 1,
-		Resolve: ResolveRecompute, RecomputeDepth: -1}, false); err == nil {
-		t.Error("negative RecomputeDepth accepted, want error")
 	}
 	if _, err := Run(Options{Params: pr, Part: part, Seed: 1,
 		Resolve: ResolveMode(99)}, false); err == nil {

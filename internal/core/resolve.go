@@ -205,9 +205,7 @@ func (e *engine) resumeWire(t int64, edge int, v int64) {
 		e.resume(t, idx, edge, v)
 		return
 	}
-	if st.key >= 0 && st.key < e.hub.f.len() {
-		e.hub.f.set(st.key, v)
-	}
+	e.hub.f.set(st.key, v)
 	// Walk the detached chain copying each node out before freeing it:
 	// resume can recurse into advance and push new chain entries while
 	// we iterate (same discipline as resolveSlot's waiter walk).

@@ -125,53 +125,33 @@ func validateSnapshot(s *ckpt.Snapshot, tr transport.Transport, opts Options) er
 		return fmt.Errorf("core: resume: snapshot belongs to rank %d, not rank %d", m.Rank, tr.Rank())
 	case m.Scheme != opts.Part.Name():
 		return fmt.Errorf("core: resume: snapshot used partition %s, run uses %s", m.Scheme, opts.Part.Name())
-	}
-	mode, depth := effectiveResolve(opts)
-	switch {
-	case m.Resolve != mode:
+	case ResolveMode(m.Resolve) != opts.Resolve:
 		return fmt.Errorf("core: resume: snapshot used -resolve=%v, run uses -resolve=%v",
-			ResolveMode(m.Resolve), ResolveMode(mode))
-	case m.RecomputeDepth != depth:
-		return fmt.Errorf("core: resume: snapshot used recompute depth %d, run uses %d", m.RecomputeDepth, depth)
+			ResolveMode(m.Resolve), opts.Resolve)
 	}
 	return nil
 }
 
-// effectiveResolve returns the resolver settings a run with opts pins
-// into its snapshots: the mode code and the effective replay depth cap
-// (0 in wire mode, the default-resolved cap in recompute mode).
-func effectiveResolve(opts Options) (mode, depth int) {
-	if opts.Resolve != ResolveRecompute {
-		return int(ResolveWire), 0
-	}
-	depth = opts.RecomputeDepth
-	if depth <= 0 {
-		depth = DefaultRecomputeDepth(opts.Params.N)
-	}
-	return int(ResolveRecompute), depth
-}
-
 // buildSnapshotInto assembles this rank's snapshot at a cut into a
 // pooled capture buffer. The rank is globally quiescent: no window is
-// open and no data message is in flight, so every piece of protocol
-// state lives in exactly one of the structures captured here. The
-// capture holds no table: every resolved slot was emitted to the shard
-// right beside its store, and the cut's Mark has just flushed the open
-// block, so the shard prefix under mark already is the resolved part of
-// F (DESIGN.md §9.5).
-func (e *engine) buildSnapshotInto(c *ckptCapture, mark esink.Mark) {
-	s := &c.snap
+// open, no data message is in flight and none sits in a send buffer
+// (ckptCut checks), so every piece of protocol state lives in exactly
+// one of the three tables captured here. The capture holds no table:
+// every resolved slot was emitted to the shard right beside its store,
+// and the cut's Mark has just flushed the open block, so the shard
+// prefix under mark already is the resolved part of F (DESIGN.md §9.5).
+// The record arrays of the pooled snapshot are reused.
+func (e *engine) buildSnapshotInto(s *ckpt.Snapshot, mark esink.Mark) {
 	*s = ckpt.Snapshot{
 		Meta: ckpt.Meta{
-			N:              e.opts.Params.N,
-			X:              e.x,
-			P:              e.prob,
-			Seed:           e.seed,
-			Ranks:          e.p,
-			Rank:           e.rank,
-			Scheme:         e.part.Name(),
-			Resolve:        int(e.opts.Resolve),
-			RecomputeDepth: e.depthCap,
+			N:       e.opts.Params.N,
+			X:       e.x,
+			P:       e.prob,
+			Seed:    e.seed,
+			Ranks:   e.p,
+			Rank:    e.rank,
+			Scheme:  e.part.Name(),
+			Resolve: int(e.opts.Resolve),
 		},
 		Epoch: e.ck.epoch,
 		// The asynchronous commit vote is plain KindCkpt traffic — no
@@ -179,17 +159,21 @@ func (e *engine) buildSnapshotInto(c *ckptCapture, mark esink.Mark) {
 		// live counter value is exactly what a resumed run must continue
 		// from.
 		NextTag: e.seq.NextTag(),
-		Sink:    ckpt.SinkMark{Offset: mark.Offset, Blocks: mark.Blocks, Edges: mark.Edges},
+		Susp:    s.Susp[:0],
+		Waiters: s.Waiters[:0],
+		Remote:  s.Remote[:0],
+		Stats: ckpt.Stats{
+			Retries:     e.stats.Retries,
+			QueuedWaits: e.stats.QueuedWaits,
+			LocalWaits:  e.stats.LocalWaits,
+		},
+		Sink: ckpt.SinkMark{Offset: mark.Offset, Blocks: mark.Blocks, Edges: mark.Edges},
 	}
-
-	// One worker section covering the whole rank: the tables have one
-	// writer. (Readers accept several — older writers sharded them.)
-	ws := ckpt.WorkerState{Lo: 0, Hi: e.size}
 	e.susp.forEach(func(idx int64, st suspState) {
-		ws.Susp = append(ws.Susp, ckpt.SuspRecord{Idx: idx, Edge: int(st.e), RNG: st.rng.State()})
+		s.Susp = append(s.Susp, ckpt.SuspRecord{Idx: idx, Edge: int(st.e), RNG: st.rng.State()})
 	})
 	e.waiters.forEach(func(slot, t int64, e16 uint16) {
-		ws.Waiters = append(ws.Waiters, ckpt.WaiterRecord{Slot: slot, T: t, E: e16})
+		s.Waiters = append(s.Waiters, ckpt.WaiterRecord{Slot: slot, T: t, E: e16})
 	})
 	// Coalescing chains serialize chain by chain in FIFO order, so the
 	// first record of each chain is its primary requester — the node the
@@ -197,67 +181,43 @@ func (e *engine) buildSnapshotInto(c *ckptCapture, mark esink.Mark) {
 	// chain key; restore re-derives every member's key from these
 	// records.
 	e.remote.forEach(func(slot, t int64, e16 uint16) {
-		ws.Remote = append(ws.Remote, ckpt.WaiterRecord{Slot: slot, T: t, E: e16})
+		s.Remote = append(s.Remote, ckpt.WaiterRecord{Slot: slot, T: t, E: e16})
 	})
-	c.workers = append(c.workers[:0], ws)
-	s.Workers = c.workers
-	s.Stats.Retries = e.stats.Retries
-	s.Stats.QueuedWaits = e.stats.QueuedWaits
-	s.Stats.LocalWaits = e.stats.LocalWaits
-	c.out = c.out[:0]
-	for to := 0; to < e.p; to++ {
-		if frame := e.cm.BufferedFrame(to); frame != nil {
-			c.out = append(c.out, ckpt.OutboundBatch{To: to, Frame: frame})
-		}
-	}
-	s.Outbound = c.out
 }
 
 // restoreChains rebuilds the hub cache's request-coalescing chains from
-// the snapshot's Remote records. The in-flight answer to a chain — owed
+// the snapshot's Remote records. The in-flight answer to a chain, owed
 // by the owner's restored waiter record for the primary (first) record,
-// or by a request frame in the re-sent outbound buffers — is addressed
-// to the primary's node, and resumeWire fans it out to the rest of the
-// chain from there. Chains must never merge: two snapshotted chains for
-// the same slot (from different worker sections of a sharded writer) are
-// each owed their own answer, and a merged chain would resume on the
-// first answer and leave the second with no suspension to deliver to.
-// The second such chain keeps a synthetic key <= -2 — real slot ids are
-// non-negative, so it can never collide with a chain the resumed run
-// creates, and resumeWire skips the replica install for it.
+// is addressed to the primary's node, and resumeWire fans it out to the
+// rest of the chain from there and installs it in the replica. A rank
+// coalesces only hub-prefix slots and holds one chain per slot, so a
+// chain outside the prefix, or a slot whose records reappear after
+// another chain's, is a snapshot no writer produces: merging two chains
+// would resume both on one answer, and keeping them apart would need a
+// second key for one slot.
 // All runs over a checkpoint sequence must agree on the hub setting:
 // with the cache disabled the chain's secondary members would never be
 // answered (they are registered nowhere else — that is the point of
 // coalescing), so restoring their records is an error, not a fallback.
 func (e *engine) restoreChains(s *ckpt.Snapshot) error {
-	synth := int64(-2)
-	for _, ws := range s.Workers {
-		if len(ws.Remote) > 0 && e.hub == nil {
-			return fmt.Errorf("core: resume: snapshot has %d coalesced remote waiters but the hub cache is disabled; resume with the hub-prefix setting the snapshot was taken under", len(ws.Remote))
+	if len(s.Remote) > 0 && e.hub == nil {
+		return fmt.Errorf("core: resume: snapshot has %d coalesced remote waiters but the hub cache is disabled; resume with the hub-prefix setting the snapshot was taken under", len(s.Remote))
+	}
+	for i, wr := range s.Remote {
+		switch {
+		case wr.Slot < 0 || wr.Slot >= e.hub.f.len():
+			return fmt.Errorf("core: resume: coalescing chain for slot %d lies outside this run's %d-slot hub prefix; resume with the hub-prefix setting the snapshot was taken under", wr.Slot, e.hub.f.len())
+		case (i == 0 || wr.Slot != s.Remote[i-1].Slot) && e.remote.has(wr.Slot):
+			return fmt.Errorf("core: resume: snapshot holds two coalescing chains for slot %d", wr.Slot)
 		}
-		for rs := ws.Remote; len(rs) > 0; {
-			end := 1
-			for end < len(rs) && rs[end].Slot == rs[0].Slot {
-				end++
-			}
-			chain := rs[:end]
-			rs = rs[end:]
-			key := chain[0].Slot
-			if e.remote.has(key) {
-				key = synth
-				synth--
-			}
-			for _, wr := range chain {
-				e.remote.push(key, wr.T, wr.E)
-				idx := e.part.Index(e.rank, wr.T)
-				st, ok := e.susp.get(idx)
-				if !ok {
-					return fmt.Errorf("core: resume: chained node %d has no suspension record", wr.T)
-				}
-				st.key = key
-				e.susp.put(idx, st)
-			}
+		e.remote.push(wr.Slot, wr.T, wr.E)
+		idx := e.part.Index(e.rank, wr.T)
+		st, ok := e.susp.get(idx)
+		if !ok {
+			return fmt.Errorf("core: resume: chained node %d has no suspension record", wr.T)
 		}
+		st.key = wr.Slot
+		e.susp.put(idx, st)
 	}
 	return nil
 }
@@ -328,26 +288,24 @@ func (e *engine) restoreShard(mark ckpt.SinkMark) error {
 }
 
 // restore rebuilds the engine's state from the negotiated snapshot, after
-// bootstrap. The records are keyed by node and slot, not by the worker
-// section that carries them, so a snapshot restores at any worker count.
+// bootstrap. The records are keyed by node and slot, not by worker, so a
+// snapshot restores at any worker count.
 func (e *engine) restore() error {
 	s := e.resumeSnap
 	if err := e.restoreShard(s.Sink); err != nil {
 		return err
 	}
 
-	for _, ws := range s.Workers {
-		for _, sr := range ws.Susp {
-			var st suspState
-			st.e = int32(sr.Edge)
-			st.key = -1 // re-derived from the Remote chains below
-			st.rng.SetState(sr.RNG)
-			e.susp.put(sr.Idx, st)
-		}
-		for _, wr := range ws.Waiters {
-			e.waiters.push(wr.Slot, wr.T, wr.E)
-			e.trackPending(1)
-		}
+	for _, sr := range s.Susp {
+		var st suspState
+		st.e = int32(sr.Edge)
+		st.key = -1 // re-derived from the Remote chains below
+		st.rng.SetState(sr.RNG)
+		e.susp.put(sr.Idx, st)
+	}
+	for _, wr := range s.Waiters {
+		e.waiters.push(wr.Slot, wr.T, wr.E)
+		e.trackPending(1)
 	}
 	if err := e.restoreChains(s); err != nil {
 		return err
@@ -357,21 +315,6 @@ func (e *engine) restore() error {
 	for s := range e.f.len() {
 		if e.f.get(s) < 0 {
 			e.unresolved++
-		}
-	}
-
-	// Buffered-but-unsent messages from the snapshotting run re-enter
-	// this run's send buffers: they were never transmitted, so sending
-	// them (exactly once) now is exact.
-	for _, ob := range s.Outbound {
-		ms, err := msg.DecodeBatch(nil, ob.Frame)
-		if err != nil {
-			return fmt.Errorf("core: resume: outbound batch for rank %d: %w", ob.To, err)
-		}
-		for _, m := range ms {
-			if err := e.cm.Send(ob.To, m); err != nil {
-				return err
-			}
 		}
 	}
 

@@ -10,6 +10,7 @@ import (
 	"pagen/internal/ckpt"
 	"pagen/internal/esink"
 	"pagen/internal/model"
+	"pagen/internal/msg"
 	"pagen/internal/partition"
 	"pagen/internal/seq"
 	"pagen/internal/transport"
@@ -393,4 +394,97 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 		b, m := crafted(t, recs[1:])
 		mustFail(t, b, m, "bootstrap")
 	})
+}
+
+// cutEngine builds rank 1 of a three-rank checkpointed run, where a cut
+// or a restore would run, with the hub cache on. The caller owns no
+// cleanup.
+func cutEngine(t *testing.T) *engine {
+	t.Helper()
+	pr := model.Params{N: 2_000, X: 2, P: 0.5}
+	part, err := partition.New(partition.KindRRP, pr.N, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group, err := transport.NewLocalGroup(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(group.Endpoint(1), Options{Params: pr, Part: part, Seed: 1, Workers: 1,
+		StreamDir: t.TempDir(), Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		e.ck.writer.shutdown()
+		e.stream.Abort()
+		for r := 0; r < 3; r++ {
+			group.Endpoint(r).Close()
+		}
+	})
+	if e.hub == nil {
+		t.Fatal("hub cache off")
+	}
+	return e
+}
+
+// A data message still in a send buffer at the cut is a protocol bug a
+// snapshot has no place for: the cut fails naming the rank, the
+// destination, the count and the epoch instead of committing an epoch
+// whose resume would lose the message.
+func TestCheckpointCutRefusesBufferedData(t *testing.T) {
+	e := cutEngine(t)
+	e.ck.paused, e.ck.epoch = true, 3
+	if err := e.cm.Send(2, msg.Request(e.part.NodeAt(1, 40), 1, 7, 0)); err != nil {
+		t.Fatal(err)
+	}
+	err := e.ckptCut()
+	if err == nil || !strings.Contains(err.Error(), "rank 1: checkpoint epoch 3 cut with 1 messages buffered for rank 2") {
+		t.Fatalf("cut with a buffered request: err = %v, want one naming rank 2", err)
+	}
+}
+
+// A rank holds one coalescing chain per hub slot, so a snapshot whose
+// Remote records return to a slot after another slot's chain is refused
+// by name rather than restored as two chains or merged into one; so is a
+// chain outside the hub prefix, whose answer has no replica slot.
+func TestRestoreRefusesRepeatedChainSlot(t *testing.T) {
+	// fresh returns an engine whose local nodes 40-43 are suspended, as
+	// restore leaves them before it rebuilds the chains.
+	fresh := func() *engine {
+		e := cutEngine(t)
+		for idx := int64(40); idx < 44; idx++ {
+			e.susp.put(idx, suspState{key: -1})
+		}
+		return e
+	}
+	e := fresh()
+	node := func(idx int64) int64 { return e.part.NodeAt(1, idx) }
+	s := &ckpt.Snapshot{Remote: []ckpt.WaiterRecord{
+		{Slot: 5, T: node(40), E: 0},
+		{Slot: 5, T: node(41), E: 1},
+		{Slot: 6, T: node(42), E: 0},
+		{Slot: 5, T: node(43), E: 0},
+	}}
+	err := e.restoreChains(s)
+	if err == nil || !strings.Contains(err.Error(), "two coalescing chains for slot 5") {
+		t.Fatalf("restore of a repeated chain slot: err = %v, want one naming slot 5", err)
+	}
+
+	// The same records without the repeat restore as two chains.
+	e = fresh()
+	s.Remote = s.Remote[:3]
+	if err := e.restoreChains(s); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := e.susp.get(41); st.key != 5 {
+		t.Fatalf("secondary of slot 5 restored with key %d", st.key)
+	}
+
+	for _, slot := range []int64{-1, e.hub.f.len()} {
+		s.Remote = []ckpt.WaiterRecord{{Slot: slot, T: node(40), E: 0}}
+		if err := fresh().restoreChains(s); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("slot %d lies outside", slot)) {
+			t.Fatalf("restore of a chain for slot %d: err = %v, want one naming the slot", slot, err)
+		}
+	}
 }

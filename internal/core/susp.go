@@ -14,12 +14,7 @@ type suspState struct {
 	// key is the global slot id k*x + l of the remote slot the node
 	// waits on when the wait went through the request-coalescing table,
 	// -1 otherwise. resumeWire uses it to map a wire answer — which
-	// carries (t, e), not (k, l) — back to the chain to fan out. A
-	// restore can substitute a synthetic key <= -2 when a snapshot holds
-	// two chains for the same slot (each is owed its own answer, so they
-	// must not merge); real slot ids are non-negative, so
-	// synthetic keys can never collide with a chain the resumed run
-	// creates.
+	// carries (t, e), not (k, l) — back to the chain to fan out.
 	key int64
 }
 

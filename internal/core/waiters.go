@@ -15,8 +15,8 @@ package core
 // wait-chain statistics and message schedules reproducible in-process.
 
 // slotMap is an open-addressed int64 → V hash table: linear probing,
-// power-of-two size, Fibonacci hashing. Keys are slot or node ids (>= 0)
-// or restore's synthetic chain keys (<= -2); freeKey marks a free bucket.
+// power-of-two size, Fibonacci hashing. Keys are slot or node ids (>= 0);
+// freeKey marks a free bucket.
 type slotMap[V any] struct {
 	keys []int64
 	vals []V

@@ -17,7 +17,7 @@ func FuzzSubmitSpec(f *testing.F) {
 		`{"n":100,"x":2,"scheme":"LCP","ranks":33554432}`, // refused before its O(ranks) partition
 		`{"n":100,"x":2}`,
 		`{"n":1000000,"x":3,"p":0.3,"seed":7,"scheme":"ExactCP","ranks":4,"workers":2,"resolve":"recompute",` +
-			`"hub_prefix":-1,"recompute_depth":9,"checkpoint_every":500,"stream_block_edges":64}`,
+			`"hub_prefix":-1,"checkpoint_every":500,"stream_block_edges":64}`,
 		`{"n":100,"x":2,"ranks":-1}`,
 		`{"n":100,"x":2,"bogus":1}`,
 		`{"n":1e300}`,

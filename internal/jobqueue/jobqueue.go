@@ -92,8 +92,6 @@ type Spec struct {
 	// HubPrefix is the replicated hub-prefix cache size (0 auto,
 	// negative off, positive fixed).
 	HubPrefix int64 `json:"hub_prefix,omitempty"`
-	// RecomputeDepth caps recompute replay chains (0 = ~2*log2 n).
-	RecomputeDepth int `json:"recompute_depth,omitempty"`
 	// CheckpointEvery is the progress interval between checkpoint
 	// epochs (0 selects max(n/20, 20000) per the OPERATIONS.md §2
 	// cadence guidance). Checkpoints are what make preemption and

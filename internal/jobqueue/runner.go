@@ -102,7 +102,6 @@ func rankArgs(job JobInfo, addrs []string, rank int, resume bool) []string {
 		"-workers", strconv.Itoa(s.Workers),
 		"-hub-prefix", strconv.FormatInt(s.HubPrefix, 10),
 		"-resolve", s.Resolve,
-		"-recompute-depth", strconv.Itoa(s.RecomputeDepth),
 		"-checkpoint-dir", job.CheckpointDir(),
 		"-checkpoint-every", strconv.FormatInt(s.CheckpointEvery, 10),
 		"-stream-dir", job.ShardDir(),
@@ -231,13 +230,12 @@ func (InProcessRunner) Run(ctx context.Context, job JobInfo, resume bool) error 
 		return err
 	}
 	res, err := core.Run(core.Options{
-		Params:         model.Params{N: s.N, X: s.X, P: s.P},
-		Part:           part,
-		Seed:           s.Seed,
-		Workers:        s.Workers,
-		HubPrefix:      s.HubPrefix,
-		Resolve:        mode,
-		RecomputeDepth: s.RecomputeDepth,
+		Params:    model.Params{N: s.N, X: s.X, P: s.P},
+		Part:      part,
+		Seed:      s.Seed,
+		Workers:   s.Workers,
+		HubPrefix: s.HubPrefix,
+		Resolve:   mode,
 		Checkpoint: &core.CheckpointOptions{
 			Dir:    job.CheckpointDir(),
 			Every:  s.CheckpointEvery,

@@ -59,7 +59,7 @@ func TestRankArgs(t *testing.T) {
 	spec := Spec{
 		N: 50000, X: 4, P: 0.25, Seed: 99, Scheme: "CP", Ranks: 2,
 		Workers: 3, Resolve: "recompute", HubPrefix: 128,
-		RecomputeDepth: 7, CheckpointEvery: 5000,
+		CheckpointEvery:  5000,
 		StreamBlockEdges: 1024,
 	}
 	job := JobInfo{ID: "j000007", Spec: spec, Dir: "/data/jobs/j000007", Attempt: 2}
@@ -76,7 +76,6 @@ func TestRankArgs(t *testing.T) {
 		"-workers", "3",
 		"-hub-prefix", "128",
 		"-resolve", "recompute",
-		"-recompute-depth", "7",
 		"-checkpoint-dir", filepath.Join("/data/jobs/j000007", "ck"),
 		"-checkpoint-every", "5000",
 		"-stream-dir", filepath.Join("/data/jobs/j000007", "shards"),

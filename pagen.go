@@ -150,14 +150,10 @@ type Config struct {
 	// Resolve selects how non-local copy dependencies are answered:
 	// "wire" (the default; the paper's request/resolved message round
 	// trip) or "recompute" (replay the owning node's RNG stream locally
-	// — no data messages — falling back to the wire past
-	// RecomputeDepth). Output is byte-identical in both modes.
+	// — no data messages — falling back to the wire past a chain of
+	// ~2*log2(N) nodes, twice Theorem 3.3's O(log n) depth bound). Output
+	// is byte-identical in both modes.
 	Resolve string
-	// RecomputeDepth caps how many nodes one recompute replay chain may
-	// descend before falling back to the wire protocol. 0 selects
-	// ~2*log2(N) (Theorem 3.3 bounds chain depth by O(log n) w.h.p.).
-	// Only meaningful with Resolve: "recompute".
-	RecomputeDepth int
 	// StreamDir enables the external-memory edge sink: each rank spills
 	// its resolved edges into a compressed per-rank shard file under this
 	// directory (docs/SHARD_FORMAT.md) instead of materialising the edge
@@ -246,7 +242,6 @@ func Generate(cfg Config) (*Result, error) {
 		Transport:        cfg.Transport,
 		HubPrefix:        cfg.HubPrefix,
 		Resolve:          mode,
-		RecomputeDepth:   cfg.RecomputeDepth,
 		CollectNodeLoad:  cfg.CollectNodeLoad,
 		Checkpoint:       cfg.checkpoint(),
 		StreamDir:        cfg.StreamDir,
@@ -328,15 +323,14 @@ func GenerateStream(cfg Config, sink func(rank int, e Edge)) (*Result, error) {
 		return nil, err
 	}
 	return core.Run(core.Options{
-		Params:         pr,
-		Part:           part,
-		Seed:           cfg.Seed,
-		Workers:        cfg.Workers,
-		Transport:      cfg.Transport,
-		HubPrefix:      cfg.HubPrefix,
-		Resolve:        mode,
-		RecomputeDepth: cfg.RecomputeDepth,
-		Sink:           sink,
+		Params:    pr,
+		Part:      part,
+		Seed:      cfg.Seed,
+		Workers:   cfg.Workers,
+		Transport: cfg.Transport,
+		HubPrefix: cfg.HubPrefix,
+		Resolve:   mode,
+		Sink:      sink,
 	}, cfg.RecordTrace)
 }
 
