@@ -7,8 +7,9 @@
 // from its shards or the raw per-rank shard files.
 //
 // Jobs are scheduled by internal/jobqueue onto an elastic pool of rank
-// slots: FIFO with backfill, bounded by an aging reservation so a big
-// job cannot starve behind a stream of small ones (DESIGN.md §14).
+// slots strictly FIFO: a job that does not fit yet holds every younger
+// job behind it, so it waits at most for the jobs admitted ahead of it
+// to drain (DESIGN.md §14).
 // Every job owns a directory under -data-dir with its checkpoint
 // epochs and streamed shards, so jobs survive rank crashes (the queue
 // relaunches the job's cluster with -resume, like the pa-tcp
@@ -23,8 +24,6 @@
 //	-queue-cap     max jobs waiting for admission; Submit past it gets
 //	               429 (default 64)
 //	-max-restarts  crash respawns per job before it fails (default 3)
-//	-reserve-after queue wait after which a starved job reserves the
-//	               pool (default 30s)
 //	-runner        job executor: "process" spawns pa-tcp rank processes,
 //	               "inprocess" runs ranks as goroutines over the
 //	               shared-memory transport (default process)
@@ -56,16 +55,15 @@ import (
 
 func main() {
 	var (
-		listen       = flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
-		dataDir      = flag.String("data-dir", "pa-serve-data", "root directory for per-job state")
-		slots        = flag.Int("slots", 8, "rank-process capacity of the pool")
-		queueCap     = flag.Int("queue-cap", 64, "max jobs waiting for admission")
-		maxRestarts  = flag.Int("max-restarts", 3, "crash respawns per job before it fails")
-		reserveAfter = flag.Duration("reserve-after", 30*time.Second, "queue wait after which a starved job reserves the pool")
-		runnerKind   = flag.String("runner", "process", "job executor: process | inprocess")
-		paTCP        = flag.String("pa-tcp", "pa-tcp", "pa-tcp binary (for -runner=process)")
-		portBase     = flag.Int("port-base", 42000, "first TCP port for rank meshes")
-		portSpan     = flag.Int("port-span", 128, "size of the rank-mesh port range")
+		listen      = flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
+		dataDir     = flag.String("data-dir", "pa-serve-data", "root directory for per-job state")
+		slots       = flag.Int("slots", 8, "rank-process capacity of the pool")
+		queueCap    = flag.Int("queue-cap", 64, "max jobs waiting for admission")
+		maxRestarts = flag.Int("max-restarts", 3, "crash respawns per job before it fails")
+		runnerKind  = flag.String("runner", "process", "job executor: process | inprocess")
+		paTCP       = flag.String("pa-tcp", "pa-tcp", "pa-tcp binary (for -runner=process)")
+		portBase    = flag.Int("port-base", 42000, "first TCP port for rank meshes")
+		portSpan    = flag.Int("port-span", 128, "size of the rank-mesh port range")
 	)
 	flag.Parse()
 
@@ -90,12 +88,11 @@ func main() {
 	}
 
 	q, err := jobqueue.New(jobqueue.Config{
-		Root:         *dataDir,
-		Slots:        *slots,
-		QueueCap:     *queueCap,
-		MaxRestarts:  *maxRestarts,
-		ReserveAfter: *reserveAfter,
-		Runner:       runner,
+		Root:        *dataDir,
+		Slots:       *slots,
+		QueueCap:    *queueCap,
+		MaxRestarts: *maxRestarts,
+		Runner:      runner,
 	})
 	if err != nil {
 		log.Fatalf("pa-serve: %v", err)

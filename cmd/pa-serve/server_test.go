@@ -29,12 +29,11 @@ import (
 func newTestServer(t *testing.T, runner jobqueue.Runner, mutate func(*jobqueue.Config)) *httptest.Server {
 	t.Helper()
 	cfg := jobqueue.Config{
-		Root:         t.TempDir(),
-		Slots:        4,
-		QueueCap:     8,
-		MaxRestarts:  2,
-		ReserveAfter: time.Minute,
-		Runner:       runner,
+		Root:        t.TempDir(),
+		Slots:       4,
+		QueueCap:    8,
+		MaxRestarts: 2,
+		Runner:      runner,
 	}
 	if mutate != nil {
 		mutate(&cfg)

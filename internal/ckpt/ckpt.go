@@ -131,7 +131,7 @@ type Stats struct {
 type Snapshot struct {
 	Meta    Meta
 	Epoch   int64
-	NextTag int64 // coll.Seq tag counter for the resumed run
+	NextTag int64 // coll.Seq tag counter at the cut; restored, read by nothing
 	Susp    []SuspRecord
 	Waiters []WaiterRecord
 	// Remote holds the hub cache's request-coalescing chains: nodes

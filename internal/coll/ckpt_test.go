@@ -61,12 +61,12 @@ func TestNextTagResumeAlignment(t *testing.T) {
 				}
 			}
 		}
-		got, err := s.Broadcast(int64(77))
+		got, err := s.AllReduceSum(int64(rank))
 		if err != nil {
 			return err
 		}
-		if got != 77 {
-			t.Errorf("rank %d: broadcast = %d, want 77", rank, got)
+		if want := int64(p * (p - 1) / 2); got != want {
+			t.Errorf("rank %d: AllReduceSum = %d, want %d", rank, got, want)
 		}
 		return nil
 	})

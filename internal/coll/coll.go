@@ -1,9 +1,10 @@
-// Package coll provides the collective operations an MPI replacement
-// owes its users — Barrier, Broadcast, AllReduce, Gather — implemented
-// over the buffered communicator with coordinator-based algorithms.
-// The generator's own termination protocol does not need them, but
-// distributed tools do (cmd/pa-tcp gathers per-rank statistics at rank 0
-// with Gather before printing a cluster-wide summary).
+// Package coll provides the collective operations the generator's tools
+// use — AllReduce and Gather — implemented over the buffered
+// communicator with coordinator-based algorithms. The generator's own
+// termination protocol does not need them; a resumed run's epoch
+// negotiation uses AllReduceMin, and cmd/pa-tcp gathers per-rank
+// statistics at rank 0 with Gather, AllReduceMax and AllReduceSum before
+// printing a cluster-wide summary.
 //
 // # Sequenced tag protocol
 //
@@ -92,12 +93,6 @@ func (s *Seq) SetNextTag(tag int64) { s.next = tag }
 // default); nil restores the default.
 func (s *Seq) SetRecv(recv func() ([]msg.Message, error)) { s.recv = recv }
 
-// Stash buffers a collective contribution that arrived outside a
-// collective — e.g. decoded by the engine in the same batch as the
-// protocol message that triggers the collective — so the next
-// operation with that tag consumes it.
-func (s *Seq) Stash(from int, tag, value int64) { s.stash(tag, from, value) }
-
 // takePending removes and returns one buffered contribution with the
 // given tag, if any.
 func (s *Seq) takePending(tag int64) (pendingContrib, bool) {
@@ -181,51 +176,6 @@ func (s *Seq) send(to int, tag, value int64) error {
 	return s.cm.SendNow(to, msg.Coll(s.cm.Rank(), tag, value))
 }
 
-// Barrier blocks until every rank has entered it.
-func (s *Seq) Barrier() error {
-	p, rank := s.cm.Size(), s.cm.Rank()
-	up, down := s.nextTag(), s.nextTag()
-	if p == 1 {
-		return nil
-	}
-	if rank == 0 {
-		if _, err := s.recvCollN(up, p-1); err != nil {
-			return err
-		}
-		for r := 1; r < p; r++ {
-			if err := s.send(r, down, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := s.send(0, up, 0); err != nil {
-		return err
-	}
-	_, _, err := s.recvColl(down)
-	return err
-}
-
-// Broadcast distributes value from rank 0 to every rank; each rank
-// returns the broadcast value (value is ignored on other ranks).
-func (s *Seq) Broadcast(value int64) (int64, error) {
-	p, rank := s.cm.Size(), s.cm.Rank()
-	tag := s.nextTag()
-	if p == 1 {
-		return value, nil
-	}
-	if rank == 0 {
-		for r := 1; r < p; r++ {
-			if err := s.send(r, tag, value); err != nil {
-				return 0, err
-			}
-		}
-		return value, nil
-	}
-	_, v, err := s.recvColl(tag)
-	return v, err
-}
-
 // reduce gathers every rank's value at rank 0, folds it with f, and
 // broadcasts the result — the shared body of the AllReduce operations.
 func (s *Seq) reduce(value int64, f func(acc, v int64) int64) (int64, error) {
@@ -304,34 +254,4 @@ func (s *Seq) Gather(value int64) ([]int64, error) {
 		return out, nil
 	}
 	return nil, s.send(0, tag, value)
-}
-
-// GatherSlice gathers one int64 slice per rank at rank 0 element-wise:
-// every rank passes a slice of identical length, and rank 0 receives a
-// per-rank matrix indexed [rank][element]; other ranks receive nil. It
-// runs one Gather per element, so it is meant for short metric vectors,
-// not bulk data.
-func (s *Seq) GatherSlice(values []int64) ([][]int64, error) {
-	p, rank := s.cm.Size(), s.cm.Rank()
-	out := make([][]int64, 0, p)
-	if rank == 0 {
-		for r := 0; r < p; r++ {
-			out = append(out, make([]int64, len(values)))
-		}
-	}
-	for i, v := range values {
-		col, err := s.Gather(v)
-		if err != nil {
-			return nil, err
-		}
-		if rank == 0 {
-			for r := 0; r < p; r++ {
-				out[r][i] = col[r]
-			}
-		}
-	}
-	if rank != 0 {
-		return nil, nil
-	}
-	return out, nil
 }

@@ -48,69 +48,6 @@ func noErrors(t *testing.T, errs []error) {
 	}
 }
 
-func TestBarrierReleasesEveryone(t *testing.T) {
-	for _, p := range []int{1, 2, 5} {
-		var passed int32
-		var mu sync.Mutex
-		errs := runAll(t, p, func(s *Seq, rank int) error {
-			if err := s.Barrier(); err != nil {
-				return err
-			}
-			mu.Lock()
-			passed++
-			mu.Unlock()
-			return nil
-		})
-		noErrors(t, errs)
-		if int(passed) != p {
-			t.Fatalf("p=%d: %d ranks passed the barrier", p, passed)
-		}
-	}
-}
-
-func TestBarrierOrdersPhases(t *testing.T) {
-	// No rank may enter phase 2 before all ranks finished phase 1.
-	const p = 4
-	var mu sync.Mutex
-	phase1 := 0
-	violated := false
-	errs := runAll(t, p, func(s *Seq, rank int) error {
-		mu.Lock()
-		phase1++
-		mu.Unlock()
-		if err := s.Barrier(); err != nil {
-			return err
-		}
-		mu.Lock()
-		if phase1 != p {
-			violated = true
-		}
-		mu.Unlock()
-		return nil
-	})
-	noErrors(t, errs)
-	if violated {
-		t.Fatal("a rank passed the barrier before all entered")
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	for _, p := range []int{1, 3, 6} {
-		got := make([]int64, p)
-		errs := runAll(t, p, func(s *Seq, rank int) error {
-			v, err := s.Broadcast(int64(42 + rank)) // only rank 0's 42 matters
-			got[rank] = v
-			return err
-		})
-		noErrors(t, errs)
-		for r, v := range got {
-			if v != 42 {
-				t.Fatalf("p=%d rank %d got %d", p, r, v)
-			}
-		}
-	}
-}
-
 func TestAllReduceSum(t *testing.T) {
 	for _, p := range []int{1, 2, 7} {
 		want := int64(p * (p + 1) / 2)
@@ -175,32 +112,6 @@ func TestGather(t *testing.T) {
 	}
 }
 
-func TestGatherSlice(t *testing.T) {
-	const p = 4
-	var root [][]int64
-	errs := runAll(t, p, func(s *Seq, rank int) error {
-		rows, err := s.GatherSlice([]int64{int64(rank), int64(rank * 10), int64(rank * 100)})
-		if rank == 0 {
-			root = rows
-		} else if rows != nil {
-			t.Errorf("rank %d got non-nil gather matrix", rank)
-		}
-		return err
-	})
-	noErrors(t, errs)
-	if len(root) != p {
-		t.Fatalf("gathered %d rows", len(root))
-	}
-	for r, row := range root {
-		want := []int64{int64(r), int64(r * 10), int64(r * 100)}
-		for i := range want {
-			if row[i] != want[i] {
-				t.Fatalf("root[%d] = %v, want %v", r, row, want)
-			}
-		}
-	}
-}
-
 // TestBackToBackSequences is the regression test for the 4-rank
 // "coll: tag mismatch" failure: a fast rank's contribution to the next
 // collective reaches rank 0 while it is still collecting the previous
@@ -254,7 +165,7 @@ func TestBackToBackSequences(t *testing.T) {
 			},
 		},
 		{
-			name: "reduce-gather-barrier-broadcast",
+			name: "reduce-gather-min",
 			run: func(s *Seq, rank, p int) error {
 				sum, err := s.AllReduceSum(1)
 				if err != nil {
@@ -266,15 +177,12 @@ func TestBackToBackSequences(t *testing.T) {
 				if _, err := s.Gather(int64(rank)); err != nil {
 					return err
 				}
-				if err := s.Barrier(); err != nil {
-					return err
-				}
-				v, err := s.Broadcast(sum * 2)
+				min, err := s.AllReduceMin(sum*2 + int64(rank))
 				if err != nil {
 					return err
 				}
-				if v != 2*int64(p) {
-					return fmt.Errorf("broadcast = %d, want %d", v, 2*p)
+				if min != 2*int64(p) {
+					return fmt.Errorf("min = %d, want %d", min, 2*p)
 				}
 				return nil
 			},

@@ -24,7 +24,7 @@ func runPolled(t *testing.T, pr model.Params, seed uint64, ranks, workers, pollE
 	t.Helper()
 	res, err := Run(Options{
 		Params: pr, Part: mustScheme(t, partition.KindRRP, pr.N, ranks),
-		Seed: seed, Workers: workers, PollEvery: pollEvery,
+		Seed: seed, Workers: workers, pollEvery: pollEvery,
 	}, false)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestBatchInlineWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalEdges(t, "PollEvery 1, workers 4", runPolled(t, pr, 9, 1, 4, 1).Graph.Edges, sg.Edges)
+	equalEdges(t, "pollEvery 1, workers 4", runPolled(t, pr, 9, 1, 4, 1).Graph.Edges, sg.Edges)
 }
 
 // A node whose second attempt duplicates its first must continue from

@@ -86,18 +86,18 @@ func TestEngineChaosKillErrorsNotHangs(t *testing.T) {
 					return
 				}
 				if r == p-1 {
-					// BufferCap 1 so each protocol message is one send
+					// bufferCap 1 so each protocol message is one send
 					// and the kill budget lands mid-protocol.
 					chaotic := transport.NewChaos(tr, transport.ChaosConfig{
 						Seed:           7,
 						KillAfterSends: killAfter,
 					})
-					_, errs[r] = RunRank(chaotic, Options{Params: pr, Part: part, Seed: 13, BufferCap: 1})
+					_, errs[r] = RunRank(chaotic, Options{Params: pr, Part: part, Seed: 13, bufferCap: 1})
 					chaotic.Close()
 					return
 				}
 				defer tr.Close()
-				_, errs[r] = RunRank(tr, Options{Params: pr, Part: part, Seed: 13, BufferCap: 1})
+				_, errs[r] = RunRank(tr, Options{Params: pr, Part: part, Seed: 13, bufferCap: 1})
 			}(r)
 		}
 		done := make(chan struct{})

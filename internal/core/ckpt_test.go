@@ -263,7 +263,7 @@ func TestCheckpointSingleRank(t *testing.T) {
 			}
 			// Retry at smaller intervals: the run can legitimately
 			// finish before a pending trigger opens its epoch.
-			// PollEvery 41 pauses the pass off the batchNodes grid (at one
+			// pollEvery 41 pauses the pass off the batchNodes grid (at one
 			// worker the cut's frontier is a multiple of 41, and which one
 			// is deterministic).
 			var res *Result
@@ -271,7 +271,7 @@ func TestCheckpointSingleRank(t *testing.T) {
 			for every := int64(700); every >= 50; every /= 2 {
 				dir = t.TempDir()
 				res, err = Run(Options{
-					Params: pr, Part: part, Seed: 3, Workers: workers, PollEvery: 41,
+					Params: pr, Part: part, Seed: 3, Workers: workers, pollEvery: 41,
 					Checkpoint: &CheckpointOptions{Dir: dir, Every: every},
 				}, false)
 				if err != nil {
@@ -388,7 +388,7 @@ func TestCheckpointChaosTransport(t *testing.T) {
 // publishes in flight — must leave a directory a resume can always use:
 // the relaunched cluster produces output identical to an uninterrupted
 // run. The kill needs the TCP transport (crash detection lives in its
-// failure model), and BufferCap 1 puts the kill budget mid-protocol.
+// failure model), and bufferCap 1 puts the kill budget mid-protocol.
 func TestCheckpointKillDuringBackgroundWrite(t *testing.T) {
 	pr := model.Params{N: 10_000, X: 3, P: 0.5}
 	const ranks = 3
@@ -408,7 +408,7 @@ func TestCheckpointKillDuringBackgroundWrite(t *testing.T) {
 				addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
 			}
 			opts := Options{
-				Params: pr, Part: part, Seed: 31, Workers: 1, BufferCap: 1, StreamDir: streamDir,
+				Params: pr, Part: part, Seed: 31, Workers: 1, bufferCap: 1, StreamDir: streamDir,
 				Checkpoint: &CheckpointOptions{Dir: dir, Every: 300, Keep: 1000, Resume: resume},
 			}
 			errs := make([]error, ranks)

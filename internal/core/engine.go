@@ -78,17 +78,16 @@ type Options struct {
 	// clamped to the stripes the rank's local node count can fill. The
 	// output graph is identical for every worker count.
 	Workers int
-	// BufferCap is the per-destination message-buffer capacity
-	// (comm.DefaultBufferCap if zero; 1 disables buffering).
-	BufferCap int
-	// PollEvery is the number of local nodes initiated between transport
-	// polls (and checkpoint-protocol steps) during the generation loop; a
-	// window never straddles a poll point. Zero (or negative) selects
-	// DefaultPollEvery — or no polling at all on a single rank without
-	// checkpointing, which has nothing to poll for. Polling too rarely
-	// lets request queues grow. Tests pin it to cut a checkpoint
-	// mid-batch.
-	PollEvery int
+	// bufferCap, when positive, replaces comm.DefaultBufferCap as the
+	// per-destination message-buffer capacity (1 disables buffering).
+	// Only this package's tests set it, to put every protocol message
+	// in its own frame.
+	bufferCap int
+	// pollEvery, when positive, replaces DefaultPollEvery as the number
+	// of local nodes initiated between transport polls (and
+	// checkpoint-protocol steps). Only this package's tests set it, to
+	// cut a checkpoint mid-batch or drive the polling extremes.
+	pollEvery int
 	// Trace, when non-nil, receives the per-slot attachment decisions.
 	// Slot ranges written by different ranks are disjoint, so a single
 	// shared trace is written without locking.
@@ -160,8 +159,10 @@ type Options struct {
 }
 
 // DefaultPollEvery is the generation-loop polling interval: local nodes
-// initiated between transport polls. DESIGN.md §8.6 has the sweep behind
-// the value.
+// initiated between transport polls (and checkpoint-protocol steps); a
+// window never straddles a poll point. A single rank without
+// checkpointing has nothing to poll for and does not poll. DESIGN.md
+// §8.6 has the sweep behind the value.
 const DefaultPollEvery = 256
 
 // RankStats are one rank's load and traffic statistics — the measurements
@@ -469,7 +470,7 @@ type engine struct {
 
 	// Checkpoint/restart state (nil ck disables the whole machinery).
 	ck  *ckptRun
-	seq *coll.Seq // mid-run collectives (checkpoint commit votes)
+	seq *coll.Seq // the resume negotiation's collectives (restore.go)
 	// ckTrig gates the per-node initiated counter: set only on rank 0
 	// with a trigger interval, so other ranks pay nothing in the loop.
 	ckTrig bool
@@ -598,7 +599,7 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 		sink:  opts.Sink,
 		part:  opts.Part,
 		tr:    tr,
-		cm:    comm.New(tr, comm.Config{BufferCap: opts.BufferCap}),
+		cm:    comm.New(tr, comm.Config{BufferCap: opts.bufferCap}),
 		trace: opts.Trace,
 		size:  size,
 	}
@@ -674,7 +675,7 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 	}
 	// A single rank without checkpointing has nothing to poll for, so
 	// unless a test pins the interval its windows are not cut to one.
-	e.poll = opts.PollEvery
+	e.poll = opts.pollEvery
 	if e.poll <= 0 {
 		e.poll = DefaultPollEvery
 		if e.p == 1 && e.ck == nil {
@@ -1088,13 +1089,6 @@ func (e *engine) handle(m msg.Message) error {
 		e.stopped = true
 	case msg.KindCkpt:
 		return e.ckptOnMsg(m)
-	case msg.KindColl:
-		// A commit-vote contribution that raced ahead of this rank
-		// entering the cut's collectives; buffer it for them.
-		if e.ck == nil {
-			return fmt.Errorf("core: unexpected message kind %v", m.Kind)
-		}
-		e.seq.Stash(int(m.T), m.K, m.V)
 	default:
 		return fmt.Errorf("core: unexpected message kind %v", m.Kind)
 	}

@@ -261,7 +261,7 @@ func TestBufferingAblation(t *testing.T) {
 	pr := model.Params{N: 8000, X: 4, P: 0.5}
 	part := mustScheme(t, partition.KindRRP, pr.N, 8)
 	run := func(cap int) (logical, frames int64) {
-		res, err := Run(Options{Params: pr, Part: part, Seed: 71, BufferCap: cap}, false)
+		res, err := Run(Options{Params: pr, Part: part, Seed: 71, bufferCap: cap}, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,9 +52,9 @@ func TestEngineSurfacesTransportFailure(t *testing.T) {
 			go func(r int) {
 				defer wg.Done()
 				ft := &faultTransport{Transport: group.Endpoint(r), budget: &remaining}
-				// BufferCap 1 so every protocol message is one
+				// bufferCap 1 so every protocol message is one
 				// transport send and the budget lands mid-protocol.
-				_, errs[r] = RunRank(ft, Options{Params: pr, Part: part, Seed: 1, BufferCap: 1})
+				_, errs[r] = RunRank(ft, Options{Params: pr, Part: part, Seed: 1, bufferCap: 1})
 			}(r)
 		}
 		go func() { wg.Wait(); close(done) }()
@@ -150,7 +150,7 @@ func TestRunRankValidationMessages(t *testing.T) {
 	}
 }
 
-// PollEvery extremes: polling after every node and essentially never
+// pollEvery extremes: polling after every node and essentially never
 // must both terminate with identical structural results.
 func TestPollEveryExtremes(t *testing.T) {
 	pr := model.Params{N: 5000, X: 3, P: 0.5}
@@ -159,20 +159,20 @@ func TestPollEveryExtremes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, every := range []int{1, 1 << 30} {
-		res, err := Run(Options{Params: pr, Part: part, Seed: 3, PollEvery: every}, false)
+		res, err := Run(Options{Params: pr, Part: part, Seed: 3, pollEvery: every}, false)
 		if err != nil {
-			t.Fatalf("PollEvery=%d: %v", every, err)
+			t.Fatalf("pollEvery=%d: %v", every, err)
 		}
 		if res.Graph.M() != pr.M() {
-			t.Fatalf("PollEvery=%d: m = %d", every, res.Graph.M())
+			t.Fatalf("pollEvery=%d: m = %d", every, res.Graph.M())
 		}
 		if err := res.Graph.Validate(); err != nil {
-			t.Fatalf("PollEvery=%d: %v", every, err)
+			t.Fatalf("pollEvery=%d: %v", every, err)
 		}
 	}
 }
 
-// BufferCap extremes, including 2 (frequent tiny flushes).
+// bufferCap extremes, including 2 (frequent tiny flushes).
 func TestBufferCapExtremes(t *testing.T) {
 	pr := model.Params{N: 5000, X: 3, P: 0.5}
 	part, err := partition.New(partition.KindLCP, pr.N, 4)
@@ -180,12 +180,12 @@ func TestBufferCapExtremes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cap := range []int{1, 2, 1 << 20} {
-		res, err := Run(Options{Params: pr, Part: part, Seed: 5, BufferCap: cap}, false)
+		res, err := Run(Options{Params: pr, Part: part, Seed: 5, bufferCap: cap}, false)
 		if err != nil {
-			t.Fatalf("BufferCap=%d: %v", cap, err)
+			t.Fatalf("bufferCap=%d: %v", cap, err)
 		}
 		if err := res.Graph.Validate(); err != nil {
-			t.Fatalf("BufferCap=%d: %v", cap, err)
+			t.Fatalf("bufferCap=%d: %v", cap, err)
 		}
 	}
 }

@@ -444,6 +444,20 @@ func TestCheckpointCutRefusesBufferedData(t *testing.T) {
 	}
 }
 
+// A run votes on its cuts with checkpoint messages; only the resume
+// negotiation runs collectives, and it owns the receive path while it
+// does. A collective message that reaches the engine's handler on a
+// checkpointed rank is a protocol violation reported by kind, as it is
+// on a rank without checkpointing.
+func TestCollectiveMessageMidRunFails(t *testing.T) {
+	e := cutEngine(t)
+	err := e.handle(msg.Coll(2, 5, 1))
+	want := "unexpected message kind " + msg.KindColl.String()
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("handle(coll) on a checkpointed rank: err = %v, want one containing %q", err, want)
+	}
+}
+
 // A rank holds one coalescing chain per hub slot, so a snapshot whose
 // Remote records return to a slot after another slot's chain is refused
 // by name rather than restored as two chains or merged into one; so is a

@@ -533,7 +533,7 @@ func TestWorkersHelpersStopped(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			_, errs[r] = RunRank(trs[r], Options{
-				Params: pr, Part: part, Seed: 1, Workers: 4, BufferCap: 1, PollEvery: 1024,
+				Params: pr, Part: part, Seed: 1, Workers: 4, bufferCap: 1, pollEvery: 1024,
 			})
 			if errs[r] != nil {
 				closeOnce.Do(func() {

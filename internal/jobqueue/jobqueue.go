@@ -2,10 +2,10 @@
 // plane: a multi-tenant queue of generation jobs packed onto an elastic
 // pool of rank slots. Each job is one (n, x, p, seed, scheme, ranks,
 // workers, resolve, hub-prefix) parameterization of the generator; the
-// queue admits jobs FIFO with backfill (a small job may start ahead of
-// a blocked larger one) bounded by an aging reservation (a job starved
-// past ReserveAfter freezes admission so freed slots drain to it —
-// DESIGN.md §14 ties the bound to the Lemma 3.4 load model).
+// queue admits jobs strictly FIFO (no job starts ahead of an older one
+// that does not fit yet), so a job waits at most for the jobs admitted
+// ahead of it to drain — DESIGN.md §14 ties that bound to the Lemma 3.4
+// load model.
 //
 // Every job owns a directory with a checkpoint subdir and a streamed
 // shard subdir, so jobs survive both failure modes of a long-lived
@@ -233,10 +233,6 @@ type Config struct {
 	// MaxRestarts bounds crash-triggered relaunches per job before it
 	// fails for good. Default 3.
 	MaxRestarts int
-	// ReserveAfter is the starvation bound: a job waiting longer than
-	// this reserves the pool — no younger job is admitted past it
-	// until it runs. Default 30s.
-	ReserveAfter time.Duration
 	// Runner executes job attempts (required).
 	Runner Runner
 }
@@ -257,7 +253,7 @@ var (
 type job struct {
 	Job
 	// enqueued is when the job last entered the pending queue (zero
-	// while running or terminal); its age drives the reservation.
+	// while running or terminal); admission measures the wait from it.
 	enqueued time.Time
 	// attemptStart is when the current attempt was admitted.
 	attemptStart time.Time
@@ -321,9 +317,6 @@ func New(cfg Config) (*Queue, error) {
 	}
 	if cfg.MaxRestarts == 0 {
 		cfg.MaxRestarts = 3
-	}
-	if cfg.ReserveAfter <= 0 {
-		cfg.ReserveAfter = 30 * time.Second
 	}
 	if err := os.MkdirAll(filepath.Join(cfg.Root, "jobs"), 0o755); err != nil {
 		return nil, err
@@ -510,32 +503,21 @@ func (q *Queue) scheduler() {
 	}
 }
 
-// scheduleLocked walks the pending queue in order. FIFO with backfill:
-// a job that fits the free slots is admitted even if an older job is
-// blocked — until the blocked job's wait reaches ReserveAfter, at
-// which point it reserves the pool and the scan stops, so every freed
-// slot drains to the starved job. Combined with Submit's Ranks <=
-// Slots bound this caps queue wait (DESIGN.md §14): admission freezes
-// at most ReserveAfter after a job's enqueue, and the running jobs'
-// makespan later it has the whole pool available.
+// scheduleLocked admits from the head of the pending queue while the
+// head fits the free slots and stops at the first job that does not:
+// strict FIFO, crash-respawns first. Combined with Submit's Ranks <=
+// Slots bound this caps queue wait (DESIGN.md §14): a job waits at most
+// for the jobs admitted ahead of it to drain.
 func (q *Queue) scheduleLocked(now time.Time) {
 	if q.closed {
 		// Close is (or will be) waiting on the runner WaitGroup; no
 		// new attempts may start.
 		return
 	}
-	i := 0
-	for i < len(q.pending) {
-		j := q.pending[i]
-		if j.Spec.Ranks <= q.free {
-			q.pending = append(q.pending[:i], q.pending[i+1:]...)
-			q.admitLocked(j, now)
-			continue
-		}
-		if now.Sub(j.enqueued) >= q.cfg.ReserveAfter {
-			return // starved: no backfill past it
-		}
-		i++
+	for len(q.pending) > 0 && q.pending[0].Spec.Ranks <= q.free {
+		j := q.pending[0]
+		q.pending = q.pending[1:]
+		q.admitLocked(j, now)
 	}
 }
 

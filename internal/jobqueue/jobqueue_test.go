@@ -26,12 +26,11 @@ func (f runnerFunc) Run(ctx context.Context, job JobInfo, resume bool) error {
 func newTestQueue(t *testing.T, r Runner, setup func(*Config)) *Queue {
 	t.Helper()
 	cfg := Config{
-		Root:         t.TempDir(),
-		Slots:        2,
-		QueueCap:     8,
-		MaxRestarts:  3,
-		ReserveAfter: time.Minute,
-		Runner:       r,
+		Root:        t.TempDir(),
+		Slots:       2,
+		QueueCap:    8,
+		MaxRestarts: 3,
+		Runner:      r,
 	}
 	if setup != nil {
 		setup(&cfg)

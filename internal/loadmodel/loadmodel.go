@@ -11,9 +11,9 @@
 // substitution DESIGN.md documents for this container's single core.
 //
 // The same makespan is the job-length scale in the pa-serve control
-// plane's admission analysis (DESIGN.md §14.2): the queue's starvation
-// bound is ReserveAfter plus the drain makespan of the running set,
-// and Makespan is the natural predictor for an EASY-backfill extension.
+// plane's admission analysis (DESIGN.md §14.2): under FIFO admission a
+// job waits at most for the jobs admitted ahead of it to drain, so the
+// queue-wait bound is a sum of their makespans.
 package loadmodel
 
 import (

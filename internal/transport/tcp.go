@@ -2,21 +2,16 @@ package transport
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // TCPConfig tunes the failure model of the TCP transport: how long mesh
-// establishment may take, how dial retries back off, and how long an
-// individual frame write may stall before the connection is declared
-// dead. The zero value selects the defaults; use a negative duration to
-// disable an individual timeout.
+// establishment may take. The zero value selects the default.
 type TCPConfig struct {
 	// HandshakeTimeout bounds the entire mesh-establishment phase of
 	// NewTCP: listening, accepting every higher rank's connection and
@@ -24,27 +19,18 @@ type TCPConfig struct {
 	// returns an error instead of waiting forever on a peer that died
 	// mid-handshake. Default DefaultHandshakeTimeout.
 	HandshakeTimeout time.Duration
-	// WriteTimeout bounds each frame write on an established
-	// connection. A write that stalls longer (peer wedged, network
-	// partition) fails the connection, which surfaces as a transport
-	// error on the local rank. Default DefaultWriteTimeout; negative
-	// disables.
-	WriteTimeout time.Duration
-	// ReadIdleTimeout, when positive, fails a connection on which no
-	// frame has arrived for that long. Disabled by default: engine
-	// traffic between a pair of ranks is legitimately bursty (long
-	// local-generation stretches send nothing), so only deployments
-	// with a known traffic cadence should set it.
-	ReadIdleTimeout time.Duration
-	// DialBackoffBase is the initial delay between dial attempts while
-	// a lower rank's listener comes up; each failure doubles it up to
-	// DialBackoffMax (bounded exponential backoff). Defaults
-	// DefaultDialBackoffBase / DefaultDialBackoffMax.
-	DialBackoffBase time.Duration
-	DialBackoffMax  time.Duration
+
+	// writeTimeout replaces DefaultWriteTimeout; only package tests set
+	// it, to see a stalled write fail without waiting a minute.
+	writeTimeout time.Duration
 }
 
-// Defaults for TCPConfig fields.
+// The failure model's constants. HandshakeTimeout defaults to
+// DefaultHandshakeTimeout; the rest are fixed. A frame write that has to
+// wait for socket space longer than DefaultWriteTimeout (peer wedged,
+// network partition) fails the connection; a dial to a lower rank whose
+// listener is not up yet is retried after DefaultDialBackoffBase,
+// doubling up to DefaultDialBackoffMax.
 const (
 	DefaultHandshakeTimeout = 30 * time.Second
 	DefaultWriteTimeout     = time.Minute
@@ -52,20 +38,13 @@ const (
 	DefaultDialBackoffMax   = 500 * time.Millisecond
 )
 
-// withDefaults resolves zero fields to the package defaults and negative
-// timeouts to "disabled".
+// withDefaults resolves zero fields to the package defaults.
 func (c TCPConfig) withDefaults() TCPConfig {
 	if c.HandshakeTimeout == 0 {
 		c.HandshakeTimeout = DefaultHandshakeTimeout
 	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = DefaultWriteTimeout
-	}
-	if c.DialBackoffBase <= 0 {
-		c.DialBackoffBase = DefaultDialBackoffBase
-	}
-	if c.DialBackoffMax <= 0 {
-		c.DialBackoffMax = DefaultDialBackoffMax
+	if c.writeTimeout == 0 {
+		c.writeTimeout = DefaultWriteTimeout
 	}
 	return c
 }
@@ -103,7 +82,7 @@ func (c TCPConfig) withDefaults() TCPConfig {
 // Failure model: mesh establishment is bounded by
 // TCPConfig.HandshakeTimeout (a peer dying mid-handshake produces an
 // error, not a hang), each frame write that has to wait for socket
-// space by TCPConfig.WriteTimeout, and a connection that fails outside
+// space by DefaultWriteTimeout, and a connection that fails outside
 // a graceful Close — whoever notices it, Send, the poll-time drain or
 // the reader — latches a connection-lost error that subsequent Recv and
 // Send calls return: a crashed peer turns into an error on every
@@ -114,7 +93,7 @@ type TCP struct {
 	addrs []string
 	cfg   TCPConfig
 	inbox *mailbox
-	start time.Time // base of the monotonic clock the probe gate and idle timeout read
+	start time.Time // base of the monotonic clock the probe gate reads
 	stats tcpCounters
 	eng   engine // the poll-time drain's private state (tcp_engine_*.go)
 
@@ -146,9 +125,6 @@ type peerConn struct {
 	rmu   sync.Mutex
 	fr    frameReader
 	ended bool
-	// lastFrame is when the last complete frame was parsed, in
-	// nanoseconds since TCP.start; kept only under ReadIdleTimeout.
-	lastFrame atomic.Int64
 
 	engineConn // what the engine-driven I/O needs (tcp_engine_*.go)
 }
@@ -196,7 +172,7 @@ func NewTCP(rank int, addrs []string) (*TCP, error) {
 	return NewTCPWithConfig(rank, addrs, TCPConfig{})
 }
 
-// NewTCPWithConfig is NewTCP with explicit timeout/backoff tuning.
+// NewTCPWithConfig is NewTCP with an explicit handshake timeout.
 func NewTCPWithConfig(rank int, addrs []string, cfg TCPConfig) (*TCP, error) {
 	cfg = cfg.withDefaults()
 	p := len(addrs)
@@ -285,7 +261,7 @@ func NewTCPWithConfig(rank int, addrs []string, cfg TCPConfig) (*TCP, error) {
 	// Dial all lower ranks, retrying with bounded exponential backoff
 	// while their listeners come up.
 	for peer := 0; peer < rank; peer++ {
-		conn, err := dialBackoff(addrs[peer], deadline, cfg)
+		conn, err := dialBackoff(addrs[peer], deadline)
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("transport: dial rank %d at %s: %w", peer, addrs[peer], err)
@@ -313,14 +289,11 @@ func NewTCPWithConfig(rank int, addrs []string, cfg TCPConfig) (*TCP, error) {
 		if conn == nil {
 			continue
 		}
-		pc := &peerConn{
+		t.peers[peer] = &peerConn{
 			peer: peer,
 			conn: conn,
 			fr:   frameReader{inbox: t.inbox, from: peer, buf: make([]byte, tcpReadBufSize)},
 		}
-		// The idle clock starts now, not when the handshake began.
-		pc.lastFrame.Store(int64(time.Since(t.start)))
-		t.peers[peer] = pc
 	}
 	if err := t.engineInit(); err != nil {
 		closeAll()
@@ -336,10 +309,10 @@ func NewTCPWithConfig(rank int, addrs []string, cfg TCPConfig) (*TCP, error) {
 }
 
 // dialBackoff dials addr until it succeeds or the deadline passes,
-// doubling the inter-attempt delay from cfg.DialBackoffBase up to
-// cfg.DialBackoffMax.
-func dialBackoff(addr string, deadline time.Time, cfg TCPConfig) (net.Conn, error) {
-	backoff := cfg.DialBackoffBase
+// doubling the inter-attempt delay from DefaultDialBackoffBase up to
+// DefaultDialBackoffMax.
+func dialBackoff(addr string, deadline time.Time) (net.Conn, error) {
+	backoff := DefaultDialBackoffBase
 	for {
 		attempt := time.Until(deadline)
 		if attempt <= 0 {
@@ -356,8 +329,8 @@ func dialBackoff(addr string, deadline time.Time, cfg TCPConfig) (net.Conn, erro
 			return nil, fmt.Errorf("handshake deadline expired: %w", err)
 		}
 		time.Sleep(backoff)
-		if backoff *= 2; backoff > cfg.DialBackoffMax {
-			backoff = cfg.DialBackoffMax
+		if backoff *= 2; backoff > DefaultDialBackoffMax {
+			backoff = DefaultDialBackoffMax
 		}
 	}
 }
@@ -494,44 +467,10 @@ func (fr *frameReader) advance(n int, who *atomic.Int64) (frames int, end bool, 
 	return frames, false, nil
 }
 
-// noteFrames records, under ReadIdleTimeout, that a drain of pc just
-// completed frames.
-func (t *TCP) noteFrames(pc *peerConn, frames int) {
-	if frames > 0 && t.cfg.ReadIdleTimeout > 0 {
-		pc.lastFrame.Store(int64(time.Since(t.start)))
-	}
-}
-
-// armIdle points the connection's read deadline ReadIdleTimeout past the
-// last completed frame.
-func (t *TCP) armIdle(pc *peerConn) {
-	last := t.start.Add(time.Duration(pc.lastFrame.Load()))
-	pc.conn.SetReadDeadline(last.Add(t.cfg.ReadIdleTimeout))
-}
-
-// idleRearmed is called when pc's read deadline fired. Frames the
-// engine-side drain consumed do not pass through the reader's deadline,
-// so the deadline can fire on a connection that is not idle: if a frame
-// completed less than ReadIdleTimeout ago the deadline is re-armed from
-// it and the reader carries on.
-func (t *TCP) idleRearmed(pc *peerConn) bool {
-	idle := time.Since(t.start) - time.Duration(pc.lastFrame.Load())
-	if t.cfg.ReadIdleTimeout <= 0 || idle >= t.cfg.ReadIdleTimeout {
-		return false
-	}
-	t.armIdle(pc)
-	return true
-}
-
-// isTimeout reports whether err is a fired read or write deadline.
-func isTimeout(err error) bool { return errors.Is(err, os.ErrDeadlineExceeded) }
-
 // writeBlocking writes b with the ordinary blocking Write, bounded by
 // the write timeout.
 func (t *TCP) writeBlocking(pc *peerConn, b []byte) error {
-	if t.cfg.WriteTimeout > 0 {
-		pc.conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
-	}
+	pc.conn.SetWriteDeadline(time.Now().Add(t.cfg.writeTimeout))
 	_, err := pc.conn.Write(b)
 	return err
 }

@@ -164,7 +164,6 @@ func (t *TCP) probe() bool {
 		}
 		frames, ended := t.drainLocked(pc, &t.stats.framesInline)
 		pc.rmu.Unlock()
-		t.noteFrames(pc, frames)
 		got = got || frames > 0
 		if ended {
 			// An ended connection stays readable for ever (EOF); stop
@@ -221,31 +220,20 @@ func (t *TCP) readLoop(pc *peerConn) {
 	ended := false
 	drain := func(uintptr) bool {
 		pc.rmu.Lock()
-		var frames int
-		frames, ended = t.drainLocked(pc, &t.stats.framesReader)
+		_, ended = t.drainLocked(pc, &t.stats.framesReader)
 		pc.rmu.Unlock()
-		t.noteFrames(pc, frames)
 		return ended // false: wait until readable, then drain again
 	}
-	if t.cfg.ReadIdleTimeout > 0 {
-		t.armIdle(pc)
-	}
-	for {
-		err := pc.rc.Read(drain)
-		if ended {
-			return
-		}
-		// The wait was cut short: the idle deadline fired, or the
-		// connection was closed under us.
-		if isTimeout(err) && t.idleRearmed(pc) {
-			continue
-		}
-		pc.rmu.Lock()
-		pc.ended = true
-		pc.rmu.Unlock()
-		t.fail(pc.peer, err) // no-op if our own Close is in progress
+	err := pc.rc.Read(drain)
+	if ended {
 		return
 	}
+	// The wait was cut short: the connection was closed under us. No
+	// read deadline is armed after the handshake, so nothing else ends it.
+	pc.rmu.Lock()
+	pc.ended = true
+	pc.rmu.Unlock()
+	t.fail(pc.peer, err) // no-op if our own Close is in progress
 }
 
 // write puts one whole frame on pc's socket; the caller holds pc.wmu. A

@@ -23,12 +23,8 @@ func (t *TCP) probe() bool { return false }
 func (t *TCP) readLoop(pc *peerConn) {
 	defer t.readers.Done()
 	for {
-		if t.cfg.ReadIdleTimeout > 0 {
-			t.armIdle(pc)
-		}
 		n, err := pc.conn.Read(pc.fr.target())
-		frames, end, ferr := pc.fr.advance(n, &t.stats.framesReader)
-		t.noteFrames(pc, frames)
+		_, end, ferr := pc.fr.advance(n, &t.stats.framesReader)
 		if ferr != nil {
 			t.fail(pc.peer, ferr)
 		}
@@ -39,10 +35,8 @@ func (t *TCP) readLoop(pc *peerConn) {
 			if err == io.EOF {
 				err = pc.fr.eofError()
 			}
-			if !isTimeout(err) || !t.idleRearmed(pc) {
-				t.fail(pc.peer, err) // no-op if our own Close is in progress
-				return
-			}
+			t.fail(pc.peer, err) // no-op if our own Close is in progress
+			return
 		}
 	}
 }

@@ -183,7 +183,7 @@ func TestTCPCloseDrainsInFlightFrames(t *testing.T) {
 // The chaos wrapper composes with TCP: killing one rank of a live TCP
 // mesh turns into errors on the peers, not hangs.
 func TestTCPChaosKillSurfacesOnPeer(t *testing.T) {
-	eps := mkTCPWithConfig(t, 2, 42770, TCPConfig{WriteTimeout: 2 * time.Second})
+	eps := mkTCPWithConfig(t, 2, 42770, TCPConfig{writeTimeout: 2 * time.Second})
 	chaotic := NewChaos(eps[1], ChaosConfig{Seed: 9, KillAfterSends: 3})
 	defer eps[0].Close()
 	defer chaotic.Close()
