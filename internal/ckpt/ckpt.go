@@ -4,10 +4,12 @@
 // needs to resume generation mid-run at a consistent cut: every
 // suspended node's private RNG stream position and edge index, the
 // pending waiter queues and coalescing chains, the collective tag
-// counter, and the sink mark naming the durable prefix of the rank's
-// shard file. A snapshot carries no attachment table: every
-// checkpointed run streams its edges, the marked shard prefix is the
-// resolved part of F, and restore replays it. The format
+// counter, the sink mark naming the durable prefix of the rank's shard
+// file, and the window of F above that prefix. A snapshot carries no
+// attachment table: every checkpointed run streams its edges, the
+// marked shard prefix is F below the rank's resolved frontier, the
+// window is F from the frontier up to the generation cursor, and
+// restore replays both. The format
 // is byte-for-byte specified in docs/CHECKPOINT_FORMAT.md and verified
 // on read by a whole-file CRC-32C so a torn write is detected rather
 // than resumed from.
@@ -24,12 +26,15 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -53,8 +58,9 @@ const Magic = "PAGENCK1"
 // section without block bounds (a rank has one writer), drops the
 // outbound section 'O' (empty at a quiescent cut, which the cut now
 // checks) and drops the recompute depth cap from 'M' (it is derived
-// from n, not configured).
-const Version = 8
+// from n, not configured); version 9 adds the mandatory window section
+// 'F' — F above the shard's frontier, which the shard no longer holds.
+const Version = 9
 
 // castagnoli is the CRC-32C table (iSCSI polynomial) shared by writer
 // and reader.
@@ -115,6 +121,38 @@ type SinkMark struct {
 	Edges  int64
 }
 
+// Window is F from the rank's resolved frontier (its lowest NILL slot,
+// where the marked shard prefix ends) up to the generation cursor: slot
+// Start+i holds the i-th of Count uvarints in Vals minus one, so zero
+// is NILL and a value costs under 4 bytes while n < 2²⁸.
+type Window struct {
+	Start, Count int64
+	Vals         []byte
+}
+
+// Append adds the next slot's value, -1 for NILL.
+func (w *Window) Append(v int64) {
+	w.Vals = binary.AppendUvarint(w.Vals, uint64(v+1))
+	w.Count++
+}
+
+// Each calls fn with every slot of the window and its value (-1 for
+// NILL) in slot order, stopping at fn's first error.
+func (w *Window) Each(fn func(s, v int64) error) error {
+	b := w.Vals
+	for s := w.Start; s < w.Start+w.Count; s++ {
+		u, n := binary.Uvarint(b)
+		if n <= 0 {
+			return fmt.Errorf("window slot %d: truncated varint", s)
+		}
+		b = b[n:]
+		if err := fn(s, int64(u)-1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Stats carries the cumulative engine counters that cannot be
 // recomputed from F, so resumed runs report run-lifetime totals.
 type Stats struct {
@@ -145,8 +183,10 @@ type Snapshot struct {
 	Remote []WaiterRecord
 	Stats  Stats
 	// Sink is the shard's durable mark, serialized as the mandatory 'K'
-	// section: the records under it are the resolved part of F.
+	// section: the records under it are F below the frontier.
 	Sink SinkMark
+	// Window is F from the frontier up, the mandatory 'F' section.
+	Window Window
 }
 
 // Path returns the snapshot filename for (rank, epoch) under dir. The
@@ -187,7 +227,8 @@ type Encoder struct {
 // slice aliases the scratch buffer and is valid until the next Encode
 // call.
 func (enc *Encoder) Encode(s *Snapshot) []byte {
-	b := enc.buf[:0]
+	// One growth to a bound on the encoding, not a chain of appends.
+	b := slices.Grow(enc.buf[:0], 256+len(s.Meta.Scheme)+52*len(s.Susp)+23*(len(s.Waiters)+len(s.Remote))+len(s.Window.Vals))
 	b = append(b, Magic...)
 	b = binary.AppendUvarint(b, Version)
 
@@ -225,12 +266,19 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 	b = binary.AppendUvarint(b, uint64(s.Stats.QueuedWaits))
 	b = binary.AppendUvarint(b, uint64(s.Stats.LocalWaits))
 
-	// 'K': the shard's durable mark, which stands in for F. Then the end
-	// marker and CRC trailer.
+	// 'K': the shard's durable mark, which stands in for F below the
+	// frontier.
 	b = append(b, 'K')
 	b = binary.AppendUvarint(b, uint64(s.Sink.Offset))
 	b = binary.AppendUvarint(b, uint64(s.Sink.Blocks))
 	b = binary.AppendUvarint(b, uint64(s.Sink.Edges))
+
+	// 'F': the window of F above the frontier. Then the end marker and
+	// the CRC trailer.
+	b = append(b, 'F')
+	b = binary.AppendUvarint(b, uint64(s.Window.Start))
+	b = binary.AppendUvarint(b, uint64(s.Window.Count))
+	b = append(b, s.Window.Vals...)
 	b = append(b, 'Z')
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 	enc.buf = b
@@ -325,6 +373,18 @@ func (r *reader) uvarint() (uint64, error) {
 	return v, nil
 }
 
+// int64s reads one uvarint into each of dst, in turn.
+func (r *reader) int64s(dst ...*int64) error {
+	for _, d := range dst {
+		v, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		*d = int64(v)
+	}
+	return nil
+}
+
 func (r *reader) u64() (uint64, error) {
 	if len(r.b) < 8 {
 		return 0, fmt.Errorf("truncated u64")
@@ -367,29 +427,56 @@ func Read(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-func parse(data []byte) (*Snapshot, error) {
-	if len(data) < len(Magic)+4 {
-		return nil, fmt.Errorf("file too short (%d bytes)", len(data))
+// check validates a snapshot's frame — magic, whole-file CRC-32C and
+// version — reading the size bytes of r through a small buffer, so
+// Prune can vet a file without loading it; parse runs it over the bytes
+// it holds before reading the sections.
+func check(r io.ReaderAt, size int64) error {
+	var buf [8 << 10]byte
+	if size < int64(len(Magic))+4 {
+		return fmt.Errorf("file too short (%d bytes)", size)
 	}
-	if string(data[:len(Magic)]) != Magic {
-		return nil, fmt.Errorf("bad magic %q", data[:len(Magic)])
+	head := buf[:min(size-4, int64(len(Magic)+binary.MaxVarintLen64))]
+	if _, err := r.ReadAt(head, 0); err != nil {
+		return err
 	}
-	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	want := binary.LittleEndian.Uint32(trailer)
-	if got := crc32.Checksum(body, castagnoli); got != want {
-		return nil, fmt.Errorf("CRC mismatch: file says %08x, content is %08x (torn or corrupted snapshot)", want, got)
+	if string(head[:len(Magic)]) != Magic {
+		return fmt.Errorf("bad magic %q", head[:len(Magic)])
 	}
-	r := &reader{b: body[len(Magic):]}
-	ver, err := r.uvarint()
-	if err != nil {
-		return nil, err
+	ver, k := binary.Uvarint(head[len(Magic):])
+	body, got := size-4, uint32(0)
+	for off := int64(0); off < body; {
+		n, err := r.ReadAt(buf[:min(int64(len(buf)), body-off)], off)
+		if err != nil {
+			return err
+		}
+		got = crc32.Update(got, castagnoli, buf[:n])
+		off += int64(n)
+	}
+	if _, err := r.ReadAt(buf[:4], body); err != nil {
+		return err
+	}
+	if want := binary.LittleEndian.Uint32(buf[:4]); got != want {
+		return fmt.Errorf("CRC mismatch: file says %08x, content is %08x (torn or corrupted snapshot)", want, got)
+	}
+	if k <= 0 {
+		return fmt.Errorf("truncated varint")
 	}
 	if ver != Version {
-		return nil, fmt.Errorf("unsupported snapshot version %d (reader supports %d)", ver, Version)
+		return fmt.Errorf("unsupported snapshot version %d (reader supports %d)", ver, Version)
 	}
+	return nil
+}
+
+func parse(data []byte) (*Snapshot, error) {
+	if err := check(bytes.NewReader(data), int64(len(data))); err != nil {
+		return nil, err
+	}
+	r := &reader{b: data[len(Magic) : len(data)-4]}
+	r.uvarint() // the version, which check accepted
 
 	s := &Snapshot{}
-	sawW, sawK := false, false
+	sawW, sawK, sawF := false, false, false
 	for {
 		t, err := r.tag()
 		if err != nil {
@@ -411,37 +498,18 @@ func parse(data []byte) (*Snapshot, error) {
 				return nil, fmt.Errorf("'W' section: %w", err)
 			}
 		case 'S':
-			if v, err := r.uvarint(); err != nil {
+			if err := r.int64s(&s.Stats.Retries, &s.Stats.QueuedWaits, &s.Stats.LocalWaits); err != nil {
 				return nil, err
-			} else {
-				s.Stats.Retries = int64(v)
-			}
-			if v, err := r.uvarint(); err != nil {
-				return nil, err
-			} else {
-				s.Stats.QueuedWaits = int64(v)
-			}
-			if v, err := r.uvarint(); err != nil {
-				return nil, err
-			} else {
-				s.Stats.LocalWaits = int64(v)
 			}
 		case 'K':
 			sawK = true
-			if v, err := r.uvarint(); err != nil {
+			if err := r.int64s(&s.Sink.Offset, &s.Sink.Blocks, &s.Sink.Edges); err != nil {
 				return nil, err
-			} else {
-				s.Sink.Offset = int64(v)
 			}
-			if v, err := r.uvarint(); err != nil {
-				return nil, err
-			} else {
-				s.Sink.Blocks = int64(v)
-			}
-			if v, err := r.uvarint(); err != nil {
-				return nil, err
-			} else {
-				s.Sink.Edges = int64(v)
+		case 'F':
+			sawF = true
+			if err := s.Window.parse(r); err != nil {
+				return nil, fmt.Errorf("'F' section: %w", err)
 			}
 		case 'Z':
 			if len(r.b) != 0 {
@@ -454,6 +522,9 @@ func parse(data []byte) (*Snapshot, error) {
 			}
 			if !sawW {
 				return nil, fmt.Errorf("no 'W' section")
+			}
+			if !sawF {
+				return nil, fmt.Errorf("no 'F' section (window)")
 			}
 			return s, nil
 		default:
@@ -555,6 +626,27 @@ func (s *Snapshot) parseWorker(r *reader) error {
 	return nil
 }
 
+// parse reads a window section, keeping the values as they lie in the
+// file; whether they fit the run is restore's check.
+func (w *Window) parse(r *reader) error {
+	if err := r.int64s(&w.Start, &w.Count); err != nil {
+		return err
+	}
+	if w.Start < 0 || w.Count < 0 || w.Count > int64(len(r.b)) {
+		return fmt.Errorf("%d slots from slot %d exceed the file", w.Count, w.Start)
+	}
+	n := 0
+	for range w.Count {
+		_, k := binary.Uvarint(r.b[n:])
+		if k <= 0 {
+			return fmt.Errorf("truncated or overlong varint")
+		}
+		n += k
+	}
+	w.Vals, r.b = r.b[:n:n], r.b[n:]
+	return nil
+}
+
 // parseWaiterRecords reads one length-prefixed waiter-record list, the
 // shared shape of the Waiters and Remote lists. It always
 // returns a non-nil slice so round-tripped snapshots compare equal.
@@ -635,12 +727,15 @@ func Epochs(dir string, rank int) ([]int64, error) {
 }
 
 // Prune deletes rank's snapshot files under dir older than the keep-th
-// newest snapshot that Read accepts. A torn or foreign file never counts
-// toward retention, so keep restorable epochs survive whatever damage
-// sits among them — keeping at least two is what makes the torn-latest
-// fallback possible. A snapshot is a few KB, so the full CRC check costs
-// little; rejected files are deleted once they age past the oldest kept
-// epoch.
+// newest snapshot whose frame Read accepts (check: magic, whole-file
+// CRC-32C, version). A torn or foreign file never counts toward
+// retention, so keep restorable epochs survive whatever damage sits
+// among them — keeping at least two is what makes the torn-latest
+// fallback possible. The check streams the file through a small buffer
+// and parses no section: a snapshot carries its window and suspension
+// records, megabytes on a rank that trails, and loading it every epoch
+// cost more peak memory than the window itself. Rejected files are
+// deleted once they age past the oldest kept epoch.
 func Prune(dir string, rank int, keep int) error {
 	epochs, err := Epochs(dir, rank)
 	if err != nil {
@@ -649,7 +744,7 @@ func Prune(dir string, rank int, keep int) error {
 	keep = max(keep, 1)
 	var barrier int64
 	for i := len(epochs) - 1; i >= 0 && keep > 0; i-- {
-		if _, err := Read(Path(dir, rank, epochs[i])); err == nil {
+		if vet(Path(dir, rank, epochs[i])) == nil {
 			barrier = epochs[i]
 			keep--
 		}
@@ -666,6 +761,20 @@ func Prune(dir string, rank int, keep int) error {
 		}
 	}
 	return nil
+}
+
+// vet runs check over the file at path.
+func vet(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	return check(f, fi.Size())
 }
 
 // Remove deletes rank's snapshot of the given epoch, ignoring a missing

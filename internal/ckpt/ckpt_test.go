@@ -12,7 +12,7 @@ import (
 )
 
 func sample(rank int, epoch int64) *Snapshot {
-	return &Snapshot{
+	s := &Snapshot{
 		Meta: Meta{
 			N: 1_000_000, X: 4, P: 0.5, Seed: 0xdeadbeefcafe,
 			Ranks: 8, Rank: rank, Scheme: "RRP",
@@ -38,6 +38,12 @@ func sample(rank int, epoch int64) *Snapshot {
 		Stats: Stats{Retries: 5, QueuedWaits: 6, LocalWaits: 7},
 		Sink:  SinkMark{Offset: 1 << 40, Blocks: 12345, Edges: 987654321},
 	}
+	// The window: NILL slots among resolved ones, values of every width.
+	s.Window = Window{Start: 4000, Vals: []byte{}}
+	for _, v := range []int64{-1, 0, 127, -1, 999_999, 3} {
+		s.Window.Append(v)
+	}
+	return s
 }
 
 // idleSnapshot is a snapshot with nothing suspended: its 'W' section is
@@ -103,30 +109,38 @@ func reseal(data []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
 }
 
-// The v8 section rules: 'K' is mandatory, 'W' appears exactly once, and
-// the in-memory table sections 'F' and 'D' and the outbound section 'O'
-// of earlier versions are unknown tags. The files below are CRC-clean,
-// so the section rules — not the checksum — must reject them.
+// The v9 section rules: 'K', 'W' and the window 'F' are mandatory, 'W'
+// appears exactly once, and the delta section 'D' and the outbound
+// section 'O' of earlier versions are unknown tags. The files below are CRC-clean, so
+// the section rules — not the checksum — must reject them.
 func TestParseSectionRules(t *testing.T) {
 	var enc Encoder
 	encode := func(s *Snapshot) []byte { return append([]byte(nil), enc.Encode(s)...) }
 	s := sample(0, 4)
 
-	// The 'K' section sits right before the end marker and the trailer:
-	// beforeEnd splices a section in there, bare cuts 'K' out.
+	// beforeEnd splices a section in before the end marker and the
+	// trailer; without cuts one section out.
 	mark := binary.AppendUvarint([]byte{'K'}, uint64(s.Sink.Offset))
 	mark = binary.AppendUvarint(mark, uint64(s.Sink.Blocks))
 	mark = binary.AppendUvarint(mark, uint64(s.Sink.Edges))
+	window := binary.AppendUvarint([]byte{'F'}, uint64(s.Window.Start))
+	window = binary.AppendUvarint(window, uint64(s.Window.Count))
+	window = append(window, s.Window.Vals...)
 	beforeEnd := func(data, section []byte) []byte {
 		body := append(data[:len(data)-5:len(data)-5], section...)
 		return reseal(append(body, 'Z', 0, 0, 0, 0))
 	}
-	bare := encode(s)
-	bare = reseal(append(bare[:len(bare)-5-len(mark):len(bare)-5-len(mark)], 'Z', 0, 0, 0, 0))
+	without := func(section []byte) []byte {
+		data := encode(s)
+		if bytes.Count(data, section) != 1 {
+			t.Fatalf("snapshot holds %d copies of section %q", bytes.Count(data, section), section[0])
+		}
+		return reseal(bytes.Replace(data, section, nil, 1))
+	}
 	v6 := encode(s)
 	v6[len(Magic)] = 6
-	v7 := encode(s)
-	v7[len(Magic)] = 7
+	v8 := encode(s)
+	v8[len(Magic)] = 8
 	// An idle snapshot's 'W' section is the three empty counts.
 	emptyW := []byte{'W', 0, 0, 0}
 	idle := encode(idleSnapshot(0, 4))
@@ -136,14 +150,15 @@ func TestParseSectionRules(t *testing.T) {
 	noW := reseal(bytes.Replace(idle, emptyW, nil, 1))
 
 	for name, data := range map[string][]byte{
-		"no K":      bare,
-		"no W":      noW,
-		"second W":  beforeEnd(encode(s), emptyW),
-		"F section": beforeEnd(encode(s), []byte{'F', 2, 0, 5}),
-		"D section": beforeEnd(encode(s), []byte{'D', 2, 1, 0, 1, 5}),
-		"O section": beforeEnd(encode(s), []byte{'O', 1, 3, 1, 0xca}),
-		"version 6": reseal(v6),
-		"version 7": reseal(v7),
+		"no K":        without(mark),
+		"no F":        without(window),
+		"no W":        noW,
+		"second W":    beforeEnd(encode(s), emptyW),
+		"F too short": beforeEnd(without(window), []byte{'F', 2, 3, 1, 1}),
+		"D section":   beforeEnd(encode(s), []byte{'D', 2, 1, 0, 1, 5}),
+		"O section":   beforeEnd(encode(s), []byte{'O', 1, 3, 1, 0xca}),
+		"version 6":   reseal(v6),
+		"version 8":   reseal(v8),
 	} {
 		if got, err := parse(data); err == nil {
 			t.Errorf("%s: parsed to %+v, want an error", name, got)
@@ -351,6 +366,52 @@ func TestEpochsPruneRemove(t *testing.T) {
 	}
 	if epochs, _ = Epochs(dir, 0); !reflect.DeepEqual(epochs, []int64{3}) {
 		t.Fatalf("after remove: %v, want [3]", epochs)
+	}
+}
+
+// Prune counts only snapshots whose frame Read accepts, checked through
+// a buffer smaller than the file: a torn newest epoch, a flipped byte
+// past the first buffer's worth and another version never count, so the
+// two intact epochs below them are kept and only older ones go.
+func TestPruneSkipsDamagedFrames(t *testing.T) {
+	dir := t.TempDir()
+	for epoch := int64(1); epoch <= 6; epoch++ {
+		s := sample(0, epoch)
+		for range 20_000 { // a window past check's 8 KiB buffer
+			s.Window.Append(999_999)
+		}
+		if _, _, err := Write(dir, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	damage := func(epoch int64, f func([]byte) []byte) {
+		path := Path(dir, 0, epoch)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, f(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	damage(6, func(b []byte) []byte { return b[:len(b)-100] })
+	damage(5, func(b []byte) []byte { b[40_000]++; return b })
+	damage(4, func(b []byte) []byte {
+		b[len(Magic)] = Version - 1
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], castagnoli))
+		return b
+	})
+	for epoch := int64(1); epoch <= 6; epoch++ {
+		_, rerr := Read(Path(dir, 0, epoch))
+		if verr := vet(Path(dir, 0, epoch)); (verr == nil) != (rerr == nil) || verr != nil && !strings.Contains(rerr.Error(), verr.Error()) {
+			t.Fatalf("epoch %d: vet says %v, Read says %v", epoch, verr, rerr)
+		}
+	}
+	if err := Prune(dir, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if epochs, _ := Epochs(dir, 0); !reflect.DeepEqual(epochs, []int64{2, 3, 4, 5, 6}) {
+		t.Fatalf("after prune: %v, want [2 3 4 5 6]", epochs)
 	}
 }
 

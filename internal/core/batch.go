@@ -114,10 +114,11 @@ func (e *engine) stopHelpers() {
 // most one stripe per lane, and never past the poll boundary, so the
 // poll, checkpoint-pause and yield cadence count indices exactly as a
 // one-node-at-a-time pass would — and starts their nodes. Clique and
-// bootstrap nodes, and nodes a restored snapshot already initiated, are
-// stepped over. This is the only way a node's generation starts; a
-// window is never interrupted, so a checkpoint cut still finds every node
-// untouched, suspended or finished.
+// bootstrap nodes are stepped over; a restored run's cursor starts past
+// every node its snapshot initiated. This is the only way a node's
+// generation starts; a window is never interrupted, so a checkpoint cut
+// still finds every node below the cursor suspended or finished and
+// every node from it on untouched.
 func (e *engine) initiate() {
 	lo := e.cursor
 	n := e.size - lo
@@ -140,7 +141,7 @@ func (e *engine) initiate() {
 		w.nb = 0
 		for ; idx < hi; idx++ {
 			t := e.part.NodeAt(e.rank, idx)
-			if t <= e.x64 || (e.restored && e.nodeInitiated(idx)) {
+			if t <= e.x64 {
 				continue
 			}
 			w.t[w.nb], w.idx[w.nb] = t, idx

@@ -600,12 +600,17 @@ func (e *engine) ckptCut() error {
 	if werr := ck.writer.takeErr(); werr != nil {
 		ok = false
 	}
-	// Fix the shard mark at the cut: flush the open block (a page-cache
-	// write) so the mark names a complete-block prefix. The fsync that
+	// Fix the shard mark at the cut: write F up to the resolved frontier
+	// and flush the open block, a short one (page-cache writes), so the
+	// mark names a complete-block prefix holding exactly F below the
+	// frontier; the snapshot carries the window above it. The fsync that
 	// makes the mark durable runs in the writer, before the snapshot
 	// naming it is published.
 	var mark esink.Mark
 	if ok {
+		if err := e.streamFrontier(); err != nil {
+			return err
+		}
 		var err error
 		if mark, err = e.stream.Mark(); err != nil {
 			ok = false

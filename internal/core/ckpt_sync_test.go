@@ -33,10 +33,10 @@ func TestCheckpointShardSyncFailureFailsEpoch(t *testing.T) {
 	bw.ch <- ckptWriteReq{c: c, epoch: 1}
 	// The rank goroutine's side while publish runs. Its own writes fail
 	// too once a block flushes (the descriptor is closed), which latches
-	// the writer's error here, on the goroutine that owns it.
+	// the writer's error here, on the goroutine that owns it; every later
+	// Emit reads it back.
 	for k := uint64(0); k < 10000; k++ {
 		_ = stream.Emit(k, 1)
-		_ = stream.Err()
 	}
 	bw.shutdown()
 

@@ -453,10 +453,14 @@ type engine struct {
 	// edges is the rank's output, written from f by collectEdges after
 	// the protocol ends when no sink streams them: the rank's range of
 	// Run's one edge list, or a list bootstrap allocates. Until then its
-	// tail holds f's low plane (hostedFtab). emitted counts edges handed
-	// to the sink or stream, bootstrap's included.
+	// tail holds f's low plane (hostedFtab). emitted counts resolved
+	// edges, bootstrap's included (emit).
 	edges   []graph.Edge
 	emitted int64
+	// frontier is a streamed rank's lowest NILL slot; every slot below
+	// it is in the shard (streamFrontier). cliqueSlots ends the slots of
+	// the local clique nodes, which lead the local order.
+	frontier, cliqueSlots int64
 	// reqs is handleBatch's gather scratch: the slot and F value of every
 	// request in the batch being handled.
 	reqs    []reqSlot
@@ -473,10 +477,7 @@ type engine struct {
 	seq *coll.Seq // the resume negotiation's collectives (restore.go)
 	// ckTrig gates the per-node initiated counter: set only on rank 0
 	// with a trigger interval, so other ranks pay nothing in the loop.
-	ckTrig bool
-	// restored marks a resumed run: the generation pass skips nodes the
-	// snapshot already initiated.
-	restored   bool
+	ckTrig     bool
 	resumeSnap *ckpt.Snapshot
 }
 
@@ -550,6 +551,9 @@ func runRank(tr transport.Transport, opts Options, out []graph.Edge) (*RankResul
 		}
 	}
 	if e.stream != nil {
+		if err := e.streamFrontier(); err != nil {
+			return fail(err)
+		}
 		if err := e.stream.Close(); err != nil {
 			return nil, err
 		}
@@ -739,11 +743,6 @@ func (e *engine) run() error {
 	}()
 
 	e.bootstrap()
-	if e.stream != nil {
-		if err := e.stream.Err(); err != nil {
-			return err
-		}
-	}
 	if e.resumeSnap != nil {
 		if err := e.restore(); err != nil {
 			return err
@@ -785,6 +784,9 @@ func (e *engine) run() error {
 		if err := e.drain(true); err != nil {
 			return err
 		}
+		if err := e.streamFrontier(); err != nil {
+			return err
+		}
 		if err := e.ckptStep(); err != nil {
 			return err
 		}
@@ -821,17 +823,18 @@ func (e *engine) bootstrap() {
 			// attachment slots (mark them resolved so they never count).
 			base := idx * e.x64
 			for j := int64(0); j < t; j++ {
-				e.bootEmit(base+j, graph.Edge{U: t, V: j})
+				e.emit(t, j)
 			}
 			for edge := 0; edge < e.x; edge++ {
 				e.f.set(base+int64(edge), t) // self-marker; never queried
 			}
+			e.cliqueSlots = base + e.x64
 		case t == e.x64:
 			base := idx * e.x64
 			for edge := 0; edge < e.x; edge++ {
 				v, _ := e.opts.Params.BootstrapF(t, edge)
 				e.f.set(base+int64(edge), v)
-				e.bootEmit(base+int64(edge), graph.Edge{U: t, V: v})
+				e.emit(t, v)
 				if e.trace != nil {
 					e.trace.RecordBootstrap(t, edge)
 				}
@@ -842,21 +845,35 @@ func (e *engine) bootstrap() {
 	})
 }
 
-// bootEmit streams one bootstrap-time edge (slot key, edge) to the
-// sink. Without a sink the edge is not stored: collectEdges
-// reconstructs the full edge list from f when the run ends. On a
-// resumed run the bootstrap edges are already in the shard's durable
-// prefix (every snapshot postdates bootstrap), so the stream write is
-// suppressed; a write error latches in the writer and run() surfaces
-// it right after bootstrap.
-func (e *engine) bootEmit(key int64, ed graph.Edge) {
-	e.emitted++
-	if e.stream != nil && e.resumeSnap == nil {
-		e.stream.Emit(uint64(key), ed.V)
+// streamFrontier advances a streamed rank's resolved frontier (its
+// lowest NILL slot) and writes every slot it passes to the shard, in key
+// order. A clique node t's slots all hold t (bootstrap's self-marker);
+// its edges are (t, j) for j < t. Called between windows, before a
+// cut's mark and before the shard closes; a no-op without a stream.
+func (e *engine) streamFrontier() error {
+	if e.stream == nil {
+		return nil
 	}
-	if e.sink != nil {
-		e.sink(e.rank, ed)
+	s, end := e.frontier, e.f.len()
+	for ; s < end; s++ {
+		v := e.f.get(s)
+		if v < 0 {
+			break
+		}
+		if s < e.cliqueSlots {
+			if j := s % e.x64; j < v {
+				v = j
+			} else {
+				continue
+			}
+		}
+		if err := e.stream.Emit(uint64(s), v); err != nil {
+			e.frontier = s
+			return err
+		}
 	}
+	e.frontier = s
+	return nil
 }
 
 // rankEdges is the number of edges rank r emits: x per owned node,
@@ -973,6 +990,9 @@ func (e *engine) generate() bool {
 			return true
 		}
 		e.initiate()
+		if err := e.streamFrontier(); err != nil && e.err == nil {
+			e.err = err
+		}
 		if e.sincePoll >= e.poll {
 			e.sincePoll = 0
 			if err := e.drain(false); err != nil && e.err == nil {

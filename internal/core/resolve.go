@@ -13,16 +13,11 @@ import (
 // writer of F, the waiter, suspension and coalescing tables, the send
 // buffers and the sink.
 
-// emit finalises one edge of a generating node. s is the edge's flat
-// slot index — also its canonical stream key (slot order is exactly the
-// in-memory emission order collectEdges reconstructs).
-func (e *engine) emit(t, s, v int64) {
+// emit finalises edge (t, v) of a generating node for the Sink. A
+// streamed rank writes its shard from F instead, in slot order
+// (streamFrontier), and an in-memory one collects its edges from F.
+func (e *engine) emit(t, v int64) {
 	e.emitted++
-	if e.stream != nil {
-		if err := e.stream.Emit(uint64(s), v); err != nil && e.err == nil {
-			e.err = err
-		}
-	}
 	if e.sink != nil {
 		e.sink(e.rank, graph.Edge{U: t, V: v})
 	}
@@ -231,7 +226,7 @@ func (e *engine) resumeWire(t int64, edge int, v int64) {
 // the slot (Algorithm 3.1 lines 16-19 / Algorithm 3.2 lines 21-25).
 func (e *engine) resolveSlot(t int64, edge int, s, v int64) {
 	e.f.set(s, v)
-	e.emit(t, s, v)
+	e.emit(t, v)
 	e.unresolved--
 
 	// Hub prefix: replicate the node's slots to every rank that may

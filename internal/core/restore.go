@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"os"
+	"slices"
 
 	"pagen/internal/ckpt"
 	"pagen/internal/esink"
@@ -137,10 +139,11 @@ func validateSnapshot(s *ckpt.Snapshot, tr transport.Transport, opts Options) er
 // open, no data message is in flight and none sits in a send buffer
 // (ckptCut checks), so every piece of protocol state lives in exactly
 // one of the three tables captured here. The capture holds no table:
-// every resolved slot was emitted to the shard right beside its store,
-// and the cut's Mark has just flushed the open block, so the shard
-// prefix under mark already is the resolved part of F (DESIGN.md §9.5).
-// The record arrays of the pooled snapshot are reused.
+// the cut has just written F up to the resolved frontier and flushed the
+// open block, so the shard prefix under mark is F below the frontier,
+// and the window carries F from there up to the cursor, above which
+// every slot is NILL (DESIGN.md §9.5). The record arrays and the window
+// bytes of the pooled snapshot are reused.
 func (e *engine) buildSnapshotInto(s *ckpt.Snapshot, mark esink.Mark) {
 	*s = ckpt.Snapshot{
 		Meta: ckpt.Meta{
@@ -159,15 +162,24 @@ func (e *engine) buildSnapshotInto(s *ckpt.Snapshot, mark esink.Mark) {
 		// live counter value is exactly what a resumed run must continue
 		// from.
 		NextTag: e.seq.NextTag(),
-		Susp:    s.Susp[:0],
-		Waiters: s.Waiters[:0],
+		Susp:    slices.Grow(s.Susp[:0], e.susp.live),
+		Waiters: slices.Grow(s.Waiters[:0], int(e.pendingWaiters)),
 		Remote:  s.Remote[:0],
 		Stats: ckpt.Stats{
 			Retries:     e.stats.Retries,
 			QueuedWaits: e.stats.QueuedWaits,
 			LocalWaits:  e.stats.LocalWaits,
 		},
-		Sink: ckpt.SinkMark{Offset: mark.Offset, Blocks: mark.Blocks, Edges: mark.Edges},
+		Sink:   ckpt.SinkMark{Offset: mark.Offset, Blocks: mark.Blocks, Edges: mark.Edges},
+		Window: ckpt.Window{Start: e.frontier, Vals: s.Window.Vals[:0]},
+	}
+	// A cut before the first window passes bootstrap's nodes finds the
+	// frontier above the cursor: the window is then empty. A value below
+	// n is at most 1+len(n)/7 varint bytes.
+	end := max(e.cursor*e.x64, e.frontier)
+	s.Window.Vals = slices.Grow(s.Window.Vals, int(end-e.frontier)*(1+bits.Len64(uint64(e.opts.Params.N))/7))
+	for i := e.frontier; i < end; i++ {
+		s.Window.Append(e.f.get(i))
 	}
 	e.susp.forEach(func(idx int64, st suspState) {
 		s.Susp = append(s.Susp, ckpt.SuspRecord{Idx: idx, Edge: int(st.e), RNG: st.rng.State()})
@@ -222,30 +234,18 @@ func (e *engine) restoreChains(s *ckpt.Snapshot) error {
 	return nil
 }
 
-// nodeInitiated reports whether local node idx's generation has started:
-// either its last slot is resolved (complete — slots resolve strictly in
-// order) or it is suspended mid-node. At a cut every initiated node is
-// in exactly one of those states, which is what lets a resumed run skip
-// it in the generation pass.
-func (e *engine) nodeInitiated(idx int64) bool {
-	if e.f.get(idx*e.x64+e.x64-1) >= 0 {
-		return true
-	}
-	return e.susp.has(idx)
-}
-
-// restoreShard fills F from the rank's shard, which RunRank's Recover
-// has just verified block by block and truncated to the snapshot's mark:
-// a snapshot carries no table because that prefix holds exactly the
-// slots resolved at the cut, one (flat slot, value) record each.
-// Bootstrap has already written the clique and seed nodes (t <= x) and
-// counted their records in e.emitted; the pass checks those are present
-// and leaves their slots alone. Anything the CRCs cannot vouch for —
-// a record count off the mark, a value outside [0, n), a repeated key, a
-// slot resolved twice — fails the resume rather than splicing a wrong
-// table.
+// restoreShard fills F below the snapshot's frontier from the rank's
+// shard, which RunRank's Recover has just verified and truncated to the
+// snapshot's mark: the cut wrote exactly the slots below the frontier
+// there, in key order. Bootstrap has already written the clique and seed
+// nodes (t <= x) and counted their records in e.emitted; the pass checks
+// those are present and leaves their slots alone. Anything the CRCs
+// cannot vouch for — a record count off the mark, a value outside
+// [0, n), a record at or above the window's start, a prefix that stops
+// short of it — fails the resume rather than splicing a wrong table.
 func (e *engine) restoreShard(mark ckpt.SinkMark) error {
 	path := e.stream.Path()
+	start := e.resumeSnap.Window.Start
 	r, err := esink.OpenReaderTolerant(path)
 	if err != nil {
 		return fmt.Errorf("core: resume: %w", err)
@@ -253,7 +253,6 @@ func (e *engine) restoreShard(mark ckpt.SinkMark) error {
 	defer r.Close()
 	it := r.Iter(0)
 	var n, boot int64
-	var prev uint64
 	for {
 		key, v, ok := it.NextSlot()
 		if !ok {
@@ -266,16 +265,13 @@ func (e *engine) restoreShard(mark ckpt.SinkMark) error {
 			return fmt.Errorf("core: resume: shard %s: slot %d holds negative value %d", path, key, v)
 		case v >= e.opts.Params.N:
 			return fmt.Errorf("core: resume: shard %s: slot %d holds value %d past the run's %d nodes", path, key, v, e.opts.Params.N)
-		case n > 1 && key == prev:
-			return fmt.Errorf("core: resume: shard %s: slot key %d repeats", path, key)
+		case s >= start:
+			return fmt.Errorf("core: resume: shard %s: slot %d lies at or above the snapshot window's start %d", path, key, start)
 		case e.f.get(s) < 0:
 			e.f.set(s, v)
-		case e.part.NodeAt(e.rank, s/e.x64) > e.x64:
-			return fmt.Errorf("core: resume: shard %s: slot %d is already resolved", path, key)
 		default:
 			boot++
 		}
-		prev = key
 	}
 	if err := it.Err(); err != nil {
 		return fmt.Errorf("core: resume: shard %s: %w", path, err)
@@ -284,6 +280,37 @@ func (e *engine) restoreShard(mark ckpt.SinkMark) error {
 		return fmt.Errorf("core: resume: shard %s: prefix holds %d records (%d of bootstrap's %d), snapshot marks %d",
 			path, n, boot, e.emitted, mark.Edges)
 	}
+	frontier := int64(0)
+	for frontier < e.f.len() && e.f.get(frontier) >= 0 {
+		frontier++
+	}
+	if frontier != start {
+		return fmt.Errorf("core: resume: shard %s: prefix resolves F up to slot %d, the snapshot window starts at slot %d", path, frontier, start)
+	}
+	return nil
+}
+
+// restoreWindow fills F from the frontier up with the snapshot's window,
+// which must end on a node boundary inside the rank's slots, and puts the
+// cursor at that end: the nodes below it were initiated at the cut.
+func (e *engine) restoreWindow(w *ckpt.Window) error {
+	end := w.Start + w.Count
+	if w.Count > e.f.len()-w.Start || end%e.x64 != 0 {
+		return fmt.Errorf("core: resume: snapshot window of %d slots from slot %d does not end on a node boundary within the rank's %d slots", w.Count, w.Start, e.f.len())
+	}
+	err := w.Each(func(s, v int64) error {
+		if v < -1 || v >= e.opts.Params.N {
+			return fmt.Errorf("core: resume: snapshot window slot %d holds value %d outside the run's %d nodes", s, v, e.opts.Params.N)
+		}
+		if v >= 0 {
+			e.f.set(s, v)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	e.frontier, e.cursor = w.Start, end/e.x64
 	return nil
 }
 
@@ -295,13 +322,26 @@ func (e *engine) restore() error {
 	if err := e.restoreShard(s.Sink); err != nil {
 		return err
 	}
+	if err := e.restoreWindow(&s.Window); err != nil {
+		return err
+	}
 
 	for _, sr := range s.Susp {
+		if sr.Idx < s.Window.Start/e.x64 || sr.Idx >= e.cursor {
+			return fmt.Errorf("core: resume: suspended node at index %d lies outside the window's nodes [%d, %d)", sr.Idx, s.Window.Start/e.x64, e.cursor)
+		}
 		var st suspState
 		st.e = int32(sr.Edge)
 		st.key = -1 // re-derived from the Remote chains below
 		st.rng.SetState(sr.RNG)
 		e.susp.put(sr.Idx, st)
+	}
+	// Every node below the cursor was initiated at the cut: finished, or
+	// suspended. One that is neither would never be generated.
+	for idx := s.Window.Start / e.x64; idx < e.cursor; idx++ {
+		if e.f.get(idx*e.x64+e.x64-1) < 0 && !e.susp.has(idx) {
+			return fmt.Errorf("core: resume: snapshot window covers local node %d, which is neither finished nor suspended", idx)
+		}
 	}
 	for _, wr := range s.Waiters {
 		e.waiters.push(wr.Slot, wr.T, wr.E)
@@ -323,17 +363,16 @@ func (e *engine) restore() error {
 	e.stats.QueuedWaits += s.Stats.QueuedWaits
 	e.stats.LocalWaits += s.Stats.LocalWaits
 
-	e.restored = true
 	e.seq.SetNextTag(s.NextTag)
 	if ck := e.ck; ck != nil {
 		ck.epochNext = s.Epoch + 1
 		if e.rank == 0 && ck.every > 0 {
-			// Re-derive the trigger base: initiated nodes are exactly
-			// the complete-or-suspended ones (recv counters restart at
-			// zero with the fresh communicator).
+			// Re-derive the trigger base: initiated nodes are the
+			// non-bootstrap ones below the cursor (recv counters restart
+			// at zero with the fresh communicator).
 			var initiated int64
-			for idx := int64(0); idx < e.size; idx++ {
-				if t := e.part.NodeAt(e.rank, idx); t > e.x64 && e.nodeInitiated(idx) {
+			for idx := int64(0); idx < e.cursor; idx++ {
+				if e.part.NodeAt(e.rank, idx) > e.x64 {
 					initiated++
 				}
 			}

@@ -99,10 +99,12 @@ func resumedEngine(t *testing.T, opts Options, rank int, epoch int64) *engine {
 
 // The restore property: whatever the scheme, rank count, x and shard
 // block size, every retained epoch of a streamed run restores from its
-// table-less snapshot plus the marked shard prefix — the rebuilt table
-// holds exactly the slots resolved at the cut with their final values,
-// bootstrap's nodes are left as bootstrap wrote them, and the resumed
-// run completes the sequential model's graph.
+// table-less snapshot plus the marked shard prefix — the prefix holds
+// exactly F below the snapshot's frontier, the window the resolved
+// slots above it, the rebuilt table holds exactly the slots resolved at
+// the cut with their final values, bootstrap's nodes are left as
+// bootstrap wrote them, and the resumed run completes the sequential
+// model's graph.
 func TestRestoreFromShardPrefix(t *testing.T) {
 	for _, kind := range []partition.Kind{partition.KindUCP, partition.KindLCP, partition.KindRRP} {
 		for _, ranks := range []int{1, 2, 4} {
@@ -166,7 +168,16 @@ func checkRestoreFromShardPrefix(t *testing.T, kind partition.Kind, ranks, x, bl
 			if err := e.restore(); err != nil {
 				t.Fatalf("epoch %d rank %d: %v", epochs[i], r, err)
 			}
-			var resolved int64
+			win := e.resumeSnap.Window
+			var below, above, inWindow int64
+			if err := win.Each(func(_, v int64) error {
+				if v >= 0 {
+					inWindow++
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
 			for s, v := range ftabSlots(e.f) {
 				switch {
 				case part.NodeAt(r, int64(s)/x64) <= x64:
@@ -174,17 +185,26 @@ func checkRestoreFromShardPrefix(t *testing.T, kind partition.Kind, ranks, x, bl
 						t.Fatalf("epoch %d rank %d: bootstrap slot %d changed %d -> %d", epochs[i], r, s, boot[s], v)
 					}
 				case v >= 0:
-					resolved++
+					if int64(s) < win.Start {
+						below++
+					} else {
+						above++
+					}
 					if v != final[r][s] {
 						t.Fatalf("epoch %d rank %d: slot %d restored as %d, finished table holds %d", epochs[i], r, s, v, final[r][s])
 					}
+				case int64(s) < win.Start:
+					t.Fatalf("epoch %d rank %d: slot %d below the frontier %d is NILL", epochs[i], r, s, win.Start)
 				case v != -1:
 					t.Fatalf("epoch %d rank %d: slot %d holds %d", epochs[i], r, s, v)
 				}
 			}
-			if got := resolved + e.emitted; got != e.resumeSnap.Sink.Edges {
-				t.Fatalf("epoch %d rank %d: %d resolved + %d bootstrap records, mark says %d",
-					epochs[i], r, resolved, e.emitted, e.resumeSnap.Sink.Edges)
+			if got := below + e.emitted; got != e.resumeSnap.Sink.Edges {
+				t.Fatalf("epoch %d rank %d: %d resolved below the frontier + %d bootstrap records, mark says %d",
+					epochs[i], r, below, e.emitted, e.resumeSnap.Sink.Edges)
+			}
+			if above != inWindow {
+				t.Fatalf("epoch %d rank %d: %d slots resolved above the frontier, the window holds %d", epochs[i], r, above, inWindow)
 			}
 		}
 
@@ -265,7 +285,7 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 
 	// resume runs a resume over a fresh pair of directories holding the
 	// given shard bytes and the top snapshot with the given mark.
-	resume := func(t *testing.T, shard []byte, mark ckpt.SinkMark) (string, error) {
+	resume := func(t *testing.T, shard []byte, mark ckpt.SinkMark, edits ...func(*ckpt.Snapshot)) (string, error) {
 		t.Helper()
 		ck, st := t.TempDir(), t.TempDir()
 		path := esink.ShardPath(st, 0, 1)
@@ -274,6 +294,9 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 		}
 		s := *snap
 		s.Sink = mark
+		for _, edit := range edits {
+			edit(&s)
+		}
 		if _, _, err := ckpt.Write(ck, &s); err != nil {
 			t.Fatal(err)
 		}
@@ -375,8 +398,33 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 		mustResume(t, b, m)
 	})
 	t.Run("repeated slot key", func(t *testing.T) {
-		b, m := crafted(t, append(recs[:len(recs):len(recs)], recs[mid]))
-		mustFail(t, b, m, "repeats")
+		// The writer refuses a key that does not ascend, so the repeat
+		// goes in after a Recover, which restarts its check.
+		b, m := crafted(t, recs)
+		dir := t.TempDir()
+		if err := os.WriteFile(esink.ShardPath(dir, 0, 1), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, err := esink.Open(dir, esink.Meta{N: pr.N, X: pr.X, P: pr.P, Seed: opts.Seed, Rank: 0, Ranks: 1, Scheme: part.Name()}, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Abort()
+		if err := w.Recover(esink.Mark{Offset: m.Offset, Blocks: m.Blocks, Edges: m.Edges}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Emit(recs[mid].key, recs[mid].v); err != nil {
+			t.Fatal(err)
+		}
+		wm, err := w.Mark()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b, err = os.ReadFile(w.Path()); err != nil {
+			t.Fatal(err)
+		}
+		mustFail(t, b, ckpt.SinkMark{Offset: wm.Offset, Blocks: wm.Blocks, Edges: wm.Edges},
+			fmt.Sprintf("key %d does not follow key %d", recs[mid].key, recs[len(recs)-1].key))
 	})
 	t.Run("negative value", func(t *testing.T) {
 		bad := append([]rec(nil), recs...)
@@ -393,6 +441,48 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 	t.Run("bootstrap record missing", func(t *testing.T) {
 		b, m := crafted(t, recs[1:])
 		mustFail(t, b, m, "bootstrap")
+	})
+
+	// The window must continue F exactly where the prefix stops, end on
+	// a node boundary inside the rank's slots and hold values below n.
+	x := int64(pr.X)
+	window := func(start int64, vals ...int64) func(*ckpt.Snapshot) {
+		return func(s *ckpt.Snapshot) {
+			s.Window = ckpt.Window{Start: start}
+			for _, v := range vals {
+				s.Window.Append(v)
+			}
+		}
+	}
+	nills := func(n int64) []int64 {
+		vs := make([]int64, n)
+		for i := range vs {
+			vs[i] = -1
+		}
+		return vs
+	}
+	start := snap.Window.Start
+	mustFailWindow := func(t *testing.T, edit func(*ckpt.Snapshot), why string) {
+		t.Helper()
+		if _, err := resume(t, prefix, snap.Sink, edit); err == nil || !strings.Contains(err.Error(), why) {
+			t.Fatalf("err = %v; want one saying %q", err, why)
+		}
+	}
+	t.Run("window over an unstarted node", func(t *testing.T) {
+		mustFailWindow(t, window(start, nills(x)...), fmt.Sprintf("covers local node %d, which is neither finished nor suspended", start/x))
+	})
+	t.Run("window past the frontier", func(t *testing.T) {
+		mustFailWindow(t, window(start+x, nills(x)...), fmt.Sprintf("up to slot %d, the snapshot window starts at slot %d", start, start+x))
+	})
+	t.Run("window below the frontier", func(t *testing.T) {
+		mustFailWindow(t, window(start-1, nills(x+1)...), fmt.Sprintf("lies at or above the snapshot window's start %d", start-1))
+	})
+	t.Run("window past the rank's slots", func(t *testing.T) {
+		slots := part.Size(0) * x
+		mustFailWindow(t, window(start, nills(slots-start+x)...), fmt.Sprintf("within the rank's %d slots", slots))
+	})
+	t.Run("window value past n", func(t *testing.T) {
+		mustFailWindow(t, window(start, append([]int64{pr.N}, nills(x-1)...)...), fmt.Sprintf("holds value %d outside the run's", pr.N))
 	})
 }
 

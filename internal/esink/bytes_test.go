@@ -18,6 +18,13 @@ import (
 	"pagen/internal/graph"
 )
 
+// rec is one edge record: the slot key and the attachment value. U is
+// not stored; the reader derives it from the key via the partition.
+type rec struct {
+	key uint64
+	v   int64
+}
+
 // refPayload is the reference payload encoder the writer is held to:
 // sort every record of the block by key, then encode — the payload of
 // docs/SHARD_FORMAT.md written down the slow, obvious way.
@@ -110,8 +117,9 @@ func ascendingRecs(rng *rand.Rand, n int, stride uint64) []rec {
 }
 
 // delay moves a frac share of recs later in arrival order by up to
-// maxDelay positions — the stragglers of nodes that waited for a remote
-// answer while later nodes committed.
+// maxDelay positions — the order in which a rank resolves its slots,
+// nodes that waited for a remote answer behind later ones, which the
+// writer refuses.
 func delay(rng *rand.Rand, recs []rec, frac float64, maxDelay int) []rec {
 	type arrival struct {
 		at int
@@ -132,7 +140,9 @@ func delay(rng *rand.Rand, recs []rec, frac float64, maxDelay int) []rec {
 	return out
 }
 
-// arrivalOrders are the emission orders the differential test sweeps.
+// arrivalOrders are the arrival orders the differential test sweeps:
+// each is refused at its first descent, and its record set, in key
+// order, is held to the reference.
 var arrivalOrders = []struct {
 	name string
 	gen  func(rng *rand.Rand, n, blockEdges int) []rec
@@ -148,18 +158,21 @@ var arrivalOrders = []struct {
 	{"stragglers-1pct", func(rng *rand.Rand, n, be int) []rec { return delay(rng, ascendingRecs(rng, n, 4), 0.01, be/2+1) }},
 	{"stragglers-30pct", func(rng *rand.Rand, n, be int) []rec { return delay(rng, ascendingRecs(rng, n, 4), 0.30, be/2+1) }},
 	{"stragglers-100pct", func(rng *rand.Rand, n, be int) []rec { return delay(rng, ascendingRecs(rng, n, 4), 1, be/2+1) }},
-	// Delays longer than a block: a straggler lands in a later block
-	// than its neighbours, below everything that block's run holds.
+	// Delays longer than a block: a late record would land in a later
+	// block than its neighbours.
 	{"stragglers-older-than-block", func(rng *rand.Rand, n, be int) []rec { return delay(rng, ascendingRecs(rng, n, 4), 0.30, 3*be+1) }},
-	// Keys spread over more than 32 bits, so ordering the stragglers
-	// takes more radix passes than a real block's two.
+	// Keys spread over more than 32 bits: deltas of every varint width.
 	{"wide-keys", func(rng *rand.Rand, n, be int) []rec { return delay(rng, ascendingRecs(rng, n, 1<<40), 0.30, be/2+1) }},
 }
 
 // TestWriterBytesMatchReference holds the writer to the reference
-// encoder byte for byte: whatever order records arrive in, wherever
-// Mark and Cut fall inside a block, and across a Recover to a mark, the
-// shard file is the one the sort-everything encoder writes.
+// encoder byte for byte. Each arrival order is first emitted as it
+// arrives, and the writer must refuse its first key that is not above
+// the one before, naming both — the engine hands the writer keys in
+// slot order, so an order with a descent never reaches a shard. The
+// order's records are then emitted in key order, and wherever Mark and
+// Cut fall inside a block, and across a Recover to a mark, the shard
+// file is the one the sort-everything encoder writes.
 func TestWriterBytesMatchReference(t *testing.T) {
 	meta := testMeta(1<<40, 1)
 	for _, blockEdges := range []int{1, 2, 63, 64, 65, 1 << 16} {
@@ -171,10 +184,33 @@ func TestWriterBytesMatchReference(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/block%d", order.name, blockEdges), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(1000*oi + blockEdges)))
 				recs := order.gen(rng, n, blockEdges)
-				markAt, cutAt := n/3, n/2+blockEdges/2 // both inside an open block when blockEdges > 2
 
+				w, err := Open(t.TempDir(), meta, blockEdges)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Reset(); err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range recs {
+					err := w.Emit(r.key, r.v)
+					if i > 0 && r.key <= recs[i-1].key {
+						want := fmt.Sprintf("key %d does not follow key %d", r.key, recs[i-1].key)
+						if err == nil || !strings.Contains(err.Error(), want) {
+							t.Fatalf("record %d arrived below its predecessor: err = %v, want one saying %q", i, err, want)
+						}
+						break
+					}
+					if err != nil {
+						t.Fatalf("record %d: %v", i, err)
+					}
+				}
+				w.Abort()
+
+				sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
+				markAt, cutAt := n/3, n/2+blockEdges/2 // both inside an open block when blockEdges > 2
 				dir := t.TempDir()
-				w, err := Open(dir, meta, blockEdges)
+				w, err = Open(dir, meta, blockEdges)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,7 +225,6 @@ func TestWriterBytesMatchReference(t *testing.T) {
 						want := ref.cut()
 						got, err := w.Mark()
 						if i == cutAt {
-							got, err = w.Cut()
 							cut, atCut = got, append([]byte(nil), ref.file...)
 						}
 						if err != nil {
@@ -211,7 +246,7 @@ func TestWriterBytesMatchReference(t *testing.T) {
 				compareFile(t, "fresh run", path, ref.close())
 
 				// Resume from the cut: truncate back to its mark, then emit
-				// the suffix again in a different arrival order.
+				// the suffix again.
 				w, err = Open(dir, meta, blockEdges)
 				if err != nil {
 					t.Fatal(err)
@@ -221,9 +256,7 @@ func TestWriterBytesMatchReference(t *testing.T) {
 				}
 				ref = newRefShard(meta, blockEdges)
 				ref.file, ref.blocks, ref.edges = atCut, cut.Blocks, cut.Edges
-				suffix := append([]rec(nil), recs[cutAt:]...)
-				rng.Shuffle(len(suffix), func(i, j int) { suffix[i], suffix[j] = suffix[j], suffix[i] })
-				for _, r := range suffix {
+				for _, r := range recs[cutAt:] {
 					if err := w.Emit(r.key, r.v); err != nil {
 						t.Fatal(err)
 					}
@@ -258,9 +291,9 @@ func compareFile(t *testing.T, what, path string, want []byte) {
 	}
 }
 
-// TestReaderSmallestWindow reads a shard through the smallest cursor
-// window, so records straddle every refill, and through the largest;
-// both must yield the same stream.
+// TestReaderSmallestWindow reads a shard through the smallest window,
+// so records straddle every refill, and through the largest; both must
+// yield the same stream.
 func TestReaderSmallestWindow(t *testing.T) {
 	const n, x = 200000, 3
 	meta := testMeta(n, x)
@@ -269,10 +302,9 @@ func TestReaderSmallestWindow(t *testing.T) {
 	for k := uint64(0); k < n*x; k++ {
 		recs = append(recs, rec{key: k, v: rng.Int63() >> uint(rng.Intn(63))})
 	}
-	recs = delay(rng, recs, 0.3, 1<<15)
 	path := writeShard(t, t.TempDir(), meta, 0, recs)
 
-	small := readAll(t, path, 1) // per-cursor share clamps to minCursorBuf
+	small := readAll(t, path, 1) // clamps to minWindow
 	large := readAll(t, path, 1<<30)
 	if len(small) != len(recs) || len(large) != len(recs) {
 		t.Fatalf("read %d / %d edges, wrote %d", len(small), len(large), len(recs))
@@ -338,9 +370,9 @@ func TestOpenReaderAllocsBounded(t *testing.T) {
 	}
 }
 
-// An iterator reads every block through a window of at most 32 KiB,
-// whatever the budget and however large the block, and the windows
-// still yield the whole stream in order.
+// An iterator reads every block through its one window, at most
+// readWindow bytes whatever the budget and however large the block, and
+// the window still yields the whole stream in order.
 func TestIterWindowClamp(t *testing.T) {
 	path, recs := growingShard(t, 62)
 	r, err := OpenReader(path)
@@ -348,18 +380,14 @@ func TestIterWindowClamp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	for _, tc := range []struct{ budget, widest int }{
-		{1, 4 << 10}, // the per-cursor floor
-		{0, 32 << 10},
-		{1 << 30, 32 << 10},
+	for _, tc := range []struct{ budget, window int }{
+		{1, minWindow},
+		{0, readWindow},
+		{1 << 30, readWindow},
 	} {
 		it := r.Iter(tc.budget)
-		widest := 0
-		for _, c := range it.heap {
-			widest = max(widest, cap(c.buf))
-		}
-		if widest != tc.widest {
-			t.Errorf("budget %d: widest cursor window %d bytes, want %d", tc.budget, widest, tc.widest)
+		if cap(it.buf) != tc.window {
+			t.Errorf("budget %d: window %d bytes, want %d", tc.budget, cap(it.buf), tc.window)
 		}
 		for i := range recs {
 			e, ok := it.Next()
@@ -369,6 +397,9 @@ func TestIterWindowClamp(t *testing.T) {
 		}
 		if _, ok := it.Next(); ok {
 			t.Fatalf("budget %d: more edges than the %d written", tc.budget, len(recs))
+		}
+		if cap(it.buf) != tc.window {
+			t.Errorf("budget %d: window grew to %d bytes", tc.budget, cap(it.buf))
 		}
 	}
 }
@@ -423,6 +454,60 @@ func TestTruncatedPayload(t *testing.T) {
 	}
 }
 
+// A version 1 shard — whose blocks could interleave keys — is refused
+// by its version before any block is read, strictly and tolerantly.
+func TestReaderRefusesVersion1(t *testing.T) {
+	meta := testMeta(1000, 1)
+	v1 := craftShard(meta, refBlock(0, []rec{{1, 0}, {2, 1}}))
+	v1[len(Magic)] = 1 // the version uvarint; the header CRC is stale now
+	hdr := encodeHeader(meta)
+	binary.LittleEndian.PutUint32(v1[len(hdr)-4:], crc32.Checksum(v1[:len(hdr)-4], castagnoli))
+	path := filepath.Join(t.TempDir(), "shard")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, open := range []func(string) (*Reader, error){OpenReader, OpenReaderTolerant} {
+		if r, err := open(path); err == nil || !strings.Contains(err.Error(), "unsupported shard version 1") {
+			t.Fatalf("v1 shard: reader %v, err = %v, want a refusal naming version 1", r, err)
+		}
+	}
+}
+
+// A v2 shard whose next key is not above the previous one — inside a
+// block (a zero delta) or across blocks that overlap — is CRC-clean but
+// refused when the key is reached, by an error naming both keys and the
+// block, after every record before it.
+func TestReaderRefusesNonAscendingKeys(t *testing.T) {
+	meta := testMeta(1000, 1)
+	for _, tc := range []struct {
+		name   string
+		blocks [][]byte
+		good   int64
+		want   string
+	}{
+		// Keys 4 and 6, then a zero delta: 6 again.
+		{"zero delta", [][]byte{craftBlock(0, 3, append(refPayload([]rec{{4, 1}, {6, 2}}), 0, 3))}, 2, "block 0: key 6 does not follow key 6"},
+		{"overlapping blocks", [][]byte{refBlock(0, []rec{{5, 1}, {9, 2}}), refBlock(1, []rec{{7, 3}, {11, 4}})}, 2, "block 1: key 7 does not follow key 9"},
+		{"repeated boundary key", [][]byte{refBlock(0, []rec{{5, 1}, {9, 2}}), refBlock(1, []rec{{9, 3}})}, 2, "block 1: key 9 does not follow key 9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "shard")
+			if err := os.WriteFile(path, craftShard(meta, tc.blocks...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := OpenReader(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			n, err := drain(r.Iter(0))
+			if n != tc.good || err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%d records then err = %v; want %d and one saying %q", n, err, tc.good, tc.want)
+			}
+		})
+	}
+}
+
 // TestSyncConcurrentWithEmit is the checkpoint writer's pattern
 // (core's ckptWriter.publish): the rank goroutine emits and marks while
 // another goroutine fsyncs the shard. Under -race this proves Sync
@@ -456,12 +541,11 @@ func TestSyncConcurrentWithEmit(t *testing.T) {
 			}
 		}
 	}()
-	rng := rand.New(rand.NewSource(9))
 	recs := make([]rec, n*x)
 	for k := range recs {
 		recs[k] = rec{key: uint64(k), v: int64(k) * 7 % n}
 	}
-	for i, r := range delay(rng, recs, 0.3, 1<<10) {
+	for i, r := range recs {
 		if err := w.Emit(r.key, r.v); err != nil {
 			t.Fatal(err)
 		}
@@ -494,9 +578,9 @@ func TestSyncConcurrentWithEmit(t *testing.T) {
 }
 
 // BenchmarkEmit measures the writer's steady state — Emit, block flush
-// and page-cache write, no fsync — for in-order arrival and with 30 %
-// stragglers. A pass must not allocate (asserted): run, stragglers and
-// block buffer are all reused.
+// and page-cache write, no fsync — for the ascending keys the engine
+// hands it. A pass must not allocate (asserted): the block buffer is
+// reused.
 func BenchmarkEmit(b *testing.B) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(1))
@@ -504,41 +588,33 @@ func BenchmarkEmit(b *testing.B) {
 	for k := range asc {
 		asc[k] = rec{key: uint64(k), v: rng.Int63n(n)}
 	}
-	for _, bc := range []struct {
-		name string
-		recs []rec
-	}{
-		{"ascending", asc},
-		{"stragglers30", delay(rng, asc, 0.3, 1<<12)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			w, err := Open(b.TempDir(), testMeta(n, 1), 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer w.Abort()
-			if err := w.Reset(); err != nil {
-				b.Fatal(err)
-			}
-			base := uint64(0)
-			pass := func() {
-				for _, r := range bc.recs {
-					if err := w.Emit(base+r.key, r.v); err != nil {
-						b.Fatal(err)
-					}
+	b.Run("ascending", func(b *testing.B) {
+		w, err := Open(b.TempDir(), testMeta(n, 1), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer w.Abort()
+		if err := w.Reset(); err != nil {
+			b.Fatal(err)
+		}
+		base := uint64(0)
+		pass := func() {
+			for _, r := range asc {
+				if err := w.Emit(base+r.key, r.v); err != nil {
+					b.Fatal(err)
 				}
-				base += n
 			}
-			pass() // grows every reused buffer to its steady size
-			if allocs := testing.AllocsPerRun(1, pass); allocs != 0 {
-				b.Fatalf("a steady-state pass of %d records allocated %v times, want 0", n, allocs)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pass()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/edge")
-		})
-	}
+			base += n
+		}
+		pass() // grows the block buffer to its steady size
+		if allocs := testing.AllocsPerRun(1, pass); allocs != 0 {
+			b.Fatalf("a steady-state pass of %d records allocated %v times, want 0", n, allocs)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pass()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/edge")
+	})
 }

@@ -1,29 +1,27 @@
 // Package esink implements the streaming external-memory edge sink:
-// per-rank shard files that hold a rank's resolved edges as sorted,
+// per-rank shard files that hold a rank's resolved edges as
 // delta-encoded, CRC-protected blocks, written with bounded memory no
 // matter how large the run is (docs/SHARD_FORMAT.md is the byte spec).
 //
-// The rank goroutine emits each edge as it resolves, tagged with the
-// edge's canonical slot key (local node index times x plus edge index),
-// which is unique per rank and defines the canonical per-rank order —
-// the exact order the in-memory engine collects edges in. Nodes commit
-// in node order, so keys arrive as one long ascending run plus the
-// stragglers of nodes that waited for a remote answer: the writer
-// buffers a fixed number of records, orders only the stragglers at
-// flush and merges them with the run into a sorted block, and the
-// reader k-way-merges the sorted blocks back into canonical order.
-// Merging the per-rank streams rank-major therefore reproduces the
+// Every edge is tagged with its canonical slot key (local node index
+// times x plus edge index), which is unique per rank and defines the
+// canonical per-rank order — the exact order the in-memory engine
+// collects edges in. The engine hands the writer the slots below its
+// resolved frontier in key order, so keys reach Emit strictly
+// ascending: the writer varint-encodes each record straight into the
+// open block, and the blocks of a shard ascend and partition the key
+// space. The reader therefore walks the blocks in file order through one
+// bounded window. Merging the per-rank streams rank-major reproduces the
 // in-memory merged graph byte for byte.
 //
-// The writer integrates with checkpoint/restart: Cut flushes the open
-// block and fsyncs, returning a durable Mark (byte offset, block count,
-// edge count) that internal/ckpt stores in the snapshot; Recover
+// The writer integrates with checkpoint/restart: Mark flushes the open
+// block and returns a Mark (byte offset, block count, edge count) that
+// Sync makes durable and internal/ckpt stores in the snapshot; Recover
 // truncates a shard back to a Mark so a resumed run regenerates exactly
 // the missing suffix, with no duplicated or dropped edges.
 package esink
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -31,7 +29,6 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -40,11 +37,12 @@ const (
 	// Magic opens every shard file.
 	Magic = "PAGSHRD1"
 	// Version is the shard format version; readers reject others.
-	Version = 1
-	// DefaultBlockEdges is the default number of edge records buffered
-	// per block: 1 MiB per rank for the in-order run, at most as much
-	// again for stragglers and a third of it for the encoded block — the
-	// writer's whole memory footprint.
+	// Version 2 requires the blocks to ascend: version 1 shards let a
+	// block hold keys below its predecessor's, and are refused.
+	Version = 2
+	// DefaultBlockEdges is the default number of edge records per block.
+	// The writer holds only the open block's encoded bytes — a few bytes
+	// a record, its whole memory footprint.
 	DefaultBlockEdges = 1 << 16
 
 	blockMarker = 'B'
@@ -105,14 +103,7 @@ func ShardPath(dir string, rank, ranks int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-%d-of-%d.pags", rank, ranks))
 }
 
-// rec is one buffered edge record. U is not stored: the reader derives
-// it from the key via the partition (U = NodeAt(rank, key/x)).
-type rec struct {
-	key uint64
-	v   int64
-}
-
-// Writer appends sorted, CRC-protected edge blocks to one rank's shard
+// Writer appends ascending, CRC-protected edge blocks to one rank's shard
 // file. It has a single owner, the rank goroutine, and takes no lock:
 // every method belongs to that goroutine except Sync, the one method
 // another goroutine (the background checkpoint writer) may call
@@ -122,9 +113,10 @@ type Writer struct {
 	meta Meta
 
 	blockEdges int
-	run        []rec  // open block: records that arrived in ascending key order
-	late       []rec  // open block: records at or below run's last key on arrival
-	enc        []byte // reused block buffer: header gap, payload, CRC
+	enc        []byte // the open block, reused: header gap, payload, then CRC at flush
+	count      int    // records in the open block
+	prev       uint64 // the open block's last key, 0 before its first: the delta base
+	next       uint64 // smallest key Emit accepts
 
 	off     int64 // current end-of-file offset
 	blocks  int64 // complete blocks in the file
@@ -161,8 +153,8 @@ func Open(dir string, meta Meta, blockEdges int) (*Writer, error) {
 		f:          f,
 		meta:       meta,
 		blockEdges: blockEdges,
-		run:        make([]rec, 0, blockEdges),
-		enc:        make([]byte, maxBlockHeader),
+		// Room for a full block of one-byte deltas and values below n.
+		enc: make([]byte, maxBlockHeader, maxBlockHeader+binary.MaxVarintLen64+blockEdges*(2+bits.Len64(uint64(meta.N))/7)+4),
 	}, nil
 }
 
@@ -225,7 +217,9 @@ func (w *Writer) Reset() error {
 // with mark's block and edge counts — then truncates the file to
 // mark.Offset, discarding blocks flushed after the checkpoint cut and
 // any torn tail the kill left behind. The resumed run appends from
-// there.
+// there; Emit's ascending check starts afresh, since the prefix's last
+// key is not decoded — the caller resumes above it (the engine at the
+// frontier its snapshot names, which restore checks against the prefix).
 func (w *Writer) Recover(mark Mark) error {
 	if w.started {
 		return w.setErr(fmt.Errorf("esink: Recover after start"))
@@ -264,8 +258,11 @@ func (w *Writer) Recover(mark Mark) error {
 	return nil
 }
 
-// Emit appends one edge record (slot key, attachment value) to the open
-// block, flushing it when full. Rank goroutine only.
+// Emit varint-encodes one edge record (slot key, attachment value)
+// into the open block, flushing it once it holds blockEdges records.
+// Keys must ascend strictly across the writer's whole life — a key at
+// or below the previous one is refused and latched — so no record is
+// ever buffered for sorting. Rank goroutine only.
 func (w *Writer) Emit(key uint64, v int64) error {
 	if w.err != nil {
 		return w.err
@@ -273,55 +270,34 @@ func (w *Writer) Emit(key uint64, v int64) error {
 	if !w.started {
 		return w.setErr(fmt.Errorf("esink: Emit before Reset/Recover"))
 	}
-	if n := len(w.run); n == 0 || key > w.run[n-1].key {
-		w.run = append(w.run, rec{key: key, v: v})
-	} else {
-		w.late = append(w.late, rec{key: key, v: v})
+	if key < w.next {
+		return w.setErr(fmt.Errorf("esink: key %d does not follow key %d: keys must ascend", key, w.next-1))
 	}
-	if len(w.run)+len(w.late) >= w.blockEdges {
+	w.enc = binary.AppendUvarint(binary.AppendUvarint(w.enc, key-w.prev), uint64(v))
+	w.prev, w.next = key, key+1
+	if w.count++; w.count >= w.blockEdges {
 		return w.flush()
 	}
 	return nil
 }
 
-// flush writes the open block: the stragglers are ordered, run and
-// stragglers merged straight into the payload (first key absolute, the
-// rest deltas >= 1), and header, payload and CRC leave in one write from
-// the reused buffer. The bytes depend only on the block's record set.
+// flush writes the open block: its header goes right-aligned into the
+// gap in front of the payload (first key absolute, the rest deltas
+// >= 1), the CRC behind it, and all of it leaves in one write from the
+// reused buffer.
 func (w *Writer) flush() error {
-	run, late := w.run, w.late
-	count := len(run) + len(late)
-	if count == 0 {
+	if w.count == 0 {
 		return nil
 	}
-	// run's capacity is blockEdges, so its spare tail fits late.
-	sortRecs(late, run[len(run):cap(run)])
-
-	b := w.enc[:maxBlockHeader]
-	prev := uint64(0)
-	for i, j := 0, 0; i < len(run) || j < len(late); {
-		var r rec
-		if j == len(late) || (i < len(run) && run[i].key <= late[j].key) {
-			r = run[i]
-			i++
-		} else {
-			r = late[j]
-			j++
-		}
-		b = binary.AppendUvarint(b, r.key-prev)
-		prev = r.key
-		b = binary.AppendUvarint(b, uint64(r.v))
-	}
-
+	b := w.enc
 	var hdr [maxBlockHeader]byte
 	h := append(hdr[:0], blockMarker)
 	h = binary.AppendUvarint(h, uint64(w.blocks))
-	h = binary.AppendUvarint(h, uint64(count))
+	h = binary.AppendUvarint(h, uint64(w.count))
 	h = binary.AppendUvarint(h, uint64(len(b)-maxBlockHeader))
 	start := maxBlockHeader - len(h)
 	copy(b[start:], h)
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[start:], castagnoli))
-	w.enc = b
 	blk := b[start:]
 
 	if _, err := w.f.WriteAt(blk, w.off); err != nil {
@@ -329,68 +305,18 @@ func (w *Writer) flush() error {
 	}
 	w.off += int64(len(blk))
 	w.blocks++
-	w.edges += int64(count)
+	w.edges += int64(w.count)
 	w.stats.BlocksFlushed++
 	w.stats.BytesWritten += int64(len(blk))
-	w.run, w.late = run[:0], late[:0]
+	w.enc, w.count, w.prev = b[:maxBlockHeader], 0, 0
 	return nil
 }
 
-// sortRecs orders recs by key, using scratch (room for len(recs)
-// records) above 64: an LSD radix sort, 11 bits a pass, over only the
-// bits in which the keys differ — two passes for a typical block.
-func sortRecs(recs, scratch []rec) {
-	if len(recs) < 64 {
-		slices.SortFunc(recs, func(a, b rec) int { return cmp.Compare(a.key, b.key) })
-		return
-	}
-	and, or := ^uint64(0), uint64(0)
-	for _, r := range recs {
-		and &= r.key
-		or |= r.key
-	}
-	diff := and ^ or
-	src, dst := recs, scratch[:len(recs)]
-	const radixBits = 11
-	for shift := uint(bits.TrailingZeros64(diff)); diff>>shift != 0; shift += radixBits {
-		var count [1 << radixBits]int
-		for _, r := range src {
-			count[(r.key>>shift)&(1<<radixBits-1)]++
-		}
-		pos := 0
-		for d, c := range count {
-			count[d], pos = pos, pos+c
-		}
-		for _, r := range src {
-			d := (r.key >> shift) & (1<<radixBits - 1)
-			dst[count[d]] = r
-			count[d]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &recs[0] {
-		copy(recs, src)
-	}
-}
-
-// Cut flushes the open block and fsyncs, returning the durable Mark for
-// a checkpoint snapshot. Rank goroutine only.
-func (w *Writer) Cut() (Mark, error) {
-	m, err := w.Mark()
-	if err != nil {
-		return Mark{}, err
-	}
-	if err := w.Sync(); err != nil {
-		return Mark{}, w.setErr(err)
-	}
-	return m, nil
-}
-
 // Mark flushes the open block (a page-cache write) and returns the
-// shard mark at the complete-block boundary — Cut without the fsync.
-// The engine's fast capture uses it at a quiescent cut and defers the
-// fsync to its background writer (Sync), which must complete before a
-// snapshot naming the mark is published. Rank goroutine only.
+// shard mark at the complete-block boundary; Sync makes it durable. The
+// engine takes it at a quiescent cut and defers the fsync to its
+// background writer, which must complete it before a snapshot naming
+// the mark is published. Rank goroutine only.
 func (w *Writer) Mark() (Mark, error) {
 	if w.err != nil {
 		return Mark{}, w.err
@@ -476,9 +402,6 @@ func (w *Writer) Stats() Stats {
 	st.FsyncNanos = w.fsyncNanos.Load()
 	return st
 }
-
-// Err returns the latched first error, if any. Rank goroutine only.
-func (w *Writer) Err() error { return w.err }
 
 func (w *Writer) setErr(err error) error {
 	if w.err == nil {

@@ -40,15 +40,19 @@ func shardBytes(f *testing.F, meta Meta, blockEdges int, recs []rec) []byte {
 // panic, must not accept a p that is NaN, must not yield more records
 // than its block headers declare, and must not allocate from a length
 // field the file size does not back.
-// The seeds are real writer output and CRC-clean crafted shards;
-// testdata/fuzz/FuzzOpenReader keeps the crafted ones (craftShard over
-// a hostile Meta or block header, named for what they did) that crashed
-// the reader before it validated what the checksums cannot vouch for.
+// The seeds are real v2 writer output — ascending keys with gaps, as a
+// rank's slots leave F — and CRC-clean crafted shards, one of them two
+// blocks whose key ranges overlap; testdata/fuzz/FuzzOpenReader keeps
+// the crafted ones (craftShard over a hostile Meta or block header,
+// named for what they did) that crashed the reader before it validated
+// what the checksums cannot vouch for.
 func FuzzOpenReader(f *testing.F) {
 	meta := Meta{N: 1000, X: 3, P: 0.5, Seed: 1, Rank: 1, Ranks: 2, Scheme: "RRP"}
 	var recs []rec
 	for k := uint64(0); k < 300; k++ {
-		recs = append(recs, rec{key: k * 5 % 301, v: int64(k) << (k % 40)})
+		if k%7 != 3 { // a gap, like a clique node's missing slots
+			recs = append(recs, rec{key: k + k/50, v: int64(k) << (k % 40)})
+		}
 	}
 	whole := shardBytes(f, meta, 16, recs)
 	f.Add(shardBytes(f, meta, 16, nil))                     // empty shard
@@ -63,6 +67,8 @@ func FuzzOpenReader(f *testing.F) {
 	nan := meta
 	nan.P = math.NaN()
 	f.Add(craftShard(nan, craftBlock(0, 1, one))) // CRC-clean header, p = NaN
+	// Keys 5, 9 then 7, 11: the second block starts inside the first.
+	f.Add(craftShard(meta, refBlock(0, []rec{{5, 1}, {9, 2}}), refBlock(1, []rec{{7, 3}, {11, 4}})))
 
 	path := filepath.Join(f.TempDir(), "shard") // one a process: executions do not overlap
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -86,7 +92,7 @@ func FuzzOpenReader(f *testing.F) {
 			r.Close()
 		}
 		runtime.ReadMemStats(&after)
-		// Scan buffer, cursor windows and partition tables are bounded by
+		// Scan buffer, read window and partition tables are bounded by
 		// constants and the file's own size.
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20+64*uint64(len(data)) {
 			t.Fatalf("reading a %d-byte file allocated %d bytes", len(data), grew)

@@ -13,18 +13,11 @@ import (
 	"pagen/internal/partition"
 )
 
-// DefaultReadBudget is the default total buffer memory an iterator
-// spreads across its per-block cursors.
-const DefaultReadBudget = 32 << 20
-
-// Per-cursor buffer clamp: with thousands of blocks the per-cursor
-// share shrinks toward minCursorBuf; a shard with few blocks reads
-// through larger buffers up to maxCursorBuf, so a window never grows
-// with its block's payload and an iterator holds at most maxCursorBuf
-// per block.
+// An iterator reads the payloads through one window of readWindow
+// bytes; a smaller budget shrinks it, down to minWindow.
 const (
-	minCursorBuf = 4 << 10
-	maxCursorBuf = 32 << 10
+	minWindow  = 4 << 10
+	readWindow = 64 << 10
 )
 
 // scanBuf is the one read buffer scanShard walks a shard through; block
@@ -124,7 +117,7 @@ func scanShard(f *os.File, tolerate bool) (*scanResult, error) {
 		return nil, fmt.Errorf("shard header: %w", err)
 	}
 	if ver != Version {
-		return nil, fmt.Errorf("unsupported shard version %d (reader supports %d)", ver, Version)
+		return nil, fmt.Errorf("unsupported shard version %d (reader supports %d, whose blocks ascend)", ver, Version)
 	}
 	var meta Meta
 	u := func() uint64 {
@@ -300,8 +293,9 @@ func scanShard(f *os.File, tolerate bool) (*scanResult, error) {
 }
 
 // Reader reads one shard file back in canonical (slot-key-ascending)
-// order by k-way-merging its sorted blocks through bounded per-block
-// buffers, so iteration memory is independent of the shard size.
+// order: the blocks ascend and partition the key space, so they are read
+// in file order through one bounded window, and iteration memory is
+// independent of the shard size.
 type Reader struct {
 	f    *os.File
 	sc   *scanResult
@@ -315,9 +309,8 @@ func OpenReader(path string) (*Reader, error) {
 }
 
 // OpenReaderTolerant opens a shard accepting a torn tail: iteration
-// covers the longest clean complete-block prefix. Meta().complete
-// status is exposed via Complete. Intended for post-mortem inspection
-// of a crashed run's shards.
+// covers the longest clean complete-block prefix. For a resumed rank's
+// restore and post-mortem inspection of a crashed run's shards.
 func OpenReaderTolerant(path string) (*Reader, error) {
 	return openReader(path, true)
 }
@@ -358,81 +351,26 @@ func (r *Reader) Meta() Meta { return r.sc.meta }
 // Edges returns the number of edge records the reader will yield.
 func (r *Reader) Edges() int64 { return r.sc.edges }
 
-// Complete reports whether the shard carried a valid end-of-stream
-// record (always true for strictly opened shards).
-func (r *Reader) Complete() bool { return r.sc.complete }
-
 // Close releases the underlying file.
 func (r *Reader) Close() error { return r.f.Close() }
 
-// cursor streams one block's records through a bounded window of the
-// payload: records decode straight from buf, which refill tops up from
-// the file when fewer bytes remain than one record (maxRecordLen, two
-// uvarints) can need.
-type cursor struct {
-	f         *os.File
-	off, end  int64  // payload bytes not yet read from the file
-	buf       []byte // the window; buf[r:n] is undecoded
-	r, n      int
-	remaining int64
-	first     bool
-	key       uint64 // current record
-	v         int64
-}
-
 const maxRecordLen = 2 * binary.MaxVarintLen64
 
-func (c *cursor) refill() error {
-	c.n = copy(c.buf, c.buf[c.r:c.n])
-	c.r = 0
-	want := c.buf[c.n:min(int64(len(c.buf)), int64(c.n)+c.end-c.off)]
-	got, err := c.f.ReadAt(want, c.off)
-	c.off += int64(got)
-	c.n += got
-	if got == len(want) {
-		return nil
-	}
-	return err
-}
-
-func (c *cursor) advance() (bool, error) {
-	if c.remaining == 0 {
-		return false, nil
-	}
-	c.remaining--
-	if c.n-c.r < maxRecordLen && c.off < c.end {
-		if err := c.refill(); err != nil {
-			return false, fmt.Errorf("esink: corrupt block payload: %w", err)
-		}
-	}
-	d, dn := binary.Uvarint(c.buf[c.r:c.n])
-	v, vn := binary.Uvarint(c.buf[c.r+max(dn, 0) : c.n])
-	if dn <= 0 || vn <= 0 { // 0: the payload ends inside the value; < 0: it overflows 64 bits
-		return false, fmt.Errorf("esink: corrupt block payload: truncated or overlong varint")
-	}
-	c.r += dn + vn
-	if c.first {
-		c.first = false
-		c.key = d
-	} else {
-		if d == 0 {
-			return false, fmt.Errorf("esink: corrupt block payload: zero key delta")
-		}
-		c.key += d
-	}
-	c.v = int64(v)
-	return true, nil
-}
-
-// Iter is a canonical-order edge iterator over one shard: a min-heap of
-// per-block cursors keyed by the next record's slot key.
+// Iter is a canonical-order edge iterator over one shard. It decodes
+// the blocks in file order straight from one window of the payload,
+// which refill tops up from the file when fewer bytes remain than one
+// record (maxRecordLen, two uvarints) can need, and checks that every
+// key lies above the one before it, across block boundaries too.
 type Iter struct {
-	r    *Reader
-	heap []*cursor
-	// bound is the smallest key below the heap's root; while the root's
-	// next key stays under it — all of an in-order run — no repair.
-	bound uint64
-	x     uint64
+	r         *Reader
+	block     int    // next block to open
+	off, end  int64  // the current block's payload bytes not yet read
+	buf       []byte // the window; buf[rd:n] is undecoded
+	rd, n     int
+	remaining int64  // records left in the current block
+	prev      uint64 // the current block's last key, 0 before its first
+	next      uint64 // smallest key the next record may hold
+	x         uint64
 	// limit is one past the rank's largest slot key. [node, node+x) are
 	// the keys of u, the last edge's source, so a node's x edges cost
 	// one division and one partition lookup; node starts at limit.
@@ -441,86 +379,30 @@ type Iter struct {
 	err         error
 }
 
-// Iter returns a canonical-order iterator. budget bounds the total
-// buffer memory across the per-block cursors (DefaultReadBudget if
-// <= 0). Multiple iterators over one Reader are independent.
+// Iter returns a canonical-order iterator reading through one window
+// of budget bytes, clamped to [minWindow, readWindow] (readWindow if
+// budget <= 0). Multiple iterators over one Reader are independent.
 func (r *Reader) Iter(budget int) *Iter {
 	if budget <= 0 {
-		budget = DefaultReadBudget
+		budget = readWindow
 	}
-	per := budget
-	if n := len(r.sc.blocks); n > 0 {
-		per = budget / n
-	}
-	if per < minCursorBuf {
-		per = minCursorBuf
-	}
-	if per > maxCursorBuf {
-		per = maxCursorBuf
-	}
-	it := &Iter{r: r, x: uint64(r.sc.meta.X)}
+	it := &Iter{r: r, x: uint64(r.sc.meta.X), buf: make([]byte, min(max(budget, minWindow), readWindow))}
 	it.limit = uint64(r.part.Size(r.sc.meta.Rank)) * it.x
 	it.node = it.limit
-	for _, b := range r.sc.blocks {
-		if b.count == 0 {
-			continue
-		}
-		c := &cursor{
-			f:         r.f,
-			off:       b.payOff,
-			end:       b.payOff + b.payLen,
-			buf:       make([]byte, min(int64(per), max(b.payLen, maxRecordLen))),
-			remaining: b.count,
-			first:     true,
-		}
-		ok, err := c.advance()
-		if err != nil {
-			it.err = err
-			return it
-		}
-		if ok {
-			it.push(c)
-		}
-	}
-	it.siftDown() // the pushes built the heap; this only sets bound
 	return it
 }
 
-func (it *Iter) push(c *cursor) {
-	it.heap = append(it.heap, c)
-	i := len(it.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if it.heap[p].key <= it.heap[i].key {
-			break
-		}
-		it.heap[p], it.heap[i] = it.heap[i], it.heap[p]
-		i = p
+func (it *Iter) refill() error {
+	it.n = copy(it.buf, it.buf[it.rd:it.n])
+	it.rd = 0
+	want := it.buf[it.n:min(int64(len(it.buf)), int64(it.n)+it.end-it.off)]
+	got, err := it.r.f.ReadAt(want, it.off)
+	it.off += int64(got)
+	it.n += got
+	if got == len(want) {
+		return nil
 	}
-}
-
-func (it *Iter) siftDown() {
-	h := it.heap
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && h[l].key < h[m].key {
-			m = l
-		}
-		if r < len(h) && h[r].key < h[m].key {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	it.bound = math.MaxUint64
-	for _, c := range h[min(1, len(h)):min(3, len(h))] {
-		it.bound = min(it.bound, c.key)
-	}
+	return err
 }
 
 // NextSlot yields the next record in canonical order as it is stored:
@@ -528,31 +410,44 @@ func (it *Iter) siftDown() {
 // inside the rank's table) and the attachment value. A resumed run
 // rebuilds its attachment table from these.
 func (it *Iter) NextSlot() (key uint64, v int64, ok bool) {
-	if it.err != nil || len(it.heap) == 0 {
-		return 0, 0, false
-	}
-	c := it.heap[0]
-	key, v = c.key, c.v
-	more, err := c.advance()
-	if err != nil {
-		it.err = err
-		return 0, 0, false
-	}
-	if more {
-		if c.key >= it.bound {
-			it.siftDown()
+	for it.remaining == 0 {
+		if it.err != nil || it.block == len(it.r.sc.blocks) {
+			return 0, 0, false
 		}
-	} else {
-		last := len(it.heap) - 1
-		it.heap[0] = it.heap[last]
-		it.heap = it.heap[:last]
-		it.siftDown()
+		b := it.r.sc.blocks[it.block]
+		it.block++
+		it.off, it.end, it.remaining = b.payOff, b.payOff+b.payLen, b.count
+		it.rd, it.n, it.prev = 0, 0, 0
 	}
-	if key >= it.limit {
-		it.err = fmt.Errorf("esink: corrupt block payload: slot key %d outside the rank's %d slots", key, it.limit)
+	if it.err != nil {
 		return 0, 0, false
 	}
-	return key, v, true
+	it.remaining--
+	if it.n-it.rd < maxRecordLen && it.off < it.end {
+		if err := it.refill(); err != nil {
+			it.err = fmt.Errorf("esink: corrupt block payload: %w", err)
+			return 0, 0, false
+		}
+	}
+	d, dn := binary.Uvarint(it.buf[it.rd:it.n])
+	u, vn := binary.Uvarint(it.buf[it.rd+max(dn, 0) : it.n])
+	if dn <= 0 || vn <= 0 { // 0: the payload ends inside the value; < 0: it overflows 64 bits
+		it.err = fmt.Errorf("esink: corrupt block payload: truncated or overlong varint")
+		return 0, 0, false
+	}
+	it.rd += dn + vn
+	key = it.prev + d
+	switch {
+	case key < it.next: // a zero delta, a wrapped one, or a block starting at or below its predecessor's last key
+		it.err = fmt.Errorf("esink: corrupt block payload: block %d: key %d does not follow key %d", it.block-1, key, it.next-1)
+	case key >= it.limit:
+		it.err = fmt.Errorf("esink: corrupt block payload: slot key %d outside the rank's %d slots", key, it.limit)
+	}
+	if it.err != nil {
+		return 0, 0, false
+	}
+	it.prev, it.next = key, key+1
+	return key, int64(u), true
 }
 
 // Next yields the next edge in canonical order. The edge's source node

@@ -253,13 +253,15 @@ func (r *RRP) ForEach(rank int, fn func(int64)) {
 	}
 }
 
-// Index implements Scheme: node rank + j*P has index j.
+// Index implements Scheme: node rank + j*P has index j. One division
+// gives both j and the owner check.
 func (r *RRP) Index(rank int, node int64) int64 {
 	checkNode(r.n, node)
-	if node%int64(r.p) != int64(rank) {
+	q := node / int64(r.p)
+	if node-q*int64(r.p) != int64(rank) {
 		panic(fmt.Sprintf("partition: node %d not owned by rank %d", node, rank))
 	}
-	return (node - int64(rank)) / int64(r.p)
+	return q
 }
 
 // NodeAt implements Scheme: index j maps to node rank + j*P.

@@ -263,11 +263,13 @@ func TestMemoryEstimate(t *testing.T) {
 		t.Fatalf("n = %d in memory: estimate %d, want edges + high plane + overhead = %d", wide, got, want)
 	}
 
-	// The bounded-memory path holds the tables and the open shard blocks,
-	// nothing per edge — and checkpointing it is free, because a snapshot
-	// carries no table. A checkpointed run without StreamDir streams too
-	// and holds the edge list it reads back, so it costs the in-memory
-	// run plus the tables and the open shard blocks.
+	// The bounded-memory path holds the tables and each rank's open
+	// shard block, encoded — at n = 10⁶ a record is a one-byte key delta
+	// and a three-byte value — and nothing per edge. Checkpointing it
+	// adds the window each snapshot carries, which depends on the run's
+	// drift and is left out. A checkpointed run without StreamDir streams
+	// too and holds the edge list it reads back, so it costs the
+	// in-memory run plus the tables and the open blocks.
 	mem := Config{N: 1_000_000, X: 4, Ranks: 2}
 	streamed, ckpt, both := mem, mem, mem
 	streamed.StreamDir = "shards"
@@ -276,12 +278,13 @@ func TestMemoryEstimate(t *testing.T) {
 	if s, m := MemoryEstimate(streamed), MemoryEstimate(mem); s >= m {
 		t.Fatalf("streamed estimate %d not below in-memory %d", s, m)
 	}
+	tables := int64(4 * (1_000_000 - 4) * 4)
+	blocks := int64(2 * 4 * esink.DefaultBlockEdges)
 	if s, b := MemoryEstimate(streamed), MemoryEstimate(both); s != b {
 		t.Fatalf("streamed %d != streamed + checkpointed %d", s, b)
 	}
-	tables := int64(4 * (1_000_000 - 4) * 4)
-	if c, m := MemoryEstimate(ckpt), MemoryEstimate(mem); c != m+tables+2*16*esink.DefaultBlockEdges {
-		t.Fatalf("checkpointed estimate without StreamDir %d, want in-memory %d plus the tables %d and two open blocks", c, m, tables)
+	if c, m := MemoryEstimate(ckpt), MemoryEstimate(mem); c != m+tables+blocks {
+		t.Fatalf("checkpointed estimate without StreamDir %d, want in-memory %d plus the tables %d and two open blocks %d", c, m, tables, blocks)
 	}
 	if s := MemoryEstimate(streamed); s < tables || s > 2*tables {
 		t.Fatalf("streamed estimate %d not within 2x of the tables' %d", s, tables)
@@ -293,7 +296,7 @@ func TestMemoryEstimate(t *testing.T) {
 		slot int64
 	}{{math.MaxUint32, 4}, {1 << 33, 8}} {
 		cfg := Config{N: c.n, X: 4, Ranks: 1, StreamDir: "shards"}
-		want := c.slot*(c.n-4)*4 + 16*esink.DefaultBlockEdges + 1<<16
+		want := c.slot*(c.n-4)*4 + (1+5)*esink.DefaultBlockEdges + 1<<16 // five-byte values
 		if got := MemoryEstimate(cfg); got != want {
 			t.Fatalf("n = %d: estimate %d, want %d B/slot tables + one open block + overhead = %d", c.n, got, c.slot, want)
 		}

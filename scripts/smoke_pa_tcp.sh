@@ -11,8 +11,9 @@
 # The basic mode runs three clusters — hub-prefix cache on, cache off
 # (-hub-prefix -1) and -resolve recompute — and requires all three
 # shard directories to carry the fingerprint of an in-process
-# pagen -ranks 4 run. Raw shard bytes are not compared: block cut and
-# flush placement depends on timing, the merged edge stream does not.
+# pagen -ranks 4 run. Raw shard bytes are not compared: the merged edge
+# stream is the contract (a checkpointed run's block cuts depend on
+# timing; an uncheckpointed run's shards are deterministic too).
 #
 # With "chaos" as the first argument it runs the kill-mid-epoch smoke:
 # a supervised streamed run where one rank is killed while the second
