@@ -108,7 +108,7 @@ func defineFlags(fs *flag.FlagSet) *flags {
 		supervise:   fs.Bool("supervise", false, "run as a supervisor: spawn all ranks locally, restart the cluster from the last checkpoint on crash"),
 		maxRestarts: fs.Int("max-restarts", 3, "restart attempts before the supervisor gives up"),
 		streamDir:   fs.String("stream-dir", "", "required: directory for this rank's compressed edge shard, written with bounded memory (docs/SHARD_FORMAT.md); under -supervise, the children's"),
-		streamBlock: fs.Int("stream-block-edges", 0, "edge records buffered per stream block before a sorted flush (0 = 65536)"),
+		streamBlock: fs.Int("stream-block-edges", 0, "edge records per shard block, the unit a rank flushes and a reader decodes on its own (0 = 65536)"),
 	}
 }
 

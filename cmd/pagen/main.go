@@ -65,7 +65,7 @@ func main() {
 		stats       = flag.Bool("stats", false, "print per-rank statistics to stderr")
 		seq         = flag.Bool("seq", false, "use the sequential copy model instead")
 		streamDir   = flag.String("stream-dir", "", "spill compressed per-rank edge shards to this directory with bounded memory (docs/SHARD_FORMAT.md); composes with -checkpoint-dir")
-		streamBlock = flag.Int("stream-block-edges", 0, "edge records buffered per stream block before a sorted flush (0 = 65536)")
+		streamBlock = flag.Int("stream-block-edges", 0, "edge records per shard block, the unit a rank flushes and a reader decodes on its own (0 = 65536)")
 		metrics     = flag.String("metrics", "", "write run metrics JSON to this file (\"-\" = stderr)")
 		ckptDir     = flag.String("checkpoint-dir", "", "write per-rank snapshots to this directory (see docs/OPERATIONS.md)")
 		ckptN       = flag.Int64("checkpoint-every", 0, "protocol events between checkpoint epochs (requires -checkpoint-dir)")

@@ -508,6 +508,156 @@ func TestReaderRefusesNonAscendingKeys(t *testing.T) {
 	}
 }
 
+// downloads writes r's shard as a PAGB graph twice from one-window
+// (minWindow) iterators: through the block lanes, and through Iter one
+// edge at a time.
+func downloads(r *Reader) (lanes, iter []byte, lerr, ierr error) {
+	d := &DirReader{readers: []*Reader{r}}
+	var a, b bytes.Buffer
+	lerr = graph.WriteBinaryStream(&a, r.Meta().N, r.Edges(), d.Iter(1))
+	ierr = graph.WriteBinaryStream(&b, r.Meta().N, r.Edges(), struct{ graph.EdgeIterator }{d.Iter(1)})
+	return a.Bytes(), b.Bytes(), lerr, ierr
+}
+
+// sameDownload reports how a lane download and an Iter download of one
+// shard disagree: they must write the same bytes or fail alike.
+func sameDownload(lanes, iter []byte, lerr, ierr error) error {
+	switch {
+	case lerr == nil && ierr == nil && !bytes.Equal(lanes, iter):
+		return fmt.Errorf("the lanes wrote %d bytes, Iter %d different ones", len(lanes), len(iter))
+	case (lerr == nil) != (ierr == nil) || lerr != nil && lerr.Error() != ierr.Error():
+		return fmt.Errorf("the lanes returned %v, Iter %v", lerr, ierr)
+	}
+	return nil
+}
+
+// A CRC-clean block whose payload holds bytes after its declared
+// records hides data: it is refused by an error naming the block, after
+// every record before it, on Iter and on the download lanes alike.
+func TestReaderRefusesTrailingBytes(t *testing.T) {
+	meta := testMeta(1000, 1)
+	two := refPayload([]rec{{1, 5}, {2, 6}}) // 4 bytes
+	for _, tc := range []struct {
+		name   string
+		blocks [][]byte
+		good   int64
+		want   string
+	}{
+		{"a record too many", [][]byte{craftBlock(0, 1, two)}, 1, "block 0: 2 bytes after its 1 records"},
+		{"an empty block with a payload", [][]byte{craftBlock(0, 0, two), refBlock(1, []rec{{3, 1}})}, 0, "block 0: 4 bytes after its 0 records"},
+		{"in a later block", [][]byte{refBlock(0, []rec{{0, 1}}), craftBlock(1, 1, two)}, 2, "block 1: 2 bytes after its 1 records"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "shard")
+			if err := os.WriteFile(path, craftShard(meta, tc.blocks...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := OpenReader(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			n, err := drain(r.Iter(0))
+			if n != tc.good || err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%d records then err = %v; want %d and one saying %q", n, err, tc.good, tc.want)
+			}
+			if lanes, iter, lerr, ierr := downloads(r); lerr == nil || sameDownload(lanes, iter, lerr, ierr) != nil {
+				t.Fatalf("download: lanes %v, Iter %v; want both to refuse alike", lerr, ierr)
+			}
+		})
+	}
+}
+
+// TestDownloadWideValues: sources and values of 2⁵⁶ and more, whose
+// varints do not fit the lanes' 8-byte words, download as the reference
+// encoder writes them, through the lanes and through Iter, also when
+// such a value ends a block or stands between narrow ones.
+func TestDownloadWideValues(t *testing.T) {
+	meta := Meta{N: 1 << 60, X: 1, P: 0.5, Seed: 1, Rank: 0, Ranks: 1, Scheme: "UCP"} // slot key k is node k
+	var recs []rec
+	for i, k := range []uint64{0, 1, 2, 1<<56 - 1, 1 << 56, 1<<56 + 1, 1 << 59} {
+		recs = append(recs, rec{key: k, v: []int64{5, 1 << 56, 1<<62 + 3, 7, 1<<56 - 1, 1 << 63 >> 1, 0}[i]})
+	}
+	var want graph.Graph
+	want.N = meta.N
+	for _, r := range recs {
+		want.AddEdge(int64(r.key), r.v)
+	}
+	var ref bytes.Buffer
+	if err := graph.WriteBinary(&ref, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, block := range []int{1, 2, 3, 0} {
+		for _, procs := range []int{1, 2} {
+			t.Run(fmt.Sprintf("block%d/procs%d", block, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				r, err := OpenReader(writeShard(t, t.TempDir(), meta, block, recs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				lanes, iter, lerr, ierr := downloads(r)
+				if lerr != nil || ierr != nil {
+					t.Fatalf("lanes: %v, Iter: %v", lerr, ierr)
+				}
+				if !bytes.Equal(lanes, ref.Bytes()) || !bytes.Equal(iter, ref.Bytes()) {
+					t.Fatalf("lanes wrote %x, Iter %x; want %x", lanes, iter, ref.Bytes())
+				}
+			})
+		}
+	}
+}
+
+// TestDownloadRefusesLikeIter: on a hostile shard the block lanes fail
+// with Iter's error, at one lane and two, also where the blocks that
+// overlap fall into different lanes' chunks, so that the writer's seam
+// check is what refuses them.
+func TestDownloadRefusesLikeIter(t *testing.T) {
+	meta := testMeta(1<<20, 1)
+	var big []rec // a block longer than a minWindow chunk
+	for k := uint64(0); k < 1200; k++ {
+		big = append(big, rec{key: k, v: 1 << 20})
+	}
+	for _, tc := range []struct {
+		name   string
+		blocks [][]byte
+		want   string
+	}{
+		{"blocks overlap across chunks", [][]byte{refBlock(0, big), refBlock(1, []rec{{600, 1}})}, "block 1: key 600 does not follow key 1199"},
+		{"a repeated key across chunks", [][]byte{refBlock(0, big), refBlock(1, []rec{{1199, 1}})}, "block 1: key 1199 does not follow key 1199"},
+		{"blocks overlap in one chunk", [][]byte{refBlock(0, []rec{{5, 1}, {9, 2}}), refBlock(1, []rec{{7, 3}})}, "block 1: key 7 does not follow key 9"},
+		{"a zero delta", [][]byte{craftBlock(0, 2, append(refPayload([]rec{{4, 1}}), 0, 3))}, "block 0: key 4 does not follow key 4"},
+		// Key 1300 is 0x94 0x0a; value 1 padded to two bytes is 0x81 0x00.
+		{"a padded value", [][]byte{refBlock(0, big), craftBlock(1, 1, []byte{0x94, 0x0a, 0x81, 0x00})}, "truncated or overlong varint"},
+		{"a padded key", [][]byte{refBlock(0, big), craftBlock(1, 1, []byte{0x94, 0x8a, 0x00, 0x01})}, "truncated or overlong varint"},
+		{"a truncated value", [][]byte{refBlock(0, big), craftBlock(1, 1, []byte{0x94, 0x0a, 0x81})}, "truncated or overlong varint"},
+		{"a key past the slots", [][]byte{refBlock(0, big), refBlock(1, []rec{{1 << 20, 1}})}, "slot key 1048576 outside"},
+		{"bytes after the records", [][]byte{refBlock(0, big), craftBlock(1, 1, refPayload([]rec{{1300, 1}, {1301, 1}}))}, "block 1: 2 bytes after its 1 records"},
+	} {
+		for _, procs := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/procs%d", tc.name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				path := filepath.Join(t.TempDir(), "shard")
+				if err := os.WriteFile(path, craftShard(meta, tc.blocks...), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				r, err := OpenReader(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				lanes, iter, lerr, ierr := downloads(r)
+				if err := sameDownload(lanes, iter, lerr, ierr); err != nil {
+					t.Fatal(err)
+				}
+				if lerr == nil || !strings.Contains(lerr.Error(), tc.want) {
+					t.Fatalf("the download returned %v, want an error saying %q", lerr, tc.want)
+				}
+			})
+		}
+	}
+}
+
 // TestSyncConcurrentWithEmit is the checkpoint writer's pattern
 // (core's ckptWriter.publish): the rank goroutine emits and marks while
 // another goroutine fsyncs the shard. Under -race this proves Sync

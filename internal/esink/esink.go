@@ -11,8 +11,10 @@
 // ascending: the writer varint-encodes each record straight into the
 // open block, and the blocks of a shard ascend and partition the key
 // space. The reader therefore walks the blocks in file order through one
-// bounded window. Merging the per-rank streams rank-major reproduces the
-// in-memory merged graph byte for byte.
+// bounded window; and since every block restarts its key deltas, a
+// download decodes runs of blocks on two lanes at once. Merging the
+// per-rank streams rank-major reproduces the in-memory merged graph byte
+// for byte.
 //
 // The writer integrates with checkpoint/restart: Mark flushes the open
 // block and returns a Mark (byte offset, block count, edge count) that

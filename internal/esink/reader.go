@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 
 	"pagen/internal/graph"
@@ -356,53 +357,229 @@ func (r *Reader) Close() error { return r.f.Close() }
 
 const maxRecordLen = 2 * binary.MaxVarintLen64
 
-// Iter is a canonical-order edge iterator over one shard. It decodes
-// the blocks in file order straight from one window of the payload,
-// which refill tops up from the file when fewer bytes remain than one
-// record (maxRecordLen, two uvarints) can need, and checks that every
-// key lies above the one before it, across block boundaries too.
-type Iter struct {
+// decoder decodes the records of one shard's blocks through one window
+// and makes every check the payload needs: both varints are minimal and
+// end inside the block's payload, a key lies above the one before it
+// (above next, for a block's first record) and below the rank's slot
+// count, and no bytes follow a block's declared records — so a payload
+// it accepts is the one the writer makes of its records. Iter reads
+// blocks one after another with it; a download lane reads runs of them.
+type decoder struct {
 	r         *Reader
-	block     int    // next block to open
-	off, end  int64  // the current block's payload bytes not yet read
-	buf       []byte // the window; buf[rd:n] is undecoded
-	rd, n     int
-	remaining int64  // records left in the current block
-	prev      uint64 // the current block's last key, 0 before its first
+	buf       []byte // the window: file bytes [off-n, off); buf[rd:lim] is the block's undecoded payload
+	rd, lim   int
+	n         int
+	off       int64  // file offset of buf[n]
+	pend      int64  // the block's payload end
+	rend      int64  // how far the window may read
+	block     int    // the block being decoded
+	remaining int64  // its records left
+	prev      uint64 // the block's last key, 0 before its first: the delta base
 	next      uint64 // smallest key the next record may hold
-	x         uint64
-	// limit is one past the rank's largest slot key. [node, node+x) are
-	// the keys of u, the last edge's source, so a node's x edges cost
-	// one division and one partition lookup; node starts at limit.
-	limit, node uint64
-	u           int64
-	err         error
+	limit     uint64 // one past the rank's largest slot key
+	wide      uint64 // the wide value ending the last batch, if any
+	err       error
+}
+
+// windowLen clamps a window budget to [minWindow, readWindow]
+// (readWindow if budget <= 0).
+func windowLen(budget int) int {
+	if budget <= 0 {
+		budget = readWindow
+	}
+	return min(max(budget, minWindow), readWindow)
+}
+
+// reset points the decoder at r's blocks.
+func (d *decoder) reset(r *Reader) {
+	d.r, d.n, d.rd, d.lim, d.remaining, d.next, d.err = r, 0, 0, 0, 0, 0, nil
+	d.limit = uint64(r.part.Size(r.sc.meta.Rank)) * uint64(r.sc.meta.X)
+}
+
+// open starts block b, letting the window read ahead to rend. Bytes the
+// window already holds are not read again.
+func (d *decoder) open(b int, rend int64) {
+	bi := d.r.sc.blocks[b]
+	if start := bi.payOff - (d.off - int64(d.n)); start >= int64(d.rd) && start <= int64(d.n) {
+		d.rd = int(start)
+	} else {
+		d.rd, d.n, d.off = 0, 0, bi.payOff
+	}
+	d.block, d.remaining, d.prev = b, bi.count, 0
+	d.pend, d.rend = bi.payOff+bi.payLen, max(rend, bi.payOff+bi.payLen)
+	d.clip()
+}
+
+// clip bounds the decodable bytes by the block's payload end.
+func (d *decoder) clip() { d.lim = int(min(int64(d.n), d.pend-d.off+int64(d.n))) }
+
+func (d *decoder) refill() error {
+	d.n = copy(d.buf, d.buf[d.rd:d.n])
+	d.rd = 0
+	want := d.buf[d.n:min(int64(len(d.buf)), int64(d.n)+d.rend-d.off)]
+	got, err := d.r.f.ReadAt(want, d.off)
+	d.off += int64(got)
+	d.n += got
+	d.clip()
+	if got == len(want) {
+		return nil
+	}
+	return err
+}
+
+// decodeBatch is the most records one decode call yields.
+const decodeBatch = 128
+
+// wideWord stands in decode's vals for a value too wide for a word; no
+// varint's bytes are all continuation bytes.
+const wideWord = ^uint64(0)
+
+// decode decodes up to len(keys) of the block's records into keys and
+// vals and returns how many: fewer only at the block's end or at an
+// error, which it leaves in d.err. A value is kept as the bytes of its
+// varint, a little-endian word — which, the varint being minimal, are
+// also its PAGB encoding — and valueOf turns a word into the value. A
+// value of 2⁵⁶ or more, whose varint is longer than a word, is kept in
+// d.wide, stood for by wideWord, and ends the batch.
+func (d *decoder) decode(keys, vals []uint64) int {
+	k := int(min(int64(len(keys)), d.remaining))
+	keys, vals = keys[:k], vals[:k]
+	buf, rd, lim := d.buf, d.rd, d.lim
+	prev, next := d.prev, d.next
+	i := 0
+	for ; i < k; i++ {
+		if lim-rd < maxRecordLen && d.off < d.pend {
+			d.rd = rd
+			if err := d.refill(); err != nil {
+				d.err = fmt.Errorf("esink: corrupt block payload: %w", err)
+				break
+			}
+			rd, lim = d.rd, d.lim
+		}
+		p := buf[rd:lim]
+		delta, dn := uint64(0), 1
+		if len(p) > 0 && p[0] < 0x80 { // most records: the next slot, a one-byte delta
+			delta = uint64(p[0])
+		} else {
+			delta, dn = binary.Uvarint(p)
+		}
+		w, vn := uint64(0), 0
+		if dn > 0 && (dn == 1 || p[dn-1] != 0) {
+			q := p[dn:]
+			if len(q) >= 8 {
+				w = binary.LittleEndian.Uint64(q)
+			} else {
+				w = padded(q)
+			}
+			if stop := ^w & 0x8080808080808080; stop == 0 { // the high bit of each byte that ends a varint
+				w, vn = d.wideValue(q)
+			} else if vn = bits.TrailingZeros64(stop)/8 + 1; vn > 1 && w>>(8*vn-8)&0x7f == 0 {
+				vn = 0
+			} else {
+				w &= stop ^ (stop - 1)
+			}
+		}
+		// dn 0: the payload ends inside the key; < 0: it overflows 64
+		// bits; a last byte of 0 pads a varint the writer would have
+		// ended sooner; vn 0: the same of the value
+		if vn == 0 {
+			d.err = fmt.Errorf("esink: corrupt block payload: truncated or overlong varint")
+			break
+		}
+		key := prev + delta
+		if key < next { // a zero delta, a wrapped one, or a block starting at or below its predecessor's last key
+			d.err = orderError(d.block, key, next-1)
+			break
+		}
+		if key >= d.limit {
+			d.err = fmt.Errorf("esink: corrupt block payload: slot key %d outside the rank's %d slots", key, d.limit)
+			break
+		}
+		rd += dn + vn
+		keys[i], vals[i] = key, w
+		prev, next = key, key+1
+		if w == wideWord {
+			i++
+			break
+		}
+	}
+	d.rd, d.prev, d.next = rd, prev, next
+	d.remaining -= int64(i)
+	return i
+}
+
+// padded is q, shorter than 8 bytes, as a little-endian word whose
+// bytes past q's end end no varint.
+func padded(q []byte) uint64 {
+	w := ^uint64(0) >> (8 * len(q))
+	for j := len(q) - 1; j >= 0; j-- {
+		w = w<<8 | uint64(q[j])
+	}
+	return w
+}
+
+// wideValue reads the varint q starts with, one of more than 8 bytes, as
+// decode keeps it, and its length: 0 if q ends inside it, it overflows
+// 64 bits or it is not minimal.
+func (d *decoder) wideValue(q []byte) (uint64, int) {
+	v, n := binary.Uvarint(q)
+	if n <= 0 || q[n-1] == 0 {
+		return 0, 0
+	}
+	d.wide = v
+	return wideWord, n
+}
+
+// valueOf is the value decode kept as w.
+func (d *decoder) valueOf(w uint64) uint64 {
+	if w == wideWord {
+		return d.wide
+	}
+	return w&0x7f | w>>1&(0x7f<<7) | w>>2&(0x7f<<14) | w>>3&(0x7f<<21) |
+		w>>4&(0x7f<<28) | w>>5&(0x7f<<35) | w>>6&(0x7f<<42) | w>>7&(0x7f<<49)
+}
+
+// done checks that the block's declared records used its whole payload.
+func (d *decoder) done() bool {
+	if left := d.pend - d.off + int64(d.n-d.rd); left != 0 {
+		d.err = fmt.Errorf("esink: corrupt block payload: block %d: %d bytes after its %d records", d.block, left, d.r.sc.blocks[d.block].count)
+		return false
+	}
+	return true
+}
+
+// orderError is the refusal of a key that does not lie above prev, its
+// predecessor in the shard.
+func orderError(block int, key, prev uint64) error {
+	return fmt.Errorf("esink: corrupt block payload: block %d: key %d does not follow key %d", block, key, prev)
+}
+
+// Iter is a canonical-order edge iterator over one shard. It decodes
+// the blocks in file order through one window of the payload, and
+// checks that every key lies above the one before it, across block
+// boundaries too.
+type Iter struct {
+	decoder
+	opened     int // blocks opened
+	keys, vals [decodeBatch]uint64
+	i, k       int // keys[i:k] are decoded, not yet yielded
+	x          uint64
+	// [node, node+x) are the keys of u, the last edge's source, so a
+	// node's x edges cost one division and one partition lookup; node
+	// starts at limit.
+	node uint64
+	u    int64
 }
 
 // Iter returns a canonical-order iterator reading through one window
 // of budget bytes, clamped to [minWindow, readWindow] (readWindow if
 // budget <= 0). Multiple iterators over one Reader are independent.
 func (r *Reader) Iter(budget int) *Iter {
-	if budget <= 0 {
-		budget = readWindow
-	}
-	it := &Iter{r: r, x: uint64(r.sc.meta.X), buf: make([]byte, min(max(budget, minWindow), readWindow))}
-	it.limit = uint64(r.part.Size(r.sc.meta.Rank)) * it.x
+	it := &Iter{x: uint64(r.sc.meta.X)}
+	it.buf = make([]byte, windowLen(budget))
+	it.reset(r)
 	it.node = it.limit
 	return it
-}
-
-func (it *Iter) refill() error {
-	it.n = copy(it.buf, it.buf[it.rd:it.n])
-	it.rd = 0
-	want := it.buf[it.n:min(int64(len(it.buf)), int64(it.n)+it.end-it.off)]
-	got, err := it.r.f.ReadAt(want, it.off)
-	it.off += int64(got)
-	it.n += got
-	if got == len(want) {
-		return nil
-	}
-	return err
 }
 
 // NextSlot yields the next record in canonical order as it is stored:
@@ -410,44 +587,21 @@ func (it *Iter) refill() error {
 // inside the rank's table) and the attachment value. A resumed run
 // rebuilds its attachment table from these.
 func (it *Iter) NextSlot() (key uint64, v int64, ok bool) {
-	for it.remaining == 0 {
-		if it.err != nil || it.block == len(it.r.sc.blocks) {
+	for it.i == it.k {
+		switch {
+		case it.err != nil:
 			return 0, 0, false
-		}
-		b := it.r.sc.blocks[it.block]
-		it.block++
-		it.off, it.end, it.remaining = b.payOff, b.payOff+b.payLen, b.count
-		it.rd, it.n, it.prev = 0, 0, 0
-	}
-	if it.err != nil {
-		return 0, 0, false
-	}
-	it.remaining--
-	if it.n-it.rd < maxRecordLen && it.off < it.end {
-		if err := it.refill(); err != nil {
-			it.err = fmt.Errorf("esink: corrupt block payload: %w", err)
+		case it.remaining > 0:
+			it.i, it.k = 0, it.decode(it.keys[:], it.vals[:])
+		case it.opened > 0 && !it.done() || it.opened == len(it.r.sc.blocks):
 			return 0, 0, false
+		default:
+			it.open(it.opened, 0)
+			it.opened++
 		}
 	}
-	d, dn := binary.Uvarint(it.buf[it.rd:it.n])
-	u, vn := binary.Uvarint(it.buf[it.rd+max(dn, 0) : it.n])
-	if dn <= 0 || vn <= 0 { // 0: the payload ends inside the value; < 0: it overflows 64 bits
-		it.err = fmt.Errorf("esink: corrupt block payload: truncated or overlong varint")
-		return 0, 0, false
-	}
-	it.rd += dn + vn
-	key = it.prev + d
-	switch {
-	case key < it.next: // a zero delta, a wrapped one, or a block starting at or below its predecessor's last key
-		it.err = fmt.Errorf("esink: corrupt block payload: block %d: key %d does not follow key %d", it.block-1, key, it.next-1)
-	case key >= it.limit:
-		it.err = fmt.Errorf("esink: corrupt block payload: slot key %d outside the rank's %d slots", key, it.limit)
-	}
-	if it.err != nil {
-		return 0, 0, false
-	}
-	it.prev, it.next = key, key+1
-	return key, int64(u), true
+	it.i++
+	return it.keys[it.i-1], int64(it.valueOf(it.vals[it.i-1])), true
 }
 
 // Next yields the next edge in canonical order. The edge's source node
@@ -533,16 +687,31 @@ func (d *DirReader) Close() error {
 }
 
 // DirIter iterates the merged canonical stream: rank 0's shard in
-// slot-key order, then rank 1's, and so on.
+// slot-key order, then rank 1's, and so on. It is also a
+// graph.ChunkedIterator, so graph.WriteBinaryStream downloads it on
+// lanes, each decoding runs of blocks, instead of calling Next.
 type DirIter struct {
 	d      *DirReader
 	budget int
 	i      int
 	cur    *Iter
+	chunks []chunk // the download's runs of blocks
+	next   uint64  // Seam's: smallest key the next chunk of its shard may hold
+}
+
+// chunk is a run of consecutive blocks [lo, hi) of one shard that a
+// download lane decodes whole. The lane fills in what Seam checks: the
+// records it decoded, the first one's key and block, and the last key.
+type chunk struct {
+	shard, lo, hi int
+	records       int64
+	headBlock     int
+	head, tail    uint64
 }
 
 // Iter returns a merged canonical-order iterator; budget bounds each
-// shard iterator's buffer memory (shards are read one at a time).
+// shard iterator's buffer memory (shards are read one at a time), and
+// each download lane's.
 func (d *DirReader) Iter(budget int) *DirIter {
 	return &DirIter{d: d, budget: budget}
 }
@@ -572,6 +741,99 @@ func (di *DirIter) Err() error {
 	if di.cur != nil {
 		return di.cur.Err()
 	}
+	return nil
+}
+
+// Chunks cuts every shard into the runs a download lane reads: as many
+// consecutive blocks as one window spans, or one block larger than that.
+// Every block's records restart their key deltas, so a run decodes on
+// its own.
+func (di *DirIter) Chunks() int {
+	win := int64(windowLen(di.budget))
+	di.chunks = di.chunks[:0]
+	for s, r := range di.d.readers {
+		bs := r.sc.blocks
+		for lo, hi := 0, 0; lo < len(bs); lo = hi {
+			for hi = lo + 1; hi < len(bs) && bs[hi].payOff+bs[hi].payLen-bs[lo].payOff <= win; hi++ {
+			}
+			di.chunks = append(di.chunks, chunk{shard: s, lo: lo, hi: hi})
+		}
+	}
+	return len(di.chunks)
+}
+
+// Lane returns a download lane. It decodes a chunk's blocks through its
+// own window with Iter's decoder, which checks the keys inside the
+// chunk, and encodes their edges as PAGB into the writer's buffers.
+func (di *DirIter) Lane() graph.ChunkEncoder {
+	d := decoder{buf: make([]byte, windowLen(di.budget))}
+	var keys, vals [decodeBatch]uint64
+	return func(i int, b []byte, emit func([]byte) []byte) ([]byte, int64, error) {
+		c := &di.chunks[i]
+		r := di.d.readers[c.shard]
+		d.reset(r)
+		end := r.sc.blocks[c.hi-1]
+		// u is the last edge's source: its PAGB bytes as a word, ul of
+		// them, or more than 8 for a source too wide for one.
+		x, node, u, uw, ul := uint64(r.sc.meta.X), d.limit, uint64(0), uint64(0), 0
+		var n int64
+		for blk := c.lo; blk < c.hi && d.err == nil; blk++ {
+			d.open(blk, end.payOff+end.payLen)
+			for d.remaining > 0 && d.err == nil {
+				k := d.decode(keys[:], vals[:])
+				if k > 0 && n == 0 {
+					c.head, c.headBlock = keys[0], blk
+				}
+				n += int64(k)
+				if cap(b)-len(b) < k*maxRecordLen {
+					if b = emit(b); b == nil {
+						return nil, n, nil
+					}
+				}
+				for j, key := range keys[:k] {
+					if key-node >= x {
+						node = key - key%x
+						u = uint64(r.part.NodeAt(r.sc.meta.Rank, int64(key/x)))
+						var ub [binary.MaxVarintLen64]byte
+						ul = binary.PutUvarint(ub[:], u)
+						uw = binary.LittleEndian.Uint64(ub[:])
+					}
+					w, l := vals[j], len(b)
+					if w == wideWord || ul > 8 {
+						b = binary.AppendUvarint(binary.AppendUvarint(b, u), d.valueOf(w))
+						continue
+					}
+					// Two words, each cut to its varint's length.
+					b = b[:l+16]
+					binary.LittleEndian.PutUint64(b[l:], uw)
+					binary.LittleEndian.PutUint64(b[l+ul:], w)
+					b = b[:l+ul+bits.TrailingZeros64(^w&0x8080808080808080)/8+1]
+				}
+			}
+			if d.err == nil {
+				d.done()
+			}
+		}
+		c.records, c.tail = n, d.next-1
+		return b, n, d.err
+	}
+}
+
+// Seam makes, on the writer in chunk order, the check Iter makes where
+// two blocks meet, with the same error: chunk i's first key lies above
+// the last key before it in its shard.
+func (di *DirIter) Seam(i int) error {
+	c := di.chunks[i]
+	if i == 0 || di.chunks[i-1].shard != c.shard {
+		di.next = 0
+	}
+	if c.records == 0 {
+		return nil
+	}
+	if c.head < di.next {
+		return orderError(c.headBlock, c.head, di.next-1)
+	}
+	di.next = c.tail + 1
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -34,11 +35,12 @@ func wideGraph(m int) *Graph {
 }
 
 // TestBinaryWritersMatchReference: WriteBinary, WriteBinaryStream and
-// the reference encoder agree byte for byte around every chunk boundary
-// at one, two and four encoder lanes.
+// the reference encoder agree byte for byte around the first chunk
+// boundaries and over many chunks, at one, two and four encoder lanes.
 func TestBinaryWritersMatchReference(t *testing.T) {
+	const c = encChunkEdges
 	for _, procs := range []int{1, 2, 4} {
-		for _, m := range []int{0, 1, encChunkEdges - 1, encChunkEdges, encChunkEdges + 1, 3*encChunkEdges + 7} {
+		for _, m := range []int{0, 1, c - 1, c, c + 1, 2 * c, 2*c + 1, 2*c + 2, 3*c + 7, 6*c + 10} {
 			t.Run(fmt.Sprintf("procs%d/m%d", procs, m), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				g := wideGraph(m)
@@ -114,5 +116,83 @@ func TestWriteBinaryStreamCountChecked(t *testing.T) {
 				t.Fatalf("a stream of %d edges passed for one of %d", m, promised)
 			}
 		}
+	}
+}
+
+// chunked is a ChunkedIterator over a list of edge chunks whose encoder
+// emits at every chance, so a chunk leaves in many pieces; chunk fail
+// returns errLane from its lane, chunk seam from Seam.
+type chunked struct {
+	sliceIter
+	chunks     [][]Edge
+	fail, seam int
+}
+
+var errLane, errSeam = errors.New("lane failed"), errors.New("seam failed")
+
+func (c *chunked) Chunks() int { return len(c.chunks) }
+
+func (c *chunked) Seam(i int) error {
+	if i == c.seam {
+		return errSeam
+	}
+	return nil
+}
+
+func (c *chunked) Lane() ChunkEncoder {
+	return func(i int, b []byte, emit func([]byte) []byte) ([]byte, int64, error) {
+		for _, e := range c.chunks[i] {
+			if cap(b)-len(b) < encChunkBytes/2 {
+				if b = emit(b); b == nil {
+					return nil, 0, nil
+				}
+			}
+			b = appendEdges(b, []Edge{e})
+		}
+		if i == c.fail {
+			return b, 0, errLane
+		}
+		return b, int64(len(c.chunks[i])), nil
+	}
+}
+
+// TestDownloadPiecesInChunkOrder: chunks that leave in many pieces, and
+// empty ones, are written in chunk order at one, two and four lanes; a
+// lane's error and a seam's error end the write with that error, and
+// every lane has exited when WriteBinaryStream returns.
+func TestDownloadPiecesInChunkOrder(t *testing.T) {
+	g := wideGraph(3*encChunkEdges + 11)
+	var chunks [][]Edge
+	for rest, k := g.Edges, 1; len(rest) > 0; k *= 5 {
+		chunks = append(chunks, rest[:min(k, len(rest))], nil)
+		rest = rest[min(k, len(rest)):]
+	}
+	want := refBinary(g.N, g.Edges)
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			base := runtime.NumGoroutine()
+			var b bytes.Buffer
+			if err := WriteBinaryStream(&b, g.N, g.M(), &chunked{chunks: chunks, fail: -1, seam: -1}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b.Bytes(), want) {
+				t.Fatalf("wrote %d bytes that differ from the reference's %d", b.Len(), len(want))
+			}
+			for _, bad := range []int{0, 3, len(chunks) - 1} {
+				if err := WriteBinaryStream(io.Discard, g.N, g.M(), &chunked{chunks: chunks, fail: bad, seam: -1}); !errors.Is(err, errLane) {
+					t.Fatalf("a lane failing chunk %d: err = %v", bad, err)
+				}
+				if err := WriteBinaryStream(io.Discard, g.N, g.M(), &chunked{chunks: chunks, fail: bad, seam: bad}); !errors.Is(err, errSeam) {
+					t.Fatalf("a seam failing before chunk %d's lane error: err = %v", bad, err)
+				}
+			}
+			for i := 0; runtime.NumGoroutine() > base && i < 100; i++ {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Fatalf("%d goroutines after the writes, %d before", n, base)
+			}
+		})
 	}
 }

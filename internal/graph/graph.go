@@ -122,31 +122,10 @@ func (c *CSR) HasEdge(u, v int64) bool {
 }
 
 // ConnectedComponents returns the number of connected components of c,
-// treating isolated nodes as their own components. Iterative BFS; no
-// recursion so billion-node graphs do not blow the stack.
-func (c *CSR) ConnectedComponents() int64 {
-	visited := make([]bool, c.N)
-	var queue []int64
-	var components int64
-	for s := int64(0); s < c.N; s++ {
-		if visited[s] {
-			continue
-		}
-		components++
-		visited[s] = true
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, v := range c.Neighbors(u) {
-				if !visited[v] {
-					visited[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-	}
-	return components
+// treating isolated nodes as their own components.
+func (c *CSR) ConnectedComponents() (k int64) {
+	c.components(nil, func(int64) { k++ })
+	return k
 }
 
 // GiantComponentSize returns the size of the largest connected component
@@ -154,15 +133,19 @@ func (c *CSR) ConnectedComponents() int64 {
 // be nil). This powers failure/attack resilience experiments on
 // scale-free networks (Albert, Jeong & Barabási — the paper's
 // reference [1]).
-func (c *CSR) GiantComponentSize(excluded func(u int64) bool) int64 {
-	if excluded == nil {
-		excluded = func(int64) bool { return false }
-	}
+func (c *CSR) GiantComponentSize(excluded func(u int64) bool) (best int64) {
+	c.components(excluded, func(size int64) { best = max(best, size) })
+	return best
+}
+
+// components calls f with the size of every connected component left
+// after deleting the excluded nodes (none if excluded is nil). Iterative
+// search; no recursion so billion-node graphs do not blow the stack.
+func (c *CSR) components(excluded func(u int64) bool, f func(size int64)) {
 	visited := make([]bool, c.N)
-	var best int64
 	queue := make([]int64, 0, 1024)
 	for s := int64(0); s < c.N; s++ {
-		if visited[s] || excluded(s) {
+		if visited[s] || excluded != nil && excluded(s) {
 			continue
 		}
 		size := int64(0)
@@ -173,17 +156,14 @@ func (c *CSR) GiantComponentSize(excluded func(u int64) bool) int64 {
 			queue = queue[:len(queue)-1]
 			size++
 			for _, v := range c.Neighbors(u) {
-				if !visited[v] && !excluded(v) {
+				if !visited[v] && (excluded == nil || !excluded(v)) {
 					visited[v] = true
 					queue = append(queue, v)
 				}
 			}
 		}
-		if size > best {
-			best = size
-		}
+		f(size)
 	}
-	return best
 }
 
 // Validate checks the structural invariants expected of

@@ -5,10 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // The on-disk formats:
@@ -90,11 +88,12 @@ func ReadText(r io.Reader) (*Graph, error) {
 
 // The binary encoder fills buffers of encChunkBytes; a chunk of
 // encChunkEdges edges fits one at worst (two 10-byte uvarints an edge),
-// so encoding never grows a buffer and WriteBinary's ring of two a lane
-// stays within 1 MiB. Two lanes are the most that pay: encoding costs
-// about 9 ns an edge and the write 6, so two outrun the writer.
+// so encoding never grows a buffer, and two lanes' ring of five stays
+// within 640 KiB yet holds a default shard block's bytes (≈ 400 KB at
+// n = 10⁶) while the writer drains the other lane. Two lanes are the
+// most that pay: encoding costs about 9 ns an edge and the write 6.
 const (
-	encChunkBytes = 256 << 10
+	encChunkBytes = 128 << 10
 	encChunkEdges = encChunkBytes / (2 * binary.MaxVarintLen64)
 	encMaxLanes   = 2
 )
@@ -109,75 +108,10 @@ func appendEdges(b []byte, edges []Edge) []byte {
 	return b
 }
 
-// writeBinaryHeader writes the magic and the node and edge counts.
-func writeBinaryHeader(w io.Writer, n, m int64) error {
-	b := append(make([]byte, 0, len(binaryMagic)+2*binary.MaxVarintLen64), binaryMagic...)
-	b = binary.AppendUvarint(b, uint64(n))
-	_, err := w.Write(binary.AppendUvarint(b, uint64(m)))
-	return err
-}
-
-// WriteBinary writes g in the compact binary format. Up to GOMAXPROCS
-// lanes encode chunks of the edge list (lane k takes chunks k, k+lanes,
-// ...) and the caller writes them in chunk order; one lane runs inline,
-// without a goroutine. Every lane has exited when WriteBinary returns.
+// WriteBinary writes g in the compact binary format, encoding chunks of
+// the edge list on WriteBinaryStream's lanes.
 func WriteBinary(w io.Writer, g *Graph) error {
-	if err := writeBinaryHeader(w, g.N, int64(len(g.Edges))); err != nil {
-		return err
-	}
-	chunks := (len(g.Edges) + encChunkEdges - 1) / encChunkEdges
-	chunk := func(i int) []Edge {
-		return g.Edges[i*encChunkEdges : min((i+1)*encChunkEdges, len(g.Edges))]
-	}
-	lanes := min(runtime.GOMAXPROCS(0), encMaxLanes, chunks)
-	if lanes <= 1 {
-		buf := make([]byte, 0, encChunkBytes)
-		for i := 0; i < chunks; i++ {
-			if _, err := w.Write(appendEdges(buf, chunk(i))); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// A lane holds at most two buffers (one in its channel, one in
-	// hand), so the lane the writer waits for can always get one.
-	free := make(chan []byte, 2*lanes)
-	for i := 0; i < cap(free); i++ {
-		free <- make([]byte, 0, encChunkBytes)
-	}
-	stop := make(chan struct{})
-	out := make([]chan []byte, lanes)
-	var wg sync.WaitGroup
-	for k := range out {
-		out[k] = make(chan []byte, 1)
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			for i := k; i < chunks; i += lanes {
-				var b []byte
-				select {
-				case b = <-free:
-				case <-stop:
-					return
-				}
-				select {
-				case out[k] <- appendEdges(b[:0], chunk(i)):
-				case <-stop:
-					return
-				}
-			}
-		}(k)
-	}
-	var err error
-	for i := 0; i < chunks && err == nil; i++ {
-		b := <-out[i%lanes]
-		_, err = w.Write(b)
-		free <- b
-	}
-	close(stop)
-	wg.Wait()
-	return err
+	return WriteBinaryStream(w, g.N, int64(len(g.Edges)), IterEdges(g))
 }
 
 // ReadBinary reads a graph written by WriteBinary.
@@ -202,11 +136,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	// declare an absurd edge count, so grow incrementally instead of
 	// trusting it (each encoded edge is at least 2 bytes, so truncated
 	// inputs fail fast below).
-	capHint := m
-	if capHint > 1<<20 {
-		capHint = 1 << 20
-	}
-	g := &Graph{N: int64(n), Edges: make([]Edge, 0, capHint)}
+	g := &Graph{N: int64(n), Edges: make([]Edge, 0, min(m, 1<<20))}
 	for i := uint64(0); i < m; i++ {
 		u, err := binary.ReadUvarint(br)
 		if err != nil {

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
 )
 
 // EdgeIterator is a pull-based edge stream — the out-of-core
@@ -58,63 +60,148 @@ func DegreesFromIterator(n int64, it EdgeIterator) ([]int64, error) {
 	return deg, nil
 }
 
+// ChunkedIterator is an EdgeIterator whose edges also split into
+// chunks that encode independently; WriteBinaryStream encodes those on
+// lanes and never calls Next. IterEdges and esink.DirIter implement it.
+type ChunkedIterator interface {
+	EdgeIterator
+	Chunks() int
+	// Lane returns one lane's encoder; lanes run concurrently, each
+	// taking its chunks in ascending order.
+	Lane() ChunkEncoder
+	// Seam checks chunk i against the chunks before it; the writer
+	// calls it in chunk order once chunk i is encoded.
+	Seam(i int) error
+}
+
+// A ChunkEncoder appends chunk i's PAGB bytes to b and returns the
+// buffer and the chunk's edge count. It never grows b: it trades a b too
+// full for its next edges (2·binary.MaxVarintLen64 bytes an edge) to
+// emit for an empty one, or for nil once the writer stopped, and returns.
+type ChunkEncoder func(i int, b []byte, emit func([]byte) []byte) ([]byte, int64, error)
+
+func (s *sliceIter) Chunks() int { return (len(s.edges) - s.i + encChunkEdges - 1) / encChunkEdges }
+
+func (s *sliceIter) Seam(int) error { return nil }
+
+func (s *sliceIter) Lane() ChunkEncoder {
+	return func(i int, b []byte, _ func([]byte) []byte) ([]byte, int64, error) {
+		c := s.edges[s.i+i*encChunkEdges:]
+		c = c[:min(len(c), encChunkEdges)]
+		return appendEdges(b, c), int64(len(c)), nil
+	}
+}
+
+// sequential makes any other EdgeIterator one chunk.
+type sequential struct{ EdgeIterator }
+
+func (sequential) Chunks() int { return 1 }
+
+func (sequential) Seam(int) error { return nil }
+
+func (s sequential) Lane() ChunkEncoder {
+	return func(_ int, b []byte, emit func([]byte) []byte) ([]byte, int64, error) {
+		var n int64
+		for e, ok := s.Next(); ok && b != nil; e, ok = s.Next() {
+			if b, n = appendEdges(b, []Edge{e}), n+1; cap(b)-len(b) < 2*binary.MaxVarintLen64 {
+				b = emit(b)
+			}
+		}
+		return b, n, s.Err()
+	}
+}
+
 // WriteBinaryStream writes an n-node, m-edge graph in the binary PAGB
 // format from an edge stream, without materializing the edge list. The
 // output is byte-identical to WriteBinary over the same edges in the
 // same order, so a streamed run's merged shards convert to exactly the
 // file an in-memory run would have written. The iterator must yield
-// exactly m edges (the count is part of the header). w is written from
-// another goroutine, one Write at a time and none after return.
+// exactly m edges (the count is part of the header).
+//
+// Up to GOMAXPROCS lanes (encMaxLanes at most; one for an iterator that
+// is not a ChunkedIterator) encode the chunks, lane k taking chunks k,
+// k+lanes, ..., and the calling goroutine alone writes w, in chunk
+// order. Every lane has exited when WriteBinaryStream returns.
 func WriteBinaryStream(w io.Writer, n, m int64, it EdgeIterator) error {
-	if err := writeBinaryHeader(w, n, m); err != nil {
+	if _, err := w.Write(binary.AppendUvarint(binary.AppendUvarint([]byte(binaryMagic), uint64(n)), uint64(m))); err != nil {
 		return err
 	}
-	// The write of one buffer overlaps the filling of the other; every
-	// return waits for the write in flight, whose result is in pending.
-	var pending chan error
-	wait := func() error {
-		if pending == nil {
-			return nil
-		}
-		err := <-pending
-		pending = nil
-		return err
+	src, ok := it.(ChunkedIterator)
+	if !ok {
+		src = sequential{it}
 	}
-	var batch [512]Edge
-	bufs := [2][]byte{make([]byte, 0, encChunkBytes), make([]byte, 0, encChunkBytes)}
-	buf, cur := bufs[0], 0
+	// A piece is a full buffer of a chunk's bytes, or its last one with
+	// the lane's result. Of the ring of 2·lanes+1 buffers a lane holds at
+	// most lanes+2 (its channel's and one in hand), so the lane the writer
+	// waits for can always get one, and the other can run a chunk ahead.
+	type piece struct {
+		b     []byte
+		last  bool
+		edges int64
+		err   error
+	}
+	chunks := src.Chunks()
+	lanes := max(min(runtime.GOMAXPROCS(0), encMaxLanes, chunks), 1)
+	free, stop := make(chan []byte, 2*lanes+1), make(chan struct{})
+	for i := 0; i < cap(free); i++ {
+		free <- make([]byte, 0, encChunkBytes)
+	}
+	out := make([]chan piece, lanes)
+	var wg sync.WaitGroup
+	for k := range out {
+		out[k] = make(chan piece, lanes+1)
+		wg.Add(1)
+		go func(k int, enc ChunkEncoder) {
+			defer wg.Done()
+			// next hands p, if it holds bytes, to the writer and returns
+			// a free buffer: nil after an error or once the writer stopped.
+			next := func(p piece) []byte {
+				if p.b != nil {
+					select {
+					case out[k] <- p:
+					case <-stop:
+						return nil
+					}
+				}
+				if p.err != nil {
+					return nil
+				}
+				select {
+				case b := <-free:
+					return b[:0]
+				case <-stop:
+					return nil
+				}
+			}
+			emit := func(b []byte) []byte { return next(piece{b: b}) }
+			for i, b := k, next(piece{}); i < chunks && b != nil; i += lanes {
+				p := piece{last: true}
+				if p.b, p.edges, p.err = enc(i, b, emit); p.b == nil {
+					return
+				}
+				b = next(p)
+			}
+		}(k, src.Lane())
+	}
 	var written int64
-	for more := true; more; {
-		k := 0
-		for ; k < len(batch); k++ {
-			if batch[k], more = it.Next(); !more {
-				break
+	var err error
+	for i := 0; i < chunks && err == nil; {
+		p := <-out[i%lanes]
+		if p.last {
+			if err = src.Seam(i); err == nil {
+				err = p.err
 			}
+			written, i = written+p.edges, i+1
 		}
-		written += int64(k)
-		buf = appendEdges(buf, batch[:k])
-		// Write at the end, and once another batch might not fit.
-		if len(buf) > 0 && (!more || cap(buf)-len(buf) < len(batch)*2*binary.MaxVarintLen64) {
-			if err := wait(); err != nil {
-				return err
-			}
-			pending = make(chan error, 1)
-			go func(b []byte, done chan<- error) {
-				_, err := w.Write(b)
-				done <- err
-			}(buf, pending)
-			cur ^= 1
-			buf = bufs[cur]
+		if err == nil {
+			_, err = w.Write(p.b)
 		}
+		free <- p.b
 	}
-	if err := wait(); err != nil {
-		return err
+	close(stop)
+	wg.Wait()
+	if err == nil && written != m {
+		err = fmt.Errorf("graph: stream yielded %d edges, header promised %d", written, m)
 	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	if written != m {
-		return fmt.Errorf("graph: stream yielded %d edges, header promised %d", written, m)
-	}
-	return nil
+	return err
 }

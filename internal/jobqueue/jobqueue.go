@@ -97,7 +97,7 @@ type Spec struct {
 	// cadence guidance). Checkpoints are what make preemption and
 	// crash respawn cheap, so they are always on.
 	CheckpointEvery int64 `json:"checkpoint_every,omitempty"`
-	// StreamBlockEdges is the edge records buffered per shard block
+	// StreamBlockEdges is the edge records per shard block
 	// (0 = esink default). Jobs always stream their edges to per-rank
 	// shard files (docs/SHARD_FORMAT.md): bounded memory per job is
 	// what lets the pool pack tenants safely.

@@ -165,9 +165,11 @@ type Config struct {
 	// duplicating or dropping edges, and the merged shards stay
 	// byte-identical to an uninterrupted run.
 	StreamDir string
-	// StreamBlockEdges is the number of edge records buffered per shard
-	// block before a sorted flush (0 selects the default, 65536 — 1 to
-	// 2.5 MiB of buffer per rank). Only meaningful with StreamDir.
+	// StreamBlockEdges is the number of edge records per shard block: the
+	// unit a rank flushes, CRC-protects and a reader decodes on its own
+	// (0 selects the default, 65536). The open block, encoded, is the
+	// writer's only buffer — about 2 + log₂(N)/7 bytes a record, 256 KiB
+	// per rank at N = 10⁶. Only meaningful with StreamDir.
 	StreamBlockEdges int
 }
 
