@@ -12,9 +12,11 @@
 // to drain (DESIGN.md §14).
 // Every job owns a directory under -data-dir with its checkpoint
 // epochs and streamed shards, so jobs survive rank crashes (the queue
-// relaunches the job's cluster with -resume, like the pa-tcp
-// supervisor) and operator preemption (the job resumes later from its
-// newest committed epoch with byte-identical final output).
+// relaunches the job's cluster with -resume; this is the one
+// single-host supervisor) and operator preemption (the job resumes
+// later from its newest committed epoch with byte-identical final
+// output). A job spec is a run's Config (internal/runcfg): the
+// settings pagen and pa-tcp take as flags, as JSON keys.
 //
 // Flags:
 //

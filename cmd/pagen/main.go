@@ -49,70 +49,34 @@ import (
 )
 
 func main() {
+	var cfg pagen.Config
+	cfg.Flags(flag.CommandLine)
+	flag.IntVar(&cfg.Ranks, "ranks", 4, "number of parallel ranks")
+	flag.StringVar(&cfg.Transport, "transport", "shm", "in-process transport between ranks: shm (by-reference) or local (serialization ablation); output is identical for both")
 	var (
-		n           = flag.Int64("n", 100000, "number of nodes")
-		x           = flag.Int("x", 4, "edges per new node")
-		p           = flag.Float64("p", 0.5, "direct-attachment probability (0.5 = exact BA)")
-		ranks       = flag.Int("ranks", 4, "number of parallel ranks")
-		workers     = flag.Int("workers", 0, "generation goroutines per rank (0 = GOMAXPROCS)")
-		transport   = flag.String("transport", "shm", "in-process transport between ranks: shm (by-reference) or local (serialization ablation); output is identical for both")
-		scheme      = flag.String("scheme", "RRP", "partitioning scheme: UCP, LCP, RRP, ExactCP")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		hub         = flag.Int64("hub-prefix", 0, "hub-prefix cache size H (0 = auto, <0 = off); output is identical for every setting")
-		resolve     = flag.String("resolve", "wire", "non-local dependency resolution: wire or recompute; output is identical in both modes")
-		out         = flag.String("o", "", "output file (default stdout)")
-		format      = flag.String("format", "text", "output format: text or binary")
-		stats       = flag.Bool("stats", false, "print per-rank statistics to stderr")
-		seq         = flag.Bool("seq", false, "use the sequential copy model instead")
-		streamDir   = flag.String("stream-dir", "", "spill compressed per-rank edge shards to this directory with bounded memory (docs/SHARD_FORMAT.md); composes with -checkpoint-dir")
-		streamBlock = flag.Int("stream-block-edges", 0, "edge records per shard block, the unit a rank flushes and a reader decodes on its own (0 = 65536)")
-		metrics     = flag.String("metrics", "", "write run metrics JSON to this file (\"-\" = stderr)")
-		ckptDir     = flag.String("checkpoint-dir", "", "write per-rank snapshots to this directory (see docs/OPERATIONS.md)")
-		ckptN       = flag.Int64("checkpoint-every", 0, "protocol events between checkpoint epochs (requires -checkpoint-dir)")
-		ckptKeep    = flag.Int("checkpoint-keep", 0, "snapshots to retain per rank (0 = default)")
-		resume      = flag.Bool("resume", false, "resume from the latest restorable epoch in -checkpoint-dir")
+		out     = flag.String("o", "", "output file (default stdout)")
+		format  = flag.String("format", "text", "output format: text or binary")
+		stats   = flag.Bool("stats", false, "print per-rank statistics to stderr")
+		seq     = flag.Bool("seq", false, "use the sequential copy model instead")
+		metrics = flag.String("metrics", "", "write run metrics JSON to this file (\"-\" = stderr)")
 	)
 	flag.Parse()
 
-	if *ranks < 1 {
-		fatal(fmt.Errorf("-ranks %d: need at least 1 rank", *ranks))
+	if cfg.Ranks < 1 {
+		fatal(fmt.Errorf("-ranks %d: need at least 1 rank", cfg.Ranks))
 	}
-	switch *transport {
-	case "shm", "local":
-	case "tcp":
-		fatal(fmt.Errorf("-transport tcp: pagen runs its ranks in one process; use pa-tcp for the TCP mesh"))
-	default:
-		fatal(fmt.Errorf("-transport %q: want shm or local", *transport))
-	}
-	ckptOn := *ckptDir != "" || *ckptN != 0 || *resume
-	cfg := pagen.Config{N: *n, X: *x, P: *p, Ranks: *ranks, Workers: *workers,
-		Transport: *transport,
-		Scheme:    *scheme, Seed: *seed, HubPrefix: *hub,
-		Resolve: *resolve,
-		// Per-node load counters are the one metrics input snapshots do
-		// not capture; under checkpointing -metrics still exports
-		// everything else (pause/write histograms included), just
-		// without the load curve.
-		CollectNodeLoad: *metrics != "" && !ckptOn,
-		CheckpointDir:   *ckptDir, CheckpointEvery: *ckptN,
-		CheckpointKeep: *ckptKeep, Resume: *resume,
-		StreamDir: *streamDir, StreamBlockEdges: *streamBlock}
+	// Per-node load counters are the one metrics input snapshots do not
+	// capture; under checkpointing -metrics still exports everything
+	// else (pause/write histograms included), just without the load
+	// curve.
+	cfg.CollectNodeLoad = *metrics != "" && !cfg.Checkpointed()
 
-	if *seq && *metrics != "" {
-		fatal(fmt.Errorf("-metrics needs the parallel engine (drop -seq)"))
-	}
-	if *seq && *resolve != "wire" {
-		fatal(fmt.Errorf("-resolve needs the parallel engine (drop -seq)"))
-	}
-	if ckptOn && *seq {
-		fatal(fmt.Errorf("checkpointing needs the parallel engine (drop -seq)"))
+	if *seq && (*metrics != "" || cfg.Resolve != "wire" || cfg.Checkpointed() || cfg.StreamDir != "") {
+		fatal(fmt.Errorf("-metrics, -resolve, checkpointing and -stream-dir need the parallel engine (drop -seq)"))
 	}
 
-	if *streamDir != "" {
-		switch {
-		case *seq:
-			fatal(fmt.Errorf("-stream-dir needs the parallel engine (drop -seq)"))
-		case *out != "":
+	if cfg.StreamDir != "" {
+		if *out != "" {
 			fatal(fmt.Errorf("-stream-dir writes per-rank shards; it is incompatible with -o (convert with pa-analyze -stream-dir -export-binary)"))
 		}
 		res, err := pagen.Generate(cfg)
@@ -120,7 +84,7 @@ func main() {
 			fatal(err)
 		}
 		if *metrics != "" {
-			if err := writeMetrics(*metrics, pagen.Metrics(res, cfg)); err != nil {
+			if err := pagen.Metrics(res, cfg).WriteFile(*metrics); err != nil {
 				fatal(err)
 			}
 		}
@@ -131,7 +95,7 @@ func main() {
 			bytes += st.SinkBytes
 		}
 		fmt.Fprintf(os.Stderr, "streamed %d edges (%d blocks, %d bytes) to %s in %v (%.3g edges/s)\n",
-			m, blocks, bytes, *streamDir, res.Elapsed, pagen.EdgesPerSecond(res))
+			m, blocks, bytes, cfg.StreamDir, res.Elapsed, pagen.EdgesPerSecond(res))
 		return
 	}
 
@@ -149,7 +113,7 @@ func main() {
 		}
 		g = res.Graph
 		if *metrics != "" {
-			if err := writeMetrics(*metrics, pagen.Metrics(res, cfg)); err != nil {
+			if err := pagen.Metrics(res, cfg).WriteFile(*metrics); err != nil {
 				fatal(err)
 			}
 		}
@@ -192,25 +156,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-}
-
-// writeMetrics exports the run metrics JSON to path ("-" = stderr).
-func writeMetrics(path string, m *pagen.RunMetrics) error {
-	if m == nil {
-		return fmt.Errorf("no metrics collected")
-	}
-	if path == "-" {
-		return m.WriteJSON(os.Stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

@@ -51,17 +51,14 @@ func main() {
 
 	fmt.Printf("spawning %d worker processes (n=%d, x=%d, RRP partitioning)...\n", ranks, n, x)
 	shardDir := filepath.Join(workDir, "shards")
+	// Every rank runs the same Config; Args writes it as the flags
+	// pa-tcp shares with pagen, so the command line cannot drift from
+	// the flag names.
+	cfg := pagen.Config{N: n, X: x, Seed: 17, StreamDir: shardDir}
 	procs := make([]*exec.Cmd, ranks)
 	for r := 0; r < ranks; r++ {
-		procs[r] = exec.Command(worker,
-			"-rank", fmt.Sprint(r),
-			"-addrs", addrList,
-			"-n", fmt.Sprint(n),
-			"-x", fmt.Sprint(x),
-			"-seed", "17",
-			"-stream-dir", shardDir,
-			"-stats",
-		)
+		args := append([]string{"-rank", fmt.Sprint(r), "-addrs", addrList, "-stats"}, cfg.Args()...)
+		procs[r] = exec.Command(worker, args...)
 		procs[r].Stderr = os.Stderr
 		if err := procs[r].Start(); err != nil {
 			log.Fatal(err)

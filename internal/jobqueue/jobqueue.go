@@ -32,9 +32,7 @@ import (
 	"sync"
 	"time"
 
-	"pagen/internal/core"
-	"pagen/internal/model"
-	"pagen/internal/partition"
+	"pagen/internal/runcfg"
 )
 
 // State is a job's position in the lifecycle state machine:
@@ -69,93 +67,41 @@ func (s State) Terminal() bool {
 }
 
 // Spec is a job's generation parameterization — the JSON body of
-// POST /jobs. Zero values select documented defaults (normalize fills
-// them in, so a stored job's Spec shows the effective values).
-type Spec struct {
-	// N, X, P and Seed are the copy-model parameters (docs/API.md).
-	N    int64   `json:"n"`
-	X    int     `json:"x"`
-	P    float64 `json:"p,omitempty"`
-	Seed uint64  `json:"seed"`
-	// Scheme is the node-partitioning scheme (default RRP).
-	Scheme string `json:"scheme,omitempty"`
-	// Ranks is the number of rank processes (slots) the job occupies
-	// while running (default 1; at most the pool's slot count).
-	Ranks int `json:"ranks,omitempty"`
-	// Workers is the generation goroutines per rank (default 1 — the
-	// service packs jobs, so oversubscription is the queue's job, not
-	// the runtime's).
-	Workers int `json:"workers,omitempty"`
-	// Resolve is the non-local dependency resolution mode: "wire" or
-	// "recompute" (default wire).
-	Resolve string `json:"resolve,omitempty"`
-	// HubPrefix is the replicated hub-prefix cache size (0 auto,
-	// negative off, positive fixed).
-	HubPrefix int64 `json:"hub_prefix,omitempty"`
-	// CheckpointEvery is the progress interval between checkpoint
-	// epochs (0 selects max(n/20, 20000) per the OPERATIONS.md §2
-	// cadence guidance). Checkpoints are what make preemption and
-	// crash respawn cheap, so they are always on.
-	CheckpointEvery int64 `json:"checkpoint_every,omitempty"`
-	// StreamBlockEdges is the edge records per shard block
-	// (0 = esink default). Jobs always stream their edges to per-rank
-	// shard files (docs/SHARD_FORMAT.md): bounded memory per job is
-	// what lets the pool pack tenants safely.
-	StreamBlockEdges int `json:"stream_block_edges,omitempty"`
-}
+// POST /jobs. It is a run's Config (runcfg.Config, whose JSON tags name
+// the keys; docs/API.md): a key for a field a spec does not carry, a
+// directory or resume, is unknown and refused. Zero values select
+// documented defaults; normalize fills them in, so a stored job's Spec
+// shows the effective values. The spec adds only job policy: one
+// worker per rank unless asked (the service packs jobs, so
+// oversubscription is the queue's job, not the runtime's), a
+// checkpoint cadence (checkpoints are what make preemption and crash
+// respawn cheap, so they are always on, and every job streams to
+// per-rank shards, which bounds each tenant's memory), and the slot
+// check.
+type Spec runcfg.Config
 
-// normalize fills defaults in place and validates the spec against the
-// same parsers the CLIs use, so a job rejected here would also have
-// been rejected by every rank. A job needing more than slots ranks is
-// rejected before any partition is built: the partition's tables are
-// O(ranks), and ranks is whatever the request says.
+// normalize fills defaults in place and validates the spec with
+// runcfg's Validate, the one every rank runs. A job needing more than
+// slots ranks is refused without building a partition, whose tables
+// are O(ranks) and ranks is whatever the request says.
 func (s *Spec) normalize(slots int) error {
-	if s.P == 0 {
-		s.P = model.DefaultP
-	}
-	if s.Scheme == "" {
-		s.Scheme = "RRP"
-	}
-	if s.Ranks == 0 {
-		s.Ranks = 1
-	}
 	if s.Workers == 0 {
 		s.Workers = 1
 	}
-	if s.Resolve == "" {
-		s.Resolve = core.ResolveWire.String()
-	}
 	if s.CheckpointEvery == 0 {
-		s.CheckpointEvery = s.N / 20
-		if s.CheckpointEvery < 20000 {
-			s.CheckpointEvery = 20000
-		}
+		// OPERATIONS.md §2's cadence guidance.
+		s.CheckpointEvery = max(s.N/20, 20000)
 	}
-	pr := model.Params{N: s.N, X: s.X, P: s.P}
-	if err := pr.Validate(); err != nil {
-		return err
-	}
-	if s.Ranks < 0 || s.Workers < 0 {
-		return fmt.Errorf("ranks (%d) and workers (%d) must be positive", s.Ranks, s.Workers)
-	}
-	if s.Ranks > slots {
-		return fmt.Errorf("job needs %d rank slots, pool has %d", s.Ranks, slots)
-	}
-	kind, err := partition.ParseKind(s.Scheme)
+	c, err := runcfg.Config(*s).Validate()
 	if err != nil {
 		return err
 	}
-	if _, err := partition.New(kind, s.N, s.Ranks); err != nil {
-		return err
+	*s = Spec(c)
+	if s.Workers < 0 {
+		return fmt.Errorf("workers = %d, want >= 1", s.Workers)
 	}
-	if _, err := core.ParseResolveMode(s.Resolve); err != nil {
-		return err
-	}
-	if s.CheckpointEvery < 0 {
-		return fmt.Errorf("checkpoint_every (%d) must be >= 0", s.CheckpointEvery)
-	}
-	if s.StreamBlockEdges < 0 {
-		return fmt.Errorf("stream_block_edges (%d) must be >= 0", s.StreamBlockEdges)
+	if s.Ranks > slots {
+		return fmt.Errorf("job needs %d rank slots, pool has %d", s.Ranks, slots)
 	}
 	return nil
 }

@@ -11,9 +11,8 @@ import (
 	"sync"
 
 	"pagen/internal/core"
-	"pagen/internal/model"
 	"pagen/internal/obs"
-	"pagen/internal/partition"
+	"pagen/internal/runcfg"
 )
 
 // PortAlloc hands out listen addresses for rank clusters from a fixed
@@ -72,13 +71,13 @@ func (a *PortAlloc) Acquire(k int) ([]string, func(), error) {
 }
 
 // ProcessRunner executes a job attempt as a cluster of pa-tcp rank
-// processes on this host — the control plane's production path, built
-// on the same per-rank invocation the pa-tcp supervisor uses: every
-// rank gets the full address list, the job's checkpoint directory and
-// its shard directory, and a crashed attempt is relaunched by the
-// queue with -resume so the cluster restarts from the newest epoch all
-// ranks committed. Rank stdout/stderr append to rank<i>.log in the
-// job directory across attempts.
+// processes on this host — the control plane's production path, and
+// with the queue's respawn the one single-host supervisor: every rank
+// gets the full address list and the job's Config as flags (checkpoint
+// and shard directories included), and a crashed attempt is relaunched
+// by the queue with -resume so the cluster restarts from the newest
+// epoch all ranks committed. Rank stdout/stderr append to rank<i>.log
+// in the job directory across attempts.
 type ProcessRunner struct {
 	// Binary is the pa-tcp executable path.
 	Binary string
@@ -86,34 +85,28 @@ type ProcessRunner struct {
 	Ports *PortAlloc
 }
 
+// config is the run one attempt of job makes: the spec with the job's
+// checkpoint and shard directories, resuming when resume is set.
+func (ji JobInfo) config(resume bool) runcfg.Config {
+	c := runcfg.Config(ji.Spec)
+	c.CheckpointDir = ji.CheckpointDir()
+	c.StreamDir = ji.ShardDir()
+	c.Resume = resume
+	return c
+}
+
 // rankArgs builds the pa-tcp argument vector for one rank of a job
-// attempt. Kept separate from process management so tests can pin the
-// exact invocation.
+// attempt: -rank and -addrs first (scripts find a job's ranks by that
+// prefix), this rank's metrics drop, then the attempt's Config.
 func rankArgs(job JobInfo, addrs []string, rank int, resume bool) []string {
-	s := job.Spec
 	args := []string{
 		"-rank", strconv.Itoa(rank),
 		"-addrs", strings.Join(addrs, ","),
-		"-n", strconv.FormatInt(s.N, 10),
-		"-x", strconv.Itoa(s.X),
-		"-p", strconv.FormatFloat(s.P, 'g', -1, 64),
-		"-scheme", s.Scheme,
-		"-seed", strconv.FormatUint(s.Seed, 10),
-		"-workers", strconv.Itoa(s.Workers),
-		"-hub-prefix", strconv.FormatInt(s.HubPrefix, 10),
-		"-resolve", s.Resolve,
-		"-checkpoint-dir", job.CheckpointDir(),
-		"-checkpoint-every", strconv.FormatInt(s.CheckpointEvery, 10),
-		"-stream-dir", job.ShardDir(),
-		"-stream-block-edges", strconv.Itoa(s.StreamBlockEdges),
 		// Each rank drops its metrics record in the job directory; the
 		// queue folds the checkpoint histograms into /metrics.
 		"-metrics", rankMetricsFile(job.Dir, rank),
 	}
-	if resume {
-		args = append(args, "-resume")
-	}
-	return args
+	return append(args, job.config(resume).Args()...)
 }
 
 // Run launches one rank process per slot and waits for the cluster.
@@ -216,34 +209,11 @@ func (InProcessRunner) Run(ctx context.Context, job JobInfo, resume bool) error 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	s := job.Spec
-	kind, err := partition.ParseKind(s.Scheme)
+	opts, err := runcfg.Options(job.config(resume))
 	if err != nil {
 		return err
 	}
-	part, err := partition.New(kind, s.N, s.Ranks)
-	if err != nil {
-		return err
-	}
-	mode, err := core.ParseResolveMode(s.Resolve)
-	if err != nil {
-		return err
-	}
-	res, err := core.Run(core.Options{
-		Params:    model.Params{N: s.N, X: s.X, P: s.P},
-		Part:      part,
-		Seed:      s.Seed,
-		Workers:   s.Workers,
-		HubPrefix: s.HubPrefix,
-		Resolve:   mode,
-		Checkpoint: &core.CheckpointOptions{
-			Dir:    job.CheckpointDir(),
-			Every:  s.CheckpointEvery,
-			Resume: resume,
-		},
-		StreamDir:        job.ShardDir(),
-		StreamBlockEdges: s.StreamBlockEdges,
-	}, false)
+	res, err := core.Run(opts, false)
 	if res != nil {
 		writeRankMetricsFiles(job, res)
 	}
@@ -255,22 +225,10 @@ func (InProcessRunner) Run(ctx context.Context, job JobInfo, resume bool) error 
 // telemetry merge is runner-agnostic. Best-effort: a drop that fails
 // to write is skipped (telemetry never fails a job).
 func writeRankMetricsFiles(job JobInfo, res *core.Result) {
-	s := job.Spec
 	for _, st := range res.Ranks {
-		m := &obs.RunMetrics{
-			N: s.N, X: s.X, P: s.P,
-			Ranks: s.Ranks, Scheme: s.Scheme, Seed: s.Seed,
-			ElapsedNanos: res.Elapsed.Nanoseconds(),
-			PerRank:      []obs.RankMetrics{st.Metrics()},
-		}
-		f, err := os.Create(rankMetricsFile(job.Dir, st.Rank))
-		if err != nil {
-			continue
-		}
-		if err := m.WriteJSON(f); err != nil {
-			f.Close()
-			continue
-		}
-		f.Close()
+		m := runcfg.Metrics(runcfg.Config(job.Spec))
+		m.ElapsedNanos = res.Elapsed.Nanoseconds()
+		m.PerRank = []obs.RankMetrics{st.Metrics()}
+		_ = m.WriteFile(rankMetricsFile(job.Dir, st.Rank)) // best-effort, as above
 	}
 }

@@ -2,15 +2,18 @@ package jobqueue
 
 import (
 	"context"
+	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pagen/internal/core"
 	"pagen/internal/esink"
 	"pagen/internal/model"
 	"pagen/internal/partition"
+	"pagen/internal/runcfg"
 )
 
 func TestPortAllocAcquireRelease(t *testing.T) {
@@ -53,8 +56,11 @@ func TestPortAllocHost(t *testing.T) {
 	}
 }
 
-// TestRankArgs pins the exact pa-tcp invocation ProcessRunner uses, so
-// a pa-tcp flag rename breaks this test rather than production jobs.
+// TestRankArgs pins the pa-tcp invocation ProcessRunner uses: -rank
+// and -addrs first (the smoke and load-test scripts find a job's ranks
+// by that prefix), the rank's metrics drop, then the attempt's Config
+// serialised through the flags pa-tcp registers, which parse back into
+// exactly that Config.
 func TestRankArgs(t *testing.T) {
 	spec := Spec{
 		N: 50000, X: 4, P: 0.25, Seed: 99, Scheme: "CP", Ranks: 2,
@@ -68,28 +74,41 @@ func TestRankArgs(t *testing.T) {
 	want := []string{
 		"-rank", "1",
 		"-addrs", "127.0.0.1:42000,127.0.0.1:42001",
-		"-n", "50000",
-		"-x", "4",
-		"-p", "0.25",
-		"-scheme", "CP",
-		"-seed", "99",
-		"-workers", "3",
-		"-hub-prefix", "128",
-		"-resolve", "recompute",
-		"-checkpoint-dir", filepath.Join("/data/jobs/j000007", "ck"),
-		"-checkpoint-every", "5000",
-		"-stream-dir", filepath.Join("/data/jobs/j000007", "shards"),
-		"-stream-block-edges", "1024",
 		"-metrics", filepath.Join("/data/jobs/j000007", "metrics-rank1.json"),
-		"-resume",
+		"-checkpoint-dir=" + filepath.Join("/data/jobs/j000007", "ck"),
+		"-checkpoint-every=5000",
+		"-hub-prefix=128",
+		"-n=50000",
+		"-p=0.25",
+		"-resolve=recompute",
+		"-resume=true",
+		"-scheme=CP",
+		"-seed=99",
+		"-stream-block-edges=1024",
+		"-stream-dir=" + filepath.Join("/data/jobs/j000007", "shards"),
+		"-workers=3",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("rankArgs:\n got %q\nwant %q", got, want)
 	}
+
+	var parsed runcfg.Config
+	fs := flag.NewFlagSet("pa-tcp", flag.ContinueOnError)
+	parsed.Flags(fs)
+	fs.Int("rank", 0, "")
+	fs.String("addrs", "", "")
+	fs.String("metrics", "", "")
+	if err := fs.Parse(got); err != nil {
+		t.Fatal(err)
+	}
+	parsed.Ranks = len(addrs)
+	if wantCfg := job.config(true); parsed != wantCfg {
+		t.Errorf("rank argv parses to %+v, want %+v", parsed, wantCfg)
+	}
+
 	// No -resume on a fresh attempt.
-	fresh := rankArgs(job, addrs, 0, false)
-	for _, a := range fresh {
-		if a == "-resume" {
+	for _, a := range rankArgs(job, addrs, 0, false) {
+		if strings.HasPrefix(a, "-resume") {
 			t.Error("fresh attempt carries -resume")
 		}
 	}

@@ -27,6 +27,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"os"
 
 	"pagen/internal/stats"
 )
@@ -396,6 +397,23 @@ func (m *RunMetrics) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(m)
+}
+
+// WriteFile writes the metrics as indented JSON to the file at path,
+// or to stderr when path is "-" (the CLIs' -metrics convention).
+func (m *RunMetrics) WriteFile(path string) error {
+	if path == "-" {
+		return m.WriteJSON(os.Stderr)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := m.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadJSON parses metrics previously written with WriteJSON.

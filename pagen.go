@@ -33,6 +33,7 @@ import (
 	"pagen/internal/model"
 	"pagen/internal/obs"
 	"pagen/internal/partition"
+	"pagen/internal/runcfg"
 	"pagen/internal/seq"
 	"pagen/internal/xrand"
 )
@@ -74,189 +75,26 @@ const DefaultP = model.DefaultP
 // already handed to a sink cannot be rewound on resume.
 var errCheckpointStreaming = errors.New("pagen: checkpointing is incompatible with streaming generation (use Generate)")
 
-// Config configures Generate.
-type Config struct {
-	// N is the number of nodes (required, > X).
-	N int64
-	// X is the number of edges each new node attaches with (>= 1).
-	X int
-	// P is the direct-attachment probability; 0 means DefaultP (0.5,
-	// exact Barabási–Albert). Other values tune the power-law exponent.
-	P float64
-	// Ranks is the number of parallel processors to simulate
-	// (default 1).
-	Ranks int
-	// Workers is the width of each rank's batch-kernel parallel-for:
-	// the rank's own goroutine plus Workers-1 helpers draw and gather
-	// each window of nodes, and the rank's goroutine alone commits it.
-	// Zero or negative selects runtime.GOMAXPROCS(0); the engine clamps
-	// it to what the rank's node count can keep busy. Output is
-	// byte-identical across worker counts.
-	Workers int
-	// Transport selects how co-located ranks exchange message batches:
-	// "shm" (the default; batches move between rank goroutines by
-	// reference, no per-message serialization) or "local" (every batch
-	// round-trips through the wire codec — the serialization ablation).
-	// Output is byte-identical across transports.
-	Transport string
-	// Scheme is the node-partitioning scheme: "RRP" (default), "LCP",
-	// "UCP" or "ExactCP".
-	Scheme string
-	// Seed makes runs reproducible; x = 1 outputs are identical across
-	// any Ranks/Scheme combination for a fixed seed.
-	Seed uint64
-	// HubPrefix controls the replicated hub-prefix cache, which answers
-	// copy queries for the first H nodes from a local replica instead of
-	// a cross-rank round trip. 0 (the default) sizes H automatically to
-	// cover a fixed fraction of the expected request mass; a negative
-	// value disables the cache; a positive value fixes H. Output is
-	// byte-identical for every setting. All ranks of one run must agree.
-	HubPrefix int64
-	// RecordTrace collects the attachment-decision trace in the result
-	// (costs ~13 bytes per edge).
-	RecordTrace bool
-	// CollectNodeLoad counts copy-resolution queries received per node
-	// (the empirical M_k of Lemma 3.4) in Result.NodeLoad, so Metrics
-	// can export the measured-versus-predicted load curve. Costs one
-	// increment per copy query plus 8 bytes per node.
-	CollectNodeLoad bool
-	// CheckpointDir enables cooperative checkpointing: every rank
-	// writes a versioned, CRC-protected snapshot of its engine state
-	// into this directory at each checkpoint epoch. A snapshot names
-	// the durable prefix of the rank's shard file and carries no table,
-	// so a checkpointed run always streams: without a StreamDir it
-	// writes its shards under CheckpointDir/shards and Result.Graph is
-	// read back from them, byte-identical to an uncheckpointed run's.
-	// Restarting from a checkpoint (Resume) reproduces the exact graph
-	// an uninterrupted run would have produced. See
-	// docs/CHECKPOINT_FORMAT.md and docs/OPERATIONS.md. Incompatible
-	// with RecordTrace, CollectNodeLoad and GenerateStream.
-	CheckpointDir string
-	// CheckpointEvery is the approximate number of protocol events
-	// (nodes initiated plus messages received, summed over ranks)
-	// between checkpoint epochs. Zero with a CheckpointDir set means
-	// snapshots are only read (resume), never written.
-	CheckpointEvery int64
-	// CheckpointKeep is how many snapshots to retain per rank (older
-	// ones are pruned after each publish; 0 = keep 2).
-	CheckpointKeep int
-	// CheckpointFullEvery has no effect: every snapshot is one kind, a
-	// shard mark with no table to take deltas of. It is kept for callers
-	// that still set it.
-	CheckpointFullEvery int
-	// Resume loads the latest mutually-complete checkpoint epoch from
-	// CheckpointDir before generating, skipping all work committed up
-	// to that epoch. When no usable epoch exists the run starts fresh.
-	Resume bool
-	// Resolve selects how non-local copy dependencies are answered:
-	// "wire" (the default; the paper's request/resolved message round
-	// trip) or "recompute" (replay the owning node's RNG stream locally
-	// — no data messages — falling back to the wire past a chain of
-	// ~2*log2(N) nodes, twice Theorem 3.3's O(log n) depth bound). Output
-	// is byte-identical in both modes.
-	Resolve string
-	// StreamDir enables the external-memory edge sink: each rank spills
-	// its resolved edges into a compressed per-rank shard file under this
-	// directory (docs/SHARD_FORMAT.md) instead of materialising the edge
-	// list, so resident memory stays bounded regardless of N.
-	// Result.Graph is nil; read the output back with ReadStreamDir or
-	// stream it with internal tooling (cmd/pa-analyze -stream-dir).
-	// Composes with CheckpointDir: a killed run resumes without
-	// duplicating or dropping edges, and the merged shards stay
-	// byte-identical to an uninterrupted run.
-	StreamDir string
-	// StreamBlockEdges is the number of edge records per shard block: the
-	// unit a rank flushes, CRC-protects and a reader decodes on its own
-	// (0 selects the default, 65536). The open block, encoded, is the
-	// writer's only buffer — about 2 + log₂(N)/7 bytes a record, 256 KiB
-	// per rank at N = 10⁶. Only meaningful with StreamDir.
-	StreamBlockEdges int
-}
-
-// resolve parses the Config resolve-mode selector.
-func (c Config) resolve() (core.ResolveMode, error) {
-	if c.Resolve == "" {
-		return core.ResolveWire, nil
-	}
-	return core.ParseResolveMode(c.Resolve)
-}
-
-// checkpoint translates the Config checkpoint fields to engine options
-// (nil when checkpointing is not requested).
-func (c Config) checkpoint() *core.CheckpointOptions {
-	if c.CheckpointDir == "" && c.CheckpointEvery == 0 && !c.Resume {
-		return nil
-	}
-	return &core.CheckpointOptions{
-		Dir:    c.CheckpointDir,
-		Every:  c.CheckpointEvery,
-		Keep:   c.CheckpointKeep,
-		Resume: c.Resume,
-	}
-}
-
-// params builds and validates model parameters.
-func (c Config) params() (model.Params, error) {
-	p := c.P
-	if p == 0 {
-		p = DefaultP
-	}
-	pr := model.Params{N: c.N, X: c.X, P: p}
-	return pr, pr.Validate()
-}
-
-// partition builds the configured partitioning scheme.
-func (c Config) partition(pr model.Params) (partition.Scheme, error) {
-	ranks := c.Ranks
-	if ranks == 0 {
-		ranks = 1
-	}
-	name := c.Scheme
-	if name == "" {
-		name = "RRP"
-	}
-	kind, err := partition.ParseKind(name)
-	if err != nil {
-		return nil, err
-	}
-	return partition.New(kind, pr.N, ranks)
-}
+// Config describes a run: Generate's argument, and the same settings
+// both CLIs' shared flags and a pa-serve job spec carry (its JSON tags
+// name the spec's keys). Its fields are documented on runcfg.Config.
+type Config = runcfg.Config
 
 // Generate runs the parallel preferential-attachment generator and
 // returns the merged graph with per-rank statistics.
 func Generate(cfg Config) (*Result, error) {
-	pr, err := cfg.params()
+	opts, err := runcfg.Options(cfg)
 	if err != nil {
 		return nil, err
 	}
-	part, err := cfg.partition(pr)
-	if err != nil {
-		return nil, err
-	}
-	mode, err := cfg.resolve()
-	if err != nil {
-		return nil, err
-	}
-	return core.Run(core.Options{
-		Params:           pr,
-		Part:             part,
-		Seed:             cfg.Seed,
-		Workers:          cfg.Workers,
-		Transport:        cfg.Transport,
-		HubPrefix:        cfg.HubPrefix,
-		Resolve:          mode,
-		CollectNodeLoad:  cfg.CollectNodeLoad,
-		Checkpoint:       cfg.checkpoint(),
-		StreamDir:        cfg.StreamDir,
-		StreamBlockEdges: cfg.StreamBlockEdges,
-	}, cfg.RecordTrace)
+	return core.Run(opts, cfg.RecordTrace)
 }
 
 // GenerateSeq runs the sequential copy model — the T_s baseline of the
 // paper's speedup measurements. A trace is returned when
 // cfg.RecordTrace is set. Ranks/Scheme are ignored.
 func GenerateSeq(cfg Config) (*Graph, *Trace, error) {
-	pr, err := cfg.params()
+	pr, err := cfg.Params()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -266,7 +104,7 @@ func GenerateSeq(cfg Config) (*Graph, *Trace, error) {
 // GenerateBA runs the sequential Batagelj–Brandes algorithm (exact BA,
 // ignores cfg.P). It is the classic efficient sequential baseline.
 func GenerateBA(cfg Config) (*Graph, error) {
-	pr, err := cfg.params()
+	pr, err := cfg.Params()
 	if err != nil {
 		return nil, err
 	}
@@ -310,31 +148,15 @@ func NewPartition(scheme string, n int64, ranks int) (Partition, error) {
 // shared across ranks does. The returned Result has a nil Graph;
 // per-rank stats are still collected.
 func GenerateStream(cfg Config, sink func(rank int, e Edge)) (*Result, error) {
-	if cfg.checkpoint() != nil {
+	if cfg.Checkpointed() {
 		return nil, errCheckpointStreaming
 	}
-	pr, err := cfg.params()
+	opts, err := runcfg.Options(cfg)
 	if err != nil {
 		return nil, err
 	}
-	part, err := cfg.partition(pr)
-	if err != nil {
-		return nil, err
-	}
-	mode, err := cfg.resolve()
-	if err != nil {
-		return nil, err
-	}
-	return core.Run(core.Options{
-		Params:    pr,
-		Part:      part,
-		Seed:      cfg.Seed,
-		Workers:   cfg.Workers,
-		Transport: cfg.Transport,
-		HubPrefix: cfg.HubPrefix,
-		Resolve:   mode,
-		Sink:      sink,
-	}, cfg.RecordTrace)
+	opts.Sink = sink
+	return core.Run(opts, cfg.RecordTrace)
 }
 
 // ReadStreamDir materialises the merged graph of a streamed run
@@ -352,34 +174,20 @@ func ReadStreamDir(dir string, ranks int) (*Graph, error) {
 // run: per-rank counters and wait-chain histograms, plus — when cfg set
 // CollectNodeLoad — the binned per-node received-message-load curve with
 // the Lemma 3.4 prediction (1-p)(H_{n-1} - H_k) per slot alongside.
-// Write it with its WriteJSON method (cmd/pagen's -metrics flag does).
+// Write it with its WriteFile or WriteJSON method (cmd/pagen's -metrics
+// flag does).
 func Metrics(res *Result, cfg Config) *RunMetrics {
-	pr, err := cfg.params()
+	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil
 	}
-	ranks := cfg.Ranks
-	if ranks == 0 {
-		ranks = 1
-	}
-	scheme := cfg.Scheme
-	if scheme == "" {
-		scheme = "RRP"
-	}
-	m := &obs.RunMetrics{
-		N:            pr.N,
-		X:            pr.X,
-		P:            pr.P,
-		Ranks:        ranks,
-		Scheme:       scheme,
-		Seed:         cfg.Seed,
-		ElapsedNanos: res.Elapsed.Nanoseconds(),
-	}
+	m := runcfg.Metrics(cfg)
+	m.ElapsedNanos = res.Elapsed.Nanoseconds()
 	for _, st := range res.Ranks {
 		m.PerRank = append(m.PerRank, st.Metrics())
 	}
 	if res.NodeLoad != nil {
-		curve := obs.BinNodeLoad(res.NodeLoad, pr.N, pr.X, pr.P, 0)
+		curve := obs.BinNodeLoad(res.NodeLoad, cfg.N, cfg.X, cfg.P, 0)
 		m.NodeLoad = &curve
 	}
 	return m
@@ -416,7 +224,7 @@ func EdgesPerSecond(res *Result) float64 {
 // network in RAM, the constraint the paper's Section 4.3 hit at 6x10^9
 // edges.
 func DegreesStreamed(cfg Config) ([]int64, *Result, error) {
-	pr, err := cfg.params()
+	pr, err := cfg.Params()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -456,7 +264,7 @@ func DegreesStreamed(cfg Config) ([]int64, *Result, error) {
 // run without StreamDir streams too and also holds the edge list it
 // reads back.
 func MemoryEstimate(cfg Config) int64 {
-	pr, err := cfg.params()
+	pr, err := cfg.Params()
 	if err != nil {
 		return 0
 	}

@@ -15,22 +15,22 @@
 # stream is the contract (a checkpointed run's block cuts depend on
 # timing; an uncheckpointed run's shards are deterministic too).
 #
-# With "chaos" as the first argument it runs the kill-mid-epoch smoke:
-# a supervised streamed run where one rank is killed while the second
-# checkpoint epoch is only partially committed across the cluster —
-# some ranks' snapshots published, others still in flight in their
-# background writers. The supervisor restarts the cluster from whatever
-# the directory holds, and the resumed run's shards, converted with
-# pa-analyze -export-binary, must be byte-identical to an uninterrupted
-# supervised baseline's.
+# With "chaos" as the first argument it runs the kill-mid-epoch smoke
+# through the control plane: pa-serve (-runner process) runs 4-rank
+# streamed jobs as pa-tcp processes, and one rank of a job is killed
+# while the second checkpoint epoch is only partially committed across
+# the cluster — some ranks' snapshots published, others still in flight
+# in their background writers. The queue respawns the job from whatever
+# its directory holds (show -field restarts must be >= 1), and the
+# job's download must be byte-identical to the download of an unkilled
+# job with the same spec.
 #
 # With "stream" as the first argument it runs the kill-after-first-epoch
-# smoke: a supervised streamed run is killed after the first checkpoint
-# epoch commits and restarted by the supervisor; the recovered shard
-# directory must carry the same edge-stream fingerprint as an in-memory
-# run of the same configuration, and converting it with pa-analyze
-# -export-binary must reproduce the in-memory binary output byte for
-# byte.
+# smoke the same way: a pa-serve job's rank is killed after the first
+# checkpoint epoch commits and the queue respawns the job; the job's
+# shard directory must carry the same edge-stream fingerprint as an
+# in-memory pagen run of the same configuration, and its download must
+# reproduce pagen -format binary byte for byte.
 #
 # With "shm" as the first argument it runs the in-process transport
 # smoke instead: pagen over the shared-memory transport (message
@@ -38,11 +38,14 @@
 # transport, at 1 and 2 workers per rank — all four outputs must be
 # byte-identical (DESIGN.md §13.1).
 #
-# A run that outlives TIMEOUT seconds is a hang, not just a failure:
-# every surviving pa-tcp rank on this script's port range gets SIGQUIT,
-# so its goroutine dump lands in the run's log, and the log is printed.
-# The EXIT trap kills whatever rank or supervisor is left so the ports
-# are free for the next run.
+# A run that outlives TIMEOUT seconds is a hang, not just a failure.
+# In the basic mode each rank's timeout sends it SIGQUIT, so its
+# goroutine dump lands in this script's stderr. In chaos and stream
+# mode the daemon is killed first (so it cannot reap or respawn the
+# ranks), every surviving rank of the job gets SIGQUIT, and the job's
+# jobs/<id>/rank*.log files, dumps included, are printed. The EXIT trap
+# kills whatever daemon or rank is left so the ports are free for the
+# next run.
 # Exits non-zero if any rank fails or hangs, or an output differs.
 set -eu
 
@@ -55,16 +58,18 @@ BASE_PORT=${BASE_PORT:-9700}
 TIMEOUT=${TIMEOUT:-120}
 
 workdir=$(mktemp -d)
+srv="" # the pa-serve daemon of the chaos and stream modes
 
-# cluster_pids [rank|supervise]: this port range's pa-tcp processes of
-# that role (the timeout wrappers excluded: their command lines start
-# with timeout, not pa-tcp).
+# cluster_pids: this port range's pa-tcp rank processes (the timeout
+# wrappers excluded: their command lines start with timeout, not
+# pa-tcp). Every rank's command line begins "pa-tcp -rank R -addrs A".
 cluster_pids() {
-    pgrep -f "^[^ ]*pa-tcp -$1 ([0-9]+ )?-addrs 127\.0\.0\.1:$BASE_PORT," || true
+    pgrep -f "^[^ ]*pa-tcp -rank [0-9]+ -addrs 127\.0\.0\.1:$BASE_PORT," || true
 }
 
 cleanup() {
-    for pid in $(cluster_pids supervise) $(cluster_pids rank); do
+    [ -z "$srv" ] || kill -KILL "$srv" 2>/dev/null || true
+    for pid in $(cluster_pids); do
         kill -KILL "$pid" 2>/dev/null || true
     done
     rm -rf "$workdir"
@@ -113,76 +118,100 @@ fingerprint() {
     "$workdir/pa-analyze" "$@" -fingerprint | awk '{print $2}'
 }
 
-# hung LOG: the run outlived TIMEOUT. Print LOG, then ask every
-# surviving rank, one at a time, for a goroutine dump (Go writes it to
-# the rank's stderr, which is LOG) and print each dump under the rank's
-# name, and fail. The ranks are stopped first, so a dumped rank's exit
-# cannot unwind its peers before their turn.
-hung() {
-    pids=$(cluster_pids rank | tr '\n' ' ')
-    echo "timed out after ${TIMEOUT}s; surviving ranks: ${pids:-none}; log:" >&2
-    cat "$1" >&2
-    for pid in $pids; do
-        kill -STOP "$pid" 2>/dev/null || true
-    done
-    for pid in $pids; do
-        who=$(ps -o args= -p "$pid" | cut -d' ' -f2-3)
-        size=$(wc -c <"$1")
-        kill -QUIT "$pid" 2>/dev/null || continue
-        kill -CONT "$pid" 2>/dev/null || true
-        sleep 1
-        echo "=== goroutine dump of pa-tcp $who (pid $pid)" >&2
-        tail -c +$((size + 1)) "$1" >&2
-    done
-    exit 1
-}
-
 if [ "$MODE" = chaos ] || [ "$MODE" = stream ]; then
     # Scale n up and the epoch cadence down so the kill lands well
     # before the run finishes, even on slow CI machines (commit time
     # and run time scale together).
     RN=${RN:-800000}
     SEED=${SEED:-7}
+    HTTP_PORT=${HTTP_PORT:-$((BASE_PORT + RANKS))}
 
-    # supervise LOG ARGS...: start a supervised streamed cluster in the
-    # background (pid in $sup); every child's stderr goes to LOG. On
-    # timeout only the supervisor is killed (--foreground: timeout does
-    # not signal its process group), so hung ranks survive for hung.
-    supervise() {
-        log=$1
-        shift
-        timeout --foreground "$TIMEOUT" "$workdir/pa-tcp" -supervise -addrs "$addrs" \
-            -n "$RN" -x 3 -seed "$SEED" -workers "$WORKERS" "$@" 2>"$log" &
-        sup=$!
-    }
+    go build -o "$workdir/pa-serve" ./cmd/pa-serve
+    go build -o "$workdir/serve" ./examples/serve
+    # One job at a time holds every slot, and the rank ports are
+    # exactly BASE_PORT.., so each job's ranks read
+    # "pa-tcp -rank R -addrs 127.0.0.1:$BASE_PORT,...".
+    "$workdir/pa-serve" -listen "127.0.0.1:$HTTP_PORT" -data-dir "$workdir/data" \
+        -slots "$RANKS" -runner process -pa-tcp "$workdir/pa-tcp" \
+        -port-base "$BASE_PORT" -port-span "$RANKS" 2>"$workdir/serve.log" &
+    srv=$!
 
-    # await LOG: wait for the supervisor; a timeout is a hang.
-    await() {
-        status=0
-        wait "$sup" || status=$?
-        [ "$status" -ne 124 ] || hung "$1"
-        if [ "$status" -ne 0 ]; then
-            echo "supervisor failed (exit $status):" >&2
-            cat "$1" >&2
+    client() { "$workdir/serve" -addr "http://127.0.0.1:$HTTP_PORT" "$@"; }
+
+    i=0
+    until client metrics >/dev/null 2>&1; do
+        i=$((i + 1))
+        if [ $i -ge 100 ] || ! kill -0 "$srv" 2>/dev/null; then
+            echo "pa-serve never came up:" >&2
+            cat "$workdir/serve.log" >&2
             exit 1
         fi
+        sleep 0.1
+    done
+
+    # submit EVERY: submit the smoke's streamed, checkpointed job and
+    # print its id.
+    submit() {
+        client submit -n "$RN" -x 3 -seed "$SEED" -job-ranks "$RANKS" \
+            -job-workers "$WORKERS" -ckpt-every "$1"
     }
 
-    # kill_rank_when CKDIR WHEN: watch the snapshots published under
-    # CKDIR (rank%04d-epoch%08d.ckpt) and kill rank 2 once WHEN holds:
-    # "committed" — every rank has published epoch 1; "partial" — the
-    # newest epoch, 2 or later, is published by some ranks but not all
-    # (the others' background writes are in flight), or, if no poll
-    # catches that window, epoch 8 is out — still a mid-run kill. The
-    # bracketed [2] keeps pkill from matching this script's own command
-    # line.
+    # rank_logs JOB: print the job's per-rank logs.
+    rank_logs() {
+        for f in "$workdir/data/jobs/$1"/rank*.log; do
+            echo "=== $f" >&2
+            cat "$f" >&2
+        done
+    }
+
+    # hung JOB: the job outlived TIMEOUT. Kill the daemon so it cannot
+    # reap or respawn the ranks, stop every surviving rank, queue a
+    # SIGQUIT on each and let them all go at once: each writes its
+    # goroutine dump to its own jobs/<id>/rank<i>.log. Print the logs
+    # and fail.
+    hung() {
+        kill -KILL "$srv" 2>/dev/null || true
+        pids=$(cluster_pids | tr '\n' ' ')
+        echo "job $1 timed out after ${TIMEOUT}s; surviving ranks: ${pids:-none}" >&2
+        for pid in $pids; do
+            kill -STOP "$pid" 2>/dev/null || true
+            kill -QUIT "$pid" 2>/dev/null || true
+        done
+        for pid in $pids; do
+            kill -CONT "$pid" 2>/dev/null || true
+        done
+        sleep 1
+        rank_logs "$1"
+        exit 1
+    }
+
+    # await JOB: wait for the job to finish; a timeout is a hang, any
+    # other end than done a failure.
+    await() {
+        client wait "$1" -wait-timeout "${TIMEOUT}s" >/dev/null 2>&1 && return 0
+        state=$(client show "$1" -field state)
+        case "$state" in queued | running | checkpointed) hung "$1" ;; esac
+        echo "job $1 ended $state: $(client show "$1" -field error)" >&2
+        rank_logs "$1"
+        exit 1
+    }
+
+    # kill_rank_when JOB WHEN: watch the snapshots published under the
+    # job's checkpoint directory (rank%04d-epoch%08d.ckpt) and kill its
+    # rank 2 once WHEN holds: "committed" — every rank has published
+    # epoch 1; "partial" — the newest epoch, 2 or later, is published by
+    # some ranks but not all (the others' background writes are in
+    # flight), or, if no poll catches that window, epoch 8 is out —
+    # still a mid-run kill. The bracketed [2] keeps pkill from matching
+    # this script's own command line.
     kill_rank_when() {
+        ckdir="$workdir/data/jobs/$1/ck"
         polls=0
         newest=0
         holders=0
         fire=""
-        while kill -0 "$sup" 2>/dev/null; do
-            snaps=$(ls "$1" 2>/dev/null | grep '\.ckpt$' || true)
+        while :; do
+            snaps=$(ls "$ckdir" 2>/dev/null | grep '\.ckpt$' || true)
             newest=$(echo "$snaps" | sed -n 's/.*-epoch0*\([0-9][0-9]*\)\.ckpt$/\1/p' | sort -n | tail -1)
             newest=${newest:-0}
             holders=$(echo "$snaps" | grep -c "epoch0*$newest\.ckpt$" || true)
@@ -195,49 +224,51 @@ if [ "$MODE" = chaos ] || [ "$MODE" = stream ]; then
             fi
             [ -z "$fire" ] || break
             polls=$((polls + 1))
+            # The job's state costs an HTTP round trip; look every 50 polls.
+            if [ $((polls % 50)) -eq 0 ]; then
+                case $(client show "$1" -field state) in done | failed | cancelled) break ;; esac
+            fi
             sleep 0.01
         done
         if [ -z "$fire" ]; then
-            echo "run finished before the kill point ($2) was reached;" >&2
+            echo "job $1 finished before the kill point ($2) was reached;" >&2
             echo "raise RN or lower EVERY so the kill lands mid-run" >&2
             exit 1
         fi
-        pkill -f -- "-rank [2] -addrs 127.0.0.1:$BASE_PORT" \
-            || { echo "failed to kill rank 2" >&2; exit 1; }
-        echo "$MODE smoke: killed rank 2 at epoch $newest, published by $holders of $RANKS ranks ($polls polls)"
+        pkill -f -- "-rank [2] -addrs .*jobs/$1/" \
+            || { echo "failed to kill rank 2 of job $1" >&2; exit 1; }
+        echo "$MODE smoke: killed rank 2 of job $1 at epoch $newest, published by $holders of $RANKS ranks ($polls polls)"
     }
 
-    # restarted LOG: the supervisor must have relaunched the cluster.
+    # restarted JOB: the queue must have respawned the job's cluster.
     restarted() {
-        grep -q 'restart 1/' "$1" \
-            || { echo "supervisor log records no restart" >&2; cat "$1" >&2; exit 1; }
+        restarts=$(client show "$1" -field restarts)
+        [ "$restarts" -ge 1 ] \
+            || { echo "job $1 completed with restarts=$restarts, want >= 1" >&2; rank_logs "$1"; exit 1; }
     }
 fi
 
 if [ "$MODE" = chaos ]; then
     # Kill mid-epoch: the newest epoch is on disk for some ranks only,
-    # so the restart must negotiate past an incomplete epoch.
+    # so the respawned attempt must negotiate past an incomplete epoch.
     EVERY=${EVERY:-40000}
 
-    echo "chaos smoke: baseline supervised run (n=$RN, x=3)"
-    supervise "$workdir/base.log" -checkpoint-dir "$workdir/ck-base" \
-        -checkpoint-every "$EVERY" -stream-dir "$workdir/base"
-    await "$workdir/base.log"
+    echo "chaos smoke: baseline job (n=$RN, x=3)"
+    base=$(submit "$EVERY")
+    await "$base"
 
-    echo "chaos smoke: kill-mid-epoch supervised run"
-    supervise "$workdir/chaos.log" -checkpoint-dir "$workdir/ck-chaos" \
-        -checkpoint-every "$EVERY" -stream-dir "$workdir/chaos"
-    kill_rank_when "$workdir/ck-chaos" partial
-    await "$workdir/chaos.log"
-    restarted "$workdir/chaos.log"
+    echo "chaos smoke: kill-mid-epoch job"
+    chaos=$(submit "$EVERY")
+    kill_rank_when "$chaos" partial
+    await "$chaos"
+    restarted "$chaos"
 
-    for run in base chaos; do
-        "$workdir/pa-analyze" -stream-dir "$workdir/$run" -ranks "$RANKS" \
-            -export-binary "$workdir/$run.bin" 2>/dev/null
+    for job in "$base" "$chaos"; do
+        client download "$job" -o "$workdir/$job.bin" >/dev/null
     done
-    cmp "$workdir/base.bin" "$workdir/chaos.bin" \
-        || { echo "resumed run's graph differs from the uninterrupted baseline" >&2; exit 1; }
-    echo "pa-tcp chaos smoke: rank killed mid-epoch, restarted from the committed epochs; exported graph byte-identical to uninterrupted baseline"
+    cmp "$workdir/$base.bin" "$workdir/$chaos.bin" \
+        || { echo "respawned job's download differs from the unkilled job's" >&2; exit 1; }
+    echo "pa-tcp chaos smoke: rank killed mid-epoch, job respawned by pa-serve from the committed epochs ($restarts restart); download byte-identical to an unkilled job's"
     exit 0
 fi
 
@@ -250,23 +281,21 @@ if [ "$MODE" = stream ]; then
         -o "$workdir/mem.bin"
     memfp=$(fingerprint -i "$workdir/mem.bin" -format binary)
 
-    echo "stream smoke: kill-and-resume supervised streamed run"
-    supervise "$workdir/stream.log" -checkpoint-dir "$workdir/ck-stream" \
-        -checkpoint-every "$EVERY" -stream-dir "$workdir/shards"
-    kill_rank_when "$workdir/ck-stream" committed
-    await "$workdir/stream.log"
-    restarted "$workdir/stream.log"
+    echo "stream smoke: kill-and-respawn job"
+    job=$(submit "$EVERY")
+    kill_rank_when "$job" committed
+    await "$job"
+    restarted "$job"
 
-    streamfp=$(fingerprint -stream-dir "$workdir/shards" -ranks "$RANKS")
+    streamfp=$(fingerprint -stream-dir "$workdir/data/jobs/$job/shards" -ranks "$RANKS")
     [ "$streamfp" = "$memfp" ] \
         || { echo "fingerprint mismatch: streamed $streamfp vs in-memory $memfp" >&2; exit 1; }
 
-    "$workdir/pa-analyze" -stream-dir "$workdir/shards" -ranks "$RANKS" \
-        -export-binary "$workdir/stream.bin" 2>/dev/null
+    client download "$job" -o "$workdir/stream.bin" >/dev/null
     cmp "$workdir/mem.bin" "$workdir/stream.bin" \
-        || { echo "exported streamed graph differs from in-memory binary output" >&2; exit 1; }
+        || { echo "job's download differs from in-memory binary output" >&2; exit 1; }
 
-    echo "pa-tcp stream smoke: killed rank restarted from checkpoint; recovered shards fingerprint-equal ($streamfp) and byte-identical to the in-memory run"
+    echo "pa-tcp stream smoke: killed rank respawned by pa-serve from its checkpoint ($restarts restart); shards fingerprint-equal ($streamfp) and download byte-identical to the in-memory run"
     exit 0
 fi
 
