@@ -16,17 +16,14 @@ func epochSnapshot(susp, waiters, remote int) *Snapshot {
 	s := &Snapshot{
 		Meta: Meta{N: 2 * nodes, X: x, P: 0.5, Seed: 42, Ranks: 2, Rank: 1,
 			Scheme: "RRP"},
-		Epoch:   5,
-		NextTag: 17,
-		Stats:   Stats{Retries: 1234, QueuedWaits: 56789, LocalWaits: 4321},
-		Sink:    SinkMark{Offset: 7_400_000, Blocks: 31, Edges: 1_990_000},
+		Epoch: 5,
+		Stats: Stats{Retries: 1234, QueuedWaits: 56789, LocalWaits: 4321},
+		Sink:  SinkMark{Offset: 7_400_000, Blocks: 31, Edges: 1_990_000},
 	}
 	for i := 0; i < susp; i++ {
-		s.Susp = append(s.Susp, SuspRecord{
-			Idx:  rng.Int63n(nodes),
-			Edge: rng.Intn(x),
-			RNG:  [4]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()},
-		})
+		idx, edge := rng.Int63n(nodes), rng.Intn(x-1)
+		s.Susp = append(s.Susp, SuspRecord{Idx: idx, Edge: edge, Retry: rng.Intn(2)})
+		s.Ahead = append(s.Ahead, AheadRecord{Slot: idx*x + int64(edge) + 1, V: rng.Int63n(2 * nodes)})
 	}
 	for i := 0; i < waiters; i++ {
 		s.Waiters = append(s.Waiters, WaiterRecord{

@@ -2,9 +2,9 @@
 // CRC-protected snapshot files — the storage half of the generator's
 // checkpoint/restart subsystem. One snapshot captures everything a rank
 // needs to resume generation mid-run at a consistent cut: every
-// suspended node's private RNG stream position and edge index, the
-// pending waiter queues and coalescing chains, the collective tag
-// counter, the sink mark naming the durable prefix of the rank's shard
+// unfinished node's frontier edge and retry count and the answers it
+// holds ahead of that edge, the pending waiter queues and coalescing
+// chains, the sink mark naming the durable prefix of the rank's shard
 // file, and the window of F above that prefix. A snapshot carries no
 // attachment table: every checkpointed run streams its edges, the
 // marked shard prefix is F below the rank's resolved frontier, the
@@ -44,23 +44,12 @@ const Magic = "PAGENCK1"
 // Version is the current snapshot format version. Readers reject any
 // other value: the format carries no compat shims, and resuming from a
 // mis-parsed snapshot would silently corrupt the output graph.
-// Version 2 added the requester-side coalescing chains (Remote) to the
-// worker sections; version 3 added the resolve mode and recompute depth
-// cap to the meta section so a resume cannot silently change resolver
-// settings mid-run; version 4 added the optional sink-mark section 'K'
-// recording the streaming edge sink's durable shard position at the
-// cut; version 5 added the snapshot kind and base epoch to the meta
-// section and the delta-F section 'D', enabling incremental (base +
-// delta chain) epochs; version 6 dropped the table from streamed
-// snapshots — 'F'/'D' is present iff 'K' is absent; version 7 made 'K'
-// mandatory, since every checkpointed run streams, and dropped 'F', 'D'
-// and the kind and base epoch from 'M'; version 8 keeps exactly one 'W'
-// section without block bounds (a rank has one writer), drops the
-// outbound section 'O' (empty at a quiescent cut, which the cut now
-// checks) and drops the recompute depth cap from 'M' (it is derived
-// from n, not configured); version 9 adds the mandatory window section
-// 'F' — F above the shard's frontier, which the shard no longer holds.
-const Version = 9
+// docs/CHECKPOINT_FORMAT.md lists what each version changed; version 10
+// follows the counter-based draws: a suspension record carries an edge
+// and a retry count instead of a 32-byte stream state, 'W' adds the
+// answers held ahead of a node's frontier, and 'M' drops the collective
+// tag counter.
+const Version = 10
 
 // castagnoli is the CRC-32C table (iSCSI polynomial) shared by writer
 // and reader.
@@ -87,13 +76,24 @@ type Meta struct {
 	Resolve int
 }
 
-// SuspRecord is one suspended node: its local index, the edge it is
-// blocked on, and its private RNG stream state positioned right after
-// the draws of the blocked attempt.
+// SuspRecord is one unfinished node: its local index, the edge its
+// committed prefix ends at, and the retry count of that edge's
+// outstanding attempt. Its later edges are outstanding first attempts —
+// each registered in a waiter record, this rank's or the owner's — or
+// answered, as AheadRecords.
 type SuspRecord struct {
-	Idx  int64
-	Edge int
-	RNG  [4]uint64
+	Idx   int64
+	Edge  int
+	Retry int
+}
+
+// AheadRecord is an answer that reached an unfinished node's edge before
+// its committed prefix did: flat local slot Slot is to take value V once
+// the prefix gets there (and V is not a duplicate by then). V = -1 marks
+// a first attempt not yet issued — a hub-replica miss the window leaves
+// to the frontier.
+type AheadRecord struct {
+	Slot, V int64
 }
 
 // WaiterRecord is one queued waiter of slot Slot: when the slot
@@ -161,16 +161,17 @@ type Stats struct {
 	LocalWaits  int64
 }
 
-// Snapshot is one rank's checkpoint state. Susp, Waiters and Remote
-// serialize as the one 'W' section: the rank's suspended nodes, its
-// owner-side waiter queues and its request-coalescing chains at the cut.
+// Snapshot is one rank's checkpoint state. Susp, Ahead, Waiters and
+// Remote serialize as the one 'W' section: the rank's unfinished nodes
+// and the answers they hold, its owner-side waiter queues and its
+// request-coalescing chains at the cut.
 // The records are keyed by node and slot, so a snapshot restores at any
 // worker count.
 type Snapshot struct {
 	Meta    Meta
 	Epoch   int64
-	NextTag int64 // coll.Seq tag counter at the cut; restored, read by nothing
 	Susp    []SuspRecord
+	Ahead   []AheadRecord
 	Waiters []WaiterRecord
 	// Remote holds the hub cache's request-coalescing chains: nodes
 	// waiting on one in-flight request per remote slot, chain by chain in
@@ -228,11 +229,11 @@ type Encoder struct {
 // call.
 func (enc *Encoder) Encode(s *Snapshot) []byte {
 	// One growth to a bound on the encoding, not a chain of appends.
-	b := slices.Grow(enc.buf[:0], 256+len(s.Meta.Scheme)+52*len(s.Susp)+23*(len(s.Waiters)+len(s.Remote))+len(s.Window.Vals))
+	b := slices.Grow(enc.buf[:0], 256+len(s.Meta.Scheme)+25*len(s.Susp)+20*len(s.Ahead)+23*(len(s.Waiters)+len(s.Remote))+len(s.Window.Vals))
 	b = append(b, Magic...)
 	b = binary.AppendUvarint(b, Version)
 
-	// 'M': run identity + epoch + collective tag counter.
+	// 'M': run identity + epoch.
 	b = append(b, 'M')
 	b = binary.AppendUvarint(b, uint64(s.Meta.N))
 	b = binary.AppendUvarint(b, uint64(s.Meta.X))
@@ -244,18 +245,20 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 	b = append(b, s.Meta.Scheme...)
 	b = binary.AppendUvarint(b, uint64(s.Meta.Resolve))
 	b = binary.AppendUvarint(b, uint64(s.Epoch))
-	b = binary.AppendUvarint(b, uint64(s.NextTag))
 
-	// 'W': the rank's suspended nodes, waiter queues and coalescing
-	// chains — written even when all three are empty.
+	// 'W': the rank's unfinished nodes, their answers held ahead, waiter
+	// queues and coalescing chains — written even when all are empty.
 	b = append(b, 'W')
 	b = binary.AppendUvarint(b, uint64(len(s.Susp)))
 	for _, sr := range s.Susp {
 		b = binary.AppendUvarint(b, uint64(sr.Idx))
 		b = binary.AppendUvarint(b, uint64(sr.Edge))
-		for _, w := range sr.RNG {
-			b = binary.LittleEndian.AppendUint64(b, w)
-		}
+		b = binary.AppendUvarint(b, uint64(sr.Retry))
+	}
+	b = binary.AppendUvarint(b, uint64(len(s.Ahead)))
+	for _, ar := range s.Ahead {
+		b = binary.AppendUvarint(b, uint64(ar.Slot))
+		b = binary.AppendUvarint(b, uint64(ar.V+1))
 	}
 	b = appendWaiterRecords(b, s.Waiters)
 	b = appendWaiterRecords(b, s.Remote)
@@ -347,15 +350,6 @@ var syncDir = func(dir string) error {
 		err = cerr
 	}
 	return err
-}
-
-// Write encodes and publishes s in one call, for callers without a
-// long-lived Encoder (tests, tools). The engine's background writer
-// uses Encoder + WriteEncoded directly so the scratch buffer survives
-// across epochs.
-func Write(dir string, s *Snapshot) (path string, size int64, err error) {
-	var enc Encoder
-	return WriteEncoded(dir, s.Meta.Rank, s.Epoch, enc.Encode(s))
 }
 
 // reader parses a snapshot from an in-memory buffer (the CRC already
@@ -462,6 +456,9 @@ func check(r io.ReaderAt, size int64) error {
 	if k <= 0 {
 		return fmt.Errorf("truncated varint")
 	}
+	if ver == 9 {
+		return fmt.Errorf("unsupported snapshot version 9: its suspended nodes hold per-node random-stream states, which version %d's per-attempt draws cannot continue; restart the run", Version)
+	}
 	if ver != Version {
 		return fmt.Errorf("unsupported snapshot version %d (reader supports %d)", ver, Version)
 	}
@@ -534,21 +531,15 @@ func parse(data []byte) (*Snapshot, error) {
 }
 
 func (s *Snapshot) parseMeta(r *reader) error {
-	var err error
-	var v uint64
-	if v, err = r.uvarint(); err != nil {
+	var x, ranks, rank, nameLen, resolve int64
+	if err := r.int64s(&s.Meta.N, &x); err != nil {
 		return err
 	}
-	s.Meta.N = int64(v)
-	if v, err = r.uvarint(); err != nil {
+	p, err := r.u64()
+	if err != nil {
 		return err
 	}
-	s.Meta.X = int(v)
-	if v, err = r.u64(); err != nil {
-		return err
-	}
-	s.Meta.P = math.Float64frombits(v)
-	if math.IsNaN(s.Meta.P) {
+	if s.Meta.P = math.Float64frombits(p); math.IsNaN(s.Meta.P) {
 		// No run has it (model.Params.Validate rejects it), and it
 		// compares unequal to itself: a resume's identity check could
 		// never accept the snapshot.
@@ -557,34 +548,18 @@ func (s *Snapshot) parseMeta(r *reader) error {
 	if s.Meta.Seed, err = r.u64(); err != nil {
 		return err
 	}
-	if v, err = r.uvarint(); err != nil {
+	if err := r.int64s(&ranks, &rank, &nameLen); err != nil {
 		return err
 	}
-	s.Meta.Ranks = int(v)
-	if v, err = r.uvarint(); err != nil {
-		return err
-	}
-	s.Meta.Rank = int(v)
-	if v, err = r.uvarint(); err != nil {
-		return err
-	}
-	name, err := r.bytes(v)
+	name, err := r.bytes(uint64(nameLen))
 	if err != nil {
 		return err
 	}
+	if err := r.int64s(&resolve, &s.Epoch); err != nil {
+		return err
+	}
+	s.Meta.X, s.Meta.Ranks, s.Meta.Rank, s.Meta.Resolve = int(x), int(ranks), int(rank), int(resolve)
 	s.Meta.Scheme = string(name)
-	if v, err = r.uvarint(); err != nil {
-		return err
-	}
-	s.Meta.Resolve = int(v)
-	if v, err = r.uvarint(); err != nil {
-		return err
-	}
-	s.Epoch = int64(v)
-	if v, err = r.uvarint(); err != nil {
-		return err
-	}
-	s.NextTag = int64(v)
 	return nil
 }
 
@@ -593,29 +568,31 @@ func (s *Snapshot) parseWorker(r *reader) error {
 	if err != nil {
 		return err
 	}
-	// A suspension record is at least 34 bytes (two varints + 32 bytes
-	// of RNG state); bound the allocation by the remaining bytes.
-	if n > uint64(len(r.b))/34+1 {
+	// A suspension record is at least three bytes and an ahead record
+	// two; bound each allocation by the remaining bytes.
+	if n > uint64(len(r.b))/3+1 {
 		return fmt.Errorf("suspension count %d exceeds file", n)
 	}
-	s.Susp = make([]SuspRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var sr SuspRecord
-		v, err := r.uvarint()
-		if err != nil {
+	s.Susp = make([]SuspRecord, n)
+	for i := range s.Susp {
+		var idx, edge, retry int64
+		if err := r.int64s(&idx, &edge, &retry); err != nil {
 			return err
 		}
-		sr.Idx = int64(v)
-		if v, err = r.uvarint(); err != nil {
+		s.Susp[i] = SuspRecord{Idx: idx, Edge: int(edge), Retry: int(retry)}
+	}
+	if n, err = r.uvarint(); err != nil {
+		return err
+	}
+	if n > uint64(len(r.b))/2+1 {
+		return fmt.Errorf("ahead count %d exceeds file", n)
+	}
+	s.Ahead = make([]AheadRecord, n)
+	for i := range s.Ahead {
+		if err := r.int64s(&s.Ahead[i].Slot, &s.Ahead[i].V); err != nil {
 			return err
 		}
-		sr.Edge = int(v)
-		for j := range sr.RNG {
-			if sr.RNG[j], err = r.u64(); err != nil {
-				return err
-			}
-		}
-		s.Susp = append(s.Susp, sr)
+		s.Ahead[i].V--
 	}
 	if s.Waiters, err = parseWaiterRecords(r); err != nil {
 		return fmt.Errorf("waiters: %w", err)
@@ -660,26 +637,16 @@ func parseWaiterRecords(r *reader) ([]WaiterRecord, error) {
 	if n > uint64(len(r.b))/3+1 {
 		return nil, fmt.Errorf("record count %d exceeds file", n)
 	}
-	out := make([]WaiterRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var wr WaiterRecord
-		v, err := r.uvarint()
-		if err != nil {
+	out := make([]WaiterRecord, n)
+	for i := range out {
+		var e int64
+		if err := r.int64s(&out[i].Slot, &out[i].T, &e); err != nil {
 			return nil, err
 		}
-		wr.Slot = int64(v)
-		if v, err = r.uvarint(); err != nil {
-			return nil, err
+		if uint64(e) > 0xffff {
+			return nil, fmt.Errorf("waiter edge %d overflows uint16", uint64(e))
 		}
-		wr.T = int64(v)
-		if v, err = r.uvarint(); err != nil {
-			return nil, err
-		}
-		if v > 0xffff {
-			return nil, fmt.Errorf("waiter edge %d overflows uint16", v)
-		}
-		wr.E = uint16(v)
-		out = append(out, wr)
+		out[i].E = uint16(e)
 	}
 	return out, nil
 }

@@ -11,6 +11,12 @@ import (
 	"testing"
 )
 
+// Write encodes and publishes s in one call.
+func Write(dir string, s *Snapshot) (path string, size int64, err error) {
+	var enc Encoder
+	return WriteEncoded(dir, s.Meta.Rank, s.Epoch, enc.Encode(s))
+}
+
 func sample(rank int, epoch int64) *Snapshot {
 	s := &Snapshot{
 		Meta: Meta{
@@ -18,12 +24,14 @@ func sample(rank int, epoch int64) *Snapshot {
 			Ranks: 8, Rank: rank, Scheme: "RRP",
 			Resolve: 1,
 		},
-		Epoch:   epoch,
-		NextTag: 42,
+		Epoch: epoch,
 		Susp: []SuspRecord{
-			{Idx: 17, Edge: 2, RNG: [4]uint64{1, ^uint64(0), 3, 4}},
-			{Idx: 21, Edge: 0, RNG: [4]uint64{5, 6, 7, 8}},
+			{Idx: 17, Edge: 2, Retry: 0},
+			{Idx: 21, Edge: 0, Retry: 300},
 		},
+		// Node 17 holds edge 3's answer; node 21 those of edges 1 and 3,
+		// and defers edge 2's replica miss.
+		Ahead: []AheadRecord{{Slot: 71, V: 999_999}, {Slot: 85, V: 0}, {Slot: 86, V: -1}, {Slot: 87, V: 12}},
 		Waiters: []WaiterRecord{
 			{Slot: 99, T: 200, E: 1},
 			{Slot: 99, T: 201, E: 0},
@@ -47,11 +55,11 @@ func sample(rank int, epoch int64) *Snapshot {
 }
 
 // idleSnapshot is a snapshot with nothing suspended: its 'W' section is
-// the three empty counts. The lists are empty, not nil — the parser
+// the four empty counts. The lists are empty, not nil — the parser
 // always materializes them, and DeepEqual distinguishes nil from empty.
 func idleSnapshot(rank int, epoch int64) *Snapshot {
 	s := sample(rank, epoch)
-	s.Susp, s.Waiters, s.Remote = []SuspRecord{}, []WaiterRecord{}, []WaiterRecord{}
+	s.Susp, s.Ahead, s.Waiters, s.Remote = []SuspRecord{}, []AheadRecord{}, []WaiterRecord{}, []WaiterRecord{}
 	return s
 }
 
@@ -109,9 +117,11 @@ func reseal(data []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
 }
 
-// The v9 section rules: 'K', 'W' and the window 'F' are mandatory, 'W'
+// The v10 section rules: 'K', 'W' and the window 'F' are mandatory, 'W'
 // appears exactly once, and the delta section 'D' and the outbound
-// section 'O' of earlier versions are unknown tags. The files below are CRC-clean, so
+// section 'O' of earlier versions are unknown tags. A version 9 file —
+// per-node stream states in its suspension records — is refused by
+// name. The files below are CRC-clean, so
 // the section rules — not the checksum — must reject them.
 func TestParseSectionRules(t *testing.T) {
 	var enc Encoder
@@ -141,8 +151,10 @@ func TestParseSectionRules(t *testing.T) {
 	v6[len(Magic)] = 6
 	v8 := encode(s)
 	v8[len(Magic)] = 8
-	// An idle snapshot's 'W' section is the three empty counts.
-	emptyW := []byte{'W', 0, 0, 0}
+	v9 := encode(s)
+	v9[len(Magic)] = 9
+	// An idle snapshot's 'W' section is the four empty counts.
+	emptyW := []byte{'W', 0, 0, 0, 0}
 	idle := encode(idleSnapshot(0, 4))
 	if bytes.Count(idle, emptyW) != 1 {
 		t.Fatalf("idle snapshot holds %d copies of the empty 'W' section, want 1", bytes.Count(idle, emptyW))
@@ -159,6 +171,7 @@ func TestParseSectionRules(t *testing.T) {
 		"O section":   beforeEnd(encode(s), []byte{'O', 1, 3, 1, 0xca}),
 		"version 6":   reseal(v6),
 		"version 8":   reseal(v8),
+		"version 9":   reseal(v9),
 	} {
 		if got, err := parse(data); err == nil {
 			t.Errorf("%s: parsed to %+v, want an error", name, got)

@@ -13,8 +13,8 @@ import (
 // not panic and must not allocate from a count the file's size does not
 // back, and a file it accepts must re-encode to bytes that parse back to
 // the same Snapshot, so nothing the reader admits is lost or invented by
-// the writer. The seeds are real v9 Encoder output: snapshots with
-// waiter queues, coalescing chains and a non-empty window of F (one a
+// the writer. The seeds are real v10 Encoder output: snapshots with
+// answers held ahead, waiter queues, coalescing chains and a non-empty window of F (one a
 // lone chain member, one epoch-shaped), and an idle one whose 'W' and
 // 'F' sections are empty.
 // testdata/fuzz/FuzzParse keeps an input that broke an earlier parser:

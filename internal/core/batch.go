@@ -1,32 +1,34 @@
 package core
 
-import "pagen/internal/xrand"
+import (
+	"pagen/internal/model"
+	"pagen/internal/xrand"
+)
 
 // Batched initiation: draw, gather, commit (DESIGN.md §8.5, §8.6).
 //
-// A node's x first attempts depend only on its own random stream, so
-// they can be drawn before any of its copy sources has been read. The
+// An attempt is a pure function of its index (model.Drawer.Attempt), so
+// every node's x first attempts — each one the sequential model
+// evaluates — can be drawn before any copy source has been read. The
 // generation pass therefore starts nodes a window at a time: draw every
-// node's attempts, read all the window's copy sources in one tight loop —
-// independent loads of uniformly random F slots, so their cache and TLB
-// misses overlap instead of queueing behind each node's bookkeeping —
-// and then commit node by node. Whatever cannot commit straight-line is
-// handed to advance at that edge, with the stream state saved before the
-// attempt, so the irregular cases (duplicate retry, unresolved or remote
-// source) run the one continuation path at the exact stream position.
+// node's first attempts, read all the window's local copy sources and
+// hub-replica slots in one tight loop — independent loads of uniformly
+// random slots, so their cache and TLB misses overlap — and then commit
+// node by node. A node commits straight-line while its values are final
+// and distinct; at its first other edge commit issues every remaining
+// first attempt at once and hands the node to settle (resolve.go).
 //
 // Draw and gather write nothing but their own scratch, so Options.Workers
 // is the width of a parallel-for over them: the window is cut into
 // stripes, helper goroutines draw and gather stripes 1…k-1 while the rank
 // goroutine does stripe 0, and after the barrier the rank goroutine alone
-// commits every stripe in node order. F is written only between windows,
-// so the helpers read it with plain loads; the hand-off and the barrier
-// are the happens-before edges, and they are the only concurrent step in
-// the engine. The output cannot depend on the stripe layout: a gathered
-// value >= 0 is final (slots are write-once), and a gathered -1 — the
-// source may sit in an earlier stripe of this very window — is re-read by
-// advance after that node's commit, exactly as for a source inside one
-// stripe.
+// commits every stripe in node order. F and the hub replica are written
+// only between windows, so the helpers read them with plain loads; the
+// hand-off and the barrier are the happens-before edges, and they are the
+// only concurrent step in the engine. The output cannot depend on the
+// stripe layout: a gathered value >= 0 is final (slots are write-once),
+// and a gathered -1 — the source may sit in an earlier stripe of this
+// very window — is read again when commit issues the attempt.
 
 const (
 	// batchNodes is a one-worker rank's stripe, and so its whole window;
@@ -44,13 +46,22 @@ const (
 	minStripeNodes = 64
 )
 
+// Kinds of a drawn first attempt: direct, or a copy of a slot of this
+// rank's F, of a remote slot the hub replica covers, of another one.
+const (
+	attDirect uint8 = iota
+	attLocal
+	attHub
+	attRemote
+)
+
 // worker is one lane of the window's parallel-for: a stripe's scratch and
-// the stream its draws are made with. Lane 0 belongs to the rank
+// the generator its draws are made with. Lane 0 belongs to the rank
 // goroutine; every other lane has a helper goroutine parked on start. A
 // lane owns no nodes and no protocol state — it never writes F, a table,
 // a send buffer or the sink.
 type worker struct {
-	rng   xrand.Rand // re-seeded per node
+	rng   xrand.Rand // re-seeded per attempt
 	start chan struct{}
 
 	// The stripe: nb admitted nodes; per-attempt arrays hold node i's
@@ -58,28 +69,26 @@ type worker struct {
 	nb  int
 	t   []int64 // admitted node ids
 	idx []int64 // their local indices
-	ne  []int   // edges drawn: x, or the edge of the first remote copy
 
-	st  [][4]uint64 // stream state before the attempt
-	k   []int64     // drawn candidate
-	l   []int32     // copied slot index, -1 for a direct attempt
-	src []int64     // flat F slot of a local copy's source
-	val []int64     // attachment value: k if direct, the gathered F value (-1 = NILL) if copied
-	gat []int32     // attempt indices of the local copies, in draw order
+	kind []uint8
+	k    []int64 // drawn candidate
+	l    []int32 // copied slot index
+	src  []int64 // the copied slot, in F (attLocal) or the replica (attHub)
+	val  []int64 // k if direct, else the gathered value (-1: NILL or none)
+	gat  []int32 // attempt indices of the gathered copies, in draw order
 }
 
 func newWorker(nodes, x int) *worker {
 	n := nodes * x
 	return &worker{
-		t:   make([]int64, nodes),
-		idx: make([]int64, nodes),
-		ne:  make([]int, nodes),
-		st:  make([][4]uint64, n),
-		k:   make([]int64, n),
-		l:   make([]int32, n),
-		src: make([]int64, n),
-		val: make([]int64, n),
-		gat: make([]int32, 0, n),
+		t:    make([]int64, nodes),
+		idx:  make([]int64, nodes),
+		kind: make([]uint8, n),
+		k:    make([]int64, n),
+		l:    make([]int32, n),
+		src:  make([]int64, n),
+		val:  make([]int64, n),
+		gat:  make([]int32, 0, n),
 	}
 }
 
@@ -169,90 +178,127 @@ func (e *engine) initiate() {
 	}
 }
 
-// drawGather fills lane w's stripe scratch. It reads F and writes only w,
-// so lanes run it concurrently.
+// drawGather fills lane w's stripe scratch. It reads F and the hub
+// replica and writes only w, so lanes run it concurrently.
 func (e *engine) drawGather(w *worker) {
-	x := e.x
+	x, hub := e.x, e.hub
 
-	// Draw: each node's x first attempts from its own stream. They are
-	// valid up to the node's first irregular edge — a retry there shifts
-	// every later draw — so the state saved before each attempt is what
-	// advance continues from. A remote copy always hands over, so drawing
-	// stops there.
 	gat := w.gat[:0]
 	for i := 0; i < w.nb; i++ {
-		t := w.t[i]
-		w.rng.SeedStream(e.seed, uint64(t))
-		d := e.opts.Params.NewDrawer(t)
-		ne := x
+		d := e.opts.Params.NewDrawer(w.t[i])
 		for edge, j := 0, i*x; edge < x; edge, j = edge+1, j+1 {
-			w.st[j] = w.rng.State()
-			a := d.Next(&w.rng)
+			a := d.Attempt(&w.rng, e.seed, edge, 0)
 			w.k[j] = a.K
 			if a.Direct {
-				w.l[j] = -1
-				w.val[j] = a.K
+				w.kind[j], w.val[j] = attDirect, a.K
 				continue
 			}
-			w.l[j] = int32(a.L)
+			w.l[j], w.val[j] = int32(a.L), -1
 			owner, kidx := e.locate(a.K)
-			if owner != e.rank {
-				ne = edge
-				break
+			switch {
+			case owner == e.rank:
+				w.kind[j], w.src[j] = attLocal, kidx*e.x64+int64(a.L)
+			case hub != nil && a.K < hub.h:
+				w.kind[j], w.src[j] = attHub, a.K*e.x64+int64(a.L)
+			default:
+				w.kind[j] = attRemote
+				continue
 			}
-			w.src[j] = kidx*e.x64 + int64(a.L)
 			gat = append(gat, int32(j))
 		}
-		w.ne[i] = ne
 	}
 
 	// Gather: nothing between consecutive loads, so the misses overlap.
-	// A value >= 0 is final (slots are write-once); -1 is not an answer —
-	// the source may be an earlier node of this very window.
+	w.gat = gat
 	f := e.f
 	for _, j := range gat {
-		w.val[j] = f.get(w.src[j])
+		if w.kind[j] == attLocal {
+			w.val[j] = f.get(w.src[j])
+		} else {
+			w.val[j] = hub.f.get(w.src[j])
+		}
 	}
 }
 
 // commit finalises lane w's stripe on the rank goroutine, in node order
 // so that an intra-window source is final by the time its reader's
-// hand-over re-reads it.
+// attempt is issued again. From a node's first edge that cannot commit
+// straight-line, every later first attempt is issued now and its value,
+// if in hand, parked in the node's ahead block — except a replica miss,
+// deferred to the frontier: by then an answer from the prefix owner,
+// which trails its publishes, has often filled the slot (DESIGN.md §8.5).
 func (e *engine) commit(w *worker) {
 	x := e.x
 	for i := 0; i < w.nb; i++ {
 		t, idx, o := w.t[i], w.idx[i], i*x
 		base := idx * e.x64
-		edge := 0
-		for ; edge < w.ne[i]; edge++ {
-			j := o + edge
+		c := 0
+		for ; c < x; c++ {
+			j := o + c
 			v := w.val[j]
 			if v < 0 || contains(w.val[o:j], v) {
 				break
 			}
-			if l := w.l[j]; l < 0 {
-				if e.trace != nil {
-					e.trace.RecordDirect(t, edge, v)
-				}
-			} else {
-				// A same-rank copy query counts toward the source
-				// node's received load (Lemma 3.4's M_k). Only here: a
-				// handed-over attempt is re-drawn, and counted, by
-				// advance.
-				if e.nodeLoad != nil {
-					e.nodeLoad[w.src[j]/e.x64]++
-				}
-				if e.trace != nil {
-					e.trace.RecordCopy(t, edge, w.k[j], int(l))
-				}
-			}
-			e.resolveSlot(t, edge, base+int64(edge), v)
+			e.answered(w, t, c, j)
+			e.resolveSlot(t, c, base+int64(c), v)
 		}
-		if edge < x {
-			w.rng.SetState(w.st[o+edge])
-			e.advance(t, idx, edge, &w.rng)
+		if c == x {
+			continue
+		}
+		st := suspState{e: int32(c), blk: e.ahead.alloc()}
+		b := e.ahead.block(st.blk)
+		for edge := c + 1; edge < x; edge++ {
+			j, v, ok := o+edge, int64(aheadDeferred), true
+			if w.val[j] >= 0 || w.kind[j] != attHub {
+				v, ok = e.issueDrawn(w, t, edge, j)
+			}
+			if !ok {
+				v = aheadWaiting
+			}
+			b[edge] = v
+		}
+		if v, ok := e.issueDrawn(w, t, c, o+c); ok {
+			e.settle(t, idx, st, v)
+		} else {
+			b[c] = v
+			e.susp.put(idx, st)
 		}
 	}
+}
+
+// issueDrawn issues first attempt j, node t's edge, as the window drew
+// it: a value in hand is counted and returned, a copy without one goes
+// down the query path.
+func (e *engine) issueDrawn(w *worker, t int64, edge, j int) (int64, bool) {
+	if v := w.val[j]; v >= 0 {
+		e.answered(w, t, edge, j)
+		return v, true
+	}
+	return e.issue(t, edge, model.Attempt{K: w.k[j], L: int(w.l[j])})
+}
+
+// answered counts and traces first attempt j, whose value the window had
+// in hand, when there is anything to count; it inlines into commit.
+func (e *engine) answered(w *worker, t int64, edge, j int) {
+	if w.kind[j] == attHub || e.trace != nil || e.nodeLoad != nil {
+		e.observe(w, t, edge, j)
+	}
+}
+
+// observe is answered's slow path: a replica hit counts as an elided
+// query, a same-rank copy toward the source node's received load (Lemma
+// 3.4's M_k).
+func (e *engine) observe(w *worker, t int64, edge, j int) {
+	switch w.kind[j] {
+	case attLocal:
+		if e.nodeLoad != nil {
+			e.nodeLoad[w.src[j]/e.x64]++
+		}
+	case attHub:
+		e.stats.HubCacheHits++
+		e.noteElided(w.k[j])
+	}
+	e.record(t, edge, model.Attempt{K: w.k[j], L: int(w.l[j]), Direct: w.kind[j] == attDirect})
 }
 
 // contains reports whether v is among vs (a node's earlier attachments).

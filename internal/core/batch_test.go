@@ -93,16 +93,14 @@ func TestBatchInlineWindows(t *testing.T) {
 	equalEdges(t, "pollEvery 1, workers 4", runPolled(t, pr, 9, 1, 4, 1).Graph.Edges, sg.Edges)
 }
 
-// A node whose second attempt duplicates its first must continue from
-// the stream state saved before that attempt: the pre-drawn attempts for
-// its later edges are void once the retry shifts the stream. Node 179 of
-// (n = 200, x = 4, p = 0.5, seed = 1) is such a node — found by search,
-// and re-verified here by replaying its stream against the sequential
-// output — with both sources final at gather time, so the duplicate is
-// caught by the commit phase's own value buffer.
+// A node whose edge-1 first attempt duplicates its edge 0 retries edge 1
+// alone: its other edges' first attempts, drawn by the window, stay the
+// ones the sequential model evaluates. The node is found by search and
+// must have both colliding sources final at gather time, so the
+// duplicate is caught by the commit phase's own value buffer.
 func TestBatchDuplicateHandOver(t *testing.T) {
 	pr := model.Params{N: 200, X: 4, P: 0.5}
-	const seed, node = 1, int64(179)
+	const seed = 1
 	sg, _, err := seq.CopyModel(pr, seed, seq.CopyModelOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -112,22 +110,22 @@ func TestBatchDuplicateHandOver(t *testing.T) {
 	x := int64(pr.X)
 	f := func(t int64, e int) int64 { return sg.Edges[x*(x-1)/2+(t-x)*x+int64(e)].V }
 	var rng xrand.Rand
-	rng.SeedStream(seed, uint64(node))
-	d := pr.NewDrawer(node)
-	value := func(a model.Attempt) int64 {
-		if a.Direct {
-			return a.K
+	found := false
+	for node := pr.N - 1; node > x && !found; node-- {
+		d := pr.NewDrawer(node)
+		a0, a1 := d.Attempt(&rng, seed, 0, 0), d.Attempt(&rng, seed, 1, 0)
+		value := func(a model.Attempt) int64 {
+			if a.Direct {
+				return a.K
+			}
+			return f(a.K, a.L)
 		}
-		return f(a.K, a.L)
+		found = value(a0) == value(a1) && value(a0) == f(node, 0) &&
+			a0.K/batchNodes != node/batchNodes && a1.K/batchNodes != node/batchNodes
 	}
-	a0, a1 := d.Next(&rng), d.Next(&rng)
-	if value(a0) != value(a1) || value(a0) != f(node, 0) {
-		t.Fatalf("node %d: attempts %+v, %+v no longer collide; re-run the search", node, a0, a1)
+	if !found {
+		t.Fatal("no node's edge-1 first attempt duplicates its edge 0 with both sources outside its window")
 	}
-	if a0.K/batchNodes == node/batchNodes || a1.K/batchNodes == node/batchNodes {
-		t.Fatalf("node %d: a source shares its batch; pick a node whose sources are final at gather time", node)
-	}
-
 	res := runLayout(t, pr, seed, 1, 1)
 	equalEdges(t, "1x1", res.Graph.Edges, sg.Edges)
 	if res.Ranks[0].Retries == 0 {
@@ -135,10 +133,44 @@ func TestBatchDuplicateHandOver(t *testing.T) {
 	}
 }
 
-// The batch kernel counts a same-rank copy query exactly where the
-// per-node kernel did — once per attempt that read the source, retried
-// attempts included. Constants recorded on the commit before batched
-// initiation (e472336).
+// modelLoad replays the sequential model's attempts — every one it
+// evaluates, duplicates included — and returns, per node, how many copy
+// attempts read one of its slots, with the number of duplicate retries.
+func modelLoad(t *testing.T, pr model.Params, seed uint64) (load []int64, retries int64) {
+	t.Helper()
+	sg, _, err := seq.CopyModel(pr, seed, seq.CopyModelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := int64(pr.X)
+	f := func(t int64, e int) int64 { return sg.Edges[x*(x-1)/2+(t-x)*x+int64(e)].V }
+	load = make([]int64, pr.N)
+	var rng xrand.Rand
+	for node := x + 1; node < pr.N; node++ {
+		d := pr.NewDrawer(node)
+		for e := 0; e < pr.X; e++ {
+			for r := 0; ; r++ {
+				a := d.Attempt(&rng, seed, e, r)
+				v := a.K
+				if !a.Direct {
+					load[a.K]++
+					v = f(a.K, a.L)
+				}
+				if v == f(node, e) {
+					break
+				}
+				retries++
+			}
+		}
+	}
+	return load, retries
+}
+
+// The batch kernel issues exactly the attempts the sequential model
+// evaluates, so it counts a same-rank copy query once per attempt that
+// read the source, retried attempts included: the node-load curve and
+// the retry count are the model's, node for node. The constants were
+// recorded when attempts became counter-based draws.
 func TestBatchNodeLoadUnchanged(t *testing.T) {
 	pr := model.Params{N: 20_000, X: 4, P: 0.5}
 	res, err := Run(Options{
@@ -149,21 +181,25 @@ func TestBatchNodeLoadUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	load := res.Ranks[0].NodeLoad
+	want, retries := modelLoad(t, pr, 42)
 	var sum int64
-	for _, l := range load {
+	for k, l := range load {
 		sum += l
+		if l != want[k] {
+			t.Fatalf("NodeLoad[%d] = %d, the model's attempts read node %d %d times", k, l, k, want[k])
+		}
 	}
-	if sum != 39855 {
-		t.Fatalf("sum of NodeLoad = %d, want 39855", sum)
+	if sum != 39848 {
+		t.Fatalf("sum of NodeLoad = %d, want 39848", sum)
 	}
 	// The three most-loaded nodes.
-	for _, c := range []struct{ k, want int64 }{{7, 26}, {8, 26}, {4, 24}} {
+	for _, c := range []struct{ k, want int64 }{{4, 24}, {9, 22}, {8, 21}} {
 		if load[c.k] != c.want {
 			t.Fatalf("NodeLoad[%d] = %d, want %d", c.k, load[c.k], c.want)
 		}
 	}
-	if got := res.Ranks[0].Retries; got != 90 {
-		t.Fatalf("Retries = %d, want 90", got)
+	if got := res.Ranks[0].Retries; got != 112 || got != retries {
+		t.Fatalf("Retries = %d, want 112 (the model retried %d times)", got, retries)
 	}
 }
 
@@ -205,10 +241,9 @@ func gatheredRequestEngine(t *testing.T) (*engine, *comm.Comm, []msg.Message) {
 	if got := e.part.Index(0, node); got != idx {
 		t.Fatalf("node %d at local index %d, want %d", node, got, idx)
 	}
-	var st suspState
-	st.key = -1
-	st.rng.SeedStream(1, uint64(node))
-	e.susp.put(idx, st)
+	blk := e.ahead.alloc()
+	e.ahead.block(blk)[0] = -1 // on no coalescing chain
+	e.susp.put(idx, suspState{blk: blk})
 	batch := []msg.Message{msg.Resolved(node, 0, 3), msg.Request(11, 0, node, 0)}
 	return e, comm.New(group.Endpoint(1), comm.Config{}), batch
 }
@@ -262,4 +297,186 @@ func TestBatchRequestsGatheredHeldFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGatheredAnswer(t, e, peer)
+}
+
+// peerEngine returns rank 0 of a two-rank round-robin run, bootstrapped
+// and with the hub cache off, and a communicator standing in for rank 1:
+// the test answers rank 0's requests itself, from the sequential model's
+// table f (f(k, l) = F_k(l)).
+func peerEngine(t *testing.T, pr model.Params, seed uint64) (e *engine, peer *comm.Comm, f func(k int64, l int) int64) {
+	t.Helper()
+	sg, _, err := seq.CopyModel(pr, seed, seq.CopyModelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := int64(pr.X)
+	f = func(k int64, l int) int64 { return sg.Edges[x*(x-1)/2+(k-x)*x+int64(l)].V }
+	group, err := transport.NewShmGroup(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err = newEngine(group.Endpoint(0), Options{
+		Params: pr, Part: mustScheme(t, partition.KindRRP, pr.N, 2),
+		Seed: seed, Workers: 1, HubPrefix: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.bootstrap()
+	return e, comm.New(group.Endpoint(1), comm.Config{}), f
+}
+
+// initiateThrough runs rank 0's windows until local index idx has been
+// initiated, receiving nothing — generate's loop without its drains.
+func initiateThrough(e *engine, idx int64) {
+	for e.cursor <= idx {
+		if e.sincePoll >= e.poll {
+			e.sincePoll = 0
+		}
+		e.initiate()
+	}
+}
+
+// received flushes rank 0 and returns every message the peer has.
+func received(t *testing.T, e *engine, peer *comm.Comm) []msg.Message {
+	t.Helper()
+	if err := e.cm.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	var all []msg.Message
+	for {
+		ms, err := peer.Poll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ms) == 0 {
+			return all
+		}
+		all = append(all, ms...)
+	}
+}
+
+// A node's first attempts are all drawn by its window, so every remote
+// copy among them is requested at once — not only the first, with the
+// rest waiting for its answer — and the node holds one suspension record
+// with every later remote edge outstanding in its ahead block.
+func TestBatchRemoteFirstAttemptsTogether(t *testing.T) {
+	pr := model.Params{N: 4_000, X: 4, P: 0.5}
+	const seed = 3
+	e, peer, _ := peerEngine(t, pr, seed)
+	var rng xrand.Rand
+	node, remote := int64(-1), map[int]model.Attempt{}
+	for cand := int64(3_000); cand < pr.N && len(remote) < 3; cand += 2 { // rank 0's nodes are even
+		node, remote = cand, map[int]model.Attempt{}
+		d := pr.NewDrawer(cand)
+		for edge := 0; edge < pr.X; edge++ {
+			if a := d.Attempt(&rng, seed, edge, 0); !a.Direct && a.K%2 == 1 {
+				remote[edge] = a
+			}
+		}
+	}
+	if len(remote) < 3 {
+		t.Fatal("no node with three remote first attempts")
+	}
+	idx := e.part.Index(0, node)
+	initiateThrough(e, idx)
+	got := map[int]model.Attempt{}
+	for _, m := range received(t, e, peer) {
+		if m.Kind == msg.KindRequest && m.T == node {
+			got[int(m.E)] = model.Attempt{K: m.K, L: int(m.L)}
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(remote) {
+		t.Fatalf("node %d's window requested %v, want every remote first attempt %v", node, got, remote)
+	}
+	st, ok := e.susp.get(idx)
+	if !ok {
+		t.Fatalf("node %d holds no suspension record", node)
+	}
+	b := e.ahead.block(st.blk)
+	for edge := range remote {
+		if edge > int(st.e) && b[edge] != aheadWaiting {
+			t.Fatalf("node %d: remote edge %d past frontier %d holds %d, want it outstanding", node, edge, st.e, b[edge])
+		}
+	}
+	unfinished := 0
+	for i := range e.cursor {
+		if e.part.NodeAt(0, i) > e.x64 && e.f.get(i*e.x64+e.x64-1) < 0 {
+			unfinished++
+		}
+	}
+	if unfinished != e.susp.live {
+		t.Fatalf("%d unfinished nodes hold %d suspension records, want one each", unfinished, e.susp.live)
+	}
+}
+
+// An answer for a later edge can arrive before an earlier edge's answer
+// turns out a duplicate: the later value waits in the ahead block while
+// the earlier edge retries alone, and the node still commits the
+// sequential model's attachments. The peer answers each batch of
+// requests in reverse, so later edges answer first, and a node whose
+// remote frontier-edge first attempt is a duplicate, with a remote edge
+// after it, is found by search.
+func TestBatchAnswerAheadOfRetry(t *testing.T) {
+	pr := model.Params{N: 6_000, X: 4, P: 0.5}
+	const seed = 5
+	e, peer, f := peerEngine(t, pr, seed)
+	var rng xrand.Rand
+	found := false
+	for cand := int64(2*pr.X + 2); cand < pr.N && !found; cand += 2 {
+		d := pr.NewDrawer(cand)
+		dupAt := -1
+		for edge := 0; edge < pr.X; edge++ {
+			a := d.Attempt(&rng, seed, edge, 0)
+			if a.Direct || a.K%2 == 0 {
+				continue
+			}
+			if dupAt >= 0 {
+				found = true
+				break
+			}
+			for j := 0; j < edge; j++ {
+				if f(a.K, a.L) == f(cand, j) {
+					dupAt = edge
+				}
+			}
+		}
+	}
+	if !found {
+		t.Fatal("no node whose remote first attempt is a duplicate with a remote edge after it")
+	}
+	for round := 0; e.unresolved > 0; round++ {
+		if round > 100_000 {
+			t.Fatalf("%d slots still unresolved", e.unresolved)
+		}
+		if e.cursor < e.size {
+			initiateThrough(e, e.cursor)
+		}
+		ms := received(t, e, peer)
+		for i := len(ms) - 1; i >= 0; i-- {
+			if m := ms[i]; m.Kind == msg.KindRequest {
+				if err := peer.Send(0, msg.Resolved(m.T, int(m.E), f(m.K, int(m.L)))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := peer.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.drain(false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for idx := range e.size {
+		if node := e.part.NodeAt(0, idx); node > e.x64 {
+			for edge := 0; edge < e.x; edge++ {
+				if got, want := e.f.get(idx*e.x64+int64(edge)), f(node, edge); got != want {
+					t.Fatalf("F_%d(%d) = %d, sequential %d", node, edge, got, want)
+				}
+			}
+		}
+	}
+	if e.stats.Retries == 0 || e.susp.live != 0 {
+		t.Fatalf("%d retries, %d suspension records left", e.stats.Retries, e.susp.live)
+	}
 }

@@ -19,6 +19,7 @@ import (
 	"pagen/internal/partition"
 	"pagen/internal/seq"
 	"pagen/internal/transport"
+	"pagen/internal/xrand"
 )
 
 // equalEdges compares two edge lists element for element — the in-core
@@ -470,11 +471,13 @@ func (d *cutDelay) Send(to int, data []byte) error {
 }
 
 // cutMismatches lists what one epoch's snapshots disagree on. At a
-// consistent cut every suspended node (t, e) is owed an answer — it is
-// a waiter, on its own rank or at the owner of the slot it copies, or a
-// coalescing-chain member — and everything owed an answer is a node
-// suspended at exactly that edge.
-func cutMismatches(part partition.Scheme, snaps []*ckpt.Snapshot) []string {
+// consistent cut every outstanding edge (t, e) of a suspended node — its
+// frontier edge, and each later edge without an answer held ahead whose
+// first attempt is not a remote copy of one of the first h nodes, which
+// the window defers — is owed an answer: it is a waiter, on its own rank
+// or at the owner of the slot it copies, or a coalescing-chain member.
+// And everything owed an answer is such an outstanding edge.
+func cutMismatches(part partition.Scheme, seed uint64, h int64, snaps []*ckpt.Snapshot) []string {
 	type slot struct {
 		t int64
 		e int
@@ -487,19 +490,34 @@ func cutMismatches(part partition.Scheme, snaps []*ckpt.Snapshot) []string {
 		for _, w := range s.Remote {
 			owed[slot{w.T, int(w.E)}] = true
 		}
+		pr := model.Params{N: s.Meta.N, X: s.Meta.X, P: s.Meta.P}
+		x := int64(pr.X)
+		ahead := map[int64]bool{}
+		for _, ar := range s.Ahead {
+			ahead[ar.Slot] = true
+		}
+		var rng xrand.Rand
 		for _, sr := range s.Susp {
-			susp[slot{part.NodeAt(r, sr.Idx), sr.Edge}] = true
+			t := part.NodeAt(r, sr.Idx)
+			d := pr.NewDrawer(t)
+			for e := sr.Edge; e < pr.X; e++ {
+				a := d.Attempt(&rng, seed, e, 0)
+				deferred := e > sr.Edge && !a.Direct && a.K < h && part.Owner(a.K) != r
+				if !ahead[sr.Idx*x+int64(e)] && !deferred {
+					susp[slot{t, e}] = true
+				}
+			}
 		}
 	}
 	var out []string
 	for k := range susp {
 		if !owed[k] {
-			out = append(out, fmt.Sprintf("node %d is suspended at edge %d and nothing answers it", k.t, k.e))
+			out = append(out, fmt.Sprintf("node %d waits on edge %d and nothing answers it", k.t, k.e))
 		}
 	}
 	for k := range owed {
 		if !susp[k] {
-			out = append(out, fmt.Sprintf("node %d is owed an answer for edge %d but not suspended there", k.t, k.e))
+			out = append(out, fmt.Sprintf("node %d is owed an answer for edge %d but does not wait on it", k.t, k.e))
 		}
 	}
 	return out
@@ -561,7 +579,7 @@ func TestCheckpointCutMarkerOvertaken(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if bad := cutMismatches(part, snaps); len(bad) > 0 {
+		if bad := cutMismatches(part, opts.Seed, partition.HubPrefixAutoSize(pr.N, pr.X, p), snaps); len(bad) > 0 {
 			t.Fatalf("epoch %d is not a consistent cut: %d mismatches, e.g. %s", ep, len(bad), bad[0])
 		}
 	}
@@ -758,5 +776,62 @@ func TestCheckpointIncompatibleOptions(t *testing.T) {
 				t.Fatalf("err = %v, want mention of %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// Kill and resume while nodes wait on several edges at once: a cut's
+// snapshots hold suspended nodes with answers held ahead of their
+// frontier and with more than one edge outstanding, and resuming from
+// every retained epoch — newest first, each older one as a crash right
+// after it leaves the directory — writes the uninterrupted run's edges,
+// under round-robin and uniform consecutive partitions with the hub
+// cache on and off.
+func TestCheckpointResumeAheadBlocks(t *testing.T) {
+	pr := model.Params{N: 20_000, X: 4, P: 0.5}
+	for _, kind := range []partition.Kind{partition.KindRRP, partition.KindUCP} {
+		for _, hub := range []int64{-1, 0} {
+			label := fmt.Sprintf("%v hub=%d", kind, hub)
+			part := mustScheme(t, kind, pr.N, 2)
+			opts := Options{Params: pr, Part: part, Seed: 13, Workers: 1, HubPrefix: hub}
+			base, err := Run(opts, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckptDir, streamDir, epochs := streamedLibrary(t, opts)
+			var ahead, several bool
+			for _, ep := range epochs {
+				for r := 0; r < 2; r++ {
+					s, err := ckpt.Read(ckpt.Path(ckptDir, r, ep))
+					if err != nil {
+						t.Fatal(err)
+					}
+					held := map[int64]int{}
+					for _, ar := range s.Ahead {
+						held[ar.Slot/int64(pr.X)]++
+					}
+					ahead = ahead || len(s.Ahead) > 0
+					for _, sr := range s.Susp {
+						several = several || pr.X-1-sr.Edge-held[sr.Idx] > 0
+					}
+				}
+			}
+			if !ahead || !several {
+				t.Fatalf("%s: no cut holds a node with an answer ahead (%v) or several edges outstanding (%v)", label, ahead, several)
+			}
+			for i := len(epochs) - 1; i >= 0; i-- {
+				ropts := opts
+				ropts.StreamDir = streamDir
+				ropts.Checkpoint = &CheckpointOptions{Dir: ckptDir, Keep: 1000, Resume: true}
+				if _, err := Run(ropts, false); err != nil {
+					t.Fatalf("%s: resume from epoch %d: %v", label, epochs[i], err)
+				}
+				equalEdges(t, fmt.Sprintf("%s epoch %d", label, epochs[i]), streamEdges(t, streamDir, 2), base.Graph.Edges)
+				for r := 0; r < 2; r++ {
+					if err := os.Remove(ckpt.Path(ckptDir, r, epochs[i])); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
 	}
 }

@@ -16,25 +16,19 @@
 // One goroutine per rank — the rank goroutine — runs that state machine
 // and is the single writer of everything in it: the F table, the waiter,
 // suspension and coalescing tables, the send buffers, the sink and the
-// checkpoint capture. Every random draw — including duplicate retries —
-// comes from the owning node's private stream and nodes advance strictly
-// edge by edge (a node blocked on edge e suspends, storing its stream,
-// and resumes exactly there), so the output graph is a pure function of
-// (n, x, p, seed): independent of the worker count, rank count,
-// partition and message schedule.
+// checkpoint capture. Attempt r of node t's edge e — duplicate retries
+// included — is a pure function of (seed, t, e, r), and a node commits
+// its edges strictly in order, so the output graph is a pure function of
+// (n, x, p, seed): independent of the worker count, rank count, partition
+// and message schedule (DESIGN.md §8.1).
 //
 // Nodes are started a window at a time (batch.go; DESIGN.md §8.6): draw
-// the nodes' first x attempts from their own streams, gather all their
-// local copy sources in one tight loop so the random F reads overlap,
-// then commit node by node. A gathered value >= 0 is final (slots are
-// write-once), so committing it is exactly what the one-node-at-a-time
-// loop would have done; the first edge that cannot commit straight-line
-// — duplicate, unresolved or remote source — hands the node to advance
-// with the stream state saved before that attempt, and from there the
-// suspend/resume machinery above runs unchanged. Options.Workers is the
-// width of a parallel-for over the draw and gather phases, which write
-// nothing shared: helper goroutines fill stripes of the window while the
-// rank goroutine fills its own, and the rank goroutine alone commits.
+// their x first attempts, gather their local copy sources and hub-replica
+// slots in one tight loop so the random reads overlap, commit node by
+// node, and issue every first attempt that cannot commit straight-line
+// at once; answers fill in one edge each (resolve.go). Options.Workers is
+// the width of a parallel-for over the draw and gather phases, which
+// write nothing shared; the rank goroutine alone commits.
 //
 // Termination uses the monotonicity of the unresolved-slot count: a
 // rank's count never increases once its generation loop has initiated
@@ -61,6 +55,7 @@ import (
 	"pagen/internal/obs"
 	"pagen/internal/partition"
 	"pagen/internal/transport"
+	"pagen/internal/xrand"
 )
 
 // Options configures a parallel generation run.
@@ -69,7 +64,7 @@ type Options struct {
 	Params model.Params
 	// Part assigns nodes to ranks. Its P() fixes the number of ranks.
 	Part partition.Scheme
-	// Seed seeds the per-node independent random streams.
+	// Seed keys every attachment attempt's draws (model.Drawer.Attempt).
 	Seed uint64
 	// Workers is the width of the batch kernel's parallel-for: the rank
 	// goroutine plus Workers-1 helper goroutines draw and gather the
@@ -140,7 +135,7 @@ type Options struct {
 	// Resolve selects how copy queries for remote-owned slots resolve
 	// (DESIGN.md §11): ResolveWire (the default) sends the paper's
 	// request/resolved round trip; ResolveRecompute replays the owning
-	// node's random stream locally and only falls back to the wire past
+	// node's attempts locally and only falls back to the wire past
 	// the depth cap DefaultRecomputeDepth(n). All ranks of a run must use
 	// the same setting (checkpoint snapshots pin it). The output graph is
 	// byte-identical in both modes.
@@ -426,6 +421,9 @@ type engine struct {
 
 	waiters waiterTable
 	susp    suspTable
+	ahead   aheadArena // susp.go
+	// rng draws the rank goroutine's attempts.
+	rng xrand.Rand
 	// remote is the request-coalescing table (hub cache on only): it
 	// chains this rank's nodes waiting on the same remote slot, keyed by
 	// global slot id k*x + l, primary requester included. One wire
@@ -611,8 +609,9 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 	for i := range e.workers {
 		e.workers[i] = newWorker(stripe, e.x)
 	}
-	e.waiters.init()
+	e.waiters.init(size * e.x64)
 	e.susp.init()
+	e.ahead.x = e.x
 	switch opts.Resolve {
 	case ResolveWire:
 	case ResolveRecompute:
@@ -640,7 +639,7 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 		if h > e.x64 {
 			e.hub = newHubCache(h, e.x64, opts.Params.N)
 			e.hubPeers = hubPeerRanks(opts.Part, rank, e.p)
-			e.remote.init()
+			e.remote.init(0)
 		}
 	}
 	if c := opts.Checkpoint; c != nil {

@@ -31,7 +31,7 @@ func reportPerNode(b *testing.B) {
 // batch of batchNodes nodes' x attachment placements (initiate →
 // drawGather → commit → resolveSlot → emit) against a warm one-worker
 // engine with a no-op sink. This is the zero-allocation claim of the hot
-// path — after bootstrap, expect 0 allocs/op: the per-node RNG stream
+// path — after bootstrap, expect 0 allocs/op: the attempt generator
 // and the stripe scratch live on the lane, the waiter table recycles its
 // arena, and the sink bypasses the edge store.
 func BenchmarkHotPathEngine(b *testing.B) {
@@ -98,7 +98,7 @@ type tableChurn struct {
 func newTableChurn() *tableChurn {
 	c := &tableChurn{}
 	c.susp.init()
-	c.waiters.init()
+	c.waiters.init(0)
 	for c.next < churnLive {
 		c.add()
 	}

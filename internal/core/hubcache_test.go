@@ -80,7 +80,7 @@ func TestHubCacheOutputInvariance(t *testing.T) {
 // query is counted exactly once, either at the owner (Load) or at the
 // requester as elided (replica hit or coalesced ride-along), so the
 // per-node sum Load+Elided equals the cache-off Load. The draw sequence
-// is schedule-invariant (per-node private streams, value-determined
+// is schedule-invariant (attempts that are functions of their index, value-determined
 // retries), which makes this an equality, not an approximation.
 func TestHubCacheNodeLoadSplit(t *testing.T) {
 	pr := model.Params{N: 4_000, X: 3, P: 0.5}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"pagen/internal/graph"
 	"pagen/internal/model"
@@ -96,5 +97,16 @@ func TestRunMergedLayoutRangeMismatch(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), msg) {
 			t.Fatalf("range of %d: error %v, want one containing %q", size, err, msg)
 		}
+	}
+}
+
+// A suspension record is a node's frontier edge, its retry count and its
+// ahead block: 12 bytes. It was 48 while a node's draws were a position
+// in its own stream (a 32-byte generator state and a coalescing key
+// beside the edge); the key now lives in the ahead block, at the
+// frontier's place.
+func TestLayoutSuspState(t *testing.T) {
+	if got := unsafe.Sizeof(suspState{}); got != 12 {
+		t.Fatalf("unsafe.Sizeof(suspState{}) = %d, want 12", got)
 	}
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-
-	"pagen/internal/xrand"
 )
 
 // ResolveMode selects how a rank resolves a copy source owned by a
@@ -16,8 +14,8 @@ const (
 	// owning rank, answered by a <resolved> message (Algorithm 3.2
 	// lines 14-20).
 	ResolveWire ResolveMode = iota
-	// ResolveRecompute replays the owning node's private random stream
-	// locally instead of sending a request (the recomputation idea of
+	// ResolveRecompute replays the owning node's attempts locally
+	// instead of sending a request (the recomputation idea of
 	// Sanders & Schulz, "Scalable Generation of Scale-free Graphs"):
 	// every attachment is a pure function of (n, x, p, seed), so the
 	// copy chain t -> k -> F_k(l) -> ... can be chased without
@@ -65,26 +63,22 @@ func DefaultRecomputeDepth(n int64) int {
 }
 
 // replayEntry memoizes one node's replayed attachment values: vals has
-// fixed length x, of which the first done are committed, and rng is the
-// node's private stream positioned immediately after the last committed
-// attempt. The rank's memo table (engine.memo) maps node ids to entries:
-// copy chains started by different nodes overlap heavily on the low-id
-// prefix (preferential attachment concentrates copy sources there), and
-// the memo is what makes each chain suffix replay once per rank rather
-// than once per query.
+// fixed length x, of which the first done are committed. The rank's memo
+// table (engine.memo) maps node ids to entries: copy chains started by
+// different nodes overlap heavily on the low-id prefix (preferential
+// attachment concentrates copy sources there), and the memo is what
+// makes each chain suffix replay once per rank rather than once per
+// query.
 type replayEntry struct {
-	rng  xrand.Rand
 	vals []int64
 	done int
 }
 
-// memoEntry returns node k's memo entry, creating it (with the node's
-// stream seeded from scratch) on first use.
+// memoEntry returns node k's memo entry, creating it on first use.
 func (e *engine) memoEntry(k int64) *replayEntry {
 	ent := e.memo[k]
 	if ent == nil {
 		ent = &replayEntry{vals: make([]int64, e.x)}
-		ent.rng.SeedStream(e.seed, uint64(k))
 		e.memo[k] = ent
 	}
 	return ent
@@ -101,8 +95,8 @@ type replayCtx struct {
 
 // replayF resolves F_k(l) by local recomputation. The chain terminates
 // without replaying at the bootstrap rule (node x), a locally resolved
-// slot, a hub-replica hit, or a memo hit; otherwise the node's stream
-// is replayed forward. ok is false when the chain exceeded the depth
+// slot, a hub-replica hit, or a memo hit; otherwise the node's attempts
+// are replayed forward. ok is false when the chain exceeded the depth
 // cap; committed memo state is kept, so a later retry resumes where
 // this one stopped.
 func (e *engine) replayF(k int64, l int, ctx *replayCtx) (v int64, ok bool) {
@@ -133,9 +127,9 @@ func (e *engine) replayF(k int64, l int, ctx *replayCtx) (v int64, ok bool) {
 // replayExtend replays node k's attempts forward until edge l commits.
 // The recursion follows the chain, which is strictly decreasing in node
 // id (copy sources are drawn from [x, k)), so it never re-enters the
-// entry it is extending. On a depth-cap abort the stream state is rolled
-// back to the start of the uncommitted attempt, keeping the entry
-// consistent for the next try.
+// entry it is extending. An attempt is a pure function of its index, so
+// a depth-cap abort leaves nothing to undo: the next try re-issues the
+// uncommitted edge's attempts from its first.
 func (e *engine) replayExtend(ent *replayEntry, k int64, l int, ctx *replayCtx) (int64, bool) {
 	if ctx.depth >= e.depthCap {
 		return 0, false
@@ -148,24 +142,16 @@ func (e *engine) replayExtend(ent *replayEntry, k int64, l int, ctx *replayCtx) 
 
 	d := e.opts.Params.NewDrawer(k)
 	for edge := ent.done; edge <= l; edge++ {
-		for {
-			st := ent.rng.State()
-			a := d.Next(&ent.rng)
+		for r := 0; ; r++ {
+			a := d.Attempt(&e.rng, e.seed, edge, r)
 			v := a.K
 			if !a.Direct {
 				var ok bool
 				if v, ok = e.replayF(a.K, a.L, ctx); !ok {
-					// Depth cap hit below: un-draw the aborted
-					// attempt so the committed prefix plus the
-					// stream stay exactly where the owner's own
-					// computation would leave them.
-					ent.rng.SetState(st)
 					return 0, false
 				}
 			}
-			// Duplicate-avoidance retry (Algorithm 3.2 lines 7/22):
-			// the owner consumes these draws too, so retries commit
-			// to the stream but not to vals.
+			// Duplicate-avoidance retry (Algorithm 3.2 lines 7/22).
 			if contains(ent.vals[:edge], v) {
 				continue
 			}
@@ -178,7 +164,7 @@ func (e *engine) replayExtend(ent *replayEntry, k int64, l int, ctx *replayCtx) 
 	return ent.vals[l], true
 }
 
-// replayRemote is advance's entry point: resolve F_k(l) by
+// replayRemote is query's entry point: resolve F_k(l) by
 // recomputation, recording the chain-depth and replayed-edge metrics.
 // On failure (depth cap) the caller falls back to the wire protocol.
 func (e *engine) replayRemote(k int64, l int) (int64, bool) {

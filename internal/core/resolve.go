@@ -2,16 +2,16 @@ package core
 
 import (
 	"pagen/internal/graph"
+	"pagen/internal/model"
 	"pagen/internal/msg"
-	"pagen/internal/xrand"
 )
 
 // Resolution: everything that happens to a node after the batch kernel
-// (batch.go) has started it — the continuation loop, suspension and
-// resume, slot finalisation with its waiter cascade, and the request and
-// resolved handlers. All of it runs on the rank goroutine, the single
-// writer of F, the waiter, suspension and coalescing tables, the send
-// buffers and the sink.
+// (batch.go) has started it — issuing an attempt, settling answers in
+// edge order, suspension and resume, slot finalisation with its waiter
+// cascade, and the request and resolved handlers. All of it runs on the
+// rank goroutine, the single writer of F, the waiter, suspension and
+// coalescing tables, the ahead arena, the send buffers and the sink.
 
 // emit finalises edge (t, v) of a generating node for the Sink. A
 // streamed rank writes its shard from F instead, in slot order
@@ -23,192 +23,180 @@ func (e *engine) emit(t, v int64) {
 	}
 }
 
-// advance continues node t — at local index idx — from the given edge
-// with rng positioned mid-stream (Algorithm 3.2 lines 4-14, strictly edge
-// by edge). It is the continuation, not the entry: every node starts in
-// the batch kernel (batch.go), which hands over here — with the stream
-// state saved before the attempt — at the node's first edge that cannot
-// commit straight-line, and resume re-enters here when a suspended node's
-// answer arrives. On a copy from an unresolved source the node suspends
-// — the stream state and edge index are parked in the suspension table —
-// and resume continues exactly there. Every draw, duplicate retries
-// included, comes from this one per-node stream, which is what makes the
-// output independent of workers, ranks and schedule. A node's slots
-// beyond its current edge are still NILL (strict per-node sequencing),
-// so the duplicate checks scan its whole row.
-func (e *engine) advance(t, idx int64, edge int, rng *xrand.Rand) {
-	d := e.opts.Params.NewDrawer(t)
+// issue evaluates attempt a of node t's edge: a direct attempt's value
+// is its k, a copy's is looked up by query, whose results it returns.
+func (e *engine) issue(t int64, edge int, a model.Attempt) (int64, bool) {
+	e.record(t, edge, a)
+	if a.Direct {
+		return a.K, true
+	}
+	return e.query(t, edge, a.K, a.L)
+}
+
+// record traces attempt a of node t's edge; the last one recorded for a
+// slot is the one it committed.
+func (e *engine) record(t int64, edge int, a model.Attempt) {
+	switch {
+	case e.trace == nil:
+	case a.Direct:
+		e.trace.RecordDirect(t, edge, a.K)
+	default:
+		e.trace.RecordCopy(t, edge, a.K, a.L)
+	}
+}
+
+// query looks up copy source F_k(l) for node t's edge (Algorithm 3.2
+// lines 11-14) and returns (value, true) from the rank's own table, the
+// hub replica or a replay; else it parks the edge on the source's local
+// queue, on an in-flight request for the slot or on a request of its
+// own, and returns (key, false), key the hub slot whose coalescing chain
+// the wait rides (-1 for none). The answer will reach resume.
+func (e *engine) query(t int64, edge int, k int64, l int) (int64, bool) {
+	owner, kidx := e.locate(k)
+	if owner == e.rank {
+		// Same-rank copy query: counts toward node k's received load
+		// (Lemma 3.4's M_k) like a request would.
+		if e.nodeLoad != nil {
+			e.nodeLoad[kidx]++
+		}
+		src := kidx*e.x64 + int64(l)
+		if v := e.f.get(src); v >= 0 {
+			return v, true
+		}
+		// Local dependency chain: park on the source's queue.
+		e.stats.LocalWaits++
+		e.waiters.push(src, t, uint16(edge))
+		e.trackPending(1)
+		return -1, false
+	}
+	if hub := e.hub; hub != nil && k < hub.h {
+		gkey := k*e.x64 + int64(l)
+		if v := hub.f.get(gkey); v >= 0 {
+			// Replica hit: the owner's immutable value is already here —
+			// the same value a round trip would return, so no request
+			// travels.
+			e.stats.HubCacheHits++
+			e.noteElided(k)
+			return v, true
+		}
+		e.stats.HubCacheMisses++
+		if e.remote.has(gkey) {
+			// A node of this rank already has a request for this slot
+			// in flight: ride its answer. Coalescing is prefix-only so
+			// every elided query lands in hubElided and the Lemma 3.4
+			// census stays exact (tail slots coalesce too rarely to be
+			// worth an n-sized counter array).
+			e.stats.ReqCoalesced++
+			e.noteElided(k)
+			e.remote.push(gkey, t, uint16(edge))
+			return gkey, false
+		}
+		if e.recompute {
+			if v, ok := e.replayRemote(k, l); ok {
+				// Replayed values are as immutable as resolved ones; seed
+				// the replica so later queries for this slot short-circuit.
+				hub.f.set(gkey, v)
+				return v, true
+			}
+		}
+		e.remote.push(gkey, t, uint16(edge))
+		e.sendData(owner, msg.Request(t, edge, k, l))
+		return gkey, false
+	}
+	if e.recompute {
+		if v, ok := e.replayRemote(k, l); ok {
+			return v, true
+		}
+	}
+	e.sendData(owner, msg.Request(t, edge, k, l))
+	return -1, false
+}
+
+// settle continues node t (local index idx) with v, the answer to
+// attempt st.r of its frontier edge st.e, and commits in edge order while
+// answers are in hand: a duplicate (Algorithm 3.2 lines 7 and 22) issues
+// retry r+1 of that edge alone; a final value commits, and the next
+// edge's answer follows from the ahead block — or its deferred replica
+// miss is issued now. The node suspends on the first outstanding edge
+// and frees its block when it finishes; it holds no record on entry.
+// Slots past the frontier are NILL, so the duplicate check scans the row.
+func (e *engine) settle(t, idx int64, st suspState, v int64) {
 	base := idx * e.x64
-	for ; edge < e.x; edge++ {
-		s := base + int64(edge)
-	draw:
-		for {
-			a := d.Next(rng)
-			k := a.K
-			if a.Direct {
-				// Direct branch (lines 6-10).
-				if e.f.has(base, e.x64, k) {
-					e.stats.Retries++
-					continue draw
-				}
-				e.resolveSlot(t, edge, s, k)
-				if e.trace != nil {
-					e.trace.RecordDirect(t, edge, k)
-				}
-				break draw
-			}
-			// Copy branch (lines 11-14).
-			l := a.L
-			if e.trace != nil {
-				e.trace.RecordCopy(t, edge, k, l)
-			}
-			owner, kidx := e.locate(k)
-			if owner == e.rank {
-				// Same-rank copy query: counts toward node k's received
-				// load (Lemma 3.4's M_k) like a request would.
-				if e.nodeLoad != nil {
-					e.nodeLoad[kidx]++
-				}
-				src := kidx*e.x64 + int64(l)
-				v := e.f.get(src)
-				if v >= 0 {
-					if e.f.has(base, e.x64, v) {
-						e.stats.Retries++
-						continue draw
-					}
-					e.resolveSlot(t, edge, s, v)
-					break draw
-				}
-				// Local dependency chain: park on the source's queue.
-				e.stats.LocalWaits++
-				e.waiters.push(src, t, uint16(edge))
-				e.trackPending(1)
-				e.suspend(idx, edge, rng, -1)
-				return
-			}
-			if hub := e.hub; hub != nil && k < hub.h {
-				gkey := k*e.x64 + int64(l)
-				if v := hub.f.get(gkey); v >= 0 {
-					// Replica hit: the owner's immutable value is
-					// already here — the same value a round trip
-					// would return, so no request travels.
-					e.stats.HubCacheHits++
-					e.noteElided(k)
-					if e.f.has(base, e.x64, v) {
-						e.stats.Retries++
-						continue draw
-					}
-					e.resolveSlot(t, edge, s, v)
-					break draw
-				}
-				e.stats.HubCacheMisses++
-				if e.remote.has(gkey) {
-					// A node of this rank already has a request for
-					// this slot in flight: ride its answer. Coalescing
-					// is prefix-only so every elided query lands in
-					// hubElided and the Lemma 3.4 census stays exact
-					// (tail slots coalesce too rarely to be worth an
-					// n-sized counter array).
-					e.stats.ReqCoalesced++
-					e.noteElided(k)
-					e.remote.push(gkey, t, uint16(edge))
-					e.suspend(idx, edge, rng, gkey)
-					return
-				}
-				if e.recompute {
-					if v, ok := e.replayRemote(k, l); ok {
-						// Replayed values are as immutable as
-						// resolved ones; seed the replica so later
-						// queries for this slot short-circuit.
-						hub.f.set(gkey, v)
-						if e.f.has(base, e.x64, v) {
-							e.stats.Retries++
-							continue draw
-						}
-						e.resolveSlot(t, edge, s, v)
-						break draw
-					}
-				}
-				e.remote.push(gkey, t, uint16(edge))
-				e.sendData(owner, msg.Request(t, edge, k, l))
-				e.suspend(idx, edge, rng, gkey)
-				return
-			}
-			if e.recompute {
-				if v, ok := e.replayRemote(k, l); ok {
-					if e.f.has(base, e.x64, v) {
-						e.stats.Retries++
-						continue draw
-					}
-					e.resolveSlot(t, edge, s, v)
-					break draw
-				}
-			}
-			e.sendData(owner, msg.Request(t, edge, k, l))
-			e.suspend(idx, edge, rng, -1)
+	edge, r := int(st.e), int(st.r)
+	for ok := true; ; {
+		if !ok {
+			e.ahead.block(st.blk)[edge] = v // the chain key
+			e.susp.put(idx, suspState{e: int32(edge), r: int32(r), blk: st.blk})
 			return
 		}
-	}
-}
-
-// suspend parks the node at local index idx at the given edge with its
-// stream state. key is the coalescing-table slot the node chained on, -1
-// for waits that did not go through it (local waits, or the cache off).
-func (e *engine) suspend(idx int64, edge int, rng *xrand.Rand, key int64) {
-	e.susp.put(idx, suspState{rng: *rng, e: int32(edge), key: key})
-}
-
-// resume continues suspended node t (local index idx) with the resolved
-// value of its pending copy source: the duplicate check of Algorithm 3.2
-// line 22, re-drawing the whole step from the node's own stream on
-// conflict. Stale deliveries (a duplicated frame answering an
-// already-finished slot) are dropped.
-func (e *engine) resume(t, idx int64, edge int, v int64) {
-	st, ok := e.susp.take(idx)
-	if !ok || int(st.e) != edge {
-		if ok {
-			e.susp.put(idx, st)
+		if e.f.has(base, e.x64, v) {
+			e.stats.Retries++
+			r++
+			d := e.opts.Params.NewDrawer(t)
+			v, ok = e.issue(t, edge, d.Attempt(&e.rng, e.seed, edge, r))
+			continue
 		}
-		return
+		e.resolveSlot(t, edge, base+int64(edge), v)
+		if edge++; edge == e.x {
+			e.ahead.release(st.blk)
+			return
+		}
+		r = 0
+		switch v = e.ahead.block(st.blk)[edge]; v {
+		case aheadWaiting:
+			v, ok = -1, false
+		case aheadDeferred:
+			d := e.opts.Params.NewDrawer(t)
+			v, ok = e.issue(t, edge, d.Attempt(&e.rng, e.seed, edge, 0))
+		}
 	}
-	base := idx * e.x64
-	if e.f.has(base, e.x64, v) {
-		e.stats.Retries++
-		e.advance(t, idx, edge, &st.rng)
-		return
-	}
-	e.resolveSlot(t, edge, base+int64(edge), v)
-	e.advance(t, idx, edge+1, &st.rng)
 }
 
-// resumeWire handles a wire <resolved>. With the hub cache off it is a
-// plain resume. With it on, the answer is addressed to the chain's
-// primary requester but belongs to every node coalesced on the same
-// slot: look the slot key up through the primary's suspension, install
-// the value in the replica, and fan the answer out to the whole chain
-// (the primary is a chain member like any other). A stale answer — the
-// node already advanced, or re-suspended on a different slot or edge —
-// takes the plain path, whose edge check drops it.
+// resume delivers v, the answer to suspended node t's outstanding
+// attempt on the given edge: at the frontier it settles the node, past it
+// the value waits in the ahead block. An answer for an edge below the
+// frontier, or for a node with no record, is stale and dropped.
+func (e *engine) resume(t, idx int64, edge int, v int64) {
+	e.resumeAt(e.susp.find(idx), t, idx, edge, v)
+}
+
+// resumeAt is resume with idx's suspension-table bucket found.
+func (e *engine) resumeAt(i uint64, t, idx int64, edge int, v int64) {
+	if e.susp.keys[i] != idx {
+		return
+	}
+	switch st := e.susp.vals[i]; {
+	case edge < int(st.e):
+	case edge > int(st.e):
+		e.ahead.block(st.blk)[edge] = v
+	default:
+		e.susp.remove(i)
+		e.settle(t, idx, st, v)
+	}
+}
+
+// resumeWire handles a wire <resolved>. With the hub cache on, an answer
+// for a hub-prefix slot is addressed to the chain's primary requester but
+// belongs to every node coalesced on the slot: look the slot up in the
+// primary's ahead block (a replica miss is only ever asked at a frontier,
+// so a node rides at most one chain), install the value in the replica,
+// and fan the answer out to the whole chain, the primary included. Any
+// other answer, a stale one too, takes the plain path.
 func (e *engine) resumeWire(t int64, edge int, v int64) {
 	idx := e.part.Index(e.rank, t)
-	if e.hub == nil {
-		e.resume(t, idx, edge, v)
-		return
+	i, h := e.susp.find(idx), nilNode
+	if st := e.susp.vals[i]; e.hub != nil && e.susp.keys[i] == idx && int(st.e) == edge {
+		if key := e.ahead.block(st.blk)[edge]; key >= 0 {
+			e.hub.f.set(key, v)
+			h = e.remote.take(key)
+		}
 	}
-	st, ok := e.susp.get(idx)
-	if !ok || st.key == -1 || int(st.e) != edge {
-		e.resume(t, idx, edge, v)
-		return
-	}
-	e.hub.f.set(st.key, v)
-	// Walk the detached chain copying each node out before freeing it:
-	// resume can recurse into advance and push new chain entries while
-	// we iterate (same discipline as resolveSlot's waiter walk).
-	h := e.remote.take(st.key)
 	if h < 0 {
-		e.resume(t, idx, edge, v)
-		return
+		e.resumeAt(i, t, idx, edge, v)
 	}
+	// Walk the detached chain copying each node out before freeing it:
+	// resume can recurse into settle and push new chain entries while
+	// we iterate (same discipline as resolveSlot's waiter walk).
 	for h >= 0 {
 		n := e.remote.arena[h]
 		e.remote.freeNode(h)
@@ -251,7 +239,7 @@ func (e *engine) resolveSlot(t int64, edge int, s, v int64) {
 
 	// Walk the slot's detached waiter chain in FIFO order. Each node's
 	// fields are copied out and the node freed before delivery, because
-	// delivery can recurse into resume/advance and push new
+	// delivery can recurse into resume/settle and push new
 	// waiters — growing the arena or reusing freed nodes — while we
 	// iterate.
 	h := e.waiters.take(s)

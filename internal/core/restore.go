@@ -156,13 +156,9 @@ func (e *engine) buildSnapshotInto(s *ckpt.Snapshot, mark esink.Mark) {
 			Scheme:  e.part.Name(),
 			Resolve: int(e.opts.Resolve),
 		},
-		Epoch: e.ck.epoch,
-		// The asynchronous commit vote is plain KindCkpt traffic — no
-		// collective runs between here and the next negotiation, so the
-		// live counter value is exactly what a resumed run must continue
-		// from.
-		NextTag: e.seq.NextTag(),
+		Epoch:   e.ck.epoch,
 		Susp:    slices.Grow(s.Susp[:0], e.susp.live),
+		Ahead:   s.Ahead[:0],
 		Waiters: slices.Grow(s.Waiters[:0], int(e.pendingWaiters)),
 		Remote:  s.Remote[:0],
 		Stats: ckpt.Stats{
@@ -182,16 +178,20 @@ func (e *engine) buildSnapshotInto(s *ckpt.Snapshot, mark esink.Mark) {
 		s.Window.Append(e.f.get(i))
 	}
 	e.susp.forEach(func(idx int64, st suspState) {
-		s.Susp = append(s.Susp, ckpt.SuspRecord{Idx: idx, Edge: int(st.e), RNG: st.rng.State()})
+		s.Susp = append(s.Susp, ckpt.SuspRecord{Idx: idx, Edge: int(st.e), Retry: int(st.r)})
+		b := e.ahead.block(st.blk)
+		for j := int(st.e) + 1; j < e.x; j++ {
+			if b[j] != aheadWaiting {
+				s.Ahead = append(s.Ahead, ckpt.AheadRecord{Slot: idx*e.x64 + int64(j), V: b[j]})
+			}
+		}
 	})
 	e.waiters.forEach(func(slot, t int64, e16 uint16) {
 		s.Waiters = append(s.Waiters, ckpt.WaiterRecord{Slot: slot, T: t, E: e16})
 	})
 	// Coalescing chains serialize chain by chain in FIFO order, so the
 	// first record of each chain is its primary requester — the node the
-	// owner's answer is addressed to. Suspension records do not carry the
-	// chain key; restore re-derives every member's key from these
-	// records.
+	// owner's answer is addressed to.
 	e.remote.forEach(func(slot, t int64, e16 uint16) {
 		s.Remote = append(s.Remote, ckpt.WaiterRecord{Slot: slot, T: t, E: e16})
 	})
@@ -200,8 +200,9 @@ func (e *engine) buildSnapshotInto(s *ckpt.Snapshot, mark esink.Mark) {
 // restoreChains rebuilds the hub cache's request-coalescing chains from
 // the snapshot's Remote records. The in-flight answer to a chain, owed
 // by the owner's restored waiter record for the primary (first) record,
-// is addressed to the primary's node, and resumeWire fans it out to the
-// rest of the chain from there and installs it in the replica. A rank
+// is addressed to the primary's node, and resumeWire — finding the slot
+// in the primary's ahead block — fans it out to the rest of the chain
+// from there and installs it in the replica. A rank
 // coalesces only hub-prefix slots and holds one chain per slot, so a
 // chain outside the prefix, or a slot whose records reappear after
 // another chain's, is a snapshot no writer produces: merging two chains
@@ -228,8 +229,7 @@ func (e *engine) restoreChains(s *ckpt.Snapshot) error {
 		if !ok {
 			return fmt.Errorf("core: resume: chained node %d has no suspension record", wr.T)
 		}
-		st.key = wr.Slot
-		e.susp.put(idx, st)
+		e.ahead.block(st.blk)[st.e] = wr.Slot
 	}
 	return nil
 }
@@ -330,11 +330,23 @@ func (e *engine) restore() error {
 		if sr.Idx < s.Window.Start/e.x64 || sr.Idx >= e.cursor {
 			return fmt.Errorf("core: resume: suspended node at index %d lies outside the window's nodes [%d, %d)", sr.Idx, s.Window.Start/e.x64, e.cursor)
 		}
-		var st suspState
-		st.e = int32(sr.Edge)
-		st.key = -1 // re-derived from the Remote chains below
-		st.rng.SetState(sr.RNG)
+		if sr.Edge < 0 || sr.Edge >= e.x || sr.Retry < 0 || e.f.get(sr.Idx*e.x64+int64(sr.Edge)) >= 0 {
+			return fmt.Errorf("core: resume: suspended node at index %d waits on edge %d (retry %d), not an unresolved one", sr.Idx, sr.Edge, sr.Retry)
+		}
+		st := suspState{e: int32(sr.Edge), r: int32(sr.Retry), blk: e.ahead.alloc()}
+		b := e.ahead.block(st.blk)
+		for j := range b {
+			b[j] = aheadWaiting
+		}
+		b[sr.Edge] = -1 // the chain key; restoreChains sets it
 		e.susp.put(sr.Idx, st)
+	}
+	for _, ar := range s.Ahead {
+		st, ok := e.susp.get(max(ar.Slot, 0) / e.x64)
+		if ar.Slot < 0 || !ok || ar.Slot%e.x64 <= int64(st.e) || ar.V < -1 || ar.V >= e.opts.Params.N {
+			return fmt.Errorf("core: resume: answer %d held for slot %d, which is no suspended node's edge past its frontier", ar.V, ar.Slot)
+		}
+		e.ahead.block(st.blk)[ar.Slot%e.x64] = ar.V
 	}
 	// Every node below the cursor was initiated at the cut: finished, or
 	// suspended. One that is neither would never be generated.
@@ -344,6 +356,9 @@ func (e *engine) restore() error {
 		}
 	}
 	for _, wr := range s.Waiters {
+		if wr.Slot < 0 || wr.Slot >= e.f.len() {
+			return fmt.Errorf("core: resume: waiter record for slot %d outside the rank's %d slots", wr.Slot, e.f.len())
+		}
 		e.waiters.push(wr.Slot, wr.T, wr.E)
 		e.trackPending(1)
 	}
@@ -363,7 +378,6 @@ func (e *engine) restore() error {
 	e.stats.QueuedWaits += s.Stats.QueuedWaits
 	e.stats.LocalWaits += s.Stats.LocalWaits
 
-	e.seq.SetNextTag(s.NextTag)
 	if ck := e.ck; ck != nil {
 		ck.epochNext = s.Epoch + 1
 		if e.rank == 0 && ck.every > 0 {

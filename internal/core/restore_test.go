@@ -297,7 +297,8 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 		for _, edit := range edits {
 			edit(&s)
 		}
-		if _, _, err := ckpt.Write(ck, &s); err != nil {
+		var enc ckpt.Encoder
+		if _, _, err := ckpt.WriteEncoded(ck, s.Meta.Rank, s.Epoch, enc.Encode(&s)); err != nil {
 			t.Fatal(err)
 		}
 		o := opts
@@ -558,7 +559,7 @@ func TestRestoreRefusesRepeatedChainSlot(t *testing.T) {
 	fresh := func() *engine {
 		e := cutEngine(t)
 		for idx := int64(40); idx < 44; idx++ {
-			e.susp.put(idx, suspState{key: -1})
+			e.susp.put(idx, suspState{blk: e.ahead.alloc()})
 		}
 		return e
 	}
@@ -581,8 +582,14 @@ func TestRestoreRefusesRepeatedChainSlot(t *testing.T) {
 	if err := e.restoreChains(s); err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := e.susp.get(41); st.key != 5 {
-		t.Fatalf("secondary of slot 5 restored with key %d", st.key)
+	var chain []int64
+	e.remote.forEach(func(slot, t int64, _ uint16) {
+		if slot == 5 {
+			chain = append(chain, t)
+		}
+	})
+	if len(chain) != 2 || chain[0] != node(40) || chain[1] != node(41) {
+		t.Fatalf("chain of slot 5 restored as %v, want [%d %d]", chain, node(40), node(41))
 	}
 
 	for _, slot := range []int64{-1, e.hub.f.len()} {

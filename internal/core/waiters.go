@@ -10,8 +10,9 @@ package core
 //
 // Only the rank goroutine touches a table, so no locking is needed. FIFO
 // order within a waiter chain keeps answers in arrival order; the output
-// graph no longer depends on it (every retry draw comes from the waiting
-// node's own stream, so delivery order is immaterial), but it keeps
+// graph does not depend on it (an attempt's draws depend on its index
+// alone, and a node commits its edges in order whatever order their
+// answers arrive in), but it keeps
 // wait-chain statistics and message schedules reproducible in-process.
 
 // slotMap is an open-addressed int64 → V hash table: linear probing,
@@ -153,6 +154,10 @@ type waiterTable struct {
 	chains slotMap[waiterChain]
 	arena  []waiterNode
 	free   int32 // freelist head through waiterNode.next, nilNode if empty
+	// queued, if the table covers the rank's own slots, has bit s set
+	// while slot s has a chain, so take skips the probe for the common
+	// slot nobody waits on.
+	queued []uint64
 }
 
 // waiterChain is a waiter chain's first and last arena node.
@@ -170,7 +175,11 @@ const (
 	waiterArenaSeed = 64
 )
 
-func (w *waiterTable) init() {
+// init empties the table; slots > 0 bounds its keys and keeps queued.
+func (w *waiterTable) init(slots int64) {
+	if slots > 0 {
+		w.queued = make([]uint64, (slots+63)/64)
+	}
 	w.chains.init()
 	w.arena = make([]waiterNode, 0, waiterArenaSeed)
 	w.free = nilNode
@@ -187,6 +196,9 @@ func (w *waiterTable) push(slot int64, t int64, e uint16) {
 		c.head = n
 	}
 	c.tail = n
+	if w.queued != nil {
+		w.queued[slot>>6] |= 1 << (slot & 63)
+	}
 }
 
 // has reports whether slot currently has waiters, without detaching them.
@@ -196,6 +208,15 @@ func (w *waiterTable) has(slot int64) bool { return w.chains.has(slot) }
 // slot has no waiters). The caller walks the chain via next, copying
 // each node's fields before freeing it.
 func (w *waiterTable) take(slot int64) int32 {
+	if w.chains.live == 0 {
+		return nilNode
+	}
+	if w.queued != nil {
+		if w.queued[slot>>6]&(1<<(slot&63)) == 0 {
+			return nilNode
+		}
+		w.queued[slot>>6] &^= 1 << (slot & 63)
+	}
 	c, ok := w.chains.take(slot)
 	if !ok {
 		return nilNode

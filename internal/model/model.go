@@ -119,32 +119,54 @@ type Attempt struct {
 	Direct bool
 }
 
-// Drawer replays node t's attachment-attempt draw sequence from a
-// random stream, hoisting the draw-range arithmetic out of the retry
-// loop. The parallel engine's generation hot path and the recompute
-// resolver both draw through it, so the two can never disagree about
-// the per-node stream layout: each Next consumes exactly one attempt —
-// k, then the direct test, then l for copies — duplicate retries
-// included.
+// Drawer draws node t's attachment attempts, hoisting the draw-range
+// arithmetic out of the retry loop. The sequential copy model, the
+// parallel engine's kernel and its recompute resolver all draw through
+// it, so they can never disagree about an attempt.
 type Drawer struct {
 	lo   int64
 	span uint64
 	x    uint64
 	p    float64
+	id   uint64 // t·x, the counter block of edge 0
 }
 
 // NewDrawer returns the drawer for node t. Like KRange it panics if t
 // has no draw range (clique nodes and node x).
 func (pr Params) NewDrawer(t int64) Drawer {
-	lo, hi := pr.KRange(t)
-	return Drawer{lo: lo, span: uint64(hi - lo), x: uint64(pr.X), p: pr.P}
+	x := int64(pr.X)
+	if t <= x {
+		panic(errNoDrawRange) // a constant, so that NewDrawer inlines
+	}
+	return Drawer{lo: x, span: uint64(t - x), x: uint64(x), p: pr.P, id: uint64(t * x)}
 }
 
-// Next draws one attachment attempt from rng.
+var errNoDrawRange = errors.New("model: NewDrawer for a node without a draw range")
+
+// Next draws one attachment attempt from rng: k, then the direct test,
+// then l for copies.
 func (d *Drawer) Next(rng *xrand.Rand) Attempt {
 	k := d.lo + int64(rng.Uint64n(d.span))
 	if rng.Float64() < d.p {
 		return Attempt{K: k, Direct: true}
 	}
 	return Attempt{K: k, L: int(rng.Uint64n(d.x))}
+}
+
+// retryKey spreads a retry count over the seed's bits (an odd constant,
+// so distinct counts give distinct keys).
+const retryKey = 0xd1b54a32d192ed03
+
+// Attempt draws attempt r (0 first, then one per duplicate retry) of the
+// node's edge e under seed: counter block t·x + e of a keyed stream — the
+// seed for first attempts, a mix of (seed, r) for retries. An attempt is
+// therefore a pure function of (seed, t, e, r), drawable in any order:
+// no attempt's bits depend on how many draws came before it.
+func (d *Drawer) Attempt(rng *xrand.Rand, seed uint64, e, r int) Attempt {
+	if r > 0 {
+		seed ^= uint64(r) * retryKey
+		seed = xrand.SplitMix64(&seed)
+	}
+	rng.SeedAt(seed, d.id+uint64(e))
+	return d.Next(rng)
 }

@@ -13,6 +13,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"pagen/internal/stats"
 )
@@ -214,11 +215,19 @@ func (u *UCP) NodeAt(rank int, idx int64) int64 { return consecutiveNodeAt(u, ra
 type RRP struct {
 	n int64
 	p int
+	// shift is log2(P) when P is a power of two, else -1: owner and
+	// index are then a mask and a shift instead of a 64-bit division,
+	// which every remote copy query pays.
+	shift int
 }
 
 // NewRRP returns a round-robin partitioning of n nodes into p parts.
 func NewRRP(n int64, p int) *RRP {
-	return &RRP{n: n, p: p}
+	shift := -1
+	if p > 0 && p&(p-1) == 0 {
+		shift = bits.TrailingZeros(uint(p))
+	}
+	return &RRP{n: n, p: p, shift: shift}
 }
 
 // Name implements Scheme.
@@ -233,6 +242,9 @@ func (r *RRP) N() int64 { return r.n }
 // Owner implements Scheme: rank = u mod P.
 func (r *RRP) Owner(node int64) int {
 	checkNode(r.n, node)
+	if r.shift >= 0 {
+		return int(node & int64(r.p-1))
+	}
 	return int(node % int64(r.p))
 }
 
@@ -257,7 +269,12 @@ func (r *RRP) ForEach(rank int, fn func(int64)) {
 // gives both j and the owner check.
 func (r *RRP) Index(rank int, node int64) int64 {
 	checkNode(r.n, node)
-	q := node / int64(r.p)
+	var q int64
+	if r.shift >= 0 {
+		q = node >> r.shift
+	} else {
+		q = node / int64(r.p)
+	}
 	if node-q*int64(r.p) != int64(rank) {
 		panic(fmt.Sprintf("partition: node %d not owned by rank %d", node, rank))
 	}

@@ -60,7 +60,7 @@ type Config struct {
 	Workers int `json:"workers,omitempty"`
 	// Resolve selects how non-local copy dependencies are answered:
 	// "wire" (the default; the paper's request/resolved message round
-	// trip) or "recompute" (replay the owning node's RNG stream locally
+	// trip) or "recompute" (replay the owning node's attempts locally
 	// — no data messages — falling back to the wire past a chain of
 	// ~2*log2(N) nodes, twice Theorem 3.3's O(log n) depth bound). Output
 	// is byte-identical in both modes.

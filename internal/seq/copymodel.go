@@ -23,10 +23,11 @@ type CopyModelOptions struct {
 // the copy model (Section 3.1). At p = 0.5 the attachment probabilities
 // are exactly those of the Barabási–Albert model. Runtime is O(m).
 //
-// Randomness is drawn from a per-node stream derived from (seed, t), the
-// same discipline the parallel engine uses; consequently the parallel
-// generator with one rank reproduces CopyModel's graph bit-for-bit, and
-// x = 1 runs are identical across any rank count and partitioning scheme.
+// Attempt r of node t's edge e is a pure function of (seed, t, e, r)
+// (model.Drawer.Attempt), the draws the parallel engine makes too;
+// consequently the parallel generator reproduces CopyModel's
+// attachments at every rank count, partitioning scheme and worker
+// count.
 func CopyModel(pr model.Params, seed uint64, opts CopyModelOptions) (*graph.Graph, *model.Trace, error) {
 	if err := pr.Validate(); err != nil {
 		return nil, nil, err
@@ -75,36 +76,28 @@ func CopyModel(pr model.Params, seed uint64, opts CopyModelOptions) (*graph.Grap
 		return false
 	}
 
-	var rng xrand.Rand // reused across nodes; re-seeded per node
+	var rng xrand.Rand // re-seeded per attempt
 	for t := x64 + 1; t < n; t++ {
-		rng.SeedStream(seed, uint64(t))
-		lo, hi := pr.KRange(t)
-		span := uint64(hi - lo)
+		d := pr.NewDrawer(t)
 		for e := 0; e < x; e++ {
-			for {
-				k := lo + int64(rng.Uint64n(span))
-				if rng.Float64() < pr.P {
-					if dup(t, e, k) {
-						continue
-					}
-					f[slot(t, e)] = k
-					if tr != nil {
-						tr.RecordDirect(t, e, k)
-					}
+			// F_t(e) is the first attempt's value that is no duplicate.
+			a, v := model.Attempt{}, int64(0)
+			for r := 0; r == 0 || dup(t, e, v); r++ {
+				if a = d.Attempt(&rng, seed, e, r); a.Direct {
+					v = a.K
 				} else {
-					l := int(rng.Uint64n(uint64(x)))
-					v := f[slot(k, l)]
-					if dup(t, e, v) {
-						continue
-					}
-					f[slot(t, e)] = v
-					if tr != nil {
-						tr.RecordCopy(t, e, k, l)
-					}
+					v = f[slot(a.K, a.L)]
 				}
-				break
 			}
-			g.AddEdge(t, f[slot(t, e)])
+			f[slot(t, e)] = v
+			g.AddEdge(t, v)
+			switch {
+			case tr == nil:
+			case a.Direct:
+				tr.RecordDirect(t, e, v)
+			default:
+				tr.RecordCopy(t, e, a.K, a.L)
+			}
 		}
 	}
 	return g, tr, nil

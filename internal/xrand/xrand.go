@@ -1,11 +1,10 @@
 // Package xrand provides fast, reproducible pseudo-random number generation
 // for the parallel preferential-attachment generator.
 //
-// The generator is xoshiro256** (Blackman & Vigna) seeded through
-// splitmix64, the combination recommended by the xoshiro authors. Each
-// processor rank derives an independent stream from a global seed and its
-// rank, so distributed runs are reproducible for a fixed (seed, ranks)
-// pair regardless of message interleaving.
+// The generator is SplitMix64 (Steele, Lea & Flood): its i-th output is a
+// bijective mix of key + i·γ, a keyed counter-mode hash (Salmon et al.,
+// SC'11) with one word of state, so the copy model can draw every
+// attachment attempt from counters of its own (model.Drawer.Attempt).
 //
 // Bounded integers use Lemire's nearly-divisionless method, which is
 // unbiased and avoids the modulo bias of the naive approach — important
@@ -19,29 +18,23 @@ import "math/bits"
 // It is used for seeding and for deriving per-stream seeds; it is a
 // bijective mixer, so distinct inputs yield distinct outputs.
 func SplitMix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
+	*state += gamma
 	z := *state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
 
-// Rand is a xoshiro256** generator. The zero value is invalid; construct
-// with New or NewStream so the state is never all-zero.
-type Rand struct {
-	s [4]uint64
-}
+// gamma is SplitMix64's counter increment (the golden ratio, odd).
+const gamma = 0x9e3779b97f4a7c15
 
-// New returns a generator seeded from seed via splitmix64.
-func New(seed uint64) *Rand {
-	r := &Rand{}
-	r.Seed(seed)
-	return r
-}
+// Rand is a SplitMix64 generator.
+type Rand struct{ s uint64 }
+
+// New returns a generator seeded with seed.
+func New(seed uint64) *Rand { return &Rand{s: seed} }
 
 // NewStream returns a generator for logical stream id derived from seed.
-// Streams with distinct ids are seeded from well-separated splitmix64
-// outputs, giving statistically independent sequences.
 func NewStream(seed, id uint64) *Rand {
 	r := &Rand{}
 	r.SeedStream(seed, id)
@@ -49,55 +42,20 @@ func NewStream(seed, id uint64) *Rand {
 }
 
 // SeedStream re-seeds r in place to the (seed, id) stream — equivalent
-// to NewStream(seed, id) without allocating. The generator's hot loops
-// derive one stream per node; reusing a single Rand keeps that
-// allocation-free.
-func (r *Rand) SeedStream(seed, id uint64) {
-	sm := seed
-	// Mix the id through the seed so (seed, id) pairs map to distinct
-	// splitmix64 trajectories rather than shifted copies of one another.
-	sm ^= SplitMix64(&id) // id is advanced; its mixed value perturbs sm
-	r.Seed(sm)
-}
+// to NewStream(seed, id) without allocating. The id is mixed first, so
+// consecutive ids start far apart on the counter.
+func (r *Rand) SeedStream(seed, id uint64) { r.s = seed ^ SplitMix64(&id) }
 
-// Seed resets the generator state from seed via splitmix64.
-func (r *Rand) Seed(seed uint64) {
-	sm := seed
-	for i := range r.s {
-		r.s[i] = SplitMix64(&sm)
-	}
-	// splitmix64 output is never all-zero across four draws for any seed,
-	// but guard anyway: an all-zero xoshiro state is a fixed point.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
-	}
-}
+// Seed resets the generator to the stream New(seed) starts.
+func (r *Rand) Seed(seed uint64) { r.s = seed }
 
-// State returns the generator's raw xoshiro256** state. Together with
-// SetState it lets a checkpoint serialize a suspended node's stream
-// position and resume it bit-exactly after a restart.
-func (r *Rand) State() [4]uint64 { return r.s }
-
-// SetState restores a state previously captured with State. The caller
-// must never pass an all-zero state (State of a validly seeded generator
-// never returns one).
-func (r *Rand) SetState(s [4]uint64) { r.s = s }
+// SeedAt positions r at block of the stream New(key) starts, four draws
+// to a block: blocks of at most four draws each read disjoint counters,
+// in any order.
+func (r *Rand) SeedAt(key, block uint64) { r.s = key + block*(4*gamma&(1<<64-1)) }
 
 // Uint64 returns the next 64 random bits.
-func (r *Rand) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-
-	return result
-}
+func (r *Rand) Uint64() uint64 { return SplitMix64(&r.s) }
 
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
 // Implementation is Lemire's nearly-divisionless unbiased method.

@@ -22,16 +22,13 @@ func TestSplitMix64KnownVector(t *testing.T) {
 	}
 }
 
-// xoshiro256** with state {1,2,3,4}: first output is
-// rotl(2*5, 7) * 9 = 1280*9 = 11520, second is 0 (s1 becomes 0 after the
-// first state transition). Verified against the reference C code.
-func TestXoshiroKnownVector(t *testing.T) {
-	r := &Rand{s: [4]uint64{1, 2, 3, 4}}
-	if got := r.Uint64(); got != 11520 {
-		t.Fatalf("first output = %d, want 11520", got)
-	}
-	if got := r.Uint64(); got != 0 {
-		t.Fatalf("second output = %d, want 0", got)
+// A generator seeded with 0 is the reference splitmix64 sequence.
+func TestRandKnownVector(t *testing.T) {
+	r := New(0)
+	for i, w := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := r.Uint64(); got != w {
+			t.Fatalf("output %d = %#x, want %#x", i, got, w)
+		}
 	}
 }
 

@@ -13,17 +13,15 @@ import (
 
 // TestStreamDirBytesPinned pins the bytes of the bounded-memory path. A
 // one-rank streamed run is schedule-free, so its shard file and the
-// PAGB download merged from it are pure functions of the config; the
-// hashes below were recorded before the shard writer, the block cursor
-// and the PAGB encoder were rebuilt, and any change to them is a format
-// change, not an optimisation. wantBlocks, the shard after its header,
-// was recorded with the version 1 writer: version 2 changed only the
-// header's version byte and CRC.
+// PAGB download merged from it are pure functions of the config; any
+// change to them is a format or model change, not an optimisation. The
+// hashes were re-recorded when attachment attempts became counter-based
+// draws, which changed the graph every seed generates.
 func TestStreamDirBytesPinned(t *testing.T) {
 	const (
-		wantShard    = "9a512d16d4caa05ae7d96a32062a7bd5dc8ce5969cc3454c5164506289fd5901"
-		wantBlocks   = "0ebff832ed4b1d58f82f0a318dfcbd3372417a552ea99a68b7097e420a3ab25a"
-		wantDownload = "57f7b522c92ce962e470cd03378dfb7f016deed92a5bcd59c8b742ca89ca8fbe"
+		wantShard    = "35ceeca13872ad6174b0126d0e6606673255bae7d611e1f85382181bbcf2d35e"
+		wantBlocks   = "6de97f16d9d39d7e361988a5f1681b40fb7b61e1a7ee479c694b3640a120653d"
+		wantDownload = "f5f3364ee728d2b9b53545e6ce3a627222f343c185935c909a961145a088244e"
 	)
 	dir := t.TempDir()
 	cfg := Config{N: 30000, X: 4, Ranks: 1, Workers: 1, Seed: 77, StreamDir: dir, StreamBlockEdges: 5000}
@@ -56,12 +54,12 @@ func TestStreamDirBytesPinned(t *testing.T) {
 }
 
 // TestStreamDirTwoRankPinned pins the PAGB download of a two-rank
-// streamed run (recorded when each rank still wrote its edges as they
-// resolved, stragglers and all) and checks that every shard's blocks
+// streamed run (re-recorded with the counter-based draws, like the
+// one-rank hashes above) and checks that every shard's blocks
 // ascend: block i+1's first key lies above block i's last key, because
 // a rank writes its shard from F in key order.
 func TestStreamDirTwoRankPinned(t *testing.T) {
-	const wantDownload = "04d943e28789d197082290d3b68fc266f683a643b691b688acfb97d5dd1509a0"
+	const wantDownload = "c6418a7244b8f347ca1d92c597443ea4110f8a5e3b057cc4a9308d048850cbc7"
 	dir := t.TempDir()
 	cfg := Config{N: 30000, X: 4, Ranks: 2, Workers: 1, Seed: 77, StreamDir: dir, StreamBlockEdges: 5000}
 	if _, err := Generate(cfg); err != nil {
