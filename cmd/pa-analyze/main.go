@@ -32,7 +32,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"os"
 
 	"pagen/internal/analysis"
@@ -84,7 +83,7 @@ func main() {
 	}
 
 	if *fingerpr {
-		fp, err := fingerprint(graph.IterEdges(g))
+		fp, err := graph.Fingerprint(graph.IterEdges(g))
 		if err != nil {
 			fatal(err)
 		}
@@ -149,7 +148,7 @@ func analyzeStream(dir string, ranks int, dmin int64, dist, fingerpr bool, expor
 	m := d.Edges()
 
 	if fingerpr {
-		fp, err := fingerprint(d.Iter(0))
+		fp, err := graph.Fingerprint(d.Iter(0))
 		if err != nil {
 			fatal(err)
 		}
@@ -192,31 +191,6 @@ func analyzeStream(dir string, ranks int, dmin int64, dist, fingerpr bool, expor
 			fatal(err)
 		}
 	}
-}
-
-// fingerprint hashes the edge stream order-sensitively (FNV-1a over the
-// little-endian u, v words): equal streams hash equal, any reordering,
-// duplication or loss almost surely does not.
-func fingerprint(it graph.EdgeIterator) (uint64, error) {
-	h := fnv.New64a()
-	var buf [16]byte
-	var count int64
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
-		}
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(uint64(e.U) >> (8 * i))
-			buf[8+i] = byte(uint64(e.V) >> (8 * i))
-		}
-		h.Write(buf[:])
-		count++
-	}
-	if err := it.Err(); err != nil {
-		return 0, err
-	}
-	return h.Sum64(), nil
 }
 
 // exportBinary writes the edge stream as a PAGB file.

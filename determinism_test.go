@@ -7,16 +7,13 @@ import (
 	"pagen/internal/bench"
 )
 
-// Output is fully deterministic: attempt r of node t's edge e —
-// duplicate retries included — is a pure function of (seed, t, e, r),
-// and each node commits its edges strictly in order (suspending on
-// unresolved copy sources, holding answers that arrive ahead of its
-// committed prefix). The emitted graph is therefore a pure function of
-// (n, x, p, seed), independent of rank count, worker count, partition
-// scheme and message schedule. These fingerprints were re-recorded when
-// attempts became counter-based draws (they were keyed to positions in
-// a per-node stream before); no optimisation of the engine may move
-// them by a single byte, at any worker count.
+// The output is a pure function of (n, x, p, seed) — the determinism
+// contract of DESIGN.md §8.1, which TestSimProperty checks across
+// configurations and schedules. These pins hold the bytes themselves:
+// they were re-recorded when attempts became counter-based draws (they
+// were keyed to positions in a per-node stream before); no
+// optimisation of the engine may move them by a single byte, at any
+// worker count.
 func TestSingleRankFingerprintPinned(t *testing.T) {
 	cases := []struct {
 		n    int64
@@ -42,9 +39,10 @@ func TestSingleRankFingerprintPinned(t *testing.T) {
 	}
 }
 
-// Worker-count invariance at every rank count: the order-insensitive
-// multi-rank fingerprint must match the workers=1 fingerprint for the
-// same (n, x, ranks, seed) at 2, 4 and 8 workers per rank.
+// Worker-count invariance at every rank count: the multi-rank
+// fingerprint — order-sensitive, since Run's edge list is in rank-range
+// order — must match the workers=1 fingerprint for the same
+// (n, x, ranks, seed) at 2, 4 and 8 workers per rank.
 func TestWorkerCountInvariantFingerprint(t *testing.T) {
 	const (
 		n    = int64(60_000)
@@ -68,15 +66,14 @@ func TestWorkerCountInvariantFingerprint(t *testing.T) {
 	}
 }
 
-// The fingerprint itself must be reproducible within a process for any
-// rank count when the stream is reduced order-insensitively — this
-// guards the Fingerprint helper rather than the engine.
+// The fingerprint itself must be reproducible within a process — this
+// guards the FingerprintAt helper rather than the engine.
 func TestFingerprintSelfConsistent(t *testing.T) {
-	a, err := bench.Fingerprint(20_000, 2, 1, 3)
+	a, err := bench.FingerprintAt(20_000, 2, 1, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := bench.Fingerprint(20_000, 2, 1, 3)
+	b, err := bench.FingerprintAt(20_000, 2, 1, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"pagen/internal/ckpt"
 	"pagen/internal/coll"
@@ -321,62 +319,18 @@ func TestCheckpointSingleRank(t *testing.T) {
 	}
 }
 
-// Epochs must survive a hostile message schedule: a chaos transport
-// delaying 30% of frames stretches the quiescence rounds (messages
-// linger in flight), and the cut must still be consistent.
+// Epochs must survive a hostile message schedule: seeded schedules that
+// keep many frames in flight stretch the quiescence rounds, and every
+// retained epoch must still be a consistent cut of a run whose output
+// is the model's.
 func TestCheckpointChaosTransport(t *testing.T) {
-	pr := model.Params{N: 6_000, X: 3, P: 0.5}
-	sg, _, err := seq.CopyModel(pr, 9, seq.CopyModelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := edgeSet(t, sg.Edges)
-	const p = 4
-	part, err := partition.New(partition.KindRRP, pr.N, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Retry at smaller intervals: even under chaos delays the run can
-	// finish before a pending trigger opens its epoch.
-	var results []*RankResult
-	for every := int64(1000); every >= 50; every /= 2 {
-		group, err := transport.NewLocalGroup(p)
-		if err != nil {
-			t.Fatal(err)
+	c := simConfig{N: 6_000, X: 3, P: 0.5, Seed: 9, Scheme: partition.KindRRP, Ranks: 4, Workers: 2,
+		Stream: true, Every: 500, Deliver: 0.1}
+	for _, sched := range []uint64{700, 701} {
+		c.Sched = sched
+		if o := checkSims(t, c)[0]; o.epochs < 1 {
+			t.Fatalf("schedule %d: %d epochs retained, want >= 1", sched, o.epochs)
 		}
-		dir, streamDir := t.TempDir(), t.TempDir()
-		results = make([]*RankResult, p)
-		errs := make([]error, p)
-		done := make(chan int, p)
-		for r := 0; r < p; r++ {
-			go func(r int) {
-				tr := transport.NewChaos(group.Endpoint(r), transport.ChaosConfig{
-					Seed:      700 + uint64(r),
-					DelayProb: 0.3,
-					MaxDelay:  500 * time.Microsecond,
-				})
-				results[r], errs[r] = RunRank(tr, Options{
-					Params: pr, Part: part, Seed: 9, Workers: 2, StreamDir: streamDir,
-					Checkpoint: &CheckpointOptions{Dir: dir, Every: every},
-				})
-				done <- r
-			}(r)
-		}
-		for i := 0; i < p; i++ {
-			<-done
-		}
-		for r := 0; r < p; r++ {
-			if errs[r] != nil {
-				t.Fatalf("rank %d: %v", r, errs[r])
-			}
-		}
-		sameEdgeSet(t, "chaos checkpoint", streamEdges(t, streamDir, p), want)
-		if results[0].Stats.CkptEpochs >= 1 {
-			break
-		}
-	}
-	if results[0].Stats.CkptEpochs < 1 {
-		t.Fatalf("committed %d epochs under chaos even at Every=50, want >= 1", results[0].Stats.CkptEpochs)
 	}
 }
 
@@ -396,9 +350,9 @@ func TestCheckpointKillDuringBackgroundWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ki, killAfter := range []int64{60, 600} {
+	for ki, killAfter := range []int{60, 600} {
 		dir, streamDir := t.TempDir(), t.TempDir()
-		runCluster := func(basePort int, kill int64, resume bool) []error {
+		runCluster := func(basePort int, kill int, resume bool) []error {
 			addrs := make([]string, ranks)
 			for i := range addrs {
 				addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
@@ -417,15 +371,11 @@ func TestCheckpointKillDuringBackgroundWrite(t *testing.T) {
 						errs[r] = err
 						return
 					}
+					defer tr.Close()
 					if kill > 0 && r == ranks-1 {
-						chaotic := transport.NewChaos(tr, transport.ChaosConfig{
-							Seed: 31, KillAfterSends: kill,
-						})
-						_, errs[r] = RunRank(chaotic, opts)
-						chaotic.Close()
+						_, errs[r] = RunRank(&abortAfter{TCP: tr, sends: kill}, opts)
 						return
 					}
-					defer tr.Close()
 					_, errs[r] = RunRank(tr, opts)
 				}(r)
 			}
@@ -446,28 +396,6 @@ func TestCheckpointKillDuringBackgroundWrite(t *testing.T) {
 		}
 		equalEdges(t, fmt.Sprintf("killAfter=%d resume", killAfter), streamEdges(t, streamDir, ranks), base.Graph.Edges)
 	}
-}
-
-// cutDelay holds back every frame carrying a checkpoint-cut marker to
-// one destination — inside Send, so the channel stays FIFO — long enough
-// for the other ranks to cut, resume and reach that rank first.
-type cutDelay struct {
-	transport.Transport
-	to    int
-	delay time.Duration
-}
-
-func (d *cutDelay) Send(to int, data []byte) error {
-	if to == d.to {
-		ms, _ := msg.DecodeBatch(nil, data)
-		for _, m := range ms {
-			if m.Kind == msg.KindCkpt && msg.CkptOp(m.E) == msg.CkptCut {
-				time.Sleep(d.delay)
-				break
-			}
-		}
-	}
-	return d.Transport.Send(to, data)
 }
 
 // cutMismatches lists what one epoch's snapshots disagree on. At a
@@ -523,14 +451,27 @@ func cutMismatches(part partition.Scheme, seed uint64, h int64, snaps []*ckpt.Sn
 	return out
 }
 
+// ckptEpoch reports whether ms carries a checkpoint message of op, and
+// for which epoch.
+func ckptEpoch(ms []msg.Message, op msg.CkptOp) (int64, bool) {
+	for _, m := range ms {
+		if m.Kind == msg.KindCkpt && msg.CkptOp(m.E) == op {
+			return m.K, true
+		}
+	}
+	return 0, false
+}
+
 // Rank 0 sends the cut marker on its own channels, so a peer that cut
 // first can resume and reach a rank whose marker is still in flight.
-// Hold rank 0's markers to rank 2 back: every epoch must still be a
-// consistent cut (the smokes' restart hang was rank 2 handling rank 1's
-// post-cut answers, moving on and sending requests no snapshot holds),
-// and a resume from the newest epoch must finish the graph.
+// The schedule holds rank 0's channel to rank 2 whenever a marker heads
+// it, until rank 1 has cut, relayed and sent rank 2 post-cut traffic:
+// every epoch must still be a consistent cut (the smokes' restart hang
+// was rank 2 handling rank 1's post-cut answers, moving on and sending
+// requests no snapshot holds), and a resume from the newest epoch must
+// finish the graph.
 func TestCheckpointCutMarkerOvertaken(t *testing.T) {
-	pr := model.Params{N: 60_000, X: 3, P: 0.5}
+	pr := model.Params{N: 20_000, X: 3, P: 0.5}
 	const p = 3
 	part, err := partition.New(partition.KindRRP, pr.N, p)
 	if err != nil {
@@ -544,29 +485,35 @@ func TestCheckpointCutMarkerOvertaken(t *testing.T) {
 		Params: pr, Part: part, Seed: 5, Workers: 1, StreamDir: t.TempDir(),
 		Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: 2_000, Keep: 1000},
 	}
-	group, err := transport.NewLocalGroup(p)
-	if err != nil {
+	// cut1 is the latest epoch rank 1 has cut (its vote went out),
+	// resumed those it has since sent rank 2 traffic in, and marked
+	// those whose marker from rank 0 rank 2 has taken.
+	var cut1 int64
+	resumed, marked := map[int64]bool{}, map[int64]bool{}
+	overtook := 0
+	sched := simSched{
+		seed: 5,
+		sent: func(src, dst int, ms []msg.Message) {
+			if ep, ok := ckptEpoch(ms, msg.CkptVote); ok && src == 1 {
+				cut1 = ep
+			} else if src == 1 && dst == 2 && cut1 > 0 && slices.ContainsFunc(ms, func(m msg.Message) bool { return m.Kind != msg.KindCkpt }) {
+				resumed[cut1] = true
+			}
+		},
+		hold: func(src, dst int, ms []msg.Message) bool {
+			ep, ok := ckptEpoch(ms, msg.CkptCut)
+			return src == 0 && dst == 2 && ok && !resumed[ep]
+		},
+		received: func(src, dst int, ms []msg.Message) {
+			if ep, ok := ckptEpoch(ms, msg.CkptCut); ok && src == 0 && dst == 2 {
+				marked[ep] = true
+			} else if src == 1 && dst == 2 && resumed[cut1] && !marked[cut1] {
+				overtook++
+			}
+		},
+	}
+	if _, _, err := simGroup(p, sched, func(int) Options { return opts }, nil); err != nil {
 		t.Fatal(err)
-	}
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		var tr transport.Transport = group.Endpoint(r)
-		if r == 0 {
-			tr = &cutDelay{Transport: tr, to: 2, delay: 40 * time.Millisecond}
-		}
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			defer tr.Close()
-			_, errs[r] = RunRank(tr, opts)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
 	}
 	epochs, err := ckpt.Epochs(opts.Checkpoint.Dir, 0)
 	if err != nil || len(epochs) < 2 {
@@ -583,78 +530,25 @@ func TestCheckpointCutMarkerOvertaken(t *testing.T) {
 			t.Fatalf("epoch %d is not a consistent cut: %d mismatches, e.g. %s", ep, len(bad), bad[0])
 		}
 	}
+	if overtook == 0 {
+		t.Fatal("rank 1's post-cut traffic never reached rank 2 ahead of rank 0's marker; the hold exercised nothing")
+	}
 	opts.Checkpoint.Resume = true
-	if _, err := Run(opts, false); err != nil {
+	if _, _, err := simGroup(p, simSched{seed: 6}, func(int) Options { return opts }, nil); err != nil {
 		t.Fatal(err)
 	}
 	equalEdges(t, "resumed from the newest epoch", streamEdges(t, opts.StreamDir, p), base.Graph.Edges)
-}
-
-// relayHold parks, at the receiving rank, every frame from rank from
-// that carries only cut markers, and hands the parked frames out only
-// to blocking receives after a frame carrying stop went through: rank
-// from's relays reach this rank after its stop, and only if it asks for
-// more traffic once stopped.
-type relayHold struct {
-	transport.Transport
-	from    int
-	parked  int
-	held    []transport.Frame
-	stopped bool
-}
-
-func (h *relayHold) Recv() (transport.Frame, error) {
-	for {
-		if h.stopped && len(h.held) > 0 {
-			f := h.held[0]
-			h.held = h.held[1:]
-			return f, nil
-		}
-		f, err := h.Transport.Recv()
-		if err != nil || !h.park(f) {
-			return f, err
-		}
-	}
-}
-
-func (h *relayHold) TryRecv() (transport.Frame, bool, error) {
-	for {
-		f, ok, err := h.Transport.TryRecv()
-		if err != nil || !ok || !h.park(f) {
-			return f, ok, err
-		}
-	}
-}
-
-// park reports whether f was held back, noting stop as it passes.
-func (h *relayHold) park(f transport.Frame) bool {
-	ms, _ := msg.DecodeBatch(nil, f.Data)
-	markers := 0
-	for _, m := range ms {
-		if m.Kind == msg.KindStop {
-			h.stopped = true
-		}
-		if m.Kind == msg.KindCkpt && msg.CkptOp(m.E) == msg.CkptCut {
-			markers++
-		}
-	}
-	if f.From != h.from || markers == 0 || markers != len(ms) {
-		return false
-	}
-	h.parked++
-	h.held = append(h.held, f)
-	return true
 }
 
 // A relayed cut marker travels on its sender's channel, not behind rank
 // 0's stop, so it can reach a rank after that rank stopped. The rank
 // must still consume it before RunRank returns: cmd/pa-tcp runs its
 // summary collectives over the same transport next, and those reject
-// any checkpoint message. Rank 1's relays to rank 2 are held until rank
-// 2 has seen stop; the hub cache is off so no fence wait keeps rank 2
-// receiving by accident.
+// any checkpoint message. The schedule holds rank 1's channel to rank 2
+// while a marker-only frame heads it, until rank 2 has taken stop; the
+// hub cache is off so no fence wait keeps rank 2 receiving by accident.
 func TestCheckpointRelayAfterStop(t *testing.T) {
-	pr := model.Params{N: 20_000, X: 3, P: 0.5}
+	pr := model.Params{N: 6_000, X: 3, P: 0.5}
 	const p = 3
 	part, err := partition.New(partition.KindRRP, pr.N, p)
 	if err != nil {
@@ -662,66 +556,42 @@ func TestCheckpointRelayAfterStop(t *testing.T) {
 	}
 	opts := Options{
 		Params: pr, Part: part, Seed: 9, Workers: 1, HubPrefix: -1, StreamDir: t.TempDir(),
-		Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: 2_000},
+		Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: 1_500},
 	}
-	group, err := transport.NewLocalGroup(p)
+	stopped, parked := false, 0
+	// One late epoch and slow arrivals: rank 1's relay is then the last
+	// frame on its channel to rank 2, and the hold outlasts the run.
+	sched := simSched{
+		seed: 3, deliver: 0.1,
+		hold: func(src, dst int, ms []msg.Message) bool {
+			_, ok := ckptEpoch(ms, msg.CkptCut)
+			return src == 1 && dst == 2 && ok && len(ms) == 1 && !stopped
+		},
+		received: func(src, dst int, ms []msg.Message) {
+			if dst != 2 {
+				return
+			}
+			if _, ok := ckptEpoch(ms, msg.CkptCut); ok && src == 1 && stopped {
+				parked++
+			}
+			if slices.ContainsFunc(ms, func(m msg.Message) bool { return m.Kind == msg.KindStop }) {
+				stopped = true
+			}
+		},
+	}
+	_, _, err = simGroup(p, sched, func(int) Options { return opts }, func(r int, tr transport.Transport, res *RankResult) error {
+		cs := coll.New(comm.New(tr, comm.Config{}))
+		if _, err := cs.Gather(res.Stats.Edges); err != nil {
+			return err
+		}
+		_, err := cs.AllReduceSum(res.Stats.Comm.RequestsSent)
+		return err
+	})
+	if parked == 0 {
+		t.Fatal("no relay from rank 1 to rank 2 was held back past stop; the test exercised nothing")
+	}
 	if err != nil {
-		t.Fatal(err)
-	}
-	trs := make([]transport.Transport, p)
-	for r := range trs {
-		trs[r] = group.Endpoint(r)
-	}
-	hold := &relayHold{Transport: trs[2], from: 1}
-	trs[2] = hold
-	// A failing rank closes every endpoint so its peers' collectives
-	// return instead of waiting for it forever.
-	var closeAll sync.Once
-	abort := func() {
-		closeAll.Do(func() {
-			for _, tr := range trs {
-				tr.Close()
-			}
-		})
-	}
-	defer abort()
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			errs[r] = func() error {
-				res, err := RunRank(trs[r], opts)
-				if err != nil {
-					return err
-				}
-				cs := coll.New(comm.New(trs[r], comm.Config{}))
-				if _, err := cs.Gather(res.Stats.Edges); err != nil {
-					return err
-				}
-				_, err = cs.AllReduceSum(res.Stats.Comm.RequestsSent)
-				return err
-			}()
-			if errs[r] != nil {
-				abort()
-			}
-		}(r)
-	}
-	wg.Wait()
-	if hold.parked == 0 {
-		t.Fatal("no relay from rank 1 to rank 2 was held back; the test exercised nothing")
-	}
-	// Report the rank that failed first, not the peers its abort closed.
-	for r, err := range errs {
-		if err != nil && !errors.Is(err, transport.ErrClosed) {
-			t.Fatalf("rank %d (%d relays held past stop): %v", r, hold.parked, err)
-		}
-	}
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
+		t.Fatalf("%d relays held past stop: %v", parked, err)
 	}
 }
 

@@ -148,8 +148,8 @@ type Options struct {
 	// with: "shm" (the default — co-located ranks hand message batches
 	// across by reference, no serialization) or "local" (every frame
 	// runs through the v3 codec; the serialization ablation). RunRank
-	// ignores it — callers that build their own endpoints (pa-tcp,
-	// chaos tests) pass whatever transport they constructed.
+	// ignores it — callers that build their own endpoints (pa-tcp, the
+	// simulated-network tests) pass whatever transport they constructed.
 	Transport string
 }
 
@@ -258,8 +258,7 @@ type RankStats struct {
 	// TCP says who moved the bytes on a TCP transport: frames drained by
 	// the engine's own polls against frames that waited for a reader
 	// goroutine, readiness probes and their hits, and inline writes that
-	// found the peer's socket buffer full. Zero on other transports and
-	// behind wrappers that hide the endpoint (Chaos, Delayed).
+	// found the peer's socket buffer full. Zero on other transports.
 	TCP transport.TCPStats
 }
 

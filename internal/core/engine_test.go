@@ -424,6 +424,17 @@ func TestEngineRandomConfigsProperty(t *testing.T) {
 	}
 }
 
+// Seeded delayed and reordered delivery must not change correctness:
+// the protocol tolerates any per-channel-FIFO interleaving (DESIGN.md
+// §8.1), so the graph is still complete and the model's.
+func TestEngineSurvivesChaosDelay(t *testing.T) {
+	c := simConfig{N: 6_000, X: 3, P: 0.5, Seed: 11, Scheme: partition.KindRRP, Ranks: 4, Workers: 1, Deliver: 0.1}
+	for _, sched := range []uint64{100, 101, 102} {
+		c.Sched = sched
+		checkSims(t, c)
+	}
+}
+
 func BenchmarkParallelRRP8(b *testing.B) {
 	pr := model.Params{N: 100000, X: 4, P: 0.5}
 	part := mustScheme(b, partition.KindRRP, pr.N, 8)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"pagen/internal/graph"
 	"pagen/internal/model"
@@ -85,6 +87,85 @@ func TestTCPMatchesLocalX1(t *testing.T) {
 	for _, e := range res.Graph.Edges {
 		if fTCP[e.U] != e.V {
 			t.Fatalf("F_%d: tcp %d local %d", e.U, fTCP[e.U], e.V)
+		}
+	}
+}
+
+// errAborted is what an abortAfter endpoint's sends return once it died.
+var errAborted = errors.New("test: endpoint aborted")
+
+// abortAfter is a TCP endpoint that dies after sends more sends: it
+// aborts its connections without goodbyes, which is all a crashed
+// process shows the wire, and fails every later send.
+type abortAfter struct {
+	*transport.TCP
+	sends int
+}
+
+func (a *abortAfter) Send(to int, data []byte) error {
+	if a.sends <= 0 {
+		a.Abort()
+		transport.ReleaseFrame(data)
+		return errAborted
+	}
+	a.sends--
+	return a.TCP.Send(to, data)
+}
+
+// A rank that crashes mid-protocol must turn into errors across the
+// cluster — never a hang. This needs the TCP transport: crash detection
+// lives in its failure model (abrupt socket death without the goodbye
+// marker latches a connection-lost error on every peer), which the
+// in-process transports deliberately do not model.
+func TestEngineTCPKillErrorsNotHangs(t *testing.T) {
+	pr := model.Params{N: 8000, X: 4, P: 0.5}
+	const p = 4
+	part, err := partition.New(partition.KindRRP, pr.N, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ki, killAfter := range []int{1, 50} {
+		basePort := 43400 + ki*8
+		addrs := make([]string, p)
+		for i := range addrs {
+			addrs[i] = fmt.Sprintf("127.0.0.1:%d", basePort+i)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, p)
+		for r := 0; r < p; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				tcp, err := transport.NewTCP(r, addrs)
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				defer tcp.Close()
+				var tr transport.Transport = tcp
+				if r == p-1 {
+					// bufferCap 1 so each protocol message is one send
+					// and the kill budget lands mid-protocol.
+					tr = &abortAfter{TCP: tcp, sends: killAfter}
+				}
+				_, errs[r] = RunRank(tr, Options{Params: pr, Part: part, Seed: 13, bufferCap: 1})
+			}(r)
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("killAfter=%d: cluster hung on a killed rank", killAfter)
+		}
+		failed := 0
+		for _, e := range errs {
+			if e != nil {
+				failed++
+			}
+		}
+		if failed == 0 {
+			t.Fatalf("killAfter=%d: no rank reported the kill", killAfter)
 		}
 	}
 }

@@ -1,20 +1,19 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
+	"strings"
 	"testing"
-	"time"
 
 	"pagen/internal/ckpt"
 	"pagen/internal/graph"
 	"pagen/internal/model"
 	"pagen/internal/partition"
 	"pagen/internal/seq"
-	"pagen/internal/transport"
 )
 
 // edgeKey is a canonical edge for set comparison.
@@ -103,53 +102,16 @@ func TestWorkersAllSchemes(t *testing.T) {
 	}
 }
 
-// Determinism must survive a hostile message schedule: a chaos transport
-// delaying 30% of frames reorders resolution arrivals across ranks, and
-// the output must still be byte-for-byte the sequential edge set.
+// Determinism must survive a hostile message schedule: seeded simNet
+// schedules that keep many frames in flight reorder resolution arrivals
+// across ranks (DESIGN.md §8.1), and the output must still be the
+// sequential model's, trace and edge for edge.
 func TestWorkersChaosDeterministic(t *testing.T) {
-	pr := model.Params{N: 6_000, X: 3, P: 0.5}
-	sg, _, err := seq.CopyModel(pr, 9, seq.CopyModelOptions{})
-	if err != nil {
-		t.Fatal(err)
+	c := simConfig{N: 6_000, X: 3, P: 0.5, Seed: 9, Scheme: partition.KindRRP, Ranks: 4, Workers: 2, Deliver: 0.1}
+	for _, sched := range []uint64{900, 901, 902} {
+		c.Sched = sched
+		checkSims(t, c)
 	}
-	want := edgeSet(t, sg.Edges)
-
-	const p = 4
-	part, err := partition.New(partition.KindRRP, pr.N, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	group, err := transport.NewLocalGroup(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make([]*RankResult, p)
-	errs := make([]error, p)
-	done := make(chan int, p)
-	for r := 0; r < p; r++ {
-		go func(r int) {
-			tr := transport.NewChaos(group.Endpoint(r), transport.ChaosConfig{
-				Seed:      900 + uint64(r),
-				DelayProb: 0.3,
-				MaxDelay:  500 * time.Microsecond,
-			})
-			results[r], errs[r] = RunRank(tr, Options{
-				Params: pr, Part: part, Seed: 9, Workers: 2,
-			})
-			done <- r
-		}(r)
-	}
-	var all []graph.Edge
-	for i := 0; i < p; i++ {
-		<-done
-	}
-	for r := 0; r < p; r++ {
-		if errs[r] != nil {
-			t.Fatalf("rank %d: %v", r, errs[r])
-		}
-		all = append(all, results[r].Edges...)
-	}
-	sameEdgeSet(t, "chaos", all, want)
 }
 
 // The streaming sink contract: each rank calls the sink from one
@@ -302,94 +264,31 @@ func TestStealOutputInvariance(t *testing.T) {
 	}
 }
 
-// An unknown transport name must fail loudly, not fall back.
-func TestRunUnknownTransport(t *testing.T) {
-	pr := model.Params{N: 1000, X: 2, P: 0.5}
-	part, err := partition.New(partition.KindRRP, pr.N, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(Options{Params: pr, Part: part, Seed: 1, Transport: "tcp"}, false); err == nil {
-		t.Fatal("Run with Transport tcp succeeded; in-process runs cannot speak tcp")
-	}
-}
-
-// Seeded delay chaos at 2 and 4 ranks with workers > 1: chaos-wrapped
-// endpoints hide the SendMsgs fast path, so this also runs the
-// byte-codec fallback of the shm group.
+// Seeded delay at 2 and 4 ranks with workers > 1: the simulated network
+// speaks byte frames only, so this also runs the byte-codec path with
+// helper lanes drawing inside their rank's turn.
 func TestStealChaosDelayWorkers(t *testing.T) {
-	pr := model.Params{N: 6_000, X: 3, P: 0.5}
-	sg, _, err := seq.CopyModel(pr, 9, seq.CopyModelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := edgeSet(t, sg.Edges)
 	for _, p := range []int{2, 4} {
 		for _, workers := range []int{2, 3} {
-			part, err := partition.New(partition.KindRRP, pr.N, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			group, err := transport.NewShmGroup(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			results := make([]*RankResult, p)
-			errs := make([]error, p)
-			for r := 0; r < p; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					tr := transport.NewChaos(group.Endpoint(r), transport.ChaosConfig{
-						Seed:      uint64(700 + 10*p + r),
-						DelayProb: 0.3,
-						MaxDelay:  500 * time.Microsecond,
-					})
-					defer tr.Close()
-					results[r], errs[r] = RunRank(tr, Options{
-						Params: pr, Part: part, Seed: 9, Workers: workers,
-					})
-				}(r)
-			}
-			wg.Wait()
-			var all []graph.Edge
-			for r := 0; r < p; r++ {
-				if errs[r] != nil {
-					t.Fatalf("ranks=%d workers=%d rank %d: %v", p, workers, r, errs[r])
-				}
-				all = append(all, results[r].Edges...)
-			}
-			sameEdgeSet(t, fmt.Sprintf("chaos ranks=%d workers=%d", p, workers), all, want)
+			checkSims(t, simConfig{N: 6_000, X: 3, P: 0.5, Seed: 9, Scheme: partition.KindRRP,
+				Ranks: p, Workers: workers, Sched: uint64(700 + 10*p), Deliver: 0.1})
 		}
 	}
 }
 
-// Seeded drop chaos with workers > 1: hub publishes are the one
+// Dropped publishes with workers > 1: hub publishes are the one
 // drop-tolerated message class (requests fall back to the wire), so
-// losing all of them must still produce the
-// baseline's edges — at 2 and 4 ranks.
+// losing all of them must still produce the model's edges — at 2 and 4
+// ranks.
 func TestStealPublishDropWorkers(t *testing.T) {
-	pr := model.Params{N: 6_000, X: 3, P: 0.5}
 	for _, p := range []int{2, 4} {
-		part, err := partition.New(partition.KindRRP, pr.N, p)
-		if err != nil {
-			t.Fatal(err)
+		o := checkSims(t, simConfig{N: 6_000, X: 3, P: 0.5, Seed: 17, Scheme: partition.KindRRP,
+			Ranks: p, Workers: 2, Sched: 17, PubDrop: 1})[0]
+		if !o.pubFaults {
+			t.Fatalf("ranks=%d: no publish dropped; loss path unexercised", p)
 		}
-		baseline, _ := runFiltered(t, Options{
-			Params: pr, Part: part, Seed: 17, Workers: 2, HubPrefix: -1,
-		}, p, false)
-		dropped, filters := runFiltered(t, Options{
-			Params: pr, Part: part, Seed: 17, Workers: 2, HubPrefix: 0,
-		}, p, false)
-		var lost int64
-		for r := 0; r < p; r++ {
-			equalEdges(t, fmt.Sprintf("drop ranks=%d rank=%d", p, r),
-				dropped[r].Edges, baseline[r].Edges)
-			lost += filters[r].dropped
-		}
-		if lost == 0 {
-			t.Fatalf("ranks=%d: filter dropped no publishes; loss path unexercised", p)
+		if o.pubRecv != 0 {
+			t.Fatalf("ranks=%d: %d publishes received, all were dropped", p, o.pubRecv)
 		}
 	}
 }
@@ -466,27 +365,46 @@ func removeEpoch(dir string, rank int, epoch int64) error {
 	return os.Remove(ckpt.Path(dir, rank, epoch))
 }
 
-// settledGoroutines waits for runtime.NumGoroutine to fall to base (exits
-// the run does not wait for, like a closed transport's, take a moment)
-// and returns the last count.
-func settledGoroutines(base int) int {
-	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(2 * time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-		time.Sleep(time.Millisecond)
+// An unknown transport name must fail loudly, not fall back.
+func TestRunUnknownTransport(t *testing.T) {
+	pr := model.Params{N: 1000, X: 2, P: 0.5}
+	part, err := partition.New(partition.KindRRP, pr.N, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(Options{Params: pr, Part: part, Seed: 1, Transport: "tcp"}, false); err == nil {
+		t.Fatal("Run with Transport tcp succeeded; in-process runs cannot speak tcp")
+	}
+}
+
+// parkedInCore counts the goroutines other than the caller that are
+// parked inside this package: a helper lane waiting for a window that
+// never comes, say. A goroutine on its way out is running or runnable,
+// never parked, so the count needs no settling time.
+func parkedInCore() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for i, g := range strings.Split(string(buf), "\n\n") {
+		head, _, _ := strings.Cut(g, "\n")
+		if i > 0 && strings.Contains(g, "pagen/internal/core.") &&
+			!strings.Contains(head, "[running") && !strings.Contains(head, "[runnable") {
+			n++
+		}
 	}
 	return n
 }
 
 // Helper goroutines live exactly as long as the run that started them:
 // after a successful run, after a construction error and after a rank
-// aborts mid-protocol, the process is back at its baseline count.
+// crashes mid-protocol, no goroutine of this package is left parked.
 func TestWorkersHelpersStopped(t *testing.T) {
 	pr := model.Params{N: 20_000, X: 3, P: 0.5}
-	base := runtime.NumGoroutine()
+	base := parkedInCore()
 	check := func(label string) {
 		t.Helper()
-		if n := settledGoroutines(base); n > base {
-			t.Fatalf("%s: %d goroutines, %d before", label, n, base)
+		if n := parkedInCore(); n > base {
+			t.Fatalf("%s: %d goroutines parked in the package, %d before", label, n, base)
 		}
 	}
 
@@ -509,44 +427,18 @@ func TestWorkersHelpersStopped(t *testing.T) {
 	}
 	check("construction error")
 
-	// Rank 1 dies after 50 sends; closing every endpoint (what Run does
-	// on a rank error) unwinds rank 0. The pinned interval makes both
-	// ranks hand windows to their helpers before the kill lands.
-	const p = 2
-	part, err = partition.New(partition.KindRRP, pr.N, p)
+	// Rank 1 crashes at its 60th transport call and the group aborts, as
+	// Run does on a rank error. The pinned interval makes both ranks hand
+	// windows to their helpers before the crash lands.
+	part, err = partition.New(partition.KindRRP, pr.N, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	group, err := transport.NewShmGroup(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trs := []transport.Transport{
-		group.Endpoint(0),
-		transport.NewChaos(group.Endpoint(1), transport.ChaosConfig{Seed: 7, KillAfterSends: 50}),
-	}
-	errs := make([]error, p)
-	var closeOnce sync.Once
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			_, errs[r] = RunRank(trs[r], Options{
-				Params: pr, Part: part, Seed: 1, Workers: 4, bufferCap: 1, pollEvery: 1024,
-			})
-			if errs[r] != nil {
-				closeOnce.Do(func() {
-					for _, tr := range trs {
-						tr.Close()
-					}
-				})
-			}
-		}(r)
-	}
-	wg.Wait()
-	if errs[1] == nil {
-		t.Fatal("killed rank returned no error")
+	_, _, err = simGroup(2, simSched{seed: 7, crashRank: 1, crashAt: 60}, func(int) Options {
+		return Options{Params: pr, Part: part, Seed: 1, Workers: 4, bufferCap: 1, pollEvery: 1024}
+	}, nil)
+	if !errors.Is(err, errSimCrash) {
+		t.Fatalf("crashed run: err = %v, want the crash", err)
 	}
 	check("aborted run")
 }

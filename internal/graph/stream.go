@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"runtime"
 	"sync"
@@ -58,6 +59,30 @@ func DegreesFromIterator(n int64, it EdgeIterator) ([]int64, error) {
 		return nil, err
 	}
 	return deg, nil
+}
+
+// Fingerprint hashes an edge stream order-sensitively: FNV-1a over
+// each edge's little-endian u and v words. Equal streams hash equal; any
+// reordering, duplication or loss almost surely does not. It is the
+// one output fingerprint of the repository — pa-analyze -fingerprint,
+// the determinism pins and the simulated-network property test all
+// compute it.
+func Fingerprint(it EdgeIterator) (uint64, error) {
+	h := fnv.New64a()
+	var buf [16]byte
+	for {
+		e, ok := it.Next()
+		if !ok {
+			break
+		}
+		binary.LittleEndian.PutUint64(buf[:8], uint64(e.U))
+		binary.LittleEndian.PutUint64(buf[8:], uint64(e.V))
+		h.Write(buf[:])
+	}
+	if err := it.Err(); err != nil {
+		return 0, err
+	}
+	return h.Sum64(), nil
 }
 
 // ChunkedIterator is an EdgeIterator whose edges also split into

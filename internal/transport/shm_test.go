@@ -68,18 +68,6 @@ func TestShmSendMsgsBounds(t *testing.T) {
 	}
 }
 
-// TestChaosHidesMsgSender pins the chaos-compatibility mechanism: a
-// chaos wrapper does not forward the MsgSender fast path, so a
-// communicator over a wrapped endpoint falls back to byte frames — the
-// path fault injection understands.
-func TestChaosHidesMsgSender(t *testing.T) {
-	g, _ := NewShmGroup(2)
-	var ep Transport = NewChaos(g.Endpoint(0), ChaosConfig{})
-	if _, ok := ep.(MsgSender); ok {
-		t.Fatal("chaos-wrapped endpoint still exposes SendMsgs; faults would bypass injection")
-	}
-}
-
 // TestMailboxBacklogLimit is the backpressure contract of the bounded
 // in-process mailboxes: past the limit, push fails fast with ErrBacklog
 // instead of growing the queue, and draining frees capacity again.

@@ -598,8 +598,8 @@ func (t *TCP) Close() error {
 // Abort tears the endpoint down abruptly: no goodbye markers — peers
 // observe exactly what a crashed process looks like on the wire (EOF or
 // reset without goodbye) and latch connection-lost errors. It exists for
-// fault injection (Chaos's kill switch uses it); production shutdown
-// goes through Close.
+// fault injection (the kill tests abort an endpoint mid-protocol);
+// production shutdown goes through Close.
 func (t *TCP) Abort() {
 	if t.beginClose() {
 		t.teardown()

@@ -180,19 +180,19 @@ func TestTCPCloseDrainsInFlightFrames(t *testing.T) {
 	eps[1].Close()
 }
 
-// The chaos wrapper composes with TCP: killing one rank of a live TCP
-// mesh turns into errors on the peers, not hangs.
-func TestTCPChaosKillSurfacesOnPeer(t *testing.T) {
+// Killing one rank of a live TCP mesh — Abort after three sends, which
+// is all a crashed process shows the wire — turns into errors on the
+// peers, not hangs.
+func TestTCPKillSurfacesOnPeer(t *testing.T) {
 	eps := mkTCPWithConfig(t, 2, 42770, TCPConfig{writeTimeout: 2 * time.Second})
-	chaotic := NewChaos(eps[1], ChaosConfig{Seed: 9, KillAfterSends: 3})
 	defer eps[0].Close()
-	defer chaotic.Close()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 3; i++ {
 		b := LeaseFrame(1)
-		if err := chaotic.Send(0, append(b, byte(i))); err != nil {
-			break
+		if err := eps[1].Send(0, append(b, byte(i))); err != nil {
+			t.Fatalf("send %d before the kill: %v", i, err)
 		}
 	}
+	eps[1].Abort()
 	// Rank 0 must observe the abrupt death within the read path.
 	done := make(chan error, 1)
 	go func() {

@@ -29,6 +29,12 @@
 //
 // A Transport moves opaque frames; message semantics live in
 // internal/msg, batching policy in internal/comm.
+//
+// There is no fault-injecting transport here. The determinism contract
+// (DESIGN.md §8.1) is tested on a seeded simulated network in
+// internal/core's tests, which reorders frames across channels, drops
+// and duplicates publishes, and crashes ranks as schedule choices; the
+// crash tests over real sockets abort a TCP endpoint (TCP.Abort).
 package transport
 
 import (
@@ -76,9 +82,9 @@ const DefaultQueueLimit = 1 << 17
 // buffers. The consumer releases the slice exactly once with
 // ReleaseMsgs, mirroring ReleaseFrame.
 //
-// Wrappers that operate on frame bytes (Chaos) deliberately do
-// not implement MsgSender, so wrapping an Shm endpoint transparently
-// falls back to the serialized path.
+// A transport without it — Local, TCP, or a wrapper that inspects
+// frame bytes — carries byte frames only, and the communicator encodes
+// every batch for it.
 type MsgSender interface {
 	SendMsgs(to int, ms []msg.Message) error
 }

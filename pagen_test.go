@@ -110,9 +110,10 @@ func TestGenerateWithTrace(t *testing.T) {
 	}
 }
 
-// The decision trace is a pure function of (n, x, p, seed): whatever the
-// rank and worker counts, every slot's final (kind, K, L) equals the
-// sequential copy model's.
+// The decision trace is part of the determinism contract (DESIGN.md
+// §8.1): through the facade, at these rank and worker counts, every
+// slot's final (kind, K, L) equals the sequential copy model's.
+// TestSimProperty checks it across the whole configuration space.
 func TestGenerateTraceMatchesSequential(t *testing.T) {
 	cases := []Config{
 		{N: 400, X: 1, P: 0.5, Seed: 3},
