@@ -182,10 +182,11 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// corruptFirstBlock zeroes the second record's key delta in the first
-// block of the shard at path and re-seals the block's CRC-32C, so the
-// damage passes every checksum OpenDir verifies and only surfaces when
-// the merge decodes the payload (docs/SHARD_FORMAT.md is the layout).
+// corruptFirstBlock sets every bit of the first value in the first
+// block of the shard at path — a value past n, since n is not a power of
+// two — and re-seals the block's CRC-32C, so the damage passes every
+// checksum OpenDir verifies and only surfaces when the merge decodes the
+// payload (docs/SHARD_FORMAT.md is the layout).
 func corruptFirstBlock(t *testing.T, path string) {
 	t.Helper()
 	b, err := os.ReadFile(path)
@@ -201,8 +202,8 @@ func corruptFirstBlock(t *testing.T, path string) {
 		off += n
 		return v
 	}
-	uvarint()                 // version
-	uvarint()                 // n
+	uvarint() // version
+	n := int64(uvarint())
 	uvarint()                 // x
 	off += 16                 // p, seed
 	uvarint()                 // rank
@@ -214,14 +215,15 @@ func corruptFirstBlock(t *testing.T, path string) {
 	}
 	off++
 	uvarint() // sequence
-	uvarint() // count
-	end := int(uvarint()) + off
 	uvarint() // first key
-	uvarint() // first v
-	if b[off] >= 0x80 {
-		t.Fatalf("second record's key delta is not one byte")
+	w := uint64(esink.ValueBits(n))
+	end := off + int((uvarint()*w+7)/8)
+	if n&(n-1) == 0 {
+		t.Fatalf("n = %d is a power of two: every %d-bit value lies below it", n, w)
 	}
-	b[off] = 0
+	for bit := uint64(0); bit < w; bit++ {
+		b[off+int(bit/8)] |= 1 << (bit % 8)
+	}
 	binary.LittleEndian.PutUint32(b[end:], crc32.Checksum(b[block:end], crc32.MakeTable(crc32.Castagnoli)))
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)

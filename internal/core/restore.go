@@ -241,8 +241,9 @@ func (e *engine) restoreChains(s *ckpt.Snapshot) error {
 // nodes (t <= x) and counted their records in e.emitted; the pass checks
 // those are present and leaves their slots alone. Anything the CRCs
 // cannot vouch for — a record count off the mark, a value outside
-// [0, n), a record at or above the window's start, a prefix that stops
-// short of it — fails the resume rather than splicing a wrong table.
+// [0, n) (the reader refuses it), a record at or above the window's
+// start, a prefix that stops short of it — fails the resume rather than
+// splicing a wrong table.
 func (e *engine) restoreShard(mark ckpt.SinkMark) error {
 	path := e.stream.Path()
 	start := e.resumeSnap.Window.Start
@@ -261,10 +262,6 @@ func (e *engine) restoreShard(mark ckpt.SinkMark) error {
 		n++
 		s := int64(key)
 		switch {
-		case v < 0:
-			return fmt.Errorf("core: resume: shard %s: slot %d holds negative value %d", path, key, v)
-		case v >= e.opts.Params.N:
-			return fmt.Errorf("core: resume: shard %s: slot %d holds value %d past the run's %d nodes", path, key, v, e.opts.Params.N)
 		case s >= start:
 			return fmt.Errorf("core: resume: shard %s: slot %d lies at or above the snapshot window's start %d", path, key, start)
 		case e.f.get(s) < 0:
@@ -274,7 +271,7 @@ func (e *engine) restoreShard(mark ckpt.SinkMark) error {
 		}
 	}
 	if err := it.Err(); err != nil {
-		return fmt.Errorf("core: resume: shard %s: %w", path, err)
+		return fmt.Errorf("core: resume: %w", err)
 	}
 	if n != mark.Edges || boot != e.emitted {
 		return fmt.Errorf("core: resume: shard %s: prefix holds %d records (%d of bootstrap's %d), snapshot marks %d",

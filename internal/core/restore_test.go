@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -428,16 +430,25 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 			fmt.Sprintf("key %d does not follow key %d", recs[mid].key, recs[len(recs)-1].key))
 	})
 	t.Run("negative value", func(t *testing.T) {
-		bad := append([]rec(nil), recs...)
-		bad[mid].v = -7
-		b, m := crafted(t, bad)
-		mustFail(t, b, m, "negative")
+		// A value is w unsigned bits, so no shard holds a negative one:
+		// the writer refuses it.
+		w, err := esink.Open(t.TempDir(), esink.Meta{N: pr.N, X: pr.X, P: pr.P, Seed: opts.Seed, Rank: 0, Ranks: 1, Scheme: part.Name()}, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Abort()
+		if err := w.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Emit(recs[mid].key, -7); err == nil || !strings.Contains(err.Error(), "value -7 outside the run's") {
+			t.Fatalf("Emit of a negative value: err = %v", err)
+		}
 	})
 	t.Run("value past n", func(t *testing.T) {
-		bad := append([]rec(nil), recs...)
-		bad[mid].v = pr.N
-		b, m := crafted(t, bad)
-		mustFail(t, b, m, "past the run's")
+		// The writer refuses it too; a CRC-clean shard that holds one
+		// anyway fails the resume.
+		b, m := crafted(t, recs)
+		mustFail(t, withValue(t, b, recs[mid].key, uint64(pr.N)), m, fmt.Sprintf("slot %d holds value %d past the run's", recs[mid].key, pr.N))
 	})
 	t.Run("bootstrap record missing", func(t *testing.T) {
 		b, m := crafted(t, recs[1:])
@@ -485,6 +496,48 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 	t.Run("window value past n", func(t *testing.T) {
 		mustFailWindow(t, window(start, append([]int64{pr.N}, nills(x-1)...)...), fmt.Sprintf("holds value %d outside the run's", pr.N))
 	})
+}
+
+// withValue returns a copy of the shard b, complete blocks only, whose
+// record at slot key holds v, its block's CRC resealed
+// (docs/SHARD_FORMAT.md is the layout).
+func withValue(t *testing.T, b []byte, key, v uint64) []byte {
+	t.Helper()
+	b = append([]byte(nil), b...)
+	off := len(esink.Magic)
+	uv := func() uint64 {
+		x, n := binary.Uvarint(b[off:])
+		if n <= 0 {
+			t.Fatalf("bad uvarint at shard offset %d", off)
+		}
+		off += n
+		return x
+	}
+	uv()
+	w := esink.ValueBits(int64(uv()))
+	uv()
+	off += 16
+	uv()
+	uv()
+	off += int(uv()) + 4
+	for off < len(b) && b[off] == 'B' {
+		start := off
+		off++
+		uv()
+		first, count := uv(), uv()
+		pay, end := off, off+int((count*uint64(w)+7)/8)
+		if key >= first && key < first+count {
+			for j, bit := uint(0), (key-first)*uint64(w); j < w; j, bit = j+1, bit+1 {
+				b[pay+int(bit/8)] &^= 1 << (bit % 8)
+				b[pay+int(bit/8)] |= byte(v>>j&1) << (bit % 8)
+			}
+			binary.LittleEndian.PutUint32(b[end:], crc32.Checksum(b[start:end], crc32.MakeTable(crc32.Castagnoli)))
+			return b
+		}
+		off = end + 4
+	}
+	t.Fatalf("no block holds slot %d", key)
+	return nil
 }
 
 // cutEngine builds rank 1 of a three-rank checkpointed run, where a cut

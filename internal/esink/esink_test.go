@@ -376,8 +376,8 @@ func TestDirReaderMergesRankMajor(t *testing.T) {
 		meta := Meta{N: n, X: x, P: 0, Seed: 7, Rank: r, Ranks: ranks, Scheme: "UCP"}
 		var recs []rec
 		for i := int64(0); i < 5; i++ {
-			recs = append(recs, rec{key: uint64(i), v: int64(r*100) + i})
-			want = append(want, graph.Edge{U: part.NodeAt(r, i), V: int64(r*100) + i})
+			recs = append(recs, rec{key: uint64(i), v: int64(r*10) + i})
+			want = append(want, graph.Edge{U: part.NodeAt(r, i), V: int64(r*10) + i})
 		}
 		writeShard(t, dir, meta, 2, recs)
 	}

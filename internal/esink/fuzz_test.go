@@ -3,6 +3,7 @@ package esink
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -42,47 +43,59 @@ func shardBytes(f *testing.F, meta Meta, blockEdges int, recs []rec) []byte {
 // than its block headers declare, and must not allocate from a length
 // field the file size does not back. A shard the strict reader drains
 // cleanly must be byte for byte the writer's encoding of the records it
-// yielded, at its own block sizes, so no byte of it goes unchecked. And
+// yielded, at its own block sizes, so no bit of it goes unchecked. And
 // every shard opened is downloaded twice, through the block lanes and
 // through Iter: both must write the same bytes or fail with the same
 // error.
-// The seeds are real v2 writer output — ascending keys with gaps, as a
-// rank's slots leave F — and CRC-clean crafted shards, among them two
-// blocks whose key ranges overlap inside one lane's chunk and in two;
+// The seeds are real v3 writer output — ascending keys with gaps, as a
+// rank's slots leave F — and CRC-clean crafted shards: blocks whose key
+// ranges overlap inside one lane's chunk and in two, a count past the
+// rank's slots, a payload shorter or longer than its count implies, a
+// set padding bit, a value past n, and a version 2 file;
 // testdata/fuzz/FuzzOpenReader keeps the crafted ones (craftShard over a
 // hostile Meta or block header, named for what they did) that crashed
 // the reader before it validated what the checksums cannot vouch for,
-// or that it accepted with bytes its records do not account for.
+// or that it accepted with bits its records do not account for.
 func FuzzOpenReader(f *testing.F) {
 	meta := Meta{N: 1000, X: 3, P: 0.5, Seed: 1, Rank: 1, Ranks: 2, Scheme: "RRP"}
+	w := ValueBits(meta.N)
 	var recs, long []rec
 	for k := uint64(0); k < 300; k++ {
 		if k%7 != 3 { // a gap, like a clique node's missing slots
-			recs = append(recs, rec{key: k + k/50, v: int64(k) << (k % 40)})
+			recs = append(recs, rec{key: k + k/50, v: int64(k*37) % meta.N})
 		}
 	}
 	for k := uint64(0); k < 1400; k++ { // more than a minWindow of payload
-		long = append(long, rec{key: k, v: 1 << 20})
+		long = append(long, rec{key: k, v: meta.N - 1})
 	}
 	whole := shardBytes(f, meta, 16, recs)
-	f.Add(shardBytes(f, meta, 16, nil))                                        // empty shard
-	f.Add(shardBytes(f, meta, 1<<16, recs))                                    // one block
-	f.Add(whole)                                                               // many blocks
-	f.Add(shardBytes(f, meta, 1000, long))                                     // blocks in two lanes' chunks
-	f.Add(shardBytes(f, meta, 2, []rec{{1, 1 << 56}, {2, 9}, {4, 1<<63 - 1}})) // values wider than a word
-	f.Add(whole[:len(whole)-30])                                               // torn tail: no EOS, half a block
-	f.Add(append(whole[:len(whole):len(whole)], "BBBB"...))                    // bytes after EOS
+	f.Add(shardBytes(f, meta, 16, nil))                     // empty shard
+	f.Add(shardBytes(f, meta, 1<<16, recs))                 // blocks ended by gaps only
+	f.Add(whole)                                            // many blocks
+	f.Add(shardBytes(f, meta, 1000, long))                  // blocks in two lanes' chunks
+	f.Add(whole[:len(whole)-30])                            // torn tail: no EOS, part of a block
+	f.Add(append(whole[:len(whole):len(whole)], "BBBB"...)) // bytes after EOS
 
-	one := binary.AppendUvarint(binary.AppendUvarint(nil, 7), 9) // one record: key 7, v 9
-	f.Add(craftShard(meta, craftBlock(0, 3, one)))               // fewer records than declared
-	f.Add(craftShard(meta, craftBlock(0, 1, one))[:60])          // cut inside the block
+	one := refPayload(w, 9)                                      // one record: v 9
+	f.Add(craftShard(meta, craftBlock(0, 7, 3, one)))            // a payload shorter than its count implies
+	f.Add(craftShard(meta, craftBlock(0, 7, 1, append(one, 0)))) // a payload longer than its count implies
+	f.Add(craftShard(meta, craftBlock(0, 7, 1, one))[:60])       // cut inside the block
 	nan := meta
 	nan.P = math.NaN()
-	f.Add(craftShard(nan, craftBlock(0, 1, one))) // CRC-clean header, p = NaN
-	// Keys 5, 9 then 7, 11: the second block starts inside the first.
-	f.Add(craftShard(meta, refBlock(0, []rec{{5, 1}, {9, 2}}), refBlock(1, []rec{{7, 3}, {11, 4}})))
-	// The same across two chunks: the writer's seam check refuses it.
-	f.Add(craftShard(meta, refBlock(0, long), refBlock(1, []rec{{700, 3}})))
+	f.Add(craftShard(nan, craftBlock(0, 7, 1, one))) // CRC-clean header, p = NaN
+	// Keys 5…9 then 7, 8: the second block starts inside the first.
+	f.Add(craftShard(meta, refBlock(0, w, long[5:10]), refBlock(1, w, long[7:9])))
+	// The same across two chunks: the second lane's first block is refused.
+	f.Add(craftShard(meta, refBlock(0, w, long), refBlock(1, w, []rec{{700, 3}})))
+	// The rank holds 500 nodes' 1500 slots: slots 1499 and 1500.
+	f.Add(craftShard(meta, craftBlock(0, 1499, 2, refPayload(w, 1, 2))))
+	f.Add(craftShard(meta, craftBlock(0, 7, 1, []byte{9, 1 << 7})))   // a set padding bit
+	f.Add(craftShard(meta, craftBlock(0, 7, 1, refPayload(w, 1000)))) // a value past n
+	v2 := craftShard(meta, refBlock(0, w, long[:4]))
+	v2[len(Magic)] = 2 // the version uvarint, the header CRC resealed
+	hdr := encodeHeader(meta)
+	binary.LittleEndian.PutUint32(v2[len(hdr)-4:], crc32.Checksum(v2[:len(hdr)-4], castagnoli))
+	f.Add(v2)
 
 	path := filepath.Join(f.TempDir(), "shard") // one a process: executions do not overlap
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -137,7 +150,7 @@ func slots(it *Iter) ([]rec, error) {
 func reencode(r *Reader, recs []rec) []byte {
 	var blocks [][]byte
 	for i, b := range r.sc.blocks {
-		blocks = append(blocks, refBlock(int64(i), recs[:b.count]))
+		blocks = append(blocks, refBlock(int64(i), ValueBits(r.Meta().N), recs[:b.count]))
 		recs = recs[b.count:]
 	}
 	return craftShard(r.Meta(), blocks...)

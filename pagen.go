@@ -23,7 +23,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"math/bits"
 	"sync/atomic"
 
 	"pagen/internal/analysis"
@@ -251,9 +250,10 @@ func DegreesStreamed(cfg Config) ([]int64, *Result, error) {
 // half (another 4 bytes per slot). Each rank adds a small fixed
 // overhead, and the optional decision trace 13 bytes per slot. With
 // StreamDir the edge term vanishes and the run holds the whole tables
-// (4 bytes per slot, 8 past math.MaxUint32) plus each rank's open block,
-// encoded: StreamBlockEdges records of a one-byte key delta and a value
-// varint. Checkpointing adds no table but the window of F each snapshot
+// (4 bytes per slot, 8 past math.MaxUint32) plus each rank's open block:
+// a block header and ⌈StreamBlockEdges·w/8⌉ bytes of w-bit values,
+// esink.BufferBytes, the buffer esink.Open allocates. Checkpointing adds
+// no table but the window of F each snapshot
 // carries: a value varint per slot between the rank's resolved frontier
 // and its cursor, in two capture buffers and the encoder's scratch.
 // Like the suspension records, the window grows with how far a rank's
@@ -274,13 +274,8 @@ func MemoryEstimate(cfg Config) int64 {
 	if pr.N > math.MaxUint32 {
 		est = slots * 4 // the high halves, never hosted
 	}
-	value := int64(1 + bits.Len64(uint64(pr.N))/7) // varint bytes of a value below n
 	if cfg.StreamDir != "" || cfg.CheckpointDir != "" {
-		block := int64(cfg.StreamBlockEdges)
-		if block <= 0 {
-			block = esink.DefaultBlockEdges
-		}
-		est += slots*4 + ranks*block*(1+value) // low halves, open shard blocks
+		est += slots*4 + ranks*esink.BufferBytes(pr.N, cfg.StreamBlockEdges) // low halves, open shard blocks
 	}
 	if cfg.StreamDir == "" {
 		est += pr.M() * 16 // the edge list, in memory or read back

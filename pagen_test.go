@@ -265,8 +265,8 @@ func TestMemoryEstimate(t *testing.T) {
 	}
 
 	// The bounded-memory path holds the tables and each rank's open
-	// shard block, encoded — at n = 10⁶ a record is a one-byte key delta
-	// and a three-byte value — and nothing per edge. Checkpointing it
+	// shard block — the buffer esink.Open allocates, which at n = 10⁶
+	// holds a 20-bit value a record — and nothing per edge. Checkpointing it
 	// adds the window each snapshot carries, which depends on the run's
 	// drift and is left out. A checkpointed run without StreamDir streams
 	// too and holds the edge list it reads back, so it costs the
@@ -280,7 +280,10 @@ func TestMemoryEstimate(t *testing.T) {
 		t.Fatalf("streamed estimate %d not below in-memory %d", s, m)
 	}
 	tables := int64(4 * (1_000_000 - 4) * 4)
-	blocks := int64(2 * 4 * esink.DefaultBlockEdges)
+	blocks := 2 * esink.BufferBytes(1_000_000, 0)
+	if payload := int64(esink.DefaultBlockEdges * 20 / 8); blocks/2 < payload || blocks/2 > payload+64 {
+		t.Fatalf("an open block at n = 10⁶ is %d bytes, want its %d bytes of 20-bit values and a block header", blocks/2, payload)
+	}
 	if s, b := MemoryEstimate(streamed), MemoryEstimate(both); s != b {
 		t.Fatalf("streamed %d != streamed + checkpointed %d", s, b)
 	}
@@ -293,11 +296,15 @@ func TestMemoryEstimate(t *testing.T) {
 	// A slot is 4 bytes while every node id fits in 32 bits (biased by
 	// one), and 8 past that.
 	for _, c := range []struct {
-		n    int64
-		slot int64
-	}{{math.MaxUint32, 4}, {1 << 33, 8}} {
+		n       int64
+		slot, w int64
+	}{{math.MaxUint32, 4, 32}, {1 << 33, 8, 33}} {
 		cfg := Config{N: c.n, X: 4, Ranks: 1, StreamDir: "shards"}
-		want := c.slot*(c.n-4)*4 + (1+5)*esink.DefaultBlockEdges + 1<<16 // five-byte values
+		block := esink.BufferBytes(c.n, 0)
+		if payload := esink.DefaultBlockEdges * c.w / 8; block < payload || block > payload+64 {
+			t.Fatalf("n = %d: an open block is %d bytes, want its %d bytes of %d-bit values and a block header", c.n, block, payload, c.w)
+		}
+		want := c.slot*(c.n-4)*4 + block + 1<<16
 		if got := MemoryEstimate(cfg); got != want {
 			t.Fatalf("n = %d: estimate %d, want %d B/slot tables + one open block + overhead = %d", c.n, got, c.slot, want)
 		}
