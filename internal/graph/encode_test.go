@@ -121,23 +121,16 @@ func TestWriteBinaryStreamCountChecked(t *testing.T) {
 
 // chunked is a ChunkedIterator over a list of edge chunks whose encoder
 // emits at every chance, so a chunk leaves in many pieces; chunk fail
-// returns errLane from its lane, chunk seam from Seam.
+// returns errLane from its lane.
 type chunked struct {
 	sliceIter
-	chunks     [][]Edge
-	fail, seam int
+	chunks [][]Edge
+	fail   int
 }
 
-var errLane, errSeam = errors.New("lane failed"), errors.New("seam failed")
+var errLane = errors.New("lane failed")
 
 func (c *chunked) Chunks() int { return len(c.chunks) }
-
-func (c *chunked) Seam(i int) error {
-	if i == c.seam {
-		return errSeam
-	}
-	return nil
-}
 
 func (c *chunked) Lane() ChunkEncoder {
 	return func(i int, b []byte, emit func([]byte) []byte) ([]byte, int64, error) {
@@ -158,8 +151,8 @@ func (c *chunked) Lane() ChunkEncoder {
 
 // TestDownloadPiecesInChunkOrder: chunks that leave in many pieces, and
 // empty ones, are written in chunk order at one, two and four lanes; a
-// lane's error and a seam's error end the write with that error, and
-// every lane has exited when WriteBinaryStream returns.
+// lane's error ends the write with that error, and every lane has
+// exited when WriteBinaryStream returns.
 func TestDownloadPiecesInChunkOrder(t *testing.T) {
 	g := wideGraph(3*encChunkEdges + 11)
 	var chunks [][]Edge
@@ -173,18 +166,15 @@ func TestDownloadPiecesInChunkOrder(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			base := runtime.NumGoroutine()
 			var b bytes.Buffer
-			if err := WriteBinaryStream(&b, g.N, g.M(), &chunked{chunks: chunks, fail: -1, seam: -1}); err != nil {
+			if err := WriteBinaryStream(&b, g.N, g.M(), &chunked{chunks: chunks, fail: -1}); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(b.Bytes(), want) {
 				t.Fatalf("wrote %d bytes that differ from the reference's %d", b.Len(), len(want))
 			}
 			for _, bad := range []int{0, 3, len(chunks) - 1} {
-				if err := WriteBinaryStream(io.Discard, g.N, g.M(), &chunked{chunks: chunks, fail: bad, seam: -1}); !errors.Is(err, errLane) {
+				if err := WriteBinaryStream(io.Discard, g.N, g.M(), &chunked{chunks: chunks, fail: bad}); !errors.Is(err, errLane) {
 					t.Fatalf("a lane failing chunk %d: err = %v", bad, err)
-				}
-				if err := WriteBinaryStream(io.Discard, g.N, g.M(), &chunked{chunks: chunks, fail: bad, seam: bad}); !errors.Is(err, errSeam) {
-					t.Fatalf("a seam failing before chunk %d's lane error: err = %v", bad, err)
 				}
 			}
 			for i := 0; runtime.NumGoroutine() > base && i < 100; i++ {

@@ -92,11 +92,9 @@ type ChunkedIterator interface {
 	EdgeIterator
 	Chunks() int
 	// Lane returns one lane's encoder; lanes run concurrently, each
-	// taking its chunks in ascending order.
+	// taking its chunks in ascending order. A chunk's encoder makes every
+	// check its edges need: nothing checks where two chunks meet.
 	Lane() ChunkEncoder
-	// Seam checks chunk i against the chunks before it; the writer
-	// calls it in chunk order once chunk i is encoded.
-	Seam(i int) error
 }
 
 // A ChunkEncoder appends chunk i's PAGB bytes to b and returns the
@@ -106,8 +104,6 @@ type ChunkedIterator interface {
 type ChunkEncoder func(i int, b []byte, emit func([]byte) []byte) ([]byte, int64, error)
 
 func (s *sliceIter) Chunks() int { return (len(s.edges) - s.i + encChunkEdges - 1) / encChunkEdges }
-
-func (s *sliceIter) Seam(int) error { return nil }
 
 func (s *sliceIter) Lane() ChunkEncoder {
 	return func(i int, b []byte, _ func([]byte) []byte) ([]byte, int64, error) {
@@ -121,8 +117,6 @@ func (s *sliceIter) Lane() ChunkEncoder {
 type sequential struct{ EdgeIterator }
 
 func (sequential) Chunks() int { return 1 }
-
-func (sequential) Seam(int) error { return nil }
 
 func (s sequential) Lane() ChunkEncoder {
 	return func(_ int, b []byte, emit func([]byte) []byte) ([]byte, int64, error) {
@@ -213,10 +207,7 @@ func WriteBinaryStream(w io.Writer, n, m int64, it EdgeIterator) error {
 	for i := 0; i < chunks && err == nil; {
 		p := <-out[i%lanes]
 		if p.last {
-			if err = src.Seam(i); err == nil {
-				err = p.err
-			}
-			written, i = written+p.edges, i+1
+			err, written, i = p.err, written+p.edges, i+1
 		}
 		if err == nil {
 			_, err = w.Write(p.b)
