@@ -79,9 +79,10 @@ type Config struct {
 	CheckpointEvery int64 `json:"checkpoint_every,omitempty"`
 	// StreamBlockEdges is the number of edge records per shard block: the
 	// unit a rank flushes, CRC-protects and a reader decodes on its own
-	// (0 selects the default, 65536). The open block, encoded, is the
-	// writer's only buffer — about 2 + log₂(N)/7 bytes a record, 256 KiB
-	// per rank at N = 10⁶. Only meaningful with StreamDir.
+	// (0 selects the default, 65536). The open block is the writer's
+	// only buffer — w = bits.Len64(N−1) bits a record
+	// (esink.BufferBytes), 160 KiB per rank at N = 10⁶. Only meaningful
+	// with StreamDir.
 	StreamBlockEdges int `json:"stream_block_edges,omitempty"`
 
 	// Transport selects how co-located ranks exchange message batches:
