@@ -106,7 +106,7 @@ func submit(args []string) {
 		ranks     = fs.Int("job-ranks", 0, "rank slots (0 = server default)")
 		workers   = fs.Int("job-workers", 0, "workers per rank (0 = server default)")
 		resolve   = fs.String("job-resolve", "", "resolve mode (empty = server default)")
-		hubPrefix = fs.Int64("job-hub-prefix", 0, "hub-prefix cache size")
+		hubPrefix = fs.Int64("job-hub-prefix", 0, "hub-prefix replica size")
 		ckptEvery = fs.Int64("ckpt-every", 0, "checkpoint interval (0 = server default)")
 	)
 	fs.Parse(args)

@@ -7,10 +7,8 @@ import (
 
 // epochSnapshot builds a snapshot shaped like one rank's epoch of a
 // two-rank run at n = 10⁶, x = 4: susp suspended nodes, waiters queued
-// waiter records two per slot, remote coalescing-chain records in chains
-// of two and the sink mark. (240, 1000, 200) encodes to about the 17 KB
-// per epoch such a run writes.
-func epochSnapshot(susp, waiters, remote int) *Snapshot {
+// waiter records two per slot and the sink mark.
+func epochSnapshot(susp, waiters int) *Snapshot {
 	const nodes, x = 500_000, 4
 	rng := rand.New(rand.NewSource(7))
 	s := &Snapshot{
@@ -30,11 +28,6 @@ func epochSnapshot(susp, waiters, remote int) *Snapshot {
 			Slot: int64(i/2) * 1601 % (nodes * x), T: rng.Int63n(2 * nodes), E: uint16(rng.Intn(x)),
 		})
 	}
-	for i := 0; i < remote; i++ {
-		s.Remote = append(s.Remote, WaiterRecord{
-			Slot: int64(i/2)*977 + 1, T: rng.Int63n(2 * nodes), E: uint16(rng.Intn(x)),
-		})
-	}
 	return s
 }
 
@@ -42,7 +35,7 @@ func epochSnapshot(susp, waiters, remote int) *Snapshot {
 // epoch with the pooled Encoder. After the first call grows the scratch
 // buffer, steady state is zero allocations per epoch.
 func BenchmarkEncode(b *testing.B) {
-	s := epochSnapshot(240, 1000, 200)
+	s := epochSnapshot(240, 1000)
 	var enc Encoder
 	b.SetBytes(int64(len(enc.Encode(s)))) // warms the scratch buffer
 	b.ReportAllocs()
@@ -58,7 +51,7 @@ func BenchmarkEncode(b *testing.B) {
 // pause relies on: once the scratch buffer has grown to the snapshot's
 // size, Encode allocates nothing.
 func TestEncoderSteadyStateAllocs(t *testing.T) {
-	s := epochSnapshot(240, 1000, 200)
+	s := epochSnapshot(240, 1000)
 	var enc Encoder
 	enc.Encode(s)
 	if avg := testing.AllocsPerRun(5, func() { enc.Encode(s) }); avg > 0 {

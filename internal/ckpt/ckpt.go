@@ -3,9 +3,9 @@
 // checkpoint/restart subsystem. One snapshot captures everything a rank
 // needs to resume generation mid-run at a consistent cut: every
 // unfinished node's frontier edge and retry count and the answers it
-// holds ahead of that edge, the pending waiter queues and coalescing
-// chains, the sink mark naming the durable prefix of the rank's shard
-// file, and the window of F above that prefix. A snapshot carries no
+// holds ahead of that edge, the pending waiter queues, the sink mark
+// naming the durable prefix of the rank's shard file, and the window of
+// F above that prefix. A snapshot carries no
 // attachment table: every checkpointed run streams its edges, the
 // marked shard prefix is F below the rank's resolved frontier, the
 // window is F from the frontier up to the generation cursor, and
@@ -44,12 +44,10 @@ const Magic = "PAGENCK1"
 // Version is the current snapshot format version. Readers reject any
 // other value: the format carries no compat shims, and resuming from a
 // mis-parsed snapshot would silently corrupt the output graph.
-// docs/CHECKPOINT_FORMAT.md lists what each version changed; version 10
-// follows the counter-based draws: a suspension record carries an edge
-// and a retry count instead of a 32-byte stream state, 'W' adds the
-// answers held ahead of a node's frontier, and 'M' drops the collective
-// tag counter.
-const Version = 10
+// docs/CHECKPOINT_FORMAT.md lists what each version changed; version 11
+// follows the computed hub replica: 'W' drops the coalescing chains and
+// stores an answer held ahead as itself.
+const Version = 11
 
 // castagnoli is the CRC-32C table (iSCSI polynomial) shared by writer
 // and reader.
@@ -88,20 +86,15 @@ type SuspRecord struct {
 }
 
 // AheadRecord is an answer that reached an unfinished node's edge before
-// its committed prefix did: flat local slot Slot is to take value V once
-// the prefix gets there (and V is not a duplicate by then). V = -1 marks
-// a first attempt not yet issued — a hub-replica miss the window leaves
-// to the frontier.
+// its committed prefix did: flat local slot Slot is to take value V, a
+// node id, once the prefix gets there (and V is not a duplicate by then).
 type AheadRecord struct {
 	Slot, V int64
 }
 
-// WaiterRecord is one queued waiter of slot Slot: when the slot
-// resolves, node T's edge E gets the answer. Records of one slot appear
-// in FIFO order. The same shape serializes both waiter tables: the
-// owner-side Q_{k,l} queues (Slot is a local flat slot index) and the
-// requester-side coalescing chains (Slot is a global slot id k·x+l and
-// T a global node).
+// WaiterRecord is one queued waiter of local flat slot Slot (a Q_{k,l}
+// queue): when the slot resolves, node T's edge E gets the answer.
+// Records of one slot appear in FIFO order.
 type WaiterRecord struct {
 	Slot int64
 	T    int64
@@ -161,10 +154,9 @@ type Stats struct {
 	LocalWaits  int64
 }
 
-// Snapshot is one rank's checkpoint state. Susp, Ahead, Waiters and
-// Remote serialize as the one 'W' section: the rank's unfinished nodes
-// and the answers they hold, its owner-side waiter queues and its
-// request-coalescing chains at the cut.
+// Snapshot is one rank's checkpoint state. Susp, Ahead and Waiters
+// serialize as the one 'W' section: the rank's unfinished nodes and the
+// answers they hold, and its waiter queues at the cut.
 // The records are keyed by node and slot, so a snapshot restores at any
 // worker count.
 type Snapshot struct {
@@ -173,16 +165,7 @@ type Snapshot struct {
 	Susp    []SuspRecord
 	Ahead   []AheadRecord
 	Waiters []WaiterRecord
-	// Remote holds the hub cache's request-coalescing chains: nodes
-	// waiting on one in-flight request per remote slot, chain by chain in
-	// FIFO order, each slot's chain once. The first record of each chain
-	// is the primary requester — the node the owner's answer will be
-	// addressed to — which is what lets a resume rebuild the chains
-	// exactly: the chain's secondary members are registered nowhere else
-	// (that is the point of coalescing), so without these records they
-	// would never be answered.
-	Remote []WaiterRecord
-	Stats  Stats
+	Stats   Stats
 	// Sink is the shard's durable mark, serialized as the mandatory 'K'
 	// section: the records under it are F below the frontier.
 	Sink SinkMark
@@ -229,7 +212,7 @@ type Encoder struct {
 // call.
 func (enc *Encoder) Encode(s *Snapshot) []byte {
 	// One growth to a bound on the encoding, not a chain of appends.
-	b := slices.Grow(enc.buf[:0], 256+len(s.Meta.Scheme)+25*len(s.Susp)+20*len(s.Ahead)+23*(len(s.Waiters)+len(s.Remote))+len(s.Window.Vals))
+	b := slices.Grow(enc.buf[:0], 256+len(s.Meta.Scheme)+25*len(s.Susp)+20*len(s.Ahead)+23*len(s.Waiters)+len(s.Window.Vals))
 	b = append(b, Magic...)
 	b = binary.AppendUvarint(b, Version)
 
@@ -246,8 +229,8 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 	b = binary.AppendUvarint(b, uint64(s.Meta.Resolve))
 	b = binary.AppendUvarint(b, uint64(s.Epoch))
 
-	// 'W': the rank's unfinished nodes, their answers held ahead, waiter
-	// queues and coalescing chains — written even when all are empty.
+	// 'W': the rank's unfinished nodes, their answers held ahead and its
+	// waiter queues — written even when all are empty.
 	b = append(b, 'W')
 	b = binary.AppendUvarint(b, uint64(len(s.Susp)))
 	for _, sr := range s.Susp {
@@ -258,10 +241,14 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s.Ahead)))
 	for _, ar := range s.Ahead {
 		b = binary.AppendUvarint(b, uint64(ar.Slot))
-		b = binary.AppendUvarint(b, uint64(ar.V+1))
+		b = binary.AppendUvarint(b, uint64(ar.V))
 	}
-	b = appendWaiterRecords(b, s.Waiters)
-	b = appendWaiterRecords(b, s.Remote)
+	b = binary.AppendUvarint(b, uint64(len(s.Waiters)))
+	for _, wr := range s.Waiters {
+		b = binary.AppendUvarint(b, uint64(wr.Slot))
+		b = binary.AppendUvarint(b, uint64(wr.T))
+		b = binary.AppendUvarint(b, uint64(wr.E))
+	}
 
 	// 'S': cumulative counters.
 	b = append(b, 'S')
@@ -285,18 +272,6 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 	b = append(b, 'Z')
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 	enc.buf = b
-	return b
-}
-
-// appendWaiterRecords appends one length-prefixed list of waiter
-// records — the shared shape of the Waiters and Remote lists.
-func appendWaiterRecords(b []byte, rs []WaiterRecord) []byte {
-	b = binary.AppendUvarint(b, uint64(len(rs)))
-	for _, wr := range rs {
-		b = binary.AppendUvarint(b, uint64(wr.Slot))
-		b = binary.AppendUvarint(b, uint64(wr.T))
-		b = binary.AppendUvarint(b, uint64(wr.E))
-	}
 	return b
 }
 
@@ -456,13 +431,15 @@ func check(r io.ReaderAt, size int64) error {
 	if k <= 0 {
 		return fmt.Errorf("truncated varint")
 	}
-	if ver == 9 {
+	switch ver {
+	case Version:
+		return nil
+	case 9:
 		return fmt.Errorf("unsupported snapshot version 9: its suspended nodes hold per-node random-stream states, which version %d's per-attempt draws cannot continue; restart the run", Version)
+	case 10:
+		return fmt.Errorf("unsupported snapshot version 10: its nodes may wait on coalesced hub-prefix requests, which version %d's computed replica never answers; restart the run", Version)
 	}
-	if ver != Version {
-		return fmt.Errorf("unsupported snapshot version %d (reader supports %d)", ver, Version)
-	}
-	return nil
+	return fmt.Errorf("unsupported snapshot version %d (reader supports %d)", ver, Version)
 }
 
 func parse(data []byte) (*Snapshot, error) {
@@ -592,13 +569,9 @@ func (s *Snapshot) parseWorker(r *reader) error {
 		if err := r.int64s(&s.Ahead[i].Slot, &s.Ahead[i].V); err != nil {
 			return err
 		}
-		s.Ahead[i].V--
 	}
 	if s.Waiters, err = parseWaiterRecords(r); err != nil {
 		return fmt.Errorf("waiters: %w", err)
-	}
-	if s.Remote, err = parseWaiterRecords(r); err != nil {
-		return fmt.Errorf("remote: %w", err)
 	}
 	return nil
 }
@@ -624,9 +597,9 @@ func (w *Window) parse(r *reader) error {
 	return nil
 }
 
-// parseWaiterRecords reads one length-prefixed waiter-record list, the
-// shared shape of the Waiters and Remote lists. It always
-// returns a non-nil slice so round-tripped snapshots compare equal.
+// parseWaiterRecords reads the length-prefixed waiter-record list. It
+// always returns a non-nil slice so round-tripped snapshots compare
+// equal.
 func parseWaiterRecords(r *reader) ([]WaiterRecord, error) {
 	n, err := r.uvarint()
 	if err != nil {

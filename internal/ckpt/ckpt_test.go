@@ -29,19 +29,12 @@ func sample(rank int, epoch int64) *Snapshot {
 			{Idx: 17, Edge: 2, Retry: 0},
 			{Idx: 21, Edge: 0, Retry: 300},
 		},
-		// Node 17 holds edge 3's answer; node 21 those of edges 1 and 3,
-		// and defers edge 2's replica miss.
-		Ahead: []AheadRecord{{Slot: 71, V: 999_999}, {Slot: 85, V: 0}, {Slot: 86, V: -1}, {Slot: 87, V: 12}},
+		// Node 17 holds edge 3's answer; node 21 those of edges 1 and 3.
+		Ahead: []AheadRecord{{Slot: 71, V: 999_999}, {Slot: 85, V: 0}, {Slot: 87, V: 12}},
 		Waiters: []WaiterRecord{
 			{Slot: 99, T: 200, E: 1},
 			{Slot: 99, T: 201, E: 0},
-		},
-		// Two coalescing chains: slot 802 with a secondary, slot 1205
-		// with the primary alone.
-		Remote: []WaiterRecord{
 			{Slot: 802, T: 310, E: 2},
-			{Slot: 802, T: 311, E: 0},
-			{Slot: 1205, T: 320, E: 1},
 		},
 		Stats: Stats{Retries: 5, QueuedWaits: 6, LocalWaits: 7},
 		Sink:  SinkMark{Offset: 1 << 40, Blocks: 12345, Edges: 987654321},
@@ -55,11 +48,11 @@ func sample(rank int, epoch int64) *Snapshot {
 }
 
 // idleSnapshot is a snapshot with nothing suspended: its 'W' section is
-// the four empty counts. The lists are empty, not nil — the parser
+// the three empty counts. The lists are empty, not nil — the parser
 // always materializes them, and DeepEqual distinguishes nil from empty.
 func idleSnapshot(rank int, epoch int64) *Snapshot {
 	s := sample(rank, epoch)
-	s.Susp, s.Ahead, s.Waiters, s.Remote = []SuspRecord{}, []AheadRecord{}, []WaiterRecord{}, []WaiterRecord{}
+	s.Susp, s.Ahead, s.Waiters = []SuspRecord{}, []AheadRecord{}, []WaiterRecord{}
 	return s
 }
 
@@ -117,11 +110,12 @@ func reseal(data []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
 }
 
-// The v10 section rules: 'K', 'W' and the window 'F' are mandatory, 'W'
+// The v11 section rules: 'K', 'W' and the window 'F' are mandatory, 'W'
 // appears exactly once, and the delta section 'D' and the outbound
 // section 'O' of earlier versions are unknown tags. A version 9 file —
-// per-node stream states in its suspension records — is refused by
-// name. The files below are CRC-clean, so
+// per-node stream states in its suspension records — and a version 10
+// file — coalescing chains in its 'W' section — are refused by name.
+// The files below are CRC-clean, so
 // the section rules — not the checksum — must reject them.
 func TestParseSectionRules(t *testing.T) {
 	var enc Encoder
@@ -153,8 +147,10 @@ func TestParseSectionRules(t *testing.T) {
 	v8[len(Magic)] = 8
 	v9 := encode(s)
 	v9[len(Magic)] = 9
-	// An idle snapshot's 'W' section is the four empty counts.
-	emptyW := []byte{'W', 0, 0, 0, 0}
+	v10 := encode(s)
+	v10[len(Magic)] = 10
+	// An idle snapshot's 'W' section is the three empty counts.
+	emptyW := []byte{'W', 0, 0, 0}
 	idle := encode(idleSnapshot(0, 4))
 	if bytes.Count(idle, emptyW) != 1 {
 		t.Fatalf("idle snapshot holds %d copies of the empty 'W' section, want 1", bytes.Count(idle, emptyW))
@@ -172,6 +168,7 @@ func TestParseSectionRules(t *testing.T) {
 		"version 6":   reseal(v6),
 		"version 8":   reseal(v8),
 		"version 9":   reseal(v9),
+		"version 10":  reseal(v10),
 	} {
 		if got, err := parse(data); err == nil {
 			t.Errorf("%s: parsed to %+v, want an error", name, got)

@@ -13,20 +13,18 @@ import (
 // not panic and must not allocate from a count the file's size does not
 // back, and a file it accepts must re-encode to bytes that parse back to
 // the same Snapshot, so nothing the reader admits is lost or invented by
-// the writer. The seeds are real v10 Encoder output: snapshots with
-// answers held ahead, waiter queues, coalescing chains and a non-empty window of F (one a
-// lone chain member, one epoch-shaped), and an idle one whose 'W' and
-// 'F' sections are empty.
+// the writer. The seeds are real v11 Encoder output: snapshots with
+// answers held ahead, waiter queues and a non-empty window of F (one a
+// lone suspended node with no waiter, one epoch-shaped), and an idle
+// one whose 'W' and 'F' sections are empty.
 // testdata/fuzz/FuzzParse keeps an input that broke an earlier parser:
 // a NaN p, unequal to itself and so never equal after a round trip.
 func FuzzParse(f *testing.F) {
 	var enc Encoder
-	chains := sample(1, 3)
-	chains.Susp = chains.Susp[:1]
-	chains.Waiters = nil
-	chains.Remote = []WaiterRecord{{Slot: 1201, T: 17, E: 2}}
-	idle := &Snapshot{Meta: chains.Meta, Epoch: 1, Sink: SinkMark{Offset: 64, Blocks: 1, Edges: 6}}
-	for _, s := range []*Snapshot{sample(0, 4), chains, epochSnapshot(4, 8, 4), idle} {
+	lone := sample(1, 3)
+	lone.Susp, lone.Ahead, lone.Waiters = lone.Susp[:1], lone.Ahead[:1], nil
+	idle := &Snapshot{Meta: lone.Meta, Epoch: 1, Sink: SinkMark{Offset: 64, Blocks: 1, Edges: 6}}
+	for _, s := range []*Snapshot{sample(0, 4), lone, epochSnapshot(4, 8), idle} {
 		data := enc.Encode(s)
 		f.Add(append([]byte(nil), data[:len(data)-4]...))
 	}

@@ -47,8 +47,6 @@ type Counters struct {
 	RequestsRecv int64
 	ResolvedSent int64
 	ResolvedRecv int64
-	PublishSent  int64
-	PublishRecv  int64
 	ControlSent  int64
 	ControlRecv  int64
 	FramesSent   int64
@@ -59,12 +57,12 @@ type Counters struct {
 
 // MessagesSent returns the total logical messages sent.
 func (c Counters) MessagesSent() int64 {
-	return c.RequestsSent + c.ResolvedSent + c.PublishSent + c.ControlSent
+	return c.RequestsSent + c.ResolvedSent + c.ControlSent
 }
 
 // MessagesRecv returns the total logical messages received.
 func (c Counters) MessagesRecv() int64 {
-	return c.RequestsRecv + c.ResolvedRecv + c.PublishRecv + c.ControlRecv
+	return c.RequestsRecv + c.ResolvedRecv + c.ControlRecv
 }
 
 // Comm is a buffering communicator bound to one transport endpoint.
@@ -131,8 +129,6 @@ func (c *Comm) count(to int, m msg.Message) {
 		c.requestsTo[to]++
 	case msg.KindResolved:
 		c.c.ResolvedSent++
-	case msg.KindPublish:
-		c.c.PublishSent++
 	default:
 		c.c.ControlSent++
 	}
@@ -237,8 +233,6 @@ func (c *Comm) decode(f transport.Frame) ([]msg.Message, error) {
 			c.c.RequestsRecv++
 		case msg.KindResolved:
 			c.c.ResolvedRecv++
-		case msg.KindPublish:
-			c.c.PublishRecv++
 		default:
 			c.c.ControlRecv++
 		}

@@ -22,10 +22,10 @@ import (
 // is the width of a parallel-for over them: the window is cut into
 // stripes, helper goroutines draw and gather stripes 1…k-1 while the rank
 // goroutine does stripe 0, and after the barrier the rank goroutine alone
-// commits every stripe in node order. F and the hub replica are written
-// only between windows, so the helpers read them with plain loads; the
-// hand-off and the barrier are the happens-before edges, and they are the
-// only concurrent step in the engine. The output cannot depend on the
+// commits every stripe in node order. F is written only between windows
+// and the hub replica only before the first, so the helpers read them
+// with plain loads; the hand-off and the barrier are the happens-before
+// edges, and they are the only concurrent step in the engine. The output cannot depend on the
 // stripe layout: a gathered value >= 0 is final (slots are write-once),
 // and a gathered -1 — the source may sit in an earlier stripe of this
 // very window — is read again when commit issues the attempt.
@@ -224,9 +224,7 @@ func (e *engine) drawGather(w *worker) {
 // so that an intra-window source is final by the time its reader's
 // attempt is issued again. From a node's first edge that cannot commit
 // straight-line, every later first attempt is issued now and its value,
-// if in hand, parked in the node's ahead block — except a replica miss,
-// deferred to the frontier: by then an answer from the prefix owner,
-// which trails its publishes, has often filled the slot (DESIGN.md §8.5).
+// if in hand, parked in the node's ahead block (DESIGN.md §8.5).
 func (e *engine) commit(w *worker) {
 	x := e.x
 	for i := 0; i < w.nb; i++ {
@@ -248,10 +246,7 @@ func (e *engine) commit(w *worker) {
 		st := suspState{e: int32(c), blk: e.ahead.alloc()}
 		b := e.ahead.block(st.blk)
 		for edge := c + 1; edge < x; edge++ {
-			j, v, ok := o+edge, int64(aheadDeferred), true
-			if w.val[j] >= 0 || w.kind[j] != attHub {
-				v, ok = e.issueDrawn(w, t, edge, j)
-			}
+			v, ok := e.issueDrawn(w, t, edge, o+edge)
 			if !ok {
 				v = aheadWaiting
 			}
@@ -260,7 +255,6 @@ func (e *engine) commit(w *worker) {
 		if v, ok := e.issueDrawn(w, t, c, o+c); ok {
 			e.settle(t, idx, st, v)
 		} else {
-			b[c] = v
 			e.susp.put(idx, st)
 		}
 	}

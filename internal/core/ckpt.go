@@ -404,22 +404,13 @@ func (e *engine) ckptAbandon(epoch int64) {
 // cut does not wait out.)
 func (e *engine) ckptBalance() (sent, recv int64) {
 	c := e.cm.Counters()
-	sent = c.RequestsSent + c.ResolvedSent + c.PublishSent
-	recv = c.RequestsRecv + c.ResolvedRecv + c.PublishRecv
+	sent = c.RequestsSent + c.ResolvedSent
+	recv = c.RequestsRecv + c.ResolvedRecv + e.ck.doneRecv
 	if e.doneFlag && e.rank != 0 {
 		// Rank 0 short-circuits its own report; only other ranks'
 		// reports travel.
 		sent++
 	}
-	if e.hub != nil {
-		// Fences go out with the done report — to every peer, rank 0's
-		// included — and can be in flight while later epochs quiesce.
-		if e.doneFlag {
-			sent += int64(e.p - 1)
-		}
-		recv += int64(e.fencesRecv)
-	}
-	recv += e.ck.doneRecv
 	return sent, recv
 }
 

@@ -14,9 +14,9 @@
 // re-running the attachment step.
 //
 // One goroutine per rank — the rank goroutine — runs that state machine
-// and is the single writer of everything in it: the F table, the waiter,
-// suspension and coalescing tables, the send buffers, the sink and the
-// checkpoint capture. Attempt r of node t's edge e — duplicate retries
+// and is the single writer of everything in it: the F table, the waiter
+// and suspension tables, the send buffers, the sink and the checkpoint
+// capture. Attempt r of node t's edge e — duplicate retries
 // included — is a pure function of (seed, t, e, r), and a node commits
 // its edges strictly in order, so the output graph is a pure function of
 // (n, x, p, seed): independent of the worker count, rank count, partition
@@ -115,16 +115,15 @@ type Options struct {
 	// one counter increment per copy query plus 8 bytes per local node,
 	// so it is opt-in.
 	CollectNodeLoad bool
-	// HubPrefix controls the replicated hub-prefix cache (DESIGN.md
-	// §10): every rank keeps a read-mostly replica of the first H
-	// nodes' attachment slots, owners broadcast newly resolved prefix
-	// slots as publish messages, and copy queries for replicated slots
-	// are answered locally instead of crossing the wire. 0 (the
-	// default) sizes H automatically to cover
-	// partition.HubPrefixAutoFrac of the expected request mass; a
-	// negative value disables the cache; a positive value fixes H
-	// (clamped to n). All ranks of a run must use the same setting.
-	// The output graph is identical for every setting.
+	// HubPrefix controls the hub-prefix replica (DESIGN.md §10): the
+	// rank computes the first H nodes' attachment slots itself before
+	// its first window, and copy queries for them are answered locally
+	// instead of crossing the wire. 0 (the default) sizes H
+	// automatically to cover partition.HubPrefixAutoFrac of the expected
+	// request mass; a negative value disables the replica; a positive
+	// value fixes H (clamped to n). The setting is the rank's own: ranks
+	// may differ, and a resume may change it. The output graph is
+	// identical for every setting.
 	HubPrefix int64
 	// Checkpoint, when non-nil, enables cooperative checkpoint/restart
 	// (see CheckpointOptions and DESIGN.md §9). It requires StreamDir,
@@ -196,19 +195,19 @@ type RankStats struct {
 	// requesting rank.
 	NodeLoad []int64
 	// HubElided counts copy queries answered without a request, by
-	// global target node k < H: replica hits plus coalesced requests.
+	// global target node k < H: the replica hits.
 	// Load the owner never saw — the Lemma 3.4 comparison needs
 	// NodeLoad + HubElided (summed across ranks). Nil unless both
 	// CollectNodeLoad and the hub cache were on.
 	HubElided []int64
 	// HubCacheHits counts remote copy queries answered by the hub
-	// replica; HubCacheMisses counts prefix queries (k < H) that found
-	// the replica slot still unresolved and fell back to a request.
+	// replica. HubCacheMisses and ReqCoalesced are always zero: the
+	// replica is complete before the first query, so no prefix query
+	// misses and none rides another's request. They stay until the
+	// benchmark, which reads them, lets go of them.
 	HubCacheHits   int64
 	HubCacheMisses int64
-	// ReqCoalesced counts remote copy queries that rode an already
-	// outstanding request for the same slot instead of sending another.
-	ReqCoalesced int64
+	ReqCoalesced   int64
 	// RecomputeResolved counts remote copy queries resolved by local
 	// stream replay (recompute mode); RecomputeFallback counts replays
 	// that hit the depth cap and fell back to the wire protocol.
@@ -282,10 +281,6 @@ func (s RankStats) Metrics() obs.RankMetrics {
 		QueuedWaits:       s.QueuedWaits,
 		LocalWaits:        s.LocalWaits,
 		HubCacheHit:       s.HubCacheHits,
-		HubCacheMiss:      s.HubCacheMisses,
-		HubCachePub:       s.Comm.PublishSent,
-		HubCachePubRecv:   s.Comm.PublishRecv,
-		ReqCoalesced:      s.ReqCoalesced,
 		RecomputeResolved: s.RecomputeResolved,
 		RecomputeFallback: s.RecomputeFallback,
 		ReplayedEdges:     s.ReplayedEdges,
@@ -334,10 +329,7 @@ func NodeLoadSamples(part partition.Scheme, rank int, load []int64) []obs.KLoad 
 }
 
 // TotalLoad returns the paper's Section 4.6 load measure for the rank:
-// nodes plus incoming plus outgoing data messages. Publish traffic is
-// deliberately excluded — it is replication overhead, not the
-// request/response load the paper's balance analysis models (DESIGN.md
-// §10) — so the measure stays comparable across hub-cache settings.
+// nodes plus incoming plus outgoing data messages.
 func (s RankStats) TotalLoad() int64 {
 	return s.Nodes +
 		s.Comm.RequestsSent + s.Comm.ResolvedSent +
@@ -390,12 +382,10 @@ type engine struct {
 	// like f, but per node not per slot); nil unless CollectNodeLoad.
 	nodeLoad []int64
 
-	// hub is the replicated hub-prefix cache; nil when disabled (single
-	// rank, p = 1, or Options.HubPrefix < 0). hubPeers are the ranks
-	// this rank publishes its resolved prefix slots to. hubElided
-	// counts elided queries by global node (CollectNodeLoad only).
+	// hub is the computed hub-prefix replica; nil when disabled (single
+	// rank, p = 1, or Options.HubPrefix < 0). hubElided counts elided
+	// queries by global node (CollectNodeLoad only).
 	hub       *hubCache
-	hubPeers  []int
 	hubElided []int64
 
 	// recompute selects the recomputation resolver (Options.Resolve),
@@ -404,11 +394,6 @@ type engine struct {
 	recompute bool
 	depthCap  int
 	memo      map[int64]*replayEntry
-	// fencesRecv counts hub fences received: with the cache on a rank
-	// may not leave its receive loop until every peer has fenced, so no
-	// publish frame outlives the engine on the transport (pa-tcp runs
-	// post-run collectives over the same connections).
-	fencesRecv int
 
 	// The batch kernel's lanes (batch.go): workers[0] is the rank
 	// goroutine's, the rest have helper goroutines between startHelpers
@@ -423,11 +408,6 @@ type engine struct {
 	ahead   aheadArena // susp.go
 	// rng draws the rank goroutine's attempts.
 	rng xrand.Rand
-	// remote is the request-coalescing table (hub cache on only): it
-	// chains this rank's nodes waiting on the same remote slot, keyed by
-	// global slot id k*x + l, primary requester included. One wire
-	// request serves the whole chain; resumeWire fans its answer out.
-	remote waiterTable
 
 	// unresolved counts the rank's still-NILL slots.
 	unresolved int64
@@ -624,7 +604,7 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 		return nil, fmt.Errorf("core: unknown resolve mode %d", int(opts.Resolve))
 	}
 	// Hub-prefix replica: pointless on one rank (no wire requests) and
-	// at p = 1 (no copy branch, so no requests at all).
+	// at p = 1 (no copy branch, so no requests at all). run fills it.
 	if hp := opts.HubPrefix; hp >= 0 && e.p > 1 && e.prob < 1 {
 		h := hp
 		if h == 0 {
@@ -637,8 +617,6 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 		// sources are drawn from [x, t)).
 		if h > e.x64 {
 			e.hub = newHubCache(h, e.x64, opts.Params.N)
-			e.hubPeers = hubPeerRanks(opts.Part, rank, e.p)
-			e.remote.init(0)
 		}
 	}
 	if c := opts.Checkpoint; c != nil {
@@ -746,8 +724,8 @@ func (e *engine) run() error {
 			return err
 		}
 	}
-	if err := e.publishResolvedPrefix(); err != nil {
-		return err
+	if e.hub != nil {
+		e.hub.fill(e.opts.Params, e.seed)
 	}
 	// Data messages a faster peer generated while this rank was still
 	// inside the resume-negotiation collectives were parked in ck.held;
@@ -1089,11 +1067,7 @@ func (e *engine) handleBatch(ms []msg.Message) error {
 func (e *engine) handle(m msg.Message) error {
 	switch m.Kind {
 	case msg.KindResolved:
-		e.resumeWire(m.T, int(m.E), m.V)
-	case msg.KindPublish:
-		return e.applyPublish(m)
-	case msg.KindFence:
-		return e.onFence()
+		e.resume(m.T, e.part.Index(e.rank, m.T), int(m.E), m.V)
 	case msg.KindDone:
 		if e.rank != 0 {
 			return fmt.Errorf("core: rank %d received done message", e.rank)
@@ -1121,12 +1095,6 @@ func (e *engine) maybeReportDone() error {
 		return nil
 	}
 	e.doneFlag = true
-	// Fences travel for every rank (rank 0 included — only the done
-	// report below is short-circuited), trailing this rank's buffered
-	// publishes on each channel.
-	if err := e.sendFences(); err != nil {
-		return err
-	}
 	if e.rank == 0 {
 		e.doneRanks++
 		return e.maybeBroadcastStop()
@@ -1158,4 +1126,14 @@ func (e *engine) maybeBroadcastStop() error {
 	}
 	e.stopped = true
 	return nil
+}
+
+// finished reports whether the rank may leave its receive loop: stop has
+// arrived, and so has every checkpoint cut marker owed to it (relays ride
+// peer channels and can trail stop). Without the second wait, a marker
+// sent to an already-stopped rank would linger on the transport and
+// corrupt whatever runs over the same connections next (cmd/pa-tcp's
+// post-run collectives reject non-collective traffic).
+func (e *engine) finished() bool {
+	return e.stopped && (e.ck == nil || e.ck.markersOwed == 0)
 }

@@ -1,23 +1,24 @@
 package core
 
 import (
-	"strings"
-	"sync"
+	"fmt"
+	"os"
 	"testing"
-	"time"
 
 	"pagen/internal/ckpt"
 	"pagen/internal/comm"
+	"pagen/internal/graph"
 	"pagen/internal/model"
+	"pagen/internal/msg"
 	"pagen/internal/partition"
-	"pagen/internal/transport"
+	"pagen/internal/seq"
 )
 
 // The hub-prefix cache changes traffic, never output (DESIGN.md §8.1):
 // for these schemes, rank and worker counts the edge list with the
 // cache off, auto-sized, and at a fixed size must be identical element
-// for element — and the cache must actually hit, and leave no publish in
-// flight, on every multi-rank run, the four-rank UCP one included.
+// for element — and the cache must actually hit on every multi-rank
+// run, the four-rank UCP one included.
 func TestHubCacheOutputInvariance(t *testing.T) {
 	pr := model.Params{N: 4_000, X: 3, P: 0.5}
 	configs := []struct {
@@ -50,25 +51,16 @@ func TestHubCacheOutputInvariance(t *testing.T) {
 				res := run(hub)
 				label := tc.kind.String() + " ranks/workers/hub matrix"
 				equalEdges(t, label, res.Graph.Edges, base.Graph.Edges)
-				var hits, pubSent, pubRecv int64
+				var hits int64
 				for _, st := range res.Ranks {
 					hits += st.HubCacheHits
-					pubSent += st.Comm.PublishSent
-					pubRecv += st.Comm.PublishRecv
 				}
 				if tc.ranks > 1 {
 					if hits == 0 {
 						t.Errorf("%v ranks=%d workers=%d hub=%d: cache never hit", tc.kind, tc.ranks, workers, hub)
 					}
-					// Fences trail publishes on each pairwise FIFO channel
-					// and a rank only exits after collecting every fence, so
-					// at run end no publish is in flight.
-					if pubSent != pubRecv {
-						t.Errorf("%v ranks=%d workers=%d hub=%d: %d publishes sent, %d received",
-							tc.kind, tc.ranks, workers, hub, pubSent, pubRecv)
-					}
-				} else if hits != 0 || pubSent != 0 {
-					t.Errorf("single rank engaged the cache: hits=%d publishes=%d", hits, pubSent)
+				} else if hits != 0 {
+					t.Errorf("single rank engaged the cache: hits=%d", hits)
 				}
 			}
 		}
@@ -130,10 +122,9 @@ func TestHubCacheNodeLoadSplit(t *testing.T) {
 	}
 }
 
-// Seeded reordering with the cache enabled must not change the output:
-// publishes arriving late just turn hits into misses, and the wire
-// answer installs the same value. The edges are the model's, and so is
-// every query the replicas did not elide.
+// Seeded reordering with the cache enabled must not change the output
+// or the accounting: the edges are the model's, and so is every query
+// the replicas did not elide.
 func TestHubCacheChaosDelay(t *testing.T) {
 	c := simConfig{N: 6_000, X: 3, P: 0.5, Seed: 11, Scheme: partition.KindRRP, Ranks: 4, Workers: 1, Deliver: 0.1}
 	for _, sched := range []uint64{300, 301, 302} {
@@ -142,92 +133,92 @@ func TestHubCacheChaosDelay(t *testing.T) {
 	}
 }
 
-// Losing every publish in flight must degrade the cache to a no-op, not
-// corrupt the run: requests fall back to the wire (answers still install
-// locally), fences still arrive, and the output is the model's.
-// Duplicated publishes must be equally harmless (idempotent installs).
-// Publishes are the one message kind the protocol may lose (DESIGN.md
-// §10.1).
-func TestHubCachePublishDropAndDup(t *testing.T) {
-	c := simConfig{N: 6_000, X: 3, P: 0.5, Seed: 17, Scheme: partition.KindRRP, Ranks: 4, Workers: 1, Sched: 17}
-	c.PubDrop = 1
-	dropped := checkSims(t, c)[0]
-	if !dropped.pubFaults {
-		t.Fatal("no publish dropped; the run never exercised the loss path")
-	}
-	if dropped.pubRecv != 0 {
-		t.Fatalf("%d publishes were received, all were dropped", dropped.pubRecv)
-	}
-	c.PubDrop, c.PubDup = 0, 1
-	if !checkSims(t, c)[0].pubFaults {
-		t.Fatal("no publish duplicated; the run never exercised the duplicate path")
+// Every rank computes the hub prefix before its first window, so on any
+// schedule a remote read below h always hits: no request frame names a
+// prefix node, nothing misses or coalesces, and no message of the former
+// publish and fence kinds (7 and 8) travels. The edges are the model's.
+func TestHubCacheNoPrefixRequests(t *testing.T) {
+	pr := model.Params{N: 6_000, X: 3, P: 0.5}
+	for _, kind := range []partition.Kind{partition.KindRRP, partition.KindUCP} {
+		for _, p := range []int{2, 4} {
+			part := mustScheme(t, kind, pr.N, p)
+			h := partition.HubPrefixAutoSize(pr.N, pr.X, p)
+			base, err := Run(Options{Params: pr, Part: part, Seed: 5, HubPrefix: -1}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, seed := range []uint64{1, 2, 3} {
+				label := fmt.Sprintf("%v ranks=%d sched=%d", kind, p, seed)
+				var reqs, prefix, former int64
+				sched := simSched{seed: seed, deliver: 0.3, sent: func(src, dst int, ms []msg.Message) {
+					for _, m := range ms {
+						switch {
+						case m.Kind == msg.KindRequest:
+							reqs++
+							if m.K < h {
+								prefix++
+							}
+						case m.Kind > msg.KindCkpt:
+							former++
+						}
+					}
+				}}
+				_, results, err := simGroup(p, sched, func(int) Options {
+					return Options{Params: pr, Part: part, Seed: 5, Workers: 1}
+				}, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				var edges []graph.Edge
+				var hits, misses, coalesced int64
+				for _, res := range results {
+					edges = append(edges, res.Edges...)
+					hits += res.Stats.HubCacheHits
+					misses += res.Stats.HubCacheMisses
+					coalesced += res.Stats.ReqCoalesced
+				}
+				equalEdges(t, label, edges, base.Graph.Edges)
+				if reqs == 0 || hits == 0 {
+					t.Fatalf("%s: %d requests, %d replica hits; the run exercised nothing", label, reqs, hits)
+				}
+				if prefix != 0 || former != 0 || misses != 0 || coalesced != 0 {
+					t.Fatalf("%s: %d of %d requests name a node below h = %d, %d messages of kind 7 or 8, %d misses, %d coalesced",
+						label, prefix, reqs, h, former, misses, coalesced)
+				}
+			}
+		}
 	}
 }
 
-// Mismatched hub-prefix settings across ranks must surface as an error
-// naming the cause, never a hang or silent corruption.
-func TestHubCacheMismatchedSettingsError(t *testing.T) {
+// Hub settings are rank-local: ranks with the replica off, auto-sized
+// and at different explicit sizes run together, and the edges are the
+// ones every rank at one setting writes.
+func TestHubCacheMismatchedSettingsAgree(t *testing.T) {
 	pr := model.Params{N: 4_000, X: 3, P: 0.5}
-	const p = 2
-	part, err := partition.New(partition.KindRRP, pr.N, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	group, err := transport.NewLocalGroup(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mirror Run's abort broadcast: the erroring rank closes every
-	// endpoint so its peers unwind instead of waiting on fences that
-	// will never come.
-	var closeOnce sync.Once
-	abort := func() {
-		closeOnce.Do(func() {
-			for r := 0; r < p; r++ {
-				group.Endpoint(r).Close()
-			}
-		})
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, p)
-	for r := 0; r < p; r++ {
-		hub := int64(0)
-		if r == 1 {
-			hub = -1
+	for _, hubs := range [][]int64{{0, -1}, {-1, 64}, {64, 0, 200}, {-1, 0, -1, 9}} {
+		p := len(hubs)
+		part := mustScheme(t, partition.KindRRP, pr.N, p)
+		base, err := Run(Options{Params: pr, Part: part, Seed: 3}, false)
+		if err != nil {
+			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func(r int, hub int64) {
-			defer wg.Done()
-			_, errs[r] = RunRank(group.Endpoint(r), Options{
-				Params: pr, Part: part, Seed: 3, HubPrefix: hub,
-			})
-			if errs[r] != nil {
-				abort()
-			}
-		}(r, hub)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("mismatched hub settings hung the cluster")
-	}
-	found := false
-	for _, err := range errs {
-		if err != nil && strings.Contains(err.Error(), "hub") {
-			found = true
+		_, results, err := simGroup(p, simSched{seed: uint64(p)}, func(r int) Options {
+			return Options{Params: pr, Part: part, Seed: 3, Workers: 1, HubPrefix: hubs[r]}
+		}, nil)
+		if err != nil {
+			t.Fatalf("hubs %v: %v", hubs, err)
 		}
-	}
-	if !found {
-		t.Fatalf("no rank reported the mismatch: %v", errs)
+		var edges []graph.Edge
+		for _, res := range results {
+			edges = append(edges, res.Edges...)
+		}
+		equalEdges(t, fmt.Sprintf("hubs %v", hubs), edges, base.Graph.Edges)
 	}
 }
 
 // Replica internals: a fresh replica covers h*x slots, all unknown, and
-// the publish fan-out follows the request matrix — strictly
-// lower-triangular under contiguous partitions, full mesh under
-// round-robin.
+// fill writes the model's attachments for every node in [x, h) and
+// leaves the clique rows NILL.
 func TestHubCacheInstallIdempotentAndPeers(t *testing.T) {
 	c := newHubCache(4, 3, 1000)
 	if got := c.f.len(); got != 12 {
@@ -239,30 +230,40 @@ func TestHubCacheInstallIdempotentAndPeers(t *testing.T) {
 		}
 	}
 
-	ucp, err := partition.New(partition.KindUCP, 1000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rrp, err := partition.New(partition.KindRRP, 1000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := hubPeerRanks(ucp, 1, 4); len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("UCP rank 1 publishes to %v, want [2 3]", got)
-	}
-	if got := hubPeerRanks(ucp, 3, 4); len(got) != 0 {
-		t.Fatalf("UCP last rank publishes to %v, want none", got)
-	}
-	if got := hubPeerRanks(rrp, 1, 4); len(got) != 3 {
-		t.Fatalf("RRP rank 1 publishes to %v, want all 3 peers", got)
+	for _, pr := range []model.Params{{N: 3_000, X: 3, P: 0.5}, {N: 3_000, X: 1, P: 0.2}, {N: 500, X: 8, P: 0.9}} {
+		const h, seed = 400, 21
+		g, _, err := seq.CopyModel(pr, seed, seq.CopyModelOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[int64][]int64{}
+		for _, e := range g.Edges {
+			if e.U >= int64(pr.X) && e.U < h {
+				want[e.U] = append(want[e.U], e.V)
+			}
+		}
+		c := newHubCache(h, int64(pr.X), pr.N)
+		c.fill(pr, seed)
+		x := int64(pr.X)
+		for k := int64(0); k < h; k++ {
+			for l := int64(0); l < x; l++ {
+				got := c.f.get(k*x + l)
+				switch {
+				case k < x && got != -1:
+					t.Fatalf("%+v: clique slot (%d, %d) reads %d, want NILL", pr, k, l, got)
+				case k >= x && got != want[k][l]:
+					t.Fatalf("%+v: replica slot (%d, %d) reads %d, the model's is %d", pr, k, l, got, want[k][l])
+				}
+			}
+		}
 	}
 }
 
 // Kill-and-resume with the cache on: the replica is never serialized, so
-// a resumed rank must re-derive its contribution by republishing every
-// resolved prefix slot it owns, and coalescing chains captured in the
-// snapshot must come back. The resumed output is compared edge for edge
-// with the uninterrupted run.
+// a resumed rank computes it again before its first window. The resumed
+// output is compared edge for edge with the uninterrupted run — with the
+// cache on, and with it off, since a snapshot holds nothing that depends
+// on the hub setting.
 func TestHubCacheKillResumeRebuildsReplica(t *testing.T) {
 	pr := model.Params{N: 20_000, X: 3, P: 0.5}
 	const ranks = 3
@@ -301,39 +302,33 @@ func TestHubCacheKillResumeRebuildsReplica(t *testing.T) {
 		t.Fatal("no epoch committed even at Every=50")
 	}
 
-	res, err := Run(Options{
-		Params: pr, Part: newPart(), Seed: 19, Workers: 2, HubPrefix: 0,
-		Checkpoint: &CheckpointOptions{Dir: dir, Every: 0, Keep: 1000, Resume: true},
-	}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalEdges(t, "resume with cache on", res.Graph.Edges, base.Graph.Edges)
-	var pubs int64
-	for _, st := range res.Ranks {
-		pubs += st.Comm.PublishSent
-	}
-	// The snapshot was taken mid-run, so some owned prefix slots were
-	// already resolved; publishResolvedPrefix must have re-seeded them.
-	if pubs == 0 {
-		t.Fatal("resumed run published nothing; replica was not re-derived")
-	}
-
-	// Resuming a cache-on snapshot with the cache off either fails
-	// loudly (the snapshot captured coalescing chains the cache-off
-	// engine cannot host) or — when no chain happened to be in flight at
-	// the cut — degrades cleanly to identical output. Both are correct;
-	// a hang or divergent output is not.
-	res, err = Run(Options{
-		Params: pr, Part: newPart(), Seed: 19, Workers: 2, HubPrefix: -1,
-		Checkpoint: &CheckpointOptions{Dir: dir, Every: 0, Keep: 1000, Resume: true},
-	}, false)
-	if err != nil {
-		if !strings.Contains(err.Error(), "hub") {
-			t.Fatalf("cache-off resume failed with an unrelated error: %v", err)
+	// Resume from the first epoch, so most prefix queries come after it.
+	// A resume that checkpoints nothing leaves the snapshots as they
+	// were, and truncates the shards back to their marks, so both resumes
+	// start from it.
+	for _, ep := range epochs[1:] {
+		for r := 0; r < ranks; r++ {
+			if err := os.Remove(ckpt.Path(dir, r, ep)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	} else {
-		equalEdges(t, "resume with cache off", res.Graph.Edges, base.Graph.Edges)
+	}
+	for _, hub := range []int64{0, -1} {
+		res, err := Run(Options{
+			Params: pr, Part: newPart(), Seed: 19, Workers: 2, HubPrefix: hub,
+			Checkpoint: &CheckpointOptions{Dir: dir, Every: 0, Keep: 1000, Resume: true},
+		}, false)
+		if err != nil {
+			t.Fatalf("resume with hub=%d: %v", hub, err)
+		}
+		equalEdges(t, fmt.Sprintf("resume with hub=%d", hub), res.Graph.Edges, base.Graph.Edges)
+		var hits int64
+		for _, st := range res.Ranks {
+			hits += st.HubCacheHits
+		}
+		if (hits > 0) != (hub == 0) {
+			t.Fatalf("resume with hub=%d: %d replica hits", hub, hits)
+		}
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 // (batch.go) has started it — issuing an attempt, settling answers in
 // edge order, suspension and resume, slot finalisation with its waiter
 // cascade, and the request and resolved handlers. All of it runs on the
-// rank goroutine, the single writer of F, the waiter, suspension and
-// coalescing tables, the ahead arena, the send buffers and the sink.
+// rank goroutine, the single writer of F, the waiter and suspension
+// tables, the ahead arena, the send buffers and the sink.
 
 // emit finalises edge (t, v) of a generating node for the Sink. A
 // streamed rank writes its shard from F instead, in slot order
@@ -48,9 +48,8 @@ func (e *engine) record(t int64, edge int, a model.Attempt) {
 // query looks up copy source F_k(l) for node t's edge (Algorithm 3.2
 // lines 11-14) and returns (value, true) from the rank's own table, the
 // hub replica or a replay; else it parks the edge on the source's local
-// queue, on an in-flight request for the slot or on a request of its
-// own, and returns (key, false), key the hub slot whose coalescing chain
-// the wait rides (-1 for none). The answer will reach resume.
+// queue or sends a request, and returns (-1, false). The answer will
+// reach resume.
 func (e *engine) query(t int64, edge int, k int64, l int) (int64, bool) {
 	owner, kidx := e.locate(k)
 	if owner == e.rank {
@@ -70,38 +69,12 @@ func (e *engine) query(t int64, edge int, k int64, l int) (int64, bool) {
 		return -1, false
 	}
 	if hub := e.hub; hub != nil && k < hub.h {
-		gkey := k*e.x64 + int64(l)
-		if v := hub.f.get(gkey); v >= 0 {
-			// Replica hit: the owner's immutable value is already here —
-			// the same value a round trip would return, so no request
-			// travels.
-			e.stats.HubCacheHits++
-			e.noteElided(k)
-			return v, true
-		}
-		e.stats.HubCacheMisses++
-		if e.remote.has(gkey) {
-			// A node of this rank already has a request for this slot
-			// in flight: ride its answer. Coalescing is prefix-only so
-			// every elided query lands in hubElided and the Lemma 3.4
-			// census stays exact (tail slots coalesce too rarely to be
-			// worth an n-sized counter array).
-			e.stats.ReqCoalesced++
-			e.noteElided(k)
-			e.remote.push(gkey, t, uint16(edge))
-			return gkey, false
-		}
-		if e.recompute {
-			if v, ok := e.replayRemote(k, l); ok {
-				// Replayed values are as immutable as resolved ones; seed
-				// the replica so later queries for this slot short-circuit.
-				hub.f.set(gkey, v)
-				return v, true
-			}
-		}
-		e.remote.push(gkey, t, uint16(edge))
-		e.sendData(owner, msg.Request(t, edge, k, l))
-		return gkey, false
+		// Replica hit: the rank computed the prefix before its first
+		// window, so the owner's value is already here and no request
+		// travels.
+		e.stats.HubCacheHits++
+		e.noteElided(k)
+		return hub.f.get(k*e.x64 + int64(l)), true
 	}
 	if e.recompute {
 		if v, ok := e.replayRemote(k, l); ok {
@@ -116,16 +89,15 @@ func (e *engine) query(t int64, edge int, k int64, l int) (int64, bool) {
 // attempt st.r of its frontier edge st.e, and commits in edge order while
 // answers are in hand: a duplicate (Algorithm 3.2 lines 7 and 22) issues
 // retry r+1 of that edge alone; a final value commits, and the next
-// edge's answer follows from the ahead block — or its deferred replica
-// miss is issued now. The node suspends on the first outstanding edge
-// and frees its block when it finishes; it holds no record on entry.
-// Slots past the frontier are NILL, so the duplicate check scans the row.
+// edge's answer follows from the ahead block. The node suspends on the
+// first outstanding edge and frees its block when it finishes; it holds
+// no record on entry. Slots past the frontier are NILL, so the duplicate
+// check scans the row.
 func (e *engine) settle(t, idx int64, st suspState, v int64) {
 	base := idx * e.x64
 	edge, r := int(st.e), int(st.r)
 	for ok := true; ; {
 		if !ok {
-			e.ahead.block(st.blk)[edge] = v // the chain key
 			e.susp.put(idx, suspState{e: int32(edge), r: int32(r), blk: st.blk})
 			return
 		}
@@ -142,13 +114,8 @@ func (e *engine) settle(t, idx int64, st suspState, v int64) {
 			return
 		}
 		r = 0
-		switch v = e.ahead.block(st.blk)[edge]; v {
-		case aheadWaiting:
-			v, ok = -1, false
-		case aheadDeferred:
-			d := e.opts.Params.NewDrawer(t)
-			v, ok = e.issue(t, edge, d.Attempt(&e.rng, e.seed, edge, 0))
-		}
+		v = e.ahead.block(st.blk)[edge]
+		ok = v != aheadWaiting
 	}
 }
 
@@ -157,11 +124,7 @@ func (e *engine) settle(t, idx int64, st suspState, v int64) {
 // the value waits in the ahead block. An answer for an edge below the
 // frontier, or for a node with no record, is stale and dropped.
 func (e *engine) resume(t, idx int64, edge int, v int64) {
-	e.resumeAt(e.susp.find(idx), t, idx, edge, v)
-}
-
-// resumeAt is resume with idx's suspension-table bucket found.
-func (e *engine) resumeAt(i uint64, t, idx int64, edge int, v int64) {
+	i := e.susp.find(idx)
 	if e.susp.keys[i] != idx {
 		return
 	}
@@ -175,67 +138,13 @@ func (e *engine) resumeAt(i uint64, t, idx int64, edge int, v int64) {
 	}
 }
 
-// resumeWire handles a wire <resolved>. With the hub cache on, an answer
-// for a hub-prefix slot is addressed to the chain's primary requester but
-// belongs to every node coalesced on the slot: look the slot up in the
-// primary's ahead block (a replica miss is only ever asked at a frontier,
-// so a node rides at most one chain), install the value in the replica,
-// and fan the answer out to the whole chain, the primary included. Any
-// other answer, a stale one too, takes the plain path.
-func (e *engine) resumeWire(t int64, edge int, v int64) {
-	idx := e.part.Index(e.rank, t)
-	i, h := e.susp.find(idx), nilNode
-	if st := e.susp.vals[i]; e.hub != nil && e.susp.keys[i] == idx && int(st.e) == edge {
-		if key := e.ahead.block(st.blk)[edge]; key >= 0 {
-			e.hub.f.set(key, v)
-			h = e.remote.take(key)
-		}
-	}
-	if h < 0 {
-		e.resumeAt(i, t, idx, edge, v)
-	}
-	// Walk the detached chain copying each node out before freeing it:
-	// resume can recurse into settle and push new chain entries while
-	// we iterate (same discipline as resolveSlot's waiter walk).
-	for h >= 0 {
-		n := e.remote.arena[h]
-		e.remote.freeNode(h)
-		h = n.next
-		nidx := idx
-		if n.t != t {
-			nidx = e.part.Index(e.rank, n.t)
-		}
-		e.resume(n.t, nidx, int(n.e), v)
-	}
-}
-
 // resolveSlot finalises F_t(edge) = v at flat slot s: records the edge
-// and emits it, publishes hub-prefix nodes, and answers every waiter of
-// the slot (Algorithm 3.1 lines 16-19 / Algorithm 3.2 lines 21-25).
+// and emits it, and answers every waiter of the slot (Algorithm 3.1
+// lines 16-19 / Algorithm 3.2 lines 21-25).
 func (e *engine) resolveSlot(t int64, edge int, s, v int64) {
 	e.f.set(s, v)
 	e.emit(t, v)
 	e.unresolved--
-
-	// Hub prefix: replicate the node's slots to every rank that may
-	// query them, batched per node. A node's slots resolve strictly in
-	// order, so edge x-1 resolving means all x values are final;
-	// publishing them together keeps a node's publishes adjacent per
-	// destination, where the v3 codec's slot-delta coding packs each
-	// trailing slot into ~1 byte of header. Peers that query an earlier
-	// slot before the batch lands fall back to the wire protocol (the
-	// replica elides traffic, never correctness), and a restore
-	// republishes resolved prefix slots via publishResolvedPrefix, so the
-	// deferral survives checkpoint cuts too.
-	if hub := e.hub; hub != nil && t < hub.h && edge == e.x-1 {
-		base := s - int64(edge)
-		for l := int64(0); l < e.x64; l++ {
-			m := msg.Publish(t, int(l), e.f.get(base+l))
-			for _, r := range e.hubPeers {
-				e.sendData(r, m)
-			}
-		}
-	}
 
 	// Walk the slot's detached waiter chain in FIFO order. Each node's
 	// fields are copied out and the node freed before delivery, because

@@ -138,7 +138,8 @@ func validateSnapshot(s *ckpt.Snapshot, tr transport.Transport, opts Options) er
 // pooled capture buffer. The rank is globally quiescent: no window is
 // open, no data message is in flight and none sits in a send buffer
 // (ckptCut checks), so every piece of protocol state lives in exactly
-// one of the three tables captured here. The capture holds no table:
+// one of the two tables captured here: the suspension table with its
+// ahead blocks, and the waiter table. The capture holds no table:
 // the cut has just written F up to the resolved frontier and flushed the
 // open block, so the shard prefix under mark is F below the frontier,
 // and the window carries F from there up to the cursor, above which
@@ -160,7 +161,6 @@ func (e *engine) buildSnapshotInto(s *ckpt.Snapshot, mark esink.Mark) {
 		Susp:    slices.Grow(s.Susp[:0], e.susp.live),
 		Ahead:   s.Ahead[:0],
 		Waiters: slices.Grow(s.Waiters[:0], int(e.pendingWaiters)),
-		Remote:  s.Remote[:0],
 		Stats: ckpt.Stats{
 			Retries:     e.stats.Retries,
 			QueuedWaits: e.stats.QueuedWaits,
@@ -189,49 +189,6 @@ func (e *engine) buildSnapshotInto(s *ckpt.Snapshot, mark esink.Mark) {
 	e.waiters.forEach(func(slot, t int64, e16 uint16) {
 		s.Waiters = append(s.Waiters, ckpt.WaiterRecord{Slot: slot, T: t, E: e16})
 	})
-	// Coalescing chains serialize chain by chain in FIFO order, so the
-	// first record of each chain is its primary requester — the node the
-	// owner's answer is addressed to.
-	e.remote.forEach(func(slot, t int64, e16 uint16) {
-		s.Remote = append(s.Remote, ckpt.WaiterRecord{Slot: slot, T: t, E: e16})
-	})
-}
-
-// restoreChains rebuilds the hub cache's request-coalescing chains from
-// the snapshot's Remote records. The in-flight answer to a chain, owed
-// by the owner's restored waiter record for the primary (first) record,
-// is addressed to the primary's node, and resumeWire — finding the slot
-// in the primary's ahead block — fans it out to the rest of the chain
-// from there and installs it in the replica. A rank
-// coalesces only hub-prefix slots and holds one chain per slot, so a
-// chain outside the prefix, or a slot whose records reappear after
-// another chain's, is a snapshot no writer produces: merging two chains
-// would resume both on one answer, and keeping them apart would need a
-// second key for one slot.
-// All runs over a checkpoint sequence must agree on the hub setting:
-// with the cache disabled the chain's secondary members would never be
-// answered (they are registered nowhere else — that is the point of
-// coalescing), so restoring their records is an error, not a fallback.
-func (e *engine) restoreChains(s *ckpt.Snapshot) error {
-	if len(s.Remote) > 0 && e.hub == nil {
-		return fmt.Errorf("core: resume: snapshot has %d coalesced remote waiters but the hub cache is disabled; resume with the hub-prefix setting the snapshot was taken under", len(s.Remote))
-	}
-	for i, wr := range s.Remote {
-		switch {
-		case wr.Slot < 0 || wr.Slot >= e.hub.f.len():
-			return fmt.Errorf("core: resume: coalescing chain for slot %d lies outside this run's %d-slot hub prefix; resume with the hub-prefix setting the snapshot was taken under", wr.Slot, e.hub.f.len())
-		case (i == 0 || wr.Slot != s.Remote[i-1].Slot) && e.remote.has(wr.Slot):
-			return fmt.Errorf("core: resume: snapshot holds two coalescing chains for slot %d", wr.Slot)
-		}
-		e.remote.push(wr.Slot, wr.T, wr.E)
-		idx := e.part.Index(e.rank, wr.T)
-		st, ok := e.susp.get(idx)
-		if !ok {
-			return fmt.Errorf("core: resume: chained node %d has no suspension record", wr.T)
-		}
-		e.ahead.block(st.blk)[st.e] = wr.Slot
-	}
-	return nil
 }
 
 // restoreShard fills F below the snapshot's frontier from the rank's
@@ -335,12 +292,11 @@ func (e *engine) restore() error {
 		for j := range b {
 			b[j] = aheadWaiting
 		}
-		b[sr.Edge] = -1 // the chain key; restoreChains sets it
 		e.susp.put(sr.Idx, st)
 	}
 	for _, ar := range s.Ahead {
 		st, ok := e.susp.get(max(ar.Slot, 0) / e.x64)
-		if ar.Slot < 0 || !ok || ar.Slot%e.x64 <= int64(st.e) || ar.V < -1 || ar.V >= e.opts.Params.N {
+		if ar.Slot < 0 || !ok || ar.Slot%e.x64 <= int64(st.e) || ar.V < 0 || ar.V >= e.opts.Params.N {
 			return fmt.Errorf("core: resume: answer %d held for slot %d, which is no suspended node's edge past its frontier", ar.V, ar.Slot)
 		}
 		e.ahead.block(st.blk)[ar.Slot%e.x64] = ar.V
@@ -358,9 +314,6 @@ func (e *engine) restore() error {
 		}
 		e.waiters.push(wr.Slot, wr.T, wr.E)
 		e.trackPending(1)
-	}
-	if err := e.restoreChains(s); err != nil {
-		return err
 	}
 
 	e.unresolved = 0

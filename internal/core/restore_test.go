@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -541,8 +542,7 @@ func withValue(t *testing.T, b []byte, key, v uint64) []byte {
 }
 
 // cutEngine builds rank 1 of a three-rank checkpointed run, where a cut
-// or a restore would run, with the hub cache on. The caller owns no
-// cleanup.
+// or a restore would run. The caller owns no cleanup.
 func cutEngine(t *testing.T) *engine {
 	t.Helper()
 	pr := model.Params{N: 2_000, X: 2, P: 0.5}
@@ -566,9 +566,6 @@ func cutEngine(t *testing.T) *engine {
 			group.Endpoint(r).Close()
 		}
 	})
-	if e.hub == nil {
-		t.Fatal("hub cache off")
-	}
 	return e
 }
 
@@ -602,53 +599,76 @@ func TestCollectiveMessageMidRunFails(t *testing.T) {
 	}
 }
 
-// A rank holds one coalescing chain per hub slot, so a snapshot whose
-// Remote records return to a slot after another slot's chain is refused
-// by name rather than restored as two chains or merged into one; so is a
-// chain outside the hub prefix, whose answer has no replica slot.
-func TestRestoreRefusesRepeatedChainSlot(t *testing.T) {
-	// fresh returns an engine whose local nodes 40-43 are suspended, as
-	// restore leaves them before it rebuilds the chains.
-	fresh := func() *engine {
-		e := cutEngine(t)
-		for idx := int64(40); idx < 44; idx++ {
-			e.susp.put(idx, suspState{blk: e.ahead.alloc()})
-		}
-		return e
-	}
-	e := fresh()
-	node := func(idx int64) int64 { return e.part.NodeAt(1, idx) }
-	s := &ckpt.Snapshot{Remote: []ckpt.WaiterRecord{
-		{Slot: 5, T: node(40), E: 0},
-		{Slot: 5, T: node(41), E: 1},
-		{Slot: 6, T: node(42), E: 0},
-		{Slot: 5, T: node(43), E: 0},
-	}}
-	err := e.restoreChains(s)
-	if err == nil || !strings.Contains(err.Error(), "two coalescing chains for slot 5") {
-		t.Fatalf("restore of a repeated chain slot: err = %v, want one naming slot 5", err)
-	}
-
-	// The same records without the repeat restore as two chains.
-	e = fresh()
-	s.Remote = s.Remote[:3]
-	if err := e.restoreChains(s); err != nil {
+// An answer held ahead is a node id: restore refuses one outside
+// [0, n) by name instead of committing it to F — −1 included, which
+// version 10 snapshots used for a hub-replica miss left to the frontier.
+func TestRestoreRefusesAheadOutsideNodes(t *testing.T) {
+	pr := model.Params{N: 6_000, X: 4, P: 0.5}
+	part := mustScheme(t, partition.KindRRP, pr.N, 2)
+	ckptDir, streamDir := t.TempDir(), t.TempDir()
+	opts := Options{Params: pr, Part: part, Seed: 13, Workers: 1, StreamDir: streamDir,
+		Checkpoint: &CheckpointOptions{Dir: ckptDir, Every: pr.N / 8, Keep: 1000}}
+	if _, _, err := simGroup(2, simSched{seed: 13, deliver: 0.1}, func(int) Options { return opts }, nil); err != nil {
 		t.Fatal(err)
 	}
-	var chain []int64
-	e.remote.forEach(func(slot, t int64, _ uint16) {
-		if slot == 5 {
-			chain = append(chain, t)
-		}
-	})
-	if len(chain) != 2 || chain[0] != node(40) || chain[1] != node(41) {
-		t.Fatalf("chain of slot 5 restored as %v, want [%d %d]", chain, node(40), node(41))
+	epochs, err := ckpt.Epochs(ckptDir, 0)
+	if err != nil || len(epochs) == 0 {
+		t.Fatalf("%d epochs retained (err %v)", len(epochs), err)
 	}
-
-	for _, slot := range []int64{-1, e.hub.f.len()} {
-		s.Remote = []ckpt.WaiterRecord{{Slot: slot, T: node(40), E: 0}}
-		if err := fresh().restoreChains(s); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("slot %d lies outside", slot)) {
-			t.Fatalf("restore of a chain for slot %d: err = %v, want one naming the slot", slot, err)
+	// The newest epoch some rank's snapshot of holds an answer ahead is
+	// the one to edit; the newer ones go, so a resume starts from it.
+	for len(epochs) > 0 {
+		top := epochs[len(epochs)-1]
+		r := slices.IndexFunc([]int{0, 1}, func(r int) bool {
+			s, err := ckpt.Read(ckpt.Path(ckptDir, r, top))
+			return err == nil && len(s.Ahead) > 0
+		})
+		if r >= 0 {
+			testAheadRefused(t, opts, r, top)
+			return
 		}
+		for r := 0; r < 2; r++ {
+			if err := os.Remove(ckpt.Path(ckptDir, r, top)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		epochs = epochs[:len(epochs)-1]
+	}
+	t.Fatal("no snapshot holds an answer ahead")
+}
+
+// testAheadRefused edits the first answer held ahead in rank r's
+// snapshot of epoch top to −1 and to n, checks that each resume fails
+// naming it, and resumes from the snapshot as it was.
+func testAheadRefused(t *testing.T, opts Options, r int, top int64) {
+	t.Helper()
+	opts.Checkpoint = &CheckpointOptions{Dir: opts.Checkpoint.Dir, Keep: 1000, Resume: true}
+	path := ckpt.Path(opts.Checkpoint.Dir, r, top)
+	kept, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ckpt.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := s.Ahead[0].Slot
+	for _, v := range []int64{-1, opts.Params.N} {
+		s.Ahead[0].V = v
+		var enc ckpt.Encoder
+		if _, _, err := ckpt.WriteEncoded(opts.Checkpoint.Dir, r, top, enc.Encode(s)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Run(opts, false)
+		want := fmt.Sprintf("answer %d held for slot %d", v, slot)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("resume with an answer %d held ahead: err = %v, want one saying %q", v, err, want)
+		}
+	}
+	if err := os.WriteFile(path, kept, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(opts, false); err != nil {
+		t.Fatalf("resume from the kept snapshot: %v", err)
 	}
 }

@@ -64,33 +64,36 @@ func simGroup(p int, sched simSched, opts func(r int) Options, after func(r int,
 // simConfig is one point of TestSimProperty's configuration space: the
 // run (n, x, p, seed, scheme, ranks, workers, resolve mode and replay
 // depth cap, hub prefix, streamed output, checkpoint cadence, poll
-// interval, send-buffer capacity), the schedule (seed, arrival rate,
-// publish faults) and a kill: rank KillRank crashes at its Kill-th
-// transport call, and a fresh group resumes the run with ResumeWorkers
-// workers under another schedule seed. A printed simConfig is a Go literal that replays its
+// interval, send-buffer capacity), the schedule (seed, arrival rate) and
+// a kill: rank KillRank crashes at its Kill-th transport call, and a
+// fresh group resumes the run with ResumeWorkers workers under another
+// schedule seed. The hub setting is per rank: the ranks whose bit is set
+// in AltRanks run with AltHub instead of Hub, and in ResumeAltRanks
+// after the kill. A printed simConfig is a Go literal that replays its
 // run exactly.
 type simConfig struct {
-	N             int64
-	X             int
-	P             float64
-	Seed          uint64
-	Scheme        partition.Kind
-	Ranks         int
-	Workers       int
-	Resolve       ResolveMode
-	Depth         int
-	Hub           int64
-	Stream        bool
-	Every         int64
-	Poll          int
-	BufCap        int
-	Kill          int
-	KillRank      int
-	ResumeWorkers int
-	Sched         uint64
-	Deliver       float64
-	PubDrop       float64
-	PubDup        float64
+	N              int64
+	X              int
+	P              float64
+	Seed           uint64
+	Scheme         partition.Kind
+	Ranks          int
+	Workers        int
+	Resolve        ResolveMode
+	Depth          int
+	Hub            int64
+	Stream         bool
+	Every          int64
+	Poll           int
+	BufCap         int
+	Kill           int
+	KillRank       int
+	ResumeWorkers  int
+	Sched          uint64
+	Deliver        float64
+	AltHub         int64
+	AltRanks       uint8
+	ResumeAltRanks uint8
 }
 
 // literal prints c as the Go literal that replays it.
@@ -128,20 +131,32 @@ func drawSimConfig(rng *xrand.Rand) simConfig {
 			c.KillRank = int(rng.Uint64n(uint64(c.Ranks)))
 			c.ResumeWorkers = pick(1, 2, 3)
 		}
-	} else if c.Hub >= 0 && rng.Bool(0.3) {
-		c.PubDrop = []float64{0.3, 1}[rng.Uint64n(2)]
-		c.PubDup = []float64{0, 0.3}[rng.Uint64n(2)]
+	}
+	if rng.Bool(0.3) {
+		c.AltHub = int64(pick(-1, 0, 5, 40))
+		c.AltRanks = uint8(rng.Uint64n(256))
+		if c.Kill > 0 {
+			c.ResumeAltRanks = uint8(rng.Uint64n(256))
+		}
 	}
 	return c
 }
 
-// hubSize is the replica prefix a run of c holds (0: none), as newEngine
-// sizes it.
-func (c simConfig) hubSize() int64 {
-	if c.Hub < 0 || c.Ranks == 1 || c.P >= 1 {
+// hub is the HubPrefix of rank r under the given alternate-rank mask.
+func (c simConfig) hub(r int, alt uint8) int64 {
+	if alt>>r&1 == 1 {
+		return c.AltHub
+	}
+	return c.Hub
+}
+
+// hubSize is the replica prefix a rank of c with the given HubPrefix
+// holds (0: none), as newEngine sizes it.
+func (c simConfig) hubSize(hub int64) int64 {
+	if hub < 0 || c.Ranks == 1 || c.P >= 1 {
 		return 0
 	}
-	h := c.Hub
+	h := hub
 	if h == 0 {
 		h = partition.HubPrefixAutoSize(c.N, c.X, c.Ranks)
 	}
@@ -152,14 +167,34 @@ func (c simConfig) hubSize() int64 {
 	return h
 }
 
+// mixedHub reports whether c's ranks hold replicas of different sizes
+// on the first run.
+func (c simConfig) mixedHub() bool {
+	for r := 1; r < c.Ranks; r++ {
+		if c.hubSize(c.hub(r, c.AltRanks)) != c.hubSize(c.hub(0, c.AltRanks)) {
+			return true
+		}
+	}
+	return false
+}
+
+// resumedHub reports whether some rank's replica changes size across
+// the kill.
+func (c simConfig) resumedHub() bool {
+	for r := 0; r < c.Ranks; r++ {
+		if c.hubSize(c.hub(r, c.AltRanks)) != c.hubSize(c.hub(r, c.ResumeAltRanks)) {
+			return true
+		}
+	}
+	return false
+}
+
 // simOutcome is what a passing check saw, for TestSimProperty's
 // coverage accounting and TestSimReplaysExactly.
 type simOutcome struct {
-	crashed   bool
-	epochs    int
-	pubFaults bool
-	pubRecv   int64  // publishes the first run's ranks received
-	log       uint64 // the first run's event-log hash
+	crashed bool
+	epochs  int
+	log     uint64 // the first run's event-log hash
 }
 
 // checkSims checks each configuration with checkSim, failing the test
@@ -214,17 +249,16 @@ func checkSim(t *testing.T, c simConfig, dir string) (simOutcome, error) {
 	} else {
 		base.Trace, base.CollectNodeLoad = model.NewTrace(pr), true
 	}
-	sched := simSched{
-		seed: c.Sched, deliver: c.Deliver, pubDrop: c.PubDrop, pubDup: c.PubDup,
-		crashRank: c.KillRank, crashAt: c.Kill,
-	}
-	net, results, err := simGroup(c.Ranks, sched, func(int) Options { return base }, nil)
-	out.log, out.crashed, out.pubFaults = net.log.Sum64(), net.crashed, net.pubFaults > 0
-	for _, res := range results {
-		if res != nil {
-			out.pubRecv += res.Stats.Comm.PublishRecv
+	sched := simSched{seed: c.Sched, deliver: c.Deliver, crashRank: c.KillRank, crashAt: c.Kill}
+	rankOpts := func(o Options, alt uint8) func(int) Options {
+		return func(r int) Options {
+			ro := o
+			ro.HubPrefix = c.hub(r, alt)
+			return ro
 		}
 	}
+	net, results, err := simGroup(c.Ranks, sched, rankOpts(base, c.AltRanks), nil)
+	out.log, out.crashed = net.log.Sum64(), net.crashed
 	if err != nil && !(net.crashed && errors.Is(err, errSimCrash)) {
 		return out, err
 	}
@@ -240,7 +274,7 @@ func checkSim(t *testing.T, c simConfig, dir string) (simOutcome, error) {
 		ck.Resume = true
 		resumed.Checkpoint = &ck
 		sched = simSched{seed: c.Sched ^ 0x5bd1e995, deliver: c.Deliver}
-		if _, results, err = simGroup(c.Ranks, sched, func(int) Options { return resumed }, nil); err != nil {
+		if _, results, err = simGroup(c.Ranks, sched, rankOpts(resumed, c.ResumeAltRanks), nil); err != nil {
 			return out, fmt.Errorf("resume after the kill: %w", err)
 		}
 		if _, err = checkCuts(c, part, base.Checkpoint.Dir); err != nil {
@@ -332,7 +366,7 @@ func checkCuts(c simConfig, part partition.Scheme, dir string) (int, error) {
 				return 0, err
 			}
 		}
-		if bad := cutMismatches(part, c.Seed, c.hubSize(), snaps); len(bad) > 0 {
+		if bad := cutMismatches(part, snaps); len(bad) > 0 {
 			return 0, fmt.Errorf("epoch %d is not a consistent cut: %d mismatches, e.g. %s", ep, len(bad), bad[0])
 		}
 	}
@@ -354,7 +388,7 @@ func simShrinks(c simConfig) []simConfig {
 	try(func(d *simConfig) { d.N = max(int64(d.X)+2, d.N/2) })
 	try(func(d *simConfig) { d.Ranks = max(1, d.Ranks-1); d.KillRank = min(d.KillRank, d.Ranks-1) })
 	try(func(d *simConfig) { d.Workers, d.ResumeWorkers = 1, min(d.ResumeWorkers, 1) })
-	try(func(d *simConfig) { d.Hub = -1; d.PubDrop, d.PubDup = 0, 0 })
+	try(func(d *simConfig) { d.Hub, d.AltHub, d.AltRanks, d.ResumeAltRanks = -1, 0, 0, 0 })
 	try(func(d *simConfig) { d.Resolve, d.Depth = ResolveWire, 0 })
 	try(func(d *simConfig) { d.Stream = false })
 	try(func(d *simConfig) { d.Kill, d.KillRank, d.ResumeWorkers = 0, 0, 0 })
@@ -365,7 +399,7 @@ func simShrinks(c simConfig) []simConfig {
 	})
 	try(func(d *simConfig) { d.Kill = max(d.Kill/2, min(d.Kill, 1)) })
 	try(func(d *simConfig) { d.Poll, d.BufCap = 0, 0 })
-	try(func(d *simConfig) { d.PubDrop, d.PubDup = 0, 0 })
+	try(func(d *simConfig) { d.AltHub, d.AltRanks, d.ResumeAltRanks = 0, 0, 0 })
 	try(func(d *simConfig) { d.X = max(1, d.X-1) })
 	return out
 }
@@ -405,7 +439,7 @@ const (
 func TestSimProperty(t *testing.T) {
 	rng := xrand.New(simSeed)
 	dir := t.TempDir()
-	dims := []string{"multi-rank", "killed mid-run", "checkpointed", "publish-fault", "recompute", "multi-worker", "streamed"}
+	dims := []string{"multi-rank", "killed mid-run", "checkpointed", "mixed-hub", "resumed under another hub", "recompute", "multi-worker", "streamed"}
 	seen := make([]int, len(dims))
 	for i := 0; i < simConfigs; i++ {
 		c := drawSimConfig(rng)
@@ -414,7 +448,7 @@ func TestSimProperty(t *testing.T) {
 			small, serr := shrinkSim(t, c, err, dir)
 			t.Fatalf("config %d fails: %v\nsmallest failing config:\n\t%s,\nits failure: %v", i, err, small.literal(), serr)
 		}
-		for d, ok := range []bool{c.Ranks > 1, o.crashed, o.epochs > 0, o.pubFaults,
+		for d, ok := range []bool{c.Ranks > 1, o.crashed, o.epochs > 0, c.mixedHub(), o.crashed && c.resumedHub(),
 			c.Resolve == ResolveRecompute && c.Ranks > 1, c.Workers > 1 || c.ResumeWorkers > 1, c.Stream} {
 			if ok {
 				seen[d]++
@@ -435,15 +469,15 @@ func TestSimProperty(t *testing.T) {
 // the engine, one per protocol rule, each commented with the breakage.
 var simRegressions = []simConfig{
 	// a cut that does not relay its marker (the inconsistent cut behind the restart hang)
-	simConfig{N: 901, X: 8, P: 0.64, Seed: 0x83e2b71743294f95, Scheme: 0, Ranks: 2, Workers: 1, Resolve: 0, Depth: 0, Hub: 0, Stream: false, Every: 150, Poll: 32, BufCap: 1, Kill: 1, KillRank: 0, ResumeWorkers: 1, Sched: 0xc1effdfe9542c4b7, Deliver: 0.5, PubDrop: 0, PubDup: 0},
+	simConfig{N: 901, X: 8, P: 0.64, Seed: 0x83e2b71743294f95, Scheme: 0, Ranks: 2, Workers: 1, Resolve: 0, Depth: 0, Hub: 0, Stream: false, Every: 150, Poll: 32, BufCap: 1, Kill: 1, KillRank: 0, ResumeWorkers: 1, Sched: 0xc1effdfe9542c4b7, Deliver: 0.5, AltHub: 0, AltRanks: 0x0, ResumeAltRanks: 0x0},
 	// a rank that leaves its receive loop with cut markers still owed (a relay read after stop)
-	simConfig{N: 1313, X: 3, P: 0.25, Seed: 0x46796ac64cfcee14, Scheme: 3, Ranks: 3, Workers: 1, Resolve: 1, Depth: 1, Hub: 5, Stream: false, Every: 145, Poll: 1, BufCap: 1, Kill: 0, KillRank: 0, ResumeWorkers: 0, Sched: 0xf556c6593d1fbe93, Deliver: 0.1, PubDrop: 0, PubDup: 0},
+	simConfig{N: 1313, X: 3, P: 0.25, Seed: 0x46796ac64cfcee14, Scheme: 3, Ranks: 3, Workers: 1, Resolve: 1, Depth: 1, Hub: 5, Stream: false, Every: 145, Poll: 1, BufCap: 1, Kill: 0, KillRank: 0, ResumeWorkers: 0, Sched: 0xf556c6593d1fbe93, Deliver: 0.1, AltHub: 0, AltRanks: 0x0, ResumeAltRanks: 0x0},
 	// a straight-line commit of a local copy that skips its trace record
-	simConfig{N: 23, X: 6, P: 0.89, Seed: 0xbbb1a2c1d85907fc, Scheme: 0, Ranks: 4, Workers: 1, Resolve: 0, Depth: 0, Hub: -1, Stream: false, Every: 0, Poll: 0, BufCap: 0, Kill: 0, KillRank: 0, ResumeWorkers: 0, Sched: 0x8e1732a3f3ead1ee, Deliver: 0.5, PubDrop: 0, PubDup: 0},
+	simConfig{N: 23, X: 6, P: 0.89, Seed: 0xbbb1a2c1d85907fc, Scheme: 0, Ranks: 4, Workers: 1, Resolve: 0, Depth: 0, Hub: -1, Stream: false, Every: 0, Poll: 0, BufCap: 0, Kill: 0, KillRank: 0, ResumeWorkers: 0, Sched: 0x8e1732a3f3ead1ee, Deliver: 0.5, AltHub: 0, AltRanks: 0x0, ResumeAltRanks: 0x0},
 	// a node re-suspended on a retry with its retry count reset (a livelock)
-	simConfig{N: 12, X: 4, P: 0.49, Seed: 0x5f7caad3db74f296, Scheme: 3, Ranks: 3, Workers: 1, Resolve: 0, Depth: 0, Hub: -1, Stream: false, Every: 0, Poll: 0, BufCap: 0, Kill: 0, KillRank: 0, ResumeWorkers: 0, Sched: 0xceebd9ed6d07003f, Deliver: 0.1, PubDrop: 0, PubDup: 0},
+	simConfig{N: 12, X: 4, P: 0.49, Seed: 0x5f7caad3db74f296, Scheme: 3, Ranks: 3, Workers: 1, Resolve: 0, Depth: 0, Hub: -1, Stream: false, Every: 0, Poll: 0, BufCap: 0, Kill: 0, KillRank: 0, ResumeWorkers: 0, Sched: 0xceebd9ed6d07003f, Deliver: 0.1, AltHub: 0, AltRanks: 0x0, ResumeAltRanks: 0x0},
 	// a restore that drops a waiter record (a resumed run that deadlocks)
-	simConfig{N: 60, X: 1, P: 0.67, Seed: 0xadd58cee0f48f41a, Scheme: 1, Ranks: 3, Workers: 1, Resolve: 0, Depth: 0, Hub: -1, Stream: false, Every: 8, Poll: 1, BufCap: 0, Kill: 57, KillRank: 1, ResumeWorkers: 1, Sched: 0x3de8042c05c790b3, Deliver: 0.9, PubDrop: 0, PubDup: 0},
+	simConfig{N: 60, X: 1, P: 0.67, Seed: 0xadd58cee0f48f41a, Scheme: 1, Ranks: 3, Workers: 1, Resolve: 0, Depth: 0, Hub: -1, Stream: false, Every: 8, Poll: 1, BufCap: 0, Kill: 57, KillRank: 1, ResumeWorkers: 1, Sched: 0x3de8042c05c790b3, Deliver: 0.9, AltHub: 0, AltRanks: 0x0, ResumeAltRanks: 0x0},
 }
 
 func TestSimRegressions(t *testing.T) {

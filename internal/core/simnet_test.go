@@ -31,10 +31,8 @@ import (
 // A run that can no longer move — every open rank blocked in Recv and
 // nothing in flight — fails with a deadlock error, and a frame that is
 // in flight to a closed endpoint, or sent to one, fails the run as a
-// read after stop; both name every rank's state. Faults are schedule
-// choices too: publish messages (the one kind the protocol may lose,
-// DESIGN.md §10.1) are dropped or duplicated with seeded
-// probabilities, and a rank crashes at its k-th transport call.
+// read after stop; both name every rank's state. A crash is a schedule
+// choice too: a rank crashes at its k-th transport call.
 type simNet struct {
 	mu    sync.Mutex
 	p     int
@@ -53,12 +51,10 @@ type simNet struct {
 	err     error
 	aborted bool
 	crashed bool
-	// pubFaults counts the publishes dropped or duplicated.
-	pubFaults int
 }
 
-// simSched is one simulated run's schedule: its seed and the faults and
-// holds it injects.
+// simSched is one simulated run's schedule: its seed and the crash,
+// drops and holds it injects.
 type simSched struct {
 	seed uint64
 	// deliver is the chance that one more in-flight frame arrives
@@ -68,9 +64,6 @@ type simSched struct {
 	// crashAt, when positive, crashes rank crashRank at its crashAt-th
 	// transport call: the call fails and the harness aborts the group.
 	crashRank, crashAt int
-	// pubDrop and pubDup are the per-message chances that a publish is
-	// dropped or delivered twice.
-	pubDrop, pubDup float64
 	// drop, when set, discards a whole frame it returns true for — a
 	// deliberately unreliable network.
 	drop func(src, dst int, ms []msg.Message) bool
@@ -315,7 +308,7 @@ func (n *simNet) arriveLocked(force bool) bool {
 }
 
 // send parks r and, once r runs again, enqueues one frame from it on
-// its channel to dst with the schedule's faults applied. Every call
+// its channel to dst unless the schedule drops it. Every call
 // takes effect under the baton, so even the ranks' first calls, which
 // arrive in whatever order the goroutines start, are ordered by the
 // schedule alone.
@@ -345,7 +338,7 @@ func (n *simNet) send(r, to int, data []byte) error {
 	if n.sched.sent != nil {
 		n.sched.sent(r, to, ms)
 	}
-	if ms, data = n.publishFaultsLocked(ms, data); len(ms) == 0 || n.sched.drop != nil && n.sched.drop(r, to, ms) {
+	if n.sched.drop != nil && n.sched.drop(r, to, ms) {
 		transport.ReleaseFrame(data)
 		return nil
 	}
@@ -354,41 +347,6 @@ func (n *simNet) send(r, to int, data []byte) error {
 	n.logEvent(2, int64(r), int64(to), int64(h.Sum64()))
 	n.ch[r*n.p+to] = append(n.ch[r*n.p+to], simFrame{data: data, ms: ms})
 	return nil
-}
-
-// publishFaultsLocked drops and duplicates the frame's publishes by the
-// schedule's probabilities, re-encoding it when anything changed. A
-// duplicate follows its original in the same frame, so it still
-// precedes the sender's fence.
-func (n *simNet) publishFaultsLocked(ms []msg.Message, data []byte) ([]msg.Message, []byte) {
-	if n.sched.pubDrop == 0 && n.sched.pubDup == 0 {
-		return ms, data
-	}
-	out := make([]msg.Message, 0, len(ms))
-	faults := n.pubFaults
-	for _, m := range ms {
-		if m.Kind != msg.KindPublish {
-			out = append(out, m)
-			continue
-		}
-		switch u := n.rng.Float64(); {
-		case u < n.sched.pubDrop:
-			n.pubFaults++
-		case u < n.sched.pubDrop+n.sched.pubDup:
-			out = append(out, m, m)
-			n.pubFaults++
-		default:
-			out = append(out, m)
-		}
-	}
-	if n.pubFaults == faults {
-		return ms, data
-	}
-	transport.ReleaseFrame(data)
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, msg.AppendEncodeBatchV3(transport.LeaseFrame(len(data)), out)
 }
 
 // recv takes r's next arrived frame after a yield; block parks r until

@@ -14,13 +14,9 @@ type suspState struct {
 type suspTable = slotMap[suspState]
 
 // An ahead block holds, past its node's frontier edge, each edge's
-// answer once it arrived ahead of the committed prefix, or one of these;
-// at the frontier edge, the hub slot whose coalescing chain the wait
-// rides (-1 for none), for resumeWire's fan-out.
-const (
-	aheadWaiting  = -2 // the edge's first attempt is outstanding
-	aheadDeferred = -1 // a hub-replica miss the window left to the frontier
-)
+// answer once it arrived ahead of the committed prefix, or aheadWaiting
+// while the edge's first attempt is outstanding.
+const aheadWaiting = -1
 
 // aheadArena holds one block of x values per unfinished node, in pages
 // that growth never copies, recycled through a freelist.

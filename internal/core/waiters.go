@@ -1,9 +1,8 @@
 package core
 
 // The engine's protocol tables — the paper's per-slot waiter queues
-// Q_{k,l}, the suspension table (susp.go) and the request-coalescing
-// chains — are one open-addressed table, slotMap, under different value
-// types. Deletion shifts the rest of a probe run back instead of leaving
+// Q_{k,l} and the suspension table (susp.go) — are one open-addressed
+// table, slotMap, under different value types. Deletion shifts the rest of a probe run back instead of leaving
 // a tombstone, and a table only ever grows, so once it has reached its
 // high-water size put and take allocate nothing; the waiter arena
 // recycles its nodes through a freelist the same way.

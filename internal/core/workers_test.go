@@ -276,23 +276,6 @@ func TestStealChaosDelayWorkers(t *testing.T) {
 	}
 }
 
-// Dropped publishes with workers > 1: hub publishes are the one
-// drop-tolerated message class (requests fall back to the wire), so
-// losing all of them must still produce the model's edges — at 2 and 4
-// ranks.
-func TestStealPublishDropWorkers(t *testing.T) {
-	for _, p := range []int{2, 4} {
-		o := checkSims(t, simConfig{N: 6_000, X: 3, P: 0.5, Seed: 17, Scheme: partition.KindRRP,
-			Ranks: p, Workers: 2, Sched: 17, PubDrop: 1})[0]
-		if !o.pubFaults {
-			t.Fatalf("ranks=%d: no publish dropped; loss path unexercised", p)
-		}
-		if o.pubRecv != 0 {
-			t.Fatalf("ranks=%d: %d publishes received, all were dropped", p, o.pubRecv)
-		}
-	}
-}
-
 // Checkpoint snapshots are worker-count-agnostic: a snapshot library
 // built by a 3-worker run restores at any worker count — the records are
 // keyed by node and slot. Also emulates the crash case by trimming the

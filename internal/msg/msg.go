@@ -8,7 +8,6 @@ package msg
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 )
 
 // Kind discriminates message types.
@@ -34,15 +33,6 @@ const (
 	// round, K/V = op-dependent payloads (epoch number, or the sender's
 	// sent/received data-message counters).
 	KindCkpt
-	// KindPublish replicates a freshly resolved hub-prefix slot to peer
-	// ranks: F_T(E) = V. Application is idempotent (slots are write-once),
-	// so duplicated publishes are harmless.
-	KindPublish
-	// KindFence marks the end of the sender rank's (in T) publish stream:
-	// once a rank has received a fence from every peer, no further
-	// publishes can arrive and the channel is quiet for post-run
-	// collectives.
-	KindFence
 )
 
 // String returns the kind's name.
@@ -60,10 +50,6 @@ func (k Kind) String() string {
 		return "coll"
 	case KindCkpt:
 		return "ckpt"
-	case KindPublish:
-		return "publish"
-	case KindFence:
-		return "fence"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -105,9 +91,7 @@ const (
 //
 //	request:  T, E = requesting slot; K, L = queried slot
 //	resolved: T, E = requesting slot; V = resolved attachment
-//	publish:  T, E = published slot (node, index); V = resolved attachment
 //	done:     T = reporting rank
-//	fence:    T = reporting rank
 //	stop:     no fields
 type Message struct {
 	Kind Kind
@@ -151,19 +135,9 @@ func Ckpt(rank int, op CkptOp, round int, k, v int64) Message {
 	return Message{Kind: KindCkpt, T: int64(rank), E: uint16(op), L: uint16(round), K: k, V: v}
 }
 
-// Publish constructs a hub-prefix publish message: F_k(l) = v.
-func Publish(k int64, l int, v int64) Message {
-	return Message{Kind: KindPublish, T: k, E: uint16(l), V: v}
-}
-
-// Fence constructs a publish-stream fence for the reporting rank.
-func Fence(rank int) Message {
-	return Message{Kind: KindFence, T: int64(rank)}
-}
-
 // EncodedSize is a per-message buffer-sizing hint in bytes, the raw
 // width of a message's fields: kind(1) + T(8) + K(8) + V(8) + E(2) +
-// L(2). The v2/v3 codecs varint-code every field and drop the ones a
+// L(2). The v2/v3 codec varint-codes every field and drops the ones a
 // kind does not carry, so real traffic takes a fraction of it per
 // message; it is a capacity to preallocate, not a frame-size rule.
 const EncodedSize = 1 + 8 + 8 + 8 + 2 + 2
@@ -182,12 +156,10 @@ const FrameV2Magic = 0xC2
 //
 //	request:  varint(ΔT) varint(K)  uvarint(E) uvarint(L)
 //	resolved: varint(ΔT) varint(V)  uvarint(E)
-//	publish:  varint(ΔT) varint(V)  uvarint(E)
 //	coll:     varint(ΔT) varint(K)  varint(V)
 //	ckpt:     varint(ΔT) uvarint(E) uvarint(L) varint(K) varint(V)
 //	done:     varint(ΔT)
 //	stop:     varint(ΔT)
-//	fence:    varint(ΔT)
 //
 // ΔT is the difference from the previous message's T within the group
 // (starting from 0). Buffered requests carry near-monotone t values, so
@@ -196,65 +168,25 @@ const FrameV2Magic = 0xC2
 // everything but T for done/stop) are dropped on the wire and decode as
 // zero — exactly the values the constructors set.
 
-// FrameV3Magic is the version byte that opens a v3 frame. v3 is v2
-// with one change: publish groups are slot-delta coded. A publish
-// identifies an attachment slot (T, E) with E < x; v3 packs the two
-// into one integer slotcode = T<<s | E (s sized to the group's widest
-// E, carried in a header byte) and delta-codes consecutive slotcodes.
-// Owners publish a node's x slots back-to-back, so the slot delta is
-// usually exactly 1 — one byte where v2 spent ΔT + E per message. A
-// shift byte of V3ShiftFallback marks a group whose T values cannot be
-// shifted without overflow (never real traffic; arbitrary messages
-// from tests or forged frames): its fields use the v2 layout.
+// FrameV3Magic is the version byte that opens a v3 frame, the one every
+// serializing transport sends. Its layout is v2's (DESIGN.md §6).
 const FrameV3Magic = 0xC3
-
-// V3ShiftFallback is the publish-group shift sentinel selecting the v2
-// field layout (see FrameV3Magic).
-const V3ShiftFallback = 0xFF
-
-// publishShift returns the slotcode shift for a v3 publish group: the
-// bit width of the widest E, or V3ShiftFallback when some T<<s would
-// not round-trip through an int64.
-func publishShift(ms []Message) int {
-	s := 0
-	for _, m := range ms {
-		if w := bits.Len16(m.E); w > s {
-			s = w
-		}
-	}
-	for _, m := range ms {
-		if m.T > maxInt64>>s || m.T < minInt64>>s {
-			return V3ShiftFallback
-		}
-	}
-	return s
-}
-
-const (
-	maxInt64 = int64(1<<63 - 1)
-	minInt64 = -1 << 63
-)
 
 // AppendEncodeBatchV2 appends the compact (v2) encoding of ms to dst and
 // returns the extended slice. Adjacent messages of equal kind share one
 // group header.
 func AppendEncodeBatchV2(dst []byte, ms []Message) []byte {
-	return appendBatch(dst, ms, false)
+	return appendBatch(dst, ms, FrameV2Magic)
 }
 
 // AppendEncodeBatchV3 appends the v3 encoding of ms to dst and returns
-// the extended slice: the v2 format with slot-delta-coded publish
-// groups (see FrameV3Magic).
+// the extended slice: v2's layout under FrameV3Magic.
 func AppendEncodeBatchV3(dst []byte, ms []Message) []byte {
-	return appendBatch(dst, ms, true)
+	return appendBatch(dst, ms, FrameV3Magic)
 }
 
-func appendBatch(dst []byte, ms []Message, v3 bool) []byte {
-	if v3 {
-		dst = append(dst, FrameV3Magic)
-	} else {
-		dst = append(dst, FrameV2Magic)
-	}
+func appendBatch(dst []byte, ms []Message, magic byte) []byte {
+	dst = append(dst, magic)
 	for i := 0; i < len(ms); {
 		kind := ms[i].Kind
 		j := i + 1
@@ -263,11 +195,6 @@ func appendBatch(dst []byte, ms []Message, v3 bool) []byte {
 		}
 		dst = append(dst, byte(kind))
 		dst = binary.AppendUvarint(dst, uint64(j-i))
-		if v3 && kind == KindPublish {
-			dst = appendPublishGroupV3(dst, ms[i:j])
-			i = j
-			continue
-		}
 		prevT := int64(0)
 		for _, m := range ms[i:j] {
 			dst = binary.AppendVarint(dst, m.T-prevT)
@@ -277,7 +204,7 @@ func appendBatch(dst []byte, ms []Message, v3 bool) []byte {
 				dst = binary.AppendVarint(dst, m.K)
 				dst = binary.AppendUvarint(dst, uint64(m.E))
 				dst = binary.AppendUvarint(dst, uint64(m.L))
-			case KindResolved, KindPublish:
+			case KindResolved:
 				dst = binary.AppendVarint(dst, m.V)
 				dst = binary.AppendUvarint(dst, uint64(m.E))
 			case KindColl:
@@ -295,51 +222,23 @@ func appendBatch(dst []byte, ms []Message, v3 bool) []byte {
 	return dst
 }
 
-// appendPublishGroupV3 encodes one v3 publish group (after the kind and
-// count): shift byte, then per message the slotcode delta and V.
-func appendPublishGroupV3(dst []byte, ms []Message) []byte {
-	s := publishShift(ms)
-	dst = append(dst, byte(s))
-	if s == V3ShiftFallback {
-		prevT := int64(0)
-		for _, m := range ms {
-			dst = binary.AppendVarint(dst, m.T-prevT)
-			prevT = m.T
-			dst = binary.AppendVarint(dst, m.V)
-			dst = binary.AppendUvarint(dst, uint64(m.E))
-		}
-		return dst
-	}
-	prev := int64(0)
-	for _, m := range ms {
-		code := m.T<<s | int64(m.E)
-		dst = binary.AppendVarint(dst, code-prev)
-		prev = code
-		dst = binary.AppendVarint(dst, m.V)
-	}
-	return dst
-}
-
 // DecodeBatch decodes a v3 or compact v2 frame (told apart by the magic
 // first byte), appending to dst and returning it. An empty frame holds
 // no messages; any other first byte is an error.
 func DecodeBatch(dst []Message, frame []byte) ([]Message, error) {
-	if len(frame) > 0 && frame[0] == FrameV3Magic {
-		return decodeBatchCompact(dst, frame[1:], true)
+	if len(frame) == 0 {
+		return dst, nil
 	}
-	if len(frame) > 0 && frame[0] == FrameV2Magic {
-		return decodeBatchCompact(dst, frame[1:], false)
-	}
-	if len(frame) > 0 {
+	if frame[0] != FrameV3Magic && frame[0] != FrameV2Magic {
 		return dst, fmt.Errorf("msg: unknown frame magic %#x", frame[0])
 	}
-	return dst, nil
+	return decodeBatchCompact(dst, frame[1:])
 }
 
-func decodeBatchCompact(dst []Message, b []byte, v3 bool) ([]Message, error) {
+func decodeBatchCompact(dst []Message, b []byte) ([]Message, error) {
 	for len(b) > 0 {
 		kind := Kind(b[0])
-		if kind < KindRequest || kind > KindFence {
+		if kind < KindRequest || kind > KindCkpt {
 			return dst, fmt.Errorf("msg: bad group kind %d", b[0])
 		}
 		b = b[1:]
@@ -353,13 +252,6 @@ func decodeBatchCompact(dst []Message, b []byte, v3 bool) ([]Message, error) {
 		// growing dst.
 		if count > uint64(len(b)) {
 			return dst, fmt.Errorf("msg: group count %d exceeds frame", count)
-		}
-		if v3 && kind == KindPublish {
-			var err error
-			if dst, b, err = decodePublishGroupV3(dst, b, count); err != nil {
-				return dst, err
-			}
-			continue
 		}
 		prevT := int64(0)
 		for i := uint64(0); i < count; i++ {
@@ -382,7 +274,7 @@ func decodeBatchCompact(dst []Message, b []byte, v3 bool) ([]Message, error) {
 				if m.L, b, ok = takeUint16(b); !ok {
 					return dst, fmt.Errorf("msg: truncated L")
 				}
-			case KindResolved, KindPublish:
+			case KindResolved:
 				if m.V, b, ok = takeVarint(b); !ok {
 					return dst, fmt.Errorf("msg: truncated V")
 				}
@@ -414,58 +306,6 @@ func decodeBatchCompact(dst []Message, b []byte, v3 bool) ([]Message, error) {
 		}
 	}
 	return dst, nil
-}
-
-// decodePublishGroupV3 decodes one v3 publish group body (after the
-// kind and count).
-func decodePublishGroupV3(dst []Message, b []byte, count uint64) ([]Message, []byte, error) {
-	if len(b) == 0 {
-		return dst, b, fmt.Errorf("msg: truncated publish shift")
-	}
-	s := int(b[0])
-	b = b[1:]
-	if s == V3ShiftFallback {
-		prevT := int64(0)
-		for i := uint64(0); i < count; i++ {
-			m := Message{Kind: KindPublish}
-			var ok bool
-			var d int64
-			if d, b, ok = takeVarint(b); !ok {
-				return dst, b, fmt.Errorf("msg: truncated T")
-			}
-			m.T = prevT + d
-			prevT = m.T
-			if m.V, b, ok = takeVarint(b); !ok {
-				return dst, b, fmt.Errorf("msg: truncated V")
-			}
-			if m.E, b, ok = takeUint16(b); !ok {
-				return dst, b, fmt.Errorf("msg: truncated E")
-			}
-			dst = append(dst, m)
-		}
-		return dst, b, nil
-	}
-	if s > 16 {
-		return dst, b, fmt.Errorf("msg: bad publish shift %d", s)
-	}
-	prev := int64(0)
-	for i := uint64(0); i < count; i++ {
-		m := Message{Kind: KindPublish}
-		var ok bool
-		var d int64
-		if d, b, ok = takeVarint(b); !ok {
-			return dst, b, fmt.Errorf("msg: truncated slotcode")
-		}
-		code := prev + d
-		prev = code
-		m.T = code >> s
-		m.E = uint16(code & (1<<s - 1))
-		if m.V, b, ok = takeVarint(b); !ok {
-			return dst, b, fmt.Errorf("msg: truncated V")
-		}
-		dst = append(dst, m)
-	}
-	return dst, b, nil
 }
 
 func takeVarint(b []byte) (int64, []byte, bool) {

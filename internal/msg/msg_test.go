@@ -21,21 +21,13 @@ func TestConstructors(t *testing.T) {
 	if Stop().Kind != KindStop {
 		t.Fatal("Stop kind wrong")
 	}
-	p := Publish(7, 2, 5)
-	if p.Kind != KindPublish || p.T != 7 || p.E != 2 || p.V != 5 {
-		t.Fatalf("Publish = %+v", p)
-	}
-	f := Fence(3)
-	if f.Kind != KindFence || f.T != 3 {
-		t.Fatalf("Fence = %+v", f)
-	}
 }
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
 		KindRequest: "request", KindResolved: "resolved",
-		KindDone: "done", KindStop: "stop",
-		KindPublish: "publish", KindFence: "fence", Kind(0): "Kind(0)",
+		KindDone: "done", KindStop: "stop", KindColl: "coll", KindCkpt: "ckpt",
+		Kind(0): "Kind(0)", Kind(7): "Kind(7)", Kind(8): "Kind(8)",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {
@@ -52,8 +44,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		Resolved(1, 0, -7), // negative sentinel values survive
 		Done(767),
 		Stop(),
-		Publish(123456, 3, 42),
-		Fence(5),
+		Coll(5, 123456, 42),
 	}
 	for _, m := range cases {
 		got, err := DecodeBatch(nil, AppendEncodeBatchV3(nil, []Message{m}))
@@ -146,11 +137,11 @@ func clearDeadFields(m Message) Message {
 	switch m.Kind {
 	case KindRequest:
 		m.V = 0
-	case KindResolved, KindPublish:
+	case KindResolved:
 		m.K, m.L = 0, 0
 	case KindColl:
 		m.E, m.L = 0, 0
-	case KindDone, KindStop, KindFence:
+	case KindDone, KindStop:
 		m.K, m.V, m.E, m.L = 0, 0, 0, 0
 	}
 	return m
@@ -161,7 +152,7 @@ func clearDeadFields(m Message) Message {
 func TestRoundTripProperty(t *testing.T) {
 	f := func(kindRaw uint8, tt, k, v int64, e, l uint16) bool {
 		m := clearDeadFields(Message{
-			Kind: Kind(kindRaw%8) + KindRequest,
+			Kind: Kind(kindRaw%6) + KindRequest,
 			T:    tt, K: k, V: v, E: e, L: l,
 		})
 		got, err := DecodeBatch(nil, AppendEncodeBatchV3(nil, []Message{m}))
@@ -196,9 +187,9 @@ func genMessages(ts []int64, ks []uint32, es []uint8) []Message {
 		case 6:
 			ms = append(ms, Done(int(k%768)))
 		case 7:
-			ms = append(ms, Publish(t, e, k))
+			ms = append(ms, Ckpt(int(k%768), CkptReport, e, t, k))
 		case 8:
-			ms = append(ms, Fence(int(k%768)))
+			ms = append(ms, Stop())
 		default:
 			ms = append(ms, Coll(int(k%768), k%5, int64(ks[i%len(ks)])))
 		}

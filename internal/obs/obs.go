@@ -174,15 +174,10 @@ type RankMetrics struct {
 	ResolvedRecv int64 `json:"resolved_recv"`
 	ControlSent  int64 `json:"control_sent"`
 	ControlRecv  int64 `json:"control_recv"`
-	// Hub-prefix cache counters (zero unless the cache ran): replica
-	// hits (requests elided entirely), misses (prefix lookups that went
-	// to the wire), publishes sent/received, and requests elided by
-	// requester-side coalescing onto an already-in-flight request.
-	HubCacheHit     int64 `json:"hub_cache_hit,omitempty"`
-	HubCacheMiss    int64 `json:"hub_cache_miss,omitempty"`
-	HubCachePub     int64 `json:"hub_cache_publish,omitempty"`
-	HubCachePubRecv int64 `json:"hub_cache_publish_recv,omitempty"`
-	ReqCoalesced    int64 `json:"req_coalesced,omitempty"`
+	// Hub-prefix replica hits: remote copy queries answered from the
+	// rank's computed replica, each a request elided entirely (zero
+	// unless the replica ran).
+	HubCacheHit int64 `json:"hub_cache_hit,omitempty"`
 	// Recompute-resolver counters (zero unless -resolve=recompute ran):
 	// remote queries resolved by local stream replay, replays that hit
 	// the depth cap and fell back to the wire protocol, and attachment

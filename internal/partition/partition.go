@@ -563,21 +563,20 @@ func ExpectedIncomingLoad(n, k int64, p float64) float64 {
 
 // HubPrefixAutoFrac is the fraction of the total expected request mass
 // the auto-sized hub prefix covers (HubPrefixSize's frac when callers
-// use the default sizing). 0.1 is the empirical knee where the cache
-// still wins on bytes per edge, not just on messages: the replication
-// cost of a publish grows linearly in H while the elided request mass
-// grows only harmonically, and roughly half the potential replica hits
-// race the publish that would serve them (hub nodes draw most of their
-// queries early in the run, right when they are being published), so
-// past this point each extra replica slot costs more publish bytes
-// than it saves in round trips (measured by an H sweep when the cache landed).
-// Callers who value message count over bytes can fix a larger H
-// explicitly; output is identical at every setting.
+// use the default sizing). Every rank computes the whole prefix itself
+// before its first window, so a replica slot costs each rank its fill
+// — x attempts, duplicates retried — while the request mass it elides
+// grows only harmonically in H: the first nodes are by far the cheapest
+// round trips to remove. At 0.1 the fill takes milliseconds at n = 10⁶;
+// EXPERIMENTS.md has the 0.1 / 0.3 / 0.5 comparison. Callers who value
+// message count over setup time can fix a larger H explicitly; output
+// is identical at every setting.
 const HubPrefixAutoFrac = 0.1
 
 // HubPrefixMaxSlots caps the auto-sized hub-prefix replica at H·x
-// attachment slots (8 bytes each), so auto-sizing at very large n cannot
-// quietly allocate an unbounded per-rank replica.
+// attachment slots (4 bytes each while n < 2³²), so auto-sizing at very
+// large n cannot quietly allocate, or fill, an unbounded per-rank
+// replica.
 const HubPrefixMaxSlots = 1 << 24
 
 // hubPrefixRefRanks is the rank count HubPrefixAutoFrac was tuned at.
@@ -585,10 +584,9 @@ const hubPrefixRefRanks = 4
 
 // HubPrefixAutoSize returns the default hub-prefix length for a run of
 // the given rank count. The covered mass fraction shrinks inversely
-// with ranks past the tuning point: each publish fans out to ~p-1
-// peers, so the replication cost of a slot grows linearly in p while
-// the request mass it elides saturates, moving the break-even prefix
-// length down as the cluster grows.
+// with ranks past the tuning point: every rank fills the same whole
+// prefix while its own share of the nodes shrinks as 1/p, so shrinking
+// the prefix with p keeps the fill a fixed share of a rank's work.
 func HubPrefixAutoSize(n int64, x, ranks int) int64 {
 	frac := HubPrefixAutoFrac
 	if ranks > hubPrefixRefRanks {

@@ -65,12 +65,13 @@ type Config struct {
 	// ~2*log2(N) nodes, twice Theorem 3.3's O(log n) depth bound). Output
 	// is byte-identical in both modes.
 	Resolve string `json:"resolve,omitempty"`
-	// HubPrefix controls the replicated hub-prefix cache, which answers
-	// copy queries for the first H nodes from a local replica instead of
-	// a cross-rank round trip. 0 (the default) sizes H automatically to
-	// cover a fixed fraction of the expected request mass; a negative
-	// value disables the cache; a positive value fixes H. Output is
-	// byte-identical for every setting. All ranks of one run must agree.
+	// HubPrefix controls the hub-prefix replica: every rank computes the
+	// first H nodes' attachments itself before it generates, and answers
+	// copy queries for them locally instead of with a cross-rank round
+	// trip. 0 (the default) sizes H automatically to cover a fixed
+	// fraction of the expected request mass; a negative value disables
+	// the replica; a positive value fixes H. Output is byte-identical for
+	// every setting, and the setting is each rank's own.
 	HubPrefix int64 `json:"hub_prefix,omitempty"`
 	// CheckpointEvery is the approximate number of protocol events
 	// (nodes initiated plus messages received, summed over ranks)
@@ -246,7 +247,7 @@ func (c *Config) Flags(fs *flag.FlagSet) {
 	fs.Uint64Var(&c.Seed, "seed", 1, "random seed")
 	fs.StringVar(&c.Scheme, "scheme", "RRP", "partitioning scheme: UCP, LCP, RRP, ExactCP")
 	fs.IntVar(&c.Workers, "workers", 0, "generation goroutines per rank (0 = GOMAXPROCS)")
-	fs.Int64Var(&c.HubPrefix, "hub-prefix", 0, "hub-prefix cache size H (0 = auto, <0 = off); output is identical for every setting, all ranks must agree")
+	fs.Int64Var(&c.HubPrefix, "hub-prefix", 0, "hub-prefix replica size H: every rank computes the first H nodes itself (0 = auto, <0 = off); output is identical for every setting")
 	fs.StringVar(&c.Resolve, "resolve", "wire", "non-local dependency resolution: wire or recompute; output is identical in both modes, all ranks must agree")
 	fs.StringVar(&c.CheckpointDir, "checkpoint-dir", "", "write per-rank snapshots to this directory, shared by the ranks (see docs/OPERATIONS.md)")
 	fs.Int64Var(&c.CheckpointEvery, "checkpoint-every", 0, "protocol events between checkpoint epochs (requires -checkpoint-dir)")

@@ -32,8 +32,8 @@
 //
 // There is no fault-injecting transport here. The determinism contract
 // (DESIGN.md §8.1) is tested on a seeded simulated network in
-// internal/core's tests, which reorders frames across channels, drops
-// and duplicates publishes, and crashes ranks as schedule choices; the
+// internal/core's tests, which reorders frames across channels and
+// crashes ranks as schedule choices; the
 // crash tests over real sockets abort a TCP endpoint (TCP.Abort).
 package transport
 

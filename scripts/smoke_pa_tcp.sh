@@ -11,7 +11,9 @@
 # The basic mode runs three clusters — hub-prefix cache on, cache off
 # (-hub-prefix -1) and -resolve recompute — and requires all three
 # shard directories to carry the fingerprint of an in-process
-# pagen -ranks 4 run. Raw shard bytes are not compared: the merged edge
+# pagen -ranks 4 run, and every cache-on rank's metrics to show replica
+# hits and no miss, coalesced request or publish. Raw shard bytes are
+# not compared: the merged edge
 # stream is the contract (a checkpointed run's block cuts depend on
 # timing; an uncheckpointed run's shards are deterministic too).
 #
@@ -337,6 +339,21 @@ tcp_pass on
 tcp_pass off -hub-prefix -1
 tcp_pass rc -resolve recompute
 
+# Every rank computes the hub prefix itself before its first window, so
+# each cache-on rank hits its replica and records no miss, no coalesced
+# request and no publish (zero counters are omitted from the file).
+i=0
+while [ $i -lt $RANKS ]; do
+    f="$workdir/on.metrics$i.json"
+    grep -Eq '"hub_cache_hit": *[1-9]' "$f" \
+        || { echo "pass on: rank $i recorded no hub replica hit in $f" >&2; exit 1; }
+    if grep -Eq '"(hub_cache_miss|req_coalesced|hub_cache_publish[a-z_]*)"' "$f"; then
+        echo "pass on: rank $i recorded a replica miss, a coalesced request or a publish in $f" >&2
+        exit 1
+    fi
+    i=$((i + 1))
+done
+
 timeout "$TIMEOUT" "$workdir/pagen" -n "$N" -x "$X" -ranks "$RANKS" \
     -workers "$WORKERS" -format binary -o "$workdir/ref.bin"
 ref=$(fingerprint -i "$workdir/ref.bin" -format binary)
@@ -346,4 +363,4 @@ for pass in on off rc; do
         || { echo "pass $pass: fingerprint $got, in-process pagen $ref" >&2; exit 1; }
 done
 
-echo "pa-tcp smoke: $RANKS ranks x $WORKERS workers over localhost completed (n=$N, x=$X); cache-on, cache-off and recompute shards fingerprint-equal ($ref) to in-process pagen"
+echo "pa-tcp smoke: $RANKS ranks x $WORKERS workers over localhost completed (n=$N, x=$X); cache-on, cache-off and recompute shards fingerprint-equal ($ref) to in-process pagen; cache-on ranks hit their replicas with no miss, coalesced request or publish"
