@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/bits"
+
 	"pagen/internal/model"
 	"pagen/internal/xrand"
 )
@@ -44,7 +47,62 @@ const (
 	// window that cannot give two lanes this much (a short poll interval,
 	// the tail of the node range) runs inline on the rank goroutine.
 	minStripeNodes = 64
+	// RunAheadNodes is W, the run-ahead cap: a rank with suspended nodes
+	// starts a window only if they and the window's nodes number at most
+	// W; otherwise it drains and serves until they do (generate). It
+	// bounds the rank's suspensions, ahead blocks, outstanding requests
+	// and its peers' waiter queues for it by W·x (DESIGN.md §12.1). On
+	// two streamed ranks 256 saved another 0.3 B/edge of peak RSS at
+	// 12–15 % more wall, and 4096 gave back most of the saving.
+	RunAheadNodes = 1024
+	// queryBytes is what RankStateBytes charges one outstanding query,
+	// and snapQueryBytes what a snapshot holds for one: its waiter record
+	// (24 B), its ahead record (16 B) and its share of its node's
+	// suspension record (24 B).
+	queryBytes     = 512
+	snapQueryBytes = 64
+	// snapWindowNodes is the window of F a snapshot is charged for. The
+	// cap does not bound the window — finished nodes above the oldest
+	// unfinished one stay in it — but it measured at most 21 k nodes, a
+	// third of this, on two ranks up to n = 3·10⁶ (DESIGN.md §9.5).
+	snapWindowNodes = 64 * RunAheadNodes
 )
+
+// RankStateBytes bounds the heap one rank of a ranks-rank run allocates
+// beside its F table, its output and its shard block — the term
+// pagen.MemoryEstimate adds per rank. It is the waiter bitmap (one bit
+// per slot), the first page of the ahead arena (a duplicate first
+// attempt parks a node even on one rank), and, past one rank, the hub
+// replica (4 bytes per slot of the first h nodes, 8 past
+// math.MaxUint32) and the protocol state the run-ahead cap bounds: at
+// most W·x queries of the rank outstanding at once, each charged
+// queryBytes for its share of the suspension record and ahead block, its
+// waiter node and chain bucket wherever it queues, and the request and
+// answer that carry it — in frames leased at full capacity, and at twice
+// their size, for the table doubling and frame-pool refills a cumulative
+// allocation count sees. A single rank never leaves a node suspended
+// past its window: its copy sources are final by the time an attempt is
+// issued. A checkpointed rank adds three copies of a snapshot (two capture
+// buffers and the encoder's scratch): W·x queries' records and
+// snapWindowNodes nodes' window slots, a value varint each.
+func RankStateBytes(pr model.Params, ranks int, hubPrefix int64, checkpointed bool) int64 {
+	r, x := int64(max(ranks, 1)), int64(pr.X)
+	slots := (pr.N + r - 1) / r * x
+	b := (slots+63)/64*8 + aheadPage*x*8
+	if ranks > 1 {
+		slot := int64(4)
+		if pr.N > math.MaxUint32 {
+			slot = 8
+		}
+		b += hubPrefixLen(pr, ranks, hubPrefix) * x * slot
+		b += RunAheadNodes * x * queryBytes
+	}
+	if checkpointed {
+		varint := int64(1 + bits.Len64(uint64(pr.N))/7)
+		b += 3 * (RunAheadNodes*x*snapQueryBytes + snapWindowNodes*x*varint)
+	}
+	return b
+}
 
 // Kinds of a drawn first attempt: direct, or a copy of a slot of this
 // rank's F, of a remote slot the hub replica covers, of another one.
@@ -119,32 +177,36 @@ func (e *engine) stopHelpers() {
 	e.helpers.Wait()
 }
 
-// initiate admits the next window of local indices at the cursor — at
-// most one stripe per lane, and never past the poll boundary, so the
-// poll, checkpoint-pause and yield cadence count indices exactly as a
-// one-node-at-a-time pass would — and starts their nodes. Clique and
-// bootstrap nodes are stepped over; a restored run's cursor starts past
-// every node its snapshot initiated. This is the only way a node's
-// generation starts; a window is never interrupted, so a checkpoint cut
-// still finds every node below the cursor suspended or finished and
-// every node from it on untouched.
-func (e *engine) initiate() {
-	lo := e.cursor
-	n := e.size - lo
+// window returns the node count of the next window at the cursor and
+// the lanes that draw it: at most one stripe per lane, and never past the
+// poll boundary, so the poll, checkpoint-pause and yield cadence count
+// indices exactly as a one-node-at-a-time pass would; as many lanes as
+// the window can give a worthwhile stripe.
+func (e *engine) window() (n, lanes int64) {
+	n = e.size - e.cursor
 	if room := int64(e.poll - e.sincePoll); n > room {
 		n = room
 	}
-	// As many lanes as the window can give a worthwhile stripe, and no
-	// more nodes than those lanes' scratch holds.
-	lanes := int64(len(e.workers))
+	lanes = int64(len(e.workers))
 	if most := n / minStripeNodes; lanes > most {
 		lanes = max(most, 1)
 	}
 	if most := lanes * int64(len(e.workers[0].t)); n > most {
 		n = most
 	}
+	return n, lanes
+}
+
+// initiate admits the next window of local indices at the cursor and
+// starts their nodes. Clique and bootstrap nodes are stepped over; a
+// restored run's cursor starts past every node its snapshot initiated.
+// This is the only way a node's generation starts; a window is never
+// interrupted, so a checkpoint cut still finds every node below the
+// cursor suspended or finished and every node from it on untouched.
+func (e *engine) initiate() {
+	n, lanes := e.window()
 	per := (n + lanes - 1) / lanes
-	idx, end := lo, lo+n
+	idx, end := e.cursor, e.cursor+n
 	for _, w := range e.workers[:lanes] {
 		hi := min(idx+per, end)
 		w.nb = 0

@@ -326,6 +326,10 @@ func (e *engine) ckptOnMsg(m msg.Message) error {
 		// that epoch.
 		ck.markersOwed--
 		if !ck.paused || m.K != ck.epoch {
+			if e.rank == 0 {
+				// The last marker owed may be what deferred stop.
+				return e.maybeBroadcastStop()
+			}
 			return nil
 		}
 		return e.ckptCut()

@@ -546,11 +546,16 @@ func TestCheckpointRelayAfterStop(t *testing.T) {
 	}
 	opts := Options{
 		Params: pr, Part: part, Seed: 9, Workers: 1, HubPrefix: -1, StreamDir: t.TempDir(),
-		Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: 1_500},
+		Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: 5_000},
 	}
 	stopped, parked := false, 0
 	// One late epoch and slow arrivals: rank 1's relay is then the last
-	// frame on its channel to rank 2, and the hold outlasts the run.
+	// frame on its channel to rank 2, and the hold outlasts the run. An
+	// earlier epoch would hold the relay ahead of rank 1's post-cut
+	// answers to rank 2, and the next epoch's quiescence rounds would
+	// never balance against the hold. Under the run-ahead cap an epoch
+	// every 5 000 of rank 0's nodes and received messages is that one
+	// late epoch at every schedule seed from 1 to 8.
 	sched := simSched{
 		seed: 3, deliver: 0.1,
 		hold: func(src, dst int, ms []msg.Message) bool {
@@ -582,6 +587,45 @@ func TestCheckpointRelayAfterStop(t *testing.T) {
 	}
 	if err != nil {
 		t.Fatalf("%d relays held past stop: %v", parked, err)
+	}
+}
+
+// Rank 0 leaves the engine when it broadcasts stop, and every other rank
+// when stop and its owed markers have arrived; the first of them to run
+// pa-tcp's post-run collectives sends rank 0 a gather. Rank 0 must not be
+// receiving by then: neither still draining the batch whose last vote
+// it stopped on, nor waiting for its own cut marker after cutting at a
+// peer's relay.
+func TestCheckpointCollectivesRightAfterStop(t *testing.T) {
+	pr := model.Params{N: 6_000, X: 3, P: 0.5}
+	const p = 3
+	part, err := partition.New(partition.KindRRP, pr.N, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		every   int64
+		deliver float64
+		seed    uint64
+	}{
+		{3_500, 0.5, 3}, // stop broadcast mid-drain, the gather next in line
+		{4_500, 0.1, 8}, // cut at rank 1's relay, rank 0's own marker behind the gather
+	} {
+		opts := Options{
+			Params: pr, Part: part, Seed: 9, Workers: 1, HubPrefix: -1, StreamDir: t.TempDir(),
+			Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: c.every},
+		}
+		_, _, err := simGroup(p, simSched{seed: c.seed, deliver: c.deliver}, func(int) Options { return opts }, func(r int, tr transport.Transport, res *RankResult) error {
+			cs := coll.New(comm.New(tr, comm.Config{}))
+			if _, err := cs.Gather(res.Stats.Edges); err != nil {
+				return err
+			}
+			_, err := cs.AllReduceSum(res.Stats.Comm.RequestsSent)
+			return err
+		})
+		if err != nil {
+			t.Errorf("every %d, deliver %v, schedule seed %d: %v", c.every, c.deliver, c.seed, err)
+		}
 	}
 }
 

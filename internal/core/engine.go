@@ -183,6 +183,12 @@ type RankStats struct {
 	// simultaneously waiting on resolutions — the empirical counterpart
 	// of the Section 3.4 claim that waiting never idles a processor.
 	MaxPendingSlots int64
+	// MaxSuspended is the high-water count of the rank's unfinished
+	// initiated nodes, which the run-ahead cap keeps at or under
+	// RunAheadNodes; RunAheadStalls counts the windows the cap deferred
+	// (DESIGN.md §12.1).
+	MaxSuspended   int64
+	RunAheadStalls int64
 	// WaitChain is the histogram of Q_{k,l} waiter-queue lengths
 	// observed as each local slot resolved (0 = nobody was waiting).
 	// Theorem 3.3's O(log n) dependency-chain bound keeps it shallow.
@@ -286,6 +292,8 @@ func (s RankStats) Metrics() obs.RankMetrics {
 		ReplayedEdges:     s.ReplayedEdges,
 		ReplayDepth:       s.ReplayDepth,
 		MaxPendingSlots:   s.MaxPendingSlots,
+		MaxSuspended:      s.MaxSuspended,
+		RunAheadStalls:    s.RunAheadStalls,
 		TotalLoad:         s.TotalLoad(),
 		WallNanos:         s.WallTime.Nanoseconds(),
 		BusyNanos:         s.BusyTime.Nanoseconds(),
@@ -603,21 +611,8 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown resolve mode %d", int(opts.Resolve))
 	}
-	// Hub-prefix replica: pointless on one rank (no wire requests) and
-	// at p = 1 (no copy branch, so no requests at all). run fills it.
-	if hp := opts.HubPrefix; hp >= 0 && e.p > 1 && e.prob < 1 {
-		h := hp
-		if h == 0 {
-			h = partition.HubPrefixAutoSize(opts.Params.N, opts.Params.X, e.p)
-		}
-		if h > opts.Params.N {
-			h = opts.Params.N
-		}
-		// A prefix inside the clique would never be consulted (copy
-		// sources are drawn from [x, t)).
-		if h > e.x64 {
-			e.hub = newHubCache(h, e.x64, opts.Params.N)
-		}
+	if h := hubPrefixLen(opts.Params, e.p, opts.HubPrefix); h > 0 {
+		e.hub = newHubCache(h, e.x64, opts.Params.N)
 	}
 	if c := opts.Checkpoint; c != nil {
 		switch {
@@ -757,13 +752,7 @@ func (e *engine) run() error {
 		return err
 	}
 	for !e.finished() {
-		if err := e.drain(true); err != nil {
-			return err
-		}
-		if err := e.streamFrontier(); err != nil {
-			return err
-		}
-		if err := e.ckptStep(); err != nil {
+		if err := e.serve(); err != nil {
 			return err
 		}
 		if err := e.maybeReportDone(); err != nil {
@@ -771,6 +760,19 @@ func (e *engine) run() error {
 		}
 	}
 	return nil
+}
+
+// serve is one turn of a rank that starts no nodes: block for a frame
+// and handle what has arrived, advance the shard, step the checkpoint
+// protocol.
+func (e *engine) serve() error {
+	if err := e.drain(true); err != nil {
+		return err
+	}
+	if err := e.streamFrontier(); err != nil {
+		return err
+	}
+	return e.ckptStep()
 }
 
 // bootstrap builds the F table, emits clique edges for locally-owned
@@ -959,13 +961,25 @@ func (e *engine) finishStats() {
 // generate advances the generation cursor until the node range is
 // exhausted (returns true) or a checkpoint epoch pauses the run (returns
 // false; ckptServe drives the epoch, then the cursor resumes exactly
-// where it stopped).
+// where it stopped). A window that would take the rank's unfinished nodes
+// past RunAheadNodes waits for catchUp.
 func (e *engine) generate() bool {
 	for e.cursor < e.size {
 		if e.err != nil {
 			return true
 		}
+		if live := int64(e.susp.live); live > 0 {
+			if n, _ := e.window(); live+n > RunAheadNodes {
+				if !e.catchUp(n) {
+					return false
+				}
+				continue
+			}
+		}
 		e.initiate()
+		if live := int64(e.susp.live); live > e.stats.MaxSuspended {
+			e.stats.MaxSuspended = live
+		}
 		if err := e.streamFrontier(); err != nil && e.err == nil {
 			e.err = err
 		}
@@ -994,6 +1008,27 @@ func (e *engine) generate() bool {
 	return true
 }
 
+// catchUp defers a window of n nodes while the rank's unfinished nodes
+// and the window's would number more than RunAheadNodes, and serves
+// instead, as the post-generation loop does, until they would not. It
+// returns false when a checkpoint epoch pauses the run; generate checks
+// the cap again when it resumes. A rank with no suspended node never
+// waits here, which is what keeps the cap from deadlocking the run
+// (DESIGN.md §12.1).
+func (e *engine) catchUp(n int64) bool {
+	e.stats.RunAheadStalls++
+	for live := int64(e.susp.live); live > 0 && live+n > RunAheadNodes; live = int64(e.susp.live) {
+		if err := e.serve(); err != nil {
+			e.err = err
+			return true
+		}
+		if e.ck != nil && e.ck.paused {
+			return false
+		}
+	}
+	return true
+}
+
 // drain processes incoming frames, one at a time where they landed,
 // until none is immediately available — after blocking for the first
 // when block is set. Before blocking it flushes all send buffers (the
@@ -1017,6 +1052,13 @@ func (e *engine) drain(block bool) error {
 		}
 		if e.err != nil {
 			return e.err
+		}
+		// A finished rank receives no more: a peer that took stop may
+		// already be running its caller's next protocol over the same
+		// transport (cmd/pa-tcp's summary collectives, whose first
+		// message goes to rank 0), and that is not the engine's to read.
+		if e.finished() {
+			break
 		}
 	}
 	if err != nil {
@@ -1109,14 +1151,18 @@ func (e *engine) maybeReportDone() error {
 // completed tally may broadcast an abandon, which must precede stop on
 // every channel (per-destination FIFO) so no rank sees rank 0's
 // checkpoint traffic after it stops; ckptRecordVote retries after each
-// tally. Relayed cut markers travel on peer channels and may still
-// arrive after stop — every relay precedes its sender's vote, so it is
-// already sent, and finished() waits for it.
+// tally. And it is deferred until every cut marker owed to rank 0 has
+// arrived — rank 0 may cut at a peer's relay while its own marker to
+// itself is still in flight — so rank 0 is finished the moment it stops
+// and never reads the traffic a stopped peer sends next (ckptOnMsg
+// retries at each marker). Relayed cut markers to other ranks travel on
+// peer channels and may still arrive after stop — every relay precedes
+// its sender's vote, so it is already sent, and finished() waits for it.
 func (e *engine) maybeBroadcastStop() error {
 	if e.doneRanks < e.p || e.stopped {
 		return nil
 	}
-	if e.ck != nil && (e.ck.paused || len(e.ck.votes) > 0) {
+	if e.ck != nil && (e.ck.paused || len(e.ck.votes) > 0 || e.ck.markersOwed > 0) {
 		return nil
 	}
 	for r := 1; r < e.p; r++ {

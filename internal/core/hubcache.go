@@ -2,6 +2,7 @@ package core
 
 import (
 	"pagen/internal/model"
+	"pagen/internal/partition"
 	"pagen/internal/xrand"
 )
 
@@ -16,6 +17,26 @@ import (
 type hubCache struct {
 	h int64 // nodes covered: global ids [0, h)
 	f ftab
+}
+
+// hubPrefixLen is the replica's node count h for a rank of a ranks-rank
+// run under Options.HubPrefix hp, or 0 without a replica. One rank has
+// no wire requests to spare and p = 1 no copy branch at all, and a
+// prefix inside the clique would never be consulted (copy sources are
+// drawn from [x, t)).
+func hubPrefixLen(pr model.Params, ranks int, hp int64) int64 {
+	if hp < 0 || ranks < 2 || pr.P >= 1 {
+		return 0
+	}
+	h := hp
+	if h == 0 {
+		h = partition.HubPrefixAutoSize(pr.N, pr.X, ranks)
+	}
+	h = min(h, pr.N)
+	if h <= int64(pr.X) {
+		return 0
+	}
+	return h
 }
 
 // newHubCache returns an empty replica of h nodes' x64 slots in an n-node

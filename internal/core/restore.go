@@ -294,6 +294,7 @@ func (e *engine) restore() error {
 		}
 		e.susp.put(sr.Idx, st)
 	}
+	e.stats.MaxSuspended = int64(e.susp.live)
 	for _, ar := range s.Ahead {
 		st, ok := e.susp.get(max(ar.Slot, 0) / e.x64)
 		if ar.Slot < 0 || !ok || ar.Slot%e.x64 <= int64(st.e) || ar.V < 0 || ar.V >= e.opts.Params.N {

@@ -200,6 +200,11 @@ type RankMetrics struct {
 	QueuedWaits     int64 `json:"queued_waits"`
 	LocalWaits      int64 `json:"local_waits"`
 	MaxPendingSlots int64 `json:"max_pending_slots"`
+	// Run-ahead cap: the high-water count of unfinished initiated nodes
+	// (at most the engine's cap, 1024) and the windows the cap deferred
+	// while the rank drained and served instead.
+	MaxSuspended   int64 `json:"max_suspended"`
+	RunAheadStalls int64 `json:"run_ahead_stalls"`
 	// TotalLoad is the paper's Section 4.6 load measure: nodes plus
 	// data messages in and out.
 	TotalLoad int64 `json:"total_load"`

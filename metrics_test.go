@@ -3,9 +3,11 @@ package pagen_test
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"pagen"
+	"pagen/internal/core"
 )
 
 // The exported metrics must reproduce the paper's analytical claims on a
@@ -105,5 +107,38 @@ func TestMetricsWithoutNodeLoad(t *testing.T) {
 	}
 	if len(m.PerRank) != 2 {
 		t.Fatalf("%d rank records, want 2", len(m.PerRank))
+	}
+}
+
+// The run-ahead cap is visible in the metrics record: under UCP the
+// upper rank waits on the lower one's nodes, so it is the one that
+// defers windows, and no rank's high-water count of unfinished nodes
+// passes the cap.
+func TestMetricsRunAheadCap(t *testing.T) {
+	cfg := pagen.Config{N: 100_000, X: 4, Ranks: 2, Scheme: "UCP", Seed: 3, Workers: 1}
+	res, err := pagen.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if err := pagen.Metrics(res, cfg).WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"max_suspended"`, `"run_ahead_stalls"`} {
+		if !strings.Contains(b.String(), key) {
+			t.Fatalf("metrics JSON lacks %s", key)
+		}
+	}
+	m, err := pagen.ReadMetricsJSON(&b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range m.PerRank {
+		if r.MaxSuspended > core.RunAheadNodes {
+			t.Errorf("rank %d: max_suspended %d over the cap %d", r.Rank, r.MaxSuspended, core.RunAheadNodes)
+		}
+	}
+	if lo, hi := m.PerRank[0], m.PerRank[1]; lo.RunAheadStalls != 0 || hi.RunAheadStalls == 0 || hi.MaxSuspended == 0 {
+		t.Errorf("run_ahead_stalls %d and %d, max_suspended %d and %d: want only rank 1 deferring windows", lo.RunAheadStalls, hi.RunAheadStalls, lo.MaxSuspended, hi.MaxSuspended)
 	}
 }

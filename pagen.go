@@ -243,26 +243,23 @@ func DegreesStreamed(cfg Config) ([]int64, *Result, error) {
 // paper's Section 4.3 raises (their sequential C++ implementation capped
 // out at 6x10^9 edges for memory reasons). An in-memory run holds the
 // one edge list every rank writes its own range of (16 bytes per edge,
-// allocated exactly sized and never copied) and nothing else per edge,
-// at every rank count: each rank's attachment table (4 bytes per slot)
-// lives in the unused tail of its range until the edges overwrite it,
-// and only a run whose N exceeds math.MaxUint32 adds the table's high
-// half (another 4 bytes per slot). Each rank adds a small fixed
-// overhead, and the optional decision trace 13 bytes per slot. With
-// StreamDir the edge term vanishes and the run holds the whole tables
-// (4 bytes per slot, 8 past math.MaxUint32) plus each rank's open block:
-// a block header and ⌈StreamBlockEdges·w/8⌉ bytes of w-bit values,
-// esink.BufferBytes, the buffer esink.Open allocates. Checkpointing adds
-// no table but the window of F each snapshot
-// carries: a value varint per slot between the rank's resolved frontier
-// and its cursor, in two capture buffers and the encoder's scratch.
-// Like the suspension records, the window grows with how far a rank's
-// frontier trails its cursor, so the estimate leaves it out: under RRP
-// it stayed within 7 % of a rank's slots at n = 10⁶, while under UCP,
-// LCP and ExactCP a rank above 0 waits on lower ranks' nodes and its
-// window reached 52–100 % of its slots (DESIGN.md §9.5). A checkpointed
-// run without StreamDir streams too and also holds the edge list it
-// reads back.
+// allocated exactly sized and never copied): each rank's attachment
+// table (4 bytes per slot) lives in the unused tail of its range until
+// the edges overwrite it, and only a run whose N exceeds math.MaxUint32
+// adds the table's high half (another 4 bytes per slot). With StreamDir
+// the edge term vanishes and the run holds the whole tables (4 bytes per
+// slot, 8 past math.MaxUint32) plus each rank's open block: a block
+// header and ⌈StreamBlockEdges·w/8⌉ bytes of w-bit values,
+// esink.BufferBytes, the buffer esink.Open allocates. A checkpointed run
+// without StreamDir streams too and also holds the edge list it reads
+// back. Every rank adds core.RankStateBytes — a bit per slot, the hub
+// replica, the protocol state the run-ahead cap keeps to W·x
+// outstanding queries a rank (W = core.RunAheadNodes) and, when
+// checkpointing, three snapshot copies — plus a small fixed overhead;
+// the optional decision trace adds 13 bytes per slot. A tier-1 test
+// holds a run's cumulative allocation, not just its peak, under this
+// figure at 1 and 2 ranks, in memory, streamed and checkpointed, under
+// RRP and UCP.
 func MemoryEstimate(cfg Config) int64 {
 	pr, err := cfg.Params()
 	if err != nil {
@@ -283,7 +280,8 @@ func MemoryEstimate(cfg Config) int64 {
 	if cfg.RecordTrace {
 		est += slots * 13
 	}
-	est += ranks << 16 // buffers, per-rank bookkeeping
+	est += ranks * core.RankStateBytes(pr, int(ranks), cfg.HubPrefix, cfg.CheckpointDir != "")
+	est += ranks << 17 // buffers, per-rank bookkeeping
 	return est
 }
 

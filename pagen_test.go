@@ -1,10 +1,14 @@
 package pagen
 
 import (
+	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"pagen/internal/core"
 	"pagen/internal/esink"
 )
 
@@ -249,28 +253,43 @@ func TestMemoryEstimate(t *testing.T) {
 	}
 	// Every rank writes its range of one edge list and keeps its table in
 	// that range's tail, so an in-memory run costs 16 bytes per edge and
-	// nothing per slot at every rank count: one and eight ranks differ
-	// only by the per-rank overhead.
-	one := MemoryEstimate(Config{N: 1_000_000, X: 4, Ranks: 1})
-	if d := base - one; d != 7<<16 {
-		t.Fatalf("8 ranks estimate %d bytes more than 1, want only the per-rank overhead %d", d, 7<<16)
+	// nothing per slot but a bit at every rank count: one and eight ranks
+	// differ only by each rank's state and fixed overhead.
+	pr := Params{N: 1_000_000, X: 4, P: DefaultP}
+	state := func(ranks int, ckpt bool) int64 {
+		return int64(ranks) * (core.RankStateBytes(pr, ranks, 0, ckpt) + 1<<17)
 	}
-	if edges := int64(16 * (6 + (1_000_000-4)*4)); one != edges+1<<16 {
-		t.Fatalf("one-rank estimate %d, want edges %d + overhead %d", one, edges, 1<<16)
+	one := MemoryEstimate(Config{N: 1_000_000, X: 4, Ranks: 1})
+	if d, want := base-one, state(8, false)-state(1, false); d != want {
+		t.Fatalf("8 ranks estimate %d bytes more than 1, want only the ranks' state and overhead %d", d, want)
+	}
+	if edges := int64(16 * (6 + (1_000_000-4)*4)); one != edges+state(1, false) {
+		t.Fatalf("one-rank estimate %d, want edges %d + rank state and overhead %d", one, edges, state(1, false))
+	}
+	// A rank's state is a bit per slot and an ahead page, plus — past
+	// one rank — the hub replica and W·x outstanding queries, and a
+	// checkpointed rank's three snapshot copies; none of it grows with
+	// how far the ranks drift apart.
+	if s1, s2 := core.RankStateBytes(pr, 1, 0, false), core.RankStateBytes(pr, 2, 0, false); s1 > 1<<20 || s2 <= s1 || s2 > 4<<20 {
+		t.Fatalf("rank state %d bytes at one rank, %d at two: want a bitmap under 1 MiB, then the protocol bound on top, under 4 MiB", s1, s2)
+	}
+	if off, on := core.RankStateBytes(pr, 2, -1, false), core.RankStateBytes(pr, 2, 0, false); on <= off {
+		t.Fatalf("rank state with the hub replica %d, without %d: the replica is not charged", on, off)
 	}
 	// Past 2³²−1 nodes the table's high half is a separate plane.
 	wide := int64(1 << 33)
-	if got, want := MemoryEstimate(Config{N: wide, X: 4, Ranks: 1}), 16*(6+(wide-4)*4)+4*(wide-4)*4+1<<16; got != want {
-		t.Fatalf("n = %d in memory: estimate %d, want edges + high plane + overhead = %d", wide, got, want)
+	widePr := Params{N: wide, X: 4, P: DefaultP}
+	if got, want := MemoryEstimate(Config{N: wide, X: 4, Ranks: 1}), 16*(6+(wide-4)*4)+4*(wide-4)*4+core.RankStateBytes(widePr, 1, 0, false)+1<<17; got != want {
+		t.Fatalf("n = %d in memory: estimate %d, want edges + high plane + rank state and overhead = %d", wide, got, want)
 	}
 
 	// The bounded-memory path holds the tables and each rank's open
 	// shard block — the buffer esink.Open allocates, which at n = 10⁶
-	// holds a 20-bit value a record — and nothing per edge. Checkpointing it
-	// adds the window each snapshot carries, which depends on the run's
-	// drift and is left out. A checkpointed run without StreamDir streams
-	// too and holds the edge list it reads back, so it costs the
-	// in-memory run plus the tables and the open blocks.
+	// holds a 20-bit value a record — and nothing per edge. Checkpointing
+	// it adds each rank's snapshot copies. A checkpointed run without
+	// StreamDir streams too and holds the edge list it reads back, so it
+	// costs the in-memory run plus the tables, the open blocks and the
+	// snapshot copies.
 	mem := Config{N: 1_000_000, X: 4, Ranks: 2}
 	streamed, ckpt, both := mem, mem, mem
 	streamed.StreamDir = "shards"
@@ -281,14 +300,15 @@ func TestMemoryEstimate(t *testing.T) {
 	}
 	tables := int64(4 * (1_000_000 - 4) * 4)
 	blocks := 2 * esink.BufferBytes(1_000_000, 0)
+	snaps := state(2, true) - state(2, false)
 	if payload := int64(esink.DefaultBlockEdges * 20 / 8); blocks/2 < payload || blocks/2 > payload+64 {
 		t.Fatalf("an open block at n = 10⁶ is %d bytes, want its %d bytes of 20-bit values and a block header", blocks/2, payload)
 	}
-	if s, b := MemoryEstimate(streamed), MemoryEstimate(both); s != b {
-		t.Fatalf("streamed %d != streamed + checkpointed %d", s, b)
+	if s, b := MemoryEstimate(streamed), MemoryEstimate(both); b != s+snaps {
+		t.Fatalf("streamed + checkpointed %d, want streamed %d plus the snapshot copies %d", b, s, snaps)
 	}
-	if c, m := MemoryEstimate(ckpt), MemoryEstimate(mem); c != m+tables+blocks {
-		t.Fatalf("checkpointed estimate without StreamDir %d, want in-memory %d plus the tables %d and two open blocks %d", c, m, tables, blocks)
+	if c, m := MemoryEstimate(ckpt), MemoryEstimate(mem); c != m+tables+blocks+snaps {
+		t.Fatalf("checkpointed estimate without StreamDir %d, want in-memory %d plus the tables %d, two open blocks %d and the snapshot copies %d", c, m, tables, blocks, snaps)
 	}
 	if s := MemoryEstimate(streamed); s < tables || s > 2*tables {
 		t.Fatalf("streamed estimate %d not within 2x of the tables' %d", s, tables)
@@ -304,15 +324,73 @@ func TestMemoryEstimate(t *testing.T) {
 		if payload := esink.DefaultBlockEdges * c.w / 8; block < payload || block > payload+64 {
 			t.Fatalf("n = %d: an open block is %d bytes, want its %d bytes of %d-bit values and a block header", c.n, block, payload, c.w)
 		}
-		want := c.slot*(c.n-4)*4 + block + 1<<16
+		want := c.slot*(c.n-4)*4 + block + core.RankStateBytes(Params{N: c.n, X: 4, P: DefaultP}, 1, 0, false) + 1<<17
 		if got := MemoryEstimate(cfg); got != want {
-			t.Fatalf("n = %d: estimate %d, want %d B/slot tables + one open block + overhead = %d", c.n, got, c.slot, want)
+			t.Fatalf("n = %d: estimate %d, want %d B/slot tables + one open block + rank state and overhead = %d", c.n, got, c.slot, want)
 		}
 	}
 	small := streamed
 	small.StreamBlockEdges = 512
 	if s, d := MemoryEstimate(small), MemoryEstimate(streamed); s >= d {
 		t.Fatalf("estimate ignores StreamBlockEdges: %d vs default %d", s, d)
+	}
+}
+
+// The estimate is the allocation gate: at n = 2·10⁵ a run allocates no
+// more in all than MemoryEstimate says it needs at its peak — in memory,
+// streamed and streamed with checkpoints, at one and two ranks, under
+// round-robin and uniform consecutive partitions. Under UCP the upper
+// rank suspends nearly every node it starts, so without the run-ahead
+// cap its protocol state grew with the run: every two-rank UCP shape
+// allocated 1.3–5.9 times this bound (2.9–5.9 streamed), and two RRP
+// ranks sharing one P up to 3 times. Every rank's
+// high-water suspension count must stay at or under the cap. The race
+// detector's sync.Pool drops pooled items at random, so under -race the
+// frame pool refills far more often and only the cap is checked.
+func TestMemoryEstimateBoundsAllocation(t *testing.T) {
+	race := false
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			race = race || s.Key == "-race" && s.Value == "true"
+		}
+	}
+	stalled := false
+	for _, scheme := range []string{"RRP", "UCP"} {
+		for _, ranks := range []int{1, 2} {
+			for _, shape := range []string{"in memory", "streamed", "checkpointed"} {
+				cfg := Config{N: 200_000, X: 4, Ranks: ranks, Scheme: scheme, Seed: 1, Workers: 1}
+				if shape != "in memory" {
+					cfg.StreamDir = t.TempDir()
+				}
+				if shape == "checkpointed" {
+					cfg.CheckpointDir, cfg.CheckpointEvery = t.TempDir(), cfg.N/10
+				}
+				label := fmt.Sprintf("%s, %d ranks, %s", scheme, ranks, shape)
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				res, err := Generate(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				runtime.ReadMemStats(&after)
+				got, est := int64(after.TotalAlloc-before.TotalAlloc), MemoryEstimate(cfg)
+				if got > est && !race {
+					t.Errorf("%s allocated %d bytes, over MemoryEstimate's %d by %d", label, got, est, got-est)
+				} else {
+					t.Logf("%s allocated %d bytes of MemoryEstimate's %d (%.0f %%)", label, got, est, 100*float64(got)/float64(est))
+				}
+				for _, st := range res.Ranks {
+					if st.MaxSuspended > core.RunAheadNodes {
+						t.Errorf("%s: rank %d held %d unfinished nodes, over the cap %d", label, st.Rank, st.MaxSuspended, core.RunAheadNodes)
+					}
+					stalled = stalled || st.RunAheadStalls > 0
+				}
+			}
+		}
+	}
+	if !stalled {
+		t.Error("no run deferred a window; the cap was never exercised")
 	}
 }
 
