@@ -26,9 +26,12 @@ func TestCheckpointedGenerateMatchesPlain(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := binaryBytes(t, plain.Graph)
-			// check returns the shard bytes the run wrote itself, which
-			// tells a resume from a fresh start.
-			check := func(label string, c Config) int64 {
+			// check returns the shard bytes the run wrote itself and the
+			// bytes its shards hold when it ends. Recover truncates a shard
+			// to the resumed epoch's mark and the sink counts only the
+			// process's own writes from there, so a resume writes exactly
+			// the final sizes less the epoch's marked offsets.
+			check := func(label string, c Config) (written, size int64) {
 				t.Helper()
 				res, err := Generate(c)
 				if err != nil {
@@ -37,9 +40,33 @@ func TestCheckpointedGenerateMatchesPlain(t *testing.T) {
 				if !bytes.Equal(binaryBytes(t, res.Graph), want) {
 					t.Fatalf("%s: graph differs from the uncheckpointed run's", label)
 				}
-				var written int64
-				for _, st := range res.Ranks {
+				for r, st := range res.Ranks {
 					written += st.SinkBytes
+					fi, err := os.Stat(esink.ShardPath(filepath.Join(c.CheckpointDir, "shards"), r, ranks))
+					if err != nil {
+						t.Fatal(err)
+					}
+					size += fi.Size()
+				}
+				return written, size
+			}
+			// marked sums the shard offsets epoch's snapshots mark.
+			marked := func(dir string, epoch int64) int64 {
+				var off int64
+				for r := 0; r < ranks; r++ {
+					s, err := ckpt.Read(ckpt.Path(dir, r, epoch))
+					if err != nil {
+						t.Fatal(err)
+					}
+					off += s.Sink.Offset
+				}
+				return off
+			}
+			resumed := func(label string, c Config, off int64) int64 {
+				t.Helper()
+				written, size := check(label, c)
+				if written != size-off {
+					t.Fatalf("%s: the resume wrote %d shard bytes; the shards hold %d, the resumed epoch marks %d", label, written, size, off)
 				}
 				return written
 			}
@@ -67,7 +94,8 @@ func TestCheckpointedGenerateMatchesPlain(t *testing.T) {
 			resume.CheckpointDir, resume.CheckpointKeep, resume.Resume = dir, 1000, true
 
 			// Killed after the last epoch: every snapshot is on disk.
-			last := check("after the last epoch", resume)
+			lastOff, midOff := marked(dir, epochs[len(epochs)-1]), marked(dir, epochs[len(epochs)-2])
+			last := resumed("after the last epoch", resume, lastOff)
 
 			// Killed mid-epoch: the newest epoch reached the other ranks'
 			// disks but not the last rank's, whose write left a torn
@@ -83,7 +111,7 @@ func TestCheckpointedGenerateMatchesPlain(t *testing.T) {
 			if err := os.Remove(top); err != nil {
 				t.Fatal(err)
 			}
-			mid := check("mid-epoch", resume)
+			mid := resumed("mid-epoch", resume, midOff)
 
 			// Killed before the first epoch: no snapshot, and the shards of
 			// a run that got further than the fresh start will.
@@ -102,9 +130,12 @@ func TestCheckpointedGenerateMatchesPlain(t *testing.T) {
 				}
 				f.Close()
 			}
-			fresh := check("before the first epoch", resume)
-			if last >= mid || mid >= fresh {
-				t.Fatalf("shard bytes written after the last epoch %d, mid-epoch %d, before the first %d: want each resume to regenerate less than the next", last, mid, fresh)
+			fresh := resumed("before the first epoch", resume, 0)
+			// Two epochs can mark the same offsets when no rank's frontier
+			// moved between them; then the two resumes write alike.
+			if last > mid || mid >= fresh || lastOff != midOff && last == mid {
+				t.Fatalf("shard bytes written after the last epoch %d (marks %d), mid-epoch %d (marks %d), before the first %d: want each resume from a further mark to regenerate less",
+					last, lastOff, mid, midOff, fresh)
 			}
 		})
 	}

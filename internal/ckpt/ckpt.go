@@ -42,12 +42,18 @@ import (
 const Magic = "PAGENCK1"
 
 // Version is the current snapshot format version. Readers reject any
-// other value: the format carries no compat shims, and resuming from a
-// mis-parsed snapshot would silently corrupt the output graph.
-// docs/CHECKPOINT_FORMAT.md lists what each version changed; version 11
-// follows the computed hub replica: 'W' drops the coalescing chains and
-// stores an answer held ahead as itself.
-const Version = 11
+// other value but 11 (below): the format carries no compat shims, and
+// resuming from a mis-parsed snapshot would silently corrupt the output
+// graph.
+// docs/CHECKPOINT_FORMAT.md lists what each version changed. Version 12
+// has version 11's bytes and widens what 'W' may hold: a marker cut
+// records the requests and answers in flight to the rank as waiter and
+// ahead records, so a waiter may name a slot already final and a node
+// may hold the answer for its frontier edge. A reader that does not feed
+// those back would wait forever, hence the bump; a version 11 file is a
+// cut with nothing in flight, a valid version 12 snapshot, and still
+// reads.
+const Version = 12
 
 // castagnoli is the CRC-32C table (iSCSI polynomial) shared by writer
 // and reader.
@@ -88,13 +94,16 @@ type SuspRecord struct {
 // AheadRecord is an answer that reached an unfinished node's edge before
 // its committed prefix did: flat local slot Slot is to take value V, a
 // node id, once the prefix gets there (and V is not a duplicate by then).
+// An answer the cut recorded in flight may be for the node's frontier
+// edge itself.
 type AheadRecord struct {
 	Slot, V int64
 }
 
 // WaiterRecord is one queued waiter of local flat slot Slot (a Q_{k,l}
 // queue): when the slot resolves, node T's edge E gets the answer.
-// Records of one slot appear in FIFO order.
+// Records of one slot appear in FIFO order. A request the cut recorded
+// in flight may name a slot that is already final.
 type WaiterRecord struct {
 	Slot int64
 	T    int64
@@ -396,12 +405,16 @@ func Read(path string) (*Snapshot, error) {
 	return s, nil
 }
 
+// PruneBuf is the scratch Prune streams every file it vets through. A
+// caller that prunes repeatedly — the engine's background writer, once an
+// epoch — owns one, so vetting allocates no read buffer per file.
+type PruneBuf [8 << 10]byte
+
 // check validates a snapshot's frame — magic, whole-file CRC-32C and
-// version — reading the size bytes of r through a small buffer, so
-// Prune can vet a file without loading it; parse runs it over the bytes
-// it holds before reading the sections.
-func check(r io.ReaderAt, size int64) error {
-	var buf [8 << 10]byte
+// version — reading the size bytes of r through buf, so Prune can vet a
+// file without loading it; parse runs it over the bytes it holds before
+// reading the sections.
+func check(r io.ReaderAt, size int64, buf *PruneBuf) error {
 	if size < int64(len(Magic))+4 {
 		return fmt.Errorf("file too short (%d bytes)", size)
 	}
@@ -432,7 +445,7 @@ func check(r io.ReaderAt, size int64) error {
 		return fmt.Errorf("truncated varint")
 	}
 	switch ver {
-	case Version:
+	case Version, 11:
 		return nil
 	case 9:
 		return fmt.Errorf("unsupported snapshot version 9: its suspended nodes hold per-node random-stream states, which version %d's per-attempt draws cannot continue; restart the run", Version)
@@ -443,7 +456,7 @@ func check(r io.ReaderAt, size int64) error {
 }
 
 func parse(data []byte) (*Snapshot, error) {
-	if err := check(bytes.NewReader(data), int64(len(data))); err != nil {
+	if err := check(bytes.NewReader(data), int64(len(data)), new(PruneBuf)); err != nil {
 		return nil, err
 	}
 	r := &reader{b: data[len(Magic) : len(data)-4]}
@@ -674,9 +687,10 @@ func Epochs(dir string, rank int) ([]int64, error) {
 // fallback possible. The check streams the file through a small buffer
 // and parses no section: a snapshot carries its window and suspension
 // records, megabytes on a rank that trails, and loading it every epoch
-// cost more peak memory than the window itself. Rejected files are
-// deleted once they age past the oldest kept epoch.
-func Prune(dir string, rank int, keep int) error {
+// cost more peak memory than the window itself. Every file is read
+// through buf. Rejected files are deleted once they age past the oldest
+// kept epoch.
+func Prune(dir string, rank int, keep int, buf *PruneBuf) error {
 	epochs, err := Epochs(dir, rank)
 	if err != nil {
 		return err
@@ -684,7 +698,7 @@ func Prune(dir string, rank int, keep int) error {
 	keep = max(keep, 1)
 	var barrier int64
 	for i := len(epochs) - 1; i >= 0 && keep > 0; i-- {
-		if vet(Path(dir, rank, epochs[i])) == nil {
+		if vet(Path(dir, rank, epochs[i]), buf) == nil {
 			barrier = epochs[i]
 			keep--
 		}
@@ -704,7 +718,7 @@ func Prune(dir string, rank int, keep int) error {
 }
 
 // vet runs check over the file at path.
-func vet(path string) error {
+func vet(path string, buf *PruneBuf) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -714,7 +728,7 @@ func vet(path string) error {
 	if err != nil {
 		return err
 	}
-	return check(f, fi.Size())
+	return check(f, fi.Size(), buf)
 }
 
 // Remove deletes rank's snapshot of the given epoch, ignoring a missing

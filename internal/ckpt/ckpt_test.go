@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -110,11 +111,13 @@ func reseal(data []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
 }
 
-// The v11 section rules: 'K', 'W' and the window 'F' are mandatory, 'W'
+// The v12 section rules: 'K', 'W' and the window 'F' are mandatory, 'W'
 // appears exactly once, and the delta section 'D' and the outbound
 // section 'O' of earlier versions are unknown tags. A version 9 file —
 // per-node stream states in its suspension records — and a version 10
-// file — coalescing chains in its 'W' section — are refused by name.
+// file — coalescing chains in its 'W' section — are refused by name; a
+// version 11 file, version 12's bytes from a cut with nothing in flight,
+// reads.
 // The files below are CRC-clean, so
 // the section rules — not the checksum — must reject them.
 func TestParseSectionRules(t *testing.T) {
@@ -178,10 +181,15 @@ func TestParseSectionRules(t *testing.T) {
 			t.Errorf("%s: err = %v, want one naming the version", name, err)
 		}
 	}
+	v11 := encode(s)
+	v11[len(Magic)] = 11
 	for _, want := range []*Snapshot{s, idleSnapshot(0, 4)} {
 		if got, err := parse(encode(want)); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip = %+v, %v", got, err)
 		}
+	}
+	if got, err := parse(reseal(v11)); err != nil || !reflect.DeepEqual(got, s) {
+		t.Errorf("version 11 = %+v, %v", got, err)
 	}
 }
 
@@ -196,7 +204,7 @@ func TestStreamedEpochRetention(t *testing.T) {
 		if _, _, err := Write(dir, sample(0, epoch)); err != nil {
 			t.Fatal(err)
 		}
-		if err := Prune(dir, 0, 3); err != nil {
+		if err := Prune(dir, 0, 3, new(PruneBuf)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -358,7 +366,7 @@ func TestEpochsPruneRemove(t *testing.T) {
 	if !reflect.DeepEqual(epochs, []int64{1, 3, 5}) {
 		t.Fatalf("Epochs = %v, want [1 3 5]", epochs)
 	}
-	if err := Prune(dir, 0, 2); err != nil {
+	if err := Prune(dir, 0, 2, new(PruneBuf)); err != nil {
 		t.Fatal(err)
 	}
 	if epochs, _ = Epochs(dir, 0); !reflect.DeepEqual(epochs, []int64{3, 5}) {
@@ -407,21 +415,50 @@ func TestPruneSkipsDamagedFrames(t *testing.T) {
 	damage(6, func(b []byte) []byte { return b[:len(b)-100] })
 	damage(5, func(b []byte) []byte { b[40_000]++; return b })
 	damage(4, func(b []byte) []byte {
-		b[len(Magic)] = Version - 1
+		b[len(Magic)] = Version + 1
 		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.Checksum(b[:len(b)-4], castagnoli))
 		return b
 	})
 	for epoch := int64(1); epoch <= 6; epoch++ {
 		_, rerr := Read(Path(dir, 0, epoch))
-		if verr := vet(Path(dir, 0, epoch)); (verr == nil) != (rerr == nil) || verr != nil && !strings.Contains(rerr.Error(), verr.Error()) {
+		if verr := vet(Path(dir, 0, epoch), new(PruneBuf)); (verr == nil) != (rerr == nil) || verr != nil && !strings.Contains(rerr.Error(), verr.Error()) {
 			t.Fatalf("epoch %d: vet says %v, Read says %v", epoch, verr, rerr)
 		}
 	}
-	if err := Prune(dir, 0, 2); err != nil {
+	if err := Prune(dir, 0, 2, new(PruneBuf)); err != nil {
 		t.Fatal(err)
 	}
 	if epochs, _ := Epochs(dir, 0); !reflect.DeepEqual(epochs, []int64{2, 3, 4, 5, 6}) {
 		t.Fatalf("after prune: %v, want [2 3 4 5 6]", epochs)
+	}
+}
+
+// Prune vets every file through the caller's one buffer: the bytes a
+// call allocates grow with the files it lists and opens, not by a read
+// buffer per retained file.
+func TestPruneVetsThroughOneBuffer(t *testing.T) {
+	perCall := func(files int) float64 {
+		dir := t.TempDir()
+		for epoch := int64(1); epoch <= int64(files); epoch++ {
+			if _, _, err := Write(dir, sample(0, epoch)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf PruneBuf
+		var before, after runtime.MemStats
+		const calls = 20
+		runtime.ReadMemStats(&before)
+		for range calls {
+			if err := Prune(dir, 0, files, &buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / calls
+	}
+	few, many := perCall(2), perCall(12)
+	if perFile := (many - few) / 10; perFile >= 4<<10 {
+		t.Fatalf("Prune allocates %.0f bytes per call at 2 files and %.0f at 12: %.0f per retained file, want < 4 KiB", few, many, perFile)
 	}
 }
 

@@ -292,7 +292,7 @@ func TestBatchRequestsGatheredAfterResolve(t *testing.T) {
 // restored state exists.
 func TestBatchRequestsGatheredHeldFlush(t *testing.T) {
 	e, peer, batch := gatheredRequestEngine(t)
-	e.ck = &ckptRun{held: batch}
+	e.ck = &ckptRun{held: []heldFrame{{from: 1, ms: batch}}}
 	if err := e.ckptFlushHeld(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,12 @@ import (
 	"pagen/internal/obs"
 )
 
-// CheckpointOptions enables cooperative checkpointing: the engine
-// periodically pauses generation at a globally quiescent point (a
-// consistent cut — see DESIGN.md §9), captures its mutable state into
-// pooled buffers, resumes immediately, and publishes the snapshot file
-// from a per-rank background writer. A checkpointed run streams
+// CheckpointOptions enables cooperative checkpointing: each rank
+// periodically takes a marker snapshot (a Chandy–Lamport consistent cut —
+// see DESIGN.md §9) without stopping the others, captures its mutable
+// state into pooled buffers, records the requests and answers still in
+// flight to it across the cut, and publishes the snapshot file from a
+// per-rank background writer. A checkpointed run streams
 // (Options.StreamDir), and the shard is the checkpoint's F: a snapshot
 // names the shard's durable prefix and a resume replays it, so no table
 // is copied or written. A later run with Resume set restarts from the
@@ -41,12 +42,6 @@ type CheckpointOptions struct {
 // DefaultCheckpointKeep is the default number of retained snapshots.
 const DefaultCheckpointKeep = 2
 
-// ckptMaxRounds bounds the quiescence-probe rounds per epoch. The
-// protocol converges once in-flight traffic drains, so hitting the
-// bound means a protocol bug, not a slow network; erroring out beats
-// looping forever (and keeps the round number inside its uint16 field).
-const ckptMaxRounds = 10000
-
 // ckptRun is the per-rank state of the checkpoint protocol. It belongs
 // to the rank goroutine; only the writer has a goroutine of its own.
 type ckptRun struct {
@@ -54,74 +49,60 @@ type ckptRun struct {
 	every int64
 	keep  int
 
-	// paused: an epoch is active — generation is paused, the rank keeps
-	// serving the resolution cascade until globally quiescent.
-	paused      bool
 	initiated   int64 // nodes whose generation has started
-	nextTrigger int64 // metric value that opens the next epoch
+	nextTrigger int64 // metric value that opens the next epoch (rank 0)
 
-	epochNext int64 // next epoch number to open (rank 0)
-	epoch     int64 // epoch currently active (all ranks)
+	// epoch is the newest epoch this rank has cut (or restored from);
+	// the next one is epoch+1 on every rank.
+	epoch int64
 
 	// writer is the rank's background publisher: encode, CRC, write,
-	// fsync, rename and prune all run there, off the pause path.
+	// fsync, rename and prune all run there, off the rank goroutine.
 	writer *ckptWriter
 
-	// votes tallies the asynchronous per-epoch commit votes (rank 0
-	// only). An entry exists from the first vote until all p arrive;
-	// rank 0 defers the stop broadcast while any tally is open so an
-	// abandon always precedes stop on every channel.
-	votes map[int64]*ckptVoteState
-	// voted0 remembers epochs this rank itself voted 0 on (capture
-	// skipped), so the arriving abandon does not uncount an epoch that
-	// was never counted.
-	voted0 map[int64]bool
+	// owed counts the peers whose marker for epoch has yet to arrive,
+	// and marked[r] is set once peer r's has (the rank's own entry is
+	// always set). While owed > 0 the epoch is open on this rank:
+	// pending, the capture taken at the cut (nil if the capture
+	// failed), records what each unmarked peer's channel delivers.
+	owed    int
+	marked  []bool
+	pending *ckpt.Snapshot
+	// written is the newest epoch whose capture went to the writer, so
+	// an abandon uncounts only an epoch this rank counted.
+	written int64
 
-	// Quiescence-detection state. Rank 0 collects per-rank (sent, recv)
-	// data-message counters round by round; two consecutive identical,
-	// globally balanced rounds prove no data message is in flight.
-	round         int              // current counter round (rank 0)
-	pendingRound  int              // newest round this rank must report for
-	reportedRound int              // newest round this rank has reported
-	cutSent       bool             // rank 0: cut already broadcast
-	cur, prev     map[int][2]int64 // per-rank (sent, recv) this/last round
+	// tally (rank 0) counts the votes its open epoch still waits for:
+	// p from rank 0's cut until the last lands, when bad decides
+	// between commit and abandon. No epoch opens while it is non-zero,
+	// and no stop goes out, so an abandon precedes stop on every
+	// channel and every marker is consumed before it.
+	tally int
+	bad   bool
 
-	// markersOwed counts cut markers still due to this rank: each cut
-	// adds one per sender (rank 0, itself included, and every relaying
-	// peer), each arrival takes one off, so it dips below zero while the
-	// copy that triggers a cut is counted before the cut. Relays travel
-	// on peer channels, not ahead of rank 0's stop, so finished() waits
-	// for zero: a marker left unread would reach whatever runs over the
-	// transport next (cmd/pa-tcp's collectives reject it).
-	markersOwed int
+	// held parks non-collective frames that arrive while the resume
+	// negotiation's collectives own the receive path; restore puts the
+	// messages its snapshot recorded in flight at their head, and all of
+	// them are delivered once the restored state exists.
+	held []heldFrame
 
-	// doneRecv counts Done reports received over the wire (rank 0), so
-	// the balance counters cover the termination protocol's traffic too.
-	doneRecv int64
-	// held parks non-collective messages that arrive while the resume
-	// negotiation's collectives own the receive path; they are
-	// delivered once the restored state exists.
-	held []msg.Message
-
-	pauseStart time.Time
-
-	// metrics (pause side; the write side lives in the writer).
+	// metrics (cut side; the write side lives in the writer).
 	epochs, failed, pauseNanos int64
 	pauseHist                  obs.Histogram
 }
 
-// ckptVoteState is one epoch's open vote tally (rank 0).
-type ckptVoteState struct {
-	n   int
-	bad bool
+// heldFrame is one frame parked for ckptFlushHeld, with its sender.
+type heldFrame struct {
+	from int
+	ms   []msg.Message
 }
 
 // ckptWriteReq is one background-writer work item: publish a capture
 // (c != nil) or remove an abandoned epoch's file (c == nil). Removes
 // ride the same FIFO channel as writes so an abandon enqueued after its
 // epoch's capture always deletes the file the write produced. A capture
-// is a pooled snapshot: two rotate between the cut (fill) and the
-// writer (drain), and each refill reuses its record arrays, so a steady
+// is a pooled snapshot: two rotate between the open epoch (filled at
+// the cut, appended to while it records) and the writer (drain), and each refill reuses its record arrays, so a steady
 // cadence allocates nothing epoch over epoch once they have grown to
 // the rank's suspension and waiter records.
 type ckptWriteReq struct {
@@ -129,8 +110,8 @@ type ckptWriteReq struct {
 	epoch int64
 }
 
-// ckptWriter is the per-rank background snapshot publisher. The cut
-// hands it a filled capture and resumes generation; the shard fsync
+// ckptWriter is the per-rank background snapshot publisher. An epoch's
+// close hands it a complete capture; the shard fsync
 // that makes the sink mark durable, encode, CRC-32C, tmp+fsync+rename
 // and pruning all run here. The first error latches and fails the
 // *next* epoch's commit vote rather than the run; takeErr consumes the
@@ -152,6 +133,7 @@ type ckptWriter struct {
 	writeNanos int64
 	writeHist  obs.Histogram
 	enc        ckpt.Encoder
+	vet        ckpt.PruneBuf
 }
 
 func newCkptWriter(dir string, rank, keep int, stream *esink.Writer) *ckptWriter {
@@ -219,7 +201,7 @@ func (bw *ckptWriter) publish(c *ckpt.Snapshot) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := ckpt.Prune(bw.dir, bw.rank, bw.keep); err != nil {
+	if err := ckpt.Prune(bw.dir, bw.rank, bw.keep, &bw.vet); err != nil {
 		return size, err
 	}
 	return size, nil
@@ -251,29 +233,20 @@ func (e *engine) ckptMetric() int64 {
 	return e.ck.initiated + c.RequestsRecv + c.ResolvedRecv
 }
 
-// ckptBegin (rank 0) opens a new epoch: pause generation everywhere,
-// then detect global quiescence via counter rounds.
-func (e *engine) ckptBegin() error {
+// ckptStep opens an epoch on rank 0 when its trigger is due, no epoch
+// is open and it has not stopped: rank 0 cuts there, without asking
+// any other rank to pause. Every other rank cuts at the first marker it
+// receives (ckptOnMsg). The rank goroutine calls it at every poll point
+// and receive-loop iteration, where no window is open and no handler is
+// running.
+func (e *engine) ckptStep() error {
 	ck := e.ck
-	ck.epoch = ck.epochNext
-	ck.epochNext++
-	if ck.every > 0 {
-		ck.nextTrigger = e.ckptMetric() + ck.every
+	if !e.ckTrig || e.stopped || ck.tally > 0 || e.ckptMetric() < ck.nextTrigger {
+		return nil
 	}
-	ck.round = 1
-	ck.pendingRound = 1
-	ck.reportedRound = 0
-	ck.cutSent = false
-	ck.cur = make(map[int][2]int64, e.p)
-	ck.prev = nil
-	ck.pauseStart = time.Now()
-	ck.paused = true
-	for r := 1; r < e.p; r++ {
-		if err := e.cm.SendNow(r, msg.Ckpt(e.rank, msg.CkptBegin, 1, ck.epoch, 0)); err != nil {
-			return err
-		}
-	}
-	return nil
+	ck.epoch++
+	ck.tally = e.p
+	return e.ckptCut()
 }
 
 // ckptOnMsg handles one received checkpoint-protocol message.
@@ -284,55 +257,29 @@ func (e *engine) ckptOnMsg(m msg.Message) error {
 		return fmt.Errorf("core: rank %d received checkpoint message (op %d) with checkpointing disabled", e.rank, op)
 	}
 	switch op {
-	case msg.CkptBegin:
-		if e.rank == 0 {
-			return fmt.Errorf("core: rank 0 received checkpoint begin")
-		}
-		if ck.paused {
-			// The cut executes at its stream marker (see CkptCut), so a
-			// begin can only find the epoch still open if the protocol
-			// itself broke.
-			return fmt.Errorf("core: checkpoint begin for epoch %d while epoch %d active", m.K, ck.epoch)
-		}
-		ck.epoch = m.K
-		ck.pendingRound = int(m.L)
-		ck.reportedRound = 0
-		ck.pauseStart = time.Now()
-		ck.paused = true
-	case msg.CkptProbe:
-		ck.pendingRound = int(m.L)
-	case msg.CkptReport:
-		if e.rank != 0 {
-			return fmt.Errorf("core: rank %d received checkpoint report", e.rank)
-		}
-		if int(m.L) != ck.round {
-			return fmt.Errorf("core: checkpoint report for round %d in round %d", m.L, ck.round)
-		}
-		ck.cur[int(m.T)] = [2]int64{m.K, m.V}
 	case msg.CkptCut:
-		// Execute the cut at its marker, in stream order. With the
-		// asynchronous commit, rank 0 resumes generating right after
-		// its own capture, so data sent post-cut can share a frame with
-		// this marker; deferring the cut past the batch would handle
-		// that data first and leak post-cut effects into the epoch.
-		// Everything before the marker is fully drained — that is what
-		// the quiescence rounds proved — so this rank is quiescent
-		// here, exactly as the cut requires, and data later in the
-		// frame is handled after the capture.
-		//
-		// Markers arrive from rank 0 and, relayed, from every peer that
-		// cut first (see ckptCut): whichever comes first executes the
-		// cut, and the later copies find the rank no longer paused in
-		// that epoch.
-		ck.markersOwed--
-		if !ck.paused || m.K != ck.epoch {
-			if e.rank == 0 {
-				// The last marker owed may be what deferred stop.
-				return e.maybeBroadcastStop()
+		// The first marker of an epoch cuts here, in receive order: all
+		// the sender sent before its cut has been handled, nothing it
+		// sent after has. Rank 0 opened the epoch, so it never cuts at a
+		// marker, and no epoch opens before the last one closed
+		// everywhere.
+		from := int(m.T)
+		if ck.owed == 0 {
+			if e.rank == 0 || m.K != ck.epoch+1 {
+				return fmt.Errorf("core: rank %d received rank %d's cut marker for epoch %d after epoch %d closed", e.rank, from, m.K, ck.epoch)
 			}
-			return nil
+			ck.epoch = m.K
+			if err := e.ckptCut(); err != nil {
+				return err
+			}
 		}
-		return e.ckptCut()
+		if from < 0 || from >= e.p || ck.marked[from] || m.K != ck.epoch {
+			return fmt.Errorf("core: rank %d received an unexpected cut marker from rank %d for epoch %d in epoch %d", e.rank, from, m.K, ck.epoch)
+		}
+		ck.marked[from] = true
+		if ck.owed--; ck.owed == 0 {
+			return e.ckptClose()
+		}
 	case msg.CkptVote:
 		if e.rank != 0 {
 			return fmt.Errorf("core: rank %d received checkpoint vote", e.rank)
@@ -349,32 +296,129 @@ func (e *engine) ckptOnMsg(m msg.Message) error {
 	return nil
 }
 
-// ckptRecordVote (rank 0) tallies one rank's asynchronous commit vote
-// for an epoch. When the last vote lands the epoch either stands on
-// every rank or is abandoned everywhere: a single abandon broadcast,
-// ordered before any later stop on each channel, keeps the ranks'
-// epoch accounting aligned without a blocking collective in any cut.
+// ckptCut takes this rank's snapshot of the open epoch: write F up to
+// the resolved frontier and flush the open block, a short one
+// (page-cache writes), so the shard mark names a complete-block prefix
+// holding exactly F below the frontier; capture the rest of the rank's
+// state into a pooled buffer; then send the marker to every peer.
+// SendNow flushes what is buffered for the peer first, so the marker
+// divides the channel into what was sent before the cut and after it
+// (DESIGN.md §9.1). The fsync that makes the mark durable runs in the
+// writer, before the snapshot naming it is published. The pause is the
+// capture plus the wait for a free buffer; generation resumes at once.
+func (e *engine) ckptCut() error {
+	ck := e.ck
+	start := time.Now()
+	// A latched background failure from an earlier epoch fails this
+	// epoch's vote — not the run (DESIGN.md §9: resume negotiation
+	// skips epochs any rank failed to persist).
+	if ck.writer.takeErr() == nil {
+		if err := e.streamFrontier(); err != nil {
+			return err
+		}
+		if mark, err := e.stream.Mark(); err == nil {
+			// Waiting for a free capture buffer is real back-pressure (the
+			// writer still holds both) and is charged to the pause.
+			ck.pending = <-ck.writer.free
+			e.buildSnapshotInto(ck.pending, mark)
+		}
+	}
+	pause := time.Since(start).Nanoseconds()
+	ck.pauseNanos += pause
+	ck.pauseHist.Observe(pause)
+	if e.rank == 0 && ck.every > 0 {
+		ck.nextTrigger = e.ckptMetric() + ck.every
+	}
+	clear(ck.marked)
+	ck.marked[e.rank] = true
+	ck.owed = e.p - 1
+	for r := 0; r < e.p; r++ {
+		if r == e.rank {
+			continue
+		}
+		if err := e.cm.SendNow(r, msg.Ckpt(e.rank, msg.CkptCut, ck.epoch, 0)); err != nil {
+			return err
+		}
+	}
+	if ck.owed == 0 {
+		return e.ckptClose()
+	}
+	return nil
+}
+
+// ckptRecord stores the requests and answers of a frame from rank from
+// that precede from's marker, while this rank's epoch is open and from's
+// channel is not yet marked: they were sent before from's cut and are
+// received after this rank's, the channel's state at the cut. Each is
+// stored as the record it becomes — a request as a waiter of the slot it
+// asks for, an answer as the value held for its edge — and restore feeds
+// both back as the messages they were when the slot is already final or
+// the edge is its node's frontier (DESIGN.md §9.1). The frame is handled
+// as usual afterwards.
+func (e *engine) ckptRecord(from int, ms []msg.Message) {
+	s := e.ck.pending
+	if e.ck.marked[from] {
+		return
+	}
+	for _, m := range ms {
+		switch m.Kind {
+		case msg.KindRequest:
+			s.Waiters = append(s.Waiters, ckpt.WaiterRecord{Slot: e.part.Index(e.rank, m.K)*e.x64 + int64(m.L), T: m.T, E: m.E})
+		case msg.KindResolved:
+			s.Ahead = append(s.Ahead, ckpt.AheadRecord{Slot: e.part.Index(e.rank, m.T)*e.x64 + int64(m.E), V: m.V})
+		case msg.KindCkpt:
+			if msg.CkptOp(m.E) == msg.CkptCut {
+				return
+			}
+		}
+	}
+}
+
+// ckptClose ends the epoch on this rank once every peer's marker is in:
+// the recording is complete, so the capture goes to the writer and the
+// vote to rank 0. Rank 0 stops only after the tally, so every marker is
+// consumed before any rank stops.
+func (e *engine) ckptClose() error {
+	ck := e.ck
+	ok := ck.pending != nil
+	if ok {
+		// Optimistic local commit: the tally abandons the epoch later if
+		// any rank failed. Enqueued before the vote: if the tally
+		// completes inside this call and abandons the epoch, the removal
+		// request must trail the write in the writer's FIFO.
+		ck.epochs++
+		ck.written = ck.epoch
+		ck.writer.ch <- ckptWriteReq{c: ck.pending}
+		ck.pending = nil
+	}
+	if e.rank == 0 {
+		return e.ckptRecordVote(ck.epoch, ok)
+	}
+	v := int64(0)
+	if ok {
+		v = 1
+	}
+	return e.cm.SendNow(0, msg.Ckpt(e.rank, msg.CkptVote, ck.epoch, v))
+}
+
+// ckptRecordVote (rank 0) tallies one rank's commit vote for the open
+// epoch. When the last vote lands the epoch either stands on every rank
+// or is abandoned everywhere: a single abandon broadcast, ordered before
+// any later stop and marker on each channel, keeps the ranks' epoch
+// accounting aligned.
 func (e *engine) ckptRecordVote(epoch int64, ok bool) error {
 	ck := e.ck
-	if ck.votes == nil {
-		ck.votes = make(map[int64]*ckptVoteState)
+	if ck.tally == 0 || epoch != ck.epoch {
+		return fmt.Errorf("core: checkpoint vote for epoch %d, tallying epoch %d (%d votes due)", epoch, ck.epoch, ck.tally)
 	}
-	st := ck.votes[epoch]
-	if st == nil {
-		st = &ckptVoteState{}
-		ck.votes[epoch] = st
-	}
-	st.n++
-	if !ok {
-		st.bad = true
-	}
-	if st.n < e.p {
+	ck.bad = ck.bad || !ok
+	if ck.tally--; ck.tally > 0 {
 		return nil
 	}
-	delete(ck.votes, epoch)
-	if st.bad {
+	if ck.bad {
+		ck.bad = false
 		for r := 1; r < e.p; r++ {
-			if err := e.cm.SendNow(r, msg.Ckpt(e.rank, msg.CkptAbandon, 0, epoch, 0)); err != nil {
+			if err := e.cm.SendNow(r, msg.Ckpt(e.rank, msg.CkptAbandon, epoch, 0)); err != nil {
 				return err
 			}
 		}
@@ -387,314 +431,54 @@ func (e *engine) ckptRecordVote(epoch int64, ok bool) error {
 
 // ckptAbandon applies an epoch abandonment on this rank: uncount the
 // epoch (unless this rank never captured it) and queue its file for
-// removal behind any in-flight write of it.
+// removal behind the write of it. The abandon arrives after this rank's
+// vote and before it can close another epoch, so written names the
+// epoch exactly when its capture was counted.
 func (e *engine) ckptAbandon(epoch int64) {
 	ck := e.ck
 	ck.failed++
-	if ck.voted0[epoch] {
-		delete(ck.voted0, epoch)
+	if ck.written != epoch {
 		return
 	}
 	ck.epochs--
 	ck.writer.ch <- ckptWriteReq{epoch: epoch}
 }
 
-// ckptBalance returns this rank's cumulative data-message (sent, recv)
-// counters, including the termination protocol's Done reports — any
-// message type that can be in flight between ranks mid-run. (Stop is
-// excluded: it is deferred while an epoch is active, so it is never in
-// flight during one. Checkpoint-protocol messages — votes and abandons
-// included — are excluded too: they are KindCkpt control traffic the
-// cut does not wait out.)
-func (e *engine) ckptBalance() (sent, recv int64) {
-	c := e.cm.Counters()
-	sent = c.RequestsSent + c.ResolvedSent
-	recv = c.RequestsRecv + c.ResolvedRecv + e.ck.doneRecv
-	if e.doneFlag && e.rank != 0 {
-		// Rank 0 short-circuits its own report; only other ranks'
-		// reports travel.
-		sent++
-	}
-	return sent, recv
-}
-
-// ckptReport sends this rank's counter report for the pending round.
-// Rank 0 reports to itself over the wire rather than recording directly:
-// every round advance then costs a real receive, which keeps the
-// coordinator returning to the transport between rounds so in-flight
-// traffic (the very thing the rounds are waiting out) gets delivered
-// instead of the rounds spinning to the bound against a stale balance.
-func (e *engine) ckptReport() error {
-	ck := e.ck
-	ck.reportedRound = ck.pendingRound
-	sent, recv := e.ckptBalance()
-	return e.cm.SendNow(0, msg.Ckpt(e.rank, msg.CkptReport, ck.reportedRound, sent, recv))
-}
-
-// balancedStable reports whether the current round matches the previous
-// one rank for rank and the global sent/recv totals agree — the
-// two-consecutive-identical-balanced-rounds criterion for global
-// quiescence.
-func (ck *ckptRun) balancedStable(p int) bool {
-	if ck.prev == nil {
-		return false
-	}
-	var sent, recv int64
-	for r := 0; r < p; r++ {
-		cur, ok := ck.cur[r]
-		if !ok {
-			return false
-		}
-		if prev, ok := ck.prev[r]; !ok || prev != cur {
-			return false
-		}
-		sent += cur[0]
-		recv += cur[1]
-	}
-	return sent == recv
-}
-
-// ckptEvaluate (rank 0) advances the quiescence detection once all
-// ranks have reported the current round: either declare the cut or
-// start another round. Returns whether it made progress.
-func (e *engine) ckptEvaluate() (bool, error) {
-	ck := e.ck
-	if ck.cutSent || len(ck.cur) < e.p {
-		return false, nil
-	}
-	if ck.round >= 2 && ck.balancedStable(e.p) {
-		// Global quiescence. The cut goes to every rank including rank
-		// 0 itself (a transport self-send) so all ranks process it
-		// uniformly on their receive path.
-		for r := 0; r < e.p; r++ {
-			if err := e.cm.SendNow(r, msg.Ckpt(e.rank, msg.CkptCut, ck.round, ck.epoch, 0)); err != nil {
-				return false, err
-			}
-		}
-		ck.cutSent = true
-		return true, nil
-	}
-	if ck.round >= ckptMaxRounds {
-		return false, fmt.Errorf("core: checkpoint epoch %d failed to quiesce after %d rounds (cur %v, prev %v)",
-			ck.epoch, ck.round, ck.cur, ck.prev)
-	}
-	ck.prev = ck.cur
-	ck.cur = make(map[int][2]int64, e.p)
-	ck.round++
-	// The probe goes to rank 0 itself as well (see ckptReport): its next
-	// report is then paced by the receive path like everyone else's.
-	for r := 0; r < e.p; r++ {
-		if err := e.cm.SendNow(r, msg.Ckpt(e.rank, msg.CkptProbe, ck.round, ck.epoch, 0)); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// ckptStep runs as much of the checkpoint protocol as can proceed
-// without receiving: open a due epoch (rank 0), report quiescence,
-// evaluate rounds. The cut itself runs from the receive path, at its
-// stream marker (see CkptCut in ckptOnMsg). The rank goroutine calls it
-// at every poll point and receive-loop iteration, where it is locally
-// quiescent by construction: no window is open and no handler is
-// running.
-func (e *engine) ckptStep() error {
-	ck := e.ck
-	if ck == nil {
-		return nil
-	}
-	if e.rank == 0 && ck.every > 0 && !e.stopped && !ck.paused &&
-		e.ckptMetric() >= ck.nextTrigger {
-		if err := e.ckptBegin(); err != nil {
-			return err
-		}
-	}
-	if !ck.paused {
-		return nil
-	}
-	for {
-		progressed := false
-		if ck.reportedRound < ck.pendingRound {
-			if err := e.ckptReport(); err != nil {
-				return err
-			}
-			progressed = true
-		}
-		if e.rank == 0 {
-			p, err := e.ckptEvaluate()
-			if err != nil {
-				return err
-			}
-			progressed = progressed || p
-		}
-		if !progressed {
-			return nil
-		}
-	}
-}
-
-// ckptFilter splits a received batch while the resume negotiation's
+// ckptFilter splits a received frame while the resume negotiation's
 // collectives own the receive path: collective messages pass through,
 // everything else is held (copied — the input is valid only until the
 // next receive) for delivery once the restored state exists.
 func (e *engine) ckptFilter(ms []msg.Message) []msg.Message {
+	var rest []msg.Message
 	colls := ms[:0]
 	for _, m := range ms {
 		if m.Kind == msg.KindColl {
 			colls = append(colls, m)
 		} else {
-			e.ck.held = append(e.ck.held, m)
+			rest = append(rest, m)
 		}
+	}
+	if rest != nil {
+		e.ck.held = append(e.ck.held, heldFrame{from: e.cm.From(), ms: rest})
 	}
 	return colls
 }
 
-// ckptFlushHeld delivers the messages parked during the resume
-// negotiation through the normal receive path, as one batch.
+// ckptFlushHeld delivers the frames parked during the resume
+// negotiation, and the messages restore fed back, through the normal
+// receive path. A held marker may open an epoch on the way; the frames
+// behind it are then recorded like any other.
 func (e *engine) ckptFlushHeld() error {
 	ck := e.ck
-	if len(ck.held) == 0 {
-		return nil
-	}
 	held := ck.held
 	ck.held = nil
-	if err := e.handleBatch(held); err != nil {
-		return err
-	}
-	if e.err != nil {
-		return e.err
+	for _, f := range held {
+		if err := e.receive(f.from, f.ms); err != nil {
+			return err
+		}
+		if e.err != nil {
+			return e.err
+		}
 	}
 	return e.cm.FlushAll()
-}
-
-// ckptCut executes a declared cut: capture the rank's mutable state
-// into a pooled buffer, send the asynchronous commit vote, hand the
-// capture to the background writer, and resume generation. Every rank
-// is globally quiescent here, so the captures form a consistent cut.
-// The pause ends when capture does — encode, CRC, fsync, rename and
-// prune all happen in the writer, so ckpt_pause_nanos excludes write
-// time by construction.
-func (e *engine) ckptCut() error {
-	ck := e.ck
-	// Nothing may sit in a send buffer at the cut, and a snapshot has no
-	// place to keep it: Send counts a data message when it buffers it, so
-	// the two balanced rounds that declared the cut saw every buffered
-	// message received, and the marker relay keeps the rank from handling
-	// anything between quiescence and here. A non-empty buffer is a
-	// protocol bug, like ckptMaxRounds. Checked before the relay below,
-	// whose SendNow would flush it.
-	for to := 0; to < e.p; to++ {
-		if n := e.cm.Buffered(to); n != 0 {
-			return fmt.Errorf("core: rank %d: checkpoint epoch %d cut with %d messages buffered for rank %d", e.rank, ck.epoch, n, to)
-		}
-	}
-	ok := true
-	// A latched background failure from an earlier epoch fails this
-	// epoch's vote — not the run (DESIGN.md §9: resume negotiation
-	// skips epochs any rank failed to persist).
-	if werr := ck.writer.takeErr(); werr != nil {
-		ok = false
-	}
-	// Fix the shard mark at the cut: write F up to the resolved frontier
-	// and flush the open block, a short one (page-cache writes), so the
-	// mark names a complete-block prefix holding exactly F below the
-	// frontier; the snapshot carries the window above it. The fsync that
-	// makes the mark durable runs in the writer, before the snapshot
-	// naming it is published.
-	var mark esink.Mark
-	if ok {
-		if err := e.streamFrontier(); err != nil {
-			return err
-		}
-		var err error
-		if mark, err = e.stream.Mark(); err != nil {
-			ok = false
-		}
-	}
-	// Relay the marker before this rank sends any post-cut data. Rank 0's
-	// markers travel on its own channels only, so without the relay a
-	// peer still waiting for one could receive this rank's post-cut
-	// traffic first and fold its effects into its capture: a node
-	// already past an answer that this rank's snapshot has yet to give,
-	// with a request nobody's snapshot holds — a resume from that epoch
-	// waits forever. Per-channel FIFO puts the relayed marker ahead of
-	// that traffic (Chandy–Lamport). Rank 0's declaration already is its
-	// marker on every channel. Every peer sends this rank one copy of
-	// this epoch's marker, and rank 0 also sends itself one.
-	ck.markersOwed += e.p - 1
-	if e.rank == 0 {
-		ck.markersOwed++
-	} else {
-		for r := 0; r < e.p; r++ {
-			if r == e.rank {
-				continue
-			}
-			if err := e.cm.SendNow(r, msg.Ckpt(e.rank, msg.CkptCut, 0, ck.epoch, 0)); err != nil {
-				return err
-			}
-		}
-	}
-	if ok {
-		// Waiting for a free capture buffer is real back-pressure (the
-		// writer still holds both) and is charged to the pause.
-		pending := <-ck.writer.free
-		e.buildSnapshotInto(pending, mark)
-		// Optimistic local commit: the vote tally abandons the epoch
-		// later if any rank failed.
-		ck.epochs++
-		// Enqueued before the vote: if the tally completes inside this
-		// call and abandons the epoch, the removal request must trail
-		// the write in the writer's FIFO.
-		ck.writer.ch <- ckptWriteReq{c: pending}
-	} else {
-		ck.voted0[ck.epoch] = true
-	}
-	if e.rank == 0 {
-		if err := e.ckptRecordVote(ck.epoch, ok); err != nil {
-			return err
-		}
-	} else {
-		v := int64(0)
-		if ok {
-			v = 1
-		}
-		if err := e.cm.SendNow(0, msg.Ckpt(e.rank, msg.CkptVote, 0, ck.epoch, v)); err != nil {
-			return err
-		}
-	}
-
-	// Resume: unpause and retry the stop broadcast the pause may have
-	// deferred. The snapshot publish proceeds in the background.
-	ck.paused = false
-	pauseNs := time.Since(ck.pauseStart).Nanoseconds()
-	ck.pauseNanos += pauseNs
-	ck.pauseHist.Observe(pauseNs)
-	if e.rank == 0 && ck.every > 0 {
-		ck.nextTrigger = e.ckptMetric() + ck.every
-	}
-	if err := e.cm.FlushAll(); err != nil {
-		return err
-	}
-	if e.rank == 0 {
-		return e.maybeBroadcastStop()
-	}
-	return nil
-}
-
-// ckptServe drives the rank through an active epoch: alternate protocol
-// steps with blocking receives until the cut completes and generation
-// may resume.
-func (e *engine) ckptServe() error {
-	for e.ck.paused {
-		if err := e.ckptStep(); err != nil {
-			return err
-		}
-		if !e.ck.paused {
-			return nil
-		}
-		if err := e.drain(true); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -243,9 +243,9 @@ func TestCheckpointTornLatestFallsBack(t *testing.T) {
 	equalEdges(t, "torn fallback", res.Graph.Edges, base.Graph.Edges)
 }
 
-// Checkpoint epochs under a single rank — where the whole protocol
-// (begin, rounds, cut, commit) runs against the rank itself, including
-// the transport self-send of the cut — with and without helper lanes.
+// Checkpoint epochs under a single rank — where an epoch opens and
+// closes at the rank's own cut, with no marker to wait for and its own
+// vote the whole tally — with and without helper lanes.
 func TestCheckpointSingleRank(t *testing.T) {
 	pr := model.Params{N: 4_000, X: 3, P: 0.5}
 	sg, _, err := seq.CopyModel(pr, 3, seq.CopyModelOptions{})
@@ -261,7 +261,7 @@ func TestCheckpointSingleRank(t *testing.T) {
 			}
 			// Retry at smaller intervals: the run can legitimately
 			// finish before a pending trigger opens its epoch.
-			// pollEvery 41 pauses the pass off the batchNodes grid (at one
+			// pollEvery 41 cuts the pass off the batchNodes grid (at one
 			// worker the cut's frontier is a multiple of 41, and which one
 			// is deterministic).
 			var res *Result
@@ -319,8 +319,8 @@ func TestCheckpointSingleRank(t *testing.T) {
 }
 
 // Epochs must survive a hostile message schedule: seeded schedules that
-// keep many frames in flight stretch the quiescence rounds, and every
-// retained epoch must still be a consistent cut of a run whose output
+// keep many frames in flight put more of them across each cut, and
+// every retained epoch must still be a consistent cut of a run whose output
 // is the model's.
 func TestCheckpointChaosTransport(t *testing.T) {
 	c := simConfig{N: 6_000, X: 3, P: 0.5, Seed: 9, Scheme: partition.KindRRP, Ranks: 4, Workers: 2,
@@ -530,64 +530,108 @@ func TestCheckpointCutMarkerOvertaken(t *testing.T) {
 	equalEdges(t, "resumed from the newest epoch", streamEdges(t, opts.StreamDir, p), base.Graph.Edges)
 }
 
-// A relayed cut marker travels on its sender's channel, not behind rank
-// 0's stop, so it can reach a rank after that rank stopped. The rank
-// must still consume it before RunRank returns: cmd/pa-tcp runs its
-// summary collectives over the same transport next, and those reject
-// any checkpoint message. The schedule holds rank 1's channel to rank 2
-// while a marker-only frame heads it, until rank 2 has taken stop; the
-// hub cache is off so no fence wait keeps rank 2 receiving by accident.
-func TestCheckpointRelayAfterStop(t *testing.T) {
-	pr := model.Params{N: 6_000, X: 3, P: 0.5}
-	const p = 3
-	part, err := partition.New(partition.KindRRP, pr.N, p)
+// channelShapes reports whether snapshot s holds the two records only a
+// marker cut's channel recording produces: a waiter of a slot that is
+// already final (in the shard prefix or the window), and an answer held
+// for a suspended node's frontier edge.
+func channelShapes(s *ckpt.Snapshot) (finalWaiter, frontierAnswer bool) {
+	final := map[int64]bool{}
+	s.Window.Each(func(slot, v int64) error {
+		final[slot] = v >= 0
+		return nil
+	})
+	for _, w := range s.Waiters {
+		finalWaiter = finalWaiter || w.Slot < s.Window.Start || final[w.Slot]
+	}
+	frontier := map[int64]bool{}
+	for _, sr := range s.Susp {
+		frontier[sr.Idx*int64(s.Meta.X)+int64(sr.Edge)] = true
+	}
+	for _, ar := range s.Ahead {
+		frontierAnswer = frontierAnswer || frontier[ar.Slot]
+	}
+	return finalWaiter, frontierAnswer
+}
+
+// A rank that cuts before a peer records what the peer's channel still
+// delivers ahead of its marker, as the records those messages become.
+// The schedule holds rank 1's channel to rank 0 from the close of each
+// epoch until rank 0 cuts the next, so rank 0 cuts with rank 1's
+// requests and answers in flight and takes them, ahead of rank 1's
+// marker, into its capture: a request for a slot already final as a
+// waiter of it, an answer for a node's frontier edge as the value held
+// for it. Every epoch must still be a consistent cut, and a resume from
+// the newest epoch holding both must write the model's graph.
+func TestCheckpointRecordsChannelState(t *testing.T) {
+	pr := model.Params{N: 20_000, X: 3, P: 0.5}
+	const p = 2
+	part := mustScheme(t, partition.KindRRP, pr.N, p)
+	sg, _, err := seq.CopyModel(pr, 21, seq.CopyModelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{
-		Params: pr, Part: part, Seed: 9, Workers: 1, HubPrefix: -1, StreamDir: t.TempDir(),
-		Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: 5_000},
+		Params: pr, Part: part, Seed: 21, Workers: 1, HubPrefix: -1, StreamDir: t.TempDir(),
+		Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: pr.N / 8, Keep: 1000},
 	}
-	stopped, parked := false, 0
-	// One late epoch and slow arrivals: rank 1's relay is then the last
-	// frame on its channel to rank 2, and the hold outlasts the run. An
-	// earlier epoch would hold the relay ahead of rank 1's post-cut
-	// answers to rank 2, and the next epoch's quiescence rounds would
-	// never balance against the hold. Under the run-ahead cap an epoch
-	// every 5 000 of rank 0's nodes and received messages is that one
-	// late epoch at every schedule seed from 1 to 8.
+	open := false // rank 0 has cut, and rank 1's marker has yet to reach it
 	sched := simSched{
-		seed: 3, deliver: 0.1,
-		hold: func(src, dst int, ms []msg.Message) bool {
-			_, ok := ckptEpoch(ms, msg.CkptCut)
-			return src == 1 && dst == 2 && ok && len(ms) == 1 && !stopped
+		seed: 21,
+		sent: func(src, dst int, ms []msg.Message) {
+			if _, ok := ckptEpoch(ms, msg.CkptCut); ok && src == 0 {
+				open = true
+			}
 		},
+		hold: func(src, dst int, ms []msg.Message) bool { return src == 1 && dst == 0 && !open },
 		received: func(src, dst int, ms []msg.Message) {
-			if dst != 2 {
-				return
-			}
-			if _, ok := ckptEpoch(ms, msg.CkptCut); ok && src == 1 && stopped {
-				parked++
-			}
-			if slices.ContainsFunc(ms, func(m msg.Message) bool { return m.Kind == msg.KindStop }) {
-				stopped = true
+			if _, ok := ckptEpoch(ms, msg.CkptCut); ok && src == 1 {
+				open = false
 			}
 		},
 	}
-	_, _, err = simGroup(p, sched, func(int) Options { return opts }, func(r int, tr transport.Transport, res *RankResult) error {
-		cs := coll.New(comm.New(tr, comm.Config{}))
-		if _, err := cs.Gather(res.Stats.Edges); err != nil {
-			return err
-		}
-		_, err := cs.AllReduceSum(res.Stats.Comm.RequestsSent)
-		return err
-	})
-	if parked == 0 {
-		t.Fatal("no relay from rank 1 to rank 2 was held back past stop; the test exercised nothing")
+	if _, _, err := simGroup(p, sched, func(int) Options { return opts }, nil); err != nil {
+		t.Fatal(err)
 	}
+	dir := opts.Checkpoint.Dir
+	epochs, err := ckpt.Epochs(dir, 0)
 	if err != nil {
-		t.Fatalf("%d relays held past stop: %v", parked, err)
+		t.Fatal(err)
 	}
+	var both int64
+	for _, ep := range epochs {
+		snaps := make([]*ckpt.Snapshot, p)
+		var waiter, answer bool
+		for r := range snaps {
+			if snaps[r], err = ckpt.Read(ckpt.Path(dir, r, ep)); err != nil {
+				t.Fatal(err)
+			}
+			w, a := channelShapes(snaps[r])
+			waiter, answer = waiter || w, answer || a
+		}
+		if bad := cutMismatches(part, snaps); len(bad) > 0 {
+			t.Fatalf("epoch %d is not a consistent cut: %d mismatches, e.g. %s", ep, len(bad), bad[0])
+		}
+		if waiter && answer {
+			both = ep
+		}
+	}
+	if both == 0 {
+		t.Fatalf("none of %d epochs holds both a waiter of a final slot and an answer for a frontier edge", len(epochs))
+	}
+	for _, ep := range epochs {
+		for r := 0; ep > both && r < p; r++ {
+			if err := os.Remove(ckpt.Path(dir, r, ep)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	opts.Checkpoint.Resume = true
+	if _, _, err := simGroup(p, simSched{seed: 22}, func(int) Options { return opts }, nil); err != nil {
+		t.Fatalf("resume from epoch %d: %v", both, err)
+	}
+	edges := streamEdges(t, opts.StreamDir, p)
+	slices.SortStableFunc(edges, func(a, b graph.Edge) int { return int(a.U - b.U) })
+	equalEdges(t, fmt.Sprintf("resumed from epoch %d", both), edges, sg.Edges)
 }
 
 // Rank 0 leaves the engine when it broadcasts stop, and every other rank

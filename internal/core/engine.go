@@ -242,7 +242,8 @@ type RankStats struct {
 	// published, CkptWriteTime the time it spent publishing them
 	// (encode + CRC + write + fsync + rename + prune, off the pause
 	// path), and CkptPauseTime the total generation pause across epochs
-	// (quiescence wait + capture; the publish overlaps generation).
+	// (capture + wait for a free capture buffer; the publish overlaps
+	// generation).
 	CkptEpochs    int64
 	CkptFailed    int64
 	CkptBytes     int64
@@ -460,8 +461,9 @@ type engine struct {
 	// Checkpoint/restart state (nil ck disables the whole machinery).
 	ck  *ckptRun
 	seq *coll.Seq // the resume negotiation's collectives (restore.go)
-	// ckTrig gates the per-node initiated counter: set only on rank 0
-	// with a trigger interval, so other ranks pay nothing in the loop.
+	// ckTrig gates the per-node initiated counter and the epoch trigger:
+	// set only on rank 0 with a trigger interval, so other ranks pay
+	// nothing in the loop.
 	ckTrig     bool
 	resumeSnap *ckpt.Snapshot
 }
@@ -638,11 +640,10 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 			keep = 2
 		}
 		e.ck = &ckptRun{
-			dir:       c.Dir,
-			every:     c.Every,
-			keep:      keep,
-			epochNext: 1,
-			voted0:    make(map[int64]bool),
+			dir:    c.Dir,
+			every:  c.Every,
+			keep:   keep,
+			marked: make([]bool, e.p),
 		}
 		e.seq = coll.New(e.cm)
 		e.ckTrig = rank == 0 && c.Every > 0
@@ -734,24 +735,16 @@ func (e *engine) run() error {
 	e.startHelpers()
 	defer e.stopHelpers()
 
-	for {
-		done := e.generate()
-		if e.err != nil {
-			return e.err
-		}
-		if done {
-			break
-		}
-		if err := e.ckptServe(); err != nil {
-			return err
-		}
+	e.generate()
+	if e.err != nil {
+		return e.err
 	}
 
 	// All local slots initiated. From here unresolved is monotone.
 	if err := e.maybeReportDone(); err != nil {
 		return err
 	}
-	for !e.finished() {
+	for !e.stopped {
 		if err := e.serve(); err != nil {
 			return err
 		}
@@ -959,20 +952,13 @@ func (e *engine) finishStats() {
 }
 
 // generate advances the generation cursor until the node range is
-// exhausted (returns true) or a checkpoint epoch pauses the run (returns
-// false; ckptServe drives the epoch, then the cursor resumes exactly
-// where it stopped). A window that would take the rank's unfinished nodes
-// past RunAheadNodes waits for catchUp.
-func (e *engine) generate() bool {
-	for e.cursor < e.size {
-		if e.err != nil {
-			return true
-		}
+// exhausted or an error latches. A window that would take the rank's
+// unfinished nodes past RunAheadNodes waits for catchUp.
+func (e *engine) generate() {
+	for e.cursor < e.size && e.err == nil {
 		if live := int64(e.susp.live); live > 0 {
 			if n, _ := e.window(); live+n > RunAheadNodes {
-				if !e.catchUp(n) {
-					return false
-				}
+				e.catchUp(n)
 				continue
 			}
 		}
@@ -988,45 +974,25 @@ func (e *engine) generate() bool {
 			if err := e.drain(false); err != nil && e.err == nil {
 				e.err = err
 			}
-			if e.ck != nil {
-				if err := e.ckptStep(); err != nil && e.err == nil {
-					e.err = err
-				}
-				if e.ck.paused {
-					return false
-				}
-				// Yield at the poll point: with more ranks than cores a
-				// compute-bound rank is otherwise preempted only on the
-				// runtime's ~10ms tick, and every epoch's pause lasts
-				// until the slowest rank notices the begin — the yield
-				// turns that staggered pickup into a round-robin of poll
-				// intervals. Free when nothing else is runnable.
-				runtime.Gosched()
+			if err := e.ckptStep(); err != nil && e.err == nil {
+				e.err = err
 			}
 		}
 	}
-	return true
 }
 
 // catchUp defers a window of n nodes while the rank's unfinished nodes
 // and the window's would number more than RunAheadNodes, and serves
-// instead, as the post-generation loop does, until they would not. It
-// returns false when a checkpoint epoch pauses the run; generate checks
-// the cap again when it resumes. A rank with no suspended node never
-// waits here, which is what keeps the cap from deadlocking the run
-// (DESIGN.md §12.1).
-func (e *engine) catchUp(n int64) bool {
+// instead, as the post-generation loop does, until they would not or an
+// error latches. A rank with no suspended node never waits here, which
+// is what keeps the cap from deadlocking the run (DESIGN.md §12.1).
+func (e *engine) catchUp(n int64) {
 	e.stats.RunAheadStalls++
-	for live := int64(e.susp.live); live > 0 && live+n > RunAheadNodes; live = int64(e.susp.live) {
+	for live := int64(e.susp.live); live > 0 && live+n > RunAheadNodes && e.err == nil; live = int64(e.susp.live) {
 		if err := e.serve(); err != nil {
 			e.err = err
-			return true
-		}
-		if e.ck != nil && e.ck.paused {
-			return false
 		}
 	}
-	return true
 }
 
 // drain processes incoming frames, one at a time where they landed,
@@ -1047,17 +1013,17 @@ func (e *engine) drain(block bool) error {
 		ms, err = e.cm.Poll()
 	}
 	for ; err == nil && len(ms) > 0; ms, err = e.cm.Poll() {
-		if err := e.handleBatch(ms); err != nil {
+		if err := e.receive(e.cm.From(), ms); err != nil {
 			return err
 		}
 		if e.err != nil {
 			return e.err
 		}
-		// A finished rank receives no more: a peer that took stop may
+		// A stopped rank receives no more: a peer that took stop may
 		// already be running its caller's next protocol over the same
 		// transport (cmd/pa-tcp's summary collectives, whose first
 		// message goes to rank 0), and that is not the engine's to read.
-		if e.finished() {
+		if e.stopped {
 			break
 		}
 	}
@@ -1068,6 +1034,15 @@ func (e *engine) drain(block bool) error {
 	// the next blocking point (paper rule: resolved messages are sent
 	// out after processing every group).
 	return e.cm.FlushAll()
+}
+
+// receive handles one frame from rank from, recording it first if it
+// crosses this rank's open cut (ckptRecord).
+func (e *engine) receive(from int, ms []msg.Message) error {
+	if ck := e.ck; ck != nil && ck.pending != nil {
+		e.ckptRecord(from, ms)
+	}
+	return e.handleBatch(ms)
 }
 
 // reqSlot is a gathered request: the local slot it asks for and that
@@ -1115,9 +1090,6 @@ func (e *engine) handle(m msg.Message) error {
 			return fmt.Errorf("core: rank %d received done message", e.rank)
 		}
 		e.doneRanks++
-		if e.ck != nil {
-			e.ck.doneRecv++
-		}
 		return e.maybeBroadcastStop()
 	case msg.KindStop:
 		e.stopped = true
@@ -1145,24 +1117,17 @@ func (e *engine) maybeReportDone() error {
 }
 
 // maybeBroadcastStop (rank 0) broadcasts stop once every rank reported.
-// While a checkpoint epoch is active the broadcast is deferred — ranks
-// mid-epoch must finish the cut — and ckptCut retries it after resuming.
-// It is also deferred while any epoch's commit-vote tally is open: a
-// completed tally may broadcast an abandon, which must precede stop on
-// every channel (per-destination FIFO) so no rank sees rank 0's
-// checkpoint traffic after it stops; ckptRecordVote retries after each
-// tally. And it is deferred until every cut marker owed to rank 0 has
-// arrived — rank 0 may cut at a peer's relay while its own marker to
-// itself is still in flight — so rank 0 is finished the moment it stops
-// and never reads the traffic a stopped peer sends next (ckptOnMsg
-// retries at each marker). Relayed cut markers to other ranks travel on
-// peer channels and may still arrive after stop — every relay precedes
-// its sender's vote, so it is already sent, and finished() waits for it.
+// While a checkpoint epoch's tally is open the broadcast is deferred —
+// ckptRecordVote retries when the last vote lands. Every rank votes only
+// once all its peers' markers have arrived, so by then no marker is in
+// flight, and a tally that abandons the epoch sends the abandon first,
+// ahead of stop on every channel (per-destination FIFO): no rank sees
+// checkpoint traffic after it stops.
 func (e *engine) maybeBroadcastStop() error {
 	if e.doneRanks < e.p || e.stopped {
 		return nil
 	}
-	if e.ck != nil && (e.ck.paused || len(e.ck.votes) > 0 || e.ck.markersOwed > 0) {
+	if e.ck != nil && e.ck.tally > 0 {
 		return nil
 	}
 	for r := 1; r < e.p; r++ {
@@ -1172,14 +1137,4 @@ func (e *engine) maybeBroadcastStop() error {
 	}
 	e.stopped = true
 	return nil
-}
-
-// finished reports whether the rank may leave its receive loop: stop has
-// arrived, and so has every checkpoint cut marker owed to it (relays ride
-// peer channels and can trail stop). Without the second wait, a marker
-// sent to an already-stopped rank would linger on the transport and
-// corrupt whatever runs over the same connections next (cmd/pa-tcp's
-// post-run collectives reject non-collective traffic).
-func (e *engine) finished() bool {
-	return e.stopped && (e.ck == nil || e.ck.markersOwed == 0)
 }

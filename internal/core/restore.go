@@ -135,16 +135,16 @@ func validateSnapshot(s *ckpt.Snapshot, tr transport.Transport, opts Options) er
 }
 
 // buildSnapshotInto assembles this rank's snapshot at a cut into a
-// pooled capture buffer. The rank is globally quiescent: no window is
-// open, no data message is in flight and none sits in a send buffer
-// (ckptCut checks), so every piece of protocol state lives in exactly
-// one of the two tables captured here: the suspension table with its
-// ahead blocks, and the waiter table. The capture holds no table:
-// the cut has just written F up to the resolved frontier and flushed the
-// open block, so the shard prefix under mark is F below the frontier,
-// and the window carries F from there up to the cursor, above which
-// every slot is NILL (DESIGN.md §9.5). The record arrays and the window
-// bytes of the pooled snapshot are reused.
+// pooled capture buffer. No window is open and no handler runs, so
+// every piece of the rank's protocol state lives in one of the two
+// tables captured here: the suspension table with its ahead blocks, and
+// the waiter table; what is in flight to the rank is recorded after the
+// cut (ckptRecord). The capture holds no table: the cut has just written
+// F up to the resolved frontier and flushed the open block, so the
+// shard prefix under mark is F below the frontier, and the window
+// carries F from there up to the cursor, above which every slot is NILL
+// (DESIGN.md §9.5). The record arrays and the window bytes of the pooled
+// snapshot are reused.
 func (e *engine) buildSnapshotInto(s *ckpt.Snapshot, mark esink.Mark) {
 	*s = ckpt.Snapshot{
 		Meta: ckpt.Meta{
@@ -295,12 +295,33 @@ func (e *engine) restore() error {
 		e.susp.put(sr.Idx, st)
 	}
 	e.stats.MaxSuspended = int64(e.susp.live)
+	// Requests and answers the cut recorded in flight go back in as the
+	// messages they were when they cannot become table state: an answer
+	// for its node's frontier edge, a request for a slot already final.
+	// They lead the held frames, ahead of anything a peer sent after
+	// the resume, and ckptFlushHeld delivers them once the hub replica
+	// is filled.
+	var fed []msg.Message
 	for _, ar := range s.Ahead {
 		st, ok := e.susp.get(max(ar.Slot, 0) / e.x64)
-		if ar.Slot < 0 || !ok || ar.Slot%e.x64 <= int64(st.e) || ar.V < 0 || ar.V >= e.opts.Params.N {
-			return fmt.Errorf("core: resume: answer %d held for slot %d, which is no suspended node's edge past its frontier", ar.V, ar.Slot)
+		edge := int(ar.Slot % e.x64)
+		if ar.Slot < 0 || !ok || ar.V < 0 || ar.V >= e.opts.Params.N {
+			return fmt.Errorf("core: resume: answer %d held for slot %d, which is no suspended node's edge", ar.V, ar.Slot)
 		}
-		e.ahead.block(st.blk)[ar.Slot%e.x64] = ar.V
+		if edge < int(st.e) {
+			return fmt.Errorf("core: resume: answer %d held for slot %d, behind its node's frontier edge %d", ar.V, ar.Slot, st.e)
+		}
+		// The block's frontier entry is never read (settle reads an
+		// edge's entry only on reaching it), so it marks a fed answer
+		// for the duplicate check.
+		b := e.ahead.block(st.blk)
+		if b[edge] != aheadWaiting {
+			return fmt.Errorf("core: resume: two answers held for slot %d", ar.Slot)
+		}
+		b[edge] = ar.V
+		if edge == int(st.e) {
+			fed = append(fed, msg.Resolved(e.part.NodeAt(e.rank, ar.Slot/e.x64), edge, ar.V))
+		}
 	}
 	// Every node below the cursor was initiated at the cut: finished, or
 	// suspended. One that is neither would never be generated.
@@ -309,12 +330,26 @@ func (e *engine) restore() error {
 			return fmt.Errorf("core: resume: snapshot window covers local node %d, which is neither finished nor suspended", idx)
 		}
 	}
+	seen := make(map[ckpt.WaiterRecord]bool, len(s.Waiters))
 	for _, wr := range s.Waiters {
-		if wr.Slot < 0 || wr.Slot >= e.f.len() {
-			return fmt.Errorf("core: resume: waiter record for slot %d outside the rank's %d slots", wr.Slot, e.f.len())
+		// A clique node's slots hold bootstrap's self-marker, which no
+		// attempt ever queries.
+		if wr.Slot < e.cliqueSlots || wr.Slot >= e.f.len() {
+			return fmt.Errorf("core: resume: waiter record for slot %d outside the rank's queried slots [%d, %d)", wr.Slot, e.cliqueSlots, e.f.len())
+		}
+		if seen[wr] {
+			return fmt.Errorf("core: resume: two waiter records of node %d's edge %d for slot %d", wr.T, wr.E, wr.Slot)
+		}
+		seen[wr] = true
+		if e.f.get(wr.Slot) >= 0 {
+			fed = append(fed, msg.Request(wr.T, int(wr.E), e.part.NodeAt(e.rank, wr.Slot/e.x64), int(wr.Slot%e.x64)))
+			continue
 		}
 		e.waiters.push(wr.Slot, wr.T, wr.E)
 		e.trackPending(1)
+	}
+	if fed != nil {
+		e.ck.held = append([]heldFrame{{from: e.rank, ms: fed}}, e.ck.held...)
 	}
 
 	e.unresolved = 0
@@ -330,7 +365,7 @@ func (e *engine) restore() error {
 	e.stats.LocalWaits += s.Stats.LocalWaits
 
 	if ck := e.ck; ck != nil {
-		ck.epochNext = s.Epoch + 1
+		ck.epoch = s.Epoch
 		if e.rank == 0 && ck.every > 0 {
 			// Re-derive the trigger base: initiated nodes are the
 			// non-bootstrap ones below the cursor (recv counters restart

@@ -569,22 +569,6 @@ func cutEngine(t *testing.T) *engine {
 	return e
 }
 
-// A data message still in a send buffer at the cut is a protocol bug a
-// snapshot has no place for: the cut fails naming the rank, the
-// destination, the count and the epoch instead of committing an epoch
-// whose resume would lose the message.
-func TestCheckpointCutRefusesBufferedData(t *testing.T) {
-	e := cutEngine(t)
-	e.ck.paused, e.ck.epoch = true, 3
-	if err := e.cm.Send(2, msg.Request(e.part.NodeAt(1, 40), 1, 7, 0)); err != nil {
-		t.Fatal(err)
-	}
-	err := e.ckptCut()
-	if err == nil || !strings.Contains(err.Error(), "rank 1: checkpoint epoch 3 cut with 1 messages buffered for rank 2") {
-		t.Fatalf("cut with a buffered request: err = %v, want one naming rank 2", err)
-	}
-}
-
 // A run votes on its cuts with checkpoint messages; only the resume
 // negotiation runs collectives, and it owns the receive path while it
 // does. A collective message that reaches the engine's handler on a
@@ -602,6 +586,11 @@ func TestCollectiveMessageMidRunFails(t *testing.T) {
 // An answer held ahead is a node id: restore refuses one outside
 // [0, n) by name instead of committing it to F — −1 included, which
 // version 10 snapshots used for a hub-replica miss left to the frontier.
+// It refuses by name, too, what no cut records: an answer held behind its
+// node's frontier edge, two answers for one slot, a waiter of a clique
+// node's slot and two identical waiter records — each would hand some
+// edge an answer for an attempt it no longer waits on, or a clique
+// node's self-marker for an answer.
 func TestRestoreRefusesAheadOutsideNodes(t *testing.T) {
 	pr := model.Params{N: 6_000, X: 4, P: 0.5}
 	part := mustScheme(t, partition.KindRRP, pr.N, 2)
@@ -637,9 +626,12 @@ func TestRestoreRefusesAheadOutsideNodes(t *testing.T) {
 	t.Fatal("no snapshot holds an answer ahead")
 }
 
-// testAheadRefused edits the first answer held ahead in rank r's
-// snapshot of epoch top to −1 and to n, checks that each resume fails
-// naming it, and resumes from the snapshot as it was.
+// testAheadRefused edits rank r's snapshot of epoch top — its first
+// answer held ahead to −1 and to n, an answer behind a node's frontier
+// edge, a second answer for a slot, a waiter of a clique slot, a second
+// identical waiter record —
+// checks that each resume fails naming the edit, and resumes from the
+// snapshot as it was.
 func testAheadRefused(t *testing.T, opts Options, r int, top int64) {
 	t.Helper()
 	opts.Checkpoint = &CheckpointOptions{Dir: opts.Checkpoint.Dir, Keep: 1000, Resume: true}
@@ -648,25 +640,58 @@ func testAheadRefused(t *testing.T, opts Options, r int, top int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := ckpt.Read(path)
-	if err != nil {
-		t.Fatal(err)
+	x := int64(opts.Params.X)
+	type edit struct {
+		name string
+		f    func(s *ckpt.Snapshot) string // edits s, returns the error it wants
 	}
-	slot := s.Ahead[0].Slot
+	edits := []edit{}
 	for _, v := range []int64{-1, opts.Params.N} {
-		s.Ahead[0].V = v
+		edits = append(edits, edit{fmt.Sprintf("answer %d", v), func(s *ckpt.Snapshot) string {
+			s.Ahead[0].V = v
+			return fmt.Sprintf("answer %d held for slot %d", v, s.Ahead[0].Slot)
+		}})
+	}
+	edits = append(edits,
+		edit{"answer behind the frontier", func(s *ckpt.Snapshot) string {
+			i := slices.IndexFunc(s.Susp, func(sr ckpt.SuspRecord) bool { return sr.Edge > 0 })
+			if i < 0 {
+				t.Fatal("no suspended node past its first edge")
+			}
+			slot := s.Susp[i].Idx*x + int64(s.Susp[i].Edge) - 1
+			s.Ahead = append(s.Ahead, ckpt.AheadRecord{Slot: slot, V: 0})
+			return fmt.Sprintf("answer 0 held for slot %d, behind its node's frontier edge %d", slot, s.Susp[i].Edge)
+		}},
+		edit{"two answers for one slot", func(s *ckpt.Snapshot) string {
+			s.Ahead = append(s.Ahead, s.Ahead[0])
+			return fmt.Sprintf("two answers held for slot %d", s.Ahead[0].Slot)
+		}},
+		edit{"a waiter of a clique slot", func(s *ckpt.Snapshot) string {
+			s.Waiters = append(s.Waiters, ckpt.WaiterRecord{Slot: 0, T: 1, E: 0})
+			return "waiter record for slot 0 outside the rank's queried slots"
+		}},
+		edit{"two identical waiter records", func(s *ckpt.Snapshot) string {
+			w := ckpt.WaiterRecord{Slot: s.Ahead[0].Slot, T: 1, E: 0}
+			s.Waiters = append(s.Waiters, w, w)
+			return fmt.Sprintf("two waiter records of node 1's edge 0 for slot %d", w.Slot)
+		}},
+	)
+	for _, ed := range edits {
+		s, err := ckpt.Read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ed.f(s)
 		var enc ckpt.Encoder
 		if _, _, err := ckpt.WriteEncoded(opts.Checkpoint.Dir, r, top, enc.Encode(s)); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Run(opts, false)
-		want := fmt.Sprintf("answer %d held for slot %d", v, slot)
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("resume with an answer %d held ahead: err = %v, want one saying %q", v, err, want)
+		if _, err := Run(opts, false); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("resume with %s: err = %v, want one saying %q", ed.name, err, want)
 		}
-	}
-	if err := os.WriteFile(path, kept, 0o644); err != nil {
-		t.Fatal(err)
+		if err := os.WriteFile(path, kept, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := Run(opts, false); err != nil {
 		t.Fatalf("resume from the kept snapshot: %v", err)

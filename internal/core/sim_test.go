@@ -478,6 +478,8 @@ var simRegressions = []simConfig{
 	simConfig{N: 12, X: 4, P: 0.49, Seed: 0x5f7caad3db74f296, Scheme: 3, Ranks: 3, Workers: 1, Resolve: 0, Depth: 0, Hub: -1, Stream: false, Every: 0, Poll: 0, BufCap: 0, Kill: 0, KillRank: 0, ResumeWorkers: 0, Sched: 0xceebd9ed6d07003f, Deliver: 0.1, AltHub: 0, AltRanks: 0x0, ResumeAltRanks: 0x0},
 	// a restore that drops a waiter record (a resumed run that deadlocks)
 	simConfig{N: 60, X: 1, P: 0.67, Seed: 0xadd58cee0f48f41a, Scheme: 1, Ranks: 3, Workers: 1, Resolve: 0, Depth: 0, Hub: -1, Stream: false, Every: 8, Poll: 1, BufCap: 0, Kill: 57, KillRank: 1, ResumeWorkers: 1, Sched: 0x3de8042c05c790b3, Deliver: 0.9, AltHub: 0, AltRanks: 0x0, ResumeAltRanks: 0x0},
+	// a cut that records nothing of what is in flight to it (a request or answer no snapshot holds)
+	simConfig{N: 148, X: 3, P: 0.44, Seed: 0x8954299dc0462986, Scheme: 2, Ranks: 2, Workers: 1, Resolve: 0, Depth: 0, Hub: -1, Stream: false, Every: 198, Poll: 0, BufCap: 0, Kill: 0, KillRank: 0, ResumeWorkers: 0, Sched: 0xdf4f3654a2a6604e, Deliver: 0.9, AltHub: 0, AltRanks: 0x0, ResumeAltRanks: 0x0},
 }
 
 func TestSimRegressions(t *testing.T) {

@@ -163,7 +163,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 			}
 
 			// Build the snapshot library. The epoch count is schedule-bound
-			// (each epoch costs a quiescence pause, and a fast run can end
+			// (each epoch costs a capture pause, and a fast run can end
 			// before a second trigger opens), so retry across a spread of
 			// intervals until at least two epochs committed.
 			var ckptDir, streamDir string

@@ -364,7 +364,7 @@ func (w *Writer) flush() error {
 
 // Mark flushes the open block (a page-cache write) and returns the
 // shard mark at the complete-block boundary; Sync makes it durable. The
-// engine takes it at a quiescent cut and defers the fsync to its
+// engine takes it at a checkpoint cut and defers the fsync to its
 // background writer, which must complete it before a snapshot naming
 // the mark is published. Rank goroutine only.
 func (w *Writer) Mark() (Mark, error) {

@@ -6,8 +6,8 @@ import (
 )
 
 func TestCkptConstructor(t *testing.T) {
-	m := Ckpt(3, CkptReport, 7, 100, 95)
-	want := Message{Kind: KindCkpt, T: 3, E: uint16(CkptReport), L: 7, K: 100, V: 95}
+	m := Ckpt(3, CkptVote, 100, 1)
+	want := Message{Kind: KindCkpt, T: 3, E: uint16(CkptVote), K: 100, V: 1}
 	if m != want {
 		t.Fatalf("Ckpt = %+v, want %+v", m, want)
 	}
@@ -17,13 +17,13 @@ func TestCkptConstructor(t *testing.T) {
 // other kind — they share frames with data traffic on the wire.
 func TestCkptCodecRoundTrip(t *testing.T) {
 	batch := []Message{
-		Ckpt(0, CkptBegin, 1, 5, 0),
+		Ckpt(0, CkptCut, 5, 0),
 		Request(1000, 2, 77, 1),
-		Ckpt(2, CkptReport, 12, 1<<40, -(1 << 40)),
+		Ckpt(2, CkptVote, 1<<40, -(1 << 40)),
 		Resolved(1000, 2, 55),
-		Ckpt(0, CkptProbe, 13, 5, 0),
+		Ckpt(0, CkptAbandon, 5, 0),
 		Done(3),
-		Ckpt(0, CkptCut, 13, 5, 0),
+		{Kind: KindCkpt, T: 1, E: uint16(CkptCut), L: 13, K: 5},
 		Coll(1, 9, -42),
 		Stop(),
 	}
@@ -42,7 +42,7 @@ func TestCkptCodecRoundTrip(t *testing.T) {
 }
 
 func TestCkptSingleCodecRoundTrip(t *testing.T) {
-	m := Ckpt(5, CkptCut, 999, 1234567, 7654321)
+	m := Ckpt(5, CkptCut, 1234567, 7654321)
 	got, err := DecodeBatch(nil, AppendEncodeBatchV3(nil, []Message{m}))
 	if err != nil {
 		t.Fatal(err)

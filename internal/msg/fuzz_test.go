@@ -14,7 +14,7 @@ import (
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add(AppendEncodeBatchV3(nil, []Message{Request(1, 0, 2, 1), Done(3)}))
 	f.Add(AppendEncodeBatchV3(nil, []Message{Resolved(9, 2, 1<<40), Coll(1, 2, 3), Stop()}))
-	f.Add(AppendEncodeBatchV3(nil, []Message{Ckpt(0, CkptBegin, 1, 4, 0), Ckpt(1, CkptCut, 2, 4, 0)}))
+	f.Add(AppendEncodeBatchV3(nil, []Message{Ckpt(0, CkptCut, 4, 0), Ckpt(1, CkptVote, 4, 1)}))
 	f.Add(AppendEncodeBatchV3(nil, []Message{Resolved(9, 0, 4), Resolved(9, 1, 6), Resolved(9, 2, 2)}))
 	f.Add([]byte{FrameV3Magic, 7, 3, 18, 8, 2, 12, 2, 4})
 	f.Add(AppendEncodeBatchV3(nil, nil))
@@ -38,7 +38,7 @@ func FuzzDecodeBatchV2(f *testing.F) {
 	f.Add(AppendEncodeBatchV2(nil, nil))
 	f.Add(AppendEncodeBatchV2(nil, []Message{Request(1, 0, 2, 1), Request(2, 1, 2, 0), Done(3)}))
 	f.Add(AppendEncodeBatchV2(nil, []Message{Resolved(9, 2, 1<<40), Coll(1, 2, 3), Stop()}))
-	f.Add(AppendEncodeBatchV2(nil, []Message{Ckpt(3, CkptProbe, 9, 1<<33, -5), Request(1, 0, 2, 1)}))
+	f.Add(AppendEncodeBatchV2(nil, []Message{Ckpt(3, CkptAbandon, 1<<33, -5), Request(1, 0, 2, 1)}))
 	f.Add([]byte{byte(KindRequest), 1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(AppendEncodeBatchV3(nil, []Message{Resolved(5, 0, 1), Resolved(5, 1, 3), Request(6, 0, 2, 1)}))
 	f.Add([]byte{FrameV2Magic, 7, 1, 10, 2, 0})

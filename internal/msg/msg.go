@@ -29,9 +29,8 @@ const (
 	// T = sender rank, K = operation tag, V = payload.
 	KindColl
 	// KindCkpt carries a checkpoint-epoch protocol step (internal/core's
-	// consistent-cut machinery): T = sender rank, E = CkptOp, L = probe
-	// round, K/V = op-dependent payloads (epoch number, or the sender's
-	// sent/received data-message counters).
+	// marker snapshot): T = sender rank, E = CkptOp, K = epoch, V = the
+	// vote (CkptVote only). L is unused and travels as zero.
 	KindCkpt
 )
 
@@ -60,30 +59,20 @@ func (k Kind) String() string {
 type CkptOp uint16
 
 const (
-	// CkptBegin (rank 0 -> all) opens epoch K: pause generation, keep
-	// serving the resolution cascade, report when locally quiescent.
-	CkptBegin CkptOp = 1 + iota
-	// CkptReport (any -> rank 0) is the sender's round-L quiescence
-	// report: K = data messages sent, V = data messages received.
-	CkptReport
-	// CkptProbe (rank 0 -> all) starts counter round L: report again
-	// when locally quiescent.
-	CkptProbe
-	// CkptCut (rank 0 -> all, itself included) declares global
-	// quiescence for epoch K: capture the snapshot, then resume. Every
-	// other rank relays it to its peers at its own cut, ahead of its
-	// post-cut traffic; the first copy a rank receives executes the cut.
-	CkptCut
-	// CkptVote (any -> rank 0) is the sender's asynchronous commit vote
-	// for epoch K (V = 1 captured, 0 failed), sent at its cut just
-	// before generation resumes. Rank 0 tallies votes off the pause
-	// path; per-destination FIFO ordering guarantees a rank's vote for
-	// epoch K precedes anything it sends about epoch K+1.
+	// CkptCut is the sender's cut marker for epoch K, sent at its cut to
+	// every peer, behind everything it sent before the cut (SendNow
+	// flushes the buffer first) and ahead of everything after. Rank 0
+	// cuts at its trigger; every other rank cuts at the first marker it
+	// receives. Values 1-3 belonged to the retired quiescence rounds and
+	// stay unassigned, so an old binary's message is refused, not misread.
+	CkptCut CkptOp = 4 + iota
+	// CkptVote (any -> rank 0) is the sender's commit vote for epoch K
+	// (V = 1 captured, 0 failed), sent once the markers of all its peers
+	// have arrived and its snapshot went to the writer.
 	CkptVote
 	// CkptAbandon (rank 0 -> others) declares epoch K abandoned: some
 	// rank voted 0 (capture or latched background-write failure).
-	// Receivers uncount the epoch, delete their snapshot file, and
-	// force their next epoch to be a full snapshot.
+	// Receivers uncount the epoch and delete their snapshot file.
 	CkptAbandon
 )
 
@@ -129,10 +118,9 @@ func Coll(rank int, tag int64, payload int64) Message {
 }
 
 // Ckpt constructs a checkpoint-protocol message from the given rank:
-// op selects the step, round the counter round (reports and probes),
-// and k/v carry the op's payloads.
-func Ckpt(rank int, op CkptOp, round int, k, v int64) Message {
-	return Message{Kind: KindCkpt, T: int64(rank), E: uint16(op), L: uint16(round), K: k, V: v}
+// op selects the step, k is the epoch and v the vote.
+func Ckpt(rank int, op CkptOp, k, v int64) Message {
+	return Message{Kind: KindCkpt, T: int64(rank), E: uint16(op), K: k, V: v}
 }
 
 // EncodedSize is a per-message buffer-sizing hint in bytes, the raw

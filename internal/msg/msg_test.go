@@ -187,7 +187,7 @@ func genMessages(ts []int64, ks []uint32, es []uint8) []Message {
 		case 6:
 			ms = append(ms, Done(int(k%768)))
 		case 7:
-			ms = append(ms, Ckpt(int(k%768), CkptReport, e, t, k))
+			ms = append(ms, Ckpt(int(k%768), CkptVote, t, k))
 		case 8:
 			ms = append(ms, Stop())
 		default:

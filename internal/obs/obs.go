@@ -218,8 +218,8 @@ type RankMetrics struct {
 	// Checkpoint counters (zero unless checkpointing ran): committed
 	// epochs, abandoned epochs, snapshot bytes the background writer
 	// published, time it spent publishing them (off the pause path),
-	// and total generation pause across epochs (quiescence wait +
-	// capture — the publish overlaps generation).
+	// and total generation pause across epochs (the capture plus the
+	// wait for a free capture buffer — the publish overlaps generation).
 	CkptEpochs     int64 `json:"ckpt_epochs,omitempty"`
 	CkptFailed     int64 `json:"ckpt_failed,omitempty"`
 	CkptBytes      int64 `json:"ckpt_bytes,omitempty"`
@@ -231,7 +231,7 @@ type RankMetrics struct {
 	CkptWritePerEpoch Histogram `json:"ckpt_write_per_epoch"`
 	// Streaming edge-sink counters (zero unless -stream-dir ran): shard
 	// blocks flushed, compressed bytes written, fsync calls, and total
-	// time stalled in fsync (cut barriers plus final close).
+	// time stalled in fsync (cuts plus final close).
 	SinkBlocks     int64 `json:"sink_blocks_flushed,omitempty"`
 	SinkBytes      int64 `json:"sink_bytes_written,omitempty"`
 	SinkFsyncs     int64 `json:"sink_fsyncs,omitempty"`
