@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/bits"
 
 	"pagen/internal/model"
@@ -73,8 +72,8 @@ const (
 // pagen.MemoryEstimate adds per rank. It is the waiter bitmap (one bit
 // per slot), the first page of the ahead arena (a duplicate first
 // attempt parks a node even on one rank), and, past one rank, the hub
-// replica (4 bytes per slot of the first h nodes, 8 past
-// math.MaxUint32) and the protocol state the run-ahead cap bounds: at
+// replica (a w-bit table of the first h nodes' slots, ftabBytes) and the
+// protocol state the run-ahead cap bounds: at
 // most W·x queries of the rank outstanding at once, each charged
 // queryBytes for its share of the suspension record and ahead block, its
 // waiter node and chain bucket wherever it queues, and the request and
@@ -90,11 +89,7 @@ func RankStateBytes(pr model.Params, ranks int, hubPrefix int64, checkpointed bo
 	slots := (pr.N + r - 1) / r * x
 	b := (slots+63)/64*8 + aheadPage*x*8
 	if ranks > 1 {
-		slot := int64(4)
-		if pr.N > math.MaxUint32 {
-			slot = 8
-		}
-		b += hubPrefixLen(pr, ranks, hubPrefix) * x * slot
+		b += ftabBytes(hubPrefixLen(pr, ranks, hubPrefix)*x, pr.N)
 		b += RunAheadNodes * x * queryBytes
 	}
 	if checkpointed {

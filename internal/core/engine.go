@@ -3,8 +3,8 @@
 //
 // Each processor rank owns a partition of the node set and computes the
 // attachments F_t(e) for its nodes with the copy model, into its F table:
-// one slot per (node, edge), holding F_t(e)+1 in 4 bytes so that zero is
-// NILL — 8 bytes only when n exceeds 2³²−1 (ftab.go). Direct
+// one slot per (node, edge), holding F_t(e)+1 in w = bits.Len64(n) bits
+// so that zero is NILL (ftab.go). Direct
 // attachments resolve immediately; copy attachments whose source node
 // lives on another rank travel as <request, t, e, k, l> messages and come
 // back as <resolved, t, e, v>. Requests for still-unknown attachments
@@ -384,8 +384,8 @@ type engine struct {
 
 	// f holds F_t(e) at slot part.Index(rank,t)*x + e; get reads -1 for
 	// NILL. Each slot is written exactly once (NILL -> v), between
-	// windows. A slot takes 4 bytes unless n > math.MaxUint32 (ftab.go);
-	// an in-memory rank keeps those 4 bytes in the tail of edges.
+	// windows. A slot takes w = bits.Len64(n) bits (ftab.go); an
+	// in-memory rank keeps the table in the tail of edges.
 	f ftab
 	// nodeLoad counts copy queries received per local node (indexed
 	// like f, but per node not per slot); nil unless CollectNodeLoad.
@@ -439,7 +439,7 @@ type engine struct {
 	// edges is the rank's output, written from f by collectEdges after
 	// the protocol ends when no sink streams them: the rank's range of
 	// Run's one edge list, or a list bootstrap allocates. Until then its
-	// tail holds f's low plane (hostedFtab). emitted counts resolved
+	// tail holds f (hostedFtab). emitted counts resolved
 	// edges, bootstrap's included (emit).
 	edges   []graph.Edge
 	emitted int64
@@ -549,9 +549,17 @@ func runRank(tr transport.Transport, opts Options, out []graph.Edge) (*RankResul
 	return &RankResult{Stats: e.stats, Edges: e.edges}, nil
 }
 
+// checkParams is the model's Validate plus the engine's own limit, MaxN.
+func checkParams(pr model.Params) error {
+	if pr.N > MaxN {
+		return fmt.Errorf("core: n = %d exceeds core.MaxN = 2⁵⁷−1, the largest node count the packed F table holds", pr.N)
+	}
+	return pr.Validate()
+}
+
 // newEngine validates opts and builds the per-rank state machine.
 func newEngine(tr transport.Transport, opts Options) (*engine, error) {
-	if err := opts.Params.Validate(); err != nil {
+	if err := checkParams(opts.Params); err != nil {
 		return nil, err
 	}
 	if opts.Part == nil {
@@ -868,16 +876,21 @@ func rankEdges(part partition.Scheme, r, x int) int64 {
 // allocated; a rank whose nodes fill a different count fails rather
 // than leave zero edges in the graph or write into a neighbour's range.
 //
-// The table's low plane is usually the last 4S bytes of that same list
-// (S slots, E = S − d edges, d the clique deficit; hostedFtab), and this
-// loop expands it in place. Every scheme's NodeAt is increasing in idx,
-// so the clique nodes come first and a non-clique slot s lands in edge
-// s − d, whose write ends at byte 16(s − d) + 16, while slot s + 1
-// starts at byte 16E − 4S + 4(s + 1); the first is ≤ the second exactly
-// when s ≤ S − 1, so no write reaches a slot not yet read (slot s itself
-// is read before its edge is stored). The clique edges written first end
-// at byte 16(cx − d) for c owned clique nodes, at or before the first
-// non-clique slot's 16E − 4S + 4cx because cx ≤ S (DESIGN.md §8.5).
+// The table is usually the last L = ⌊(S−1)w/8⌋ + 8 bytes of that same
+// list (S slots of w bits, E = S − d edges, d the clique deficit;
+// hostedFtab), and this loop expands it in place. Every scheme's NodeAt
+// is increasing in idx, so the clique nodes come first and a non-clique
+// slot s lands in edge s − d, whose write ends at byte 16(s − d + 1),
+// while slot s + 1's first bit lies in byte 16E − L + ⌊(s + 1)w/8⌋. The
+// first is ≤ the second when L ≤ 16(S − s − 1) + ⌊(s + 1)w/8⌋, whose
+// right side falls as s grows (w ≤ 57: each step takes 16 and adds at
+// most 8), so the last pair s = S − 2 is the tightest: L ≤ 16 +
+// ⌊(S−1)w/8⌋, which holds with 8 bytes to spare. No write reaches a
+// slot not yet read (slot s itself is read before its edge is stored;
+// the bits a read takes beside its slot are masked off). The clique
+// edges written first end at byte 16(cx − d) for c owned clique nodes,
+// at or before the first non-clique slot's byte 16E − L + ⌊cx·w/8⌋, the
+// same inequality at s = cx − 1 (DESIGN.md §8.5).
 func (e *engine) collectEdges() error {
 	edges, f := e.edges, e.f
 	n := int64(0)

@@ -3,12 +3,16 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
-	"reflect"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
+	"unsafe"
 
+	"pagen/internal/ckpt"
 	"pagen/internal/graph"
 	"pagen/internal/model"
 	"pagen/internal/partition"
@@ -26,97 +30,195 @@ func ftabSlots(f ftab) []int64 {
 }
 
 // The table reads back exactly what a plain []int64 holds under random
-// set/get/has traffic, at both widths: narrow up to n = MaxUint32, whose
-// largest node id n−1 still fits in the low half once biased by one, and
-// wide from MaxUint32 + 1 on, where values reach past 2³². The values
-// drawn include NILL (−1), 0, n−1, the clique self-markers t < x and the
-// width boundary, and a fresh table is all NILL without a fill pass.
-// The hosted cases put the low plane in the tightest edge range that
-// holds it (4E = S).
+// set/get/has traffic at every width boundary: n = 2ᵏ−1, 2ᵏ and 2ᵏ+1,
+// where w = bits.Len64(n) steps from k to k+1 and the largest stored
+// value n is all ones, then 1 and a zero tail, in w bits; every width
+// from 2 to 57 at n = 2ʷ−1, the last at MaxN, the largest n the engine
+// takes. The values drawn include NILL (−1), 0, n−1, the clique
+// self-markers t < x and values with the top bit of the slot set, the
+// last slot is written and read every 16th op (its word runs through the
+// tail padding), and a fresh table is all NILL without a fill pass. The
+// hosted cases put the table in the shortest edge range that holds it,
+// and check that no write leaves the table's bytes.
 func TestFtabMatchesInt64Reference(t *testing.T) {
 	const x = 4
-	for _, tc := range []struct {
-		name   string
+	type tcase struct {
+		label  string // n, or the width swept
 		n      int64
 		slots  int64
-		wide   bool
+		ops    int
 		hosted bool
-	}{
-		{"narrow n=1e6", 1_000_000, 1 << 16, false, false},
-		{"narrow n=MaxUint32", math.MaxUint32, 4096, false, false},
-		{"wide n=MaxUint32+1", math.MaxUint32 + 1, 4096, true, false},
-		{"wide n=2^40", 1 << 40, 4096, true, false},
-		{"narrow n=1e6 hosted", 1_000_000, 1 << 16, false, true},
-		{"wide n=2^40 hosted", 1 << 40, 4096, true, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			f := newFtab(tc.slots, tc.n)
-			if tc.hosted {
-				f = hostedFtab(make([]graph.Edge, tc.slots/4), tc.slots, tc.n)
+	}
+	var cases []tcase
+	for _, k := range []int{2, 8, 20, 31, 32, 33, 40} {
+		labels := []string{fmt.Sprintf("n=2^%d-1", k), fmt.Sprintf("n=2^%d", k), fmt.Sprintf("n=2^%d+1", k)}
+		if k == 32 {
+			labels = []string{"n=MaxUint32", "n=MaxUint32+1", "n=MaxUint32+2"}
+		}
+		for i, n := range []int64{1<<k - 1, 1 << k, 1<<k + 1} {
+			for _, hosted := range []bool{false, true} {
+				cases = append(cases, tcase{labels[i], n, 4099 * x, 100_000, hosted})
 			}
-			if got := f.hi != nil; got != tc.wide {
-				t.Fatalf("wide = %v, want %v", got, tc.wide)
-			}
-			if f.len() != tc.slots {
-				t.Fatalf("len %d, want %d", f.len(), tc.slots)
-			}
-			ref := make([]int64, tc.slots)
-			for s := range ref {
-				ref[s] = -1
-				if v := f.get(int64(s)); v != -1 {
-					t.Fatalf("fresh slot %d reads %d, want -1", s, v)
-				}
-			}
-			special := []int64{-1, 0, 1, x - 1, tc.n - 1, tc.n - 2}
-			if tc.wide {
-				special = append(special, math.MaxUint32-1, math.MaxUint32, math.MaxUint32+1, 1<<32|7)
-			}
-			rng := rand.New(rand.NewPCG(uint64(tc.n), 7))
-			value := func() int64 {
-				if rng.IntN(3) == 0 {
-					return special[rng.IntN(len(special))]
-				}
-				return rng.Int64N(tc.n)
-			}
-			for i := 0; i < 200_000; i++ {
-				s := rng.Int64N(tc.slots)
-				switch rng.IntN(3) {
-				case 0:
-					v := value()
-					f.set(s, v)
-					ref[s] = v
-				case 1:
-					if got := f.get(s); got != ref[s] {
-						t.Fatalf("op %d: get(%d) = %d, want %d", i, s, got, ref[s])
-					}
-				default:
-					base := s / x * x
-					v := value()
-					if rng.IntN(2) == 0 {
-						v = ref[base+rng.Int64N(x)] // often present
-					}
-					want := false
-					for _, u := range ref[base : base+x] {
-						want = want || u == v
-					}
-					if got := f.has(base, x, v); got != want {
-						t.Fatalf("op %d: has(%d, %d, %d) = %v, want %v (row %v)", i, base, x, v, got, want, ref[base:base+x])
-					}
-				}
-			}
-			for s, v := range ftabSlots(f) {
-				if v != ref[s] {
-					t.Fatalf("slot %d = %d, want %d", s, v, ref[s])
-				}
-			}
+		}
+	}
+	for w := 2; w <= 57; w++ {
+		cases = append(cases, tcase{fmt.Sprintf("w=%d", w), 1<<w - 1, 1001 * x, 10_000, w%2 == 0})
+	}
+	for _, hosted := range []bool{false, true} {
+		cases = append(cases, tcase{"n=MaxN", MaxN, 4099 * x, 100_000, hosted}, tcase{"n=1e6", 1_000_000, 1 << 16, 200_000, hosted})
+	}
+	for _, tc := range cases {
+		// Narrow values fit in 32 bits, wide ones do not.
+		name := "narrow " + tc.label
+		if tc.n > math.MaxUint32 {
+			name = "wide " + tc.label
+		}
+		if tc.hosted {
+			name += " hosted"
+		}
+		t.Run(name, func(t *testing.T) {
+			checkFtabReference(t, tc.n, tc.slots, tc.ops, tc.hosted, x)
 		})
+	}
+	// One node more and a slot would need 58 bits, which the 8-byte word
+	// cannot hold at every bit offset: the engine refuses the run by name.
+	for _, run := range []func(Options) error{
+		func(o Options) error { _, err := Run(o, false); return err },
+		func(o Options) error { _, err := newEngine(nil, o); return err },
+	} {
+		err := run(Options{Params: model.Params{N: MaxN + 1, X: x, P: 0.5}})
+		if err == nil || !strings.Contains(err.Error(), "exceeds core.MaxN") {
+			t.Fatalf("n = MaxN + 1: err = %v, want one naming core.MaxN", err)
+		}
 	}
 }
 
-// An in-memory rank's table lives in the last 4·S bytes of its own edge
-// range — Run's precut range or the list RunRank's bootstrap allocates —
-// unless the range is too short (4E < S), and collectEdges expands it
-// in place into exactly the sequential edge list. Tiny n puts most of a
+func checkFtabReference(t *testing.T, n, slots int64, ops int, hosted bool, x int64) {
+	tb := ftabBytes(slots, n)
+	f := newFtab(slots, n)
+	var edges []graph.Edge
+	if hosted {
+		edges = make([]graph.Edge, (tb+edgeBytes-1)/edgeBytes)
+		f = hostedFtab(edges, slots, n)
+		if &f.b[0] != &unsafe.Slice((*byte)(unsafe.Pointer(&edges[0])), edgeBytes*int64(len(edges)))[edgeBytes*int64(len(edges))-tb] {
+			t.Fatalf("a %d-byte table is not the tail of a %d-edge range", tb, len(edges))
+		}
+	}
+	if w := f.w; w != uint64(bits.Len64(uint64(n))) || int64(len(f.b)) != tb || f.len() != slots {
+		t.Fatalf("w = %d, %d bytes, %d slots; want %d, %d, %d", w, len(f.b), f.len(), bits.Len64(uint64(n)), tb, slots)
+	}
+	if payload := (slots*int64(f.w) + 7) / 8; tb-payload < 0 || tb-payload > 7 {
+		t.Fatalf("%d bytes for %d slots of %d bits: padding %d, want 0 to 7", tb, slots, f.w, tb-payload)
+	}
+	ref := make([]int64, slots)
+	for s := range ref {
+		ref[s] = -1
+		if v := f.get(int64(s)); v != -1 {
+			t.Fatalf("fresh slot %d reads %d, want -1", s, v)
+		}
+	}
+	special := slices.DeleteFunc([]int64{-1, 0, 1, x - 1, n - 1, n - 2, n / 2, n/2 - 1}, func(v int64) bool { return v >= n })
+	rng := rand.New(rand.NewPCG(uint64(n), 7))
+	value := func() int64 {
+		v := rng.Int64N(n)
+		if rng.IntN(3) == 0 {
+			v = special[rng.IntN(len(special))]
+		}
+		return v
+	}
+	last := slots - 1
+	for i := 0; i < ops; i++ {
+		s := rng.Int64N(slots)
+		if i%16 == 0 {
+			s = last
+		}
+		switch rng.IntN(3) {
+		case 0:
+			v := value()
+			f.set(s, v)
+			ref[s] = v
+		case 1:
+			if got := f.get(s); got != ref[s] {
+				t.Fatalf("op %d: get(%d) = %d, want %d", i, s, got, ref[s])
+			}
+		default:
+			base := s / x * x
+			v := value()
+			if rng.IntN(2) == 0 {
+				v = ref[base+rng.Int64N(x)] // often present
+			}
+			want := slices.Contains(ref[base:base+x], v)
+			if got := f.has(base, x, v); got != want {
+				t.Fatalf("op %d: has(%d, %d, %d) = %v, want %v (row %v)", i, base, x, v, got, want, ref[base:base+x])
+			}
+		}
+	}
+	for s, v := range ftabSlots(f) {
+		if v != ref[s] {
+			t.Fatalf("slot %d = %d, want %d", s, v, ref[s])
+		}
+	}
+	if hosted {
+		head := unsafe.Slice((*byte)(unsafe.Pointer(&edges[0])), edgeBytes*int64(len(edges))-tb)
+		if i := slices.IndexFunc(head, func(c byte) bool { return c != 0 }); i >= 0 {
+			t.Fatalf("byte %d of the range, before the table, was written", i)
+		}
+	}
+}
+
+// A snapshot window value at or past n is refused before it reaches the
+// table: n itself would store a node that does not exist, and 2ʷ−1
+// would store 2ʷ, which has no bits in a w-bit slot and would carry into
+// its neighbour. Either way restoreWindow fails naming the slot, the
+// window's earlier slots hold their values and every other slot of the
+// table is as it was.
+func TestFtabRestoreWindowRefusesOutOfRange(t *testing.T) {
+	pr := model.Params{N: 1000, X: 4, P: 0.5}
+	w := int64(bits.Len64(uint64(pr.N)))
+	group, err := transport.NewShmGroup(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int64{pr.N, 1<<w - 1} {
+		for _, at := range []int64{0, 5, 15} {
+			e, err := newEngine(group.Endpoint(0), Options{Params: pr, Part: mustScheme(t, partition.KindUCP, pr.N, 1), Seed: 3, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.bootstrap()
+			before := ftabSlots(e.f)
+			win := ckpt.Window{Start: 10 * e.x64}
+			for i := range int64(16) {
+				v := (i*37 + 11) % pr.N
+				if i == at {
+					v = bad
+				}
+				win.Append(v)
+			}
+			want := fmt.Sprintf("slot %d holds value %d outside the run's %d nodes", win.Start+at, bad, pr.N)
+			if err := e.restoreWindow(&win); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("value %d at window slot %d: err = %v, want %q", bad, at, err, want)
+			}
+			for s, v := range ftabSlots(e.f) {
+				i := int64(s) - win.Start
+				if want := before[s]; i >= 0 && i < at {
+					want = (i*37 + 11) % pr.N
+					if v != want {
+						t.Fatalf("value %d at window slot %d: window slot %d = %d, want %d", bad, at, i, v, want)
+					}
+				} else if v != want {
+					t.Fatalf("value %d at window slot %d: slot %d = %d, want it untouched at %d", bad, at, s, v, want)
+				}
+			}
+		}
+	}
+}
+
+// An in-memory rank's table lives in the last ftabBytes(S, n) bytes of
+// its own edge range — Run's precut range or the list RunRank's
+// bootstrap allocates — unless the range is too short (16E < ftabBytes),
+// and collectEdges expands it in place into exactly the sequential edge
+// list. Tiny n puts most of a
 // rank's nodes in the clique, where the deficit is largest and the
 // fallback is taken.
 func TestFtabHostedInEdgeRange(t *testing.T) {
@@ -143,7 +245,7 @@ func TestFtabHostedInEdgeRange(t *testing.T) {
 
 // checkFtabPlacement bootstraps every rank of opts twice — into a zeroed
 // range, as Run hands it, and into no range, as RunRank starts — and
-// checks where each table's low plane landed. It returns how many tables
+// checks where each table landed. It returns how many tables
 // were hosted in their range and how many fell back.
 func checkFtabPlacement(t *testing.T, label string, opts Options) (hosted, fallback int) {
 	t.Helper()
@@ -174,19 +276,20 @@ func checkFtabPlacement(t *testing.T, label string, opts Options) (hosted, fallb
 			if slots == 0 {
 				continue
 			}
-			lo := reflect.ValueOf(e.f.lo).Pointer()
-			base := reflect.ValueOf(e.edges).Pointer()
+			tb := ftabBytes(slots, opts.Params.N)
+			at := uintptr(unsafe.Pointer(unsafe.SliceData(e.f.b)))
+			base := uintptr(unsafe.Pointer(unsafe.SliceData(e.edges)))
 			end := base + uintptr(edgeBytes*want)
-			if 4*want >= slots {
+			if tb <= edgeBytes*want {
 				hosted++
-				if lo != end-uintptr(4*slots) || cap(e.f.lo) != int(slots) {
-					t.Fatalf("%s rank %d: table at %#x (cap %d), want the last %d bytes of [%#x, %#x)",
-						label, r, lo, cap(e.f.lo), 4*slots, base, end)
+				if at != end-uintptr(tb) || len(e.f.b) != int(tb) || cap(e.f.b) != int(tb) {
+					t.Fatalf("%s rank %d: table at %#x (len %d, cap %d), want the last %d bytes of [%#x, %#x)",
+						label, r, at, len(e.f.b), cap(e.f.b), tb, base, end)
 				}
 			} else {
 				fallback++
-				if lo >= base && lo < end {
-					t.Fatalf("%s rank %d: 4E = %d < S = %d, yet the table is inside the range", label, r, 4*want, slots)
+				if at >= base && at < end {
+					t.Fatalf("%s rank %d: %d-byte table > 16E = %d, yet it is inside the range", label, r, tb, edgeBytes*want)
 				}
 			}
 		}
@@ -215,8 +318,8 @@ func checkRunMatchesSequential(t *testing.T, label string, opts Options) {
 
 // With the table inside the output, an in-memory run allocates its edge
 // list and little else: both core.Run and RunRank stay within 16 bytes
-// per edge plus 1 MiB of bookkeeping. A separate 4 B/slot table would
-// add 3.2 MB at this size.
+// per edge plus 1 MiB of bookkeeping. A separate table of 18-bit slots
+// (w = bits.Len64(n)) would add 1.8 MB at this size.
 func TestFtabInMemoryRunAllocs(t *testing.T) {
 	pr := model.Params{N: 200_000, X: 4, P: 0.5}
 	opts := Options{Params: pr, Part: mustScheme(t, partition.KindUCP, pr.N, 1), Seed: 1}

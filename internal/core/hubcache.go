@@ -67,7 +67,7 @@ func (c *hubCache) fill(pr model.Params, seed uint64) {
 				if !a.Direct {
 					v = c.f.get(a.K*x + int64(a.L))
 				}
-				if !c.f.has(base, x, v) {
+				if !c.f.has(base, int64(edge), v) {
 					c.f.set(base+int64(edge), v)
 					break
 				}

@@ -91,8 +91,9 @@ func (e *engine) query(t int64, edge int, k int64, l int) (int64, bool) {
 // retry r+1 of that edge alone; a final value commits, and the next
 // edge's answer follows from the ahead block. The node suspends on the
 // first outstanding edge and frees its block when it finishes; it holds
-// no record on entry. Slots past the frontier are NILL, so the duplicate
-// check scans the row.
+// no record on entry. The duplicate check scans only the committed slots
+// below the frontier edge: the rest of the row is NILL, and reading the
+// slot just written would wait for its store (DESIGN.md §8.5).
 func (e *engine) settle(t, idx int64, st suspState, v int64) {
 	base := idx * e.x64
 	edge, r := int(st.e), int(st.r)
@@ -101,7 +102,7 @@ func (e *engine) settle(t, idx int64, st suspState, v int64) {
 			e.susp.put(idx, suspState{e: int32(edge), r: int32(r), blk: st.blk})
 			return
 		}
-		if e.f.has(base, e.x64, v) {
+		if e.f.has(base, int64(edge), v) {
 			e.stats.Retries++
 			r++
 			d := e.opts.Params.NewDrawer(t)

@@ -341,6 +341,24 @@ func (e *engine) restore() error {
 			return fmt.Errorf("core: resume: two waiter records of node %d's edge %d for slot %d", wr.T, wr.E, wr.Slot)
 		}
 		seen[wr] = true
+		if wr.T < 0 || wr.T >= e.opts.Params.N {
+			return fmt.Errorf("core: resume: waiter record for slot %d names node %d outside the run's %d nodes", wr.Slot, wr.T, e.opts.Params.N)
+		}
+		// A waiter of this rank's own node is its edge's one outstanding
+		// attempt: the node is suspended at or before that edge, and the
+		// edge holds no answer — none in an ahead record, none from
+		// another waiter record (keyed by slot −1 in seen).
+		if owner, idx := e.locate(wr.T); owner == e.rank {
+			st, ok := e.susp.get(idx)
+			if !ok || int(wr.E) >= e.x || int32(wr.E) < st.e {
+				return fmt.Errorf("core: resume: waiter record for slot %d names local node %d's edge %d, which is not outstanding", wr.Slot, wr.T, wr.E)
+			}
+			own := ckpt.WaiterRecord{Slot: -1, T: wr.T, E: wr.E}
+			if e.ahead.block(st.blk)[wr.E] != aheadWaiting || seen[own] {
+				return fmt.Errorf("core: resume: waiter record for slot %d gives local node %d's edge %d a second answer", wr.Slot, wr.T, wr.E)
+			}
+			seen[own] = true
+		}
 		if e.f.get(wr.Slot) >= 0 {
 			fed = append(fed, msg.Request(wr.T, int(wr.E), e.part.NodeAt(e.rank, wr.Slot/e.x64), int(wr.Slot%e.x64)))
 			continue

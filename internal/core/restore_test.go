@@ -629,7 +629,9 @@ func TestRestoreRefusesAheadOutsideNodes(t *testing.T) {
 // testAheadRefused edits rank r's snapshot of epoch top — its first
 // answer held ahead to −1 and to n, an answer behind a node's frontier
 // edge, a second answer for a slot, a waiter of a clique slot, a second
-// identical waiter record —
+// identical waiter record, a waiter of one of the rank's own edges that
+// an ahead record or another waiter record already answers, one of a
+// finished local node and one of a node id past n —
 // checks that each resume fails naming the edit, and resumes from the
 // snapshot as it was.
 func testAheadRefused(t *testing.T, opts Options, r int, top int64) {
@@ -674,6 +676,33 @@ func testAheadRefused(t *testing.T, opts Options, r int, top int64) {
 			w := ckpt.WaiterRecord{Slot: s.Ahead[0].Slot, T: 1, E: 0}
 			s.Waiters = append(s.Waiters, w, w)
 			return fmt.Sprintf("two waiter records of node 1's edge 0 for slot %d", w.Slot)
+		}},
+		edit{"a local waiter of an edge answered ahead", func(s *ckpt.Snapshot) string {
+			a := s.Ahead[0]
+			w := ckpt.WaiterRecord{Slot: s.Window.Start, T: opts.Part.NodeAt(r, a.Slot/x), E: uint16(a.Slot % x)}
+			s.Waiters = append(s.Waiters, w)
+			return fmt.Sprintf("gives local node %d's edge %d a second answer", w.T, w.E)
+		}},
+		edit{"two local waiters of one edge", func(s *ckpt.Snapshot) string {
+			i := slices.IndexFunc(s.Susp, func(sr ckpt.SuspRecord) bool {
+				return !slices.ContainsFunc(s.Ahead, func(a ckpt.AheadRecord) bool { return a.Slot == sr.Idx*x+int64(sr.Edge) })
+			})
+			if i < 0 {
+				t.Fatal("no suspended node without an answer for its frontier edge")
+			}
+			w := ckpt.WaiterRecord{Slot: s.Window.Start, T: opts.Part.NodeAt(r, s.Susp[i].Idx), E: uint16(s.Susp[i].Edge)}
+			s.Waiters = append(s.Waiters, w, ckpt.WaiterRecord{Slot: w.Slot + 1, T: w.T, E: w.E})
+			return fmt.Sprintf("gives local node %d's edge %d a second answer", w.T, w.E)
+		}},
+		edit{"a local waiter of a finished node", func(s *ckpt.Snapshot) string {
+			w := ckpt.WaiterRecord{Slot: s.Window.Start, T: opts.Part.NodeAt(r, s.Window.Start/x-1), E: 0}
+			s.Waiters = append(s.Waiters, w)
+			return fmt.Sprintf("names local node %d's edge 0, which is not outstanding", w.T)
+		}},
+		edit{"a waiter of no node", func(s *ckpt.Snapshot) string {
+			w := ckpt.WaiterRecord{Slot: s.Window.Start, T: opts.Params.N, E: 0}
+			s.Waiters = append(s.Waiters, w)
+			return fmt.Sprintf("names node %d outside the run's %d nodes", w.T, opts.Params.N)
 		}},
 	)
 	for _, ed := range edits {

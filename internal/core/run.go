@@ -48,7 +48,7 @@ type Result struct {
 // set, a shared decision trace is collected (rank slot ranges are
 // disjoint, so the trace is written race-free).
 func Run(opts Options, recordTrace bool) (*Result, error) {
-	if err := opts.Params.Validate(); err != nil {
+	if err := checkParams(opts.Params); err != nil {
 		return nil, err
 	}
 	if opts.Part == nil {

@@ -231,7 +231,9 @@ type RankMetrics struct {
 	CkptWritePerEpoch Histogram `json:"ckpt_write_per_epoch"`
 	// Streaming edge-sink counters (zero unless -stream-dir ran): shard
 	// blocks flushed, compressed bytes written, fsync calls, and total
-	// time stalled in fsync (cuts plus final close).
+	// time spent in fsync. An epoch's sync runs on the background
+	// checkpoint writer, inside CkptWriteNanos and off the checkpoint
+	// pause; only the close's sync stalls the rank goroutine.
 	SinkBlocks     int64 `json:"sink_blocks_flushed,omitempty"`
 	SinkBytes      int64 `json:"sink_bytes_written,omitempty"`
 	SinkFsyncs     int64 `json:"sink_fsyncs,omitempty"`

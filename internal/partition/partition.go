@@ -574,7 +574,7 @@ func ExpectedIncomingLoad(n, k int64, p float64) float64 {
 const HubPrefixAutoFrac = 0.1
 
 // HubPrefixMaxSlots caps the auto-sized hub-prefix replica at H·x
-// attachment slots (4 bytes each while n < 2³²), so auto-sizing at very
+// attachment slots (w = bits.Len64(n) bits each), so auto-sizing at very
 // large n cannot quietly allocate, or fill, an unbounded per-rank
 // replica.
 const HubPrefixMaxSlots = 1 << 24

@@ -173,6 +173,8 @@ func (c Config) Validate() (Config, error) {
 		c.Resolve = core.ResolveWire.String()
 	}
 	switch {
+	case c.N > core.MaxN:
+		return c, fmt.Errorf("n = %d exceeds core.MaxN = 2⁵⁷−1, the largest node count the engine takes", c.N)
 	case c.Ranks < 0:
 		return c, fmt.Errorf("ranks = %d, want >= 1", c.Ranks)
 	case c.CheckpointEvery < 0:

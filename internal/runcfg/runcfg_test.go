@@ -179,6 +179,7 @@ func TestValidateDefaults(t *testing.T) {
 		{N: 100, X: 2, CheckpointEvery: -1},
 		{N: 100, X: 2, StreamBlockEdges: -1},
 		{N: 100, X: 2, P: math.NaN()},
+		{N: 1 << 57, X: 2}, // core.MaxN + 1
 	} {
 		if _, err := bad.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted", bad)

@@ -22,7 +22,7 @@ package pagen
 import (
 	"errors"
 	"io"
-	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"pagen/internal/analysis"
@@ -244,11 +244,10 @@ func DegreesStreamed(cfg Config) ([]int64, *Result, error) {
 // out at 6x10^9 edges for memory reasons). An in-memory run holds the
 // one edge list every rank writes its own range of (16 bytes per edge,
 // allocated exactly sized and never copied): each rank's attachment
-// table (4 bytes per slot) lives in the unused tail of its range until
-// the edges overwrite it, and only a run whose N exceeds math.MaxUint32
-// adds the table's high half (another 4 bytes per slot). With StreamDir
-// the edge term vanishes and the run holds the whole tables (4 bytes per
-// slot, 8 past math.MaxUint32) plus each rank's open block: a block
+// table (w = bits.Len64(N) bits per slot) lives in the unused tail of
+// its range until the edges overwrite it. With StreamDir the edge term
+// vanishes and the run holds the whole tables, ⌈S·w/8⌉ bytes for S
+// slots, plus each rank's open block: a block
 // header and ⌈StreamBlockEdges·w/8⌉ bytes of w-bit values,
 // esink.BufferBytes, the buffer esink.Open allocates. A checkpointed run
 // without StreamDir streams too and also holds the edge list it reads
@@ -268,11 +267,8 @@ func MemoryEstimate(cfg Config) int64 {
 	ranks := int64(max(cfg.Ranks, 1))
 	slots := (pr.N - int64(pr.X)) * int64(pr.X)
 	var est int64
-	if pr.N > math.MaxUint32 {
-		est = slots * 4 // the high halves, never hosted
-	}
 	if cfg.StreamDir != "" || cfg.CheckpointDir != "" {
-		est += slots*4 + ranks*esink.BufferBytes(pr.N, cfg.StreamBlockEdges) // low halves, open shard blocks
+		est += (slots*int64(bits.Len64(uint64(pr.N)))+7)/8 + ranks*esink.BufferBytes(pr.N, cfg.StreamBlockEdges) // the tables, open shard blocks
 	}
 	if cfg.StreamDir == "" {
 		est += pr.M() * 16 // the edge list, in memory or read back

@@ -276,11 +276,12 @@ func TestMemoryEstimate(t *testing.T) {
 	if off, on := core.RankStateBytes(pr, 2, -1, false), core.RankStateBytes(pr, 2, 0, false); on <= off {
 		t.Fatalf("rank state with the hub replica %d, without %d: the replica is not charged", on, off)
 	}
-	// Past 2³²−1 nodes the table's high half is a separate plane.
+	// Past 2³²−1 nodes the table is still one w-bit plane in the edge
+	// range: nothing per slot is added.
 	wide := int64(1 << 33)
 	widePr := Params{N: wide, X: 4, P: DefaultP}
-	if got, want := MemoryEstimate(Config{N: wide, X: 4, Ranks: 1}), 16*(6+(wide-4)*4)+4*(wide-4)*4+core.RankStateBytes(widePr, 1, 0, false)+1<<17; got != want {
-		t.Fatalf("n = %d in memory: estimate %d, want edges + high plane + rank state and overhead = %d", wide, got, want)
+	if got, want := MemoryEstimate(Config{N: wide, X: 4, Ranks: 1}), 16*(6+(wide-4)*4)+core.RankStateBytes(widePr, 1, 0, false)+1<<17; got != want {
+		t.Fatalf("n = %d in memory: estimate %d, want edges + rank state and overhead = %d", wide, got, want)
 	}
 
 	// The bounded-memory path holds the tables and each rank's open
@@ -298,7 +299,7 @@ func TestMemoryEstimate(t *testing.T) {
 	if s, m := MemoryEstimate(streamed), MemoryEstimate(mem); s >= m {
 		t.Fatalf("streamed estimate %d not below in-memory %d", s, m)
 	}
-	tables := int64(4 * (1_000_000 - 4) * 4)
+	tables := int64((1_000_000 - 4) * 4 * 20 / 8) // w = bits.Len64(10⁶) = 20
 	blocks := 2 * esink.BufferBytes(1_000_000, 0)
 	snaps := state(2, true) - state(2, false)
 	if payload := int64(esink.DefaultBlockEdges * 20 / 8); blocks/2 < payload || blocks/2 > payload+64 {
@@ -313,20 +314,20 @@ func TestMemoryEstimate(t *testing.T) {
 	if s := MemoryEstimate(streamed); s < tables || s > 2*tables {
 		t.Fatalf("streamed estimate %d not within 2x of the tables' %d", s, tables)
 	}
-	// A slot is 4 bytes while every node id fits in 32 bits (biased by
-	// one), and 8 past that.
+	// A slot is tw = bits.Len64(n) bits, the width of F + 1 ≤ n, at
+	// every n; a shard value is w = bits.Len64(n − 1) bits.
 	for _, c := range []struct {
-		n       int64
-		slot, w int64
-	}{{math.MaxUint32, 4, 32}, {1 << 33, 8, 33}} {
+		n     int64
+		tw, w int64
+	}{{1 << 20, 21, 20}, {math.MaxUint32, 32, 32}, {1 << 33, 34, 33}} {
 		cfg := Config{N: c.n, X: 4, Ranks: 1, StreamDir: "shards"}
 		block := esink.BufferBytes(c.n, 0)
 		if payload := esink.DefaultBlockEdges * c.w / 8; block < payload || block > payload+64 {
 			t.Fatalf("n = %d: an open block is %d bytes, want its %d bytes of %d-bit values and a block header", c.n, block, payload, c.w)
 		}
-		want := c.slot*(c.n-4)*4 + block + core.RankStateBytes(Params{N: c.n, X: 4, P: DefaultP}, 1, 0, false) + 1<<17
+		want := ((c.n-4)*4*c.tw+7)/8 + block + core.RankStateBytes(Params{N: c.n, X: 4, P: DefaultP}, 1, 0, false) + 1<<17
 		if got := MemoryEstimate(cfg); got != want {
-			t.Fatalf("n = %d: estimate %d, want %d B/slot tables + one open block + rank state and overhead = %d", c.n, got, c.slot, want)
+			t.Fatalf("n = %d: estimate %d, want %d-bit tables + one open block + rank state and overhead = %d", c.n, got, c.tw, want)
 		}
 	}
 	small := streamed
