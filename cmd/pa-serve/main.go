@@ -14,7 +14,7 @@
 // epochs and streamed shards, so jobs survive rank crashes (the queue
 // relaunches the job's cluster with -resume; this is the one
 // single-host supervisor) and operator preemption (the job resumes
-// later from its newest committed epoch with byte-identical final
+// later, every rank from its own newest epoch, with byte-identical final
 // output). A job spec is a run's Config (internal/runcfg): the
 // settings pagen and pa-tcp take as flags, as JSON keys.
 //

@@ -24,14 +24,15 @@
 // meaning stderr.
 //
 // Long runs can checkpoint: -checkpoint-dir DIR -checkpoint-every N
-// makes every rank snapshot its engine state to DIR at cooperative
-// epochs, and -resume restarts the cluster from the newest epoch all
-// ranks committed (see docs/CHECKPOINT_FORMAT.md and
+// makes every rank, at its own trigger and without a message to any
+// other, fsync its shard up to its frontier and write a small snapshot
+// naming that mark to DIR; -resume restarts every rank from its own
+// newest snapshot (see docs/CHECKPOINT_FORMAT.md and
 // docs/OPERATIONS.md). The shard is the checkpoint's attachment table:
-// on resume each rank truncates its shard to the snapshot's durable
+// on resume each rank truncates its shard to its snapshot's durable
 // mark, rebuilds its table from the records before it and regenerates
-// exactly the missing suffix, so the merged output stays byte-identical
-// to an uninterrupted run.
+// every node above it, so the merged output stays byte-identical to an
+// uninterrupted run whichever epochs the ranks come back from.
 //
 // A single-host cluster that restarts itself after a crash is a pa-serve
 // job: the daemon's process runner launches one pa-tcp per rank with the
@@ -179,8 +180,8 @@ func main() {
 // which epoch its newest complete snapshot holds, and which snapshot
 // files were skipped as torn or corrupt (each is a warning — the run
 // falls back past them, but an operator should know the newest data was
-// damaged). The engine re-reads and cross-validates the snapshot during
-// resume negotiation; this scan only exists for the operator.
+// damaged). The engine reads the same snapshot again and validates it
+// against the run; this scan only exists for the operator.
 func reportResumeScan(dir string, rank int) {
 	snap, skipped, err := ckpt.Latest(dir, rank)
 	if err != nil {
@@ -193,7 +194,7 @@ func reportResumeScan(dir string, rank int) {
 	case snap == nil:
 		fmt.Fprintf(os.Stderr, "pa-tcp: rank %d: no usable snapshot in %s, starting fresh\n", rank, dir)
 	default:
-		fmt.Fprintf(os.Stderr, "pa-tcp: rank %d: newest complete snapshot is epoch %d (cluster resumes from the minimum across ranks)\n",
+		fmt.Fprintf(os.Stderr, "pa-tcp: rank %d: resuming from its newest complete snapshot, epoch %d (each rank resumes from its own)\n",
 			rank, snap.Epoch)
 	}
 }

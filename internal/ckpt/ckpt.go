@@ -1,28 +1,23 @@
-// Package ckpt serializes per-rank engine state into versioned,
+// Package ckpt serializes a rank's checkpoint into versioned,
 // CRC-protected snapshot files — the storage half of the generator's
-// checkpoint/restart subsystem. One snapshot captures everything a rank
-// needs to resume generation mid-run at a consistent cut: every
-// unfinished node's frontier edge and retry count and the answers it
-// holds ahead of that edge, the pending waiter queues, the sink mark
-// naming the durable prefix of the rank's shard file, and the window of
-// F above that prefix. A snapshot carries no
-// attachment table: every checkpointed run streams its edges, the
-// marked shard prefix is F below the rank's resolved frontier, the
-// window is F from the frontier up to the generation cursor, and
-// restore replays both. The format
+// checkpoint/restart subsystem. A snapshot is small and of fixed shape:
+// the run's identity, the rank's epoch, its cumulative counters and the
+// sink mark naming the durable prefix of the rank's shard file. It holds
+// no engine state: every checkpointed run streams its edges, the marked
+// prefix is F for every node below the rank's frontier, and a resume
+// rebuilds F from it and regenerates the rest (DESIGN.md §9). The format
 // is byte-for-byte specified in docs/CHECKPOINT_FORMAT.md and verified
 // on read by a whole-file CRC-32C so a torn write is detected rather
 // than resumed from.
 //
-// Every snapshot restores on its own, given its shard. Encoding is
-// buffer-based — Encoder reuses one scratch buffer across epochs so a
-// steady checkpoint cadence performs no transient allocations.
+// Every snapshot restores on its own, given its shard, whatever the
+// other ranks' snapshots hold. Encoding is buffer-based — Encoder reuses
+// one scratch buffer across epochs so a steady checkpoint cadence
+// performs no transient allocations.
 //
-// The package is pure serialization: which state goes into a snapshot,
-// when all ranks' snapshots form a mutually consistent cut, and which
-// epochs are safe to prune is negotiated by internal/core (DESIGN.md
-// §9); this package supplies the file mechanics (Read, Latest, Prune)
-// those policies are built from.
+// The package is pure serialization: when a rank cuts and what it
+// restores is internal/core's; this package supplies the file mechanics
+// (Read, Latest, Prune) those policies are built from.
 package ckpt
 
 import (
@@ -42,18 +37,13 @@ import (
 const Magic = "PAGENCK1"
 
 // Version is the current snapshot format version. Readers reject any
-// other value but 11 (below): the format carries no compat shims, and
-// resuming from a mis-parsed snapshot would silently corrupt the output
-// graph.
-// docs/CHECKPOINT_FORMAT.md lists what each version changed. Version 12
-// has version 11's bytes and widens what 'W' may hold: a marker cut
-// records the requests and answers in flight to the rank as waiter and
-// ahead records, so a waiter may name a slot already final and a node
-// may hold the answer for its frontier edge. A reader that does not feed
-// those back would wait forever, hence the bump; a version 11 file is a
-// cut with nothing in flight, a valid version 12 snapshot, and still
-// reads.
-const Version = 12
+// other value: the format carries no compat shims, and resuming from a
+// mis-parsed snapshot would silently corrupt the output graph.
+// docs/CHECKPOINT_FORMAT.md lists what each version changed. Version 13
+// drops version 12's 'W' records and 'F' window: a rank resumes from its
+// sink mark alone, which now ends on a node boundary, and regenerates
+// everything above it.
+const Version = 13
 
 // castagnoli is the CRC-32C table (iSCSI polynomial) shared by writer
 // and reader.
@@ -80,106 +70,40 @@ type Meta struct {
 	Resolve int
 }
 
-// SuspRecord is one unfinished node: its local index, the edge its
-// committed prefix ends at, and the retry count of that edge's
-// outstanding attempt. Its later edges are outstanding first attempts —
-// each registered in a waiter record, this rank's or the owner's — or
-// answered, as AheadRecords.
-type SuspRecord struct {
-	Idx   int64
-	Edge  int
-	Retry int
-}
-
-// AheadRecord is an answer that reached an unfinished node's edge before
-// its committed prefix did: flat local slot Slot is to take value V, a
-// node id, once the prefix gets there (and V is not a duplicate by then).
-// An answer the cut recorded in flight may be for the node's frontier
-// edge itself.
-type AheadRecord struct {
-	Slot, V int64
-}
-
-// WaiterRecord is one queued waiter of local flat slot Slot (a Q_{k,l}
-// queue): when the slot resolves, node T's edge E gets the answer.
-// Records of one slot appear in FIFO order. A request the cut recorded
-// in flight may name a slot that is already final.
-type WaiterRecord struct {
-	Slot int64
-	T    int64
-	E    uint16
-}
-
 // SinkMark is the streaming edge sink's durable position at the cut:
 // the rank's shard file holds exactly Blocks complete blocks with Edges
 // edge records in its first Offset bytes, flushed and fsynced before
-// the snapshot was published. A resumed run truncates the shard to
-// Offset, rebuilds F from the records in that prefix — a snapshot
-// carries no table of its own — and regenerates exactly the missing
-// suffix (esink.Mark is the engine-side twin).
+// the snapshot was published. The records are every slot of the rank's
+// nodes below its frontier, a node boundary. A resumed run truncates the
+// shard to Offset, rebuilds F from the records in that prefix — a
+// snapshot carries no table of its own — and regenerates every node
+// from the frontier on (esink.Mark is the engine-side twin).
 type SinkMark struct {
 	Offset int64
 	Blocks int64
 	Edges  int64
 }
 
-// Window is F from the rank's resolved frontier (its lowest NILL slot,
-// where the marked shard prefix ends) up to the generation cursor: slot
-// Start+i holds the i-th of Count uvarints in Vals minus one, so zero
-// is NILL and a value costs under 4 bytes while n < 2²⁸.
-type Window struct {
-	Start, Count int64
-	Vals         []byte
-}
-
-// Append adds the next slot's value, -1 for NILL.
-func (w *Window) Append(v int64) {
-	w.Vals = binary.AppendUvarint(w.Vals, uint64(v+1))
-	w.Count++
-}
-
-// Each calls fn with every slot of the window and its value (-1 for
-// NILL) in slot order, stopping at fn's first error.
-func (w *Window) Each(fn func(s, v int64) error) error {
-	b := w.Vals
-	for s := w.Start; s < w.Start+w.Count; s++ {
-		u, n := binary.Uvarint(b)
-		if n <= 0 {
-			return fmt.Errorf("window slot %d: truncated varint", s)
-		}
-		b = b[n:]
-		if err := fn(s, int64(u)-1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Stats carries the cumulative engine counters that cannot be
-// recomputed from F, so resumed runs report run-lifetime totals.
+// recomputed from F, so resumed runs report run-lifetime totals. They
+// count work, so a resumed run's totals include the attempts it repeats
+// above the mark.
 type Stats struct {
 	Retries     int64
 	QueuedWaits int64
 	LocalWaits  int64
 }
 
-// Snapshot is one rank's checkpoint state. Susp, Ahead and Waiters
-// serialize as the one 'W' section: the rank's unfinished nodes and the
-// answers they hold, and its waiter queues at the cut.
-// The records are keyed by node and slot, so a snapshot restores at any
-// worker count.
+// Snapshot is one rank's checkpoint: the sections 'M' (Meta and Epoch),
+// 'S' (Stats) and 'K' (Sink). It names a shard prefix and nothing else,
+// so it restores at any worker count and beside any peer's epoch.
 type Snapshot struct {
-	Meta    Meta
-	Epoch   int64
-	Susp    []SuspRecord
-	Ahead   []AheadRecord
-	Waiters []WaiterRecord
-	Stats   Stats
+	Meta  Meta
+	Epoch int64
+	Stats Stats
 	// Sink is the shard's durable mark, serialized as the mandatory 'K'
 	// section: the records under it are F below the frontier.
 	Sink SinkMark
-	// Window is F from the frontier up, the mandatory 'F' section.
-	Window Window
 }
 
 // Path returns the snapshot filename for (rank, epoch) under dir. The
@@ -207,9 +131,8 @@ func parseName(name string) (rank int, epoch int64, ok bool) {
 }
 
 // Encoder serializes snapshots into a reused scratch buffer, so a
-// steady checkpoint cadence performs no O(state) transient allocations:
-// the buffer grows to the largest snapshot seen and is then recycled
-// epoch after epoch. An Encoder is not safe for concurrent use; the
+// steady checkpoint cadence performs no transient allocations: the
+// buffer grows once and is then recycled epoch after epoch. An Encoder is not safe for concurrent use; the
 // engine gives its background writer a private one.
 type Encoder struct {
 	buf []byte
@@ -221,7 +144,7 @@ type Encoder struct {
 // call.
 func (enc *Encoder) Encode(s *Snapshot) []byte {
 	// One growth to a bound on the encoding, not a chain of appends.
-	b := slices.Grow(enc.buf[:0], 256+len(s.Meta.Scheme)+25*len(s.Susp)+20*len(s.Ahead)+23*len(s.Waiters)+len(s.Window.Vals))
+	b := slices.Grow(enc.buf[:0], 160+len(s.Meta.Scheme))
 	b = append(b, Magic...)
 	b = binary.AppendUvarint(b, Version)
 
@@ -238,27 +161,6 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 	b = binary.AppendUvarint(b, uint64(s.Meta.Resolve))
 	b = binary.AppendUvarint(b, uint64(s.Epoch))
 
-	// 'W': the rank's unfinished nodes, their answers held ahead and its
-	// waiter queues — written even when all are empty.
-	b = append(b, 'W')
-	b = binary.AppendUvarint(b, uint64(len(s.Susp)))
-	for _, sr := range s.Susp {
-		b = binary.AppendUvarint(b, uint64(sr.Idx))
-		b = binary.AppendUvarint(b, uint64(sr.Edge))
-		b = binary.AppendUvarint(b, uint64(sr.Retry))
-	}
-	b = binary.AppendUvarint(b, uint64(len(s.Ahead)))
-	for _, ar := range s.Ahead {
-		b = binary.AppendUvarint(b, uint64(ar.Slot))
-		b = binary.AppendUvarint(b, uint64(ar.V))
-	}
-	b = binary.AppendUvarint(b, uint64(len(s.Waiters)))
-	for _, wr := range s.Waiters {
-		b = binary.AppendUvarint(b, uint64(wr.Slot))
-		b = binary.AppendUvarint(b, uint64(wr.T))
-		b = binary.AppendUvarint(b, uint64(wr.E))
-	}
-
 	// 'S': cumulative counters.
 	b = append(b, 'S')
 	b = binary.AppendUvarint(b, uint64(s.Stats.Retries))
@@ -266,18 +168,11 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 	b = binary.AppendUvarint(b, uint64(s.Stats.LocalWaits))
 
 	// 'K': the shard's durable mark, which stands in for F below the
-	// frontier.
+	// frontier. Then the end marker and the CRC trailer.
 	b = append(b, 'K')
 	b = binary.AppendUvarint(b, uint64(s.Sink.Offset))
 	b = binary.AppendUvarint(b, uint64(s.Sink.Blocks))
 	b = binary.AppendUvarint(b, uint64(s.Sink.Edges))
-
-	// 'F': the window of F above the frontier. Then the end marker and
-	// the CRC trailer.
-	b = append(b, 'F')
-	b = binary.AppendUvarint(b, uint64(s.Window.Start))
-	b = binary.AppendUvarint(b, uint64(s.Window.Count))
-	b = append(b, s.Window.Vals...)
 	b = append(b, 'Z')
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 	enc.buf = b
@@ -445,12 +340,10 @@ func check(r io.ReaderAt, size int64, buf *PruneBuf) error {
 		return fmt.Errorf("truncated varint")
 	}
 	switch ver {
-	case Version, 11:
+	case Version:
 		return nil
-	case 9:
-		return fmt.Errorf("unsupported snapshot version 9: its suspended nodes hold per-node random-stream states, which version %d's per-attempt draws cannot continue; restart the run", Version)
-	case 10:
-		return fmt.Errorf("unsupported snapshot version 10: its nodes may wait on coalesced hub-prefix requests, which version %d's computed replica never answers; restart the run", Version)
+	case 9, 10, 11, 12:
+		return fmt.Errorf("unsupported snapshot version %d: it restores in-flight protocol state from a mark that may end inside a node, which version %d's rank-local resume cannot continue; restart the run", ver, Version)
 	}
 	return fmt.Errorf("unsupported snapshot version %d (reader supports %d)", ver, Version)
 }
@@ -463,7 +356,7 @@ func parse(data []byte) (*Snapshot, error) {
 	r.uvarint() // the version, which check accepted
 
 	s := &Snapshot{}
-	sawW, sawK, sawF := false, false, false
+	sawM, sawK := false, false
 	for {
 		t, err := r.tag()
 		if err != nil {
@@ -471,18 +364,9 @@ func parse(data []byte) (*Snapshot, error) {
 		}
 		switch t {
 		case 'M':
+			sawM = true
 			if err := s.parseMeta(r); err != nil {
 				return nil, fmt.Errorf("meta: %w", err)
-			}
-		case 'W':
-			// One writer per rank, one section: a second would be records
-			// of a layout no writer produces.
-			if sawW {
-				return nil, fmt.Errorf("second 'W' section")
-			}
-			sawW = true
-			if err := s.parseWorker(r); err != nil {
-				return nil, fmt.Errorf("'W' section: %w", err)
 			}
 		case 'S':
 			if err := r.int64s(&s.Stats.Retries, &s.Stats.QueuedWaits, &s.Stats.LocalWaits); err != nil {
@@ -493,11 +377,6 @@ func parse(data []byte) (*Snapshot, error) {
 			if err := r.int64s(&s.Sink.Offset, &s.Sink.Blocks, &s.Sink.Edges); err != nil {
 				return nil, err
 			}
-		case 'F':
-			sawF = true
-			if err := s.Window.parse(r); err != nil {
-				return nil, fmt.Errorf("'F' section: %w", err)
-			}
 		case 'Z':
 			if len(r.b) != 0 {
 				return nil, fmt.Errorf("%d trailing bytes after end marker", len(r.b))
@@ -507,11 +386,8 @@ func parse(data []byte) (*Snapshot, error) {
 			if !sawK {
 				return nil, fmt.Errorf("no 'K' section (sink mark)")
 			}
-			if !sawW {
-				return nil, fmt.Errorf("no 'W' section")
-			}
-			if !sawF {
-				return nil, fmt.Errorf("no 'F' section (window)")
+			if !sawM {
+				return nil, fmt.Errorf("no 'M' section (run identity)")
 			}
 			return s, nil
 		default:
@@ -551,90 +427,6 @@ func (s *Snapshot) parseMeta(r *reader) error {
 	s.Meta.X, s.Meta.Ranks, s.Meta.Rank, s.Meta.Resolve = int(x), int(ranks), int(rank), int(resolve)
 	s.Meta.Scheme = string(name)
 	return nil
-}
-
-func (s *Snapshot) parseWorker(r *reader) error {
-	n, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	// A suspension record is at least three bytes and an ahead record
-	// two; bound each allocation by the remaining bytes.
-	if n > uint64(len(r.b))/3+1 {
-		return fmt.Errorf("suspension count %d exceeds file", n)
-	}
-	s.Susp = make([]SuspRecord, n)
-	for i := range s.Susp {
-		var idx, edge, retry int64
-		if err := r.int64s(&idx, &edge, &retry); err != nil {
-			return err
-		}
-		s.Susp[i] = SuspRecord{Idx: idx, Edge: int(edge), Retry: int(retry)}
-	}
-	if n, err = r.uvarint(); err != nil {
-		return err
-	}
-	if n > uint64(len(r.b))/2+1 {
-		return fmt.Errorf("ahead count %d exceeds file", n)
-	}
-	s.Ahead = make([]AheadRecord, n)
-	for i := range s.Ahead {
-		if err := r.int64s(&s.Ahead[i].Slot, &s.Ahead[i].V); err != nil {
-			return err
-		}
-	}
-	if s.Waiters, err = parseWaiterRecords(r); err != nil {
-		return fmt.Errorf("waiters: %w", err)
-	}
-	return nil
-}
-
-// parse reads a window section, keeping the values as they lie in the
-// file; whether they fit the run is restore's check.
-func (w *Window) parse(r *reader) error {
-	if err := r.int64s(&w.Start, &w.Count); err != nil {
-		return err
-	}
-	if w.Start < 0 || w.Count < 0 || w.Count > int64(len(r.b)) {
-		return fmt.Errorf("%d slots from slot %d exceed the file", w.Count, w.Start)
-	}
-	n := 0
-	for range w.Count {
-		_, k := binary.Uvarint(r.b[n:])
-		if k <= 0 {
-			return fmt.Errorf("truncated or overlong varint")
-		}
-		n += k
-	}
-	w.Vals, r.b = r.b[:n:n], r.b[n:]
-	return nil
-}
-
-// parseWaiterRecords reads the length-prefixed waiter-record list. It
-// always returns a non-nil slice so round-tripped snapshots compare
-// equal.
-func parseWaiterRecords(r *reader) ([]WaiterRecord, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Every record costs at least three bytes: reject inflated counts
-	// before allocating.
-	if n > uint64(len(r.b))/3+1 {
-		return nil, fmt.Errorf("record count %d exceeds file", n)
-	}
-	out := make([]WaiterRecord, n)
-	for i := range out {
-		var e int64
-		if err := r.int64s(&out[i].Slot, &out[i].T, &e); err != nil {
-			return nil, err
-		}
-		if uint64(e) > 0xffff {
-			return nil, fmt.Errorf("waiter edge %d overflows uint16", uint64(e))
-		}
-		out[i].E = uint16(e)
-	}
-	return out, nil
 }
 
 // Latest returns the newest restorable snapshot for rank under dir,
@@ -684,12 +476,9 @@ func Epochs(dir string, rank int) ([]int64, error) {
 // CRC-32C, version). A torn or foreign file never counts toward
 // retention, so keep restorable epochs survive whatever damage sits
 // among them — keeping at least two is what makes the torn-latest
-// fallback possible. The check streams the file through a small buffer
-// and parses no section: a snapshot carries its window and suspension
-// records, megabytes on a rank that trails, and loading it every epoch
-// cost more peak memory than the window itself. Every file is read
-// through buf. Rejected files are deleted once they age past the oldest
-// kept epoch.
+// fallback possible. The check streams the file through buf and parses
+// no section, so vetting allocates no read buffer per file. Rejected
+// files are deleted once they age past the oldest kept epoch.
 func Prune(dir string, rank int, keep int, buf *PruneBuf) error {
 	epochs, err := Epochs(dir, rank)
 	if err != nil {
@@ -732,7 +521,7 @@ func vet(path string, buf *PruneBuf) error {
 }
 
 // Remove deletes rank's snapshot of the given epoch, ignoring a missing
-// file (an abandoned epoch may have failed before its write).
+// file.
 func Remove(dir string, rank int, epoch int64) error {
 	err := os.Remove(Path(dir, rank, epoch))
 	if os.IsNotExist(err) {

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -26,34 +27,9 @@ func sample(rank int, epoch int64) *Snapshot {
 			Resolve: 1,
 		},
 		Epoch: epoch,
-		Susp: []SuspRecord{
-			{Idx: 17, Edge: 2, Retry: 0},
-			{Idx: 21, Edge: 0, Retry: 300},
-		},
-		// Node 17 holds edge 3's answer; node 21 those of edges 1 and 3.
-		Ahead: []AheadRecord{{Slot: 71, V: 999_999}, {Slot: 85, V: 0}, {Slot: 87, V: 12}},
-		Waiters: []WaiterRecord{
-			{Slot: 99, T: 200, E: 1},
-			{Slot: 99, T: 201, E: 0},
-			{Slot: 802, T: 310, E: 2},
-		},
 		Stats: Stats{Retries: 5, QueuedWaits: 6, LocalWaits: 7},
 		Sink:  SinkMark{Offset: 1 << 40, Blocks: 12345, Edges: 987654321},
 	}
-	// The window: NILL slots among resolved ones, values of every width.
-	s.Window = Window{Start: 4000, Vals: []byte{}}
-	for _, v := range []int64{-1, 0, 127, -1, 999_999, 3} {
-		s.Window.Append(v)
-	}
-	return s
-}
-
-// idleSnapshot is a snapshot with nothing suspended: its 'W' section is
-// the three empty counts. The lists are empty, not nil — the parser
-// always materializes them, and DeepEqual distinguishes nil from empty.
-func idleSnapshot(rank int, epoch int64) *Snapshot {
-	s := sample(rank, epoch)
-	s.Susp, s.Ahead, s.Waiters = []SuspRecord{}, []AheadRecord{}, []WaiterRecord{}
 	return s
 }
 
@@ -111,15 +87,12 @@ func reseal(data []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
 }
 
-// The v12 section rules: 'K', 'W' and the window 'F' are mandatory, 'W'
-// appears exactly once, and the delta section 'D' and the outbound
-// section 'O' of earlier versions are unknown tags. A version 9 file —
-// per-node stream states in its suspension records — and a version 10
-// file — coalescing chains in its 'W' section — are refused by name; a
-// version 11 file, version 12's bytes from a cut with nothing in flight,
-// reads.
-// The files below are CRC-clean, so
-// the section rules — not the checksum — must reject them.
+// The v13 section rules: 'M' and 'K' are mandatory, and the sections of
+// earlier versions — the records 'W', the window 'F', the delta 'D' and
+// the outbound 'O' — are unknown tags. Files of versions 9 to 12, which
+// carried in-flight protocol state, are refused by name. The files below
+// are CRC-clean, so the section rules — not the checksum — must reject
+// them.
 func TestParseSectionRules(t *testing.T) {
 	var enc Encoder
 	encode := func(s *Snapshot) []byte { return append([]byte(nil), enc.Encode(s)...) }
@@ -130,9 +103,11 @@ func TestParseSectionRules(t *testing.T) {
 	mark := binary.AppendUvarint([]byte{'K'}, uint64(s.Sink.Offset))
 	mark = binary.AppendUvarint(mark, uint64(s.Sink.Blocks))
 	mark = binary.AppendUvarint(mark, uint64(s.Sink.Edges))
-	window := binary.AppendUvarint([]byte{'F'}, uint64(s.Window.Start))
-	window = binary.AppendUvarint(window, uint64(s.Window.Count))
-	window = append(window, s.Window.Vals...)
+	data := encode(s)
+	meta := data[len(Magic)+1 : bytes.IndexByte(data, 'S')]
+	if meta[0] != 'M' {
+		t.Fatalf("snapshot opens with section %q, want 'M'", meta[0])
+	}
 	beforeEnd := func(data, section []byte) []byte {
 		body := append(data[:len(data)-5:len(data)-5], section...)
 		return reseal(append(body, 'Z', 0, 0, 0, 0))
@@ -144,35 +119,20 @@ func TestParseSectionRules(t *testing.T) {
 		}
 		return reseal(bytes.Replace(data, section, nil, 1))
 	}
-	v6 := encode(s)
-	v6[len(Magic)] = 6
-	v8 := encode(s)
-	v8[len(Magic)] = 8
-	v9 := encode(s)
-	v9[len(Magic)] = 9
-	v10 := encode(s)
-	v10[len(Magic)] = 10
-	// An idle snapshot's 'W' section is the three empty counts.
-	emptyW := []byte{'W', 0, 0, 0}
-	idle := encode(idleSnapshot(0, 4))
-	if bytes.Count(idle, emptyW) != 1 {
-		t.Fatalf("idle snapshot holds %d copies of the empty 'W' section, want 1", bytes.Count(idle, emptyW))
+	cases := map[string][]byte{
+		"no K":      without(mark),
+		"no M":      without(meta),
+		"W section": beforeEnd(encode(s), []byte{'W', 0, 0, 0}),
+		"F section": beforeEnd(encode(s), []byte{'F', 2, 0}),
+		"D section": beforeEnd(encode(s), []byte{'D', 2, 1, 0, 1, 5}),
+		"O section": beforeEnd(encode(s), []byte{'O', 1, 3, 1, 0xca}),
 	}
-	noW := reseal(bytes.Replace(idle, emptyW, nil, 1))
-
-	for name, data := range map[string][]byte{
-		"no K":        without(mark),
-		"no F":        without(window),
-		"no W":        noW,
-		"second W":    beforeEnd(encode(s), emptyW),
-		"F too short": beforeEnd(without(window), []byte{'F', 2, 3, 1, 1}),
-		"D section":   beforeEnd(encode(s), []byte{'D', 2, 1, 0, 1, 5}),
-		"O section":   beforeEnd(encode(s), []byte{'O', 1, 3, 1, 0xca}),
-		"version 6":   reseal(v6),
-		"version 8":   reseal(v8),
-		"version 9":   reseal(v9),
-		"version 10":  reseal(v10),
-	} {
+	for _, v := range []byte{6, 8, 9, 10, 11, 12} {
+		old := encode(s)
+		old[len(Magic)] = v
+		cases[fmt.Sprintf("version %d", v)] = reseal(old)
+	}
+	for name, data := range cases {
 		if got, err := parse(data); err == nil {
 			t.Errorf("%s: parsed to %+v, want an error", name, got)
 		} else if strings.Contains(err.Error(), "CRC") {
@@ -181,15 +141,10 @@ func TestParseSectionRules(t *testing.T) {
 			t.Errorf("%s: err = %v, want one naming the version", name, err)
 		}
 	}
-	v11 := encode(s)
-	v11[len(Magic)] = 11
-	for _, want := range []*Snapshot{s, idleSnapshot(0, 4)} {
+	for _, want := range []*Snapshot{s, {Meta: s.Meta, Epoch: 1}} {
 		if got, err := parse(encode(want)); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip = %+v, %v", got, err)
 		}
-	}
-	if got, err := parse(reseal(v11)); err != nil || !reflect.DeepEqual(got, s) {
-		t.Errorf("version 11 = %+v, %v", got, err)
 	}
 }
 
@@ -395,9 +350,8 @@ func TestPruneSkipsDamagedFrames(t *testing.T) {
 	dir := t.TempDir()
 	for epoch := int64(1); epoch <= 6; epoch++ {
 		s := sample(0, epoch)
-		for range 20_000 { // a window past check's 8 KiB buffer
-			s.Window.Append(999_999)
-		}
+		// A scheme name that takes the file past check's 8 KiB buffer.
+		s.Meta.Scheme = strings.Repeat("RRP", 20_000)
 		if _, _, err := Write(dir, s); err != nil {
 			t.Fatal(err)
 		}

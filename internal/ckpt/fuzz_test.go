@@ -13,24 +13,23 @@ import (
 // not panic and must not allocate from a count the file's size does not
 // back, and a file it accepts must re-encode to bytes that parse back to
 // the same Snapshot, so nothing the reader admits is lost or invented by
-// the writer. The seeds are real v12 Encoder output: snapshots with
-// answers held ahead, waiter queues and a non-empty window of F (one a
-// lone suspended node with no waiter, one epoch-shaped, one with what a
-// marker cut records in flight — an answer for a node's frontier edge
-// and a waiter of a slot the window holds final), and an idle one whose
-// 'W' and 'F' sections are empty.
+// the writer. The seeds are real v13 Encoder output: an epoch-shaped
+// snapshot, one with a zero mark (a cut before the first block
+// flushed), one with every field at its widest, an idle one with zero
+// counters, and one of a single-rank run.
 // testdata/fuzz/FuzzParse keeps an input that broke an earlier parser:
 // a NaN p, unequal to itself and so never equal after a round trip.
 func FuzzParse(f *testing.F) {
 	var enc Encoder
-	lone := sample(1, 3)
-	lone.Susp, lone.Ahead, lone.Waiters = lone.Susp[:1], lone.Ahead[:1], nil
-	idle := &Snapshot{Meta: lone.Meta, Epoch: 1, Sink: SinkMark{Offset: 64, Blocks: 1, Edges: 6}}
-	// Node 17's frontier edge 2 is slot 70; window slot 4001 holds 0.
-	recorded := sample(2, 5)
-	recorded.Ahead = append(recorded.Ahead, AheadRecord{Slot: 70, V: 5})
-	recorded.Waiters = append(recorded.Waiters, WaiterRecord{Slot: 4001, T: 202, E: 3})
-	for _, s := range []*Snapshot{sample(0, 4), lone, epochSnapshot(4, 8), idle, recorded} {
+	zero := sample(1, 3)
+	zero.Sink = SinkMark{}
+	wide := sample(7, 1<<62)
+	wide.Meta.N, wide.Meta.Seed, wide.Stats.Retries = 1<<57-1, 1<<64-1, 1<<62
+	wide.Sink = SinkMark{Offset: 1<<63 - 1, Blocks: 1 << 40, Edges: 1<<62 + 3}
+	idle := &Snapshot{Meta: zero.Meta, Epoch: 1, Sink: SinkMark{Offset: 64, Blocks: 1, Edges: 6}}
+	single := epochSnapshot()
+	single.Meta.Ranks, single.Meta.Rank, single.Meta.Scheme = 1, 0, "UCP"
+	for _, s := range []*Snapshot{epochSnapshot(), zero, wide, idle, single} {
 		data := enc.Encode(s)
 		f.Add(append([]byte(nil), data[:len(data)-4]...))
 	}

@@ -15,9 +15,7 @@ func TestAllReduceMin(t *testing.T) {
 			if got != 0 {
 				t.Errorf("p=%d rank %d: AllReduceMin = %d, want 0", p, rank, got)
 			}
-			// Negative values reduce correctly too (the resume
-			// negotiation uses 0 as the "no snapshot" sentinel, which
-			// must win against any real epoch).
+			// Negative values reduce correctly too.
 			got, err = s.AllReduceMin(int64(rank) - 1)
 			if err != nil {
 				return err

@@ -1,10 +1,9 @@
 // Package coll provides the collective operations the generator's tools
 // use — AllReduce and Gather — implemented over the buffered
 // communicator with coordinator-based algorithms. The generator's own
-// termination protocol does not need them; a resumed run's epoch
-// negotiation uses AllReduceMin, and cmd/pa-tcp gathers per-rank
-// statistics at rank 0 with Gather, AllReduceMax and AllReduceSum before
-// printing a cluster-wide summary.
+// termination protocol and its checkpoints do not need them; cmd/pa-tcp
+// gathers per-rank statistics at rank 0 with Gather, AllReduceMax and
+// AllReduceSum after the run, before printing a cluster-wide summary.
 //
 // # Sequenced tag protocol
 //
@@ -57,11 +56,6 @@ type Seq struct {
 	cm      *comm.Comm
 	next    int64
 	pending []pendingContrib
-	// recv, when set, replaces cm.Wait as the blocking receive. The
-	// engine's resume negotiation installs a filter here that parks the
-	// data messages a faster peer sends while the collectives still own
-	// the receive path.
-	recv func() ([]msg.Message, error)
 }
 
 // New creates a collective-operation context over cm. All ranks must
@@ -88,10 +82,6 @@ func (s *Seq) NextTag() int64 { return s.next }
 // checkpoint. Every rank must set the same value at the same protocol
 // point or subsequent collectives will disagree on their tags.
 func (s *Seq) SetNextTag(tag int64) { s.next = tag }
-
-// SetRecv overrides the blocking receive collectives use (cm.Wait by
-// default); nil restores the default.
-func (s *Seq) SetRecv(recv func() ([]msg.Message, error)) { s.recv = recv }
 
 // takePending removes and returns one buffered contribution with the
 // given tag, if any.
@@ -121,13 +111,7 @@ func (s *Seq) recvColl(wantTag int64) (from int, payload int64, err error) {
 		return p.from, p.val, nil
 	}
 	for {
-		var ms []msg.Message
-		var err error
-		if s.recv != nil {
-			ms, err = s.recv()
-		} else {
-			ms, err = s.cm.Wait()
-		}
+		ms, err := s.cm.Wait()
 		if err != nil {
 			return 0, 0, err
 		}
@@ -223,8 +207,6 @@ func (s *Seq) AllReduceMax(value int64) (int64, error) {
 }
 
 // AllReduceMin returns the minimum of every rank's value on every rank.
-// Resume negotiation uses it to pick the newest checkpoint epoch every
-// rank holds a valid snapshot of.
 func (s *Seq) AllReduceMin(value int64) (int64, error) {
 	return s.reduce(value, func(acc, v int64) int64 {
 		if v < acc {

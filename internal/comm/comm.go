@@ -79,7 +79,6 @@ type Comm struct {
 	requestsTo []int64
 	scratch    []msg.Message // the last byte frame's decoded messages
 	held       []msg.Message // the last shared-memory batch, until the next receive
-	from       int           // the sender of the last frame received
 }
 
 // New wraps a transport endpoint.
@@ -213,7 +212,6 @@ func (c *Comm) Buffered(to int) int { return len(c.bufs[to]) }
 // releases it; a byte frame is decoded into scratch, which grows only to
 // the largest frame, and its buffer returns to the transport pool at once.
 func (c *Comm) decode(f transport.Frame) ([]msg.Message, error) {
-	c.from = f.From
 	ms := f.Msgs
 	if ms != nil {
 		c.held = ms
@@ -273,10 +271,6 @@ func (c *Comm) Wait() ([]msg.Message, error) {
 	}
 	return c.decode(f)
 }
-
-// From returns the rank that sent the frame the last Poll or Wait
-// returned: the channel every message of that frame arrived on.
-func (c *Comm) From() int { return c.from }
 
 // Close closes the underlying transport.
 func (c *Comm) Close() error { return c.tr.Close() }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"pagen/internal/model"
 	"pagen/internal/xrand"
 )
@@ -54,17 +52,8 @@ const (
 	// two streamed ranks 256 saved another 0.3 B/edge of peak RSS at
 	// 12–15 % more wall, and 4096 gave back most of the saving.
 	RunAheadNodes = 1024
-	// queryBytes is what RankStateBytes charges one outstanding query,
-	// and snapQueryBytes what a snapshot holds for one: its waiter record
-	// (24 B), its ahead record (16 B) and its share of its node's
-	// suspension record (24 B).
-	queryBytes     = 512
-	snapQueryBytes = 64
-	// snapWindowNodes is the window of F a snapshot is charged for. The
-	// cap does not bound the window — finished nodes above the oldest
-	// unfinished one stay in it — but it measured at most 21 k nodes, a
-	// third of this, on two ranks up to n = 3·10⁶ (DESIGN.md §9.5).
-	snapWindowNodes = 64 * RunAheadNodes
+	// queryBytes is what RankStateBytes charges one outstanding query.
+	queryBytes = 512
 )
 
 // RankStateBytes bounds the heap one rank of a ranks-rank run allocates
@@ -81,20 +70,15 @@ const (
 // their size, for the table doubling and frame-pool refills a cumulative
 // allocation count sees. A single rank never leaves a node suspended
 // past its window: its copy sources are final by the time an attempt is
-// issued. A checkpointed rank adds three copies of a snapshot (two capture
-// buffers and the encoder's scratch): W·x queries' records and
-// snapWindowNodes nodes' window slots, a value varint each.
-func RankStateBytes(pr model.Params, ranks int, hubPrefix int64, checkpointed bool) int64 {
+// issued. A checkpoint adds nothing that grows with the run: a snapshot
+// is a few dozen bytes of identity, counters and sink mark.
+func RankStateBytes(pr model.Params, ranks int, hubPrefix int64) int64 {
 	r, x := int64(max(ranks, 1)), int64(pr.X)
 	slots := (pr.N + r - 1) / r * x
 	b := (slots+63)/64*8 + aheadPage*x*8
 	if ranks > 1 {
 		b += ftabBytes(hubPrefixLen(pr, ranks, hubPrefix)*x, pr.N)
 		b += RunAheadNodes * x * queryBytes
-	}
-	if checkpointed {
-		varint := int64(1 + bits.Len64(uint64(pr.N))/7)
-		b += 3 * (RunAheadNodes*x*snapQueryBytes + snapWindowNodes*x*varint)
 	}
 	return b
 }
@@ -194,7 +178,7 @@ func (e *engine) window() (n, lanes int64) {
 
 // initiate admits the next window of local indices at the cursor and
 // starts their nodes. Clique and bootstrap nodes are stepped over; a
-// restored run's cursor starts past every node its snapshot initiated.
+// restored run's cursor starts at the frontier its shard prefix ends on.
 // This is the only way a node's generation starts; a window is never
 // interrupted, so a checkpoint cut still finds every node below the
 // cursor suspended or finished and every node from it on untouched.

@@ -288,17 +288,6 @@ func TestBatchRequestsGatheredAfterResolve(t *testing.T) {
 	checkGatheredAnswer(t, e, peer)
 }
 
-// The same batch parked during a resume negotiation and flushed once the
-// restored state exists.
-func TestBatchRequestsGatheredHeldFlush(t *testing.T) {
-	e, peer, batch := gatheredRequestEngine(t)
-	e.ck = &ckptRun{held: []heldFrame{{from: 1, ms: batch}}}
-	if err := e.ckptFlushHeld(); err != nil {
-		t.Fatal(err)
-	}
-	checkGatheredAnswer(t, e, peer)
-}
-
 // peerEngine returns rank 0 of a two-rank round-robin run, bootstrapped
 // and with the hub cache off, and a communicator standing in for rank 1:
 // the test answers rank 0's requests itself, from the sequential model's

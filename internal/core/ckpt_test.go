@@ -13,7 +13,6 @@ import (
 	"pagen/internal/comm"
 	"pagen/internal/graph"
 	"pagen/internal/model"
-	"pagen/internal/msg"
 	"pagen/internal/partition"
 	"pagen/internal/seq"
 	"pagen/internal/transport"
@@ -35,9 +34,45 @@ func equalEdges(t *testing.T, label string, got, want []graph.Edge) {
 	}
 }
 
+// rankEpochs lists the epochs rank holds a snapshot of in dir, oldest
+// first; none when the directory does not exist.
+func rankEpochs(t *testing.T, dir string, rank int) []int64 {
+	t.Helper()
+	eps, err := ckpt.Epochs(dir, rank)
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	return eps
+}
+
+// dropNewest removes the n newest snapshots of rank in dir (all of them
+// when it holds fewer), as a crash that lost them would leave the
+// directory.
+func dropNewest(t *testing.T, dir string, rank, n int) {
+	t.Helper()
+	eps := rankEpochs(t, dir, rank)
+	for _, ep := range eps[len(eps)-min(n, len(eps)):] {
+		if err := os.Remove(ckpt.Path(dir, rank, ep)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// dropEachNewest removes every rank's newest snapshot and reports whether
+// some rank still holds one.
+func dropEachNewest(t *testing.T, dir string, ranks int) bool {
+	t.Helper()
+	left := false
+	for r := 0; r < ranks; r++ {
+		dropNewest(t, dir, r, 1)
+		left = left || len(rankEpochs(t, dir, r)) > 0
+	}
+	return left
+}
+
 // A checkpointed run must produce exactly the sequential edge set while
-// actually committing epochs along the way, and the per-rank stats must
-// report them.
+// publishing epochs along the way on every rank, each at its own
+// trigger, and the per-rank stats must count exactly the files written.
 func TestCheckpointRunMatchesSequential(t *testing.T) {
 	pr := model.Params{N: 6_000, X: 3, P: 0.5}
 	sg, _, err := seq.CopyModel(pr, 5, seq.CopyModelOptions{})
@@ -50,29 +85,30 @@ func TestCheckpointRunMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Epoch count is schedule-bound (a fast run can complete before a
-	// pending trigger opens its epoch), so retry at smaller intervals
-	// until at least one epoch committed.
+	// pending trigger is looked at), so retry at smaller intervals until
+	// every rank published one.
 	var res *Result
+	var dir string
 	for every := int64(1000); every >= 50; every /= 2 {
+		dir = t.TempDir()
 		res, err = Run(Options{
 			Params: pr, Part: part, Seed: 5, Workers: 2,
-			Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: every, Keep: 100},
+			Checkpoint: &CheckpointOptions{Dir: dir, Every: every, Keep: 100},
 		}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameEdgeSet(t, "checkpointed", res.Graph.Edges, want)
-		if res.Ranks[0].CkptEpochs >= 1 {
+		if !slices.ContainsFunc(res.Ranks, func(st RankStats) bool { return st.CkptEpochs < 1 }) {
 			break
 		}
 	}
 	for _, st := range res.Ranks {
-		if st.CkptEpochs < 1 {
-			t.Fatalf("rank %d committed %d epochs, want >= 1", st.Rank, st.CkptEpochs)
+		if st.CkptEpochs < 1 || st.CkptFailed != 0 {
+			t.Fatalf("rank %d published %d epochs and failed %d, want >= 1 and none", st.Rank, st.CkptEpochs, st.CkptFailed)
 		}
-		if st.CkptEpochs != res.Ranks[0].CkptEpochs {
-			t.Fatalf("rank %d committed %d epochs, rank 0 committed %d",
-				st.Rank, st.CkptEpochs, res.Ranks[0].CkptEpochs)
+		if n := int64(len(rankEpochs(t, dir, st.Rank))); n != st.CkptEpochs {
+			t.Fatalf("rank %d holds %d snapshots, its stats count %d epochs", st.Rank, n, st.CkptEpochs)
 		}
 		if st.CkptBytes <= 0 || st.CkptPauseTime <= 0 {
 			t.Fatalf("rank %d: bytes=%d pause=%v, want positive", st.Rank, st.CkptBytes, st.CkptPauseTime)
@@ -80,16 +116,16 @@ func TestCheckpointRunMatchesSequential(t *testing.T) {
 	}
 }
 
-// The headline restart property: killing the run after ANY committed
+// The headline restart property: killing the run after ANY published
 // epoch and resuming — at the same or a different worker count — yields
 // output identical edge-for-edge to the uninterrupted run. Simulated by
-// trimming the snapshot directory down to each epoch in turn (snapshot
-// files are immutable once committed, so the on-disk state after epoch
-// E is exactly the state a crash after epoch E leaves behind).
+// trimming the snapshot directory back one epoch per rank at a time
+// (snapshot files are immutable once published, so the on-disk state
+// after a rank's epoch E is exactly the state a crash after it leaves).
 func TestCheckpointResumeEveryEpoch(t *testing.T) {
 	// Large enough that the run comfortably spans several epochs: the
 	// epoch count is schedule-dependent (each epoch costs a pause), so a
-	// short run can legitimately commit fewer.
+	// short run can legitimately publish fewer.
 	pr := model.Params{N: 20_000, X: 3, P: 0.5}
 	const ranks = 3
 	newPart := func() partition.Scheme {
@@ -104,7 +140,7 @@ func TestCheckpointResumeEveryEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The number of committed epochs is schedule-dependent (each epoch
+	// The number of published epochs is schedule-dependent (each epoch
 	// costs a pause, and a fast run may finish before a second trigger
 	// is observed), so build the snapshot library with retries at ever
 	// smaller intervals until at least two epochs exist.
@@ -118,18 +154,21 @@ func TestCheckpointResumeEveryEpoch(t *testing.T) {
 		}, false); err != nil {
 			t.Fatal(err)
 		}
-		var err error
-		if epochs, err = ckpt.Epochs(dir, 0); err != nil {
-			t.Fatal(err)
-		}
-		if len(epochs) >= 2 {
+		if epochs = rankEpochs(t, dir, 0); len(epochs) >= 2 {
 			break
 		}
 	}
 	if len(epochs) < 2 {
-		t.Fatalf("only %d epochs committed even at Every=50", len(epochs))
+		t.Fatalf("only %d epochs published even at Every=50", len(epochs))
 	}
 
+	libTop := make([]int64, ranks)
+	for r := range libTop {
+		libTop[r] = -1
+		if eps := rankEpochs(t, dir, r); len(eps) > 0 {
+			libTop[r] = eps[len(eps)-1]
+		}
+	}
 	resume := func(label string, workers int, every int64) {
 		res, err := Run(Options{
 			Params: pr, Part: newPart(), Seed: 7, Workers: workers,
@@ -141,39 +180,32 @@ func TestCheckpointResumeEveryEpoch(t *testing.T) {
 		equalEdges(t, label, res.Graph.Edges, base.Graph.Edges)
 	}
 
-	// Newest epoch: same worker count, more workers, and one worker
-	// restoring a two-worker run's snapshot. The
-	// continued-checkpointing variant (every > 0) also exercises epoch
-	// numbering and tag resumption after a restart.
-	top := epochs[len(epochs)-1]
-	resume(fmt.Sprintf("epoch %d workers=2", top), 2, 0)
-	resume(fmt.Sprintf("epoch %d workers=4", top), 4, 0)
-	resume(fmt.Sprintf("epoch %d workers=1", top), 1, 0)
-	resume(fmt.Sprintf("epoch %d continued", top), 2, 500)
+	// Newest epochs: same worker count, more workers, and one worker
+	// restoring a two-worker run's snapshot. The continued-checkpointing
+	// variant (every > 0) also exercises epoch numbering after a restart.
+	resume("newest workers=2", 2, 0)
+	resume("newest workers=4", 4, 0)
+	resume("newest workers=1", 1, 0)
+	resume("newest continued", 2, 500)
 
-	// Then every earlier epoch, trimming the directory as a crash at
-	// that epoch would have left it.
-	for i := len(epochs) - 2; i >= 0; i-- {
-		for r := 0; r < ranks; r++ {
-			if err := os.Remove(ckpt.Path(dir, r, epochs[i+1])); err != nil {
-				t.Fatal(err)
-			}
-		}
-		resume(fmt.Sprintf("epoch %d", epochs[i]), 2, 0)
+	// Then every earlier epoch, trimming the directory as a crash at that
+	// epoch would have left it. The continued resume above published
+	// epochs past the library's; drop those first.
+	for r := 0; r < ranks; r++ {
+		eps := rankEpochs(t, dir, r)
+		dropNewest(t, dir, r, len(eps)-slices.Index(eps, libTop[r])-1)
+	}
+	for step := 1; dropEachNewest(t, dir, ranks); step++ {
+		resume(fmt.Sprintf("%d epochs back", step), 2, 0)
 	}
 
 	// With every snapshot gone, Resume must fall back to a fresh run.
-	for r := 0; r < ranks; r++ {
-		if err := os.Remove(ckpt.Path(dir, r, epochs[0])); err != nil {
-			t.Fatal(err)
-		}
-	}
 	resume("empty dir fresh start", 2, 0)
 }
 
-// A torn snapshot (crash mid-write, detected by CRC) on one rank must
-// pull the whole job back to the previous committed epoch rather than
-// resuming a mix of epochs or failing.
+// A torn snapshot (crash mid-write, detected by CRC) on one rank sends
+// that rank back to its previous epoch while the others resume from
+// their newest, and the run still writes the uninterrupted graph.
 func TestCheckpointTornLatestFallsBack(t *testing.T) {
 	pr := model.Params{N: 20_000, X: 3, P: 0.5}
 	const ranks = 2
@@ -200,11 +232,7 @@ func TestCheckpointTornLatestFallsBack(t *testing.T) {
 		}, false); err != nil {
 			t.Fatal(err)
 		}
-		var err error
-		if epochs, err = ckpt.Epochs(dir, 1); err != nil {
-			t.Fatal(err)
-		}
-		if len(epochs) >= 2 {
+		if epochs = rankEpochs(t, dir, 1); len(epochs) >= 2 {
 			break
 		}
 	}
@@ -221,8 +249,7 @@ func TestCheckpointTornLatestFallsBack(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Rank 1's Latest must skip the torn file, and the min-reduce must
-	// drag rank 0 back with it.
+	// Rank 1's Latest must skip the torn file; rank 0 keeps its newest.
 	snap, skipped, err := ckpt.Latest(dir, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -243,9 +270,102 @@ func TestCheckpointTornLatestFallsBack(t *testing.T) {
 	equalEdges(t, "torn fallback", res.Graph.Edges, base.Graph.Edges)
 }
 
-// Checkpoint epochs under a single rank — where an epoch opens and
-// closes at the rank's own cut, with no marker to wait for and its own
-// vote the whole tally — with and without helper lanes.
+// Ranks resume from different epochs, or from none: each reads its own
+// newest snapshot and regenerates everything above its mark, so the
+// output is the model's whatever its peers come back from. Under
+// round-robin and uniform consecutive partitions at 2 and 4 ranks, rank
+// r < p−1 resumes from its r-th newest epoch and the last rank from no
+// snapshot at all. The library comes from a simulated-network run at a
+// pinned schedule seed and the resume runs on one too, so a resume that
+// loses its way fails as a deadlock rather than a hang.
+func TestCheckpointResumeMixedEpochs(t *testing.T) {
+	pr := model.Params{N: 12_000, X: 3, P: 0.5}
+	sg, _, err := seq.CopyModel(pr, 29, seq.CopyModelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []partition.Kind{partition.KindRRP, partition.KindUCP} {
+		for _, p := range []int{2, 4} {
+			label := fmt.Sprintf("%v ranks=%d", kind, p)
+			part := mustScheme(t, kind, pr.N, p)
+			ckptDir, streamDir := t.TempDir(), t.TempDir()
+			opts := Options{Params: pr, Part: part, Seed: 29, Workers: 1, StreamDir: streamDir, StreamBlockEdges: 256,
+				Checkpoint: &CheckpointOptions{Dir: ckptDir, Every: pr.N / int64(4*p), Keep: 1000}}
+			if _, _, err := simGroup(p, simSched{seed: 29, deliver: 0.3}, func(int) Options { return opts }, nil); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			var from []int64
+			for r := 0; r < p; r++ {
+				eps := rankEpochs(t, ckptDir, r)
+				if r < p-1 && len(eps) <= r {
+					t.Fatalf("%s: rank %d holds %d epochs, want more than %d", label, r, len(eps), r)
+				}
+				if r == p-1 {
+					dropNewest(t, ckptDir, r, len(eps))
+					from = append(from, 0)
+					continue
+				}
+				dropNewest(t, ckptDir, r, r)
+				from = append(from, eps[len(eps)-1-r])
+			}
+			if p > 2 && from[0] == from[1] && from[1] == from[2] {
+				t.Fatalf("%s: ranks resume from epochs %v, want them to differ", label, from)
+			}
+			opts.Checkpoint = &CheckpointOptions{Dir: ckptDir, Keep: 1000, Resume: true}
+			_, results, err := simGroup(p, simSched{seed: 30, deliver: 0.3}, func(int) Options { return opts }, nil)
+			if err != nil {
+				t.Fatalf("%s: resume from epochs %v: %v", label, from, err)
+			}
+			for r, res := range results {
+				if want := rankEdges(part, r, pr.X); res.Stats.Edges != want {
+					t.Fatalf("%s: rank %d's shard holds %d records, its nodes have %d edges", label, r, res.Stats.Edges, want)
+				}
+			}
+			edges := streamEdges(t, streamDir, p)
+			slices.SortStableFunc(edges, func(a, b graph.Edge) int { return int(a.U - b.U) })
+			equalEdges(t, fmt.Sprintf("%s resumed from epochs %v", label, from), edges, sg.Edges)
+		}
+	}
+}
+
+// A cut writes the frontier before it takes the mark, so the epoch keeps
+// every node finished by then: here a node that finished after the last
+// window's frontier write (as an answer arriving in a drain would finish
+// it) is in the marked prefix, and a resume from the snapshot starts
+// past it.
+func TestCheckpointCutStreamsBeforeMark(t *testing.T) {
+	e := cutEngine(t)
+	if err := e.stream.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	e.bootstrap()
+	if err := e.streamFrontier(); err != nil {
+		t.Fatal(err)
+	}
+	before := e.frontier
+	// Finish the first node past bootstrap's by hand, as settle would.
+	idx := before / e.x64
+	for j := range e.x {
+		e.resolveSlot(e.part.NodeAt(e.rank, idx), j, before+int64(j), int64(j))
+	}
+	if err := e.ckptCut(); err != nil {
+		t.Fatal(err)
+	}
+	e.ck.writer.shutdown()
+	snap, _, err := ckpt.Latest(e.ck.writer.dir, e.rank)
+	if err != nil || snap == nil {
+		t.Fatalf("no snapshot after the cut (err %v)", err)
+	}
+	if want := e.emitted; snap.Sink.Edges != want {
+		t.Fatalf("the cut marks %d records, want %d: bootstrap's and the node finished since the last frontier write", snap.Sink.Edges, want)
+	}
+	if e.frontier != before+e.x64 {
+		t.Fatalf("frontier %d after the cut, want %d", e.frontier, before+e.x64)
+	}
+}
+
+// Checkpoint epochs under a single rank, with and without helper lanes,
+// and a resume whose cursor lands off the batch grid.
 func TestCheckpointSingleRank(t *testing.T) {
 	pr := model.Params{N: 4_000, X: 3, P: 0.5}
 	sg, _, err := seq.CopyModel(pr, 3, seq.CopyModelOptions{})
@@ -260,7 +380,7 @@ func TestCheckpointSingleRank(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Retry at smaller intervals: the run can legitimately
-			// finish before a pending trigger opens its epoch.
+			// finish before a pending trigger is looked at.
 			// pollEvery 41 cuts the pass off the batchNodes grid (at one
 			// worker the cut's frontier is a multiple of 41, and which one
 			// is deterministic).
@@ -281,25 +401,20 @@ func TestCheckpointSingleRank(t *testing.T) {
 				}
 			}
 			if res.Ranks[0].CkptEpochs < 1 {
-				t.Fatalf("committed %d epochs even at Every=50, want >= 1", res.Ranks[0].CkptEpochs)
+				t.Fatalf("published %d epochs even at Every=50, want >= 1", res.Ranks[0].CkptEpochs)
 			}
 
 			// Kill after the newest epoch and resume. The restored pass
-			// walks from index 0 in batches of batchNodes; the
-			// cut's frontier falls inside one, so that batch admits only
-			// its uninitiated nodes. One rank emits in node order, so
-			// the resumed edge list must equal the sequential one. The
-			// frontier is read from the table the marked shard prefix
-			// restores.
-			snap, _, err := ckpt.Latest(dir, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := resumedEngine(t, Options{
+			// walks from the frontier in batches of batchNodes; one rank
+			// finishes every node of a window before the next poll, so the
+			// cut's frontier is the poll point, off the batch grid. One
+			// rank emits in node order, so the resumed edge list must equal
+			// the sequential one.
+			e, snap := resumedEngine(t, Options{
 				Params: pr, Part: part, Seed: 3, Workers: workers, StreamDir: filepath.Join(dir, "shards"),
 				Checkpoint: &CheckpointOptions{Dir: dir, Resume: true},
-			}, 0, snap.Epoch)
-			if err := e.restore(); err != nil {
+			}, 0, 0)
+			if err := e.restore(snap); err != nil {
 				t.Fatal(err)
 			}
 			initiated := e.cursor // every node below it, bootstrap's included
@@ -319,9 +434,9 @@ func TestCheckpointSingleRank(t *testing.T) {
 }
 
 // Epochs must survive a hostile message schedule: seeded schedules that
-// keep many frames in flight put more of them across each cut, and
-// every retained epoch must still be a consistent cut of a run whose output
-// is the model's.
+// keep many frames in flight leave ranks far apart at their cuts, and
+// every retained snapshot must still mark a node boundary of a run whose
+// output is the model's.
 func TestCheckpointChaosTransport(t *testing.T) {
 	c := simConfig{N: 6_000, X: 3, P: 0.5, Seed: 9, Scheme: partition.KindRRP, Ranks: 4, Workers: 2,
 		Stream: true, Every: 500, Deliver: 0.1}
@@ -333,8 +448,8 @@ func TestCheckpointChaosTransport(t *testing.T) {
 	}
 }
 
-// Killing a rank mid-run — with epochs committing and background
-// publishes in flight — must leave a directory a resume can always use:
+// Killing a rank mid-run — with epochs publishing and background
+// writes in flight — must leave a directory a resume can always use:
 // the relaunched cluster produces output identical to an uninterrupted
 // run. The kill needs the TCP transport (crash detection lives in its
 // failure model), and bufferCap 1 puts the kill budget mid-protocol.
@@ -397,249 +512,11 @@ func TestCheckpointKillDuringBackgroundWrite(t *testing.T) {
 	}
 }
 
-// cutMismatches lists what one epoch's snapshots disagree on. At a
-// consistent cut every outstanding edge (t, e) of a suspended node — its
-// frontier edge, and each later edge without an answer held ahead — is
-// owed an answer: it is a waiter, on its own rank or at the owner of the
-// slot it copies. And everything owed an answer is such an outstanding
-// edge.
-func cutMismatches(part partition.Scheme, snaps []*ckpt.Snapshot) []string {
-	type slot struct {
-		t int64
-		e int
-	}
-	owed, susp := map[slot]bool{}, map[slot]bool{}
-	for r, s := range snaps {
-		for _, w := range s.Waiters {
-			owed[slot{w.T, int(w.E)}] = true
-		}
-		x := int64(s.Meta.X)
-		ahead := map[int64]bool{}
-		for _, ar := range s.Ahead {
-			ahead[ar.Slot] = true
-		}
-		for _, sr := range s.Susp {
-			t := part.NodeAt(r, sr.Idx)
-			for e := sr.Edge; e < s.Meta.X; e++ {
-				if !ahead[sr.Idx*x+int64(e)] {
-					susp[slot{t, e}] = true
-				}
-			}
-		}
-	}
-	var out []string
-	for k := range susp {
-		if !owed[k] {
-			out = append(out, fmt.Sprintf("node %d waits on edge %d and nothing answers it", k.t, k.e))
-		}
-	}
-	for k := range owed {
-		if !susp[k] {
-			out = append(out, fmt.Sprintf("node %d is owed an answer for edge %d but does not wait on it", k.t, k.e))
-		}
-	}
-	return out
-}
-
-// ckptEpoch reports whether ms carries a checkpoint message of op, and
-// for which epoch.
-func ckptEpoch(ms []msg.Message, op msg.CkptOp) (int64, bool) {
-	for _, m := range ms {
-		if m.Kind == msg.KindCkpt && msg.CkptOp(m.E) == op {
-			return m.K, true
-		}
-	}
-	return 0, false
-}
-
-// Rank 0 sends the cut marker on its own channels, so a peer that cut
-// first can resume and reach a rank whose marker is still in flight.
-// The schedule holds rank 0's channel to rank 2 whenever a marker heads
-// it, until rank 1 has cut, relayed and sent rank 2 post-cut traffic:
-// every epoch must still be a consistent cut (the smokes' restart hang
-// was rank 2 handling rank 1's post-cut answers, moving on and sending
-// requests no snapshot holds), and a resume from the newest epoch must
-// finish the graph.
-func TestCheckpointCutMarkerOvertaken(t *testing.T) {
-	pr := model.Params{N: 20_000, X: 3, P: 0.5}
-	const p = 3
-	part, err := partition.New(partition.KindRRP, pr.N, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Run(Options{Params: pr, Part: part, Seed: 5}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{
-		Params: pr, Part: part, Seed: 5, Workers: 1, StreamDir: t.TempDir(),
-		Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: 2_000, Keep: 1000},
-	}
-	// cut1 is the latest epoch rank 1 has cut (its vote went out),
-	// resumed those it has since sent rank 2 traffic in, and marked
-	// those whose marker from rank 0 rank 2 has taken.
-	var cut1 int64
-	resumed, marked := map[int64]bool{}, map[int64]bool{}
-	overtook := 0
-	sched := simSched{
-		seed: 5,
-		sent: func(src, dst int, ms []msg.Message) {
-			if ep, ok := ckptEpoch(ms, msg.CkptVote); ok && src == 1 {
-				cut1 = ep
-			} else if src == 1 && dst == 2 && cut1 > 0 && slices.ContainsFunc(ms, func(m msg.Message) bool { return m.Kind != msg.KindCkpt }) {
-				resumed[cut1] = true
-			}
-		},
-		hold: func(src, dst int, ms []msg.Message) bool {
-			ep, ok := ckptEpoch(ms, msg.CkptCut)
-			return src == 0 && dst == 2 && ok && !resumed[ep]
-		},
-		received: func(src, dst int, ms []msg.Message) {
-			if ep, ok := ckptEpoch(ms, msg.CkptCut); ok && src == 0 && dst == 2 {
-				marked[ep] = true
-			} else if src == 1 && dst == 2 && resumed[cut1] && !marked[cut1] {
-				overtook++
-			}
-		},
-	}
-	if _, _, err := simGroup(p, sched, func(int) Options { return opts }, nil); err != nil {
-		t.Fatal(err)
-	}
-	epochs, err := ckpt.Epochs(opts.Checkpoint.Dir, 0)
-	if err != nil || len(epochs) < 2 {
-		t.Fatalf("%d epochs committed (err=%v), want >= 2", len(epochs), err)
-	}
-	for _, ep := range epochs {
-		snaps := make([]*ckpt.Snapshot, p)
-		for r := range snaps {
-			if snaps[r], err = ckpt.Read(ckpt.Path(opts.Checkpoint.Dir, r, ep)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if bad := cutMismatches(part, snaps); len(bad) > 0 {
-			t.Fatalf("epoch %d is not a consistent cut: %d mismatches, e.g. %s", ep, len(bad), bad[0])
-		}
-	}
-	if overtook == 0 {
-		t.Fatal("rank 1's post-cut traffic never reached rank 2 ahead of rank 0's marker; the hold exercised nothing")
-	}
-	opts.Checkpoint.Resume = true
-	if _, _, err := simGroup(p, simSched{seed: 6}, func(int) Options { return opts }, nil); err != nil {
-		t.Fatal(err)
-	}
-	equalEdges(t, "resumed from the newest epoch", streamEdges(t, opts.StreamDir, p), base.Graph.Edges)
-}
-
-// channelShapes reports whether snapshot s holds the two records only a
-// marker cut's channel recording produces: a waiter of a slot that is
-// already final (in the shard prefix or the window), and an answer held
-// for a suspended node's frontier edge.
-func channelShapes(s *ckpt.Snapshot) (finalWaiter, frontierAnswer bool) {
-	final := map[int64]bool{}
-	s.Window.Each(func(slot, v int64) error {
-		final[slot] = v >= 0
-		return nil
-	})
-	for _, w := range s.Waiters {
-		finalWaiter = finalWaiter || w.Slot < s.Window.Start || final[w.Slot]
-	}
-	frontier := map[int64]bool{}
-	for _, sr := range s.Susp {
-		frontier[sr.Idx*int64(s.Meta.X)+int64(sr.Edge)] = true
-	}
-	for _, ar := range s.Ahead {
-		frontierAnswer = frontierAnswer || frontier[ar.Slot]
-	}
-	return finalWaiter, frontierAnswer
-}
-
-// A rank that cuts before a peer records what the peer's channel still
-// delivers ahead of its marker, as the records those messages become.
-// The schedule holds rank 1's channel to rank 0 from the close of each
-// epoch until rank 0 cuts the next, so rank 0 cuts with rank 1's
-// requests and answers in flight and takes them, ahead of rank 1's
-// marker, into its capture: a request for a slot already final as a
-// waiter of it, an answer for a node's frontier edge as the value held
-// for it. Every epoch must still be a consistent cut, and a resume from
-// the newest epoch holding both must write the model's graph.
-func TestCheckpointRecordsChannelState(t *testing.T) {
-	pr := model.Params{N: 20_000, X: 3, P: 0.5}
-	const p = 2
-	part := mustScheme(t, partition.KindRRP, pr.N, p)
-	sg, _, err := seq.CopyModel(pr, 21, seq.CopyModelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{
-		Params: pr, Part: part, Seed: 21, Workers: 1, HubPrefix: -1, StreamDir: t.TempDir(),
-		Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: pr.N / 8, Keep: 1000},
-	}
-	open := false // rank 0 has cut, and rank 1's marker has yet to reach it
-	sched := simSched{
-		seed: 21,
-		sent: func(src, dst int, ms []msg.Message) {
-			if _, ok := ckptEpoch(ms, msg.CkptCut); ok && src == 0 {
-				open = true
-			}
-		},
-		hold: func(src, dst int, ms []msg.Message) bool { return src == 1 && dst == 0 && !open },
-		received: func(src, dst int, ms []msg.Message) {
-			if _, ok := ckptEpoch(ms, msg.CkptCut); ok && src == 1 {
-				open = false
-			}
-		},
-	}
-	if _, _, err := simGroup(p, sched, func(int) Options { return opts }, nil); err != nil {
-		t.Fatal(err)
-	}
-	dir := opts.Checkpoint.Dir
-	epochs, err := ckpt.Epochs(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var both int64
-	for _, ep := range epochs {
-		snaps := make([]*ckpt.Snapshot, p)
-		var waiter, answer bool
-		for r := range snaps {
-			if snaps[r], err = ckpt.Read(ckpt.Path(dir, r, ep)); err != nil {
-				t.Fatal(err)
-			}
-			w, a := channelShapes(snaps[r])
-			waiter, answer = waiter || w, answer || a
-		}
-		if bad := cutMismatches(part, snaps); len(bad) > 0 {
-			t.Fatalf("epoch %d is not a consistent cut: %d mismatches, e.g. %s", ep, len(bad), bad[0])
-		}
-		if waiter && answer {
-			both = ep
-		}
-	}
-	if both == 0 {
-		t.Fatalf("none of %d epochs holds both a waiter of a final slot and an answer for a frontier edge", len(epochs))
-	}
-	for _, ep := range epochs {
-		for r := 0; ep > both && r < p; r++ {
-			if err := os.Remove(ckpt.Path(dir, r, ep)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	opts.Checkpoint.Resume = true
-	if _, _, err := simGroup(p, simSched{seed: 22}, func(int) Options { return opts }, nil); err != nil {
-		t.Fatalf("resume from epoch %d: %v", both, err)
-	}
-	edges := streamEdges(t, opts.StreamDir, p)
-	slices.SortStableFunc(edges, func(a, b graph.Edge) int { return int(a.U - b.U) })
-	equalEdges(t, fmt.Sprintf("resumed from epoch %d", both), edges, sg.Edges)
-}
-
 // Rank 0 leaves the engine when it broadcasts stop, and every other rank
-// when stop and its owed markers have arrived; the first of them to run
-// pa-tcp's post-run collectives sends rank 0 a gather. Rank 0 must not be
-// receiving by then: neither still draining the batch whose last vote
-// it stopped on, nor waiting for its own cut marker after cutting at a
-// peer's relay.
+// when stop arrives; the first of them to run pa-tcp's post-run
+// collectives sends rank 0 a gather. Rank 0 must not be receiving by
+// then, whether the stop went out mid-drain or right after a cut, and no
+// rank may have sent anything the engine has not read.
 func TestCheckpointCollectivesRightAfterStop(t *testing.T) {
 	pr := model.Params{N: 6_000, X: 3, P: 0.5}
 	const p = 3
@@ -652,8 +529,9 @@ func TestCheckpointCollectivesRightAfterStop(t *testing.T) {
 		deliver float64
 		seed    uint64
 	}{
-		{3_500, 0.5, 3}, // stop broadcast mid-drain, the gather next in line
-		{4_500, 0.1, 8}, // cut at rank 1's relay, rank 0's own marker behind the gather
+		{3_500, 0.5, 3},
+		{4_500, 0.1, 8},
+		{300, 0.1, 8}, // a cut at nearly every poll
 	} {
 		opts := Options{
 			Params: pr, Part: part, Seed: 9, Workers: 1, HubPrefix: -1, StreamDir: t.TempDir(),
@@ -727,15 +605,16 @@ func TestCheckpointIncompatibleOptions(t *testing.T) {
 	}
 }
 
-// Kill and resume while nodes wait on several edges at once: a cut's
-// snapshots hold suspended nodes with answers held ahead of their
-// frontier and with more than one edge outstanding, and resuming from
-// every retained epoch — newest first, each older one as a crash right
-// after it leaves the directory — writes the uninterrupted run's edges,
-// under round-robin and uniform consecutive partitions with the hub
-// cache on and off. The snapshots come from a simulated-network run at a
-// pinned schedule seed, so what each cut holds is a function of the
-// seed, not of the goroutine schedule.
+// Kill and resume while nodes wait on several edges at once: with many
+// frames in flight, ranks cut with nodes suspended past their frontier,
+// answers held ahead of it and requests queued for them, none of which a
+// snapshot keeps. Resuming from every retained epoch — newest first, each
+// older one as a crash right after it leaves the directory — regenerates
+// all of it and writes the uninterrupted run's edges, under round-robin
+// and uniform consecutive partitions with the hub cache on and off. The
+// snapshots come from a simulated-network run at a pinned schedule seed,
+// so what each cut leaves behind is a function of the seed, not of the
+// goroutine schedule.
 func TestCheckpointResumeAheadBlocks(t *testing.T) {
 	pr := model.Params{N: 20_000, X: 4, P: 0.5}
 	for _, kind := range []partition.Kind{partition.KindRRP, partition.KindUCP} {
@@ -751,45 +630,23 @@ func TestCheckpointResumeAheadBlocks(t *testing.T) {
 			lib := opts
 			lib.StreamDir = streamDir
 			lib.Checkpoint = &CheckpointOptions{Dir: ckptDir, Every: pr.N / 8, Keep: 1000}
-			if _, _, err := simGroup(2, simSched{seed: 13, deliver: 0.1}, func(int) Options { return lib }, nil); err != nil {
+			_, results, err := simGroup(2, simSched{seed: 13, deliver: 0.1}, func(int) Options { return lib }, nil)
+			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			epochs, err := ckpt.Epochs(ckptDir, 0)
-			if err != nil || len(epochs) == 0 {
-				t.Fatalf("%s: %d epochs retained (err %v)", label, len(epochs), err)
+			if r := slices.IndexFunc(results, func(res *RankResult) bool { return res.Stats.MaxSuspended >= 2 && res.Stats.CkptEpochs > 0 }); r < 0 {
+				t.Fatalf("%s: no rank parked two nodes and published an epoch; the resumes exercise no regeneration of suspended nodes", label)
 			}
-			var ahead, several bool
-			for _, ep := range epochs {
-				for r := 0; r < 2; r++ {
-					s, err := ckpt.Read(ckpt.Path(ckptDir, r, ep))
-					if err != nil {
-						t.Fatal(err)
-					}
-					held := map[int64]int{}
-					for _, ar := range s.Ahead {
-						held[ar.Slot/int64(pr.X)]++
-					}
-					ahead = ahead || len(s.Ahead) > 0
-					for _, sr := range s.Susp {
-						several = several || pr.X-1-sr.Edge-held[sr.Idx] > 0
-					}
-				}
-			}
-			if !ahead || !several {
-				t.Fatalf("%s: no cut holds a node with an answer ahead (%v) or several edges outstanding (%v)", label, ahead, several)
-			}
-			for i := len(epochs) - 1; i >= 0; i-- {
+			for step := 0; ; step++ {
 				ropts := opts
 				ropts.StreamDir = streamDir
 				ropts.Checkpoint = &CheckpointOptions{Dir: ckptDir, Keep: 1000, Resume: true}
 				if _, err := Run(ropts, false); err != nil {
-					t.Fatalf("%s: resume from epoch %d: %v", label, epochs[i], err)
+					t.Fatalf("%s: resume %d epochs back: %v", label, step, err)
 				}
-				equalEdges(t, fmt.Sprintf("%s epoch %d", label, epochs[i]), streamEdges(t, streamDir, 2), base.Graph.Edges)
-				for r := 0; r < 2; r++ {
-					if err := os.Remove(ckpt.Path(ckptDir, r, epochs[i])); err != nil {
-						t.Fatal(err)
-					}
+				equalEdges(t, fmt.Sprintf("%s %d epochs back", label, step), streamEdges(t, streamDir, 2), base.Graph.Edges)
+				if !dropEachNewest(t, ckptDir, 2) {
+					break
 				}
 			}
 		}

@@ -16,7 +16,7 @@
 // One goroutine per rank — the rank goroutine — runs that state machine
 // and is the single writer of everything in it: the F table, the waiter
 // and suspension tables, the send buffers, the sink and the checkpoint
-// capture. Attempt r of node t's edge e — duplicate retries
+// cut. Attempt r of node t's edge e — duplicate retries
 // included — is a pure function of (seed, t, e, r), and a node commits
 // its edges strictly in order, so the output graph is a pure function of
 // (n, x, p, seed): independent of the worker count, rank count, partition
@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"pagen/internal/ckpt"
-	"pagen/internal/coll"
 	"pagen/internal/comm"
 	"pagen/internal/esink"
 	"pagen/internal/graph"
@@ -79,8 +78,8 @@ type Options struct {
 	// in its own frame.
 	bufferCap int
 	// pollEvery, when positive, replaces DefaultPollEvery as the number
-	// of local nodes initiated between transport polls (and
-	// checkpoint-protocol steps). Only this package's tests set it, to
+	// of local nodes initiated between transport polls (and checkpoint
+	// trigger checks). Only this package's tests set it, to
 	// cut a checkpoint mid-batch or drive the polling extremes.
 	pollEvery int
 	// Trace, when non-nil, receives the per-slot attachment decisions.
@@ -125,7 +124,7 @@ type Options struct {
 	// may differ, and a resume may change it. The output graph is
 	// identical for every setting.
 	HubPrefix int64
-	// Checkpoint, when non-nil, enables cooperative checkpoint/restart
+	// Checkpoint, when non-nil, enables rank-local checkpoint/restart
 	// (see CheckpointOptions and DESIGN.md §9). It requires StreamDir,
 	// which Run fills in under Checkpoint.Dir when it is empty.
 	// Incompatible with Sink, Trace and CollectNodeLoad, whose side
@@ -153,7 +152,7 @@ type Options struct {
 }
 
 // DefaultPollEvery is the generation-loop polling interval: local nodes
-// initiated between transport polls (and checkpoint-protocol steps); a
+// initiated between transport polls (and checkpoint trigger checks); a
 // window never straddles a poll point. A single rank without
 // checkpointing has nothing to poll for and does not poll. DESIGN.md
 // §8.6 has the sweep behind the value.
@@ -236,14 +235,14 @@ type RankStats struct {
 	BusyTime time.Duration
 	// WallTime is the rank's total engine time.
 	WallTime time.Duration
-	// CkptEpochs counts committed checkpoint epochs; CkptFailed counts
-	// abandoned ones (some rank's capture or background publish failed).
-	// CkptBytes is the snapshot bytes this rank's background writer
-	// published, CkptWriteTime the time it spent publishing them
-	// (encode + CRC + write + fsync + rename + prune, off the pause
-	// path), and CkptPauseTime the total generation pause across epochs
-	// (capture + wait for a free capture buffer; the publish overlaps
-	// generation).
+	// CkptEpochs counts the checkpoint epochs this rank published;
+	// CkptFailed counts those whose background publish failed (shard
+	// fsync, snapshot write or prune). CkptBytes is the snapshot bytes
+	// the rank's background writer published, CkptWriteTime the time it
+	// spent publishing (shard fsync + encode + CRC + write + fsync +
+	// rename + prune, off the pause path), and CkptPauseTime the total
+	// generation pause across epochs (frontier write + block flush + any
+	// wait for the writer's queue; the publish overlaps generation).
 	CkptEpochs    int64
 	CkptFailed    int64
 	CkptBytes     int64
@@ -459,13 +458,11 @@ type engine struct {
 	stopped   bool
 
 	// Checkpoint/restart state (nil ck disables the whole machinery).
-	ck  *ckptRun
-	seq *coll.Seq // the resume negotiation's collectives (restore.go)
+	ck *ckptRun
 	// ckTrig gates the per-node initiated counter and the epoch trigger:
-	// set only on rank 0 with a trigger interval, so other ranks pay
+	// set only with a trigger interval, so a rank without one pays
 	// nothing in the loop.
-	ckTrig     bool
-	resumeSnap *ckpt.Snapshot
+	ckTrig bool
 }
 
 // RunRank executes one rank of the parallel algorithm over the given
@@ -498,16 +495,17 @@ func runRank(tr transport.Transport, opts Options, out []graph.Edge) (*RankResul
 		}
 		return nil, err
 	}
+	var snap *ckpt.Snapshot
 	if opts.Checkpoint != nil && opts.Checkpoint.Resume {
-		if err := e.negotiateResume(); err != nil {
+		if snap, err = e.resumeSnapshot(); err != nil {
 			return fail(err)
 		}
 	}
 	if e.stream != nil {
-		// The resume negotiation decides the shard's fate: a resumed run
-		// truncates it back to the snapshot's durable mark, a fresh run
-		// (negotiated or not) discards whatever an earlier attempt left.
-		if snap := e.resumeSnap; snap != nil {
+		// The rank's own snapshot decides its shard's fate: a resumed rank
+		// truncates it back to the snapshot's durable mark, a fresh one
+		// discards whatever an earlier attempt left.
+		if snap != nil {
 			if err := e.stream.Recover(esink.Mark{
 				Offset: snap.Sink.Offset, Blocks: snap.Sink.Blocks, Edges: snap.Sink.Edges,
 			}); err != nil {
@@ -517,20 +515,13 @@ func runRank(tr transport.Transport, opts Options, out []graph.Edge) (*RankResul
 			return fail(err)
 		}
 	}
-	if err := e.run(); err != nil {
+	if err := e.run(snap); err != nil {
 		return fail(err)
 	}
 	if e.ck != nil {
 		// Drain the background writer before stats (and before the
-		// stream closes — the writer may fsync it). An error surfacing
-		// only now means the newest voted epoch's file never became
-		// durable: uncount it. Resume negotiation would skip it anyway;
-		// this keeps the reported counts honest.
+		// stream closes — the writer may fsync it).
 		e.ck.writer.shutdown()
-		if werr := e.ck.writer.takeErr(); werr != nil {
-			e.ck.epochs--
-			e.ck.failed++
-		}
 	}
 	if e.sink == nil && e.stream == nil {
 		if err := e.collectEdges(); err != nil {
@@ -640,22 +631,8 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 			// The marked shard prefix is a snapshot's only source of F.
 			return nil, fmt.Errorf("core: checkpointing requires Options.StreamDir (the shard is the checkpoint's attachment table)")
 		}
-		keep := c.Keep
-		if keep == 0 {
-			keep = DefaultCheckpointKeep
-		}
-		if keep < 2 {
-			keep = 2
-		}
-		e.ck = &ckptRun{
-			dir:    c.Dir,
-			every:  c.Every,
-			keep:   keep,
-			marked: make([]bool, e.p),
-		}
-		e.seq = coll.New(e.cm)
-		e.ckTrig = rank == 0 && c.Every > 0
-		e.ck.nextTrigger = c.Every
+		e.ck = &ckptRun{every: c.Every, nextTrigger: c.Every}
+		e.ckTrig = c.Every > 0
 	}
 	// A single rank without checkpointing has nothing to poll for, so
 	// unless a test pins the interval its windows are not cut to one.
@@ -691,8 +668,12 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 	// handle (shard fsync before snapshot rename) and nothing can fail
 	// past this point, so the goroutine never leaks on a construction
 	// error.
-	if e.ck != nil {
-		e.ck.writer = newCkptWriter(e.ck.dir, rank, e.ck.keep, e.stream)
+	if c := opts.Checkpoint; c != nil {
+		keep := c.Keep
+		if keep == 0 {
+			keep = DefaultCheckpointKeep
+		}
+		e.ck.writer = newCkptWriter(c.Dir, rank, max(keep, 2), e.stream)
 	}
 	return e, nil
 }
@@ -712,7 +693,9 @@ func (e *engine) locate(k int64) (owner int, kidx int64) {
 	return owner, kidx
 }
 
-func (e *engine) run() error {
+// run generates the rank's nodes and serves its peers until stop, from
+// snap's mark when it is non-nil.
+func (e *engine) run(snap *ckpt.Snapshot) error {
 	start := time.Now()
 	defer func() {
 		e.stats.WallTime = time.Since(start)
@@ -723,21 +706,13 @@ func (e *engine) run() error {
 	}()
 
 	e.bootstrap()
-	if e.resumeSnap != nil {
-		if err := e.restore(); err != nil {
+	if snap != nil {
+		if err := e.restore(snap); err != nil {
 			return err
 		}
 	}
 	if e.hub != nil {
 		e.hub.fill(e.opts.Params, e.seed)
-	}
-	// Data messages a faster peer generated while this rank was still
-	// inside the resume-negotiation collectives were parked in ck.held;
-	// deliver them now that the restored state they refer to exists.
-	if e.ck != nil {
-		if err := e.ckptFlushHeld(); err != nil {
-			return err
-		}
 	}
 
 	e.startHelpers()
@@ -764,8 +739,8 @@ func (e *engine) run() error {
 }
 
 // serve is one turn of a rank that starts no nodes: block for a frame
-// and handle what has arrived, advance the shard, step the checkpoint
-// protocol.
+// and handle what has arrived, advance the shard, check the checkpoint
+// trigger.
 func (e *engine) serve() error {
 	if err := e.drain(true); err != nil {
 		return err
@@ -824,34 +799,34 @@ func (e *engine) bootstrap() {
 	})
 }
 
-// streamFrontier advances a streamed rank's resolved frontier (its
-// lowest NILL slot) and writes every slot it passes to the shard, in key
-// order. A clique node t's slots all hold t (bootstrap's self-marker);
-// its edges are (t, j) for j < t. Called between windows, before a
+// streamFrontier advances a streamed rank's frontier — the first slot of
+// its first unfinished node — past every finished node and writes their
+// slots to the shard, in key order. A node commits its edges in order,
+// so its last slot being final means all of them are. A clique node t's
+// slots all hold t (bootstrap's self-marker); its edges are (t, j) for
+// j < t. The frontier moves by whole nodes, so a cut's mark always ends
+// on a node boundary (DESIGN.md §9.5). Called between windows, before a
 // cut's mark and before the shard closes; a no-op without a stream.
 func (e *engine) streamFrontier() error {
 	if e.stream == nil {
 		return nil
 	}
-	s, end := e.frontier, e.f.len()
-	for ; s < end; s++ {
-		v := e.f.get(s)
-		if v < 0 {
-			break
-		}
-		if s < e.cliqueSlots {
-			if j := s % e.x64; j < v {
+	x, end := e.x64, e.f.len()
+	for s := e.frontier; s < end && e.f.get(s+x-1) >= 0; s += x {
+		for j := int64(0); j < x; j++ {
+			v := e.f.get(s + j)
+			if s < e.cliqueSlots {
+				if j >= v {
+					continue
+				}
 				v = j
-			} else {
-				continue
+			}
+			if err := e.stream.Emit(uint64(s+j), v); err != nil {
+				return err
 			}
 		}
-		if err := e.stream.Emit(uint64(s), v); err != nil {
-			e.frontier = s
-			return err
-		}
+		e.frontier = s + x
 	}
-	e.frontier = s
 	return nil
 }
 
@@ -950,13 +925,13 @@ func (e *engine) finishStats() {
 	e.stats.NodeLoad = e.nodeLoad
 	e.stats.HubElided = e.hubElided
 	if ck := e.ck; ck != nil {
-		e.stats.CkptEpochs = ck.epochs
-		e.stats.CkptFailed = ck.failed
 		e.stats.CkptPauseTime = time.Duration(ck.pauseNanos)
 		e.stats.CkptPauseHist = ck.pauseHist
 		// The writer is drained (RunRank shuts it down before stats), so
 		// these are final; the lock is just the memory fence.
 		ck.writer.mu.Lock()
+		e.stats.CkptEpochs = ck.writer.epochs
+		e.stats.CkptFailed = ck.writer.failed
 		e.stats.CkptBytes = ck.writer.bytes
 		e.stats.CkptWriteTime = time.Duration(ck.writer.writeNanos)
 		e.stats.CkptWriteHist = ck.writer.writeHist
@@ -1026,7 +1001,7 @@ func (e *engine) drain(block bool) error {
 		ms, err = e.cm.Poll()
 	}
 	for ; err == nil && len(ms) > 0; ms, err = e.cm.Poll() {
-		if err := e.receive(e.cm.From(), ms); err != nil {
+		if err := e.handleBatch(ms); err != nil {
 			return err
 		}
 		if e.err != nil {
@@ -1047,15 +1022,6 @@ func (e *engine) drain(block bool) error {
 	// the next blocking point (paper rule: resolved messages are sent
 	// out after processing every group).
 	return e.cm.FlushAll()
-}
-
-// receive handles one frame from rank from, recording it first if it
-// crosses this rank's open cut (ckptRecord).
-func (e *engine) receive(from int, ms []msg.Message) error {
-	if ck := e.ck; ck != nil && ck.pending != nil {
-		e.ckptRecord(from, ms)
-	}
-	return e.handleBatch(ms)
 }
 
 // reqSlot is a gathered request: the local slot it asks for and that
@@ -1106,8 +1072,6 @@ func (e *engine) handle(m msg.Message) error {
 		return e.maybeBroadcastStop()
 	case msg.KindStop:
 		e.stopped = true
-	case msg.KindCkpt:
-		return e.ckptOnMsg(m)
 	default:
 		return fmt.Errorf("core: unexpected message kind %v", m.Kind)
 	}
@@ -1130,17 +1094,8 @@ func (e *engine) maybeReportDone() error {
 }
 
 // maybeBroadcastStop (rank 0) broadcasts stop once every rank reported.
-// While a checkpoint epoch's tally is open the broadcast is deferred —
-// ckptRecordVote retries when the last vote lands. Every rank votes only
-// once all its peers' markers have arrived, so by then no marker is in
-// flight, and a tally that abandons the epoch sends the abandon first,
-// ahead of stop on every channel (per-destination FIFO): no rank sees
-// checkpoint traffic after it stops.
 func (e *engine) maybeBroadcastStop() error {
 	if e.doneRanks < e.p || e.stopped {
-		return nil
-	}
-	if e.ck != nil && e.ck.tally > 0 {
 		return nil
 	}
 	for r := 1; r < e.p; r++ {

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"pagen/internal/ckpt"
 	"pagen/internal/graph"
 	"pagen/internal/model"
 	"pagen/internal/partition"
@@ -162,54 +161,6 @@ func checkFtabReference(t *testing.T, n, slots int64, ops int, hosted bool, x in
 		head := unsafe.Slice((*byte)(unsafe.Pointer(&edges[0])), edgeBytes*int64(len(edges))-tb)
 		if i := slices.IndexFunc(head, func(c byte) bool { return c != 0 }); i >= 0 {
 			t.Fatalf("byte %d of the range, before the table, was written", i)
-		}
-	}
-}
-
-// A snapshot window value at or past n is refused before it reaches the
-// table: n itself would store a node that does not exist, and 2ʷ−1
-// would store 2ʷ, which has no bits in a w-bit slot and would carry into
-// its neighbour. Either way restoreWindow fails naming the slot, the
-// window's earlier slots hold their values and every other slot of the
-// table is as it was.
-func TestFtabRestoreWindowRefusesOutOfRange(t *testing.T) {
-	pr := model.Params{N: 1000, X: 4, P: 0.5}
-	w := int64(bits.Len64(uint64(pr.N)))
-	group, err := transport.NewShmGroup(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []int64{pr.N, 1<<w - 1} {
-		for _, at := range []int64{0, 5, 15} {
-			e, err := newEngine(group.Endpoint(0), Options{Params: pr, Part: mustScheme(t, partition.KindUCP, pr.N, 1), Seed: 3, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.bootstrap()
-			before := ftabSlots(e.f)
-			win := ckpt.Window{Start: 10 * e.x64}
-			for i := range int64(16) {
-				v := (i*37 + 11) % pr.N
-				if i == at {
-					v = bad
-				}
-				win.Append(v)
-			}
-			want := fmt.Sprintf("slot %d holds value %d outside the run's %d nodes", win.Start+at, bad, pr.N)
-			if err := e.restoreWindow(&win); err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("value %d at window slot %d: err = %v, want %q", bad, at, err, want)
-			}
-			for s, v := range ftabSlots(e.f) {
-				i := int64(s) - win.Start
-				if want := before[s]; i >= 0 && i < at {
-					want = (i*37 + 11) % pr.N
-					if v != want {
-						t.Fatalf("value %d at window slot %d: window slot %d = %d, want %d", bad, at, i, v, want)
-					}
-				} else if v != want {
-					t.Fatalf("value %d at window slot %d: slot %d = %d, want it untouched at %d", bad, at, s, v, want)
-				}
-			}
 		}
 	}
 }

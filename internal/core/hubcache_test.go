@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"testing"
 
 	"pagen/internal/ckpt"
@@ -158,7 +157,7 @@ func TestHubCacheNoPrefixRequests(t *testing.T) {
 							if m.K < h {
 								prefix++
 							}
-						case m.Kind > msg.KindCkpt:
+						case m.Kind > msg.KindColl:
 							former++
 						}
 					}
@@ -280,7 +279,7 @@ func TestHubCacheKillResumeRebuildsReplica(t *testing.T) {
 	}
 
 	// Epoch count is schedule-dependent; retry at smaller intervals until
-	// at least one committed epoch exists (see TestCheckpointResumeEveryEpoch).
+	// at least one published epoch exists (see TestCheckpointResumeEveryEpoch).
 	var dir string
 	var epochs []int64
 	for every := int64(500); every >= 50; every /= 2 {
@@ -299,19 +298,15 @@ func TestHubCacheKillResumeRebuildsReplica(t *testing.T) {
 		}
 	}
 	if len(epochs) < 1 {
-		t.Fatal("no epoch committed even at Every=50")
+		t.Fatal("no epoch published even at Every=50")
 	}
 
 	// Resume from the first epoch, so most prefix queries come after it.
 	// A resume that checkpoints nothing leaves the snapshots as they
 	// were, and truncates the shards back to their marks, so both resumes
 	// start from it.
-	for _, ep := range epochs[1:] {
-		for r := 0; r < ranks; r++ {
-			if err := os.Remove(ckpt.Path(dir, r, ep)); err != nil {
-				t.Fatal(err)
-			}
-		}
+	for r := 0; r < ranks; r++ {
+		dropNewest(t, dir, r, len(rankEpochs(t, dir, r))-1)
 	}
 	for _, hub := range []int64{0, -1} {
 		res, err := Run(Options{

@@ -140,7 +140,7 @@ func TestRecomputeKillResume(t *testing.T) {
 	}
 
 	// Epoch count is schedule-dependent; retry at smaller intervals until
-	// at least one committed epoch exists (see TestCheckpointResumeEveryEpoch).
+	// at least one published epoch exists (see TestCheckpointResumeEveryEpoch).
 	var dir string
 	var epochs []int64
 	for every := int64(500); every >= 50; every /= 2 {
@@ -158,7 +158,7 @@ func TestRecomputeKillResume(t *testing.T) {
 		}
 	}
 	if len(epochs) < 1 {
-		t.Fatal("no epoch committed even at Every=50")
+		t.Fatal("no epoch published even at Every=50")
 	}
 
 	o := opts()

@@ -21,7 +21,7 @@ import (
 
 // streamedLibrary runs a streamed, checkpointed generation that keeps
 // every epoch and returns the epochs rank 0 holds. The epoch count is
-// schedule-bound, so it retries across intervals until one committed.
+// schedule-bound, so it retries across intervals until one published.
 func streamedLibrary(t *testing.T, opts Options) (ckptDir, streamDir string, epochs []int64) {
 	t.Helper()
 	n := opts.Params.N
@@ -71,10 +71,11 @@ func shardSlots(t *testing.T, path string, slots int64) []int64 {
 	return f
 }
 
-// resumedEngine positions rank's engine where run calls restore: the
-// epoch's snapshot loaded, the shard recovered to its mark, bootstrap
+// resumedEngine positions rank's engine where run calls restore, and
+// returns it with the snapshot: the epoch's snapshot loaded (the rank's
+// newest when epoch is 0), the shard recovered to its mark, bootstrap
 // done. The caller owns no cleanup.
-func resumedEngine(t *testing.T, opts Options, rank int, epoch int64) *engine {
+func resumedEngine(t *testing.T, opts Options, rank int, epoch int64) (*engine, *ckpt.Snapshot) {
 	t.Helper()
 	group, err := transport.NewLocalGroup(opts.Part.P())
 	if err != nil {
@@ -89,25 +90,32 @@ func resumedEngine(t *testing.T, opts Options, rank int, epoch int64) *engine {
 		e.stream.Abort()
 		group.Endpoint(rank).Close()
 	})
-	if e.resumeSnap, err = ckpt.Read(ckpt.Path(opts.Checkpoint.Dir, rank, epoch)); err != nil {
-		t.Fatal(err)
+	var snap *ckpt.Snapshot
+	if epoch == 0 {
+		snap, _, err = ckpt.Latest(opts.Checkpoint.Dir, rank)
+	} else {
+		snap, err = ckpt.Read(ckpt.Path(opts.Checkpoint.Dir, rank, epoch))
 	}
-	mark := e.resumeSnap.Sink
+	if err != nil || snap == nil {
+		t.Fatalf("rank %d epoch %d: no snapshot (err %v)", rank, epoch, err)
+	}
+	mark := snap.Sink
 	if err := e.stream.Recover(esink.Mark{Offset: mark.Offset, Blocks: mark.Blocks, Edges: mark.Edges}); err != nil {
 		t.Fatal(err)
 	}
 	e.bootstrap()
-	return e
+	return e, snap
 }
 
 // The restore property: whatever the scheme, rank count, x and shard
 // block size, every retained epoch of a streamed run restores from its
-// table-less snapshot plus the marked shard prefix — the prefix holds
-// exactly F below the snapshot's frontier, the window the resolved
-// slots above it, the rebuilt table holds exactly the slots resolved at
-// the cut with their final values, bootstrap's nodes are left as
-// bootstrap wrote them, and the resumed run completes the sequential
-// model's graph.
+// snapshot plus the marked shard prefix alone — the prefix ends on a node
+// boundary, the rebuilt table holds every slot below it with its final
+// value and nothing above it but bootstrap's nodes, left as bootstrap
+// wrote them, the cursor sits at the frontier's node and unresolved
+// counts exactly the NILL slots — and the resumed run completes the
+// sequential model's graph. Each step drops every rank's newest epoch, so
+// ranks step back through their own epochs independently.
 func TestRestoreFromShardPrefix(t *testing.T) {
 	for _, kind := range []partition.Kind{partition.KindUCP, partition.KindLCP, partition.KindRRP} {
 		for _, ranks := range []int{1, 2, 4} {
@@ -136,7 +144,7 @@ func checkRestoreFromShardPrefix(t *testing.T, kind partition.Kind, ranks, x, bl
 		t.Fatal(err)
 	}
 	opts := Options{Params: pr, Part: part, Seed: 13, Workers: 1, StreamBlockEdges: block}
-	ckptDir, streamDir, epochs := streamedLibrary(t, opts)
+	ckptDir, streamDir, _ := streamedLibrary(t, opts)
 	opts.StreamDir = streamDir
 	opts.Checkpoint = &CheckpointOptions{Dir: ckptDir, Keep: 1000, Resume: true}
 	sameEdgeSet(t, "uninterrupted", streamEdges(t, streamDir, ranks), want)
@@ -147,14 +155,9 @@ func checkRestoreFromShardPrefix(t *testing.T, kind partition.Kind, ranks, x, bl
 		final[r] = shardSlots(t, esink.ShardPath(streamDir, r, ranks), part.Size(r)*x64)
 	}
 
-	for i := len(epochs) - 1; i >= 0; i-- {
-		// Trim and tear as a crash right after this epoch would have.
+	for step := 0; ; step++ {
+		// Tear the tails as a crash would have.
 		for r := 0; r < ranks; r++ {
-			if i+1 < len(epochs) {
-				if err := os.Remove(ckpt.Path(ckptDir, r, epochs[i+1])); err != nil {
-					t.Fatal(err)
-				}
-			}
 			f, err := os.OpenFile(esink.ShardPath(streamDir, r, ranks), os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				t.Fatal(err)
@@ -166,64 +169,57 @@ func checkRestoreFromShardPrefix(t *testing.T, kind partition.Kind, ranks, x, bl
 		}
 
 		for r := 0; r < ranks; r++ {
-			e := resumedEngine(t, opts, r, epochs[i])
+			if len(rankEpochs(t, ckptDir, r)) == 0 {
+				continue
+			}
+			e, snap := resumedEngine(t, opts, r, 0)
 			boot := ftabSlots(e.f)
-			if err := e.restore(); err != nil {
-				t.Fatalf("epoch %d rank %d: %v", epochs[i], r, err)
+			if err := e.restore(snap); err != nil {
+				t.Fatalf("step %d rank %d epoch %d: %v", step, r, snap.Epoch, err)
 			}
-			win := e.resumeSnap.Window
-			var below, above, inWindow int64
-			if err := win.Each(func(_, v int64) error {
-				if v >= 0 {
-					inWindow++
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
+			label := fmt.Sprintf("step %d rank %d epoch %d", step, r, snap.Epoch)
+			if e.frontier%x64 != 0 || e.cursor != e.frontier/x64 {
+				t.Fatalf("%s: frontier %d, cursor %d: not a node boundary and its node", label, e.frontier, e.cursor)
 			}
+			var below, nills int64
 			for s, v := range ftabSlots(e.f) {
 				switch {
 				case part.NodeAt(r, int64(s)/x64) <= x64:
 					if v != boot[s] {
-						t.Fatalf("epoch %d rank %d: bootstrap slot %d changed %d -> %d", epochs[i], r, s, boot[s], v)
+						t.Fatalf("%s: bootstrap slot %d changed %d -> %d", label, s, boot[s], v)
 					}
-				case v >= 0:
-					if int64(s) < win.Start {
-						below++
-					} else {
-						above++
+				case int64(s) >= e.frontier:
+					if v != -1 {
+						t.Fatalf("%s: slot %d at or above the frontier %d holds %d", label, s, e.frontier, v)
 					}
-					if v != final[r][s] {
-						t.Fatalf("epoch %d rank %d: slot %d restored as %d, finished table holds %d", epochs[i], r, s, v, final[r][s])
-					}
-				case int64(s) < win.Start:
-					t.Fatalf("epoch %d rank %d: slot %d below the frontier %d is NILL", epochs[i], r, s, win.Start)
-				case v != -1:
-					t.Fatalf("epoch %d rank %d: slot %d holds %d", epochs[i], r, s, v)
+					nills++
+				case v != final[r][s]:
+					t.Fatalf("%s: slot %d restored as %d, finished table holds %d", label, s, v, final[r][s])
+				default:
+					below++
 				}
 			}
-			if got := below + e.emitted; got != e.resumeSnap.Sink.Edges {
-				t.Fatalf("epoch %d rank %d: %d resolved below the frontier + %d bootstrap records, mark says %d",
-					epochs[i], r, below, e.emitted, e.resumeSnap.Sink.Edges)
+			if got := below + e.emitted; got != snap.Sink.Edges {
+				t.Fatalf("%s: %d resolved below the frontier + %d bootstrap records, mark says %d", label, below, e.emitted, snap.Sink.Edges)
 			}
-			if above != inWindow {
-				t.Fatalf("epoch %d rank %d: %d slots resolved above the frontier, the window holds %d", epochs[i], r, above, inWindow)
+			if e.unresolved != nills {
+				t.Fatalf("%s: unresolved %d, the table holds %d NILL slots", label, e.unresolved, nills)
 			}
 		}
 
 		if _, err := Run(opts, false); err != nil {
-			t.Fatalf("resume from epoch %d: %v", epochs[i], err)
+			t.Fatalf("resume at step %d: %v", step, err)
 		}
-		sameEdgeSet(t, fmt.Sprintf("resumed from epoch %d", epochs[i]), streamEdges(t, streamDir, ranks), want)
+		sameEdgeSet(t, fmt.Sprintf("resumed at step %d", step), streamEdges(t, streamDir, ranks), want)
+		if !dropEachNewest(t, ckptDir, ranks) {
+			return
+		}
 	}
 }
 
-// A snapshot is the suspended nodes and waiter queues, not the table.
-// What it does hold grows with how far the ranks have drifted apart at
-// the cut, not with n — at this small n two ranks a scheduler quantum
-// apart park a quarter of a rank's nodes — so the sizes are pinned on
-// one rank, where nothing is ever suspended at a cut, and two ranks pin
-// only that every file reads back.
+// A snapshot is the run's identity, the rank's counters and its sink
+// mark: a few dozen bytes whatever n, the rank count or how far the
+// ranks drift apart — it holds no records and no window.
 func TestStreamedSnapshotSize(t *testing.T) {
 	pr := model.Params{N: 20_000, X: 4, P: 0.5}
 	for _, ranks := range []int{1, 2} {
@@ -241,20 +237,15 @@ func TestStreamedSnapshotSize(t *testing.T) {
 		}
 		for _, st := range res.Ranks {
 			if st.CkptEpochs == 0 {
-				t.Fatalf("ranks=%d: rank %d committed no epoch", ranks, st.Rank)
+				t.Fatalf("ranks=%d: rank %d published no epoch", ranks, st.Rank)
 			}
-			table := 8 * part.Size(st.Rank) * int64(pr.X)
-			if per := st.CkptBytes / st.CkptEpochs; ranks == 1 && per*100 >= table {
-				t.Errorf("%d snapshot bytes per epoch, not below 1%% of the %d-byte table", per, table)
+			if per := st.CkptBytes / st.CkptEpochs; per > 128 {
+				t.Errorf("ranks=%d: rank %d wrote %d snapshot bytes per epoch, want at most 128", ranks, st.Rank, per)
 			}
-			epochs, err := ckpt.Epochs(ckptDir, st.Rank)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, ep := range epochs {
+			for _, ep := range rankEpochs(t, ckptDir, st.Rank) {
 				path := ckpt.Path(ckptDir, st.Rank, ep)
-				if fi, err := os.Stat(path); err != nil || (ranks == 1 && fi.Size() >= 64<<10) {
-					t.Errorf("%s: %v bytes (err %v), want under 64 KiB", path, fi.Size(), err)
+				if fi, err := os.Stat(path); err != nil || fi.Size() > 128 {
+					t.Errorf("%s: %v bytes (err %v), want at most 128", path, fi.Size(), err)
 				}
 				if _, err := ckpt.Read(path); err != nil {
 					t.Errorf("%s: %v", path, err)
@@ -288,7 +279,7 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 
 	// resume runs a resume over a fresh pair of directories holding the
 	// given shard bytes and the top snapshot with the given mark.
-	resume := func(t *testing.T, shard []byte, mark ckpt.SinkMark, edits ...func(*ckpt.Snapshot)) (string, error) {
+	resume := func(t *testing.T, shard []byte, mark ckpt.SinkMark) (string, error) {
 		t.Helper()
 		ck, st := t.TempDir(), t.TempDir()
 		path := esink.ShardPath(st, 0, 1)
@@ -297,9 +288,6 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 		}
 		s := *snap
 		s.Sink = mark
-		for _, edit := range edits {
-			edit(&s)
-		}
 		var enc ckpt.Encoder
 		if _, _, err := ckpt.WriteEncoded(ck, s.Meta.Rank, s.Epoch, enc.Encode(&s)); err != nil {
 			t.Fatal(err)
@@ -345,7 +333,7 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 			// what stands when the caller's mark and Recover's differ.
 			o := opts
 			o.StreamDir, o.Checkpoint = streamDir, &CheckpointOptions{Dir: ckptDir, Keep: 1000, Resume: true}
-			e := resumedEngine(t, o, 0, top)
+			e, _ := resumedEngine(t, o, 0, top)
 			if err := e.restoreShard(mark); err == nil || !strings.Contains(err.Error(), e.stream.Path()) {
 				t.Fatalf("restoreShard with a mark off by %+d: err = %v", d, err)
 			}
@@ -456,46 +444,19 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 		mustFail(t, b, m, "bootstrap")
 	})
 
-	// The window must continue F exactly where the prefix stops, end on
-	// a node boundary inside the rank's slots and hold values below n.
+	// The prefix must hold every slot of the nodes below a node boundary.
 	x := int64(pr.X)
-	window := func(start int64, vals ...int64) func(*ckpt.Snapshot) {
-		return func(s *ckpt.Snapshot) {
-			s.Window = ckpt.Window{Start: start}
-			for _, v := range vals {
-				s.Window.Append(v)
-			}
+	t.Run("prefix ending inside a node", func(t *testing.T) {
+		b, m := crafted(t, recs[:len(recs)-1])
+		last := int64(recs[len(recs)-2].key)
+		mustFail(t, b, m, fmt.Sprintf("prefix resolves F up to slot %d and holds slot %d", last+1, last))
+		if (last+1)%x == 0 {
+			t.Fatalf("slot %d opens a node; the case needs a prefix that stops inside one", last+1)
 		}
-	}
-	nills := func(n int64) []int64 {
-		vs := make([]int64, n)
-		for i := range vs {
-			vs[i] = -1
-		}
-		return vs
-	}
-	start := snap.Window.Start
-	mustFailWindow := func(t *testing.T, edit func(*ckpt.Snapshot), why string) {
-		t.Helper()
-		if _, err := resume(t, prefix, snap.Sink, edit); err == nil || !strings.Contains(err.Error(), why) {
-			t.Fatalf("err = %v; want one saying %q", err, why)
-		}
-	}
-	t.Run("window over an unstarted node", func(t *testing.T) {
-		mustFailWindow(t, window(start, nills(x)...), fmt.Sprintf("covers local node %d, which is neither finished nor suspended", start/x))
 	})
-	t.Run("window past the frontier", func(t *testing.T) {
-		mustFailWindow(t, window(start+x, nills(x)...), fmt.Sprintf("up to slot %d, the snapshot window starts at slot %d", start, start+x))
-	})
-	t.Run("window below the frontier", func(t *testing.T) {
-		mustFailWindow(t, window(start-1, nills(x+1)...), fmt.Sprintf("lies at or above the snapshot window's start %d", start-1))
-	})
-	t.Run("window past the rank's slots", func(t *testing.T) {
-		slots := part.Size(0) * x
-		mustFailWindow(t, window(start, nills(slots-start+x)...), fmt.Sprintf("within the rank's %d slots", slots))
-	})
-	t.Run("window value past n", func(t *testing.T) {
-		mustFailWindow(t, window(start, append([]int64{pr.N}, nills(x-1)...)...), fmt.Sprintf("holds value %d outside the run's", pr.N))
+	t.Run("gap below the last record", func(t *testing.T) {
+		b, m := crafted(t, append(slices.Clone(recs[:mid]), recs[mid+1:]...))
+		mustFail(t, b, m, fmt.Sprintf("prefix resolves F up to slot %d and holds slot %d", recs[mid].key, recs[len(recs)-1].key))
 	})
 }
 
@@ -569,9 +530,8 @@ func cutEngine(t *testing.T) *engine {
 	return e
 }
 
-// A run votes on its cuts with checkpoint messages; only the resume
-// negotiation runs collectives, and it owns the receive path while it
-// does. A collective message that reaches the engine's handler on a
+// The engine runs no collectives: pa-tcp's run only after RunRank has
+// returned. A collective message that reaches the engine's handler on a
 // checkpointed rank is a protocol violation reported by kind, as it is
 // on a rank without checkpointing.
 func TestCollectiveMessageMidRunFails(t *testing.T) {
@@ -580,149 +540,5 @@ func TestCollectiveMessageMidRunFails(t *testing.T) {
 	want := "unexpected message kind " + msg.KindColl.String()
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("handle(coll) on a checkpointed rank: err = %v, want one containing %q", err, want)
-	}
-}
-
-// An answer held ahead is a node id: restore refuses one outside
-// [0, n) by name instead of committing it to F — −1 included, which
-// version 10 snapshots used for a hub-replica miss left to the frontier.
-// It refuses by name, too, what no cut records: an answer held behind its
-// node's frontier edge, two answers for one slot, a waiter of a clique
-// node's slot and two identical waiter records — each would hand some
-// edge an answer for an attempt it no longer waits on, or a clique
-// node's self-marker for an answer.
-func TestRestoreRefusesAheadOutsideNodes(t *testing.T) {
-	pr := model.Params{N: 6_000, X: 4, P: 0.5}
-	part := mustScheme(t, partition.KindRRP, pr.N, 2)
-	ckptDir, streamDir := t.TempDir(), t.TempDir()
-	opts := Options{Params: pr, Part: part, Seed: 13, Workers: 1, StreamDir: streamDir,
-		Checkpoint: &CheckpointOptions{Dir: ckptDir, Every: pr.N / 8, Keep: 1000}}
-	if _, _, err := simGroup(2, simSched{seed: 13, deliver: 0.1}, func(int) Options { return opts }, nil); err != nil {
-		t.Fatal(err)
-	}
-	epochs, err := ckpt.Epochs(ckptDir, 0)
-	if err != nil || len(epochs) == 0 {
-		t.Fatalf("%d epochs retained (err %v)", len(epochs), err)
-	}
-	// The newest epoch some rank's snapshot of holds an answer ahead is
-	// the one to edit; the newer ones go, so a resume starts from it.
-	for len(epochs) > 0 {
-		top := epochs[len(epochs)-1]
-		r := slices.IndexFunc([]int{0, 1}, func(r int) bool {
-			s, err := ckpt.Read(ckpt.Path(ckptDir, r, top))
-			return err == nil && len(s.Ahead) > 0
-		})
-		if r >= 0 {
-			testAheadRefused(t, opts, r, top)
-			return
-		}
-		for r := 0; r < 2; r++ {
-			if err := os.Remove(ckpt.Path(ckptDir, r, top)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		epochs = epochs[:len(epochs)-1]
-	}
-	t.Fatal("no snapshot holds an answer ahead")
-}
-
-// testAheadRefused edits rank r's snapshot of epoch top — its first
-// answer held ahead to −1 and to n, an answer behind a node's frontier
-// edge, a second answer for a slot, a waiter of a clique slot, a second
-// identical waiter record, a waiter of one of the rank's own edges that
-// an ahead record or another waiter record already answers, one of a
-// finished local node and one of a node id past n —
-// checks that each resume fails naming the edit, and resumes from the
-// snapshot as it was.
-func testAheadRefused(t *testing.T, opts Options, r int, top int64) {
-	t.Helper()
-	opts.Checkpoint = &CheckpointOptions{Dir: opts.Checkpoint.Dir, Keep: 1000, Resume: true}
-	path := ckpt.Path(opts.Checkpoint.Dir, r, top)
-	kept, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := int64(opts.Params.X)
-	type edit struct {
-		name string
-		f    func(s *ckpt.Snapshot) string // edits s, returns the error it wants
-	}
-	edits := []edit{}
-	for _, v := range []int64{-1, opts.Params.N} {
-		edits = append(edits, edit{fmt.Sprintf("answer %d", v), func(s *ckpt.Snapshot) string {
-			s.Ahead[0].V = v
-			return fmt.Sprintf("answer %d held for slot %d", v, s.Ahead[0].Slot)
-		}})
-	}
-	edits = append(edits,
-		edit{"answer behind the frontier", func(s *ckpt.Snapshot) string {
-			i := slices.IndexFunc(s.Susp, func(sr ckpt.SuspRecord) bool { return sr.Edge > 0 })
-			if i < 0 {
-				t.Fatal("no suspended node past its first edge")
-			}
-			slot := s.Susp[i].Idx*x + int64(s.Susp[i].Edge) - 1
-			s.Ahead = append(s.Ahead, ckpt.AheadRecord{Slot: slot, V: 0})
-			return fmt.Sprintf("answer 0 held for slot %d, behind its node's frontier edge %d", slot, s.Susp[i].Edge)
-		}},
-		edit{"two answers for one slot", func(s *ckpt.Snapshot) string {
-			s.Ahead = append(s.Ahead, s.Ahead[0])
-			return fmt.Sprintf("two answers held for slot %d", s.Ahead[0].Slot)
-		}},
-		edit{"a waiter of a clique slot", func(s *ckpt.Snapshot) string {
-			s.Waiters = append(s.Waiters, ckpt.WaiterRecord{Slot: 0, T: 1, E: 0})
-			return "waiter record for slot 0 outside the rank's queried slots"
-		}},
-		edit{"two identical waiter records", func(s *ckpt.Snapshot) string {
-			w := ckpt.WaiterRecord{Slot: s.Ahead[0].Slot, T: 1, E: 0}
-			s.Waiters = append(s.Waiters, w, w)
-			return fmt.Sprintf("two waiter records of node 1's edge 0 for slot %d", w.Slot)
-		}},
-		edit{"a local waiter of an edge answered ahead", func(s *ckpt.Snapshot) string {
-			a := s.Ahead[0]
-			w := ckpt.WaiterRecord{Slot: s.Window.Start, T: opts.Part.NodeAt(r, a.Slot/x), E: uint16(a.Slot % x)}
-			s.Waiters = append(s.Waiters, w)
-			return fmt.Sprintf("gives local node %d's edge %d a second answer", w.T, w.E)
-		}},
-		edit{"two local waiters of one edge", func(s *ckpt.Snapshot) string {
-			i := slices.IndexFunc(s.Susp, func(sr ckpt.SuspRecord) bool {
-				return !slices.ContainsFunc(s.Ahead, func(a ckpt.AheadRecord) bool { return a.Slot == sr.Idx*x+int64(sr.Edge) })
-			})
-			if i < 0 {
-				t.Fatal("no suspended node without an answer for its frontier edge")
-			}
-			w := ckpt.WaiterRecord{Slot: s.Window.Start, T: opts.Part.NodeAt(r, s.Susp[i].Idx), E: uint16(s.Susp[i].Edge)}
-			s.Waiters = append(s.Waiters, w, ckpt.WaiterRecord{Slot: w.Slot + 1, T: w.T, E: w.E})
-			return fmt.Sprintf("gives local node %d's edge %d a second answer", w.T, w.E)
-		}},
-		edit{"a local waiter of a finished node", func(s *ckpt.Snapshot) string {
-			w := ckpt.WaiterRecord{Slot: s.Window.Start, T: opts.Part.NodeAt(r, s.Window.Start/x-1), E: 0}
-			s.Waiters = append(s.Waiters, w)
-			return fmt.Sprintf("names local node %d's edge 0, which is not outstanding", w.T)
-		}},
-		edit{"a waiter of no node", func(s *ckpt.Snapshot) string {
-			w := ckpt.WaiterRecord{Slot: s.Window.Start, T: opts.Params.N, E: 0}
-			s.Waiters = append(s.Waiters, w)
-			return fmt.Sprintf("names node %d outside the run's %d nodes", w.T, opts.Params.N)
-		}},
-	)
-	for _, ed := range edits {
-		s, err := ckpt.Read(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ed.f(s)
-		var enc ckpt.Encoder
-		if _, _, err := ckpt.WriteEncoded(opts.Checkpoint.Dir, r, top, enc.Encode(s)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(opts, false); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("resume with %s: err = %v, want one saying %q", ed.name, err, want)
-		}
-		if err := os.WriteFile(path, kept, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := Run(opts, false); err != nil {
-		t.Fatalf("resume from the kept snapshot: %v", err)
 	}
 }

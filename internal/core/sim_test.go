@@ -65,12 +65,14 @@ func simGroup(p int, sched simSched, opts func(r int) Options, after func(r int,
 // run (n, x, p, seed, scheme, ranks, workers, resolve mode and replay
 // depth cap, hub prefix, streamed output, checkpoint cadence, poll
 // interval, send-buffer capacity), the schedule (seed, arrival rate) and
-// a kill: rank KillRank crashes at its Kill-th transport call, and a
-// fresh group resumes the run with ResumeWorkers workers under another
-// schedule seed. The hub setting is per rank: the ranks whose bit is set
-// in AltRanks run with AltHub instead of Hub, and in ResumeAltRanks
-// after the kill. A printed simConfig is a Go literal that replays its
-// run exactly.
+// a kill: rank KillRank crashes at its Kill-th transport call, each
+// rank r drops the Drop>>4r&15 newest of its retained snapshots (15: all
+// of them), and a fresh group resumes the run with ResumeWorkers workers
+// under another schedule seed, every rank from its own newest remaining
+// epoch or from nothing. The hub setting is per rank: the ranks whose
+// bit is set in AltRanks run with AltHub instead of Hub, and in
+// ResumeAltRanks after the kill. A printed simConfig is a Go literal
+// that replays its run exactly.
 type simConfig struct {
 	N              int64
 	X              int
@@ -94,6 +96,7 @@ type simConfig struct {
 	AltHub         int64
 	AltRanks       uint8
 	ResumeAltRanks uint8
+	Drop           uint32
 }
 
 // literal prints c as the Go literal that replays it.
@@ -130,6 +133,11 @@ func drawSimConfig(rng *xrand.Rand) simConfig {
 			c.Kill = 1 + int(rng.Uint64n(uint64(pick(20, 150, 600))))
 			c.KillRank = int(rng.Uint64n(uint64(c.Ranks)))
 			c.ResumeWorkers = pick(1, 2, 3)
+			if rng.Bool(0.5) {
+				for r := 0; r < c.Ranks; r++ {
+					c.Drop |= uint32(pick(0, 0, 1, 2, 3, 15)) << (4 * r)
+				}
+			}
 		}
 	}
 	if rng.Bool(0.3) {
@@ -190,11 +198,16 @@ func (c simConfig) resumedHub() bool {
 }
 
 // simOutcome is what a passing check saw, for TestSimProperty's
-// coverage accounting and TestSimReplaysExactly.
+// coverage accounting and TestSimReplaysExactly: whether the kill
+// landed, the snapshots the ranks retained, how many the drop removed,
+// whether a rank resumed from nothing beside one that resumed from an
+// epoch, and the first run's event-log hash.
 type simOutcome struct {
 	crashed bool
 	epochs  int
-	log     uint64 // the first run's event-log hash
+	dropped int
+	mixed   bool
+	log     uint64
 }
 
 // checkSims checks each configuration with checkSim, failing the test
@@ -214,9 +227,9 @@ func checkSims(t *testing.T, cs ...simConfig) []simOutcome {
 // checkSim runs c on simulated networks and checks it against the
 // sequential model: the edge list, and on runs without checkpoints the
 // decision trace, the retry count and (wire resolution) NodeLoad; every
-// epoch every rank retained must be a consistent cut; a killed run must
-// resume to the same graph. dir is scratch space for shards and
-// snapshots.
+// snapshot every rank retained must mark a node boundary of its shard; a
+// killed run must resume to the same graph, whichever epochs its ranks
+// come back from. dir is scratch space for shards and snapshots.
 func checkSim(t *testing.T, c simConfig, dir string) (simOutcome, error) {
 	var out simOutcome
 	pr := model.Params{N: c.N, X: c.X, P: c.P}
@@ -262,12 +275,10 @@ func checkSim(t *testing.T, c simConfig, dir string) (simOutcome, error) {
 	if err != nil && !(net.crashed && errors.Is(err, errSimCrash)) {
 		return out, err
 	}
-	if ckpted {
-		if out.epochs, err = checkCuts(c, part, base.Checkpoint.Dir); err != nil {
+	if c.Kill > 0 {
+		if out.dropped, out.mixed, err = dropSimSnapshots(c, base.Checkpoint.Dir); err != nil {
 			return out, err
 		}
-	}
-	if c.Kill > 0 {
 		resumed := base
 		resumed.Workers = c.ResumeWorkers
 		ck := *base.Checkpoint
@@ -277,8 +288,10 @@ func checkSim(t *testing.T, c simConfig, dir string) (simOutcome, error) {
 		if _, results, err = simGroup(c.Ranks, sched, rankOpts(resumed, c.ResumeAltRanks), nil); err != nil {
 			return out, fmt.Errorf("resume after the kill: %w", err)
 		}
-		if _, err = checkCuts(c, part, base.Checkpoint.Dir); err != nil {
-			return out, fmt.Errorf("after the resume: %w", err)
+	}
+	if ckpted {
+		if out.epochs, err = checkMarks(c, base.Checkpoint.Dir, base.StreamDir); err != nil {
+			return out, err
 		}
 	}
 
@@ -344,33 +357,83 @@ func checkSim(t *testing.T, c simConfig, dir string) (simOutcome, error) {
 	return out, nil
 }
 
-// checkCuts checks every epoch all ranks retain in dir with
-// cutMismatches and returns how many there were.
-func checkCuts(c simConfig, part partition.Scheme, dir string) (int, error) {
-	var common []int64
+// dropSimSnapshots removes each rank's c.Drop>>4r&15 newest snapshots (all of
+// them at 15) from dir, as a crash that lost them would, and reports how
+// many went and whether some rank is left with none while another still
+// has one.
+func dropSimSnapshots(c simConfig, dir string) (dropped int, mixed bool, err error) {
+	var none, some bool
+	for r := 0; r < c.Ranks; r++ {
+		eps, err := ckpt.Epochs(dir, r)
+		if err != nil && !os.IsNotExist(err) {
+			return 0, false, err
+		}
+		d := int(c.Drop >> (4 * r) & 15)
+		if d == 15 {
+			d = len(eps)
+		}
+		for _, ep := range eps[len(eps)-min(d, len(eps)):] {
+			if err := ckpt.Remove(dir, r, ep); err != nil {
+				return 0, false, err
+			}
+			dropped++
+		}
+		left := len(eps) > d
+		none, some = none || !left, some || left
+	}
+	return dropped, none && some, nil
+}
+
+// checkMarks checks every snapshot each rank retains in dir against the
+// rank's finished shard in streamDir: it reads back, and its mark names a
+// prefix of the shard's records that ends on a node boundary — the
+// record after it, if any, opens a node. It returns how many snapshots
+// there were.
+func checkMarks(c simConfig, dir, streamDir string) (int, error) {
+	n := 0
 	for r := 0; r < c.Ranks; r++ {
 		eps, err := ckpt.Epochs(dir, r)
 		if err != nil && !os.IsNotExist(err) {
 			return 0, err
 		}
-		if r > 0 {
-			eps = slices.DeleteFunc(eps, func(ep int64) bool { return !slices.Contains(common, ep) })
+		if len(eps) == 0 {
+			continue
 		}
-		common = eps
-	}
-	for _, ep := range common {
-		snaps := make([]*ckpt.Snapshot, c.Ranks)
-		for r := range snaps {
-			var err error
-			if snaps[r], err = ckpt.Read(ckpt.Path(dir, r, ep)); err != nil {
+		keys, err := shardKeys(esink.ShardPath(streamDir, r, c.Ranks))
+		if err != nil {
+			return 0, err
+		}
+		for _, ep := range eps {
+			s, err := ckpt.Read(ckpt.Path(dir, r, ep))
+			if err != nil {
 				return 0, err
 			}
-		}
-		if bad := cutMismatches(part, snaps); len(bad) > 0 {
-			return 0, fmt.Errorf("epoch %d is not a consistent cut: %d mismatches, e.g. %s", ep, len(bad), bad[0])
+			m := s.Sink.Edges
+			if m > int64(len(keys)) || m < int64(len(keys)) && keys[m]%uint64(c.X) != 0 {
+				return 0, fmt.Errorf("rank %d epoch %d marks %d of the shard's %d records, not a node boundary", r, ep, m, len(keys))
+			}
+			n++
 		}
 	}
-	return len(common), nil
+	return n, nil
+}
+
+// shardKeys lists the slot keys of the shard at path, in file order.
+func shardKeys(path string) ([]uint64, error) {
+	rd, err := esink.OpenReaderTolerant(path)
+	if err != nil {
+		return nil, err
+	}
+	defer rd.Close()
+	var keys []uint64
+	it := rd.Iter(0)
+	for {
+		k, _, ok := it.NextSlot()
+		if !ok {
+			return keys, it.Err()
+		}
+		keys = append(keys, k)
+	}
 }
 
 // simShrinks lists the valid one-step simplifications of c the shrinker
@@ -391,7 +454,8 @@ func simShrinks(c simConfig) []simConfig {
 	try(func(d *simConfig) { d.Hub, d.AltHub, d.AltRanks, d.ResumeAltRanks = -1, 0, 0, 0 })
 	try(func(d *simConfig) { d.Resolve, d.Depth = ResolveWire, 0 })
 	try(func(d *simConfig) { d.Stream = false })
-	try(func(d *simConfig) { d.Kill, d.KillRank, d.ResumeWorkers = 0, 0, 0 })
+	try(func(d *simConfig) { d.Kill, d.KillRank, d.ResumeWorkers, d.Drop = 0, 0, 0, 0 })
+	try(func(d *simConfig) { d.Drop = 0 })
 	try(func(d *simConfig) {
 		if d.Kill == 0 {
 			d.Every = 0
@@ -431,15 +495,17 @@ const (
 
 // The determinism contract, checked as one property (DESIGN.md §8.1):
 // for random configurations and schedules the engine's output equals
-// the sequential copy model's, every retained epoch is a consistent
-// cut, a killed run resumes to the same graph, and the network never
+// the sequential copy model's, every retained snapshot marks a node
+// boundary of its shard, a killed run resumes to the same graph with its
+// ranks back from different epochs or from none, and the network never
 // deadlocks or carries a frame past its receiver's stop. A failure is
 // shrunk and printed as a simConfig literal; add it to simRegressions
 // to replay it.
 func TestSimProperty(t *testing.T) {
 	rng := xrand.New(simSeed)
 	dir := t.TempDir()
-	dims := []string{"multi-rank", "killed mid-run", "checkpointed", "mixed-hub", "resumed under another hub", "recompute", "multi-worker", "streamed"}
+	dims := []string{"multi-rank", "killed mid-run", "checkpointed", "mixed-hub", "resumed under another hub", "recompute", "multi-worker", "streamed",
+		"resumed after dropping snapshots", "resumed with a fresh rank beside a restored one"}
 	seen := make([]int, len(dims))
 	for i := 0; i < simConfigs; i++ {
 		c := drawSimConfig(rng)
@@ -449,7 +515,8 @@ func TestSimProperty(t *testing.T) {
 			t.Fatalf("config %d fails: %v\nsmallest failing config:\n\t%s,\nits failure: %v", i, err, small.literal(), serr)
 		}
 		for d, ok := range []bool{c.Ranks > 1, o.crashed, o.epochs > 0, c.mixedHub(), o.crashed && c.resumedHub(),
-			c.Resolve == ResolveRecompute && c.Ranks > 1, c.Workers > 1 || c.ResumeWorkers > 1, c.Stream} {
+			c.Resolve == ResolveRecompute && c.Ranks > 1, c.Workers > 1 || c.ResumeWorkers > 1, c.Stream,
+			o.crashed && o.dropped > 0, o.crashed && o.mixed} {
 			if ok {
 				seen[d]++
 			}
@@ -467,6 +534,8 @@ func TestSimProperty(t *testing.T) {
 // replayed exactly. It has found no defect in the engine so far; these
 // are the schedules on which it caught deliberately broken copies of
 // the engine, one per protocol rule, each commented with the breakage.
+// The marker-snapshot rules the first, second, fifth and sixth guarded
+// are gone with that protocol; their kills and cadences still replay.
 var simRegressions = []simConfig{
 	// a cut that does not relay its marker (the inconsistent cut behind the restart hang)
 	simConfig{N: 901, X: 8, P: 0.64, Seed: 0x83e2b71743294f95, Scheme: 0, Ranks: 2, Workers: 1, Resolve: 0, Depth: 0, Hub: 0, Stream: false, Every: 150, Poll: 32, BufCap: 1, Kill: 1, KillRank: 0, ResumeWorkers: 1, Sched: 0xc1effdfe9542c4b7, Deliver: 0.5, AltHub: 0, AltRanks: 0x0, ResumeAltRanks: 0x0},
@@ -480,6 +549,10 @@ var simRegressions = []simConfig{
 	simConfig{N: 60, X: 1, P: 0.67, Seed: 0xadd58cee0f48f41a, Scheme: 1, Ranks: 3, Workers: 1, Resolve: 0, Depth: 0, Hub: -1, Stream: false, Every: 8, Poll: 1, BufCap: 0, Kill: 57, KillRank: 1, ResumeWorkers: 1, Sched: 0x3de8042c05c790b3, Deliver: 0.9, AltHub: 0, AltRanks: 0x0, ResumeAltRanks: 0x0},
 	// a cut that records nothing of what is in flight to it (a request or answer no snapshot holds)
 	simConfig{N: 148, X: 3, P: 0.44, Seed: 0x8954299dc0462986, Scheme: 2, Ranks: 2, Workers: 1, Resolve: 0, Depth: 0, Hub: -1, Stream: false, Every: 198, Poll: 0, BufCap: 0, Kill: 0, KillRank: 0, ResumeWorkers: 0, Sched: 0xdf4f3654a2a6604e, Deliver: 0.9, AltHub: 0, AltRanks: 0x0, ResumeAltRanks: 0x0},
+	// a frontier that stops inside a node, whose restore re-resolves the node's final slots (a mark off a node boundary)
+	simConfig{N: 136, X: 3, P: 0.51, Seed: 0x3ec04f4db05e608d, Scheme: 3, Ranks: 2, Workers: 1, Resolve: 0, Depth: 0, Hub: -1, Stream: false, Every: 54, Poll: 0, BufCap: 0, Kill: 0, KillRank: 0, ResumeWorkers: 0, Sched: 0x4557b8557cc9a840, Deliver: 0.9, AltHub: 0, AltRanks: 0x0, ResumeAltRanks: 0x0, Drop: 0x0},
+	// a resume whose shard recovery keeps the records past the mark (no truncation)
+	simConfig{N: 34, X: 1, P: 0.27, Seed: 0xd2a587dd77667353, Scheme: 2, Ranks: 1, Workers: 1, Resolve: 0, Depth: 0, Hub: -1, Stream: false, Every: 23, Poll: 1, BufCap: 0, Kill: 43, KillRank: 0, ResumeWorkers: 1, Sched: 0xbaae1c4aff151478, Deliver: 0.1, AltHub: 0, AltRanks: 0x0, ResumeAltRanks: 0x0, Drop: 0x0},
 }
 
 func TestSimRegressions(t *testing.T) {

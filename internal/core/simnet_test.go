@@ -157,9 +157,6 @@ func kinds(ms []msg.Message) string {
 	s := make([]string, len(ms))
 	for i, m := range ms {
 		s[i] = m.Kind.String()
-		if m.Kind == msg.KindCkpt {
-			s[i] = fmt.Sprintf("ckpt(op %d, epoch %d)", m.E, m.K)
-		}
 	}
 	return "[" + strings.Join(s, " ") + "]"
 }

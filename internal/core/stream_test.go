@@ -143,7 +143,7 @@ func TestStreamDirUnwritable(t *testing.T) {
 }
 
 // The headline restart property for streamed runs: kill after any
-// committed epoch — with the torn shard tail a kill mid-flush leaves —
+// published epoch — with the torn shard tail a kill mid-flush leaves —
 // and the resumed run's merged shards are identical edge-for-edge to an
 // uninterrupted run. Exercised at 2 and 4 ranks.
 func TestStreamCheckpointResume(t *testing.T) {
@@ -163,9 +163,9 @@ func TestStreamCheckpointResume(t *testing.T) {
 			}
 
 			// Build the snapshot library. The epoch count is schedule-bound
-			// (each epoch costs a capture pause, and a fast run can end
-			// before a second trigger opens), so retry across a spread of
-			// intervals until at least two epochs committed.
+			// (each epoch costs a pause, and a fast run can end before a
+			// second trigger is looked at), so retry across a spread of
+			// intervals until at least two epochs published.
 			var ckptDir, streamDir string
 			var epochs []int64
 			for _, every := range []int64{2000, 1500, 1000, 500, 250, 2000, 1500, 1000, 500, 250} {
@@ -186,7 +186,7 @@ func TestStreamCheckpointResume(t *testing.T) {
 				}
 			}
 			if len(epochs) < 2 {
-				t.Fatalf("only %d epochs committed across all retry intervals", len(epochs))
+				t.Fatalf("only %d epochs published across all retry intervals", len(epochs))
 			}
 			equalEdges(t, "uninterrupted streamed", streamEdges(t, streamDir, ranks), base.Graph.Edges)
 
@@ -220,31 +220,20 @@ func TestStreamCheckpointResume(t *testing.T) {
 				}
 			}
 
-			// Newest epoch, same and different worker counts.
-			top := epochs[len(epochs)-1]
+			// Newest epochs, same and different worker counts.
 			tear()
-			resume(fmt.Sprintf("epoch %d workers=2", top), 2)
-			resume(fmt.Sprintf("epoch %d workers=1", top), 1)
+			resume("newest workers=2", 2)
+			resume("newest workers=1", 1)
 
-			// Every earlier epoch, trimming snapshots as a crash at that
-			// epoch would have, tearing the shard tails each time.
-			for i := len(epochs) - 2; i >= 0; i-- {
-				for r := 0; r < ranks; r++ {
-					if err := os.Remove(ckpt.Path(ckptDir, r, epochs[i+1])); err != nil {
-						t.Fatal(err)
-					}
-				}
+			// Every earlier epoch, trimming each rank's snapshots as a
+			// crash would have, tearing the shard tails each time.
+			for step := 1; dropEachNewest(t, ckptDir, ranks); step++ {
 				tear()
-				resume(fmt.Sprintf("epoch %d", epochs[i]), 2)
+				resume(fmt.Sprintf("%d epochs back", step), 2)
 			}
 
 			// With every snapshot gone, Resume must fall back to a fresh
 			// streamed run (Reset discards the stale shards).
-			for r := 0; r < ranks; r++ {
-				if err := os.Remove(ckpt.Path(ckptDir, r, epochs[0])); err != nil {
-					t.Fatal(err)
-				}
-			}
 			resume("empty dir fresh start", 2)
 		})
 	}
@@ -274,7 +263,7 @@ func TestStreamResumeModeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if epochs, err := ckpt.Epochs(streamedCkpt, 0); err != nil || len(epochs) == 0 {
-		t.Fatalf("streamed run committed no epochs (err=%v)", err)
+		t.Fatalf("streamed run published no epochs (err=%v)", err)
 	}
 	if err := run("", streamedCkpt, true); err == nil || !strings.Contains(err.Error(), "recover") {
 		t.Fatalf("resume without the snapshots' StreamDir: err = %v, want a shard recovery failure", err)

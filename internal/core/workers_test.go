@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -277,9 +276,9 @@ func TestStealChaosDelayWorkers(t *testing.T) {
 }
 
 // Checkpoint snapshots are worker-count-agnostic: a snapshot library
-// built by a 3-worker run restores at any worker count — the records are
-// keyed by node and slot. Also emulates the crash case by trimming the
-// newest epoch and resuming from the one before it.
+// built by a 3-worker run restores at any worker count — a snapshot
+// names a shard prefix and nothing else. Also emulates the crash case by
+// trimming each rank's newest epoch and resuming from the one before it.
 func TestStealCheckpointRestoreWorkerCounts(t *testing.T) {
 	pr := model.Params{N: 20_000, X: 3, P: 0.5}
 	const ranks = 3
@@ -328,24 +327,15 @@ func TestStealCheckpointRestoreWorkerCounts(t *testing.T) {
 		}
 		equalEdges(t, label, res.Graph.Edges, base.Graph.Edges)
 	}
-	top := epochs[len(epochs)-1]
-	resume(fmt.Sprintf("epoch %d workers=3", top), 3)
-	resume(fmt.Sprintf("epoch %d workers=1", top), 1)
-	resume(fmt.Sprintf("epoch %d workers=4", top), 4)
+	resume("newest workers=3", 3)
+	resume("newest workers=1", 1)
+	resume("newest workers=4", 4)
 
-	// Crash emulation: drop the newest epoch (as a kill mid-epoch would
-	// leave the directory) and restore the previous cut at a different
-	// worker count.
-	for r := 0; r < ranks; r++ {
-		if err := removeEpoch(dir, r, top); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resume(fmt.Sprintf("epoch %d after trim workers=2", epochs[len(epochs)-2]), 2)
-}
-
-func removeEpoch(dir string, rank int, epoch int64) error {
-	return os.Remove(ckpt.Path(dir, rank, epoch))
+	// Crash emulation: drop each rank's newest epoch (as a kill mid-epoch
+	// would leave the directory) and restore the previous cut at a
+	// different worker count.
+	dropEachNewest(t, dir, ranks)
+	resume("one epoch back workers=2", 2)
 }
 
 // An unknown transport name must fail loudly, not fall back.

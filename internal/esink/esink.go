@@ -246,7 +246,7 @@ func (w *Writer) Reset() error {
 // any torn tail the kill left behind. The resumed run appends from
 // there; Emit's ascending check starts afresh, since the prefix's last
 // key is not decoded — the caller resumes above it (the engine at the
-// frontier its snapshot names, which restore checks against the prefix).
+// node boundary its restore finds the prefix ending on).
 func (w *Writer) Recover(mark Mark) error {
 	if w.started {
 		return w.setErr(fmt.Errorf("esink: Recover after start"))

@@ -378,8 +378,8 @@ func (q *Queue) Cancel(id string) (Job, error) {
 }
 
 // Preempt checkpoints a running job off the pool: its attempt is
-// killed (the engine's next resume regenerates exactly the suffix past
-// the last committed epoch), the job moves to checkpointed and
+// killed (the engine's next resume regenerates, rank by rank, exactly
+// what lies past each rank's newest epoch), the job moves to checkpointed and
 // re-enters the queue at the back — yielding its slots to older
 // waiters. Only running jobs can be preempted.
 func (q *Queue) Preempt(id string) (Job, error) {

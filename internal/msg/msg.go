@@ -28,10 +28,9 @@ const (
 	// KindColl carries a collective-operation step (internal/coll):
 	// T = sender rank, K = operation tag, V = payload.
 	KindColl
-	// KindCkpt carries a checkpoint-epoch protocol step (internal/core's
-	// marker snapshot): T = sender rank, E = CkptOp, K = epoch, V = the
-	// vote (CkptVote only). L is unused and travels as zero.
-	KindCkpt
+	// Values 6 to 8 belonged to retired checkpoint and hub-cache kinds
+	// and stay unassigned, so an old binary's group is refused as a bad
+	// kind, not misread.
 )
 
 // String returns the kind's name.
@@ -47,34 +46,10 @@ func (k Kind) String() string {
 		return "stop"
 	case KindColl:
 		return "coll"
-	case KindCkpt:
-		return "ckpt"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
 }
-
-// CkptOp identifies the checkpoint-protocol step a KindCkpt message
-// carries in its E field.
-type CkptOp uint16
-
-const (
-	// CkptCut is the sender's cut marker for epoch K, sent at its cut to
-	// every peer, behind everything it sent before the cut (SendNow
-	// flushes the buffer first) and ahead of everything after. Rank 0
-	// cuts at its trigger; every other rank cuts at the first marker it
-	// receives. Values 1-3 belonged to the retired quiescence rounds and
-	// stay unassigned, so an old binary's message is refused, not misread.
-	CkptCut CkptOp = 4 + iota
-	// CkptVote (any -> rank 0) is the sender's commit vote for epoch K
-	// (V = 1 captured, 0 failed), sent once the markers of all its peers
-	// have arrived and its snapshot went to the writer.
-	CkptVote
-	// CkptAbandon (rank 0 -> others) declares epoch K abandoned: some
-	// rank voted 0 (capture or latched background-write failure).
-	// Receivers uncount the epoch and delete their snapshot file.
-	CkptAbandon
-)
 
 // Message is one protocol message. Field use by kind:
 //
@@ -117,12 +92,6 @@ func Coll(rank int, tag int64, payload int64) Message {
 	return Message{Kind: KindColl, T: int64(rank), K: tag, V: payload}
 }
 
-// Ckpt constructs a checkpoint-protocol message from the given rank:
-// op selects the step, k is the epoch and v the vote.
-func Ckpt(rank int, op CkptOp, k, v int64) Message {
-	return Message{Kind: KindCkpt, T: int64(rank), E: uint16(op), K: k, V: v}
-}
-
 // EncodedSize is a per-message buffer-sizing hint in bytes, the raw
 // width of a message's fields: kind(1) + T(8) + K(8) + V(8) + E(2) +
 // L(2). The v2/v3 codec varint-codes every field and drops the ones a
@@ -145,7 +114,6 @@ const FrameV2Magic = 0xC2
 //	request:  varint(ΔT) varint(K)  uvarint(E) uvarint(L)
 //	resolved: varint(ΔT) varint(V)  uvarint(E)
 //	coll:     varint(ΔT) varint(K)  varint(V)
-//	ckpt:     varint(ΔT) uvarint(E) uvarint(L) varint(K) varint(V)
 //	done:     varint(ΔT)
 //	stop:     varint(ΔT)
 //
@@ -198,11 +166,6 @@ func appendBatch(dst []byte, ms []Message, magic byte) []byte {
 			case KindColl:
 				dst = binary.AppendVarint(dst, m.K)
 				dst = binary.AppendVarint(dst, m.V)
-			case KindCkpt:
-				dst = binary.AppendUvarint(dst, uint64(m.E))
-				dst = binary.AppendUvarint(dst, uint64(m.L))
-				dst = binary.AppendVarint(dst, m.K)
-				dst = binary.AppendVarint(dst, m.V)
 			}
 		}
 		i = j
@@ -226,7 +189,7 @@ func DecodeBatch(dst []Message, frame []byte) ([]Message, error) {
 func decodeBatchCompact(dst []Message, b []byte) ([]Message, error) {
 	for len(b) > 0 {
 		kind := Kind(b[0])
-		if kind < KindRequest || kind > KindCkpt {
+		if kind < KindRequest || kind > KindColl {
 			return dst, fmt.Errorf("msg: bad group kind %d", b[0])
 		}
 		b = b[1:]
@@ -270,19 +233,6 @@ func decodeBatchCompact(dst []Message, b []byte) ([]Message, error) {
 					return dst, fmt.Errorf("msg: truncated E")
 				}
 			case KindColl:
-				if m.K, b, ok = takeVarint(b); !ok {
-					return dst, fmt.Errorf("msg: truncated K")
-				}
-				if m.V, b, ok = takeVarint(b); !ok {
-					return dst, fmt.Errorf("msg: truncated V")
-				}
-			case KindCkpt:
-				if m.E, b, ok = takeUint16(b); !ok {
-					return dst, fmt.Errorf("msg: truncated E")
-				}
-				if m.L, b, ok = takeUint16(b); !ok {
-					return dst, fmt.Errorf("msg: truncated L")
-				}
 				if m.K, b, ok = takeVarint(b); !ok {
 					return dst, fmt.Errorf("msg: truncated K")
 				}

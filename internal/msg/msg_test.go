@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -26,8 +27,8 @@ func TestConstructors(t *testing.T) {
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
 		KindRequest: "request", KindResolved: "resolved",
-		KindDone: "done", KindStop: "stop", KindColl: "coll", KindCkpt: "ckpt",
-		Kind(0): "Kind(0)", Kind(7): "Kind(7)", Kind(8): "Kind(8)",
+		KindDone: "done", KindStop: "stop", KindColl: "coll",
+		Kind(0): "Kind(0)", Kind(6): "Kind(6)", Kind(7): "Kind(7)", Kind(8): "Kind(8)",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {
@@ -152,7 +153,7 @@ func clearDeadFields(m Message) Message {
 func TestRoundTripProperty(t *testing.T) {
 	f := func(kindRaw uint8, tt, k, v int64, e, l uint16) bool {
 		m := clearDeadFields(Message{
-			Kind: Kind(kindRaw%6) + KindRequest,
+			Kind: Kind(kindRaw%5) + KindRequest,
 			T:    tt, K: k, V: v, E: e, L: l,
 		})
 		got, err := DecodeBatch(nil, AppendEncodeBatchV3(nil, []Message{m}))
@@ -187,7 +188,7 @@ func genMessages(ts []int64, ks []uint32, es []uint8) []Message {
 		case 6:
 			ms = append(ms, Done(int(k%768)))
 		case 7:
-			ms = append(ms, Ckpt(int(k%768), CkptVote, t, k))
+			ms = append(ms, Coll(int(k%768), t, k))
 		case 8:
 			ms = append(ms, Stop())
 		default:
@@ -235,6 +236,22 @@ func TestCompactBatchRejectsCorruption(t *testing.T) {
 	huge := []byte{FrameV2Magic, byte(KindStop), 0xff, 0xff, 0xff, 0xff, 0x7f}
 	if _, err := DecodeBatch(nil, huge); err == nil {
 		t.Error("oversized group count accepted")
+	}
+}
+
+// Kind 6 carried the retired checkpoint protocol's markers and votes. A
+// frame from an older binary holding one — here the bytes it encoded for
+// a cut marker — is refused as an unknown kind under either magic, never
+// decoded into another kind's fields.
+func TestDecodeRefusesRetiredCkptKind(t *testing.T) {
+	for _, magic := range []byte{FrameV2Magic, FrameV3Magic} {
+		frame := []byte{magic, 6, 1, 0x00, 0x04, 0x00, 0x08, 0x00}
+		if ms, err := DecodeBatch(nil, frame); err == nil || !strings.Contains(err.Error(), "bad group kind 6") {
+			t.Errorf("magic %#x: DecodeBatch = %+v, %v; want a bad group kind 6 error", magic, ms, err)
+		}
+	}
+	if got := Kind(6).String(); got != "Kind(6)" {
+		t.Errorf("Kind(6).String() = %q, want an unnamed kind", got)
 	}
 }
 

@@ -215,11 +215,12 @@ type RankMetrics struct {
 	// WaitChain is the histogram of Q_{k,l} waiter-queue lengths at
 	// resolution time (Theorem 3.3's chains keep it shallow).
 	WaitChain Histogram `json:"wait_chain"`
-	// Checkpoint counters (zero unless checkpointing ran): committed
-	// epochs, abandoned epochs, snapshot bytes the background writer
-	// published, time it spent publishing them (off the pause path),
-	// and total generation pause across epochs (the capture plus the
-	// wait for a free capture buffer — the publish overlaps generation).
+	// Checkpoint counters (zero unless checkpointing ran): published
+	// epochs, epochs whose publish failed, snapshot bytes the background
+	// writer published, time it spent publishing them (off the pause
+	// path), and total generation pause across epochs (the frontier
+	// write and block flush plus any wait for the writer's queue — the
+	// publish overlaps generation).
 	CkptEpochs     int64 `json:"ckpt_epochs,omitempty"`
 	CkptFailed     int64 `json:"ckpt_failed,omitempty"`
 	CkptBytes      int64 `json:"ckpt_bytes,omitempty"`

@@ -74,9 +74,11 @@ type Config struct {
 	// every setting, and the setting is each rank's own.
 	HubPrefix int64 `json:"hub_prefix,omitempty"`
 	// CheckpointEvery is the approximate number of protocol events
-	// (nodes initiated plus messages received, summed over ranks)
-	// between checkpoint epochs. Zero with a CheckpointDir set means
-	// snapshots are only read (resume), never written.
+	// between a rank's checkpoint epochs, counted by each rank for
+	// itself: the nodes it initiated plus the data messages it
+	// received. Every rank cuts at its own trigger. Zero with a
+	// CheckpointDir set means snapshots are only read (resume), never
+	// written.
 	CheckpointEvery int64 `json:"checkpoint_every,omitempty"`
 	// StreamBlockEdges is the number of edge records per shard block: the
 	// unit a rank flushes, CRC-protects and a reader decodes on its own
@@ -101,11 +103,11 @@ type Config struct {
 	// can export the measured-versus-predicted load curve. Costs one
 	// increment per copy query plus 8 bytes per node.
 	CollectNodeLoad bool `json:"-"`
-	// CheckpointDir enables cooperative checkpointing: every rank
-	// writes a versioned, CRC-protected snapshot of its engine state
-	// into this directory at each checkpoint epoch. A snapshot names
-	// the durable prefix of the rank's shard file and carries no table,
-	// so a checkpointed run always streams: without a StreamDir it
+	// CheckpointDir enables rank-local checkpointing: every rank, at its
+	// own epochs, writes a small versioned, CRC-protected snapshot into
+	// this directory. A snapshot names the durable prefix of the rank's
+	// shard file and carries no table or engine state, so a
+	// checkpointed run always streams: without a StreamDir it
 	// writes its shards under CheckpointDir/shards and Result.Graph is
 	// read back from them, byte-identical to an uncheckpointed run's.
 	// Restarting from a checkpoint (Resume) reproduces the exact graph
@@ -120,9 +122,11 @@ type Config struct {
 	// shard mark with no table to take deltas of. It is kept for callers
 	// that still set it.
 	CheckpointFullEvery int `json:"-"`
-	// Resume loads the latest mutually-complete checkpoint epoch from
-	// CheckpointDir before generating, skipping all work committed up
-	// to that epoch. When no usable epoch exists the run starts fresh.
+	// Resume makes every rank load its own newest restorable snapshot
+	// from CheckpointDir before generating, keeping the shard prefix
+	// it marks and regenerating everything above it. A rank with no
+	// usable snapshot starts fresh, whatever the other ranks resume
+	// from.
 	Resume bool `json:"-"`
 	// StreamDir enables the external-memory edge sink: each rank spills
 	// its resolved edges into a compressed per-rank shard file under this
@@ -252,7 +256,7 @@ func (c *Config) Flags(fs *flag.FlagSet) {
 	fs.Int64Var(&c.HubPrefix, "hub-prefix", 0, "hub-prefix replica size H: every rank computes the first H nodes itself (0 = auto, <0 = off); output is identical for every setting")
 	fs.StringVar(&c.Resolve, "resolve", "wire", "non-local dependency resolution: wire or recompute; output is identical in both modes, all ranks must agree")
 	fs.StringVar(&c.CheckpointDir, "checkpoint-dir", "", "write per-rank snapshots to this directory, shared by the ranks (see docs/OPERATIONS.md)")
-	fs.Int64Var(&c.CheckpointEvery, "checkpoint-every", 0, "protocol events between checkpoint epochs (requires -checkpoint-dir)")
+	fs.Int64Var(&c.CheckpointEvery, "checkpoint-every", 0, "per-rank protocol events (the rank's initiated nodes plus data messages received) between its checkpoint epochs (requires -checkpoint-dir)")
 	fs.IntVar(&c.CheckpointKeep, "checkpoint-keep", 0, "snapshots to retain per rank (0 = default)")
 	fs.BoolVar(&c.Resume, "resume", false, "resume from the latest restorable epoch in -checkpoint-dir")
 	fs.StringVar(&c.StreamDir, "stream-dir", "", "spill compressed per-rank edge shards to this directory with bounded memory (docs/SHARD_FORMAT.md); composes with -checkpoint-dir, and pa-tcp requires it")

@@ -252,9 +252,10 @@ func DegreesStreamed(cfg Config) ([]int64, *Result, error) {
 // esink.BufferBytes, the buffer esink.Open allocates. A checkpointed run
 // without StreamDir streams too and also holds the edge list it reads
 // back. Every rank adds core.RankStateBytes — a bit per slot, the hub
-// replica, the protocol state the run-ahead cap keeps to W·x
-// outstanding queries a rank (W = core.RunAheadNodes) and, when
-// checkpointing, three snapshot copies — plus a small fixed overhead;
+// replica and the protocol state the run-ahead cap keeps to W·x
+// outstanding queries a rank (W = core.RunAheadNodes) — plus a small
+// fixed overhead, which also covers a checkpoint's few-hundred-byte
+// snapshots;
 // the optional decision trace adds 13 bytes per slot. A tier-1 test
 // holds a run's cumulative allocation, not just its peak, under this
 // figure at 1 and 2 ranks, in memory, streamed and checkpointed, under
@@ -276,7 +277,7 @@ func MemoryEstimate(cfg Config) int64 {
 	if cfg.RecordTrace {
 		est += slots * 13
 	}
-	est += ranks * core.RankStateBytes(pr, int(ranks), cfg.HubPrefix, cfg.CheckpointDir != "")
+	est += ranks * core.RankStateBytes(pr, int(ranks), cfg.HubPrefix)
 	est += ranks << 17 // buffers, per-rank bookkeeping
 	return est
 }

@@ -256,41 +256,39 @@ func TestMemoryEstimate(t *testing.T) {
 	// nothing per slot but a bit at every rank count: one and eight ranks
 	// differ only by each rank's state and fixed overhead.
 	pr := Params{N: 1_000_000, X: 4, P: DefaultP}
-	state := func(ranks int, ckpt bool) int64 {
-		return int64(ranks) * (core.RankStateBytes(pr, ranks, 0, ckpt) + 1<<17)
+	state := func(ranks int) int64 {
+		return int64(ranks) * (core.RankStateBytes(pr, ranks, 0) + 1<<17)
 	}
 	one := MemoryEstimate(Config{N: 1_000_000, X: 4, Ranks: 1})
-	if d, want := base-one, state(8, false)-state(1, false); d != want {
+	if d, want := base-one, state(8)-state(1); d != want {
 		t.Fatalf("8 ranks estimate %d bytes more than 1, want only the ranks' state and overhead %d", d, want)
 	}
-	if edges := int64(16 * (6 + (1_000_000-4)*4)); one != edges+state(1, false) {
-		t.Fatalf("one-rank estimate %d, want edges %d + rank state and overhead %d", one, edges, state(1, false))
+	if edges := int64(16 * (6 + (1_000_000-4)*4)); one != edges+state(1) {
+		t.Fatalf("one-rank estimate %d, want edges %d + rank state and overhead %d", one, edges, state(1))
 	}
 	// A rank's state is a bit per slot and an ahead page, plus — past
-	// one rank — the hub replica and W·x outstanding queries, and a
-	// checkpointed rank's three snapshot copies; none of it grows with
-	// how far the ranks drift apart.
-	if s1, s2 := core.RankStateBytes(pr, 1, 0, false), core.RankStateBytes(pr, 2, 0, false); s1 > 1<<20 || s2 <= s1 || s2 > 4<<20 {
+	// one rank — the hub replica and W·x outstanding queries; none of it
+	// grows with how far the ranks drift apart.
+	if s1, s2 := core.RankStateBytes(pr, 1, 0), core.RankStateBytes(pr, 2, 0); s1 > 1<<20 || s2 <= s1 || s2 > 4<<20 {
 		t.Fatalf("rank state %d bytes at one rank, %d at two: want a bitmap under 1 MiB, then the protocol bound on top, under 4 MiB", s1, s2)
 	}
-	if off, on := core.RankStateBytes(pr, 2, -1, false), core.RankStateBytes(pr, 2, 0, false); on <= off {
+	if off, on := core.RankStateBytes(pr, 2, -1), core.RankStateBytes(pr, 2, 0); on <= off {
 		t.Fatalf("rank state with the hub replica %d, without %d: the replica is not charged", on, off)
 	}
 	// Past 2³²−1 nodes the table is still one w-bit plane in the edge
 	// range: nothing per slot is added.
 	wide := int64(1 << 33)
 	widePr := Params{N: wide, X: 4, P: DefaultP}
-	if got, want := MemoryEstimate(Config{N: wide, X: 4, Ranks: 1}), 16*(6+(wide-4)*4)+core.RankStateBytes(widePr, 1, 0, false)+1<<17; got != want {
+	if got, want := MemoryEstimate(Config{N: wide, X: 4, Ranks: 1}), 16*(6+(wide-4)*4)+core.RankStateBytes(widePr, 1, 0)+1<<17; got != want {
 		t.Fatalf("n = %d in memory: estimate %d, want edges + rank state and overhead = %d", wide, got, want)
 	}
 
 	// The bounded-memory path holds the tables and each rank's open
 	// shard block — the buffer esink.Open allocates, which at n = 10⁶
 	// holds a 20-bit value a record — and nothing per edge. Checkpointing
-	// it adds each rank's snapshot copies. A checkpointed run without
-	// StreamDir streams too and holds the edge list it reads back, so it
-	// costs the in-memory run plus the tables, the open blocks and the
-	// snapshot copies.
+	// it adds nothing: a snapshot is a few dozen bytes. A checkpointed run
+	// without StreamDir streams too and holds the edge list it reads back,
+	// so it costs the in-memory run plus the tables and the open blocks.
 	mem := Config{N: 1_000_000, X: 4, Ranks: 2}
 	streamed, ckpt, both := mem, mem, mem
 	streamed.StreamDir = "shards"
@@ -301,15 +299,14 @@ func TestMemoryEstimate(t *testing.T) {
 	}
 	tables := int64((1_000_000 - 4) * 4 * 20 / 8) // w = bits.Len64(10⁶) = 20
 	blocks := 2 * esink.BufferBytes(1_000_000, 0)
-	snaps := state(2, true) - state(2, false)
 	if payload := int64(esink.DefaultBlockEdges * 20 / 8); blocks/2 < payload || blocks/2 > payload+64 {
 		t.Fatalf("an open block at n = 10⁶ is %d bytes, want its %d bytes of 20-bit values and a block header", blocks/2, payload)
 	}
-	if s, b := MemoryEstimate(streamed), MemoryEstimate(both); b != s+snaps {
-		t.Fatalf("streamed + checkpointed %d, want streamed %d plus the snapshot copies %d", b, s, snaps)
+	if s, b := MemoryEstimate(streamed), MemoryEstimate(both); b != s {
+		t.Fatalf("streamed + checkpointed %d, want streamed %d", b, s)
 	}
-	if c, m := MemoryEstimate(ckpt), MemoryEstimate(mem); c != m+tables+blocks+snaps {
-		t.Fatalf("checkpointed estimate without StreamDir %d, want in-memory %d plus the tables %d, two open blocks %d and the snapshot copies %d", c, m, tables, blocks, snaps)
+	if c, m := MemoryEstimate(ckpt), MemoryEstimate(mem); c != m+tables+blocks {
+		t.Fatalf("checkpointed estimate without StreamDir %d, want in-memory %d plus the tables %d and two open blocks %d", c, m, tables, blocks)
 	}
 	if s := MemoryEstimate(streamed); s < tables || s > 2*tables {
 		t.Fatalf("streamed estimate %d not within 2x of the tables' %d", s, tables)
@@ -325,7 +322,7 @@ func TestMemoryEstimate(t *testing.T) {
 		if payload := esink.DefaultBlockEdges * c.w / 8; block < payload || block > payload+64 {
 			t.Fatalf("n = %d: an open block is %d bytes, want its %d bytes of %d-bit values and a block header", c.n, block, payload, c.w)
 		}
-		want := ((c.n-4)*4*c.tw+7)/8 + block + core.RankStateBytes(Params{N: c.n, X: 4, P: DefaultP}, 1, 0, false) + 1<<17
+		want := ((c.n-4)*4*c.tw+7)/8 + block + core.RankStateBytes(Params{N: c.n, X: 4, P: DefaultP}, 1, 0) + 1<<17
 		if got := MemoryEstimate(cfg); got != want {
 			t.Fatalf("n = %d: estimate %d, want %d-bit tables + one open block + rank state and overhead = %d", c.n, got, c.tw, want)
 		}

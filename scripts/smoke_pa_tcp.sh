@@ -20,16 +20,17 @@
 # With "chaos" as the first argument it runs the kill-mid-epoch smoke
 # through the control plane: pa-serve (-runner process) runs 4-rank
 # streamed jobs as pa-tcp processes, and one rank of a job is killed
-# while the second checkpoint epoch is only partially committed across
-# the cluster — some ranks' snapshots published, others still in flight
-# in their background writers. The queue respawns the job from whatever
-# its directory holds (show -field restarts must be >= 1), and the
-# job's download must be byte-identical to the download of an unkilled
-# job with the same spec.
+# while the ranks hold different newest epochs — every rank cuts at its
+# own trigger, so some have published an epoch the others have not
+# reached. The queue respawns the job (show -field restarts must be
+# >= 1), every rank resuming from its own newest epoch, and the job's
+# download must be byte-identical to the download of an unkilled job
+# with the same spec.
 #
 # With "stream" as the first argument it runs the kill-after-first-epoch
 # smoke the same way: a pa-serve job's rank is killed after the first
-# checkpoint epoch commits and the queue respawns the job; the job's
+# checkpoint epoch is published and the queue respawns the job, every
+# rank resuming from its own newest epoch; the job's
 # shard directory must carry the same edge-stream fingerprint as an
 # in-memory pagen run of the same configuration, and its download must
 # reproduce pagen -format binary byte for byte.
@@ -122,7 +123,7 @@ fingerprint() {
 
 if [ "$MODE" = chaos ] || [ "$MODE" = stream ]; then
     # Scale n up and the epoch cadence down so the kill lands well
-    # before the run finishes, even on slow CI machines (commit time
+    # before the run finishes, even on slow CI machines (epoch time
     # and run time scale together).
     RN=${RN:-800000}
     SEED=${SEED:-7}
@@ -201,11 +202,11 @@ if [ "$MODE" = chaos ] || [ "$MODE" = stream ]; then
     # kill_rank_when JOB WHEN: watch the snapshots published under the
     # job's checkpoint directory (rank%04d-epoch%08d.ckpt) and kill its
     # rank 2 once WHEN holds: "committed" — every rank has published
-    # epoch 1; "partial" — the newest epoch, 2 or later, is published by
-    # some ranks but not all (the others' background writes are in
-    # flight), or, if no poll catches that window, epoch 8 is out —
-    # still a mid-run kill. The bracketed [2] keeps pkill from matching
-    # this script's own command line.
+    # epoch 1, or some rank epoch 2; "partial" — the newest epoch, 2 or
+    # later, is held by some ranks but not all, so the ranks' newest
+    # epochs differ (each numbers its own cuts), or, if no poll catches
+    # that, epoch 8 is out — still a mid-run kill. The bracketed [2]
+    # keeps pkill from matching this script's own command line.
     kill_rank_when() {
         ckdir="$workdir/data/jobs/$1/ck"
         polls=0
@@ -239,7 +240,14 @@ if [ "$MODE" = chaos ] || [ "$MODE" = stream ]; then
         fi
         pkill -f -- "-rank [2] -addrs .*jobs/$1/" \
             || { echo "failed to kill rank 2 of job $1" >&2; exit 1; }
-        echo "$MODE smoke: killed rank 2 of job $1 at epoch $newest, published by $holders of $RANKS ranks ($polls polls)"
+        each=""
+        r=0
+        while [ $r -lt "$RANKS" ]; do
+            e=$(echo "$snaps" | sed -n "s/^rank0*$r-epoch0*\([0-9][0-9]*\)\.ckpt\$/\1/p" | sort -n | tail -1)
+            each="$each ${e:-none}"
+            r=$((r + 1))
+        done
+        echo "$MODE smoke: killed rank 2 of job $1 at epoch $newest, held by $holders of $RANKS ranks; the ranks' newest epochs were$each ($polls polls)"
     }
 
     # restarted JOB: the queue must have respawned the job's cluster.
@@ -251,8 +259,8 @@ if [ "$MODE" = chaos ] || [ "$MODE" = stream ]; then
 fi
 
 if [ "$MODE" = chaos ]; then
-    # Kill mid-epoch: the newest epoch is on disk for some ranks only,
-    # so the respawned attempt must negotiate past an incomplete epoch.
+    # Kill while the ranks' newest epochs differ: each respawned rank
+    # resumes from its own, and the download must not notice.
     EVERY=${EVERY:-40000}
 
     echo "chaos smoke: baseline job (n=$RN, x=3)"
@@ -270,7 +278,7 @@ if [ "$MODE" = chaos ]; then
     done
     cmp "$workdir/$base.bin" "$workdir/$chaos.bin" \
         || { echo "respawned job's download differs from the unkilled job's" >&2; exit 1; }
-    echo "pa-tcp chaos smoke: rank killed mid-epoch, job respawned by pa-serve from the committed epochs ($restarts restart); download byte-identical to an unkilled job's"
+    echo "pa-tcp chaos smoke: rank killed while the ranks' newest epochs differed, job respawned by pa-serve with every rank from its own newest epoch ($restarts restart); download byte-identical to an unkilled job's"
     exit 0
 fi
 
