@@ -15,13 +15,13 @@
 //	pa-tcp -rank 1 -addrs 127.0.0.1:9500,127.0.0.1:9501 -n 100000 -x 4 -stream-dir out
 //	pa-analyze -stream-dir out -ranks 2 -export-binary g.bin
 //
-// After the generation protocol terminates, the ranks run a sequence of
-// collectives (internal/coll) to assemble a cluster-wide summary at rank
-// 0: total edges, per-rank loads, and aggregate message counters. -stats
-// prints per-rank and cluster statistics to stderr; -metrics FILE
+// Each rank reports alone: when the generation protocol terminates it
+// closes its connections and prints or writes only its own figures.
+// -stats prints the rank's statistics to stderr; -metrics FILE
 // additionally exports the rank's full metric record (counters,
 // wait-chain histogram, per-node received-message load) as JSON, "-"
-// meaning stderr.
+// meaning stderr. A cluster figure is a sum or a maximum over the
+// ranks' lines or files.
 //
 // Long runs can checkpoint: -checkpoint-dir DIR -checkpoint-every N
 // makes every rank, at its own trigger and without a message to any
@@ -60,8 +60,6 @@ import (
 	"strings"
 
 	"pagen/internal/ckpt"
-	"pagen/internal/coll"
-	"pagen/internal/comm"
 	"pagen/internal/core"
 	"pagen/internal/obs"
 	"pagen/internal/runcfg"
@@ -74,7 +72,7 @@ func main() {
 	var (
 		rank      = flag.Int("rank", 0, "this process's rank")
 		addrs     = flag.String("addrs", "", "comma-separated listen addresses, one per rank")
-		stats     = flag.Bool("stats", false, "print rank and cluster statistics to stderr")
+		stats     = flag.Bool("stats", false, "print this rank's statistics to stderr")
 		metrics   = flag.String("metrics", "", "write this rank's metrics JSON to this file (\"-\" = stderr)")
 		handshake = flag.Duration("handshake-timeout", transport.DefaultHandshakeTimeout,
 			"mesh-establishment deadline (a peer missing past it is an error, not a hang)")
@@ -111,51 +109,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer tr.Close()
 
 	res, err := core.RunRank(tr, opts)
 	if err != nil {
 		fatal(err)
 	}
+	tr.Close()
 	st := res.Stats
 	if *stats {
-		fmt.Fprintf(os.Stderr, "rank %d: nodes=%d edges=%d reqS=%d reqR=%d frames=%d bytes=%d wall=%v busy=%v\n",
-			st.Rank, st.Nodes, st.Edges, st.Comm.RequestsSent, st.Comm.RequestsRecv,
+		fmt.Fprintf(os.Stderr, "rank %d: nodes=%d edges=%d load=%d reqS=%d reqR=%d frames=%d bytes=%d wall=%v busy=%v\n",
+			st.Rank, st.Nodes, st.Edges, st.TotalLoad(), st.Comm.RequestsSent, st.Comm.RequestsRecv,
 			st.Comm.FramesSent, st.Comm.BytesSent, st.WallTime, st.BusyTime)
 		fmt.Fprintf(os.Stderr, "rank %d: sink blocks=%d bytes=%d fsyncs=%d fsync-stall=%v\n",
 			st.Rank, st.SinkBlocks, st.SinkBytes, st.SinkFsyncs, st.SinkFsyncTime)
-	}
-
-	// Cluster-wide summary: a back-to-back collective sequence over the
-	// same mesh (the engine protocol has terminated, so the collectives
-	// have the channel to themselves). The sequenced tag protocol keeps
-	// the coordinator sane when fast ranks race ahead to the next
-	// operation — the 4-rank "tag mismatch" failure mode of the
-	// unsequenced design.
-	cs := coll.New(comm.New(tr, comm.Config{}))
-	edges, err := cs.Gather(st.Edges)
-	if err != nil {
-		fatal(err)
-	}
-	maxLoad, err := cs.AllReduceMax(st.TotalLoad())
-	if err != nil {
-		fatal(err)
-	}
-	totalReq, err := cs.AllReduceSum(st.Comm.RequestsSent)
-	if err != nil {
-		fatal(err)
-	}
-	totalBytes, err := cs.AllReduceSum(st.Comm.BytesSent)
-	if err != nil {
-		fatal(err)
-	}
-	if *rank == 0 && *stats {
-		var total int64
-		for _, e := range edges {
-			total += e
-		}
-		fmt.Fprintf(os.Stderr, "cluster: %d edges across %d ranks, max rank load %d, %d requests, %d frame bytes\n",
-			total, len(addrList), maxLoad, totalReq, totalBytes)
 	}
 
 	if *metrics != "" {

@@ -11,9 +11,9 @@
 // than resumed from.
 //
 // Every snapshot restores on its own, given its shard, whatever the
-// other ranks' snapshots hold. Encoding is buffer-based — Encoder reuses
-// one scratch buffer across epochs so a steady checkpoint cadence
-// performs no transient allocations.
+// other ranks' snapshots hold. A snapshot is tens of bytes, so Encode
+// allocates its bytes and every reader loads a whole file before
+// checking it.
 //
 // The package is pure serialization: when a rank cuts and what it
 // restores is internal/core's; this package supplies the file mechanics
@@ -21,15 +21,12 @@
 package ckpt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 )
 
@@ -85,9 +82,8 @@ type SinkMark struct {
 }
 
 // Stats carries the cumulative engine counters that cannot be
-// recomputed from F, so resumed runs report run-lifetime totals. They
-// count work, so a resumed run's totals include the attempts it repeats
-// above the mark.
+// recomputed from F. They count work: a resumed run adds the work it
+// redoes above the mark to them, so its totals are not the model's.
 type Stats struct {
 	Retries     int64
 	QueuedWaits int64
@@ -130,21 +126,10 @@ func parseName(name string) (rank int, epoch int64, ok bool) {
 	return r, e, true
 }
 
-// Encoder serializes snapshots into a reused scratch buffer, so a
-// steady checkpoint cadence performs no transient allocations: the
-// buffer grows once and is then recycled epoch after epoch. An Encoder is not safe for concurrent use; the
-// engine gives its background writer a private one.
-type Encoder struct {
-	buf []byte
-}
-
-// Encode serializes s — sections plus the CRC-32C trailer — into the
-// encoder's scratch buffer and returns the encoded bytes. The returned
-// slice aliases the scratch buffer and is valid until the next Encode
-// call.
-func (enc *Encoder) Encode(s *Snapshot) []byte {
-	// One growth to a bound on the encoding, not a chain of appends.
-	b := slices.Grow(enc.buf[:0], 160+len(s.Meta.Scheme))
+// Encode serializes s — sections plus the CRC-32C trailer — into a new
+// slice sized for the encoding.
+func Encode(s *Snapshot) []byte {
+	b := make([]byte, 0, 160+len(s.Meta.Scheme))
 	b = append(b, Magic...)
 	b = binary.AppendUvarint(b, Version)
 
@@ -174,9 +159,7 @@ func (enc *Encoder) Encode(s *Snapshot) []byte {
 	b = binary.AppendUvarint(b, uint64(s.Sink.Blocks))
 	b = binary.AppendUvarint(b, uint64(s.Sink.Edges))
 	b = append(b, 'Z')
-	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
-	enc.buf = b
-	return b
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
 // WriteEncoded publishes pre-encoded snapshot bytes to
@@ -300,42 +283,22 @@ func Read(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// PruneBuf is the scratch Prune streams every file it vets through. A
-// caller that prunes repeatedly — the engine's background writer, once an
-// epoch — owns one, so vetting allocates no read buffer per file.
-type PruneBuf [8 << 10]byte
-
 // check validates a snapshot's frame — magic, whole-file CRC-32C and
-// version — reading the size bytes of r through buf, so Prune can vet a
-// file without loading it; parse runs it over the bytes it holds before
-// reading the sections.
-func check(r io.ReaderAt, size int64, buf *PruneBuf) error {
-	if size < int64(len(Magic))+4 {
-		return fmt.Errorf("file too short (%d bytes)", size)
+// version. Read (through parse) and Prune (through vet) both run it over
+// a whole file's bytes before trusting anything else in them.
+func check(data []byte) error {
+	if len(data) < len(Magic)+4 {
+		return fmt.Errorf("file too short (%d bytes)", len(data))
 	}
-	head := buf[:min(size-4, int64(len(Magic)+binary.MaxVarintLen64))]
-	if _, err := r.ReadAt(head, 0); err != nil {
-		return err
+	if string(data[:len(Magic)]) != Magic {
+		return fmt.Errorf("bad magic %q", data[:len(Magic)])
 	}
-	if string(head[:len(Magic)]) != Magic {
-		return fmt.Errorf("bad magic %q", head[:len(Magic)])
-	}
-	ver, k := binary.Uvarint(head[len(Magic):])
-	body, got := size-4, uint32(0)
-	for off := int64(0); off < body; {
-		n, err := r.ReadAt(buf[:min(int64(len(buf)), body-off)], off)
-		if err != nil {
-			return err
-		}
-		got = crc32.Update(got, castagnoli, buf[:n])
-		off += int64(n)
-	}
-	if _, err := r.ReadAt(buf[:4], body); err != nil {
-		return err
-	}
-	if want := binary.LittleEndian.Uint32(buf[:4]); got != want {
+	body := data[:len(data)-4]
+	want, got := binary.LittleEndian.Uint32(data[len(body):]), crc32.Checksum(body, castagnoli)
+	if got != want {
 		return fmt.Errorf("CRC mismatch: file says %08x, content is %08x (torn or corrupted snapshot)", want, got)
 	}
+	ver, k := binary.Uvarint(body[len(Magic):])
 	if k <= 0 {
 		return fmt.Errorf("truncated varint")
 	}
@@ -349,7 +312,7 @@ func check(r io.ReaderAt, size int64, buf *PruneBuf) error {
 }
 
 func parse(data []byte) (*Snapshot, error) {
-	if err := check(bytes.NewReader(data), int64(len(data)), new(PruneBuf)); err != nil {
+	if err := check(data); err != nil {
 		return nil, err
 	}
 	r := &reader{b: data[len(Magic) : len(data)-4]}
@@ -476,10 +439,9 @@ func Epochs(dir string, rank int) ([]int64, error) {
 // CRC-32C, version). A torn or foreign file never counts toward
 // retention, so keep restorable epochs survive whatever damage sits
 // among them — keeping at least two is what makes the torn-latest
-// fallback possible. The check streams the file through buf and parses
-// no section, so vetting allocates no read buffer per file. Rejected
-// files are deleted once they age past the oldest kept epoch.
-func Prune(dir string, rank int, keep int, buf *PruneBuf) error {
+// fallback possible. The check parses no section. Rejected files are
+// deleted once they age past the oldest kept epoch.
+func Prune(dir string, rank int, keep int) error {
 	epochs, err := Epochs(dir, rank)
 	if err != nil {
 		return err
@@ -487,7 +449,7 @@ func Prune(dir string, rank int, keep int, buf *PruneBuf) error {
 	keep = max(keep, 1)
 	var barrier int64
 	for i := len(epochs) - 1; i >= 0 && keep > 0; i-- {
-		if vet(Path(dir, rank, epochs[i]), buf) == nil {
+		if vet(Path(dir, rank, epochs[i])) == nil {
 			barrier = epochs[i]
 			keep--
 		}
@@ -507,17 +469,12 @@ func Prune(dir string, rank int, keep int, buf *PruneBuf) error {
 }
 
 // vet runs check over the file at path.
-func vet(path string, buf *PruneBuf) error {
-	f, err := os.Open(path)
+func vet(path string) error {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	return check(f, fi.Size(), buf)
+	return check(data)
 }
 
 // Remove deletes rank's snapshot of the given epoch, ignoring a missing

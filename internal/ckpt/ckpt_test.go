@@ -8,15 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 )
 
 // Write encodes and publishes s in one call.
 func Write(dir string, s *Snapshot) (path string, size int64, err error) {
-	var enc Encoder
-	return WriteEncoded(dir, s.Meta.Rank, s.Epoch, enc.Encode(s))
+	return WriteEncoded(dir, s.Meta.Rank, s.Epoch, Encode(s))
 }
 
 func sample(rank int, epoch int64) *Snapshot {
@@ -94,8 +92,6 @@ func reseal(data []byte) []byte {
 // are CRC-clean, so the section rules — not the checksum — must reject
 // them.
 func TestParseSectionRules(t *testing.T) {
-	var enc Encoder
-	encode := func(s *Snapshot) []byte { return append([]byte(nil), enc.Encode(s)...) }
 	s := sample(0, 4)
 
 	// beforeEnd splices a section in before the end marker and the
@@ -103,7 +99,7 @@ func TestParseSectionRules(t *testing.T) {
 	mark := binary.AppendUvarint([]byte{'K'}, uint64(s.Sink.Offset))
 	mark = binary.AppendUvarint(mark, uint64(s.Sink.Blocks))
 	mark = binary.AppendUvarint(mark, uint64(s.Sink.Edges))
-	data := encode(s)
+	data := Encode(s)
 	meta := data[len(Magic)+1 : bytes.IndexByte(data, 'S')]
 	if meta[0] != 'M' {
 		t.Fatalf("snapshot opens with section %q, want 'M'", meta[0])
@@ -113,7 +109,7 @@ func TestParseSectionRules(t *testing.T) {
 		return reseal(append(body, 'Z', 0, 0, 0, 0))
 	}
 	without := func(section []byte) []byte {
-		data := encode(s)
+		data := Encode(s)
 		if bytes.Count(data, section) != 1 {
 			t.Fatalf("snapshot holds %d copies of section %q", bytes.Count(data, section), section[0])
 		}
@@ -122,13 +118,13 @@ func TestParseSectionRules(t *testing.T) {
 	cases := map[string][]byte{
 		"no K":      without(mark),
 		"no M":      without(meta),
-		"W section": beforeEnd(encode(s), []byte{'W', 0, 0, 0}),
-		"F section": beforeEnd(encode(s), []byte{'F', 2, 0}),
-		"D section": beforeEnd(encode(s), []byte{'D', 2, 1, 0, 1, 5}),
-		"O section": beforeEnd(encode(s), []byte{'O', 1, 3, 1, 0xca}),
+		"W section": beforeEnd(Encode(s), []byte{'W', 0, 0, 0}),
+		"F section": beforeEnd(Encode(s), []byte{'F', 2, 0}),
+		"D section": beforeEnd(Encode(s), []byte{'D', 2, 1, 0, 1, 5}),
+		"O section": beforeEnd(Encode(s), []byte{'O', 1, 3, 1, 0xca}),
 	}
 	for _, v := range []byte{6, 8, 9, 10, 11, 12} {
-		old := encode(s)
+		old := Encode(s)
 		old[len(Magic)] = v
 		cases[fmt.Sprintf("version %d", v)] = reseal(old)
 	}
@@ -142,7 +138,7 @@ func TestParseSectionRules(t *testing.T) {
 		}
 	}
 	for _, want := range []*Snapshot{s, {Meta: s.Meta, Epoch: 1}} {
-		if got, err := parse(encode(want)); err != nil || !reflect.DeepEqual(got, want) {
+		if got, err := parse(Encode(want)); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip = %+v, %v", got, err)
 		}
 	}
@@ -159,7 +155,7 @@ func TestStreamedEpochRetention(t *testing.T) {
 		if _, _, err := Write(dir, sample(0, epoch)); err != nil {
 			t.Fatal(err)
 		}
-		if err := Prune(dir, 0, 3, new(PruneBuf)); err != nil {
+		if err := Prune(dir, 0, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -321,7 +317,7 @@ func TestEpochsPruneRemove(t *testing.T) {
 	if !reflect.DeepEqual(epochs, []int64{1, 3, 5}) {
 		t.Fatalf("Epochs = %v, want [1 3 5]", epochs)
 	}
-	if err := Prune(dir, 0, 2, new(PruneBuf)); err != nil {
+	if err := Prune(dir, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	if epochs, _ = Epochs(dir, 0); !reflect.DeepEqual(epochs, []int64{3, 5}) {
@@ -342,15 +338,16 @@ func TestEpochsPruneRemove(t *testing.T) {
 	}
 }
 
-// Prune counts only snapshots whose frame Read accepts, checked through
-// a buffer smaller than the file: a torn newest epoch, a flipped byte
-// past the first buffer's worth and another version never count, so the
-// two intact epochs below them are kept and only older ones go.
+// Prune counts only snapshots whose frame Read accepts, and vets each
+// one with the same check over the whole file's bytes: a torn newest
+// epoch, a flipped byte deep inside a large file and another version
+// never count, so the two intact epochs below them are kept and only
+// older ones go.
 func TestPruneSkipsDamagedFrames(t *testing.T) {
 	dir := t.TempDir()
 	for epoch := int64(1); epoch <= 6; epoch++ {
 		s := sample(0, epoch)
-		// A scheme name that takes the file past check's 8 KiB buffer.
+		// A 60 KB scheme name: the damage below lands far from both ends.
 		s.Meta.Scheme = strings.Repeat("RRP", 20_000)
 		if _, _, err := Write(dir, s); err != nil {
 			t.Fatal(err)
@@ -375,44 +372,15 @@ func TestPruneSkipsDamagedFrames(t *testing.T) {
 	})
 	for epoch := int64(1); epoch <= 6; epoch++ {
 		_, rerr := Read(Path(dir, 0, epoch))
-		if verr := vet(Path(dir, 0, epoch), new(PruneBuf)); (verr == nil) != (rerr == nil) || verr != nil && !strings.Contains(rerr.Error(), verr.Error()) {
+		if verr := vet(Path(dir, 0, epoch)); (verr == nil) != (rerr == nil) || verr != nil && !strings.Contains(rerr.Error(), verr.Error()) {
 			t.Fatalf("epoch %d: vet says %v, Read says %v", epoch, verr, rerr)
 		}
 	}
-	if err := Prune(dir, 0, 2, new(PruneBuf)); err != nil {
+	if err := Prune(dir, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	if epochs, _ := Epochs(dir, 0); !reflect.DeepEqual(epochs, []int64{2, 3, 4, 5, 6}) {
 		t.Fatalf("after prune: %v, want [2 3 4 5 6]", epochs)
-	}
-}
-
-// Prune vets every file through the caller's one buffer: the bytes a
-// call allocates grow with the files it lists and opens, not by a read
-// buffer per retained file.
-func TestPruneVetsThroughOneBuffer(t *testing.T) {
-	perCall := func(files int) float64 {
-		dir := t.TempDir()
-		for epoch := int64(1); epoch <= int64(files); epoch++ {
-			if _, _, err := Write(dir, sample(0, epoch)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var buf PruneBuf
-		var before, after runtime.MemStats
-		const calls = 20
-		runtime.ReadMemStats(&before)
-		for range calls {
-			if err := Prune(dir, 0, files, &buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / calls
-	}
-	few, many := perCall(2), perCall(12)
-	if perFile := (many - few) / 10; perFile >= 4<<10 {
-		t.Fatalf("Prune allocates %.0f bytes per call at 2 files and %.0f at 12: %.0f per retained file, want < 4 KiB", few, many, perFile)
 	}
 }
 

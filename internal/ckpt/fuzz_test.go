@@ -13,14 +13,13 @@ import (
 // not panic and must not allocate from a count the file's size does not
 // back, and a file it accepts must re-encode to bytes that parse back to
 // the same Snapshot, so nothing the reader admits is lost or invented by
-// the writer. The seeds are real v13 Encoder output: an epoch-shaped
+// the writer. The seeds are real v13 Encode output: an epoch-shaped
 // snapshot, one with a zero mark (a cut before the first block
 // flushed), one with every field at its widest, an idle one with zero
 // counters, and one of a single-rank run.
 // testdata/fuzz/FuzzParse keeps an input that broke an earlier parser:
 // a NaN p, unequal to itself and so never equal after a round trip.
 func FuzzParse(f *testing.F) {
-	var enc Encoder
 	zero := sample(1, 3)
 	zero.Sink = SinkMark{}
 	wide := sample(7, 1<<62)
@@ -30,7 +29,7 @@ func FuzzParse(f *testing.F) {
 	single := epochSnapshot()
 	single.Meta.Ranks, single.Meta.Rank, single.Meta.Scheme = 1, 0, "UCP"
 	for _, s := range []*Snapshot{epochSnapshot(), zero, wide, idle, single} {
-		data := enc.Encode(s)
+		data := Encode(s)
 		f.Add(append([]byte(nil), data[:len(data)-4]...))
 	}
 
@@ -48,8 +47,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var enc Encoder
-		again, err := parse(enc.Encode(s))
+		again, err := parse(Encode(s))
 		if err != nil {
 			t.Fatalf("accepted %+v, but its re-encoding does not parse: %v", s, err)
 		}

@@ -82,8 +82,6 @@ type ckptWriter struct {
 	epochs, failed    int64
 	bytes, writeNanos int64
 	writeHist         obs.Histogram
-	enc               ckpt.Encoder
-	vet               ckpt.PruneBuf
 }
 
 func newCkptWriter(dir string, rank, keep int, stream *esink.Writer) *ckptWriter {
@@ -123,18 +121,18 @@ func (bw *ckptWriter) loop() {
 
 // publish makes one epoch durable: shard fsync first (the snapshot's sink
 // mark must name bytes that are on disk before the snapshot carrying it
-// exists), then encode into the pooled scratch, write+fsync+rename, then
-// prune superseded epochs. The esink writer does not latch a Sync
-// failure: returning it here, which fails the epoch, is the only report.
+// exists), then encode, write+fsync+rename, then prune superseded
+// epochs. The esink writer does not latch a Sync failure: returning it
+// here, which fails the epoch, is the only report.
 func (bw *ckptWriter) publish(s *ckpt.Snapshot) (int64, error) {
 	if err := bw.stream.Sync(); err != nil {
 		return 0, err
 	}
-	_, size, err := ckpt.WriteEncoded(bw.dir, bw.rank, s.Epoch, bw.enc.Encode(s))
+	_, size, err := ckpt.WriteEncoded(bw.dir, bw.rank, s.Epoch, ckpt.Encode(s))
 	if err != nil {
 		return 0, err
 	}
-	return size, ckpt.Prune(bw.dir, bw.rank, bw.keep, &bw.vet)
+	return size, ckpt.Prune(bw.dir, bw.rank, bw.keep)
 }
 
 // shutdown drains and stops the writer. Idempotent; blocks until every

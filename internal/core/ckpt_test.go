@@ -9,8 +9,6 @@ import (
 	"testing"
 
 	"pagen/internal/ckpt"
-	"pagen/internal/coll"
-	"pagen/internal/comm"
 	"pagen/internal/graph"
 	"pagen/internal/model"
 	"pagen/internal/partition"
@@ -291,7 +289,7 @@ func TestCheckpointResumeMixedEpochs(t *testing.T) {
 			ckptDir, streamDir := t.TempDir(), t.TempDir()
 			opts := Options{Params: pr, Part: part, Seed: 29, Workers: 1, StreamDir: streamDir, StreamBlockEdges: 256,
 				Checkpoint: &CheckpointOptions{Dir: ckptDir, Every: pr.N / int64(4*p), Keep: 1000}}
-			if _, _, err := simGroup(p, simSched{seed: 29, deliver: 0.3}, func(int) Options { return opts }, nil); err != nil {
+			if _, _, err := simGroup(p, simSched{seed: 29, deliver: 0.3}, func(int) Options { return opts }); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			var from []int64
@@ -312,7 +310,7 @@ func TestCheckpointResumeMixedEpochs(t *testing.T) {
 				t.Fatalf("%s: ranks resume from epochs %v, want them to differ", label, from)
 			}
 			opts.Checkpoint = &CheckpointOptions{Dir: ckptDir, Keep: 1000, Resume: true}
-			_, results, err := simGroup(p, simSched{seed: 30, deliver: 0.3}, func(int) Options { return opts }, nil)
+			_, results, err := simGroup(p, simSched{seed: 30, deliver: 0.3}, func(int) Options { return opts })
 			if err != nil {
 				t.Fatalf("%s: resume from epochs %v: %v", label, from, err)
 			}
@@ -512,45 +510,6 @@ func TestCheckpointKillDuringBackgroundWrite(t *testing.T) {
 	}
 }
 
-// Rank 0 leaves the engine when it broadcasts stop, and every other rank
-// when stop arrives; the first of them to run pa-tcp's post-run
-// collectives sends rank 0 a gather. Rank 0 must not be receiving by
-// then, whether the stop went out mid-drain or right after a cut, and no
-// rank may have sent anything the engine has not read.
-func TestCheckpointCollectivesRightAfterStop(t *testing.T) {
-	pr := model.Params{N: 6_000, X: 3, P: 0.5}
-	const p = 3
-	part, err := partition.New(partition.KindRRP, pr.N, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		every   int64
-		deliver float64
-		seed    uint64
-	}{
-		{3_500, 0.5, 3},
-		{4_500, 0.1, 8},
-		{300, 0.1, 8}, // a cut at nearly every poll
-	} {
-		opts := Options{
-			Params: pr, Part: part, Seed: 9, Workers: 1, HubPrefix: -1, StreamDir: t.TempDir(),
-			Checkpoint: &CheckpointOptions{Dir: t.TempDir(), Every: c.every},
-		}
-		_, _, err := simGroup(p, simSched{seed: c.seed, deliver: c.deliver}, func(int) Options { return opts }, func(r int, tr transport.Transport, res *RankResult) error {
-			cs := coll.New(comm.New(tr, comm.Config{}))
-			if _, err := cs.Gather(res.Stats.Edges); err != nil {
-				return err
-			}
-			_, err := cs.AllReduceSum(res.Stats.Comm.RequestsSent)
-			return err
-		})
-		if err != nil {
-			t.Errorf("every %d, deliver %v, schedule seed %d: %v", c.every, c.deliver, c.seed, err)
-		}
-	}
-}
-
 // Resuming against the wrong run parameters must fail loudly instead of
 // silently generating a different graph.
 func TestCheckpointResumeValidation(t *testing.T) {
@@ -630,7 +589,7 @@ func TestCheckpointResumeAheadBlocks(t *testing.T) {
 			lib := opts
 			lib.StreamDir = streamDir
 			lib.Checkpoint = &CheckpointOptions{Dir: ckptDir, Every: pr.N / 8, Keep: 1000}
-			_, results, err := simGroup(2, simSched{seed: 13, deliver: 0.1}, func(int) Options { return lib }, nil)
+			_, results, err := simGroup(2, simSched{seed: 13, deliver: 0.1}, func(int) Options { return lib })
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}

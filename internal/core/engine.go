@@ -173,6 +173,13 @@ type RankStats struct {
 	QueuedWaits int64
 	// LocalWaits counts copy attachments whose source was local but
 	// unresolved (same-rank dependency-chain waits).
+	//
+	// Retries, QueuedWaits and LocalWaits count work, not the model. On
+	// a resumed rank each is the cut's total, carried in the snapshot,
+	// plus the work the rank redid regenerating the nodes above its
+	// mark, some of which the cut had already counted. So a resumed
+	// run's Retries is at least the model's retry count, not equal to it
+	// (DESIGN.md §9.4).
 	LocalWaits int64
 	// RequestsTo is the per-destination request count — this rank's row
 	// of the request-traffic matrix (strictly lower-triangular under
@@ -1007,10 +1014,9 @@ func (e *engine) drain(block bool) error {
 		if e.err != nil {
 			return e.err
 		}
-		// A stopped rank receives no more: a peer that took stop may
-		// already be running its caller's next protocol over the same
-		// transport (cmd/pa-tcp's summary collectives, whose first
-		// message goes to rank 0), and that is not the engine's to read.
+		// A stopped rank receives no more: the run is complete, and a
+		// peer that took stop may already be closing its end of the
+		// transport, which a further read could report as an error.
 		if e.stopped {
 			break
 		}

@@ -157,14 +157,14 @@ func TestHubCacheNoPrefixRequests(t *testing.T) {
 							if m.K < h {
 								prefix++
 							}
-						case m.Kind > msg.KindColl:
+						case m.Kind > msg.KindStop:
 							former++
 						}
 					}
 				}}
 				_, results, err := simGroup(p, sched, func(int) Options {
 					return Options{Params: pr, Part: part, Seed: 5, Workers: 1}
-				}, nil)
+				})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -203,7 +203,7 @@ func TestHubCacheMismatchedSettingsAgree(t *testing.T) {
 		}
 		_, results, err := simGroup(p, simSched{seed: uint64(p)}, func(r int) Options {
 			return Options{Params: pr, Part: part, Seed: 3, Workers: 1, HubPrefix: hubs[r]}
-		}, nil)
+		})
 		if err != nil {
 			t.Fatalf("hubs %v: %v", hubs, err)
 		}

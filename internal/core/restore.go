@@ -65,7 +65,8 @@ func (e *engine) restore(s *ckpt.Snapshot) error {
 		return err
 	}
 	e.cursor = e.frontier / e.x64
-	// Run-lifetime counters continue across restarts.
+	// The work counters continue from the cut's totals; the nodes
+	// regenerated above the mark add to them (RankStats.LocalWaits).
 	e.stats.Retries += s.Stats.Retries
 	e.stats.QueuedWaits += s.Stats.QueuedWaits
 	e.stats.LocalWaits += s.Stats.LocalWaits

@@ -13,7 +13,6 @@ import (
 	"pagen/internal/ckpt"
 	"pagen/internal/esink"
 	"pagen/internal/model"
-	"pagen/internal/msg"
 	"pagen/internal/partition"
 	"pagen/internal/seq"
 	"pagen/internal/transport"
@@ -288,8 +287,7 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 		}
 		s := *snap
 		s.Sink = mark
-		var enc ckpt.Encoder
-		if _, _, err := ckpt.WriteEncoded(ck, s.Meta.Rank, s.Epoch, enc.Encode(&s)); err != nil {
+		if _, _, err := ckpt.WriteEncoded(ck, s.Meta.Rank, s.Epoch, ckpt.Encode(&s)); err != nil {
 			t.Fatal(err)
 		}
 		o := opts
@@ -528,17 +526,4 @@ func cutEngine(t *testing.T) *engine {
 		}
 	})
 	return e
-}
-
-// The engine runs no collectives: pa-tcp's run only after RunRank has
-// returned. A collective message that reaches the engine's handler on a
-// checkpointed rank is a protocol violation reported by kind, as it is
-// on a rank without checkpointing.
-func TestCollectiveMessageMidRunFails(t *testing.T) {
-	e := cutEngine(t)
-	err := e.handle(msg.Coll(2, 5, 1))
-	want := "unexpected message kind " + msg.KindColl.String()
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("handle(coll) on a checkpointed rank: err = %v, want one containing %q", err, want)
-	}
 }

@@ -22,12 +22,11 @@ import (
 )
 
 // simGroup runs one rank per simNet endpoint, each on its own goroutine
-// as Run does: opts(r) configures rank r, and after, when set, runs on
-// the rank's endpoint once RunRank returned (cmd/pa-tcp's post-run
-// collectives). A failed rank aborts the group, as Run's does. The
-// returned error is the root cause: the first rank's that is not the
-// ErrClosed the abort hands the others.
-func simGroup(p int, sched simSched, opts func(r int) Options, after func(r int, tr transport.Transport, res *RankResult) error) (*simNet, []*RankResult, error) {
+// as Run does: opts(r) configures rank r, and the rank closes its
+// endpoint once RunRank returned. A failed rank aborts the group, as
+// Run's does. The returned error is the root cause: the first rank's
+// that is not the ErrClosed the abort hands the others.
+func simGroup(p int, sched simSched, opts func(r int) Options) (*simNet, []*RankResult, error) {
 	net := newSimNet(p, sched)
 	results := make([]*RankResult, p)
 	errs := make([]error, p)
@@ -38,9 +37,6 @@ func simGroup(p int, sched simSched, opts func(r int) Options, after func(r int,
 			defer wg.Done()
 			tr := net.endpoint(r)
 			results[r], errs[r] = RunRank(tr, opts(r))
-			if errs[r] == nil && after != nil {
-				errs[r] = after(r, tr, results[r])
-			}
 			if errs[r] != nil {
 				net.abort()
 			}
@@ -225,8 +221,9 @@ func checkSims(t *testing.T, cs ...simConfig) []simOutcome {
 }
 
 // checkSim runs c on simulated networks and checks it against the
-// sequential model: the edge list, and on runs without checkpoints the
-// decision trace, the retry count and (wire resolution) NodeLoad; every
+// sequential model: the edge list; the retry count, which a resumed run
+// may exceed but not fall short of; and on runs without checkpoints the
+// decision trace and (wire resolution) NodeLoad; every
 // snapshot every rank retained must mark a node boundary of its shard; a
 // killed run must resume to the same graph, whichever epochs its ranks
 // come back from. dir is scratch space for shards and snapshots.
@@ -270,7 +267,7 @@ func checkSim(t *testing.T, c simConfig, dir string) (simOutcome, error) {
 			return ro
 		}
 	}
-	net, results, err := simGroup(c.Ranks, sched, rankOpts(base, c.AltRanks), nil)
+	net, results, err := simGroup(c.Ranks, sched, rankOpts(base, c.AltRanks))
 	out.log, out.crashed = net.log.Sum64(), net.crashed
 	if err != nil && !(net.crashed && errors.Is(err, errSimCrash)) {
 		return out, err
@@ -285,7 +282,7 @@ func checkSim(t *testing.T, c simConfig, dir string) (simOutcome, error) {
 		ck.Resume = true
 		resumed.Checkpoint = &ck
 		sched = simSched{seed: c.Sched ^ 0x5bd1e995, deliver: c.Deliver}
-		if _, results, err = simGroup(c.Ranks, sched, rankOpts(resumed, c.ResumeAltRanks), nil); err != nil {
+		if _, results, err = simGroup(c.Ranks, sched, rankOpts(resumed, c.ResumeAltRanks)); err != nil {
 			return out, fmt.Errorf("resume after the kill: %w", err)
 		}
 	}
@@ -321,7 +318,19 @@ func checkSim(t *testing.T, c simConfig, dir string) (simOutcome, error) {
 		}
 		return out, fmt.Errorf("edge %d is (%d,%d), the model's is (%d,%d)", i, edges[i].U, edges[i].V, sg.Edges[i].U, sg.Edges[i].V)
 	}
+	load, retries := modelLoad(t, pr, c.Seed)
+	var gotRetries int64
+	for _, res := range results {
+		gotRetries += res.Stats.Retries
+	}
 	if ckpted {
+		// A node's retries are a pure function of its draws. A resumed
+		// rank counts the cut's totals plus every node it regenerates
+		// above its mark, so nodes at or below the mark count once and
+		// the rest at least once.
+		if c.Kill == 0 && gotRetries != retries || gotRetries < retries {
+			return out, fmt.Errorf("%d duplicate retries (killed: %v), the model retried %d times", gotRetries, c.Kill > 0, retries)
+		}
 		return out, nil
 	}
 
@@ -332,11 +341,8 @@ func checkSim(t *testing.T, c simConfig, dir string) (simOutcome, error) {
 				i, tr.Copied[i], tr.K[i], tr.L[i], want.Copied[i], want.K[i], want.L[i])
 		}
 	}
-	load, retries := modelLoad(t, pr, c.Seed)
-	var gotRetries int64
 	census := make([]int64, c.N) // load plus elided queries, per node
 	for r, res := range results {
-		gotRetries += res.Stats.Retries
 		for _, s := range NodeLoadSamples(part, r, res.Stats.NodeLoad) {
 			census[s.K] += s.Load
 		}
@@ -608,7 +614,7 @@ func TestSimDroppedRequestDeadlocks(t *testing.T) {
 	}}
 	net, _, err := simGroup(3, sched, func(int) Options {
 		return Options{Params: pr, Part: part, Seed: 5, HubPrefix: -1}
-	}, nil)
+	})
 	if !dropped {
 		t.Fatal("no request frame crossed the network")
 	}

@@ -409,7 +409,7 @@ func TestWorkersHelpersStopped(t *testing.T) {
 	}
 	_, _, err = simGroup(2, simSched{seed: 7, crashRank: 1, crashAt: 60}, func(int) Options {
 		return Options{Params: pr, Part: part, Seed: 1, Workers: 4, bufferCap: 1, pollEvery: 1024}
-	}, nil)
+	})
 	if !errors.Is(err, errSimCrash) {
 		t.Fatalf("crashed run: err = %v, want the crash", err)
 	}

@@ -9,12 +9,13 @@ import (
 // decoder accepts must re-encode (v3, the format the transports send) to
 // a frame that decodes to the same messages. Varints are not canonical,
 // so the check is decode→encode→decode idempotence, not byte equality.
-// Three seeds open a group of a retired kind — 6 (checkpoint), 7 and 8
-// (publish, fence), as older binaries encoded them — which the decoder
-// refuses as a bad group kind.
+// Four seeds open a group of a retired kind — 5 (collective step), 6
+// (checkpoint), 7 and 8 (publish, fence), as older binaries encoded them
+// — which the decoder refuses as a bad group kind.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add(AppendEncodeBatchV3(nil, []Message{Request(1, 0, 2, 1), Done(3)}))
-	f.Add(AppendEncodeBatchV3(nil, []Message{Resolved(9, 2, 1<<40), Coll(1, 2, 3), Stop()}))
+	f.Add(AppendEncodeBatchV3(nil, []Message{Resolved(9, 2, 1<<40), Stop()}))
+	f.Add([]byte{FrameV3Magic, 5, 1, 0x02, 0x04, 0x06})
 	f.Add([]byte{FrameV3Magic, 6, 2, 0x00, 0x04, 0x00, 0x08, 0x00, 0x02, 0x05, 0x00, 0x08, 0x02})
 	f.Add(AppendEncodeBatchV3(nil, []Message{Resolved(9, 0, 4), Resolved(9, 1, 6), Resolved(9, 2, 2)}))
 	f.Add([]byte{FrameV3Magic, 7, 3, 18, 8, 2, 12, 2, 4})
@@ -34,11 +35,12 @@ func FuzzDecodeBatch(f *testing.F) {
 // anything it accepts must survive a v2 re-encode/decode cycle
 // unchanged. Seeds cover both codec versions plus junk, so the fuzzer
 // explores the version-dispatch boundary too, and groups of the retired
-// kinds 6, 7 and 8.
+// kinds 5, 6, 7 and 8.
 func FuzzDecodeBatchV2(f *testing.F) {
 	f.Add(AppendEncodeBatchV2(nil, nil))
 	f.Add(AppendEncodeBatchV2(nil, []Message{Request(1, 0, 2, 1), Request(2, 1, 2, 0), Done(3)}))
-	f.Add(AppendEncodeBatchV2(nil, []Message{Resolved(9, 2, 1<<40), Coll(1, 2, 3), Stop()}))
+	f.Add(AppendEncodeBatchV2(nil, []Message{Resolved(9, 2, 1<<40), Stop()}))
+	f.Add([]byte{FrameV2Magic, 5, 2, 0x02, 0x04, 0x06, 0x02, 0x00, 0x08})
 	f.Add([]byte{FrameV2Magic, 6, 1, 0x06, 0x06, 0x00, 0x80, 0x80, 0x80, 0x80, 0x40, 0x09, byte(KindRequest), 1, 0x02, 0x04, 0x00, 0x01})
 	f.Add([]byte{byte(KindRequest), 1, 0, 0, 0, 0, 0, 0, 0})
 	f.Add(AppendEncodeBatchV3(nil, []Message{Resolved(5, 0, 1), Resolved(5, 1, 3), Request(6, 0, 2, 1)}))

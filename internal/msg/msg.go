@@ -25,12 +25,9 @@ const (
 	KindDone
 	// KindStop broadcasts global termination from the coordinator.
 	KindStop
-	// KindColl carries a collective-operation step (internal/coll):
-	// T = sender rank, K = operation tag, V = payload.
-	KindColl
-	// Values 6 to 8 belonged to retired checkpoint and hub-cache kinds
-	// and stay unassigned, so an old binary's group is refused as a bad
-	// kind, not misread.
+	// Values 5 to 8 belonged to retired collective, checkpoint and
+	// hub-cache kinds and stay unassigned, so an old binary's group is
+	// refused as a bad kind, not misread.
 )
 
 // String returns the kind's name.
@@ -44,8 +41,6 @@ func (k Kind) String() string {
 		return "done"
 	case KindStop:
 		return "stop"
-	case KindColl:
-		return "coll"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -86,12 +81,6 @@ func Stop() Message {
 	return Message{Kind: KindStop}
 }
 
-// Coll constructs a collective-operation message from the given rank
-// with an operation tag and payload.
-func Coll(rank int, tag int64, payload int64) Message {
-	return Message{Kind: KindColl, T: int64(rank), K: tag, V: payload}
-}
-
 // EncodedSize is a per-message buffer-sizing hint in bytes, the raw
 // width of a message's fields: kind(1) + T(8) + K(8) + V(8) + E(2) +
 // L(2). The v2/v3 codec varint-codes every field and drops the ones a
@@ -113,7 +102,6 @@ const FrameV2Magic = 0xC2
 //
 //	request:  varint(ΔT) varint(K)  uvarint(E) uvarint(L)
 //	resolved: varint(ΔT) varint(V)  uvarint(E)
-//	coll:     varint(ΔT) varint(K)  varint(V)
 //	done:     varint(ΔT)
 //	stop:     varint(ΔT)
 //
@@ -163,9 +151,6 @@ func appendBatch(dst []byte, ms []Message, magic byte) []byte {
 			case KindResolved:
 				dst = binary.AppendVarint(dst, m.V)
 				dst = binary.AppendUvarint(dst, uint64(m.E))
-			case KindColl:
-				dst = binary.AppendVarint(dst, m.K)
-				dst = binary.AppendVarint(dst, m.V)
 			}
 		}
 		i = j
@@ -189,7 +174,7 @@ func DecodeBatch(dst []Message, frame []byte) ([]Message, error) {
 func decodeBatchCompact(dst []Message, b []byte) ([]Message, error) {
 	for len(b) > 0 {
 		kind := Kind(b[0])
-		if kind < KindRequest || kind > KindColl {
+		if kind < KindRequest || kind > KindStop {
 			return dst, fmt.Errorf("msg: bad group kind %d", b[0])
 		}
 		b = b[1:]
@@ -231,13 +216,6 @@ func decodeBatchCompact(dst []Message, b []byte) ([]Message, error) {
 				}
 				if m.E, b, ok = takeUint16(b); !ok {
 					return dst, fmt.Errorf("msg: truncated E")
-				}
-			case KindColl:
-				if m.K, b, ok = takeVarint(b); !ok {
-					return dst, fmt.Errorf("msg: truncated K")
-				}
-				if m.V, b, ok = takeVarint(b); !ok {
-					return dst, fmt.Errorf("msg: truncated V")
 				}
 			}
 			dst = append(dst, m)

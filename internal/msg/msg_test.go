@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -27,8 +28,8 @@ func TestConstructors(t *testing.T) {
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
 		KindRequest: "request", KindResolved: "resolved",
-		KindDone: "done", KindStop: "stop", KindColl: "coll",
-		Kind(0): "Kind(0)", Kind(6): "Kind(6)", Kind(7): "Kind(7)", Kind(8): "Kind(8)",
+		KindDone: "done", KindStop: "stop",
+		Kind(0): "Kind(0)", Kind(5): "Kind(5)", Kind(6): "Kind(6)", Kind(7): "Kind(7)", Kind(8): "Kind(8)",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {
@@ -45,7 +46,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		Resolved(1, 0, -7), // negative sentinel values survive
 		Done(767),
 		Stop(),
-		Coll(5, 123456, 42),
 	}
 	for _, m := range cases {
 		got, err := DecodeBatch(nil, AppendEncodeBatchV3(nil, []Message{m}))
@@ -140,8 +140,6 @@ func clearDeadFields(m Message) Message {
 		m.V = 0
 	case KindResolved:
 		m.K, m.L = 0, 0
-	case KindColl:
-		m.E, m.L = 0, 0
 	case KindDone, KindStop:
 		m.K, m.V, m.E, m.L = 0, 0, 0, 0
 	}
@@ -153,7 +151,7 @@ func clearDeadFields(m Message) Message {
 func TestRoundTripProperty(t *testing.T) {
 	f := func(kindRaw uint8, tt, k, v int64, e, l uint16) bool {
 		m := clearDeadFields(Message{
-			Kind: Kind(kindRaw%5) + KindRequest,
+			Kind: Kind(kindRaw%4) + KindRequest,
 			T:    tt, K: k, V: v, E: e, L: l,
 		})
 		got, err := DecodeBatch(nil, AppendEncodeBatchV3(nil, []Message{m}))
@@ -181,18 +179,14 @@ func genMessages(ts []int64, ks []uint32, es []uint8) []Message {
 		k := int64(ks[i%len(ks)])
 		e := int(es[i%len(es)]) % 16
 		switch i % 10 {
-		case 0, 1, 2, 3:
+		case 0, 1, 2, 3, 4:
 			ms = append(ms, Request(t, e, k, e%4))
-		case 4, 5:
+		case 5, 6, 7:
 			ms = append(ms, Resolved(t, e, k))
-		case 6:
-			ms = append(ms, Done(int(k%768)))
-		case 7:
-			ms = append(ms, Coll(int(k%768), t, k))
 		case 8:
-			ms = append(ms, Stop())
+			ms = append(ms, Done(int(k%768)))
 		default:
-			ms = append(ms, Coll(int(k%768), k%5, int64(ks[i%len(ks)])))
+			ms = append(ms, Stop())
 		}
 	}
 	return ms
@@ -239,19 +233,29 @@ func TestCompactBatchRejectsCorruption(t *testing.T) {
 	}
 }
 
-// Kind 6 carried the retired checkpoint protocol's markers and votes. A
-// frame from an older binary holding one — here the bytes it encoded for
-// a cut marker — is refused as an unknown kind under either magic, never
-// decoded into another kind's fields.
+// Kinds 5 and 6 carried the retired collective steps and checkpoint
+// markers. A frame from an older binary holding one — here the bytes it
+// encoded for a collective step or a cut marker — is refused as an
+// unknown kind under either magic, never decoded into another kind's
+// fields.
 func TestDecodeRefusesRetiredCkptKind(t *testing.T) {
-	for _, magic := range []byte{FrameV2Magic, FrameV3Magic} {
-		frame := []byte{magic, 6, 1, 0x00, 0x04, 0x00, 0x08, 0x00}
-		if ms, err := DecodeBatch(nil, frame); err == nil || !strings.Contains(err.Error(), "bad group kind 6") {
-			t.Errorf("magic %#x: DecodeBatch = %+v, %v; want a bad group kind 6 error", magic, ms, err)
+	for _, tc := range []struct {
+		kind   byte
+		fields []byte
+	}{
+		{5, []byte{0x04, 0xf4, 0x01, 0x54}},
+		{6, []byte{0x00, 0x04, 0x00, 0x08, 0x00}},
+	} {
+		for _, magic := range []byte{FrameV2Magic, FrameV3Magic} {
+			frame := append([]byte{magic, tc.kind, 1}, tc.fields...)
+			want := fmt.Sprintf("bad group kind %d", tc.kind)
+			if ms, err := DecodeBatch(nil, frame); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("magic %#x: DecodeBatch = %+v, %v; want a %s error", magic, ms, err, want)
+			}
 		}
-	}
-	if got := Kind(6).String(); got != "Kind(6)" {
-		t.Errorf("Kind(6).String() = %q, want an unnamed kind", got)
+		if got, want := Kind(tc.kind).String(), fmt.Sprintf("Kind(%d)", tc.kind); got != want {
+			t.Errorf("Kind(%d).String() = %q, want an unnamed kind", tc.kind, got)
+		}
 	}
 }
 

@@ -195,7 +195,9 @@ type RankMetrics struct {
 	BytesRecv  int64 `json:"bytes_recv"`
 	// Engine gauges: duplicate retries, queued request waits, local
 	// dependency-chain waits, and the peak number of simultaneously
-	// waiting slots.
+	// waiting slots. The first three count work: on a resumed run they
+	// are the cut's totals plus the work regenerated above the rank's
+	// mark, so Retries there is not the model's retry count.
 	Retries         int64 `json:"retries"`
 	QueuedWaits     int64 `json:"queued_waits"`
 	LocalWaits      int64 `json:"local_waits"`

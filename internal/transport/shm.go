@@ -9,9 +9,9 @@ import (
 // ShmGroup is the shared-memory variant of LocalGroup: co-located ranks
 // in one process exchange decoded message batches by reference through
 // the MsgSender fast path, skipping the v2/v3 codec on both ends. Byte
-// frames (Send) still work — collectives use them — so an ShmGroup
-// endpoint is a drop-in Transport; only the
-// communicator's batch flush takes the no-serialize path.
+// frames (Send) still work, so an ShmGroup endpoint is a drop-in
+// Transport; only the communicator's batch flush takes the no-serialize
+// path.
 //
 // Ownership follows the pool's lease/release rule: the sender leases a
 // message slice (LeaseMsgs), fills it, and hands it over in SendMsgs;

@@ -1,8 +1,9 @@
 #!/bin/sh
 # smoke_pa_tcp.sh — 4-rank pa-tcp localhost smoke test: real OS
-# processes, real TCP mesh, the full generation protocol plus the
-# post-run collective sequence (the stats gather that the unsequenced
-# tag protocol used to kill at 4 ranks), plus per-rank metrics export.
+# processes, real TCP mesh, the full generation protocol and per-rank
+# metrics export. Ranks report alone (no message follows the
+# termination protocol), so the cluster's edge count is the sum of the
+# ranks' metrics files, and it must be the model's x(x-1)/2 + (n-x)x.
 # Each rank runs with 2 workers, so the striped batch kernel (a helper
 # goroutine drawing and gathering beside the rank goroutine, which polls
 # its sockets itself) is exercised against the real TCP transport, not
@@ -12,7 +13,8 @@
 # (-hub-prefix -1) and -resolve recompute — and requires all three
 # shard directories to carry the fingerprint of an in-process
 # pagen -ranks 4 run, and every cache-on rank's metrics to show replica
-# hits and no miss, coalesced request or publish. Raw shard bytes are
+# hits and no miss, coalesced request or publish; each cluster's
+# per-rank "edges" must sum to the model's count. Raw shard bytes are
 # not compared: the merged edge
 # stream is the contract (a checkpointed run's block cuts depend on
 # timing; an uncheckpointed run's shards are deterministic too).
@@ -312,7 +314,9 @@ fi
 # tcp_pass NAME ARGS...: one unsupervised cluster streaming into
 # $workdir/NAME, every rank exporting its metrics, rank 0 in the
 # foreground with -stats. A hung rank is sent SIGQUIT by its timeout
-# and dumps its goroutines to this script's stderr.
+# and dumps its goroutines to this script's stderr. The ranks' "edges"
+# must sum to the model's edge count: the x(x-1)/2 edges of the seed
+# clique plus x for each of the other n-x nodes.
 tcp_pass() {
     dir="$workdir/$1"
     shift
@@ -332,12 +336,19 @@ tcp_pass() {
         wait "$pid"
     done
     i=0
+    edges=0
     while [ $i -lt $RANKS ]; do
         for f in "$dir/shard-$i-of-$RANKS.pags" "$dir.metrics$i.json"; do
             [ -s "$f" ] || { echo "rank $i produced no $f" >&2; exit 1; }
         done
+        e=$(sed -n 's/^ *"edges": *\([0-9][0-9]*\).*/\1/p' "$dir.metrics$i.json")
+        [ -n "$e" ] || { echo "rank $i: no edges count in $dir.metrics$i.json" >&2; exit 1; }
+        edges=$((edges + e))
         i=$((i + 1))
     done
+    want=$((X * (X - 1) / 2 + (N - X) * X))
+    [ "$edges" -eq "$want" ] \
+        || { echo "pass $(basename "$dir"): ranks' edges sum to $edges, want $want" >&2; exit 1; }
 }
 
 # The hub-prefix cache (on by default, off with -hub-prefix -1) and the
@@ -371,4 +382,4 @@ for pass in on off rc; do
         || { echo "pass $pass: fingerprint $got, in-process pagen $ref" >&2; exit 1; }
 done
 
-echo "pa-tcp smoke: $RANKS ranks x $WORKERS workers over localhost completed (n=$N, x=$X); cache-on, cache-off and recompute shards fingerprint-equal ($ref) to in-process pagen; cache-on ranks hit their replicas with no miss, coalesced request or publish"
+echo "pa-tcp smoke: $RANKS ranks x $WORKERS workers over localhost completed (n=$N, x=$X); cache-on, cache-off and recompute shards fingerprint-equal ($ref) to in-process pagen; each cluster's per-rank edges sum to $((X * (X - 1) / 2 + (N - X) * X)); cache-on ranks hit their replicas with no miss, coalesced request or publish"
