@@ -19,9 +19,11 @@
 // closes its connections and prints or writes only its own figures.
 // -stats prints the rank's statistics to stderr; -metrics FILE
 // additionally exports the rank's full metric record (counters,
-// wait-chain histogram, per-node received-message load) as JSON, "-"
-// meaning stderr. A cluster figure is a sum or a maximum over the
-// ranks' lines or files.
+// wait-chain histogram, its share of the binned received-message load)
+// as JSON, "-" meaning stderr. A cluster figure is a sum or a maximum
+// over the ranks' lines or files; the cluster's load curve is the
+// bin-wise sum of the ranks' node_load count columns. A checkpointed
+// run's records have no load curve.
 //
 // Long runs can checkpoint: -checkpoint-dir DIR -checkpoint-every N
 // makes every rank, at its own trigger and without a message to any
@@ -73,7 +75,7 @@ func main() {
 		rank      = flag.Int("rank", 0, "this process's rank")
 		addrs     = flag.String("addrs", "", "comma-separated listen addresses, one per rank")
 		stats     = flag.Bool("stats", false, "print this rank's statistics to stderr")
-		metrics   = flag.String("metrics", "", "write this rank's metrics JSON to this file (\"-\" = stderr)")
+		metrics   = flag.String("metrics", "", "write this rank's metrics JSON to this file (\"-\" = stderr); a checkpointed run's has no node_load curve")
 		handshake = flag.Duration("handshake-timeout", transport.DefaultHandshakeTimeout,
 			"mesh-establishment deadline (a peer missing past it is an error, not a hang)")
 	)
@@ -87,7 +89,7 @@ func main() {
 		fatal(fmt.Errorf("need -stream-dir: every rank writes its edges to its own shard file under it"))
 	}
 	cfg.Ranks = len(addrList)
-	// Node-load counters are the one metrics input snapshots do not
+	// The load bins are the one metrics input snapshots do not
 	// capture; under checkpointing -metrics still exports everything
 	// else (pause/write histograms included).
 	cfg.CollectNodeLoad = *metrics != "" && !cfg.Checkpointed()
@@ -125,15 +127,11 @@ func main() {
 	}
 
 	if *metrics != "" {
-		// Each rank only sees its own node set, so the node-load curve
-		// covers this rank's nodes (union the per-rank files for the
-		// full Lemma 3.4 curve).
 		m := runcfg.Metrics(cfg)
 		m.ElapsedNanos = st.WallTime.Nanoseconds()
 		m.PerRank = []obs.RankMetrics{st.Metrics()}
 		if st.NodeLoad != nil {
-			samples := core.NodeLoadSamples(opts.Part, *rank, st.NodeLoad)
-			curve := obs.BinNodeLoad(samples, cfg.N, cfg.X, cfg.P, 0)
+			curve := obs.BinNodeLoad(st.NodeLoad, cfg.N, cfg.X, cfg.P)
 			m.NodeLoad = &curve
 		}
 		if err := m.WriteFile(*metrics); err != nil {

@@ -11,9 +11,10 @@
 //	pagen -n 100000000 -x 4 -stream-dir shards -checkpoint-dir ck -checkpoint-every 20000000
 //
 // -metrics FILE exports the run's observability record (per-rank
-// counters, wait-chain histograms, and the per-node received-message
-// load with the Lemma 3.4 prediction alongside) as JSON; "-" writes it
-// to stderr.
+// counters, wait-chain histograms, and the received-message load binned
+// over node ids with the Lemma 3.4 prediction alongside) as JSON; "-"
+// writes it to stderr. A checkpointed run's record has no load curve: a
+// snapshot does not carry the load bins.
 //
 // -checkpoint-dir DIR with -checkpoint-every N snapshots every rank's
 // engine state roughly every N protocol events; a later invocation with
@@ -58,14 +59,14 @@ func main() {
 		format  = flag.String("format", "text", "output format: text or binary")
 		stats   = flag.Bool("stats", false, "print per-rank statistics to stderr")
 		seq     = flag.Bool("seq", false, "use the sequential copy model instead")
-		metrics = flag.String("metrics", "", "write run metrics JSON to this file (\"-\" = stderr)")
+		metrics = flag.String("metrics", "", "write run metrics JSON to this file (\"-\" = stderr); a checkpointed run's has no node_load curve")
 	)
 	flag.Parse()
 
 	if cfg.Ranks < 1 {
 		fatal(fmt.Errorf("-ranks %d: need at least 1 rank", cfg.Ranks))
 	}
-	// Per-node load counters are the one metrics input snapshots do not
+	// The load bins are the one metrics input snapshots do not
 	// capture; under checkpointing -metrics still exports everything
 	// else (pause/write histograms included), just without the load
 	// curve.

@@ -267,6 +267,16 @@ func (e *engine) drawGather(w *worker) {
 // straight-line, every later first attempt is issued now and its value,
 // if in hand, parked in the node's ahead block (DESIGN.md §8.5).
 func (e *engine) commit(w *worker) {
+	// A same-rank copy whose value the gather had in hand counts toward
+	// the source node's received load (Lemma 3.4's M_k) here, in one
+	// pass; one without a value is counted when query issues it.
+	if l := e.load; l != nil {
+		for _, j := range w.gat {
+			if w.kind[j] == attLocal && w.val[j] >= 0 {
+				l.Wire[l.Bin(w.k[j])]++
+			}
+		}
+	}
 	x := e.x
 	for i := 0; i < w.nb; i++ {
 		t, idx, o := w.t[i], w.idx[i], i*x
@@ -315,21 +325,15 @@ func (e *engine) issueDrawn(w *worker, t int64, edge, j int) (int64, bool) {
 // answered counts and traces first attempt j, whose value the window had
 // in hand, when there is anything to count; it inlines into commit.
 func (e *engine) answered(w *worker, t int64, edge, j int) {
-	if w.kind[j] == attHub || e.trace != nil || e.nodeLoad != nil {
+	if w.kind[j] == attHub || e.trace != nil {
 		e.observe(w, t, edge, j)
 	}
 }
 
 // observe is answered's slow path: a replica hit counts as an elided
-// query, a same-rank copy toward the source node's received load (Lemma
-// 3.4's M_k).
+// query.
 func (e *engine) observe(w *worker, t int64, edge, j int) {
-	switch w.kind[j] {
-	case attLocal:
-		if e.nodeLoad != nil {
-			e.nodeLoad[w.src[j]/e.x64]++
-		}
-	case attHub:
+	if w.kind[j] == attHub {
 		e.stats.HubCacheHits++
 		e.noteElided(w.k[j])
 	}

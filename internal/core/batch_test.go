@@ -7,6 +7,7 @@ import (
 	"pagen/internal/comm"
 	"pagen/internal/model"
 	"pagen/internal/msg"
+	"pagen/internal/obs"
 	"pagen/internal/partition"
 	"pagen/internal/seq"
 	"pagen/internal/transport"
@@ -166,11 +167,22 @@ func modelLoad(t *testing.T, pr model.Params, seed uint64) (load []int64, retrie
 	return load, retries
 }
 
+// binLoad bins a per-node load by b's edges, the way the engine counts
+// it.
+func binLoad(b *obs.LoadBins, load []int64) []int64 {
+	out := make([]int64, len(b.Wire))
+	for k, l := range load[b.Edges[0]:] {
+		out[b.Bin(b.Edges[0]+int64(k))] += l
+	}
+	return out
+}
+
 // The batch kernel issues exactly the attempts the sequential model
 // evaluates, so it counts a same-rank copy query once per attempt that
-// read the source, retried attempts included: the node-load curve and
-// the retry count are the model's, node for node. The constants were
-// recorded when attempts became counter-based draws.
+// read the source, retried attempts included: the node-load bins and the
+// retry count are the model's, bin for bin — the bins are all the
+// metrics export. The constants were recorded when attempts became
+// counter-based draws.
 func TestBatchNodeLoadUnchanged(t *testing.T) {
 	pr := model.Params{N: 20_000, X: 4, P: 0.5}
 	res, err := Run(Options{
@@ -180,22 +192,24 @@ func TestBatchNodeLoadUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	load := res.Ranks[0].NodeLoad
-	want, retries := modelLoad(t, pr, 42)
+	bins := res.Ranks[0].NodeLoad
+	load, retries := modelLoad(t, pr, 42)
+	want := binLoad(bins, load)
 	var sum int64
-	for k, l := range load {
+	for i, l := range bins.Wire {
 		sum += l
-		if l != want[k] {
-			t.Fatalf("NodeLoad[%d] = %d, the model's attempts read node %d %d times", k, l, k, want[k])
+		if l != want[i] || bins.Elided[i] != 0 {
+			t.Fatalf("bin [%d,%d) counts %d (+%d elided), the model's attempts read it %d times",
+				bins.Edges[i], bins.Edges[i+1], l, bins.Elided[i], want[i])
 		}
 	}
 	if sum != 39848 {
 		t.Fatalf("sum of NodeLoad = %d, want 39848", sum)
 	}
-	// The three most-loaded nodes.
-	for _, c := range []struct{ k, want int64 }{{4, 24}, {9, 22}, {8, 21}} {
-		if load[c.k] != c.want {
-			t.Fatalf("NodeLoad[%d] = %d, want %d", c.k, load[c.k], c.want)
+	// The bins of the three most-loaded nodes: [4,5), [7,9) and [9,12).
+	for _, c := range []struct{ k, want int64 }{{4, 24}, {8, 36}, {9, 52}} {
+		if got := bins.Wire[bins.Bin(c.k)]; got != c.want {
+			t.Fatalf("bin of node %d counts %d, want %d", c.k, got, c.want)
 		}
 	}
 	if got := res.Ranks[0].Retries; got != 112 || got != retries {

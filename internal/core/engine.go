@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -109,10 +110,10 @@ type Options struct {
 	// (esink.DefaultBlockEdges if zero); tests shrink it to force many
 	// blocks.
 	StreamBlockEdges int
-	// CollectNodeLoad enables per-node received-message-load counting
-	// (the empirical M_k of Lemma 3.4) in RankStats.NodeLoad. It costs
-	// one counter increment per copy query plus 8 bytes per local node,
-	// so it is opt-in.
+	// CollectNodeLoad enables received-message-load counting (the
+	// empirical M_k of Lemma 3.4) into RankStats.NodeLoad's bins. It
+	// costs one bin lookup and increment per copy query, so it is
+	// opt-in.
 	CollectNodeLoad bool
 	// HubPrefix controls the hub-prefix replica (DESIGN.md §10): the
 	// rank computes the first H nodes' attachment slots itself before
@@ -128,7 +129,9 @@ type Options struct {
 	// (see CheckpointOptions and DESIGN.md §9). It requires StreamDir,
 	// which Run fills in under Checkpoint.Dir when it is empty.
 	// Incompatible with Sink, Trace and CollectNodeLoad, whose side
-	// effects are not captured by a snapshot.
+	// effects are not captured by a snapshot: a resumed rank regenerates
+	// only the nodes above its mark, so its load bins would miss every
+	// query a node below the mark issued.
 	Checkpoint *CheckpointOptions
 	// Resolve selects how copy queries for remote-owned slots resolve
 	// (DESIGN.md §11): ResolveWire (the default) sends the paper's
@@ -199,19 +202,13 @@ type RankStats struct {
 	// observed as each local slot resolved (0 = nobody was waiting).
 	// Theorem 3.3's O(log n) dependency-chain bound keeps it shallow.
 	WaitChain obs.Histogram
-	// NodeLoad is the per-local-node received-message load — the
-	// empirical M_k of Lemma 3.4, indexed by the partition's local node
-	// index. Nil unless Options.CollectNodeLoad was set. With the hub
-	// cache on it counts only queries that reached this rank over the
-	// wire (or locally); elided queries appear in HubElided on the
-	// requesting rank.
-	NodeLoad []int64
-	// HubElided counts copy queries answered without a request, by
-	// global target node k < H: the replica hits.
-	// Load the owner never saw — the Lemma 3.4 comparison needs
-	// NodeLoad + HubElided (summed across ranks). Nil unless both
-	// CollectNodeLoad and the hub cache were on.
-	HubElided []int64
+	// NodeLoad is this rank's share of the empirical M_k of Lemma 3.4,
+	// binned by the global target node k: Wire counts the queries this
+	// rank received for its own nodes (from peers or from itself),
+	// Elided the queries its hub replica answered for any rank's node,
+	// and Nodes the rank's own nodes per bin. The ranks' bins sum to the
+	// run's curve. Nil unless Options.CollectNodeLoad was set.
+	NodeLoad *obs.LoadBins
 	// HubCacheHits counts remote copy queries answered by the hub
 	// replica. HubCacheMisses and ReqCoalesced are always zero: the
 	// replica is complete before the first query, so no prefix query
@@ -324,25 +321,6 @@ func (s RankStats) Metrics() obs.RankMetrics {
 	}
 }
 
-// NodeLoadSamples expands a rank's local NodeLoad counters into global
-// (node id, load) samples using the partition that ran the rank.
-// Clique nodes (k < x, never queried) are included with their zero
-// loads so the samples cover the rank's whole node set.
-func NodeLoadSamples(part partition.Scheme, rank int, load []int64) []obs.KLoad {
-	if load == nil {
-		return nil
-	}
-	out := make([]obs.KLoad, 0, len(load))
-	i := 0
-	part.ForEach(rank, func(u int64) {
-		if i < len(load) {
-			out = append(out, obs.KLoad{K: u, Load: load[i]})
-		}
-		i++
-	})
-	return out
-}
-
 // TotalLoad returns the paper's Section 4.6 load measure for the rank:
 // nodes plus incoming plus outgoing data messages.
 func (s RankStats) TotalLoad() int64 {
@@ -393,15 +371,13 @@ type engine struct {
 	// windows. A slot takes w = bits.Len64(n) bits (ftab.go); an
 	// in-memory rank keeps the table in the tail of edges.
 	f ftab
-	// nodeLoad counts copy queries received per local node (indexed
-	// like f, but per node not per slot); nil unless CollectNodeLoad.
-	nodeLoad []int64
+	// load counts copy queries by the target node's bin (the rank's
+	// RankStats.NodeLoad); nil unless CollectNodeLoad.
+	load *obs.LoadBins
 
 	// hub is the computed hub-prefix replica; nil when disabled (single
-	// rank, p = 1, or Options.HubPrefix < 0). hubElided counts elided
-	// queries by global node (CollectNodeLoad only).
-	hub       *hubCache
-	hubElided []int64
+	// rank, p = 1, or Options.HubPrefix < 0).
+	hub *hubCache
 
 	// recompute selects the recomputation resolver (Options.Resolve),
 	// depthCap is the effective replay-chain cap, and memo the
@@ -769,9 +745,14 @@ func (e *engine) bootstrap() {
 	}
 	e.f = hostedFtab(e.edges, e.size*e.x64, e.opts.Params.N)
 	if e.opts.CollectNodeLoad {
-		e.nodeLoad = make([]int64, e.size)
-		if e.hub != nil {
-			e.hubElided = make([]int64, e.hub.h)
+		e.load = obs.NewLoadBins(e.opts.Params.N, e.x)
+		// The rank's nodes ascend with their local index, so its count
+		// below an edge is a binary search over NodeAt.
+		below := func(k int64) int64 {
+			return int64(sort.Search(int(e.size), func(i int) bool { return e.part.NodeAt(e.rank, int64(i)) >= k }))
+		}
+		for i := range e.load.Nodes {
+			e.load.Nodes[i] = below(e.load.Edges[i+1]) - below(e.load.Edges[i])
 		}
 	}
 	i := int64(0)
@@ -929,8 +910,7 @@ func (e *engine) finishStats() {
 	// counts instead of copying them.
 	e.stats.RequestsTo = e.cm.RequestsToView()
 	e.stats.MaxPendingSlots = e.maxPendingWaiters
-	e.stats.NodeLoad = e.nodeLoad
-	e.stats.HubElided = e.hubElided
+	e.stats.NodeLoad = e.load
 	if ck := e.ck; ck != nil {
 		e.stats.CkptPauseTime = time.Duration(ck.pauseNanos)
 		e.stats.CkptPauseHist = ck.pauseHist

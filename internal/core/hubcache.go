@@ -76,13 +76,11 @@ func (c *hubCache) fill(pr model.Params, seed uint64) {
 	}
 }
 
-// noteElided counts one elided copy query for global prefix node k —
-// load its owner would have seen without the cache (Lemma 3.4's M_k is
-// then NodeLoad + HubElided across ranks). No-op for k outside the
-// prefix or without CollectNodeLoad.
+// noteElided counts one elided copy query for prefix node k — load its
+// owner would have seen without the cache (Lemma 3.4's M_k is then Wire
+// + Elided across ranks). No-op without CollectNodeLoad.
 func (e *engine) noteElided(k int64) {
-	if e.hubElided == nil || k >= int64(len(e.hubElided)) {
-		return
+	if l := e.load; l != nil {
+		l.Elided[l.Bin(k)]++
 	}
-	e.hubElided[k]++
 }

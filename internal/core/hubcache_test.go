@@ -9,6 +9,7 @@ import (
 	"pagen/internal/graph"
 	"pagen/internal/model"
 	"pagen/internal/msg"
+	"pagen/internal/obs"
 	"pagen/internal/partition"
 	"pagen/internal/seq"
 )
@@ -67,11 +68,11 @@ func TestHubCacheOutputInvariance(t *testing.T) {
 }
 
 // The Lemma 3.4 census must stay exact with the cache on: every copy
-// query is counted exactly once, either at the owner (Load) or at the
-// requester as elided (replica hit or coalesced ride-along), so the
-// per-node sum Load+Elided equals the cache-off Load — an equality, not
-// an approximation, because the census is part of the determinism
-// contract (DESIGN.md §8.1).
+// query is counted exactly once, either at the owner (Wire) or at the
+// requester as elided (a replica hit), so each bin's Wire+Elided equals
+// the cache-off Wire and the model's attempts binned alike — an
+// equality, not an approximation, because the census is part of the
+// determinism contract (DESIGN.md §8.1).
 func TestHubCacheNodeLoadSplit(t *testing.T) {
 	pr := model.Params{N: 4_000, X: 3, P: 0.5}
 	part, err := partition.New(partition.KindRRP, pr.N, 4)
@@ -89,22 +90,20 @@ func TestHubCacheNodeLoadSplit(t *testing.T) {
 		return res
 	}
 	off, on := run(-1), run(0)
-	if len(off.NodeLoad) != len(on.NodeLoad) {
-		t.Fatalf("%d load samples with cache on, want %d", len(on.NodeLoad), len(off.NodeLoad))
-	}
+	load, _ := modelLoad(t, pr, 21)
+	want := binLoad(off.NodeLoad, load)
 	var elided int64
-	for i, want := range off.NodeLoad {
-		got := on.NodeLoad[i]
-		if got.K != want.K {
-			t.Fatalf("sample %d is node %d, want %d", i, got.K, want.K)
+	for i, w := range want {
+		lo, hi := off.NodeLoad.Edges[i], off.NodeLoad.Edges[i+1]
+		if got := off.NodeLoad; got.Wire[i] != w || got.Elided[i] != 0 {
+			t.Fatalf("bin [%d,%d): cache off counts %d (+%d elided), the model's attempts read it %d times",
+				lo, hi, got.Wire[i], got.Elided[i], w)
 		}
-		if want.Elided != 0 {
-			t.Fatalf("node %d: cache-off run reports %d elided queries", want.K, want.Elided)
-		}
-		elided += got.Elided
-		if got.Load+got.Elided != want.Load {
-			t.Fatalf("node %d: load %d + elided %d with cache on, want %d total",
-				got.K, got.Load, got.Elided, want.Load)
+		got := on.NodeLoad
+		elided += got.Elided[i]
+		if got.Wire[i]+got.Elided[i] != w {
+			t.Fatalf("bin [%d,%d): load %d + elided %d with cache on, want %d total",
+				lo, hi, got.Wire[i], got.Elided[i], w)
 		}
 	}
 	if elided == 0 {
@@ -118,6 +117,60 @@ func TestHubCacheNodeLoadSplit(t *testing.T) {
 	if hits+coalesced != elided {
 		t.Fatalf("counters report %d hits + %d coalesced, node-load curve reports %d elided",
 			hits, coalesced, elided)
+	}
+}
+
+// A rank's curve, built alone from its own bins as pa-tcp builds it,
+// carries the queries it received for its own nodes, the ones its
+// replica elided for any rank's node, and its own node count per bin, so
+// the ranks' curves sum bin by bin to the run's curve, whose Nodes is
+// every node of the bin.
+func TestNodeLoadRankCurvesSum(t *testing.T) {
+	pr := model.Params{N: 20_000, X: 3, P: 0.5}
+	for _, kind := range []partition.Kind{partition.KindRRP, partition.KindUCP} {
+		for _, ranks := range []int{2, 4} {
+			for _, hub := range []int64{-1, 0} {
+				label := fmt.Sprintf("%v, %d ranks, hub %d", kind, ranks, hub)
+				part := mustScheme(t, kind, pr.N, ranks)
+				res, err := Run(Options{Params: pr, Part: part, Seed: 5, HubPrefix: hub, CollectNodeLoad: true}, false)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				run := obs.BinNodeLoad(res.NodeLoad, pr.N, pr.X, pr.P)
+				sum := make([]obs.NodeLoadBin, len(run.Bins))
+				var elided int64
+				for r, st := range res.Ranks {
+					var nodes int64
+					for i, b := range obs.BinNodeLoad(st.NodeLoad, pr.N, pr.X, pr.P).Bins {
+						sum[i].Nodes += b.Nodes
+						sum[i].Messages += b.Messages
+						sum[i].WireMessages += b.WireMessages
+						sum[i].ElidedMessages += b.ElidedMessages
+						nodes += b.Nodes
+					}
+					var own int64
+					part.ForEach(r, func(u int64) {
+						if u >= int64(pr.X) {
+							own++
+						}
+					})
+					if nodes != own {
+						t.Fatalf("%s: rank %d's bins hold %d nodes, it owns %d past the clique", label, r, nodes, own)
+					}
+				}
+				for i, b := range run.Bins {
+					got := sum[i]
+					if b.Nodes != b.KHi-b.KLo || got.Nodes != b.Nodes || got.Messages != b.Messages ||
+						got.WireMessages != b.WireMessages || got.ElidedMessages != b.ElidedMessages {
+						t.Fatalf("%s: bin [%d,%d) sums over ranks to %+v, the run's curve is %+v", label, b.KLo, b.KHi, got, b)
+					}
+					elided += b.ElidedMessages
+				}
+				if (elided > 0) != (hub == 0) {
+					t.Fatalf("%s: %d elided queries", label, elided)
+				}
+			}
+		}
 	}
 }
 

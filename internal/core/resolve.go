@@ -55,8 +55,8 @@ func (e *engine) query(t int64, edge int, k int64, l int) (int64, bool) {
 	if owner == e.rank {
 		// Same-rank copy query: counts toward node k's received load
 		// (Lemma 3.4's M_k) like a request would.
-		if e.nodeLoad != nil {
-			e.nodeLoad[kidx]++
+		if l := e.load; l != nil {
+			l.Wire[l.Bin(k)]++
 		}
 		src := kidx*e.x64 + int64(l)
 		if v := e.f.get(src); v >= 0 {
@@ -182,8 +182,8 @@ func (e *engine) deliverResolved(t int64, edge int, v int64) {
 // are write-once); -1 is re-read, because one of those messages may have
 // resolved the slot since.
 func (e *engine) serveRequest(m msg.Message, s, v int64) {
-	if e.nodeLoad != nil {
-		e.nodeLoad[s/e.x64]++
+	if l := e.load; l != nil {
+		l.Wire[l.Bin(m.K)]++
 	}
 	if v < 0 {
 		v = e.f.get(s)

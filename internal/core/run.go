@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -29,10 +28,10 @@ type Result struct {
 	Graph *graph.Graph
 	// Ranks holds per-rank statistics, indexed by rank.
 	Ranks []RankStats
-	// NodeLoad holds the global per-node received-message-load samples
-	// (Lemma 3.4's M_k) in increasing node-id order, assembled from the
-	// per-rank counters. Nil unless Options.CollectNodeLoad was set.
-	NodeLoad []obs.KLoad
+	// NodeLoad is the run's binned received-message load (Lemma 3.4's
+	// M_k): the ranks' RankStats.NodeLoad summed bin by bin. Nil unless
+	// Options.CollectNodeLoad was set.
+	NodeLoad *obs.LoadBins
 	// Trace is the decision trace when Options.Trace was requested via
 	// Run's recordTrace flag (nil otherwise).
 	Trace *model.Trace
@@ -171,21 +170,9 @@ func Run(opts Options, recordTrace bool) (*Result, error) {
 		Elapsed: elapsed,
 	}
 	if opts.CollectNodeLoad {
-		for r := 0; r < p; r++ {
-			res.NodeLoad = append(res.NodeLoad,
-				NodeLoadSamples(opts.Part, r, ranks[r].NodeLoad)...)
-		}
-		sort.Slice(res.NodeLoad, func(i, j int) bool {
-			return res.NodeLoad[i].K < res.NodeLoad[j].K
-		})
-		// Elided queries are counted at the requesting rank, indexed by
-		// global node id; fold them into the target node's sample. After
-		// the sort, sample k sits at index k (the rank samples union to
-		// exactly one sample per node).
-		for r := 0; r < p; r++ {
-			for k, c := range ranks[r].HubElided {
-				res.NodeLoad[k].Elided += c
-			}
+		res.NodeLoad = obs.NewLoadBins(opts.Params.N, opts.Params.X)
+		for _, st := range ranks {
+			res.NodeLoad.Add(st.NodeLoad)
 		}
 	}
 	if emitted != opts.Params.M() {

@@ -15,6 +15,7 @@ import (
 	"pagen/internal/graph"
 	"pagen/internal/model"
 	"pagen/internal/msg"
+	"pagen/internal/obs"
 	"pagen/internal/partition"
 	"pagen/internal/seq"
 	"pagen/internal/transport"
@@ -223,7 +224,7 @@ func checkSims(t *testing.T, cs ...simConfig) []simOutcome {
 // checkSim runs c on simulated networks and checks it against the
 // sequential model: the edge list; the retry count, which a resumed run
 // may exceed but not fall short of; and on runs without checkpoints the
-// decision trace and (wire resolution) NodeLoad; every
+// decision trace and (wire resolution) the NodeLoad bins; every
 // snapshot every rank retained must mark a node boundary of its shard; a
 // killed run must resume to the same graph, whichever epochs its ranks
 // come back from. dir is scratch space for shards and snapshots.
@@ -341,22 +342,18 @@ func checkSim(t *testing.T, c simConfig, dir string) (simOutcome, error) {
 				i, tr.Copied[i], tr.K[i], tr.L[i], want.Copied[i], want.K[i], want.L[i])
 		}
 	}
-	census := make([]int64, c.N) // load plus elided queries, per node
-	for r, res := range results {
-		for _, s := range NodeLoadSamples(part, r, res.Stats.NodeLoad) {
-			census[s.K] += s.Load
-		}
-		for k, n := range res.Stats.HubElided {
-			census[k] += n
-		}
+	census := obs.NewLoadBins(c.N, c.X) // load plus elided queries, per bin
+	for _, res := range results {
+		census.Add(res.Stats.NodeLoad)
 	}
 	if gotRetries != retries {
 		return out, fmt.Errorf("%d duplicate retries, the model retried %d times", gotRetries, retries)
 	}
 	if c.Resolve == ResolveWire {
-		for k := range load {
-			if census[k] != load[k] {
-				return out, fmt.Errorf("node %d received %d queries (load plus elided), the model's attempts read it %d times", k, census[k], load[k])
+		for i, w := range binLoad(census, load) {
+			if got := census.Wire[i] + census.Elided[i]; got != w {
+				return out, fmt.Errorf("bin [%d,%d) received %d queries (load plus elided), the model's attempts read it %d times",
+					census.Edges[i], census.Edges[i+1], got, w)
 			}
 		}
 	}

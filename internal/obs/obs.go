@@ -6,9 +6,10 @@
 // The metric definitions map directly onto the paper:
 //
 //   - Per-node received-message load (NodeLoadCurve) is the empirical
-//     M_k of Lemma 3.4, whose expectation is (1-p)(H_{n-1} - H_k) per
-//     attachment slot — ExpectedLoad evaluates the closed form so the
-//     JSON carries measured and predicted columns side by side.
+//     M_k of Lemma 3.4, binned geometrically over k, whose expectation
+//     is (1-p)(H_{n-1} - H_k) per attachment slot — BinNodeLoad averages
+//     the closed form over each bin so the JSON carries measured and
+//     predicted columns side by side.
 //   - The wait-chain histogram (RankMetrics.WaitChain) observes the
 //     length of each Q_{k,l} waiter queue as it resolves — the queueing
 //     behaviour Theorem 3.3's O(log n) dependency-chain bound keeps
@@ -17,8 +18,8 @@
 //     measures (Figure 7 inputs), re-exported from the communicator.
 //
 // Collection is allocation-free on the hot path: Histogram is a fixed
-// array of power-of-two buckets, and per-node load counters are plain
-// slice increments gated behind an opt-in flag.
+// array of power-of-two buckets, and the load curve is counted straight
+// into its O(log n) bins (LoadBins), gated behind an opt-in flag.
 package obs
 
 import (
@@ -254,18 +255,6 @@ type RankMetrics struct {
 	TCPWriteStalls  int64 `json:"tcp_write_stalls,omitempty"`
 }
 
-// KLoad is one node's received-message load: K is the global node id,
-// Load the number of copy-resolution queries the node's owner received
-// for it (remote requests plus same-rank queries — the events Lemma 3.4
-// counts). Elided counts the queries that would have reached the owner
-// but were answered from a hub-prefix replica instead; Load + Elided is
-// what Lemma 3.4 predicts.
-type KLoad struct {
-	K      int64 `json:"k"`
-	Load   int64 `json:"load"`
-	Elided int64 `json:"elided,omitempty"`
-}
-
 // ExpectedLoad returns the Lemma 3.4 closed form for the expected
 // per-slot message load of node k in an n-node run with direct-attach
 // probability p: (1-p)(H_{n-1} - H_k). Multiply by x for an x-edge run
@@ -282,7 +271,8 @@ type NodeLoadBin struct {
 	// KLo and KHi delimit the node-id range [KLo, KHi).
 	KLo int64 `json:"k_lo"`
 	KHi int64 `json:"k_hi"`
-	// Nodes is the number of nodes with samples in the bin.
+	// Nodes is the number of nodes in the bin, KHi - KLo in a run's
+	// curve; a rank's curve counts the nodes the rank owns.
 	Nodes int64 `json:"nodes"`
 	// Messages is the total load over the bin: queries that reached the
 	// owner (WireMessages) plus queries a hub-prefix replica answered
@@ -293,10 +283,11 @@ type NodeLoadBin struct {
 	// (ElidedMessages is zero, and omitted, when no cache ran).
 	WireMessages   int64 `json:"wire_messages,omitempty"`
 	ElidedMessages int64 `json:"elided_messages,omitempty"`
-	// MeanLoad is Messages / Nodes.
+	// MeanLoad is Messages / Nodes (0 on a rank that owns none of
+	// the bin's nodes).
 	MeanLoad float64 `json:"mean_load"`
 	// Expected is the Lemma 3.4 prediction x·(1-p)(H_{n-1} - H_k)
-	// averaged over the bin's nodes.
+	// averaged over all the bin's nodes [KLo, KHi).
 	Expected float64 `json:"expected"`
 }
 
@@ -312,70 +303,101 @@ type NodeLoadCurve struct {
 	Bins []NodeLoadBin `json:"bins"`
 }
 
-// BinNodeLoad bins per-node load samples geometrically over k (about
-// binsPerDecade bins per factor of 10; 8 when <= 0) and fills in the
-// Lemma 3.4 expectation for x attachment slots per node. Samples with
-// k < x are skipped: clique nodes receive no copy queries.
-func BinNodeLoad(samples []KLoad, n int64, x int, p float64, binsPerDecade int) NodeLoadCurve {
-	if binsPerDecade <= 0 {
-		binsPerDecade = 8
-	}
-	curve := NodeLoadCurve{N: n, X: x, P: p}
-	if n < 2 {
-		return curve
-	}
-	// Geometric bin edges over [x, n): each bin spans a constant factor.
-	factor := math.Pow(10, 1/float64(binsPerDecade))
-	lo := int64(x)
-	if lo < 1 {
-		lo = 1
-	}
+// LoadBins are the counters behind the Lemma 3.4 curve: about eight
+// geometric bins a decade over the global node ids [x, n), counted into
+// as the queries happen. The edges depend only on (n, x), so every rank
+// of a run keeps the same bins and a run's counts are its ranks' summed
+// bin by bin (Add).
+type LoadBins struct {
+	// Edges delimit the bins: bin i holds nodes [Edges[i], Edges[i+1]).
+	Edges []int64
+	// Nodes counts each bin's nodes that the counting rank owns; summed
+	// over a run's ranks it is Edges[i+1] - Edges[i].
+	Nodes []int64
+	// Wire counts the copy queries for a bin's nodes that reached the
+	// owner (from a peer or from the owner itself); Elided those a
+	// hub-prefix replica answered at the requester instead.
+	Wire, Elided []int64
+	// start[q] is the bin of eighth octave q's first node (Bin).
+	start []uint8
+}
+
+// NewLoadBins returns zeroed bins for an n-node run with x attachment
+// slots a node (clique nodes k < x receive no copy queries and get no
+// bin).
+func NewLoadBins(n int64, x int) *LoadBins {
+	const binsPerDecade = 8
 	var edges []int64
-	for edge := float64(lo); int64(edge) < n; edge *= factor {
-		e := int64(edge)
-		if len(edges) == 0 || e > edges[len(edges)-1] {
-			edges = append(edges, e)
-		}
-	}
-	edges = append(edges, n)
-	bins := make([]NodeLoadBin, len(edges)-1)
-	expected := make([]float64, len(bins))
-	for i := range bins {
-		bins[i].KLo, bins[i].KHi = edges[i], edges[i+1]
-	}
-	findBin := func(k int64) int {
-		// Bins are few (O(log n)); linear scan is fine and obvious.
-		for i := range bins {
-			if k >= bins[i].KLo && k < bins[i].KHi {
-				return i
+	if n >= 2 {
+		// Each bin spans a constant factor.
+		factor := math.Pow(10, 1/float64(binsPerDecade))
+		for edge := float64(max(int64(x), 1)); int64(edge) < n; edge *= factor {
+			if e := int64(edge); len(edges) == 0 || e > edges[len(edges)-1] {
+				edges = append(edges, e)
 			}
 		}
-		return -1
 	}
-	for _, s := range samples {
-		if s.K < int64(x) {
-			continue
+	bins := len(edges)
+	b := &LoadBins{Edges: append(edges, n), start: make([]uint8, 8*bits.Len64(uint64(n))),
+		Nodes: make([]int64, bins), Wire: make([]int64, bins), Elided: make([]int64, bins)}
+	for q := range b.start {
+		// The first node of eighth octave q = 8e+j, or the first binned
+		// node. A uint8 holds any bin index: n <= 2^57 makes at most 140.
+		e, j := q/8, int64(q%8)
+		first := max(((8+j)<<e+7)/8, b.Edges[0])
+		i := 0
+		for i+1 < bins && first >= b.Edges[i+1] {
+			i++
 		}
-		i := findBin(s.K)
-		if i < 0 {
-			continue
-		}
-		bins[i].Nodes++
-		bins[i].Messages += s.Load + s.Elided
-		bins[i].WireMessages += s.Load
-		bins[i].ElidedMessages += s.Elided
-		expected[i] += float64(x) * ExpectedLoad(n, s.K, p)
+		b.start[q] = uint8(i)
 	}
-	out := bins[:0]
-	for i := range bins {
-		if bins[i].Nodes == 0 {
-			continue
-		}
-		bins[i].MeanLoad = float64(bins[i].Messages) / float64(bins[i].Nodes)
-		bins[i].Expected = expected[i] / float64(bins[i].Nodes)
-		out = append(out, bins[i])
+	return b
+}
+
+// Bin returns the index of the bin holding node k, Edges[0] <= k < n:
+// the bin k's eighth octave [2^e(1+j/8), 2^e(1+(j+1)/8)) starts in, or
+// the next one if an edge lies inside it. At most one does: an eighth
+// octave spans at most a factor 9/8 and holds three nodes only from
+// k = 32 on, where every edge exceeds 9/8 of the one before (it is at
+// least 10^(1/8) times it, less one). One table read and one compare
+// replace a binary search over the edges, which cost a run about 20 ns
+// a query.
+func (b *LoadBins) Bin(k int64) int {
+	e := bits.Len64(uint64(k)) - 1
+	i := int(b.start[8*e+int(uint64(k)<<3>>e&7)])
+	if k >= b.Edges[i+1] {
+		i++
 	}
-	curve.Bins = out
+	return i
+}
+
+// Add adds o's counts into b bin by bin; both must come from the same
+// (n, x).
+func (b *LoadBins) Add(o *LoadBins) {
+	for i := range b.Wire {
+		b.Nodes[i] += o.Nodes[i]
+		b.Wire[i] += o.Wire[i]
+		b.Elided[i] += o.Elided[i]
+	}
+}
+
+// BinNodeLoad turns counted bins into the curve and fills in the Lemma
+// 3.4 expectation for x attachment slots a node, averaged over each
+// bin's nodes in closed form: sum_{k=lo}^{hi-1} (H_{n-1} - H_k) is
+// (hi-lo)·H_{n-1} - stats.SumHarmonic(lo, hi-1).
+func BinNodeLoad(b *LoadBins, n int64, x int, p float64) NodeLoadCurve {
+	curve := NodeLoadCurve{N: n, X: x, P: p}
+	hn := stats.Harmonic(n - 1)
+	for i := range b.Wire {
+		lo, hi := b.Edges[i], b.Edges[i+1]
+		bin := NodeLoadBin{KLo: lo, KHi: hi, Nodes: b.Nodes[i],
+			Messages: b.Wire[i] + b.Elided[i], WireMessages: b.Wire[i], ElidedMessages: b.Elided[i],
+			Expected: float64(x) * (1 - p) * (hn - stats.SumHarmonic(lo, hi-1)/float64(hi-lo))}
+		if bin.Nodes > 0 {
+			bin.MeanLoad = float64(bin.Messages) / float64(bin.Nodes)
+		}
+		curve.Bins = append(curve.Bins, bin)
+	}
 	return curve
 }
 
@@ -392,8 +414,8 @@ type RunMetrics struct {
 	ElapsedNanos int64 `json:"elapsed_nanos"`
 	// PerRank holds each rank's metric set, indexed by rank.
 	PerRank []RankMetrics `json:"per_rank"`
-	// NodeLoad is the Lemma 3.4 curve, present when the run collected
-	// per-node loads.
+	// NodeLoad is the Lemma 3.4 curve, present when the run counted
+	// node loads.
 	NodeLoad *NodeLoadCurve `json:"node_load,omitempty"`
 }
 

@@ -124,15 +124,25 @@ func TestBinNodeLoad(t *testing.T) {
 		x = 4
 		p = 0.5
 	)
-	// Synthetic samples that follow the Lemma 3.4 expectation exactly
-	// (rounded): binning must reproduce a decreasing curve that tracks
-	// the Expected column.
-	var samples []KLoad
-	for k := int64(0); k < n; k++ {
-		load := int64(math.Round(float64(x) * ExpectedLoad(n, k, p)))
-		samples = append(samples, KLoad{K: k, Load: load})
+	// Synthetic loads that follow the Lemma 3.4 expectation exactly
+	// (rounded), counted by bin search the way the engine counts them:
+	// the curve must decrease and track the Expected column, which must
+	// be the per-node closed form averaged over the bin.
+	b := NewLoadBins(n, x)
+	perNode := make([]float64, len(b.Wire))
+	for k := int64(x); k < n; k++ {
+		i := b.Bin(k)
+		if k < b.Edges[i] || k >= b.Edges[i+1] {
+			t.Fatalf("Bin(%d) = %d, whose range is [%d,%d)", k, i, b.Edges[i], b.Edges[i+1])
+		}
+		b.Nodes[i]++
+		b.Wire[i] += int64(math.Round(float64(x) * ExpectedLoad(n, k, p)))
+		perNode[i] += float64(x) * ExpectedLoad(n, k, p)
 	}
-	curve := BinNodeLoad(samples, n, x, p, 0)
+	sum := NewLoadBins(n, x)
+	sum.Add(b)
+	sum.Add(b)
+	curve := BinNodeLoad(b, n, x, p)
 	if curve.N != n || curve.X != x || curve.P != p {
 		t.Fatalf("curve params = (%d,%d,%v)", curve.N, curve.X, curve.P)
 	}
@@ -140,21 +150,27 @@ func TestBinNodeLoad(t *testing.T) {
 		t.Fatalf("only %d bins; want a resolved geometric curve", len(curve.Bins))
 	}
 	var nodes int64
-	for i, b := range curve.Bins {
-		if b.KLo >= b.KHi {
-			t.Fatalf("bin %d: empty range [%d,%d)", i, b.KLo, b.KHi)
+	for i, bin := range curve.Bins {
+		if bin.KLo >= bin.KHi || bin.Nodes != bin.KHi-bin.KLo {
+			t.Fatalf("bin %d: [%d,%d) holds %d nodes", i, bin.KLo, bin.KHi, bin.Nodes)
 		}
-		if i > 0 && b.KLo != curve.Bins[i-1].KHi {
-			t.Fatalf("bin %d: gap/overlap at %d (prev ends %d)", i, b.KLo, curve.Bins[i-1].KHi)
+		if i > 0 && bin.KLo != curve.Bins[i-1].KHi {
+			t.Fatalf("bin %d: gap/overlap at %d (prev ends %d)", i, bin.KLo, curve.Bins[i-1].KHi)
 		}
-		if b.KLo < x {
-			t.Fatalf("bin %d starts at %d, below x=%d (clique nodes must be skipped)", i, b.KLo, x)
+		if bin.KLo < x {
+			t.Fatalf("bin %d starts at %d, below x=%d (clique nodes must be skipped)", i, bin.KLo, x)
 		}
-		nodes += b.Nodes
-		// Measured and predicted columns agree (samples were generated
+		if sum.Wire[i] != 2*b.Wire[i] || sum.Nodes[i] != 2*b.Nodes[i] {
+			t.Fatalf("bin %d: Add twice gives %d nodes, %d queries", i, sum.Nodes[i], sum.Wire[i])
+		}
+		nodes += bin.Nodes
+		if want := perNode[i] / float64(bin.Nodes); math.Abs(bin.Expected-want) > 1e-12*want {
+			t.Errorf("bin [%d,%d): closed-form expected %v, per-node mean %v", bin.KLo, bin.KHi, bin.Expected, want)
+		}
+		// Measured and predicted columns agree (loads were generated
 		// from the prediction; rounding allows 0.5 absolute slack).
-		if math.Abs(b.MeanLoad-b.Expected) > 0.5 {
-			t.Errorf("bin [%d,%d): mean %v vs expected %v", b.KLo, b.KHi, b.MeanLoad, b.Expected)
+		if math.Abs(bin.MeanLoad-bin.Expected) > 0.5 {
+			t.Errorf("bin [%d,%d): mean %v vs expected %v", bin.KLo, bin.KHi, bin.MeanLoad, bin.Expected)
 		}
 	}
 	if nodes != n-x {
@@ -164,6 +180,41 @@ func TestBinNodeLoad(t *testing.T) {
 	for i := 1; i < len(curve.Bins); i++ {
 		if curve.Bins[i].Expected >= curve.Bins[i-1].Expected {
 			t.Fatalf("Expected not decreasing at bin %d", i)
+		}
+	}
+}
+
+// Bin finds the same bin as a scan of the edges for every node of small
+// runs, and around every edge of a large one.
+func TestLoadBinsBin(t *testing.T) {
+	scan := func(b *LoadBins, k int64) int {
+		i := 0
+		for k >= b.Edges[i+1] {
+			i++
+		}
+		return i
+	}
+	for _, n := range []int64{2, 3, 10, 1000, 12345, 1 << 40, 1<<57 - 1} {
+		for _, x := range []int{1, 2, 3, 4, 7, 20, 1000} {
+			b := NewLoadBins(n, x)
+			ks := []int64{}
+			if n <= 1<<20 {
+				for k := b.Edges[0]; k < n; k++ {
+					ks = append(ks, k)
+				}
+			} else {
+				for _, e := range b.Edges {
+					ks = append(ks, e-1, e, e+1)
+				}
+			}
+			for _, k := range ks {
+				if k < b.Edges[0] || k >= n {
+					continue
+				}
+				if got, want := b.Bin(k), scan(b, k); got != want {
+					t.Fatalf("n=%d x=%d: Bin(%d) = %d, the edges put it in %d", n, x, k, got, want)
+				}
+			}
 		}
 	}
 }

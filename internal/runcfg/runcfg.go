@@ -98,10 +98,10 @@ type Config struct {
 	// RecordTrace collects the attachment-decision trace in the result
 	// (costs ~13 bytes per edge).
 	RecordTrace bool `json:"-"`
-	// CollectNodeLoad counts copy-resolution queries received per node
-	// (the empirical M_k of Lemma 3.4) in Result.NodeLoad, so Metrics
-	// can export the measured-versus-predicted load curve. Costs one
-	// increment per copy query plus 8 bytes per node.
+	// CollectNodeLoad counts copy-resolution queries by the target
+	// node's bin (the empirical M_k of Lemma 3.4) in Result.NodeLoad, so
+	// Metrics can export the measured-versus-predicted load curve. Costs
+	// one bin lookup and increment per copy query.
 	CollectNodeLoad bool `json:"-"`
 	// CheckpointDir enables rank-local checkpointing: every rank, at its
 	// own epochs, writes a small versioned, CRC-protected snapshot into

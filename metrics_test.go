@@ -32,6 +32,9 @@ func TestMetricsLemma34Curve(t *testing.T) {
 	// with enough nodes to average out the noise.
 	checked := 0
 	for _, b := range m.NodeLoad.Bins {
+		if b.Nodes != b.KHi-b.KLo {
+			t.Errorf("bin [%d,%d) holds %d nodes", b.KLo, b.KHi, b.Nodes)
+		}
 		if b.Nodes < 500 || b.Expected < 0.05 {
 			continue
 		}

@@ -171,7 +171,7 @@ func ReadStreamDir(dir string, ranks int) (*Graph, error) {
 
 // Metrics assembles the exported observability record of a completed
 // run: per-rank counters and wait-chain histograms, plus — when cfg set
-// CollectNodeLoad — the binned per-node received-message-load curve with
+// CollectNodeLoad — the binned received-message-load curve with
 // the Lemma 3.4 prediction (1-p)(H_{n-1} - H_k) per slot alongside.
 // Write it with its WriteFile or WriteJSON method (cmd/pagen's -metrics
 // flag does).
@@ -186,7 +186,7 @@ func Metrics(res *Result, cfg Config) *RunMetrics {
 		m.PerRank = append(m.PerRank, st.Metrics())
 	}
 	if res.NodeLoad != nil {
-		curve := obs.BinNodeLoad(res.NodeLoad, cfg.N, cfg.X, cfg.P, 0)
+		curve := obs.BinNodeLoad(res.NodeLoad, cfg.N, cfg.X, cfg.P)
 		m.NodeLoad = &curve
 	}
 	return m

@@ -355,7 +355,7 @@ func TestMemoryEstimateBoundsAllocation(t *testing.T) {
 	stalled := false
 	for _, scheme := range []string{"RRP", "UCP"} {
 		for _, ranks := range []int{1, 2} {
-			for _, shape := range []string{"in memory", "streamed", "checkpointed"} {
+			for _, shape := range []string{"in memory", "streamed", "checkpointed", "streamed, metrics"} {
 				cfg := Config{N: 200_000, X: 4, Ranks: ranks, Scheme: scheme, Seed: 1, Workers: 1}
 				if shape != "in memory" {
 					cfg.StreamDir = t.TempDir()
@@ -363,6 +363,8 @@ func TestMemoryEstimateBoundsAllocation(t *testing.T) {
 				if shape == "checkpointed" {
 					cfg.CheckpointDir, cfg.CheckpointEvery = t.TempDir(), cfg.N/10
 				}
+				// A -metrics run: the load curve is counted and exported.
+				cfg.CollectNodeLoad = shape == "streamed, metrics"
 				label := fmt.Sprintf("%s, %d ranks, %s", scheme, ranks, shape)
 				var before, after runtime.MemStats
 				runtime.GC()
@@ -370,6 +372,9 @@ func TestMemoryEstimateBoundsAllocation(t *testing.T) {
 				res, err := Generate(cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
+				}
+				if cfg.CollectNodeLoad && Metrics(res, cfg).NodeLoad == nil {
+					t.Fatalf("%s: no node-load curve", label)
 				}
 				runtime.ReadMemStats(&after)
 				got, est := int64(after.TotalAlloc-before.TotalAlloc), MemoryEstimate(cfg)

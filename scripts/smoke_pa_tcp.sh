@@ -14,7 +14,9 @@
 # shard directories to carry the fingerprint of an in-process
 # pagen -ranks 4 run, and every cache-on rank's metrics to show replica
 # hits and no miss, coalesced request or publish; each cluster's
-# per-rank "edges" must sum to the model's count. Raw shard bytes are
+# per-rank "edges" must sum to the model's count, and the cache-on
+# ranks' node_load "messages", summed over bins and ranks, to the
+# cache-off ranks'. Raw shard bytes are
 # not compared: the merged edge
 # stream is the contract (a checkpointed run's block cuts depend on
 # timing; an uncheckpointed run's shards are deterministic too).
@@ -373,6 +375,23 @@ while [ $i -lt $RANKS ]; do
     i=$((i + 1))
 done
 
+# node_load_total NAME: the node_load "messages" of pass NAME's rank
+# files, summed over bins and ranks.
+node_load_total() {
+    cat "$workdir/$1".metrics*.json \
+        | sed -n 's/^ *"messages": *\([0-9][0-9]*\).*/\1/p' \
+        | awk '{ s += $1 } END { print s + 0 }'
+}
+
+# Each copy query is counted once, in its target node's bin: at the
+# owner when it arrives, at the requester when its replica answers it.
+# So the cache-on ranks' files sum to the cache-off total, which the
+# model's attempts fix whatever the schedule (TestHubCacheNodeLoadSplit).
+loadon=$(node_load_total on)
+loadoff=$(node_load_total off)
+[ "$loadoff" -gt 0 ] && [ "$loadon" -eq "$loadoff" ] \
+    || { echo "pass on: ranks' node_load messages sum to $loadon, cache off to $loadoff" >&2; exit 1; }
+
 timeout "$TIMEOUT" "$workdir/pagen" -n "$N" -x "$X" -ranks "$RANKS" \
     -workers "$WORKERS" -format binary -o "$workdir/ref.bin"
 ref=$(fingerprint -i "$workdir/ref.bin" -format binary)
@@ -382,4 +401,4 @@ for pass in on off rc; do
         || { echo "pass $pass: fingerprint $got, in-process pagen $ref" >&2; exit 1; }
 done
 
-echo "pa-tcp smoke: $RANKS ranks x $WORKERS workers over localhost completed (n=$N, x=$X); cache-on, cache-off and recompute shards fingerprint-equal ($ref) to in-process pagen; each cluster's per-rank edges sum to $((X * (X - 1) / 2 + (N - X) * X)); cache-on ranks hit their replicas with no miss, coalesced request or publish"
+echo "pa-tcp smoke: $RANKS ranks x $WORKERS workers over localhost completed (n=$N, x=$X); cache-on, cache-off and recompute shards fingerprint-equal ($ref) to in-process pagen; each cluster's per-rank edges sum to $((X * (X - 1) / 2 + (N - X) * X)); cache-on ranks hit their replicas with no miss, coalesced request or publish; cache-on and cache-off node_load messages both sum to $loadoff"
