@@ -182,7 +182,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// corruptFirstBlock sets every bit of the first value in the first
+// corruptFirstBlock sets every bit of the first stored value in the first
 // block of the shard at path — a value past n, since n is not a power of
 // two — and re-seals the block's CRC-32C, so the damage passes every
 // checksum OpenDir verifies and only surfaces when the merge decodes the
@@ -216,12 +216,16 @@ func corruptFirstBlock(t *testing.T, path string) {
 	off++
 	uvarint() // sequence
 	uvarint() // first key
+	count, explicit, exceptions := uvarint(), uvarint(), uvarint()
 	w := uint64(esink.ValueBits(n))
-	end := off + int((uvarint()*w+7)/8)
+	end := off + int((explicit*w+7)/8) + int((exceptions*(uint64(esink.ValueBits(int64(count)))+w)+7)/8)
+	if explicit == 0 {
+		t.Fatalf("the first block of %s stores no value", path)
+	}
 	if n&(n-1) == 0 {
 		t.Fatalf("n = %d is a power of two: every %d-bit value lies below it", n, w)
 	}
-	for bit := uint64(0); bit < w; bit++ {
+	for bit := uint64(0); bit < w; bit++ { // the first stored value: all ones
 		b[off+int(bit/8)] |= 1 << (bit % 8)
 	}
 	binary.LittleEndian.PutUint32(b[end:], crc32.Checksum(b[block:end], crc32.MakeTable(crc32.Castagnoli)))

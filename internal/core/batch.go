@@ -331,13 +331,16 @@ func (e *engine) answered(w *worker, t int64, edge, j int) {
 }
 
 // observe is answered's slow path: a replica hit counts as an elided
-// query.
+// query, and the attempt goes to the trace when there is one — record
+// does not inline, so an untraced replica hit does not call it.
 func (e *engine) observe(w *worker, t int64, edge, j int) {
 	if w.kind[j] == attHub {
 		e.stats.HubCacheHits++
 		e.noteElided(w.k[j])
 	}
-	e.record(t, edge, model.Attempt{K: w.k[j], L: int(w.l[j]), Direct: w.kind[j] == attDirect})
+	if e.trace != nil {
+		e.record(t, edge, model.Attempt{K: w.k[j], L: int(w.l[j]), Direct: w.kind[j] == attDirect})
+	}
 }
 
 // contains reports whether v is among vs (a node's earlier attachments).

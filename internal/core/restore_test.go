@@ -16,6 +16,7 @@ import (
 	"pagen/internal/partition"
 	"pagen/internal/seq"
 	"pagen/internal/transport"
+	"pagen/internal/xrand"
 )
 
 // streamedLibrary runs a streamed, checkpointed generation that keeps
@@ -433,9 +434,15 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 	})
 	t.Run("value past n", func(t *testing.T) {
 		// The writer refuses it too; a CRC-clean shard that holds one
-		// anyway fails the resume.
+		// anyway fails the resume. The slot is one whose value the
+		// block stores.
+		stored := storedSlots(pr, part, opts.Seed)
+		at := mid
+		for !stored(recs[at].key) {
+			at++
+		}
 		b, m := crafted(t, recs)
-		mustFail(t, withValue(t, b, recs[mid].key, uint64(pr.N)), m, fmt.Sprintf("slot %d holds value %d past the run's", recs[mid].key, pr.N))
+		mustFail(t, withValue(t, b, stored, recs[at].key, uint64(pr.N)), m, fmt.Sprintf("slot %d holds value %d past the run's", recs[at].key, pr.N))
 	})
 	t.Run("bootstrap record missing", func(t *testing.T) {
 		b, m := crafted(t, recs[1:])
@@ -458,10 +465,26 @@ func TestRestoreShardFailsLoudly(t *testing.T) {
 	})
 }
 
+// storedSlots reports whether a one-rank shard of the run stores the
+// value of slot key: a bootstrap row's slot, or one whose first attempt
+// is a copy (docs/SHARD_FORMAT.md).
+func storedSlots(pr model.Params, part partition.Scheme, seed uint64) func(key uint64) bool {
+	return func(key uint64) bool {
+		x := uint64(pr.X)
+		t := part.NodeAt(0, int64(key/x))
+		if t <= int64(x) {
+			return true
+		}
+		d := pr.NewDrawer(t)
+		var rng xrand.Rand
+		return !d.Attempt(&rng, seed, int(key%x), 0).Direct
+	}
+}
+
 // withValue returns a copy of the shard b, complete blocks only, whose
-// record at slot key holds v, its block's CRC resealed
-// (docs/SHARD_FORMAT.md is the layout).
-func withValue(t *testing.T, b []byte, key, v uint64) []byte {
+// record at slot key — a slot whose value the block stores — holds v,
+// its block's CRC resealed (docs/SHARD_FORMAT.md is the layout).
+func withValue(t *testing.T, b []byte, stored func(key uint64) bool, key, v uint64) []byte {
 	t.Helper()
 	b = append([]byte(nil), b...)
 	off := len(esink.Magic)
@@ -484,12 +507,19 @@ func withValue(t *testing.T, b []byte, key, v uint64) []byte {
 		start := off
 		off++
 		uv()
-		first, count := uv(), uv()
-		pay, end := off, off+int((count*uint64(w)+7)/8)
+		first, count, explicit, exceptions := uv(), uv(), uv(), uv()
+		pay := off
+		end := off + int((explicit*uint64(w)+7)/8) + int((exceptions*uint64(esink.ValueBits(int64(count))+w)+7)/8)
 		if key >= first && key < first+count {
-			for j, bit := uint(0), (key-first)*uint64(w); j < w; j, bit = j+1, bit+1 {
+			j := uint64(0) // key's value is the block's j-th
+			for k := first; k < key; k++ {
+				if stored(k) {
+					j++
+				}
+			}
+			for i, bit := uint(0), j*uint64(w); i < w; i, bit = i+1, bit+1 {
 				b[pay+int(bit/8)] &^= 1 << (bit % 8)
-				b[pay+int(bit/8)] |= byte(v>>j&1) << (bit % 8)
+				b[pay+int(bit/8)] |= byte(v>>i&1) << (bit % 8)
 			}
 			binary.LittleEndian.PutUint32(b[end:], crc32.Checksum(b[start:end], crc32.MakeTable(crc32.Castagnoli)))
 			return b

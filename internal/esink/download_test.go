@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,7 +12,9 @@ import (
 	"pagen"
 	"pagen/internal/esink"
 	"pagen/internal/graph"
+	"pagen/internal/model"
 	"pagen/internal/partition"
+	"pagen/internal/seq"
 )
 
 // download writes the PAGB graph of the ranks shards under dir: through
@@ -80,26 +81,42 @@ func TestDownloadMatchesIter(t *testing.T) {
 }
 
 // writeRun writes the shards of a ranks-rank RRP run of n nodes and x
-// edges a node whose every slot holds a value below n, in blocks of
-// blockEdges records (0 for the default).
+// edges a node, the records seq.CopyModel makes of each rank's slots
+// under the shards' own (n, x, p, seed), in blocks of blockEdges records
+// (0 for the default).
 func writeRun(tb testing.TB, dir string, n int64, x, ranks, blockEdges int) {
 	tb.Helper()
+	pr := model.Params{N: n, X: x, P: 0.5}
+	g, _, err := seq.CopyModel(pr, 1, seq.CopyModelOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	part, err := partition.New(partition.KindRRP, n, ranks)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(n))
+	// CopyModel adds each node's edges together, nodes ascending.
+	at := make([]int, n+1)
+	for _, e := range g.Edges {
+		at[e.U+1]++
+	}
+	for u := int64(0); u < n; u++ {
+		at[u+1] += at[u]
+	}
 	for r := 0; r < ranks; r++ {
-		w, err := esink.Open(dir, esink.Meta{N: n, X: x, P: 0.5, Seed: 1, Rank: r, Ranks: ranks, Scheme: "RRP"}, blockEdges)
+		w, err := esink.Open(dir, esink.Meta{N: n, X: x, P: pr.P, Seed: 1, Rank: r, Ranks: ranks, Scheme: "RRP"}, blockEdges)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		if err := w.Reset(); err != nil {
 			tb.Fatal(err)
 		}
-		for k := uint64(0); k < uint64(part.Size(r)*int64(x)); k++ {
-			if err := w.Emit(k, rng.Int63n(n)); err != nil {
-				tb.Fatal(err)
+		for idx := int64(0); idx < part.Size(r); idx++ {
+			u := part.NodeAt(r, idx)
+			for j, e := range g.Edges[at[u]:at[u+1]] {
+				if err := w.Emit(uint64(idx)*uint64(x)+uint64(j), e.V); err != nil {
+					tb.Fatal(err)
+				}
 			}
 		}
 		if err := w.Close(); err != nil {

@@ -7,13 +7,45 @@ import (
 	"testing"
 
 	"pagen/internal/graph"
+	"pagen/internal/model"
 	"pagen/internal/partition"
+	"pagen/internal/seq"
 )
 
 // testMeta builds a single-rank UCP meta where slot key k maps to node
 // k/x directly, so expected U values are easy to compute in tests.
 func testMeta(n int64, x int) Meta {
 	return Meta{N: n, X: x, P: 0.5, Seed: 42, Rank: 0, Ranks: 1, Scheme: "UCP"}
+}
+
+// modelRecs returns the records rank meta.Rank writes in the run meta
+// describes, as seq.CopyModel generates it: every slot of the rank's
+// nodes, in key order — records the format stores only where the draws
+// do not reproduce them.
+func modelRecs(tb testing.TB, meta Meta) []rec {
+	tb.Helper()
+	g, _, err := seq.CopyModel(model.Params{N: meta.N, X: meta.X, P: meta.P}, meta.Seed, seq.CopyModelOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := newRefCodec(meta)
+	// CopyModel adds each node's edges together, nodes ascending.
+	at := make([]int, meta.N+1)
+	for _, e := range g.Edges {
+		at[e.U+1]++
+	}
+	for u := int64(0); u < meta.N; u++ {
+		at[u+1] += at[u]
+	}
+	var recs []rec
+	x := uint64(meta.X)
+	for idx := int64(0); idx < c.part.Size(meta.Rank); idx++ {
+		u := c.part.NodeAt(meta.Rank, idx)
+		for j, e := range g.Edges[at[u]:at[u+1]] {
+			recs = append(recs, rec{key: uint64(idx)*x + uint64(j), v: e.V})
+		}
+	}
+	return recs
 }
 
 // writeShard writes the given (key, v) records through a fresh writer

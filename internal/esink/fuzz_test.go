@@ -2,9 +2,8 @@ package esink
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -42,60 +41,70 @@ func shardBytes(f *testing.F, meta Meta, blockEdges int, recs []rec) []byte {
 // panic, must not accept a p that is NaN, must not yield more records
 // than its block headers declare, and must not allocate from a length
 // field the file size does not back. A shard the strict reader drains
-// cleanly must be byte for byte the writer's encoding of the records it
+// cleanly must be byte for byte the reference encoding of the records it
 // yielded, at its own block sizes, so no bit of it goes unchecked. And
 // every shard opened is downloaded twice, through the block lanes and
 // through Iter: both must write the same bytes or fail with the same
 // error.
-// The seeds are real v3 writer output — ascending keys with gaps, as a
-// rank's slots leave F — and CRC-clean crafted shards: blocks whose key
-// ranges overlap inside one lane's chunk and in two, a count past the
-// rank's slots, a payload shorter or longer than its count implies, a
-// set padding bit, a value past n, and a version 2 file;
-// testdata/fuzz/FuzzOpenReader keeps the crafted ones (craftShard over a
-// hostile Meta or block header, named for what they did) that crashed
-// the reader before it validated what the checksums cannot vouch for,
-// or that it accepted with bits its records do not account for.
+// The seeds are real v4 writer output — the records seq.CopyModel makes
+// of a rank's slots, with the gaps a clique node's missing slots leave,
+// and one shard of arbitrary values, heavy with exceptions — and
+// CRC-clean crafted shards: blocks whose key ranges overlap inside one
+// lane's chunk and in two, a count past the rank's slots, a payload
+// shorter or longer than its counts imply, a set padding bit, a value
+// past n, every non-canonical v4 block hostileShards makes, and a
+// version 3 file; testdata/fuzz/FuzzOpenReader keeps the crafted ones
+// (craftShard over a hostile Meta or block header, named for what they
+// did) that crashed the reader before it validated what the checksums
+// cannot vouch for, or that it accepted with bits its records do not
+// account for.
 func FuzzOpenReader(f *testing.F) {
 	meta := Meta{N: 1000, X: 3, P: 0.5, Seed: 1, Rank: 1, Ranks: 2, Scheme: "RRP"}
 	w := ValueBits(meta.N)
-	var recs, long []rec
-	for k := uint64(0); k < 300; k++ {
-		if k%7 != 3 { // a gap, like a clique node's missing slots
-			recs = append(recs, rec{key: k + k/50, v: int64(k*37) % meta.N})
+	recs := modelRecs(f, meta)
+	var gappy, arbitrary, long []rec
+	for i, r := range recs {
+		if i%7 != 3 { // more gaps
+			gappy = append(gappy, r)
 		}
 	}
-	for k := uint64(0); k < 1400; k++ { // more than a minWindow of payload
-		long = append(long, rec{key: k, v: meta.N - 1})
+	rng := rand.New(rand.NewSource(1))
+	for _, r := range recs[:700] {
+		arbitrary = append(arbitrary, rec{key: r.key, v: rng.Int63n(meta.N)})
 	}
-	whole := shardBytes(f, meta, 16, recs)
+	flat := flatMeta(1 << 12) // every value stored, in 12 bits
+	fw := ValueBits(flat.N)
+	for k := uint64(0); k < 3000; k++ { // more than a minWindow of payload
+		long = append(long, rec{key: k, v: flat.N - 1})
+	}
+	whole := shardBytes(f, meta, 16, gappy)
 	f.Add(shardBytes(f, meta, 16, nil))                     // empty shard
-	f.Add(shardBytes(f, meta, 1<<16, recs))                 // blocks ended by gaps only
-	f.Add(whole)                                            // many blocks
-	f.Add(shardBytes(f, meta, 1000, long))                  // blocks in two lanes' chunks
+	f.Add(shardBytes(f, meta, 1<<16, recs))                 // one block of model records
+	f.Add(whole)                                            // many blocks, ended by gaps and counts
+	f.Add(shardBytes(f, meta, 1<<16, arbitrary))            // exceptions that close blocks early
+	f.Add(shardBytes(f, flat, 1000, long))                  // blocks in two lanes' chunks
 	f.Add(whole[:len(whole)-30])                            // torn tail: no EOS, part of a block
 	f.Add(append(whole[:len(whole):len(whole)], "BBBB"...)) // bytes after EOS
 
-	one := refPayload(w, 9)                                      // one record: v 9
-	f.Add(craftShard(meta, craftBlock(0, 7, 3, one)))            // a payload shorter than its count implies
-	f.Add(craftShard(meta, craftBlock(0, 7, 1, append(one, 0)))) // a payload longer than its count implies
-	f.Add(craftShard(meta, craftBlock(0, 7, 1, one))[:60])       // cut inside the block
-	nan := meta
+	one := refPayload(fw, 9) // one record: v 9
+
+	f.Add(craftShard(flat, craftBlock(0, 7, 3, 3, 0, one)))            // a payload shorter than its counts imply
+	f.Add(craftShard(flat, craftBlock(0, 7, 1, 1, 0, append(one, 0)))) // a payload longer than its counts imply
+	f.Add(craftShard(flat, craftBlock(0, 7, 1, 1, 0, one))[:60])       // cut inside the block
+	nan := flat
 	nan.P = math.NaN()
-	f.Add(craftShard(nan, craftBlock(0, 7, 1, one))) // CRC-clean header, p = NaN
+	f.Add(craftShard(nan, craftBlock(0, 7, 1, 1, 0, one))) // CRC-clean header, p = NaN
 	// Keys 5…9 then 7, 8: the second block starts inside the first.
-	f.Add(craftShard(meta, refBlock(0, w, long[5:10]), refBlock(1, w, long[7:9])))
+	f.Add(craftShard(flat, refBlock(flat, 0, long[5:10]), refBlock(flat, 1, long[7:9])))
 	// The same across two chunks: the second lane's first block is refused.
-	f.Add(craftShard(meta, refBlock(0, w, long), refBlock(1, w, []rec{{700, 3}})))
+	f.Add(craftShard(flat, refBlock(flat, 0, long), refBlock(flat, 1, []rec{{700, 3}})))
 	// The rank holds 500 nodes' 1500 slots: slots 1499 and 1500.
-	f.Add(craftShard(meta, craftBlock(0, 1499, 2, refPayload(w, 1, 2))))
-	f.Add(craftShard(meta, craftBlock(0, 7, 1, []byte{9, 1 << 7})))   // a set padding bit
-	f.Add(craftShard(meta, craftBlock(0, 7, 1, refPayload(w, 1000)))) // a value past n
-	v2 := craftShard(meta, refBlock(0, w, long[:4]))
-	v2[len(Magic)] = 2 // the version uvarint, the header CRC resealed
-	hdr := encodeHeader(meta)
-	binary.LittleEndian.PutUint32(v2[len(hdr)-4:], crc32.Checksum(v2[:len(hdr)-4], castagnoli))
-	f.Add(v2)
+	f.Add(craftShard(meta, craftBlock(0, 1499, 2, 2, 0, refPayload(w, 1, 2))))
+	f.Add(craftShard(flat, craftBlock(0, 7, 1, 1, 0, []byte{9, 1 << 7})))      // a set padding bit
+	f.Add(craftShard(flat, craftBlock(0, 7, 1, 1, 0, refPayload(fw, flat.N)))) // a value past n
+	for _, h := range hostileShards(f) {
+		f.Add(h.data)
+	}
 
 	path := filepath.Join(f.TempDir(), "shard") // one a process: executions do not overlap
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -150,7 +159,7 @@ func slots(it *Iter) ([]rec, error) {
 func reencode(r *Reader, recs []rec) []byte {
 	var blocks [][]byte
 	for i, b := range r.sc.blocks {
-		blocks = append(blocks, refBlock(int64(i), ValueBits(r.Meta().N), recs[:b.count]))
+		blocks = append(blocks, refBlock(r.Meta(), int64(i), recs[:b.count]))
 		recs = recs[b.count:]
 	}
 	return craftShard(r.Meta(), blocks...)

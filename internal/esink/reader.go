@@ -32,13 +32,18 @@ const maxRanks = 1 << 20
 
 // blockInfo locates one complete block inside a shard file.
 type blockInfo struct {
-	off    int64 // block start (the marker byte)
-	size   int64 // whole block including marker, header and CRC
-	payOff int64 // payload start
-	payLen int64
-	first  uint64 // the first record's slot key
-	count  int64  // records in the block, at least 1
+	off        int64 // block start (the marker byte)
+	size       int64 // whole block including marker, header and CRC
+	payOff     int64 // payload start: the explicit values, then the exception list
+	payLen     int64
+	first      uint64 // the first record's slot key
+	count      int64  // records in the block, 1 to MaxBlockEdges
+	explicit   int64  // values the block stores, each in w bits
+	exceptions int64  // (offset, value) pairs behind them, at most MaxExceptions
 }
+
+// valuesLen is the bytes of the block's explicit values.
+func (b *blockInfo) valuesLen(w uint) int64 { return payloadLen(b.explicit, w) }
 
 // scanResult is a shard file's parsed structure.
 type scanResult struct {
@@ -119,7 +124,7 @@ func scanShard(f *os.File, tolerate bool) (*scanResult, error) {
 		return nil, fmt.Errorf("shard header: %w", err)
 	}
 	if ver != Version {
-		return nil, fmt.Errorf("unsupported shard version %d (reader supports %d, whose blocks hold fixed-width values)", ver, Version)
+		return nil, fmt.Errorf("unsupported shard version %d (reader supports %d, whose blocks store only the values the seed cannot recompute; docs/SHARD_FORMAT.md)", ver, Version)
 	}
 	var meta Meta
 	u := func() uint64 {
@@ -187,9 +192,9 @@ func scanShard(f *os.File, tolerate bool) (*scanResult, error) {
 		case blockMarker:
 			hb := make([]byte, 0, 32)
 			hb = append(hb, marker)
-			var seq, first, count uint64
+			var seq, first, count, explicit, exceptions uint64
 			ok := true
-			for _, dst := range []*uint64{&seq, &first, &count} {
+			for _, dst := range []*uint64{&seq, &first, &count, &explicit, &exceptions} {
 				v, err := cr.uvarint()
 				if err != nil {
 					ok = false
@@ -208,16 +213,22 @@ func scanShard(f *os.File, tolerate bool) (*scanResult, error) {
 				}
 				return nil, fmt.Errorf("block at offset %d has sequence %d, want %d", blockOff, seq, len(sc.blocks))
 			}
-			if ok && (count == 0 || count > uint64(fi.Size()-cr.off)*8/uint64(width)) {
-				// The payload, ⌈count·w/8⌉ bytes, cannot outrun the
-				// file: a torn tail can invent a count as easily as a
-				// sequence number.
+			if ok && (count == 0 || count > MaxBlockEdges || explicit > count || exceptions > MaxExceptions || explicit+exceptions > count) {
+				// A torn tail can invent counts as easily as a sequence
+				// number.
 				if tolerate {
 					return sc, nil
 				}
-				return nil, fmt.Errorf("block at offset %d claims %d records of %d bits in the file's %d bytes left", blockOff, count, width, fi.Size()-cr.off)
+				return nil, fmt.Errorf("block at offset %d claims %d records, %d explicit values and %d exceptions (at most %d records and %d exceptions a block)", blockOff, count, explicit, exceptions, MaxBlockEdges, MaxExceptions)
 			}
-			payLen := payloadLen(int64(count), width)
+			payLen := payloadLen(int64(explicit), width) + exceptionsLen(int64(exceptions), int64(count), width)
+			if ok && payLen > fi.Size()-cr.off {
+				// The payload cannot outrun the file.
+				if tolerate {
+					return sc, nil
+				}
+				return nil, fmt.Errorf("block at offset %d claims %d payload bytes in the file's %d bytes left", blockOff, payLen, fi.Size()-cr.off)
+			}
 			if ok {
 				payOff := cr.off
 				if crc, err := cr.crc(crc32.Checksum(hb, castagnoli), payLen); err != nil {
@@ -229,12 +240,14 @@ func scanShard(f *os.File, tolerate bool) (*scanResult, error) {
 				}
 				if ok {
 					sc.blocks = append(sc.blocks, blockInfo{
-						off:    blockOff,
-						size:   cr.off - blockOff,
-						payOff: payOff,
-						payLen: payLen,
-						first:  first,
-						count:  int64(count),
+						off:        blockOff,
+						size:       cr.off - blockOff,
+						payOff:     payOff,
+						payLen:     payLen,
+						first:      first,
+						count:      int64(count),
+						explicit:   int64(explicit),
+						exceptions: int64(exceptions),
 					})
 					sc.edges += int64(count)
 					continue
@@ -330,19 +343,7 @@ func openReader(path string, tolerate bool) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("esink: %s: %w", path, err)
 	}
-	// The CRC vouches for the bytes, not their meaning: the partition's
-	// tables, the key range and Next's division need a possible run, and
-	// OpenDir's identity check needs a p that equals itself.
-	if m := sc.meta; m.N < 1 || m.X < 1 || m.N > math.MaxInt64/int64(m.X) || m.Ranks < 1 || m.Ranks > maxRanks || m.Rank < 0 || m.Rank >= m.Ranks || math.IsNaN(m.P) {
-		f.Close()
-		return nil, fmt.Errorf("esink: %s: header describes no possible run (%+v)", path, m)
-	}
-	kind, err := partition.ParseKind(sc.meta.Scheme)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("esink: %s: %w", path, err)
-	}
-	part, err := partition.New(kind, sc.meta.N, sc.meta.Ranks)
+	part, err := checkMeta(sc.meta)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("esink: %s: %w", path, err)
@@ -362,31 +363,44 @@ func (r *Reader) Close() error { return r.f.Close() }
 // maxRecordLen bounds a record's PAGB bytes: two uvarints.
 const maxRecordLen = 2 * binary.MaxVarintLen64
 
-// slack is the tail of a window the file is never read into, so that
-// decode may load a value's 8 bytes, and a ninth, wherever it starts.
+// slack is the tail of a window the file is never read into, and of the
+// exception list's buffer, so that decode may load a value's 8 bytes,
+// and a ninth, wherever it starts.
 const slack = 16
 
 // decoder decodes the values of one shard's blocks through one window
 // and makes every check a block needs: once per block, that its first
 // key lies above the previous block's last key and its keys inside the
-// rank's slots; for every value, that it lies below n; and at its end,
-// that its payload's spare bits are zero — so a payload it accepts is
-// the one the writer makes of its records. Iter reads blocks one after
-// another with it; a download lane reads runs of them.
+// rank's slots, and that its exception list ascends inside its records
+// with values below n; for every record, that it takes an explicit value
+// exactly when its first attempt is not direct or its row is not drawn,
+// that an exception names a direct-first slot and moves it off its
+// candidate, and that an explicit value lies below n; and at its end,
+// that the draws took all its explicit values and its spare bits are
+// zero — so a payload it accepts is the one the writer makes of its
+// records. Iter reads blocks one after another with it; a download lane
+// reads runs of them.
 type decoder struct {
 	r         *Reader
 	buf       []byte // the window: file bytes [off-fill, off)
 	fill      int
-	pos       uint  // the bit of buf the next value starts at
+	pos       uint  // the bit of buf the next explicit value starts at
 	off       int64 // file offset of buf[fill]
-	pend      int64 // the block's payload end
+	pend      int64 // the block's explicit values' end
 	rend      int64 // how far the window may read
 	width     uint  // w, the bits of a value
 	n         uint64
 	block     int    // the block being decoded
-	key       uint64 // the next value's slot key
-	remaining int64  // the block's values left
+	key       uint64 // the next record's slot key
+	remaining int64  // the block's records left
+	explicit  int64  // the block's explicit values left
 	limit     uint64 // one past the rank's largest slot key
+	rows      rows
+	idx, e    uint64                  // the next record's row and edge; e = x once the row is done
+	exc       []uint64                // the block's exceptions left: offset, value, …
+	excs      []uint64                // exc's room, for the longest list, once a block has one
+	vals      [decodeBatch + 1]uint64 // a batch's explicit values; one more, read and dropped
+	xb        []byte                  // the exception list's bytes and slack
 	err       error
 }
 
@@ -399,11 +413,18 @@ func windowLen(budget int) int {
 	return min(max(budget, minWindow), readWindow)
 }
 
+// newDecoder returns a decoder reading through a window of budget bytes
+// (see windowLen).
+func newDecoder(budget int) decoder {
+	return decoder{buf: make([]byte, windowLen(budget))}
+}
+
 // reset points the decoder at r's blocks.
 func (d *decoder) reset(r *Reader) {
 	d.r, d.fill, d.pos, d.remaining, d.err = r, 0, 0, 0, nil
 	d.width, d.n = ValueBits(r.sc.meta.N), uint64(r.sc.meta.N)
 	d.limit = uint64(r.part.Size(r.sc.meta.Rank)) * uint64(r.sc.meta.X)
+	d.rows = newRows(r.part, r.sc.meta)
 }
 
 // fail latches the first error of block b, naming the shard and b.
@@ -414,18 +435,20 @@ func (d *decoder) fail(format string, args ...any) {
 	d.remaining = 0
 }
 
-// open starts block b, letting the window read ahead to rend, and checks
-// its keys: they follow the previous block's and lie inside the rank's
-// slots. Bytes the window already holds are not read again.
+// open starts block b, letting the window read ahead to rend, checks its
+// keys — they follow the previous block's and lie inside the rank's
+// slots — and reads its exception list. Bytes the window already holds
+// are not read again.
 func (d *decoder) open(b int, rend int64) {
-	bi := d.r.sc.blocks[b]
+	bi := &d.r.sc.blocks[b]
 	if start := bi.payOff - (d.off - int64(d.fill)); start >= int64(d.pos+7)/8 && start <= int64(d.fill) {
 		d.pos = uint(start) * 8
 	} else {
 		d.pos, d.fill, d.off = 0, 0, bi.payOff
 	}
-	d.block, d.key, d.remaining = b, bi.first, bi.count
-	d.pend, d.rend = bi.payOff+bi.payLen, max(rend, bi.payOff+bi.payLen)
+	d.block, d.key, d.remaining, d.explicit = b, bi.first, bi.count, bi.explicit
+	d.pend, d.rend = bi.payOff+bi.valuesLen(d.width), max(rend, bi.payOff+bi.payLen)
+	d.exc = nil
 	next := uint64(0)
 	if b > 0 {
 		next = d.r.sc.blocks[b-1].first + uint64(d.r.sc.blocks[b-1].count)
@@ -433,12 +456,70 @@ func (d *decoder) open(b int, rend int64) {
 	switch {
 	case bi.first < next:
 		d.fail("key %d does not follow key %d", bi.first, next-1)
+		return
 	case bi.first >= d.limit || uint64(bi.count) > d.limit-bi.first:
 		d.fail("slot key %d outside the rank's %d slots", max(bi.first, d.limit), d.limit)
+		return
+	}
+	d.idx, d.e = bi.first/d.rows.x, bi.first%d.rows.x
+	if bi.exceptions > 0 {
+		d.exceptions(bi)
 	}
 }
 
-// avail is how many of the block's values the window holds whole.
+// exceptions reads block bi's exception list into d.exc, checking that
+// its offsets ascend inside the block's records, that its values lie
+// below n and that its spare bits are zero.
+func (d *decoder) exceptions(bi *blockInfo) {
+	if d.xb == nil { // room for the longest list, once: most blocks have none
+		d.excs = make([]uint64, 0, 2*MaxExceptions)
+		d.xb = make([]byte, exceptionsLen(MaxExceptions, MaxBlockEdges, 64)+slack)
+	}
+	d.exc = d.excs[:0]
+	l := exceptionsLen(bi.exceptions, bi.count, d.width)
+	xb := d.xb[:l+slack]
+	clear(xb[l:])
+	if _, err := d.r.f.ReadAt(xb[:l], bi.payOff+bi.valuesLen(d.width)); err != nil {
+		d.fail("%w", err)
+		return
+	}
+	ob := ValueBits(bi.count)
+	pos := uint(0)
+	for j := int64(0); j < bi.exceptions; j++ {
+		off := bitsAt(xb, pos, ob)
+		v := bitsAt(xb, pos+ob, d.width)
+		pos += ob + d.width
+		switch {
+		case off >= uint64(bi.count):
+			d.fail("exception %d at offset %d past its %d records", j, off, bi.count)
+			return
+		case j > 0 && off <= d.exc[len(d.exc)-2]:
+			d.fail("exception %d at offset %d does not follow offset %d", j, off, d.exc[len(d.exc)-2])
+			return
+		case v >= d.n:
+			d.fail("slot %d holds value %d past the run's %d nodes", bi.first+off, v, d.n)
+			return
+		}
+		d.exc = append(d.exc, off, v)
+	}
+	if pos%8 != 0 && xb[pos/8]>>(pos%8) != 0 {
+		d.fail("padding bits after its %d exceptions are set", bi.exceptions)
+	}
+}
+
+// bitsAt is the width bits of b from bit pos on, little-endian; b holds
+// 9 bytes from pos/8 on.
+func bitsAt(b []byte, pos, width uint) uint64 {
+	o, s := pos/8, pos%8
+	v := binary.LittleEndian.Uint64(b[o:]) >> s
+	if s+width > 64 {
+		v |= uint64(b[o+8]) << (64 - s)
+	}
+	return v & (1<<width - 1)
+}
+
+// avail is how many of the block's explicit values the window holds
+// whole.
 func (d *decoder) avail() int64 {
 	return (min(int64(d.fill), d.pend-d.off+int64(d.fill))*8 - int64(d.pos)) / int64(d.width)
 }
@@ -459,47 +540,132 @@ func (d *decoder) refill() error {
 // decodeBatch is the most values one decode call yields.
 const decodeBatch = 128
 
-// decode unpacks up to len(vals) of the block's values into vals, the
+// decode yields up to len(vals) of the block's values into vals, the
 // first of them slot d.key's, and returns how many: fewer only at the
-// block's end or at an error, which it leaves in d.err. Value i of a
-// block is bits [i·w, (i+1)·w) of its payload, read little-endian.
+// block's end or at an error, which it leaves in d.err. A record whose
+// first attempt is direct takes its candidate, or its exception's value;
+// every other record takes the block's next explicit value, bits
+// [j·w, (j+1)·w) of its values, read little-endian. Each step is a loop
+// of its own over the batch: draw the first attempts into vals
+// (rows.firsts), put the exceptions in, unpack the explicit values the
+// batch takes, and merge them in — by a mask, not a branch, for half
+// the attempts are direct, at random. A batch takes at most len(vals)
+// explicit values, so one window holds them. Of the records the checks
+// refuse, the first in slot order is the one named, and the batch
+// yields the records before it.
 func (d *decoder) decode(vals []uint64) int {
-	k := min(int64(len(vals)), d.remaining)
-	if d.avail() < k {
+	k := min(len(vals), int(d.remaining))
+	vals = vals[:k]
+	d.idx, d.e = d.rows.firsts(vals, d.idx, d.e)
+	m := storedIn(vals)                                       // the explicit values the batch takes
+	rec := uint64(d.r.sc.blocks[d.block].count - d.remaining) // vals[0]'s offset in the block
+	// bad is the first record refused, k if none, and why its value v.
+	bad, why, v := k, refusal(0), uint64(0)
+	for x := d.exc; len(x) > 0 && x[0] < rec+uint64(k); x = x[2:] {
+		i, c := int(x[0]-rec), vals[x[0]-rec]
+		if c == stored || x[1] == c {
+			bad, why, v = i, excStored, c
+			if c != stored {
+				why = excCandidate
+			}
+			break
+		}
+		vals[i] = x[1]
+		d.exc = x[2:]
+	}
+	take := m
+	if int64(m) > d.explicit { // the draws take more than the block has
+		take = int(d.explicit)
+		if i := storedAt(vals, take); i < bad {
+			bad, why = i, tooFew
+		}
+	}
+	if d.avail() < int64(take) {
 		if err := d.refill(); err != nil {
 			d.fail("%w", err)
 			return 0
 		}
-		k = min(k, d.avail())
+		if d.avail() < int64(take) {
+			d.fail("payload ends inside its explicit values")
+			return 0
+		}
 	}
-	buf, pos, w, n := d.buf, d.pos, d.width, d.n
+	ev, buf, pos, w, n := d.vals[:take], d.buf, d.pos, d.width, d.n
 	mask := uint64(1)<<w - 1
-	i := 0
-	for ; i < int(k); i++ {
+	for j := range ev {
 		o, s := pos/8, pos%8
-		v := binary.LittleEndian.Uint64(buf[o:]) >> s
+		x := binary.LittleEndian.Uint64(buf[o:]) >> s
 		if s+w > 64 {
-			v |= uint64(buf[o+8]) << (64 - s)
+			x |= uint64(buf[o+8]) << (64 - s)
 		}
-		if v &= mask; v >= n {
-			d.fail("slot %d holds value %d past the run's %d nodes", d.key+uint64(i), v, n)
-			break
-		}
-		vals[i] = v
+		ev[j] = x & mask
 		pos += w
 	}
-	d.pos, d.key = pos, d.key+uint64(i)
-	if d.err == nil {
-		d.remaining -= int64(i)
+	for j, x := range ev {
+		if x >= n {
+			if i := storedAt(vals, j); i < bad {
+				bad, why, v = i, pastN, x
+			}
+			break
+		}
 	}
-	return i
+	j := 0
+	for i, c := range vals[:bad] {
+		s := c >> 63 // 1 when the value is stored: a candidate is below 2⁶³
+		vals[i] = d.vals[j]&-s | c&(s-1)
+		j += int(s)
+	}
+	// j values went to the records before bad.
+	d.pos, d.key, d.explicit = d.pos+w*uint(j), d.key+uint64(bad), d.explicit-int64(j)
+	switch slot := d.key; why {
+	case excStored:
+		d.fail("slot %d: an exception where the value is stored", slot)
+	case excCandidate:
+		d.fail("slot %d: exception value %d is its first attempt's candidate", slot, v)
+	case tooFew:
+		d.fail("explicit count %d disagrees with the draws, which take more by slot %d", d.r.sc.blocks[d.block].explicit, slot)
+	case pastN:
+		d.fail("slot %d holds value %d past the run's %d nodes", slot, v, n)
+	default:
+		d.remaining -= int64(k)
+	}
+	return bad
 }
 
-// done checks that the spare bits behind the block's last value are
-// zero.
+// refusal is why decode refuses a record.
+type refusal int
+
+const (
+	_            refusal = iota
+	excStored            // an exception where the block stores the value
+	excCandidate         // an exception that equals the record's candidate
+	tooFew               // the block's explicit values run out
+	pastN                // an explicit value past n
+)
+
+// storedAt is the index of the (j+1)-th stored record of c.
+func storedAt(c []uint64, j int) int {
+	for i, v := range c {
+		if v == stored {
+			if j == 0 {
+				return i
+			}
+			j--
+		}
+	}
+	return len(c)
+}
+
+// done checks, at the block's end, that the draws took every explicit
+// value and that the spare bits behind the last one are zero.
 func (d *decoder) done() bool {
+	bi := &d.r.sc.blocks[d.block]
+	if d.explicit != 0 {
+		d.fail("explicit count %d disagrees with the draws, which take %d", bi.explicit, bi.explicit-d.explicit)
+		return false
+	}
 	if d.pos%8 != 0 && d.buf[d.pos/8]>>(d.pos%8) != 0 {
-		d.fail("padding bits after its %d records are set", d.r.sc.blocks[d.block].count)
+		d.fail("padding bits after its %d records are set", bi.count)
 		return false
 	}
 	return true
@@ -526,8 +692,7 @@ type Iter struct {
 // of budget bytes, clamped to [minWindow, readWindow] (readWindow if
 // budget <= 0). Multiple iterators over one Reader are independent.
 func (r *Reader) Iter(budget int) *Iter {
-	it := &Iter{x: uint64(r.sc.meta.X)}
-	it.buf = make([]byte, windowLen(budget))
+	it := &Iter{decoder: newDecoder(budget), x: uint64(r.sc.meta.X)}
 	it.reset(r)
 	it.node = it.limit
 	return it
@@ -555,7 +720,7 @@ func (it *Iter) NextSlot() (key uint64, v int64, ok bool) {
 }
 
 // Next yields the next edge in canonical order. The edge's source node
-// U is derived from the slot key via the partition.
+// U is derived from the slot key via the partition (rows.node).
 func (it *Iter) Next() (graph.Edge, bool) {
 	key, v, ok := it.NextSlot()
 	if !ok {
@@ -563,7 +728,7 @@ func (it *Iter) Next() (graph.Edge, bool) {
 	}
 	if key-it.node >= it.x {
 		it.node = key - key%it.x
-		it.u = it.r.part.NodeAt(it.r.sc.meta.Rank, int64(key/it.x))
+		it.u = it.rows.node(key / it.x)
 	}
 	return graph.Edge{U: it.u, V: v}, true
 }
@@ -710,7 +875,7 @@ func (di *DirIter) Chunks() int {
 // chunk needs nothing from the one before it — and varint-encodes their
 // edges as PAGB into the writer's buffers a word at a time.
 func (di *DirIter) Lane() graph.ChunkEncoder {
-	d := decoder{buf: make([]byte, windowLen(di.budget))}
+	d := newDecoder(di.budget)
 	var vals [decodeBatch]uint64
 	return func(i int, b []byte, emit func([]byte) []byte) ([]byte, int64, error) {
 		c := di.chunks[i]
@@ -735,7 +900,7 @@ func (di *DirIter) Lane() graph.ChunkEncoder {
 				for _, v := range vals[:k] {
 					if key-node >= x {
 						node = key - key%x
-						u = uint64(r.part.NodeAt(r.sc.meta.Rank, int64(key/x)))
+						u = uint64(d.rows.node(key / x))
 						uw, ul = varintWord(u)
 					}
 					key++

@@ -22,6 +22,7 @@ package model
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"pagen/internal/xrand"
 )
@@ -124,10 +125,9 @@ type Attempt struct {
 // parallel engine's kernel and its recompute resolver all draw through
 // it, so they can never disagree about an attempt.
 type Drawer struct {
-	lo   int64
+	lo   int64 // x, the draw range's start and the copy range's end
 	span uint64
-	x    uint64
-	p    float64
+	cut  uint64 // ⌈p·2⁵³⌉: a draw u is direct when u>>11 < cut, which is Float64() < p
 	id   uint64 // t·x, the counter block of edge 0
 }
 
@@ -138,7 +138,14 @@ func (pr Params) NewDrawer(t int64) Drawer {
 	if t <= x {
 		panic(errNoDrawRange) // a constant, so that NewDrawer inlines
 	}
-	return Drawer{lo: x, span: uint64(t - x), x: uint64(x), p: pr.P, id: uint64(t * x)}
+	// p·2⁵³ is exact, and the 53-bit integer u>>11 lies below it
+	// exactly when it lies below its ceiling.
+	y := pr.P * 0x1p53
+	cut := uint64(y)
+	if float64(cut) < y {
+		cut++
+	}
+	return Drawer{lo: x, span: uint64(t - x), cut: cut, id: uint64(t * x)}
 }
 
 var errNoDrawRange = errors.New("model: NewDrawer for a node without a draw range")
@@ -147,10 +154,10 @@ var errNoDrawRange = errors.New("model: NewDrawer for a node without a draw rang
 // then l for copies.
 func (d *Drawer) Next(rng *xrand.Rand) Attempt {
 	k := d.lo + int64(rng.Uint64n(d.span))
-	if rng.Float64() < d.p {
+	if rng.Uint64()>>11 < d.cut { // rng.Float64() < p
 		return Attempt{K: k, Direct: true}
 	}
-	return Attempt{K: k, L: int(rng.Uint64n(d.x))}
+	return Attempt{K: k, L: int(rng.Uint64n(uint64(d.lo)))}
 }
 
 // retryKey spreads a retry count over the seed's bits (an odd constant,
@@ -169,4 +176,29 @@ func (d *Drawer) Attempt(rng *xrand.Rand, seed uint64, e, r int) Attempt {
 	}
 	rng.SeedAt(seed, d.id+uint64(e))
 	return d.Next(rng)
+}
+
+// Skip returns the drawer of node t + dt, for dt >= 0: a caller walking
+// a rank's nodes, which lie dt apart, steps its drawer along.
+func (d Drawer) Skip(dt int64) Drawer {
+	d.span += uint64(dt)
+	d.id += uint64(dt) * uint64(d.lo)
+	return d
+}
+
+// Block is the counter block attempt 0 of the node's edge e reads:
+// Attempt(rng, seed, e, 0) draws from xrand.Pair(seed, d.Block(e)) on.
+func (d Drawer) Block(e int) uint64 { return d.id + uint64(e) }
+
+// First is the first-attempt kernel: from a and b, the first two draws
+// of the edge's block (xrand.Pair(seed, d.Block(e))), it returns
+// exactly Attempt(rng, seed, e, 0)'s K and Direct — the candidate is a
+// scaled by Lemire's multiply, the direct test b — with ok set. ok is
+// false, and k and direct meaningless, when Lemire's method may reject
+// a (the product's low word below the span: about span/2⁶⁴ of all
+// draws); the caller then draws the attempt through Attempt. Both
+// halves inline, so a loop over a block's records draws without a call.
+func (d Drawer) First(a, b uint64) (k int64, direct, ok bool) {
+	hi, lo := bits.Mul64(a, d.span)
+	return d.lo + int64(hi), b>>11 < d.cut, lo >= d.span
 }

@@ -2,8 +2,11 @@ package model
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
+
+	"pagen/internal/xrand"
 )
 
 func TestValidate(t *testing.T) {
@@ -178,4 +181,52 @@ func TestTraceIdxBijectionProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFirstMatchesAttempt holds the first-attempt kernel to Attempt on a
+// million (seed, t, e) triples: wherever First reports ok its K and
+// Direct are attempt 0's exactly, at every p from 0 to 1, and it reports
+// !ok for every draw Lemire's method rejects. Half the triples sit at
+// n near 2⁵⁷ with spans just above 2⁵⁶, where about one first draw in
+// 256 is rejected, so that the test sees thousands of rejections.
+func TestFirstMatchesAttempt(t *testing.T) {
+	rng := xrand.New(1)
+	var rejected, flagged int
+	check := func(pr Params, seed uint64, node int64, e int) {
+		d := pr.NewDrawer(node)
+		k, direct, ok := d.First(xrand.Pair(seed, d.Block(e)))
+		a0, _ := xrand.Pair(seed, d.Block(e))
+		span := uint64(node) - uint64(pr.X)
+		if _, lo := bits.Mul64(a0, span); lo < -span%span {
+			rejected++
+			if ok {
+				t.Fatalf("n %d, t %d, e %d, seed %#x: Lemire rejects the first draw, but First reports ok", pr.N, node, e, seed)
+			}
+		}
+		if !ok {
+			flagged++
+			return
+		}
+		var r xrand.Rand
+		if a := d.Attempt(&r, seed, e, 0); a.K != k || a.Direct != direct {
+			t.Fatalf("n %d, x %d, p %v, t %d, e %d, seed %#x: First = (%d, %v), Attempt(…, 0) = (%d, %v)", pr.N, pr.X, pr.P, node, e, seed, k, direct, a.K, a.Direct)
+		}
+	}
+	for i := 0; i < 500_000; i++ {
+		x := 1 + rng.Int64n(8)
+		n := x + 2 + rng.Int64n(int64(1)<<uint(2+rng.Int64n(55)))
+		p := []float64{0, 1, 0.5, 0.5, rng.Float64()}[rng.Int64n(5)]
+		node := x + 1 + rng.Int64n(n-x-1)
+		check(Params{N: n, X: int(x), P: p}, rng.Uint64(), node, int(rng.Int64n(x)))
+	}
+	const n = 1<<57 - 1
+	for i := 0; i < 500_000; i++ {
+		x := 1 + rng.Int64n(8)
+		node := x + 1<<56 + 1 + rng.Int64n(1<<20)
+		check(Params{N: n, X: int(x), P: 0.5}, rng.Uint64(), node, int(rng.Int64n(x)))
+	}
+	if rejected < 1000 {
+		t.Fatalf("%d rejected first draws in a million triples; the test should force thousands", rejected)
+	}
+	t.Logf("%d draws First left to Attempt, %d of them rejected by Lemire's method", flagged, rejected)
 }

@@ -26,6 +26,7 @@ import (
 	"strconv"
 
 	"pagen/internal/core"
+	"pagen/internal/esink"
 	"pagen/internal/model"
 	"pagen/internal/obs"
 	"pagen/internal/partition"
@@ -183,8 +184,8 @@ func (c Config) Validate() (Config, error) {
 		return c, fmt.Errorf("ranks = %d, want >= 1", c.Ranks)
 	case c.CheckpointEvery < 0:
 		return c, fmt.Errorf("checkpoint every = %d, want >= 0", c.CheckpointEvery)
-	case c.StreamBlockEdges < 0:
-		return c, fmt.Errorf("stream block edges = %d, want >= 0", c.StreamBlockEdges)
+	case c.StreamBlockEdges < 0 || c.StreamBlockEdges > esink.MaxBlockEdges:
+		return c, fmt.Errorf("stream block edges = %d, want 0 to %d", c.StreamBlockEdges, esink.MaxBlockEdges)
 	}
 	switch c.Transport {
 	case "", "shm", "local":
@@ -260,7 +261,7 @@ func (c *Config) Flags(fs *flag.FlagSet) {
 	fs.IntVar(&c.CheckpointKeep, "checkpoint-keep", 0, "snapshots to retain per rank (0 = default)")
 	fs.BoolVar(&c.Resume, "resume", false, "resume from the latest restorable epoch in -checkpoint-dir")
 	fs.StringVar(&c.StreamDir, "stream-dir", "", "spill compressed per-rank edge shards to this directory with bounded memory (docs/SHARD_FORMAT.md); composes with -checkpoint-dir, and pa-tcp requires it")
-	fs.IntVar(&c.StreamBlockEdges, "stream-block-edges", 0, "edge records per shard block, the unit a rank flushes and a reader decodes on its own (0 = 65536)")
+	fs.IntVar(&c.StreamBlockEdges, "stream-block-edges", 0, "edge records per shard block, the unit a rank flushes and a reader decodes on its own (0 = 65536, at most 1048576)")
 }
 
 // Args returns the command line that makes a FlagSet registered by

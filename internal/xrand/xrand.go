@@ -54,6 +54,24 @@ func (r *Rand) Seed(seed uint64) { r.s = seed }
 // in any order.
 func (r *Rand) SeedAt(key, block uint64) { r.s = key + block*(4*gamma&(1<<64-1)) }
 
+// Pair returns the first two draws of block of the stream New(key)
+// starts — what the first two Uint64 calls after SeedAt(key, block)
+// return — without a generator, so that a caller drawing one attempt a
+// record can keep it inline.
+func Pair(key, block uint64) (a, b uint64) {
+	a = key + block*(4*gamma&(1<<64-1)) + gamma
+	b = a + gamma
+	a = (a ^ a>>30) * 0xbf58476d1ce4e5b9
+	b = (b ^ b>>30) * 0xbf58476d1ce4e5b9
+	a = (a ^ a>>27) * 0x94d049bb133111eb
+	b = (b ^ b>>27) * 0x94d049bb133111eb
+	return a ^ a>>31, b ^ b>>31
+}
+
+// Rebase returns the key whose block b is block block+b of the stream
+// New(key) starts: Pair(Rebase(key, block), b) is Pair(key, block+b).
+func Rebase(key, block uint64) uint64 { return key + block*(4*gamma&(1<<64-1)) }
+
 // Uint64 returns the next 64 random bits.
 func (r *Rand) Uint64() uint64 { return SplitMix64(&r.s) }
 

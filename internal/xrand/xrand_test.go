@@ -254,3 +254,22 @@ func BenchmarkFloat64(b *testing.B) {
 	}
 	_ = sink
 }
+
+// Pair is the first two draws of a block, and Rebase moves a key along
+// its stream by whole blocks: both agree with a generator SeedAt puts
+// at the block.
+func TestPairAndRebase(t *testing.T) {
+	src := New(9)
+	for i := 0; i < 10000; i++ {
+		key, block, b := src.Uint64(), src.Uint64(), src.Uint64()%1000
+		var r Rand
+		r.SeedAt(key, block+b)
+		a, c := Pair(key, block+b)
+		if u, v := r.Uint64(), r.Uint64(); a != u || c != v {
+			t.Fatalf("Pair(%#x, %d) = %#x, %#x; the generator draws %#x, %#x", key, block+b, a, c, u, v)
+		}
+		if a2, c2 := Pair(Rebase(key, block), b); a2 != a || c2 != c {
+			t.Fatalf("Pair(Rebase(%#x, %d), %d) = %#x, %#x; want %#x, %#x", key, block, b, a2, c2, a, c)
+		}
+	}
+}
