@@ -289,7 +289,7 @@ func (e *engine) commit(w *worker) {
 				break
 			}
 			e.answered(w, t, c, j)
-			e.resolveSlot(t, c, base+int64(c), v)
+			e.resolveSlot(base+int64(c), v)
 		}
 		if c == x {
 			continue

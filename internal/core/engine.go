@@ -15,8 +15,8 @@
 //
 // One goroutine per rank — the rank goroutine — runs that state machine
 // and is the single writer of everything in it: the F table, the waiter
-// and suspension tables, the send buffers, the sink and the checkpoint
-// cut. Attempt r of node t's edge e — duplicate retries
+// and suspension tables, the send buffers, the shard or Sink and the
+// checkpoint cut. Attempt r of node t's edge e — duplicate retries
 // included — is a pure function of (seed, t, e, r), and a node commits
 // its edges strictly in order, so the output graph is a pure function of
 // (n, x, p, seed): independent of the worker count, rank count, partition
@@ -87,13 +87,16 @@ type Options struct {
 	// Slot ranges written by different ranks are disjoint, so a single
 	// shared trace is written without locking.
 	Trace *model.Trace
-	// Sink, when non-nil, receives every edge as it is finalised
-	// instead of the engine accumulating edges in memory — the paper's
-	// Section 3.5 "generate networks on the fly and analyze without
-	// performing disk I/O" mode. Each rank calls it from one goroutine —
-	// the rank goroutine, at every worker count — so state indexed by the
-	// rank argument needs no locking; state shared across ranks does,
-	// because ranks run concurrently.
+	// Sink, when non-nil, receives every edge instead of the engine
+	// accumulating edges in memory — the paper's Section 3.5 "generate
+	// networks on the fly and analyze without performing disk I/O" mode.
+	// A rank hands over its edges in slot order — its nodes ascending, a
+	// node's edges in edge order, the order of its range of Run's edge
+	// list — each node once all its edges are final, from the same
+	// frontier walk that writes a StreamDir shard. Each rank calls it from
+	// one goroutine — the rank goroutine, at every worker count — so state
+	// indexed by the rank argument needs no locking; state shared across
+	// ranks does, because ranks run concurrently.
 	Sink func(rank int, e graph.Edge)
 	// StreamDir, when non-empty, streams the rank's resolved edges into
 	// a sorted, CRC-protected shard file under the directory
@@ -351,11 +354,10 @@ type engine struct {
 	p    int
 	x    int
 	x64  int64
-	// seed, prob and sink are hoisted from opts so the generation loop
-	// reads them without chasing the Options struct per node.
+	// seed and prob are hoisted from opts so the generation loop reads
+	// them without chasing the Options struct per node.
 	seed uint64
 	prob float64
-	sink func(rank int, e graph.Edge)
 	// stream is the external-memory edge sink (Options.StreamDir); nil
 	// when edges accumulate in memory or go to Sink.
 	stream *esink.Writer
@@ -421,13 +423,12 @@ type engine struct {
 	// edges is the rank's output, written from f by collectEdges after
 	// the protocol ends when no sink streams them: the rank's range of
 	// Run's one edge list, or a list bootstrap allocates. Until then its
-	// tail holds f (hostedFtab). emitted counts resolved
-	// edges, bootstrap's included (emit).
-	edges   []graph.Edge
-	emitted int64
-	// frontier is a streamed rank's lowest NILL slot; every slot below
-	// it is in the shard (streamFrontier). cliqueSlots ends the slots of
-	// the local clique nodes, which lead the local order.
+	// tail holds f (hostedFtab).
+	edges []graph.Edge
+	// frontier is a streamed or Sink rank's lowest NILL slot; every slot
+	// below it has gone to the shard or the Sink (streamFrontier).
+	// cliqueSlots ends the slots of the local clique nodes, which lead the
+	// local order.
 	frontier, cliqueSlots int64
 	// reqs is handleBatch's gather scratch: the slot and F value of every
 	// request in the batch being handled.
@@ -484,17 +485,11 @@ func runRank(tr transport.Transport, opts Options, out []graph.Edge) (*RankResul
 			return fail(err)
 		}
 	}
-	if e.stream != nil {
-		// The rank's own snapshot decides its shard's fate: a resumed rank
-		// truncates it back to the snapshot's durable mark, a fresh one
-		// discards whatever an earlier attempt left.
-		if snap != nil {
-			if err := e.stream.Recover(esink.Mark{
-				Offset: snap.Sink.Offset, Blocks: snap.Sink.Blocks, Edges: snap.Sink.Edges,
-			}); err != nil {
-				return fail(err)
-			}
-		} else if err := e.stream.Reset(); err != nil {
+	// The rank's own snapshot decides its shard's fate: a resumed rank
+	// truncates it back to the snapshot's durable mark (restore), a fresh
+	// one discards whatever an earlier attempt left.
+	if e.stream != nil && snap == nil {
+		if err := e.stream.Reset(); err != nil {
 			return fail(err)
 		}
 	}
@@ -506,15 +501,15 @@ func runRank(tr transport.Transport, opts Options, out []graph.Edge) (*RankResul
 		// stream closes — the writer may fsync it).
 		e.ck.writer.shutdown()
 	}
-	if e.sink == nil && e.stream == nil {
+	if e.opts.Sink == nil && e.stream == nil {
 		if err := e.collectEdges(); err != nil {
 			return nil, err
 		}
 	}
+	if err := e.streamFrontier(); err != nil {
+		return fail(err)
+	}
 	if e.stream != nil {
-		if err := e.streamFrontier(); err != nil {
-			return fail(err)
-		}
 		if err := e.stream.Close(); err != nil {
 			return nil, err
 		}
@@ -569,7 +564,6 @@ func newEngine(tr transport.Transport, opts Options) (*engine, error) {
 		x64:   int64(opts.Params.X),
 		seed:  opts.Seed,
 		prob:  opts.Params.P,
-		sink:  opts.Sink,
 		part:  opts.Part,
 		tr:    tr,
 		cm:    comm.New(tr, comm.Config{BufferCap: opts.bufferCap}),
@@ -734,13 +728,13 @@ func (e *engine) serve() error {
 	return e.ckptStep()
 }
 
-// bootstrap builds the F table, emits clique edges for locally-owned
-// clique nodes, fixes node x's attachments if x is local, and counts the
-// slots left to resolve. An in-memory rank's table lives in the tail of
-// its own output range (hostedFtab), which RunRank's rank allocates
-// here; a streamed or sink run has no range, so its table stands alone.
+// bootstrap builds the F table, marks the slots of locally-owned clique
+// nodes, fixes node x's attachments if x is local, and counts the slots
+// left to resolve. An in-memory rank's table lives in the tail of its
+// own output range (hostedFtab), which RunRank's rank allocates here; a
+// streamed or sink run has no range, so its table stands alone.
 func (e *engine) bootstrap() {
-	if e.sink == nil && e.stream == nil && e.edges == nil {
+	if e.opts.Sink == nil && e.stream == nil && e.edges == nil {
 		e.edges = make([]graph.Edge, rankEdges(e.part, e.rank, e.x))
 	}
 	e.f = hostedFtab(e.edges, e.size*e.x64, e.opts.Params.N)
@@ -761,12 +755,9 @@ func (e *engine) bootstrap() {
 		i++
 		switch {
 		case t < e.x64:
-			// Clique node: emit its backward clique edges; it has no
-			// attachment slots (mark them resolved so they never count).
+			// Clique node: its edges are its backward clique edges, not
+			// attachments (mark its slots resolved so they never count).
 			base := idx * e.x64
-			for j := int64(0); j < t; j++ {
-				e.emit(t, j)
-			}
 			for edge := 0; edge < e.x; edge++ {
 				e.f.set(base+int64(edge), t) // self-marker; never queried
 			}
@@ -776,7 +767,6 @@ func (e *engine) bootstrap() {
 			for edge := 0; edge < e.x; edge++ {
 				v, _ := e.opts.Params.BootstrapF(t, edge)
 				e.f.set(base+int64(edge), v)
-				e.emit(t, v)
 				if e.trace != nil {
 					e.trace.RecordBootstrap(t, edge)
 				}
@@ -787,20 +777,26 @@ func (e *engine) bootstrap() {
 	})
 }
 
-// streamFrontier advances a streamed rank's frontier — the first slot of
-// its first unfinished node — past every finished node and writes their
-// slots to the shard, in key order. A node commits its edges in order,
-// so its last slot being final means all of them are. A clique node t's
-// slots all hold t (bootstrap's self-marker); its edges are (t, j) for
-// j < t. The frontier moves by whole nodes, so a cut's mark always ends
-// on a node boundary (DESIGN.md §9.5). Called between windows, before a
-// cut's mark and before the shard closes; a no-op without a stream.
+// streamFrontier advances a streamed or Sink rank's frontier — the first
+// slot of its first unfinished node — past every finished node and hands
+// their edges to the shard or the Sink, in slot order. A node commits its
+// edges in order, so its last slot being final means all of them are. A
+// clique node t's slots all hold t (bootstrap's self-marker); its edges
+// are (t, j) for j < t. The frontier moves by whole nodes, so a cut's
+// mark always ends on a node boundary (DESIGN.md §9.5). Called between
+// windows, before a cut's mark and at the rank's end; a no-op for an
+// in-memory rank.
 func (e *engine) streamFrontier() error {
-	if e.stream == nil {
+	sink := e.opts.Sink
+	if e.stream == nil && sink == nil {
 		return nil
 	}
 	x, end := e.x64, e.f.len()
 	for s := e.frontier; s < end && e.f.get(s+x-1) >= 0; s += x {
+		var t int64
+		if sink != nil {
+			t = e.part.NodeAt(e.rank, s/x)
+		}
 		for j := int64(0); j < x; j++ {
 			v := e.f.get(s + j)
 			if s < e.cliqueSlots {
@@ -809,7 +805,9 @@ func (e *engine) streamFrontier() error {
 				}
 				v = j
 			}
-			if err := e.stream.Emit(uint64(s+j), v); err != nil {
+			if sink != nil {
+				sink(e.rank, graph.Edge{U: t, V: v})
+			} else if err := e.stream.Emit(uint64(s+j), v); err != nil {
 				return err
 			}
 		}
@@ -897,10 +895,8 @@ func (e *engine) finishStats() {
 		e.stats.SinkBytes = st.BytesWritten
 		e.stats.SinkFsyncs = st.Fsyncs
 		e.stats.SinkFsyncTime = time.Duration(st.FsyncNanos)
-	case e.sink != nil:
-		e.stats.Edges = e.emitted
 	default:
-		e.stats.Edges = int64(len(e.edges))
+		e.stats.Edges = rankEdges(e.part, e.rank, e.x)
 	}
 	e.stats.Comm = e.cm.Counters()
 	if ts, ok := e.tr.(interface{ Stats() transport.TCPStats }); ok {

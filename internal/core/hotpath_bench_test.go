@@ -29,11 +29,11 @@ func reportPerNode(b *testing.B) {
 
 // BenchmarkHotPathEngine measures the steady-state generation loop: one
 // batch of batchNodes nodes' x attachment placements (initiate →
-// drawGather → commit → resolveSlot → emit) against a warm one-worker
-// engine with a no-op sink. This is the zero-allocation claim of the hot
-// path — after bootstrap, expect 0 allocs/op: the attempt generator
-// and the stripe scratch live on the lane, the waiter table recycles its
-// arena, and the sink bypasses the edge store.
+// drawGather → commit → resolveSlot) against a warm one-worker engine
+// with a no-op sink. This is the zero-allocation claim of the hot path —
+// after bootstrap, expect 0 allocs/op: the attempt generator and the
+// stripe scratch live on the lane, the waiter table recycles its arena,
+// and the sink bypasses the edge store.
 func BenchmarkHotPathEngine(b *testing.B) {
 	const (
 		n = int64(1 << 16)

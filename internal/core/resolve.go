@@ -1,7 +1,6 @@
 package core
 
 import (
-	"pagen/internal/graph"
 	"pagen/internal/model"
 	"pagen/internal/msg"
 )
@@ -11,17 +10,7 @@ import (
 // edge order, suspension and resume, slot finalisation with its waiter
 // cascade, and the request and resolved handlers. All of it runs on the
 // rank goroutine, the single writer of F, the waiter and suspension
-// tables, the ahead arena, the send buffers and the sink.
-
-// emit finalises edge (t, v) of a generating node for the Sink. A
-// streamed rank writes its shard from F instead, in slot order
-// (streamFrontier), and an in-memory one collects its edges from F.
-func (e *engine) emit(t, v int64) {
-	e.emitted++
-	if e.sink != nil {
-		e.sink(e.rank, graph.Edge{U: t, V: v})
-	}
-}
+// tables, the ahead arena and the send buffers.
 
 // issue evaluates attempt a of node t's edge: a direct attempt's value
 // is its k, a copy's is looked up by query, whose results it returns.
@@ -109,7 +98,7 @@ func (e *engine) settle(t, idx int64, st suspState, v int64) {
 			v, ok = e.issue(t, edge, d.Attempt(&e.rng, e.seed, edge, r))
 			continue
 		}
-		e.resolveSlot(t, edge, base+int64(edge), v)
+		e.resolveSlot(base+int64(edge), v)
 		if edge++; edge == e.x {
 			e.ahead.release(st.blk)
 			return
@@ -139,12 +128,12 @@ func (e *engine) resume(t, idx int64, edge int, v int64) {
 	}
 }
 
-// resolveSlot finalises F_t(edge) = v at flat slot s: records the edge
-// and emits it, and answers every waiter of the slot (Algorithm 3.1
-// lines 16-19 / Algorithm 3.2 lines 21-25).
-func (e *engine) resolveSlot(t int64, edge int, s, v int64) {
+// resolveSlot finalises F = v at flat slot s and answers every
+// waiter of the slot (Algorithm 3.1 lines 16-19 / Algorithm 3.2 lines
+// 21-25). The edge leaves F later, in slot order: through streamFrontier
+// to the shard or the Sink, or through collectEdges.
+func (e *engine) resolveSlot(s, v int64) {
 	e.f.set(s, v)
-	e.emit(t, v)
 	e.unresolved--
 
 	// Walk the slot's detached waiter chain in FIFO order. Each node's

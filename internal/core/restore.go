@@ -55,13 +55,18 @@ func validateSnapshot(s *ckpt.Snapshot, tr transport.Transport, opts Options) er
 }
 
 // restore rebuilds the engine's state from the rank's snapshot, after
-// bootstrap: F below the frontier from the marked shard prefix, and the
-// cursor at the frontier's node. Every node from there on is NILL and is
-// generated as a fresh run would generate it, so no slot is resolved or
-// written twice and unresolved stays exact (DESIGN.md §9.5). Nothing in
-// the snapshot depends on the worker count, so it restores at any.
+// bootstrap: the shard recovered to the snapshot's mark, F below the
+// frontier from that prefix, and the cursor at the frontier's node.
+// Every node from there on is NILL and is generated as a fresh run would
+// generate it, so no slot is resolved or written twice and unresolved
+// stays exact (DESIGN.md §9.5). Nothing in the snapshot depends on the
+// worker count, so it restores at any.
 func (e *engine) restore(s *ckpt.Snapshot) error {
-	if err := e.restoreShard(s.Sink); err != nil {
+	prefix, err := e.stream.Recover(esink.Mark{Offset: s.Sink.Offset, Blocks: s.Sink.Blocks, Edges: s.Sink.Edges})
+	if err != nil {
+		return err
+	}
+	if err := e.restoreShard(prefix); err != nil {
 		return err
 	}
 	e.cursor = e.frontier / e.x64
@@ -74,51 +79,38 @@ func (e *engine) restore(s *ckpt.Snapshot) error {
 	return nil
 }
 
-// restoreShard fills F from the rank's shard, which RunRank's Recover
-// has just verified and truncated to the snapshot's mark, and sets the
-// frontier to the first NILL slot. The cut wrote every slot of the nodes
-// below its frontier there, in key order. Bootstrap has already written
-// the clique and seed nodes (t <= x) and counted their records in
-// e.emitted; the pass checks those are present and leaves their slots
-// alone. Anything the CRCs cannot vouch for — a record count off the
-// mark, a value outside [0, n) (the reader refuses it), a key past the
-// rank's slots, a prefix that ends inside a node or leaves a gap below
-// its last record — fails the
-// resume rather than splicing a wrong table.
-func (e *engine) restoreShard(mark ckpt.SinkMark) error {
+// restoreShard fills F from the shard prefix Recover has just verified
+// and kept, and sets the frontier to the first NILL slot. The cut wrote
+// every record of the nodes below its frontier there, in key order.
+// Bootstrap has already written the clique and seed nodes (t <= x); the
+// pass leaves their slots alone, and counts their records with the rest.
+// Anything the CRCs cannot vouch for — a value outside [0, n) (the
+// reader refuses it), a key past the rank's slots, a prefix that ends
+// inside a node or leaves a gap below its last record, one short of
+// bootstrap's records — fails the resume rather than splicing a wrong
+// table.
+func (e *engine) restoreShard(it *esink.Iter) error {
 	path := e.stream.Path()
-	r, err := esink.OpenReaderTolerant(path)
-	if err != nil {
-		return fmt.Errorf("core: resume: %w", err)
-	}
-	defer r.Close()
-	it := r.Iter(0)
-	var n, boot int64
+	var n int64
 	last := int64(-1)
 	for {
 		key, v, ok := it.NextSlot()
 		if !ok {
 			break
 		}
-		n++
 		s := int64(key)
-		switch {
-		case s >= e.f.len():
+		if s >= e.f.len() {
 			return fmt.Errorf("core: resume: shard %s: slot %d lies past the rank's %d slots", path, key, e.f.len())
-		case e.f.get(s) < 0:
+		}
+		if e.f.get(s) < 0 {
 			e.f.set(s, v)
 			e.unresolved--
-		default:
-			boot++
 		}
+		n++
 		last = s
 	}
 	if err := it.Err(); err != nil {
 		return fmt.Errorf("core: resume: %w", err)
-	}
-	if n != mark.Edges || boot != e.emitted {
-		return fmt.Errorf("core: resume: shard %s: prefix holds %d records (%d of bootstrap's %d), snapshot marks %d",
-			path, n, boot, e.emitted, mark.Edges)
 	}
 	frontier := int64(0)
 	for frontier < e.f.len() && e.f.get(frontier) >= 0 {
@@ -126,6 +118,12 @@ func (e *engine) restoreShard(mark ckpt.SinkMark) error {
 	}
 	if frontier%e.x64 != 0 || last >= frontier {
 		return fmt.Errorf("core: resume: shard %s: prefix resolves F up to slot %d and holds slot %d, not every slot of the nodes below a node boundary", path, frontier, last)
+	}
+	// Every slot below the frontier is final, and bootstrap's were before
+	// the pass: the nodes below it have all the rank's edges (rankEdges)
+	// but those of the slots from the frontier on.
+	if want := rankEdges(e.part, e.rank, e.x) - (e.f.len() - frontier); n != want {
+		return fmt.Errorf("core: resume: shard %s: prefix holds %d records, bootstrap's and those of the nodes below slot %d number %d", path, n, frontier, want)
 	}
 	e.frontier = frontier
 	return nil

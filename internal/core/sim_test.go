@@ -423,7 +423,7 @@ func checkMarks(c simConfig, dir, streamDir string) (int, error) {
 
 // shardKeys lists the slot keys of the shard at path, in file order.
 func shardKeys(path string) ([]uint64, error) {
-	rd, err := esink.OpenReaderTolerant(path)
+	rd, err := esink.OpenReader(path)
 	if err != nil {
 		return nil, err
 	}

@@ -405,7 +405,7 @@ func TestWriterBytesMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := w.Recover(cut); err != nil {
+				if _, err := w.Recover(cut); err != nil {
 					t.Fatal(err)
 				}
 				ref = newRefShard(meta, blockEdges)
@@ -586,16 +586,17 @@ func drain(it *Iter) (n int64, err error) {
 
 // TestTruncatedPayload: a block's payload length follows from its
 // count, so a block whose payload is cut short — its CRC sealed over the
-// bytes it has — is refused when the shard opens, at every cut: strictly
-// as a damaged block, tolerantly as a torn tail ending the blocks before
-// it. It never reads as a clean stream that is silently short.
+// bytes it has — is damage the scan meets, at every cut: OpenReader
+// refuses the shard, and Recover keeps the blocks before it. It never
+// reads as a clean stream that is silently short.
 func TestTruncatedPayload(t *testing.T) {
 	meta := flatMeta(1 << 40)
 	w := ValueBits(meta.N)
 	first := flatBlock(0, 0, w, 9)
 	payload := refPayload(w, 5, 300, 1<<39)
 	for cut := 1; cut <= len(payload); cut++ {
-		path := t.TempDir() + "/shard"
+		dir := t.TempDir()
+		path := ShardPath(dir, meta.Rank, meta.Ranks)
 		if err := os.WriteFile(path, craftShard(meta, first, craftBlock(1, 1, 3, 3, 0, payload[:len(payload)-cut])), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -604,22 +605,15 @@ func TestTruncatedPayload(t *testing.T) {
 			r.Close()
 			t.Fatalf("cut %d: the strict reader opened the shard and read %d records, err %v", cut, n, err)
 		}
-		r, err := OpenReaderTolerant(path)
-		if err != nil {
-			t.Fatalf("cut %d: tolerant open: %v", cut, err)
-		}
-		n, err := drain(r.Iter(0))
-		r.Close()
-		if n != 1 || err != nil {
-			t.Fatalf("cut %d: the tolerant reader read %d records, err %v; want the first block's 1", cut, n, err)
+		if _, got, damage := recoverPrefix(t, dir, meta); len(got) != 1 || damage == nil {
+			t.Fatalf("cut %d: Recover kept %d records, scan damage %v; want the first block's 1 and damage", cut, len(got), damage)
 		}
 	}
 }
 
 // A version 1 or 2 shard — whose blocks could interleave keys, or whose
 // records are a key delta and a value varint — is refused by its
-// version before any block is read, strictly, tolerantly and by
-// Recover.
+// version before any block is read, by OpenReader and by Recover.
 func TestReaderRefusesVersion1(t *testing.T) {
 	meta := testMeta(1000, 1)
 	for _, ver := range []byte{1, 2} {
@@ -633,27 +627,27 @@ func TestReaderRefusesVersion1(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := fmt.Sprintf("unsupported shard version %d", ver)
-		for _, open := range []func(string) (*Reader, error){OpenReader, OpenReaderTolerant} {
-			if r, err := open(path); err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("v%d shard: reader %v, err = %v, want a refusal naming version %d", ver, r, err, ver)
-			}
+		if r, err := OpenReader(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d shard: reader %v, err = %v, want a refusal naming version %d", ver, r, err, ver)
 		}
 		w, err := Open(dir, meta, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Recover(Mark{Offset: int64(len(old))}); err == nil || !strings.Contains(err.Error(), want) {
+		if _, err := w.Recover(Mark{Offset: int64(len(old))}); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("v%d shard: Recover err = %v, want a refusal naming version %d", ver, err, ver)
 		}
 		w.Abort()
 	}
 }
 
-// hostile is a CRC-clean shard the strict reader must refuse, and what
-// its error says.
+// hostile is a CRC-clean shard the strict reader must refuse, what its
+// error says, and how many records a reader yields before the refusal
+// when the shard opens.
 type hostile struct {
 	name, want string
 	data       []byte
+	good       int64
 }
 
 // hostileShards are CRC-clean v4 shards of rank 1 of a two-rank run
@@ -720,20 +714,20 @@ func hostileShards(tb testing.TB) []hostile {
 	padded := refExceptions(ob, w, 0, uint64(d1.v+1)) // 1 + 10 bits: 5 spare ones
 	padded[1] |= 1 << 7
 	return []hostile{
-		{"a value where the draws give one", "explicit count 1 disagrees with the draws, which take 0", one(d1, 1, 0, refPayload(w, d1.v))},
-		{"no value where the draws take one", fmt.Sprintf("explicit count 0 disagrees with the draws, which take more by slot %d", copied.key), one(copied, 0, 0, nil)},
-		{"an exception at a copy-first slot", fmt.Sprintf("slot %d: an exception where the value is stored", copied.key), one(copied, 0, 1, refExceptions(ob, w, 0, uint64(copied.v)))},
-		{"an exception in a bootstrap row", fmt.Sprintf("slot %d: an exception where the value is stored", row.key), one(row, 0, 1, refExceptions(ob, w, 0, uint64(row.v)))},
-		{"an exception equal to its candidate", fmt.Sprintf("slot %d: exception value %d is its first attempt's candidate", d1.key, d1.v), one(d1, 0, 1, refExceptions(ob, w, 0, uint64(d1.v)))},
-		{"exceptions out of order", fmt.Sprintf("exception 1 at offset 0 does not follow offset %d", i2-i1), pair(uint64(i2-i1), 0)},
-		{"a repeated exception", "exception 1 at offset 0 does not follow offset 0", pair(0, 0)},
-		{"an exception past the block", "exception 0 at offset 1 past its 1 records", one(d1, 0, 1, refExceptions(ob, w, 1, uint64(d1.v+1)))},
-		{"an exception past n", fmt.Sprintf("slot %d holds value 1000 past the run's 1000 nodes", d1.key), one(d1, 0, 1, refExceptions(ob, w, 0, 1000))},
-		{"a set bit after the exceptions", "padding bits after its 1 exceptions are set", one(d1, 0, 1, padded)},
-		{"more exceptions than a block may hold", fmt.Sprintf("%d exceptions", MaxExceptions+1), one(d1, 0, MaxExceptions+1, make([]byte, 2000))},
-		{"p above 1", "header describes no possible run", badP(1.5)},
-		{"p below 0", "header describes no possible run", badP(-0.5)},
-		{"a version 3 file", "unsupported shard version 3 (reader supports 4, whose blocks store only the values the seed cannot recompute; docs/SHARD_FORMAT.md)", v3},
+		{"a value where the draws give one", "explicit count 1 disagrees with the draws, which take 0", one(d1, 1, 0, refPayload(w, d1.v)), 1},
+		{"no value where the draws take one", fmt.Sprintf("explicit count 0 disagrees with the draws, which take more by slot %d", copied.key), one(copied, 0, 0, nil), 0},
+		{"an exception at a copy-first slot", fmt.Sprintf("slot %d: an exception where the value is stored", copied.key), one(copied, 0, 1, refExceptions(ob, w, 0, uint64(copied.v))), 0},
+		{"an exception in a bootstrap row", fmt.Sprintf("slot %d: an exception where the value is stored", row.key), one(row, 0, 1, refExceptions(ob, w, 0, uint64(row.v))), 0},
+		{"an exception equal to its candidate", fmt.Sprintf("slot %d: exception value %d is its first attempt's candidate", d1.key, d1.v), one(d1, 0, 1, refExceptions(ob, w, 0, uint64(d1.v))), 0},
+		{"exceptions out of order", fmt.Sprintf("exception 1 at offset 0 does not follow offset %d", i2-i1), pair(uint64(i2-i1), 0), 0},
+		{"a repeated exception", "exception 1 at offset 0 does not follow offset 0", pair(0, 0), 0},
+		{"an exception past the block", "exception 0 at offset 1 past its 1 records", one(d1, 0, 1, refExceptions(ob, w, 1, uint64(d1.v+1))), 1},
+		{"an exception past n", fmt.Sprintf("slot %d holds value 1000 past the run's 1000 nodes", d1.key), one(d1, 0, 1, refExceptions(ob, w, 0, 1000)), 0},
+		{"a set bit after the exceptions", "padding bits after its 1 exceptions are set", one(d1, 0, 1, padded), 1},
+		{"more exceptions than a block may hold", fmt.Sprintf("%d exceptions", MaxExceptions+1), one(d1, 0, MaxExceptions+1, make([]byte, 2000)), 0},
+		{"p above 1", "header describes no possible run", badP(1.5), 0},
+		{"p below 0", "header describes no possible run", badP(-0.5), 0},
+		{"a version 3 file", "unsupported shard version 3 (reader supports 4, whose blocks store only the values the seed cannot recompute; docs/SHARD_FORMAT.md)", v3, 0},
 	}
 }
 
@@ -741,7 +735,9 @@ func hostileShards(tb testing.TB) []hostile {
 // it opens, or when its bad block is reached, on Iter and on the
 // download lanes alike — by an error that names what is wrong, so no
 // CRC-clean payload that is not the writer's encoding of its records
-// reads as a graph.
+// reads as a graph. A shard refused past its open yields exactly the
+// records before the refused one, or before the block's end when what
+// is wrong is found there, on Iter and on a lane alike.
 func TestReaderRefusesNonCanonical(t *testing.T) {
 	for _, h := range hostileShards(t) {
 		t.Run(h.name, func(t *testing.T) {
@@ -757,8 +753,11 @@ func TestReaderRefusesNonCanonical(t *testing.T) {
 				return
 			}
 			defer r.Close()
-			if _, err := slots(r.Iter(0)); err == nil || !strings.Contains(err.Error(), h.want) {
-				t.Fatalf("drain: %v; want an error saying %q", err, h.want)
+			if n, err := drain(r.Iter(0)); n != h.good || err == nil || !strings.Contains(err.Error(), h.want) {
+				t.Fatalf("drain: %d records then %v; want %d and an error saying %q", n, err, h.good, h.want)
+			}
+			if n, err := laneRecords(r); n != h.good || err == nil || !strings.Contains(err.Error(), h.want) {
+				t.Fatalf("lane: %d records then %v; want %d and an error saying %q", n, err, h.good, h.want)
 			}
 			lanes, iter, lerr, ierr := downloads(r)
 			if err := sameDownload(lanes, iter, lerr, ierr); err != nil {
@@ -815,6 +814,21 @@ func downloads(r *Reader) (lanes, iter []byte, lerr, ierr error) {
 	lerr = graph.WriteBinaryStream(&a, r.Meta().N, r.Edges(), d.Iter(1))
 	ierr = graph.WriteBinaryStream(&b, r.Meta().N, r.Edges(), struct{ graph.EdgeIterator }{d.Iter(1)})
 	return a.Bytes(), b.Bytes(), lerr, ierr
+}
+
+// laneRecords decodes r's shard chunk by chunk on one download lane and
+// returns how many records it decoded before it stopped, and why.
+func laneRecords(r *Reader) (int64, error) {
+	di := (&DirReader{readers: []*Reader{r}}).Iter(1)
+	lane := di.Lane()
+	var n int64
+	for i := range di.Chunks() {
+		_, k, err := lane(i, make([]byte, 0, 1<<16), func(b []byte) []byte { return b[:0] })
+		if n += k; err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // sameDownload reports how a lane download and an Iter download of one

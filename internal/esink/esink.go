@@ -30,8 +30,9 @@
 // The writer integrates with checkpoint/restart: Mark flushes the open
 // block and returns a Mark (byte offset, block count, edge count) that
 // Sync makes durable and internal/ckpt stores in the snapshot; Recover
-// truncates a shard back to a Mark so a resumed run regenerates exactly
-// the missing suffix, with no duplicated or dropped edges.
+// truncates a shard back to a Mark and hands back the prefix it kept, so
+// a resumed run rebuilds its table from it and regenerates exactly the
+// missing suffix, with no duplicated or dropped edges.
 package esink
 
 import (
@@ -311,7 +312,8 @@ type Writer struct {
 	meta Meta
 
 	blockEdges int
-	width      uint   // w, the bits of a value
+	width      uint // w, the bits of a value
+	part       partition.Scheme
 	rows       rows   // the slots' rows, for the draws
 	limit      uint64 // one past the rank's largest slot key
 
@@ -379,6 +381,7 @@ func Open(dir string, meta Meta, blockEdges int) (*Writer, error) {
 		meta:       meta,
 		blockEdges: blockEdges,
 		width:      width,
+		part:       part,
 		rows:       newRows(part, meta),
 		limit:      uint64(part.Size(meta.Rank)) * uint64(meta.X),
 		enc:        buf[:blockLen:blockLen],
@@ -443,27 +446,29 @@ func (w *Writer) Reset() error {
 }
 
 // Recover validates the existing shard against mark — same run meta,
-// and an intact, CRC-clean block chain landing exactly on mark.Offset
-// with mark's block and edge counts — then truncates the file to
-// mark.Offset, discarding blocks flushed after the checkpoint cut and
-// any torn tail the kill left behind. The resumed run appends from
+// and a CRC-clean block chain running exactly to mark.Offset with mark's
+// block and edge counts, whatever damage lies past it — then truncates
+// the file to mark.Offset, discarding blocks flushed after the checkpoint
+// cut and any torn tail the kill left behind, and returns an iterator
+// over the prefix it verified, read through the writer's own handle. The
+// caller drains it before the first Emit. The resumed run appends from
 // there; Emit's ascending check starts afresh, since the prefix's last
 // key is not decoded — the caller resumes above it (the engine at the
 // node boundary its restore finds the prefix ending on).
-func (w *Writer) Recover(mark Mark) error {
+func (w *Writer) Recover(mark Mark) (*Iter, error) {
 	if w.started {
-		return w.setErr(fmt.Errorf("esink: Recover after start"))
+		return nil, w.setErr(fmt.Errorf("esink: Recover after start"))
 	}
-	sc, err := scanShard(w.f, true)
+	sc, err := scanShard(w.f)
 	if err != nil {
-		return w.setErr(fmt.Errorf("esink: recover %s: %w", w.f.Name(), err))
+		return nil, w.setErr(fmt.Errorf("esink: recover %s: %w", w.f.Name(), err))
 	}
 	if sc.meta != w.meta {
-		return w.setErr(fmt.Errorf("esink: recover %s: shard belongs to a different run (%+v, want %+v)", w.f.Name(), sc.meta, w.meta))
+		return nil, w.setErr(fmt.Errorf("esink: recover %s: shard belongs to a different run (%+v, want %+v)", w.f.Name(), sc.meta, w.meta))
 	}
-	// Find the durable prefix the mark names. The chain scan stops at
-	// the first torn block, which must lie at or beyond mark.Offset:
-	// everything before the mark was fsynced at the cut.
+	// Find the durable prefix the mark names. The scan stops at the first
+	// damage, which must lie at or beyond mark.Offset: everything before
+	// the mark was fsynced at the cut.
 	var blocks, edges int64
 	off := sc.headerLen
 	for _, b := range sc.blocks {
@@ -475,17 +480,18 @@ func (w *Writer) Recover(mark Mark) error {
 		off = b.off + b.size
 	}
 	if off != mark.Offset || blocks != mark.Blocks || edges != mark.Edges {
-		return w.setErr(fmt.Errorf("esink: recover %s: durable prefix is %d bytes / %d blocks / %d edges, checkpoint expects %d / %d / %d (shard damaged or from a different epoch sequence)",
+		return nil, w.setErr(fmt.Errorf("esink: recover %s: durable prefix is %d bytes / %d blocks / %d edges, checkpoint expects %d / %d / %d (shard damaged or from a different epoch sequence)",
 			w.f.Name(), off, blocks, edges, mark.Offset, mark.Blocks, mark.Edges))
 	}
 	if err := w.f.Truncate(mark.Offset); err != nil {
-		return w.setErr(err)
+		return nil, w.setErr(err)
 	}
 	w.off = mark.Offset
 	w.blocks = mark.Blocks
 	w.edges = mark.Edges
 	w.started = true
-	return nil
+	sc.blocks, sc.edges, sc.damage = sc.blocks[:blocks], edges, nil
+	return (&Reader{f: w.f, sc: sc, part: w.part}).Iter(0), nil
 }
 
 // Emit adds one edge record to the open block, closing it once it holds
@@ -719,8 +725,8 @@ func (w *Writer) Sync() error {
 }
 
 // Close flushes the open block, writes the end-of-stream record, fsyncs
-// and closes the file. Only a Closed shard is complete: readers in
-// strict mode require the EOS record. Rank goroutine only, after the
+// and closes the file. Only a Closed shard is complete: OpenReader
+// requires the EOS record. Rank goroutine only, after the
 // last Sync elsewhere has returned.
 func (w *Writer) Close() error {
 	if w.closed {

@@ -2,8 +2,11 @@ package esink
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"pagen/internal/graph"
@@ -94,6 +97,40 @@ func readAll(t *testing.T, path string, budget int) []graph.Edge {
 	return out
 }
 
+// recoverPrefix scans the shard of meta under dir, recovers it to the
+// end of the clean block prefix the scan kept, and returns that mark,
+// the records Recover hands back and the damage the scan met.
+func recoverPrefix(t *testing.T, dir string, meta Meta) (Mark, []rec, error) {
+	t.Helper()
+	f, err := os.Open(ShardPath(dir, meta.Rank, meta.Ranks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scanShard(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mark := Mark{Offset: sc.headerLen, Blocks: int64(len(sc.blocks)), Edges: sc.edges}
+	if n := len(sc.blocks); n > 0 {
+		mark.Offset = sc.blocks[n-1].off + sc.blocks[n-1].size
+	}
+	w, err := Open(dir, meta, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort()
+	it, err := w.Recover(mark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := slots(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mark, recs, sc.damage
+}
+
 func TestRoundtripSorted(t *testing.T) {
 	const n, x = 100, 2
 	meta := testMeta(n, x)
@@ -171,16 +208,12 @@ func TestStrictRejectsMissingEOS(t *testing.T) {
 	if _, err := OpenReader(path); err == nil {
 		t.Fatal("strict open accepted a shard without an end-of-stream record")
 	}
-	r, err := OpenReaderTolerant(path)
-	if err != nil {
-		t.Fatal(err)
+	_, recs, damage := recoverPrefix(t, dir, meta)
+	if damage == nil {
+		t.Fatal("the scan reports no damage without EOS")
 	}
-	defer r.Close()
-	if r.sc.complete {
-		t.Fatal("tolerant reader reports complete without EOS")
-	}
-	if r.Edges() != 8 {
-		t.Fatalf("tolerant reader sees %d edges, want 8", r.Edges())
+	if len(recs) != 8 {
+		t.Fatalf("Recover keeps %d edges, want 8", len(recs))
 	}
 }
 
@@ -205,29 +238,17 @@ func TestTornTailRecovery(t *testing.T) {
 	if _, err := OpenReader(path); err == nil {
 		t.Fatal("strict open accepted a torn shard")
 	}
-	r, err := OpenReaderTolerant(path)
-	if err != nil {
-		t.Fatal(err)
+	mark, got, damage := recoverPrefix(t, dir, meta)
+	if damage == nil {
+		t.Fatal("the scan reports no damage in a torn shard")
 	}
-	defer r.Close()
-	if r.sc.complete {
-		t.Fatal("torn shard reported complete")
+	if mark.Edges >= 50 || mark.Edges%8 != 0 || int64(len(got)) != mark.Edges {
+		t.Fatalf("torn shard keeps %d edges and yields %d, want a complete-block multiple below 50", mark.Edges, len(got))
 	}
-	if r.Edges() >= 50 || r.Edges()%8 != 0 {
-		t.Fatalf("torn shard yields %d edges, want a complete-block multiple below 50", r.Edges())
-	}
-	it := r.Iter(0)
-	for i := int64(0); i < r.Edges(); i++ {
-		e, ok := it.Next()
-		if !ok {
-			t.Fatalf("iterator ended at edge %d of %d", i, r.Edges())
+	for i, r := range got {
+		if r != recs[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, r, recs[i])
 		}
-		if e.U != i || e.V != i {
-			t.Fatalf("edge %d = %+v", i, e)
-		}
-	}
-	if _, ok := it.Next(); ok {
-		t.Fatal("iterator yielded past the clean prefix")
 	}
 }
 
@@ -253,13 +274,111 @@ func TestCorruptBlockCRC(t *testing.T) {
 	if _, err := OpenReader(path); err == nil {
 		t.Fatal("strict open accepted a corrupted block")
 	}
-	r, err := OpenReaderTolerant(path)
+	if _, got, _ := recoverPrefix(t, dir, meta); len(got) != 24 {
+		t.Fatalf("Recover keeps %d edges before the corruption, want 24 (three clean blocks)", len(got))
+	}
+}
+
+// TestScanDamageEveryByte: one walk decides every damaged shard. A small
+// finished shard of several blocks is cut at every byte offset and has
+// one byte flipped in each block's payload or CRC: OpenReader refuses
+// each copy with the message of the damage the scan meets first, and
+// Recover at every block-boundary mark at or below the damage keeps
+// exactly the blocks before the mark — the records they hold, and the
+// file cut to the mark — while a mark past the damage is refused.
+func TestScanDamageEveryByte(t *testing.T) {
+	meta := Meta{N: 200, X: 2, P: 0.5, Seed: 1, Rank: 0, Ranks: 1, Scheme: "UCP"}
+	recs := modelRecs(t, meta)[:40]
+	finished := writeShard(t, t.TempDir(), meta, 7, recs)
+	whole, err := os.ReadFile(finished)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if r.Edges() != 24 {
-		t.Fatalf("tolerant reader yields %d edges past corruption, want 24 (three clean blocks)", r.Edges())
+	f, err := os.Open(finished)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := scanShard(f)
+	f.Close()
+	if err != nil || sc.damage != nil || len(sc.blocks) < 5 {
+		t.Fatalf("the finished shard scans to %d blocks, err %v, damage %v; want 5 or more, clean", len(sc.blocks), err, sc.damage)
+	}
+	// marks[i] ends the first i blocks; kept[i] are their records.
+	marks := []Mark{{Offset: sc.headerLen}}
+	kept := [][]rec{nil}
+	for i, b := range sc.blocks {
+		marks = append(marks, Mark{Offset: b.off + b.size, Blocks: int64(i + 1), Edges: marks[i].Edges + b.count})
+		kept = append(kept, recs[:marks[i+1].Edges])
+	}
+	eos := marks[len(marks)-1].Offset
+
+	// check writes data, expects OpenReader to refuse it saying want,
+	// and Recover to keep the blocks before every mark at or below
+	// damage and to refuse every mark past it.
+	check := func(label string, data []byte, damage int64, want string) {
+		t.Helper()
+		refusal := "durable prefix"
+		if damage < sc.headerLen {
+			refusal = want
+		}
+		dir := t.TempDir()
+		path := ShardPath(dir, 0, 1)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := OpenReader(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: OpenReader %v, err %v; want a refusal saying %q", label, r, err, want)
+		}
+		for i, m := range marks {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w, err := Open(dir, meta, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			it, err := w.Recover(m)
+			switch {
+			case m.Offset > damage:
+				if err == nil || !strings.Contains(err.Error(), refusal) {
+					t.Fatalf("%s: Recover past the damage at %d to %+v: err %v", label, damage, m, err)
+				}
+			case err != nil:
+				t.Fatalf("%s: Recover to %+v: %v", label, m, err)
+			default:
+				got, err := slots(it)
+				if err != nil || !slices.Equal(got, kept[i]) {
+					t.Fatalf("%s: Recover to %+v kept %d records (err %v), want the %d before it", label, m, len(got), err, len(kept[i]))
+				}
+				if fi, err := os.Stat(path); err != nil || fi.Size() != m.Offset {
+					t.Fatalf("%s: Recover to %+v left the file at %v bytes (err %v)", label, m, fi.Size(), err)
+				}
+			}
+			w.Abort()
+		}
+	}
+	for c := int64(0); c < int64(len(whole)); c++ {
+		want := "shard header"
+		switch {
+		case c < sc.headerLen:
+		case c == eos || slices.ContainsFunc(sc.blocks, func(b blockInfo) bool { return b.off == c }):
+			want = fmt.Sprintf("shard ends without end-of-stream record (torn tail at offset %d)", c)
+		case c > eos:
+			want = fmt.Sprintf("torn end-of-stream record at offset %d", eos)
+		default:
+			i := slices.IndexFunc(sc.blocks, func(b blockInfo) bool { return c < b.off+b.size })
+			b := sc.blocks[i]
+			want = fmt.Sprintf("torn or corrupted block at offset %d", b.off)
+			if c >= b.payOff && c < b.payOff+b.payLen {
+				want = fmt.Sprintf("block at offset %d claims %d payload bytes", b.off, b.payLen)
+			}
+		}
+		check(fmt.Sprintf("cut at %d", c), whole[:c], c, want)
+	}
+	for _, b := range sc.blocks {
+		bad := slices.Clone(whole)
+		bad[b.payOff+(b.payLen+4)/2] ^= 0x20
+		check(fmt.Sprintf("block at %d flipped", b.off), bad, b.off, fmt.Sprintf("torn or corrupted block at offset %d", b.off))
 	}
 }
 
@@ -308,8 +427,12 @@ func TestRecoverToMark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Recover(mark); err != nil {
+	it, err := w2.Recover(mark)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if kept, err := slots(it); err != nil || len(kept) != 10 || kept[9] != (rec{9, 9}) {
+		t.Fatalf("Recover hands back %v (err %v), want the 10 records before the mark", kept, err)
 	}
 	// Resume the stream: re-emit the post-mark suffix, close cleanly.
 	for k := uint64(10); k < 20; k++ {
@@ -355,7 +478,7 @@ func TestRecoverRejectsMetaMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Recover(mark); err == nil {
+	if _, err := w2.Recover(mark); err == nil {
 		t.Fatal("Recover accepted a shard from a different run")
 	}
 	w2.Abort()
@@ -390,7 +513,7 @@ func TestRecoverRejectsShortShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Recover(mark); err == nil {
+	if _, err := w2.Recover(mark); err == nil {
 		t.Fatal("Recover accepted a shard shorter than its mark")
 	}
 	w2.Abort()

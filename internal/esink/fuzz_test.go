@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"pagen/internal/partition"
 )
 
 // shardBytes writes recs through a real writer and returns the file.
@@ -36,16 +38,19 @@ func shardBytes(f *testing.F, meta Meta, blockEdges int, recs []rec) []byte {
 	return b
 }
 
-// FuzzOpenReader feeds arbitrary bytes to the shard reader, strict and
-// tolerant. Whatever the file holds, opening and draining it must not
-// panic, must not accept a p that is NaN, must not yield more records
-// than its block headers declare, and must not allocate from a length
-// field the file size does not back. A shard the strict reader drains
-// cleanly must be byte for byte the reference encoding of the records it
-// yielded, at its own block sizes, so no bit of it goes unchecked. And
-// every shard opened is downloaded twice, through the block lanes and
-// through Iter: both must write the same bytes or fail with the same
-// error.
+// FuzzOpenReader feeds arbitrary bytes to the shard scan and reader.
+// The strict open must accept exactly the files whose scan meets no
+// damage — a clean chain ended by its end-of-stream record — under a run
+// identity checkMeta takes, so never a p that is NaN. Whatever the file
+// holds, reading it must not panic, must not yield more records than its
+// block headers declare, and must not allocate from a length field the
+// file size does not back. A shard the strict reader drains cleanly must
+// be byte for byte the reference encoding of the records it yielded, at
+// its own block sizes, so no bit of it goes unchecked. The clean prefix
+// the scan keeps — what Recover hands back — decodes under the same
+// rules. And the strict shard and the kept prefix are each downloaded
+// twice, through the block lanes and through Iter: both must write the
+// same bytes or fail with the same error.
 // The seeds are real v4 writer output — the records seq.CopyModel makes
 // of a rank's slots, with the gaps a clique node's missing slots leave,
 // and one shard of arbitrary values, heavy with exceptions — and
@@ -113,25 +118,48 @@ func FuzzOpenReader(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for _, tolerate := range []bool{false, true} {
-			r, err := openReader(path, tolerate)
-			if err != nil {
-				continue
-			}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		sc, scanErr := scanShard(f)
+		var part partition.Scheme
+		if scanErr == nil {
+			part, scanErr = checkMeta(sc.meta)
+		}
+		damage := scanErr
+		if damage == nil {
+			damage = sc.damage
+		}
+		r, err := OpenReader(path)
+		if (err == nil) != (damage == nil) {
+			t.Fatalf("strict open: %v; the scan: %v", err, damage)
+		}
+		if err == nil {
 			if m := r.Meta(); math.IsNaN(m.P) {
-				t.Fatalf("tolerate=%v: accepted a header with p = NaN", tolerate)
+				t.Fatal("accepted a header with p = NaN")
 			}
 			got, err := slots(r.Iter(1))
 			if int64(len(got)) > r.Edges() {
-				t.Fatalf("tolerate=%v: yielded %d records, block headers declare %d", tolerate, len(got), r.Edges())
+				t.Fatalf("yielded %d records, block headers declare %d", len(got), r.Edges())
 			}
-			if err == nil && !tolerate && !bytes.Equal(reencode(r, got), data) {
+			if err == nil && !bytes.Equal(reencode(r, got), data) {
 				t.Fatalf("drained %d records from a shard that is not their encoding", len(got))
 			}
 			if err := sameDownload(downloads(r)); err != nil {
-				t.Fatalf("tolerate=%v: %v", tolerate, err)
+				t.Fatal(err)
 			}
 			r.Close()
+		}
+		if scanErr == nil {
+			kept := &Reader{f: f, sc: sc, part: part}
+			if got, _ := slots(kept.Iter(1)); int64(len(got)) > sc.edges {
+				t.Fatalf("the kept prefix yielded %d records, its block headers declare %d", len(got), sc.edges)
+			}
+			if err := sameDownload(downloads(kept)); err != nil {
+				t.Fatalf("the kept prefix: %v", err)
+			}
 		}
 		runtime.ReadMemStats(&after)
 		// Scan buffer, read windows, the encoder's ring and partition

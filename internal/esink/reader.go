@@ -45,13 +45,16 @@ type blockInfo struct {
 // valuesLen is the bytes of the block's explicit values.
 func (b *blockInfo) valuesLen(w uint) int64 { return payloadLen(b.explicit, w) }
 
-// scanResult is a shard file's parsed structure.
+// scanResult is a shard file's parsed structure: the clean prefix of
+// its block chain, and the first damage the walk met past it.
 type scanResult struct {
 	meta      Meta
 	headerLen int64
 	blocks    []blockInfo
 	edges     int64
-	complete  bool // EOS record present and consistent
+	// damage is nil for a complete shard: every block CRC-clean, then a
+	// consistent end-of-stream record that ends the file.
+	damage error
 }
 
 // countReader tracks the byte offset of a buffered sequential read.
@@ -95,12 +98,14 @@ func (c *countReader) crc(crc uint32, n int64) (uint32, error) {
 }
 
 // scanShard parses a shard's header and walks its block chain front to
-// back, verifying every block CRC. With tolerate set, a torn tail — a
-// truncated or CRC-failing final region, the signature of a kill
-// mid-flush — ends the scan at the last complete block instead of
-// failing; a missing EOS record likewise just leaves complete false.
-// Without tolerate, any damage (EOS included) is an error.
-func scanShard(f *os.File, tolerate bool) (*scanResult, error) {
+// back once, verifying every block CRC. It fails only when the header
+// cannot be read; past it, the walk stops at the first damage — a torn,
+// CRC-failing or implausible block, an unknown marker, a missing or
+// inconsistent end-of-stream record, bytes after it — and records it as
+// the result's damage, so the blocks before it are the clean prefix. A
+// strict open refuses any damage; Recover accepts damage past its mark,
+// the torn tail a kill mid-flush leaves.
+func scanShard(f *os.File) (*scanResult, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -173,72 +178,60 @@ func scanShard(f *os.File, tolerate bool) (*scanResult, error) {
 	}
 
 	sc := &scanResult{meta: meta, headerLen: cr.off}
+	stop := func(format string, args ...any) (*scanResult, error) {
+		sc.damage = fmt.Errorf(format, args...)
+		return sc, nil
+	}
+	// fields reads a record's uvarints into dst and returns the bytes the
+	// record's CRC covers: marker m and the fields re-encoded, which are
+	// exactly the bytes read.
+	fields := func(m byte, dst ...*uint64) ([]byte, bool) {
+		b := append(make([]byte, 0, 32), m)
+		for _, p := range dst {
+			v, err := cr.uvarint()
+			if err != nil {
+				return nil, false
+			}
+			b, *p = binary.AppendUvarint(b, v), v
+		}
+		return b, true
+	}
+	// sealed reads a record's CRC and reports whether it is crc.
+	sealed := func(crc uint32) bool {
+		_, err := io.ReadFull(cr, crcBuf[:])
+		return err == nil && binary.LittleEndian.Uint32(crcBuf[:]) == crc
+	}
 	width := ValueBits(meta.N)
 	for {
 		blockOff := cr.off
 		marker, err := cr.ReadByte()
 		if err == io.EOF {
-			// No EOS record: the writer never Closed (crash). The
-			// complete-block prefix is still usable in tolerate mode.
-			if tolerate {
-				return sc, nil
-			}
-			return nil, fmt.Errorf("shard ends without end-of-stream record (torn tail at offset %d)", blockOff)
+			// No EOS record: the writer never Closed (crash).
+			return stop("shard ends without end-of-stream record (torn tail at offset %d)", blockOff)
 		}
 		if err != nil {
 			return nil, err
 		}
 		switch marker {
 		case blockMarker:
-			hb := make([]byte, 0, 32)
-			hb = append(hb, marker)
 			var seq, first, count, explicit, exceptions uint64
-			ok := true
-			for _, dst := range []*uint64{&seq, &first, &count, &explicit, &exceptions} {
-				v, err := cr.uvarint()
-				if err != nil {
-					ok = false
-					break
-				}
-				// Re-append the varint so the CRC covers the exact bytes.
-				hb = binary.AppendUvarint(hb, v)
-				*dst = v
-			}
-			// Structural sanity before trusting payLen: a torn tail can
-			// parse as a block header with garbage fields, so in tolerate
-			// mode these end the scan like any other tail damage.
-			if ok && int64(seq) != int64(len(sc.blocks)) {
-				if tolerate {
-					return sc, nil
-				}
-				return nil, fmt.Errorf("block at offset %d has sequence %d, want %d", blockOff, seq, len(sc.blocks))
-			}
-			if ok && (count == 0 || count > MaxBlockEdges || explicit > count || exceptions > MaxExceptions || explicit+exceptions > count) {
-				// A torn tail can invent counts as easily as a sequence
-				// number.
-				if tolerate {
-					return sc, nil
-				}
-				return nil, fmt.Errorf("block at offset %d claims %d records, %d explicit values and %d exceptions (at most %d records and %d exceptions a block)", blockOff, count, explicit, exceptions, MaxBlockEdges, MaxExceptions)
-			}
+			hb, ok := fields(marker, &seq, &first, &count, &explicit, &exceptions)
 			payLen := payloadLen(int64(explicit), width) + exceptionsLen(int64(exceptions), int64(count), width)
-			if ok && payLen > fi.Size()-cr.off {
+			// Structural sanity before trusting payLen: a torn tail can
+			// parse as a block header with garbage fields — a sequence
+			// number, counts — as easily as a clean one.
+			switch {
+			case !ok:
+			case int64(seq) != int64(len(sc.blocks)):
+				return stop("block at offset %d has sequence %d, want %d", blockOff, seq, len(sc.blocks))
+			case count == 0 || count > MaxBlockEdges || explicit > count || exceptions > MaxExceptions || explicit+exceptions > count:
+				return stop("block at offset %d claims %d records, %d explicit values and %d exceptions (at most %d records and %d exceptions a block)", blockOff, count, explicit, exceptions, MaxBlockEdges, MaxExceptions)
+			case payLen > fi.Size()-cr.off:
 				// The payload cannot outrun the file.
-				if tolerate {
-					return sc, nil
-				}
-				return nil, fmt.Errorf("block at offset %d claims %d payload bytes in the file's %d bytes left", blockOff, payLen, fi.Size()-cr.off)
-			}
-			if ok {
+				return stop("block at offset %d claims %d payload bytes in the file's %d bytes left", blockOff, payLen, fi.Size()-cr.off)
+			default:
 				payOff := cr.off
-				if crc, err := cr.crc(crc32.Checksum(hb, castagnoli), payLen); err != nil {
-					ok = false
-				} else if _, err := io.ReadFull(cr, crcBuf[:]); err != nil {
-					ok = false
-				} else if binary.LittleEndian.Uint32(crcBuf[:]) != crc {
-					ok = false
-				}
-				if ok {
+				if crc, err := cr.crc(crc32.Checksum(hb, castagnoli), payLen); err == nil && sealed(crc) {
 					sc.blocks = append(sc.blocks, blockInfo{
 						off:        blockOff,
 						size:       cr.off - blockOff,
@@ -253,59 +246,24 @@ func scanShard(f *os.File, tolerate bool) (*scanResult, error) {
 					continue
 				}
 			}
-			if tolerate {
-				return sc, nil
-			}
-			return nil, fmt.Errorf("torn or corrupted block at offset %d", blockOff)
+			return stop("torn or corrupted block at offset %d", blockOff)
 		case eosMarker:
-			eb := make([]byte, 0, 32)
-			eb = append(eb, marker)
 			var edges, blocks uint64
-			ok := true
-			for _, dst := range []*uint64{&edges, &blocks} {
-				v, err := cr.uvarint()
-				if err != nil {
-					ok = false
-					break
-				}
-				eb = binary.AppendUvarint(eb, v)
-				*dst = v
-			}
-			if ok {
-				if _, err := io.ReadFull(cr, crcBuf[:]); err != nil {
-					ok = false
-				} else if binary.LittleEndian.Uint32(crcBuf[:]) != crc32.Checksum(eb, castagnoli) {
-					ok = false
-				}
-			}
-			if !ok {
-				if tolerate {
-					return sc, nil
-				}
-				return nil, fmt.Errorf("torn end-of-stream record at offset %d", blockOff)
-			}
-			if int64(edges) != sc.edges || int64(blocks) != int64(len(sc.blocks)) {
-				if tolerate {
-					return sc, nil
-				}
-				return nil, fmt.Errorf("end-of-stream record says %d edges / %d blocks, chain holds %d / %d", edges, blocks, sc.edges, len(sc.blocks))
+			eb, ok := fields(marker, &edges, &blocks)
+			switch {
+			case !ok || !sealed(crc32.Checksum(eb, castagnoli)):
+				return stop("torn end-of-stream record at offset %d", blockOff)
+			case int64(edges) != sc.edges || int64(blocks) != int64(len(sc.blocks)):
+				return stop("end-of-stream record says %d edges / %d blocks, chain holds %d / %d", edges, blocks, sc.edges, len(sc.blocks))
 			}
 			if _, err := cr.ReadByte(); err != io.EOF {
 				// A valid EOS with bytes after it: a finished shard a later
 				// crash appended a torn tail to. The chain itself is clean.
-				if tolerate {
-					sc.complete = true
-					return sc, nil
-				}
-				return nil, fmt.Errorf("trailing bytes after end-of-stream record")
+				return stop("trailing bytes after end-of-stream record")
 			}
-			sc.complete = true
 			return sc, nil
 		default:
-			if tolerate {
-				return sc, nil
-			}
-			return nil, fmt.Errorf("unknown marker %q at offset %d", marker, blockOff)
+			return stop("unknown marker %q at offset %d", marker, blockOff)
 		}
 	}
 }
@@ -320,30 +278,22 @@ type Reader struct {
 	part partition.Scheme
 }
 
-// OpenReader opens a shard strictly: the file must be complete (EOS
-// record present) and every block CRC-clean.
+// OpenReader opens a shard strictly: it refuses any damage the scan
+// meets — the file must be complete (EOS record present) and every
+// block CRC-clean.
 func OpenReader(path string) (*Reader, error) {
-	return openReader(path, false)
-}
-
-// OpenReaderTolerant opens a shard accepting a torn tail: iteration
-// covers the longest clean complete-block prefix. For a resumed rank's
-// restore and post-mortem inspection of a crashed run's shards.
-func OpenReaderTolerant(path string) (*Reader, error) {
-	return openReader(path, true)
-}
-
-func openReader(path string, tolerate bool) (*Reader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	sc, err := scanShard(f, tolerate)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("esink: %s: %w", path, err)
+	sc, err := scanShard(f)
+	if err == nil {
+		err = sc.damage
 	}
-	part, err := checkMeta(sc.meta)
+	var part partition.Scheme
+	if err == nil {
+		part, err = checkMeta(sc.meta)
+	}
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("esink: %s: %w", path, err)
@@ -371,15 +321,15 @@ const slack = 16
 // decoder decodes the values of one shard's blocks through one window
 // and makes every check a block needs: once per block, that its first
 // key lies above the previous block's last key and its keys inside the
-// rank's slots, and that its exception list ascends inside its records
-// with values below n; for every record, that it takes an explicit value
+// rank's slots; for every record, that it takes an explicit value
 // exactly when its first attempt is not direct or its row is not drawn,
-// that an exception names a direct-first slot and moves it off its
-// candidate, and that an explicit value lies below n; and at its end,
-// that the draws took all its explicit values and its spare bits are
-// zero — so a payload it accepts is the one the writer makes of its
-// records. Iter reads blocks one after another with it; a download lane
-// reads runs of them.
+// that an exception names a direct-first slot, follows the one before
+// it and moves the slot off its candidate to a node below n, and that an
+// explicit value lies below n; and at its end, that the draws took all
+// its explicit values, that no exception lies past its records and that
+// the spare bits behind both lists are zero — so a payload it accepts is
+// the one the writer makes of its records. It walks a run of blocks
+// (next): Iter walks all of a shard's, a download lane a chunk's.
 type decoder struct {
 	r         *Reader
 	buf       []byte // the window: file bytes [off-fill, off)
@@ -391,6 +341,7 @@ type decoder struct {
 	width     uint  // w, the bits of a value
 	n         uint64
 	block     int    // the block being decoded
+	lo, hi    int    // the walk's blocks, [lo, hi)
 	key       uint64 // the next record's slot key
 	remaining int64  // the block's records left
 	explicit  int64  // the block's explicit values left
@@ -398,6 +349,7 @@ type decoder struct {
 	rows      rows
 	idx, e    uint64                  // the next record's row and edge; e = x once the row is done
 	exc       []uint64                // the block's exceptions left: offset, value, …
+	last      int64                   // the offset of the block's last exception merged, −1 for none
 	excs      []uint64                // exc's room, for the longest list, once a block has one
 	vals      [decodeBatch + 1]uint64 // a batch's explicit values; one more, read and dropped
 	xb        []byte                  // the exception list's bytes and slack
@@ -419,9 +371,11 @@ func newDecoder(budget int) decoder {
 	return decoder{buf: make([]byte, windowLen(budget))}
 }
 
-// reset points the decoder at r's blocks.
-func (d *decoder) reset(r *Reader) {
+// reset points the decoder at r's blocks [lo, hi), letting the window
+// read ahead to rend.
+func (d *decoder) reset(r *Reader, lo, hi int, rend int64) {
 	d.r, d.fill, d.pos, d.remaining, d.err = r, 0, 0, 0, nil
+	d.block, d.lo, d.hi, d.rend = lo-1, lo, hi, rend
 	d.width, d.n = ValueBits(r.sc.meta.N), uint64(r.sc.meta.N)
 	d.limit = uint64(r.part.Size(r.sc.meta.Rank)) * uint64(r.sc.meta.X)
 	d.rows = newRows(r.part, r.sc.meta)
@@ -435,11 +389,25 @@ func (d *decoder) fail(format string, args ...any) {
 	d.remaining = 0
 }
 
-// open starts block b, letting the window read ahead to rend, checks its
-// keys — they follow the previous block's and lie inside the rank's
-// slots — and reads its exception list. Bytes the window already holds
-// are not read again.
-func (d *decoder) open(b int, rend int64) {
+// next decodes the walk's next records into vals and returns the first
+// one's slot key and how many there are: 0 at the walk's end or at an
+// error, which it leaves in d.err. It alone sequences a block's open,
+// its decode batches and its done.
+func (d *decoder) next(vals []uint64) (key uint64, k int) {
+	for d.remaining == 0 {
+		if d.err != nil || d.block >= d.lo && !d.done() || d.block+1 == d.hi {
+			return 0, 0
+		}
+		d.open(d.block + 1)
+	}
+	key = d.key
+	return key, d.decode(vals)
+}
+
+// open starts block b, checks its keys — they follow the previous
+// block's and lie inside the rank's slots — and reads its exception
+// list. Bytes the window already holds are not read again.
+func (d *decoder) open(b int) {
 	bi := &d.r.sc.blocks[b]
 	if start := bi.payOff - (d.off - int64(d.fill)); start >= int64(d.pos+7)/8 && start <= int64(d.fill) {
 		d.pos = uint(start) * 8
@@ -447,8 +415,8 @@ func (d *decoder) open(b int, rend int64) {
 		d.pos, d.fill, d.off = 0, 0, bi.payOff
 	}
 	d.block, d.key, d.remaining, d.explicit = b, bi.first, bi.count, bi.explicit
-	d.pend, d.rend = bi.payOff+bi.valuesLen(d.width), max(rend, bi.payOff+bi.payLen)
-	d.exc = nil
+	d.pend, d.rend = bi.payOff+bi.valuesLen(d.width), max(d.rend, bi.payOff+bi.payLen)
+	d.exc, d.last = nil, -1
 	next := uint64(0)
 	if b > 0 {
 		next = d.r.sc.blocks[b-1].first + uint64(d.r.sc.blocks[b-1].count)
@@ -467,15 +435,13 @@ func (d *decoder) open(b int, rend int64) {
 	}
 }
 
-// exceptions reads block bi's exception list into d.exc, checking that
-// its offsets ascend inside the block's records, that its values lie
-// below n and that its spare bits are zero.
+// exceptions reads block bi's exception list into d.exc; decode checks
+// each entry where it merges it, and done what is left.
 func (d *decoder) exceptions(bi *blockInfo) {
 	if d.xb == nil { // room for the longest list, once: most blocks have none
 		d.excs = make([]uint64, 0, 2*MaxExceptions)
 		d.xb = make([]byte, exceptionsLen(MaxExceptions, MaxBlockEdges, 64)+slack)
 	}
-	d.exc = d.excs[:0]
 	l := exceptionsLen(bi.exceptions, bi.count, d.width)
 	xb := d.xb[:l+slack]
 	clear(xb[l:])
@@ -484,26 +450,9 @@ func (d *decoder) exceptions(bi *blockInfo) {
 		return
 	}
 	ob := ValueBits(bi.count)
-	pos := uint(0)
-	for j := int64(0); j < bi.exceptions; j++ {
-		off := bitsAt(xb, pos, ob)
-		v := bitsAt(xb, pos+ob, d.width)
-		pos += ob + d.width
-		switch {
-		case off >= uint64(bi.count):
-			d.fail("exception %d at offset %d past its %d records", j, off, bi.count)
-			return
-		case j > 0 && off <= d.exc[len(d.exc)-2]:
-			d.fail("exception %d at offset %d does not follow offset %d", j, off, d.exc[len(d.exc)-2])
-			return
-		case v >= d.n:
-			d.fail("slot %d holds value %d past the run's %d nodes", bi.first+off, v, d.n)
-			return
-		}
-		d.exc = append(d.exc, off, v)
-	}
-	if pos%8 != 0 && xb[pos/8]>>(pos%8) != 0 {
-		d.fail("padding bits after its %d exceptions are set", bi.exceptions)
+	d.exc = d.excs[:2*bi.exceptions]
+	for j, pos := 0, uint(0); j < len(d.exc); j, pos = j+2, pos+ob+d.width {
+		d.exc[j], d.exc[j+1] = bitsAt(xb, pos, ob), bitsAt(xb, pos+ob, d.width)
 	}
 }
 
@@ -562,16 +511,25 @@ func (d *decoder) decode(vals []uint64) int {
 	// bad is the first record refused, k if none, and why its value v.
 	bad, why, v := k, refusal(0), uint64(0)
 	for x := d.exc; len(x) > 0 && x[0] < rec+uint64(k); x = x[2:] {
-		i, c := int(x[0]-rec), vals[x[0]-rec]
-		if c == stored || x[1] == c {
-			bad, why, v = i, excStored, c
-			if c != stored {
-				why = excCandidate
-			}
+		o := x[0]
+		if int64(o) <= d.last { // the records before it decode without it
+			bad, why = int(max(o, rec)-rec), excOrder
+			break
+		}
+		i, c := int(o-rec), vals[o-rec]
+		switch {
+		case c == stored:
+			bad, why = i, excStored
+		case x[1] == c:
+			bad, why, v = i, excCandidate, c
+		case x[1] >= d.n:
+			bad, why, v = i, pastN, x[1]
+		}
+		if why != 0 {
 			break
 		}
 		vals[i] = x[1]
-		d.exc = x[2:]
+		d.exc, d.last = x[2:], int64(o)
 	}
 	take := m
 	if int64(m) > d.explicit { // the draws take more than the block has
@@ -618,6 +576,8 @@ func (d *decoder) decode(vals []uint64) int {
 	// j values went to the records before bad.
 	d.pos, d.key, d.explicit = d.pos+w*uint(j), d.key+uint64(bad), d.explicit-int64(j)
 	switch slot := d.key; why {
+	case excOrder:
+		d.fail("exception %d at offset %d does not follow offset %d", d.excIndex(), d.exc[0], d.last)
 	case excStored:
 		d.fail("slot %d: an exception where the value is stored", slot)
 	case excCandidate:
@@ -637,6 +597,7 @@ type refusal int
 
 const (
 	_            refusal = iota
+	excOrder             // an exception at or below the offset of the one before it
 	excStored            // an exception where the block stores the value
 	excCandidate         // an exception that equals the record's candidate
 	tooFew               // the block's explicit values run out
@@ -656,19 +617,30 @@ func storedAt(c []uint64, j int) int {
 	return len(c)
 }
 
+// excIndex is the index in its block's list of the exception d.exc
+// starts at.
+func (d *decoder) excIndex() int64 {
+	return d.r.sc.blocks[d.block].exceptions - int64(len(d.exc)/2)
+}
+
 // done checks, at the block's end, that the draws took every explicit
-// value and that the spare bits behind the last one are zero.
+// value, that no exception is left — one past the records — and that
+// the spare bits behind the explicit values and behind the exception
+// list are zero.
 func (d *decoder) done() bool {
 	bi := &d.r.sc.blocks[d.block]
-	if d.explicit != 0 {
+	pos := uint(bi.exceptions) * (ValueBits(bi.count) + d.width) // the exception list's end
+	switch {
+	case d.explicit != 0:
 		d.fail("explicit count %d disagrees with the draws, which take %d", bi.explicit, bi.explicit-d.explicit)
-		return false
-	}
-	if d.pos%8 != 0 && d.buf[d.pos/8]>>(d.pos%8) != 0 {
+	case d.pos%8 != 0 && d.buf[d.pos/8]>>(d.pos%8) != 0:
 		d.fail("padding bits after its %d records are set", bi.count)
-		return false
+	case len(d.exc) > 0:
+		d.fail("exception %d at offset %d past its %d records", d.excIndex(), d.exc[0], bi.count)
+	case pos%8 != 0 && d.xb[pos/8]>>(pos%8) != 0:
+		d.fail("padding bits after its %d exceptions are set", bi.exceptions)
 	}
-	return true
+	return d.err == nil
 }
 
 // Iter is a canonical-order edge iterator over one shard. It decodes
@@ -676,11 +648,10 @@ func (d *decoder) done() bool {
 // checks that every block's keys lie above the block's before it.
 type Iter struct {
 	decoder
-	opened int // blocks opened
-	vals   [decodeBatch]uint64
-	base   uint64 // vals[0]'s slot key
-	i, k   int    // vals[i:k] are decoded, not yet yielded
-	x      uint64
+	vals [decodeBatch]uint64
+	base uint64 // vals[0]'s slot key
+	i, k int    // vals[i:k] are decoded, not yet yielded
+	x    uint64
 	// [node, node+x) are the keys of u, the last edge's source, so a
 	// node's x edges cost one division and one partition lookup; node
 	// starts at limit.
@@ -693,7 +664,7 @@ type Iter struct {
 // budget <= 0). Multiple iterators over one Reader are independent.
 func (r *Reader) Iter(budget int) *Iter {
 	it := &Iter{decoder: newDecoder(budget), x: uint64(r.sc.meta.X)}
-	it.reset(r)
+	it.reset(r, 0, len(r.sc.blocks), 0)
 	it.node = it.limit
 	return it
 }
@@ -703,17 +674,11 @@ func (r *Reader) Iter(budget int) *Iter {
 // inside the rank's table) and the attachment value (checked to lie
 // below n). A resumed run rebuilds its attachment table from these.
 func (it *Iter) NextSlot() (key uint64, v int64, ok bool) {
-	for it.i == it.k {
-		switch {
-		case it.remaining > 0:
-			it.base, it.i = it.key, 0
-			it.k = it.decode(it.vals[:])
-		case it.err != nil || it.opened > 0 && !it.done() || it.opened == len(it.r.sc.blocks):
+	if it.i == it.k {
+		if it.base, it.k = it.next(it.vals[:]); it.k == 0 {
 			return 0, 0, false
-		default:
-			it.open(it.opened, 0)
-			it.opened++
 		}
+		it.i = 0
 	}
 	it.i++
 	return it.base + uint64(it.i-1), int64(it.vals[it.i-1]), true
@@ -880,45 +845,37 @@ func (di *DirIter) Lane() graph.ChunkEncoder {
 	return func(i int, b []byte, emit func([]byte) []byte) ([]byte, int64, error) {
 		c := di.chunks[i]
 		r := di.d.readers[c.shard]
-		d.reset(r)
 		end := r.sc.blocks[c.hi-1]
+		d.reset(r, c.lo, c.hi, end.payOff+end.payLen)
 		// u is the last edge's source: its PAGB bytes as a word, ul of
 		// them, or more than 8 for a source too wide for one.
 		x, node, u, uw, ul := uint64(r.sc.meta.X), d.limit, uint64(0), uint64(0), 0
 		var n int64
-		for blk := c.lo; blk < c.hi && d.err == nil; blk++ {
-			d.open(blk, end.payOff+end.payLen)
-			for d.remaining > 0 {
-				key := d.key
-				k := d.decode(vals[:])
-				n += int64(k)
-				if cap(b)-len(b) < k*maxRecordLen {
-					if b = emit(b); b == nil {
-						return nil, n, nil
-					}
-				}
-				for _, v := range vals[:k] {
-					if key-node >= x {
-						node = key - key%x
-						u = uint64(d.rows.node(key / x))
-						uw, ul = varintWord(u)
-					}
-					key++
-					vw, vl := varintWord(v)
-					if ul > 8 || vl > 8 {
-						b = binary.AppendUvarint(binary.AppendUvarint(b, u), v)
-						continue
-					}
-					// Two words, each cut to its varint's length.
-					l := len(b)
-					b = b[:l+16]
-					binary.LittleEndian.PutUint64(b[l:], uw)
-					binary.LittleEndian.PutUint64(b[l+ul:], vw)
-					b = b[:l+ul+vl]
+		for key, k := d.next(vals[:]); k > 0; key, k = d.next(vals[:]) {
+			n += int64(k)
+			if cap(b)-len(b) < k*maxRecordLen {
+				if b = emit(b); b == nil {
+					return nil, n, nil
 				}
 			}
-			if d.err == nil {
-				d.done()
+			for _, v := range vals[:k] {
+				if key-node >= x {
+					node = key - key%x
+					u = uint64(d.rows.node(key / x))
+					uw, ul = varintWord(u)
+				}
+				key++
+				vw, vl := varintWord(v)
+				if ul > 8 || vl > 8 {
+					b = binary.AppendUvarint(binary.AppendUvarint(b, u), v)
+					continue
+				}
+				// Two words, each cut to its varint's length.
+				l := len(b)
+				b = b[:l+16]
+				binary.LittleEndian.PutUint64(b[l:], uw)
+				binary.LittleEndian.PutUint64(b[l+ul:], vw)
+				b = b[:l+ul+vl]
 			}
 		}
 		return b, n, d.err

@@ -139,13 +139,15 @@ func NewPartition(scheme string, n int64, ranks int) (Partition, error) {
 	return partition.New(kind, n, ranks)
 }
 
-// GenerateStream runs the parallel generator but streams every finalised
-// edge to sink instead of materialising the graph — the paper's
-// "generate on the fly and analyze without disk I/O" mode. Each rank
-// calls sink from one goroutine, whatever Workers is, so a sink that
-// dispatches on rank needs no locking; ranks run concurrently, so state
-// shared across ranks does. The returned Result has a nil Graph;
-// per-rank stats are still collected.
+// GenerateStream runs the parallel generator but streams every edge to
+// sink instead of materialising the graph — the paper's "generate on
+// the fly and analyze without disk I/O" mode. Each rank hands over its
+// edges in its slot order, a node's once all of them are final: the
+// sequence rank r delivers is rank r's range of Generate's edge list,
+// edge for edge. Each rank calls sink from one goroutine, whatever
+// Workers is, so a sink that dispatches on rank needs no locking; ranks
+// run concurrently, so state shared across ranks does. The returned
+// Result has a nil Graph; per-rank stats are still collected.
 func GenerateStream(cfg Config, sink func(rank int, e Edge)) (*Result, error) {
 	if cfg.Checkpointed() {
 		return nil, errCheckpointStreaming

@@ -1,6 +1,7 @@
 package pagen
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -48,24 +49,47 @@ func TestGenerateStreamDeliversAllEdges(t *testing.T) {
 	}
 }
 
-func TestGenerateStreamMatchesMaterialisedX1(t *testing.T) {
-	cfg := Config{N: 3000, X: 1, Ranks: 4, Seed: 23}
-	var mu sync.Mutex
-	streamed := make(map[int64]int64)
-	if _, err := GenerateStream(cfg, func(rank int, e Edge) {
-		mu.Lock()
-		streamed[e.U] = e.V
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range res.Graph.Edges {
-		if streamed[e.U] != e.V {
-			t.Fatalf("F_%d: streamed %d vs materialised %d", e.U, streamed[e.U], e.V)
+// TestGenerateStreamSlotOrder: each rank hands the sink its edges in
+// its slot order — the sequence it delivers is its range of Generate's
+// edge list, edge for edge — and its RankStats.Edges counts them.
+func TestGenerateStreamSlotOrder(t *testing.T) {
+	for _, x := range []int{1, 3} {
+		for _, ranks := range []int{1, 2, 4} {
+			for _, scheme := range []string{"RRP", "UCP"} {
+				t.Run(fmt.Sprintf("x%d/ranks%d/%s", x, ranks, scheme), func(t *testing.T) {
+					cfg := Config{N: 3000, X: x, Ranks: ranks, Scheme: scheme, Workers: 2, Seed: 23}
+					var mu sync.Mutex
+					streamed := make([][]Edge, ranks)
+					res, err := GenerateStream(cfg, func(rank int, e Edge) {
+						mu.Lock()
+						streamed[rank] = append(streamed[rank], e)
+						mu.Unlock()
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					mem, err := Generate(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := mem.Graph.Edges
+					for r, got := range streamed {
+						if st := res.Ranks[r].Edges; st != int64(len(got)) {
+							t.Fatalf("rank %d: RankStats.Edges %d, sink got %d", r, st, len(got))
+						}
+						n := mem.Ranks[r].Edges
+						if int64(len(got)) != n {
+							t.Fatalf("rank %d streamed %d edges, its range holds %d", r, len(got), n)
+						}
+						for i, e := range got {
+							if e != want[i] {
+								t.Fatalf("rank %d edge %d: streamed %+v, Generate has %+v", r, i, e, want[i])
+							}
+						}
+						want = want[n:]
+					}
+				})
+			}
 		}
 	}
 }
